@@ -221,3 +221,59 @@ func TestServeStoreCorruptShard(t *testing.T) {
 		t.Fatalf("store corruption killed %d workers", n)
 	}
 }
+
+// TestServeStoreLocalFallback kills every worker of a store-served run on
+// its first level result: the coordinator has no level-0 assignment (the
+// shards embodied it), so the degraded in-process level must reconstruct it
+// from the manifest's strategy — and still produce the byte-identical
+// partition of the in-memory run TestServeStoreMatchesInMemory compares to.
+func TestServeStoreLocalFallback(t *testing.T) {
+	g := gen.RGG(11, 3)
+	cfg := core.NewConfig(core.Fast, 8)
+	cfg.Seed = 4242
+	cfg.PEs = 2
+	cfg.Coarsen = core.CoarsenDistributed
+	cfg.Distribution = dist.StrategyRCB
+	want, err := core.Run(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := writeTestStore(t, g, 2, dist.StrategyRCB)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		sched, err := dist.ParseFaultSchedule("ctrl:write:2:kill")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := remote.WorkWith(ctx, "tcp", ln.Addr().String(), remote.WorkOptions{Faults: sched}); err == nil {
+				t.Errorf("worker %d survived its own kill schedule", i)
+			}
+		}(i)
+	}
+	var counters remote.Counters
+	got, err := remote.ServeStore(ctx, ln, st, cfg, remote.ServeOptions{WorkerTimeout: 10 * time.Second, Counters: &counters})
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("ServeStore did not degrade to local execution: %v", err)
+	}
+	if got.Cut != want.Cut || !reflect.DeepEqual(got.Blocks, want.Blocks) {
+		t.Fatalf("degraded store partition diverged from the in-memory run: cut %d vs %d", got.Cut, want.Cut)
+	}
+	s := counters.Snapshot()
+	if s.LocalFallbacks != 1 {
+		t.Errorf("LocalFallbacks = %d, want 1", s.LocalFallbacks)
+	}
+	if s.WorkerFailures != 2 {
+		t.Errorf("WorkerFailures = %d, want 2", s.WorkerFailures)
+	}
+}

@@ -182,7 +182,7 @@ func BenchmarkPartition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := NewConfig(Fast, 16)
 				cfg.Seed = uint64(i)
-				Partition(c.g, cfg)
+				mustRun(b, c.g, cfg)
 			}
 		})
 	}

@@ -42,7 +42,6 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -147,29 +146,15 @@ func main() {
 		defer stopProfiles()
 	}
 
+	cfg, err := core.ConfigFromNames(*preset, *k, *eps, *seed, *pes, *workers, *distFl, *coarsFl)
+	if err != nil {
+		fail(err)
+	}
+	variant, _ := core.ParseVariant(*preset) // the name ConfigFromNames just accepted
 	g, err := loadGraph(*inFile, *genSpec)
 	if err != nil {
 		fail(err)
 	}
-	variant, err := parsePreset(*preset)
-	if err != nil {
-		fail(err)
-	}
-	cfg := core.NewConfig(variant, *k)
-	cfg.Eps = *eps
-	cfg.Seed = *seed
-	cfg.PEs = *pes
-	cfg.Workers = *workers
-	strategy, err := dist.ParseStrategy(*distFl)
-	if err != nil {
-		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
-	}
-	cfg.Distribution = strategy
-	mode, err := core.ParseCoarsenMode(*coarsFl)
-	if err != nil {
-		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
-	}
-	cfg.Coarsen = mode
 
 	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
 	// kernels, profiles flush, and the process exits 1 — instead of dying
@@ -226,7 +211,7 @@ func main() {
 	p := part.FromBlocks(g, *k, *eps, res.Blocks)
 	sum := ob.summaryWriter()
 	fmt.Fprintf(sum, "graph     n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, coarsen=%s)\n", variant, *k, *eps, strategy, mode)
+	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, coarsen=%s)\n", variant, *k, *eps, cfg.Distribution, cfg.Coarsen)
 	fmt.Fprintf(sum, "cut       %d\n", res.Cut)
 	fmt.Fprintf(sum, "balance   %.4f (Lmax %d, feasible %v)\n", res.Balance, p.Lmax(), p.Feasible())
 	fmt.Fprintf(sum, "levels    %d\n", res.Levels)
@@ -296,7 +281,9 @@ func loadGraph(inFile, genSpec string) (*graph.Graph, error) {
 		// binary .bgraph files alike.
 		return graphio.ReadFile(inFile)
 	case genSpec != "":
-		g, err := generate(genSpec)
+		// The validated spec parser is shared with the service layer, so CLI
+		// and API jobs accept exactly the same generator vocabulary.
+		g, err := gen.FromSpec(genSpec)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", core.ErrInvalidConfig, err)
 		}
@@ -304,10 +291,4 @@ func loadGraph(inFile, genSpec string) (*graph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("%w: need -in or -gen", core.ErrInvalidConfig)
 	}
-}
-
-// generate delegates to the validated spec parser shared with the service
-// layer, so CLI and API jobs accept exactly the same generator vocabulary.
-func generate(spec string) (*graph.Graph, error) {
-	return gen.FromSpec(spec)
 }

@@ -56,6 +56,12 @@ func runServe(args []string) {
 		wire.SetMaxFrame(*maxFrame)
 	}
 
+	cfg, err := core.ConfigFromNames(*preset, *k, *eps, *seed, *pes, 0, *distFl, "distributed")
+	if err != nil {
+		fail(err)
+	}
+	variant, _ := core.ParseVariant(*preset) // the name ConfigFromNames just accepted
+
 	// Input: a graph (-in/-gen) the coordinator holds in memory, or a shard
 	// store (-shards) it streams from disk. With -shards the graph variable
 	// is a memory-mapped view of the store's CSR segment — observability and
@@ -67,9 +73,15 @@ func runServe(args []string) {
 		if *inFile != "" || *genSpec != "" {
 			fail(fmt.Errorf("%w: -shards replaces -in/-gen (the store IS the graph)", core.ErrInvalidConfig))
 		}
-		var err error
 		st, err = store.Open(*shards)
 		if err != nil {
+			fail(err)
+		}
+		// Adopt the manifest's shape before anything sizes itself off cfg
+		// (transport stats, the handshake's worker count, the report). A
+		// conflicting -pes or -dist fails here rather than mid-handshake.
+		m := st.Manifest()
+		if err := cfg.AdoptStore(m.PEs, m.Strategy); err != nil {
 			fail(err)
 		}
 		mg, err := st.MapGraph()
@@ -79,44 +91,10 @@ func runServe(args []string) {
 		defer mg.Close()
 		g = mg.G
 	default:
-		var err error
 		g, err = loadGraph(*inFile, *genSpec)
 		if err != nil {
 			fail(err)
 		}
-	}
-	variant, err := parsePreset(*preset)
-	if err != nil {
-		fail(err)
-	}
-	cfg := core.NewConfig(variant, *k)
-	cfg.Eps = *eps
-	cfg.Seed = *seed
-	cfg.PEs = *pes
-	strategy, err := dist.ParseStrategy(*distFl)
-	if err != nil {
-		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
-	}
-	cfg.Distribution = strategy
-	cfg.Coarsen = core.CoarsenDistributed
-	if st != nil {
-		// Adopt the manifest's shape before anything sizes itself off cfg
-		// (transport stats, the handshake's worker count, the report). A
-		// conflicting -pes or -dist fails here rather than mid-handshake.
-		m := st.Manifest()
-		if cfg.PEs != 0 && cfg.PEs != m.PEs {
-			fail(fmt.Errorf("%w: -pes %d but the store holds %d shards", core.ErrInvalidConfig, cfg.PEs, m.PEs))
-		}
-		cfg.PEs = m.PEs
-		mstrat, err := dist.ParseStrategy(m.Strategy)
-		if err != nil {
-			fail(err)
-		}
-		if strategy != mstrat && strategy != dist.StrategyAuto {
-			fail(fmt.Errorf("%w: -dist %s but the shards were extracted under %s", core.ErrInvalidConfig, strategy, mstrat))
-		}
-		strategy = mstrat
-		cfg.Distribution = mstrat
 	}
 
 	// SIGINT/SIGTERM cancel the coordination context: workers see the
@@ -168,7 +146,7 @@ func runServe(args []string) {
 	p := part.FromBlocks(g, *k, *eps, res.Blocks)
 	sum := ob.summaryWriter()
 	fmt.Fprintf(sum, "graph     n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, pes=%d workers)\n", variant, *k, *eps, strategy, cfg.NumPEs())
+	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, pes=%d workers)\n", variant, *k, *eps, cfg.Distribution, cfg.NumPEs())
 	if st != nil {
 		fmt.Fprintf(sum, "store     %s (%d shards streamed, global CSR memory-mapped)\n", *shards, counters.Snapshot().ShardsStreamed)
 	}
@@ -245,10 +223,4 @@ func runWorker(args []string) {
 	if *outFile != "" && wr.Partition != nil {
 		writePartition(*outFile, wr.Partition)
 	}
-}
-
-// parsePreset maps a preset name to its variant, via the parser shared with
-// the service layer.
-func parsePreset(name string) (core.Variant, error) {
-	return core.ParseVariant(name)
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -23,8 +24,8 @@ func ExampleDistribute() {
 	cfg := repro.NewConfig(repro.Fast, pes)
 	cfg.Distribution = repro.DistRCB
 	cfg.Seed = 42
-	res := repro.Partition(g, cfg)
-	fmt.Println("feasible partition:", res.Cut > 0)
+	res, err := repro.Run(context.Background(), g, cfg)
+	fmt.Println("feasible partition:", err == nil && res.Cut > 0)
 
 	// Extract each PE's local subgraph plus halo.
 	assign := repro.Distribute(g, repro.DistRCB, pes)

@@ -47,46 +47,9 @@ func ExampleRun() {
 		fmt.Println("bad config rejected:", err != nil)
 	}
 
-	// The legacy wrapper is byte-compatible for the same seed:
-	legacy := repro.Partition(g, cfg)
-	fmt.Println("legacy-identical:", legacy.Cut == res.Cut)
-
 	// Output:
 	// feasible: true cut agrees: true
 	// observed levels: true
 	// observed refinement: true
 	// bad config rejected: true
-	// legacy-identical: true
-}
-
-// ExampleRun_transport swaps the message-passing backend of distributed
-// coarsening through the Transport seam: the barrier-based lockstep
-// transport stands in for the default channel Exchanger — the same slot a
-// future RPC or MPI backend plugs into — without changing a single block
-// assignment.
-func ExampleRun_transport() {
-	g := repro.Grid2D(32, 32)
-	cfg := repro.NewConfig(repro.Fast, 8)
-	cfg.Seed = 7
-	cfg.Coarsen = repro.CoarsenDistributed // PE-local coarsening (§3)
-
-	def, err := repro.Run(context.Background(), g, cfg)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	alt, err := repro.Run(context.Background(), g, cfg,
-		repro.WithTransport(repro.NewLockstepTransport(8)))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	same := def.Cut == alt.Cut
-	for v := range def.Blocks {
-		same = same && def.Blocks[v] == alt.Blocks[v]
-	}
-	fmt.Println("transports interchangeable:", same)
-
-	// Output:
-	// transports interchangeable: true
 }

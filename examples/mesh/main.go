@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro"
 	"repro/internal/part"
@@ -17,10 +19,17 @@ func main() {
 	mesh := repro.FEMMesh(20000, 8, 3)
 	fmt.Printf("FEM mesh: n=%d m=%d\n", mesh.NumNodes(), mesh.NumEdges())
 
+	run := func(cfg repro.Config) repro.Result {
+		res, err := repro.Run(context.Background(), mesh, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
 	for _, v := range []repro.Variant{repro.Minimal, repro.Fast, repro.Strong} {
 		cfg := repro.NewConfig(v, k)
 		cfg.Seed = 11
-		res := repro.Partition(mesh, cfg)
+		res := run(cfg)
 		fmt.Printf("%-14s cut=%5d balance=%.3f time=%v\n",
 			v, res.Cut, res.Balance, res.TotalTime.Round(1e6))
 	}
@@ -28,7 +37,7 @@ func main() {
 	// Decompose with the Strong preset and report solver-facing statistics.
 	cfg := repro.NewConfig(repro.Strong, k)
 	cfg.Seed = 11
-	res := repro.Partition(mesh, cfg)
+	res := run(cfg)
 	p := part.FromBlocks(mesh, k, cfg.Eps, res.Blocks)
 
 	boundary := make([]int, k)

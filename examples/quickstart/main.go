@@ -27,8 +27,6 @@ func main() {
 	b.AddEdge(3, 4, 1) // the bridge
 	g := b.Build()
 
-	// repro.PartitionK is the legacy one-liner (panics on bad input);
-	// repro.Run is the primary entry point and returns errors instead.
 	cfg := repro.NewConfig(repro.Fast, 2)
 	cfg.Seed = 42
 	res, err := repro.Run(context.Background(), g, cfg)

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro"
 )
@@ -19,7 +21,10 @@ func main() {
 
 	cfg := repro.NewConfig(repro.Fast, k)
 	cfg.Seed = 21
-	res := repro.Partition(road, cfg)
+	res, err := repro.Run(context.Background(), road, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-14s cut=%5d balance=%.3f time=%v\n", "KaPPa-Fast", res.Cut, res.Balance, res.TotalTime.Round(1e6))
 
 	for _, tool := range []repro.BaselineTool{repro.ScotchLike, repro.KMetisLike, repro.ParMetisLike} {

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro"
 	"repro/internal/rating"
@@ -25,7 +27,11 @@ func main() {
 		const reps = 3
 		for s := uint64(0); s < reps; s++ {
 			cfg.Seed = 31 + s
-			total += repro.Partition(g, cfg).Cut
+			res, err := repro.Run(context.Background(), g, cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			total += res.Cut
 		}
 		fmt.Printf("rating %-14s avg cut=%d\n", rf, total/reps)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -49,7 +50,7 @@ func runKwayVariant(g *graph.Graph, k int, reps int) Row {
 		cfg.LocalIter = 1
 		cfg.BandDepth = 1
 		cfg.Patience = 0.01
-		res := core.Partition(g, cfg)
+		res := must(core.Run(context.Background(), g, cfg))
 		p := part.FromBlocks(g, k, cfg.Eps, res.Blocks)
 		refine.KWayGreedy(p, 3, rng.New(uint64(i)))
 		totalCut += float64(p.Cut())
@@ -220,8 +221,8 @@ func AblationEvolveVsRestarts(w io.Writer, o Options) {
 		for _, k := range o.Ks {
 			cfg := core.NewConfig(core.Fast, k)
 			cfg.Seed = 17
-			restarts := core.Evolve(in.Graph(), cfg, 4, 0) // 4 independent runs
-			evolved := core.Evolve(in.Graph(), cfg, 2, 2)  // 2 + 2 with mutation
+			restarts := must(core.Evolve(context.Background(), in.Graph(), cfg, 4, 0)) // 4 independent runs
+			evolved := must(core.Evolve(context.Background(), in.Graph(), cfg, 2, 2))  // 2 + 2 with mutation
 			fmt.Fprintf(w, "%-14s %-12s %10d\n", in.Name, "restarts", restarts.Cut)
 			fmt.Fprintf(w, "%-14s %-12s %10d\n", in.Name, "evolve", evolved.Cut)
 		}

@@ -30,15 +30,11 @@ func RunKaPPaObserved(g *graph.Graph, cfg core.Config, reps int, reg *obs.Regist
 	observer := obs.NewPipelineObserver(reg)
 	for i := 0; i < reps; i++ {
 		cfg.Seed = uint64(i)*0x5bd1e995 + 7
-		res, err := core.Run(context.Background(), g, cfg,
+		res := must(core.Run(context.Background(), g, cfg,
 			core.WithObserver(&tm),
 			core.WithObserver(observer),
 			core.WithTransportStats(stats),
-			core.WithArena(arena))
-		if err != nil {
-			//kappa:allow panicfree the bench harness only builds valid configurations; an error is a harness bug
-			panic("bench: " + err.Error())
-		}
+			core.WithArena(arena)))
 		obs.RecordResult(reg, res)
 		totalCut += float64(res.Cut)
 		totalBal += res.Balance

@@ -27,6 +27,17 @@ type Row struct {
 	AvgRefine  time.Duration
 }
 
+// must unwraps a pipeline call for the harness, which only constructs valid
+// configurations and never cancels: an error here is a bug in the harness
+// itself.
+func must[T any](v T, err error) T {
+	if err != nil {
+		//kappa:allow panicfree harness-internal configurations are valid by construction
+		panic("bench: " + err.Error())
+	}
+	return v
+}
+
 // RunKaPPa runs cfg on g `reps` times with different seeds, collecting
 // timings through a Timings trace observer. The repetitions share one
 // scratch arena, the way a long-lived service would, so only the first rep
@@ -41,13 +52,7 @@ func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
 	arena := mem.NewArena()
 	for i := 0; i < reps; i++ {
 		cfg.Seed = uint64(i)*0x5bd1e995 + 7
-		res, err := core.Run(context.Background(), g, cfg, core.WithObserver(&tm), core.WithArena(arena))
-		if err != nil {
-			// The harness only constructs valid configurations; an error
-			// here is a bug in the harness itself.
-			//kappa:allow panicfree harness-internal configurations are valid by construction
-			panic("bench: " + err.Error())
-		}
+		res := must(core.Run(context.Background(), g, cfg, core.WithObserver(&tm), core.WithArena(arena)))
 		totalCut += float64(res.Cut)
 		totalBal += res.Balance
 		if i == 0 || res.Cut < row.BestCut {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -333,7 +334,7 @@ func TableWalshaw(w io.Writer, eps float64, o Options) {
 				cfg.Patience = 0.30 // §6.3: FM patience strengthened to 30%
 				for rep := 0; rep < o.Reps; rep++ {
 					cfg.Seed = uint64(rep)*0x9e3779b9 + uint64(k)
-					res := core.Partition(g, cfg)
+					res := must(core.Run(context.Background(), g, cfg))
 					p := evaluate(g, k, eps, res.Blocks)
 					if !p.Feasible() {
 						continue

@@ -209,6 +209,53 @@ func NewConfig(v Variant, k int) Config {
 	return c
 }
 
+// ConfigFromNames builds the validated Config a front end describes by name.
+// It is the one path from flags (kappa, kappa serve) and JSON job specs
+// (kappa api) to a Config, so the byte-identity between those entry points
+// cannot drift. preset, distribution and coarsen are the flag-level names
+// ParseVariant, dist.ParseStrategy and ParseCoarsenMode accept; the numbers
+// are taken as given (pes 0 = k, workers 0 = GOMAXPROCS). Every error wraps
+// ErrInvalidConfig.
+func ConfigFromNames(preset string, k int, eps float64, seed uint64, pes, workers int, distribution, coarsen string) (Config, error) {
+	v, err := ParseVariant(preset)
+	if err != nil {
+		return Config{}, err
+	}
+	c := NewConfig(v, k)
+	c.Eps, c.Seed, c.PEs, c.Workers = eps, seed, pes, workers
+	if c.Distribution, err = dist.ParseStrategy(distribution); err == nil {
+		c.Coarsen, err = ParseCoarsenMode(coarsen)
+	}
+	if err == nil {
+		err = c.Validate()
+	}
+	if err != nil {
+		return Config{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	}
+	return c, nil
+}
+
+// AdoptStore makes c describe a run over a shard store holding pes shards
+// extracted under the named strategy (a store.Manifest's PEs and Strategy).
+// The store's shape is a fact of the input, not a knob of the request: an
+// unset PEs and StrategyAuto defer to it, anything else that disagrees is
+// rejected as ErrInvalidConfig.
+func (c *Config) AdoptStore(pes int, strategy string) error {
+	if c.PEs != 0 && c.PEs != pes {
+		return fmt.Errorf("%w: %d PEs configured but the store holds %d shards", ErrInvalidConfig, c.PEs, pes)
+	}
+	strat, err := dist.ParseStrategy(strategy)
+	if err != nil {
+		return fmt.Errorf("core: store manifest: %w", err)
+	}
+	if c.Distribution != strat && c.Distribution != dist.StrategyAuto {
+		return fmt.Errorf("%w: distribution %s requested but the shards were extracted under %s",
+			ErrInvalidConfig, c.Distribution, strat)
+	}
+	c.PEs, c.Distribution = pes, strat
+	return nil
+}
+
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	if c.K < 1 {
@@ -243,8 +290,6 @@ func (c *Config) NumPEs() int {
 	}
 	return c.K
 }
-
-func (c *Config) pes() int { return c.NumPEs() }
 
 func (c *Config) workers() int {
 	if c.Workers > 0 {

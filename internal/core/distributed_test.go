@@ -25,7 +25,7 @@ func TestPartitionDistributedCoarsening(t *testing.T) {
 		cfg := NewConfig(Fast, k)
 		cfg.Seed = 1234
 		cfg.Coarsen = CoarsenDistributed
-		res := Partition(tc.g, cfg)
+		res := mustRun(t, tc.g, cfg)
 		p := part.FromBlocks(tc.g, k, cfg.Eps, res.Blocks)
 		if !p.Feasible() {
 			t.Errorf("%s: distributed coarsening produced infeasible partition (balance %.4f)", tc.name, p.Imbalance())
@@ -34,7 +34,7 @@ func TestPartitionDistributedCoarsening(t *testing.T) {
 			t.Errorf("%s: no contraction levels built", tc.name)
 		}
 
-		res2 := Partition(tc.g, cfg)
+		res2 := mustRun(t, tc.g, cfg)
 		if res2.Cut != res.Cut {
 			t.Errorf("%s: cut not deterministic: %d vs %d", tc.name, res.Cut, res2.Cut)
 		}
@@ -46,7 +46,7 @@ func TestPartitionDistributedCoarsening(t *testing.T) {
 
 		shared := cfg
 		shared.Coarsen = CoarsenShared
-		sres := Partition(tc.g, shared)
+		sres := mustRun(t, tc.g, shared)
 		if sres.Cut > 0 && float64(res.Cut) > 1.5*float64(sres.Cut) {
 			t.Errorf("%s: distributed cut %d much worse than shared %d", tc.name, res.Cut, sres.Cut)
 		}

@@ -17,26 +17,14 @@ import (
 // Cross [24] and expects evolutionary methods to beat plain restarts for
 // large k).
 
-// RefineExisting improves a given block assignment without recomputing it
-// from scratch: it runs the parallel pairwise refinement of §5 directly on
+// RefineExistingCtx improves a given block assignment without recomputing
+// it from scratch: it runs the parallel pairwise refinement of §5 directly on
 // the finest graph (no multilevel hierarchy), rebalancing first if the input
 // violates the balance constraint. It returns the refined partition and its
-// cut. The input slice is not modified. It is a legacy wrapper (panics on
-// invalid configuration); RefineExistingCtx is the error-returning form.
-func RefineExisting(g *graph.Graph, cfg Config, blocks []int32) ([]int32, int64) {
-	refined, cut, err := RefineExistingCtx(context.Background(), g, cfg, blocks)
-	if err != nil {
-		//kappa:allow panicfree documented legacy wrapper contract: panic on invalid config, use RefineExistingCtx for errors
-		panic(err)
-	}
-	return refined, cut
-}
-
-// RefineExistingCtx is RefineExisting under the new error contract: invalid
-// configurations come back as ErrInvalidConfig-wrapped errors, a cancelled
-// context aborts between global iterations with ctx.Err(), and WithObserver
-// options receive the RefineEvents (there is no hierarchy, so events carry
-// Level 0).
+// cut; the input slice is not modified. Invalid configurations come back as
+// ErrInvalidConfig-wrapped errors, a cancelled context aborts between global
+// iterations with ctx.Err(), and WithObserver options receive the
+// RefineEvents (there is no hierarchy, so events carry Level 0).
 func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -74,7 +62,8 @@ type EvolveResult struct {
 // seeds (mutation) and (b) injecting fresh restarts to keep diversity. The
 // best feasible individual survives. With generations == 0 this degenerates
 // to plain restarts, so the benchmark harness can compare the two regimes.
-func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResult {
+// Errors are those of Run and RefineExistingCtx.
+func Evolve(ctx context.Context, g *graph.Graph, cfg Config, population, generations int) (EvolveResult, error) {
 	if population < 1 {
 		population = 1
 	}
@@ -82,23 +71,29 @@ func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResul
 		blocks []int32
 		cut    int64
 	}
-	run := func(seed uint64) indiv {
+	run := func(seed uint64) (indiv, error) {
 		c := cfg
 		c.Seed = seed
-		res := Partition(g, c)
-		return indiv{res.Blocks, res.Cut}
+		res, err := Run(ctx, g, c)
+		return indiv{res.Blocks, res.Cut}, err
 	}
 	// Initial population: independent restarts, in parallel.
 	pop := make([]indiv, population)
+	errs := make([]error, population)
 	var wg sync.WaitGroup
 	for i := range pop {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pop[i] = run(cfg.Seed + uint64(i)*0x9e3779b9)
+			pop[i], errs[i] = run(cfg.Seed + uint64(i)*0x9e3779b9)
 		}(i)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return EvolveResult{}, err
+		}
+	}
 	best := pop[0]
 	for _, in := range pop[1:] {
 		if in.cut < best.cut {
@@ -111,12 +106,18 @@ func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResul
 		// FM's randomized queues explore a different neighborhood each time.
 		mcfg := cfg
 		mcfg.Seed = cfg.Seed ^ uint64(gen+1)*0xdeadbeef
-		mutBlocks, mutCut := RefineExisting(g, mcfg, best.blocks)
+		mutBlocks, mutCut, err := RefineExistingCtx(ctx, g, mcfg, best.blocks)
+		if err != nil {
+			return EvolveResult{}, err
+		}
 		if mutCut < best.cut {
 			best = indiv{mutBlocks, mutCut}
 		}
 		// Immigration: one fresh restart per generation keeps diversity.
-		fresh := run(cfg.Seed + uint64(population+gen)*0x9e3779b9)
+		fresh, err := run(cfg.Seed + uint64(population+gen)*0x9e3779b9)
+		if err != nil {
+			return EvolveResult{}, err
+		}
 		restarts++
 		if fresh.cut < best.cut {
 			best = fresh
@@ -127,5 +128,5 @@ func Evolve(g *graph.Graph, cfg Config, population, generations int) EvolveResul
 		Cut:         best.cut,
 		Generations: generations,
 		Restarts:    restarts,
-	}
+	}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -23,9 +24,12 @@ func TestRefineExistingImproves(t *testing.T) {
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 5
 	before := part.FromBlocks(g, 4, cfg.Eps, append([]int32(nil), blocks...)).Cut()
-	refined, cut := RefineExisting(g, cfg, blocks)
+	refined, cut, err := RefineExistingCtx(context.Background(), g, cfg, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cut >= before {
-		t.Fatalf("RefineExisting did not improve: %d -> %d", before, cut)
+		t.Fatalf("RefineExistingCtx did not improve: %d -> %d", before, cut)
 	}
 	p := part.FromBlocks(g, 4, cfg.Eps, refined)
 	if err := p.Validate(); err != nil {
@@ -47,10 +51,12 @@ func TestRefineExistingPreservesInput(t *testing.T) {
 	}
 	snapshot := append([]int32(nil), blocks...)
 	cfg := NewConfig(Fast, 2)
-	RefineExisting(g, cfg, blocks)
+	if _, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks); err != nil {
+		t.Fatal(err)
+	}
 	for v := range blocks {
 		if blocks[v] != snapshot[v] {
-			t.Fatal("RefineExisting mutated its input")
+			t.Fatal("RefineExistingCtx mutated its input")
 		}
 	}
 }
@@ -60,7 +66,10 @@ func TestRefineExistingRepairsImbalance(t *testing.T) {
 	blocks := make([]int32, g.NumNodes()) // everything in block 0
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 3
-	refined, _ := RefineExisting(g, cfg, blocks)
+	refined, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := part.FromBlocks(g, 4, cfg.Eps, refined)
 	if !p.Feasible() {
 		t.Fatalf("imbalanced input not repaired: %.3f", p.Imbalance())
@@ -71,8 +80,11 @@ func TestEvolveBeatsOrMatchesSingleRun(t *testing.T) {
 	g := gen.DelaunayX(10, 6)
 	cfg := NewConfig(Fast, 8)
 	cfg.Seed = 11
-	single := Partition(g, cfg).Cut
-	res := Evolve(g, cfg, 3, 2)
+	single := mustRun(t, g, cfg).Cut
+	res, err := Evolve(context.Background(), g, cfg, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Cut > single {
 		t.Fatalf("Evolve (%d) worse than its own first individual's regime (%d)", res.Cut, single)
 	}
@@ -89,7 +101,10 @@ func TestEvolveZeroGenerationsIsRestarts(t *testing.T) {
 	g := gen.Grid2D(16, 16)
 	cfg := NewConfig(Minimal, 4)
 	cfg.Seed = 2
-	res := Evolve(g, cfg, 2, 0)
+	res, err := Evolve(context.Background(), g, cfg, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Generations != 0 || res.Restarts != 2 {
 		t.Fatalf("unexpected bookkeeping: %+v", res)
 	}

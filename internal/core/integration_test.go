@@ -23,7 +23,7 @@ func TestWeightRatingNotCatastrophic(t *testing.T) {
 			cfg := NewConfig(Fast, 16)
 			cfg.Rating = rf
 			cfg.Seed = s
-			total += Partition(g, cfg).Cut
+			total += mustRun(t, g, cfg).Cut
 		}
 		return total
 	}
@@ -54,7 +54,7 @@ func TestEndToEndAllFamilies(t *testing.T) {
 		for _, v := range []Variant{Minimal, Fast, Strong} {
 			cfg := NewConfig(v, tc.k)
 			cfg.Seed = 9
-			res := Partition(tc.g, cfg)
+			res := mustRun(t, tc.g, cfg)
 			p := part.FromBlocks(tc.g, tc.k, cfg.Eps, res.Blocks)
 			if err := p.Validate(); err != nil {
 				t.Errorf("%s %v: %v", tc.name, v, err)
@@ -75,7 +75,7 @@ func TestKaPPaBeatsBaselinesOnMeshes(t *testing.T) {
 	for s := uint64(0); s < 3; s++ {
 		cfg := NewConfig(Strong, 8)
 		cfg.Seed = s
-		strong += Partition(g, cfg).Cut
+		strong += mustRun(t, g, cfg).Cut
 		kmetis += baseline.Run(g, 8, 0.03, baseline.KMetisLike, s).Cut
 		parmetis += baseline.Run(g, 8, 0.03, baseline.ParMetisLike, s).Cut
 	}

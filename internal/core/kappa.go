@@ -30,19 +30,6 @@ type Result struct {
 	TotalTime   time.Duration
 }
 
-// Partition runs the full KaPPa pipeline on g. It is the legacy entry point,
-// kept as a thin wrapper over Pipeline.Run: no cancellation, no observers,
-// and — for backward compatibility — a panic on invalid configuration. New
-// code should call Run, which returns errors instead.
-func Partition(g *graph.Graph, cfg Config) Result {
-	res, err := Run(context.Background(), g, cfg)
-	if err != nil {
-		//kappa:allow panicfree documented legacy wrapper contract: panic on invalid config, use Run for errors
-		panic(err)
-	}
-	return res
-}
-
 // sharedLevel performs one contraction level on the shared global graph:
 // parallel (or, with one PE, sequential) matching followed by a global
 // two-pass contraction, both drawing scratch from a. It reports the
@@ -74,17 +61,19 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 	return cg, f2c, matchT, time.Since(tc)
 }
 
-// distributedLevel performs one contraction level PE-locally (§3): extract
-// per-PE subgraphs with ghost layers, match each subgraph's internal edges
-// sequentially, resolve the boundary by mutual proposals over the Transport
-// supersteps, contract every subgraph locally, and stitch the coarse
-// subgraphs back into the next-level global graph. It reports the matching
-// and contraction kernel times (extraction counts toward matching, the way
-// the paper accounts the ghost setup). Returns (nil, nil, ...) when the
-// matching comes out empty.
-func distributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, pes, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration) {
+// DistributedLevel performs one contraction level PE-locally (§3) with every
+// PE of t a goroutine of this process: extract per-PE subgraphs with ghost
+// layers, match each subgraph's internal edges sequentially, resolve the
+// boundary by mutual proposals over the Transport supersteps, contract every
+// subgraph locally, and stitch the coarse subgraphs back into the next-level
+// global graph. It reports the matching and contraction kernel times
+// (extraction counts toward matching, the way the paper accounts the ghost
+// setup). Returns (nil, nil, ...) when the matching comes out empty. It is
+// the one in-process level kernel: `-coarsen distributed` runs it per level,
+// and internal/remote's coordinator runs it when it has no workers left.
+func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration) {
 	tm := time.Now()
-	sgs := dist.ExtractAll(cur, blocks, pes)
+	sgs := dist.ExtractAll(cur, blocks, t.PEs())
 	ms := matching.DistributedBounded(sgs, t, cfg.Rating, cfg.Matcher,
 		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
 	matchT := time.Since(tm)

@@ -1,12 +1,23 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
 )
+
+// mustRun is Run for tests whose configuration is known to be valid.
+func mustRun(t testing.TB, g *graph.Graph, cfg Config) Result {
+	t.Helper()
+	res, err := Run(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func check(t *testing.T, g *graph.Graph, k int, eps float64, res Result) *part.Partition {
 	t.Helper()
@@ -26,7 +37,7 @@ func TestPartitionGridVariants(t *testing.T) {
 		for _, k := range []int{2, 4, 8} {
 			cfg := NewConfig(v, k)
 			cfg.Seed = 42
-			res := Partition(g, cfg)
+			res := mustRun(t, g, cfg)
 			p := check(t, g, k, cfg.Eps, res)
 			if !p.Feasible() {
 				t.Errorf("%v k=%d: infeasible (balance %.3f)", v, k, p.Imbalance())
@@ -50,8 +61,8 @@ func TestVariantQualityOrdering(t *testing.T) {
 		cm.Seed = seed
 		cs := NewConfig(Strong, 8)
 		cs.Seed = seed
-		minimal += Partition(g, cm).Cut
-		strong += Partition(g, cs).Cut
+		minimal += mustRun(t, g, cm).Cut
+		strong += mustRun(t, g, cs).Cut
 	}
 	if strong > minimal {
 		t.Fatalf("Strong total cut %d > Minimal %d", strong, minimal)
@@ -62,8 +73,8 @@ func TestPartitionDeterministic(t *testing.T) {
 	g := gen.DelaunayX(10, 3)
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 99
-	a := Partition(g, cfg)
-	b := Partition(g, cfg)
+	a := mustRun(t, g, cfg)
+	b := mustRun(t, g, cfg)
 	if a.Cut != b.Cut {
 		t.Fatalf("same seed, different cuts: %d vs %d", a.Cut, b.Cut)
 	}
@@ -73,7 +84,7 @@ func TestPartitionK1(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	cfg := NewConfig(Fast, 1)
 	cfg.Seed = 1
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	if res.Cut != 0 {
 		t.Fatalf("k=1 cut = %d", res.Cut)
 	}
@@ -88,7 +99,7 @@ func TestPartitionWithoutCoords(t *testing.T) {
 	g := gen.Banded(4000, 10, 30, 0.7, 5) // no coordinates: index-range prepartition
 	cfg := NewConfig(Fast, 8)
 	cfg.Seed = 5
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	p := check(t, g, 8, cfg.Eps, res)
 	if !p.Feasible() {
 		t.Fatalf("infeasible: %.3f", p.Imbalance())
@@ -102,7 +113,7 @@ func TestPartitionSocialGraph(t *testing.T) {
 	g := gen.PrefAttach(2000, 4, 9)
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 3
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	p := check(t, g, 4, cfg.Eps, res)
 	if !p.Feasible() {
 		t.Fatalf("infeasible on social graph: %.3f", p.Imbalance())
@@ -114,7 +125,7 @@ func TestGapMatchingAblationRuns(t *testing.T) {
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 8
 	cfg.GapMatching = false
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	p := check(t, g, 4, cfg.Eps, res)
 	if !p.Feasible() {
 		t.Fatal("ablation produced infeasible partition")
@@ -126,7 +137,7 @@ func TestRandomPairScheduleRuns(t *testing.T) {
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 8
 	cfg.Schedule = ScheduleRandomPairs
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	p := check(t, g, 4, cfg.Eps, res)
 	if !p.Feasible() {
 		t.Fatal("random-pair schedule produced infeasible partition")
@@ -139,7 +150,7 @@ func TestPEsIndependentOfK(t *testing.T) {
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 2
 	cfg.PEs = 16
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	p := check(t, g, 4, cfg.Eps, res)
 	if !p.Feasible() {
 		t.Fatal("PEs != K produced infeasible partition")
@@ -176,7 +187,7 @@ func TestTimingsPopulated(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 1
-	res := Partition(g, cfg)
+	res := mustRun(t, g, cfg)
 	if res.TotalTime <= 0 {
 		t.Fatal("total time not recorded")
 	}
@@ -191,6 +202,6 @@ func BenchmarkKaPPaFastRGG13K8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)
-		Partition(g, cfg)
+		mustRun(b, g, cfg)
 	}
 }

@@ -109,8 +109,7 @@ func (e *Env) transportFor(pes int) dist.Transport {
 // Error contract: Run returns ErrInvalidConfig-wrapped errors for bad input,
 // the context's error (matching errors.Is(err, context.Canceled) or
 // context.DeadlineExceeded) when cancelled, and never panics on user input.
-// A fixed Config.Seed makes Run byte-deterministic — and byte-identical to
-// the legacy Partition wrapper.
+// A fixed Config.Seed makes Run byte-deterministic.
 type Pipeline struct {
 	Distributor Distributor
 	Coarsener   Coarsener
@@ -216,13 +215,13 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	if pl.Transport != nil && pl.Transport.PEs() != cfg.pes() {
+	if pl.Transport != nil && pl.Transport.PEs() != cfg.NumPEs() {
 		return Result{}, fmt.Errorf("%w: transport connects %d PEs, configuration uses %d",
-			ErrInvalidConfig, pl.Transport.PEs(), cfg.pes())
+			ErrInvalidConfig, pl.Transport.PEs(), cfg.NumPEs())
 	}
-	if pl.Stats != nil && pl.Stats.PEs() < cfg.pes() {
+	if pl.Stats != nil && pl.Stats.PEs() < cfg.NumPEs() {
 		return Result{}, fmt.Errorf("%w: transport stats track %d PEs, configuration uses %d",
-			ErrInvalidConfig, pl.Stats.PEs(), cfg.pes())
+			ErrInvalidConfig, pl.Stats.PEs(), cfg.NumPEs())
 	}
 	arena := pl.Arena
 	if arena == nil {
@@ -417,7 +416,7 @@ func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Confi
 		var f2c []int32
 		var matchT, contractT time.Duration
 		if pes > 1 && cfg.Coarsen == CoarsenDistributed {
-			cg, f2c, matchT, contractT = distributedLevel(cur, cfg, blocks, env.transportFor(pes), pes, level, maxPair)
+			cg, f2c, matchT, contractT = DistributedLevel(cur, cfg, blocks, env.transportFor(pes), level, maxPair)
 		} else {
 			cg, f2c, matchT, contractT = sharedLevel(cur, cfg, blocks, pes, level, maxPair, env.Arena)
 		}

@@ -38,31 +38,6 @@ func TestRunInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestRunMatchesPartition checks that the pipeline entry point is
-// byte-identical to the legacy wrapper for a fixed seed, in both coarsening
-// modes.
-func TestRunMatchesPartition(t *testing.T) {
-	g := gen.RGG(11, 6)
-	for _, mode := range []CoarsenMode{CoarsenShared, CoarsenDistributed} {
-		cfg := NewConfig(Fast, 8)
-		cfg.Seed = 77
-		cfg.Coarsen = mode
-		legacy := Partition(g, cfg)
-		res, err := Run(context.Background(), g, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if res.Cut != legacy.Cut {
-			t.Fatalf("%v: Run cut %d != Partition cut %d", mode, res.Cut, legacy.Cut)
-		}
-		for v := range legacy.Blocks {
-			if res.Blocks[v] != legacy.Blocks[v] {
-				t.Fatalf("%v: block of node %d differs", mode, v)
-			}
-		}
-	}
-}
-
 // TestRunCancelDuringCoarsening cancels the context from an observer as soon
 // as the first contraction level lands and expects Run to abort promptly —
 // before initial partitioning — with ctx.Err().
@@ -175,34 +150,6 @@ func TestRunObserverOrder(t *testing.T) {
 	}
 	if lastRefineLevel != levels {
 		t.Fatalf("refinement reached level %d, hierarchy has %d", lastRefineLevel, levels)
-	}
-}
-
-// TestRunWithLockstepTransport swaps the channel Exchanger for the
-// barrier-based LockstepTransport and expects byte-identical results — the
-// proof that distributed coarsening goes exclusively through the Transport
-// seam.
-func TestRunWithLockstepTransport(t *testing.T) {
-	g := gen.RGG(11, 8)
-	cfg := NewConfig(Fast, 8)
-	cfg.Seed = 1234
-	cfg.Coarsen = CoarsenDistributed
-
-	def, err := Run(context.Background(), g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alt, err := Run(context.Background(), g, cfg, WithTransport(dist.NewLockstepTransport(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alt.Cut != def.Cut {
-		t.Fatalf("lockstep cut %d != exchanger cut %d", alt.Cut, def.Cut)
-	}
-	for v := range def.Blocks {
-		if alt.Blocks[v] != def.Blocks[v] {
-			t.Fatalf("block of node %d differs across transports", v)
-		}
 	}
 }
 

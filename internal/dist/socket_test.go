@@ -152,7 +152,7 @@ func TestMatchSubgraphOverSockets(t *testing.T) {
 	assign := dist.Assign(g, dist.StrategyRanges, pes)
 	sgs := dist.ExtractAll(g, assign, pes)
 
-	want := matching.Distributed(sgs, dist.NewExchanger(pes), core.NewConfig(core.Fast, pes).Rating, matching.GPA, 7)
+	want := matching.DistributedBounded(sgs, dist.NewExchanger(pes), core.NewConfig(core.Fast, pes).Rating, matching.GPA, 7, 0, true)
 
 	tr, errc := dialAll(t, pes)
 	got := make([]matching.Matching, pes)

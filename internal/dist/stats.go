@@ -101,9 +101,9 @@ func (s *TransportStats) Totals() PETotals {
 
 // Metered wraps t so every superstep is counted into s: messages in and out,
 // superstep count, and the time each PE spends blocked in Exchange. The
-// wrapper works for any Transport (Exchanger, LockstepTransport,
-// SocketTransport alike) and adds two atomic adds and one clock read per
-// superstep — nothing when s is nil, in which case t is returned unwrapped.
+// wrapper works for any Transport (Exchanger and SocketTransport alike) and
+// adds two atomic adds and one clock read per superstep — nothing when s is
+// nil, in which case t is returned unwrapped.
 func Metered(t Transport, s *TransportStats) Transport {
 	if s == nil {
 		return t

@@ -1,7 +1,5 @@
 package dist
 
-import "sync"
-
 // Transport is the message-passing seam of distributed coarsening: the
 // bulk-synchronous superstep operations that matching.DistributedBounded and
 // coarsen.ContractDistributed are written against. Every PE participating in
@@ -10,10 +8,9 @@ import "sync"
 // send order — the property that makes distributed coarsening byte-identical
 // under a fixed seed regardless of goroutine scheduling.
 //
-// The channel-backed Exchanger is the in-process default; LockstepTransport
-// is a second, mutex-based implementation proving the seam is real. A future
-// RPC or MPI backend implements the same three calls and becomes a drop-in
-// replacement for the whole distributed contraction phase.
+// The channel-backed Exchanger is the in-process implementation and
+// SocketTransport the out-of-process one; dist/socket_test.go pins that
+// swapping them does not change a byte of the result.
 type Transport interface {
 	// PEs returns the number of connected processing elements.
 	PEs() int
@@ -30,86 +27,6 @@ type Transport interface {
 
 // Exchanger is the default Transport.
 var _ Transport = (*Exchanger)(nil)
-
-// LockstepTransport is a second in-process Transport implementation: a
-// strict mutex/condvar barrier with per-superstep staging buffers instead of
-// per-PE mailbox channels. It exists to prove the Transport seam carries the
-// whole distributed contraction phase — swapping it for the Exchanger must
-// not change a single byte of the result — and as the simplest template for
-// an out-of-process backend.
-type LockstepTransport struct {
-	pes  int
-	mu   sync.Mutex
-	cond *sync.Cond
-	next []uint64 // per-PE next superstep index
-	step map[uint64]*lockstepRound
-}
-
-// lockstepRound is the staging buffer of one superstep.
-type lockstepRound struct {
-	out  [][][]Msg // by sender PE
-	got  int       // senders arrived
-	read int       // receivers done
-}
-
-// NewLockstepTransport returns a LockstepTransport connecting pes PEs.
-func NewLockstepTransport(pes int) *LockstepTransport {
-	t := &LockstepTransport{
-		pes:  pes,
-		next: make([]uint64, pes),
-		step: make(map[uint64]*lockstepRound),
-	}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-// PEs returns the number of connected PEs.
-func (t *LockstepTransport) PEs() int { return t.pes }
-
-// Exchange implements Transport.Exchange with a strict barrier: the last PE
-// to arrive wakes everyone, each receiver assembles its inbox in sender
-// order, and the round's buffers are released once every PE has read.
-func (t *LockstepTransport) Exchange(pe int, out [][]Msg) []Msg {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	step := t.next[pe]
-	t.next[pe]++
-	r := t.step[step]
-	if r == nil {
-		r = &lockstepRound{out: make([][][]Msg, t.pes)}
-		t.step[step] = r
-	}
-	r.out[pe] = out
-	r.got++
-	if r.got == t.pes {
-		t.cond.Broadcast()
-	}
-	for r.got < t.pes {
-		t.cond.Wait()
-	}
-	total := 0
-	for q := 0; q < t.pes; q++ {
-		if pe < len(r.out[q]) {
-			total += len(r.out[q][pe])
-		}
-	}
-	in := make([]Msg, 0, total)
-	for q := 0; q < t.pes; q++ {
-		if pe < len(r.out[q]) {
-			in = append(in, r.out[q][pe]...)
-		}
-	}
-	r.read++
-	if r.read == t.pes {
-		delete(t.step, step)
-	}
-	return in
-}
-
-// AllReduceOr implements Transport.AllReduceOr over one Exchange superstep.
-func (t *LockstepTransport) AllReduceOr(pe int, v bool) bool {
-	return allReduceOr(t, pe, v)
-}
 
 // allReduceOr is the shared OR-vote superstep: broadcast a flag to every PE
 // and OR the received flags.

@@ -8,14 +8,19 @@ import (
 	"repro/internal/rng"
 )
 
-// Distributed computes a matching of a distributed graph the way §3 of the
-// paper prescribes: every PE runs the sequential algorithm on the internal
-// (owned–owned) edges of its own subgraph, then the PEs resolve the boundary
-// in iterated two-phase rounds over the Transport — each PE publishes the
-// matching state of its boundary nodes to the PEs holding them as ghosts,
+// DistributedBounded computes a matching of a distributed graph the way §3
+// of the paper prescribes: every PE runs the sequential algorithm on the
+// internal (owned–owned) edges of its own subgraph, then the PEs resolve the
+// boundary in iterated two-phase rounds over the Transport — each PE publishes
+// the matching state of its boundary nodes to the PEs holding them as ghosts,
 // proposes its best eligible cut edges across the cut, and accepts exactly
 // the proposals that were mutual, with the deterministic tie-break on global
 // id making both sides reach the same verdict independently.
+//
+// maxPair is the maximum combined node weight per matched pair (0 =
+// unbounded). With boundary false the PEs match only their internal edges
+// (the distributed counterpart of the no-gap-matching ablation) but still
+// participate in the termination votes so the superstep counts stay aligned.
 //
 // The result is one Matching per PE in *local* ids over sgs[pe].Local: an
 // owned node matched across a cut points at the ghost local id of its
@@ -27,15 +32,6 @@ import (
 // and every cross-PE message sequence is schedule-independent, so the result
 // is byte-identical across runs — and across GOMAXPROCS settings — for a
 // fixed seed.
-func Distributed(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64) []Matching {
-	return DistributedBounded(sgs, ex, rf, alg, seed, 0, true)
-}
-
-// DistributedBounded is Distributed with a maximum combined node weight per
-// matched pair (0 = unbounded) and an optional boundary phase: with boundary
-// false the PEs match only their internal edges (the distributed counterpart
-// of the no-gap-matching ablation) but still participate in the termination
-// votes so the superstep counts stay aligned.
 func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
 	pes := len(sgs)
 	out := make([]Matching, pes)

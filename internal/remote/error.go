@@ -8,7 +8,7 @@ import "fmt"
 // supervision loop in ServeWith treats worker errors as retryable — the
 // worker is declared dead, its shards move, the level re-runs — and only
 // surfaces one when recovery itself is exhausted, so a WorkerError escaping
-// Serve means the system could not reach a healthy configuration.
+// it means the system could not reach a healthy configuration.
 type WorkerError struct {
 	PE    int    // worker id (== first assigned PE); -1 before assignment
 	Phase string // "handshake", "job", "result", "reassign", "done"

@@ -43,7 +43,7 @@ func serveReport(t *testing.T, g *graph.Graph, cfg core.Config) ([]byte, *dist.T
 	stats := dist.NewTransportStats(pes)
 	cfg.Coarsen = core.CoarsenDistributed
 	rep := obs.NewReportObserver(g, cfg)
-	res, err := remote.ServeMetered(ctx, ln, g, cfg, stats, core.WithObserver(rep))
+	res, err := remote.ServeWith(ctx, ln, g, cfg, remote.ServeOptions{Stats: stats}, core.WithObserver(rep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func serveReport(t *testing.T, g *graph.Graph, cfg core.Config) ([]byte, *dist.T
 	return buf.Bytes(), stats
 }
 
-// TestServeMeteredCountsTraffic checks the hub-side instrumentation: every
+// TestServeStatsCountTraffic checks the hub-side instrumentation: every
 // worker PE must show frames and bytes in both directions and one routed
 // superstep count, visible in the coordinator's report.
-func TestServeMeteredCountsTraffic(t *testing.T) {
+func TestServeStatsCountTraffic(t *testing.T) {
 	cfg := core.NewConfig(core.Fast, 4)
 	cfg.Seed = 7
 	cfg.PEs = 2

@@ -4,13 +4,14 @@
 //
 // Roles:
 //
-//   - The coordinator (Serve) owns the global graph and the pipeline: it
-//     accepts one control and one transport connection per worker, assigns
-//     PEs, and replaces the in-process contraction kernel with one that
-//     ships each PE its subgraph shard (wire-encoded) per level, waits for
-//     the per-PE contraction results, and stitches them into the next
-//     coarser graph. Initial partitioning and refinement run on the
-//     coordinator, exactly as §4/§5 of the paper run them on one rank.
+//   - The coordinator (ServeWith, or ServeStore over a shard store) owns the
+//     global graph and the pipeline: it accepts one control and one
+//     transport connection per worker, assigns PEs, and replaces the
+//     in-process contraction kernel with one that ships each PE its subgraph
+//     shard (wire-encoded) per level, waits for the per-PE contraction
+//     results, and stitches them into the next coarser graph. Initial
+//     partitioning and refinement run on the coordinator, exactly as §4/§5
+//     of the paper run them on one rank.
 //
 //   - A worker (Work) hosts one or more PEs: it receives its shards, runs
 //     the exported per-PE kernels (matching.MatchSubgraph,
@@ -38,8 +39,9 @@
 // hosting the fewest (ties to the lowest id), every live worker re-dials its
 // transport connections into a fresh hub (the re-dial doubling as a
 // liveness probe), and the level retries. When no workers remain, the
-// coordinator runs all remaining levels itself over the in-process
-// Exchanger — the same kernels, the same bytes.
+// coordinator runs all remaining levels itself with core.DistributedLevel
+// over the in-process Exchanger — the kernel of `-coarsen distributed`, hence
+// the same bytes.
 package remote
 
 import (
@@ -57,7 +59,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -73,7 +74,10 @@ const maxLevelAttempts = 4
 // detected (a dead worker's connection errors) and recovered, but a silently
 // stalled worker blocks forever.
 type ServeOptions struct {
-	// Stats receives the hub's per-worker traffic counts (ServeMetered).
+	// Stats, when non-nil, receives the hub's per-worker view of frames,
+	// payload bytes and routed supersteps. The counters are atomic: readable
+	// while the run is in flight (obs.BindTransport) and afterwards for the
+	// run report's transport section.
 	Stats *dist.TransportStats
 	// WorkerTimeout bounds every control-frame read (refreshed by worker
 	// heartbeats), every handshake accept, and the hub's intra-superstep
@@ -86,7 +90,7 @@ type ServeOptions struct {
 	// workers derive their control-read deadline from it.
 	Heartbeat time.Duration
 	// Counters receives the fault-tolerance ledger; nil allocates a private
-	// one (Serve still recovers, the numbers are just not observable).
+	// one (the run still recovers, the numbers are just not observable).
 	Counters *Counters
 }
 
@@ -115,9 +119,10 @@ type coordinator struct {
 	hub    *dist.SocketHub
 	hubErr chan error
 
-	local    bool           // all shards run coordinator-locally from now on
-	localT   dist.Transport // lazily built Exchanger for local mode
-	degraded bool           // any failure happened; hub teardown errors are expected
+	// localT is set once no workers are left: every remaining level runs
+	// coordinator-locally over this in-process Exchanger.
+	localT   dist.Transport
+	degraded bool // any failure happened; hub teardown errors are expected
 
 	// Shard-store serving (ServeStore). When store is set and the level's
 	// current graph IS the fine graph, remoteLevel splices each PE's stored
@@ -129,29 +134,16 @@ type coordinator struct {
 	spliceSem chan struct{}
 }
 
-// Serve runs the full pipeline for g with the contraction phase distributed
-// over cfg.NumPEs() worker processes connecting to ln. It blocks until the
-// workers have connected (one control plus one transport connection each),
-// runs the pipeline, broadcasts the final partition to the workers, and
-// returns the result. cfg.Coarsen is forced to CoarsenDistributed — that is
-// the only mode with a per-PE kernel to distribute.
+// ServeWith runs the full pipeline for g with the contraction phase
+// distributed over cfg.NumPEs() worker processes connecting to ln. It blocks
+// until the workers have connected (one control plus one transport connection
+// each), runs the pipeline, broadcasts the final partition to the workers,
+// and returns the result. cfg.Coarsen is forced to CoarsenDistributed — that
+// is the only mode with a per-PE kernel to distribute. so configures failure
+// detection and the run's counters; its zero value waits forever.
 //
 // Cancelling ctx closes every connection and the listener, so blocked
 // accepts and superstep reads abort promptly.
-func Serve(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, opts ...core.Option) (core.Result, error) {
-	return ServeWith(ctx, ln, g, cfg, ServeOptions{}, opts...)
-}
-
-// ServeMetered is Serve with the hub's traffic counted into stats: the
-// coordinator's per-worker view of frames, payload bytes, and routed
-// supersteps, readable while the run is in flight (obs.BindTransport) and
-// afterwards for the run report's transport section. A nil stats is exactly
-// Serve.
-func ServeMetered(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, stats *dist.TransportStats, opts ...core.Option) (core.Result, error) {
-	return ServeWith(ctx, ln, g, cfg, ServeOptions{Stats: stats}, opts...)
-}
-
-// ServeWith is Serve with explicit fault-tolerance options.
 func ServeWith(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
 	return newCoordinator(cfg.NumPEs(), ln, so).serve(ctx, g, cfg, opts...)
 }
@@ -402,8 +394,19 @@ func (co *coordinator) level(ctx context.Context, cur *graph.Graph, cfg *core.Co
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
 		}
-		if co.local {
-			return co.localLevel(cur, cfg, blocks, level, maxPair)
+		if blocks == nil && (co.localT != nil || !co.splices(cur)) {
+			// No assignment came with the level: one PE needs none, and a
+			// store-served level 0 skipped it because the shards embody it.
+			// Only shipping those stored shards works without one; the
+			// degraded local path — the one place a store-served coordinator
+			// computes over the full fine graph, accepted in exchange for
+			// finishing the run — reconstructs it from the strategy the
+			// shards were extracted under.
+			blocks = dist.Assign(cur, cfg.Distribution, co.pes)
+		}
+		if co.localT != nil {
+			cg, f2c, mt, ct := core.DistributedLevel(cur, cfg, blocks, co.localT, level, maxPair)
+			return cg, f2c, mt, ct, nil
 		}
 		cg, f2c, mt, ct, err := co.remoteLevel(cur, cfg, blocks, level, maxPair)
 		if err == nil {
@@ -449,12 +452,9 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 	// (Store.Write extracts under the manifest's distribution strategy), so
 	// the coordinator splices file bytes behind a job header instead of
 	// materializing any subgraph from the global adjacency.
-	splice := co.store != nil && cur == co.fine
+	splice := co.splices(cur)
 	var sgs []*dist.Subgraph
 	if !splice {
-		if blocks == nil {
-			blocks = make([]int32, cur.NumNodes())
-		}
 		sgs = dist.ExtractAll(cur, blocks, co.pes)
 	}
 
@@ -602,6 +602,12 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 	return cg, f2c, matchT, time.Duration(contractNanos), nil
 }
 
+// splices reports whether cur's level ships stored shard bytes: a
+// store-served run at level 0, where the current graph IS the fine graph.
+func (co *coordinator) splices(cur *graph.Graph) bool {
+	return co.store != nil && cur == co.fine
+}
+
 // spliceJob ships PE pe its level-0 job by splicing the stored shard file's
 // bytes behind a freshly encoded job header — byte-identical to AppendJob on
 // the extracted subgraph, with zero decoding and no global adjacency touch.
@@ -626,10 +632,11 @@ func (co *coordinator) spliceJob(w *workerConn, pe, level int, runSeed uint64, m
 	return nil
 }
 
-// abortLevel emits a fatal (non-worker) error outcome for every PE still
-// pending, keeping the collector's outcome count exact without declaring
-// any worker dead. PEs are emitted in ascending order so the error a failed
-// run reports does not depend on map iteration order.
+// abortLevel emits an error outcome for every PE still pending, keeping the
+// collector's outcome count exact. On its own it reports a fatal (non-worker)
+// error without declaring any worker dead. PEs are emitted in ascending order
+// so the first error the collector sees — the one a failed run reports — does
+// not depend on map iteration order.
 func (co *coordinator) abortLevel(outcomes chan<- outcome, pending map[int]bool, err error) {
 	pes := make([]int, 0, len(pending))
 	for pe := range pending {
@@ -642,19 +649,10 @@ func (co *coordinator) abortLevel(outcomes chan<- outcome, pending map[int]bool,
 }
 
 // failWorker declares w dead mid-attempt and emits an error outcome for
-// every PE it still owed, so the attempt's outcome count stays exact. PEs
-// are emitted in ascending order so the first error the collector sees —
-// the one a failed run reports — does not depend on map iteration order.
+// every PE it still owed (see abortLevel).
 func (co *coordinator) failWorker(w *workerConn, outcomes chan<- outcome, pending map[int]bool, err *WorkerError) {
 	co.markDead(w)
-	pes := make([]int, 0, len(pending))
-	for pe := range pending {
-		pes = append(pes, pe)
-	}
-	sort.Ints(pes)
-	for _, pe := range pes {
-		outcomes <- outcome{pe: pe, err: err}
-	}
+	co.abortLevel(outcomes, pending, err)
 }
 
 // liveWorkers returns the workers not declared dead.
@@ -673,8 +671,8 @@ func (co *coordinator) liveWorkers() []*workerConn {
 // live worker is told its new PE set and re-dials one transport connection
 // per hosted PE into a fresh hub — the re-dial doubling as a liveness probe;
 // a worker that cannot re-dial within the timeout is declared dead and the
-// rebuild restarts. When no live workers remain, the coordinator flips to
-// local mode and finishes the remaining levels itself.
+// rebuild restarts. When no live workers remain, the coordinator sets up the
+// in-process transport and finishes the remaining levels itself.
 func (co *coordinator) rebuild(ctx context.Context) error {
 	// The failed epoch's hub must be fully down before a new one accepts:
 	// Stop is idempotent, and Route's return resolves every old connection.
@@ -689,7 +687,7 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 		}
 		live := co.liveWorkers()
 		if len(live) == 0 {
-			co.local = true
+			co.localT = dist.Metered(dist.NewExchanger(co.pes), co.opts.Stats)
 			co.counters.LocalFallbacks.Add(1)
 			return nil
 		}
@@ -783,44 +781,6 @@ func (co *coordinator) acceptTransports(ctx context.Context) error {
 	co.hubErr = make(chan error, 1)
 	go func() { co.hubErr <- hub.Route() }()
 	return nil
-}
-
-// localLevel is the graceful-degradation kernel: the coordinator runs every
-// PE's kernel itself over the in-process Exchanger — the exact code path of
-// `-coarsen distributed` in one process, hence byte-identical results.
-func (co *coordinator) localLevel(cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
-	if co.localT == nil {
-		co.localT = dist.Metered(dist.NewExchanger(co.pes), co.opts.Stats)
-	}
-	if blocks == nil {
-		if co.store != nil && cur == co.fine {
-			// Store mode skips the level-0 assignment (the shards embody it);
-			// the degraded local path has to reconstruct it — this is the one
-			// path where a store-served coordinator computes over the full
-			// fine graph, accepted in exchange for finishing the run.
-			blocks = dist.Assign(cur, cfg.Distribution, co.pes)
-		} else {
-			blocks = make([]int32, cur.NumNodes())
-		}
-	}
-	tm := time.Now()
-	sgs := dist.ExtractAll(cur, blocks, co.pes)
-	ms := matching.DistributedBounded(sgs, co.localT, cfg.Rating, cfg.Matcher,
-		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
-	matchT := time.Since(tm)
-	matched := false
-	for _, m := range ms {
-		if m.Size() > 0 {
-			matched = true
-			break
-		}
-	}
-	if !matched {
-		return nil, nil, matchT, 0, nil
-	}
-	tc := time.Now()
-	cg, f2c := coarsen.ContractDistributed(cur, sgs, ms, co.localT)
-	return cg, f2c, matchT, time.Since(tc), nil
 }
 
 // armListener sets (or clears, d == 0) the accept deadline on listeners

@@ -43,7 +43,7 @@ func runServeWorkers(t *testing.T, g *graph.Graph, cfg core.Config) (core.Result
 			workers[i] = wr
 		}(i)
 	}
-	res, err := remote.Serve(ctx, ln, g, cfg)
+	res, err := remote.ServeWith(ctx, ln, g, cfg, remote.ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestServeObserverEvents(t *testing.T) {
 		go remote.Work(ctx, "tcp", ln.Addr().String())
 	}
 	var levels int
-	res, err := remote.Serve(ctx, ln, g, cfg, core.WithObserver(core.ObserverFunc(func(ev core.TraceEvent) {
+	res, err := remote.ServeWith(ctx, ln, g, cfg, remote.ServeOptions{}, core.WithObserver(core.ObserverFunc(func(ev core.TraceEvent) {
 		if _, ok := ev.(core.LevelEvent); ok {
 			levels++
 		}
@@ -140,7 +140,7 @@ func TestServeContextCancel(t *testing.T) {
 	go func() {
 		cfg := core.NewConfig(core.Fast, 4)
 		cfg.PEs = 2
-		_, err := remote.Serve(ctx, ln, gen.RGG(8, 1), cfg)
+		_, err := remote.ServeWith(ctx, ln, gen.RGG(8, 1), cfg, remote.ServeOptions{})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let Serve reach Accept

@@ -11,36 +11,23 @@ import (
 	"repro/internal/store"
 )
 
-// ServeStore is Serve reading the graph from an on-disk shard store instead
-// of an in-memory graph: the coordinator opens only the manifest and a
-// memory-mapped view of the CSR segment, and at level 0 it streams each PE's
-// stored shard file straight into that worker's job frame — the global
+// ServeStore is ServeWith reading the graph from an on-disk shard store
+// instead of an in-memory graph: the coordinator opens only the manifest and
+// a memory-mapped view of the CSR segment, and at level 0 it streams each
+// PE's stored shard file straight into that worker's job frame — the global
 // adjacency is never materialized on the coordinator's heap. The result is
-// byte-identical to Serve on the graph the store was written from (the shard
-// files hold the exact bytes level-0 extraction would wire-encode, and the
-// mapped CSR holds the exact values the in-memory graph holds).
+// byte-identical to ServeWith on the graph the store was written from (the
+// shard files hold the exact bytes level-0 extraction would wire-encode, and
+// the mapped CSR holds the exact values the in-memory graph holds).
 //
-// The manifest is authoritative for the run's shape: cfg.PEs is taken from
-// it (a non-zero cfg.PEs that disagrees is rejected — the store has exactly
-// that many shards to stream), and cfg.Distribution is forced to the
-// strategy the shards were extracted under (an explicit conflicting strategy
-// is rejected; StrategyAuto defers to the manifest).
+// The manifest is authoritative for the run's shape: cfg adopts its shard
+// count and extraction strategy (core.Config.AdoptStore), and a cfg that
+// explicitly disagrees is rejected as invalid configuration.
 func ServeStore(ctx context.Context, ln net.Listener, st *store.Store, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
 	m := st.Manifest()
-	if cfg.PEs != 0 && cfg.PEs != m.PEs {
-		return core.Result{}, fmt.Errorf("%w: %d PEs configured but the store holds %d shards",
-			core.ErrInvalidConfig, cfg.PEs, m.PEs)
+	if err := cfg.AdoptStore(m.PEs, m.Strategy); err != nil {
+		return core.Result{}, err
 	}
-	cfg.PEs = m.PEs
-	strat, err := dist.ParseStrategy(m.Strategy)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("remote: store manifest: %w", err)
-	}
-	if cfg.Distribution != strat && cfg.Distribution != dist.StrategyAuto {
-		return core.Result{}, fmt.Errorf("%w: distribution %s requested but the shards were extracted under %s",
-			core.ErrInvalidConfig, cfg.Distribution, strat)
-	}
-	cfg.Distribution = strat
 
 	mg, err := st.MapGraph()
 	if err != nil {

@@ -40,7 +40,7 @@ func TestRemoteLevelMidBatchJobFailure(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := co.remoteLevel(g, &cfg, nil, 0, 0)
+		_, _, _, _, err := co.remoteLevel(g, &cfg, make([]int32, g.NumNodes()), 0, 0)
 		done <- err
 	}()
 	select {

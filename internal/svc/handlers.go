@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -163,56 +162,20 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 // buildJob turns a spec into the same graph and configuration the CLI would
-// build from the equivalent flags — the construction paths must not drift,
-// or the byte-identity contract between API jobs and one-shot runs breaks.
+// build from the equivalent flags: both go through core.ConfigFromNames, so
+// the byte-identity contract between API jobs and one-shot runs holds by
+// construction. The names are checked before the graph is resolved, so a
+// typo costs a 400, not a graph load or generation.
 func (s *Server) buildJob(spec *JobSpec) (*graph.Graph, core.Config, time.Duration, error) {
 	var zero core.Config
-	g, man, err := s.resolveGraph(spec)
+	eps := spec.Eps
+	if eps == 0 {
+		eps = 0.03 // the CLI's -eps default
+	}
+	cfg, err := core.ConfigFromNames(spec.Preset, spec.K, eps, spec.Seed, spec.PEs, spec.Workers, spec.Dist, spec.Coarsen)
 	if err != nil {
 		return nil, zero, 0, err
 	}
-	variant, err := core.ParseVariant(spec.Preset)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	cfg := core.NewConfig(variant, spec.K)
-	if spec.Eps != 0 {
-		cfg.Eps = spec.Eps
-	}
-	cfg.Seed = spec.Seed
-	cfg.PEs = spec.PEs
-	cfg.Workers = spec.Workers
-	strategy, err := dist.ParseStrategy(spec.Dist)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	cfg.Distribution = strategy
-	mode, err := core.ParseCoarsenMode(spec.Coarsen)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	cfg.Coarsen = mode
-	if man != nil {
-		// A shard-store job adopts the manifest's shape, exactly like
-		// `kappa serve -shards`: the store's shard count and extraction
-		// strategy are facts of the input, not knobs of the request.
-		if cfg.PEs != 0 && cfg.PEs != man.PEs {
-			return nil, zero, 0, fmt.Errorf("pes %d, but shard store %q holds %d shards", cfg.PEs, spec.ShardDir, man.PEs)
-		}
-		cfg.PEs = man.PEs
-		mstrat, err := dist.ParseStrategy(man.Strategy)
-		if err != nil {
-			return nil, zero, 0, err
-		}
-		if strategy != mstrat && strategy != dist.StrategyAuto {
-			return nil, zero, 0, fmt.Errorf("dist %s, but shard store %q was extracted under %s", strategy, spec.ShardDir, mstrat)
-		}
-		cfg.Distribution = mstrat
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, zero, 0, err
-	}
-
 	timeout := s.opts.DefaultTimeout
 	if spec.Timeout != "" {
 		d, err := time.ParseDuration(spec.Timeout)
@@ -226,6 +189,19 @@ func (s *Server) buildJob(spec *JobSpec) (*graph.Graph, core.Config, time.Durati
 	}
 	if s.opts.MaxTimeout > 0 && (timeout == 0 || timeout > s.opts.MaxTimeout) {
 		timeout = s.opts.MaxTimeout
+	}
+
+	g, man, err := s.resolveGraph(spec)
+	if err != nil {
+		return nil, zero, 0, err
+	}
+	if man != nil {
+		// A shard-store job adopts the manifest's shape, exactly like
+		// `kappa serve -shards`: the store's shard count and extraction
+		// strategy are facts of the input, not knobs of the request.
+		if err := cfg.AdoptStore(man.PEs, man.Strategy); err != nil {
+			return nil, zero, 0, fmt.Errorf("shard_dir %q: %w", spec.ShardDir, err)
+		}
 	}
 	return g, cfg, timeout, nil
 }

@@ -342,21 +342,26 @@ func TestSubmitValidation(t *testing.T) {
 	cases := []struct {
 		name, body string
 		code       int
+		msg        string // the error must mention this
 	}{
-		{"malformed json", `{"gen":`, http.StatusBadRequest},
-		{"unknown field", `{"gen":"grid:4x4","k":2,"bogus":1}`, http.StatusBadRequest},
-		{"no graph source", `{"k":2}`, http.StatusBadRequest},
-		{"two graph sources", `{"gen":"grid:4x4","graph":"2 1\n2\n1\n","k":2}`, http.StatusBadRequest},
-		{"hostile gen spec", `{"gen":"rgg:-1","k":2}`, http.StatusBadRequest},
-		{"bad k", `{"gen":"grid:4x4","k":0}`, http.StatusBadRequest},
-		{"bad preset", `{"gen":"grid:4x4","k":2,"preset":"turbo"}`, http.StatusBadRequest},
-		{"bad timeout", `{"gen":"grid:4x4","k":2,"timeout":"yes"}`, http.StatusBadRequest},
-		{"body too large", `{"gen":"grid:4x4","k":2,"graph":"` + strings.Repeat("x", 512) + `"}`, http.StatusRequestEntityTooLarge},
-		{"path escape", `{"graph_file":"../../etc/passwd","k":2}`, http.StatusBadRequest},
+		{"malformed json", `{"gen":`, http.StatusBadRequest, ""},
+		{"unknown field", `{"gen":"grid:4x4","k":2,"bogus":1}`, http.StatusBadRequest, ""},
+		{"no graph source", `{"k":2}`, http.StatusBadRequest, ""},
+		{"two graph sources", `{"gen":"grid:4x4","graph":"2 1\n2\n1\n","k":2}`, http.StatusBadRequest, ""},
+		{"hostile gen spec", `{"gen":"rgg:-1","k":2}`, http.StatusBadRequest, ""},
+		{"bad k", `{"gen":"grid:4x4","k":0}`, http.StatusBadRequest, ""},
+		{"bad preset", `{"gen":"grid:4x4","k":2,"preset":"turbo"}`, http.StatusBadRequest, ""},
+		// The names are checked before the graph is touched: the missing
+		// file is never opened, the rejection is about the preset.
+		{"bad preset, missing file", `{"graph_file":"/nonexistent/g.graph","k":2,"preset":"turbo"}`, http.StatusBadRequest, `unknown preset \"turbo\"`},
+		{"bad timeout", `{"gen":"grid:4x4","k":2,"timeout":"yes"}`, http.StatusBadRequest, ""},
+		{"body too large", `{"gen":"grid:4x4","k":2,"graph":"` + strings.Repeat("x", 512) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		{"path escape", `{"graph_file":"../../etc/passwd","k":2}`, http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
-		if rr := submitJob(t, h, tc.body); rr.Code != tc.code {
-			t.Errorf("%s: %d, want %d (body %s)", tc.name, rr.Code, tc.code, rr.Body.String())
+		rr := submitJob(t, h, tc.body)
+		if rr.Code != tc.code || !strings.Contains(rr.Body.String(), tc.msg) {
+			t.Errorf("%s: %d, want %d mentioning %q (body %s)", tc.name, rr.Code, tc.code, tc.msg, rr.Body.String())
 		}
 	}
 	// Rejections created no jobs.

@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coarsen"
 	"repro/internal/dist"
+	"repro/internal/gen"
+	"repro/internal/graphio"
 )
 
 // FuzzMsgCodec feeds arbitrary bytes to the Msg batch decoder — the payload
@@ -69,4 +72,104 @@ func sameMsgs(a, b []dist.Msg) bool {
 		}
 	}
 	return true
+}
+
+// FuzzDecodeControl feeds arbitrary bytes to every control-frame payload
+// decoder of the coordinator/worker loop — the first thing a corrupted,
+// truncated or hostile frame lands on after ReadFrame. Properties: no decoder
+// panics; an accepted payload never materializes more elements than it has
+// bytes (every element costs at least one wire byte, so a short frame cannot
+// command a large allocation); and re-encoding an accepted value yields a
+// payload that decodes again and re-encodes to the same bytes — the decoded
+// value survives a round trip, compared through its canonical encoding so
+// NaN coordinates and the shard's rebuilt index do not get in the way.
+func FuzzDecodeControl(f *testing.F) {
+	// A few header bytes of a shard graph may declare up to the graphio
+	// decode budget; keep rejected inputs cheap for the fuzzer.
+	graphio.SetDecodeBudget(1<<16, 1<<18)
+	f.Cleanup(func() { graphio.SetDecodeBudget(0, 0) })
+
+	g := gen.Grid2D(6, 5)
+	sg := dist.Extract(g, dist.Assign(g, dist.StrategyRanges, 2), 1)
+	job, err := AppendJob(nil, Job{Level: 2, Seed: 0xfeed, MaxPair: 9, Shard: sg})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(job)
+	f.Add(AppendAssign(nil, Assign{Version: Version, PE: 1, PEs: 3, Rating: 2, Matcher: 1, Boundary: true, HeartbeatMillis: 50, TimeoutMillis: 500}))
+	f.Add(AppendResult(nil, Result{PE: 1, Matched: 4, MatchNanos: 10, ContractNanos: 20,
+		Part: &coarsen.PEContraction{FirstCoarse: 3, Weights: []int64{2, 1}, CX: []float64{0.5, math.NaN()}, CY: []float64{1, 2},
+			EdgeU: []int32{3}, EdgeV: []int32{4}, EdgeW: []int64{7}, FineGlobal: []int32{0, 1, 2}, FineCoarse: []int32{3, 3, 4}}}))
+	f.Add(AppendResult(nil, Result{PE: 0}))
+	f.Add(AppendReassign(nil, []int32{0, 2, 5}))
+	f.Add(AppendLevelAborted(nil, LevelAborted{PE: 2, Level: 7}))
+	f.Add(AppendPartition(nil, []int32{0, 1, 1, 0, 3}))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		// roundTrip checks enc (the re-encoding of a value decoded from in)
+		// against the re-encoding of its own decoding.
+		roundTrip := func(what string, elems int, enc []byte, again func([]byte) ([]byte, error)) {
+			t.Helper()
+			if elems > len(in) {
+				t.Fatalf("%s: %d elements decoded from %d bytes", what, elems, len(in))
+			}
+			enc2, err := again(enc)
+			if err != nil {
+				t.Fatalf("%s: re-decoding own encoding: %v", what, err)
+			}
+			if !bytes.Equal(enc, enc2) {
+				t.Fatalf("%s: value changed across a round trip", what)
+			}
+		}
+		if a, err := DecodeAssign(in); err == nil {
+			roundTrip("assign", 0, AppendAssign(nil, a), func(b []byte) ([]byte, error) {
+				a2, err := DecodeAssign(b)
+				return AppendAssign(nil, a2), err
+			})
+		}
+		if j, err := DecodeJob(in); err == nil {
+			enc, err := AppendJob(nil, j)
+			if err != nil {
+				t.Fatalf("job: re-encoding accepted input: %v", err)
+			}
+			elems := len(j.Shard.LocalToGlobal) + len(j.Shard.GhostOwner) + j.Shard.Local.NumNodes() + 2*j.Shard.Local.NumEdges()
+			roundTrip("job", elems, enc, func(b []byte) ([]byte, error) {
+				j2, err := DecodeJob(b)
+				if err != nil {
+					return nil, err
+				}
+				return AppendJob(nil, j2)
+			})
+		}
+		if r, err := DecodeResult(in); err == nil {
+			elems := 0
+			if p := r.Part; p != nil {
+				elems = len(p.Weights) + len(p.CX) + len(p.CY) + len(p.CZ) + len(p.EdgeU) + len(p.EdgeV) + len(p.EdgeW) + len(p.FineGlobal) + len(p.FineCoarse)
+			}
+			roundTrip("result", elems, AppendResult(nil, r), func(b []byte) ([]byte, error) {
+				r2, err := DecodeResult(b)
+				return AppendResult(nil, r2), err
+			})
+		}
+		if pes, err := DecodeReassign(in); err == nil {
+			roundTrip("reassign", len(pes), AppendReassign(nil, pes), func(b []byte) ([]byte, error) {
+				pes2, err := DecodeReassign(b)
+				return AppendReassign(nil, pes2), err
+			})
+		}
+		if la, err := DecodeLevelAborted(in); err == nil {
+			roundTrip("level-aborted", 0, AppendLevelAborted(nil, la), func(b []byte) ([]byte, error) {
+				la2, err := DecodeLevelAborted(b)
+				return AppendLevelAborted(nil, la2), err
+			})
+		}
+		if blocks, _, err := DecodePartition(in); err == nil {
+			roundTrip("partition", len(blocks), AppendPartition(nil, blocks), func(b []byte) ([]byte, error) {
+				blocks2, _, err := DecodePartition(b)
+				return AppendPartition(nil, blocks2), err
+			})
+		}
+	})
 }

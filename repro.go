@@ -17,17 +17,19 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Cut, res.Balance)
 //
-// Run is the primary entry point: it honors context cancellation, returns
-// errors instead of panicking, and accepts functional options — WithObserver
-// for typed progress events, WithTransport to swap the message-passing
-// backend of distributed coarsening. Partition and PartitionK are the legacy
-// wrappers (background context, panic on invalid configuration).
+// Run is the entry point: it honors context cancellation, returns errors
+// instead of panicking, and accepts functional options — WithObserver for
+// typed progress events, WithArena to reuse scratch memory across runs.
+//
+// The facade exports what the examples, the root tests and the README use;
+// the socket backend, the shard store, the job service and the report and
+// metrics plumbing are driven through cmd/kappa (and, inside this module,
+// through their internal/ packages).
 package repro
 
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -38,8 +40,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/part"
-	"repro/internal/store"
-	"repro/internal/svc"
 )
 
 // Graph is the weighted undirected graph in adjacency-array (CSR) form.
@@ -64,9 +64,6 @@ const (
 	FormatBinary = graphio.FormatBinary
 )
 
-// ParseGraphFormat parses a format name: auto | metis | bin.
-func ParseGraphFormat(name string) (GraphFormat, error) { return graphio.ParseFormat(name) }
-
 // ReadGraph parses a graph from r; FormatAuto sniffs the binary magic and
 // falls back to METIS, so callers can pass any supported file unseen.
 func ReadGraph(r io.Reader, f GraphFormat) (*Graph, error) { return graphio.Read(r, f) }
@@ -76,17 +73,6 @@ func WriteGraph(w io.Writer, g *Graph, f GraphFormat) error { return graphio.Wri
 
 // ReadGraphFile reads a graph file, detecting the format from its content.
 func ReadGraphFile(path string) (*Graph, error) { return graphio.ReadFile(path) }
-
-// WriteGraphFile writes a graph file; FormatAuto picks the format from the
-// extension (".bgraph"/".bin" = binary, anything else METIS).
-func WriteGraphFile(path string, g *Graph, f GraphFormat) error {
-	return graphio.WriteFile(path, g, f)
-}
-
-// ReadMetis parses a graph in METIS/Chaco format.
-//
-// Deprecated: use ReadGraph with FormatMETIS (or FormatAuto).
-func ReadMetis(r io.Reader) (*Graph, error) { return graphio.ReadMETIS(r) }
 
 // Config carries every tuning parameter of the partitioner (Table 2).
 type Config = core.Config
@@ -112,25 +98,19 @@ type Result = core.Result
 // point. The context is checked between phases, before every contraction
 // level, and before every global refinement iteration, so cancellation
 // aborts promptly with ctx.Err(); invalid configurations come back as
-// ErrInvalidConfig-wrapped errors instead of panics. For a fixed cfg.Seed
-// the result is byte-identical to the legacy Partition wrapper.
+// ErrInvalidConfig-wrapped errors instead of panics. A fixed cfg.Seed makes
+// the result byte-deterministic.
 func Run(ctx context.Context, g *Graph, cfg Config, opts ...Option) (Result, error) {
 	return core.Run(ctx, g, cfg, opts...)
 }
 
-// Option configures a pipeline run; see WithObserver and WithTransport.
+// Option configures a pipeline run; see WithObserver and WithArena.
 type Option = core.Option
 
 // WithObserver attaches an Observer receiving the run's typed TraceEvents
 // (levels pushed, initial cut, per-iteration refinement gains, phase
 // timings) in pipeline order. Repeat the option to attach several.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
-
-// WithTransport routes every superstep of distributed coarsening
-// (Config.Coarsen = CoarsenDistributed) through t instead of the default
-// channel-backed Exchanger — the seam a future RPC or MPI backend plugs
-// into. t.PEs() must match the configured PE count.
-func WithTransport(t Transport) Option { return core.WithTransport(t) }
 
 // Arena is a reusable pool of the scratch buffers the multilevel kernels
 // work in (matching candidate arrays, contraction member lists and scatter
@@ -171,23 +151,9 @@ type (
 	PhaseEvent = core.PhaseEvent
 )
 
-// Phase names a top-level pipeline stage in PhaseEvents.
-type Phase = core.Phase
-
-// Pipeline phases.
-const (
-	PhaseCoarsen = core.PhaseCoarsen
-	PhaseInit    = core.PhaseInit
-	PhaseRefine  = core.PhaseRefine
-	PhaseTotal   = core.PhaseTotal
-)
-
-// Timings is an Observer accumulating per-phase durations from PhaseEvents.
-type Timings = core.Timings
-
 // MetricsRegistry is a dependency-free metrics registry (counters, gauges,
 // fixed-bound histograms) exposed as Prometheus text and as a JSON snapshot;
-// see WithMetrics and MetricsHandler.
+// see WithMetrics.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -199,14 +165,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func WithMetrics(r *MetricsRegistry) Option {
 	return core.WithObserver(obs.NewPipelineObserver(r))
 }
-
-// MetricsHandler serves r: /metrics (Prometheus text), /metrics.json
-// (structured snapshot), and /debug/pprof/.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return obs.Handler(r) }
-
-// ArenaStats is a point-in-time snapshot of an Arena's accounting; see
-// Arena.Stats.
-type ArenaStats = mem.ArenaStats
 
 // BindArenaMetrics registers pull gauges/counters over a's Stats on r.
 func BindArenaMetrics(r *MetricsRegistry, a *Arena) { obs.BindArena(r, a) }
@@ -225,81 +183,10 @@ func WithTransportStats(s *TransportStats) Option { return core.WithTransportSta
 // BindTransportMetrics registers per-PE pull counters over s on r.
 func BindTransportMetrics(r *MetricsRegistry, s *TransportStats) { obs.BindTransport(r, s) }
 
-// Report is the structured record of one run; ReportObserver assembles it
-// from the trace stream (attach with WithObserver, then call Finish).
-type (
-	Report         = obs.Report
-	ReportObserver = obs.ReportObserver
-)
-
-// NewReportObserver returns an observer assembling a Report for a run of g
-// under cfg.
-func NewReportObserver(g *Graph, cfg Config) *ReportObserver {
-	return obs.NewReportObserver(g, cfg)
-}
-
 // ErrInvalidConfig wraps every configuration error returned by Run:
 // errors.Is(err, repro.ErrInvalidConfig) distinguishes usage errors from
 // runtime failures.
 var ErrInvalidConfig = core.ErrInvalidConfig
-
-// Transport is the message-passing seam of distributed coarsening: the
-// bulk-synchronous superstep operations the PE-local contraction phase is
-// written against. NewExchanger returns the channel-backed in-process
-// default; NewLockstepTransport a mutex-based alternative; an RPC/MPI
-// backend implements the same three methods.
-type Transport = dist.Transport
-
-// Msg is one unit of ghost information exchanged between PEs over a
-// Transport; MsgKind tags its payload.
-type (
-	Msg     = dist.Msg
-	MsgKind = dist.MsgKind
-)
-
-// NewExchanger returns the default channel-backed Transport for pes PEs.
-func NewExchanger(pes int) Transport { return dist.NewExchanger(pes) }
-
-// NewLockstepTransport returns the barrier-based alternative Transport for
-// pes PEs (same results, different machinery — the drop-in proof).
-func NewLockstepTransport(pes int) Transport { return dist.NewLockstepTransport(pes) }
-
-// Partition runs the full KaPPa pipeline on g. Legacy wrapper over Run:
-// background context, panics on invalid configuration.
-func Partition(g *Graph, cfg Config) Result { return core.Partition(g, cfg) }
-
-// PartitionK partitions g into k blocks with the Fast preset and 3% allowed
-// imbalance — the everyday legacy entry point (see Run for the
-// error-returning API).
-func PartitionK(g *Graph, k int, seed uint64) Result {
-	cfg := core.NewConfig(core.Fast, k)
-	cfg.Seed = seed
-	return core.Partition(g, cfg)
-}
-
-// RefineExisting improves an existing block assignment in place of a full
-// repartition (the repartitioning building block of the paper's future-work
-// section); it returns the refined blocks and their cut.
-func RefineExisting(g *Graph, cfg Config, blocks []int32) ([]int32, int64) {
-	return core.RefineExisting(g, cfg, blocks)
-}
-
-// RefineExistingCtx is RefineExisting under the Run error contract:
-// context-aware, error-returning, with optional observers for the
-// refinement trace events.
-func RefineExistingCtx(ctx context.Context, g *Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
-	return core.RefineExistingCtx(ctx, g, cfg, blocks, opts...)
-}
-
-// EvolveResult reports an evolutionary multistart run.
-type EvolveResult = core.EvolveResult
-
-// Evolve combines KaPPa with evolutionary multistart search (population of
-// seeded runs, champion re-refinement, restart immigration); the paper
-// expects this regime to beat plain restarts for large k.
-func Evolve(g *Graph, cfg Config, population, generations int) EvolveResult {
-	return core.Evolve(g, cfg, population, generations)
-}
 
 // Evaluate recomputes cut, balance and feasibility of a block assignment.
 func Evaluate(g *Graph, k int, eps float64, blocks []int32) (cut int64, balance float64, feasible bool) {
@@ -309,13 +196,12 @@ func Evaluate(g *Graph, k int, eps float64, blocks []int32) (cut int64, balance 
 
 // Distribution selects the node-to-PE prepartitioning strategy of §3.3 used
 // during parallel coarsening; set it on Config.Distribution or call
-// Distribute directly.
+// Distribute directly. The zero value is the paper's behavior: RCB with
+// coordinates, ranges without.
 type Distribution = dist.Strategy
 
 // Distribution strategies.
 const (
-	// DistAuto is the paper's behavior: RCB with coordinates, ranges without.
-	DistAuto = dist.StrategyAuto
 	// DistRanges assigns contiguous node-weight-balanced index ranges.
 	DistRanges = dist.StrategyRanges
 	// DistRCB is recursive coordinate bisection over node coordinates.
@@ -323,9 +209,6 @@ const (
 	// DistSFC orders nodes along a Hilbert curve and cuts weighted ranges.
 	DistSFC = dist.StrategySFC
 )
-
-// ParseDistribution parses a distribution name: auto | ranges | rcb | sfc.
-func ParseDistribution(name string) (Distribution, error) { return dist.ParseStrategy(name) }
 
 // CoarsenMode selects how the contraction phase executes; set it on
 // Config.Coarsen.
@@ -340,9 +223,6 @@ const (
 	// configuration that generalizes to graphs exceeding one address space.
 	CoarsenDistributed = core.CoarsenDistributed
 )
-
-// ParseCoarsenMode parses a coarsening mode name: shared | distributed.
-func ParseCoarsenMode(name string) (CoarsenMode, error) { return core.ParseCoarsenMode(name) }
 
 // Distribute assigns every node of g to one of pes PEs with the given
 // strategy. Geometric strategies fall back to ranges when g carries no
@@ -419,79 +299,3 @@ func RMAT(scale, edgeFactor int, seed uint64) *Graph { return gen.RMAT(scale, ed
 func Banded(n, blk, band int, fill float64, seed uint64) *Graph {
 	return gen.Banded(n, blk, band, fill, seed)
 }
-
-// GenerateFromSpec builds a benchmark-family graph from a compact spec
-// string — the vocabulary of the kappa CLI's -gen flag and the API's "gen"
-// job field: rgg:S, delaunay:S, grid:WxH, grid3d:XxYxZ, road:N, social:N,
-// rmat:S, fem:N, banded:N. Specs are validated (sizes bounded, dimensions
-// positive) before any generator runs.
-func GenerateFromSpec(spec string) (*Graph, error) { return gen.FromSpec(spec) }
-
-// ShardStore is the on-disk sharded graph store (kappastore): one
-// wire-encoded subgraph file per PE, a fixed-layout CSR segment of the
-// global graph, and a versioned manifest. It is the out-of-core input format
-// of the serve coordinator (`kappa serve -shards`) and the service's
-// shard_dir jobs — the coordinator streams shard bytes to workers and
-// memory-maps the CSR segment, never materializing the global adjacency on
-// its heap.
-type ShardStore = store.Store
-
-// ShardManifest is the store's versioned metadata document: shard count,
-// distribution strategy, per-shard node/edge counts and checksums, and the
-// CSR segment's layout.
-type ShardManifest = store.Manifest
-
-// ShardWriteOptions configures WriteShards: shard count (one per PE), the
-// node-to-PE distribution strategy, writer concurrency, and the provenance
-// seed recorded in the manifest.
-type ShardWriteOptions = store.WriteOptions
-
-// ShardMappedGraph is a store-backed view of the global graph; when Mapped
-// reports true its CSR arrays alias the memory-mapped segment at O(1) heap
-// cost.
-type ShardMappedGraph = store.MappedGraph
-
-// WriteShards distributes g's nodes across shards and writes a shard store
-// directory — the library form of `kappa shard`.
-func WriteShards(dir string, g *Graph, opts ShardWriteOptions) (*ShardManifest, error) {
-	return store.Write(dir, g, opts)
-}
-
-// OpenShards opens a shard store directory, validating its manifest against
-// the decode budgets; shards load lazily.
-func OpenShards(dir string) (*ShardStore, error) { return store.Open(dir) }
-
-// Service is the embeddable partitioner-as-a-service: the bounded job queue,
-// admission control, per-job deadlines, panic isolation, and graceful drain
-// behind the `kappa api` daemon. Mount Handler() on an HTTP server (see
-// NewHTTPServer for a hardened one).
-type Service = svc.Server
-
-// ServiceOptions configures a Service; the zero value is serviceable.
-type ServiceOptions = svc.Options
-
-// ServiceJobSpec is the submit-request body of the service API.
-type ServiceJobSpec = svc.JobSpec
-
-// ServiceJobStatus is the poll-endpoint view of a service job.
-type ServiceJobStatus = svc.Status
-
-// ServiceJobState is a job's position in its lifecycle.
-type ServiceJobState = svc.State
-
-// Service job states.
-const (
-	JobQueued   = svc.StateQueued
-	JobRunning  = svc.StateRunning
-	JobDone     = svc.StateDone
-	JobFailed   = svc.StateFailed
-	JobCanceled = svc.StateCanceled
-)
-
-// NewService starts a partitioning service; stop it with Drain or Close.
-func NewService(opts ServiceOptions) *Service { return svc.New(opts) }
-
-// NewHTTPServer wraps h in an http.Server hardened against slow and hostile
-// clients (header/read/idle timeouts) — the same construction the kappa
-// api and observability endpoints use.
-func NewHTTPServer(h http.Handler) *http.Server { return obs.NewServer(h) }

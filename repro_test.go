@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// mustRun is Run for tests whose configuration is known to be valid.
+func mustRun(t testing.TB, g *Graph, cfg Config) Result {
+	t.Helper()
+	res, err := Run(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestFacadeEndToEnd exercises the public API surface: build, generate,
 // partition, evaluate, baselines, METIS round trip.
 func TestFacadeEndToEnd(t *testing.T) {
@@ -15,7 +25,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 		b.AddEdge(v, v+1, 1)
 	}
 	g := b.Build()
-	res := PartitionK(g, 2, 1)
+	cfg := NewConfig(Fast, 2)
+	cfg.Seed = 1
+	res := mustRun(t, g, cfg)
 	cut, bal, feasible := Evaluate(g, 2, 0.03, res.Blocks)
 	if cut != res.Cut || !feasible || bal > 1.5 {
 		t.Fatalf("facade evaluate mismatch: cut %d/%d bal %f feasible %v", cut, res.Cut, bal, feasible)
@@ -81,46 +93,9 @@ func TestFacadePresets(t *testing.T) {
 	for _, v := range []Variant{Minimal, Fast, Strong} {
 		cfg := NewConfig(v, 4)
 		cfg.Seed = 2
-		res := Partition(g, cfg)
+		res := mustRun(t, g, cfg)
 		if _, _, feasible := Evaluate(g, 4, cfg.Eps, res.Blocks); !feasible {
 			t.Errorf("%v: infeasible", v)
-		}
-	}
-}
-
-// TestRunMatchesLegacyPartition is the compatibility contract of the new
-// pipeline entry point: for a fixed seed, repro.Run must produce Blocks
-// byte-identical to legacy repro.Partition across the benchmark generator
-// families and both coarsening modes.
-func TestRunMatchesLegacyPartition(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *Graph
-	}{
-		{"rgg", RGG(11, 6)},
-		{"delaunay", DelaunayX(10, 2)},
-		{"grid3d", Grid3D(12, 12, 6)},
-		{"road", Road(6000, 6, 3)},
-		{"social", PrefAttach(4000, 5, 9)},
-	}
-	for _, tc := range cases {
-		for _, mode := range []CoarsenMode{CoarsenShared, CoarsenDistributed} {
-			cfg := NewConfig(Fast, 8)
-			cfg.Seed = 4242
-			cfg.Coarsen = mode
-			legacy := Partition(tc.g, cfg)
-			res, err := Run(context.Background(), tc.g, cfg)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, mode, err)
-			}
-			if res.Cut != legacy.Cut {
-				t.Fatalf("%s/%v: Run cut %d != Partition cut %d", tc.name, mode, res.Cut, legacy.Cut)
-			}
-			for v := range legacy.Blocks {
-				if res.Blocks[v] != legacy.Blocks[v] {
-					t.Fatalf("%s/%v: block of node %d differs", tc.name, mode, v)
-				}
-			}
 		}
 	}
 }

@@ -46,18 +46,20 @@ docs: fmt vet
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# The regression gate compares the Table1/Table2 suite against the committed
+# The regression gate compares the Table1/Table2 suite and the two coarsening
+# seam kernels (matching's edge order, dist's RCB) against the committed
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
 # anywhere; ns/op stays informational. Refresh the baseline intentionally
 # with bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB
+BENCH_PKGS ?= . ./internal/matching ./internal/dist
 bench-baseline:
-	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ . | tee BENCH_BASELINE.txt
+	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
 
 bench-compare:
-	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ . | tee /tmp/bench-current.txt
+	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee /tmp/bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt -current /tmp/bench-current.txt
 
 # examples builds and runs every examples/* program end to end (CI runs
@@ -72,12 +74,14 @@ examples:
 race:
 	$(GO) test -race ./internal/core ./internal/coarsen ./internal/matching ./internal/dist ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
-# fuzz smokes the native Go fuzz targets of the byte-level decoders — the
-# file-format parsers (METIS text, binary CSR), the wire-format message
-# codec every socket frame flows through, the control-frame payload decoders
-# of the coordinator/worker loop, and the shard-store readers (manifest JSON,
-# shard files) — for a few seconds each; CI runs this so the
-# decoders can never regress into panicking on malformed input.
+# fuzz smokes the native Go fuzz targets for a few seconds each: the
+# byte-level decoders — the file-format parsers (METIS text, binary CSR), the
+# wire-format message codec every socket frame flows through, the
+# control-frame payload decoders of the coordinator/worker loop, and the
+# shard-store readers (manifest JSON, shard files) — which must never panic on
+# malformed input, and the two sort-free coarsening kernels (radix edge order,
+# selection-based RCB), which must agree with their comparison-sort
+# references on every input. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
 # interesting inputs, and the default 60s minimization per input stalls a
 # short smoke run before it fuzzes anything.
@@ -92,3 +96,5 @@ fuzz:
 	$(GO) test ./internal/wire -run=^$$ -fuzz=FuzzDecodeControl -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadShard -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzSortEdgesMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

@@ -34,12 +34,9 @@ type goldenRow struct {
 	hash    string // FNV-1a 64 of the little-endian Blocks, 16 hex digits
 }
 
-func (r *goldenRow) inputs() string {
-	return fmt.Sprintf("%s %s %d %d %s %s %s %d", r.instance, r.preset, r.k, r.pes, r.coarsen, r.dist, r.matcher, r.seed)
-}
-
 func (r *goldenRow) String() string {
-	return fmt.Sprintf("%s %d %s %s", r.inputs(), r.cut, r.balance, r.hash)
+	return fmt.Sprintf("%s %s %d %d %s %s %s %d %d %s %s", r.instance, r.preset, r.k, r.pes,
+		r.coarsen, r.dist, r.matcher, r.seed, r.cut, r.balance, r.hash)
 }
 
 func parseGoldenRow(line string) (goldenRow, error) {

@@ -235,7 +235,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		stats:       pl.Stats,
 	}
 	if env.Distributor == nil {
-		env.Distributor = strategyDistributor{}
+		env.Distributor = strategyDistributor{arena}
 	}
 	coarsener := pl.Coarsener
 	if coarsener == nil {
@@ -313,14 +313,16 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 }
 
 // strategyDistributor is the default Distributor: the strategy selected by
-// cfg.Distribution (§3.3).
-type strategyDistributor struct{}
+// cfg.Distribution (§3.3), with scratch and the assignment itself borrowed
+// from the run's arena — CoarsenWith hands the assignment back once the
+// level's kernel is done with it.
+type strategyDistributor struct{ arena *mem.Arena }
 
-func (strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg *Config, pes int) ([]int32, error) {
+func (d strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg *Config, pes int) ([]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return dist.Assign(g, cfg.Distribution, pes), nil
+	return dist.AssignScratch(g, cfg.Distribution, pes, d.arena), nil
 }
 
 // LevelKernel performs one contraction level: match cur (with blocks as the
@@ -380,6 +382,9 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, ker
 		pprof.Do(ctx, pprof.Labels("level", strconv.Itoa(level)), func(ctx context.Context) {
 			cg, f2c, matchT, contractT, err = kernel(ctx, cur, cfg, blocks, level, maxPair)
 		})
+		if d, ok := env.Distributor.(strategyDistributor); ok {
+			d.arena.PutInt32(blocks)
+		}
 		if err != nil {
 			return nil, err
 		}

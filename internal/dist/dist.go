@@ -17,9 +17,10 @@
 //     median. Handles non-power-of-two PE counts by splitting PE groups
 //     proportionally.
 //   - Hilbert / Morton — space-filling-curve orderings, a cheaper geometric
-//     alternative not in the paper: sort nodes along the curve once and cut
-//     the order into weighted ranges. One sort instead of a sort per
-//     bisection level, locality close to RCB on mesh-like inputs.
+//     alternative not in the paper: radix-sort nodes along the curve once and
+//     cut the order into weighted ranges. One linear sort instead of a
+//     selection per bisection level, locality close to RCB on mesh-like
+//     inputs.
 //
 // Strategy and Assign select between them; EdgeLocality and Imbalance make
 // the strategies comparable; Extract materializes each PE's local subgraph
@@ -35,6 +36,7 @@ import (
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/mem"
 )
 
 // Strategy names a node-to-PE distribution strategy.
@@ -92,34 +94,39 @@ func ParseStrategy(name string) (Strategy, error) {
 // index ranges when g has no coordinates, so Assign never fails. Node weights
 // are respected by every strategy.
 func Assign(g *graph.Graph, s Strategy, pes int) []int32 {
-	n := g.NumNodes()
+	return AssignScratch(g, s, pes, nil)
+}
+
+// AssignScratch is Assign drawing its temporaries — and the returned
+// assignment itself — from a (nil = allocate fresh). The caller owns the
+// result; hand it back with a.PutInt32 when done. Node weights are read from
+// g in place.
+func AssignScratch(g *graph.Graph, s Strategy, pes int, a *mem.Arena) []int32 {
 	if pes <= 1 {
-		return make([]int32, n)
+		return allOnPE0(a, g.NumNodes())
 	}
 	switch s {
 	case StrategyRCB, StrategyAuto:
 		if g.HasCoords() {
 			// All available dimensions: real 3D bisection for 3D inputs.
-			return RCBWeightedDims(g.CoordSlices(), nodeWeights(g), pes)
+			return rcbScratch(g.CoordSlices(), g.NodeWeights(), pes, a)
 		}
 	case StrategySFC:
 		if g.CoordDims() == 3 {
 			x, y, z := g.Coords3()
-			return Hilbert3DWeighted(x, y, z, nodeWeights(g), pes)
+			return sfcAssign3(x, y, z, g.NodeWeights(), pes, hilbert3DKey, a)
 		}
 		if g.HasCoords() {
 			x, y := g.Coords()
-			return HilbertWeighted(x, y, nodeWeights(g), pes)
+			return sfcAssign(x, y, g.NodeWeights(), pes, hilbertKey, a)
 		}
 	}
-	return WeightedRanges(nodeWeights(g), pes)
+	return weightedRangesInto(a.Int32(g.NumNodes()), g.NodeWeights(), pes)
 }
 
-// nodeWeights copies the node weights of g into a slice.
-func nodeWeights(g *graph.Graph) []int64 {
-	w := make([]int64, g.NumNodes())
-	for v := range w {
-		w[v] = g.NodeWeight(int32(v))
-	}
-	return w
+// allOnPE0 is the assignment of n nodes to a single PE, borrowed from a.
+func allOnPE0(a *mem.Arena, n int) []int32 {
+	assign := a.Int32(n)
+	clear(assign)
+	return assign
 }

@@ -1,6 +1,9 @@
 package dist
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // MsgKind tags the payload of a Msg exchanged between PEs during distributed
 // coarsening.
@@ -110,7 +113,7 @@ func (e *Exchanger) Exchange(pe int, out [][]Msg) []Msg {
 		}
 		batches = append(batches, b)
 	}
-	sort.Slice(batches, func(i, j int) bool { return batches[i].from < batches[j].from })
+	slices.SortFunc(batches, func(a, b batch) int { return cmp.Compare(a.from, b.from) })
 	total := 0
 	for _, b := range batches {
 		total += len(b.msgs)

@@ -5,8 +5,14 @@ package dist
 // fallback for graphs without coordinates. With n < pes the leading PEs get
 // one node each and the rest stay empty.
 func IndexRanges(n, pes int) []int32 {
-	assign := make([]int32, n)
+	return indexRangesInto(make([]int32, n), pes)
+}
+
+// indexRangesInto is IndexRanges over len(assign) nodes, writing into assign.
+func indexRangesInto(assign []int32, pes int) []int32 {
+	n := len(assign)
 	if pes <= 1 || n == 0 {
+		clear(assign)
 		return assign
 	}
 	for v := 0; v < n; v++ {
@@ -20,9 +26,15 @@ func IndexRanges(n, pes int) []int32 {
 // attach to whichever range their index falls into; if every weight is zero
 // the split degrades to plain IndexRanges.
 func WeightedRanges(w []int64, pes int) []int32 {
+	return weightedRangesInto(make([]int32, len(w)), w, pes)
+}
+
+// weightedRangesInto is WeightedRanges writing into assign (len(w), any
+// contents), which it returns.
+func weightedRangesInto(assign []int32, w []int64, pes int) []int32 {
 	n := len(w)
-	assign := make([]int32, n)
 	if pes <= 1 || n == 0 {
+		clear(assign)
 		return assign
 	}
 	var total int64
@@ -30,7 +42,7 @@ func WeightedRanges(w []int64, pes int) []int32 {
 		total += wv
 	}
 	if total == 0 {
-		return IndexRanges(n, pes)
+		return indexRangesInto(assign, pes)
 	}
 	// Walk the prefix sum; advance to PE p+1 once the running weight passes
 	// the cut point total·(p+1)/pes. Comparing midpoints keeps single heavy

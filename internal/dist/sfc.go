@@ -1,6 +1,6 @@
 package dist
 
-import "sort"
+import "repro/internal/mem"
 
 // sfcOrder is the quantization depth of the space-filling curves: coordinates
 // are snapped to a 2^sfcOrder × 2^sfcOrder grid, giving 32-bit curve keys.
@@ -14,56 +14,60 @@ func Hilbert(x, y []float64, pes int) []int32 {
 
 // HilbertWeighted sorts the nodes by their position along a Hilbert curve
 // through the bounding box and cuts the sorted order into pes node-weight
-// balanced ranges. Compared to RCB this needs a single sort instead of one
-// per bisection level, and the curve's locality keeps most mesh edges inside
-// a range; it is the "cheap geometric" alternative to §3.3's RCB. w == nil
-// means unit weights. Deterministic: key ties break by node id.
+// balanced ranges. Compared to RCB this needs a single radix sort instead of
+// a selection per bisection level, and the curve's locality keeps most mesh
+// edges inside a range; it is the "cheap geometric" alternative to §3.3's
+// RCB. w == nil means unit weights. Deterministic: key ties break by node id.
 func HilbertWeighted(x, y []float64, w []int64, pes int) []int32 {
-	return sfcAssign(x, y, w, pes, hilbertKey)
+	return sfcAssign(x, y, w, pes, hilbertKey, nil)
 }
 
 // Morton is like Hilbert but orders by Morton (Z-order) keys: marginally
 // cheaper per node, slightly worse locality at the quadrant seams. Kept as a
 // comparison point for the SFC family.
 func Morton(x, y []float64, pes int) []int32 {
-	return sfcAssign(x, y, nil, pes, mortonKey)
+	return sfcAssign(x, y, nil, pes, mortonKey, nil)
 }
 
-// sfcAssign quantizes coordinates, sorts node ids by curve key, and reuses
-// the weighted-range splitter on the curve order.
-func sfcAssign(x, y []float64, w []int64, pes int, key func(qx, qy uint32) uint64) []int32 {
+// sfcAssign quantizes coordinates, keys every node by its curve position and
+// cuts the curve order into weighted ranges; scratch and the result come from
+// a (nil = allocate).
+func sfcAssign(x, y []float64, w []int64, pes int, key func(qx, qy uint32) uint64, a *mem.Arena) []int32 {
 	n := len(x)
-	assign := make([]int32, n)
 	if pes <= 1 || n == 0 {
-		return assign
+		return allOnPE0(a, n)
 	}
 	qx := quantize(x)
 	qy := quantize(y)
 	keys := make([]uint64, n)
-	order := make([]int32, n)
-	for v := 0; v < n; v++ {
+	for v := range keys {
 		keys[v] = key(qx[v], qy[v])
-		order[v] = int32(v)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
-		}
-		return a < b
-	})
-	ow := make([]int64, n)
-	for i, v := range order {
-		if w == nil {
-			ow[i] = 1
-		} else {
-			ow[i] = w[v]
-		}
+	return cutCurve(keys, w, pes, a)
+}
+
+// cutCurve orders the nodes by curve key — ties by ascending node id, which
+// the stable radix sort keeps — and cuts the order into pes node-weight
+// balanced ranges.
+func cutCurve(keys []uint64, w []int64, pes int, a *mem.Arena) []int32 {
+	n := len(keys)
+	order, tmp := a.Uint64(n), a.Uint64(n)
+	mem.SortKeyedWords(order, tmp, 2, func(v int32, word int) uint32 {
+		return uint32(keys[v] >> (32 - 32*word))
+	}, nil)
+	a.PutUint64(tmp)
+	ow := a.Int64(n)
+	for i, o := range order {
+		ow[i] = weightAt(w, mem.KeyedIdx(o))
 	}
-	ranges := WeightedRanges(ow, pes)
-	for i, v := range order {
-		assign[v] = ranges[i]
+	ranges := weightedRangesInto(a.Int32(n), ow, pes)
+	a.PutInt64(ow)
+	assign := a.Int32(n)
+	for i, o := range order {
+		assign[mem.KeyedIdx(o)] = ranges[i]
 	}
+	a.PutInt32(ranges)
+	a.PutUint64(order)
 	return assign
 }
 

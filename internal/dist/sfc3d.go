@@ -1,6 +1,6 @@
 package dist
 
-import "sort"
+import "repro/internal/mem"
 
 // sfcOrder3D is the per-axis quantization depth of the 3D curves: 16 bits per
 // axis give 48-bit curve keys, comfortably inside uint64.
@@ -12,7 +12,7 @@ const sfcOrder3D = 16
 // the gap where 3D inputs used to be ordered by their x/y projection. w == nil
 // means unit weights. Deterministic: key ties break by node id.
 func Hilbert3DWeighted(x, y, z []float64, w []int64, pes int) []int32 {
-	return sfcAssign3(x, y, z, w, pes, hilbert3DKey)
+	return sfcAssign3(x, y, z, w, pes, hilbert3DKey, nil)
 }
 
 // Hilbert3D is Hilbert3DWeighted with unit node weights.
@@ -24,46 +24,23 @@ func Hilbert3D(x, y, z []float64, pes int) []int32 {
 // Hilbert transform but with locality jumps at every octant seam. Kept as the
 // comparison point the 3D locality regression tests measure against.
 func Morton3D(x, y, z []float64, pes int) []int32 {
-	return sfcAssign3(x, y, z, nil, pes, morton3DKey)
+	return sfcAssign3(x, y, z, nil, pes, morton3DKey, nil)
 }
 
-// sfcAssign3 quantizes 3D coordinates, sorts node ids by curve key, and cuts
-// the curve order into weighted ranges (the 3D twin of sfcAssign).
-func sfcAssign3(x, y, z []float64, w []int64, pes int, key func(qx, qy, qz uint32) uint64) []int32 {
+// sfcAssign3 is the 3D twin of sfcAssign.
+func sfcAssign3(x, y, z []float64, w []int64, pes int, key func(qx, qy, qz uint32) uint64, a *mem.Arena) []int32 {
 	n := len(x)
-	assign := make([]int32, n)
 	if pes <= 1 || n == 0 {
-		return assign
+		return allOnPE0(a, n)
 	}
 	qx := quantize3(x)
 	qy := quantize3(y)
 	qz := quantize3(z)
 	keys := make([]uint64, n)
-	order := make([]int32, n)
-	for v := 0; v < n; v++ {
+	for v := range keys {
 		keys[v] = key(qx[v], qy[v], qz[v])
-		order[v] = int32(v)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
-		}
-		return a < b
-	})
-	ow := make([]int64, n)
-	for i, v := range order {
-		if w == nil {
-			ow[i] = 1
-		} else {
-			ow[i] = w[v]
-		}
-	}
-	ranges := WeightedRanges(ow, pes)
-	for i, v := range order {
-		assign[v] = ranges[i]
-	}
-	return assign
+	return cutCurve(keys, w, pes, a)
 }
 
 // quantize3 maps coordinates linearly onto the [0, 2^sfcOrder3D) integer

@@ -102,7 +102,7 @@ func TestHilbert3DLocality(t *testing.T) {
 func TestAssignUses3DHilbert(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
 	x, y, z := g.Coords3()
-	want := Hilbert3DWeighted(x, y, z, nodeWeights(g), 4)
+	want := Hilbert3DWeighted(x, y, z, g.NodeWeights(), 4)
 	got := Assign(g, StrategySFC, 4)
 	for v := range want {
 		if got[v] != want[v] {

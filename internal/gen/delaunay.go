@@ -1,8 +1,9 @@
 package gen
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -94,7 +95,9 @@ func spatialOrder(pts []Point) []int32 {
 		}
 		return cy*side + cx
 	}
-	sort.Slice(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(a, b))
+	})
 	return order
 }
 

@@ -1,8 +1,9 @@
 package gen
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -64,7 +65,9 @@ func Road(n int, obstacles int, seed uint64) *graph.Graph {
 			dx, dy := x[v]-x[u], y[v]-y[u]
 			edges = append(edges, rankedEdge{u, dx*dx + dy*dy})
 		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].dist < edges[j].dist })
+		slices.SortFunc(edges, func(a, b rankedEdge) int {
+			return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.to, b.to))
+		})
 		lim := keep
 		if lim > len(edges) {
 			lim = len(edges)

@@ -57,6 +57,10 @@ func (g *Graph) Degree(v int32) int { return int(g.xadj[v+1] - g.xadj[v]) }
 // NodeWeight returns c(v).
 func (g *Graph) NodeWeight(v int32) int64 { return g.nwgt[v] }
 
+// NodeWeights returns all node weights, indexed by node. Callers must not
+// modify them.
+func (g *Graph) NodeWeights() []int64 { return g.nwgt }
+
 // TotalNodeWeight returns c(V).
 func (g *Graph) TotalNodeWeight() int64 { return g.totalNodeWeight }
 

@@ -9,7 +9,10 @@ import (
 // structurally: inside any function whose doc comment carries
 // //kappa:hotpath, every construct that can allocate — make, new, growing
 // append, slice/map/pointer composite literals, fmt.Sprintf-style
-// formatting, string↔[]byte conversions — is a finding.
+// formatting, string↔[]byte conversions, and the reflection-based sorts of
+// package sort (sort.Slice and sort.SliceStable build a reflect swapper and
+// box the slice, sort.Sort boxes its receiver into an interface; use a radix
+// kernel or the typed slices.SortFunc) — is a finding.
 //
 // PR 4 removed allocation from the V-cycle kernels and proved it with
 // -benchmem snapshots; a snapshot only catches a regression after someone
@@ -90,13 +93,18 @@ func (h *hotalloc) checkCall(p *Pass, call *ast.CallExpr) {
 		p.Report(call, "append may grow its backing array in hot path (use the append(buf[:0], ...) reuse idiom or an arena buffer)")
 		return
 	}
-	// fmt.Sprintf / fmt.Errorf / errors.New style formatting.
+	// fmt.Sprintf / fmt.Errorf / errors.New style formatting, and the
+	// reflection-based sorts.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if base, ok := sel.X.(*ast.Ident); ok {
 			if pkgName, ok := info.Uses[base].(*types.PkgName); ok {
 				path := pkgName.Imported().Path()
 				if path == "fmt" || path == "errors" {
 					p.Report(call, "%s.%s allocates in hot path", path, sel.Sel.Name)
+					return
+				}
+				if path == "sort" && (sel.Sel.Name == "Slice" || sel.Sel.Name == "SliceStable" || sel.Sel.Name == "Sort") {
+					p.Report(call, "sort.%s allocates in hot path (reflect swapper / interface boxing); use a radix kernel or slices.SortFunc", sel.Sel.Name)
 					return
 				}
 			}

@@ -33,10 +33,11 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -221,18 +222,13 @@ func (s *Suite) Run(pkgs []*Package) []Finding {
 		a.Finish(s.report)
 	}
 	s.checkDirectives(known)
-	sort.Slice(s.findings, func(i, j int) bool {
-		a, b := s.findings[i], s.findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(s.findings, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+		)
 	})
 	return s.findings
 }

@@ -44,8 +44,8 @@ func emissionCall(name string) bool {
 }
 
 // sortingCall reports whether a call expression is a deterministic-order
-// fix: any call whose function name mentions sorting (sort.Slice,
-// slices.Sort, a local sortEdgesDesc helper, ...) with target among its
+// fix: any call whose function name mentions sorting (sort.Ints,
+// slices.SortFunc, a local sortEdgesDesc helper, ...) with target among its
 // arguments, or target.Sort()-style methods.
 func sortingCall(call *ast.CallExpr, target types.Object, info *types.Info) bool {
 	var name string
@@ -54,7 +54,7 @@ func sortingCall(call *ast.CallExpr, target types.Object, info *types.Info) bool
 	case *ast.Ident:
 		name = fun.Name
 	case *ast.SelectorExpr:
-		// Include the qualifier so sort.Slice / slices.SortFunc match, and
+		// Include the qualifier so sort.Ints / slices.SortFunc match, and
 		// the receiver as a candidate target so s.Sort() counts for s.
 		name = fun.Sel.Name
 		if base, ok := fun.X.(*ast.Ident); ok {

@@ -2,7 +2,10 @@
 // every allocating construct inside a //kappa:hotpath function.
 package hotallocbad
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 type pair struct{ a, b int }
 
@@ -21,4 +24,20 @@ func Build(n int, buf []byte) string {
 	out = append(out, n) // want hotalloc
 	_ = out
 	return s
+}
+
+type byA []pair
+
+func (s byA) Len() int           { return len(s) }
+func (s byA) Less(i, j int) bool { return s[i].a < s[j].a }
+func (s byA) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// Order sorts through package sort's reflection- and interface-based entry
+// points: each allocates per call.
+//
+//kappa:hotpath
+func Order(ps []pair) {
+	sort.Slice(ps, func(i, j int) bool { return ps[i].a < ps[j].a })       // want hotalloc
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].b < ps[j].b }) // want hotalloc
+	sort.Sort(byA(ps))                                                     // want hotalloc
 }

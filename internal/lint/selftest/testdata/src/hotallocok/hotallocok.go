@@ -2,6 +2,11 @@
 // unmarked functions, the append reuse idiom, and an allow directive.
 package hotallocok
 
+import (
+	"slices"
+	"sort"
+)
+
 // NotHot allocates freely: it carries no kappa:hotpath mark.
 func NotHot(n int) []int {
 	return make([]int, n)
@@ -19,3 +24,12 @@ func Reuse(buf []int, n int) []int {
 }
 
 type pair struct{ a, b int }
+
+// Order uses the typed generic sort, which neither reflects nor boxes; only
+// package sort's Slice, SliceStable and Sort are findings.
+//
+//kappa:hotpath
+func Order(ps []pair) {
+	slices.SortFunc(ps, func(x, y pair) int { return x.a - y.a })
+	sort.Ints(nil)
+}

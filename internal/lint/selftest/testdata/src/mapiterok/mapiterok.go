@@ -2,7 +2,11 @@
 // collect-then-sort idiom and order-insensitive loop bodies.
 package mapiterok
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // Keys collects then sorts: the accepted deterministic shape.
 func Keys(m map[int]int) []int {
@@ -23,12 +27,12 @@ func Sum(m map[int]int) int {
 	return s
 }
 
-// SortedFunc clears the append through a sort.Slice call on the target.
+// SortedFunc clears the append through a slices.SortFunc call on the target.
 func SortedFunc(m map[int]string) []string {
 	var vals []string
 	for _, v := range m {
 		vals = append(vals, v)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.SortFunc(vals, strings.Compare)
 	return vals
 }

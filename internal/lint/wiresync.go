@@ -1,10 +1,11 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -270,7 +271,7 @@ func (w *wiresync) Finish(report func(Finding)) {
 	for _, ku := range w.kinds {
 		kinds = append(kinds, ku)
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i].name < kinds[j].name })
+	slices.SortFunc(kinds, func(a, b *kindUse) int { return cmp.Compare(a.name, b.name) })
 	for _, ku := range kinds {
 		if !ku.encoded {
 			report(Finding{Analyzer: "wiresync", Pos: ku.pos,

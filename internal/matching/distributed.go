@@ -77,12 +77,12 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 			adj, ws := g.Adj(lv), g.AdjWeights(lv)
 			for i, lu := range adj {
 				if lu > lv && int(lu) < owned {
-					edges = append(edges, Edge{lv, lu, ws[i], rt.Rate(lv, lu, ws[i]), uint32(r.Uint64())})
+					edges = append(edges, Edge{lv, lu, rt.Rate(lv, lu, ws[i]), uint32(r.Uint64())})
 				}
 			}
 		}
 		if alg == Greedy {
-			greedyEdges(g, edges, m, maxPair)
+			greedyEdges(g, edges, m, maxPair, nil)
 		} else {
 			gpaEdges(g, edges, m, maxPair, nil)
 		}

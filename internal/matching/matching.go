@@ -21,7 +21,6 @@ package matching
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -122,11 +121,10 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Edge is one undirected edge with its precomputed rating and a random tie
-// break.
+// Edge is one undirected candidate edge: its endpoints, its precomputed
+// rating and a random tie break — 24 bytes, everything the edge scans read.
 type Edge struct {
 	U, V int32
-	W    int64
 	R    float64
 	tie  uint32
 }
@@ -168,21 +166,11 @@ func allEdgesInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, buf []Edge) []Ed
 		for i, u := range adj {
 			if u > v {
 				//kappa:allow hotalloc appends into a buffer getEdges pre-capped to the edge count
-				edges = append(edges, Edge{v, u, ws[i], rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
+				edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
 			}
 		}
 	}
 	return edges
-}
-
-// sortEdgesDesc sorts edges by descending rating with random tie breaks.
-func sortEdgesDesc(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].R != edges[j].R {
-			return edges[i].R > edges[j].R
-		}
-		return edges[i].tie > edges[j].tie
-	})
 }
 
 // Compute runs the selected sequential algorithm on the whole graph with no
@@ -214,7 +202,7 @@ func ComputeScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG,
 		m := newEmptyIn(a, g.NumNodes())
 		buf := getEdges(g.NumEdges())
 		*buf = allEdgesInto(g, rt, r, *buf)
-		greedyEdges(g, *buf, m, maxPair)
+		greedyEdges(g, *buf, m, maxPair, a)
 		putEdges(buf)
 		return m
 	case GPA:

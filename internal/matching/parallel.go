@@ -83,20 +83,26 @@ func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []in
 				shemInto(g, rt, r, nodes, inSet, m, maxPair, a)
 				a.PutBool(inSet)
 			default:
-				// Edge-based algorithms run on the block's internal edges.
-				buf := getEdges(0)
+				// Edge-based algorithms run on the block's internal edges:
+				// at most half the block's degree sum, so the buffer
+				// never grows while it fills.
+				degSum := 0
+				for _, v := range nodes {
+					degSum += g.Degree(v)
+				}
+				buf := getEdges(degSum / 2)
 				edges := *buf
 				for _, v := range nodes {
 					adj := g.Adj(v)
 					ws := g.AdjWeights(v)
 					for i, u := range adj {
 						if u > v && block[u] == block[v] {
-							edges = append(edges, Edge{v, u, ws[i], rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
+							edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
 						}
 					}
 				}
 				if alg == Greedy {
-					greedyEdges(g, edges, m, maxPair)
+					greedyEdges(g, edges, m, maxPair, a)
 				} else {
 					gpaEdges(g, edges, m, maxPair, a)
 				}
@@ -132,7 +138,7 @@ func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []in
 			}
 			r := rt.Rate(v, u, ws[i])
 			if r > localRating[v] && r > localRating[u] {
-				gap = append(gap, Edge{v, u, ws[i], r, 0})
+				gap = append(gap, Edge{v, u, r, 0})
 			}
 		}
 	}

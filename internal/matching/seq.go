@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/dsu"
@@ -24,27 +23,29 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes []int32, inSet
 	} else {
 		count = len(nodes)
 	}
-	order := a.Int32(count)
-	if nodes == nil {
-		for i := range order {
-			order[i] = int32(i)
+	node := func(i int32) int32 {
+		if nodes == nil {
+			return i
 		}
-	} else {
-		copy(order, nodes)
+		return nodes[i]
 	}
-	// Sort by increasing degree with random tie breaks.
+	// Scan order: increasing degree, a random 32-bit tie per node within
+	// equal degrees, input order where those collide too.
 	ties := a.Uint32(count)
+	order, tmp := a.Uint64(count), a.Uint64(count)
 	for i := range ties {
 		ties[i] = uint32(r.Uint64())
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di < dj
+	mem.SortKeyedWords(order, tmp, 2, func(i int32, word int) uint32 {
+		if word == 0 {
+			return uint32(g.Degree(node(i)))
 		}
-		return ties[i] < ties[j]
-	})
-	for _, v := range order {
+		return ties[i]
+	}, nil)
+	a.PutUint64(tmp)
+	a.PutUint32(ties)
+	for _, o := range order {
+		v := node(mem.KeyedIdx(o))
 		if m[v] >= 0 {
 			continue
 		}
@@ -75,15 +76,15 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes []int32, inSet
 			m[best] = v
 		}
 	}
-	a.PutUint32(ties)
-	a.PutInt32(order)
+	a.PutUint64(order)
 }
 
 // greedyEdges runs the sorted greedy half-approximation over the given edge
 // set, writing into m: edges are scanned by descending rating and taken
-// whenever both endpoints are free.
-func greedyEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64) {
-	sortEdgesDesc(edges)
+// whenever both endpoints are free. Sort scratch comes from a (nil =
+// allocate).
+func greedyEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem.Arena) {
+	sortEdgesDesc(edges, a)
 	for _, e := range edges {
 		if maxPair > 0 && g.NodeWeight(e.U)+g.NodeWeight(e.V) > maxPair {
 			continue
@@ -115,7 +116,7 @@ var halfAdjSlices = sync.Pool{New: func() any { return new([][2]halfEdge) }}
 // allocate).
 func gpaEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem.Arena) {
 	n := g.NumNodes()
-	sortEdgesDesc(edges)
+	sortEdgesDesc(edges, a)
 	deg := a.Bytes(n)
 	clear(deg)
 	dsuParent := a.Int32(n)

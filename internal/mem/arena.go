@@ -15,6 +15,11 @@
 // arena of that run. A nil *Arena is valid everywhere and falls back to
 // plain allocation, so every scratch-aware function accepts "no reuse" with
 // zero branches at the call sites.
+//
+// The package also holds the one sort the coarsening kernels use on that
+// scratch (radix.go): a linear, stable radix sort over 8-byte keyed records,
+// shared by matching's edge order and SHEM scan order and by dist's
+// space-filling-curve order.
 package mem
 
 import "sync"
@@ -40,6 +45,7 @@ type Arena struct {
 	f64 [][]float64
 	bl  [][]bool
 	by  [][]byte
+	u64 [][]uint64
 
 	// Counters behind Stats; all guarded by mu.
 	gets       int64 // borrows served
@@ -235,6 +241,23 @@ func (a *Arena) PutBytes(s []byte) {
 	release(a, &a.by, s, 1)
 }
 
+// Uint64 borrows a scratch []uint64 of length n (contents undefined).
+func (a *Arena) Uint64(n int) []uint64 {
+	if a == nil {
+		return make([]uint64, n)
+	}
+	s, _ := borrow(a, &a.u64, n, 8)
+	return s
+}
+
+// PutUint64 returns a slice borrowed with Uint64.
+func (a *Arena) PutUint64(s []uint64) {
+	if a == nil {
+		return
+	}
+	release(a, &a.u64, s, 8)
+}
+
 // pooled sums the capacities of one free list in bytes.
 func pooled[T any](list [][]T, elemSize int64) int64 {
 	var b int64
@@ -260,6 +283,6 @@ func (a *Arena) Stats() ArenaStats {
 		AllocatedBytes: a.allocBytes,
 		LiveBytes:      a.liveBytes,
 		PooledBytes: pooled(a.i32, 4) + pooled(a.i64, 8) + pooled(a.u32, 4) +
-			pooled(a.f64, 8) + pooled(a.bl, 1) + pooled(a.by, 1),
+			pooled(a.f64, 8) + pooled(a.bl, 1) + pooled(a.by, 1) + pooled(a.u64, 8),
 	}
 }

@@ -78,7 +78,7 @@ func TestArenaBoolZeroed(t *testing.T) {
 func TestArenaNilSafe(t *testing.T) {
 	var a *Arena
 	if len(a.Int32(7)) != 7 || len(a.Float64(3)) != 3 || len(a.Bool(2)) != 2 ||
-		len(a.Int64(1)) != 1 || len(a.Uint32(4)) != 4 || len(a.Bytes(5)) != 5 {
+		len(a.Int64(1)) != 1 || len(a.Uint32(4)) != 4 || len(a.Bytes(5)) != 5 || len(a.Uint64(6)) != 6 {
 		t.Fatal("nil arena must fall back to make")
 	}
 	a.PutInt32(nil) // must not panic

@@ -11,9 +11,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -321,7 +322,7 @@ func (r *Registry) sortedFamilies() []*family {
 		fams = append(fams, f)
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	slices.SortFunc(fams, func(a, b *family) int { return cmp.Compare(a.name, b.name) })
 	return fams
 }
 
@@ -333,8 +334,8 @@ func (f *family) sortedChildren() []*metric {
 		ms = append(ms, m)
 	}
 	f.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool {
-		return labelKey(ms[i].labelVals) < labelKey(ms[j].labelVals)
+	slices.SortFunc(ms, func(a, b *metric) int {
+		return cmp.Compare(labelKey(a.labelVals), labelKey(b.labelVals))
 	})
 	return ms
 }

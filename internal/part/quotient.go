@@ -1,7 +1,8 @@
 package part
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -40,11 +41,8 @@ func (p *Partition) Quotient() []QEdge {
 	for key, w := range acc {
 		edges = append(edges, QEdge{int32(key >> 32), int32(uint32(key)), w})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
+	slices.SortFunc(edges, func(a, b QEdge) int {
+		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 	})
 	return edges
 }

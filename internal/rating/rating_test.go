@@ -1,6 +1,7 @@
 package rating
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -97,6 +98,42 @@ func TestStrings(t *testing.T) {
 	for f, want := range names {
 		if f.String() != want {
 			t.Errorf("String(%d) = %q, want %q", int(f), f.String(), want)
+		}
+	}
+}
+
+// TestRatingsAreFiniteOrPlusInf pins the contract matching's radix edge
+// order relies on instead of guarding in its hot loop: on a valid graph —
+// positive edge weights, non-negative node weights — every rating function
+// yields a non-negative number or +Inf (both endpoints weightless), never
+// NaN and never a negative value.
+func TestRatingsAreFiniteOrPlusInf(t *testing.T) {
+	b := graph.NewBuilder(5)
+	for v, w := range []int64{0, 0, 1, 7, 1 << 40} {
+		b.SetNodeWeight(int32(v), w)
+	}
+	weights := []int64{1, 2, 1 << 20, 1 << 40}
+	for u := int32(0); u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			b.AddEdge(u, v, weights[int(u+v)%len(weights)])
+		}
+	}
+	g := b.Build()
+	for _, f := range All {
+		r := NewRater(f, g)
+		sawInf := false
+		for u := int32(0); u < 5; u++ {
+			ws := g.AdjWeights(u)
+			for i, v := range g.Adj(u) {
+				got := r.Rate(u, v, ws[i])
+				if math.IsNaN(got) || got < 0 {
+					t.Errorf("%v(%d,%d) = %v: ratings must be non-negative or +Inf", f, u, v, got)
+				}
+				sawInf = sawInf || math.IsInf(got, 1)
+			}
+		}
+		if (f == Expansion || f == ExpansionStar || f == ExpansionStar2) && !sawInf {
+			t.Errorf("%v: the weightless pair {0,1} should rate +Inf", f)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 package refine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/part"
 	"repro/internal/pq"
@@ -127,7 +128,11 @@ func Rebalance(p *part.Partition, r *rng.RNG) {
 				cands = append(cands, cand{v, t, gain})
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].gain > cands[j].gain })
+		// By gain only: equal gains keep the order pdqsort leaves them in.
+		// A total order (gain, then node) would be the better contract, but
+		// it changes which equal-gain node moves first and with it the cuts
+		// the benchmark pins.
+		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.gain, a.gain) })
 		moved := false
 		for _, c := range cands {
 			if p.BlockWeight(p.Block[c.v]) <= p.Lmax() {

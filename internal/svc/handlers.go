@@ -1,12 +1,13 @@
 package svc
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -282,7 +283,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobNum(jobs[a].id) < jobNum(jobs[b].id) })
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(jobNum(a.id), jobNum(b.id)) })
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()

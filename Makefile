@@ -46,15 +46,16 @@ docs: fmt vet
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# The regression gate compares the Table1/Table2 suite and the two coarsening
-# seam kernels (matching's edge order, dist's RCB) against the committed
+# The regression gate compares the Table1/Table2 suite, the two coarsening
+# seam kernels (matching's edge order, dist's RCB) and one refinement level
+# (core's index build, schedule and pairwise FM pass) against the committed
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
 # anywhere; ns/op stays informational. Refresh the baseline intentionally
 # with bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|RCB
-BENCH_PKGS ?= . ./internal/matching ./internal/dist
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB|RefineLevel
+BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/core
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
 
@@ -69,19 +70,22 @@ examples:
 
 # race runs the race detector over the concurrency-heavy packages plus the
 # pipeline contract tests (context cancellation, transport swap), the
-# observability stack (concurrent scrapes against a running pipeline), and
-# the service layer (queue/drain/cancel handshakes under concurrent HTTP).
+# observability stack (concurrent scrapes against a running pipeline), the
+# service layer (queue/drain/cancel handshakes under concurrent HTTP), and
+# pairwise refinement with its boundary index (one goroutine per pair of a
+# colour class against shared lists, each owned by a single pair).
 race:
-	$(GO) test -race ./internal/core ./internal/coarsen ./internal/matching ./internal/dist ./internal/remote ./internal/obs ./internal/svc ./internal/store .
+	$(GO) test -race ./internal/core ./internal/coarsen ./internal/matching ./internal/dist ./internal/refine ./internal/part ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
 # fuzz smokes the native Go fuzz targets for a few seconds each: the
 # byte-level decoders — the file-format parsers (METIS text, binary CSR), the
 # wire-format message codec every socket frame flows through, the
 # control-frame payload decoders of the coordinator/worker loop, and the
 # shard-store readers (manifest JSON, shard files) — which must never panic on
-# malformed input, and the two sort-free coarsening kernels (radix edge order,
-# selection-based RCB), which must agree with their comparison-sort
-# references on every input. CI runs this.
+# malformed input, and the kernels that replaced a simpler implementation
+# kept as a test reference, with which they must agree on every input: the two
+# sort-free coarsening kernels (radix edge order, selection-based RCB) and the
+# boundary-indexed band builder. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
 # interesting inputs, and the default 60s minimization per input stalls a
 # short smoke run before it fuzzes anything.
@@ -98,3 +102,4 @@ fuzz:
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadShard -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzSortEdgesMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

@@ -120,7 +120,9 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // twice with different seeds and the better result adopted. levelSeed
 // derives the level's random streams; level names the level in RefineEvents
 // (uncoarsening steps done: 0 = coarsest graph). The context is checked
-// before every global iteration.
+// before every global iteration. The level owns the run's boundary index,
+// rebuilt here: the schedule reads its quotient, every pair draws its band
+// seeds from the lists of its two blocks and patches them with its moves.
 func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) error {
 	if cfg.K < 2 {
 		return nil
@@ -130,12 +132,14 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 		Patience:  cfg.Patience,
 		BandDepth: cfg.BandDepth,
 	}
+	idx := &env.boundary
+	idx.Reset(p, p.Block, -1, -1)
 	fruitlessRuns := 0
 	for global := 0; global < cfg.MaxGlobalIter; global++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rounds := schedule(p, cfg, levelSeed, global)
+		rounds := schedule(idx.Quotient(), cfg, levelSeed, global)
 		var totalGain int64
 		for round, class := range rounds {
 			if len(class) == 0 {
@@ -159,9 +163,12 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 					base := cfg.Seed ^ levelSeed<<32 ^ uint64(global)<<16 ^ uint64(round)<<8 ^ uint64(a)<<24 ^ uint64(b)
 					var gain int64
 					for li := 0; li < cfg.LocalIter; li++ {
-						out := refine.RefinePairViewWS(ws, p, view, a, b, cfg2,
+						out := refine.RefinePairIndexed(ws, idx, p, view, a, b, cfg2,
 							splitSeed(base, uint64(2*li)), splitSeed(base, uint64(2*li+1)))
 						gain += out.Gain
+						if env.indexCheck != nil {
+							env.indexCheck(idx, p, view, a, b)
+						}
 						if out.Gain <= 0 {
 							break
 						}
@@ -170,6 +177,9 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 				}(i, e.A, e.B)
 			}
 			wg.Wait()
+			if env.indexCheck != nil {
+				env.indexCheck(idx, p, p.Block, -1, -1)
+			}
 			for _, gv := range gains {
 				totalGain += gv
 			}
@@ -189,9 +199,9 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 	return nil
 }
 
-// schedule produces the rounds of block pairs for one global iteration.
-func schedule(p *part.Partition, cfg *Config, levelSeed uint64, global int) [][]part.QEdge {
-	q := p.Quotient()
+// schedule produces the rounds of block pairs for one global iteration from
+// the quotient graph q.
+func schedule(q []part.QEdge, cfg *Config, levelSeed uint64, global int) [][]part.QEdge {
 	seed := cfg.Seed ^ 0xc01035<<8 ^ levelSeed<<40 ^ uint64(global)
 	if cfg.Schedule == ScheduleRandomPairs {
 		return part.RandomPairSchedule(cfg.K, q, seed)

@@ -69,7 +69,15 @@ type Env struct {
 
 	observers []Observer
 	stats     *dist.TransportStats
-	refineWS  sync.Pool // *refine.Workspace, reused across pairs/levels/iterations
+	refineWS  sync.Pool          // *refine.Workspace, reused across pairs/levels/iterations
+	boundary  part.BoundaryIndex // reset by every refinement level, storage reused
+
+	// indexCheck is nil outside tests. refineLevel calls it on the pair's
+	// goroutine after every pair refinement, with that pair's blocks and the
+	// round's view, and between rounds with a = b = -1 and the partition's
+	// own block array — the points at which the boundary index's invariants
+	// must hold for the pair's two lists and for all of them.
+	indexCheck func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
 }
 
 // getWorkspace borrows a refinement workspace from the run's pool.

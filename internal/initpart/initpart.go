@@ -231,10 +231,12 @@ func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineP
 	for v, s := range side {
 		block[v] = int32(s)
 	}
-	refineBisection(h.Coarsest, block, targetA, eps, params, r)
+	// One FM workspace serves every pass on every level of this bisection.
+	ws := refine.NewWorkspace()
+	refineBisection(ws, h.Coarsest, block, targetA, eps, params, r)
 	for li := h.Depth() - 1; li >= 0; li-- {
 		block = h.Project(li, block)
-		refineBisection(h.Levels[li].Fine, block, targetA, eps, params, r)
+		refineBisection(ws, h.Levels[li].Fine, block, targetA, eps, params, r)
 	}
 	out := make([]byte, len(block))
 	for v, b := range block {
@@ -245,7 +247,7 @@ func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineP
 
 // refineBisection runs two-way FM between the sides. The balance bound is
 // the larger side's target within (1+eps).
-func refineBisection(g *graph.Graph, block []int32, targetA int64, eps float64, params engineParams, r *rng.RNG) {
+func refineBisection(ws *refine.Workspace, g *graph.Graph, block []int32, targetA int64, eps float64, params engineParams, r *rng.RNG) {
 	p := part.FromBlocks(g, 2, eps, block)
 	targetB := g.TotalNodeWeight() - targetA
 	maxTarget := targetA
@@ -255,7 +257,7 @@ func refineBisection(g *graph.Graph, block []int32, targetA int64, eps float64, 
 	p.SetLmax(int64((1+eps)*float64(maxTarget)) + g.MaxNodeWeight())
 	cfg := refine.TwoWayConfig{Strategy: params.fmStrategy, Patience: params.fmPatience, BandDepth: 1 << 30}
 	for pass := 0; pass < params.fmPasses; pass++ {
-		out := refine.RefinePair(p, 0, 1, cfg, r.Uint64(), r.Uint64())
+		out := refine.RefinePairViewWS(ws, p, p.Block, 0, 1, cfg, r.Uint64(), r.Uint64())
 		if out.Gain <= 0 && pass > 0 {
 			break
 		}

@@ -1,0 +1,205 @@
+package part
+
+import (
+	"slices"
+	"sync/atomic"
+)
+
+// ViewGet and ViewSet access a shared block-membership view atomically.
+// During parallel refinement every pair owns the entries of its two blocks:
+// it is the only writer, and concurrent readers from other pairs only test
+// membership against *their* blocks, for which any value in {a, b} of the
+// writing pair is equivalent. Atomics make this access pattern well defined
+// under the Go memory model.
+func ViewGet(view []int32, v int32) int32 { return atomic.LoadInt32(&view[v]) }
+
+func ViewSet(view []int32, v, b int32) { atomic.StoreInt32(&view[v], b) }
+
+// BoundaryIndex keeps, per block, the nodes that have a neighbour outside
+// their block, so that refining the pair (a, b) costs work proportional to
+// the boundaries of a and b instead of a scan over all n nodes (§5.2).
+//
+// lists[b] is a lazily compacted superset: it holds every boundary node of
+// block b exactly once, and may also hold nodes that stopped being boundary
+// nodes or that left b since the list was last compacted. Seeds compacts
+// the two lists it reads; Patch appends what a pair's moves made boundary.
+// in[v] says whether v is in the list of its current block.
+//
+// Ownership is the rule the snapshot view already relies on: the pair
+// refining (a, b) is the only reader and writer of lists a and b and of the
+// marks of nodes in a ∪ b. A move between a and b cannot change the
+// boundary status of a node in a third block — it was adjacent to the moved
+// node's old block and is adjacent to its new one — so concurrent pairs of
+// one colour class never touch each other's lists and need no locks.
+type BoundaryIndex struct {
+	p     *Partition
+	lists [][]int32
+	in    []bool
+
+	// Quotient scratch: weight to each higher block, and which were seen.
+	row     []int64
+	seen    []bool
+	touched []int32
+}
+
+// NewBoundaryIndex indexes the boundary of every block of p in one O(n+m)
+// pass.
+func NewBoundaryIndex(p *Partition) *BoundaryIndex {
+	x := &BoundaryIndex{}
+	x.Reset(p, p.Block, -1, -1)
+	return x
+}
+
+// Reset re-targets the index at p as seen through view, reusing the storage
+// it has grown: a run keeps one index and resets it per level. With a >= 0
+// only blocks a and b are indexed — the one-shot form behind the standalone
+// pair entry points, which costs one scan of the nodes of a ∪ b rather than
+// of the whole graph's adjacency. It is the one boundary scan of the
+// package; lists come out in node order.
+func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
+	for blk, list := range x.lists {
+		for _, v := range list {
+			x.in[v] = false
+		}
+		x.lists[blk] = list[:0]
+	}
+	x.p = p
+	g := p.G
+	if n := g.NumNodes(); cap(x.in) < n {
+		x.in = make([]bool, n)
+	} else {
+		x.in = x.in[:n]
+	}
+	if cap(x.lists) < p.K {
+		x.lists = make([][]int32, p.K)
+	}
+	x.lists = x.lists[:p.K]
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		bv := ViewGet(view, v)
+		if a >= 0 && bv != a && bv != b {
+			continue
+		}
+		for _, u := range g.Adj(v) {
+			if ViewGet(view, u) != bv {
+				x.in[v] = true
+				x.lists[bv] = append(x.lists[bv], v)
+				break
+			}
+		}
+	}
+}
+
+// List returns block b's list as it stands: a superset of b's boundary.
+func (x *BoundaryIndex) List(b int32) []int32 { return x.lists[b] }
+
+// Seeds appends to dst, in node order, the nodes of blocks a and b that have
+// a neighbour in the other block of the pair — the depth-1 band of §5.2 —
+// and compacts lists a and b on the way: nodes that left the block or have
+// no foreign neighbour any more are dropped.
+func (x *BoundaryIndex) Seeds(dst []int32, view []int32, a, b int32) []int32 {
+	dst = x.seedsOf(dst, view, a, b)
+	dst = x.seedsOf(dst, view, b, a)
+	slices.Sort(dst)
+	return dst
+}
+
+//kappa:hotpath
+func (x *BoundaryIndex) seedsOf(dst []int32, view []int32, own, other int32) []int32 {
+	g := x.p.G
+	list := x.lists[own]
+	kept := 0
+	for _, v := range list {
+		if ViewGet(view, v) != own {
+			continue // left the block; the list of its new block holds it
+		}
+		seed, boundary := false, false
+		for _, u := range g.Adj(v) {
+			bu := ViewGet(view, u)
+			if bu == other {
+				seed = true
+				break
+			}
+			if bu != own {
+				boundary = true
+			}
+		}
+		if seed {
+			//kappa:allow hotalloc amortized growth of the caller's reusable band
+			dst = append(dst, v)
+		} else if !boundary {
+			x.in[v] = false
+			continue
+		}
+		list[kept] = v
+		kept++
+	}
+	x.lists[own] = list[:kept]
+	return dst
+}
+
+// Patch records that the pair (a, b) moved the given nodes to the other
+// block of the pair; view already shows them there. Every moved node joins
+// the list of its new block (its entry in the old one is dropped by the next
+// compaction, which precedes any move back), and so does every neighbour it
+// left behind that was not listed yet.
+//
+//kappa:hotpath
+func (x *BoundaryIndex) Patch(view []int32, a, b int32, moved []int32) {
+	for _, v := range moved {
+		to := ViewGet(view, v)
+		x.in[v] = true
+		//kappa:allow hotalloc amortized growth of a boundary list
+		x.lists[to] = append(x.lists[to], v)
+	}
+	g := x.p.G
+	for _, v := range moved {
+		from := a + b - ViewGet(view, v)
+		for _, u := range g.Adj(v) {
+			if ViewGet(view, u) == from && !x.in[u] {
+				x.in[u] = true
+				//kappa:allow hotalloc amortized growth of a boundary list
+				x.lists[from] = append(x.lists[from], u)
+			}
+		}
+	}
+}
+
+// Quotient returns the quotient graph of the indexed partition, sorted by
+// (A, B): every cut edge is counted from its lower block's boundary list,
+// scattered into a k-length row and emitted in order of B.
+func (x *BoundaryIndex) Quotient() []QEdge {
+	p := x.p
+	if cap(x.row) < p.K {
+		x.row = make([]int64, p.K)
+		x.seen = make([]bool, p.K)
+	}
+	row, seen, touched := x.row[:p.K], x.seen[:p.K], x.touched[:0]
+	edges := make([]QEdge, 0, 4*p.K)
+	for a := int32(0); a < int32(p.K); a++ {
+		for _, v := range x.lists[a] {
+			if p.Block[v] != a {
+				continue
+			}
+			ws := p.G.AdjWeights(v)
+			for i, u := range p.G.Adj(v) {
+				bu := p.Block[u]
+				if bu <= a {
+					continue
+				}
+				if !seen[bu] {
+					seen[bu] = true
+					touched = append(touched, bu)
+				}
+				row[bu] += ws[i]
+			}
+		}
+		slices.Sort(touched)
+		for _, b := range touched {
+			edges = append(edges, QEdge{a, b, row[b]})
+			row[b], seen[b] = 0, false
+		}
+		touched = touched[:0]
+	}
+	x.touched = touched
+	return edges
+}

@@ -156,15 +156,17 @@ func (p *Partition) Clone() *Partition {
 }
 
 // BoundaryNodes returns all nodes with at least one neighbor in another
-// block, in node order.
+// block, in node order: the marks of a one-shot BoundaryIndex.
 func (p *Partition) BoundaryNodes() []int32 {
-	var out []int32
-	for v := int32(0); v < int32(p.G.NumNodes()); v++ {
-		for _, u := range p.G.Adj(v) {
-			if p.Block[u] != p.Block[v] {
-				out = append(out, v)
-				break
-			}
+	x := NewBoundaryIndex(p)
+	total := 0
+	for _, list := range x.lists {
+		total += len(list)
+	}
+	out := make([]int32, 0, total)
+	for v, marked := range x.in {
+		if marked {
+			out = append(out, int32(v))
 		}
 	}
 	return out

@@ -1,8 +1,7 @@
 package part
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"repro/internal/rng"
 )
@@ -15,36 +14,41 @@ type QEdge struct {
 }
 
 // Quotient builds the quotient graph of the partition as an edge list sorted
-// by (A, B). Its nodes are the K blocks.
+// by (A, B). Its nodes are the K blocks. It is a one-shot use of the
+// boundary index; refinement, which asks once per global iteration, keeps an
+// index and calls BoundaryIndex.Quotient.
 func (p *Partition) Quotient() []QEdge {
-	acc := make(map[uint64]int64)
-	for v := int32(0); v < int32(p.G.NumNodes()); v++ {
-		bv := p.Block[v]
-		adj := p.G.Adj(v)
-		ws := p.G.AdjWeights(v)
-		for i, u := range adj {
-			if u <= v {
-				continue
-			}
-			bu := p.Block[u]
-			if bu == bv {
-				continue
-			}
-			a, b := bv, bu
-			if a > b {
-				a, b = b, a
-			}
-			acc[uint64(a)<<32|uint64(uint32(b))] += ws[i]
+	return NewBoundaryIndex(p).Quotient()
+}
+
+// colorSets holds, per block, the set of colors already used at the block as
+// a bitmask. An edge takes the smallest color free at both endpoints, which
+// is below deg(A)+deg(B) <= 2k-2, so 2k bits per block always suffice.
+type colorSets struct {
+	words int
+	bits  []uint64
+}
+
+func newColorSets(k int) colorSets {
+	words := (2*k + 63) / 64
+	return colorSets{words, make([]uint64, k*words)}
+}
+
+// take returns the smallest color free at both a and b and marks it used at
+// both.
+func (c colorSets) take(a, b int32) int {
+	sa := c.bits[int(a)*c.words : int(a+1)*c.words]
+	sb := c.bits[int(b)*c.words : int(b+1)*c.words]
+	for w := range sa {
+		if free := ^(sa[w] | sb[w]); free != 0 {
+			c := bits.TrailingZeros64(free)
+			sa[w] |= 1 << c
+			sb[w] |= 1 << c
+			return w*64 + c
 		}
 	}
-	edges := make([]QEdge, 0, len(acc))
-	for key, w := range acc {
-		edges = append(edges, QEdge{int32(key >> 32), int32(uint32(key)), w})
-	}
-	slices.SortFunc(edges, func(a, b QEdge) int {
-		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
-	})
-	return edges
+	//kappa:allow panicfree unreachable: 2k bits hold every color an edge of a k-node quotient can take
+	panic("part: color set overflow")
 }
 
 // GreedyColoring assigns each quotient edge the smallest color not yet used
@@ -52,20 +56,12 @@ func (p *Partition) Quotient() []QEdge {
 // per-edge colors and the number of colors used, which is at most 2Δ−1 for
 // maximum quotient degree Δ.
 func GreedyColoring(k int, edges []QEdge) ([]int, int) {
-	used := make([]map[int]bool, k)
-	for i := range used {
-		used[i] = make(map[int]bool)
-	}
+	used := newColorSets(k)
 	colors := make([]int, len(edges))
 	maxColor := 0
 	for i, e := range edges {
-		c := 0
-		for used[e.A][c] || used[e.B][c] {
-			c++
-		}
+		c := used.take(e.A, e.B)
 		colors[i] = c
-		used[e.A][c] = true
-		used[e.B][c] = true
 		if c+1 > maxColor {
 			maxColor = c + 1
 		}
@@ -82,78 +78,84 @@ func GreedyColoring(k int, edges []QEdge) ([]int, int) {
 // The algorithm uses at most twice as many colors as an optimal edge
 // coloring. This implementation simulates the synchronous rounds
 // deterministically from the seed; the PE-parallel execution lives in
-// internal/core, which iterates the resulting color classes.
+// internal/core, which iterates the resulting color classes. All per-round
+// state lives in a handful of slices sized once per call.
 func DistributedColoring(k int, edges []QEdge, seed uint64) ([]int, int) {
 	colors := make([]int, len(edges))
 	for i := range colors {
 		colors[i] = -1
 	}
-	// incident[b] = indices of uncolored edges at block b.
-	incident := make([][]int, k)
-	for i, e := range edges {
-		incident[e.A] = append(incident[e.A], i)
-		incident[e.B] = append(incident[e.B], i)
+	// incident[start[b]:end[b]] = indices of the uncolored edges at block b,
+	// in edge order; colored ones are pruned lazily by shrinking end[b].
+	ints := make([]int, 3*k+1+2*len(edges))
+	start, end, request := ints[:k+1], ints[k+1:2*k+1], ints[2*k+1:3*k+1]
+	incident := ints[3*k+1:]
+	for _, e := range edges {
+		start[e.A+1]++
+		start[e.B+1]++
 	}
-	usedAt := make([]map[int]bool, k)
-	rngs := make([]*rng.RNG, k)
 	for b := 0; b < k; b++ {
-		usedAt[b] = make(map[int]bool)
-		rngs[b] = rng.NewStream(seed, uint64(b))
+		start[b+1] += start[b]
+		end[b] = start[b]
 	}
+	for i, e := range edges {
+		incident[end[e.A]] = i
+		end[e.A]++
+		incident[end[e.B]] = i
+		end[e.B]++
+	}
+	used := newColorSets(k)
+	rngs := make([]rng.RNG, k)
+	for b := range rngs {
+		rngs[b].SeedStream(seed, uint64(b))
+	}
+	active := make([]bool, k)
 	remaining := len(edges)
 	maxColor := 0
-	for round := 0; remaining > 0; round++ {
-		active := make([]bool, k)
-		for b := 0; b < k; b++ {
+	for remaining > 0 {
+		for b := range active {
 			active[b] = rngs[b].Bool()
 		}
-		type request struct {
-			edge int
-			from int32
-		}
-		inbox := make([][]request, k)
+		// request[b] = the edge active PE b asks its other endpoint to color
+		// this round, or -1.
 		for b := int32(0); b < int32(k); b++ {
+			request[b] = -1
 			if !active[b] {
 				continue
 			}
-			// Prune already-colored incident edges lazily.
-			inc := incident[b][:0]
-			for _, ei := range incident[b] {
+			live := start[b]
+			for _, ei := range incident[start[b]:end[b]] {
 				if colors[ei] < 0 {
-					inc = append(inc, ei)
+					incident[live] = ei
+					live++
 				}
 			}
-			incident[b] = inc
-			if len(inc) == 0 {
+			end[b] = live
+			if live > start[b] {
+				request[b] = incident[start[b]+rngs[b].Intn(live-start[b])]
+			}
+		}
+		// Requests are served in sender order. Senders are active and
+		// receivers passive, so two requests share color sets only through a
+		// common receiver, which then sees its inbox in sender order.
+		for from := int32(0); from < int32(k); from++ {
+			ei := request[from]
+			if ei < 0 {
 				continue
 			}
-			ei := inc[rngs[b].Intn(len(inc))]
-			other := edges[ei].A
-			if other == b {
-				other = edges[ei].B
+			to := edges[ei].A
+			if to == from {
+				to = edges[ei].B
 			}
-			inbox[other] = append(inbox[other], request{ei, b})
-		}
-		for b := int32(0); b < int32(k); b++ {
-			if active[b] {
+			if active[to] {
 				continue // active PEs reject requests
 			}
-			for _, req := range inbox[b] {
-				if colors[req.edge] >= 0 {
-					continue // a previous request this round colored it
-				}
-				c := 0
-				for usedAt[b][c] || usedAt[req.from][c] {
-					c++
-				}
-				colors[req.edge] = c
-				usedAt[b][c] = true
-				usedAt[req.from][c] = true
-				if c+1 > maxColor {
-					maxColor = c + 1
-				}
-				remaining--
+			c := used.take(to, from)
+			colors[ei] = c
+			if c+1 > maxColor {
+				maxColor = c + 1
 			}
+			remaining--
 		}
 	}
 	return colors, maxColor

@@ -27,21 +27,3 @@ func TestGainQueueReset(t *testing.T) {
 		t.Fatal("queue broken after shrinking Reset")
 	}
 }
-
-func TestBucketQueueReset(t *testing.T) {
-	q := NewBucketQueue(4, 3)
-	q.Push(0, 2)
-	q.Push(1, -3)
-	q.Reset(6, 5)
-	if !q.Empty() {
-		t.Fatal("queue must be empty after Reset")
-	}
-	q.Push(5, 5)
-	q.Push(2, -5)
-	if v, g := q.PopMax(); v != 5 || g != 5 {
-		t.Fatalf("PopMax = (%d,%d), want (5,5)", v, g)
-	}
-	if v, g := q.PopMax(); v != 2 || g != -5 {
-		t.Fatalf("PopMax = (%d,%d), want (2,-5)", v, g)
-	}
-}

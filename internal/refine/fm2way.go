@@ -5,30 +5,21 @@
 // rebalancing used by the Metis-style baselines.
 //
 // Pair searches run against a Workspace holding the band arrays and the two
-// gain queues; reusing one Workspace across the pairs, levels and global
-// iterations a goroutine processes makes the inner loop allocation-free
-// (see RefinePairViewWS). Results are byte-identical with fresh and reused
-// workspaces.
+// gain queues, and draw the band's seeds from a part.BoundaryIndex that the
+// level keeps current, so a search costs work proportional to its band;
+// reusing one Workspace across the pairs, levels and global iterations a
+// goroutine processes makes the inner loop allocation-free (see
+// RefinePairIndexed). Results are byte-identical with fresh and reused
+// workspaces, and with a kept and a one-shot index.
 package refine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/part"
 	"repro/internal/pq"
 	"repro/internal/rng"
 )
-
-// viewGet and viewSet access the shared block-membership view atomically.
-// During parallel refinement every pair owns the entries of its two blocks:
-// it is the only writer, and concurrent readers from other pairs only test
-// membership against *their* blocks, for which any value in {a, b} of the
-// writing pair is equivalent. Atomics make this access pattern well defined
-// under the Go memory model.
-func viewGet(view []int32, v int32) int32 { return atomic.LoadInt32(&view[v]) }
-
-func viewSet(view []int32, v, b int32) { atomic.StoreInt32(&view[v], b) }
 
 // Strategy selects which of the two FM priority queues yields the next move.
 type Strategy int
@@ -71,22 +62,30 @@ type TwoWayConfig struct {
 
 // Workspace owns the reusable storage of pairwise FM searches: the
 // global-size band membership and local-id tables, the band-size side/move
-// arrays, the two gain queues, the queue-seeding permutation, and the move
-// logs of the two seeded runs. One goroutine reuses one Workspace across
-// every pair it refines, on every level and global iteration; the arrays
-// grow to the finest graph once and stay there. A Workspace must not be
-// shared between concurrent searches.
+// arrays and start gains, the two gain queues, the queue-seeding
+// permutation, the move logs of the two seeded runs, the search state and
+// its generator, and the one-shot boundary index of the standalone entry
+// points. One goroutine reuses one Workspace across every pair it refines,
+// on every level and global iteration; the arrays grow to the finest graph
+// once and stay there. A Workspace must not be shared between concurrent
+// searches.
 type Workspace struct {
 	inBand  []bool  // global-size; all false between searches
 	localID []int32 // global-size; valid only where inBand
 
-	band   []int32
-	side   []byte
-	moved  []bool
-	qa, qb pq.GainQueue
-	perm   []int
-	movesA []int32
-	movesB []int32
+	band    []int32
+	side    []byte
+	moved   []bool
+	gain0   []int64 // gain of every band node in the state both runs start from
+	qa, qb  pq.GainQueue
+	perm    []int
+	movesA  []int32
+	movesB  []int32
+	applied []int32 // global ids of the winning prefix, for the index patch
+
+	search  pairSearch
+	rng     rng.RNG
+	oneShot part.BoundaryIndex
 }
 
 // NewWorkspace returns an empty workspace; it grows lazily to the graphs it
@@ -103,6 +102,18 @@ func (ws *Workspace) growGlobal(n int) {
 	}
 	ws.inBand = ws.inBand[:n]
 	ws.localID = ws.localID[:n]
+}
+
+// growBand sizes the band-indexed tables for a band of n nodes.
+func (ws *Workspace) growBand(n int) {
+	if cap(ws.side) < n {
+		ws.side = make([]byte, n)
+		ws.moved = make([]bool, n)
+		ws.gain0 = make([]int64, n)
+	}
+	ws.side = ws.side[:n]
+	ws.moved = ws.moved[:n]
+	ws.gain0 = ws.gain0[:n]
 }
 
 // pairSearch is the working state of one two-way FM search. It never mutates
@@ -133,7 +144,8 @@ type result struct {
 
 // buildBand collects the nodes of blocks a and b within depth BFS steps of
 // the a↔b boundary (§5.2, Figure 2: only a small band around the boundary is
-// exchanged and searched) into ws.band, marking them in ws.inBand. Block
+// exchanged and searched) into ws.band, marking them in ws.inBand. The
+// depth-1 seeds come from idx's lists a and b in node order; block
 // membership is read from view, which may be a snapshot taken before
 // concurrent pair refinements started; entries for blocks a and b are only
 // ever written by this pair's owner, so the snapshot is exact where it
@@ -141,35 +153,20 @@ type result struct {
 // during the previous depth, so no separate frontier storage is needed.
 //
 //kappa:hotpath
-func buildBand(p *part.Partition, ws *Workspace, view []int32, a, b int32, depth int) []int32 {
+func buildBand(idx *part.BoundaryIndex, p *part.Partition, ws *Workspace, view []int32, a, b int32, depth int) []int32 {
 	g := p.G
 	inBand := ws.inBand
-	band := ws.band[:0]
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		bv := viewGet(view, v)
-		if bv != a && bv != b {
-			continue
-		}
-		other := a
-		if bv == a {
-			other = b
-		}
-		for _, u := range g.Adj(v) {
-			if viewGet(view, u) == other {
-				//kappa:allow hotalloc amortized growth of the reusable workspace band
-				band = append(band, v)
-				inBand[v] = true
-				break
-			}
-		}
+	band := idx.Seeds(ws.band[:0], view, a, b)
+	for _, v := range band {
+		inBand[v] = true
 	}
 	frontLo, frontHi := 0, len(band)
 	for d := 1; d < depth; d++ {
 		for fi := frontLo; fi < frontHi; fi++ {
 			v := band[fi]
-			bv := viewGet(view, v)
+			bv := part.ViewGet(view, v)
 			for _, u := range g.Adj(v) {
-				if viewGet(view, u) == bv && !inBand[u] {
+				if part.ViewGet(view, u) == bv && !inBand[u] {
 					inBand[u] = true
 					//kappa:allow hotalloc amortized growth of the reusable workspace band
 					band = append(band, u)
@@ -185,20 +182,24 @@ func buildBand(p *part.Partition, ws *Workspace, view []int32, a, b int32, depth
 	return band
 }
 
-func newPairSearch(p *part.Partition, ws *Workspace, view []int32, a, b int32, cfg TwoWayConfig) *pairSearch {
+// newPairSearch builds the band of pair (a, b) and the search state on it,
+// in ws. Every band node's adjacency is walked once here: its gain goes to
+// ws.gain0, from which both seeded runs fill their queues (they start from
+// the same state), and the a-side nodes' weight toward b adds up to the pair
+// cut — every a↔b edge once, both endpoints of a cut edge being boundary
+// nodes and hence in the band.
+//
+//kappa:hotpath
+func newPairSearch(idx *part.BoundaryIndex, p *part.Partition, ws *Workspace, view []int32, a, b int32, cfg TwoWayConfig) *pairSearch {
 	depth := cfg.BandDepth
 	if depth < 1 {
 		depth = 1
 	}
 	ws.growGlobal(p.G.NumNodes())
-	band := buildBand(p, ws, view, a, b, depth)
-	if cap(ws.side) < len(band) {
-		ws.side = make([]byte, len(band))
-		ws.moved = make([]bool, len(band))
-	}
-	ws.side = ws.side[:len(band)]
-	ws.moved = ws.moved[:len(band)]
-	s := &pairSearch{
+	band := buildBand(idx, p, ws, view, a, b, depth)
+	ws.growBand(len(band))
+	s := &ws.search
+	*s = pairSearch{
 		p: p, ws: ws, view: view, a: a, b: b,
 		band:  band,
 		side:  ws.side,
@@ -209,23 +210,17 @@ func newPairSearch(p *part.Partition, ws *Workspace, view []int32, a, b int32, c
 	for li, v := range band {
 		ws.localID[v] = int32(li)
 		s.moved[li] = false
-		if viewGet(view, v) == b {
+		if part.ViewGet(view, v) == b {
 			s.side[li] = 1
 		} else {
 			s.side[li] = 0
 		}
 	}
-	// The pair cut counts every a↔b edge once (from the a side). Both
-	// endpoints of a cut edge are boundary nodes, hence in the band.
-	g := p.G
-	for li, v := range band {
-		if s.side[li] != 0 {
-			continue
-		}
-		for i, u := range g.Adj(v) {
-			if viewGet(view, u) == b {
-				s.cut += g.AdjWeights(v)[i]
-			}
+	for li := range band {
+		gain, wOther := s.gain(int32(li))
+		ws.gain0[li] = gain
+		if s.side[li] == 0 {
+			s.cut += wOther
 		}
 	}
 	return s
@@ -241,20 +236,20 @@ func (s *pairSearch) release() {
 
 // gain computes the current gain of moving band node li to the other block:
 // w(v→other) − w(v→own), counting only edges inside the pair (edges to third
-// blocks stay cut either way).
-func (s *pairSearch) gain(li int32) int64 {
+// blocks stay cut either way). It also returns w(v→other).
+func (s *pairSearch) gain(li int32) (gain, wOther int64) {
 	v := s.band[li]
 	g := s.p.G
 	adj := g.Adj(v)
 	ws := g.AdjWeights(v)
 	inBand, localID := s.ws.inBand, s.ws.localID
-	var wOwn, wOther int64
+	var wOwn int64
 	for i, u := range adj {
 		var uSide byte
 		if inBand[u] {
 			uSide = s.side[localID[u]]
 		} else {
-			switch viewGet(s.view, u) {
+			switch part.ViewGet(s.view, u) {
 			case s.a:
 				uSide = 0
 			case s.b:
@@ -269,7 +264,7 @@ func (s *pairSearch) gain(li int32) int64 {
 			wOther += ws[i]
 		}
 	}
-	return wOther - wOwn
+	return wOther - wOwn, wOther
 }
 
 func (s *pairSearch) imbalance() int64 {
@@ -306,10 +301,10 @@ func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 	for _, li := range perm {
 		l := int32(li)
 		if s.side[l] == 0 {
-			s.qa.Push(l, s.gain(l), uint32(r.Uint64()))
+			s.qa.Push(l, ws.gain0[l], uint32(r.Uint64()))
 			sizeA++
 		} else {
-			s.qb.Push(l, s.gain(l), uint32(r.Uint64()))
+			s.qb.Push(l, ws.gain0[l], uint32(r.Uint64()))
 			sizeB++
 		}
 	}
@@ -474,42 +469,57 @@ func RefinePairView(p *part.Partition, view []int32, a, b int32, cfg TwoWayConfi
 	return RefinePairViewWS(NewWorkspace(), p, view, a, b, cfg, seedA, seedB)
 }
 
-// RefinePairViewWS is RefinePairView running against a reusable Workspace —
-// the allocation-free form the pipeline uses, obtaining workspaces from a
-// per-run pool. The outcome is byte-identical to a fresh workspace.
+// RefinePairViewWS is RefinePairView running against a reusable Workspace.
+// It has no index to draw the band's seeds from, so it builds a one-shot one
+// for blocks a and b in the workspace — one scan of the nodes of a ∪ b — and
+// runs RefinePairIndexed on it. The outcome is byte-identical to a fresh
+// workspace.
 func RefinePairViewWS(ws *Workspace, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
-	s := newPairSearch(p, ws, view, a, b, cfg)
+	ws.oneShot.Reset(p, view, a, b)
+	return RefinePairIndexed(ws, &ws.oneShot, p, view, a, b, cfg, seedA, seedB)
+}
+
+// RefinePairIndexed is the pair-refinement kernel, and the allocation-free
+// form the pipeline uses: the band's seeds come from idx, which indexes p
+// and which the call leaves current by patching lists a and b with the moves
+// it applied. Under part.BoundaryIndex's ownership rule, disjoint pairs may
+// run concurrently against one index, each with its own workspace.
+func RefinePairIndexed(ws *Workspace, idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
+	s := newPairSearch(idx, p, ws, view, a, b, cfg)
 	if len(s.band) == 0 {
-		s.release()
 		return RefinePairOutcome{}
 	}
-	r1 := s.run(cfg, rng.New(seedA), ws.movesA)
+	ws.rng.Seed(seedA)
+	r1 := s.run(cfg, &ws.rng, ws.movesA)
 	ws.movesA = r1.moves
-	r2 := s.run(cfg, rng.New(seedB), ws.movesB)
+	ws.rng.Seed(seedB)
+	r2 := s.run(cfg, &ws.rng, ws.movesB)
 	ws.movesB = r2.moves
 	best := r1
 	if r2.imbalance < best.imbalance || (r2.imbalance == best.imbalance && r2.cut < best.cut) {
 		best = r2
 	}
-	startCut := s.cut
-	// Apply the winning prefix to the real partition.
-	for i := 0; i < best.bestLen; i++ {
-		li := best.moves[i]
+	// Apply the winning prefix to the real partition. The side arrays were
+	// restored by run, so side is each node's original side; a node appears
+	// at most once in the move list.
+	applied := ws.applied[:0]
+	shared := &s.view[0] == &p.Block[0]
+	for _, li := range best.moves[:best.bestLen] {
 		v := s.band[li]
 		to := s.b
-		if s.side[li] == 1 { // side arrays were restored: side is the ORIGINAL side
+		if s.side[li] == 1 {
 			to = s.a
 		}
-		// A node may appear once in the move list; its original side tells
-		// us the direction.
 		p.Move(v, to)
-		if &s.view[0] != &p.Block[0] {
-			viewSet(s.view, v, to) // keep the caller's snapshot exact for this pair
+		if !shared {
+			part.ViewSet(s.view, v, to) // keep the caller's snapshot exact for this pair
 		}
-		s.side[li] = 1 - s.side[li]
+		applied = append(applied, v)
 	}
+	ws.applied = applied
+	idx.Patch(view, a, b, applied)
 	out := RefinePairOutcome{
-		Gain:     startCut - best.cut,
+		Gain:     s.cut - best.cut,
 		Moves:    best.bestLen,
 		BandSize: len(s.band),
 	}

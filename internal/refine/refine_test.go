@@ -164,8 +164,9 @@ func TestBandDepthGrowsBand(t *testing.T) {
 	ws1, ws5 := NewWorkspace(), NewWorkspace()
 	ws1.growGlobal(n)
 	ws5.growGlobal(n)
-	b1 := buildBand(p, ws1, p.Block, 0, 1, 1)
-	b5 := buildBand(p, ws5, p.Block, 0, 1, 5)
+	idx := part.NewBoundaryIndex(p)
+	b1 := buildBand(idx, p, ws1, p.Block, 0, 1, 1)
+	b5 := buildBand(idx, p, ws5, p.Block, 0, 1, 5)
 	if len(b5) <= len(b1) {
 		t.Fatalf("band did not grow with depth: %d vs %d", len(b1), len(b5))
 	}

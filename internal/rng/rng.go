@@ -13,7 +13,7 @@ package rng
 import "math/bits"
 
 // RNG is a deterministic random number generator. The zero value is not
-// usable; construct one with New.
+// usable; construct one with New, or seed a value in place with Seed.
 type RNG struct {
 	s0, s1, s2, s3 uint64
 }
@@ -31,12 +31,17 @@ func splitmix64(x *uint64) uint64 {
 // New returns a generator seeded from seed.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r as the generator New(seed) returns, without allocating.
+func (r *RNG) Seed(seed uint64) {
 	x := seed
 	r.s0 = splitmix64(&x)
 	r.s1 = splitmix64(&x)
 	r.s2 = splitmix64(&x)
 	r.s3 = splitmix64(&x)
-	return r
 }
 
 // Split derives an independent generator for stream id. Two generators
@@ -50,8 +55,15 @@ func (r *RNG) Split(id uint64) *RNG {
 // NewStream returns a generator for PE pe derived from a master seed without
 // mutating any existing generator.
 func NewStream(seed, pe uint64) *RNG {
+	r := &RNG{}
+	r.SeedStream(seed, pe)
+	return r
+}
+
+// SeedStream restarts r as the generator NewStream(seed, pe) returns.
+func (r *RNG) SeedStream(seed, pe uint64) {
 	x := seed ^ (pe+1)*0xd1342543de82ef95
-	return New(splitmix64(&x))
+	r.Seed(splitmix64(&x))
 }
 
 // Uint64 returns the next 64 random bits.

@@ -61,23 +61,32 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 	for _, p := range parts {
 		total += len(p.Weights)
 	}
-	b := graph.NewBuilder(total)
-	for _, p := range parts {
-		for i, w := range p.Weights {
-			b.SetNodeWeight(p.FirstCoarse+int32(i), w)
+	nwgt := make([]int64, total)
+	var coords [3][]float64
+	dims := g.CoordDims()
+	if total == 0 {
+		dims = 0
+	}
+	for d := 0; d < dims; d++ {
+		coords[d] = make([]float64, total)
+	}
+	lists := make([]graph.EdgeList, len(parts))
+	for pe, p := range parts {
+		copy(nwgt[p.FirstCoarse:], p.Weights)
+		for d, c := range [][]float64{p.CX, p.CY, p.CZ}[:dims] {
+			copy(coords[d][p.FirstCoarse:], c)
 		}
-		if g.CoordDims() == 3 {
-			for i := range p.Weights {
-				b.SetCoord3(p.FirstCoarse+int32(i), p.CX[i], p.CY[i], p.CZ[i])
-			}
-		} else if g.HasCoords() {
-			for i := range p.Weights {
-				b.SetCoord(p.FirstCoarse+int32(i), p.CX[i], p.CY[i])
-			}
-		}
-		for i := range p.EdgeU {
-			b.AddEdge(p.EdgeU[i], p.EdgeV[i], p.EdgeW[i])
-		}
+		lists[pe] = graph.EdgeList{U: p.EdgeU, V: p.EdgeV, W: p.EdgeW}
+	}
+	// The parts' edge lists go straight into the coarse CSR: counted,
+	// scattered and row-merged (parallel coarse edges sum) by the kernel
+	// Builder.Build runs on.
+	cg := graph.FromEdgeLists(nwgt, lists)
+	switch dims {
+	case 3:
+		cg.SetCoords3(coords[0], coords[1], coords[2])
+	case 2:
+		cg.SetCoords(coords[0], coords[1])
 	}
 	fine2coarse := make([]int32, g.NumNodes())
 	for _, p := range parts {
@@ -85,7 +94,7 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 			fine2coarse[gv] = p.FineCoarse[i]
 		}
 	}
-	return b.Build(), fine2coarse
+	return cg, fine2coarse
 }
 
 // ContractSubgraph is the per-PE side of ContractDistributed: the superstep
@@ -208,8 +217,9 @@ func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport,
 	// Step 4: publish the coarse id of every boundary node to the PEs that
 	// hold it as a ghost, and collect the same for this PE's ghosts.
 	bcastOut := make([][]dist.Msg, ex.PEs())
-	for lv, peers := range sg.BoundaryPeers() {
-		for _, q := range peers {
+	peerOff, peers := sg.BoundaryPeers()
+	for lv := 0; lv < owned; lv++ {
+		for _, q := range peers[peerOff[lv]:peerOff[lv+1]] {
 			bcastOut[q] = append(bcastOut[q], dist.Msg{
 				Kind: dist.MsgCoarseID, A: sg.ToGlobal(int32(lv)), B: cGlobal[lv],
 			})
@@ -230,29 +240,44 @@ func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport,
 
 	// Step 5: coarse edge contributions. Each fine edge is contributed once,
 	// by the owner of its smaller-global-id endpoint; edges internal to a
-	// coarse node vanish.
+	// coarse node vanish. Counted first, so the lists are made at their size.
+	coarseOf := func(lv, lu int32) int32 {
+		var cu int32
+		if int(lu) < owned {
+			if lu < lv {
+				return -1
+			}
+			cu = cGlobal[lu]
+		} else {
+			if sg.ToGlobal(lu) < sg.ToGlobal(lv) {
+				return -1
+			}
+			cu = ghostCoarse[int(lu)-owned]
+		}
+		if cu == cGlobal[lv] {
+			return -1
+		}
+		return cu
+	}
+	edges := 0
 	for lv := int32(0); lv < int32(owned); lv++ {
-		gv := sg.ToGlobal(lv)
-		adj, ws := g.Adj(lv), g.AdjWeights(lv)
-		for i, lu := range adj {
-			var cu int32
-			if int(lu) < owned {
-				if lu < lv {
-					continue
-				}
-				cu = cGlobal[lu]
-			} else {
-				if sg.ToGlobal(lu) < gv {
-					continue
-				}
-				cu = ghostCoarse[int(lu)-owned]
+		for _, lu := range g.Adj(lv) {
+			if coarseOf(lv, lu) >= 0 {
+				edges++
 			}
-			if cu == cGlobal[lv] || cu < 0 {
-				continue
+		}
+	}
+	p.EdgeU = make([]int32, 0, edges)
+	p.EdgeV = make([]int32, 0, edges)
+	p.EdgeW = make([]int64, 0, edges)
+	for lv := int32(0); lv < int32(owned); lv++ {
+		ws := g.AdjWeights(lv)
+		for i, lu := range g.Adj(lv) {
+			if cu := coarseOf(lv, lu); cu >= 0 {
+				p.EdgeU = append(p.EdgeU, cGlobal[lv])
+				p.EdgeV = append(p.EdgeV, cu)
+				p.EdgeW = append(p.EdgeW, ws[i])
 			}
-			p.EdgeU = append(p.EdgeU, cGlobal[lv])
-			p.EdgeV = append(p.EdgeV, cu)
-			p.EdgeW = append(p.EdgeW, ws[i])
 		}
 	}
 

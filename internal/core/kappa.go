@@ -71,11 +71,13 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 // setup). Returns (nil, nil, ...) when the matching comes out empty. It is
 // the one in-process level kernel: `-coarsen distributed` runs it per level,
 // and internal/remote's coordinator runs it when it has no workers left.
-func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration) {
+// scratch holds one arena per PE for the matching temporaries (nil allocates
+// fresh).
+func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64, scratch []*mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
 	tm := time.Now()
 	sgs := dist.ExtractAll(cur, blocks, t.PEs())
-	ms := matching.DistributedBounded(sgs, t, cfg.Rating, cfg.Matcher,
-		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching)
+	ms := matching.DistributedScratch(sgs, t, cfg.Rating, cfg.Matcher,
+		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching, scratch)
 	matchT := time.Since(tm)
 	matched := false
 	for _, m := range ms {

@@ -69,6 +69,7 @@ type Env struct {
 
 	observers []Observer
 	stats     *dist.TransportStats
+	peScratch []*mem.Arena       // see scratchFor
 	refineWS  sync.Pool          // *refine.Workspace, reused across pairs/levels/iterations
 	boundary  part.BoundaryIndex // reset by every refinement level, storage reused
 
@@ -78,6 +79,17 @@ type Env struct {
 	// own block array — the points at which the boundary index's invariants
 	// must hold for the pair's two lists and for all of them.
 	indexCheck func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
+}
+
+// scratchFor returns the run's scratch arenas for distributed coarsening,
+// one per PE, made on first use and reused by every level. They are apart
+// from Arena so that a level's PE kernels, which run side by side, do not
+// contend for one free list. The coarsening loop calls it between levels.
+func (e *Env) scratchFor(pes int) []*mem.Arena {
+	for len(e.peScratch) < pes {
+		e.peScratch = append(e.peScratch, mem.NewArena())
+	}
+	return e.peScratch[:pes]
 }
 
 // getWorkspace borrows a refinement workspace from the run's pool.
@@ -429,7 +441,7 @@ func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Confi
 		var f2c []int32
 		var matchT, contractT time.Duration
 		if pes > 1 && cfg.Coarsen == CoarsenDistributed {
-			cg, f2c, matchT, contractT = DistributedLevel(cur, cfg, blocks, env.transportFor(pes), level, maxPair)
+			cg, f2c, matchT, contractT = DistributedLevel(cur, cfg, blocks, env.transportFor(pes), level, maxPair, env.scratchFor(pes))
 		} else {
 			cg, f2c, matchT, contractT = sharedLevel(cur, cfg, blocks, pes, level, maxPair, env.Arena)
 		}

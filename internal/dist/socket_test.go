@@ -159,7 +159,7 @@ func TestMatchSubgraphOverSockets(t *testing.T) {
 	done := make(chan struct{}, pes)
 	for pe := 0; pe < pes; pe++ {
 		go func(pe int) {
-			got[pe] = matching.MatchSubgraph(sgs[pe], tr, core.NewConfig(core.Fast, pes).Rating, matching.GPA, 7, 0, true, pe)
+			got[pe] = matching.MatchSubgraph(sgs[pe], tr, core.NewConfig(core.Fast, pes).Rating, matching.GPA, 7, 0, true, pe, nil)
 			done <- struct{}{}
 		}(pe)
 	}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -19,16 +20,25 @@ type Subgraph struct {
 	Local *graph.Graph // owned nodes then ghosts, weights and coords copied
 
 	NumOwned      int     // owned nodes are local ids [0, NumOwned)
-	LocalToGlobal []int32 // len = Local.NumNodes()
+	LocalToGlobal []int32 // len = Local.NumNodes(); the owned prefix strictly ascending
 	GhostOwner    []int32 // owner PE of each ghost, parallel to local ids NumOwned...
 
-	globalToLocal map[int32]int32
+	// ghostLocal maps a ghost's global id to its local id. Owned ids need no
+	// index: their global ids ascend, so ToLocal binary-searches them.
+	ghostLocal map[int32]int32
+
+	peersOnce sync.Once
+	peerOff   []int32 // see BoundaryPeers
+	peers     []int32
 }
 
 // NewSubgraph reassembles a Subgraph from its parts — the constructor the
 // wire codec uses after shipping a shard to another process. local's nodes
-// must be ordered owned-first; localToGlobal must have one entry per local
-// node and ghostOwner one per ghost. The global→local index is rebuilt here.
+// must be ordered owned-first with the owned global ids strictly ascending
+// (the order extraction produces and the per-PE kernels rely on: "smaller
+// local id" and "smaller global id" agree for owned pairs); localToGlobal
+// must have one entry per local node and ghostOwner one per ghost, and no
+// global id may appear twice.
 func NewSubgraph(pe int32, local *graph.Graph, numOwned int, localToGlobal, ghostOwner []int32) (*Subgraph, error) {
 	if numOwned < 0 || numOwned > local.NumNodes() {
 		return nil, fmt.Errorf("dist: owned count %d out of range [0, %d]", numOwned, local.NumNodes())
@@ -39,19 +49,26 @@ func NewSubgraph(pe int32, local *graph.Graph, numOwned int, localToGlobal, ghos
 	if len(ghostOwner) != local.NumNodes()-numOwned {
 		return nil, fmt.Errorf("dist: ghost owner list has %d entries for %d ghosts", len(ghostOwner), local.NumNodes()-numOwned)
 	}
+	owned := localToGlobal[:numOwned]
+	for i := 1; i < len(owned); i++ {
+		if owned[i-1] >= owned[i] {
+			return nil, fmt.Errorf("dist: owned global ids not strictly ascending at local %d (%d after %d)", i, owned[i], owned[i-1])
+		}
+	}
 	s := &Subgraph{
 		PE:            pe,
 		Local:         local,
 		NumOwned:      numOwned,
 		LocalToGlobal: localToGlobal,
 		GhostOwner:    ghostOwner,
-		globalToLocal: make(map[int32]int32, len(localToGlobal)),
+		ghostLocal:    make(map[int32]int32, len(ghostOwner)),
 	}
-	for lv, gv := range localToGlobal {
-		if _, dup := s.globalToLocal[gv]; dup {
+	for lv := numOwned; lv < len(localToGlobal); lv++ {
+		gv := localToGlobal[lv]
+		if _, dup := s.ToLocal(gv); dup {
 			return nil, fmt.Errorf("dist: global id %d appears twice in shard", gv)
 		}
-		s.globalToLocal[gv] = int32(lv)
+		s.ghostLocal[gv] = int32(lv)
 	}
 	return s, nil
 }
@@ -68,42 +85,62 @@ func (s *Subgraph) ToGlobal(local int32) int32 { return s.LocalToGlobal[local] }
 // ToLocal maps a global id to the local id; ok is false when the node is
 // neither owned by this PE nor in its ghost layer.
 func (s *Subgraph) ToLocal(global int32) (local int32, ok bool) {
-	local, ok = s.globalToLocal[global]
-	return local, ok
+	if local, ok = s.ghostLocal[global]; ok {
+		return local, true
+	}
+	i, ok := slices.BinarySearch(s.LocalToGlobal[:s.NumOwned], global)
+	return int32(i), ok
 }
 
 // BoundaryPeers returns, for every owned node, the distinct owner PEs of
-// its ghost neighbors in ascending order (nil for interior nodes) — the PEs
-// that hold the node as a ghost and therefore must receive its state during
-// ghost exchange.
-func (s *Subgraph) BoundaryPeers() [][]int32 {
-	peers := make([][]int32, s.NumOwned)
-	for lv := int32(0); lv < int32(s.NumOwned); lv++ {
-		for _, lu := range s.Local.Adj(lv) {
-			if int(lu) < s.NumOwned {
-				continue
-			}
-			q := s.GhostOwner[int(lu)-s.NumOwned]
-			found := false
-			for _, p := range peers[lv] {
-				if p == q {
-					found = true
-					break
+// its ghost neighbors in ascending order — the PEs that hold the node as a
+// ghost and therefore must receive its state during ghost exchange — as one
+// flat list: node lv's peers are peers[off[lv]:off[lv+1]], empty for
+// interior nodes. Computed once per subgraph (matching and contraction both
+// ask) and shared; callers must not modify the slices.
+func (s *Subgraph) BoundaryPeers() (off, peers []int32) {
+	s.peersOnce.Do(func() {
+		s.peerOff = make([]int32, s.NumOwned+1)
+		for lv := int32(0); lv < int32(s.NumOwned); lv++ {
+			first := len(s.peers)
+			for _, lu := range s.Local.Adj(lv) {
+				if int(lu) < s.NumOwned {
+					continue
+				}
+				if q := s.GhostOwner[int(lu)-s.NumOwned]; !slices.Contains(s.peers[first:], q) {
+					s.peers = append(s.peers, q)
 				}
 			}
-			if !found {
-				peers[lv] = append(peers[lv], q)
-			}
+			slices.Sort(s.peers[first:]) // a handful of PEs
+			s.peerOff[lv+1] = int32(len(s.peers))
 		}
-		// Insertion sort: peer lists are a handful of PEs long.
-		p := peers[lv]
-		for i := 1; i < len(p); i++ {
-			for j := i; j > 0 && p[j] < p[j-1]; j-- {
-				p[j], p[j-1] = p[j-1], p[j]
-			}
-		}
+	})
+	return s.peerOff, s.peers
+}
+
+// OwnedLists buckets a node-to-PE assignment in one pass: owned[pe] lists
+// PE pe's nodes in ascending global id order (views into one n-long array),
+// and local[v] is node v's local id in its owner's subgraph — the lookup
+// every extraction relabels owned neighbours through.
+func OwnedLists(assign []int32, pes int) (owned [][]int32, local []int32) {
+	start := make([]int32, pes+1)
+	for _, pe := range assign {
+		start[pe+1]++
 	}
-	return peers
+	for pe := 0; pe < pes; pe++ {
+		start[pe+1] += start[pe]
+	}
+	all := make([]int32, len(assign))
+	local = make([]int32, len(assign))
+	owned = make([][]int32, pes)
+	for pe := range owned {
+		owned[pe] = all[start[pe]:start[pe]:start[pe+1]]
+	}
+	for v, pe := range assign {
+		local[v] = int32(len(owned[pe]))
+		owned[pe] = append(owned[pe], int32(v))
+	}
+	return owned, local
 }
 
 // Extract builds PE pe's local subgraph from the global graph and a
@@ -112,98 +149,141 @@ func (s *Subgraph) BoundaryPeers() [][]int32 {
 // the subgraphs of both endpoint owners.
 func Extract(g *graph.Graph, assign []int32, pe int32) *Subgraph {
 	var owned []int32
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		if assign[v] == pe {
-			owned = append(owned, v)
+	local := make([]int32, len(assign))
+	for v, q := range assign {
+		if q == pe {
+			local[v] = int32(len(owned))
+			owned = append(owned, int32(v))
 		}
 	}
-	return extractOwned(g, assign, pe, owned)
+	return ExtractOwned(g, assign, pe, owned, local)
 }
 
-// ExtractOwned is Extract with the PE's owned-node list precomputed (in
-// ascending global id order, as one bucketing pass over assign produces
-// it). It lets a caller that extracts many PEs sequentially — the shard
-// store writer, which bounds how many subgraphs are alive at once — pay
-// the O(n) ownership scan once instead of once per PE, while producing
-// bytes identical to Extract and ExtractAll.
-func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned []int32) *Subgraph {
-	return extractOwned(g, assign, pe, owned)
-}
+// ExtractOwned is Extract with the bucketing done by the caller: owned is
+// PE pe's node list in ascending global id order and local the shared
+// lookup, both as OwnedLists returns them (local is read only at nodes
+// assigned to pe). It lets a caller that extracts many PEs — ExtractAll
+// concurrently, the shard store writer under a bound on live subgraphs — pay
+// the O(n) ownership pass once instead of once per PE, while producing bytes
+// identical to Extract.
+//
+// The local CSR is written directly: an owned row is the global row
+// relabelled (owned neighbours through local, ghosts through a map over the
+// ghost layer alone, numbered in discovery order), a ghost's row collects its
+// owned neighbours in the order the owned rows are walked, which is ascending,
+// and a row sort puts each owned row's ghost entries — or, over a contracted
+// graph's unsorted adjacency, the whole row — in order. g must be a valid
+// graph: symmetric, no parallel edges; self loops are dropped.
+func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned, local []int32) *Subgraph {
+	no := len(owned)
+	s := &Subgraph{PE: pe, NumOwned: no, ghostLocal: make(map[int32]int32)}
 
-// extractOwned builds the subgraph from a precomputed owned-node list (in
-// ascending global id order).
-func extractOwned(g *graph.Graph, assign []int32, pe int32, owned []int32) *Subgraph {
-	s := &Subgraph{PE: pe, globalToLocal: make(map[int32]int32, len(owned))}
-
-	// Owned nodes first, in global id order for determinism.
-	for _, v := range owned {
-		s.globalToLocal[v] = int32(len(s.LocalToGlobal))
-		s.LocalToGlobal = append(s.LocalToGlobal, v)
-	}
-	s.NumOwned = len(s.LocalToGlobal)
-
-	// Ghost layer: foreign neighbors of owned nodes, in discovery order
-	// (owned nodes are scanned in global id order, so this too is
-	// deterministic).
-	for li := 0; li < s.NumOwned; li++ {
-		for _, u := range g.Adj(s.LocalToGlobal[li]) {
-			if assign[u] != pe {
-				if _, seen := s.globalToLocal[u]; !seen {
-					s.globalToLocal[u] = int32(len(s.LocalToGlobal))
-					s.LocalToGlobal = append(s.LocalToGlobal, u)
-					s.GhostOwner = append(s.GhostOwner, assign[u])
-				}
-			}
-		}
-	}
-
-	b := graph.NewBuilder(len(s.LocalToGlobal))
-	for li, v := range s.LocalToGlobal {
-		b.SetNodeWeight(int32(li), g.NodeWeight(v))
-	}
-	if g.CoordDims() == 3 {
-		for li, v := range s.LocalToGlobal {
-			cx, cy, cz := g.Coord3(v)
-			b.SetCoord3(int32(li), cx, cy, cz)
-		}
-	} else if g.HasCoords() {
-		for li, v := range s.LocalToGlobal {
-			cx, cy := g.Coord(v)
-			b.SetCoord(int32(li), cx, cy)
-		}
-	}
-	for li := 0; li < s.NumOwned; li++ {
-		v := s.LocalToGlobal[li]
-		adj, wts := g.Adj(v), g.AdjWeights(v)
-		for i, u := range adj {
-			lu := s.globalToLocal[u]
-			// Add owned–owned edges from the smaller endpoint only; an
-			// owned–ghost edge is seen exactly once (from the owned side).
-			if int(lu) < s.NumOwned && lu <= int32(li) {
+	// Pass 1: row lengths, and the ghost layer in discovery order (owned
+	// nodes are walked in global id order, so it is deterministic).
+	l2g := make([]int32, no, no+no/8+16)
+	copy(l2g, owned)
+	deg := make([]int32, no, cap(l2g))
+	for li, v := range owned {
+		d := int32(0)
+		for _, u := range g.Adj(v) {
+			if u == v {
 				continue
 			}
-			b.AddEdge(int32(li), lu, wts[i])
+			d++
+			if assign[u] == pe {
+				continue
+			}
+			lu, seen := s.ghostLocal[u]
+			if !seen {
+				lu = int32(len(l2g))
+				s.ghostLocal[u] = lu
+				l2g = append(l2g, u)
+				deg = append(deg, 0)
+				s.GhostOwner = append(s.GhostOwner, assign[u])
+			}
+			deg[lu]++
+		}
+		deg[li] = d
+	}
+	s.LocalToGlobal = l2g
+	nl := len(l2g)
+
+	xadj := make([]int32, nl+1)
+	for lv, d := range deg {
+		xadj[lv+1] = xadj[lv] + d
+	}
+	adj := make([]int32, xadj[nl])
+	ewgt := make([]int64, xadj[nl])
+	fillRows(g, assign, pe, owned, local, s.ghostLocal, xadj, deg[no:], adj, ewgt)
+
+	nwgt := make([]int64, nl)
+	for lv, v := range l2g {
+		nwgt[lv] = g.NodeWeight(v)
+	}
+	lg := graph.MustFromCSR(xadj, adj, ewgt, nwgt)
+	if dims := g.CoordDims(); dims > 0 && nl > 0 {
+		var c [3][]float64
+		for d, src := range g.CoordSlices() {
+			c[d] = make([]float64, nl)
+			for lv, v := range l2g {
+				c[d][lv] = src[v]
+			}
+		}
+		if dims == 3 {
+			lg.SetCoords3(c[0], c[1], c[2])
+		} else {
+			lg.SetCoords(c[0], c[1])
 		}
 	}
-	s.Local = b.Build()
+	s.Local = lg
 	return s
 }
 
-// ExtractAll extracts every PE's subgraph concurrently. Ownership lists are
+// fillRows writes the local adjacency into the exactly-sized arrays: owned
+// rows relabelled and sorted, ghost rows filled by counting. ghostFill
+// (the ghosts' degrees on entry) is consumed as the per-ghost write cursor.
+//
+//kappa:hotpath
+func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, ghostLocal map[int32]int32,
+	xadj, ghostFill []int32, adj []int32, ewgt []int64) {
+	no := int32(len(owned))
+	for gi := range ghostFill {
+		ghostFill[gi] = xadj[int(no)+gi]
+	}
+	var rs graph.RowSorter
+	for li, v := range owned {
+		p := xadj[li]
+		ws := g.AdjWeights(v)
+		for i, u := range g.Adj(v) {
+			if u == v {
+				continue
+			}
+			lu := local[u]
+			if assign[u] != pe {
+				lu = ghostLocal[u]
+				q := ghostFill[lu-no]
+				adj[q], ewgt[q] = int32(li), ws[i]
+				ghostFill[lu-no] = q + 1
+			}
+			adj[p], ewgt[p] = lu, ws[i]
+			p++
+		}
+		rs.Sort(adj[xadj[li]:p], ewgt[xadj[li]:p])
+	}
+}
+
+// ExtractAll extracts every PE's subgraph concurrently. Ownership is
 // bucketed in one shared pass so the total cost is O(n + Σ local work), not
 // pes full scans.
 func ExtractAll(g *graph.Graph, assign []int32, pes int) []*Subgraph {
-	ownedOf := make([][]int32, pes)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		ownedOf[assign[v]] = append(ownedOf[assign[v]], v)
-	}
+	owned, local := OwnedLists(assign, pes)
 	out := make([]*Subgraph, pes)
 	var wg sync.WaitGroup
 	for pe := 0; pe < pes; pe++ {
 		wg.Add(1)
 		go func(pe int) {
 			defer wg.Done()
-			out[pe] = extractOwned(g, assign, int32(pe), ownedOf[pe])
+			out[pe] = ExtractOwned(g, assign, int32(pe), owned[pe], local)
 		}(pe)
 	}
 	wg.Wait()

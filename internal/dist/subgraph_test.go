@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -112,5 +113,85 @@ func TestExtractCoordsAndEmptyPE(t *testing.T) {
 	}
 	if subs[1].Local.NumNodes() != 0 {
 		t.Errorf("PE 1 should be empty, has %d nodes", subs[1].Local.NumNodes())
+	}
+}
+
+// TestNewSubgraphRejectsMalformed: every decoded shard goes through
+// NewSubgraph, so it is where the invariants the per-PE kernels rely on are
+// enforced — above all that owned global ids ascend strictly (contraction
+// decides pair ownership by comparing local ids, ToLocal binary-searches
+// them); a shard violating one used to contract silently wrong.
+func TestNewSubgraphRejectsMalformed(t *testing.T) {
+	// A path 0-1-2-3 (local ids): three owned nodes and one ghost.
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	local := b.Build()
+	for _, tc := range []struct {
+		name       string
+		owned      int
+		l2g, ghost []int32
+		want       string // "" = accepted
+	}{
+		{"well formed", 3, []int32{4, 7, 9, 2}, []int32{1}, ""},
+		{"owned count negative", -1, []int32{4, 7, 9, 2}, []int32{1}, "owned count"},
+		{"owned count past n", 5, []int32{4, 7, 9, 2}, nil, "owned count"},
+		{"short id map", 3, []int32{4, 7, 9}, []int32{1}, "id map"},
+		{"short ghost owners", 3, []int32{4, 7, 9, 2}, nil, "ghost owner list"},
+		{"owned descending", 3, []int32{7, 4, 9, 2}, []int32{1}, "not strictly ascending"},
+		{"owned repeated", 3, []int32{4, 4, 9, 2}, []int32{1}, "not strictly ascending"},
+		{"ghost is an owned id", 3, []int32{4, 7, 9, 7}, []int32{1}, "appears twice"},
+		{"ghost repeated", 2, []int32{4, 7, 2, 2}, []int32{1, 1}, "appears twice"},
+	} {
+		sg, err := NewSubgraph(0, local, tc.owned, tc.l2g, tc.ghost)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		case tc.want == "":
+			for lv, gv := range tc.l2g {
+				if back, ok := sg.ToLocal(gv); !ok || int(back) != lv {
+					t.Errorf("%s: ToLocal(%d) = %d, %v; want %d", tc.name, gv, back, ok, lv)
+				}
+			}
+			if _, ok := sg.ToLocal(5); ok {
+				t.Errorf("%s: ToLocal finds an id the shard does not hold", tc.name)
+			}
+		}
+	}
+}
+
+// TestBoundaryPeersFlat checks the cached flat peer lists against a direct
+// recomputation: distinct ghost owners per owned node, ascending.
+func TestBoundaryPeersFlat(t *testing.T) {
+	g := gen.RGG(9, 3)
+	const pes = 5
+	x, y := g.Coords()
+	for _, s := range ExtractAll(g, RCB(x, y, pes), pes) {
+		off, peers := s.BoundaryPeers()
+		if off2, peers2 := s.BoundaryPeers(); &off2[0] != &off[0] || len(peers2) != len(peers) {
+			t.Fatalf("PE %d: second call recomputed the lists", s.PE)
+		}
+		for lv := int32(0); lv < int32(s.NumOwned); lv++ {
+			want := map[int32]bool{}
+			for _, lu := range s.Local.Adj(lv) {
+				if s.IsGhost(lu) {
+					want[s.GhostOwner[int(lu)-s.NumOwned]] = true
+				}
+			}
+			got := peers[off[lv]:off[lv+1]]
+			if len(got) != len(want) {
+				t.Fatalf("PE %d node %d: peers %v, want the %d owners %v", s.PE, lv, got, len(want), want)
+			}
+			for i, q := range got {
+				if !want[q] || (i > 0 && got[i-1] >= q) {
+					t.Fatalf("PE %d node %d: peers %v not the ascending distinct owners %v", s.PE, lv, got, want)
+				}
+			}
+		}
 	}
 }

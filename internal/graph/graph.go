@@ -16,7 +16,6 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -281,27 +280,25 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 	} else if len(nwgt) != n {
 		return nil, fmt.Errorf("graph: nwgt must have length n")
 	}
-	g := &Graph{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt}
-	for _, t := range adj {
-		if t < 0 || int(t) >= n {
-			return nil, fmt.Errorf("graph: neighbor id %d out of range", t)
-		}
-	}
-	g.adjSorted = true
-	for v := 0; v < n && g.adjSorted; v++ {
-		seg := adj[xadj[v]:xadj[v+1]]
-		for i := 1; i < len(seg); i++ {
-			if seg[i-1] >= seg[i] {
-				g.adjSorted = false
-				break
+	g := &Graph{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, adjSorted: true}
+	// One pass over the rows checks neighbour ranges, row order and weight
+	// signs and sums the weights.
+	for v := 0; v < n; v++ {
+		prev := int32(-1)
+		for i := xadj[v]; i < xadj[v+1]; i++ {
+			t, w := adj[i], ewgt[i]
+			if t < 0 || int(t) >= n {
+				return nil, fmt.Errorf("graph: neighbor id %d out of range", t)
 			}
+			if t <= prev {
+				g.adjSorted = false
+			}
+			prev = t
+			if w <= 0 {
+				return nil, fmt.Errorf("graph: non-positive edge weight %d", w)
+			}
+			g.totalEdgeWeight += w
 		}
-	}
-	for _, w := range ewgt {
-		if w <= 0 {
-			return nil, fmt.Errorf("graph: non-positive edge weight %d", w)
-		}
-		g.totalEdgeWeight += w
 	}
 	g.totalEdgeWeight /= 2
 	for _, w := range nwgt {
@@ -314,6 +311,20 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 		}
 	}
 	return g, nil
+}
+
+// MustFromCSR is FromCSR for arrays a kernel of this module has just
+// assembled from an already validated graph or edge list (Builder.Build,
+// subgraph extraction, the distributed stitch): the scans still run, and a
+// failure is that kernel's bug, reported by panic.
+//
+//kappa:invariant the caller constructs the CSR it validates; ids and weights are checked where they enter the process (graphio, Builder.AddEdge)
+func MustFromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) *Graph {
+	g, err := FromCSR(xadj, adj, ewgt, nwgt)
+	if err != nil {
+		panic("graph: kernel produced invalid CSR: " + err.Error())
+	}
+	return g
 }
 
 // FromCSRUnchecked adopts CSR arrays with NO validation and NO scans: the
@@ -464,56 +475,7 @@ func (b *Builder) NumPendingEdges() int { return len(b.us) }
 
 // Build produces the graph. The builder can not be reused afterwards.
 func (b *Builder) Build() *Graph {
-	n := b.n
-	// Count directed half-edges per node.
-	deg := make([]int32, n+1)
-	for i := range b.us {
-		deg[b.us[i]+1]++
-		deg[b.vs[i]+1]++
-	}
-	for v := 0; v < n; v++ {
-		deg[v+1] += deg[v]
-	}
-	xadj := deg // reuse as offsets
-	adj := make([]int32, len(b.us)*2)
-	ewgt := make([]int64, len(b.us)*2)
-	fill := make([]int32, n)
-	for i := range b.us {
-		u, v, w := b.us[i], b.vs[i], b.ws[i]
-		p := xadj[u] + fill[u]
-		adj[p], ewgt[p] = v, w
-		fill[u]++
-		p = xadj[v] + fill[v]
-		adj[p], ewgt[p] = u, w
-		fill[v]++
-	}
-	// Sort each adjacency list and merge duplicates in place.
-	outAdj := adj[:0]
-	outW := ewgt[:0]
-	newX := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		lo, hi := xadj[v], xadj[v+1]
-		seg := adjSegment{adj[lo:hi], ewgt[lo:hi]}
-		sort.Sort(seg)
-		// merge runs of equal targets
-		for i := lo; i < hi; {
-			t, w := adj[i], ewgt[i]
-			j := i + 1
-			for j < hi && adj[j] == t {
-				w += ewgt[j]
-				j++
-			}
-			outAdj = append(outAdj, t)
-			outW = append(outW, w)
-			i = j
-		}
-		newX[v+1] = int32(len(outAdj))
-	}
-	g, err := FromCSR(newX, outAdj[:len(outAdj):len(outAdj)], outW[:len(outW):len(outW)], b.nwgt)
-	if err != nil {
-		//kappa:allow panicfree the builder constructs the CSR it validates; a failure is a Build bug
-		panic("graph: builder produced invalid CSR: " + err.Error())
-	}
+	g := FromEdgeLists(b.nwgt, []EdgeList{{U: b.us, V: b.vs, W: b.ws}})
 	if b.coord {
 		if b.z != nil {
 			g.SetCoords3(b.x, b.y, b.z)
@@ -522,16 +484,4 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	return g
-}
-
-type adjSegment struct {
-	adj []int32
-	w   []int64
-}
-
-func (s adjSegment) Len() int           { return len(s.adj) }
-func (s adjSegment) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
-func (s adjSegment) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
 }

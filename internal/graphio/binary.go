@@ -1,11 +1,13 @@
 package graphio
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -34,28 +36,48 @@ const (
 // pure function of the graph — the same graph always produces the same
 // bytes — and, unlike METIS, it preserves coordinates and the exact
 // adjacency order (so even contracted graphs round-trip to identical CSR).
+// The artifact is encoded whole by AppendBinary and written in one call.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	_, err := w.Write(AppendBinary(nil, g))
+	return err
+}
+
+// AppendBinary appends the binary encoding of g to dst. It is the one
+// encoder body: WriteBinary and the wire shard codec both go through it, so
+// a shard file, a job frame and a graph file carry the same bytes. dst grows
+// at most once, by a bound computed from the graph's largest values.
+func AppendBinary(dst []byte, g *graph.Graph) []byte {
+	flags, bound := binaryLayout(g)
+	dst = slices.Grow(dst, bound)
+	n := putBinary(dst[len(dst):len(dst)+bound], g, flags)
+	return dst[:len(dst)+n]
+}
+
+// uvarintLen is the encoded size of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// binaryLayout derives the flag word of g's encoding and an upper bound on
+// its size: every section is bounded by its element count times the encoded
+// size of its largest value.
+func binaryLayout(g *graph.Graph) (flags uint64, bound int) {
 	n := int32(g.NumNodes())
-	var flags uint64
 	for v := int32(0); v < n; v++ {
 		if g.NodeWeight(v) != 1 {
 			flags |= binFlagNodeWeights
 			break
 		}
 	}
-	half := 0
+	half, maxDeg, maxW := 0, 0, int64(1)
 	for v := int32(0); v < n; v++ {
 		ws := g.AdjWeights(v)
 		half += len(ws)
-		if flags&binFlagEdgeWeights == 0 {
-			for _, wt := range ws {
-				if wt != 1 {
-					flags |= binFlagEdgeWeights
-					break
-				}
-			}
+		maxDeg = max(maxDeg, len(ws))
+		for _, wt := range ws {
+			maxW = max(maxW, wt)
 		}
+	}
+	if maxW != 1 {
+		flags |= binFlagEdgeWeights
 	}
 	switch g.CoordDims() {
 	case 2:
@@ -63,51 +85,146 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	case 3:
 		flags |= binFlagCoords | binFlag3D
 	}
-
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(x uint64) {
-		bw.Write(scratch[:binary.PutUvarint(scratch[:], x)])
+	bound = len(binaryMagic) + 4*binary.MaxVarintLen64 +
+		int(n)*uvarintLen(uint64(maxDeg)) + half*uvarintLen(uint64(n))
+	if flags&binFlagEdgeWeights != 0 {
+		bound += half * uvarintLen(uint64(maxW))
 	}
-	bw.WriteString(binaryMagic)
-	putUvarint(binaryVersion)
-	putUvarint(flags)
-	putUvarint(uint64(n))
-	putUvarint(uint64(half))
+	if flags&binFlagNodeWeights != 0 {
+		bound += int(n) * uvarintLen(uint64(g.MaxNodeWeight()))
+	}
+	return flags, bound + g.CoordDims()*8*int(n)
+}
+
+// putUvarint writes x at buf[i:] and returns the index after it.
+func putUvarint(buf []byte, i int, x uint64) int {
+	for x >= 0x80 {
+		buf[i] = byte(x) | 0x80
+		x >>= 7
+		i++
+	}
+	buf[i] = byte(x)
+	return i + 1
+}
+
+// putBinary writes g's encoding into buf, which binaryLayout sized, and
+// returns its length.
+//
+//kappa:hotpath
+func putBinary(buf []byte, g *graph.Graph, flags uint64) int {
+	n := int32(g.NumNodes())
+	i := copy(buf, binaryMagic)
+	i = putUvarint(buf, i, binaryVersion)
+	i = putUvarint(buf, i, flags)
+	i = putUvarint(buf, i, uint64(n))
+	i = putUvarint(buf, i, uint64(2*g.NumEdges()))
 	for v := int32(0); v < n; v++ {
-		putUvarint(uint64(g.Degree(v)))
+		i = putUvarint(buf, i, uint64(g.Degree(v)))
 	}
 	for v := int32(0); v < n; v++ {
 		for _, u := range g.Adj(v) {
-			putUvarint(uint64(u))
+			i = putUvarint(buf, i, uint64(u))
 		}
 	}
 	if flags&binFlagEdgeWeights != 0 {
 		for v := int32(0); v < n; v++ {
 			for _, wt := range g.AdjWeights(v) {
-				putUvarint(uint64(wt))
+				i = putUvarint(buf, i, uint64(wt))
 			}
 		}
 	}
 	if flags&binFlagNodeWeights != 0 {
 		for v := int32(0); v < n; v++ {
-			putUvarint(uint64(g.NodeWeight(v)))
+			i = putUvarint(buf, i, uint64(g.NodeWeight(v)))
 		}
 	}
 	if flags&binFlagCoords != 0 {
 		x, y, z := g.Coords3()
-		writeFloats := func(c []float64) {
-			for _, f := range c {
-				binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(f))
-				bw.Write(scratch[:8])
+		i = putFloats(buf, i, x)
+		i = putFloats(buf, i, y)
+		i = putFloats(buf, i, z) // nil unless 3D
+	}
+	return i
+}
+
+// putFloats writes c at buf[i:] as little-endian IEEE-754 bits and returns
+// the index after it.
+//
+//kappa:hotpath
+func putFloats(buf []byte, i int, c []float64) int {
+	for _, f := range c {
+		binary.LittleEndian.PutUint64(buf[i:], math.Float64bits(f))
+		i += 8
+	}
+	return i
+}
+
+// binSource feeds the one decoder body its bytes: from a slice the caller
+// already holds (DecodeBinary — no copy, no reader stack), or from an
+// io.Reader through a window refilled here, so that varints decode from a
+// slice either way instead of one interface call per byte.
+type binSource struct {
+	r   io.Reader // nil: buf[pos:] is the whole input
+	buf []byte
+	pos int
+	err error // what r returned when it stopped delivering
+}
+
+// errVarintOverflow mirrors encoding/binary's unexported overflow error.
+var errVarintOverflow = errors.New("graphio: varint overflows a 64-bit integer")
+
+// fill tries to make need bytes available at buf[pos:].
+func (s *binSource) fill(need int) {
+	if s.r == nil || s.err != nil || len(s.buf)-s.pos >= need {
+		return
+	}
+	s.buf = s.buf[:copy(s.buf, s.buf[s.pos:])]
+	s.pos = 0
+	for empty := 0; len(s.buf) < need && s.err == nil; {
+		n, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf, s.err = s.buf[:len(s.buf)+n], err
+		if n == 0 && err == nil {
+			if empty++; empty == 100 { // bufio's bound on a reader that makes no progress
+				s.err = io.ErrNoProgress
 			}
 		}
-		writeFloats(x)
-		writeFloats(y)
-		if flags&binFlag3D != 0 {
-			writeFloats(z)
-		}
 	}
-	return bw.Flush()
+}
+
+// short is the error for input that ended inside a value.
+func (s *binSource) short() error {
+	if s.err != nil && s.err != io.EOF {
+		return s.err
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// uvarint decodes the next uvarint.
+func (s *binSource) uvarint() (uint64, error) {
+	if s.r != nil && len(s.buf)-s.pos < binary.MaxVarintLen64 {
+		s.fill(binary.MaxVarintLen64)
+	}
+	x, n := binary.Uvarint(s.buf[s.pos:])
+	if n > 0 {
+		s.pos += n
+		return x, nil
+	}
+	if n < 0 {
+		return 0, errVarintOverflow
+	}
+	return 0, s.short()
+}
+
+// floats decodes len(c) little-endian float64s into c.
+func (s *binSource) floats(c []float64) error {
+	for i := range c {
+		if s.fill(8); len(s.buf)-s.pos < 8 {
+			return s.short()
+		}
+		c[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.pos:]))
+		s.pos += 8
+	}
+	return nil
 }
 
 // ReadBinary parses the binary graph encoding written by WriteBinary. All
@@ -117,24 +234,38 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 // is trusted (it holds for every writer in this module); call
 // graph.Graph.Validate on files from untrusted producers.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graphio: reading magic: %w", unexpectEOF(err))
+	return decodeBinary(&binSource{r: r, buf: make([]byte, 0, 1<<16)})
+}
+
+// DecodeBinary is ReadBinary over bytes already in memory — a shard inside a
+// job frame, a shard file read whole; bytes after the artifact are ignored.
+// Same decoder body, same checks, and one more the slice makes possible: the
+// declared counts are held against the bytes actually present before
+// anything is allocated for them.
+func DecodeBinary(data []byte) (*graph.Graph, error) {
+	return decodeBinary(&binSource{buf: data})
+}
+
+func decodeBinary(br *binSource) (*graph.Graph, error) {
+	br.fill(len(binaryMagic))
+	if len(br.buf)-br.pos < len(binaryMagic) {
+		return nil, fmt.Errorf("graphio: reading magic: %w", br.short())
 	}
-	if string(magic[:]) != binaryMagic {
-		return nil, fmt.Errorf("graphio: bad magic %q (want %q)", magic[:], binaryMagic)
+	magic := br.buf[br.pos : br.pos+len(binaryMagic)]
+	br.pos += len(binaryMagic)
+	if string(magic) != binaryMagic {
+		return nil, fmt.Errorf("graphio: bad magic %q (want %q)", magic, binaryMagic)
 	}
-	version, err := binary.ReadUvarint(br)
+	version, err := br.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("graphio: reading version: %w", unexpectEOF(err))
+		return nil, fmt.Errorf("graphio: reading version: %w", err)
 	}
 	if version != binaryVersion {
 		return nil, fmt.Errorf("graphio: unsupported binary version %d (have %d)", version, binaryVersion)
 	}
-	flags, err := binary.ReadUvarint(br)
+	flags, err := br.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("graphio: reading flags: %w", unexpectEOF(err))
+		return nil, fmt.Errorf("graphio: reading flags: %w", err)
 	}
 	if flags&^uint64(binFlagNodeWeights|binFlagEdgeWeights|binFlagCoords|binFlag3D) != 0 {
 		return nil, fmt.Errorf("graphio: unknown flag bits %#x", flags)
@@ -142,9 +273,9 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if flags&binFlag3D != 0 && flags&binFlagCoords == 0 {
 		return nil, fmt.Errorf("graphio: 3D flag without coordinate flag")
 	}
-	n64, err := binary.ReadUvarint(br)
+	n64, err := br.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("graphio: reading node count: %w", unexpectEOF(err))
+		return nil, fmt.Errorf("graphio: reading node count: %w", err)
 	}
 	if n64 > maxNodes {
 		return nil, fmt.Errorf("graphio: node count %d out of range [0, %d]", n64, maxNodes)
@@ -154,9 +285,9 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if err := checkNodeBudget(n64); err != nil {
 		return nil, err
 	}
-	half64, err := binary.ReadUvarint(br)
+	half64, err := br.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("graphio: reading edge count: %w", unexpectEOF(err))
+		return nil, fmt.Errorf("graphio: reading edge count: %w", err)
 	}
 	if half64 > 2*maxEdges || half64%2 != 0 {
 		return nil, fmt.Errorf("graphio: half-edge count %d invalid (want even, <= %d)", half64, 2*maxEdges)
@@ -164,14 +295,18 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if err := checkEdgeBudget(half64 / 2); err != nil {
 		return nil, err
 	}
+	// Every degree and every neighbour takes at least one byte.
+	if left := uint64(len(br.buf) - br.pos); br.r == nil && n64+half64 > left {
+		return nil, fmt.Errorf("graphio: %d nodes and %d half-edges declared, %d bytes left: %w", n64, half64, left, io.ErrUnexpectedEOF)
+	}
 	n, half := int(n64), int(half64)
 
 	xadj := make([]int32, n+1)
 	sum := uint64(0)
 	for v := 0; v < n; v++ {
-		d, err := binary.ReadUvarint(br)
+		d, err := br.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("graphio: reading degree of node %d: %w", v, unexpectEOF(err))
+			return nil, fmt.Errorf("graphio: reading degree of node %d: %w", v, err)
 		}
 		sum += d
 		if sum > half64 {
@@ -184,9 +319,9 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	}
 	adj := make([]int32, half)
 	for i := range adj {
-		u, err := binary.ReadUvarint(br)
+		u, err := br.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("graphio: reading adjacency: %w", unexpectEOF(err))
+			return nil, fmt.Errorf("graphio: reading adjacency: %w", err)
 		}
 		if u >= n64 {
 			return nil, fmt.Errorf("graphio: neighbor id %d out of range [0, %d)", u, n)
@@ -196,9 +331,9 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	ewgt := make([]int64, half)
 	if flags&binFlagEdgeWeights != 0 {
 		for i := range ewgt {
-			w, err := binary.ReadUvarint(br)
+			w, err := br.uvarint()
 			if err != nil {
-				return nil, fmt.Errorf("graphio: reading edge weights: %w", unexpectEOF(err))
+				return nil, fmt.Errorf("graphio: reading edge weights: %w", err)
 			}
 			if w == 0 || w > math.MaxInt64 {
 				return nil, fmt.Errorf("graphio: edge weight %d out of range [1, 2^63)", w)
@@ -214,9 +349,9 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if flags&binFlagNodeWeights != 0 {
 		nwgt = make([]int64, n)
 		for v := range nwgt {
-			w, err := binary.ReadUvarint(br)
+			w, err := br.uvarint()
 			if err != nil {
-				return nil, fmt.Errorf("graphio: reading node weights: %w", unexpectEOF(err))
+				return nil, fmt.Errorf("graphio: reading node weights: %w", err)
 			}
 			if w > math.MaxInt64 {
 				return nil, fmt.Errorf("graphio: node weight %d overflows int64", w)
@@ -231,12 +366,8 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if flags&binFlagCoords != 0 {
 		readFloats := func(what string) ([]float64, error) {
 			c := make([]float64, n)
-			var buf [8]byte
-			for i := range c {
-				if _, err := io.ReadFull(br, buf[:]); err != nil {
-					return nil, fmt.Errorf("graphio: reading %s coordinates: %w", what, unexpectEOF(err))
-				}
-				c[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+			if err := br.floats(c); err != nil {
+				return nil, fmt.Errorf("graphio: reading %s coordinates: %w", what, err)
 			}
 			return c, nil
 		}

@@ -4,6 +4,8 @@ import (
 	"sync"
 
 	"repro/internal/dist"
+	"repro/internal/graph"
+	"repro/internal/mem"
 	"repro/internal/rating"
 	"repro/internal/rng"
 )
@@ -33,6 +35,13 @@ import (
 // is byte-identical across runs — and across GOMAXPROCS settings — for a
 // fixed seed.
 func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
+	return DistributedScratch(sgs, ex, rf, alg, seed, maxPair, boundary, nil)
+}
+
+// DistributedScratch is DistributedBounded with PE pe's sequential matching
+// drawing its temporaries from scratch[pe] (one arena per PE, reused across
+// levels; a nil slice allocates fresh).
+func DistributedScratch(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool, scratch []*mem.Arena) []Matching {
 	pes := len(sgs)
 	out := make([]Matching, pes)
 	var wg sync.WaitGroup
@@ -40,7 +49,11 @@ func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func,
 		wg.Add(1)
 		go func(pe int) {
 			defer wg.Done()
-			out[pe] = MatchSubgraph(sgs[pe], ex, rf, alg, seed, maxPair, boundary, pe)
+			var a *mem.Arena
+			if scratch != nil {
+				a = scratch[pe]
+			}
+			out[pe] = MatchSubgraph(sgs[pe], ex, rf, alg, seed, maxPair, boundary, pe, a)
 		}(pe)
 	}
 	wg.Wait()
@@ -52,8 +65,10 @@ func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func,
 // In-process runs spawn it per PE over a shared Transport; an out-of-process
 // worker (kappa worker) calls it directly with its shard and a
 // SocketTransport, which is what makes the distributed matching phase
-// runnable one-OS-process-per-PE without a second code path.
-func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool, pe int) Matching {
+// runnable one-OS-process-per-PE without a second code path. The sequential
+// phase borrows its temporaries from a (nil = allocate fresh), which must not
+// be in use by another PE's kernel at the same time.
+func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool, pe int, a *mem.Arena) Matching {
 	g := sg.Local
 	n := g.NumNodes()
 	owned := sg.NumOwned
@@ -70,30 +85,27 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 			nodes[i] = int32(i)
 			inSet[i] = true
 		}
-		shemInto(g, rt, r, nodes, inSet, m, maxPair, nil)
+		shemInto(g, rt, r, nodes, inSet, m, maxPair, a)
 	default:
-		var edges []Edge
-		for lv := int32(0); lv < int32(owned); lv++ {
-			adj, ws := g.Adj(lv), g.AdjWeights(lv)
-			for i, lu := range adj {
-				if lu > lv && int(lu) < owned {
-					edges = append(edges, Edge{lv, lu, rt.Rate(lv, lu, ws[i]), uint32(r.Uint64())})
-				}
-			}
-		}
+		// Counted, then filled: no doubling growth. Not the shared path's
+		// edge pool: a pooled level-0 array stays resident between the
+		// levels and ops it is reused by, and here it bought no time.
+		edges := make([]Edge, internalEdges(g, owned))
+		internalEdgesInto(g, owned, rt, r, edges)
 		if alg == Greedy {
-			greedyEdges(g, edges, m, maxPair, nil)
+			greedyEdges(g, edges, m, maxPair, a)
 		} else {
-			gpaEdges(g, edges, m, maxPair, nil)
+			gpaEdges(g, edges, m, maxPair, a)
 		}
 	}
 
-	// Boundary bookkeeping: peersOf[lv] lists the owner PEs holding owned
-	// node lv as a ghost, in deterministic (ascending) send order.
-	peersOf := sg.BoundaryPeers()
+	// Boundary bookkeeping: the owner PEs holding owned node lv as a ghost
+	// are peers[peerOff[lv]:peerOff[lv+1]], in deterministic (ascending)
+	// send order.
+	peerOff, peers := sg.BoundaryPeers()
 	var bnodes []int32
 	for lv := int32(0); lv < int32(owned); lv++ {
-		if len(peersOf[lv]) > 0 {
+		if peerOff[lv+1] > peerOff[lv] {
 			bnodes = append(bnodes, lv)
 		}
 	}
@@ -122,7 +134,7 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 			if crossMatched[lv] {
 				msg.W = 1
 			}
-			for _, q := range peersOf[lv] {
+			for _, q := range peers[peerOff[lv]:peerOff[lv+1]] {
 				stateOut[q] = append(stateOut[q], msg)
 			}
 		}
@@ -207,6 +219,38 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 		}
 	}
 	return m
+}
+
+// internalEdges counts the owned–owned edges of a subgraph's local graph,
+// the candidate set of the sequential phase.
+func internalEdges(g *graph.Graph, owned int) int {
+	m := 0
+	for lv := int32(0); lv < int32(owned); lv++ {
+		for _, lu := range g.Adj(lv) {
+			if lu > lv && int(lu) < owned {
+				m++
+			}
+		}
+	}
+	return m
+}
+
+// internalEdgesInto is allEdgesInto restricted to owned–owned edges: each
+// once (U < V), rated, with a random tie break from r, filling edges, which
+// must have exactly internalEdges entries.
+//
+//kappa:hotpath
+func internalEdgesInto(g *graph.Graph, owned int, rt *rating.Rater, r *rng.RNG, edges []Edge) {
+	k := 0
+	for lv := int32(0); lv < int32(owned); lv++ {
+		adj, ws := g.Adj(lv), g.AdjWeights(lv)
+		for i, lu := range adj {
+			if lu > lv && int(lu) < owned {
+				edges[k] = Edge{lv, lu, rt.Rate(lv, lu, ws[i]), uint32(r.Uint64())}
+				k++
+			}
+		}
+	}
 }
 
 // GlobalFromSubgraphs merges per-PE local matchings into one matching of the

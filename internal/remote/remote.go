@@ -405,7 +405,7 @@ func (co *coordinator) level(ctx context.Context, cur *graph.Graph, cfg *core.Co
 			blocks = dist.Assign(cur, cfg.Distribution, co.pes)
 		}
 		if co.localT != nil {
-			cg, f2c, mt, ct := core.DistributedLevel(cur, cfg, blocks, co.localT, level, maxPair)
+			cg, f2c, mt, ct := core.DistributedLevel(cur, cfg, blocks, co.localT, level, maxPair, nil)
 			return cg, f2c, mt, ct, nil
 		}
 		cg, f2c, mt, ct, err := co.remoteLevel(cur, cfg, blocks, level, maxPair)
@@ -460,8 +460,12 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 
 	live := co.liveWorkers()
 	outcomes := make(chan outcome, co.pes)
+	// This attempt's hub, not co.hub: a worker goroutine emits its last
+	// outcome before it calls failed, so the collector can return and
+	// rebuild can retire co.hub while that call is still on its way.
+	hub := co.hub
 	var stopOnce sync.Once
-	failed := func() { stopOnce.Do(func() { co.hub.Stop() }) }
+	failed := func() { stopOnce.Do(hub.Stop) }
 
 	for _, w := range live {
 		go func(w *workerConn) {

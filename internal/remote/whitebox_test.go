@@ -4,8 +4,11 @@ package remote
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,5 +60,74 @@ func TestRemoteLevelMidBatchJobFailure(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("remoteLevel hung: a mid-batch job failure did not drain every hosted PE")
+	}
+}
+
+// TestReassignedWorkerKeepsScratchPerPE kills one of two workers while it
+// sends its first level result, so the survivor is handed the orphaned shard
+// and from then on runs both PEs' kernels side by side in one process — the
+// only time two kernels of one worker are live at once. Each must draw from
+// its own arena: the scratch is indexed by PE, so the arena the survivor
+// warmed for its first PE is not the one the adopted PE gets. `make race`
+// runs this under the race detector, which watches the two kernels share the
+// session; the partition must still be the healthy run's.
+func TestReassignedWorkerKeepsScratchPerPE(t *testing.T) {
+	g := gen.Grid2D(40, 40)
+	cfg := core.NewConfig(core.Fast, 4)
+	cfg.Seed = 99
+	cfg.PEs = 2
+	cfg.Coarsen = core.CoarsenDistributed
+	want, err := core.Run(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sched, err := dist.ParseFaultSchedule("ctrl:write:2:kill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := make([]*workSession, 2)
+	werrs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i, wo := range []WorkOptions{{Faults: sched}, {}} {
+		wo.onSession = func(w *workSession) { sessions[i] = w }
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, werrs[i] = WorkWith(ctx, "tcp", ln.Addr().String(), wo)
+		}()
+	}
+	counters := &Counters{}
+	res, err := ServeWith(ctx, ln, g, cfg, ServeOptions{WorkerTimeout: 10 * time.Second, Counters: counters})
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("Serve did not survive the worker kill: %v", err)
+	}
+	if res.Cut != want.Cut || !slices.Equal(res.Blocks, want.Blocks) {
+		t.Fatalf("recovered partition diverged from healthy run: cut %d vs %d", res.Cut, want.Cut)
+	}
+	if werrs[0] == nil || werrs[1] != nil {
+		t.Fatalf("worker errors %v: want the first dead and the second alive", werrs)
+	}
+	if s := counters.Snapshot(); s.Reassignments != 1 || s.LocalFallbacks != 0 {
+		t.Fatalf("%d reassignments, %d local fallbacks; want the survivor to adopt the one orphaned PE", s.Reassignments, s.LocalFallbacks)
+	}
+	w := sessions[1]
+	if len(w.hosted) != 2 {
+		t.Fatalf("survivor hosts %v, want both PEs", w.hosted)
+	}
+	if w.scratch[0] == nil || w.scratch[1] == nil || w.scratch[0] == w.scratch[1] {
+		t.Fatalf("survivor's scratch %p and %p: want one arena per hosted PE", w.scratch[0], w.scratch[1])
+	}
+	for pe, a := range w.scratch {
+		if a.Stats().Borrows == 0 {
+			t.Errorf("PE %d's kernel never drew from its arena", pe)
+		}
 	}
 }

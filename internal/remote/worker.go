@@ -12,6 +12,7 @@ import (
 	"repro/internal/coarsen"
 	"repro/internal/dist"
 	"repro/internal/matching"
+	"repro/internal/mem"
 	"repro/internal/rating"
 	"repro/internal/rng"
 	"repro/internal/wire"
@@ -41,6 +42,10 @@ type WorkOptions struct {
 	// Faults injects scheduled connection faults: the control connection is
 	// labeled "ctrl", transport connections "pe<N>". Nil injects nothing.
 	Faults *dist.FaultSchedule
+
+	// onSession, when set, is handed the session before its control loop
+	// starts; white-box tests read the session's state after Work returns.
+	onSession func(*workSession)
 }
 
 // Work runs one worker process: dial the coordinator at addr, receive a PE
@@ -110,6 +115,7 @@ func WorkWith(ctx context.Context, network, addr string, wo WorkOptions) (WorkRe
 		alg:       matching.Algorithm(assign.Matcher),
 		faults:    wo.Faults,
 		hosted:    []int{assign.PE},
+		scratch:   make([]*mem.Arena, assign.PEs),
 		ctrlGrace: 4 * time.Duration(assign.HeartbeatMillis) * time.Millisecond,
 	}
 
@@ -154,6 +160,9 @@ func WorkWith(ctx context.Context, network, addr string, wo WorkOptions) (WorkRe
 		}()
 	}
 
+	if wo.onSession != nil {
+		wo.onSession(w)
+	}
 	res := WorkResult{PE: assign.PE}
 	err = w.run(setTransport, &res)
 	return res, err
@@ -170,6 +179,12 @@ type workSession struct {
 	faults        *dist.FaultSchedule
 	hosted        []int
 	ctrlGrace     time.Duration // control-read deadline; 0 when no coordinator heartbeats
+	// scratch[pe] is the arena PE pe's kernel draws its matching temporaries
+	// from, made by the control loop the first time the PE gets a job and
+	// reused for every later level. It is indexed by PE, not by hosting slot,
+	// so the kernels a worker runs side by side after a reassignment never
+	// borrow from the same arena.
+	scratch []*mem.Arena
 
 	wmu       sync.Mutex // serializes control writes (results, aborts, heartbeats)
 	transport *dist.SocketTransport
@@ -198,6 +213,13 @@ func (w *workSession) run(setTransport func(*dist.SocketTransport), res *WorkRes
 			}
 			if lv := job.Level + 1; lv > res.Levels {
 				res.Levels = lv
+			}
+			pe := int(job.Shard.PE)
+			if pe < 0 || pe >= len(w.scratch) {
+				return fmt.Errorf("remote: job for PE %d of %d", pe, len(w.scratch))
+			}
+			if w.scratch[pe] == nil {
+				w.scratch[pe] = mem.NewArena()
 			}
 			w.kernels.Add(1)
 			go func() {
@@ -298,7 +320,7 @@ func (w *workSession) kernelErr() error {
 // keeps the control stream frame-aligned, so the coordinator can reuse it
 // for the retry.
 func (w *workSession) runJob(job wire.Job) {
-	result, err := runLevel(w.transport, w.assign, w.rf, w.alg, job)
+	result, err := runLevel(w.transport, w.assign, w.rf, w.alg, job, w.scratch[job.Shard.PE])
 	var werr error
 	if err != nil {
 		la := wire.LevelAborted{PE: int(job.Shard.PE), Level: job.Level}
@@ -393,7 +415,7 @@ func tryHandshake(network, addr string, wo WorkOptions, setCtrl func(net.Conn)) 
 // socket transport reports I/O failure by panicking with *dist.SocketError
 // (the Transport interface has no error returns); this is the superstep-
 // sequence boundary where that panic converts back into an error.
-func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg matching.Algorithm, job wire.Job) (result wire.Result, err error) {
+func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg matching.Algorithm, job wire.Job, a *mem.Arena) (result wire.Result, err error) {
 	pe := int(job.Shard.PE)
 	defer func() {
 		if r := recover(); r != nil {
@@ -406,7 +428,7 @@ func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg m
 		}
 	}()
 	start := time.Now()
-	m := matching.MatchSubgraph(job.Shard, t, rf, alg, job.Seed, job.MaxPair, assign.Boundary, pe)
+	m := matching.MatchSubgraph(job.Shard, t, rf, alg, job.Seed, job.MaxPair, assign.Boundary, pe, a)
 	matchNanos := time.Since(start).Nanoseconds()
 	result = wire.Result{PE: pe, Matched: m.Size(), MatchNanos: matchNanos}
 	// Collective empty-matching vote: every PE reaches the same verdict, so

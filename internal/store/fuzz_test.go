@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graphio"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // seedStore writes one small real store and returns its manifest and first
@@ -66,6 +68,7 @@ func FuzzReadShard(f *testing.F) {
 	f.Add(shard)
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0xff})
+	f.Add(unsortedOwnedShard(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sg, err := store.DecodeShard(data)
 		if err != nil {
@@ -74,5 +77,31 @@ func FuzzReadShard(f *testing.F) {
 		if sg == nil || sg.Local == nil {
 			t.Fatal("DecodeShard returned a nil subgraph without an error")
 		}
+		// What the per-PE kernels rely on must hold for whatever decodes.
+		if owned := sg.LocalToGlobal[:sg.NumOwned]; !slices.IsSorted(owned) || len(slices.Compact(slices.Clone(owned))) != len(owned) {
+			t.Fatal("DecodeShard accepted a shard whose owned ids do not ascend strictly")
+		}
 	})
+}
+
+// unsortedOwnedShard encodes a well-formed shard except that two owned
+// global ids are swapped — the malformed input NewSubgraph used to accept.
+func unsortedOwnedShard(t testing.TB) []byte {
+	g := gen.Grid2D(4, 4)
+	sg := dist.Extract(g, dist.Assign(g, dist.StrategyRanges, 2), 0)
+	l2g := slices.Clone(sg.LocalToGlobal)
+	l2g[1], l2g[2] = l2g[2], l2g[1]
+	data, err := wire.AppendSubgraph(nil, &dist.Subgraph{
+		PE: sg.PE, Local: sg.Local, NumOwned: sg.NumOwned, LocalToGlobal: l2g, GhostOwner: sg.GhostOwner,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestDecodeShardRejectsUnsortedOwned(t *testing.T) {
+	if _, err := store.DecodeShard(unsortedOwnedShard(t)); err == nil {
+		t.Fatal("a shard with swapped owned ids decoded without error")
+	}
 }

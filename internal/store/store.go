@@ -239,10 +239,7 @@ func Write(dir string, g *graph.Graph, o WriteOptions) (*Manifest, error) {
 	}
 
 	assign := dist.Assign(g, o.Strategy, o.PEs)
-	ownedOf := make([][]int32, o.PEs)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		ownedOf[assign[v]] = append(ownedOf[assign[v]], v)
-	}
+	ownedOf, local := dist.OwnedLists(assign, o.PEs)
 
 	shards := make([]ShardInfo, o.PEs)
 	var (
@@ -257,7 +254,7 @@ func Write(dir string, g *graph.Graph, o WriteOptions) (*Manifest, error) {
 		go func(pe int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			info, err := writeShard(dir, g, assign, pe, ownedOf[pe])
+			info, err := writeShard(dir, g, assign, pe, ownedOf[pe], local)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -304,8 +301,8 @@ func Write(dir string, g *graph.Graph, o WriteOptions) (*Manifest, error) {
 }
 
 // writeShard extracts PE pe's subgraph and writes its encoding.
-func writeShard(dir string, g *graph.Graph, assign []int32, pe int, owned []int32) (ShardInfo, error) {
-	sg := dist.ExtractOwned(g, assign, int32(pe), owned)
+func writeShard(dir string, g *graph.Graph, assign []int32, pe int, owned, local []int32) (ShardInfo, error) {
+	sg := dist.ExtractOwned(g, assign, int32(pe), owned, local)
 	payload, err := wire.AppendSubgraph(nil, sg)
 	if err != nil {
 		return ShardInfo{}, err

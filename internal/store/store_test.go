@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -114,9 +115,19 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Exported fields and encoded bytes, not reflect.DeepEqual on
+			// the struct: a Subgraph caches indexes it builds on demand.
 			for pe := range want {
-				if !reflect.DeepEqual(got[pe], want[pe]) {
+				g, w := got[pe], want[pe]
+				if g.PE != w.PE || g.NumOwned != w.NumOwned ||
+					!slices.Equal(g.LocalToGlobal, w.LocalToGlobal) || !slices.Equal(g.GhostOwner, w.GhostOwner) {
 					t.Fatalf("shard %d diverged from in-memory extraction", pe)
+				}
+				sameGraph(t, w.Local, g.Local)
+				gb, _ := wire.AppendSubgraph(nil, g)
+				wb, _ := wire.AppendSubgraph(nil, w)
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("shard %d re-encodes differently from the in-memory extraction", pe)
 				}
 			}
 		})

@@ -1,33 +1,41 @@
 package wire
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/coarsen"
 	"repro/internal/dist"
 	"repro/internal/graphio"
 )
 
-// AppendSubgraph encodes one PE's subgraph shard: the local graph (as a
-// graphio binary artifact — the same format graph files use on disk), the
-// owned-node count, and the id maps. This is what the coordinator ships each
-// worker per contraction level.
+// AppendSubgraph encodes one PE's subgraph shard: the owned-node count, the
+// id maps, and the local graph as a length-prefixed graphio binary artifact
+// — the same format graph files use on disk, written by the same encoder
+// body straight into dst. This is what the coordinator ships each worker per
+// contraction level and what a shard store's files hold. The error is always
+// nil; the signature predates the in-memory encoder.
 func AppendSubgraph(dst []byte, sg *dist.Subgraph) ([]byte, error) {
+	dst = slices.Grow(dst, 3*binary.MaxVarintLen64+5*(len(sg.LocalToGlobal)+len(sg.GhostOwner)+2))
 	dst = appendZigzag(dst, int64(sg.PE))
 	dst = appendUvarint(dst, uint64(sg.NumOwned))
 	dst = appendInt32s(dst, sg.LocalToGlobal)
 	dst = appendInt32s(dst, sg.GhostOwner)
-	var buf bytes.Buffer
-	if err := graphio.WriteBinary(&buf, sg.Local); err != nil {
-		return nil, fmt.Errorf("wire: encoding shard graph: %w", err)
-	}
-	dst = appendUvarint(dst, uint64(buf.Len()))
-	return append(dst, buf.Bytes()...), nil
+	// The graph's length prefix is a uvarint of a size only known once the
+	// graph is encoded: encode behind room for the longest prefix, then
+	// close the gap.
+	mark := len(dst)
+	var gap [binary.MaxVarintLen64]byte
+	dst = graphio.AppendBinary(append(dst, gap[:]...), sg.Local)
+	graphBytes := dst[mark+len(gap):]
+	k := binary.PutUvarint(dst[mark:], uint64(len(graphBytes)))
+	return dst[:mark+k+copy(dst[mark+k:], graphBytes)], nil
 }
 
-// DecodeSubgraph decodes a shard encoded by AppendSubgraph and rebuilds the
-// global→local index; rest is the data following the shard.
+// DecodeSubgraph decodes a shard encoded by AppendSubgraph, straight from
+// the bytes given, and rebuilds the ghost index; rest is the data following
+// the shard.
 func DecodeSubgraph(data []byte) (sg *dist.Subgraph, rest []byte, err error) {
 	pe, data, err := readZigzag(data)
 	if err != nil {
@@ -52,7 +60,7 @@ func DecodeSubgraph(data []byte) (sg *dist.Subgraph, rest []byte, err error) {
 	if glen > uint64(len(data)) {
 		return nil, nil, fmt.Errorf("wire: shard graph of %d bytes, %d left", glen, len(data))
 	}
-	local, err := graphio.ReadBinary(bytes.NewReader(data[:glen]))
+	local, err := graphio.DecodeBinary(data[:glen])
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: shard graph: %w", err)
 	}

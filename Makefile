@@ -47,17 +47,18 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # The regression gate compares the Table1/Table2 suite, the two coarsening
-# seam kernels (matching's edge order, dist's RCB), one refinement level
-# (core's index build, schedule and pairwise FM pass) and one distributed
-# contraction level (core's extract → encode → decode → match → contract →
+# seam kernels (matching's edge order, dist's RCB), the initial partitioner,
+# one refinement level (core's index build, schedule and pairwise FM pass;
+# both on a mesh and on a power-law graph) and one distributed contraction
+# level (core's extract → encode → decode → match → contract →
 # encode → decode → stitch over two PEs) against the committed
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
 # anywhere; ns/op stays informational. Refresh the baseline intentionally
 # with bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|RCB|RefineLevel|DistributedLevel
-BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/core
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel|DistributedLevel
+BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
 
@@ -87,8 +88,8 @@ race:
 # malformed input, and the kernels that replaced a simpler implementation
 # kept as a test reference, with which they must agree on every input: the two
 # sort-free coarsening kernels (radix edge order, selection-based RCB), the
-# boundary-indexed band builder and the direct-CSR shard extraction. CI runs
-# this.
+# boundary-indexed band builder, the pair search that stops when nothing can
+# move and the direct-CSR shard extraction. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
 # interesting inputs, and the default 60s minimization per input stalls a
 # short smoke run before it fuzzes anything.
@@ -107,3 +108,4 @@ fuzz:
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzExtractMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzPairSearchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

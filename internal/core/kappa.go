@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/coarsen"
@@ -137,6 +138,8 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 	idx := &env.boundary
 	idx.Reset(p, p.Block, -1, -1)
 	fruitlessRuns := 0
+	var wg sync.WaitGroup
+	var next atomic.Int32 // next unclaimed pair of the round's class
 	for global := 0; global < cfg.MaxGlobalIter; global++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -149,19 +152,21 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 			}
 			// Disjoint pairs refine concurrently; all reads of foreign
 			// blocks go through a snapshot taken before the round. The
-			// snapshot and per-pair gain table are arena scratch; each
-			// goroutine checks a reusable FM workspace out of the run's
-			// pool.
+			// snapshot and per-pair gain table are arena scratch. Each
+			// worker owns one of the run's FM workspaces and claims pairs
+			// off a shared counter; a pair's seeds depend on the pair, not
+			// on who refines it.
 			view := env.Arena.Int32(len(p.Block))
 			copy(view, p.Block)
 			gains := env.Arena.Int64(len(class))
-			var wg sync.WaitGroup
-			for i, e := range class {
-				wg.Add(1)
-				go func(i int, a, b int32) {
-					defer wg.Done()
-					ws := env.getWorkspace()
-					defer env.putWorkspace(ws)
+			work := func(ws *refine.Workspace) {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(class) {
+						return
+					}
+					a, b := class[i].A, class[i].B
 					base := cfg.Seed ^ levelSeed<<32 ^ uint64(global)<<16 ^ uint64(round)<<8 ^ uint64(a)<<24 ^ uint64(b)
 					var gain int64
 					for li := 0; li < cfg.LocalIter; li++ {
@@ -176,8 +181,15 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 						}
 					}
 					gains[i] = gain
-				}(i, e.A, e.B)
+				}
 			}
+			workspaces := env.workspacesFor(min(cfg.workers(), len(class)))
+			next.Store(0)
+			wg.Add(len(workspaces))
+			for _, ws := range workspaces[1:] {
+				go work(ws)
+			}
+			work(workspaces[0])
 			wg.Wait()
 			if env.indexCheck != nil {
 				env.indexCheck(idx, p, p.Block, -1, -1)

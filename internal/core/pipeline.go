@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/coarsen"
@@ -69,9 +68,9 @@ type Env struct {
 
 	observers []Observer
 	stats     *dist.TransportStats
-	peScratch []*mem.Arena       // see scratchFor
-	refineWS  sync.Pool          // *refine.Workspace, reused across pairs/levels/iterations
-	boundary  part.BoundaryIndex // reset by every refinement level, storage reused
+	peScratch []*mem.Arena        // see scratchFor
+	refineWS  []*refine.Workspace // see workspacesFor
+	boundary  part.BoundaryIndex  // reset by every refinement level, storage reused
 
 	// indexCheck is nil outside tests. refineLevel calls it on the pair's
 	// goroutine after every pair refinement, with that pair's blocks and the
@@ -92,16 +91,15 @@ func (e *Env) scratchFor(pes int) []*mem.Arena {
 	return e.peScratch[:pes]
 }
 
-// getWorkspace borrows a refinement workspace from the run's pool.
-func (e *Env) getWorkspace() *refine.Workspace {
-	if ws, ok := e.refineWS.Get().(*refine.Workspace); ok {
-		return ws
+// workspacesFor returns the run's FM workspaces, one per refinement worker,
+// made on first use and reused across pairs, rounds, levels and global
+// iterations. refineLevel calls it between rounds.
+func (e *Env) workspacesFor(workers int) []*refine.Workspace {
+	for len(e.refineWS) < workers {
+		e.refineWS = append(e.refineWS, refine.NewWorkspace())
 	}
-	return refine.NewWorkspace()
+	return e.refineWS[:workers]
 }
-
-// putWorkspace returns a workspace borrowed with getWorkspace.
-func (e *Env) putWorkspace(ws *refine.Workspace) { e.refineWS.Put(ws) }
 
 // Emit delivers ev to every attached Observer, in attachment order.
 func (e *Env) Emit(ev TraceEvent) {

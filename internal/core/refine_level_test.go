@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,15 +58,18 @@ func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, bloc
 // TestBoundaryIndexInvariantDuringRun checks the index after every pair
 // refinement of full runs (the pair's two lists, on the pair's goroutine)
 // and after every round (all lists, and the index's quotient against
-// Partition.Quotient).
+// Partition.Quotient). Among the pairs must be some that end a call with
+// both blocks too full to take any node — the state every stuck pair, which
+// returns before it fills a queue, starts and ends in.
 func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 	graphs := map[string]*graph.Graph{"rgg": gen.RGG(11, 1), "rmat": gen.RMAT(9, 8, 1), "grid": gen.Grid2D(40, 40)}
+	fullPairs := 0
 	for name, g := range graphs {
 		for _, k := range []int{2, 4, 16} {
 			for _, preset := range []Variant{Fast, Strong} {
 				var mu sync.Mutex
 				var first error
-				pairs, rounds := 0, 0
+				pairs, full, rounds := 0, 0, 0
 				fail := func(err error) {
 					mu.Lock()
 					defer mu.Unlock()
@@ -75,8 +79,12 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 				}
 				check := func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32) {
 					if a >= 0 {
+						room := p.Lmax() - slices.Min(p.G.NodeWeights())
 						mu.Lock()
 						pairs++
+						if wa, wb := p.BlockWeight(a), p.BlockWeight(b); max(wa, wb) <= p.Lmax() && min(wa, wb) > room {
+							full++
+						}
 						mu.Unlock()
 						if err := checkIndexLists(p.G, idx, view, a, b); err != nil {
 							fail(fmt.Errorf("after pair (%d,%d): %w", a, b, err))
@@ -106,40 +114,53 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 				if pairs == 0 || rounds == 0 {
 					t.Fatalf("%s k=%d %v: check ran on %d pairs and %d rounds", name, k, preset, pairs, rounds)
 				}
+				fullPairs += full
 			}
 		}
 	}
+	if fullPairs == 0 {
+		t.Fatal("no pair ended a call with both blocks full")
+	}
+	t.Logf("%d pairs ended a call with both blocks full", fullPairs)
 }
 
 // BenchmarkRefineLevel times one global iteration of pairwise refinement on
-// the finest level of rgg:15, k=16, over the partition a Minimal run leaves:
-// index build, quotient, colouring and one FM pass over every block pair.
-// An untimed first call warms the arena and the workspace pool, so allocs/op
-// is the steady state a V-cycle sees on all but its first level.
+// the finest level of a mesh and of a power-law graph, k=16, over the
+// partition a Minimal run leaves: index build, quotient, colouring and one
+// FM pass over every block pair. An untimed first call warms the arena and
+// the workspaces, so allocs/op is the steady state a V-cycle sees on all but
+// its first level.
 func BenchmarkRefineLevel(b *testing.B) {
-	g := gen.RGG(15, 1)
-	minimal := NewConfig(Minimal, 16)
-	minimal.Seed = 1
-	base, err := Run(context.Background(), g, minimal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := NewConfig(Fast, 16)
-	cfg.Seed = 1
-	cfg.MaxGlobalIter = 1
-	env := &Env{Arena: mem.NewArena()}
-	blocks := make([]int32, g.NumNodes())
-	refineOnce := func() {
-		copy(blocks, base.Blocks)
-		p := part.FromBlocks(g, cfg.K, cfg.Eps, blocks)
-		if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
-			b.Fatal(err)
-		}
-	}
-	refineOnce()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refineOnce()
+	for _, spec := range []string{"rgg:15", "rmat:12"} {
+		b.Run(strings.ReplaceAll(spec, ":", ""), func(b *testing.B) {
+			g, err := gen.FromSpec(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			minimal := NewConfig(Minimal, 16)
+			minimal.Seed = 1
+			base, err := Run(context.Background(), g, minimal)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := NewConfig(Fast, 16)
+			cfg.Seed = 1
+			cfg.MaxGlobalIter = 1
+			env := &Env{Arena: mem.NewArena()}
+			blocks := make([]int32, g.NumNodes())
+			refineOnce := func() {
+				copy(blocks, base.Blocks)
+				p := part.FromBlocks(g, cfg.K, cfg.Eps, blocks)
+				if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
+					b.Fatal(err)
+				}
+			}
+			refineOnce()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refineOnce()
+			}
+		})
 	}
 }

@@ -246,7 +246,8 @@ func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineP
 }
 
 // refineBisection runs two-way FM between the sides. The balance bound is
-// the larger side's target within (1+eps).
+// the larger side's target within (1+eps). The passes share one boundary
+// index, built once and kept current by each pass's moves.
 func refineBisection(ws *refine.Workspace, g *graph.Graph, block []int32, targetA int64, eps float64, params engineParams, r *rng.RNG) {
 	p := part.FromBlocks(g, 2, eps, block)
 	targetB := g.TotalNodeWeight() - targetA
@@ -256,8 +257,9 @@ func refineBisection(ws *refine.Workspace, g *graph.Graph, block []int32, target
 	}
 	p.SetLmax(int64((1+eps)*float64(maxTarget)) + g.MaxNodeWeight())
 	cfg := refine.TwoWayConfig{Strategy: params.fmStrategy, Patience: params.fmPatience, BandDepth: 1 << 30}
+	idx := ws.PairIndex(p, p.Block, 0, 1)
 	for pass := 0; pass < params.fmPasses; pass++ {
-		out := refine.RefinePairViewWS(ws, p, p.Block, 0, 1, cfg, r.Uint64(), r.Uint64())
+		out := refine.RefinePairIndexed(ws, idx, p, p.Block, 0, 1, cfg, r.Uint64(), r.Uint64())
 		if out.Gain <= 0 && pass > 0 {
 			break
 		}

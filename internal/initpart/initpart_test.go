@@ -1,6 +1,7 @@
 package initpart
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -166,9 +167,17 @@ func TestEngineString(t *testing.T) {
 }
 
 func BenchmarkInitialPartition(b *testing.B) {
-	g := gen.RGG(12, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Partition(g, 8, 0.03, EngineScotch, uint64(i))
+	for _, spec := range []string{"rgg:12", "rmat:12"} {
+		b.Run(strings.ReplaceAll(spec, ":", ""), func(b *testing.B) {
+			g, err := gen.FromSpec(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Partition(g, 8, 0.03, EngineScotch, uint64(i))
+			}
+		})
 	}
 }

@@ -17,8 +17,9 @@ type item struct {
 }
 
 // GainQueue is an addressable max-heap of nodes keyed by gain. Each node id
-// in [0, n) may appear at most once. The zero value is not usable; construct
-// with NewGainQueue.
+// in [0, n) may appear at most once. Size it with NewGainQueue(n), or with
+// Reset(n) on a zero value or on a queue to be reused — the form the
+// refinement workspaces hold.
 type GainQueue struct {
 	heap []item
 	pos  []int32 // pos[node] = index into heap, or -1
@@ -86,10 +87,17 @@ func (q *GainQueue) Max() (int32, int64) {
 	return q.heap[0].node, q.heap[0].gain
 }
 
-// PopMax removes and returns the node with the highest gain.
+// PopMax removes and returns the node with the highest gain: the last entry
+// takes the root's place and sifts down from there.
 func (q *GainQueue) PopMax() (int32, int64) {
 	v, g := q.Max()
-	q.remove(0)
+	last := len(q.heap) - 1
+	q.pos[v] = -1
+	q.heap[0] = q.heap[last]
+	q.heap = q.heap[:last]
+	if last > 0 {
+		q.down(0)
+	}
 	return v, g
 }
 

@@ -27,3 +27,25 @@ func TestGainQueueReset(t *testing.T) {
 		t.Fatal("queue broken after shrinking Reset")
 	}
 }
+
+// TestGainQueueZeroValueReset pins the form every refine.Workspace uses: a
+// zero GainQueue is ready after its first Reset.
+func TestGainQueueZeroValueReset(t *testing.T) {
+	var q GainQueue
+	q.Reset(5)
+	if !q.Empty() || q.Contains(4) {
+		t.Fatal("zero value must be empty after Reset")
+	}
+	q.Push(4, 2, 0)
+	q.Push(0, 7, 0)
+	q.Push(2, 7, 1)
+	q.AdjustBy(4, 9)
+	for _, want := range []int32{4, 2, 0} {
+		if v, _ := q.PopMax(); v != want {
+			t.Fatalf("PopMax = %d, want %d", v, want)
+		}
+	}
+	if !q.Empty() {
+		t.Fatal("queue must be empty after popping every node")
+	}
+}

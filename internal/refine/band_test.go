@@ -36,6 +36,15 @@ func buildBandReference(p *part.Partition, ws *Workspace, view []int32, a, b int
 			}
 		}
 	}
+	return expandBandReference(p, ws, view, band, depth)
+}
+
+// expandBandReference is the BFS both reference band builders share: the
+// seeds in band, already marked, grow by depth-1 layers of same-block
+// neighbours.
+func expandBandReference(p *part.Partition, ws *Workspace, view []int32, band []int32, depth int) []int32 {
+	g := p.G
+	inBand := ws.inBand
 	frontLo, frontHi := 0, len(band)
 	for d := 1; d < depth; d++ {
 		for fi := frontLo; fi < frontHi; fi++ {
@@ -123,49 +132,65 @@ func TestBandMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzBandMatchesReference decodes a small graph, a k-way partition of it
-// and a sequence of pair refinements from bytes.
+// fuzzSteps decodes a small graph with node weights, a k-way partition of it
+// and a sequence of pair refinements, each with the balance situation it
+// starts in, from bytes.
+func fuzzSteps(data []byte) (g *graph.Graph, k int, block []int32, steps []searchStep) {
+	if len(data) < 2 {
+		return nil, 0, nil, nil
+	}
+	n := 2 + int(data[0])%40
+	k = 2 + int(data[1])%5
+	data = data[2:]
+	bld := graph.NewBuilder(n)
+	edges := min(len(data)/2, 3*n)
+	for i := 0; i < edges; i++ {
+		bld.AddEdge(int32(int(data[2*i])%n), int32(int(data[2*i+1])%n), 1+int64(data[2*i])%3)
+	}
+	data = data[2*edges:]
+	block = make([]int32, n)
+	for v := range block {
+		if v < len(data) {
+			block[v] = int32(int(data[v]) % k)
+			bld.SetNodeWeight(int32(v), 1+int64(data[v]/8)%4)
+		}
+	}
+	data = data[min(n, len(data)):]
+	for ; len(data) >= 4 && len(steps) < 32; data = data[4:] {
+		a := int32(int(data[0]) % k)
+		b := (a + 1 + int32(int(data[1])%(k-1))) % int32(k)
+		steps = append(steps, searchStep{pairStep{a, b,
+			TwoWayConfig{Strategy: Strategy(data[2] % 4), Patience: 1, BandDepth: 1 + int(data[2]/4)%3},
+			uint64(data[3]), uint64(data[3]) + 1}, startState(data[1] / 64 % 3)})
+	}
+	return bld.Build(), k, block, steps
+}
+
+// FuzzBandMatchesReference checks the bands of a decoded sequence of pair
+// refinements under a wide balance bound, which lets the searches move nodes
+// both ways.
 func FuzzBandMatchesReference(f *testing.F) {
 	f.Add([]byte{12, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 1, 7, 1, 2, 2, 9})
 	f.Add([]byte("boundary lists replace the all-n band scan; gains are computed once per search"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		g, k, block, steps := fuzzSteps(data)
+		if g == nil {
 			return
 		}
-		n := 2 + int(data[0])%40
-		k := 2 + int(data[1])%5
-		data = data[2:]
-		bld := graph.NewBuilder(n)
-		edges := min(len(data)/2, 3*n)
-		for i := 0; i < edges; i++ {
-			bld.AddEdge(int32(int(data[2*i])%n), int32(int(data[2*i+1])%n), 1+int64(data[2*i])%3)
+		pairs := make([]pairStep, len(steps))
+		for i, st := range steps {
+			pairs[i] = st.pairStep
 		}
-		data = data[2*edges:]
-		block := make([]int32, n)
-		for v := range block {
-			if v < len(data) {
-				block[v] = int32(int(data[v]) % k)
-			}
-		}
-		data = data[min(n, len(data)):]
-		var steps []pairStep
-		for ; len(data) >= 4 && len(steps) < 32; data = data[4:] {
-			a := int32(int(data[0]) % k)
-			b := (a + 1 + int32(int(data[1])%(k-1))) % int32(k)
-			steps = append(steps, pairStep{a, b,
-				TwoWayConfig{Strategy: Strategy(data[2] % 4), Patience: 1, BandDepth: 1 + int(data[2]/4)%3},
-				uint64(data[3]), uint64(data[3]) + 1})
-		}
-		// A wide balance bound lets the searches move nodes both ways.
-		checkBandsMatchReference(t, part.FromBlocks(bld.Build(), k, 1, block), steps)
+		checkBandsMatchReference(t, part.FromBlocks(g, k, 1, block), pairs)
 	})
 }
 
-// TestGainsComputedOnce pins what lets newPairSearch walk every band node's
-// adjacency a single time: the gains and the pair cut it records equal what
-// independent walks find before the first seeded run, between the two runs
-// (run restores the state it started from), and what a walk over the a-side
-// for the cut alone finds.
+// TestGainsComputedOnce pins what lets a search walk every band node's
+// adjacency a single time, reading only the view: the gains and the pair cut
+// it records equal what independent walks over the search's own side table
+// find before the first seeded run, between the two runs (run restores the
+// state it started from), and what a walk over the a-side for the cut alone
+// finds.
 func TestGainsComputedOnce(t *testing.T) {
 	g := gen.RGG(10, 7)
 	const k = 5
@@ -181,6 +206,7 @@ func TestGainsComputedOnce(t *testing.T) {
 		cfg := TwoWayConfig{Strategy: TopGain, Patience: 0.5, BandDepth: 1 + r.Intn(3)}
 		ws := NewWorkspace()
 		s := newPairSearch(part.NewBoundaryIndex(p), p, ws, p.Block, a, b, cfg)
+		s.walkRest()
 		walk := func(when string) {
 			t.Helper()
 			var cut int64
@@ -199,7 +225,7 @@ func TestGainsComputedOnce(t *testing.T) {
 		}
 		walk("before the first run")
 		ws.rng.Seed(r.Uint64())
-		ws.movesA = s.run(cfg, &ws.rng, ws.movesA).moves
+		s.run(cfg, &ws.rng, ws.movesA)
 		walk("between the runs")
 		var direct int64
 		for v := int32(0); v < int32(g.NumNodes()); v++ {
@@ -221,9 +247,9 @@ func TestGainsComputedOnce(t *testing.T) {
 
 // TestColorClassRefinesConcurrently refines every colour class of a k-way
 // partition with one goroutine per pair against one shared index and
-// snapshot view — the way core.refineLevel does — and expects the partition
-// that refining the same pairs one after the other yields. Under -race it
-// checks the index's single-owner rule.
+// snapshot view — core.refineLevel's workers at their widest — and expects
+// the partition that refining the same pairs one after the other yields.
+// Under -race it checks the index's single-owner rule.
 func TestColorClassRefinesConcurrently(t *testing.T) {
 	g := gen.RGG(12, 2)
 	const k = 16

@@ -61,22 +61,21 @@ type TwoWayConfig struct {
 }
 
 // Workspace owns the reusable storage of pairwise FM searches: the
-// global-size band membership and local-id tables, the band-size side/move
-// arrays and start gains, the two gain queues, the queue-seeding
-// permutation, the move logs of the two seeded runs, the search state and
-// its generator, and the one-shot boundary index of the standalone entry
-// points. One goroutine reuses one Workspace across every pair it refines,
-// on every level and global iteration; the arrays grow to the finest graph
-// once and stay there. A Workspace must not be shared between concurrent
-// searches.
+// global-size band membership, local-id and start-gain tables, the band-size
+// side/move arrays, the two gain queues, the queue-seeding permutation, the
+// move logs of the two seeded runs, the search state and its generator, and
+// the one-shot boundary index of the standalone entry points. One goroutine
+// reuses one Workspace across every pair it refines, on every level and
+// global iteration; the arrays grow to the finest graph once and stay there.
+// A Workspace must not be shared between concurrent searches.
 type Workspace struct {
 	inBand  []bool  // global-size; all false between searches
 	localID []int32 // global-size; valid only where inBand
+	gain0   []int64 // global-size, by local id: band gains in the state both runs start from
 
 	band    []int32
 	side    []byte
 	moved   []bool
-	gain0   []int64 // gain of every band node in the state both runs start from
 	qa, qb  pq.GainQueue
 	perm    []int
 	movesA  []int32
@@ -92,28 +91,47 @@ type Workspace struct {
 // refines.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
+// PairIndex returns the workspace's own boundary index, reset to blocks a
+// and b of p as seen through view — one scan of the nodes of a ∪ b. It is
+// the index for RefinePairIndexed of a caller that refines one pair, once
+// (RefinePairViewWS) or pass after pass (initpart's bisection), and has no
+// level-wide index to draw from.
+func (ws *Workspace) PairIndex(p *part.Partition, view []int32, a, b int32) *part.BoundaryIndex {
+	ws.oneShot.Reset(p, view, a, b)
+	return &ws.oneShot
+}
+
 // growGlobal sizes the global-node-indexed tables for a graph of n nodes.
-// New inBand cells are zero (false) by construction; recycled cells were
-// cleaned by the previous search's release.
+// gain0 is among them because the band, which indexes it, is still growing
+// while the walk that builds it writes gains. New inBand cells are zero
+// (false) by construction; recycled cells were cleaned by the previous
+// search's release.
 func (ws *Workspace) growGlobal(n int) {
 	if cap(ws.inBand) < n {
 		ws.inBand = make([]bool, n)
 		ws.localID = make([]int32, n)
+		ws.gain0 = make([]int64, n)
 	}
 	ws.inBand = ws.inBand[:n]
 	ws.localID = ws.localID[:n]
+	ws.gain0 = ws.gain0[:n]
 }
 
-// growBand sizes the band-indexed tables for a band of n nodes.
+// growBand sizes the band-indexed tables for a band of n nodes; a run makes
+// at most n moves.
 func (ws *Workspace) growBand(n int) {
 	if cap(ws.side) < n {
 		ws.side = make([]byte, n)
 		ws.moved = make([]bool, n)
-		ws.gain0 = make([]int64, n)
+		ws.perm = make([]int, n)
+		ws.movesA = make([]int32, n)
+		ws.movesB = make([]int32, n)
 	}
 	ws.side = ws.side[:n]
 	ws.moved = ws.moved[:n]
-	ws.gain0 = ws.gain0[:n]
+	ws.perm = ws.perm[:n]
+	ws.movesA = ws.movesA[:n]
+	ws.movesB = ws.movesB[:n]
 }
 
 // pairSearch is the working state of one two-way FM search. It never mutates
@@ -126,11 +144,15 @@ type pairSearch struct {
 	view   []int32 // block membership snapshot for reads outside the pair
 	a, b   int32
 	band   []int32 // global ids of band nodes
+	walked int     // band[:walked] have their start gain and cut share recorded
 	side   []byte  // 0 = in a, 1 = in b (current, local copy)
 	moved  []bool
 	qa, qb *pq.GainQueue
 	cA, cB int64
 	cut    int64 // current cut between a and b
+
+	n    [2]int   // band nodes per side in the start state
+	minW [2]int64 // the lightest of them; meaningless for an empty side
 }
 
 // result describes the outcome of one seeded search: the move prefix to
@@ -142,86 +164,106 @@ type result struct {
 	cut       int64
 }
 
+// walk visits the adjacency of band node li once, in the state both runs
+// start from, where every node's side is its entry in view: it records the
+// node's gain w(v→other) − w(v→own) in ws.gain0, counting only edges inside
+// the pair (edges to third blocks stay cut either way), and adds an a-side
+// node's weight toward b to the pair cut — every a↔b edge once, both
+// endpoints of a cut edge being boundary nodes and hence in the band. With
+// expand set it also takes v's BFS step, appending its same-block neighbours
+// that are not in the band yet.
+//
+//kappa:hotpath
+func (s *pairSearch) walk(li int, expand bool) {
+	g, view, inBand, band := s.p.G, s.view, s.ws.inBand, s.band
+	v := band[li]
+	bv := part.ViewGet(view, v)
+	other := s.a + s.b - bv
+	wts := g.AdjWeights(v)
+	var wOwn, wOther int64
+	for i, u := range g.Adj(v) {
+		switch part.ViewGet(view, u) {
+		case bv:
+			wOwn += wts[i]
+			if expand && !inBand[u] {
+				inBand[u] = true
+				//kappa:allow hotalloc amortized growth of the reusable workspace band
+				band = append(band, u)
+			}
+		case other:
+			wOther += wts[i]
+		}
+	}
+	s.band = band
+	s.ws.gain0[li] = wOther - wOwn
+	if bv == s.a {
+		s.cut += wOther
+	}
+}
+
 // buildBand collects the nodes of blocks a and b within depth BFS steps of
 // the a↔b boundary (§5.2, Figure 2: only a small band around the boundary is
-// exchanged and searched) into ws.band, marking them in ws.inBand. The
+// exchanged and searched) into s.band, marking them in ws.inBand. The
 // depth-1 seeds come from idx's lists a and b in node order; block
 // membership is read from view, which may be a snapshot taken before
 // concurrent pair refinements started; entries for blocks a and b are only
 // ever written by this pair's owner, so the snapshot is exact where it
 // matters. The BFS frontier of each depth is the band segment appended
-// during the previous depth, so no separate frontier storage is needed.
-//
-//kappa:hotpath
-func buildBand(idx *part.BoundaryIndex, p *part.Partition, ws *Workspace, view []int32, a, b int32, depth int) []int32 {
-	g := p.G
-	inBand := ws.inBand
-	band := idx.Seeds(ws.band[:0], view, a, b)
-	for _, v := range band {
-		inBand[v] = true
+// during the previous depth, so no separate frontier storage is needed, and
+// the walk that expands a node is the walk that records its gain; the last
+// layer is left to walkRest.
+func (s *pairSearch) buildBand(idx *part.BoundaryIndex, depth int) {
+	ws := s.ws
+	s.band = idx.Seeds(ws.band[:0], s.view, s.a, s.b)
+	for _, v := range s.band {
+		ws.inBand[v] = true
 	}
-	frontLo, frontHi := 0, len(band)
-	for d := 1; d < depth; d++ {
-		for fi := frontLo; fi < frontHi; fi++ {
-			v := band[fi]
-			bv := part.ViewGet(view, v)
-			for _, u := range g.Adj(v) {
-				if part.ViewGet(view, u) == bv && !inBand[u] {
-					inBand[u] = true
-					//kappa:allow hotalloc amortized growth of the reusable workspace band
-					band = append(band, u)
-				}
-			}
+	for d := 1; d < depth && s.walked < len(s.band); d++ {
+		for hi := len(s.band); s.walked < hi; s.walked++ {
+			s.walk(s.walked, true)
 		}
-		if len(band) == frontHi {
-			break
-		}
-		frontLo, frontHi = frontHi, len(band)
 	}
-	ws.band = band
-	return band
+	ws.band = s.band
+}
+
+// walkRest records gain and cut share of the band's unexpanded last layer —
+// all of a depth-1 band, nothing of a band the BFS exhausted.
+func (s *pairSearch) walkRest() {
+	for ; s.walked < len(s.band); s.walked++ {
+		s.walk(s.walked, false)
+	}
 }
 
 // newPairSearch builds the band of pair (a, b) and the search state on it,
-// in ws. Every band node's adjacency is walked once here: its gain goes to
-// ws.gain0, from which both seeded runs fill their queues (they start from
-// the same state), and the a-side nodes' weight toward b adds up to the pair
-// cut — every a↔b edge once, both endpoints of a cut edge being boundary
-// nodes and hence in the band.
-//
-//kappa:hotpath
+// in ws: sides, local ids and the lightest node of each side. Gains and the
+// pair cut are complete once walkRest has run.
 func newPairSearch(idx *part.BoundaryIndex, p *part.Partition, ws *Workspace, view []int32, a, b int32, cfg TwoWayConfig) *pairSearch {
 	depth := cfg.BandDepth
 	if depth < 1 {
 		depth = 1
 	}
 	ws.growGlobal(p.G.NumNodes())
-	band := buildBand(idx, p, ws, view, a, b, depth)
-	ws.growBand(len(band))
 	s := &ws.search
 	*s = pairSearch{
 		p: p, ws: ws, view: view, a: a, b: b,
-		band:  band,
-		side:  ws.side,
-		moved: ws.moved,
-		cA:    p.BlockWeight(a),
-		cB:    p.BlockWeight(b),
+		cA: p.BlockWeight(a),
+		cB: p.BlockWeight(b),
 	}
-	for li, v := range band {
+	s.buildBand(idx, depth)
+	ws.growBand(len(s.band))
+	s.side, s.moved = ws.side, ws.moved
+	for li, v := range s.band {
 		ws.localID[v] = int32(li)
 		s.moved[li] = false
+		side := byte(0)
 		if part.ViewGet(view, v) == b {
-			s.side[li] = 1
-		} else {
-			s.side[li] = 0
+			side = 1
 		}
-	}
-	for li := range band {
-		gain, wOther := s.gain(int32(li))
-		ws.gain0[li] = gain
-		if s.side[li] == 0 {
-			s.cut += wOther
+		s.side[li] = side
+		if w := p.G.NodeWeight(v); s.n[side] == 0 || w < s.minW[side] {
+			s.minW[side] = w
 		}
+		s.n[side]++
 	}
 	return s
 }
@@ -232,39 +274,6 @@ func (s *pairSearch) release() {
 	for _, v := range s.band {
 		inBand[v] = false
 	}
-}
-
-// gain computes the current gain of moving band node li to the other block:
-// w(v→other) − w(v→own), counting only edges inside the pair (edges to third
-// blocks stay cut either way). It also returns w(v→other).
-func (s *pairSearch) gain(li int32) (gain, wOther int64) {
-	v := s.band[li]
-	g := s.p.G
-	adj := g.Adj(v)
-	ws := g.AdjWeights(v)
-	inBand, localID := s.ws.inBand, s.ws.localID
-	var wOwn int64
-	for i, u := range adj {
-		var uSide byte
-		if inBand[u] {
-			uSide = s.side[localID[u]]
-		} else {
-			switch part.ViewGet(s.view, u) {
-			case s.a:
-				uSide = 0
-			case s.b:
-				uSide = 1
-			default:
-				continue
-			}
-		}
-		if uSide == s.side[li] {
-			wOwn += ws[i]
-		} else {
-			wOther += ws[i]
-		}
-	}
-	return wOther - wOwn, wOther
 }
 
 func (s *pairSearch) imbalance() int64 {
@@ -279,10 +288,36 @@ func (s *pairSearch) imbalance() int64 {
 	return im
 }
 
+// infeasible is the balance rule of a move: a node of weight w may leave a
+// block of weight from for one of weight to only if the target stays under
+// Lmax, or if the move strictly reduces an overload of the source. It is
+// monotone in w — a move that is infeasible stays so for every heavier node
+// — so asked of a side's lightest band node it answers for the whole side.
+//
+//kappa:hotpath
+func infeasible(from, to, w, lmax int64) bool {
+	return to+w > lmax && (from <= lmax || to+w >= from)
+}
+
+// blocked reports, per side, whether no band node of that side can move at
+// the current block weights. While both sides are blocked — or blocked
+// where they still have queued nodes — a run can only pop and discard:
+// block weights change with moves alone, so it has made its last one.
+//
+//kappa:hotpath
+func (s *pairSearch) blocked() (a, b bool) {
+	lmax := s.p.Lmax()
+	return s.n[0] == 0 || infeasible(s.cA, s.cB, s.minW[0], lmax),
+		s.n[1] == 0 || infeasible(s.cB, s.cA, s.minW[1], lmax)
+}
+
 // run executes one seeded FM search and returns the best prefix found,
-// logging moves into the moves buffer (whose possibly-regrown backing array
-// is returned via result.moves). It restores s.side/s.moved/s.cA/s.cB/s.cut
-// before returning so the search can be repeated with another seed.
+// logging moves into the moves buffer, which holds a band's worth. It stops
+// when patience runs out or when neither queue can yield a feasible move,
+// and restores s.side/s.moved/s.cA/s.cB/s.cut before returning so the
+// search can be repeated with another seed.
+//
+//kappa:hotpath
 func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 	n := len(s.band)
 	ws := s.ws
@@ -292,64 +327,54 @@ func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 	// "The queues are initialized in random order with the nodes at the
 	// partition boundary" — we seed them with the whole band (depth-1 bands
 	// are exactly the boundary).
-	if cap(ws.perm) < n {
-		ws.perm = make([]int, n)
-	}
-	perm := ws.perm[:n]
+	perm := ws.perm
 	r.PermInto(perm)
-	var sizeA, sizeB int
 	for _, li := range perm {
 		l := int32(li)
 		if s.side[l] == 0 {
 			s.qa.Push(l, ws.gain0[l], uint32(r.Uint64()))
-			sizeA++
 		} else {
 			s.qb.Push(l, ws.gain0[l], uint32(r.Uint64()))
-			sizeB++
 		}
 	}
-	minSide := sizeA
-	if sizeB < minSide {
-		minSide = sizeB
-	}
-	patienceLimit := int(cfg.Patience * float64(minSide))
+	patienceLimit := int(cfg.Patience * float64(min(s.n[0], s.n[1])))
 	if patienceLimit < 1 {
 		patienceLimit = 1
 	}
 
-	res := result{moves: moves[:0], imbalance: s.imbalance(), cut: s.cut}
+	res := result{imbalance: s.imbalance(), cut: s.cut}
 	startCut := res.cut
 	startCA, startCB := s.cA, s.cB
+	lmax := s.p.Lmax()
+	nMoves := 0
 	fruitless := 0
 	alternateNext := byte(0)
 
-	for !s.qa.Empty() || !s.qb.Empty() {
+	blockedA, blockedB := s.blocked()
+	for !(blockedA || s.qa.Empty()) || !(blockedB || s.qb.Empty()) {
 		q := s.chooseQueue(cfg.Strategy, alternateNext, r)
 		alternateNext = 1 - alternateNext
-		if q == nil {
-			break
-		}
 		li, g := q.PopMax()
 		v := s.band[li]
 		w := s.p.G.NodeWeight(v)
-		// Feasibility: a move may enter the target only if it stays under
-		// Lmax, or if it strictly reduces an overload of the source.
 		var from, to *int64
 		if s.side[li] == 0 {
 			from, to = &s.cA, &s.cB
 		} else {
 			from, to = &s.cB, &s.cA
 		}
-		if *to+w > s.p.Lmax() && !(*from > s.p.Lmax() && *to+w < *from) {
-			continue // discard: infeasible move
+		if infeasible(*from, *to, w, lmax) {
+			continue // discard
 		}
 		// Execute the move on the local state.
 		*from -= w
 		*to += w
+		blockedA, blockedB = s.blocked()
 		s.side[li] = 1 - s.side[li]
 		s.moved[li] = true
 		s.cut -= g
-		res.moves = append(res.moves, li)
+		moves[nMoves] = li
+		nMoves++
 		// Update queued neighbors: +2ω for neighbors left behind, −2ω for
 		// neighbors in the block v joined.
 		adj := s.p.G.Adj(v)
@@ -374,7 +399,7 @@ func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 		imb := s.imbalance()
 		if imb < res.imbalance || (imb == res.imbalance && s.cut < res.cut) {
 			res.imbalance, res.cut = imb, s.cut
-			res.bestLen = len(res.moves)
+			res.bestLen = nMoves
 			fruitless = 0
 		} else {
 			fruitless++
@@ -385,6 +410,7 @@ func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 	}
 
 	// Restore local state for a potential second seeded run.
+	res.moves = moves[:nMoves]
 	for _, li := range res.moves {
 		s.side[li] = 1 - s.side[li]
 		s.moved[li] = false
@@ -394,12 +420,12 @@ func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 	return res
 }
 
-// chooseQueue implements the queue selection strategies of §5.2.
+// chooseQueue implements the queue selection strategies of §5.2 over two
+// queues that are not both empty.
+//
+//kappa:hotpath
 func (s *pairSearch) chooseQueue(st Strategy, alternateNext byte, r *rng.RNG) *pq.GainQueue {
 	qa, qb := s.qa, s.qb
-	if qa.Empty() && qb.Empty() {
-		return nil
-	}
 	if qa.Empty() {
 		return qb
 	}
@@ -470,13 +496,11 @@ func RefinePairView(p *part.Partition, view []int32, a, b int32, cfg TwoWayConfi
 }
 
 // RefinePairViewWS is RefinePairView running against a reusable Workspace.
-// It has no index to draw the band's seeds from, so it builds a one-shot one
-// for blocks a and b in the workspace — one scan of the nodes of a ∪ b — and
-// runs RefinePairIndexed on it. The outcome is byte-identical to a fresh
-// workspace.
+// It has no index to draw the band's seeds from, so it runs RefinePairIndexed
+// on the workspace's one-shot PairIndex. The outcome is byte-identical to a
+// fresh workspace.
 func RefinePairViewWS(ws *Workspace, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
-	ws.oneShot.Reset(p, view, a, b)
-	return RefinePairIndexed(ws, &ws.oneShot, p, view, a, b, cfg, seedA, seedB)
+	return RefinePairIndexed(ws, ws.PairIndex(p, view, a, b), p, view, a, b, cfg, seedA, seedB)
 }
 
 // RefinePairIndexed is the pair-refinement kernel, and the allocation-free
@@ -484,44 +508,41 @@ func RefinePairViewWS(ws *Workspace, p *part.Partition, view []int32, a, b int32
 // and which the call leaves current by patching lists a and b with the moves
 // it applied. Under part.BoundaryIndex's ownership rule, disjoint pairs may
 // run concurrently against one index, each with its own workspace.
+//
+// A pair whose band holds no feasible move in the start state — both blocks
+// too full to take the other's lightest band node, or no band at all — is
+// done once its band is built: neither seeded run could move anything, so no
+// gain of the unexpanded layer is computed and no queue is filled.
 func RefinePairIndexed(ws *Workspace, idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
+	ws.applied = ws.applied[:0]
 	s := newPairSearch(idx, p, ws, view, a, b, cfg)
-	if len(s.band) == 0 {
-		return RefinePairOutcome{}
-	}
-	ws.rng.Seed(seedA)
-	r1 := s.run(cfg, &ws.rng, ws.movesA)
-	ws.movesA = r1.moves
-	ws.rng.Seed(seedB)
-	r2 := s.run(cfg, &ws.rng, ws.movesB)
-	ws.movesB = r2.moves
-	best := r1
-	if r2.imbalance < best.imbalance || (r2.imbalance == best.imbalance && r2.cut < best.cut) {
-		best = r2
-	}
-	// Apply the winning prefix to the real partition. The side arrays were
-	// restored by run, so side is each node's original side; a node appears
-	// at most once in the move list.
-	applied := ws.applied[:0]
-	shared := &s.view[0] == &p.Block[0]
-	for _, li := range best.moves[:best.bestLen] {
-		v := s.band[li]
-		to := s.b
-		if s.side[li] == 1 {
-			to = s.a
+	out := RefinePairOutcome{BandSize: len(s.band)}
+	if blockedA, blockedB := s.blocked(); !blockedA || !blockedB {
+		s.walkRest()
+		ws.rng.Seed(seedA)
+		best := s.run(cfg, &ws.rng, ws.movesA)
+		ws.rng.Seed(seedB)
+		if r2 := s.run(cfg, &ws.rng, ws.movesB); r2.imbalance < best.imbalance || (r2.imbalance == best.imbalance && r2.cut < best.cut) {
+			best = r2
 		}
-		p.Move(v, to)
-		if !shared {
-			part.ViewSet(s.view, v, to) // keep the caller's snapshot exact for this pair
+		// Apply the winning prefix to the real partition. The side arrays
+		// were restored by run, so side is each node's original side; a node
+		// appears at most once in the move list.
+		shared := &s.view[0] == &p.Block[0]
+		for _, li := range best.moves[:best.bestLen] {
+			v := s.band[li]
+			to := s.b
+			if s.side[li] == 1 {
+				to = s.a
+			}
+			p.Move(v, to)
+			if !shared {
+				part.ViewSet(s.view, v, to) // keep the caller's snapshot exact for this pair
+			}
+			ws.applied = append(ws.applied, v)
 		}
-		applied = append(applied, v)
-	}
-	ws.applied = applied
-	idx.Patch(view, a, b, applied)
-	out := RefinePairOutcome{
-		Gain:     s.cut - best.cut,
-		Moves:    best.bestLen,
-		BandSize: len(s.band),
+		idx.Patch(view, a, b, ws.applied)
+		out.Gain, out.Moves = s.cut-best.cut, best.bestLen
 	}
 	s.release()
 	return out

@@ -161,12 +161,9 @@ func TestBandDepthGrowsBand(t *testing.T) {
 		block[v] = int32(2 * v / n)
 	}
 	p := part.FromBlocks(g, 2, 0.03, block)
-	ws1, ws5 := NewWorkspace(), NewWorkspace()
-	ws1.growGlobal(n)
-	ws5.growGlobal(n)
 	idx := part.NewBoundaryIndex(p)
-	b1 := buildBand(idx, p, ws1, p.Block, 0, 1, 1)
-	b5 := buildBand(idx, p, ws5, p.Block, 0, 1, 5)
+	b1 := newPairSearch(idx, p, NewWorkspace(), p.Block, 0, 1, TwoWayConfig{BandDepth: 1}).band
+	b5 := newPairSearch(idx, p, NewWorkspace(), p.Block, 0, 1, TwoWayConfig{BandDepth: 5}).band
 	if len(b5) <= len(b1) {
 		t.Fatalf("band did not grow with depth: %d vs %d", len(b1), len(b5))
 	}

@@ -6,12 +6,12 @@
 // Both files are standard `go test -bench` output — the same format benchstat
 // reads, so the committed baseline doubles as the benchstat reference for
 // deeper analysis. The gate compares the deterministic metrics: allocs/op
-// (default +5% budget) and B/op (default +10%), which are machine-independent
-// when the suite runs under GOMAXPROCS=1 because the pipeline itself is
-// deterministic. ns/op is reported but never gated — wall clock on shared CI
-// runners is noise. A benchmark present in the baseline but missing from the
-// current run fails the gate: silently dropped coverage is itself a
-// regression.
+// (+5% budget) and B/op (+10%), which are machine-independent when the suite
+// runs under GOMAXPROCS=1 because the pipeline itself is deterministic.
+// Timing is not its business: wall clock on shared CI runners is noise, and
+// `benchmark compare` (benchmark/README.md) is the protocol for it. A
+// benchmark present in the baseline but missing from the current run fails
+// the gate: silently dropped coverage is itself a regression.
 //
 // Refresh the baseline intentionally (make bench-baseline) when a PR changes
 // the allocation profile on purpose, and commit the new file with the change
@@ -28,9 +28,14 @@ import (
 	"strings"
 )
 
+// Regression budgets in percent.
+const (
+	maxAllocsPct = 5
+	maxBytesPct  = 10
+)
+
 // metrics is one benchmark's measured values.
 type metrics struct {
-	ns     float64
 	bytes  float64
 	allocs float64
 	has    bool // B/op + allocs/op present (-benchmem)
@@ -61,8 +66,6 @@ func parseBench(path string) (map[string]metrics, error) {
 				return nil, fmt.Errorf("%s: bad value %q for %s: %v", path, fields[i], name, err)
 			}
 			switch fields[i+1] {
-			case "ns/op":
-				m.ns = v
 			case "B/op":
 				m.bytes = v
 				m.has = true
@@ -108,10 +111,8 @@ func pct(base, cur float64) float64 {
 
 func main() {
 	var (
-		basePath  = flag.String("baseline", "BENCH_BASELINE.txt", "committed baseline (`go test -bench` output)")
-		curPath   = flag.String("current", "", "current measurement to gate (same format); required")
-		allocsPct = flag.Float64("max-allocs-pct", 5, "allocs/op regression budget in percent")
-		bytesPct  = flag.Float64("max-bytes-pct", 10, "B/op regression budget in percent")
+		basePath = flag.String("baseline", "BENCH_BASELINE.txt", "committed baseline (`go test -bench` output)")
+		curPath  = flag.String("current", "", "current measurement to gate (same format); required")
 	)
 	flag.Parse()
 	if *curPath == "" {
@@ -144,7 +145,6 @@ func main() {
 			failed = true
 			continue
 		}
-		fmt.Printf("      %s: ns/op %+.1f%% (informational)\n", name, pct(b.ns, c.ns))
 		if !b.has || !c.has {
 			fmt.Printf("FAIL  %s: missing -benchmem metrics (baseline %v, current %v)\n", name, b.has, c.has)
 			failed = true
@@ -155,8 +155,8 @@ func main() {
 			base, cur float64
 			budget    float64
 		}{
-			{"allocs/op", b.allocs, c.allocs, *allocsPct},
-			{"B/op", b.bytes, c.bytes, *bytesPct},
+			{"allocs/op", b.allocs, c.allocs, maxAllocsPct},
+			{"B/op", b.bytes, c.bytes, maxBytesPct},
 		} {
 			delta := pct(g.base, g.cur)
 			verdict := "ok  "

@@ -8,9 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/graphio"
@@ -77,7 +75,7 @@ func runAPI(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "kappa: api serving on %s (queue %d, jobs %d)\n", ln.Addr(), *queue, jobsN)
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	sigCtx, stop := runContext(0)
 	defer stop()
 	select {
 	case err := <-serveErr:

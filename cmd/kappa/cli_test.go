@@ -1,0 +1,96 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// runFailing runs kappa with args, requires exit code 1, and returns the
+// combined output.
+func runFailing(t *testing.T, kappa string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(kappa, args...).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("kappa %v: want exit 1, got %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// TestEvalRejectsOutOfRangeBlock pins the bad-input promise for -eval: a
+// block id outside [0, k) is a runtime error naming the line, not a panic.
+func TestEvalRejectsOutOfRangeBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	kappa, _ := buildBinaries(t)
+	for _, bad := range []string{"7", "-1"} {
+		partFile := filepath.Join(t.TempDir(), "p.txt")
+		lines := strings.Repeat("0\n1\n", 8) // grid:4x4 has 16 nodes
+		lines = lines[:4] + bad + "\n" + lines[6:]
+		if err := os.WriteFile(partFile, []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := runFailing(t, kappa, "-gen", "grid:4x4", "-k", "2", "-eval", partFile)
+		if strings.Contains(out, "panic") || !strings.Contains(out, "p.txt:3: block "+bad) {
+			t.Fatalf("block id %s: want a diagnostic naming line 3, got:\n%s", bad, out)
+		}
+	}
+}
+
+// TestOutWriteErrorExitsOne pins that a partition file that could not be
+// written completely is an error, not a "written" confirmation.
+func TestOutWriteErrorExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	kappa, _ := buildBinaries(t)
+	out := runFailing(t, kappa, "-gen", "grid:4x4", "-k", "2", "-out", "/dev/full")
+	if strings.Contains(out, "written") || !strings.Contains(out, "/dev/full") {
+		t.Fatalf("want a write error naming the file and no confirmation, got:\n%s", out)
+	}
+}
+
+// TestSharedFlagsKeepNamesAndDefaults parses each command's -h and checks
+// the run flags the commands share against the names and defaults they have
+// always had ("" = the zero value, which -h does not print).
+func TestSharedFlagsKeepNamesAndDefaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	kappa, _ := buildBinaries(t)
+	input := map[string]string{"in": "", "gen": "", "dist": `"auto"`, "seed": ""}
+	run := map[string]string{"k": "2", "preset": `"fast"`, "eps": "0.03", "pes": "", "out": "", "progress": "", "timeout": ""}
+	flagLine := regexp.MustCompile(`(?m)^  -(\S+).*\n(.*)$`)
+	defaultOf := regexp.MustCompile(`\(default (.*)\)$`)
+	for _, tc := range []struct {
+		cmd  []string
+		want []map[string]string
+	}{
+		{nil, []map[string]string{input, run}},
+		{[]string{"serve"}, []map[string]string{input, run}},
+		{[]string{"shard"}, []map[string]string{input}},
+	} {
+		help, _ := exec.Command(kappa, append(tc.cmd, "-h")...).CombinedOutput()
+		got := map[string]string{}
+		for _, m := range flagLine.FindAllStringSubmatch(string(help), -1) {
+			got[m[1]] = ""
+			if d := defaultOf.FindStringSubmatch(m[2]); d != nil {
+				got[m[1]] = d[1]
+			}
+		}
+		for _, group := range tc.want {
+			for name, def := range group {
+				if have, ok := got[name]; !ok || have != def {
+					t.Errorf("kappa %v: flag -%s has default %q (present %v), want %q", tc.cmd, name, have, ok, def)
+				}
+			}
+		}
+	}
+}

@@ -34,12 +34,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -86,23 +84,14 @@ func main() {
 		}
 	}
 	var (
-		inFile   = flag.String("in", "", "input graph file (METIS or binary; format sniffed)")
-		genSpec  = flag.String("gen", "", "generator spec: rgg:S | delaunay:S | grid:WxH | grid3d:XxYxZ | road:N | social:N | rmat:S | fem:N | banded:N")
-		k        = flag.Int("k", 2, "number of blocks")
-		preset   = flag.String("preset", "fast", "minimal | fast | strong")
-		eps      = flag.Float64("eps", 0.03, "allowed imbalance")
-		seed     = flag.Uint64("seed", 0, "random seed")
-		outFile  = flag.String("out", "", "write the block of each node, one per line")
-		pes      = flag.Int("pes", 0, "number of simulated PEs for coarsening (default: k)")
-		distFl   = flag.String("dist", "auto", "node-to-PE distribution: auto | ranges | rcb | sfc")
-		coarsFl  = flag.String("coarsen", "shared", "coarsening mode: shared | distributed")
-		eval     = flag.String("eval", "", "evaluate (and refine) an existing partition file instead of partitioning from scratch")
-		progress = flag.Bool("progress", false, "print pipeline trace events (levels, init cut, refinement gains, phase times) to stderr")
-		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (e.g. 30s); 0 = no limit")
-		workers  = flag.Int("workers", 0, "goroutines for the data-parallel kernels (parallel contraction); 0 = GOMAXPROCS, 1 = serial. Results are identical for every value")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
+		coarsFl = flag.String("coarsen", "shared", "coarsening mode: shared | distributed")
+		eval    = flag.String("eval", "", "evaluate (and refine) an existing partition file instead of partitioning from scratch")
+		workers = flag.Int("workers", 0, "goroutines for the data-parallel kernels (parallel contraction); 0 = GOMAXPROCS, 1 = serial. Results are identical for every value")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	)
+	var rf runFlags
+	rf.register(flag.CommandLine)
 	var ob obsFlags
 	ob.register(flag.CommandLine)
 	flag.Parse()
@@ -146,12 +135,11 @@ func main() {
 		defer stopProfiles()
 	}
 
-	cfg, err := core.ConfigFromNames(*preset, *k, *eps, *seed, *pes, *workers, *distFl, *coarsFl)
+	cfg, err := rf.config(*workers, *coarsFl)
 	if err != nil {
 		fail(err)
 	}
-	variant, _ := core.ParseVariant(*preset) // the name ConfigFromNames just accepted
-	g, err := loadGraph(*inFile, *genSpec)
+	g, err := loadGraph(rf.in, rf.gen)
 	if err != nil {
 		fail(err)
 	}
@@ -159,38 +147,30 @@ func main() {
 	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
 	// kernels, profiles flush, and the process exits 1 — instead of dying
 	// mid-write with a truncated -out file or an empty CPU profile.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	var opts []core.Option
-	if *progress {
-		opts = append(opts, progressOption())
-	}
-	runObs, obsOpts, err := ob.setup(g, cfg)
+	ctx, cancel := runContext(rf.timeout)
+	defer cancel()
+	runObs, opts, err := rf.options(&ob, g, cfg)
 	if err != nil {
 		fail(err)
 	}
-	opts = append(opts, obsOpts...)
 
 	if *eval != "" {
-		blocks, err := readPartition(*eval, g.NumNodes())
+		blocks, err := readPartition(*eval, g.NumNodes(), rf.k)
 		if err != nil {
 			fail(err)
 		}
-		cut, bal, feasible := evalBlocks(g, *k, *eps, blocks)
+		cut, bal, feasible := evalBlocks(g, rf.k, rf.eps, blocks)
 		fmt.Printf("input partition: cut=%d balance=%.4f feasible=%v\n", cut, bal, feasible)
 		refined, rcut, err := core.RefineExistingCtx(ctx, g, cfg, blocks, opts...)
 		if err != nil {
 			fail(err)
 		}
-		_, rbal, rfeasible := evalBlocks(g, *k, *eps, refined)
+		_, rbal, rfeasible := evalBlocks(g, rf.k, rf.eps, refined)
 		fmt.Printf("after refining:  cut=%d balance=%.4f feasible=%v\n", rcut, rbal, rfeasible)
-		if *outFile != "" {
-			writePartition(*outFile, refined)
+		if rf.out != "" {
+			if err := writePartition(rf.out, refined); err != nil {
+				fail(err)
+			}
 		}
 		return
 	}
@@ -198,7 +178,7 @@ func main() {
 	res, err := core.Run(ctx, g, cfg, opts...)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			fail(fmt.Errorf("run exceeded -timeout %v: %v", *timeout, err))
+			fail(fmt.Errorf("run exceeded -timeout %v: %v", rf.timeout, err))
 		}
 		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
 			fail(fmt.Errorf("interrupted: %v", err))
@@ -208,19 +188,8 @@ func main() {
 	if err := runObs.finish(res); err != nil {
 		fail(err)
 	}
-	p := part.FromBlocks(g, *k, *eps, res.Blocks)
-	sum := ob.summaryWriter()
-	fmt.Fprintf(sum, "graph     n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, coarsen=%s)\n", variant, *k, *eps, cfg.Distribution, cfg.Coarsen)
-	fmt.Fprintf(sum, "cut       %d\n", res.Cut)
-	fmt.Fprintf(sum, "balance   %.4f (Lmax %d, feasible %v)\n", res.Balance, p.Lmax(), p.Feasible())
-	fmt.Fprintf(sum, "levels    %d\n", res.Levels)
-	fmt.Fprintf(sum, "time      total %v (coarsen %v, init %v, refine %v)\n",
-		res.TotalTime.Round(1e6), res.CoarsenTime.Round(1e6), res.InitTime.Round(1e6), res.RefineTime.Round(1e6))
-
-	if *outFile != "" {
-		writePartition(*outFile, res.Blocks)
-		fmt.Fprintf(sum, "partition written to %s\n", *outFile)
+	if err := rf.printSummary(ob.summaryWriter(), g, cfg, res, fmt.Sprintf("coarsen=%s", cfg.Coarsen)); err != nil {
+		fail(err)
 	}
 }
 
@@ -229,8 +198,9 @@ func evalBlocks(g *graph.Graph, k int, eps float64, blocks []int32) (int64, floa
 	return p.Cut(), p.Imbalance(), p.Feasible()
 }
 
-// readPartition parses a one-block-per-line partition file.
-func readPartition(path string, n int) ([]int32, error) {
+// readPartition parses a one-block-per-line partition file of n nodes in k
+// blocks.
+func readPartition(path string, n, k int) ([]int32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -238,14 +208,17 @@ func readPartition(path string, n int) ([]int32, error) {
 	defer f.Close()
 	blocks := make([]int32, 0, n)
 	sc := bufio.NewScanner(f)
-	for sc.Scan() {
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
 		v, err := strconv.Atoi(line)
 		if err != nil {
-			return nil, fmt.Errorf("bad partition line %q: %w", line, err)
+			return nil, fmt.Errorf("%s:%d: bad partition line %q: %w", path, lineNo, line, err)
+		}
+		if v < 0 || v >= k {
+			return nil, fmt.Errorf("%s:%d: block %d outside [0, %d)", path, lineNo, v, k)
 		}
 		blocks = append(blocks, int32(v))
 	}
@@ -258,17 +231,21 @@ func readPartition(path string, n int) ([]int32, error) {
 	return blocks, nil
 }
 
-func writePartition(path string, blocks []int32) {
+// writePartition writes the block of each node, one per line.
+func writePartition(path string, blocks []int32) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	w := bufio.NewWriter(f)
 	for _, b := range blocks {
 		fmt.Fprintln(w, b)
 	}
-	w.Flush()
-	f.Close()
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // loadGraph resolves the input: usage errors (bad generator spec, neither

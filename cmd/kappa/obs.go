@@ -43,8 +43,6 @@ func (f *obsFlags) register(fs *flag.FlagSet) {
 		"zero the report's scheduling-dependent fields (wall-clock times, heartbeat counts, arena reuse split) so reports of identical runs compare byte-equal")
 }
 
-func (f *obsFlags) enabled() bool { return f.metrics != "" || f.report != "" }
-
 // summaryWriter is where the human-readable result summary goes: stderr when
 // the report streams to stdout (-report -), so the JSON document on stdout
 // stays parseable on its own.
@@ -73,7 +71,7 @@ type runObs struct {
 // when neither -metrics nor -report was given — the run stays entirely
 // uninstrumented.
 func (f *obsFlags) setup(g *graph.Graph, cfg core.Config) (*runObs, []core.Option, error) {
-	if !f.enabled() {
+	if f.metrics == "" && f.report == "" {
 		return nil, nil, nil
 	}
 	o := &runObs{

@@ -1,19 +1,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
 	"repro/internal/remote"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -28,20 +24,9 @@ import (
 func runServe(args []string) {
 	fs := flag.NewFlagSet("kappa serve", flag.ExitOnError)
 	var (
-		inFile   = fs.String("in", "", "input graph file (METIS or binary; format sniffed)")
-		genSpec  = fs.String("gen", "", "generator spec (see kappa -gen)")
 		shards   = fs.String("shards", "", "serve from an on-disk shard store directory (kappa shard output); the coordinator streams shard files and never materializes the global adjacency")
-		k        = fs.Int("k", 2, "number of blocks")
-		preset   = fs.String("preset", "fast", "minimal | fast | strong")
-		eps      = fs.Float64("eps", 0.03, "allowed imbalance")
-		seed     = fs.Uint64("seed", 0, "random seed")
-		pes      = fs.Int("pes", 0, "number of worker processes to wait for (default: k)")
-		distFl   = fs.String("dist", "auto", "node-to-PE distribution: auto | ranges | rcb | sfc")
 		listen   = fs.String("listen", "127.0.0.1:2177", "address to accept workers on (host:port, or a path with -network unix)")
 		network  = fs.String("network", "tcp", "listener network: tcp | unix")
-		outFile  = fs.String("out", "", "write the block of each node, one per line")
-		progress = fs.Bool("progress", false, "print pipeline trace events to stderr")
-		timeout  = fs.Duration("timeout", 0, "abort the run after this duration; 0 = no limit")
 		wtimeout = fs.Duration("worker-timeout", 0,
 			"declare a worker dead when it is silent for this long (bounds every control and transport frame); 0 = wait forever")
 		hbeat = fs.Duration("heartbeat", 0,
@@ -49,6 +34,9 @@ func runServe(args []string) {
 		maxFrame = fs.Uint64("max-frame", 0,
 			"decode budget: largest control-frame payload accepted from workers, in bytes; 0 = built-in default")
 	)
+	var rf runFlags
+	rf.register(fs)
+	fs.Lookup("pes").Usage = "number of worker processes to wait for (default: k)"
 	var ob obsFlags
 	ob.register(fs)
 	fs.Parse(args)
@@ -56,11 +44,10 @@ func runServe(args []string) {
 		wire.SetMaxFrame(*maxFrame)
 	}
 
-	cfg, err := core.ConfigFromNames(*preset, *k, *eps, *seed, *pes, 0, *distFl, "distributed")
+	cfg, err := rf.config(0, "distributed")
 	if err != nil {
 		fail(err)
 	}
-	variant, _ := core.ParseVariant(*preset) // the name ConfigFromNames just accepted
 
 	// Input: a graph (-in/-gen) the coordinator holds in memory, or a shard
 	// store (-shards) it streams from disk. With -shards the graph variable
@@ -70,7 +57,7 @@ func runServe(args []string) {
 	var st *store.Store
 	switch {
 	case *shards != "":
-		if *inFile != "" || *genSpec != "" {
+		if rf.in != "" || rf.gen != "" {
 			fail(fmt.Errorf("%w: -shards replaces -in/-gen (the store IS the graph)", core.ErrInvalidConfig))
 		}
 		st, err = store.Open(*shards)
@@ -91,30 +78,19 @@ func runServe(args []string) {
 		defer mg.Close()
 		g = mg.G
 	default:
-		g, err = loadGraph(*inFile, *genSpec)
+		g, err = loadGraph(rf.in, rf.gen)
 		if err != nil {
 			fail(err)
 		}
 	}
 
-	// SIGINT/SIGTERM cancel the coordination context: workers see the
-	// connection close, cleanup runs, and the process exits 1.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	var opts []core.Option
-	if *progress {
-		opts = append(opts, progressOption())
-	}
-	runObs, obsOpts, err := ob.setup(g, cfg)
+	// Cancelling the coordination context closes the workers' connections.
+	ctx, cancel := runContext(rf.timeout)
+	defer cancel()
+	runObs, opts, err := rf.options(&ob, g, cfg)
 	if err != nil {
 		fail(err)
 	}
-	opts = append(opts, obsOpts...)
 
 	ln, err := net.Listen(*network, *listen)
 	if err != nil {
@@ -143,25 +119,17 @@ func runServe(args []string) {
 	if err := runObs.finish(res); err != nil {
 		fail(err)
 	}
-	p := part.FromBlocks(g, *k, *eps, res.Blocks)
-	sum := ob.summaryWriter()
-	fmt.Fprintf(sum, "graph     n=%d m=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(sum, "preset    %s (k=%d, eps=%.2f, dist=%s, pes=%d workers)\n", variant, *k, *eps, cfg.Distribution, cfg.NumPEs())
+	var extra []string
+	snap := counters.Snapshot()
 	if st != nil {
-		fmt.Fprintf(sum, "store     %s (%d shards streamed, global CSR memory-mapped)\n", *shards, counters.Snapshot().ShardsStreamed)
+		extra = append(extra, fmt.Sprintf("store     %s (%d shards streamed, global CSR memory-mapped)", *shards, snap.ShardsStreamed))
 	}
-	if s := counters.Snapshot(); s.WorkerFailures+s.Reassignments+s.LocalFallbacks+s.LevelRetries > 0 {
-		fmt.Fprintf(sum, "faults    workers_failed=%d reassigned=%d level_retries=%d local_fallbacks=%d\n",
-			s.WorkerFailures, s.Reassignments, s.LevelRetries, s.LocalFallbacks)
+	if snap.WorkerFailures+snap.Reassignments+snap.LocalFallbacks+snap.LevelRetries > 0 {
+		extra = append(extra, fmt.Sprintf("faults    workers_failed=%d reassigned=%d level_retries=%d local_fallbacks=%d",
+			snap.WorkerFailures, snap.Reassignments, snap.LevelRetries, snap.LocalFallbacks))
 	}
-	fmt.Fprintf(sum, "cut       %d\n", res.Cut)
-	fmt.Fprintf(sum, "balance   %.4f (Lmax %d, feasible %v)\n", res.Balance, p.Lmax(), p.Feasible())
-	fmt.Fprintf(sum, "levels    %d\n", res.Levels)
-	fmt.Fprintf(sum, "time      total %v (coarsen %v, init %v, refine %v)\n",
-		res.TotalTime.Round(1e6), res.CoarsenTime.Round(1e6), res.InitTime.Round(1e6), res.RefineTime.Round(1e6))
-	if *outFile != "" {
-		writePartition(*outFile, res.Blocks)
-		fmt.Fprintf(sum, "partition written to %s\n", *outFile)
+	if err := rf.printSummary(ob.summaryWriter(), g, cfg, res, fmt.Sprintf("pes=%d workers", cfg.NumPEs()), extra...); err != nil {
+		fail(err)
 	}
 }
 
@@ -192,15 +160,10 @@ func runWorker(args []string) {
 		wire.SetMaxFrame(*maxFrame)
 	}
 
-	// SIGINT/SIGTERM cancel the worker context: the in-flight superstep
-	// aborts, the connection closes, and the process exits 1.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	// Cancelling the worker context aborts the in-flight superstep and
+	// closes the connection.
+	ctx, cancel := runContext(*timeout)
+	defer cancel()
 	faults, err := dist.ParseFaultSchedule(*faultsFl)
 	if err != nil {
 		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
@@ -221,6 +184,8 @@ func runWorker(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "kappa: worker PE %d done after %d levels\n", wr.PE, wr.Levels)
 	if *outFile != "" && wr.Partition != nil {
-		writePartition(*outFile, wr.Partition)
+		if err := writePartition(*outFile, wr.Partition); err != nil {
+			fail(err)
+		}
 	}
 }

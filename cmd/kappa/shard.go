@@ -19,14 +19,13 @@ import (
 func runShard(args []string) {
 	fs := flag.NewFlagSet("kappa shard", flag.ExitOnError)
 	var (
-		inFile  = fs.String("in", "", "input graph file (METIS or binary; format sniffed)")
-		genSpec = fs.String("gen", "", "generator spec (see kappa -gen)")
 		pes     = fs.Int("pe", 0, "number of shards (one per worker PE); required")
-		distFl  = fs.String("dist", "auto", "node-to-PE distribution: auto | ranges | rcb | sfc")
 		outDir  = fs.String("o", "", "output store directory (created if missing); required")
 		workers = fs.Int("workers", 0, "goroutines writing shards concurrently; 0 = GOMAXPROCS")
-		seed    = fs.Uint64("seed", 0, "run seed recorded in the manifest (provenance only)")
 	)
+	var rf runFlags
+	rf.registerInput(fs)
+	fs.Lookup("seed").Usage = "run seed recorded in the manifest (provenance only)"
 	fs.Parse(args)
 
 	if *outDir == "" {
@@ -35,11 +34,11 @@ func runShard(args []string) {
 	if *pes < 1 {
 		fail(fmt.Errorf("%w: need -pe >= 1 (one shard per worker PE)", core.ErrInvalidConfig))
 	}
-	strategy, err := dist.ParseStrategy(*distFl)
+	strategy, err := dist.ParseStrategy(rf.dist)
 	if err != nil {
 		fail(fmt.Errorf("%w: %v", core.ErrInvalidConfig, err))
 	}
-	g, err := loadGraph(*inFile, *genSpec)
+	g, err := loadGraph(rf.in, rf.gen)
 	if err != nil {
 		fail(err)
 	}
@@ -48,7 +47,7 @@ func runShard(args []string) {
 		PEs:      *pes,
 		Strategy: strategy,
 		Workers:  *workers,
-		Seed:     *seed,
+		Seed:     rf.seed,
 	})
 	if err != nil {
 		fail(err)

@@ -109,7 +109,7 @@ func kmetis(g *graph.Graph, k int, eps float64, seed uint64) []int32 {
 	for h.Coarsest.NumNodes() > threshold {
 		cur := h.Coarsest
 		rt := rating.NewRater(rating.Weight, cur)
-		m := matching.ComputeBounded(cur, rt, matching.SHEM, r, maxPair)
+		m := matching.ComputeScratch(cur, rt, matching.SHEM, r, maxPair, nil)
 		if m.Size() == 0 {
 			break
 		}
@@ -156,7 +156,7 @@ func parmetis(g *graph.Graph, k int, eps float64, seed uint64) []int32 {
 		// not use geometry) and distributed heavy-edge matching: block-local
 		// SHEM plus cross-boundary matching of locally heaviest edges.
 		blocks := dist.IndexRanges(cur.NumNodes(), pes)
-		m := matching.ParallelBounded(cur, rt, matching.SHEM, blocks, pes, seed+uint64(h.Depth()), maxPair)
+		m := matching.ParallelScratch(cur, rt, matching.SHEM, blocks, pes, seed+uint64(h.Depth()), maxPair, nil)
 		if m.Size() == 0 {
 			break
 		}

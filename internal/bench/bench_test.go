@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"time"
 )
 
@@ -21,9 +22,6 @@ func TestSuitesNonEmptyAndCached(t *testing.T) {
 	if in.Graph() != in.Graph() {
 		t.Fatal("instance graph not cached")
 	}
-	if ByName("rgg13") == nil || ByName("nonexistent") != nil {
-		t.Fatal("ByName lookup broken")
-	}
 	if len(LargeCoord()) != 4 {
 		t.Fatalf("LargeCoord has %d instances, want 4", len(LargeCoord()))
 	}
@@ -33,8 +31,7 @@ func TestSuitesNonEmptyAndCached(t *testing.T) {
 }
 
 func TestRunKaPPaAndAgg(t *testing.T) {
-	in := ByName("grid64")
-	row := RunKaPPa(in.Graph(), core.NewConfig(core.Minimal, 4), 2)
+	row := RunKaPPa(gen.Grid2D(64, 64), core.NewConfig(core.Minimal, 4), 2)
 	if row.AvgCut <= 0 || row.BestCut <= 0 || row.AvgTime <= 0 {
 		t.Fatalf("bad row: %+v", row)
 	}
@@ -51,8 +48,7 @@ func TestRunKaPPaAndAgg(t *testing.T) {
 }
 
 func TestRunTool(t *testing.T) {
-	in := ByName("grid64")
-	row := RunTool(in.Graph(), 4, 0.03, baseline.KMetisLike, 1)
+	row := RunTool(gen.Grid2D(64, 64), 4, 0.03, baseline.KMetisLike, 1)
 	if row.AvgCut <= 0 {
 		t.Fatalf("bad row: %+v", row)
 	}
@@ -146,8 +142,7 @@ func TestAblationDistributionSmoke(t *testing.T) {
 }
 
 func TestRowTimeAveraging(t *testing.T) {
-	in := ByName("grid64")
-	row := RunKaPPa(in.Graph(), core.NewConfig(core.Minimal, 2), 3)
+	row := RunKaPPa(gen.Grid2D(64, 64), core.NewConfig(core.Minimal, 2), 3)
 	if row.AvgTime > time.Minute {
 		t.Fatalf("implausible average time %v", row.AvgTime)
 	}

@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/gen"
@@ -91,10 +92,14 @@ func Large() []*Instance {
 // LargeCoord is the subset of Large with coordinates, used by Table 5 (the
 // paper's rgg20, Delaunay20, deu, eur).
 func LargeCoord() []*Instance {
+	return largeNamed("rgg16", "delaunay16", "deu-like", "eur-like")
+}
+
+// largeNamed returns the named instances of Large, in suite order.
+func largeNamed(names ...string) []*Instance {
 	var out []*Instance
 	for _, in := range Large() {
-		switch in.Name {
-		case "rgg16", "delaunay16", "deu-like", "eur-like":
+		if slices.Contains(names, in.Name) {
 			out = append(out, in)
 		}
 	}
@@ -110,25 +115,5 @@ func Walshaw() []*Instance {
 // Scalability returns the three graphs of Figure 3 (eur, rgg and Delaunay,
 // scaled).
 func Scalability() []*Instance {
-	var out []*Instance
-	for _, in := range Large() {
-		switch in.Name {
-		case "eur-like", "rgg16", "delaunay16":
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
-// ByName returns a registered instance or nil.
-func ByName(name string) *Instance {
-	suitesOnce.Do(buildSuites)
-	for _, suite := range [][]*Instance{calibration, large, walshaw} {
-		for _, in := range suite {
-			if in.Name == name {
-				return in
-			}
-		}
-	}
-	return nil
+	return largeNamed("eur-like", "rgg16", "delaunay16")
 }

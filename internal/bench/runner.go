@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mem"
-	"repro/internal/part"
 )
 
 // Row aggregates repeated runs of one configuration on one instance, the
@@ -115,10 +114,4 @@ func (a *Agg) Mean() (cut, best, bal, timeSec float64) {
 	}
 	n := float64(a.n)
 	return math.Exp(a.logCut / n), math.Exp(a.logBest / n), math.Exp(a.logBal / n), math.Exp(a.logTime / n)
-}
-
-// evaluate wraps part.FromBlocks for the tables that need a fresh partition
-// view of a block assignment.
-func evaluate(g *graph.Graph, k int, eps float64, blocks []int32) *part.Partition {
-	return part.FromBlocks(g, k, eps, blocks)
 }

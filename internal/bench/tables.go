@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/initpart"
 	"repro/internal/matching"
+	"repro/internal/part"
 	"repro/internal/rating"
 	"repro/internal/refine"
 )
@@ -335,8 +336,7 @@ func TableWalshaw(w io.Writer, eps float64, o Options) {
 				for rep := 0; rep < o.Reps; rep++ {
 					cfg.Seed = uint64(rep)*0x9e3779b9 + uint64(k)
 					res := must(core.Run(context.Background(), g, cfg))
-					p := evaluate(g, k, eps, res.Blocks)
-					if !p.Feasible() {
+					if !part.FromBlocks(g, k, eps, res.Blocks).Feasible() {
 						continue
 					}
 					if bestCut < 0 || res.Cut < bestCut {

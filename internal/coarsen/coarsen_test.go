@@ -87,7 +87,7 @@ func TestContractInvariants(t *testing.T) {
 		}
 		g := b.Build()
 		rt := rating.NewRater(rating.ExpansionStar2, g)
-		m := matching.Compute(g, rt, matching.GPA, r)
+		m := matching.ComputeScratch(g, rt, matching.GPA, r, 0, nil)
 		cg, f2c := Contract(g, m)
 		if cg.Validate() != nil {
 			return false
@@ -137,7 +137,7 @@ func TestHierarchyProjection(t *testing.T) {
 	r := rng.New(3)
 	for h.Coarsest.NumNodes() > 8 {
 		rt := rating.NewRater(rating.ExpansionStar2, h.Coarsest)
-		m := matching.Compute(h.Coarsest, rt, matching.GPA, r)
+		m := matching.ComputeScratch(h.Coarsest, rt, matching.GPA, r, 0, nil)
 		if m.Size() == 0 {
 			break
 		}
@@ -170,7 +170,7 @@ func TestHierarchyProjection(t *testing.T) {
 func BenchmarkContract(b *testing.B) {
 	g := gen.RGG(14, 1)
 	rt := rating.NewRater(rating.ExpansionStar2, g)
-	m := matching.Compute(g, rt, matching.GPA, rng.New(1))
+	m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(1), 0, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Contract(g, m)

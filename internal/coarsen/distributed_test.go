@@ -11,26 +11,35 @@ import (
 )
 
 // distContract runs the full distributed coarsening step (extract, match,
-// contract, stitch) and returns its products plus the merged global
-// matching.
-func distContract(t *testing.T, g *graph.Graph, pes int, seed uint64) (*graph.Graph, []int32, matching.Matching) {
+// contract, stitch) and returns its products plus the number of pairs the
+// PEs matched.
+func distContract(t *testing.T, g *graph.Graph, pes int, seed uint64) (*graph.Graph, []int32, int) {
 	t.Helper()
 	ex := dist.NewExchanger(pes)
 	assign := dist.Assign(g, dist.StrategyAuto, pes)
 	sgs := dist.ExtractAll(g, assign, pes)
 	ms := matching.DistributedBounded(sgs, ex, rating.ExpansionStar2, matching.GPA, seed, 0, true)
-	gm := matching.GlobalFromSubgraphs(g.NumNodes(), sgs, ms)
-	if err := gm.Validate(g); err != nil {
-		t.Fatalf("matching invalid: %v", err)
+	matched := 0 // owned endpoints: an internal pair has two on one PE, a cut pair one on each
+	for pe, m := range ms {
+		if err := m.Validate(sgs[pe].Local); err != nil {
+			t.Fatalf("PE %d: matching invalid: %v", pe, err)
+		}
+		for _, u := range m[:sgs[pe].NumOwned] {
+			if u >= 0 {
+				matched++
+			}
+		}
 	}
 	cg, f2c := ContractDistributed(g, sgs, ms, ex)
-	return cg, f2c, gm
+	return cg, f2c, matched / 2
 }
 
 // TestContractDistributedMatchesShared stitches the PE-local contractions
-// and checks them against a shared-memory contraction of the *same* global
-// matching: identical coarse node count, identical member groups, and
-// identical coarse edge weights between corresponding groups.
+// and checks them against a shared-memory contraction of the matching the
+// stitched fine→coarse map groups by — one coarse node per pair the PEs
+// matched, every group an edge of the fine graph: identical coarse node
+// count, identical member groups, and identical coarse edge weights between
+// corresponding groups.
 func TestContractDistributedMatchesShared(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -41,7 +50,21 @@ func TestContractDistributedMatchesShared(t *testing.T) {
 		{"rgg", gen.RGG(9, 5), 5},
 		{"road", gen.Road(600, 4, 6), 3},
 	} {
-		cg, f2c, gm := distContract(t, tc.g, tc.pes, 17)
+		cg, f2c, pairs := distContract(t, tc.g, tc.pes, 17)
+		if want := tc.g.NumNodes() - pairs; cg.NumNodes() != want {
+			t.Fatalf("%s: %d coarse nodes for %d matched pairs, want %d", tc.name, cg.NumNodes(), pairs, want)
+		}
+		gm := matching.NewEmpty(tc.g.NumNodes())
+		first := make([]int32, cg.NumNodes()) // 1 + the last fine node seen in each group
+		for v, c := range f2c {
+			if u := first[c] - 1; u >= 0 {
+				gm[u], gm[v] = int32(v), u
+			}
+			first[c] = int32(v) + 1
+		}
+		if err := gm.Validate(tc.g); err != nil {
+			t.Fatalf("%s: coarse groups are not a matching: %v", tc.name, err)
+		}
 		sg, sf2c := Contract(tc.g, gm)
 
 		if cg.NumNodes() != sg.NumNodes() {

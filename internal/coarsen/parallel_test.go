@@ -74,7 +74,7 @@ func testGraphs() map[string]*graph.Graph {
 func TestContractParallelMatchesSerial(t *testing.T) {
 	for name, g := range testGraphs() {
 		rt := rating.NewRater(rating.ExpansionStar2, g)
-		m := matching.Compute(g, rt, matching.GPA, rng.New(42))
+		m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(42), 0, nil)
 		wantG, wantMap := Contract(g, m)
 		for _, workers := range []int{2, 3, 4, 7, 64} {
 			a := mem.NewArena()
@@ -87,7 +87,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 			}
 			// Second level on the contracted graph, reusing the arena.
 			rt2 := rating.NewRater(rating.ExpansionStar2, wantG)
-			m2 := matching.Compute(wantG, rt2, matching.GPA, rng.New(43))
+			m2 := matching.ComputeScratch(wantG, rt2, matching.GPA, rng.New(43), 0, nil)
 			want2, _ := Contract(wantG, m2)
 			got2, _ := ContractWith(gotG, m2, Options{Workers: workers, Arena: a})
 			graphsEqual(t, name+"/level2", want2, got2)
@@ -101,7 +101,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 func TestContractArenaReuse(t *testing.T) {
 	g := gen.RGG(12, 9)
 	rt := rating.NewRater(rating.ExpansionStar2, g)
-	m := matching.Compute(g, rt, matching.GPA, rng.New(1))
+	m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(1), 0, nil)
 	a := mem.NewArena()
 	g1, _ := ContractWith(g, m, Options{Arena: a})
 	st1 := a.Stats()
@@ -122,7 +122,7 @@ func TestContractArenaReuse(t *testing.T) {
 func TestContractUncheckedAggregates(t *testing.T) {
 	g := gen.PrefAttach(2000, 4, 3)
 	rt := rating.NewRater(rating.ExpansionStar2, g)
-	m := matching.Compute(g, rt, matching.GPA, rng.New(2))
+	m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(2), 0, nil)
 	cg, _ := ContractWith(g, m, Options{Workers: 4, Arena: mem.NewArena()})
 	if err := cg.Validate(); err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func TestStitchMatchesReference(t *testing.T) {
 	// Weighted, unsorted inputs: what every level after the first stitches.
 	for _, name := range []string{"rgg", "grid3d", "rmat"} {
 		g := graphs[name]
-		cg, _ := ContractWith(g, matching.Compute(g, rating.NewRater(rating.ExpansionStar2, g), matching.GPA, rng.New(5)), Options{})
+		cg, _ := ContractWith(g, matching.ComputeScratch(g, rating.NewRater(rating.ExpansionStar2, g), matching.GPA, rng.New(5), 0, nil), Options{})
 		graphs[name+"/contracted"] = cg
 	}
 	for name, g := range graphs {

@@ -35,6 +35,11 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 	if len(blocks) != g.NumNodes() {
 		return nil, 0, fmt.Errorf("%w: %d blocks for %d nodes", ErrInvalidConfig, len(blocks), g.NumNodes())
 	}
+	for v, b := range blocks {
+		if b < 0 || int(b) >= cfg.K {
+			return nil, 0, fmt.Errorf("%w: node %d in block %d, outside [0, %d)", ErrInvalidConfig, v, b, cfg.K)
+		}
+	}
 	pl := NewPipeline(opts...)
 	env := &Env{observers: pl.Observers}
 	own := append([]int32(nil), blocks...)

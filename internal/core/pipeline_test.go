@@ -181,4 +181,10 @@ func TestRefineExistingCtxCancelled(t *testing.T) {
 	if _, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks[:10]); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("short blocks: got %v, want ErrInvalidConfig", err)
 	}
+	for _, bad := range []int32{4, -1} {
+		blocks[7] = bad
+		if _, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("block id %d: got %v, want ErrInvalidConfig", bad, err)
+		}
+	}
 }

@@ -14,7 +14,7 @@ func TestAssignGrid3DUsesRCB(t *testing.T) {
 	g := gen.Grid3D(6, 12, 24) // anisotropic: the widest axis is z
 	const pes = 8
 	rcb := Assign(g, StrategyAuto, pes)
-	ranges := WeightedRanges(g.NodeWeights(), pes)
+	ranges := weightedRangesInto(make([]int32, g.NumNodes()), g.NodeWeights(), pes)
 
 	if lr, lg := EdgeLocality(g, rcb), EdgeLocality(g, ranges); lr < lg {
 		t.Fatalf("RCB locality %.4f worse than ranges %.4f", lr, lg)

@@ -8,22 +8,23 @@
 // (expensive). The package implements the paper's two assignments and one
 // cheaper geometric alternative:
 //
-//   - IndexRanges / WeightedRanges — contiguous index ranges, the fallback of
-//     §3.3 when no geometry is available. Zero-cost, balance is exact, but
-//     edge locality is whatever the input numbering happens to provide.
-//   - RCB / RCBWeighted — recursive coordinate bisection over node
-//     coordinates, the paper's choice for geometric instances (rgg, Delaunay,
-//     street networks): recursively split the longest axis at the weighted
-//     median. Handles non-power-of-two PE counts by splitting PE groups
+//   - StrategyRanges — contiguous node-weight-balanced index ranges, the
+//     fallback of §3.3 when no geometry is available. Zero-cost, balance is
+//     exact, but edge locality is whatever the input numbering happens to
+//     provide.
+//   - StrategyRCB — recursive coordinate bisection over node coordinates, the
+//     paper's choice for geometric instances (rgg, Delaunay, street
+//     networks): recursively split the longest axis at the weighted median.
+//     Handles non-power-of-two PE counts by splitting PE groups
 //     proportionally.
-//   - Hilbert / Morton — space-filling-curve orderings, a cheaper geometric
+//   - StrategySFC — Hilbert space-filling-curve ordering, a cheaper geometric
 //     alternative not in the paper: radix-sort nodes along the curve once and
 //     cut the order into weighted ranges. One linear sort instead of a
 //     selection per bisection level, locality close to RCB on mesh-like
 //     inputs.
 //
-// Strategy and Assign select between them; EdgeLocality and Imbalance make
-// the strategies comparable; Extract materializes each PE's local subgraph
+// Assign runs the selected Strategy; EdgeLocality and Imbalance make the
+// strategies comparable; ExtractAll materializes each PE's local subgraph
 // plus its ghost (halo) layer with local↔global ID maps; and Exchanger is
 // the channel-backed bulk-synchronous message layer (one mailbox per PE)
 // over which the PEs trade ghost-node state during distributed coarsening —
@@ -112,13 +113,8 @@ func AssignScratch(g *graph.Graph, s Strategy, pes int, a *mem.Arena) []int32 {
 			return rcbScratch(g.CoordSlices(), g.NodeWeights(), pes, a)
 		}
 	case StrategySFC:
-		if g.CoordDims() == 3 {
-			x, y, z := g.Coords3()
-			return sfcAssign3(x, y, z, g.NodeWeights(), pes, hilbert3DKey, a)
-		}
 		if g.HasCoords() {
-			x, y := g.Coords()
-			return sfcAssign(x, y, g.NodeWeights(), pes, hilbertKey, a)
+			return sfcAssign(g.CoordSlices(), g.NodeWeights(), pes, a)
 		}
 	}
 	return weightedRangesInto(a.Int32(g.NumNodes()), g.NodeWeights(), pes)

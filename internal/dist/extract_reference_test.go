@@ -121,14 +121,13 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 	}
 }
 
-// checkExtraction runs all three entry points against the reference.
+// checkExtraction runs extraction against the reference.
 func checkExtraction(t testing.TB, what string, g *graph.Graph, assign []int32, pes int) {
 	t.Helper()
 	all := dist.ExtractAll(g, assign, pes)
 	for pe := int32(0); pe < int32(pes); pe++ {
 		want := referenceExtract(t, g, assign, pe)
 		sameSubgraph(t, what+"/ExtractAll", all[pe], want)
-		sameSubgraph(t, what+"/Extract", dist.Extract(g, assign, pe), want)
 	}
 }
 
@@ -137,7 +136,7 @@ func checkExtraction(t testing.TB, what string, g *graph.Graph, assign []int32, 
 // the first hands extraction.
 func contracted(g *graph.Graph) *graph.Graph {
 	rt := rating.NewRater(rating.ExpansionStar2, g)
-	cg, _ := coarsen.ContractWith(g, matching.Compute(g, rt, matching.GPA, rng.New(5)), coarsen.Options{})
+	cg, _ := coarsen.ContractWith(g, matching.ComputeScratch(g, rt, matching.GPA, rng.New(5), 0, nil), coarsen.Options{})
 	return cg
 }
 

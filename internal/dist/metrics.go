@@ -26,21 +26,6 @@ func EdgeLocality(g *graph.Graph, assign []int32) float64 {
 	return float64(local) / float64(total)
 }
 
-// CutWeight returns the total weight of edges crossing PE boundaries, each
-// undirected edge counted once.
-func CutWeight(g *graph.Graph, assign []int32) int64 {
-	var cut int64
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		adj, wts := g.Adj(v), g.AdjWeights(v)
-		for i, u := range adj {
-			if u > v && assign[v] != assign[u] {
-				cut += wts[i]
-			}
-		}
-	}
-	return cut
-}
-
 // BlockWeights returns the total node weight assigned to each PE.
 func BlockWeights(g *graph.Graph, assign []int32, pes int) []int64 {
 	w := make([]int64, pes)

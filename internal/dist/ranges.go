@@ -21,15 +21,10 @@ func indexRangesInto(assign []int32, pes int) []int32 {
 	return assign
 }
 
-// WeightedRanges assigns contiguous index ranges balanced by node weight:
+// weightedRangesInto assigns contiguous index ranges balanced by node weight:
 // the prefix-sum of weights is cut at the pes-quantiles. Zero-weight nodes
 // attach to whichever range their index falls into; if every weight is zero
-// the split degrades to plain IndexRanges.
-func WeightedRanges(w []int64, pes int) []int32 {
-	return weightedRangesInto(make([]int32, len(w)), w, pes)
-}
-
-// weightedRangesInto is WeightedRanges writing into assign (len(w), any
+// the split degrades to plain IndexRanges. It writes into assign (len(w), any
 // contents), which it returns.
 func weightedRangesInto(assign []int32, w []int64, pes int) []int32 {
 	n := len(w)

@@ -67,7 +67,7 @@ func TestWeightedRangesBalance(t *testing.T) {
 	for i := range w {
 		w[i] = int64(1 + i%17)
 	}
-	assign := WeightedRanges(w, pes)
+	assign := weightedRangesInto(make([]int32, len(w)), w, pes)
 	checkAssignment(t, assign, n, pes)
 	var total int64
 	sums := make([]int64, pes)
@@ -93,7 +93,7 @@ func TestWeightedRangesHeavyNodeNoStarvation(t *testing.T) {
 		{50, 50, 1, 1},
 	} {
 		for pes := 2; pes <= len(w); pes++ {
-			assign := WeightedRanges(w, pes)
+			assign := weightedRangesInto(make([]int32, len(w)), w, pes)
 			checkAssignment(t, assign, len(w), pes)
 			counts := make([]int, pes)
 			for i, pe := range assign {
@@ -113,7 +113,7 @@ func TestWeightedRangesHeavyNodeNoStarvation(t *testing.T) {
 
 func TestWeightedRangesZeroWeights(t *testing.T) {
 	// All-zero weights degrade to index ranges rather than collapsing.
-	assign := WeightedRanges(make([]int64, 100), 4)
+	assign := weightedRangesInto(make([]int32, 100), make([]int64, 100), 4)
 	checkAssignment(t, assign, 100, 4)
 	counts := make([]int, 4)
 	for _, pe := range assign {
@@ -129,5 +129,5 @@ func TestWeightedRangesZeroWeights(t *testing.T) {
 	for i := 10; i < 40; i++ {
 		w[i] = 3
 	}
-	checkAssignment(t, WeightedRanges(w, 6), 50, 6)
+	checkAssignment(t, weightedRangesInto(make([]int32, len(w)), w, 6), 50, 6)
 }

@@ -7,20 +7,8 @@ import (
 	"repro/internal/mem"
 )
 
-// RCB distributes nodes with 2D coordinates over pes PEs by recursive
-// coordinate bisection with unit node weights; see RCBWeighted.
-func RCB(x, y []float64, pes int) []int32 {
-	return RCBWeighted(x, y, nil, pes)
-}
-
-// RCBWeighted is recursive coordinate bisection over 2D coordinates; see
-// RCBWeightedDims for the algorithm.
-func RCBWeighted(x, y []float64, w []int64, pes int) []int32 {
-	return RCBWeightedDims([][]float64{x, y}, w, pes)
-}
-
-// RCBWeightedDims is recursive coordinate bisection (§3.3) over any number
-// of coordinate dimensions: the current node set is split at the weighted
+// rcbScratch is recursive coordinate bisection (§3.3) over any number of
+// coordinate dimensions: the current node set is split at the weighted
 // median of its widest dimension (the one with the largest extent; the
 // lowest dimension index wins ties), the two halves recurse on the two
 // halves of the PE group. Non-power-of-two PE counts are handled by
@@ -33,18 +21,13 @@ func RCBWeighted(x, y []float64, w []int64, pes int) []int32 {
 // Each split is found by weighted selection on the (coordinate, id) order —
 // expected linear time in the subset, O(n log pes) overall — never by
 // sorting the subset: only which nodes fall left of the split matters, not
-// their order.
-func RCBWeightedDims(dims [][]float64, w []int64, pes int) []int32 {
-	return rcbScratch(dims, w, pes, nil)
-}
-
-// rcbScratch is RCBWeightedDims drawing the node permutation and the result
-// from a (nil = allocate); the caller owns the result.
+// their order. The node permutation and the result are drawn from a (nil =
+// allocate); the caller owns the result.
 //
 //kappa:invariant the distributor only selects RCB for graphs that carry coordinates
 func rcbScratch(dims [][]float64, w []int64, pes int, a *mem.Arena) []int32 {
 	if len(dims) == 0 {
-		panic("dist: RCBWeightedDims needs at least one coordinate dimension")
+		panic("dist: RCB needs at least one coordinate dimension")
 	}
 	n := len(dims[0])
 	if pes <= 1 || n == 0 {

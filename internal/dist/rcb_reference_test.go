@@ -11,13 +11,13 @@ import (
 	"repro/internal/rng"
 )
 
-// rcbReference is the sort-based RCBWeightedDims that weighted selection
+// rcbReference is the sort-based rcbScratch that weighted selection
 // replaced, kept verbatim as the oracle: it sorts the whole subset by
 // (coordinate, id) at every recursion level and scans for the split. The
 // selection kernel must produce the same assignment for every input.
 func rcbReference(dims [][]float64, w []int64, pes int) []int32 {
 	if len(dims) == 0 {
-		panic("dist: RCBWeightedDims needs at least one coordinate dimension")
+		panic("dist: RCB needs at least one coordinate dimension")
 	}
 	n := len(dims[0])
 	assign := make([]int32, n)
@@ -155,7 +155,7 @@ func TestRCBMatchesReference(t *testing.T) {
 		for _, c := range rcbCases(n, uint64(n)) {
 			for _, pes := range []int{2, 3, 5, 8, 13, 64} {
 				want := rcbReference(c.dims, c.w, pes)
-				got := RCBWeightedDims(c.dims, c.w, pes)
+				got := rcbScratch(c.dims, c.w, pes, nil)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s n=%d pes=%d: selection %v, reference %v", c.name, n, pes, got, want)
 				}
@@ -240,7 +240,7 @@ func FuzzRCBMatchesReference(f *testing.F) {
 		}
 		for _, dims := range [][][]float64{{x, y}, {x, y, z}} {
 			want := rcbReference(dims, w, int(pes))
-			if got := RCBWeightedDims(dims, w, int(pes)); !slices.Equal(got, want) {
+			if got := rcbScratch(dims, w, int(pes), nil); !slices.Equal(got, want) {
 				t.Fatalf("%dD pes=%d: selection %v, reference %v", len(dims), pes, got, want)
 			}
 		}

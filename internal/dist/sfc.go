@@ -2,46 +2,36 @@ package dist
 
 import "repro/internal/mem"
 
-// sfcOrder is the quantization depth of the space-filling curves: coordinates
-// are snapped to a 2^sfcOrder × 2^sfcOrder grid, giving 32-bit curve keys.
+// sfcOrder is the per-axis quantization depth of the space-filling curves:
+// coordinates are snapped to a grid of 2^sfcOrder cells per axis, giving
+// 32-bit curve keys in 2D and 48-bit keys in 3D.
 const sfcOrder = 16
 
-// Hilbert distributes nodes with 2D coordinates over pes PEs by Hilbert
-// space-filling-curve ordering with unit node weights; see HilbertWeighted.
-func Hilbert(x, y []float64, pes int) []int32 {
-	return HilbertWeighted(x, y, nil, pes)
-}
-
-// HilbertWeighted sorts the nodes by their position along a Hilbert curve
-// through the bounding box and cuts the sorted order into pes node-weight
-// balanced ranges. Compared to RCB this needs a single radix sort instead of
-// a selection per bisection level, and the curve's locality keeps most mesh
-// edges inside a range; it is the "cheap geometric" alternative to §3.3's
-// RCB. w == nil means unit weights. Deterministic: key ties break by node id.
-func HilbertWeighted(x, y []float64, w []int64, pes int) []int32 {
-	return sfcAssign(x, y, w, pes, hilbertKey, nil)
-}
-
-// Morton is like Hilbert but orders by Morton (Z-order) keys: marginally
-// cheaper per node, slightly worse locality at the quadrant seams. Kept as a
-// comparison point for the SFC family.
-func Morton(x, y []float64, pes int) []int32 {
-	return sfcAssign(x, y, nil, pes, mortonKey, nil)
-}
-
-// sfcAssign quantizes coordinates, keys every node by its curve position and
-// cuts the curve order into weighted ranges; scratch and the result come from
+// sfcAssign sorts the nodes by their position along a Hilbert curve through
+// the bounding box of their coordinates — dims holds one slice per dimension,
+// two or three, the shape graph.CoordSlices returns — and cuts the sorted
+// order into pes node-weight balanced ranges. Compared to RCB this needs a
+// single radix sort instead of a selection per bisection level, and the
+// curve's locality keeps most mesh edges inside a range; it is the "cheap
+// geometric" alternative to §3.3's RCB. w == nil means unit weights.
+// Deterministic: key ties break by node id. Scratch and the result come from
 // a (nil = allocate).
-func sfcAssign(x, y []float64, w []int64, pes int, key func(qx, qy uint32) uint64, a *mem.Arena) []int32 {
-	n := len(x)
+func sfcAssign(dims [][]float64, w []int64, pes int, a *mem.Arena) []int32 {
+	n := len(dims[0])
 	if pes <= 1 || n == 0 {
 		return allOnPE0(a, n)
 	}
-	qx := quantize(x)
-	qy := quantize(y)
+	qx, qy := quantize(dims[0]), quantize(dims[1])
 	keys := make([]uint64, n)
-	for v := range keys {
-		keys[v] = key(qx[v], qy[v])
+	if len(dims) == 3 {
+		qz := quantize(dims[2])
+		for v := range keys {
+			keys[v] = hilbert3DKey(qx[v], qy[v], qz[v])
+		}
+	} else {
+		for v := range keys {
+			keys[v] = hilbertKey(qx[v], qy[v])
+		}
 	}
 	return cutCurve(keys, w, pes, a)
 }
@@ -118,20 +108,4 @@ func hilbertKey(qx, qy uint32) uint64 {
 		}
 	}
 	return d
-}
-
-// mortonKey interleaves the bits of the grid coordinates (Z-order).
-func mortonKey(qx, qy uint32) uint64 {
-	return spreadBits(qx) | spreadBits(qy)<<1
-}
-
-// spreadBits inserts a zero bit between consecutive bits of the low 32 bits.
-func spreadBits(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000ffff0000ffff
-	x = (x | x<<8) & 0x00ff00ff00ff00ff
-	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
 }

@@ -13,7 +13,7 @@ func TestHilbert3DKeyAdjacency(t *testing.T) {
 	const order = 3
 	type pt struct{ x, y, z uint32 }
 	pos := make(map[uint64]pt)
-	const cell = uint32(1) << (sfcOrder3D - order)
+	const cell = uint32(1) << (sfcOrder - order)
 	for x := uint32(0); x < 1<<order; x++ {
 		for y := uint32(0); y < 1<<order; y++ {
 			for z := uint32(0); z < 1<<order; z++ {
@@ -48,7 +48,7 @@ func TestHilbert3DKeyAdjacency(t *testing.T) {
 
 func TestMorton3DKeyDistinct(t *testing.T) {
 	const order = 3
-	const cell = uint32(1) << (sfcOrder3D - order)
+	const cell = uint32(1) << (sfcOrder - order)
 	seen := make(map[uint64]bool)
 	for x := uint32(0); x < 1<<order; x++ {
 		for y := uint32(0); y < 1<<order; y++ {
@@ -78,9 +78,9 @@ func TestHilbert3DLocality(t *testing.T) {
 		{"grid3d-tall", gen.Grid3D(6, 6, 96), 7},
 	} {
 		x, y, z := tc.g.Coords3()
-		hil := Hilbert3D(x, y, z, tc.pes)
+		hil := sfcAssign([][]float64{x, y, z}, nil, tc.pes, nil)
 		mor := Morton3D(x, y, z, tc.pes)
-		proj := Hilbert(x, y, tc.pes)
+		proj := sfcAssign([][]float64{x, y}, nil, tc.pes, nil)
 		lh := EdgeLocality(tc.g, hil)
 		lm := EdgeLocality(tc.g, mor)
 		lp := EdgeLocality(tc.g, proj)
@@ -102,11 +102,11 @@ func TestHilbert3DLocality(t *testing.T) {
 func TestAssignUses3DHilbert(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
 	x, y, z := g.Coords3()
-	want := Hilbert3DWeighted(x, y, z, g.NodeWeights(), 4)
+	want := sfcAssign([][]float64{x, y, z}, g.NodeWeights(), 4, nil)
 	got := Assign(g, StrategySFC, 4)
 	for v := range want {
 		if got[v] != want[v] {
-			t.Fatalf("Assign(SFC) diverges from Hilbert3DWeighted at node %d", v)
+			t.Fatalf("Assign(SFC) diverges from the 3D curve at node %d", v)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestSFCBeatsIndexRangesOnGrid(t *testing.T) {
 	g := gen.Grid2D(64, 64)
 	x, y := g.Coords()
 	for _, pes := range []int{4, 7, 8, 16} {
-		sfc := Hilbert(x, y, pes)
+		sfc := sfcAssign([][]float64{x, y}, nil, pes, nil)
 		rng := IndexRanges(g.NumNodes(), pes)
 		ls, lr := EdgeLocality(g, sfc), EdgeLocality(g, rng)
 		if ls <= lr {
@@ -67,17 +67,17 @@ func TestSFCComparableToRCBOnRGG(t *testing.T) {
 	g := gen.RGG(12, 99)
 	x, y := g.Coords()
 	pes := 8
-	lsfc := EdgeLocality(g, Hilbert(x, y, pes))
-	lrcb := EdgeLocality(g, RCB(x, y, pes))
+	lsfc := EdgeLocality(g, sfcAssign([][]float64{x, y}, nil, pes, nil))
+	lrcb := EdgeLocality(g, rcbScratch([][]float64{x, y}, nil, pes, nil))
 	if lsfc < 0.8*lrcb {
 		t.Errorf("Hilbert locality %.3f far below RCB %.3f", lsfc, lrcb)
 	}
 }
 
-func TestMortonBalanced(t *testing.T) {
+func TestSFCBalanced(t *testing.T) {
 	x, y := randomPoints(3000, 17)
 	for _, pes := range []int{3, 8} {
-		assign := Morton(x, y, pes)
+		assign := sfcAssign([][]float64{x, y}, nil, pes, nil)
 		checkAssignment(t, assign, len(x), pes)
 		counts := make([]int, pes)
 		for _, pe := range assign {
@@ -94,7 +94,7 @@ func TestMortonBalanced(t *testing.T) {
 
 func TestSFCDeterministicAndDegenerate(t *testing.T) {
 	x, y := randomPoints(1000, 3)
-	a, b := Hilbert(x, y, 6), Hilbert(x, y, 6)
+	a, b := sfcAssign([][]float64{x, y}, nil, 6, nil), sfcAssign([][]float64{x, y}, nil, 6, nil)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("Hilbert not deterministic at node %d", v)
@@ -106,7 +106,7 @@ func TestSFCDeterministicAndDegenerate(t *testing.T) {
 		line[i] = float64(i)
 	}
 	flat := make([]float64, 200)
-	assign := Hilbert(line, flat, 4)
+	assign := sfcAssign([][]float64{line, flat}, nil, 4, nil)
 	checkAssignment(t, assign, 200, 4)
 	counts := make([]int, 4)
 	for _, pe := range assign {

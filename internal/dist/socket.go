@@ -325,8 +325,8 @@ type SocketHub struct {
 	stopped  bool
 }
 
-// NewSocketHub returns a hub for pes PEs; attach connections with AddConn
-// (or let Serve accept them) and then call Route.
+// NewSocketHub returns a hub for pes PEs; attach connections with
+// AddConnBuffered (or let Serve accept them) and then call Route.
 func NewSocketHub(pes int) *SocketHub {
 	return &SocketHub{pes: pes, conns: make([]*hubConn, pes)}
 }
@@ -349,9 +349,8 @@ func (h *SocketHub) SetStats(s *TransportStats) { h.stats = s }
 func (h *SocketHub) SetIODeadline(d time.Duration) { h.deadline = d }
 
 // SetFaults attaches a fault-injection schedule: connections added after
-// this call are wrapped per their "hub<N>" label. Connections registered via
-// AddConnBuffered only get write-side injection (their reader predates the
-// wrap). Call before AddConn/Serve.
+// this call are wrapped per their "hub<N>" label and get write-side injection
+// only (their reader predates the wrap). Call before AddConnBuffered/Serve.
 func (h *SocketHub) SetFaults(s *FaultSchedule) { h.faults = s }
 
 // Stop closes every attached connection, failing any in-flight or future
@@ -370,22 +369,13 @@ func (h *SocketHub) Stop() {
 	}
 }
 
-// AddConn registers the transport connection of PE pe. The hello frame must
-// already have been consumed by the caller (Serve does this itself).
-func (h *SocketHub) AddConn(pe int, conn net.Conn) error {
-	conn = h.faults.Wrap(fmt.Sprintf("hub%d", pe), conn)
-	return h.addConn(pe, conn, bufio.NewReaderSize(conn, 1<<16))
-}
-
-// AddConnBuffered is AddConn for callers that consumed the hello through
-// their own bufio.Reader (a shared accept loop): br's already-buffered bytes
-// stay with the connection. Fault schedules only reach this connection's
-// write side — br predates the wrap.
+// AddConnBuffered registers the transport connection of PE pe. The caller
+// has already consumed the hello frame through br (Serve does this itself; a
+// shared accept loop reads it to tell the roles apart): br's already-buffered
+// bytes stay with the connection. Fault schedules only reach this
+// connection's write side — br predates the wrap.
 func (h *SocketHub) AddConnBuffered(pe int, conn net.Conn, br *bufio.Reader) error {
-	return h.addConn(pe, h.faults.Wrap(fmt.Sprintf("hub%d", pe), conn), br)
-}
-
-func (h *SocketHub) addConn(pe int, conn net.Conn, br *bufio.Reader) error {
+	conn = h.faults.Wrap(fmt.Sprintf("hub%d", pe), conn)
 	if pe < 0 || pe >= h.pes {
 		return fmt.Errorf("dist: hub: PE %d out of range [0, %d)", pe, h.pes)
 	}
@@ -409,7 +399,7 @@ func (h *SocketHub) addConn(pe int, conn net.Conn, br *bufio.Reader) error {
 
 // Serve accepts exactly pes transport connections from ln, reading each
 // connection's hello, then routes supersteps until every PE disconnects.
-// Use AddConn + Route instead when the listener is shared with other
+// Use AddConnBuffered + Route instead when the listener is shared with other
 // traffic.
 func (h *SocketHub) Serve(ln net.Listener) error {
 	for got := 0; got < h.pes; got++ {

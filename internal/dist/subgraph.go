@@ -76,9 +76,6 @@ func NewSubgraph(pe int32, local *graph.Graph, numOwned int, localToGlobal, ghos
 // NumGhosts returns the size of the halo layer.
 func (s *Subgraph) NumGhosts() int { return s.Local.NumNodes() - s.NumOwned }
 
-// IsGhost reports whether the local id names a halo node.
-func (s *Subgraph) IsGhost(local int32) bool { return int(local) >= s.NumOwned }
-
 // ToGlobal maps a local id (owned or ghost) to the global node id.
 func (s *Subgraph) ToGlobal(local int32) int32 { return s.LocalToGlobal[local] }
 
@@ -143,29 +140,15 @@ func OwnedLists(assign []int32, pes int) (owned [][]int32, local []int32) {
 	return owned, local
 }
 
-// Extract builds PE pe's local subgraph from the global graph and a
+// ExtractOwned builds PE pe's local subgraph from the global graph and a
 // node-to-PE assignment. All edges incident to an owned node are kept —
 // owned–owned edges once, owned–ghost edges once — so cut edges appear in
-// the subgraphs of both endpoint owners.
-func Extract(g *graph.Graph, assign []int32, pe int32) *Subgraph {
-	var owned []int32
-	local := make([]int32, len(assign))
-	for v, q := range assign {
-		if q == pe {
-			local[v] = int32(len(owned))
-			owned = append(owned, int32(v))
-		}
-	}
-	return ExtractOwned(g, assign, pe, owned, local)
-}
-
-// ExtractOwned is Extract with the bucketing done by the caller: owned is
-// PE pe's node list in ascending global id order and local the shared
+// the subgraphs of both endpoint owners. The bucketing is the caller's: owned
+// is PE pe's node list in ascending global id order and local the shared
 // lookup, both as OwnedLists returns them (local is read only at nodes
-// assigned to pe). It lets a caller that extracts many PEs — ExtractAll
-// concurrently, the shard store writer under a bound on live subgraphs — pay
-// the O(n) ownership pass once instead of once per PE, while producing bytes
-// identical to Extract.
+// assigned to pe), so a caller that extracts many PEs — ExtractAll
+// concurrently, the shard store writer under a bound on live subgraphs — pays
+// the O(n) ownership pass once instead of once per PE.
 //
 // The local CSR is written directly: an owned row is the global row
 // relabelled (owned neighbours through local, ghosts through a map over the

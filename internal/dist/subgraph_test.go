@@ -24,7 +24,7 @@ func TestExtractGhostRoundTrip(t *testing.T) {
 			if !ok || back != li {
 				t.Fatalf("PE %d: round trip %d -> %d -> (%d,%v)", s.PE, li, global, back, ok)
 			}
-			if s.IsGhost(li) != (assign[global] != s.PE) {
+			if (int(li) >= s.NumOwned) != (assign[global] != s.PE) {
 				t.Fatalf("PE %d: ghost flag wrong for local %d (global %d)", s.PE, li, global)
 			}
 			if s.Local.NodeWeight(li) != g.NodeWeight(global) {
@@ -50,7 +50,7 @@ func TestExtractEdgeConservation(t *testing.T) {
 	g := gen.RGG(10, 5)
 	pes := 5
 	x, y := g.Coords()
-	assign := RCB(x, y, pes)
+	assign := rcbScratch([][]float64{x, y}, nil, pes, nil)
 	internal := g.NumEdges() - int(countCut(g, assign))
 	cut := int(countCut(g, assign))
 
@@ -61,14 +61,14 @@ func TestExtractEdgeConservation(t *testing.T) {
 				if u <= v {
 					continue
 				}
-				if s.IsGhost(v) && s.IsGhost(u) {
+				if int(v) >= s.NumOwned && int(u) >= s.NumOwned {
 					t.Fatalf("PE %d: ghost-ghost edge {%d,%d}", s.PE, v, u)
 				}
 				gv, gu := s.ToGlobal(v), s.ToGlobal(u)
 				if w := g.EdgeWeightTo(gv, gu); w == 0 {
 					t.Fatalf("PE %d: local edge {%d,%d} has no global counterpart", s.PE, v, u)
 				}
-				if s.IsGhost(v) || s.IsGhost(u) {
+				if int(v) >= s.NumOwned || int(u) >= s.NumOwned {
 					totalCross++
 				} else {
 					totalLocal++
@@ -171,7 +171,7 @@ func TestBoundaryPeersFlat(t *testing.T) {
 	g := gen.RGG(9, 3)
 	const pes = 5
 	x, y := g.Coords()
-	for _, s := range ExtractAll(g, RCB(x, y, pes), pes) {
+	for _, s := range ExtractAll(g, rcbScratch([][]float64{x, y}, nil, pes, nil), pes) {
 		off, peers := s.BoundaryPeers()
 		if off2, peers2 := s.BoundaryPeers(); &off2[0] != &off[0] || len(peers2) != len(peers) {
 			t.Fatalf("PE %d: second call recomputed the lists", s.PE)
@@ -179,7 +179,7 @@ func TestBoundaryPeersFlat(t *testing.T) {
 		for lv := int32(0); lv < int32(s.NumOwned); lv++ {
 			want := map[int32]bool{}
 			for _, lu := range s.Local.Adj(lv) {
-				if s.IsGhost(lu) {
+				if int(lu) >= s.NumOwned {
 					want[s.GhostOwner[int(lu)-s.NumOwned]] = true
 				}
 			}

@@ -1,34 +1,19 @@
 // Package dsu implements a disjoint-set union (union-find) structure with
 // union by size and path halving.
 //
-// The partitioner uses it for connectivity checks on generated graphs and for
-// the path/cycle bookkeeping of the Global Path Algorithm (GPA) matcher.
+// The partitioner uses it for the path/cycle bookkeeping of the Global Path
+// Algorithm (GPA) matcher.
 package dsu
 
 // DSU is a disjoint-set forest over elements 0..n-1.
 type DSU struct {
 	parent []int32
 	size   []int32
-	sets   int
-}
-
-// New returns a DSU with n singleton sets.
-func New(n int) *DSU {
-	d := &DSU{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
-		sets:   n,
-	}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.size[i] = 1
-	}
-	return d
 }
 
 // NewIn builds a DSU of singleton sets over caller-provided backing slices
-// (both of length n), overwriting their contents — the allocation-free
-// variant used by the GPA matcher's per-level scratch.
+// (both of length n), overwriting their contents, so the GPA matcher can draw
+// them from its per-level scratch.
 //
 //kappa:hotpath
 //kappa:invariant the arena hands out equal-length slices by construction
@@ -37,19 +22,13 @@ func NewIn(parent, size []int32) *DSU {
 		panic("dsu: NewIn slices must have equal length")
 	}
 	//kappa:allow hotalloc one fixed-size header; the backing arrays are caller-provided
-	d := &DSU{parent: parent, size: size, sets: len(parent)}
+	d := &DSU{parent: parent, size: size}
 	for i := range parent {
 		parent[i] = int32(i)
 		size[i] = 1
 	}
 	return d
 }
-
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
-
-// Sets returns the current number of disjoint sets.
-func (d *DSU) Sets() int { return d.sets }
 
 // Find returns the representative of x's set, compressing paths as it goes.
 func (d *DSU) Find(x int32) int32 {
@@ -72,12 +51,5 @@ func (d *DSU) Union(a, b int32) bool {
 	}
 	d.parent[rb] = ra
 	d.size[ra] += d.size[rb]
-	d.sets--
 	return true
 }
-
-// Same reports whether a and b are in the same set.
-func (d *DSU) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
-
-// SetSize returns the size of x's set.
-func (d *DSU) SetSize(x int32) int32 { return d.size[d.Find(x)] }

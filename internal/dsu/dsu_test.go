@@ -7,23 +7,19 @@ import (
 	"repro/internal/rng"
 )
 
+func newDSU(n int) *DSU { return NewIn(make([]int32, n), make([]int32, n)) }
+
 func TestSingletons(t *testing.T) {
-	d := New(5)
-	if d.Sets() != 5 || d.Len() != 5 {
-		t.Fatalf("got %d sets, %d len", d.Sets(), d.Len())
-	}
+	d := newDSU(5)
 	for i := int32(0); i < 5; i++ {
 		if d.Find(i) != i {
 			t.Fatalf("Find(%d) = %d before any union", i, d.Find(i))
-		}
-		if d.SetSize(i) != 1 {
-			t.Fatalf("SetSize(%d) = %d", i, d.SetSize(i))
 		}
 	}
 }
 
 func TestUnionFind(t *testing.T) {
-	d := New(6)
+	d := newDSU(6)
 	if !d.Union(0, 1) {
 		t.Fatal("first union reported no merge")
 	}
@@ -32,17 +28,11 @@ func TestUnionFind(t *testing.T) {
 	}
 	d.Union(2, 3)
 	d.Union(0, 2)
-	if !d.Same(1, 3) {
+	if d.Find(1) != d.Find(3) {
 		t.Fatal("1 and 3 should be connected")
 	}
-	if d.Same(0, 4) {
+	if d.Find(0) == d.Find(4) {
 		t.Fatal("0 and 4 should be disjoint")
-	}
-	if d.Sets() != 3 {
-		t.Fatalf("Sets() = %d, want 3", d.Sets())
-	}
-	if d.SetSize(3) != 4 {
-		t.Fatalf("SetSize(3) = %d, want 4", d.SetSize(3))
 	}
 }
 
@@ -53,7 +43,7 @@ func TestAgainstNaive(t *testing.T) {
 	f := func(seed uint16) bool {
 		rr := r.Split(uint64(seed))
 		const n = 24
-		d := New(n)
+		d := newDSU(n)
 		// naive: label array, merging relabels.
 		label := make([]int, n)
 		for i := range label {
@@ -61,8 +51,10 @@ func TestAgainstNaive(t *testing.T) {
 		}
 		for step := 0; step < 40; step++ {
 			a, b := int32(rr.Intn(n)), int32(rr.Intn(n))
-			d.Union(a, b)
 			la, lb := label[a], label[b]
+			if d.Union(a, b) != (la != lb) {
+				return false
+			}
 			if la != lb {
 				for i := range label {
 					if label[i] == lb {
@@ -71,29 +63,15 @@ func TestAgainstNaive(t *testing.T) {
 				}
 			}
 		}
-		// compare equivalence relations and set sizes
+		// compare equivalence relations
 		for i := int32(0); i < n; i++ {
 			for j := int32(0); j < n; j++ {
-				if d.Same(i, j) != (label[i] == label[j]) {
+				if (d.Find(i) == d.Find(j)) != (label[i] == label[j]) {
 					return false
 				}
 			}
-			sz := 0
-			for j := 0; j < n; j++ {
-				if label[j] == label[i] {
-					sz++
-				}
-			}
-			if int(d.SetSize(i)) != sz {
-				return false
-			}
 		}
-		// set count
-		distinct := map[int]bool{}
-		for _, l := range label {
-			distinct[l] = true
-		}
-		return d.Sets() == len(distinct)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -104,7 +82,7 @@ func BenchmarkUnionFind(b *testing.B) {
 	r := rng.New(7)
 	const n = 1 << 16
 	for i := 0; i < b.N; i++ {
-		d := New(n)
+		d := newDSU(n)
 		for j := 0; j < n; j++ {
 			d.Union(int32(r.Intn(n)), int32(r.Intn(n)))
 		}

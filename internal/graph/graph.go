@@ -469,10 +469,6 @@ func (b *Builder) AddEdge(u, v int32, w int64) {
 	b.ws = append(b.ws, w)
 }
 
-// NumPendingEdges returns the number of AddEdge calls so far (before
-// merging).
-func (b *Builder) NumPendingEdges() int { return len(b.us) }
-
 // Build produces the graph. The builder can not be reused afterwards.
 func (b *Builder) Build() *Graph {
 	g := FromEdgeLists(b.nwgt, []EdgeList{{U: b.us, V: b.vs, W: b.ws}})

@@ -1,7 +1,5 @@
 package graph
 
-import "repro/internal/dsu"
-
 // ConnectedComponents returns a component label in [0, #components) for each
 // node and the number of components.
 func (g *Graph) ConnectedComponents() ([]int32, int) {
@@ -99,18 +97,6 @@ func (g *Graph) Subgraph(keep []bool) (*Graph, []int32) {
 		}
 	}
 	return b.Build(), new2old
-}
-
-// NumComponentsDSU counts connected components using union-find; it is used
-// as an independent cross-check of ConnectedComponents in tests.
-func (g *Graph) NumComponentsDSU() int {
-	d := dsu.New(g.NumNodes())
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		for _, u := range g.Adj(v) {
-			d.Union(v, u)
-		}
-	}
-	return d.Sets()
 }
 
 // Stats summarizes basic graph properties (Table 1 of the paper reports n

@@ -215,7 +215,7 @@ func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineP
 	}
 	for h.Coarsest.NumNodes() > coarseEnough {
 		rt := rating.NewRater(params.rate, h.Coarsest)
-		m := matching.ComputeBounded(h.Coarsest, rt, params.matcher, r, maxPair)
+		m := matching.ComputeScratch(h.Coarsest, rt, params.matcher, r, maxPair, nil)
 		if m.Size() == 0 {
 			break
 		}

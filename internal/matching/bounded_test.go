@@ -24,7 +24,7 @@ func weightedPath(weights []int64) *graph.Graph {
 func TestBoundedRespectsCap(t *testing.T) {
 	g := weightedPath([]int64{5, 5, 1, 1, 5, 5})
 	for _, alg := range []Algorithm{SHEM, Greedy, GPA} {
-		m := ComputeBounded(g, rating.NewRater(rating.Weight, g), alg, rng.New(1), 6)
+		m := ComputeScratch(g, rating.NewRater(rating.Weight, g), alg, rng.New(1), 6, nil)
 		if err := m.Validate(g); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -43,7 +43,7 @@ func TestBoundedRespectsCap(t *testing.T) {
 
 func TestBoundedZeroIsUnbounded(t *testing.T) {
 	g := weightedPath([]int64{100, 100, 100, 100})
-	m := ComputeBounded(g, rating.NewRater(rating.Weight, g), GPA, rng.New(2), 0)
+	m := ComputeScratch(g, rating.NewRater(rating.Weight, g), GPA, rng.New(2), 0, nil)
 	if m.Size() == 0 {
 		t.Fatal("cap 0 must mean unbounded")
 	}
@@ -67,7 +67,7 @@ func TestBoundedPropertyAllAlgorithms(t *testing.T) {
 		g := b.Build()
 		cap := int64(4 + r.Intn(12))
 		for _, alg := range []Algorithm{SHEM, Greedy, GPA} {
-			m := ComputeBounded(g, rating.NewRater(rating.ExpansionStar2, g), alg, r, cap)
+			m := ComputeScratch(g, rating.NewRater(rating.ExpansionStar2, g), alg, r, cap, nil)
 			if m.Validate(g) != nil {
 				return false
 			}
@@ -94,7 +94,7 @@ func TestParallelBoundedRespectsCap(t *testing.T) {
 	}
 	g := b.Build()
 	block := []int32{0, 0, 0, 1, 1, 1}
-	m := ParallelBounded(g, rating.NewRater(rating.Weight, g), GPA, block, 2, 3, 7)
+	m := ParallelScratch(g, rating.NewRater(rating.Weight, g), GPA, block, 2, 3, 7, nil)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,8 @@ import (
 //
 // The result is one Matching per PE in *local* ids over sgs[pe].Local: an
 // owned node matched across a cut points at the ghost local id of its
-// partner (and the partner's PE records the mirrored pair). Use
-// GlobalFromSubgraphs to merge the per-PE matchings into a matching of the
-// global graph.
+// partner (and the partner's PE records the mirrored pair), so each is a
+// valid matching of its sgs[pe].Local.
 //
 // Every randomized choice draws from an rng stream derived from (seed, PE)
 // and every cross-PE message sequence is schedule-independent, so the result
@@ -251,19 +250,4 @@ func internalEdgesInto(g *graph.Graph, owned int, rt *rating.Rater, r *rng.RNG, 
 			}
 		}
 	}
-}
-
-// GlobalFromSubgraphs merges per-PE local matchings into one matching of the
-// n-node global graph. Cross-PE pairs are recorded by both owners with the
-// same global ids, so the merge is conflict-free.
-func GlobalFromSubgraphs(n int, sgs []*dist.Subgraph, ms []Matching) Matching {
-	gm := NewEmpty(n)
-	for pe, sg := range sgs {
-		for lv := int32(0); lv < int32(sg.NumOwned); lv++ {
-			if lu := ms[pe][lv]; lu >= 0 {
-				gm[sg.ToGlobal(lv)] = sg.ToGlobal(lu)
-			}
-		}
-	}
-	return gm
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -9,18 +10,19 @@ import (
 	"repro/internal/rating"
 )
 
-// runDistributed extracts subgraphs for assign, runs the distributed
-// matcher, and returns the merged global matching.
-func runDistributed(t *testing.T, g *graph.Graph, assign []int32, pes int, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) Matching {
+// runDistributed extracts subgraphs for assign, runs the distributed matcher
+// and returns the per-PE matchings (local ids: owned nodes first in ascending
+// global order, then ghosts), each validated against its PE's local graph.
+func runDistributed(t *testing.T, g *graph.Graph, assign []int32, pes int, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
 	t.Helper()
 	sgs := dist.ExtractAll(g, assign, pes)
-	ex := dist.NewExchanger(pes)
-	ms := DistributedBounded(sgs, ex, rf, alg, seed, maxPair, boundary)
-	gm := GlobalFromSubgraphs(g.NumNodes(), sgs, ms)
-	if err := gm.Validate(g); err != nil {
-		t.Fatalf("distributed matching invalid: %v", err)
+	ms := DistributedBounded(sgs, dist.NewExchanger(pes), rf, alg, seed, maxPair, boundary)
+	for pe, m := range ms {
+		if err := m.Validate(sgs[pe].Local); err != nil {
+			t.Fatalf("PE %d: distributed matching invalid: %v", pe, err)
+		}
 	}
-	return gm
+	return ms
 }
 
 // TestDistributedMutualProposal builds the worked example of the two-phase
@@ -37,19 +39,20 @@ func TestDistributedMutualProposal(t *testing.T) {
 	g := b.Build()
 	assign := []int32{0, 0, 1, 1}
 
-	gm := runDistributed(t, g, assign, 2, rating.Weight, GPA, 7, 0, true)
-	if gm[1] != 2 || gm[2] != 1 {
-		t.Fatalf("cut edge {1,2} not matched: m[1]=%d m[2]=%d", gm[1], gm[2])
+	// Local ids: PE 0 sees {0,1,ghost 2} as 0,1,2; PE 1 sees {2,3,ghost 1}.
+	ms := runDistributed(t, g, assign, 2, rating.Weight, GPA, 7, 0, true)
+	if ms[0][1] != 2 || ms[1][0] != 2 {
+		t.Fatalf("cut edge {1,2} not matched on both PEs: %v", ms)
 	}
-	if gm[0] != -1 || gm[3] != -1 {
-		t.Fatalf("local matches not dissolved: m[0]=%d m[3]=%d", gm[0], gm[3])
+	if ms[0][0] != -1 || ms[1][1] != -1 {
+		t.Fatalf("local matches not dissolved: %v", ms)
 	}
 
 	// Without the boundary phase the cut edge must stay unmatched and the
 	// internal edges win.
-	gm = runDistributed(t, g, assign, 2, rating.Weight, GPA, 7, 0, false)
-	if gm[0] != 1 || gm[2] != 3 {
-		t.Fatalf("boundary=false: want internal matches, got %v", gm)
+	ms = runDistributed(t, g, assign, 2, rating.Weight, GPA, 7, 0, false)
+	if ms[0][0] != 1 || ms[1][0] != 1 {
+		t.Fatalf("boundary=false: want internal matches, got %v", ms)
 	}
 }
 
@@ -63,9 +66,9 @@ func TestDistributedEmptySubgraph(t *testing.T) {
 		// PEs 0 and 2 share the nodes; PE 1 owns nothing.
 		assign[v] = int32(v%2) * 2
 	}
-	gm := runDistributed(t, g, assign, 3, rating.ExpansionStar2, GPA, 3, 0, true)
-	if gm.Size() == 0 {
-		t.Fatal("expected a non-empty matching")
+	ms := runDistributed(t, g, assign, 3, rating.ExpansionStar2, GPA, 3, 0, true)
+	if ms[0].Size()+ms[2].Size() == 0 || ms[1].Size() != 0 {
+		t.Fatalf("pairs per PE = %d, %d, %d; want some, none, some", ms[0].Size(), ms[1].Size(), ms[2].Size())
 	}
 }
 
@@ -80,9 +83,12 @@ func TestDistributedContestedGhost(t *testing.T) {
 	b.AddEdge(1, 3, 5)
 	b.AddEdge(2, 3, 5)
 	g := b.Build()
-	gm := runDistributed(t, g, []int32{0, 1, 2, 3}, 4, rating.Weight, GPA, 11, 0, true)
-	if gm.Size() != 1 {
-		t.Fatalf("hub can match exactly one spoke, got %d pairs", gm.Size())
+	ms := runDistributed(t, g, []int32{0, 1, 2, 3}, 4, rating.Weight, GPA, 11, 0, true)
+	if ms[3].Size() != 1 {
+		t.Fatalf("hub can match exactly one spoke, got %d pairs", ms[3].Size())
+	}
+	if spokes := ms[0].Size() + ms[1].Size() + ms[2].Size(); spokes != 1 {
+		t.Fatalf("%d spokes record a match, want the hub's one", spokes)
 	}
 }
 
@@ -97,9 +103,9 @@ func TestDistributedDeterminism(t *testing.T) {
 			ref := runDistributed(t, g, assign, pes, rating.ExpansionStar2, alg, 99, 8, true)
 			for rep := 0; rep < 3; rep++ {
 				got := runDistributed(t, g, assign, pes, rating.ExpansionStar2, alg, 99, 8, true)
-				for v := range ref {
-					if got[v] != ref[v] {
-						t.Fatalf("%v/pes=%d: node %d matched to %d, then %d", alg, pes, v, ref[v], got[v])
+				for pe := range ref {
+					if !slices.Equal(got[pe], ref[pe]) {
+						t.Fatalf("%v/pes=%d: PE %d matching differs between runs", alg, pes, pe)
 					}
 				}
 			}
@@ -118,8 +124,8 @@ func TestDistributedRespectsMaxPair(t *testing.T) {
 	b.AddEdge(1, 2, 100)
 	b.AddEdge(2, 3, 1)
 	g := b.Build()
-	gm := runDistributed(t, g, []int32{0, 0, 1, 1}, 2, rating.Weight, GPA, 1, 7, true)
-	if gm[1] == 2 {
+	ms := runDistributed(t, g, []int32{0, 0, 1, 1}, 2, rating.Weight, GPA, 1, 7, true)
+	if ms[0][1] == 2 || ms[1][0] == 2 { // the ghost endpoint is local id 2 on both PEs
 		t.Fatal("cut pair {1,2} exceeds maxPair=7 but was matched")
 	}
 }

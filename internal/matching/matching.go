@@ -13,10 +13,10 @@
 // rather than the raw edge weight; with the Weight rating they degenerate to
 // the classical weight-based versions.
 //
-// Every entry point has a ...Scratch form taking a *mem.Arena; the matcher
-// then draws its candidate-edge arrays, per-block node groups and path/cycle
-// bookkeeping from the arena instead of allocating per level. Results are
-// byte-identical with and without an arena.
+// Every entry point takes a *mem.Arena (nil = allocate); the matcher draws
+// its candidate-edge arrays, per-block node groups and path/cycle bookkeeping
+// from it instead of allocating per level. Results are byte-identical with
+// and without an arena.
 package matching
 
 import (
@@ -173,25 +173,15 @@ func allEdgesInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, buf []Edge) []Ed
 	return edges
 }
 
-// Compute runs the selected sequential algorithm on the whole graph with no
-// cluster-weight bound.
-func Compute(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG) Matching {
-	return ComputeBounded(g, rt, alg, r, 0)
-}
-
-// ComputeBounded is Compute with a maximum combined node weight per matched
-// pair (0 = unbounded). Partitioners cap cluster weights during coarsening —
-// Metis' maxvwgt — so that no coarse node grows beyond what the balance
-// constraint of the final partition can accommodate; without the cap,
-// tie-heavy ratings such as the plain edge weight let single clusters
-// snowball.
-func ComputeBounded(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG, maxPair int64) Matching {
-	return ComputeScratch(g, rt, alg, r, maxPair, nil)
-}
-
-// ComputeScratch is ComputeBounded drawing every temporary — including the
-// returned matching itself — from a (nil = allocate fresh). The caller owns
-// the result; hand it back with a.PutInt32([]int32(m)) when done.
+// ComputeScratch runs the selected sequential algorithm on the whole graph.
+// maxPair is the maximum combined node weight per matched pair (0 =
+// unbounded): partitioners cap cluster weights during coarsening — Metis'
+// maxvwgt — so that no coarse node grows beyond what the balance constraint
+// of the final partition can accommodate; without the cap, tie-heavy ratings
+// such as the plain edge weight let single clusters snowball. Every temporary
+// — including the returned matching itself — is drawn from a (nil = allocate
+// fresh). The caller owns the result; hand it back with
+// a.PutInt32([]int32(m)) when done.
 func ComputeScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG, maxPair int64, a *mem.Arena) Matching {
 	switch alg {
 	case SHEM:

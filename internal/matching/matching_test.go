@@ -61,7 +61,7 @@ func TestMatchingValidity(t *testing.T) {
 			r := master.Split(uint64(seed))
 			g := randomWeightedGraph(2+r.Intn(40), 60, r)
 			for _, rf := range rating.All {
-				m := Compute(g, rating.NewRater(rf, g), alg, r)
+				m := ComputeScratch(g, rating.NewRater(rf, g), alg, r, 0, nil)
 				if m.Validate(g) != nil {
 					return false
 				}
@@ -80,7 +80,7 @@ func TestMatchingIsMaximal(t *testing.T) {
 	r := rng.New(7)
 	for _, alg := range []Algorithm{SHEM, Greedy, GPA} {
 		g := randomWeightedGraph(30, 80, r)
-		m := Compute(g, rating.NewRater(rating.Weight, g), alg, r)
+		m := ComputeScratch(g, rating.NewRater(rating.Weight, g), alg, r, 0, nil)
 		for v := int32(0); v < int32(g.NumNodes()); v++ {
 			for _, u := range g.Adj(v) {
 				if m[v] < 0 && m[u] < 0 {
@@ -99,7 +99,7 @@ func TestHalfApproximation(t *testing.T) {
 		g := randomWeightedGraph(4+r.Intn(12), 20, r)
 		opt := bruteMaxMatching(g)
 		for _, alg := range []Algorithm{Greedy, GPA} {
-			m := Compute(g, rating.NewRater(rating.Weight, g), alg, r)
+			m := ComputeScratch(g, rating.NewRater(rating.Weight, g), alg, r, 0, nil)
 			if 2*m.Weight(g) < opt {
 				return false
 			}
@@ -121,11 +121,11 @@ func TestGPABeatsOrMatchesGreedyOnPaths(t *testing.T) {
 	b.AddEdge(2, 3, 3)
 	g := b.Build()
 	r := rng.New(1)
-	gpa := Compute(g, rating.NewRater(rating.Weight, g), GPA, r)
+	gpa := ComputeScratch(g, rating.NewRater(rating.Weight, g), GPA, r, 0, nil)
 	if gpa.Weight(g) != 6 {
 		t.Fatalf("GPA weight = %d, want 6", gpa.Weight(g))
 	}
-	greedy := Compute(g, rating.NewRater(rating.Weight, g), Greedy, r)
+	greedy := ComputeScratch(g, rating.NewRater(rating.Weight, g), Greedy, r, 0, nil)
 	if greedy.Weight(g) != 4 {
 		t.Fatalf("Greedy weight = %d, want 4", greedy.Weight(g))
 	}
@@ -139,7 +139,7 @@ func TestGPAOptimalOnEvenCycle(t *testing.T) {
 	b.AddEdge(2, 3, 5)
 	b.AddEdge(3, 0, 1)
 	g := b.Build()
-	m := Compute(g, rating.NewRater(rating.Weight, g), GPA, rng.New(3))
+	m := ComputeScratch(g, rating.NewRater(rating.Weight, g), GPA, rng.New(3), 0, nil)
 	if m.Weight(g) != 10 {
 		t.Fatalf("GPA on 4-cycle = %d, want 10", m.Weight(g))
 	}
@@ -238,8 +238,8 @@ func TestGPAQuality(t *testing.T) {
 	g := gen.Grid2D(40, 40)
 	r := rng.New(11)
 	rt := rating.NewRater(rating.Weight, g)
-	gpaW := Compute(g, rt, GPA, r).Weight(g)
-	greedyW := Compute(g, rt, Greedy, r).Weight(g)
+	gpaW := ComputeScratch(g, rt, GPA, r, 0, nil).Weight(g)
+	greedyW := ComputeScratch(g, rt, Greedy, r, 0, nil).Weight(g)
 	if gpaW < greedyW {
 		t.Fatalf("GPA weight %d < Greedy weight %d", gpaW, greedyW)
 	}
@@ -254,7 +254,7 @@ func TestParallelMatchingValidity(t *testing.T) {
 			block[v] = int32(v * nparts / n)
 		}
 		for _, alg := range []Algorithm{SHEM, Greedy, GPA} {
-			m := Parallel(g, rating.NewRater(rating.ExpansionStar2, g), alg, block, nparts, 5)
+			m := ParallelScratch(g, rating.NewRater(rating.ExpansionStar2, g), alg, block, nparts, 5, 0, nil)
 			if err := m.Validate(g); err != nil {
 				t.Fatalf("nparts=%d alg=%v: %v", nparts, alg, err)
 			}
@@ -273,7 +273,7 @@ func TestParallelMatchingCrossesBlocks(t *testing.T) {
 	b.AddEdge(1, 2, 100)
 	g := b.Build()
 	block := []int32{0, 0, 1, 1}
-	m := Parallel(g, rating.NewRater(rating.Weight, g), GPA, block, 2, 1)
+	m := ParallelScratch(g, rating.NewRater(rating.Weight, g), GPA, block, 2, 1, 0, nil)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +289,8 @@ func TestParallelDeterministicForSeed(t *testing.T) {
 		block[v] = int32(v % 4)
 	}
 	rt := rating.NewRater(rating.ExpansionStar2, g)
-	a := Parallel(g, rt, GPA, block, 4, 9)
-	b := Parallel(g, rt, GPA, block, 4, 9)
+	a := ParallelScratch(g, rt, GPA, block, 4, 9, 0, nil)
+	b := ParallelScratch(g, rt, GPA, block, 4, 9, 0, nil)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("parallel matching is not deterministic for fixed seed")
@@ -330,7 +330,7 @@ func BenchmarkGPA(b *testing.B) {
 	rt := rating.NewRater(rating.ExpansionStar2, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(g, rt, GPA, rng.New(uint64(i)))
+		ComputeScratch(g, rt, GPA, rng.New(uint64(i)), 0, nil)
 	}
 }
 
@@ -339,6 +339,6 @@ func BenchmarkSHEM(b *testing.B) {
 	rt := rating.NewRater(rating.ExpansionStar2, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(g, rt, SHEM, rng.New(uint64(i)))
+		ComputeScratch(g, rt, SHEM, rng.New(uint64(i)), 0, nil)
 	}
 }

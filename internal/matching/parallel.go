@@ -9,7 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// Parallel computes a matching with the scheme of §3.3: the node set is
+// ParallelScratch computes a matching with the scheme of §3.3: the node set is
 // prepartitioned into nparts blocks (block[v] gives the block of v, e.g.
 // from recursive coordinate bisection); a sequential matching algorithm runs
 // concurrently on the internal edges of every block; finally the *gap graph*
@@ -18,23 +18,13 @@ import (
 // (Manne–Bisseling style). When a gap edge wins, the local matches of its
 // endpoints are dissolved.
 //
-// The result is a valid matching of g. With nparts == 1 the function is
-// equivalent to Compute.
-func Parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64) Matching {
-	return ParallelBounded(g, rt, alg, block, nparts, seed, 0)
-}
-
-// ParallelBounded is Parallel with a maximum combined node weight per
-// matched pair (0 = unbounded); see ComputeBounded.
-func ParallelBounded(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64) Matching {
-	return ParallelScratch(g, rt, alg, block, nparts, seed, maxPair, nil)
-}
-
-// ParallelScratch is ParallelBounded drawing every temporary — the per-block
-// node groups, candidate and gap edge arrays, local-rating table, and the
-// returned matching itself — from a (nil = allocate fresh). The caller owns
-// the result; hand it back with a.PutInt32([]int32(m)) when done. The arena
-// is safe to share between the concurrent per-block workers.
+// The result is a valid matching of g; with nparts == 1 the function is
+// ComputeScratch. maxPair bounds the combined node weight per matched pair
+// (0 = unbounded). Every temporary — the per-block node groups, candidate and
+// gap edge arrays, local-rating table, and the returned matching itself — is
+// drawn from a (nil = allocate fresh). The caller owns the result; hand it
+// back with a.PutInt32([]int32(m)) when done. The arena is safe to share
+// between the concurrent per-block workers.
 func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
 	n := g.NumNodes()
 	if nparts <= 1 {

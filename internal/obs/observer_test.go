@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,6 +76,11 @@ func TestPipelineObserverMetrics(t *testing.T) {
 	snap := reg.Snapshot()
 	if len(snap.Metrics) == 0 {
 		t.Fatal("JSON snapshot is empty")
+	}
+	// The metric stack observes; it must not change the partition.
+	plain, err := core.Run(context.Background(), g, cfg)
+	if err != nil || plain.Cut != res.Cut || !slices.Equal(plain.Blocks, res.Blocks) {
+		t.Fatalf("observed run diverged from the plain run: cut %d vs %d (%v)", res.Cut, plain.Cut, err)
 	}
 }
 

@@ -147,14 +147,6 @@ func (p *Partition) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy sharing only the graph.
-func (p *Partition) Clone() *Partition {
-	q := &Partition{G: p.G, K: p.K, Eps: p.Eps, lmax: p.lmax}
-	q.Block = append([]int32(nil), p.Block...)
-	q.weights = append([]int64(nil), p.weights...)
-	return q
-}
-
 // BoundaryNodes returns all nodes with at least one neighbor in another
 // block, in node order: the marks of a one-shot BoundaryIndex.
 func (p *Partition) BoundaryNodes() []int32 {

@@ -87,19 +87,6 @@ func TestBoundaryNodes(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := gen.Grid2D(3, 3)
-	p := FromBlocks(g, 3, 0.03, stripes(g, 3))
-	q := p.Clone()
-	q.Move(0, 2)
-	if p.Block[0] == q.Block[0] {
-		t.Fatal("clone shares block array")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidateCatchesBadBlock(t *testing.T) {
 	g := gen.Grid2D(2, 2)
 	p := FromBlocks(g, 2, 0.03, []int32{0, 0, 1, 1})
@@ -174,24 +161,6 @@ func randomQuotient(k int, density float64, r *rng.RNG) []QEdge {
 	return edges
 }
 
-func TestGreedyColoringValidAndBounded(t *testing.T) {
-	master := rng.New(71)
-	f := func(seed uint16) bool {
-		r := master.Split(uint64(seed))
-		k := 2 + r.Intn(16)
-		edges := randomQuotient(k, 0.5, r)
-		colors, nc := GreedyColoring(k, edges)
-		if !validColoring(edges, colors) {
-			return false
-		}
-		maxDeg := maxQDegree(k, edges)
-		return nc <= 2*maxDeg-1 || len(edges) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDistributedColoringValidAndBounded(t *testing.T) {
 	master := rng.New(72)
 	f := func(seed uint16) bool {
@@ -234,7 +203,7 @@ func TestDistributedColoringDeterministic(t *testing.T) {
 func TestColorClassesAreMatchings(t *testing.T) {
 	r := rng.New(3)
 	edges := randomQuotient(12, 0.4, r)
-	colors, nc := GreedyColoring(12, edges)
+	colors, nc := DistributedColoring(12, edges, 3)
 	classes := ColorClasses(edges, colors, nc)
 	total := 0
 	for _, class := range classes {

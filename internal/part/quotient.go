@@ -51,24 +51,6 @@ func (c colorSets) take(a, b int32) int {
 	panic("part: color set overflow")
 }
 
-// GreedyColoring assigns each quotient edge the smallest color not yet used
-// at either endpoint, scanning edges in the given order. It returns the
-// per-edge colors and the number of colors used, which is at most 2Δ−1 for
-// maximum quotient degree Δ.
-func GreedyColoring(k int, edges []QEdge) ([]int, int) {
-	used := newColorSets(k)
-	colors := make([]int, len(edges))
-	maxColor := 0
-	for i, e := range edges {
-		c := used.take(e.A, e.B)
-		colors[i] = c
-		if c+1 > maxColor {
-			maxColor = c + 1
-		}
-	}
-	return colors, maxColor
-}
-
 // DistributedColoring runs the parallel randomized edge-coloring algorithm
 // of §5.1: every PE (block) keeps a free-color list; in each round PEs flip
 // an active/passive coin; an active PE picks a random uncolored incident

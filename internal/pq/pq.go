@@ -137,14 +137,6 @@ func (q *GainQueue) Remove(v int32) {
 	q.remove(int(p))
 }
 
-// Clear empties the queue, keeping capacity.
-func (q *GainQueue) Clear() {
-	for _, it := range q.heap {
-		q.pos[it.node] = -1
-	}
-	q.heap = q.heap[:0]
-}
-
 // Reset re-initializes the queue for node ids in [0, n), reusing the
 // existing heap and position storage when it is large enough — the
 // allocation-free equivalent of NewGainQueue(n) used by the refinement

@@ -76,13 +76,13 @@ func TestClear(t *testing.T) {
 	q := NewGainQueue(3)
 	q.Push(0, 1, 0)
 	q.Push(1, 2, 0)
-	q.Clear()
+	q.Reset(3)
 	if !q.Empty() || q.Contains(0) || q.Contains(1) {
-		t.Fatal("Clear did not empty the queue")
+		t.Fatal("Reset did not empty the queue")
 	}
-	q.Push(0, 5, 0) // reusable after Clear
+	q.Push(0, 5, 0) // reusable after Reset
 	if v, g := q.Max(); v != 0 || g != 5 {
-		t.Fatal("queue unusable after Clear")
+		t.Fatal("queue unusable after Reset")
 	}
 }
 

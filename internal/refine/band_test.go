@@ -87,7 +87,7 @@ type pairStep struct {
 // same partition.
 func checkBandsMatchReference(t *testing.T, p *part.Partition, steps []pairStep) {
 	t.Helper()
-	oneShot := p.Clone()
+	oneShot := part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
 	idx := part.NewBoundaryIndex(p)
 	ws, wsOne := NewWorkspace(), NewWorkspace()
 	for i, st := range steps {

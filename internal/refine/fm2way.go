@@ -478,27 +478,17 @@ type RefinePairOutcome struct {
 	BandSize int
 }
 
-// RefinePair refines the partition between blocks a and b with two
+// RefinePairViewWS refines the partition between blocks a and b with two
 // independently seeded FM searches, adopting the better result (§5). It
-// mutates p only by applying the winning move prefix.
-func RefinePair(p *part.Partition, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
-	return RefinePairView(p, p.Block, a, b, cfg, seedA, seedB)
-}
-
-// RefinePairView is RefinePair with an explicit block-membership view for
-// reads. During parallel refinement, disjoint pairs run concurrently; each
-// goroutine passes a snapshot of the block array taken before the round so
-// that reads of *foreign* blocks never race with other pairs' writes. For
-// nodes of blocks a and b the snapshot is exact, because only this pair may
-// move them.
-func RefinePairView(p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
-	return RefinePairViewWS(NewWorkspace(), p, view, a, b, cfg, seedA, seedB)
-}
-
-// RefinePairViewWS is RefinePairView running against a reusable Workspace.
-// It has no index to draw the band's seeds from, so it runs RefinePairIndexed
-// on the workspace's one-shot PairIndex. The outcome is byte-identical to a
-// fresh workspace.
+// mutates p only by applying the winning move prefix. Reads of block
+// membership go through view: during parallel refinement, disjoint pairs run
+// concurrently and each passes a snapshot of the block array taken before the
+// round, so that reads of *foreign* blocks never race with other pairs'
+// writes (for nodes of blocks a and b the snapshot is exact, because only
+// this pair may move them); a lone caller passes p.Block. It has no index to
+// draw the band's seeds from, so it runs RefinePairIndexed on the workspace's
+// one-shot PairIndex. The outcome is byte-identical with a fresh and a reused
+// workspace.
 func RefinePairViewWS(ws *Workspace, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
 	return RefinePairIndexed(ws, ws.PairIndex(p, view, a, b), p, view, a, b, cfg, seedA, seedB)
 }

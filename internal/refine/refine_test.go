@@ -35,7 +35,7 @@ func TestRefinePairImprovesCut(t *testing.T) {
 	r := rng.New(1)
 	p := noisyBisection(g, r)
 	before := p.Cut()
-	out := RefinePair(p, 0, 1, defaultCfg(), 11, 12)
+	out := RefinePairViewWS(NewWorkspace(), p, p.Block, 0, 1, defaultCfg(), 11, 12)
 	after := p.Cut()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestRefinePairKeepsFeasibility(t *testing.T) {
 		wasFeasible := p.Feasible()
 		st := strategies[int(seed)%len(strategies)]
 		cfg := TwoWayConfig{Strategy: st, Patience: 0.2, BandDepth: 3}
-		RefinePair(p, 0, 1, cfg, uint64(seed), uint64(seed)+1)
+		RefinePairViewWS(NewWorkspace(), p, p.Block, 0, 1, cfg, uint64(seed), uint64(seed)+1)
 		if p.Validate() != nil {
 			return false
 		}
@@ -92,7 +92,7 @@ func TestRefinePairRepairsOverload(t *testing.T) {
 	// A generous band and patience to let the repair happen.
 	cfg := TwoWayConfig{Strategy: TopGain, Patience: 1.0, BandDepth: 20}
 	for i := 0; i < 10 && !p.Feasible(); i++ {
-		RefinePair(p, 0, 1, cfg, uint64(i), uint64(i)+100)
+		RefinePairViewWS(NewWorkspace(), p, p.Block, 0, 1, cfg, uint64(i), uint64(i)+100)
 	}
 	if p.MaxBlockWeight() >= imbBefore {
 		t.Fatalf("overload not reduced: %d -> %d", imbBefore, p.MaxBlockWeight())
@@ -111,7 +111,7 @@ func TestRefinePairPerfectStripe(t *testing.T) {
 	}
 	p := part.FromBlocks(g, 2, 0.03, block)
 	before := p.Cut()
-	RefinePair(p, 0, 1, defaultCfg(), 3, 4)
+	RefinePairViewWS(NewWorkspace(), p, p.Block, 0, 1, defaultCfg(), 3, 4)
 	if p.Cut() > before {
 		t.Fatalf("optimal cut worsened: %d -> %d", before, p.Cut())
 	}
@@ -126,7 +126,7 @@ func TestRefinePairOnlyTouchesPair(t *testing.T) {
 	}
 	p := part.FromBlocks(g, 4, 0.03, block)
 	w2, w3 := p.BlockWeight(2), p.BlockWeight(3)
-	RefinePair(p, 0, 1, defaultCfg(), 7, 8)
+	RefinePairViewWS(NewWorkspace(), p, p.Block, 0, 1, defaultCfg(), 7, 8)
 	if p.BlockWeight(2) != w2 || p.BlockWeight(3) != w3 {
 		t.Fatal("refining pair (0,1) changed blocks 2/3")
 	}
@@ -144,11 +144,11 @@ func TestRefinePairDeterministic(t *testing.T) {
 	r := rng.New(9)
 	p1 := noisyBisection(g, r)
 	p2 := part.FromBlocks(g, 2, 0.03, append([]int32(nil), p1.Block...))
-	RefinePair(p1, 0, 1, defaultCfg(), 42, 43)
-	RefinePair(p2, 0, 1, defaultCfg(), 42, 43)
+	RefinePairViewWS(NewWorkspace(), p1, p1.Block, 0, 1, defaultCfg(), 42, 43)
+	RefinePairViewWS(NewWorkspace(), p2, p2.Block, 0, 1, defaultCfg(), 42, 43)
 	for v := range p1.Block {
 		if p1.Block[v] != p2.Block[v] {
-			t.Fatal("RefinePair is not deterministic for fixed seeds")
+			t.Fatal("RefinePairViewWS is not deterministic for fixed seeds")
 		}
 	}
 }
@@ -259,6 +259,6 @@ func BenchmarkRefinePair(b *testing.B) {
 	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
 		p := noisyBisection(g, r)
-		RefinePair(p, 0, 1, defaultCfg(), uint64(i), uint64(i)+1)
+		RefinePairViewWS(NewWorkspace(), p, p.Block, 0, 1, defaultCfg(), uint64(i), uint64(i)+1)
 	}
 }

@@ -68,8 +68,8 @@ func (c *searchCoverage) add(o searchCoverage) {
 // stuck pair must leave as the draining search leaves them — must be equal.
 func checkSearchMatchesReference(t *testing.T, label string, p *part.Partition, steps []searchStep) searchCoverage {
 	t.Helper()
-	kept, keptRef := p, p.Clone()
-	one, oneRef := p.Clone(), p.Clone()
+	kept, keptRef := p, part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
+	one, oneRef := part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block)), part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
 	idx, idxRef := part.NewBoundaryIndex(kept), part.NewBoundaryIndex(keptRef)
 	ws, wsRef, wsOne, wsOneRef := NewWorkspace(), NewWorkspace(), NewWorkspace(), NewWorkspace()
 	var cov searchCoverage

@@ -99,11 +99,6 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Int31n is like Intn but returns an int32, for use with CSR node ids.
-func (r *RNG) Int31n(n int32) int32 {
-	return int32(r.Intn(int(n)))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -132,19 +127,6 @@ func (r *RNG) PermInto(p []int) {
 		p[i] = i
 	}
 	r.Shuffle(p)
-}
-
-// Perm32 returns a random permutation of [0, n) as int32 values.
-func (r *RNG) Perm32(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle permutes p in place (Fisher–Yates).

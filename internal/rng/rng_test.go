@@ -126,18 +126,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPerm32IsPermutation(t *testing.T) {
-	r := New(8)
-	p := r.Perm32(64)
-	seen := make([]bool, 64)
-	for _, v := range p {
-		if v < 0 || v >= 64 || seen[v] {
-			t.Fatalf("Perm32 produced invalid permutation")
-		}
-		seen[v] = true
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(3)
 	p := []int{5, 6, 7, 8, 9}

@@ -88,7 +88,7 @@ func FuzzReadShard(f *testing.F) {
 // global ids are swapped — the malformed input NewSubgraph used to accept.
 func unsortedOwnedShard(t testing.TB) []byte {
 	g := gen.Grid2D(4, 4)
-	sg := dist.Extract(g, dist.Assign(g, dist.StrategyRanges, 2), 0)
+	sg := dist.ExtractAll(g, dist.Assign(g, dist.StrategyRanges, 2), 2)[0]
 	l2g := slices.Clone(sg.LocalToGlobal)
 	l2g[1], l2g[2] = l2g[2], l2g[1]
 	data, err := wire.AppendSubgraph(nil, &dist.Subgraph{

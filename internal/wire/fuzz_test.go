@@ -90,7 +90,7 @@ func FuzzDecodeControl(f *testing.F) {
 	f.Cleanup(func() { graphio.SetDecodeBudget(0, 0) })
 
 	g := gen.Grid2D(6, 5)
-	sg := dist.Extract(g, dist.Assign(g, dist.StrategyRanges, 2), 1)
+	sg := dist.ExtractAll(g, dist.Assign(g, dist.StrategyRanges, 2), 2)[1]
 	job, err := AppendJob(nil, Job{Level: 2, Seed: 0xfeed, MaxPair: 9, Shard: sg})
 	if err != nil {
 		f.Fatal(err)

@@ -148,7 +148,7 @@ func TestAssignJobResultRoundTrip(t *testing.T) {
 	}
 
 	g := gen.Grid2D(8, 8)
-	sg := dist.Extract(g, dist.Assign(g, dist.StrategyRanges, 2), 1)
+	sg := dist.ExtractAll(g, dist.Assign(g, dist.StrategyRanges, 2), 2)[1]
 	j := Job{Level: 3, Seed: 0xdeadbeef, MaxPair: 17, Shard: sg}
 	enc, err := AppendJob(nil, j)
 	if err != nil {

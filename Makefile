@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15053
+LOC_MAX = 15131
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -98,7 +98,9 @@ race:
 # kept as a test reference, with which they must agree on every input: the two
 # sort-free coarsening kernels (radix edge order, selection-based RCB), the
 # boundary-indexed band builder, the pair search that stops when nothing can
-# move and the direct-CSR shard extraction. CI runs this.
+# move — or, proved stuck by the index's per-block weight bounds, never starts
+# — and the direct-CSR shard extraction; and the property that proof rests on,
+# that a bound never exceeds its block's lightest node. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
 # interesting inputs, and the default 60s minimization per input stalls a
 # short smoke run before it fuzzes anything.
@@ -116,5 +118,6 @@ fuzz:
 	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzSortEdgesMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzExtractMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/part -run=^$$ -fuzz=FuzzMinWeightIsLowerBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzPairSearchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

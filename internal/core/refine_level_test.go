@@ -26,11 +26,17 @@ func (c checkedRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initia
 	return pairwiseRefiner{}.Refine(ctx, h, initial, cfg, env)
 }
 
-// checkIndexLists verifies the boundary-index invariant for the given blocks
+// checkIndexLists verifies the boundary-index invariants for the given blocks
 // of the partition view describes: every node of block b with a neighbour
-// outside b is in list b, and no node of b is in list b twice.
+// outside b is in list b, no node of b is in list b twice, and MinWeight(b)
+// is at most the weight of b's lightest node.
 func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, blocks ...int32) error {
 	for _, b := range blocks {
+		for v := int32(0); v < int32(g.NumNodes()); v++ {
+			if part.ViewGet(view, v) == b && g.NodeWeight(v) < idx.MinWeight(b) {
+				return fmt.Errorf("MinWeight(%d) = %d, node %d weighs %d", b, idx.MinWeight(b), v, g.NodeWeight(v))
+			}
+		}
 		listed := make(map[int32]bool)
 		for _, v := range idx.List(b) {
 			if part.ViewGet(view, v) != b {
@@ -56,11 +62,12 @@ func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, bloc
 }
 
 // TestBoundaryIndexInvariantDuringRun checks the index after every pair
-// refinement of full runs (the pair's two lists, on the pair's goroutine)
-// and after every round (all lists, and the index's quotient against
-// Partition.Quotient). Among the pairs must be some that end a call with
-// both blocks too full to take any node — the state every stuck pair, which
-// returns before it fills a queue, starts and ends in.
+// refinement of full runs (the pair's two lists and weight bounds, on the
+// pair's goroutine) and after every round (all lists and bounds, and the
+// index's quotient against Partition.Quotient). Among the pairs must be some
+// that end a call with both blocks too full to take any node — the state
+// every stuck pair, which returns before it builds a band, starts and ends
+// in.
 func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 	graphs := map[string]*graph.Graph{"rgg": gen.RGG(11, 1), "rmat": gen.RMAT(9, 8, 1), "grid": gen.Grid2D(40, 40)}
 	fullPairs := 0

@@ -10,6 +10,10 @@
 //   - EnginePMetis: SHEM matching with the plain weight rating, a single
 //     growing attempt, and Alternate FM — the faster, cruder engine (our
 //     "pMetis", measured ~5% worse, matching the paper's 4.7% observation).
+//
+// One Partition call is k−1 multilevel bisections of ever smaller graphs, so
+// it keeps one bisector — an arena for every temporary, one FM workspace, one
+// growing queue — and threads it through the recursion.
 package initpart
 
 import (
@@ -18,6 +22,7 @@ import (
 	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/mem"
 	"repro/internal/part"
 	"repro/internal/pq"
 	"repro/internal/rating"
@@ -69,21 +74,30 @@ func (e Engine) params() engineParams {
 // using recursive multilevel bisection. The result respects the Lmax bound
 // of §2 whenever the rebalancing fallback succeeds (always, in practice).
 func Partition(g *graph.Graph, k int, eps float64, engine Engine, seed uint64) []int32 {
+	return partition(g, k, eps, engine, seed).Block
+}
+
+// partition is Partition returning the partition itself, whose cut and
+// feasibility Repeat ranks attempts by.
+func partition(g *graph.Graph, k int, eps float64, engine Engine, seed uint64) *part.Partition {
 	if k < 1 {
 		//kappa:allow panicfree k is validated by Config.Validate before the pipeline runs
 		panic("initpart: k must be >= 1")
 	}
-	r := rng.New(seed)
+	s := newBisector(engine.params(), eps, seed)
 	out := make([]int32, g.NumNodes())
-	params := engine.params()
-	recursiveBisect(g, identity(g.NumNodes()), k, 0, eps, params, r, out)
+	ids := make([]int32, g.NumNodes())
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	s.recursiveBisect(g, ids, k, 0, out)
 	// The per-bisection bounds compose only approximately; repair any
 	// residual overload against the global Lmax.
 	p := part.FromBlocks(g, k, eps, out)
 	if !p.Feasible() {
-		refine.Rebalance(p, r)
+		refine.Rebalance(p, s.r)
 	}
-	return p.Block
+	return p
 }
 
 // Repeat runs Partition `repeats` times concurrently with different seeds
@@ -105,9 +119,8 @@ func Repeat(g *graph.Graph, k int, eps float64, engine Engine, repeats int, seed
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			block := Partition(g, k, eps, engine, seed+uint64(i)*0x9e37)
-			p := part.FromBlocks(g, k, eps, block)
-			results[i] = attempt{block, p.Cut(), p.Feasible()}
+			p := partition(g, k, eps, engine, seed+uint64(i)*0x9e37)
+			results[i] = attempt{p.Block, p.Cut(), p.Feasible()}
 		}(i)
 	}
 	wg.Wait()
@@ -121,17 +134,29 @@ func Repeat(g *graph.Graph, k int, eps float64, engine Engine, repeats int, seed
 	return results[best].block, results[best].cut
 }
 
-func identity(n int) []int32 {
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	return ids
+// bisector is what one Partition call reuses across its bisections: the
+// random stream they draw from in recursion order, an arena for every
+// temporary of matching, contraction, growing, projection and splitting
+// (a bisection's arrays are no larger than its parent's, so the first one
+// sizes them all), the FM workspace with its one-shot boundary index, the
+// growing queue and the row sorter of split.
+type bisector struct {
+	params engineParams
+	eps    float64
+	r      *rng.RNG
+	a      *mem.Arena
+	ws     *refine.Workspace
+	q      pq.GainQueue
+	rows   graph.RowSorter
+}
+
+func newBisector(params engineParams, eps float64, seed uint64) *bisector {
+	return &bisector{params: params, eps: eps, r: rng.New(seed), a: mem.NewArena(), ws: refine.NewWorkspace()}
 }
 
 // recursiveBisect assigns blocks [offset, offset+k) to the nodes of sub
 // (whose node i is original node new2old[i]), writing into out.
-func recursiveBisect(sub *graph.Graph, new2old []int32, k int, offset int32, eps float64, params engineParams, r *rng.RNG, out []int32) {
+func (s *bisector) recursiveBisect(sub *graph.Graph, new2old []int32, k int, offset int32, out []int32) {
 	if k == 1 {
 		for _, ov := range new2old {
 			out[ov] = offset
@@ -140,27 +165,79 @@ func recursiveBisect(sub *graph.Graph, new2old []int32, k int, offset int32, eps
 	}
 	k1 := (k + 1) / 2
 	targetA := sub.TotalNodeWeight() * int64(k1) / int64(k)
-	side := multilevelBisect(sub, targetA, eps, params, r)
+	side := s.multilevelBisect(sub, targetA)
 	ensureMinCounts(sub, side, k1, k-k1)
-	keepA := make([]bool, sub.NumNodes())
-	for v, s := range side {
-		keepA[v] = s == 0
+	old := s.a.Int32(sub.NumNodes())
+	subA, subB := s.split(sub, side, new2old, old)
+	s.a.PutBytes(side)
+	nA := subA.NumNodes()
+	s.recursiveBisect(subA, old[:nA], k1, offset, out)
+	s.recursiveBisect(subB, old[nA:], k-k1, offset+int32(k1), out)
+	s.a.PutInt32(old)
+}
+
+// split extracts the two subgraphs the sides of a bisection induce on g in
+// one pass over g's adjacency, straight into CSR arrays sized by the sides'
+// degree sums (the cut's half-edges are the slack). old receives the
+// original ids of side 0's nodes, then side 1's, each in node order. Rows
+// come out ascending, as a graph.Builder would leave them: renumbering is
+// monotone within a side, so the rows of a g that has them sorted — every
+// g that is itself a half — need no sort. Coordinates are not carried;
+// nothing below reads them.
+//
+//kappa:hotpath
+func (s *bisector) split(g *graph.Graph, side []byte, new2old, old []int32) (*graph.Graph, *graph.Graph) {
+	n := int32(g.NumNodes())
+	local := s.a.Int32(int(n))
+	var cnt, deg [2]int
+	for v := int32(0); v < n; v++ {
+		sd := side[v]
+		local[v] = int32(cnt[sd])
+		cnt[sd]++
+		deg[sd] += g.Degree(v)
 	}
-	subA, mapA := sub.Subgraph(keepA)
-	for i := range keepA {
-		keepA[i] = !keepA[i]
+	olds := [2][]int32{old[:cnt[0]], old[cnt[0]:]}
+	var xadj, adj [2][]int32
+	var ewgt, nwgt [2][]int64
+	var agg [2]graph.CSRAggregates
+	for sd := range agg {
+		//kappa:allow hotalloc the CSR arrays persist as the half's graph for the recursion below it
+		xadj[sd], adj[sd] = make([]int32, cnt[sd]+1), make([]int32, deg[sd])
+		//kappa:allow hotalloc the CSR arrays persist as the half's graph for the recursion below it
+		ewgt[sd], nwgt[sd] = make([]int64, deg[sd]), make([]int64, cnt[sd])
+		agg[sd].AdjSorted = true
 	}
-	subB, mapB := sub.Subgraph(keepA)
-	oldA := make([]int32, len(mapA))
-	for i, v := range mapA {
-		oldA[i] = new2old[v]
+	sorted := g.AdjSorted()
+	for v := int32(0); v < n; v++ {
+		sd, lv := side[v], local[v]
+		olds[sd][lv] = new2old[v]
+		w := g.NodeWeight(v)
+		nwgt[sd][lv] = w
+		agg[sd].TotalNodeWeight += w
+		agg[sd].MaxNodeWeight = max(agg[sd].MaxNodeWeight, w)
+		lo := xadj[sd][lv]
+		next, row, rowW := lo, adj[sd], ewgt[sd]
+		ws := g.AdjWeights(v)
+		for i, u := range g.Adj(v) {
+			if side[u] == sd {
+				row[next], rowW[next] = local[u], ws[i]
+				agg[sd].TotalEdgeWeight += ws[i]
+				next++
+			}
+		}
+		if !sorted {
+			s.rows.Sort(row[lo:next], rowW[lo:next])
+		}
+		xadj[sd][lv+1] = next
 	}
-	oldB := make([]int32, len(mapB))
-	for i, v := range mapB {
-		oldB[i] = new2old[v]
+	s.a.PutInt32(local)
+	var sub [2]*graph.Graph
+	for sd := range sub {
+		m := xadj[sd][cnt[sd]]
+		agg[sd].TotalEdgeWeight /= 2
+		sub[sd] = graph.FromCSRTrusted(xadj[sd], adj[sd][:m:m], ewgt[sd][:m:m], nwgt[sd], agg[sd])
 	}
-	recursiveBisect(subA, oldA, k1, offset, eps, params, r, out)
-	recursiveBisect(subB, oldB, k-k1, offset+int32(k1), eps, params, r, out)
+	return sub[0], sub[1]
 }
 
 // ensureMinCounts guarantees that side 0 has at least k1 nodes and side 1 at
@@ -205,8 +282,9 @@ func ensureMinCounts(sub *graph.Graph, side []byte, k1, k2 int) {
 
 // multilevelBisect bisects g into sides 0/1 with side-0 target weight
 // targetA: coarsen, grow a bisection on the coarsest graph, then project and
-// refine level by level.
-func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineParams, r *rng.RNG) []byte {
+// refine level by level. The sides come back in an arena array the caller
+// returns.
+func (s *bisector) multilevelBisect(g *graph.Graph, targetA int64) []byte {
 	const coarseEnough = 120
 	h := coarsen.NewHierarchy(g)
 	maxPair := g.TotalNodeWeight() / 4
@@ -214,52 +292,57 @@ func multilevelBisect(g *graph.Graph, targetA int64, eps float64, params engineP
 		maxPair = 2
 	}
 	for h.Coarsest.NumNodes() > coarseEnough {
-		rt := rating.NewRater(params.rate, h.Coarsest)
-		m := matching.ComputeScratch(h.Coarsest, rt, params.matcher, r, maxPair, nil)
+		rt := rating.NewRater(s.params.rate, h.Coarsest)
+		m := matching.ComputeScratch(h.Coarsest, rt, s.params.matcher, s.r, maxPair, s.a)
 		if m.Size() == 0 {
+			s.a.PutInt32([]int32(m))
 			break
 		}
-		cg, f2c := coarsen.Contract(h.Coarsest, m)
+		cg, f2c := coarsen.ContractWith(h.Coarsest, m, coarsen.Options{Arena: s.a})
+		s.a.PutInt32([]int32(m))
 		if cg.NumNodes() >= h.Coarsest.NumNodes() {
 			break
 		}
 		h.Push(cg, f2c)
 	}
 
-	side := growBisection(h.Coarsest, targetA, params.growTries, r)
-	block := make([]int32, len(side))
-	for v, s := range side {
-		block[v] = int32(s)
+	side := s.growBisection(h.Coarsest, targetA)
+	block := s.a.Int32(len(side))
+	for v, sd := range side {
+		block[v] = int32(sd)
 	}
-	// One FM workspace serves every pass on every level of this bisection.
-	ws := refine.NewWorkspace()
-	refineBisection(ws, h.Coarsest, block, targetA, eps, params, r)
+	s.a.PutBytes(side)
+	s.refineBisection(h.Coarsest, block, targetA)
 	for li := h.Depth() - 1; li >= 0; li-- {
-		block = h.Project(li, block)
-		refineBisection(ws, h.Levels[li].Fine, block, targetA, eps, params, r)
+		fine := s.a.Int32(h.Levels[li].Fine.NumNodes())
+		h.ProjectInto(li, block, fine)
+		s.a.PutInt32(block)
+		block = fine
+		s.refineBisection(h.Levels[li].Fine, block, targetA)
 	}
-	out := make([]byte, len(block))
+	out := s.a.Bytes(len(block))
 	for v, b := range block {
 		out[v] = byte(b)
 	}
+	s.a.PutInt32(block)
 	return out
 }
 
 // refineBisection runs two-way FM between the sides. The balance bound is
 // the larger side's target within (1+eps). The passes share one boundary
 // index, built once and kept current by each pass's moves.
-func refineBisection(ws *refine.Workspace, g *graph.Graph, block []int32, targetA int64, eps float64, params engineParams, r *rng.RNG) {
-	p := part.FromBlocks(g, 2, eps, block)
+func (s *bisector) refineBisection(g *graph.Graph, block []int32, targetA int64) {
+	p := part.FromBlocks(g, 2, s.eps, block)
 	targetB := g.TotalNodeWeight() - targetA
 	maxTarget := targetA
 	if targetB > maxTarget {
 		maxTarget = targetB
 	}
-	p.SetLmax(int64((1+eps)*float64(maxTarget)) + g.MaxNodeWeight())
-	cfg := refine.TwoWayConfig{Strategy: params.fmStrategy, Patience: params.fmPatience, BandDepth: 1 << 30}
-	idx := ws.PairIndex(p, p.Block, 0, 1)
-	for pass := 0; pass < params.fmPasses; pass++ {
-		out := refine.RefinePairIndexed(ws, idx, p, p.Block, 0, 1, cfg, r.Uint64(), r.Uint64())
+	p.SetLmax(int64((1+s.eps)*float64(maxTarget)) + g.MaxNodeWeight())
+	cfg := refine.TwoWayConfig{Strategy: s.params.fmStrategy, Patience: s.params.fmPatience, BandDepth: 1 << 30}
+	idx := s.ws.PairIndex(p, p.Block, 0, 1)
+	for pass := 0; pass < s.params.fmPasses; pass++ {
+		out := refine.RefinePairIndexed(s.ws, idx, p, p.Block, 0, 1, cfg, s.r.Uint64(), s.r.Uint64())
 		if out.Gain <= 0 && pass > 0 {
 			break
 		}
@@ -268,21 +351,21 @@ func refineBisection(ws *refine.Workspace, g *graph.Graph, block []int32, target
 
 // growBisection grows side 0 from a random seed node by repeatedly absorbing
 // the frontier node with the highest gain (greedy graph growing) until the
-// target weight is reached; the best of `tries` attempts by resulting cut is
-// returned.
-func growBisection(g *graph.Graph, targetA int64, tries int, r *rng.RNG) []byte {
+// target weight is reached; the best of the engine's tries by resulting cut
+// is returned, in an arena array the caller returns.
+func (s *bisector) growBisection(g *graph.Graph, targetA int64) []byte {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil
 	}
-	var best []byte
+	r, q := s.r, &s.q
+	best, side := s.a.Bytes(n), s.a.Bytes(n)
 	var bestCut int64 = -1
-	for attempt := 0; attempt < tries; attempt++ {
-		side := make([]byte, n)
+	for attempt := 0; attempt < s.params.growTries; attempt++ {
 		for i := range side {
 			side[i] = 1
 		}
-		q := pq.NewGainQueue(n)
+		q.Reset(n)
 		var grown int64
 		add := func(v int32) {
 			side[v] = 0
@@ -325,15 +408,20 @@ func growBisection(g *graph.Graph, targetA int64, tries int, r *rng.RNG) []byte 
 			v, _ := q.PopMax()
 			add(v)
 		}
-		blocks := make([]int32, n)
-		for v, s := range side {
-			blocks[v] = int32(s)
+		var cut int64
+		for v := int32(0); v < int32(n); v++ {
+			ws := g.AdjWeights(v)
+			for i, u := range g.Adj(v) {
+				if u > v && side[u] != side[v] {
+					cut += ws[i]
+				}
+			}
 		}
-		cut := part.FromBlocks(g, 2, 0.03, blocks).Cut()
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
-			best = side
+			best, side = side, best
 		}
 	}
+	s.a.PutBytes(side)
 	return best
 }

@@ -1,12 +1,16 @@
 package initpart
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/coarsen"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/part"
+	"repro/internal/rating"
 	"repro/internal/rng"
 )
 
@@ -145,8 +149,7 @@ func TestPartitionKEqualsN(t *testing.T) {
 
 func TestGrowBisectionTargets(t *testing.T) {
 	g := gen.Grid2D(10, 10)
-	r := rng.New(6)
-	side := growBisection(g, 50, 3, r)
+	side := newBisector(EngineScotch.params(), 0.03, 6).growBisection(g, 50)
 	var grown int64
 	for _, s := range side {
 		if s == 0 {
@@ -157,6 +160,52 @@ func TestGrowBisectionTargets(t *testing.T) {
 	// lands exactly on it.
 	if grown != 50 {
 		t.Fatalf("grown weight %d, want 50", grown)
+	}
+}
+
+// TestSplitMatchesSubgraph checks the one-pass split against what it
+// replaced, two Graph.Subgraph extractions through graph.Builder: the same
+// rows in the same (ascending) order, node weights, aggregates and original
+// ids, on graphs with sorted rows and on a contracted graph, whose rows are
+// in first-encounter order.
+func TestSplitMatchesSubgraph(t *testing.T) {
+	rgg := gen.RGG(9, 3)
+	coarse, _ := coarsen.Contract(rgg, matching.ComputeScratch(rgg, rating.NewRater(rating.Weight, rgg), matching.SHEM, rng.New(1), 0, nil))
+	if coarse.AdjSorted() {
+		t.Fatal("the contracted graph has sorted rows; the test wants one that needs the row sort")
+	}
+	r := rng.New(8)
+	s := newBisector(EngineScotch.params(), 0.03, 1)
+	for _, g := range []*graph.Graph{rgg, coarse, gen.RMAT(8, 8, 3), gen.Grid2D(1, 2)} {
+		n := g.NumNodes()
+		side, new2old := make([]byte, n), make([]int32, n)
+		keep := [2][]bool{make([]bool, n), make([]bool, n)}
+		for v := range side {
+			side[v] = byte(r.Intn(2))
+			new2old[v] = int32(r.Intn(1000))
+			keep[side[v]][v] = true
+		}
+		old := make([]int32, n)
+		subA, subB := s.split(g, side, new2old, old)
+		for sd, got := range []*graph.Graph{subA, subB} {
+			want, ids := g.Subgraph(keep[sd])
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got.NumNodes() != want.NumNodes() || got.TotalNodeWeight() != want.TotalNodeWeight() || got.TotalEdgeWeight() != want.TotalEdgeWeight() ||
+				got.MaxNodeWeight() != want.MaxNodeWeight() || got.AdjSorted() != want.AdjSorted() || !slices.Equal(got.NodeWeights(), want.NodeWeights()) {
+				t.Fatalf("n=%d side %d: split graph differs from Subgraph in size, weights or aggregates", n, sd)
+			}
+			for v := int32(0); v < int32(got.NumNodes()); v++ {
+				if !slices.Equal(got.Adj(v), want.Adj(v)) || !slices.Equal(got.AdjWeights(v), want.AdjWeights(v)) {
+					t.Fatalf("n=%d side %d node %d: row %v %v, Subgraph %v %v", n, sd, v, got.Adj(v), got.AdjWeights(v), want.Adj(v), want.AdjWeights(v))
+				}
+				if old[v] != new2old[ids[v]] {
+					t.Fatalf("n=%d side %d node %d: original id %d, want %d", n, sd, v, old[v], new2old[ids[v]])
+				}
+			}
+			old = old[got.NumNodes():]
+		}
 	}
 }
 

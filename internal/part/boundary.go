@@ -1,6 +1,7 @@
 package part
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 )
@@ -25,16 +26,23 @@ func ViewSet(view []int32, v, b int32) { atomic.StoreInt32(&view[v], b) }
 // the two lists it reads; Patch appends what a pair's moves made boundary.
 // in[v] says whether v is in the list of its current block.
 //
+// minW[b] is a lower bound on the weight of block b's lightest node: exact
+// after Reset, lowered by every arrival Patch sees and never raised when a
+// node leaves, so that a balance test no node of that weight passes (see
+// MinWeight) rules out every node of the block without looking at one.
+//
 // Ownership is the rule the snapshot view already relies on: the pair
-// refining (a, b) is the only reader and writer of lists a and b and of the
-// marks of nodes in a ∪ b. A move between a and b cannot change the
-// boundary status of a node in a third block — it was adjacent to the moved
-// node's old block and is adjacent to its new one — so concurrent pairs of
-// one colour class never touch each other's lists and need no locks.
+// refining (a, b) is the only reader and writer of lists a and b, of minW[a]
+// and minW[b], and of the marks of nodes in a ∪ b. A move between a and b
+// cannot change the boundary status of a node in a third block — it was
+// adjacent to the moved node's old block and is adjacent to its new one — so
+// concurrent pairs of one colour class never touch each other's lists or
+// bounds and need no locks.
 type BoundaryIndex struct {
 	p     *Partition
 	lists [][]int32
 	in    []bool
+	minW  []int64
 
 	// Quotient scratch: weight to each higher block, and which were seen.
 	row     []int64
@@ -55,7 +63,8 @@ func NewBoundaryIndex(p *Partition) *BoundaryIndex {
 // only blocks a and b are indexed — the one-shot form behind the standalone
 // pair entry points, which costs one scan of the nodes of a ∪ b rather than
 // of the whole graph's adjacency. It is the one boundary scan of the
-// package; lists come out in node order.
+// package; lists come out in node order, and the scan records the lightest
+// node of every block it indexes.
 func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
 	for blk, list := range x.lists {
 		for _, v := range list {
@@ -74,11 +83,16 @@ func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
 		x.lists = make([][]int32, p.K)
 	}
 	x.lists = x.lists[:p.K]
+	x.minW = slices.Grow(x.minW[:0], p.K)[:p.K]
+	for blk := range x.minW {
+		x.minW[blk] = NoNode
+	}
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		bv := ViewGet(view, v)
 		if a >= 0 && bv != a && bv != b {
 			continue
 		}
+		x.minW[bv] = min(x.minW[bv], g.NodeWeight(v))
 		for _, u := range g.Adj(v) {
 			if ViewGet(view, u) != bv {
 				x.in[v] = true
@@ -91,6 +105,18 @@ func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
 
 // List returns block b's list as it stands: a superset of b's boundary.
 func (x *BoundaryIndex) List(b int32) []int32 { return x.lists[b] }
+
+// NoNode is the MinWeight of a block the index has seen no node of: heavier
+// than any node, so that no balance bound admits it.
+const NoNode = math.MaxInt64
+
+// MinWeight returns a lower bound on the weight of the lightest node of
+// block b, or NoNode for a block that is empty (or that a two-block Reset
+// left out). A move rule that is monotone in the node weight and rejects
+// this weight rejects every node of b.
+//
+//kappa:hotpath
+func (x *BoundaryIndex) MinWeight(b int32) int64 { return x.minW[b] }
 
 // Seeds appends to dst, in node order, the nodes of blocks a and b that have
 // a neighbour in the other block of the pair — the depth-1 band of §5.2 —
@@ -141,17 +167,19 @@ func (x *BoundaryIndex) seedsOf(dst []int32, view []int32, own, other int32) []i
 // block of the pair; view already shows them there. Every moved node joins
 // the list of its new block (its entry in the old one is dropped by the next
 // compaction, which precedes any move back), and so does every neighbour it
-// left behind that was not listed yet.
+// left behind that was not listed yet. An arrival lowers its new block's
+// MinWeight; a departure raises nothing.
 //
 //kappa:hotpath
 func (x *BoundaryIndex) Patch(view []int32, a, b int32, moved []int32) {
+	g := x.p.G
 	for _, v := range moved {
 		to := ViewGet(view, v)
+		x.minW[to] = min(x.minW[to], g.NodeWeight(v))
 		x.in[v] = true
 		//kappa:allow hotalloc amortized growth of a boundary list
 		x.lists[to] = append(x.lists[to], v)
 	}
-	g := x.p.G
 	for _, v := range moved {
 		from := a + b - ViewGet(view, v)
 		for _, u := range g.Adj(v) {

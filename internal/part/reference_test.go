@@ -202,3 +202,119 @@ func TestBoundaryIndexFollowsMoves(t *testing.T) {
 		}
 	}
 }
+
+// checkMinWeightIsLowerBound drives an index the way pair refinements do —
+// Seeds, moves between the pair's blocks, Patch — with every choice drawn
+// from pick, and checks the weight bound the stuck-pair test rests on: after
+// a Reset MinWeight is the block's true minimum (NoNode for a block without
+// nodes, and for the blocks a two-block Reset leaves out), and after any
+// sequence of moves it is at most the true minimum, so a block with a node
+// never reads as empty.
+func checkMinWeightIsLowerBound(t *testing.T, p *Partition, steps int, pick func(n int) int) {
+	t.Helper()
+	k := int32(p.K)
+	trueMin := func(blk int32) int64 {
+		m := int64(NoNode)
+		for v, b := range p.Block {
+			if b == blk {
+				m = min(m, p.G.NodeWeight(int32(v)))
+			}
+		}
+		return m
+	}
+	x := NewBoundaryIndex(p)
+	for step := 0; ; step++ {
+		for blk := int32(0); blk < k; blk++ {
+			if got, want := x.MinWeight(blk), trueMin(blk); got > want || (step == 0 && got != want) {
+				t.Fatalf("step %d: MinWeight(%d) = %d, lightest node weighs %d", step, blk, got, want)
+			}
+		}
+		if step == steps {
+			break
+		}
+		a := int32(pick(int(k)))
+		b := (a + 1 + int32(pick(int(k)-1))) % k
+		var moved []int32
+		for _, v := range x.Seeds(nil, p.Block, a, b) {
+			if pick(3) == 0 {
+				p.Move(v, a+b-p.Block[v])
+				moved = append(moved, v)
+			}
+		}
+		x.Patch(p.Block, a, b, moved)
+	}
+	a, b := int32(0), k-1
+	x.Reset(p, p.Block, a, b)
+	for blk := int32(0); blk < k; blk++ {
+		want := int64(NoNode)
+		if blk == a || blk == b {
+			want = trueMin(blk)
+		}
+		if got := x.MinWeight(blk); got != want {
+			t.Fatalf("after a Reset to blocks %d and %d: MinWeight(%d) = %d, want %d", a, b, blk, got, want)
+		}
+	}
+}
+
+// weightedPartition decodes a small graph with node weights 1..8 and a k-way
+// partition of it from bytes; the highest block starts empty when no byte
+// names it.
+func weightedPartition(data []byte) (*Partition, []byte) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	n, k := 2+int(data[0])%40, 2+int(data[1])%5
+	data = data[2:]
+	bld := graph.NewBuilder(n)
+	edges := min(len(data)/2, 3*n)
+	for i := 0; i < edges; i++ {
+		bld.AddEdge(int32(int(data[2*i])%n), int32(int(data[2*i+1])%n), 1)
+	}
+	data = data[2*edges:]
+	block := make([]int32, n)
+	for v := 0; v < min(n, len(data)); v++ {
+		block[v] = int32(int(data[v]) % k)
+		bld.SetNodeWeight(int32(v), 1+int64(data[v]/8)%8)
+	}
+	return FromBlocks(bld.Build(), k, 0.5, block), data[min(n, len(data)):]
+}
+
+func TestMinWeightIsLowerBound(t *testing.T) {
+	r := rng.New(76)
+	data := make([]byte, 400)
+	emptied := 0
+	for round := 0; round < 200; round++ {
+		for i := range data {
+			data[i] = byte(r.Intn(256))
+		}
+		p, _ := weightedPartition(data)
+		if slices.Index(p.Block, int32(p.K-1)) < 0 {
+			emptied++
+		}
+		checkMinWeightIsLowerBound(t, p, 40, r.Intn)
+	}
+	if emptied == 0 {
+		t.Fatal("no partition started with an empty block")
+	}
+}
+
+// FuzzMinWeightIsLowerBound draws the graph, the partition and then every
+// choice of the move sequence from the input.
+func FuzzMinWeightIsLowerBound(f *testing.F) {
+	f.Add([]byte{12, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 0, 9, 18, 0, 9, 18, 0, 9, 18, 0, 9, 18, 0, 1, 1, 0, 1, 0, 2, 0, 9})
+	f.Add([]byte("the bound is exact after Reset, lowered by every arrival and never raised"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, rest := weightedPartition(data)
+		if p == nil {
+			return
+		}
+		checkMinWeightIsLowerBound(t, p, len(rest)/4, func(n int) int {
+			if len(rest) == 0 {
+				return 0
+			}
+			c := int(rest[0]) % n
+			rest = rest[1:]
+			return c
+		})
+	})
+}

@@ -84,7 +84,9 @@ type pairStep struct {
 // step by step, to a clone through the one-shot entry point. After every
 // call both must have searched exactly the band the reference builder finds
 // on the partition as it stood before the call, and both must leave the
-// same partition.
+// same partition. The exception is a call the index's weight bounds prove
+// stuck: it builds no band and leaves the workspace's alone, and the
+// reference search over the band it skipped must bear it out.
 func checkBandsMatchReference(t *testing.T, p *part.Partition, steps []pairStep) {
 	t.Helper()
 	oneShot := part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
@@ -92,16 +94,36 @@ func checkBandsMatchReference(t *testing.T, p *part.Partition, steps []pairStep)
 	ws, wsOne := NewWorkspace(), NewWorkspace()
 	for i, st := range steps {
 		want := referenceBand(p, st.a, st.b, st.cfg.BandDepth)
-		got := RefinePairIndexed(ws, idx, p, p.Block, st.a, st.b, st.cfg, st.seedA, st.seedB)
-		if !slices.Equal(ws.band, want) {
-			t.Fatalf("step %d pair (%d,%d): kept index band %v, reference %v", i, st.a, st.b, ws.band, want)
+		ref := part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
+		wantOut, counts := refinePairReference(NewWorkspace(), part.NewBoundaryIndex(ref), ref, ref.Block, st.a, st.b, st.cfg, st.seedA, st.seedB)
+		for _, side := range []struct {
+			what   string
+			ws     *Workspace
+			idx    *part.BoundaryIndex
+			p      *part.Partition
+			refine func() RefinePairOutcome
+		}{
+			{"kept index", ws, idx, p, func() RefinePairOutcome {
+				return RefinePairIndexed(ws, idx, p, p.Block, st.a, st.b, st.cfg, st.seedA, st.seedB)
+			}},
+			{"one-shot", wsOne, wsOne.PairIndex(oneShot, oneShot.Block, st.a, st.b), oneShot, func() RefinePairOutcome {
+				return RefinePairViewWS(wsOne, oneShot, oneShot.Block, st.a, st.b, st.cfg, st.seedA, st.seedB)
+			}},
+		} {
+			proved, band := stuck(side.idx, side.p, st.a, st.b), slices.Clone(side.ws.band)
+			got := side.refine()
+			if msg := expectOutcome(proved, got, wantOut, counts); msg != "" {
+				t.Fatalf("step %d pair (%d,%d): %s: %s", i, st.a, st.b, side.what, msg)
+			}
+			if !proved {
+				band = want
+			}
+			if !slices.Equal(side.ws.band, band) {
+				t.Fatalf("step %d pair (%d,%d): %s band %v, want %v (proved stuck: %v)", i, st.a, st.b, side.what, side.ws.band, band, proved)
+			}
 		}
-		one := RefinePairViewWS(wsOne, oneShot, oneShot.Block, st.a, st.b, st.cfg, st.seedA, st.seedB)
-		if !slices.Equal(wsOne.band, want) {
-			t.Fatalf("step %d pair (%d,%d): one-shot band %v, reference %v", i, st.a, st.b, wsOne.band, want)
-		}
-		if got != one || !slices.Equal(p.Block, oneShot.Block) {
-			t.Fatalf("step %d pair (%d,%d): kept index %+v and one-shot %+v diverge", i, st.a, st.b, got, one)
+		if !slices.Equal(p.Block, oneShot.Block) || !slices.Equal(p.Block, ref.Block) {
+			t.Fatalf("step %d pair (%d,%d): kept index, one-shot and reference partitions diverge", i, st.a, st.b)
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)

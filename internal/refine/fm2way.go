@@ -290,13 +290,27 @@ func (s *pairSearch) imbalance() int64 {
 
 // infeasible is the balance rule of a move: a node of weight w may leave a
 // block of weight from for one of weight to only if the target stays under
-// Lmax, or if the move strictly reduces an overload of the source. It is
-// monotone in w — a move that is infeasible stays so for every heavier node
-// — so asked of a side's lightest band node it answers for the whole side.
+// Lmax (to+w <= lmax), or if the move strictly reduces an overload of the
+// source (to+w < from). It is monotone in w — a move that is infeasible
+// stays so for every heavier node — so asked of a side's lightest band node,
+// or of any lower bound on it, it answers for the whole side. w is compared,
+// never added to, so part.NoNode reads as infeasible without overflowing.
 //
 //kappa:hotpath
 func infeasible(from, to, w, lmax int64) bool {
-	return to+w > lmax && (from <= lmax || to+w >= from)
+	return w > lmax-to && (from <= lmax || w >= from-to)
+}
+
+// stuck reports that no node of block a may move to b and none of b to a at
+// the blocks' current weights, judged from idx's lower bounds on the two
+// blocks' lightest nodes alone. The bounds are at most the lightest band
+// node of their side, so a stuck pair is one whose search would find both
+// sides blocked before its first pop — without building the band.
+//
+//kappa:hotpath
+func stuck(idx *part.BoundaryIndex, p *part.Partition, a, b int32) bool {
+	cA, cB, lmax := p.BlockWeight(a), p.BlockWeight(b), p.Lmax()
+	return infeasible(cA, cB, idx.MinWeight(a), lmax) && infeasible(cB, cA, idx.MinWeight(b), lmax)
 }
 
 // blocked reports, per side, whether no band node of that side can move at
@@ -471,7 +485,10 @@ func (s *pairSearch) chooseQueue(st Strategy, alternateNext byte, r *rng.RNG) *p
 	}
 }
 
-// RefinePairOutcome reports what a pairwise refinement achieved.
+// RefinePairOutcome reports what a pairwise refinement achieved. BandSize
+// counts the band the call built: a pair the index's weight bounds prove
+// stuck returns before building one and reports 0, though its boundary is
+// not empty.
 type RefinePairOutcome struct {
 	Gain     int64 // cut decrease between the pair (can be negative only if imbalance improved)
 	Moves    int
@@ -499,12 +516,21 @@ func RefinePairViewWS(ws *Workspace, p *part.Partition, view []int32, a, b int32
 // it applied. Under part.BoundaryIndex's ownership rule, disjoint pairs may
 // run concurrently against one index, each with its own workspace.
 //
-// A pair whose band holds no feasible move in the start state — both blocks
-// too full to take the other's lightest band node, or no band at all — is
-// done once its band is built: neither seeded run could move anything, so no
-// gain of the unexpanded layer is computed and no queue is filled.
+// A pair neither seeded run could move a node of costs what it takes to know
+// that. If both blocks are too full to take even the other's lightest node
+// (stuck: two comparisons against idx's per-block bounds) the call returns
+// the zero outcome having read no list and built no band. Otherwise, if the
+// band holds no feasible move in the start state — both blocks too full for
+// the other's lightest band node, or no band at all — it is done once the
+// band is built: no gain of the unexpanded layer is computed and no queue is
+// filled. The first test implies the second, so skipping the band changes
+// no partition; the list compaction it also skips is unobservable (Seeds
+// sorts what it returns, Quotient reads lists through p.Block).
 func RefinePairIndexed(ws *Workspace, idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, cfg TwoWayConfig, seedA, seedB uint64) RefinePairOutcome {
 	ws.applied = ws.applied[:0]
+	if stuck(idx, p, a, b) {
+		return RefinePairOutcome{}
+	}
 	s := newPairSearch(idx, p, ws, view, a, b, cfg)
 	out := RefinePairOutcome{BandSize: len(s.band)}
 	if blockedA, blockedB := s.blocked(); !blockedA || !blockedB {

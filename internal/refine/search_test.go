@@ -49,6 +49,7 @@ type searchStep struct {
 // searchCoverage counts what a differential sequence exercised.
 type searchCoverage struct {
 	stuck    int // steps both of whose runs could not move a node
+	proved   int // of those, steps the kernel proved stuck from the index's weight bounds
 	discards int // infeasible pops of the reference runs
 	moves    int // moves applied
 	relieved int // moves applied to pairs starting in the overloaded state
@@ -56,16 +57,54 @@ type searchCoverage struct {
 
 func (c *searchCoverage) add(o searchCoverage) {
 	c.stuck += o.stuck
+	c.proved += o.proved
 	c.discards += o.discards
 	c.moves += o.moves
 	c.relieved += o.relieved
 }
 
+// expectOutcome is the kernel's contract against the reference search, which
+// builds the band of every pair. A call the weight bounds proved stuck
+// (proved: stuck() held on the kernel's index before the call) must return
+// the zero outcome, and must have been right: the reference found every
+// queued node of both sides infeasible and moved nothing. Any other call
+// must report exactly what the reference reports. It returns "" or what is
+// wrong.
+func expectOutcome(proved bool, got, want RefinePairOutcome, counts searchCounts) string {
+	switch {
+	case !proved && got != want:
+		return fmt.Sprintf("outcome %+v, reference %+v", got, want)
+	case proved && got != RefinePairOutcome{}:
+		return fmt.Sprintf("proved stuck but returned %+v", got)
+	case proved && (want.Moves != 0 || want.Gain != 0 || counts.moves != 0 || counts.discards != counts.pushes):
+		return fmt.Sprintf("proved stuck, but the reference search was not blocked on both sides: %+v %+v", want, counts)
+	}
+	return ""
+}
+
+// liveBoundary is list as a compaction leaves it: the nodes still in block
+// blk that have a neighbour outside it, in list order.
+func liveBoundary(p *part.Partition, list []int32, blk int32) []int32 {
+	var live []int32
+	for _, v := range list {
+		if p.Block[v] == blk && slices.ContainsFunc(p.G.Adj(v), func(u int32) bool { return p.Block[u] != blk }) {
+			live = append(live, v)
+		}
+	}
+	return live
+}
+
 // checkSearchMatchesReference applies steps to p through the kernel, with a
 // kept index and with the one-shot index, and to clones of p through the
-// reference search. After every call the outcomes, the applied move
-// prefixes, the partitions and the two index lists of the pair — which a
-// stuck pair must leave as the draining search leaves them — must be equal.
+// reference search. After every call the outcomes (see expectOutcome), the
+// applied move prefixes, the partitions and the two index lists of the pair
+// must be equal. A pair stuck once its band is built leaves its lists as the
+// draining search leaves them; a pair proved stuck beforehand leaves them
+// untouched, which must be the reference's lists but for the entries a
+// compaction drops — and exactly the reference's lists again after the next
+// call that builds a band from them. The kept index's bounds go stale (they
+// are never raised) while the one-shot index's are exact, so the two may
+// disagree on whether a call is proved stuck, never on what it does.
 func checkSearchMatchesReference(t *testing.T, label string, p *part.Partition, steps []searchStep) searchCoverage {
 	t.Helper()
 	kept, keptRef := p, part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
@@ -83,19 +122,28 @@ func checkSearchMatchesReference(t *testing.T, label string, p *part.Partition, 
 			t.Helper()
 			t.Fatalf("%s step %d pair (%d,%d) %v depth %d state %d: %s", label, i, a, b, st.cfg.Strategy, st.cfg.BandDepth, st.state, fmt.Sprintf(format, args...))
 		}
-		sameLists := func(what string, got, want *part.BoundaryIndex) {
+		sameLists := func(what string, proved bool, q *part.Partition, got, want *part.BoundaryIndex) {
 			t.Helper()
 			for _, blk := range []int32{a, b} {
-				if !slices.Equal(got.List(blk), want.List(blk)) {
-					fail("%s index list %d is %v, reference %v", what, blk, got.List(blk), want.List(blk))
+				list := got.List(blk)
+				if proved {
+					list = liveBoundary(q, list, blk)
+				}
+				if !slices.Equal(list, want.List(blk)) {
+					fail("%s index list %d is %v, reference %v", what, blk, list, want.List(blk))
 				}
 			}
 		}
 
+		proved := stuck(idx, kept, a, b)
+		listA, listB, band := slices.Clone(idx.List(a)), slices.Clone(idx.List(b)), slices.Clone(ws.band)
 		want, counts := refinePairReference(wsRef, idxRef, keptRef, keptRef.Block, a, b, st.cfg, st.seedA, st.seedB)
 		got := RefinePairIndexed(ws, idx, kept, kept.Block, a, b, st.cfg, st.seedA, st.seedB)
-		if got != want {
-			fail("outcome %+v, reference %+v", got, want)
+		if msg := expectOutcome(proved, got, want, counts); msg != "" {
+			fail("%s", msg)
+		}
+		if proved && !(slices.Equal(idx.List(a), listA) && slices.Equal(idx.List(b), listB) && slices.Equal(ws.band, band)) {
+			fail("proved stuck, but the call touched its lists or the workspace's band")
 		}
 		if !slices.Equal(ws.applied, wsRef.applied) {
 			fail("applied moves %v, reference %v", ws.applied, wsRef.applied)
@@ -103,20 +151,27 @@ func checkSearchMatchesReference(t *testing.T, label string, p *part.Partition, 
 		if !slices.Equal(kept.Block, keptRef.Block) {
 			fail("partitions diverge")
 		}
-		sameLists("kept", idx, idxRef)
+		sameLists("kept", proved, kept, idx, idxRef)
 
-		wantOne, _ := refinePairReference(wsOneRef, wsOneRef.PairIndex(oneRef, oneRef.Block, a, b), oneRef, oneRef.Block, a, b, st.cfg, st.seedA, st.seedB)
-		gotOne := RefinePairViewWS(wsOne, one, one.Block, a, b, st.cfg, st.seedA, st.seedB)
-		if gotOne != got || wantOne != want || !slices.Equal(one.Block, kept.Block) {
-			fail("one-shot outcome %+v (reference %+v), kept index %+v", gotOne, wantOne, got)
+		provedOne := stuck(wsOne.PairIndex(one, one.Block, a, b), one, a, b)
+		if proved && !provedOne {
+			fail("the kept index's bounds prove the pair stuck, the exact ones do not")
 		}
-		sameLists("one-shot", &wsOne.oneShot, &wsOneRef.oneShot)
+		wantOne, countsOne := refinePairReference(wsOneRef, wsOneRef.PairIndex(oneRef, oneRef.Block, a, b), oneRef, oneRef.Block, a, b, st.cfg, st.seedA, st.seedB)
+		gotOne := RefinePairViewWS(wsOne, one, one.Block, a, b, st.cfg, st.seedA, st.seedB)
+		if msg := expectOutcome(provedOne, gotOne, wantOne, countsOne); msg != "" || wantOne != want || !slices.Equal(one.Block, kept.Block) {
+			fail("one-shot outcome %+v (reference %+v, kept index's reference %+v) %s", gotOne, wantOne, want, msg)
+		}
+		sameLists("one-shot", provedOne, one, &wsOne.oneShot, &wsOneRef.oneShot)
 
 		if err := kept.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		if counts.pushes > 0 && counts.moves == 0 && counts.discards == counts.pushes {
 			cov.stuck++
+			if proved {
+				cov.proved++
+			}
 		}
 		cov.discards += counts.discards
 		cov.moves += got.Moves
@@ -198,7 +253,7 @@ func TestPairSearchMatchesReference(t *testing.T) {
 	if c := total[overloaded]; c.relieved == 0 || c.discards == 0 {
 		t.Errorf("overloaded starts: %+v", c)
 	}
-	if c := total[full]; c.stuck == 0 || c.moves == 0 || c.discards == 0 {
+	if c := total[full]; c.stuck == 0 || c.moves == 0 || c.discards == 0 || c.proved == 0 {
 		t.Errorf("both-full starts: %+v", c)
 	}
 }
@@ -206,12 +261,16 @@ func TestPairSearchMatchesReference(t *testing.T) {
 // TestBlockedMatchesBruteForce checks the stuck test against what it stands
 // for: over a table of block weights and bounds, asking the lightest node
 // answers for every node of a side (and infeasible is the rule run used to
-// spell out); on real bands, blocked agrees with trying every queued node.
+// spell out, with part.NoNode never feasible and never overflowing); on real
+// bands, blocked agrees with trying every queued node.
 func TestBlockedMatchesBruteForce(t *testing.T) {
 	weights := [][]int64{{1}, {1, 1, 3}, {2, 5}, {3}, {4, 2, 7}, {0, 2}}
 	for lmax := int64(0); lmax <= 12; lmax++ {
 		for from := int64(0); from <= 16; from++ {
 			for to := int64(0); to <= 16; to++ {
+				if !infeasible(from, to, part.NoNode, lmax) {
+					t.Fatalf("from %d to %d lmax %d: an empty block's sentinel weight can move", from, to, lmax)
+				}
 				for _, ws := range weights {
 					all := true
 					for _, w := range ws {
@@ -263,6 +322,40 @@ func TestBlockedMatchesBruteForce(t *testing.T) {
 	}
 	if !sawBlocked || !sawFree {
 		t.Fatalf("bands never covered both answers (blocked %v, free %v)", sawBlocked, sawFree)
+	}
+}
+
+// TestStuckPairCostsNothing pins what a pair proved stuck pays: with both
+// blocks at Lmax and a boundary between them, the call returns the zero
+// outcome, reads and compacts no list, leaves the band of the workspace's
+// last search alone and allocates nothing. One unit of room brings the
+// search back.
+func TestStuckPairCostsNothing(t *testing.T) {
+	g := gen.Grid2D(16, 16)
+	block := make([]int32, g.NumNodes())
+	for v := range block {
+		block[v] = int32(v * 4 / len(block))
+	}
+	p := part.FromBlocks(g, 4, 0.03, block)
+	idx, ws, cfg := part.NewBoundaryIndex(p), NewWorkspace(), defaultCfg()
+	RefinePairIndexed(ws, idx, p, p.Block, 2, 3, cfg, 1, 2) // leaves a band behind
+	p.SetLmax(p.BlockWeight(0))
+	if p.BlockWeight(1) != p.Lmax() || len(idx.List(0)) == 0 || len(idx.List(1)) == 0 {
+		t.Fatalf("blocks 0 and 1 weigh %d and %d, boundary lists %v %v", p.BlockWeight(0), p.BlockWeight(1), idx.List(0), idx.List(1))
+	}
+	lists := [2][]int32{slices.Clone(idx.List(0)), slices.Clone(idx.List(1))}
+	band, blocks := slices.Clone(ws.band), slices.Clone(p.Block)
+	var out RefinePairOutcome
+	allocs := testing.AllocsPerRun(10, func() { out = RefinePairIndexed(ws, idx, p, p.Block, 0, 1, cfg, 3, 4) })
+	if out != (RefinePairOutcome{}) || allocs != 0 {
+		t.Fatalf("stuck pair returned %+v with %v allocations per call", out, allocs)
+	}
+	if !slices.Equal(idx.List(0), lists[0]) || !slices.Equal(idx.List(1), lists[1]) || !slices.Equal(ws.band, band) || !slices.Equal(p.Block, blocks) {
+		t.Fatal("stuck pair touched its lists, the workspace's band or the partition")
+	}
+	p.SetLmax(p.Lmax() + 1)
+	if out = RefinePairIndexed(ws, idx, p, p.Block, 0, 1, cfg, 3, 4); out.BandSize == 0 {
+		t.Fatalf("a pair with room for one node built no band: %+v", out)
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test lint check docs fmt bench bench-build bench-baseline bench-compare examples race fuzz loc loc-check
+.PHONY: all vet build test lint check docs fmt bench bench-build bench-baseline bench-compare scaling examples race fuzz loc loc-check
 
 all: check
 
@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15131
+LOC_MAX = 15298
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -63,10 +63,11 @@ bench:
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
-# anywhere; timing is `benchmark compare`'s business. Refresh the baseline
-# intentionally with bench-baseline and commit it alongside the change that
-# explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel|DistributedLevel
+# anywhere; timing is `benchmark compare`'s business. RefineLevel's workers=2
+# sub-benchmarks stay out: their allocations depend on which crew member the
+# scheduler lets refine which pair. Refresh the baseline intentionally with
+# bench-baseline and commit it alongside the change that explains it.
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel
 BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
@@ -74,6 +75,15 @@ bench-baseline:
 bench-compare:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee /tmp/bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt -current /tmp/bench-current.txt
+
+# scaling prints how much faster a refinement crew of two is than one worker
+# on one refinement level of rgg15 and rmat12, next to the two-worker
+# list-scheduling bound of the same rounds (TestRefineScaling). It needs two
+# idle processors: on the reference box a process's threads can sit on one CPU
+# for seconds, and then it reads 0.9. EXPERIMENTS.md "PR 22" has the numbers.
+scaling:
+	$(GO) test -v -run TestRefineScaling -count=1 -cpu 2 ./internal/core -scaling | grep -Ev '^(=== |--- |PASS|ok)'
+
 
 # examples builds and runs every examples/* program end to end (CI runs
 # this too, so the example code can never rot).
@@ -85,9 +95,13 @@ examples:
 # observability stack (concurrent scrapes against a running pipeline), the
 # service layer (queue/drain/cancel handshakes under concurrent HTTP), and
 # pairwise refinement with its boundary index (one goroutine per pair of a
-# colour class against shared lists, each owned by a single pair).
+# colour class against shared lists, each owned by a single pair). core runs
+# at three processor counts for the refinement crew's hand-off: its three
+# kinds of participant (caller, claiming helper, idle helper) run at the same
+# time only from three processors up, and strictly take turns on one.
 race:
-	$(GO) test -race ./internal/core ./internal/coarsen ./internal/matching ./internal/dist ./internal/refine ./internal/part ./internal/remote ./internal/obs ./internal/svc ./internal/store .
+	$(GO) test -race -cpu 1,2,4 ./internal/core
+	$(GO) test -race ./internal/coarsen ./internal/matching ./internal/dist ./internal/refine ./internal/part ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
 # fuzz smokes the native Go fuzz targets for a few seconds each: the
 # byte-level decoders — the file-format parsers (METIS text, binary CSR), the

@@ -86,7 +86,7 @@ func main() {
 	var (
 		coarsFl = flag.String("coarsen", "shared", "coarsening mode: shared | distributed")
 		eval    = flag.String("eval", "", "evaluate (and refine) an existing partition file instead of partitioning from scratch")
-		workers = flag.Int("workers", 0, "goroutines for the data-parallel kernels (parallel contraction); 0 = GOMAXPROCS, 1 = serial. Results are identical for every value")
+		workers = flag.Int("workers", 0, "goroutines for the data-parallel kernels (parallel contraction) and members of the refinement crew; 0 = GOMAXPROCS, 1 = serial. Partitions are byte-identical for every value")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	)

@@ -117,10 +117,14 @@ type Config struct {
 	PEs int
 
 	// Workers is the goroutine count of the data-parallel kernels (the
-	// two-pass contraction's count and fill passes). 0 means GOMAXPROCS; 1
-	// runs the kernels inline. Because the parallel passes process every
-	// coarse node in exactly the serial order, results are byte-identical
-	// for every Workers value — the knob trades cores for wall-clock only.
+	// two-pass contraction's count and fill passes) and the size of the
+	// refinement crew, the caller included, that shares out the pairs of a
+	// colour class (at most K/2 members find work). 0 means GOMAXPROCS; 1
+	// runs both inline. The parallel passes process every coarse node in
+	// exactly the serial order and a pair's result depends on nothing a
+	// concurrent pair writes, so partitions are byte-identical for every
+	// Workers value and every interleaving (TestRunWorkersByteIdentical) —
+	// the knob trades cores for wall-clock only.
 	Workers int
 
 	Seed uint64

@@ -42,6 +42,7 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 	}
 	pl := NewPipeline(opts...)
 	env := &Env{observers: pl.Observers}
+	defer env.stopCrew()
 	own := append([]int32(nil), blocks...)
 	p := part.FromBlocks(g, cfg.K, cfg.Eps, own)
 	if !p.Feasible() {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coarsen"
@@ -126,79 +124,68 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // before every global iteration. The level owns the run's boundary index,
 // rebuilt here: the schedule reads its quotient, every pair draws its band
 // seeds from the lists of its two blocks and patches them with its moves.
+// A round of more than one pair goes to the run's crew (crew.go), the caller
+// claiming pairs beside the helpers.
 func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) error {
 	if cfg.K < 2 {
 		return nil
 	}
-	cfg2 := refine.TwoWayConfig{
-		Strategy:  cfg.Strategy,
-		Patience:  cfg.Patience,
-		BandDepth: cfg.BandDepth,
-	}
 	idx := &env.boundary
 	idx.Reset(p, p.Block, -1, -1)
+	r := round{
+		p:     p,
+		idx:   idx,
+		fm:    refine.TwoWayConfig{Strategy: cfg.Strategy, Patience: cfg.Patience, BandDepth: cfg.BandDepth},
+		local: cfg.LocalIter,
+		check: env.indexCheck,
+	}
+	// Every crew member owns one of the run's FM workspaces; a class holds
+	// at most K/2 pairs.
+	workers := min(cfg.workers(), cfg.K/2)
+	workspaces := env.workspacesFor(workers)
+	refinePair := func(member, i int) { r.refine(workspaces[member], i) }
 	fruitlessRuns := 0
-	var wg sync.WaitGroup
-	var next atomic.Int32 // next unclaimed pair of the round's class
 	for global := 0; global < cfg.MaxGlobalIter; global++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rounds := schedule(idx.Quotient(), cfg, levelSeed, global)
+		var q []part.QEdge
+		if env.crew != nil {
+			q = idx.QuotientOn(workers, env.crew.run)
+		} else {
+			q = idx.Quotient()
+		}
+		rounds := schedule(q, cfg, levelSeed, global)
 		var totalGain int64
-		for round, class := range rounds {
+		for ri, class := range rounds {
 			if len(class) == 0 {
 				continue
 			}
 			// Disjoint pairs refine concurrently; all reads of foreign
 			// blocks go through a snapshot taken before the round. The
-			// snapshot and per-pair gain table are arena scratch. Each
-			// worker owns one of the run's FM workspaces and claims pairs
-			// off a shared counter; a pair's seeds depend on the pair, not
-			// on who refines it.
-			view := env.Arena.Int32(len(p.Block))
-			copy(view, p.Block)
-			gains := env.Arena.Int64(len(class))
-			work := func(ws *refine.Workspace) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(class) {
-						return
-					}
-					a, b := class[i].A, class[i].B
-					base := cfg.Seed ^ levelSeed<<32 ^ uint64(global)<<16 ^ uint64(round)<<8 ^ uint64(a)<<24 ^ uint64(b)
-					var gain int64
-					for li := 0; li < cfg.LocalIter; li++ {
-						out := refine.RefinePairIndexed(ws, idx, p, view, a, b, cfg2,
-							splitSeed(base, uint64(2*li)), splitSeed(base, uint64(2*li+1)))
-						gain += out.Gain
-						if env.indexCheck != nil {
-							env.indexCheck(idx, p, view, a, b)
-						}
-						if out.Gain <= 0 {
-							break
-						}
-					}
-					gains[i] = gain
+			// snapshot and per-pair gain table are arena scratch.
+			r.view = env.Arena.Int32(len(p.Block))
+			copy(r.view, p.Block)
+			r.class, r.gains = class, env.Arena.Int64(len(class))
+			r.seed = cfg.Seed ^ levelSeed<<32 ^ uint64(global)<<16 ^ uint64(ri)<<8
+			if env.claimOrder != nil {
+				env.claimOrder(class)
+			}
+			if workers > 1 && len(class) > 1 {
+				env.crewFor(workers).run(len(class), refinePair)
+			} else {
+				for i := range class {
+					refinePair(0, i)
 				}
 			}
-			workspaces := env.workspacesFor(min(cfg.workers(), len(class)))
-			next.Store(0)
-			wg.Add(len(workspaces))
-			for _, ws := range workspaces[1:] {
-				go work(ws)
-			}
-			work(workspaces[0])
-			wg.Wait()
 			if env.indexCheck != nil {
 				env.indexCheck(idx, p, p.Block, -1, -1)
 			}
-			for _, gv := range gains {
+			for _, gv := range r.gains {
 				totalGain += gv
 			}
-			env.Arena.PutInt64(gains)
-			env.Arena.PutInt32(view)
+			env.Arena.PutInt64(r.gains)
+			env.Arena.PutInt32(r.view)
 		}
 		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: totalGain})
 		if totalGain > 0 {
@@ -211,6 +198,41 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 		}
 	}
 	return nil
+}
+
+// round is one colour class of one global iteration, ready to refine: what a
+// pair's refinement needs besides its position in the class. A pair's seeds
+// depend on the level, the iteration, the round and the pair, never on who
+// refines it or when.
+type round struct {
+	p     *part.Partition
+	idx   *part.BoundaryIndex
+	view  []int32 // snapshot of p.Block taken before the round
+	class []part.QEdge
+	gains []int64 // per pair of the class, written by whoever refined it
+	fm    refine.TwoWayConfig
+	local int    // cfg.LocalIter
+	seed  uint64 // of (run, level, global iteration, round)
+	check func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
+}
+
+// refine runs the local iterations of pair i of the class on ws.
+func (r *round) refine(ws *refine.Workspace, i int) {
+	a, b := r.class[i].A, r.class[i].B
+	base := r.seed ^ uint64(a)<<24 ^ uint64(b)
+	var gain int64
+	for li := 0; li < r.local; li++ {
+		out := refine.RefinePairIndexed(ws, r.idx, r.p, r.view, a, b, r.fm,
+			splitSeed(base, uint64(2*li)), splitSeed(base, uint64(2*li+1)))
+		gain += out.Gain
+		if r.check != nil {
+			r.check(r.idx, r.p, r.view, a, b)
+		}
+		if out.Gain <= 0 {
+			break
+		}
+	}
+	r.gains[i] = gain
 }
 
 // schedule produces the rounds of block pairs for one global iteration from

@@ -70,6 +70,7 @@ type Env struct {
 	stats     *dist.TransportStats
 	peScratch []*mem.Arena        // see scratchFor
 	refineWS  []*refine.Workspace // see workspacesFor
+	crew      *crew               // see crewFor; stopped before the run returns
 	boundary  part.BoundaryIndex  // reset by every refinement level, storage reused
 
 	// indexCheck is nil outside tests. refineLevel calls it on the pair's
@@ -78,6 +79,13 @@ type Env struct {
 	// own block array — the points at which the boundary index's invariants
 	// must hold for the pair's two lists and for all of them.
 	indexCheck func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
+	// claimOrder is nil outside tests. refineLevel hands it every round's
+	// class, whose pairs are claimed in slice order, to permute in place
+	// before the round starts.
+	claimOrder func(class []part.QEdge)
+	// noSpin is false outside tests: set, crew members park as soon as they
+	// have nothing to claim, the path a process takes whose cores are busy.
+	noSpin bool
 }
 
 // scratchFor returns the run's scratch arenas for distributed coarsening,
@@ -99,6 +107,29 @@ func (e *Env) workspacesFor(workers int) []*refine.Workspace {
 		e.refineWS = append(e.refineWS, refine.NewWorkspace())
 	}
 	return e.refineWS[:workers]
+}
+
+// crewFor returns the run's refinement crew of workers members, the caller
+// included, started on first use.
+func (e *Env) crewFor(workers int) *crew {
+	if e.crew == nil {
+		spin := crewSpin
+		if e.noSpin {
+			spin = 0
+		}
+		e.crew = startCrew(workers, spin)
+	}
+	return e.crew
+}
+
+// stopCrew ends the run's refinement crew, if one was started: when it
+// returns the helpers have exited. Whoever makes an Env that reaches
+// refineLevel defers it.
+func (e *Env) stopCrew() {
+	if e.crew != nil {
+		e.crew.stop()
+		e.crew = nil
+	}
 }
 
 // Emit delivers ev to every attached Observer, in attachment order.
@@ -252,6 +283,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		observers:   pl.Observers,
 		stats:       pl.Stats,
 	}
+	defer env.stopCrew()
 	if env.Distributor == nil {
 		env.Distributor = strategyDistributor{arena}
 	}

@@ -2,29 +2,20 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/coarsen"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/part"
 )
-
-// checkedRefiner is the default Refiner with the boundary-index check wired
-// into every refinement level.
-type checkedRefiner struct {
-	check func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
-}
-
-func (c checkedRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *Env) (*part.Partition, error) {
-	env.indexCheck = c.check
-	return pairwiseRefiner{}.Refine(ctx, h, initial, cfg, env)
-}
 
 // checkIndexLists verifies the boundary-index invariants for the given blocks
 // of the partition view describes: every node of block b with a neighbour
@@ -112,7 +103,7 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 				}
 				cfg := NewConfig(preset, k)
 				cfg.Seed = 7
-				if _, err := Run(context.Background(), g, cfg, WithRefiner(checkedRefiner{check})); err != nil {
+				if _, err := Run(context.Background(), g, cfg, WithRefiner(envRefiner(func(env *Env) { env.indexCheck = check }))); err != nil {
 					t.Fatal(err)
 				}
 				if first != nil {
@@ -131,43 +122,152 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 	t.Logf("%d pairs ended a call with both blocks full", fullPairs)
 }
 
-// BenchmarkRefineLevel times one global iteration of pairwise refinement on
-// the finest level of a mesh and of a power-law graph, k=16, over the
-// partition a Minimal run leaves: index build, quotient, colouring and one
-// FM pass over every block pair. An untimed first call warms the arena and
-// the workspaces, so allocs/op is the steady state a V-cycle sees on all but
-// its first level.
-func BenchmarkRefineLevel(b *testing.B) {
-	for _, spec := range []string{"rgg:15", "rmat:12"} {
-		b.Run(strings.ReplaceAll(spec, ":", ""), func(b *testing.B) {
-			g, err := gen.FromSpec(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			minimal := NewConfig(Minimal, 16)
-			minimal.Seed = 1
-			base, err := Run(context.Background(), g, minimal)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := NewConfig(Fast, 16)
-			cfg.Seed = 1
-			cfg.MaxGlobalIter = 1
-			env := &Env{Arena: mem.NewArena()}
-			blocks := make([]int32, g.NumNodes())
-			refineOnce := func() {
-				copy(blocks, base.Blocks)
-				p := part.FromBlocks(g, cfg.K, cfg.Eps, blocks)
-				if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
-					b.Fatal(err)
-				}
-			}
-			refineOnce()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				refineOnce()
-			}
-		})
+// refineLevelBench is one global iteration of pairwise refinement on the
+// finest level of a graph, k=16, over the partition a Minimal run leaves:
+// index build, quotient, colouring and one FM pass over every block pair.
+type refineLevelBench struct {
+	g      *graph.Graph
+	start  []int32 // the Minimal run's blocks
+	blocks []int32 // what a pass refines: start, copied
+	cfg    Config
+	env    *Env
+}
+
+func newRefineLevelBench(tb testing.TB, spec string, workers int) *refineLevelBench {
+	g, err := gen.FromSpec(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	minimal := NewConfig(Minimal, 16)
+	minimal.Seed = 1
+	base, err := Run(context.Background(), g, minimal)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := NewConfig(Fast, 16)
+	cfg.Seed, cfg.MaxGlobalIter, cfg.Workers = 1, 1, workers
+	// The Env lives as long as a run's does: its crew starts in the first
+	// pass and is stopped when the benchmark is over.
+	env := &Env{Arena: mem.NewArena()}
+	tb.Cleanup(env.stopCrew)
+	return &refineLevelBench{g, base.Blocks, make([]int32, g.NumNodes()), cfg, env}
+}
+
+func (l *refineLevelBench) pass(tb testing.TB) {
+	copy(l.blocks, l.start)
+	p := part.FromBlocks(l.g, l.cfg.K, l.cfg.Eps, l.blocks)
+	if err := refineLevel(context.Background(), p, &l.cfg, 0, 0, l.env); err != nil {
+		tb.Fatal(err)
 	}
 }
+
+// BenchmarkRefineLevel times refineLevelBench's pass on one worker and on a
+// crew of two, on a mesh and on a power-law graph. An untimed first pass
+// warms the arena and the workspaces and starts the crew, so allocs/op is the
+// steady state a V-cycle sees on all but its first level — on one worker,
+// which is what `make bench-compare` gates: on a crew the scheduler decides
+// which member refines which pair, hence whose workspace still has to grow.
+func BenchmarkRefineLevel(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		for _, spec := range []string{"rgg:15", "rmat:12"} {
+			b.Run(fmt.Sprintf("workers=%d/%s", workers, strings.ReplaceAll(spec, ":", "")), func(b *testing.B) {
+				l := newRefineLevelBench(b, spec, workers)
+				l.pass(b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l.pass(b)
+				}
+			})
+		}
+	}
+}
+
+var scaling = flag.Bool("scaling", false, "run TestRefineScaling, which times refinement on one and two workers (make scaling)")
+
+// TestRefineScaling prints, for refineLevelBench's pass on a mesh and on a
+// power-law graph, how much faster a crew of two is than one worker, next to
+// the most two workers could make of the same rounds: the one-worker time
+// less, per round, what list-scheduling the round's measured pair durations
+// onto two workers in claim order saves; then the same ratio for the
+// refinement phase of whole runs. Passes alternate between the two so that a
+// drifting machine slows both alike; times are medians.
+func TestRefineScaling(t *testing.T) {
+	if !*scaling {
+		t.Skip("timing test: run make scaling")
+	}
+	const passes = 40
+	for _, spec := range []string{"rgg:15", "rmat:12"} {
+		one, two := newRefineLevelBench(t, spec, 1), newRefineLevelBench(t, spec, 2)
+		// The hooks mark, on the single worker's goroutine, when a round
+		// starts, when each of its pairs is done and when it is over.
+		var pairs []time.Duration // of the round under way
+		var last time.Time
+		var lastA, lastB int32
+		var saved time.Duration // by two workers, over one pass
+		one.env.claimOrder = func([]part.QEdge) { pairs, last, lastA = pairs[:0], time.Now(), -1 }
+		one.env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, b int32) {
+			now := time.Now()
+			switch {
+			case a < 0:
+				var sum time.Duration
+				var free [2]time.Duration
+				for _, d := range pairs {
+					sum += d
+					w := 0 // the worker that is free first takes the next pair
+					if free[1] < free[0] {
+						w = 1
+					}
+					free[w] += d
+				}
+				saved += sum - max(free[0], free[1])
+			case a == lastA && b == lastB: // the pair's next local iteration
+				pairs[len(pairs)-1] += now.Sub(last)
+			default:
+				pairs = append(pairs, now.Sub(last))
+			}
+			last, lastA, lastB = now, a, b
+		}
+		one.pass(t)
+		two.pass(t)
+		var t1, t2, bound []time.Duration
+		for i := 0; i < passes; i++ {
+			saved = 0
+			start := time.Now()
+			one.pass(t)
+			d1 := time.Since(start)
+			t1, bound = append(t1, d1), append(bound, d1-saved)
+			start = time.Now()
+			two.pass(t)
+			t2 = append(t2, time.Since(start))
+		}
+		m1, m2, mb := median(t1), median(t2), median(bound)
+		fmt.Printf("%-7s finest level: one worker %6.2f ms  crew of two %6.2f ms  scaling %.2f  list-scheduling bound %.2f (GOMAXPROCS=%d)\n",
+			strings.ReplaceAll(spec, ":", ""), ms(m1), ms(m2), float64(m1)/float64(m2), float64(m1)/float64(mb), runtime.GOMAXPROCS(0))
+		// The finest level's rounds are the longest of a run; the refinement
+		// phase of whole runs, coarse levels and their short rounds
+		// included, is what an op pays.
+		t1, t2 = t1[:0], t2[:0]
+		for seed := uint64(0); seed < passes; seed++ {
+			for workers, times := range map[int]*[]time.Duration{1: &t1, 2: &t2} {
+				cfg := NewConfig(Fast, 16)
+				cfg.Seed, cfg.Workers = seed, workers
+				res, err := Run(context.Background(), one.g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				*times = append(*times, res.RefineTime)
+			}
+		}
+		m1, m2 = median(t1), median(t2)
+		fmt.Printf("%-7s whole runs' refinement: one worker %6.2f ms  crew of two %6.2f ms  scaling %.2f\n",
+			strings.ReplaceAll(spec, ":", ""), ms(m1), ms(m2), float64(m1)/float64(m2))
+	}
+}
+
+func median(d []time.Duration) time.Duration {
+	slices.Sort(d)
+	return d[len(d)/2]
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

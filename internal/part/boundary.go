@@ -44,10 +44,11 @@ type BoundaryIndex struct {
 	in    []bool
 	minW  []int64
 
-	// Quotient scratch: weight to each higher block, and which were seen.
-	row     []int64
-	seen    []bool
-	touched []int32
+	// Quotient scratch: one per member, every block's row, and the rows
+	// joined.
+	qscratch []quotientScratch
+	qrows    [][]QEdge
+	qedges   []QEdge
 }
 
 // NewBoundaryIndex indexes the boundary of every block of p in one O(n+m)
@@ -193,41 +194,80 @@ func (x *BoundaryIndex) Patch(view []int32, a, b int32, moved []int32) {
 }
 
 // Quotient returns the quotient graph of the indexed partition, sorted by
-// (A, B): every cut edge is counted from its lower block's boundary list,
-// scattered into a k-length row and emitted in order of B.
+// (A, B). The slice is the index's own scratch: the next Quotient or
+// QuotientOn call overwrites it.
 func (x *BoundaryIndex) Quotient() []QEdge {
-	p := x.p
-	if cap(x.row) < p.K {
-		x.row = make([]int64, p.K)
-		x.seen = make([]bool, p.K)
+	return x.QuotientOn(1, func(n int, row func(member, a int)) {
+		for a := 0; a < n; a++ {
+			row(0, a)
+		}
+	})
+}
+
+// quotientScratch is what one member needs to build a row: the weight to
+// each higher block, which of them were seen, and their list.
+type quotientScratch struct {
+	row     []int64
+	seen    []bool
+	touched []int32
+}
+
+// QuotientOn is Quotient with the rows — one per block, independent of each
+// other — handed to run, which must call row(member, a) once for every block
+// a in [0, n) and return when every call has: member, below members, names
+// the caller, and calls of different members may run side by side. Rows are
+// joined in block order, so the result does not depend on who built which.
+func (x *BoundaryIndex) QuotientOn(members int, run func(n int, row func(member, a int))) []QEdge {
+	k := x.p.K
+	for len(x.qscratch) < members {
+		x.qscratch = append(x.qscratch, quotientScratch{})
 	}
-	row, seen, touched := x.row[:p.K], x.seen[:p.K], x.touched[:0]
-	edges := make([]QEdge, 0, 4*p.K)
-	for a := int32(0); a < int32(p.K); a++ {
-		for _, v := range x.lists[a] {
-			if p.Block[v] != a {
+	for m := range x.qscratch[:members] {
+		if s := &x.qscratch[m]; cap(s.row) < k {
+			s.row, s.seen = make([]int64, k), make([]bool, k)
+		}
+	}
+	if cap(x.qrows) < k {
+		x.qrows = make([][]QEdge, k)
+	}
+	x.qrows = x.qrows[:k]
+	run(k, x.quotientRow)
+	edges := x.qedges[:0]
+	for _, r := range x.qrows {
+		edges = append(edges, r...)
+	}
+	x.qedges = edges
+	return edges
+}
+
+// quotientRow builds block a's row: every cut edge to a higher block is
+// counted from a's boundary list, scattered into a k-length row and emitted
+// in order of B.
+func (x *BoundaryIndex) quotientRow(member, a int) {
+	p, s := x.p, &x.qscratch[member]
+	row, seen, touched := s.row[:p.K], s.seen[:p.K], s.touched[:0]
+	edges := x.qrows[a][:0]
+	for _, v := range x.lists[a] {
+		if p.Block[v] != int32(a) {
+			continue
+		}
+		ws := p.G.AdjWeights(v)
+		for i, u := range p.G.Adj(v) {
+			bu := p.Block[u]
+			if bu <= int32(a) {
 				continue
 			}
-			ws := p.G.AdjWeights(v)
-			for i, u := range p.G.Adj(v) {
-				bu := p.Block[u]
-				if bu <= a {
-					continue
-				}
-				if !seen[bu] {
-					seen[bu] = true
-					touched = append(touched, bu)
-				}
-				row[bu] += ws[i]
+			if !seen[bu] {
+				seen[bu] = true
+				touched = append(touched, bu)
 			}
+			row[bu] += ws[i]
 		}
-		slices.Sort(touched)
-		for _, b := range touched {
-			edges = append(edges, QEdge{a, b, row[b]})
-			row[b], seen[b] = 0, false
-		}
-		touched = touched[:0]
 	}
-	x.touched = touched
-	return edges
+	slices.Sort(touched)
+	for _, b := range touched {
+		edges = append(edges, QEdge{int32(a), b, row[b]})
+		row[b], seen[b] = 0, false
+	}
+	s.touched, x.qrows[a] = touched[:0], edges
 }

@@ -3,6 +3,7 @@ package part
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -137,13 +138,34 @@ func randomPartition(g *graph.Graph, k int, r *rng.RNG) *Partition {
 	return FromBlocks(g, k, 0.5, block)
 }
 
+// TestQuotientMatchesReference compares the index's quotient with the
+// reference, built on one goroutine and with its rows dealt out to three
+// members that build them side by side.
 func TestQuotientMatchesReference(t *testing.T) {
 	r := rng.New(74)
+	const members = 3
+	sideBySide := func(n int, row func(member, a int)) {
+		var wg sync.WaitGroup
+		for m := 0; m < members; m++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for a := m; a < n; a += members {
+					row(m, a)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 	for _, g := range []*graph.Graph{gen.RGG(10, 1), gen.RMAT(9, 8, 1), gen.Grid2D(20, 20), gen.Grid2D(1, 1)} {
 		for _, k := range []int{1, 2, 7, 33} {
 			p := randomPartition(g, k, r)
-			if got, want := p.Quotient(), quotientReference(p); !slices.Equal(got, want) {
+			want := quotientReference(p)
+			if got := p.Quotient(); !slices.Equal(got, want) {
 				t.Fatalf("n=%d k=%d: quotient %v, reference %v", g.NumNodes(), k, got, want)
+			}
+			if got := NewBoundaryIndex(p).QuotientOn(members, sideBySide); !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: quotient built by %d members %v, reference %v", g.NumNodes(), k, members, got, want)
 			}
 		}
 	}

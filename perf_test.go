@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -58,28 +60,39 @@ func TestRunArenaReuseByteIdentical(t *testing.T) {
 
 // TestRunWorkersByteIdentical pins that the Workers knob trades cores for
 // wall-clock only: any worker count must reproduce the serial result
-// byte-identically.
+// byte-identically — the contraction kernels' goroutines and the refinement
+// crew alike, on every generator family, and on one mesh and one power-law
+// instance at k=16 (classes of up to eight pairs) for every crew shape on one
+// processor and on two.
 func TestRunWorkersByteIdentical(t *testing.T) {
-	for name, g := range perfFamilies() {
-		cfg := NewConfig(Fast, 8)
+	check := func(name string, g *Graph, k int) {
+		cfg := NewConfig(Fast, k)
 		cfg.Seed = 7
 		cfg.Workers = 1
 		serial, err := Run(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 16} {
+		for _, workers := range []int{2, 3, 8} {
 			cfg.Workers = workers
 			got, err := Run(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range serial.Blocks {
-				if got.Blocks[v] != serial.Blocks[v] {
-					t.Fatalf("%s: Workers=%d diverges from serial at node %d", name, workers, v)
-				}
+			if !slices.Equal(got.Blocks, serial.Blocks) {
+				t.Fatalf("%s k=%d GOMAXPROCS=%d: Workers=%d diverges from Workers=1", name, k, runtime.GOMAXPROCS(0), workers)
 			}
 		}
+	}
+	families := perfFamilies()
+	for name, g := range families {
+		check(name, g, 8)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		check("rgg", families["rgg"], 16)
+		check("social", families["social"], 16)
 	}
 }
 

@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15298
+LOC_MAX = 15640
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -59,7 +59,8 @@ bench:
 # one refinement level (core's index build, schedule and pairwise FM pass;
 # both on a mesh and on a power-law graph) and one distributed contraction
 # level (core's extract → encode → decode → match → contract →
-# encode → decode → stitch over two PEs) against the committed
+# encode → decode → stitch over two PEs) with, on their own, its stitch and
+# its two decoders, against the committed
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
@@ -67,7 +68,7 @@ bench:
 # sub-benchmarks stay out: their allocations depend on which crew member the
 # scheduler lets refine which pair. Refresh the baseline intentionally with
 # bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction
 BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
@@ -98,10 +99,14 @@ examples:
 # colour class against shared lists, each owned by a single pair). core runs
 # at three processor counts for the refinement crew's hand-off: its three
 # kinds of participant (caller, claiming helper, idle helper) run at the same
-# time only from three processors up, and strictly take turns on one.
+# time only from three processors up, and strictly take turns on one. graph,
+# coarsen and wire run at the same three counts for the edge-list kernel: its
+# node ranges (count; scatter and merge; the slide that closes their gaps) are
+# one goroutine's on one processor and side by side from two up, under the
+# stitch and under the codecs' round trips.
 race:
-	$(GO) test -race -cpu 1,2,4 ./internal/core
-	$(GO) test -race ./internal/coarsen ./internal/matching ./internal/dist ./internal/refine ./internal/part ./internal/remote ./internal/obs ./internal/svc ./internal/store .
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/graph ./internal/coarsen ./internal/wire
+	$(GO) test -race ./internal/matching ./internal/dist ./internal/refine ./internal/part ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
 # fuzz smokes the native Go fuzz targets for a few seconds each: the
 # byte-level decoders — the file-format parsers (METIS text, binary CSR), the
@@ -113,8 +118,10 @@ race:
 # sort-free coarsening kernels (radix edge order, selection-based RCB), the
 # boundary-indexed band builder, the pair search that stops when nothing can
 # move — or, proved stuck by the index's per-block weight bounds, never starts
-# — and the direct-CSR shard extraction; and the property that proof rests on,
-# that a bound never exceeds its block's lightest node. CI runs this.
+# —, the direct-CSR shard extraction, the bulk varint kernels under the wire
+# arrays and the edge-list kernel on one node range and on several; and the
+# property that proof rests on, that a bound never exceeds its block's
+# lightest node. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
 # interesting inputs, and the default 60s minimization per input stalls a
 # short smoke run before it fuzzes anything.
@@ -127,6 +134,8 @@ fuzz:
 	$(GO) test ./internal/graphio -run=^$$ -fuzz=FuzzReadBinary -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/wire -run=^$$ -fuzz=FuzzMsgCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/wire -run=^$$ -fuzz=FuzzDecodeControl -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/wire -run=^$$ -fuzz=FuzzBulkVarintMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/graph -run=^$$ -fuzz=FuzzFromEdgeListsMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadShard -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzSortEdgesMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

@@ -1,6 +1,9 @@
 package coarsen
 
 import (
+	"errors"
+	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/dist"
@@ -53,17 +56,91 @@ func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Mat
 	return Stitch(g, parts)
 }
 
+// CheckLengths reports whether p's parallel arrays agree in length: one
+// target and one weight per edge source, one coarse id per fine node, and
+// every coordinate array either absent or as long as the weights. It is what
+// a decoder can check of a part on its own, in constant time; StitchChecked
+// checks the rest against the level.
+func (p *PEContraction) CheckLengths() error {
+	if len(p.EdgeV) != len(p.EdgeU) || len(p.EdgeW) != len(p.EdgeU) {
+		return fmt.Errorf("coarsen: contraction has %d edge sources, %d targets, %d weights", len(p.EdgeU), len(p.EdgeV), len(p.EdgeW))
+	}
+	if len(p.FineCoarse) != len(p.FineGlobal) {
+		return fmt.Errorf("coarsen: contraction maps %d fine nodes to %d coarse ids", len(p.FineGlobal), len(p.FineCoarse))
+	}
+	for _, c := range [][]float64{p.CX, p.CY, p.CZ} {
+		if c != nil && len(c) != len(p.Weights) {
+			return fmt.Errorf("coarsen: contraction has %d coordinates for %d coarse nodes", len(c), len(p.Weights))
+		}
+	}
+	return nil
+}
+
+// PartError is a contraction part that does not fit the level it was
+// returned for: the PE whose part it is, and what is wrong with it. PE is -1
+// when the parts are wrong only together.
+type PartError struct {
+	PE  int
+	Err error
+}
+
+func (e *PartError) Error() string { return fmt.Sprintf("coarsen: part of PE %d: %v", e.PE, e.Err) }
+func (e *PartError) Unwrap() error { return e.Err }
+
 // Stitch assembles the per-PE contraction contributions into the next-level
 // global coarse graph and the fine→coarse map. Parts must be ordered by PE;
-// every per-PE list is deterministic, so the assembled graph is too.
+// every per-PE list is deterministic, so the assembled graph is too. It is
+// StitchChecked for parts this process computed itself.
+//
+//kappa:invariant ContractSubgraph emits ids of the level it contracts; parts that crossed a process boundary go through StitchChecked
 func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
-	total := 0
-	for _, p := range parts {
+	cg, fine2coarse, err := StitchChecked(g, parts)
+	if err != nil {
+		panic(err.Error())
+	}
+	return cg, fine2coarse
+}
+
+// StitchChecked is Stitch for parts received from another process: nothing
+// in them is trusted, and a part that does not fit the level is a *PartError
+// naming its PE instead of a panic. The parts must tile the coarse id range
+// in PE order, their arrays agree in length, map every node of g exactly once
+// and to a coarse id in the tiled range, name only such ids in their edges,
+// carry no negative node weight and no edge weight that is not positive, given
+// or merged. Each check is made by the loop that reads the value anyway: the
+// tiling and the fine-node count by the sizing pass, the fine-node ids by the
+// fill of the map, node weights, edge ids and edge weights by the passes of
+// graph.FromEdgeLists, whose error says which list — which part — it is about.
+//
+// The parts are placed one after another on the calling goroutine: that is
+// 1.9 ns a fine node on the reference box (61 µs for the two parts of rgg15's
+// level 0), under the 85–100 µs one goroutine takes to wake there
+// (EXPERIMENTS.md "PR 24", parallel placement measured and left out). The
+// part of a stitch that pays on a second core is FromEdgeLists.
+func StitchChecked(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, error) {
+	total, fine, dims := 0, 0, g.CoordDims()
+	for pe, p := range parts {
+		if err := p.CheckLengths(); err != nil {
+			return nil, nil, &PartError{pe, err}
+		}
+		if int(p.FirstCoarse) != total {
+			return nil, nil, &PartError{pe, fmt.Errorf("first coarse id %d, but the parts before it end at %d", p.FirstCoarse, total)}
+		}
+		for d, c := range [][]float64{p.CX, p.CY, p.CZ}[:dims] {
+			if len(c) != len(p.Weights) { // a dimension of the level the part leaves out
+				return nil, nil, &PartError{pe, fmt.Errorf("%d coordinates in dimension %d for %d coarse nodes", len(c), d, len(p.Weights))}
+			}
+		}
 		total += len(p.Weights)
+		fine += len(p.FineGlobal)
+	}
+	// As many map entries as nodes and, below, none of them written twice:
+	// every node is mapped.
+	if fine != g.NumNodes() {
+		return nil, nil, &PartError{-1, fmt.Errorf("the parts map %d fine nodes of a level of %d", fine, g.NumNodes())}
 	}
 	nwgt := make([]int64, total)
 	var coords [3][]float64
-	dims := g.CoordDims()
 	if total == 0 {
 		dims = 0
 	}
@@ -71,30 +148,59 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 		coords[d] = make([]float64, total)
 	}
 	lists := make([]graph.EdgeList, len(parts))
+	fine2coarse := make([]int32, fine)
+	for i := range fine2coarse {
+		fine2coarse[i] = -1
+	}
 	for pe, p := range parts {
 		copy(nwgt[p.FirstCoarse:], p.Weights)
 		for d, c := range [][]float64{p.CX, p.CY, p.CZ}[:dims] {
 			copy(coords[d][p.FirstCoarse:], c)
 		}
 		lists[pe] = graph.EdgeList{U: p.EdgeU, V: p.EdgeV, W: p.EdgeW}
+		if i := fillMap(fine2coarse, p.FineGlobal, p.FineCoarse, int32(total)); i >= 0 {
+			return nil, nil, &PartError{pe, fmt.Errorf("fine node %d → coarse node %d: mapped before, or outside a level of %d → %d nodes", p.FineGlobal[i], p.FineCoarse[i], fine, total)}
+		}
 	}
 	// The parts' edge lists go straight into the coarse CSR: counted,
 	// scattered and row-merged (parallel coarse edges sum) by the kernel
 	// Builder.Build runs on.
-	cg := graph.FromEdgeLists(nwgt, lists)
+	cg, err := graph.FromEdgeLists(nwgt, lists)
+	if err != nil {
+		pe := -1
+		var in *graph.InputError
+		if errors.As(err, &in) {
+			pe = in.List // list pe is part pe's
+			if in.Node >= 0 {
+				pe = sort.Search(len(parts), func(q int) bool { return int(parts[q].FirstCoarse)+len(parts[q].Weights) > in.Node })
+			}
+		}
+		return nil, nil, &PartError{pe, err}
+	}
 	switch dims {
 	case 3:
 		cg.SetCoords3(coords[0], coords[1], coords[2])
 	case 2:
 		cg.SetCoords(coords[0], coords[1])
 	}
-	fine2coarse := make([]int32, g.NumNodes())
-	for _, p := range parts {
-		for i, gv := range p.FineGlobal {
-			fine2coarse[gv] = p.FineCoarse[i]
+	return cg, fine2coarse, nil
+}
+
+// fillMap sets fine2coarse[fine[i]] = coarse[i] for every i and returns the
+// first i whose fine id lies outside the map or has an entry already (the
+// map starts at -1 everywhere), or whose coarse id lies outside [0, total);
+// -1 when there is none.
+//
+//kappa:hotpath
+func fillMap(fine2coarse, fine, coarse []int32, total int32) int {
+	for i, gv := range fine {
+		c := coarse[i]
+		if uint32(gv) >= uint32(len(fine2coarse)) || uint32(c) >= uint32(total) || fine2coarse[gv] >= 0 {
+			return i
 		}
+		fine2coarse[gv] = c
 	}
-	return cg, fine2coarse
+	return -1
 }
 
 // ContractSubgraph is the per-PE side of ContractDistributed: the superstep

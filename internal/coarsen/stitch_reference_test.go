@@ -1,6 +1,9 @@
 package coarsen
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -174,8 +177,114 @@ func TestStitchMergesAcrossParts(t *testing.T) {
 
 // TestStitchNothing covers a level whose parts are all empty.
 func TestStitchNothing(t *testing.T) {
-	g := gen.Grid2D(2, 2)
+	g := graph.NewBuilder(0).Build()
 	got, _ := Stitch(g, []*PEContraction{{}, {}})
 	want, _ := referenceStitch(g, []*PEContraction{{}, {}})
 	sameGraph(t, "empty", got, want)
+}
+
+// TestStitchByteIdenticalAcrossGOMAXPROCS stitches level-0 parts large enough
+// to clear the half-edge floor of graph.FromEdgeLists on one, two and four
+// processors: offsets, neighbours, weights, coordinates, aggregates and the
+// fine→coarse map must not depend on how many goroutines built them. The
+// one-processor result is also held against graph.FromCSR of its own arrays —
+// the stitch adopts them without that second walk.
+func TestStitchByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, g := range map[string]*graph.Graph{"rgg14": gen.RGG(14, 1), "rmat13": gen.RMAT(13, 8, 2), "grid3d": gen.Grid3D(24, 24, 24)} {
+		parts := levelParts(g, dist.Assign(g, dist.StrategyAuto, 3), 3, 17)
+		edges := 0
+		for _, p := range parts {
+			edges += len(p.EdgeU)
+		}
+		if edges < 1<<15 {
+			t.Fatalf("%s: %d coarse edge contributions stay under the parallel floor", name, edges)
+		}
+		runtime.GOMAXPROCS(1)
+		want, wantMap := Stitch(g, parts)
+		xadj := []int32{0}
+		adj, ewgt := []int32{}, []int64{}
+		for v := int32(0); v < int32(want.NumNodes()); v++ {
+			adj, ewgt = append(adj, want.Adj(v)...), append(ewgt, want.AdjWeights(v)...)
+			xadj = append(xadj, int32(len(adj)))
+		}
+		checked, err := graph.FromCSR(xadj, adj, ewgt, slices.Clone(want.NodeWeights()))
+		if err != nil {
+			t.Fatalf("%s: graph.FromCSR refuses the stitched arrays: %v", name, err)
+		}
+		switch x, y, z := want.Coords3(); want.CoordDims() {
+		case 2:
+			checked.SetCoords(x, y)
+		case 3:
+			checked.SetCoords3(x, y, z)
+		}
+		if !reflect.DeepEqual(want, checked) {
+			t.Fatalf("%s: stitched graph differs from graph.FromCSR of the same arrays", name)
+		}
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, gotMap := Stitch(g, parts)
+			if !reflect.DeepEqual(got, want) || !slices.Equal(gotMap, wantMap) {
+				t.Fatalf("%s: GOMAXPROCS=%d stitches a different graph or map than GOMAXPROCS=1", name, procs)
+			}
+		}
+	}
+}
+
+// TestStitchCheckedRefuses feeds the stitch parts no honest worker sends: each
+// used to panic the coordinator (index or slice bounds out of range, the
+// kernel's own out-of-range panic) and must now come back as a *PartError
+// naming the PE whose part it is.
+func TestStitchCheckedRefuses(t *testing.T) {
+	g := gen.Grid2D(4, 4)
+	honest := func() []*PEContraction { return levelParts(g, dist.Assign(g, dist.StrategyRanges, 2), 2, 3) }
+	if _, _, err := StitchChecked(g, honest()); err != nil {
+		t.Fatalf("honest parts refused: %v", err)
+	}
+	total := int32(0)
+	for _, p := range honest() {
+		total += int32(len(p.Weights))
+	}
+	for name, corrupt := range map[string]func(p *PEContraction){
+		"edge targets shorter than sources": func(p *PEContraction) { p.EdgeV = p.EdgeV[:len(p.EdgeV)-1] },
+		"first coarse id -1":                func(p *PEContraction) { p.FirstCoarse = -1 },
+		"first coarse id past the parts":    func(p *PEContraction) { p.FirstCoarse += 3 },
+		"fine node id past the graph":       func(p *PEContraction) { p.FineGlobal[0] = int32(g.NumNodes()) },
+		"negative fine node id":             func(p *PEContraction) { p.FineGlobal[0] = -1 },
+		"coarse id past the level":          func(p *PEContraction) { p.FineCoarse[0] = total },
+		"edge id past the level":            func(p *PEContraction) { p.EdgeV[0] = total },
+		"negative edge id":                  func(p *PEContraction) { p.EdgeU[0] = -5 },
+		"edge weight zero":                  func(p *PEContraction) { p.EdgeW[0] = 0 },
+		"negative node weight":              func(p *PEContraction) { p.Weights[0] = -1 },
+		"coordinates shorter than weights":  func(p *PEContraction) { p.CX = p.CX[:len(p.CX)-1] },
+		"a coordinate dimension missing":    func(p *PEContraction) { p.CY = nil },
+		"fewer coarse ids than fine nodes":  func(p *PEContraction) { p.FineCoarse = p.FineCoarse[1:] },
+		"a fine node mapped twice":          func(p *PEContraction) { p.FineGlobal[0] = p.FineGlobal[1] },
+	} {
+		for pe := range 2 {
+			parts := honest()
+			corrupt(parts[pe])
+			_, _, err := StitchChecked(g, parts)
+			var perr *PartError
+			if !errors.As(err, &perr) {
+				t.Fatalf("%s in part %d: got %v, want a *PartError", name, pe, err)
+			}
+			if perr.PE != pe {
+				t.Errorf("%s in part %d: blamed on PE %d (%v)", name, pe, perr.PE, err)
+			}
+		}
+	}
+	// What only the parts together get wrong is no single PE's: a fine node
+	// nobody maps. A node two parts map is the later part's.
+	parts := honest()
+	parts[0].FineGlobal, parts[0].FineCoarse = parts[0].FineGlobal[1:], parts[0].FineCoarse[1:]
+	var perr *PartError
+	if _, _, err := StitchChecked(g, parts); !errors.As(err, &perr) || perr.PE != -1 {
+		t.Errorf("a fine node left out: got %v, want a *PartError of PE -1", err)
+	}
+	parts = honest()
+	parts[1].FineGlobal[0] = parts[0].FineGlobal[0]
+	if _, _, err := StitchChecked(g, parts); !errors.As(err, &perr) || perr.PE != 1 {
+		t.Errorf("a fine node of part 0 mapped by part 1 too: got %v, want a *PartError of PE 1", err)
+	}
 }

@@ -4,6 +4,7 @@ package dist_test
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -108,6 +109,9 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 			t.Fatalf("%s: coordinate %d differs from the reference", what, d)
 		}
 	}
+	if checked := rebuiltByFromCSR(t, gl); !reflect.DeepEqual(gl, checked) {
+		t.Fatalf("%s: the local graph extraction adopted differs from graph.FromCSR of the same arrays:\n%+v\n%+v", what, gl, checked)
+	}
 	gb, err := wire.AppendSubgraph(nil, got)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +122,46 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 	}
 	if !bytes.Equal(gb, wb) {
 		t.Fatalf("%s: shard encodes to %d bytes that differ from the reference's %d", what, len(gb), len(wb))
+	}
+}
+
+// rebuiltByFromCSR copies g's arrays out and has graph.FromCSR validate and
+// scan them: the graph a kernel that adopts its arrays through FromCSRTrusted
+// must have produced, aggregates and sorted flag included.
+func rebuiltByFromCSR(t testing.TB, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	xadj := make([]int32, 1, g.NumNodes()+1)
+	adj, ewgt := []int32{}, []int64{}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		adj, ewgt = append(adj, g.Adj(v)...), append(ewgt, g.AdjWeights(v)...)
+		xadj = append(xadj, int32(len(adj)))
+	}
+	checked, err := graph.FromCSR(xadj, adj, ewgt, slices.Clone(g.NodeWeights()))
+	if err != nil {
+		t.Fatalf("graph.FromCSR refuses the adopted arrays: %v", err)
+	}
+	switch x, y, z := g.Coords3(); g.CoordDims() {
+	case 2:
+		checked.SetCoords(x, y)
+	case 3:
+		checked.SetCoords3(x, y, z)
+	}
+	return checked
+}
+
+// TestTrustedEqualsFromCSR states the fused-validation property on its own:
+// what ExtractOwned adopts without a second walk is what graph.FromCSR makes
+// of the same arrays — over sorted and unsorted inputs, real weights, ghosts
+// on every side. sameSubgraph holds every other extraction test and the
+// fuzzer to it as well.
+func TestTrustedEqualsFromCSR(t *testing.T) {
+	rgg := gen.RGG(10, 1)
+	for name, g := range map[string]*graph.Graph{"rgg": rgg, "rgg/contracted": contracted(rgg), "rmat/contracted": contracted(gen.RMAT(9, 8, 5))} {
+		for _, sg := range dist.ExtractAll(g, dist.Assign(g, dist.StrategyAuto, 3), 3) {
+			if checked := rebuiltByFromCSR(t, sg.Local); !reflect.DeepEqual(sg.Local, checked) {
+				t.Fatalf("%s PE %d: adopted graph differs from graph.FromCSR of the same arrays", name, sg.PE)
+			}
+		}
 	}
 }
 

@@ -197,13 +197,22 @@ func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned, local []int32
 	}
 	adj := make([]int32, xadj[nl])
 	ewgt := make([]int64, xadj[nl])
-	fillRows(g, assign, pe, owned, local, s.ghostLocal, xadj, deg[no:], adj, ewgt)
-
+	// The fill loop validates every entry it writes and sums the weights, the
+	// copy below does the same for the node weights, so the arrays are adopted
+	// without the second walk graph.FromCSR would make.
+	agg, ok := fillRows(g, assign, pe, owned, local, s.ghostLocal, xadj, deg[no:], adj, ewgt)
 	nwgt := make([]int64, nl)
 	for lv, v := range l2g {
-		nwgt[lv] = g.NodeWeight(v)
+		w := g.NodeWeight(v)
+		ok = ok && w >= 0
+		nwgt[lv] = w
+		agg.TotalNodeWeight += w
+		agg.MaxNodeWeight = max(agg.MaxNodeWeight, w)
 	}
-	lg := graph.MustFromCSR(xadj, adj, ewgt, nwgt)
+	if !ok {
+		invalidShard(pe)
+	}
+	lg := graph.FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
 	if dims := g.CoordDims(); dims > 0 && nl > 0 {
 		var c [3][]float64
 		for d, src := range g.CoordSlices() {
@@ -222,17 +231,31 @@ func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned, local []int32
 	return s
 }
 
+//kappa:invariant extraction relabels a graph that was validated where it entered the process; a neighbour outside the shard or a weight that is not positive is the caller's bug (an assignment, owned list or lookup that do not belong together)
+func invalidShard(pe int32) {
+	panic(fmt.Sprintf("dist: extracting PE %d produced an invalid CSR", pe))
+}
+
 // fillRows writes the local adjacency into the exactly-sized arrays: owned
 // rows relabelled and sorted, ghost rows filled by counting. ghostFill
 // (the ghosts' degrees on entry) is consumed as the per-ghost write cursor.
+// Every entry is checked where it is written — an owned row once it is
+// sorted, a ghost row against the entry before — for what graph.FromCSR
+// would check: neighbour in range, weight positive, and whether the row
+// ascends strictly; agg carries that flag and the edge weight total, ok
+// whether every check held.
 //
 //kappa:hotpath
 func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, ghostLocal map[int32]int32,
-	xadj, ghostFill []int32, adj []int32, ewgt []int64) {
+	xadj, ghostFill []int32, adj []int32, ewgt []int64) (agg graph.CSRAggregates, ok bool) {
 	no := int32(len(owned))
 	for gi := range ghostFill {
 		ghostFill[gi] = xadj[int(no)+gi]
 	}
+	// What the checks need of the entries, gathered without a branch each:
+	// the largest neighbour (a negative one reads as huge), the smallest
+	// weight, the weight sum, and whether any row failed to ascend.
+	largest, lightest, sum, ascending := uint32(0), int64(1), int64(0), true
 	var rs graph.RowSorter
 	for li, v := range owned {
 		p := xadj[li]
@@ -245,14 +268,29 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 			if assign[u] != pe {
 				lu = ghostLocal[u]
 				q := ghostFill[lu-no]
+				if q > xadj[lu] && adj[q-1] >= int32(li) {
+					ascending = false
+				}
 				adj[q], ewgt[q] = int32(li), ws[i]
 				ghostFill[lu-no] = q + 1
+				sum += ws[i]
 			}
 			adj[p], ewgt[p] = lu, ws[i]
 			p++
 		}
 		rs.Sort(adj[xadj[li]:p], ewgt[xadj[li]:p])
+		prev := int32(-1)
+		for i := xadj[li]; i < p; i++ {
+			t, w := adj[i], ewgt[i]
+			largest, lightest, sum = max(largest, uint32(t)), min(lightest, w), sum+w
+			if t <= prev {
+				ascending = false
+			}
+			prev = t
+		}
 	}
+	agg = graph.CSRAggregates{TotalEdgeWeight: sum / 2, AdjSorted: ascending}
+	return agg, int(largest) < len(xadj)-1 && lightest > 0 || len(adj) == 0
 }
 
 // ExtractAll extracts every PE's subgraph concurrently. Ownership is

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sort"
+	"sync"
 )
 
 // EdgeList is a batch of undirected edges in parallel-array form: edge i
@@ -12,6 +15,18 @@ type EdgeList struct {
 	W    []int64
 }
 
+// parallelHalfEdges is the least number of half-edges FromEdgeLists puts on
+// more than one goroutine, and half of it the least share it gives each.
+// Every goroutine scans all the edges and writes only the rows of its range,
+// and a goroutine is woken twice (count, then scatter and merge) at 85–100 µs
+// a wake-up on the reference box (EXPERIMENTS.md "PR 22"). Measured there with
+// BenchmarkFromEdgeLists, one range against two: 16 k half-edges 0.45 →
+// 0.50 ms, 33 k 0.98 → 0.84–1.05 ms, 66 k 2.1 → 1.6 ms, 131 k 4.4 → 2.7 ms,
+// 262 k 8.0 → 5.2 ms (EXPERIMENTS.md "PR 24"). Below the floor one range — the
+// serial kernel — is as fast or faster, so the coarse levels of a hierarchy
+// stay on one goroutine.
+const parallelHalfEdges = 1 << 16
+
 // FromEdgeLists builds the graph on len(nwgt) nodes whose edges are the
 // union of the lists: every edge is stored in both directions, adjacency
 // rows come out strictly ascending, parallel edges (within or across lists)
@@ -19,77 +34,219 @@ type EdgeList struct {
 // adopted. This is the one "edge list → sorted, merged CSR" kernel:
 // Builder.Build and the distributed stitch both end here. The edges are
 // counted, scattered into arrays sized by that count and row-merged in place,
-// so nothing grows.
-func FromEdgeLists(nwgt []int64, lists []EdgeList) *Graph {
+// so nothing grows; above parallelHalfEdges the three passes run over node
+// ranges on up to GOMAXPROCS goroutines, and the graph is the same for any
+// number of them.
+//
+// The passes validate what they touch, once, and the totals a graph carries
+// are summed on the way, so the arrays are adopted without another walk: an
+// endpoint outside [0, n), lists of unequal lengths, an edge weight that is
+// not positive — given or, by overflow, merged — and a negative node weight
+// are errors, each an *InputError.
+func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
+	half := 0
+	for _, l := range lists {
+		half += 2 * len(l.U)
+	}
+	workers := min(runtime.GOMAXPROCS(0), half/(parallelHalfEdges/2))
+	if half < parallelHalfEdges {
+		workers = 1
+	}
+	return fromEdgeLists(nwgt, lists, workers)
+}
+
+// InputError is an input FromEdgeLists refuses, and where it is wrong, for a
+// caller that assembled it from several sources: the index of the edge list
+// at fault or of the node whose weight is, each -1 when it is not that — both
+// when the lists are wrong only merged.
+type InputError struct {
+	List, Node int
+	Err        error
+}
+
+func (e *InputError) Error() string { return "graph: " + e.Err.Error() }
+func (e *InputError) Unwrap() error { return e.Err }
+
+// fromEdgeLists is FromEdgeLists over the given number of node ranges; one
+// range is the serial kernel.
+func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) {
 	n := len(nwgt)
+	agg := CSRAggregates{AdjSorted: true} // merged rows ascend strictly
+	for v, w := range nwgt {
+		if w < 0 {
+			return nil, &InputError{-1, v, fmt.Errorf("negative node weight %d", w)}
+		}
+		agg.TotalNodeWeight += w
+		agg.MaxNodeWeight = max(agg.MaxNodeWeight, w)
+	}
+	for li, l := range lists {
+		if len(l.V) != len(l.U) || len(l.W) != len(l.U) {
+			return nil, &InputError{li, -1, fmt.Errorf("edge list %d has %d sources, %d targets, %d weights", li, len(l.U), len(l.V), len(l.W))}
+		}
+	}
+	// rows[r] is node range r: its bounds, where its first row starts before
+	// anything is merged, what merging it came to, and the first list it saw
+	// a weight that is not positive in (-1: none).
+	rows := make([]struct {
+		lo, hi, start, end int32
+		weight             int64
+		positive           bool
+		badList            int
+	}, max(1, min(workers, n)))
+	workers = len(rows)
+
 	// pos[v+2] counts row v, so that after the prefix sum pos[v+1] is the
 	// cursor of row v and, once scattered, pos[:n+1] is the offset array.
+	// Counting splits the nodes evenly: how the half-edges fall is not known
+	// before it.
 	pos := make([]int32, n+2)
-	for _, l := range lists {
-		countEdges(pos, l.U, l.V)
+	for r := range rows {
+		rows[r].lo, rows[r].hi = int32(int64(n)*int64(r)/int64(workers)), int32(int64(n)*int64(r+1)/int64(workers))
+	}
+	badList, badEdge := -1, -1
+	forRanges(workers, func(r int) {
+		for li, l := range lists {
+			// Every range scans every edge, so each finds the same first
+			// bad one; range 0 reports it.
+			if i := countEdges(pos, l.U, l.V, rows[r].lo, rows[r].hi); i >= 0 {
+				if r == 0 {
+					badList, badEdge = li, i
+				}
+				return
+			}
+		}
+	})
+	if badEdge >= 0 {
+		l := lists[badList]
+		return nil, &InputError{badList, -1, fmt.Errorf("edge {%d,%d} out of range [0,%d)", l.U[badEdge], l.V[badEdge], n)}
 	}
 	for v := 0; v < n; v++ {
 		pos[v+2] += pos[v+1]
 	}
-	adj := make([]int32, pos[n+1])
-	ewgt := make([]int64, pos[n+1])
-	for _, l := range lists {
-		scatterEdges(pos, adj, ewgt, l)
+
+	// Scatter and merge split the nodes by half-edges. A range scatters its
+	// own rows and merges them in place from where they start, so no range
+	// waits for another; starts are read before any cursor moves.
+	total := int64(pos[n+1])
+	for r := 1; r < workers; r++ {
+		lo := int32(sort.Search(n, func(v int) bool { return int64(pos[v+1])*int64(workers) >= total*int64(r) }))
+		rows[r-1].hi, rows[r].lo, rows[r].start = lo, lo, pos[lo+1]
 	}
-	var rs RowSorter
-	half := mergeRows(pos[:n+1], adj, ewgt, &rs)
-	return MustFromCSR(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt)
+	adj := make([]int32, total)
+	ewgt := make([]int64, total)
+	forRanges(workers, func(r int) {
+		row := &rows[r]
+		row.badList = -1
+		for li, l := range lists {
+			// Every range reads every weight, so each names the same list.
+			if !scatterEdges(pos, adj, ewgt, l, row.lo, row.hi) && row.badList < 0 {
+				row.badList = li
+			}
+		}
+		var rs RowSorter
+		row.end, row.weight, row.positive = mergeRows(pos[:n+1], adj, ewgt, row.lo, row.hi, row.start, &rs)
+	})
+
+	// One ordered slide closes the gaps the merged ranges left between them.
+	half := int32(0)
+	for _, row := range rows {
+		if row.badList >= 0 || !row.positive {
+			return nil, &InputError{row.badList, -1, fmt.Errorf("non-positive edge weight")}
+		}
+		agg.TotalEdgeWeight += row.weight
+		if shift := row.start - half; shift > 0 {
+			copy(adj[half:], adj[row.start:row.end])
+			copy(ewgt[half:], ewgt[row.start:row.end])
+			for v := row.lo; v < row.hi; v++ {
+				pos[v+1] -= shift
+			}
+		}
+		half += row.end - row.start
+	}
+	agg.TotalEdgeWeight /= 2
+	return FromCSRTrusted(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt, agg), nil
 }
 
-// countEdges adds the half-edges of one list to the per-row counts.
+// forRanges runs fn(r) for every r below ranges, the first on the calling
+// goroutine and each other on its own, and waits for all.
+func forRanges(ranges int, fn func(r int)) {
+	var wg sync.WaitGroup
+	for r := 1; r < ranges; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(r)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
+// countEdges adds the half-edges one list gives the rows [lo, hi) to the
+// per-row counts. It returns the index of the first edge with an endpoint
+// outside the graph, or -1.
 //
 //kappa:hotpath
-func countEdges(pos []int32, us, vs []int32) {
-	n := uint32(len(pos) - 2)
+func countEdges(pos []int32, us, vs []int32, lo, hi int32) int {
+	n, span := uint32(len(pos)-2), uint32(hi-lo)
 	for i, u := range us {
 		v := vs[i]
 		if uint32(u) >= n || uint32(v) >= n {
-			edgeOutOfRange(u, v, int(n))
+			return i
 		}
-		if u != v {
+		if u == v {
+			continue
+		}
+		if uint32(u-lo) < span {
 			pos[u+2]++
+		}
+		if uint32(v-lo) < span {
 			pos[v+2]++
 		}
 	}
+	return -1
 }
 
-//kappa:invariant ids are validated where they enter the process (graphio, Builder.AddEdge); the kernels producing edge lists emit ids of the graph they contract
-func edgeOutOfRange(u, v int32, n int) {
-	panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, n))
-}
-
-// scatterEdges writes both directions of every edge of l at its rows'
-// cursors.
+// scatterEdges writes the half-edges l gives the rows [lo, hi) at those
+// rows' cursors, in the order of the list. It reports whether every weight of
+// the list, self loops aside, is positive.
 //
 //kappa:hotpath
-func scatterEdges(pos []int32, adj []int32, ewgt []int64, l EdgeList) {
+func scatterEdges(pos []int32, adj []int32, ewgt []int64, l EdgeList, lo, hi int32) (positive bool) {
+	span := uint32(hi - lo)
+	positive = true
 	for i, u := range l.U {
 		v, w := l.V[i], l.W[i]
 		if u == v {
 			continue
 		}
-		p := pos[u+1]
-		adj[p], ewgt[p] = v, w
-		pos[u+1] = p + 1
-		p = pos[v+1]
-		adj[p], ewgt[p] = u, w
-		pos[v+1] = p + 1
+		if w <= 0 {
+			positive = false
+		}
+		if uint32(u-lo) < span {
+			p := pos[u+1]
+			adj[p], ewgt[p] = v, w
+			pos[u+1] = p + 1
+		}
+		if uint32(v-lo) < span {
+			p := pos[v+1]
+			adj[p], ewgt[p] = u, w
+			pos[v+1] = p + 1
+		}
 	}
+	return positive
 }
 
-// mergeRows sorts every row of the CSR (xadj, adj, ewgt) by neighbour, sums
-// runs of equal neighbours into one entry and compacts the arrays in place,
-// rewriting xadj. It returns the number of half-edges left.
+// mergeRows sorts the rows [lo, hi) of the CSR (xadj, adj, ewgt), the first
+// of which starts at start, by neighbour, sums runs of equal neighbours into
+// one entry and compacts the rows in place from start on, rewriting their
+// ends in xadj. It returns where the compacted rows end, the sum of their
+// weights, and whether every merged weight is positive.
 //
 //kappa:hotpath
-func mergeRows(xadj []int32, adj []int32, ewgt []int64, rs *RowSorter) int32 {
-	out, start := int32(0), int32(0)
-	for v := 0; v+1 < len(xadj); v++ {
+func mergeRows(xadj []int32, adj []int32, ewgt []int64, lo, hi, start int32, rs *RowSorter) (out int32, sum int64, positive bool) {
+	out, positive = start, true
+	for v := lo; v < hi; v++ {
 		end := xadj[v+1]
 		rs.Sort(adj[start:end], ewgt[start:end])
 		for i := start; i < end; {
@@ -97,13 +254,17 @@ func mergeRows(xadj []int32, adj []int32, ewgt []int64, rs *RowSorter) int32 {
 			for i++; i < end && adj[i] == t; i++ {
 				w += ewgt[i]
 			}
+			if w <= 0 {
+				positive = false
+			}
+			sum += w
 			adj[out], ewgt[out] = t, w
 			out++
 		}
 		xadj[v+1] = out
 		start = end
 	}
-	return out
+	return out, sum, positive
 }
 
 // insertionMax is the longest row sorted by insertion; rows of the meshes

@@ -313,20 +313,6 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 	return g, nil
 }
 
-// MustFromCSR is FromCSR for arrays a kernel of this module has just
-// assembled from an already validated graph or edge list (Builder.Build,
-// subgraph extraction, the distributed stitch): the scans still run, and a
-// failure is that kernel's bug, reported by panic.
-//
-//kappa:invariant the caller constructs the CSR it validates; ids and weights are checked where they enter the process (graphio, Builder.AddEdge)
-func MustFromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) *Graph {
-	g, err := FromCSR(xadj, adj, ewgt, nwgt)
-	if err != nil {
-		panic("graph: kernel produced invalid CSR: " + err.Error())
-	}
-	return g
-}
-
 // FromCSRUnchecked adopts CSR arrays with NO validation and NO scans: the
 // caller vouches for structural validity and supplies the aggregate weights
 // FromCSR would otherwise recompute. It exists for the contraction hot path,
@@ -351,7 +337,9 @@ func FromCSRUnchecked(xadj []int32, adj []int32, ewgt []int64, nwgt []int64,
 // CSRAggregates carries the precomputed per-graph facts FromCSRTrusted
 // adopts alongside the CSR arrays: the totals FromCSR would re-scan 2m
 // edges to derive, and whether the adjacency lists are strictly sorted
-// (which enables the binary-search fast path of EdgeWeightTo).
+// (which enables the binary-search fast path of EdgeWeightTo). Its zero
+// value with AdjSorted set is what an empty graph has; a loop that writes or
+// validates a CSR adds each entry in as it passes.
 type CSRAggregates struct {
 	TotalNodeWeight int64
 	TotalEdgeWeight int64 // each undirected edge counted once
@@ -361,10 +349,14 @@ type CSRAggregates struct {
 
 // FromCSRTrusted adopts CSR arrays with NO validation and NO scans, like
 // FromCSRUnchecked, but with the aggregates supplied as a struct that also
-// preserves the adjacency-sorted flag. It exists for graphs whose arrays
-// are views over a memory-mapped file: the shard store records the
-// aggregates in its manifest at write time, and re-scanning the arrays here
-// would page the whole mapping in — defeating the point of mapping it.
+// preserves the adjacency-sorted flag. It serves two kinds of caller. A loop
+// that has just written or decoded the arrays, checking every entry as it
+// went, has summed the aggregates on the way (the binary graph decoder,
+// shard extraction, FromEdgeLists): FromCSR would make each of its checks a
+// second time. And a graph whose arrays are views over a memory-mapped file:
+// the shard store records the aggregates in its manifest at write time, and
+// re-scanning the arrays here would page the whole mapping in — defeating
+// the point of mapping it.
 func FromCSRTrusted(xadj []int32, adj []int32, ewgt []int64, nwgt []int64, agg CSRAggregates) *Graph {
 	return &Graph{
 		xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt,
@@ -470,8 +462,13 @@ func (b *Builder) AddEdge(u, v int32, w int64) {
 }
 
 // Build produces the graph. The builder can not be reused afterwards.
+//
+//kappa:invariant AddEdge admitted only in-range ids and positive weights; a negative node weight or a weight sum past int64 is the caller's bug
 func (b *Builder) Build() *Graph {
-	g := FromEdgeLists(b.nwgt, []EdgeList{{U: b.us, V: b.vs, W: b.ws}})
+	g, err := FromEdgeLists(b.nwgt, []EdgeList{{U: b.us, V: b.vs, W: b.ws}})
+	if err != nil {
+		panic(err.Error())
+	}
 	if b.coord {
 		if b.z != nil {
 			g.SetCoords3(b.x, b.y, b.z)

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/varint"
 )
 
 // binaryMagic opens every binary graph file; the trailing '1' is the major
@@ -38,23 +38,22 @@ const (
 // adjacency order (so even contracted graphs round-trip to identical CSR).
 // The artifact is encoded whole by AppendBinary and written in one call.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
-	_, err := w.Write(AppendBinary(nil, g))
+	_, err := w.Write(AppendBinary(nil, 0, g))
 	return err
 }
 
-// AppendBinary appends the binary encoding of g to dst. It is the one
-// encoder body: WriteBinary and the wire shard codec both go through it, so
-// a shard file, a job frame and a graph file carry the same bytes. dst grows
-// at most once, by a bound computed from the graph's largest values.
-func AppendBinary(dst []byte, g *graph.Graph) []byte {
+// AppendBinary appends the binary encoding of g to dst, behind head bytes
+// left for the caller to fill (the shard codec writes its id maps and the
+// graph's length prefix there, so a whole shard is sized once). It is the
+// one encoder body: WriteBinary and the wire shard codec both go through it,
+// so a shard file, a job frame and a graph file carry the same bytes. dst
+// grows at most once, by a bound computed from the graph's largest values.
+func AppendBinary(dst []byte, head int, g *graph.Graph) []byte {
 	flags, bound := binaryLayout(g)
-	dst = slices.Grow(dst, bound)
-	n := putBinary(dst[len(dst):len(dst)+bound], g, flags)
-	return dst[:len(dst)+n]
+	dst = slices.Grow(dst, head+bound)
+	at := len(dst) + head
+	return dst[:at+putBinary(dst[at:at+bound], g, flags)]
 }
-
-// uvarintLen is the encoded size of x.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // binaryLayout derives the flag word of g's encoding and an upper bound on
 // its size: every section is bounded by its element count times the encoded
@@ -85,26 +84,15 @@ func binaryLayout(g *graph.Graph) (flags uint64, bound int) {
 	case 3:
 		flags |= binFlagCoords | binFlag3D
 	}
-	bound = len(binaryMagic) + 4*binary.MaxVarintLen64 +
-		int(n)*uvarintLen(uint64(maxDeg)) + half*uvarintLen(uint64(n))
+	bound = len(binaryMagic) + 4*varint.MaxLen +
+		int(n)*varint.Len(uint64(maxDeg)) + half*varint.Len(uint64(n))
 	if flags&binFlagEdgeWeights != 0 {
-		bound += half * uvarintLen(uint64(maxW))
+		bound += half * varint.Len(uint64(maxW))
 	}
 	if flags&binFlagNodeWeights != 0 {
-		bound += int(n) * uvarintLen(uint64(g.MaxNodeWeight()))
+		bound += int(n) * varint.Len(uint64(g.MaxNodeWeight()))
 	}
 	return flags, bound + g.CoordDims()*8*int(n)
-}
-
-// putUvarint writes x at buf[i:] and returns the index after it.
-func putUvarint(buf []byte, i int, x uint64) int {
-	for x >= 0x80 {
-		buf[i] = byte(x) | 0x80
-		x >>= 7
-		i++
-	}
-	buf[i] = byte(x)
-	return i + 1
 }
 
 // putBinary writes g's encoding into buf, which binaryLayout sized, and
@@ -114,47 +102,35 @@ func putUvarint(buf []byte, i int, x uint64) int {
 func putBinary(buf []byte, g *graph.Graph, flags uint64) int {
 	n := int32(g.NumNodes())
 	i := copy(buf, binaryMagic)
-	i = putUvarint(buf, i, binaryVersion)
-	i = putUvarint(buf, i, flags)
-	i = putUvarint(buf, i, uint64(n))
-	i = putUvarint(buf, i, uint64(2*g.NumEdges()))
+	i = varint.Put(buf, i, binaryVersion)
+	i = varint.Put(buf, i, flags)
+	i = varint.Put(buf, i, uint64(n))
+	i = varint.Put(buf, i, uint64(2*g.NumEdges()))
 	for v := int32(0); v < n; v++ {
-		i = putUvarint(buf, i, uint64(g.Degree(v)))
+		i = varint.Put(buf, i, uint64(g.Degree(v)))
 	}
 	for v := int32(0); v < n; v++ {
 		for _, u := range g.Adj(v) {
-			i = putUvarint(buf, i, uint64(u))
+			i = varint.Put(buf, i, uint64(u))
 		}
 	}
 	if flags&binFlagEdgeWeights != 0 {
 		for v := int32(0); v < n; v++ {
 			for _, wt := range g.AdjWeights(v) {
-				i = putUvarint(buf, i, uint64(wt))
+				i = varint.Put(buf, i, uint64(wt))
 			}
 		}
 	}
 	if flags&binFlagNodeWeights != 0 {
 		for v := int32(0); v < n; v++ {
-			i = putUvarint(buf, i, uint64(g.NodeWeight(v)))
+			i = varint.Put(buf, i, uint64(g.NodeWeight(v)))
 		}
 	}
 	if flags&binFlagCoords != 0 {
 		x, y, z := g.Coords3()
-		i = putFloats(buf, i, x)
-		i = putFloats(buf, i, y)
-		i = putFloats(buf, i, z) // nil unless 3D
-	}
-	return i
-}
-
-// putFloats writes c at buf[i:] as little-endian IEEE-754 bits and returns
-// the index after it.
-//
-//kappa:hotpath
-func putFloats(buf []byte, i int, c []float64) int {
-	for _, f := range c {
-		binary.LittleEndian.PutUint64(buf[i:], math.Float64bits(f))
-		i += 8
+		i = varint.PutFloats(buf, i, x)
+		i = varint.PutFloats(buf, i, y)
+		i = varint.PutFloats(buf, i, z) // nil unless 3D
 	}
 	return i
 }
@@ -215,16 +191,69 @@ func (s *binSource) uvarint() (uint64, error) {
 	return 0, s.short()
 }
 
+// more reads on after a bulk kernel ran out of bytes short of need; it
+// reports whether the input had any more to give.
+func (s *binSource) more(need int) bool {
+	had := len(s.buf) - s.pos
+	s.fill(need)
+	return len(s.buf)-s.pos > had
+}
+
 // floats decodes len(c) little-endian float64s into c.
 func (s *binSource) floats(c []float64) error {
-	for i := range c {
-		if s.fill(8); len(s.buf)-s.pos < 8 {
+	for done := 0; ; {
+		k := varint.Floats(c[done:], s.buf[s.pos:])
+		s.pos += 8 * k
+		if done += k; done == len(c) {
+			return nil
+		}
+		if !s.more(8) {
 			return s.short()
 		}
-		c[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.buf[s.pos:]))
-		s.pos += 8
 	}
-	return nil
+}
+
+// stretch is how many elements of a section are decoded before the section's
+// own loop sees them: few enough to still be in the first-level cache, so
+// that what the loop adds up costs no second trip to memory.
+const stretch = 1 << 12
+
+// uvarints fills dst with the next len(dst) uvarints, each within [lo, hi],
+// on the bulk kernel — refilling the window of a streamed input whenever the
+// kernel runs dry — and hands every stretch to seen as soon as it is
+// decoded; seen returning false ends the read. at is the number of elements
+// stored and st why the kernel stopped there; on OutOfRange the offending
+// value is the next uvarint of the window.
+func uvarints[T int32 | int64](s *binSource, dst []T, lo, hi uint64, seen func([]T) bool) (at int, st varint.Status) {
+	for at < len(dst) {
+		k, used, st := varint.Ints(dst[at:min(at+stretch, len(dst))], s.buf[s.pos:], false, lo, hi)
+		s.pos += used
+		if !seen(dst[at : at+k]) {
+			return at + k, varint.Done
+		}
+		at += k
+		if st == varint.Short && s.more(varint.MaxLen) {
+			continue
+		}
+		if st != varint.Done {
+			return at, st
+		}
+	}
+	return at, varint.Done
+}
+
+// failed words the stop of a section's bulk read: a value outside the
+// section's bounds under rangeFormat, which takes the value first, anything
+// else — out of bytes, a value past 64 bits — as a failure to read what.
+func (s *binSource) failed(st varint.Status, what, rangeFormat string, args ...any) error {
+	switch st {
+	case varint.OutOfRange:
+		raw, _ := binary.Uvarint(s.buf[s.pos:])
+		return fmt.Errorf("graphio: "+rangeFormat, append([]any{raw}, args...)...)
+	case varint.Overflow:
+		return fmt.Errorf("graphio: reading %s: %w", what, errVarintOverflow)
+	}
+	return fmt.Errorf("graphio: reading %s: %w", what, s.short())
 }
 
 // ReadBinary parses the binary graph encoding written by WriteBinary. All
@@ -301,68 +330,101 @@ func decodeBinary(br *binSource) (*graph.Graph, error) {
 	}
 	n, half := int(n64), int(half64)
 
+	// Each section is one bulk read whose stretches are checked and summed
+	// while they are still in cache, so that the arrays can be adopted as they
+	// are: what graph.FromCSR would walk them a second time for — row order,
+	// the weight totals, the heaviest node — is known when the last byte is.
 	xadj := make([]int32, n+1)
 	sum := uint64(0)
-	for v := 0; v < n; v++ {
-		d, err := br.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("graphio: reading degree of node %d: %w", v, err)
+	at, st := uvarints(br, xadj[1:], 0, half64, func(ds []int32) bool {
+		s := sum
+		for i, d := range ds {
+			if s += uint64(uint32(d)); s > half64 {
+				break
+			}
+			ds[i] = int32(s)
 		}
-		sum += d
-		if sum > half64 {
-			return nil, fmt.Errorf("graphio: degrees sum past declared %d half-edges", half)
-		}
-		xadj[v+1] = int32(sum)
-	}
-	if sum != half64 {
+		sum = s
+		return s <= half64
+	})
+	switch {
+	case sum > half64 || st == varint.OutOfRange: // one degree past the total is a sum past it
+		return nil, fmt.Errorf("graphio: degrees sum past declared %d half-edges", half)
+	case st != varint.Done:
+		return nil, br.failed(st, fmt.Sprintf("degree of node %d", at), "")
+	case sum != half64:
 		return nil, fmt.Errorf("graphio: degrees sum to %d, declared %d", sum, half)
+	case int(xadj[n]) != half: // 2^31 half-edges: the last offset wrapped
+		return nil, fmt.Errorf("graphio: graph: inconsistent CSR arrays")
 	}
+	var agg graph.CSRAggregates
 	adj := make([]int32, half)
-	for i := range adj {
-		u, err := br.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("graphio: reading adjacency: %w", err)
+	// Rows ascend strictly when the only places a neighbour fails to exceed
+	// the one before it are row starts: the descents of the whole section are
+	// counted as it is decoded, without a branch on where rows end, and the
+	// row starts among them below, one look per row.
+	descents, last := 0, int32(-1)
+	_, st = uvarints(br, adj, 0, n64-1, func(ts []int32) bool {
+		d, l := 0, last
+		for _, t := range ts {
+			if t <= l {
+				d++
+			}
+			l = t
 		}
-		if u >= n64 {
-			return nil, fmt.Errorf("graphio: neighbor id %d out of range [0, %d)", u, n)
-		}
-		adj[i] = int32(u)
+		descents, last = descents+d, l
+		return true
+	})
+	if st != varint.Done {
+		return nil, br.failed(st, "adjacency", "neighbor id %d out of range [0, %d)", n)
 	}
+	for v := 1; v < n; v++ {
+		if at := xadj[v]; at > 0 && at < xadj[v+1] && adj[at] <= adj[at-1] {
+			descents--
+		}
+	}
+	agg.AdjSorted = descents == 0
 	ewgt := make([]int64, half)
 	if flags&binFlagEdgeWeights != 0 {
-		for i := range ewgt {
-			w, err := br.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("graphio: reading edge weights: %w", err)
+		_, st = uvarints(br, ewgt, 1, math.MaxInt64, func(ws []int64) bool {
+			sum := int64(0)
+			for _, w := range ws {
+				sum += w
 			}
-			if w == 0 || w > math.MaxInt64 {
-				return nil, fmt.Errorf("graphio: edge weight %d out of range [1, 2^63)", w)
-			}
-			ewgt[i] = int64(w)
+			agg.TotalEdgeWeight += sum
+			return true
+		})
+		if st != varint.Done {
+			return nil, br.failed(st, "edge weights", "edge weight %d out of range [1, 2^63)")
 		}
+		agg.TotalEdgeWeight /= 2
 	} else {
 		for i := range ewgt {
 			ewgt[i] = 1
 		}
+		agg.TotalEdgeWeight = int64(half / 2)
 	}
-	var nwgt []int64
+	nwgt := make([]int64, n)
 	if flags&binFlagNodeWeights != 0 {
-		nwgt = make([]int64, n)
-		for v := range nwgt {
-			w, err := br.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("graphio: reading node weights: %w", err)
+		_, st = uvarints(br, nwgt, 0, math.MaxInt64, func(ws []int64) bool {
+			sum, heaviest := int64(0), agg.MaxNodeWeight
+			for _, w := range ws {
+				sum += w
+				heaviest = max(heaviest, w)
 			}
-			if w > math.MaxInt64 {
-				return nil, fmt.Errorf("graphio: node weight %d overflows int64", w)
-			}
-			nwgt[v] = int64(w)
+			agg.TotalNodeWeight, agg.MaxNodeWeight = agg.TotalNodeWeight+sum, heaviest
+			return true
+		})
+		if st != varint.Done {
+			return nil, br.failed(st, "node weights", "node weight %d overflows int64")
 		}
+	} else {
+		for v := range nwgt {
+			nwgt[v] = 1
+		}
+		agg.TotalNodeWeight, agg.MaxNodeWeight = int64(n), int64(min(n, 1))
 	}
-	g, err := graph.FromCSR(xadj, adj, ewgt, nwgt)
-	if err != nil {
-		return nil, fmt.Errorf("graphio: %w", err)
-	}
+	g := graph.FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
 	if flags&binFlagCoords != 0 {
 		readFloats := func(what string) ([]float64, error) {
 			c := make([]float64, n)

@@ -466,7 +466,7 @@ func TestWorkerDerivedHeartbeat(t *testing.T) {
 			return
 		}
 		a := wire.Assign{Version: wire.Version, PE: 0, PEs: 1, TimeoutMillis: 200}
-		if err := wire.WriteFrame(ctrl, wire.KindAssign, wire.AppendAssign(nil, a)); err != nil {
+		if err := wire.WriteFrame(ctrl, wire.KindAssign, wire.AppendAssign(wire.NewFrame(16), a)); err != nil {
 			beats <- -1
 			return
 		}

@@ -244,7 +244,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 				HeartbeatMillis: int(so.Heartbeat / time.Millisecond),
 				TimeoutMillis:   int(so.WorkerTimeout / time.Millisecond),
 			}
-			if err := co.writeCtrl(w, wire.KindAssign, wire.AppendAssign(nil, assign)); err != nil {
+			if err := co.writeCtrl(w, wire.KindAssign, wire.AppendAssign(wire.NewFrame(16), assign)); err != nil {
 				conn.Close()
 				return core.Result{}, workerErr(nextPE, "handshake", err)
 			}
@@ -291,7 +291,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 	// participates in.
 	var done []byte
 	if runErr == nil {
-		done = wire.AppendPartition(nil, res.Blocks)
+		done = wire.AppendPartition(wire.NewFrame(0), res.Blocks)
 	}
 	for _, w := range co.workers {
 		if w.dead.Load() {
@@ -336,16 +336,17 @@ func (co *coordinator) heartbeat(interval time.Duration, stop chan struct{}) {
 	}
 }
 
-// writeCtrl writes one control frame to w under its write lock, bounded by
-// the worker timeout. The lock keeps heartbeats, job frames, and the final
+// writeCtrl writes one control frame (a wire.NewFrame buffer with the
+// payload appended, nil for none) to w under its write lock, bounded by the
+// worker timeout. The lock keeps heartbeats, job frames, and the final
 // broadcast from interleaving mid-frame.
-func (co *coordinator) writeCtrl(w *workerConn, kind byte, payload []byte) error {
+func (co *coordinator) writeCtrl(w *workerConn, kind byte, frame []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	if co.opts.WorkerTimeout > 0 {
 		w.conn.SetWriteDeadline(time.Now().Add(co.opts.WorkerTimeout))
 	}
-	return wire.WriteFrame(w.conn, kind, payload)
+	return wire.WriteFrame(w.conn, kind, frame)
 }
 
 // readCtrl reads the next non-heartbeat control frame from w. Each read —
@@ -502,9 +503,9 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 					MaxPair: maxPair,
 					Shard:   sgs[pe],
 				}
-				payload, err := wire.AppendJob(nil, job)
+				frame, err := wire.AppendJob(wire.NewFrame(0), job)
 				if err == nil {
-					err = co.writeCtrl(w, wire.KindJob, payload)
+					err = co.writeCtrl(w, wire.KindJob, frame)
 				}
 				if err != nil {
 					co.failWorker(w, outcomes, pending, workerErr(w.id, "job", err))
@@ -602,7 +603,19 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 			return nil, nil, 0, 0, fmt.Errorf("remote: PE %d matched but sent no contraction", pe)
 		}
 	}
-	cg, f2c := coarsen.Stitch(cur, parts)
+	// The parts crossed a process boundary: one that does not fit the level
+	// is its worker's failure — dead, the level retried on the survivors —
+	// like a result that does not decode.
+	cg, f2c, err := coarsen.StitchChecked(cur, parts)
+	if err != nil {
+		id := -1
+		var pe *coarsen.PartError
+		if errors.As(err, &pe) && pe.PE >= 0 {
+			id = co.owner[pe.PE]
+			co.markDead(co.workers[id])
+		}
+		return nil, nil, 0, 0, workerErr(id, "result", err)
+	}
 	return cg, f2c, matchT, time.Duration(contractNanos), nil
 }
 
@@ -627,9 +640,9 @@ func (co *coordinator) spliceJob(w *workerConn, pe, level int, runSeed uint64, m
 	if err != nil {
 		return fmt.Errorf("remote: loading shard %d: %w", pe, err)
 	}
-	payload := wire.AppendJobHeader(make([]byte, 0, len(data)+32), level, runSeed+uint64(level)*101, maxPair)
-	payload = append(payload, data...)
-	if err := co.writeCtrl(w, wire.KindJob, payload); err != nil {
+	frame := wire.AppendJobHeader(wire.NewFrame(len(data)+32), level, runSeed+uint64(level)*101, maxPair)
+	frame = append(frame, data...)
+	if err := co.writeCtrl(w, wire.KindJob, frame); err != nil {
 		return workerErr(w.id, "job", err)
 	}
 	co.counters.ShardsStreamed.Add(1)
@@ -720,7 +733,7 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 			for i, pe := range w.hosted {
 				pes[i] = int32(pe)
 			}
-			if err := co.writeCtrl(w, wire.KindReassign, wire.AppendReassign(nil, pes)); err != nil {
+			if err := co.writeCtrl(w, wire.KindReassign, wire.AppendReassign(wire.NewFrame(16), pes)); err != nil {
 				co.markDead(w)
 				retry = true
 			}

@@ -15,6 +15,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/matching"
+	"repro/internal/rating"
+	"repro/internal/wire"
 )
 
 // TestRemoteLevelMidBatchJobFailure pins the outcome accounting of a job
@@ -129,5 +132,94 @@ func TestReassignedWorkerKeepsScratchPerPE(t *testing.T) {
 		if a.Stats().Borrows == 0 {
 			t.Errorf("PE %d's kernel never drew from its arena", pe)
 		}
+	}
+}
+
+// TestServeSurvivesInconsistentResult runs a level against a worker that
+// answers its first job with a well-formed result whose contraction does not
+// fit the level: one coarse edge points past the coarse graph. Every byte of
+// the frame decodes; before the stitch validated what it stitches, the
+// coordinator died of it (the edge-list kernel's out-of-range panic, on the
+// pipeline goroutine). Now the part is its worker's failure: the worker is
+// declared dead, the survivor adopts its PE, the level reruns, and the
+// partition is the healthy run's.
+func TestServeSurvivesInconsistentResult(t *testing.T) {
+	g := gen.Grid2D(40, 40)
+	cfg := core.NewConfig(core.Fast, 4)
+	cfg.Seed = 7
+	cfg.PEs = 2
+	cfg.Coarsen = core.CoarsenDistributed
+	want, err := core.Run(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// The rogue: the real handshake and the real kernels, one id overwritten.
+	rogue := make(chan error, 1)
+	go func() {
+		rogue <- func() error {
+			conn, br, assign, err := dialControl(ctx, "tcp", addr, WorkOptions{}, func(net.Conn) {})
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			tr := dist.NewSocketTransport(assign.PEs, wire.MsgCodec{})
+			defer tr.Close()
+			if err := tr.Dial("tcp", addr, assign.PE); err != nil {
+				return err
+			}
+			for {
+				kind, payload, err := wire.ReadFrame(br)
+				if err != nil {
+					return nil // the coordinator hung up on us, as it should
+				}
+				if kind != wire.KindJob {
+					return errors.New("rogue worker was sent something other than a job")
+				}
+				job, err := wire.DecodeJob(payload)
+				if err != nil {
+					return err
+				}
+				res, err := runLevel(tr, assign, rating.Func(assign.Rating), matching.Algorithm(assign.Matcher), job, nil)
+				if err != nil {
+					return err
+				}
+				res.Part.EdgeV[0] = 1 << 30
+				if err := wire.WriteFrame(conn, wire.KindResult, wire.AppendResult(wire.NewFrame(0), res)); err != nil {
+					return err
+				}
+			}
+		}()
+	}()
+	honest := make(chan error, 1)
+	go func() {
+		_, err := WorkWith(ctx, "tcp", addr, WorkOptions{})
+		honest <- err
+	}()
+
+	counters := &Counters{}
+	res, err := ServeWith(ctx, ln, g, cfg, ServeOptions{WorkerTimeout: 10 * time.Second, Counters: counters})
+	if err != nil {
+		t.Fatalf("Serve did not survive the inconsistent result: %v", err)
+	}
+	if err := <-rogue; err != nil {
+		t.Fatalf("rogue worker: %v", err)
+	}
+	if err := <-honest; err != nil {
+		t.Fatalf("honest worker: %v", err)
+	}
+	if res.Cut != want.Cut || !slices.Equal(res.Blocks, want.Blocks) {
+		t.Fatalf("recovered partition diverged from healthy run: cut %d vs %d", res.Cut, want.Cut)
+	}
+	if s := counters.Snapshot(); s.WorkerFailures != 1 || s.Reassignments != 1 || s.LevelRetries != 1 || s.LocalFallbacks != 0 {
+		t.Fatalf("%+v: want one worker failed, its PE reassigned, one level retried", s)
 	}
 }

@@ -297,14 +297,15 @@ func (w *workSession) readCtrl() (byte, []byte, error) {
 	}
 }
 
-// writeCtrl writes one control frame under the write lock.
-func (w *workSession) writeCtrl(kind byte, payload []byte) error {
+// writeCtrl writes one control frame (a wire.NewFrame buffer with the
+// payload appended, nil for none) under the write lock.
+func (w *workSession) writeCtrl(kind byte, frame []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	if w.ctrlGrace > 0 {
 		w.ctrl.SetWriteDeadline(time.Now().Add(w.ctrlGrace))
 	}
-	return wire.WriteFrame(w.ctrl, kind, payload)
+	return wire.WriteFrame(w.ctrl, kind, frame)
 }
 
 // kernelErr returns the first fatal kernel failure, if any.
@@ -324,9 +325,9 @@ func (w *workSession) runJob(job wire.Job) {
 	var werr error
 	if err != nil {
 		la := wire.LevelAborted{PE: int(job.Shard.PE), Level: job.Level}
-		werr = w.writeCtrl(wire.KindLevelAborted, wire.AppendLevelAborted(nil, la))
+		werr = w.writeCtrl(wire.KindLevelAborted, wire.AppendLevelAborted(wire.NewFrame(16), la))
 	} else {
-		werr = w.writeCtrl(wire.KindResult, wire.AppendResult(nil, result))
+		werr = w.writeCtrl(wire.KindResult, wire.AppendResult(wire.NewFrame(0), result))
 	}
 	if werr != nil {
 		w.kerrMu.Lock()

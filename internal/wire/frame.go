@@ -5,27 +5,55 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/varint"
 )
+
+// frameHead is the room a frame buffer keeps in front of its payload: the
+// longest header, a kind byte and a ten-byte length.
+const frameHead = 1 + binary.MaxVarintLen64
+
+// NewFrame returns an empty frame buffer with room for n payload bytes:
+// append the payload behind it (every Append function of this package takes
+// one as dst) and hand the result to WriteFrame. Nothing else begins a frame
+// buffer.
+func NewFrame(n int) []byte { return make([]byte, frameHead, frameHead+n) }
 
 // WriteFrame writes one control frame: a kind byte, a uvarint payload
 // length, and the payload. Control connections (coordinator ↔ worker) are a
-// sequence of such frames after the dist socket hello.
-func WriteFrame(w io.Writer, kind byte, payload []byte) error {
-	var head [1 + binary.MaxVarintLen64]byte
-	head[0] = kind
-	n := 1 + binary.PutUvarint(head[1:], uint64(len(payload)))
-	if _, err := w.Write(head[:n]); err != nil {
-		return err
+// sequence of such frames after the dist socket hello. frame is a buffer
+// begun by NewFrame: the header is written into the room in front of the
+// payload, right-aligned, so that the frame leaves in one Write — one
+// system call and, on TCP, one segment train — with no copy of the payload.
+// Writing a frame buffer again, to another peer, writes the same bytes; nil
+// is a frame without payload. The room is taken on trust: a buffer shorter
+// than it is refused, but a longer one that NewFrame did not begin — a bare
+// payload, Append…(nil, …) — loses its first frameHead bytes to the header
+// and goes out as a well-formed frame of the rest
+// (TestWriteFrameTakesHeaderRoomOnTrust).
+func WriteFrame(w io.Writer, kind byte, frame []byte) error {
+	if frame == nil {
+		frame = NewFrame(0)
 	}
-	_, err := w.Write(payload)
+	if len(frame) < frameHead {
+		return fmt.Errorf("wire: frame buffer of %d bytes was not begun by NewFrame", len(frame))
+	}
+	n := uint64(len(frame) - frameHead)
+	at := frameHead - 1 - varint.Len(n)
+	frame[at] = kind
+	binary.PutUvarint(frame[at+1:], n)
+	_, err := w.Write(frame[at:])
 	return err
 }
 
 // ReadFrame reads one control frame. The payload buffer is freshly allocated
-// per call (control frames are rare — one per level, not per superstep), so
-// the declared length is checked against the decode budget (SetMaxFrame)
-// before the allocation: an over-budget declaration returns a *LimitError
-// without touching the allocator.
+// per call: control frames are rare next to superstep traffic — a job and a
+// result per PE per level, about 55 frames an op on the benchmark's socket
+// workloads (2 PEs, 13 levels) against 156 supersteps — and a session lives
+// one run, so a buffer kept across levels would be resident memory for no
+// measured time (ROADMAP item 4). The declared length is checked against the
+// decode budget (SetMaxFrame) before the allocation: an over-budget
+// declaration returns a *LimitError without touching the allocator.
 func ReadFrame(r *bufio.Reader) (kind byte, payload []byte, err error) {
 	kind, err = r.ReadByte()
 	if err != nil {

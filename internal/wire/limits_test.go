@@ -47,7 +47,7 @@ func TestReadFrameBudgetBoundary(t *testing.T) {
 
 	// Exactly at the budget: accepted.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 'K', make([]byte, 8)); err != nil {
+	if err := WriteFrame(&buf, 'K', append(NewFrame(8), make([]byte, 8)...)); err != nil {
 		t.Fatal(err)
 	}
 	kind, payload, err := ReadFrame(bufio.NewReader(&buf))
@@ -57,7 +57,7 @@ func TestReadFrameBudgetBoundary(t *testing.T) {
 
 	// One past the budget: rejected even though the payload is really there.
 	buf.Reset()
-	if err := WriteFrame(&buf, 'K', make([]byte, 9)); err != nil {
+	if err := WriteFrame(&buf, 'K', append(NewFrame(9), make([]byte, 9)...)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadFrame(bufio.NewReader(&buf)); !errors.Is(err, ErrLimit) {

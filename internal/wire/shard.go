@@ -1,13 +1,13 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"repro/internal/coarsen"
 	"repro/internal/dist"
 	"repro/internal/graphio"
+	"repro/internal/varint"
 )
 
 // AppendSubgraph encodes one PE's subgraph shard: the owned-node count, the
@@ -17,20 +17,26 @@ import (
 // contraction level and what a shard store's files hold. The error is always
 // nil; the signature predates the in-memory encoder.
 func AppendSubgraph(dst []byte, sg *dist.Subgraph) ([]byte, error) {
-	dst = slices.Grow(dst, 3*binary.MaxVarintLen64+5*(len(sg.LocalToGlobal)+len(sg.GhostOwner)+2))
-	dst = appendZigzag(dst, int64(sg.PE))
-	dst = appendUvarint(dst, uint64(sg.NumOwned))
-	dst = appendInt32s(dst, sg.LocalToGlobal)
-	dst = appendInt32s(dst, sg.GhostOwner)
-	// The graph's length prefix is a uvarint of a size only known once the
-	// graph is encoded: encode behind room for the longest prefix, then
-	// close the gap.
+	return appendShard(dst, nil, sg), nil
+}
+
+// appendShard appends prefix (a job's header) and the shard, growing dst at
+// most once. The graph's length prefix is a uvarint of a size only known
+// once the graph is encoded, so the graph goes in first, behind room for
+// everything that precedes it at its widest; the prefix, the id maps and the
+// length are then written into that room and the graph closes the gap.
+func appendShard(dst, prefix []byte, sg *dist.Subgraph) []byte {
 	mark := len(dst)
-	var gap [binary.MaxVarintLen64]byte
-	dst = graphio.AppendBinary(append(dst, gap[:]...), sg.Local)
-	graphBytes := dst[mark+len(gap):]
-	k := binary.PutUvarint(dst[mark:], uint64(len(graphBytes)))
-	return dst[:mark+k+copy(dst[mark+k:], graphBytes)], nil
+	head := len(prefix) + 3*varint.MaxLen + intsBound(sg.LocalToGlobal) + intsBound(sg.GhostOwner)
+	dst = graphio.AppendBinary(dst, head, sg.Local)
+	graphBytes := dst[mark+head:]
+	i := mark + copy(dst[mark:], prefix)
+	i = varint.Put(dst, i, varint.Zigzag(int64(sg.PE)))
+	i = varint.Put(dst, i, uint64(sg.NumOwned))
+	i = putInts(dst, i, sg.LocalToGlobal)
+	i = putInts(dst, i, sg.GhostOwner)
+	i = varint.Put(dst, i, uint64(len(graphBytes)))
+	return dst[:i+copy(dst[i:], graphBytes)]
 }
 
 // DecodeSubgraph decodes a shard encoded by AppendSubgraph, straight from
@@ -74,19 +80,34 @@ func DecodeSubgraph(data []byte) (sg *dist.Subgraph, rest []byte, err error) {
 	return sg, data[glen:], nil
 }
 
-// AppendContraction encodes a worker's PE-local contraction result.
+// AppendContraction encodes a worker's PE-local contraction result, growing
+// dst at most once.
 func AppendContraction(dst []byte, p *coarsen.PEContraction) []byte {
-	dst = appendZigzag(dst, int64(p.FirstCoarse))
-	dst = appendInt64s(dst, p.Weights)
-	dst = appendFloats(dst, p.CX)
-	dst = appendFloats(dst, p.CY)
-	dst = appendFloats(dst, p.CZ)
-	dst = appendInt32s(dst, p.EdgeU)
-	dst = appendInt32s(dst, p.EdgeV)
-	dst = appendInt64s(dst, p.EdgeW)
-	dst = appendInt32s(dst, p.FineGlobal)
-	dst = appendInt32s(dst, p.FineCoarse)
-	return dst
+	dst = slices.Grow(dst, contractionBound(p))
+	return dst[:putContraction(dst[:cap(dst)], len(dst), p)]
+}
+
+// contractionBound is an upper bound on the encoding of p.
+func contractionBound(p *coarsen.PEContraction) int {
+	return varint.MaxLen + intsBound(p.Weights) +
+		floatsBound(p.CX) + floatsBound(p.CY) + floatsBound(p.CZ) +
+		intsBound(p.EdgeU) + intsBound(p.EdgeV) + intsBound(p.EdgeW) +
+		intsBound(p.FineGlobal) + intsBound(p.FineCoarse)
+}
+
+// putContraction writes p at buf[i:], which the caller sized from
+// contractionBound, and returns the index after it.
+func putContraction(buf []byte, i int, p *coarsen.PEContraction) int {
+	i = varint.Put(buf, i, varint.Zigzag(int64(p.FirstCoarse)))
+	i = putInts(buf, i, p.Weights)
+	i = putFloats(buf, i, p.CX)
+	i = putFloats(buf, i, p.CY)
+	i = putFloats(buf, i, p.CZ)
+	i = putInts(buf, i, p.EdgeU)
+	i = putInts(buf, i, p.EdgeV)
+	i = putInts(buf, i, p.EdgeW)
+	i = putInts(buf, i, p.FineGlobal)
+	return putInts(buf, i, p.FineCoarse)
 }
 
 // DecodeContraction decodes a PEContraction; rest is the trailing data.
@@ -127,17 +148,16 @@ func DecodeContraction(data []byte) (p *coarsen.PEContraction, rest []byte, err 
 	if p.FineCoarse, data, err = readInt32s(data); err != nil {
 		return nil, nil, wrap("fine→coarse map", err)
 	}
+	if err := p.CheckLengths(); err != nil {
+		return nil, nil, fmt.Errorf("wire: %w", err)
+	}
 	return p, data, nil
 }
 
 // AppendPartition encodes a partition vector (block of every node). Blocks
 // are non-negative and small, so plain uvarints are compact.
 func AppendPartition(dst []byte, blocks []int32) []byte {
-	dst = appendUvarint(dst, uint64(len(blocks)))
-	for _, b := range blocks {
-		dst = appendZigzag(dst, int64(b))
-	}
-	return dst
+	return appendInts(dst, blocks)
 }
 
 // DecodePartition decodes a partition vector; rest is the trailing data.
@@ -255,7 +275,7 @@ func DecodeLevelAborted(data []byte) (LevelAborted, error) {
 // AppendReassign encodes a Reassign payload: the complete PE set the
 // receiving worker hosts from now on.
 func AppendReassign(dst []byte, pes []int32) []byte {
-	return appendInt32s(dst, pes)
+	return appendInts(dst, pes)
 }
 
 // DecodeReassign decodes a Reassign payload.
@@ -289,10 +309,10 @@ func AppendJobHeader(dst []byte, level int, seed uint64, maxPair int64) []byte {
 	return appendZigzag(dst, maxPair)
 }
 
-// AppendJob encodes a Job payload.
+// AppendJob encodes a Job payload, growing dst at most once.
 func AppendJob(dst []byte, j Job) ([]byte, error) {
-	dst = AppendJobHeader(dst, j.Level, j.Seed, j.MaxPair)
-	return AppendSubgraph(dst, j.Shard)
+	var header [3 * varint.MaxLen]byte
+	return appendShard(dst, AppendJobHeader(header[:0], j.Level, j.Seed, j.MaxPair), j.Shard), nil
 }
 
 // DecodeJob decodes a Job payload.
@@ -326,8 +346,13 @@ type Result struct {
 	Part          *coarsen.PEContraction // nil when the level's matching was empty
 }
 
-// AppendResult encodes a Result payload.
+// AppendResult encodes a Result payload, growing dst at most once.
 func AppendResult(dst []byte, r Result) []byte {
+	bound := 5 * varint.MaxLen
+	if r.Part != nil {
+		bound += contractionBound(r.Part)
+	}
+	dst = slices.Grow(dst, bound)
 	dst = appendUvarint(dst, uint64(r.PE))
 	dst = appendUvarint(dst, uint64(r.Matched))
 	dst = appendZigzag(dst, r.MatchNanos)
@@ -336,7 +361,7 @@ func AppendResult(dst []byte, r Result) []byte {
 		return appendUvarint(dst, 0)
 	}
 	dst = appendUvarint(dst, 1)
-	return AppendContraction(dst, r.Part)
+	return dst[:putContraction(dst[:cap(dst)], len(dst), r.Part)]
 }
 
 // DecodeResult decodes a Result payload.

@@ -21,6 +21,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/varint"
 )
 
 // Version is the wire-protocol version, negotiated in the control
@@ -76,7 +79,7 @@ func readUvarint(data []byte) (uint64, []byte, error) {
 }
 
 func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
+	return binary.AppendUvarint(dst, varint.Zigzag(v))
 }
 
 func readZigzag(data []byte) (int64, []byte, error) {
@@ -84,19 +87,28 @@ func readZigzag(data []byte) (int64, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return int64(u>>1) ^ -int64(u&1), rest, nil
+	return varint.Unzigzag(u), rest, nil
 }
 
-// appendInt32s encodes a length-prefixed []int32 (zigzag per element).
-func appendInt32s(dst []byte, xs []int32) []byte {
-	dst = appendUvarint(dst, uint64(len(xs)))
-	for _, x := range xs {
-		dst = appendZigzag(dst, int64(x))
-	}
-	return dst
+// intsBound is an upper bound on the length-prefixed zigzag encoding of xs.
+func intsBound[T int32 | int64](xs []T) int { return varint.MaxLen + varint.ZigzagBound(xs) }
+
+// putInts writes the length-prefixed zigzag encoding of xs at buf[i:], which
+// the caller sized from intsBound, and returns the index after it.
+func putInts[T int32 | int64](buf []byte, i int, xs []T) int {
+	return varint.PutZigzags(buf, varint.Put(buf, i, uint64(len(xs))), xs)
 }
 
-func readInt32s(data []byte) ([]int32, []byte, error) {
+// appendInts appends the length-prefixed zigzag encoding of xs, growing dst
+// at most once.
+func appendInts[T int32 | int64](dst []byte, xs []T) []byte {
+	dst = slices.Grow(dst, intsBound(xs))
+	return dst[:putInts(dst[:cap(dst)], len(dst), xs)]
+}
+
+// readInts decodes a length-prefixed zigzag array whose raw values lie in
+// [0, hi] — the image of T under the zigzag map — in one bulk pass.
+func readInts[T int32 | int64](data []byte, hi uint64) ([]T, []byte, error) {
 	n, data, err := readUvarint(data)
 	if err != nil {
 		return nil, nil, err
@@ -108,50 +120,20 @@ func readInt32s(data []byte) ([]int32, []byte, error) {
 	if n > uint64(len(data)) {
 		return nil, nil, fmt.Errorf("wire: %d elements declared, %d bytes left", n, len(data))
 	}
-	xs := make([]int32, n)
-	for i := range xs {
-		var v int64
-		v, data, err = readZigzag(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("wire: value %d overflows int32", v)
-		}
-		xs[i] = int32(v)
+	xs := make([]T, n)
+	switch _, used, st := varint.Ints(xs, data, true, 0, hi); st {
+	case varint.Done:
+		return xs, data[used:], nil
+	case varint.OutOfRange:
+		u, _ := binary.Uvarint(data[used:])
+		return nil, nil, fmt.Errorf("wire: value %d overflows int32", varint.Unzigzag(u))
+	default:
+		return nil, nil, fmt.Errorf("wire: truncated varint")
 	}
-	return xs, data, nil
 }
 
-// appendInt64s encodes a length-prefixed []int64 (zigzag per element).
-func appendInt64s(dst []byte, xs []int64) []byte {
-	dst = appendUvarint(dst, uint64(len(xs)))
-	for _, x := range xs {
-		dst = appendZigzag(dst, x)
-	}
-	return dst
-}
-
-func readInt64s(data []byte) ([]int64, []byte, error) {
-	n, data, err := readUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, data, nil
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("wire: %d elements declared, %d bytes left", n, len(data))
-	}
-	xs := make([]int64, n)
-	for i := range xs {
-		xs[i], data, err = readZigzag(data)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return xs, data, nil
-}
+func readInt32s(data []byte) ([]int32, []byte, error) { return readInts[int32](data, math.MaxUint32) }
+func readInt64s(data []byte) ([]int64, []byte, error) { return readInts[int64](data, math.MaxUint64) }
 
 // appendFloat encodes one float64 as 8 little-endian IEEE-754 bytes.
 func appendFloat(dst []byte, x float64) []byte {
@@ -165,17 +147,16 @@ func readFloat(data []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(data[:8])), data[8:], nil
 }
 
-// appendFloats encodes a length-prefixed []float64 as IEEE-754 bits; a nil
-// slice stays nil through a round trip (length 0 vs marker).
-func appendFloats(dst []byte, xs []float64) []byte {
+// floatsBound is an upper bound on the encoding putFloats writes.
+func floatsBound(xs []float64) int { return varint.MaxLen + 8*len(xs) }
+
+// putFloats writes a length-prefixed []float64 as IEEE-754 bits at buf[i:];
+// a nil slice stays nil through a round trip (length 0 vs marker).
+func putFloats(buf []byte, i int, xs []float64) int {
 	if xs == nil {
-		return appendUvarint(dst, 0)
+		return varint.Put(buf, i, 0)
 	}
-	dst = appendUvarint(dst, uint64(len(xs))+1)
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst
+	return varint.PutFloats(buf, varint.Put(buf, i, uint64(len(xs))+1), xs)
 }
 
 func readFloats(data []byte) ([]float64, []byte, error) {
@@ -193,9 +174,5 @@ func readFloats(data []byte) ([]float64, []byte, error) {
 		return nil, nil, fmt.Errorf("wire: %d floats declared, %d bytes left", n, len(data))
 	}
 	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[:8]))
-		data = data[8:]
-	}
-	return xs, data, nil
+	return xs, data[8*varint.Floats(xs, data):], nil
 }

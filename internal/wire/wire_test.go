@@ -210,7 +210,7 @@ func TestFaultFramesRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindJob, []byte("payload")); err != nil {
+	if err := WriteFrame(&buf, KindJob, append(NewFrame(0), "payload"...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&buf, KindDone, nil); err != nil {
@@ -224,6 +224,70 @@ func TestFrameRoundTrip(t *testing.T) {
 	kind, payload, err = ReadFrame(br)
 	if err != nil || kind != KindDone || len(payload) != 0 {
 		t.Fatalf("frame 2: kind %d payload %q err %v", kind, payload, err)
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameOneWrite pins that a control frame leaves in one Write — one
+// system call on a socket — whatever its size, with or without payload, and
+// also when one frame buffer is written to several peers.
+func TestWriteFrameOneWrite(t *testing.T) {
+	big := append(NewFrame(0), bytes.Repeat([]byte{7}, 1<<17)...)
+	frames := []struct {
+		kind  byte
+		frame []byte
+	}{
+		{KindHeartbeat, nil},
+		{KindDone, NewFrame(0)},
+		{KindJob, append(NewFrame(0), "payload"...)},
+		{KindResult, big},
+		{KindResult, big},
+	}
+	var w countingWriter
+	for i, f := range frames {
+		if err := WriteFrame(&w, f.kind, f.frame); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != i+1 {
+			t.Fatalf("frame %d took %d writes", i, w.writes-i)
+		}
+	}
+	br := bufio.NewReader(&w.Buffer)
+	for i, f := range frames {
+		kind, payload, err := ReadFrame(br)
+		if err != nil || kind != f.kind || (len(f.frame) > 0 && !bytes.Equal(payload, f.frame[frameHead:])) {
+			t.Fatalf("frame %d read back as kind %d, %d bytes, err %v", i, kind, len(payload), err)
+		}
+	}
+	if err := WriteFrame(&w, KindJob, []byte("bare")); err == nil {
+		t.Fatal("accepted a buffer shorter than the header room")
+	}
+}
+
+// TestWriteFrameTakesHeaderRoomOnTrust names the hazard of the one-write
+// frame: the first frameHead bytes of the buffer ARE the header room, so a
+// bare payload that long — AppendResult(nil, …), what callers passed before
+// frames left in one write — is not refused: it goes out short of its first
+// frameHead bytes. Only NewFrame begins a frame buffer.
+func TestWriteFrameTakesHeaderRoomOnTrust(t *testing.T) {
+	bare := []byte("eleven byte" + "s of header room, then the rest")
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, KindJob, bare); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := ReadFrame(bufio.NewReader(&buf))
+	if err != nil || string(payload) != "s of header room, then the rest" {
+		t.Fatalf("bare payload read back as %q, %v", payload, err)
 	}
 }
 

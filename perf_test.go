@@ -1,10 +1,20 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/coarsen"
+	"repro/internal/dist"
+	"repro/internal/gen"
+	"repro/internal/graphio"
+	"repro/internal/matching"
+	"repro/internal/rating"
+	"repro/internal/wire"
 )
 
 // perfFamilies is one instance per generator family, sized so the full
@@ -130,6 +140,99 @@ func TestRunSharedArenaConcurrent(t *testing.T) {
 			if results[i].Blocks[v] != want.Blocks[v] {
 				t.Fatalf("concurrent run %d diverges at node %d", i, v)
 			}
+		}
+	}
+}
+
+// levelZero runs contraction level 0 of g over two PEs the way the socket
+// backend does — extract, match, contract per PE — and returns what crosses
+// the wire: the shards going out and the contraction parts coming back.
+func levelZero(g *Graph) ([]*dist.Subgraph, []*coarsen.PEContraction) {
+	const pes = 2
+	sgs := dist.ExtractAll(g, dist.Assign(g, dist.StrategyAuto, pes), pes)
+	ex := dist.NewExchanger(pes)
+	ms := matching.DistributedBounded(sgs, ex, rating.ExpansionStar2, matching.GPA, 1, 0, true)
+	parts := make([]*coarsen.PEContraction, pes)
+	var wg sync.WaitGroup
+	for pe := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[pe] = coarsen.ContractSubgraph(sgs[pe], ms[pe], ex, pe)
+		}()
+	}
+	wg.Wait()
+	return sgs, parts
+}
+
+// BenchmarkStitch is the coordinator's one serial kernel between two levels:
+// the parts of a real level 0 into the coarse graph, on as many goroutines
+// as GOMAXPROCS allows (one under the allocation gate, where its allocations
+// are a fixed handful).
+func BenchmarkStitch(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{{"rgg15", gen.RGG(15, 1)}, {"rmat12", gen.RMAT(12, 8, 1)}} {
+		g := tc.g
+		_, parts := levelZero(g)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cg, _ := coarsen.Stitch(g, parts); cg.NumNodes() >= g.NumNodes() {
+					b.Fatalf("level did not shrink the graph: %d nodes", cg.NumNodes())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeSubgraph decodes one PE's level-0 shard of rgg15, what a
+// worker does with every job frame; MB/s is of encoded bytes.
+func BenchmarkDecodeSubgraph(b *testing.B) {
+	sgs, _ := levelZero(gen.RGG(15, 1))
+	enc, err := wire.AppendSubgraph(nil, sgs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := wire.DecodeSubgraph(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeContraction decodes one PE's level-0 contraction of rgg15,
+// what the coordinator does with every result frame.
+func BenchmarkDecodeContraction(b *testing.B) {
+	_, parts := levelZero(gen.RGG(15, 1))
+	enc := wire.AppendContraction(nil, parts[0])
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := wire.DecodeContraction(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadBinary streams the binary encoding of rgg15 through the
+// io.Reader source of the graph decoder, the path a graph file takes.
+func BenchmarkReadBinary(b *testing.B) {
+	var bin bytes.Buffer
+	if err := graphio.WriteBinary(&bin, gen.RGG(15, 1)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(bin.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graphio.ReadBinary(bytes.NewReader(bin.Bytes())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,13 +1,10 @@
 // Command benchtables regenerates the tables and figures of the paper's
-// evaluation section. Examples:
+// evaluation section, and the ablations. Examples:
 //
 //	benchtables -table 3            # edge ratings & matchers (Table 3)
-//	benchtables -table 4            # queue selection + tool comparison
-//	benchtables -table 9 -k 16      # KaPPa-Fast per-instance (Table 9)
-//	benchtables -figure 3           # scalability curves
-//	benchtables -table 21           # Walshaw benchmark, eps=1%
-//	benchtables -table phases       # per-phase timing breakdown (Trace events)
-//	benchtables -ablation band      # band-depth ablation
+//	benchtables -table 10 -k 8      # KaPPa-Fast per instance (Table 10) at k=8
+//	benchtables -table fig3         # scalability curves (Figure 3)
+//	benchtables -table band         # band-depth ablation
 //	benchtables -all -reps 3        # everything the paper reports
 //
 // Reps defaults to 3 (the paper uses 10); raise -reps for tighter averages.
@@ -20,19 +17,19 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/core"
 )
 
 func main() {
+	names := []string{"1"}
+	for _, t := range bench.Tables() {
+		names = append(names, t.Name)
+	}
 	var (
-		table    = flag.String("table", "", "table to regenerate: 1-23, 'initpart' or 'phases' (per-phase timing breakdown from pipeline Trace events)")
-		figure   = flag.String("figure", "", "figure to regenerate: 3 (time vs k) or 3s (strong scaling vs PEs)")
-		ablation = flag.String("ablation", "", "ablation: pairwise | band | gap | schedule | initrepeats | evolve | dist | coarsen")
-		all      = flag.Bool("all", false, "regenerate everything")
-		reps     = flag.Int("reps", 3, "repetitions per configuration (paper: 10)")
-		ks       = flag.String("k", "", "comma-separated block counts (default depends on table)")
+		table = flag.String("table", "", "table to regenerate: "+strings.Join(names, " | "))
+		all   = flag.Bool("all", false, "regenerate everything")
+		reps  = flag.Int("reps", 3, "repetitions per configuration (paper: 10)")
+		ks    = flag.String("k", "", "comma-separated block counts (default: the table's)")
 	)
 	flag.Parse()
 	o := bench.Options{Reps: *reps}
@@ -48,130 +45,19 @@ func main() {
 	}
 	w := os.Stdout
 
-	if *all {
+	switch t, ok := bench.Lookup(*table); {
+	case *all:
 		bench.Table1(w)
-		bench.Table2(w, o)
-		fmt.Fprintln(w)
-		bench.Table3(w, o)
-		fmt.Fprintln(w)
-		bench.TableInitPart(w, o)
-		fmt.Fprintln(w)
-		bench.Table4Left(w, o)
-		fmt.Fprintln(w)
-		bench.Table4Right(w, bench.Options{Reps: o.Reps, Ks: orDefault(o.Ks, []int{16, 32, 64})})
-		fmt.Fprintln(w)
-		bench.Table5(w, o)
-		fmt.Fprintln(w)
-		for _, k := range []int{16, 32, 64} {
-			for _, v := range []core.Variant{core.Minimal, core.Fast, core.Strong} {
-				bench.TablePerInstanceVariant(w, v, k, o)
-				fmt.Fprintln(w)
-			}
-			for _, t := range []baseline.Tool{baseline.KMetisLike, baseline.ParMetisLike} {
-				bench.TablePerInstanceTool(w, t, k, o)
-				fmt.Fprintln(w)
-			}
-		}
-		bench.Figure3(w, o)
-		fmt.Fprintln(w)
-		bench.Figure3Scaling(w, o)
-		fmt.Fprintln(w)
-		bench.PhaseBreakdown(w, o)
-		fmt.Fprintln(w)
-		for _, eps := range []float64{0.01, 0.03, 0.05} {
-			bench.TableWalshaw(w, eps, o)
+		for _, t := range bench.Tables() {
+			t.Print(w, o)
 			fmt.Fprintln(w)
 		}
-		bench.AblationPairwiseVsKway(w, o)
-		bench.AblationDistribution(w, o)
-		bench.AblationCoarsenMode(w, o)
-		bench.AblationBandDepth(w, o)
-		bench.AblationGapMatching(w, o)
-		bench.AblationSchedule(w, o)
-		bench.AblationInitRepeats(w, o)
-		bench.AblationEvolveVsRestarts(w, o)
-		return
-	}
-
-	switch {
-	case *figure == "3":
-		bench.Figure3(w, o)
-	case *figure == "3s":
-		bench.Figure3Scaling(w, o)
 	case *table == "1":
 		bench.Table1(w)
-	case *table == "2":
-		bench.Table2(w, o)
-	case *table == "3":
-		bench.Table3(w, o)
-	case *table == "initpart":
-		bench.TableInitPart(w, o)
-	case *table == "phases":
-		bench.PhaseBreakdown(w, o)
-	case *table == "4":
-		bench.Table4Left(w, o)
-		fmt.Fprintln(w)
-		bench.Table4Right(w, bench.Options{Reps: o.Reps, Ks: orDefault(o.Ks, []int{16, 32, 64})})
-	case *table == "5":
-		bench.Table5(w, o)
-	case isBetween(*table, 6, 8):
-		bench.TablePerInstanceVariant(w, core.Minimal, kOf(*table, 6), o)
-	case isBetween(*table, 9, 11):
-		bench.TablePerInstanceVariant(w, core.Fast, kOf(*table, 9), o)
-	case isBetween(*table, 12, 14):
-		bench.TablePerInstanceVariant(w, core.Strong, kOf(*table, 12), o)
-	case *table == "15", *table == "17", *table == "19":
-		bench.TablePerInstanceTool(w, baseline.KMetisLike, kOfOdd(*table, 15), o)
-	case *table == "16", *table == "18", *table == "20":
-		bench.TablePerInstanceTool(w, baseline.ParMetisLike, kOfOdd(*table, 16), o)
-	case *table == "21":
-		bench.TableWalshaw(w, 0.01, o)
-	case *table == "22":
-		bench.TableWalshaw(w, 0.03, o)
-	case *table == "23":
-		bench.TableWalshaw(w, 0.05, o)
-	case *ablation == "pairwise":
-		bench.AblationPairwiseVsKway(w, o)
-	case *ablation == "band":
-		bench.AblationBandDepth(w, o)
-	case *ablation == "gap":
-		bench.AblationGapMatching(w, o)
-	case *ablation == "schedule":
-		bench.AblationSchedule(w, o)
-	case *ablation == "initrepeats":
-		bench.AblationInitRepeats(w, o)
-	case *ablation == "evolve":
-		bench.AblationEvolveVsRestarts(w, o)
-	case *ablation == "dist":
-		bench.AblationDistribution(w, o)
-	case *ablation == "coarsen":
-		bench.AblationCoarsenMode(w, o)
+	case ok:
+		t.Print(w, o)
 	default:
 		flag.Usage()
 		os.Exit(1)
 	}
-}
-
-func orDefault(ks, def []int) []int {
-	if len(ks) > 0 {
-		return ks
-	}
-	return def
-}
-
-func isBetween(s string, lo, hi int) bool {
-	v, err := strconv.Atoi(s)
-	return err == nil && v >= lo && v <= hi
-}
-
-// kOf maps consecutive table numbers to k=16/32/64.
-func kOf(s string, base int) int {
-	v, _ := strconv.Atoi(s)
-	return 16 << uint(v-base)
-}
-
-// kOfOdd maps table numbers spaced by 2 (15,17,19 / 16,18,20) to k.
-func kOfOdd(s string, base int) int {
-	v, _ := strconv.Atoi(s)
-	return 16 << uint((v-base)/2)
 }

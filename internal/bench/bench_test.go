@@ -4,18 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"time"
 )
 
-// tiny keeps harness tests fast: single rep, small k.
-var tiny = Options{Reps: 1, Ks: []int{4}}
-
 func TestSuitesNonEmptyAndCached(t *testing.T) {
-	if len(Calibration()) == 0 || len(Large()) == 0 || len(Walshaw()) == 0 {
+	if len(Calibration()) == 0 || len(Large()) == 0 {
 		t.Fatal("empty suite")
 	}
 	in := Calibration()[0]
@@ -66,20 +63,53 @@ func TestTable1Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	Table1(&buf)
 	out := buf.String()
-	for _, name := range []string{"rgg13", "rgg16", "w-grid", "eur-like"} {
+	for _, name := range []string{"rgg13", "rgg16", "eur-like"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("Table 1 missing %s", name)
 		}
 	}
 }
 
+// TestTablesSmoke prints every table on one instance at one k and finds
+// each runner's row.
+func TestTablesSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, tab := range Tables() {
+		var buf bytes.Buffer
+		tab.Print(&buf, Options{Reps: 1, Ks: []int{4}, MaxInstances: 1})
+		rows := map[string]int{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 0 {
+				rows[f[0]]++
+			}
+		}
+		for _, r := range tab.Runners {
+			if rows[r.Name] != 1 {
+				t.Errorf("table %s: %d rows for %q, want 1:\n%s", tab.Name, rows[r.Name], r.Name, buf.String())
+			}
+		}
+	}
+}
+
+// printTable prints the bench.Tables() entry named name at opts.
+func printTable(t *testing.T, name string, o Options) string {
+	t.Helper()
+	tab, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no table %q", name)
+	}
+	var buf bytes.Buffer
+	tab.Print(&buf, o)
+	return buf.String()
+}
+
 func TestTable3Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	var buf bytes.Buffer
-	Table3(&buf, tiny)
-	out := buf.String()
+	out := printTable(t, "3", Options{Reps: 1, Ks: []int{4}})
 	for _, s := range []string{"expansion*2", "weight", "gpa", "shem", "greedy"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("Table 3 missing %q", s)
@@ -91,28 +121,11 @@ func TestTable4LeftSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	var buf bytes.Buffer
-	Table4Left(&buf, tiny)
+	out := printTable(t, "4left", Options{Reps: 1, Ks: []int{4}})
 	for _, s := range []string{"TopGain", "MaxLoad", "Alternate"} {
-		if !strings.Contains(buf.String(), s) {
+		if !strings.Contains(out, s) {
 			t.Fatalf("Table 4 left missing %q", s)
 		}
-	}
-}
-
-func TestWalshawSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	var buf bytes.Buffer
-	TableWalshaw(&buf, 0.03, Options{Reps: 1, Ks: []int{2, 4}})
-	out := buf.String()
-	if !strings.Contains(out, "w-grid") {
-		t.Fatal("Walshaw table missing instance")
-	}
-	// Every cell must have been filled with a feasible result.
-	if strings.Contains(out, "-1") {
-		t.Fatalf("Walshaw table has unfilled cells:\n%s", out)
 	}
 }
 
@@ -120,9 +133,8 @@ func TestAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	var buf bytes.Buffer
-	AblationGapMatching(&buf, tiny)
-	if !strings.Contains(buf.String(), "true") || !strings.Contains(buf.String(), "false") {
+	out := printTable(t, "gap", Options{Reps: 1, Ks: []int{4}})
+	if !strings.Contains(out, "true") || !strings.Contains(out, "false") {
 		t.Fatal("gap ablation output incomplete")
 	}
 }
@@ -131,9 +143,7 @@ func TestAblationDistributionSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	var buf bytes.Buffer
-	AblationDistribution(&buf, Options{Reps: 1, Ks: []int{4}, MaxInstances: 3})
-	out := buf.String()
+	out := printTable(t, "dist", Options{Reps: 1, Ks: []int{4}, MaxInstances: 3})
 	for _, want := range []string{"ranges", "rcb", "sfc", "rgg13"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("distribution ablation output missing %q:\n%s", want, out)

@@ -39,7 +39,6 @@ var (
 	suitesOnce  sync.Once
 	calibration []*Instance
 	large       []*Instance
-	walshaw     []*Instance
 )
 
 func buildSuites() {
@@ -63,14 +62,6 @@ func buildSuites() {
 		{Name: "afshell-like", Family: "matrix", Make: func() *graph.Graph { return gen.Banded(30000, 10, 30, 0.7, 2006) }},
 		{Name: "coauthors-like", Family: "social", Make: func() *graph.Graph { return gen.PrefAttach(30000, 6, 2007) }},
 		{Name: "citation-like", Family: "social", Make: func() *graph.Graph { return gen.RMAT(15, 12, 2008) }},
-	}
-	walshaw = []*Instance{
-		{Name: "w-grid", Family: "fem", Make: func() *graph.Graph { return gen.Grid2D(56, 56) }},                     // 3elt/4elt-like
-		{Name: "w-fem", Family: "fem", Make: func() *graph.Graph { return gen.FEMMesh(10000, 4, 3001) }},             // whitaker3-like
-		{Name: "w-rgg", Family: "geometric", Make: func() *graph.Graph { return gen.RGG(12, 3002) }},                 // cs4-like
-		{Name: "w-band", Family: "matrix", Make: func() *graph.Graph { return gen.Banded(8000, 12, 36, 0.7, 3003) }}, // bcsstk-like
-		{Name: "w-road", Family: "street", Make: func() *graph.Graph { return gen.Road(9000, 5, 3004) }},             // uk-like
-		{Name: "w-social", Family: "social", Make: func() *graph.Graph { return gen.PrefAttach(6000, 4, 3005) }},     // add20-like
 	}
 }
 
@@ -106,10 +97,16 @@ func largeNamed(names ...string) []*Instance {
 	return out
 }
 
-// Walshaw is the small-instance suite of §6.3 (Tables 21–23).
-func Walshaw() []*Instance {
-	suitesOnce.Do(buildSuites)
-	return walshaw
+// calibrationCoords is the part of Calibration with coordinates, on which
+// the geometric distribution strategies do not fall back to index ranges.
+func calibrationCoords() []*Instance {
+	var out []*Instance
+	for _, in := range Calibration() {
+		if in.Graph().HasCoords() {
+			out = append(out, in)
+		}
+	}
+	return out
 }
 
 // Scalability returns the three graphs of Figure 3 (eur, rgg and Delaunay,

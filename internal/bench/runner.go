@@ -13,17 +13,14 @@ import (
 
 // Row aggregates repeated runs of one configuration on one instance, the
 // way the paper reports them: average cut, best cut, average balance,
-// average time — plus the per-phase breakdown of the average time, sourced
-// from the pipeline's PhaseEvents rather than ad-hoc stopwatches.
+// average time — plus a Note for what a table reports besides (the
+// distribution ablations' locality figures).
 type Row struct {
 	AvgCut  float64
 	BestCut int64
 	AvgBal  float64
 	AvgTime time.Duration
-
-	AvgCoarsen time.Duration
-	AvgInit    time.Duration
-	AvgRefine  time.Duration
+	Note    string
 }
 
 // must unwraps a pipeline call for the harness, which only constructs valid
@@ -37,51 +34,40 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// RunKaPPa runs cfg on g `reps` times with different seeds, collecting
-// timings through a Timings trace observer. The repetitions share one
-// scratch arena, the way a long-lived service would, so only the first rep
-// pays the allocation cost of the working set.
+// RunKaPPa runs cfg on g `reps` times with different seeds. The repetitions
+// share one scratch arena, the way a long-lived service would, so only the
+// first rep pays the allocation cost of the working set.
 func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
-	if reps < 1 {
-		reps = 1
-	}
-	var row Row
-	var totalCut, totalBal float64
-	var tm core.Timings
 	arena := mem.NewArena()
-	for i := 0; i < reps; i++ {
-		cfg.Seed = uint64(i)*0x5bd1e995 + 7
-		res := must(core.Run(context.Background(), g, cfg, core.WithObserver(&tm), core.WithArena(arena)))
-		totalCut += float64(res.Cut)
-		totalBal += res.Balance
-		if i == 0 || res.Cut < row.BestCut {
-			row.BestCut = res.Cut
-		}
-	}
-	row.AvgCut = totalCut / float64(reps)
-	row.AvgBal = totalBal / float64(reps)
-	row.AvgTime = tm.Total / time.Duration(reps)
-	row.AvgCoarsen = tm.Coarsen / time.Duration(reps)
-	row.AvgInit = tm.Init / time.Duration(reps)
-	row.AvgRefine = tm.Refine / time.Duration(reps)
-	return row
+	return repeat(reps, func(seed uint64) (int64, float64, time.Duration) {
+		cfg.Seed = seed
+		res := must(core.Run(context.Background(), g, cfg, core.WithArena(arena)))
+		return res.Cut, res.Balance, res.TotalTime
+	})
 }
 
 // RunTool runs a baseline partitioner `reps` times with different seeds.
 func RunTool(g *graph.Graph, k int, eps float64, tool baseline.Tool, reps int) Row {
-	if reps < 1 {
-		reps = 1
-	}
+	return repeat(reps, func(seed uint64) (int64, float64, time.Duration) {
+		res := baseline.Run(g, k, eps, tool, seed)
+		return res.Cut, res.Balance, res.Time
+	})
+}
+
+// repeat runs one partitioner at least once, reps times, on the harness's
+// seed sequence and averages the runs into a Row.
+func repeat(reps int, run func(seed uint64) (cut int64, bal float64, t time.Duration)) Row {
+	reps = max(reps, 1)
 	var row Row
 	var totalCut, totalBal float64
 	var totalTime time.Duration
 	for i := 0; i < reps; i++ {
-		res := baseline.Run(g, k, eps, tool, uint64(i)*0x5bd1e995+7)
-		totalCut += float64(res.Cut)
-		totalBal += res.Balance
-		totalTime += res.Time
-		if i == 0 || res.Cut < row.BestCut {
-			row.BestCut = res.Cut
+		cut, bal, t := run(uint64(i)*0x5bd1e995 + 7)
+		totalCut += float64(cut)
+		totalBal += bal
+		totalTime += t
+		if i == 0 || cut < row.BestCut {
+			row.BestCut = cut
 		}
 	}
 	row.AvgCut = totalCut / float64(reps)

@@ -1,46 +1,92 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/graph"
 	"repro/internal/initpart"
 	"repro/internal/matching"
-	"repro/internal/part"
 	"repro/internal/rating"
 	"repro/internal/refine"
 )
 
 // Options scales the experiments: Reps is the number of repetitions per
-// configuration (the paper uses 10), Ks the block counts (the paper uses
-// 2..64), and MaxInstances optionally truncates each suite (used by the
-// scaled-down testing.B benchmarks; 0 means the full suite).
+// configuration (the paper uses 10), Ks overrides a table's block counts,
+// and MaxInstances optionally truncates each suite (used by the smoke runs;
+// 0 means the full suite).
 type Options struct {
 	Reps         int
 	Ks           []int
 	MaxInstances int
 }
 
-// Defaults fills unset fields.
-func (o Options) defaults() Options {
-	if o.Reps < 1 {
-		o.Reps = 3
-	}
-	if len(o.Ks) == 0 {
-		o.Ks = []int{16}
-	}
-	return o
+// Runner is one row label of a table: a partitioner run reps times on (g, k).
+type Runner struct {
+	Name string
+	Run  func(g *graph.Graph, k, reps int) Row
 }
 
-// limit truncates a suite according to o.MaxInstances.
-func (o Options) limit(suite []*Instance) []*Instance {
-	if o.MaxInstances > 0 && len(suite) > o.MaxInstances {
-		return suite[:o.MaxInstances]
+// Table is one table or figure of the paper's evaluation (§6), or one
+// ablation: every runner over every instance of the suite at every k.
+type Table struct {
+	Name        string // the benchtables -table key
+	Title       string
+	Suite       func() []*Instance
+	Ks          []int // the paper's block counts; Options.Ks overrides them
+	PerInstance bool  // one line per (runner, instance, k), not geometric means
+	Runners     []Runner
+}
+
+// Print runs the table and writes it to w. Without PerInstance a runner's
+// line holds the geometric means over the suite and the block counts, as the
+// paper averages ("to give every instance the same influence").
+func (t Table) Print(w io.Writer, o Options) {
+	reps := o.Reps
+	if reps < 1 {
+		reps = 3
 	}
-	return suite
+	ks := o.Ks
+	if len(ks) == 0 {
+		ks = t.Ks
+	}
+	suite := t.Suite()
+	if o.MaxInstances > 0 && len(suite) > o.MaxInstances {
+		suite = suite[:o.MaxInstances]
+	}
+	fmt.Fprintf(w, "%s, k=%v, %d reps\n", t.Title, ks, reps)
+	if !t.PerInstance {
+		fmt.Fprintf(w, "%-14s %10s %10s %8s %9s\n", "alg", "avg cut", "best cut", "bal", "t[s]")
+		for _, r := range t.Runners {
+			var agg Agg
+			for _, in := range suite {
+				for _, k := range ks {
+					agg.Add(r.Run(in.Graph(), k, reps))
+				}
+			}
+			cut, best, bal, sec := agg.Mean()
+			fmt.Fprintf(w, "%-14s %10.0f %10.0f %8.3f %9.2f\n", r.Name, cut, best, bal, sec)
+		}
+		return
+	}
+	fmt.Fprintf(w, "%-14s %-14s %4s %10s %10s %8s %9s\n", "alg", "graph", "k", "avg cut", "best cut", "bal", "t[s]")
+	for _, r := range t.Runners {
+		for _, in := range suite {
+			for _, k := range ks {
+				row := r.Run(in.Graph(), k, reps)
+				fmt.Fprintf(w, "%-14s %-14s %4d %10.0f %10d %8.3f %9.2f", r.Name, in.Name, k,
+					row.AvgCut, row.BestCut, row.AvgBal, row.AvgTime.Seconds())
+				if row.Note != "" {
+					fmt.Fprintf(w, "  %s", row.Note)
+				}
+				fmt.Fprintln(w)
+			}
+		}
+	}
 }
 
 // Table1 prints the basic properties of every benchmark instance (paper
@@ -48,7 +94,7 @@ func (o Options) limit(suite []*Instance) []*Instance {
 func Table1(w io.Writer) {
 	fmt.Fprintf(w, "Table 1: benchmark instances (scaled synthetic stand-ins)\n")
 	fmt.Fprintf(w, "%-16s %-10s %10s %12s %8s\n", "graph", "family", "n", "m", "coords")
-	for _, suite := range [][]*Instance{Calibration(), Large(), Walshaw()} {
+	for _, suite := range [][]*Instance{Calibration(), Large()} {
 		for _, in := range suite {
 			g := in.Graph()
 			fmt.Fprintf(w, "%-16s %-10s %10d %12d %8v\n",
@@ -58,318 +104,133 @@ func Table1(w io.Writer) {
 	}
 }
 
-// Table2 prints the preset comparison of Table 2: the Minimal/Fast/Strong
-// parameter columns plus their average cut and time (geometric means over
-// the calibration suite).
-func Table2(w io.Writer, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "Table 2: parameter presets (calibration suite, k=%v, %d reps)\n", o.Ks, o.Reps)
-	fmt.Fprintf(w, "%-22s %10s %10s %10s\n", "parameter", "minimal", "fast", "strong")
-	rows := [][4]string{
-		{"rating", "expansion*2", "expansion*2", "expansion*2"},
-		{"matching", "GPA", "GPA", "GPA"},
-		{"stop contraction", "n/60k^2", "n/60k^2", "n/60k^2"},
-		{"init. part.", "scotch-like", "scotch-like", "scotch-like"},
-		{"init. repeats", "1", "3", "5"},
-		{"queue selection", "TopGain", "TopGain", "TopGain"},
-		{"BFS search depth", "1", "5", "20"},
-		{"stop refinement", "-", "no change", "2x no change"},
-		{"max. global iter", "1", "15", "15"},
-		{"local iterations", "1", "3", "5"},
-		{"matching selection", "coloring", "coloring", "coloring"},
-		{"FM-patience alpha", "1%", "5%", "20%"},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %10s %10s %10s\n", r[0], r[1], r[2], r[3])
-	}
-	for _, v := range []core.Variant{core.Minimal, core.Fast, core.Strong} {
-		var agg Agg
-		for _, in := range o.limit(Calibration()) {
-			for _, k := range o.Ks {
-				agg.Add(RunKaPPa(in.Graph(), core.NewConfig(v, k), o.Reps))
-			}
+// Lookup returns the entry of Tables named name.
+func Lookup(name string) (Table, bool) {
+	for _, t := range Tables() {
+		if t.Name == name {
+			return t, true
 		}
-		cut, _, _, t := agg.Mean()
-		fmt.Fprintf(w, "%-22s  cut (geom.) %8.0f   time (geom.) %7.2fs\n", v, cut, t)
 	}
+	return Table{}, false
 }
 
-// Table3 prints the edge-rating and matching-algorithm comparisons of
-// Table 3 (KaPPa-Fast on the calibration suite).
-func Table3(w io.Writer, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "Table 3 (left): edge ratings, KaPPa-Fast, k=%v, %d reps\n", o.Ks, o.Reps)
-	fmt.Fprintf(w, "%-14s %10s %10s %8s %8s\n", "rating", "avg", "best", "bal", "t[s]")
-	for _, rf := range []rating.Func{rating.ExpansionStar2, rating.ExpansionStar, rating.InnerOuter, rating.Expansion, rating.Weight} {
-		var agg Agg
-		for _, in := range o.limit(Calibration()) {
-			for _, k := range o.Ks {
-				cfg := core.NewConfig(core.Fast, k)
-				cfg.Rating = rf
-				agg.Add(RunKaPPa(in.Graph(), cfg, o.Reps))
-			}
-		}
-		cut, best, bal, t := agg.Mean()
-		fmt.Fprintf(w, "%-14s %10.0f %10.0f %8.3f %8.2f\n", rf, cut, best, bal, t)
+// Tables lists, in the paper's order, every table and figure of §6 after
+// Table 1, then the ablations of the design choices the paper argues for.
+func Tables() []Table {
+	k16 := []int{16}
+	presets := []Runner{variant(core.Minimal), variant(core.Fast), variant(core.Strong)}
+	// The tool comparisons rank best first, as the paper's Tables 4 and 5 do.
+	tools := []Runner{presets[2], presets[1], presets[0],
+		tool(baseline.ScotchLike), tool(baseline.KMetisLike), tool(baseline.ParMetisLike)}
+	band := sweep([]int{1, 5, 20, 1 << 20}, func(c *core.Config, d int) { c.BandDepth = d })
+	band[3].Name = "unbounded"
+	strategies := []dist.Strategy{dist.StrategyRanges, dist.StrategyRCB, dist.StrategySFC}
+	dists := sweep(strategies, func(c *core.Config, s dist.Strategy) { c.Distribution = s })
+	for i, s := range strategies {
+		dists[i] = noted(dists[i], s)
 	}
-	fmt.Fprintf(w, "\nTable 3 (right): sequential matching algorithms\n")
-	fmt.Fprintf(w, "%-14s %10s %10s %8s %8s\n", "matcher", "avg", "best", "bal", "t[s]")
-	for _, alg := range []matching.Algorithm{matching.GPA, matching.SHEM, matching.Greedy} {
-		var agg Agg
-		for _, in := range o.limit(Calibration()) {
-			for _, k := range o.Ks {
-				cfg := core.NewConfig(core.Fast, k)
-				cfg.Matcher = alg
-				agg.Add(RunKaPPa(in.Graph(), cfg, o.Reps))
-			}
-		}
-		cut, best, bal, t := agg.Mean()
-		fmt.Fprintf(w, "%-14s %10.0f %10.0f %8.3f %8.2f\n", alg, cut, best, bal, t)
+	modes := sweep([]core.CoarsenMode{core.CoarsenShared, core.CoarsenDistributed},
+		func(c *core.Config, m core.CoarsenMode) { c.Coarsen = m })
+	for i := range modes {
+		modes[i] = noted(modes[i], dist.StrategyAuto)
 	}
+
+	ts := []Table{
+		{"2", "Table 2: parameter presets, calibration suite", Calibration, k16, false, presets},
+		{"3", "Table 3: edge ratings and sequential matchers, KaPPa-Fast, calibration suite", Calibration, k16, false,
+			append(sweep([]rating.Func{rating.ExpansionStar2, rating.ExpansionStar, rating.InnerOuter, rating.Expansion, rating.Weight},
+				func(c *core.Config, f rating.Func) { c.Rating = f }),
+				sweep([]matching.Algorithm{matching.GPA, matching.SHEM, matching.Greedy},
+					func(c *core.Config, a matching.Algorithm) { c.Matcher = a })...)},
+		{"initpart", "§6.1: initial partitioning engines, KaPPa-Fast, calibration suite", Calibration, k16, false,
+			sweep([]initpart.Engine{initpart.EngineScotch, initpart.EnginePMetis},
+				func(c *core.Config, e initpart.Engine) { c.InitEngine = e })},
+		{"4left", "Table 4 (left): queue selection strategies, KaPPa-Fast, calibration suite", Calibration, k16, false,
+			sweep([]refine.Strategy{refine.TopGain, refine.Alternate, refine.TopGainMaxLoad, refine.MaxLoad},
+				func(c *core.Config, s refine.Strategy) { c.Strategy = s })},
+		{"4right", "Table 4 (right): comparison with other tools, large suite", Large, []int{16, 32, 64}, false, tools},
+		{"5", "Table 5: largest graphs with coordinates", LargeCoord, []int{64}, true, tools},
+	}
+	// Tables 6–14: one KaPPa preset at k = 16, 32, 64; Tables 15–20: kMetis
+	// and parMetis alternating, at the same three k.
+	num := 6
+	for _, r := range presets {
+		for _, k := range []int{16, 32, 64} {
+			ts = append(ts, perInstance(num, r, k))
+			num++
+		}
+	}
+	for _, k := range []int{16, 32, 64} {
+		for _, r := range []Runner{tool(baseline.KMetisLike), tool(baseline.ParMetisLike)} {
+			ts = append(ts, perInstance(num, r, k))
+			num++
+		}
+	}
+	return append(ts,
+		// In the paper KaPPa keeps scaling to 1024 PEs while parMetis
+		// flattens around 100; here PEs are goroutines, so the curves bend at
+		// the hardware parallelism but the orderings hold.
+		Table{"fig3", "Figure 3: time vs k (PEs = k), the three largest graphs", Scalability, []int{4, 8, 16, 32, 64}, true, tools},
+		Table{"band", "Ablation: BFS band depth, KaPPa-Fast, calibration suite", Calibration, k16, false, band},
+		Table{"gap", "Ablation: gap-graph matching (§3.3), KaPPa-Fast, calibration suite", Calibration, k16, false,
+			sweep([]bool{true, false}, func(c *core.Config, on bool) { c.GapMatching = on })},
+		Table{"initrepeats", "Ablation: initial partitioning repeats, KaPPa-Fast, calibration suite", Calibration, k16, false,
+			sweep([]int{1, 3, 5, 10}, func(c *core.Config, n int) { c.InitRepeats = n })},
+		// The paper's claim: geometric prepartitioning (RCB; here also the
+		// cheaper SFC) keeps matching local and beats plain index ranges.
+		Table{"dist", "Ablation: distribution strategy (§3.3), KaPPa-Fast, calibration graphs with coordinates",
+			calibrationCoords, k16, true, dists},
+		// The target: PE-local coarsening over extracted subgraphs stays
+		// within a few percent of the shared-memory cut.
+		Table{"coarsen", "Ablation: coarsening mode (§3), KaPPa-Fast, calibration graphs with coordinates",
+			calibrationCoords, k16, true, modes},
+	)
 }
 
-// TableInitPart prints the initial-partitioner comparison reported in the
-// §6.1 text (pMetis ~4.7% worse than Scotch).
-func TableInitPart(w io.Writer, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "Initial partitioning engines (KaPPa-Fast, k=%v, %d reps)\n", o.Ks, o.Reps)
-	fmt.Fprintf(w, "%-14s %10s %10s %8s\n", "engine", "avg", "best", "t[s]")
-	for _, eng := range []initpart.Engine{initpart.EngineScotch, initpart.EnginePMetis} {
-		var agg Agg
-		for _, in := range o.limit(Calibration()) {
-			for _, k := range o.Ks {
-				cfg := core.NewConfig(core.Fast, k)
-				cfg.InitEngine = eng
-				agg.Add(RunKaPPa(in.Graph(), cfg, o.Reps))
-			}
-		}
-		cut, best, _, t := agg.Mean()
-		fmt.Fprintf(w, "%-14s %10.0f %10.0f %8.2f\n", eng, cut, best, t)
-	}
+// perInstance is one of Tables 6–20: runner r at block count k over the
+// large suite, one line per instance.
+func perInstance(num int, r Runner, k int) Table {
+	return Table{strconv.Itoa(num), fmt.Sprintf("Table %d: %s per instance, large suite", num, r.Name),
+		Large, []int{k}, true, []Runner{r}}
 }
 
-// Table4Left prints the queue-selection comparison (Table 4 left).
-func Table4Left(w io.Writer, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "Table 4 (left): queue selection strategies, KaPPa-Fast, k=%v, %d reps\n", o.Ks, o.Reps)
-	fmt.Fprintf(w, "%-16s %10s %10s %8s %8s\n", "strategy", "avg", "best", "bal", "t[s]")
-	for _, st := range []refine.Strategy{refine.TopGain, refine.Alternate, refine.TopGainMaxLoad, refine.MaxLoad} {
-		var agg Agg
-		for _, in := range o.limit(Calibration()) {
-			for _, k := range o.Ks {
-				cfg := core.NewConfig(core.Fast, k)
-				cfg.Strategy = st
-				agg.Add(RunKaPPa(in.Graph(), cfg, o.Reps))
-			}
-		}
-		cut, best, bal, t := agg.Mean()
-		fmt.Fprintf(w, "%-16s %10.0f %10.0f %8.3f %8.2f\n", st, cut, best, bal, t)
-	}
+// variant is the runner of one of the paper's presets as it stands.
+func variant(v core.Variant) Runner {
+	return Runner{v.String(), func(g *graph.Graph, k, reps int) Row {
+		return RunKaPPa(g, core.NewConfig(v, k), reps)
+	}}
 }
 
-// Table4Right prints the tool comparison of Table 4 (right): the three
-// KaPPa variants against the baselines, geometric means over the large
-// suite.
-func Table4Right(w io.Writer, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "Table 4 (right): comparison with other tools (large suite, k=%v, %d reps)\n", o.Ks, o.Reps)
-	fmt.Fprintf(w, "%-16s %10s %10s %8s %8s\n", "variant", "avg", "best", "bal", "t[s]")
-	for _, v := range []core.Variant{core.Strong, core.Fast, core.Minimal} {
-		var agg Agg
-		for _, in := range o.limit(Large()) {
-			for _, k := range o.Ks {
-				agg.Add(RunKaPPa(in.Graph(), core.NewConfig(v, k), o.Reps))
-			}
-		}
-		cut, best, bal, t := agg.Mean()
-		fmt.Fprintf(w, "%-16s %10.0f %10.0f %8.3f %8.2f\n", v, cut, best, bal, t)
-	}
-	for _, tool := range []baseline.Tool{baseline.ScotchLike, baseline.KMetisLike, baseline.ParMetisLike} {
-		var agg Agg
-		for _, in := range o.limit(Large()) {
-			for _, k := range o.Ks {
-				agg.Add(RunTool(in.Graph(), k, 0.03, tool, o.Reps))
-			}
-		}
-		cut, best, bal, t := agg.Mean()
-		fmt.Fprintf(w, "%-16s %10.0f %10.0f %8.3f %8.2f\n", tool, cut, best, bal, t)
-	}
-}
-
-// Table5 prints the per-instance comparison on the largest graphs with
-// coordinates at k=64 (paper Table 5).
-func Table5(w io.Writer, o Options) {
-	o = o.defaults()
-	k := 64
-	fmt.Fprintf(w, "Table 5: largest graphs with coordinates, k=%d, %d reps\n", k, o.Reps)
-	fmt.Fprintf(w, "%-16s %-14s %10s %10s %8s %10s\n", "alg", "graph", "avg cut", "best cut", "bal", "t[s]")
-	type runner func(in *Instance) Row
-	algs := []struct {
-		name string
-		run  runner
-	}{
-		{"KaPPa-strong", func(in *Instance) Row { return RunKaPPa(in.Graph(), core.NewConfig(core.Strong, k), o.Reps) }},
-		{"KaPPa-fast", func(in *Instance) Row { return RunKaPPa(in.Graph(), core.NewConfig(core.Fast, k), o.Reps) }},
-		{"KaPPa-minimal", func(in *Instance) Row { return RunKaPPa(in.Graph(), core.NewConfig(core.Minimal, k), o.Reps) }},
-		{"scotch", func(in *Instance) Row { return RunTool(in.Graph(), k, 0.03, baseline.ScotchLike, o.Reps) }},
-		{"kmetis", func(in *Instance) Row { return RunTool(in.Graph(), k, 0.03, baseline.KMetisLike, o.Reps) }},
-		{"parmetis", func(in *Instance) Row { return RunTool(in.Graph(), k, 0.03, baseline.ParMetisLike, o.Reps) }},
-	}
-	for _, alg := range algs {
-		for _, in := range o.limit(LargeCoord()) {
-			r := alg.run(in)
-			fmt.Fprintf(w, "%-16s %-14s %10.0f %10d %8.3f %10.2f\n",
-				alg.name, in.Name, r.AvgCut, r.BestCut, r.AvgBal, r.AvgTime.Seconds())
-		}
-	}
-}
-
-// TablePerInstanceVariant prints one of Tables 6–14: per-instance results
-// for a KaPPa variant at a fixed k over the large suite.
-func TablePerInstanceVariant(w io.Writer, v core.Variant, k int, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "%s, k=%d (%d reps)\n", v, k, o.Reps)
-	fmt.Fprintf(w, "%-16s %10s %10s %8s %10s\n", "graph", "avg cut", "best cut", "bal", "t[s]")
-	for _, in := range o.limit(Large()) {
-		r := RunKaPPa(in.Graph(), core.NewConfig(v, k), o.Reps)
-		fmt.Fprintf(w, "%-16s %10.0f %10d %8.3f %10.2f\n", in.Name, r.AvgCut, r.BestCut, r.AvgBal, r.AvgTime.Seconds())
-	}
-}
-
-// TablePerInstanceTool prints one of Tables 15–20: per-instance results for
-// a baseline tool at a fixed k over the large suite.
-func TablePerInstanceTool(w io.Writer, tool baseline.Tool, k int, o Options) {
-	o = o.defaults()
-	fmt.Fprintf(w, "%s, k=%d (%d reps)\n", tool, k, o.Reps)
-	fmt.Fprintf(w, "%-16s %10s %10s %8s %10s\n", "graph", "avg cut", "best cut", "bal", "t[s]")
-	for _, in := range o.limit(Large()) {
-		r := RunTool(in.Graph(), k, 0.03, tool, o.Reps)
-		fmt.Fprintf(w, "%-16s %10.0f %10d %8.3f %10.2f\n", in.Name, r.AvgCut, r.BestCut, r.AvgBal, r.AvgTime.Seconds())
-	}
-}
-
-// Figure3 prints the scalability series of Figure 3: total time against the
-// number of blocks/PEs for the three largest graphs, for the KaPPa variants
-// and the baselines. In the paper KaPPa keeps scaling to 1024 PEs while
-// parMetis flattens around 100; here PEs are goroutines, so the curves bend
-// at the hardware parallelism but the orderings hold.
-func Figure3(w io.Writer, o Options) {
-	o = o.defaults()
-	ks := o.Ks
-	if len(ks) <= 1 {
-		ks = []int{4, 8, 16, 32, 64}
-	}
-	fmt.Fprintf(w, "Figure 3: total time [s] vs k (PEs = k), %d reps\n", o.Reps)
-	for _, in := range o.limit(Scalability()) {
-		fmt.Fprintf(w, "\n== %s (n=%d, m=%d) ==\n", in.Name, in.Graph().NumNodes(), in.Graph().NumEdges())
-		fmt.Fprintf(w, "%-16s", "alg \\ k")
-		for _, k := range ks {
-			fmt.Fprintf(w, " %8d", k)
-		}
-		fmt.Fprintln(w)
-		series := []struct {
-			name string
-			run  func(k int) float64
-		}{
-			{"KaPPa-strong", func(k int) float64 {
-				return RunKaPPa(in.Graph(), core.NewConfig(core.Strong, k), o.Reps).AvgTime.Seconds()
-			}},
-			{"KaPPa-fast", func(k int) float64 {
-				return RunKaPPa(in.Graph(), core.NewConfig(core.Fast, k), o.Reps).AvgTime.Seconds()
-			}},
-			{"KaPPa-minimal", func(k int) float64 {
-				return RunKaPPa(in.Graph(), core.NewConfig(core.Minimal, k), o.Reps).AvgTime.Seconds()
-			}},
-			{"scotch", func(k int) float64 {
-				return RunTool(in.Graph(), k, 0.03, baseline.ScotchLike, o.Reps).AvgTime.Seconds()
-			}},
-			{"kmetis", func(k int) float64 {
-				return RunTool(in.Graph(), k, 0.03, baseline.KMetisLike, o.Reps).AvgTime.Seconds()
-			}},
-			{"parmetis", func(k int) float64 {
-				return RunTool(in.Graph(), k, 0.03, baseline.ParMetisLike, o.Reps).AvgTime.Seconds()
-			}},
-		}
-		for _, s := range series {
-			fmt.Fprintf(w, "%-16s", s.name)
-			for _, k := range ks {
-				fmt.Fprintf(w, " %8.2f", s.run(k))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-}
-
-// TableWalshaw prints one of Tables 21–23: for each instance and k, the
-// best cut found under the Walshaw rules — try the ratings innerOuter,
-// expansion* and expansion*2 repeatedly with a strengthened Strong
-// configuration and keep the best feasible result, annotated with the
-// winning rating (* = expansion*, ** = expansion*2, + = innerOuter).
-func TableWalshaw(w io.Writer, eps float64, o Options) {
-	o = o.defaults()
-	ks := o.Ks
-	if len(ks) <= 1 {
-		ks = []int{2, 4, 8, 16, 32, 64}
-	}
-	fmt.Fprintf(w, "Walshaw benchmark, eps=%.0f%%, %d tries per rating\n", eps*100, o.Reps)
-	fmt.Fprintf(w, "%-12s", "graph")
-	for _, k := range ks {
-		fmt.Fprintf(w, " %12d", k)
-	}
-	fmt.Fprintln(w)
-	marks := map[rating.Func]string{
-		rating.ExpansionStar:  "*",
-		rating.ExpansionStar2: "**",
-		rating.InnerOuter:     "+",
-	}
-	for _, in := range o.limit(Walshaw()) {
-		fmt.Fprintf(w, "%-12s", in.Name)
-		g := in.Graph()
-		for _, k := range ks {
-			bestCut := int64(-1)
-			bestMark := "?"
-			for _, rf := range []rating.Func{rating.InnerOuter, rating.ExpansionStar, rating.ExpansionStar2} {
-				cfg := core.NewConfig(core.Strong, k)
-				cfg.Eps = eps
-				cfg.Rating = rf
-				cfg.Patience = 0.30 // §6.3: FM patience strengthened to 30%
-				for rep := 0; rep < o.Reps; rep++ {
-					cfg.Seed = uint64(rep)*0x9e3779b9 + uint64(k)
-					res := must(core.Run(context.Background(), g, cfg))
-					if !part.FromBlocks(g, k, eps, res.Blocks).Feasible() {
-						continue
-					}
-					if bestCut < 0 || res.Cut < bestCut {
-						bestCut = res.Cut
-						bestMark = marks[rf]
-					}
-				}
-			}
-			fmt.Fprintf(w, " %2s%10d", bestMark, bestCut)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// Figure3Scaling is the strong-scaling view of Figure 3: k is fixed and the
-// number of simulated PEs used by the parallel coarsening varies. In the
-// paper PEs and blocks coincide and time falls all the way to 1024 PEs; here
-// the curve flattens at the machine's core count, but the speedup from 1 PE
-// up to the hardware parallelism — and the contrast with the sequential
-// baselines, which cannot use more PEs at all — reproduces the claim.
-func Figure3Scaling(w io.Writer, o Options) {
-	o = o.defaults()
-	const k = 32
-	pes := []int{1, 2, 4, 8, 16, 32}
-	fmt.Fprintf(w, "Figure 3 (strong scaling): KaPPa-Fast total time [s], k=%d, varying PEs, %d reps\n", k, o.Reps)
-	for _, in := range o.limit(Scalability()) {
-		fmt.Fprintf(w, "\n== %s ==\n", in.Name)
-		fmt.Fprintf(w, "%-8s %10s\n", "PEs", "t[s]")
-		for _, p := range pes {
+// sweep is one KaPPa-Fast runner per value, each named after its value and
+// applying it with set.
+func sweep[T any](vals []T, set func(*core.Config, T)) []Runner {
+	rs := make([]Runner, len(vals))
+	for i, val := range vals {
+		rs[i] = Runner{fmt.Sprint(val), func(g *graph.Graph, k, reps int) Row {
 			cfg := core.NewConfig(core.Fast, k)
-			cfg.PEs = p
-			row := RunKaPPa(in.Graph(), cfg, o.Reps)
-			fmt.Fprintf(w, "%-8d %10.2f\n", p, row.AvgTime.Seconds())
-		}
+			set(&cfg, val)
+			return RunKaPPa(g, cfg, reps)
+		}}
 	}
+	return rs
+}
+
+// tool is the runner of a baseline at the paper's 3 % imbalance.
+func tool(t baseline.Tool) Runner {
+	return Runner{t.String(), func(g *graph.Graph, k, reps int) Row {
+		return RunTool(g, k, 0.03, t, reps)
+	}}
+}
+
+// noted makes r's rows carry the edge locality and per-PE imbalance of the
+// node-to-PE distribution strategy s produces on the instance.
+func noted(r Runner, s dist.Strategy) Runner {
+	run := r.Run
+	r.Run = func(g *graph.Graph, k, reps int) Row {
+		row := run(g, k, reps)
+		a := dist.Assign(g, s, k)
+		row.Note = fmt.Sprintf("locality %.3f  imbal %.3f", dist.EdgeLocality(g, a), dist.Imbalance(g, a, k))
+		return row
+	}
+	return r
 }

@@ -24,18 +24,6 @@ import (
 	"repro/internal/refine"
 )
 
-// Schedule selects how block pairs are scheduled for refinement (§5.1).
-type Schedule int
-
-const (
-	// ScheduleColoring steps through the color classes of a distributed
-	// edge coloring of the quotient graph (the paper's default).
-	ScheduleColoring Schedule = iota
-	// ScheduleRandomPairs repeatedly draws random maximal matchings of the
-	// quotient graph (the alternative strategy, kept for the ablation).
-	ScheduleRandomPairs
-)
-
 // CoarsenMode selects how the contraction phase executes.
 type CoarsenMode int
 
@@ -99,7 +87,6 @@ type Config struct {
 	LocalIter      int             // local iterations per pair (1 / 3 / 5)
 	Patience       float64         // FM patience α (0.01 / 0.05 / 0.20)
 
-	Schedule    Schedule
 	GapMatching bool // gap-graph matching across PE boundaries (§3.3); off only in ablations
 
 	// Distribution selects the node-to-PE prepartitioning strategy of §3.3
@@ -183,7 +170,6 @@ func NewConfig(v Variant, k int) Config {
 		StopAlpha:    60,
 		InitEngine:   initpart.EngineScotch,
 		Strategy:     refine.TopGain,
-		Schedule:     ScheduleColoring,
 		GapMatching:  true,
 		Distribution: dist.StrategyAuto,
 	}

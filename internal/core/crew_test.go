@@ -210,7 +210,9 @@ func TestCrewNeverOutlivesItsRun(t *testing.T) {
 		if !started {
 			t.Fatalf("%s: the run never started a crew", name)
 		}
-		if after := settled(before); after != before {
+		// Only more goroutines than before is a crew outliving its run: fewer
+		// is one an earlier test left behind, exiting during this case.
+		if after := settled(before); after > before {
 			t.Errorf("%s: %d goroutines before, %d after", name, before, after)
 		}
 	}

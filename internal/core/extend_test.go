@@ -75,40 +75,3 @@ func TestRefineExistingRepairsImbalance(t *testing.T) {
 		t.Fatalf("imbalanced input not repaired: %.3f", p.Imbalance())
 	}
 }
-
-func TestEvolveBeatsOrMatchesSingleRun(t *testing.T) {
-	g := gen.DelaunayX(10, 6)
-	cfg := NewConfig(Fast, 8)
-	cfg.Seed = 11
-	single := mustRun(t, g, cfg).Cut
-	res, err := Evolve(context.Background(), g, cfg, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cut > single {
-		t.Fatalf("Evolve (%d) worse than its own first individual's regime (%d)", res.Cut, single)
-	}
-	p := part.FromBlocks(g, 8, cfg.Eps, res.Blocks)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Restarts != 5 { // 3 population + 2 immigration
-		t.Fatalf("Restarts = %d, want 5", res.Restarts)
-	}
-}
-
-func TestEvolveZeroGenerationsIsRestarts(t *testing.T) {
-	g := gen.Grid2D(16, 16)
-	cfg := NewConfig(Minimal, 4)
-	cfg.Seed = 2
-	res, err := Evolve(context.Background(), g, cfg, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Generations != 0 || res.Restarts != 2 {
-		t.Fatalf("unexpected bookkeeping: %+v", res)
-	}
-	if res.Cut <= 0 {
-		t.Fatal("no cut measured")
-	}
-}

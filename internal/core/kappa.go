@@ -236,12 +236,10 @@ func (r *round) refine(ws *refine.Workspace, i int) {
 }
 
 // schedule produces the rounds of block pairs for one global iteration from
-// the quotient graph q.
+// the quotient graph q: the colour classes of a distributed edge colouring
+// (§5.1; the paper found random maximal matchings slightly worse).
 func schedule(q []part.QEdge, cfg *Config, levelSeed uint64, global int) [][]part.QEdge {
 	seed := cfg.Seed ^ 0xc01035<<8 ^ levelSeed<<40 ^ uint64(global)
-	if cfg.Schedule == ScheduleRandomPairs {
-		return part.RandomPairSchedule(cfg.K, q, seed)
-	}
 	colors, nc := part.DistributedColoring(cfg.K, q, seed)
 	return part.ColorClasses(q, colors, nc)
 }

@@ -132,18 +132,6 @@ func TestGapMatchingAblationRuns(t *testing.T) {
 	}
 }
 
-func TestRandomPairScheduleRuns(t *testing.T) {
-	g := gen.RGG(10, 4)
-	cfg := NewConfig(Fast, 4)
-	cfg.Seed = 8
-	cfg.Schedule = ScheduleRandomPairs
-	res := mustRun(t, g, cfg)
-	p := check(t, g, 4, cfg.Eps, res)
-	if !p.Feasible() {
-		t.Fatal("random-pair schedule produced infeasible partition")
-	}
-}
-
 func TestPEsIndependentOfK(t *testing.T) {
 	// Decoupling PEs from K (the paper's future-work interface) must work.
 	g := gen.RGG(11, 6)

@@ -119,28 +119,3 @@ type ObserverFunc func(TraceEvent)
 
 // OnTrace calls f(ev).
 func (f ObserverFunc) OnTrace(ev TraceEvent) { f(ev) }
-
-// Timings is an Observer accumulating the per-phase wall-clock durations of
-// a run from its PhaseEvents — how benchmark harnesses obtain phase timings
-// without ad-hoc stopwatches around the call.
-type Timings struct {
-	Coarsen, Init, Refine, Total time.Duration
-}
-
-// OnTrace implements Observer.
-func (t *Timings) OnTrace(ev TraceEvent) {
-	pe, ok := ev.(PhaseEvent)
-	if !ok {
-		return
-	}
-	switch pe.Phase {
-	case PhaseCoarsen:
-		t.Coarsen += pe.Time
-	case PhaseInit:
-		t.Init += pe.Time
-	case PhaseRefine:
-		t.Refine += pe.Time
-	case PhaseTotal:
-		t.Total += pe.Time
-	}
-}

@@ -221,26 +221,6 @@ func TestColorClassesAreMatchings(t *testing.T) {
 	}
 }
 
-func TestRandomPairScheduleCoversAllEdges(t *testing.T) {
-	r := rng.New(4)
-	edges := randomQuotient(10, 0.5, r)
-	rounds := RandomPairSchedule(10, edges, 99)
-	count := 0
-	for _, round := range rounds {
-		busy := make(map[int32]bool)
-		for _, e := range round {
-			if busy[e.A] || busy[e.B] {
-				t.Fatal("round is not a matching")
-			}
-			busy[e.A], busy[e.B] = true, true
-			count++
-		}
-	}
-	if count != len(edges) {
-		t.Fatalf("schedule covered %d of %d edges", count, len(edges))
-	}
-}
-
 func TestExternalDegree(t *testing.T) {
 	g := gen.Grid2D(4, 1)
 	p := FromBlocks(g, 4, 0.03, []int32{0, 1, 2, 3})

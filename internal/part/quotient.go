@@ -152,35 +152,3 @@ func ColorClasses(edges []QEdge, colors []int, numColors int) [][]QEdge {
 	}
 	return classes
 }
-
-// RandomPairSchedule is the alternative schedule of §5.1: instead of
-// stepping through color classes, it repeatedly emits a random maximal
-// matching of the yet-unprocessed quotient edges until every edge has been
-// scheduled once. The paper found edge coloring slightly better; this
-// variant is kept for the schedule ablation.
-func RandomPairSchedule(k int, edges []QEdge, seed uint64) [][]QEdge {
-	r := rng.New(seed)
-	done := make([]bool, len(edges))
-	remaining := len(edges)
-	var rounds [][]QEdge
-	for remaining > 0 {
-		perm := r.Perm(len(edges))
-		busy := make([]bool, k)
-		var round []QEdge
-		for _, i := range perm {
-			if done[i] {
-				continue
-			}
-			e := edges[i]
-			if busy[e.A] || busy[e.B] {
-				continue
-			}
-			busy[e.A], busy[e.B] = true, true
-			done[i] = true
-			remaining--
-			round = append(round, e)
-		}
-		rounds = append(rounds, round)
-	}
-	return rounds
-}

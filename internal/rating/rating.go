@@ -29,8 +29,7 @@ const (
 	InnerOuter
 )
 
-// All lists every rating function; the Walshaw-benchmark runs of §6.3 try
-// InnerOuter, ExpansionStar and ExpansionStar2 in turn.
+// All lists every rating function.
 var All = []Func{Weight, Expansion, ExpansionStar, ExpansionStar2, InnerOuter}
 
 // String returns the paper's name for the rating.

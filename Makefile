@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15047
+LOC_MAX = 15197
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -60,7 +60,7 @@ bench:
 # both on a mesh and on a power-law graph) and one distributed contraction
 # level (core's extract → encode → decode → match → contract →
 # encode → decode → stitch over two PEs) with, on their own, its stitch and
-# its two decoders, against the committed
+# its two decoders, and one FM search's gain-queue traffic, against the committed
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
@@ -68,8 +68,8 @@ bench:
 # sub-benchmarks stay out: their allocations depend on which crew member the
 # scheduler lets refine which pair. Refresh the baseline intentionally with
 # bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction
-BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction|GainQueueRun
+BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core ./internal/pq
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
 
@@ -118,8 +118,9 @@ race:
 # sort-free coarsening kernels (radix edge order, selection-based RCB), the
 # boundary-indexed band builder, the pair search that stops when nothing can
 # move — or, proved stuck by the index's per-block weight bounds, never starts
-# —, the direct-CSR shard extraction, the bulk varint kernels under the wire
-# arrays and the edge-list kernel on one node range and on several; and the
+# —, the FM gain queue's lazily ordered run beside its heap, the direct-CSR
+# shard extraction, the bulk varint kernels under the wire arrays and the
+# edge-list kernel on one node range and on several; and the
 # property that proof rests on, that a bound never exceeds its block's
 # lightest node. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
@@ -144,3 +145,4 @@ fuzz:
 	$(GO) test ./internal/part -run=^$$ -fuzz=FuzzMinWeightIsLowerBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzPairSearchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/pq -run=^$$ -fuzz=FuzzGainQueueMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

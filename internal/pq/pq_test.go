@@ -174,3 +174,37 @@ func BenchmarkPushPop(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGainQueueRun is one FM search's worth of queue traffic on a
+// grown queue: about 500 entries with gains clustered on a few values
+// staged and sealed, a few of them adjusted (leaving the run for the heap),
+// and everything drained. Once the queue has grown it allocates nothing.
+func BenchmarkGainQueueRun(b *testing.B) {
+	const n = 512
+	r := rng.New(26)
+	gains, ties := make([]int64, n), make([]uint32, n)
+	for v := range gains {
+		gains[v] = int64(r.Intn(5)) - int64(r.Intn(5))
+		ties[v] = uint32(r.Uint64())
+	}
+	var q GainQueue
+	search := func() {
+		q.Reset(n)
+		for v := int32(0); v < n; v++ {
+			q.Stage(v, gains[v], ties[v])
+		}
+		q.Seal()
+		for v := int32(0); v < n; v += 16 {
+			q.AdjustBy(v, 2)
+		}
+		for !q.Empty() {
+			q.PopMax()
+		}
+	}
+	search() // grow
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
+	}
+}

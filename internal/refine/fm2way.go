@@ -62,12 +62,13 @@ type TwoWayConfig struct {
 
 // Workspace owns the reusable storage of pairwise FM searches: the
 // global-size band membership, local-id and start-gain tables, the band-size
-// side/move arrays, the two gain queues, the queue-seeding permutation, the
-// move logs of the two seeded runs, the search state and its generator, and
-// the one-shot boundary index of the standalone entry points. One goroutine
-// reuses one Workspace across every pair it refines, on every level and
-// global iteration; the arrays grow to the finest graph once and stay there.
-// A Workspace must not be shared between concurrent searches.
+// side/move arrays, the two gain queues with their runs (staged entries,
+// packed keys) and heaps, the queue-seeding permutation, the move logs of the
+// two seeded runs, the search state and its generator, and the one-shot
+// boundary index of the standalone entry points. One goroutine reuses one
+// Workspace across every pair it refines, on every level and global
+// iteration; the arrays grow to the finest graph once and stay there. A
+// Workspace must not be shared between concurrent searches.
 type Workspace struct {
 	inBand  []bool  // global-size; all false between searches
 	localID []int32 // global-size; valid only where inBand
@@ -340,17 +341,16 @@ func (s *pairSearch) run(cfg TwoWayConfig, r *rng.RNG, moves []int32) result {
 	s.qa, s.qb = &ws.qa, &ws.qb
 	// "The queues are initialized in random order with the nodes at the
 	// partition boundary" — we seed them with the whole band (depth-1 bands
-	// are exactly the boundary).
-	perm := ws.perm
+	// are exactly the boundary), one random tiebreak per node in the order
+	// of a random permutation, into the queues' runs: much of a band is
+	// never popped, and an entry leaves its run only when its gain changes.
+	perm, queues := ws.perm, [2]*pq.GainQueue{s.qa, s.qb}
 	r.PermInto(perm)
 	for _, li := range perm {
-		l := int32(li)
-		if s.side[l] == 0 {
-			s.qa.Push(l, ws.gain0[l], uint32(r.Uint64()))
-		} else {
-			s.qb.Push(l, ws.gain0[l], uint32(r.Uint64()))
-		}
+		queues[s.side[li]].Stage(int32(li), ws.gain0[li], uint32(r.Uint64()))
 	}
+	s.qa.Seal()
+	s.qb.Seal()
 	patienceLimit := int(cfg.Patience * float64(min(s.n[0], s.n[1])))
 	if patienceLimit < 1 {
 		patienceLimit = 1

@@ -27,8 +27,10 @@ func KWayGreedy(p *part.Partition, rounds int, r *rng.RNG) int64 {
 	return total
 }
 
-// bestMove returns the most profitable feasible target block for v and its
-// gain (target −1 when v has no foreign neighbors).
+// bestMove returns the most profitable adjacent target block for v and its
+// gain (target −1 when v has no foreign neighbors), ties going to the lower
+// block id. It does not test the balance constraint: its callers check that
+// the target can take v.
 func bestMove(p *part.Partition, v int32) (int32, int64) {
 	g := p.G
 	own := p.Block[v]

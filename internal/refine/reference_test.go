@@ -10,6 +10,8 @@ import (
 // drains both queues one discarded pop at a time. Kept verbatim (but for the
 // Reference suffixes and the presized move buffers) as the differential
 // oracle of the fused walk, the early termination and the stuck-pair return.
+// It fills its queues with Push, so the kernel's sealed runs are held to
+// what the heap alone pops.
 
 // gain computes the current gain of moving band node li to the other block:
 // w(v→other) − w(v→own), counting only edges inside the pair (edges to third

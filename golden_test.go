@@ -22,7 +22,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_partition
 const goldenPath = "testdata/golden_partitions.txt"
 
 // goldenRow is one line of the golden partition table: the run's inputs
-// (eight fields) and what it must produce (three fields).
+// (eight fields) and what it must produce (three fields). A preset that
+// names a baseline tool (kmetis, parmetis, scotch) routes the row to
+// RunBaseline, which reads only the instance, k and seed; such a row writes
+// pes as 0 and coarsen, dist and matcher as "-".
 type goldenRow struct {
 	instance, preset       string
 	k, pes                 int
@@ -68,6 +71,13 @@ func (r *goldenRow) run() error {
 	if err != nil {
 		return err
 	}
+	for _, tool := range []BaselineTool{KMetisLike, ParMetisLike, ScotchLike} {
+		if tool.String() == r.preset {
+			res := RunBaseline(g, r.k, 0.03, tool, r.seed)
+			r.record(res.Blocks, res.Cut, res.Balance)
+			return nil
+		}
+	}
 	cfg, err := core.ConfigFromNames(r.preset, r.k, 0.03, r.seed, r.pes, 0, r.dist, r.coarsen)
 	if err != nil {
 		return err
@@ -85,16 +95,21 @@ func (r *goldenRow) run() error {
 	if err != nil {
 		return err
 	}
+	r.record(res.Blocks, res.Cut, res.Balance)
+	return nil
+}
+
+// record fills in the row's three result fields from a finished run.
+func (r *goldenRow) record(blocks []int32, cut int64, balance float64) {
 	h := fnv.New64a()
 	var b [4]byte
-	for _, blk := range res.Blocks {
+	for _, blk := range blocks {
 		binary.LittleEndian.PutUint32(b[:], uint32(blk))
 		h.Write(b[:])
 	}
-	r.cut = res.Cut
-	r.balance = fmt.Sprintf("%.6f", res.Balance)
+	r.cut = cut
+	r.balance = fmt.Sprintf("%.6f", balance)
 	r.hash = fmt.Sprintf("%016x", h.Sum64())
-	return nil
 }
 
 // TestGoldenPartitions is the solution-quality gate: every row of

@@ -4,27 +4,35 @@
 // its namesake:
 //
 //   - KMetisLike — sequential direct k-way multilevel partitioning in the
-//     style of kMetis: SHEM matching on raw edge weights, recursive-bisection
-//     initial partitioning on the coarsest graph, and global greedy k-way
-//     boundary refinement during uncoarsening.
+//     style of kMetis (Karypis & Kumar, SIAM J. Sci. Comput. 1998): SHEM
+//     matching on raw edge weights down to max(30·k, 60) nodes,
+//     recursive-bisection initial partitioning on the coarsest graph, and
+//     three rounds of global greedy k-way boundary refinement on every level
+//     of uncoarsening.
 //   - ParMetisLike — the parallel variant: index-range prepartitioning
 //     (ignoring geometry), block-local heavy-edge matching with
-//     locally-heaviest cross-boundary matching, a single initial attempt, a
-//     single cheap refinement pass per level, and a relaxed balance bound —
-//     reproducing parMetis' larger cuts and its tendency to exceed the 3%
-//     imbalance (Table 4/5 report balances around 1.047).
+//     locally-heaviest cross-boundary matching, a single refinement round
+//     per level, and a balance bound relaxed by 2 % — reproducing parMetis'
+//     larger cuts and its tendency to exceed the 3% imbalance (Table 4/5
+//     report balances around 1.047).
 //   - ScotchLike — sequential multilevel recursive bisection (the initpart
 //     engine applied to the whole input).
+//
+// Both Metis recipes are one metis value run as the three stages of a
+// core.Pipeline, so they share KaPPa's contraction loop and emit its trace
+// events; ScotchLike is a single initpart call.
 //
 // The intent is shape fidelity: KaPPa-Strong < KaPPa-Fast < KaPPa-Minimal ≈
 // Scotch < kMetis < parMetis in cut, with the reverse ordering in time.
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/coarsen"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/initpart"
@@ -69,17 +77,27 @@ type Result struct {
 	Time    time.Duration
 }
 
-// Run partitions g into k blocks with the selected baseline.
+// Run partitions g into k ≥ 1 blocks with the selected baseline.
 func Run(g *graph.Graph, k int, eps float64, tool Tool, seed uint64) Result {
 	start := time.Now()
 	var blocks []int32
 	switch tool {
 	case ScotchLike:
 		blocks = initpart.Partition(g, k, eps, initpart.EngineScotch, seed)
-	case KMetisLike:
-		blocks = kmetis(g, k, eps, seed)
-	case ParMetisLike:
-		blocks = parmetis(g, k, eps, seed)
+	case KMetisLike, ParMetisLike:
+		cfg := core.NewConfig(core.Fast, k)
+		cfg.Eps, cfg.Seed, cfg.PEs = eps, seed, 1
+		m := &metis{passes: 3, r: rng.New(seed)}
+		if tool == ParMetisLike {
+			cfg.Eps += 0.02
+			m.parallel, m.passes = true, 1
+		}
+		res, err := core.Run(context.TODO(), g, cfg, core.WithCoarsener(m), core.WithInitialPartitioner(m), core.WithRefiner(m))
+		if err != nil {
+			//kappa:allow panicfree k and eps are validated where flags are parsed
+			panic(fmt.Sprintf("baseline: %v", err))
+		}
+		blocks = res.Blocks
 	default:
 		//kappa:allow panicfree the Tool enum is validated where flags are parsed
 		panic("baseline: unknown tool")
@@ -93,89 +111,56 @@ func Run(g *graph.Graph, k int, eps float64, tool Tool, seed uint64) Result {
 	}
 }
 
-// kmetis: SHEM + weight rating coarsening, pMetis-style initial partition,
-// greedy k-way refinement at every level.
-func kmetis(g *graph.Graph, k int, eps float64, seed uint64) []int32 {
-	r := rng.New(seed)
-	h := coarsen.NewHierarchy(g)
-	threshold := 30 * k
-	if threshold < 60 {
-		threshold = 60
-	}
-	maxPair := 3 * g.TotalNodeWeight() / (2 * int64(threshold))
-	if maxPair < 2 {
-		maxPair = 2
-	}
-	for h.Coarsest.NumNodes() > threshold {
-		cur := h.Coarsest
-		rt := rating.NewRater(rating.Weight, cur)
-		m := matching.ComputeScratch(cur, rt, matching.SHEM, r, maxPair, nil)
-		if m.Size() == 0 {
-			break
-		}
-		cg, f2c := coarsen.Contract(cur, m)
-		if cg.NumNodes() > cur.NumNodes()*49/50 {
-			break
-		}
-		h.Push(cg, f2c)
-	}
-	block := initpart.Partition(h.Coarsest, k, eps, initpart.EnginePMetis, seed+1)
-	p := part.FromBlocks(h.Coarsest, k, eps, block)
-	refine.KWayGreedy(p, 3, r)
-	for li := h.Depth() - 1; li >= 0; li-- {
-		block = h.Project(li, p.Block)
-		p = part.FromBlocks(h.Levels[li].Fine, k, eps, block)
-		refine.KWayGreedy(p, 3, r)
-	}
-	if !p.Feasible() {
-		refine.Rebalance(p, r)
-	}
-	return p.Block
+// metis is the multilevel k-way recipe of both Metis baselines as a
+// core.Coarsener, core.InitialPartitioner and core.Refiner. Run sets
+// PEs = 1, so the contraction loop never consults the Distributor: parallel
+// matching makes its own index-range prepartition.
+type metis struct {
+	parallel bool // block-local matching over k index ranges, as parMetis
+	passes   int  // greedy k-way refinement rounds per level
+	// r is the stream sequential matching, refinement and rebalancing draw
+	// from, in that order.
+	r *rng.RNG
 }
 
-// parmetis: like kmetis but with the cheap parallel pieces and a relaxed
-// balance bound (the real tool optimizes for speed and lets the imbalance
-// drift toward ~5%).
-func parmetis(g *graph.Graph, k int, eps float64, seed uint64) []int32 {
-	r := rng.New(seed)
-	relaxedEps := eps + 0.02
-	h := coarsen.NewHierarchy(g)
-	threshold := 30 * k
-	if threshold < 60 {
-		threshold = 60
-	}
-	pes := k
-	maxPair := 3 * g.TotalNodeWeight() / (2 * int64(threshold))
-	if maxPair < 2 {
-		maxPair = 2
-	}
-	for h.Coarsest.NumNodes() > threshold {
-		cur := h.Coarsest
+// Coarsen contracts SHEM matchings on the weight rating until at most
+// max(30·k, 60) nodes remain, the threshold both Metis recipes share.
+func (m *metis) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Config, env *core.Env) (*coarsen.Hierarchy, error) {
+	return core.CoarsenWith(ctx, g, cfg, env, max(30*cfg.K, 60), func(ctx context.Context, cur *graph.Graph, cfg *core.Config, _ []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+		tm := time.Now()
 		rt := rating.NewRater(rating.Weight, cur)
-		// Index-range prepartition regardless of coordinates (parMetis does
-		// not use geometry) and distributed heavy-edge matching: block-local
-		// SHEM plus cross-boundary matching of locally heaviest edges.
-		blocks := dist.IndexRanges(cur.NumNodes(), pes)
-		m := matching.ParallelScratch(cur, rt, matching.SHEM, blocks, pes, seed+uint64(h.Depth()), maxPair, nil)
-		if m.Size() == 0 {
-			break
+		var mt matching.Matching
+		if m.parallel {
+			blocks := dist.IndexRanges(cur.NumNodes(), cfg.K)
+			mt = matching.ParallelScratch(cur, rt, matching.SHEM, blocks, cfg.K, cfg.Seed+uint64(level), maxPair, nil)
+		} else {
+			mt = matching.ComputeScratch(cur, rt, matching.SHEM, m.r, maxPair, nil)
 		}
-		cg, f2c := coarsen.Contract(cur, m)
-		if cg.NumNodes() > cur.NumNodes()*49/50 {
-			break
+		if mt.Size() == 0 {
+			return nil, nil, 0, 0, nil
 		}
-		h.Push(cg, f2c)
-	}
-	block := initpart.Partition(h.Coarsest, k, relaxedEps, initpart.EnginePMetis, seed+1)
-	p := part.FromBlocks(h.Coarsest, k, relaxedEps, block)
-	refine.KWayGreedy(p, 1, r)
+		matchT, tc := time.Since(tm), time.Now()
+		cg, f2c := coarsen.Contract(cur, mt)
+		return cg, f2c, matchT, time.Since(tc), nil
+	})
+}
+
+// InitialPartition is one pMetis-style recursive bisection of the coarsest
+// graph.
+func (m *metis) InitialPartition(_ context.Context, g *graph.Graph, cfg *core.Config, _ *core.Env) ([]int32, int64, error) {
+	block, cut := initpart.Repeat(g, cfg.K, cfg.Eps, initpart.EnginePMetis, 1, cfg.Seed+1)
+	return block, cut, nil
+}
+
+// Refine runs greedy k-way refinement on every level, coarsest to finest,
+// and rebalances the result (a no-op when it is feasible).
+func (m *metis) Refine(_ context.Context, h *coarsen.Hierarchy, initial []int32, cfg *core.Config, _ *core.Env) (*part.Partition, error) {
+	p := part.FromBlocks(h.Coarsest, cfg.K, cfg.Eps, initial)
+	refine.KWayGreedy(p, m.passes, m.r)
 	for li := h.Depth() - 1; li >= 0; li-- {
-		block = h.Project(li, p.Block)
-		p = part.FromBlocks(h.Levels[li].Fine, k, relaxedEps, block)
-		refine.KWayGreedy(p, 1, r)
+		p = part.FromBlocks(h.Levels[li].Fine, cfg.K, cfg.Eps, h.Project(li, p.Block))
+		refine.KWayGreedy(p, m.passes, m.r)
 	}
-	if !p.Feasible() {
-		refine.Rebalance(p, r)
-	}
-	return p.Block
+	refine.Rebalance(p, m.r)
+	return p, nil
 }

@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/part"
 )
@@ -51,6 +53,31 @@ func TestQualityOrderingOnMesh(t *testing.T) {
 	}
 	if kmetis*3 < scotch*2 {
 		t.Errorf("kmetis-like (%d) implausibly better than scotch-like (%d)", kmetis, scotch)
+	}
+}
+
+// TestKaPPaBeatsBaselinesOnMeshes asserts the paper's headline shape on a
+// mesh: averaged over seeds, KaPPa-Strong must beat the kMetis-like and
+// parMetis-like recipes.
+func TestKaPPaBeatsBaselinesOnMeshes(t *testing.T) {
+	g := gen.DelaunayX(12, 8)
+	var strong, kmetis, parmetis int64
+	for s := uint64(0); s < 3; s++ {
+		cfg := core.NewConfig(core.Strong, 8)
+		cfg.Seed = s
+		res, err := core.Run(context.Background(), g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strong += res.Cut
+		kmetis += Run(g, 8, 0.03, KMetisLike, s).Cut
+		parmetis += Run(g, 8, 0.03, ParMetisLike, s).Cut
+	}
+	if strong > kmetis {
+		t.Errorf("KaPPa-Strong (%d) lost to kmetis-like (%d)", strong, kmetis)
+	}
+	if strong > parmetis {
+		t.Errorf("KaPPa-Strong (%d) lost to parmetis-like (%d)", strong, parmetis)
 	}
 }
 

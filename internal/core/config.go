@@ -73,8 +73,8 @@ type Config struct {
 	Rating  rating.Func        // edge rating (Table 3)
 	Matcher matching.Algorithm // sequential matching algorithm (Table 3)
 
-	// StopAlpha is the α of the contraction stop rule: coarsening ends when
-	// fewer than max(20·P, n/(α·k²)) nodes remain (Table 2: n/60k²).
+	// StopAlpha is the α of the contraction stop rule StopRule (Table 2:
+	// n/60k²).
 	StopAlpha float64
 
 	InitEngine  initpart.Engine

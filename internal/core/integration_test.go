@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -63,26 +62,5 @@ func TestEndToEndAllFamilies(t *testing.T) {
 				t.Errorf("%s %v: infeasible (%.3f)", tc.name, v, p.Imbalance())
 			}
 		}
-	}
-}
-
-// TestKaPPaBeatsBaselinesOnMeshes asserts the paper's headline shape on a
-// mesh: averaged over seeds, KaPPa-Strong must beat the kMetis-like and
-// parMetis-like recipes.
-func TestKaPPaBeatsBaselinesOnMeshes(t *testing.T) {
-	g := gen.DelaunayX(12, 8)
-	var strong, kmetis, parmetis int64
-	for s := uint64(0); s < 3; s++ {
-		cfg := NewConfig(Strong, 8)
-		cfg.Seed = s
-		strong += mustRun(t, g, cfg).Cut
-		kmetis += baseline.Run(g, 8, 0.03, baseline.KMetisLike, s).Cut
-		parmetis += baseline.Run(g, 8, 0.03, baseline.ParMetisLike, s).Cut
-	}
-	if strong > kmetis {
-		t.Errorf("KaPPa-Strong (%d) lost to kmetis-like (%d)", strong, kmetis)
-	}
-	if strong > parmetis {
-		t.Errorf("KaPPa-Strong (%d) lost to parmetis-like (%d)", strong, parmetis)
 	}
 }

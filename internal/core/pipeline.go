@@ -380,28 +380,28 @@ func (d strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg
 // matching into the next coarser graph. It returns the coarse graph, the
 // fine→coarse node map, and the matching/contraction kernel times — or a nil
 // graph to signal an empty matching (the graph cannot shrink further).
-// CoarsenWith drives a kernel through the paper's stop rule; the default
-// kernels run in-process, internal/remote's kernel ships each PE its shard
-// and runs the level across worker processes.
+// CoarsenWith drives a kernel down to a stop threshold; the default kernels
+// run in-process, internal/remote's kernel ships each PE its shard and runs
+// the level across worker processes, and internal/baseline's runs the Metis
+// recipes' matching.
 type LevelKernel func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (cg *graph.Graph, f2c []int32, matchT, contractT time.Duration, err error)
 
-// CoarsenWith runs the contraction loop of §3/§4 around a per-level kernel:
-// fewer than max(20·P, n/(α·k²), 2k) nodes remain — the per-PE threshold
-// max(20, n/(αk²)) of the paper summed over PEs — or the graph stops
-// shrinking geometrically. It computes the per-level node distribution, the
-// cluster-weight cap, and emits one LevelEvent per pushed level, so every
-// Coarsener built on it (in-process or out-of-process) shares the exact
-// same hierarchy policy.
-func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, kernel LevelKernel) (*coarsen.Hierarchy, error) {
+// StopRule is KaPPa's contraction stop rule of §4 for an n-node input:
+// coarsening ends once at most max(n/(α·k²), 20·P, 2k) nodes remain — the
+// per-PE threshold max(20, n/(αk²)) of the paper summed over PEs, and never
+// fewer than two nodes per block.
+func StopRule(n int, cfg *Config) int {
+	return max(int(float64(n)/(cfg.StopAlpha*float64(cfg.K)*float64(cfg.K))), 20*cfg.NumPEs(), 2*cfg.K)
+}
+
+// CoarsenWith runs the contraction loop of §3/§4 around a per-level kernel
+// until at most threshold nodes remain (StopRule for KaPPa's own coarseners)
+// or the graph stops shrinking geometrically. It computes the per-level node
+// distribution and the cluster-weight cap, and emits one LevelEvent per
+// pushed level, so every Coarsener built on it (in-process, out-of-process
+// or a baseline recipe) shares the exact same hierarchy policy.
+func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, threshold int, kernel LevelKernel) (*coarsen.Hierarchy, error) {
 	pes := cfg.NumPEs()
-	n0 := float64(g.NumNodes())
-	threshold := int(n0 / (cfg.StopAlpha * float64(cfg.K) * float64(cfg.K)))
-	if t := 20 * pes; threshold < t {
-		threshold = t
-	}
-	if t := 2 * cfg.K; threshold < t {
-		threshold = t
-	}
 	h := coarsen.NewHierarchy(g)
 	// Cluster-weight cap (Metis' maxvwgt): no contracted pair may exceed
 	// 1.5x the average node weight of the target coarsest graph, so even
@@ -466,7 +466,7 @@ type matchingCoarsener struct{}
 
 func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (*coarsen.Hierarchy, error) {
 	pes := cfg.NumPEs()
-	return CoarsenWith(ctx, g, cfg, env, func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+	return CoarsenWith(ctx, g, cfg, env, StopRule(g.NumNodes(), cfg), func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 		var cg *graph.Graph
 		var f2c []int32
 		var matchT, contractT time.Duration

@@ -38,6 +38,31 @@ func TestRunInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestStopRule pins the contraction threshold at points where each of its
+// three terms binds. The rgg:15 (n = 2^15) rows at k = 8 are where the 20·P
+// floor, keyed to PEs rather than blocks, leaves five coarse nodes per block
+// at pes 2.
+func TestStopRule(t *testing.T) {
+	cases := []struct {
+		n, k, pes int
+		want      int
+	}{
+		{1 << 15, 8, 2, 40},
+		{1 << 15, 8, 8, 160},
+		{1 << 15, 8, 0, 160},
+		{1 << 20, 2, 0, 4369},
+		{1000, 64, 1, 128},
+		{0, 1, 1, 20},
+	}
+	for _, tc := range cases {
+		cfg := NewConfig(Fast, tc.k)
+		cfg.PEs = tc.pes
+		if got := StopRule(tc.n, &cfg); got != tc.want {
+			t.Errorf("StopRule(n=%d, k=%d, pes=%d) = %d, want %d", tc.n, tc.k, tc.pes, got, tc.want)
+		}
+	}
+}
+
 // TestRunCancelDuringCoarsening cancels the context from an observer as soon
 // as the first contraction level lands and expects Run to abort promptly —
 // before initial partitioning — with ctx.Err().

@@ -383,7 +383,7 @@ func (co *coordinator) markDead(w *workerConn) {
 // Coarsen implements core.Coarsener: the standard stop-rule loop around the
 // supervised remote level kernel.
 func (co *coordinator) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Config, env *core.Env) (*coarsen.Hierarchy, error) {
-	return core.CoarsenWith(ctx, g, cfg, env, co.level)
+	return core.CoarsenWith(ctx, g, cfg, env, core.StopRule(g.NumNodes(), cfg), co.level)
 }
 
 // level is the supervised LevelKernel: run the level remotely, and on a

@@ -295,8 +295,10 @@ func (s *Server) finishJob(j *Job, res core.Result, arts *jobArtifacts, err erro
 	default:
 		state = StateFailed
 	}
-	j.finish(state, res, arts, err)
+	// Counted before finish wakes the job's waiters, so whoever sees the job
+	// settle also sees it in the per-state metrics.
 	s.metrics.finished(state)
+	j.finish(state, res, arts, err)
 	s.retire(j.id)
 }
 

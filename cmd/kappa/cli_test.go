@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // runFailing runs kappa with args, requires exit code 1, and returns the
@@ -38,6 +42,42 @@ func TestEvalRejectsOutOfRangeBlock(t *testing.T) {
 		if strings.Contains(out, "panic") || !strings.Contains(out, "p.txt:3: block "+bad) {
 			t.Fatalf("block id %s: want a diagnostic naming line 3, got:\n%s", bad, out)
 		}
+	}
+}
+
+// TestEvalWritesReport pins that -eval finishes its observability: the
+// -report file is written, and its result cut is the printed "after
+// refining" cut.
+func TestEvalWritesReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	kappa, _ := buildBinaries(t)
+	dir := t.TempDir()
+	partFile, reportFile := filepath.Join(dir, "p.txt"), filepath.Join(dir, "r.json")
+	// grid:16x16 has 256 nodes; stripes give refinement something to do.
+	if err := os.WriteFile(partFile, []byte(strings.Repeat("0\n1\n2\n3\n", 64)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(kappa, "-gen", "grid:16x16", "-k", "4", "-seed", "1",
+		"-eval", partFile, "-report", reportFile).CombinedOutput()
+	if err != nil {
+		t.Fatalf("kappa -eval: %v\n%s", err, out)
+	}
+	printed := regexp.MustCompile(`after refining: +cut=(\d+)`).FindSubmatch(out)
+	if printed == nil {
+		t.Fatalf("no refined cut printed:\n%s", out)
+	}
+	raw, err := os.ReadFile(reportFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, raw)
+	}
+	if got := strconv.FormatInt(rep.Result.Cut, 10); got != string(printed[1]) {
+		t.Fatalf("report result.cut %s, printed %s", got, printed[1])
 	}
 }
 

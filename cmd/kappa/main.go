@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -36,8 +35,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -155,20 +152,24 @@ func main() {
 	}
 
 	if *eval != "" {
-		blocks, err := readPartition(*eval, g.NumNodes(), rf.k)
+		blocks, err := graphio.ReadPartitionFile(*eval, g.NumNodes(), rf.k)
 		if err != nil {
 			fail(err)
 		}
+		w := ob.summaryWriter()
 		cut, bal, feasible := evalBlocks(g, rf.k, rf.eps, blocks)
-		fmt.Printf("input partition: cut=%d balance=%.4f feasible=%v\n", cut, bal, feasible)
+		fmt.Fprintf(w, "input partition: cut=%d balance=%.4f feasible=%v\n", cut, bal, feasible)
 		refined, rcut, err := core.RefineExistingCtx(ctx, g, cfg, blocks, opts...)
 		if err != nil {
 			fail(err)
 		}
 		_, rbal, rfeasible := evalBlocks(g, rf.k, rf.eps, refined)
-		fmt.Printf("after refining:  cut=%d balance=%.4f feasible=%v\n", rcut, rbal, rfeasible)
+		if err := runObs.finish(core.Result{Blocks: refined, Cut: rcut, Balance: rbal}); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(w, "after refining:  cut=%d balance=%.4f feasible=%v\n", rcut, rbal, rfeasible)
 		if rf.out != "" {
-			if err := writePartition(rf.out, refined); err != nil {
+			if err := os.WriteFile(rf.out, graphio.AppendPartition(nil, refined), 0o666); err != nil {
 				fail(err)
 			}
 		}
@@ -196,56 +197,6 @@ func main() {
 func evalBlocks(g *graph.Graph, k int, eps float64, blocks []int32) (int64, float64, bool) {
 	p := part.FromBlocks(g, k, eps, blocks)
 	return p.Cut(), p.Imbalance(), p.Feasible()
-}
-
-// readPartition parses a one-block-per-line partition file of n nodes in k
-// blocks.
-func readPartition(path string, n, k int) ([]int32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	blocks := make([]int32, 0, n)
-	sc := bufio.NewScanner(f)
-	for lineNo := 1; sc.Scan(); lineNo++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		v, err := strconv.Atoi(line)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: bad partition line %q: %w", path, lineNo, line, err)
-		}
-		if v < 0 || v >= k {
-			return nil, fmt.Errorf("%s:%d: block %d outside [0, %d)", path, lineNo, v, k)
-		}
-		blocks = append(blocks, int32(v))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(blocks) != n {
-		return nil, fmt.Errorf("partition file has %d entries, graph has %d nodes", len(blocks), n)
-	}
-	return blocks, nil
-}
-
-// writePartition writes the block of each node, one per line.
-func writePartition(path string, blocks []int32) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, b := range blocks {
-		fmt.Fprintln(w, b)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // loadGraph resolves the input: usage errors (bad generator spec, neither

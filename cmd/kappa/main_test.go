@@ -164,7 +164,7 @@ func TestServeWorkerProcessesMatchInProcess(t *testing.T) {
 		t.Errorf("multi-process cut %d, in-process cut %d", cut, want.Cut)
 	}
 
-	got, err := readPartition(partFile, g.NumNodes(), k)
+	got, err := graphio.ReadPartitionFile(partFile, g.NumNodes(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestServeChaosWorkerKillProcesses(t *testing.T) {
 	if cut != want.Cut {
 		t.Errorf("chaos-run cut %d, healthy in-process cut %d", cut, want.Cut)
 	}
-	got, err := readPartition(partFile, g.NumNodes(), k)
+	got, err := graphio.ReadPartitionFile(partFile, g.NumNodes(), k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,41 +53,32 @@ func (f *obsFlags) summaryWriter() io.Writer {
 	return os.Stdout
 }
 
-// runObs is the live observability state of one run: the registry behind the
-// HTTP endpoint, the transport/arena sinks, and the report recorder.
+// runObs is the live observability state of one run: the recorder, and the
+// registry behind the HTTP endpoint when -metrics is set.
 type runObs struct {
 	flags    *obsFlags
+	rec      *obs.Recorder
 	registry *obs.Registry
-	stats    *dist.TransportStats
-	arena    *mem.Arena
-	reporter *obs.ReportObserver
-	counters *remote.Counters
 	server   interface{ Close() error }
 }
 
-// setup wires the requested observability into pipeline options: a shared
-// arena and metered transports (so both the metrics endpoint and the report
-// see them), the metrics observer, and the report recorder. It returns nil
-// when neither -metrics nor -report was given — the run stays entirely
-// uninstrumented.
+// setup wires the requested observability into pipeline options: the run's
+// recorder on a fresh arena, and with -metrics a registry with the transport
+// and arena bound, served over HTTP. It returns nil when neither -metrics nor
+// -report was given — the run stays entirely uninstrumented.
 func (f *obsFlags) setup(g *graph.Graph, cfg core.Config) (*runObs, []core.Option, error) {
 	if f.metrics == "" && f.report == "" {
 		return nil, nil, nil
 	}
-	o := &runObs{
-		flags: f,
-		stats: dist.NewTransportStats(cfg.NumPEs()),
-		arena: mem.NewArena(),
-	}
-	opts := []core.Option{
-		core.WithArena(o.arena),
-		core.WithTransportStats(o.stats),
-	}
+	o := &runObs{flags: f}
+	arena := mem.NewArena()
 	if f.metrics != "" {
 		o.registry = obs.NewRegistry()
-		obs.BindTransport(o.registry, o.stats)
-		obs.BindArena(o.registry, o.arena)
-		opts = append(opts, core.WithObserver(obs.NewPipelineObserver(o.registry)))
+	}
+	o.rec = obs.NewRecorder(g, cfg, arena, o.registry)
+	if o.registry != nil {
+		obs.BindTransport(o.registry, o.rec.Stats)
+		obs.BindArena(o.registry, arena)
 		srv, addr, err := obs.Serve(f.metrics, o.registry)
 		if err != nil {
 			return nil, nil, err
@@ -95,21 +86,17 @@ func (f *obsFlags) setup(g *graph.Graph, cfg core.Config) (*runObs, []core.Optio
 		o.server = srv
 		fmt.Fprintf(os.Stderr, "kappa: metrics on http://%s/metrics (JSON at /metrics.json, pprof at /debug/pprof/)\n", addr)
 	}
-	if f.report != "" {
-		o.reporter = obs.NewReportObserver(g, cfg)
-		opts = append(opts, core.WithObserver(o.reporter))
-	}
-	return o, opts, nil
+	return o, o.rec.Options(), nil
 }
 
 // bindRemote hooks the coordinator's fault-tolerance counters into the
-// metrics registry and remembers them for the report's faults section. A nil
-// receiver is a no-op — `kappa serve` calls it unconditionally.
+// metrics registry and the report's faults section. A nil receiver is a
+// no-op — `kappa serve` calls it unconditionally.
 func (o *runObs) bindRemote(c *remote.Counters) {
 	if o == nil {
 		return
 	}
-	o.counters = c
+	o.rec.Faults = c
 	if o.registry != nil {
 		obs.BindRemote(o.registry, c)
 	}
@@ -121,22 +108,18 @@ func (o *runObs) transportStats() *dist.TransportStats {
 	if o == nil {
 		return nil
 	}
-	return o.stats
+	return o.rec.Stats
 }
 
-// finish completes the run's observability: final-result gauges, the report
-// file, and the post-run hold of the metrics endpoint. A nil receiver is a
-// no-op, so callers invoke it unconditionally.
+// finish completes the run's observability: the recorder's result gauges,
+// the report file, and the post-run hold of the metrics endpoint. A nil
+// receiver is a no-op, so callers invoke it unconditionally.
 func (o *runObs) finish(res core.Result) error {
 	if o == nil {
 		return nil
 	}
-	if o.registry != nil {
-		obs.RecordResult(o.registry, res)
-	}
-	if o.reporter != nil {
-		rep := o.reporter.Finish(res, o.stats, o.arena)
-		rep.Faults = obs.FaultSection(o.counters)
+	rep := o.rec.Finish(res)
+	if o.flags.report != "" {
 		if o.flags.reportZero {
 			rep.ZeroTimes()
 		}
@@ -153,6 +136,9 @@ func (o *runObs) finish(res core.Result) error {
 			return err
 		}
 		if o.flags.report != "-" {
+			if err := out.Close(); err != nil {
+				return err
+			}
 			fmt.Fprintf(os.Stderr, "kappa: report written to %s\n", o.flags.report)
 		}
 	}

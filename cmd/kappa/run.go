@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/graphio"
 	"repro/internal/part"
 )
 
@@ -100,7 +101,7 @@ func (f *runFlags) printSummary(w io.Writer, g *graph.Graph, cfg core.Config, re
 	if f.out == "" {
 		return nil
 	}
-	if err := writePartition(f.out, res.Blocks); err != nil {
+	if err := os.WriteFile(f.out, graphio.AppendPartition(nil, res.Blocks), 0o666); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "partition written to %s\n", f.out)

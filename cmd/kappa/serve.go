@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/graphio"
 	"repro/internal/remote"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -184,7 +185,7 @@ func runWorker(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "kappa: worker PE %d done after %d levels\n", wr.PE, wr.Levels)
 	if *outFile != "" && wr.Partition != nil {
-		if err := writePartition(*outFile, wr.Partition); err != nil {
+		if err := os.WriteFile(*outFile, graphio.AppendPartition(nil, wr.Partition), 0o666); err != nil {
 			fail(err)
 		}
 	}

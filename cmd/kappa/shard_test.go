@@ -125,7 +125,7 @@ func TestShardServeMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := readPartition(partFile, g.NumNodes(), k)
+	got, err := graphio.ReadPartitionFile(partFile, g.NumNodes(), k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -149,4 +150,44 @@ func peekBinaryHeader(in []byte) (n, half uint64, ok bool) {
 		return 0, 0, false
 	}
 	return n, half, true
+}
+
+// FuzzReadPartition feeds arbitrary text to the partition reader for a graph
+// of n nodes in k blocks. Properties: no panic; an accepted partition has n
+// blocks in [0, k) and reads back equal after one AppendPartition.
+func FuzzReadPartition(f *testing.F) {
+	f.Add("0\n1\n1\n0\n", uint8(4), uint8(2))
+	f.Add("0\r\n1\r\n\r\n2\r\n", uint8(3), uint8(3))
+	f.Add(" 1 \n\n+0\n007\n", uint8(3), uint8(8))
+	f.Add("0\nx\n1\n", uint8(3), uint8(2))                     // bad integer
+	f.Add("0\n99999999999999999999\n", uint8(2), uint8(2))     // overflows int
+	f.Add("0\n2\n", uint8(2), uint8(2))                        // block outside [0, k)
+	f.Add("0\n-1\n", uint8(2), uint8(2))                       // negative block
+	f.Add("0\n1\n", uint8(3), uint8(2))                        // too few lines
+	f.Add("0\n1\n0\n", uint8(2), uint8(2))                     // too many lines
+	f.Add(strings.Repeat("0", 70000)+"\n", uint8(1), uint8(1)) // over-long line
+	f.Add("", uint8(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, in string, n, k uint8) {
+		blocks, err := ReadPartition(strings.NewReader(in), "fuzz", int(n), int(k))
+		if err != nil {
+			return
+		}
+		if len(blocks) != int(n) {
+			t.Fatalf("accepted %d blocks for %d nodes", len(blocks), n)
+		}
+		for v, b := range blocks {
+			if b < 0 || int(b) >= int(k) {
+				t.Fatalf("accepted block %d of node %d outside [0, %d)", b, v, k)
+			}
+		}
+		enc := AppendPartition(nil, blocks)
+		again, err := ReadPartition(bytes.NewReader(enc), "re-encoded", int(n), int(k))
+		if err != nil {
+			t.Fatalf("re-reading own output: %v\n%q", err, enc)
+		}
+		if !slices.Equal(again, blocks) {
+			t.Fatalf("round trip changed the partition: %v -> %v", blocks, again)
+		}
+	})
 }

@@ -257,3 +257,31 @@ func TestBinaryErrors(t *testing.T) {
 		t.Fatal("accepted bad version")
 	}
 }
+
+// TestReadPartitionVerdicts pins which partition texts the reader accepts —
+// and what AppendPartition makes of them — and, for the rest, the line its
+// diagnostic names.
+func TestReadPartitionVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		in       string
+		n, k     int
+		enc, err string // enc when accepted, else a substring of err
+	}{
+		{"0\n1\n1\n0\n", 4, 2, "0\n1\n1\n0\n", ""},
+		{"0\r\n1\r\n\r\n 2\r\n", 3, 3, "0\n1\n2\n", ""},
+		{"0\nx\n", 2, 2, "", "p:2: bad partition line"},
+		{"0\n2\n", 2, 2, "", "p:2: block 2 outside [0, 2)"},
+		{"0\n1\n", 3, 2, "", "p: partition has 2 entries, graph has 3 nodes"},
+		{"0\n1\n0\n", 2, 2, "", "p:3: partition has more entries"},
+		{strings.Repeat("0", 70000), 1, 1, "", "p: bufio.Scanner: token too long"},
+	} {
+		blocks, err := ReadPartition(strings.NewReader(tc.in), "p", tc.n, tc.k)
+		if tc.err == "" {
+			if got := string(AppendPartition(nil, blocks)); err != nil || got != tc.enc {
+				t.Errorf("%q: re-encoded as %q (%v), want %q", tc.in, got, err, tc.enc)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%.20q: error %v, want %q", tc.in, err, tc.err)
+		}
+	}
+}

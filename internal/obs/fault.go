@@ -24,9 +24,9 @@ type FaultReport struct {
 	DoneFailures   int64 `json:"done_failures"`
 }
 
-// FaultSection snapshots c into a report section; nil for a nil c, so
+// faultSection snapshots c into a report section; nil for a nil c, so
 // reports of runs without a coordinator stay unchanged.
-func FaultSection(c *remote.Counters) *FaultReport {
+func faultSection(c *remote.Counters) *FaultReport {
 	if c == nil {
 		return nil
 	}

@@ -85,10 +85,10 @@ func (o *PipelineObserver) OnTrace(ev core.TraceEvent) {
 	}
 }
 
-// RecordResult publishes the headline figures of a finished run as gauges —
+// recordResult publishes the headline figures of a finished run as gauges —
 // the piece the trace stream does not carry (the final cut belongs to the
 // Result, not to any event).
-func RecordResult(r *Registry, res core.Result) {
+func recordResult(r *Registry, res core.Result) {
 	r.Gauge("kappa_last_cut", "Cut of the most recent finished run.").Set(float64(res.Cut))
 	r.Gauge("kappa_last_balance", "Balance of the most recent finished run.").Set(res.Balance)
 	r.Gauge("kappa_last_levels", "Contraction levels of the most recent finished run.").Set(float64(res.Levels))

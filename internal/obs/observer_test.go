@@ -42,7 +42,7 @@ func TestPipelineObserverMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RecordResult(reg, res)
+	recordResult(reg, res)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -190,24 +190,37 @@ func TestReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestReportObserverReset pins that one observer can record sequential runs.
-func TestReportObserverReset(t *testing.T) {
-	g := gen.RGG(10, 2)
+// TestRecorderTakesArenaAsDelta pins the recorder's arena rule: a run on an
+// arena warm from an earlier run reports, once zeroed, what the first run
+// did on the fresh arena — and the registry gets the result gauges.
+func TestRecorderTakesArenaAsDelta(t *testing.T) {
+	g := gen.RGG(10, 3)
 	cfg := testConfig()
-	rep := NewReportObserver(g, cfg)
-	res, err := core.Run(context.Background(), g, cfg, core.WithObserver(rep))
-	if err != nil {
-		t.Fatal(err)
+	arena := mem.NewArena()
+	reg := NewRegistry()
+	var reports [2][]byte
+	for i := range reports {
+		rec := NewRecorder(g, cfg, arena, reg)
+		res, err := core.Run(context.Background(), g, cfg, rec.Options()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := rec.Finish(res)
+		if rep.Arena.Borrows == 0 || len(rep.Transport) != cfg.NumPEs() || rep.Faults != nil {
+			t.Fatalf("run %d: arena %+v, %d transport rows, faults %+v", i, rep.Arena, len(rep.Transport), rep.Faults)
+		}
+		rep.ZeroTimes()
+		var buf bytes.Buffer
+		if _, err := rep.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = buf.Bytes()
 	}
-	first := rep.Finish(res, nil, nil)
-	nLevels := len(first.Levels)
-	rep.Reset(g, cfg)
-	res, err = core.Run(context.Background(), g, cfg, core.WithObserver(rep))
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("warm-arena report differs:\n--- fresh\n%s\n--- warm\n%s", reports[0], reports[1])
 	}
-	second := rep.Finish(res, nil, nil)
-	if len(second.Levels) != nLevels {
-		t.Fatalf("reset observer recorded %d levels, first run had %d", len(second.Levels), nLevels)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil || !strings.Contains(sb.String(), "kappa_last_cut") {
+		t.Fatalf("registry lacks the result gauges (%v)", err)
 	}
 }

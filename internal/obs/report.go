@@ -156,7 +156,7 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 // ReportObserver assembles a Report from the pipeline's trace stream. Attach
 // it with core.WithObserver, run, then call Finish with the run's result.
 // Like every Observer it is driven from the single coordinating goroutine
-// and needs no locking; one observer records one run (Reset between runs).
+// and needs no locking; one observer records one run.
 type ReportObserver struct {
 	report Report
 }
@@ -165,13 +165,7 @@ type ReportObserver struct {
 // configuration immediately, with the event-driven sections filled during
 // the run.
 func NewReportObserver(g *graph.Graph, cfg core.Config) *ReportObserver {
-	o := &ReportObserver{}
-	o.init(g, cfg)
-	return o
-}
-
-func (o *ReportObserver) init(g *graph.Graph, cfg core.Config) {
-	o.report = Report{
+	return &ReportObserver{report: Report{
 		Graph: GraphReport{Nodes: g.NumNodes(), Edges: g.NumEdges()},
 		Config: ConfigReport{
 			K:       cfg.K,
@@ -186,60 +180,78 @@ func (o *ReportObserver) init(g *graph.Graph, cfg core.Config) {
 		Levels: []LevelReport{},
 		Refine: []RefineReport{},
 		Phases: []PhaseReport{},
-	}
+	}}
 }
 
-// OnTrace implements core.Observer.
-func (o *ReportObserver) OnTrace(ev core.TraceEvent) {
+// TraceRecord is the one translation of a pipeline trace event into its
+// user-visible record: a kind name and the report entry — a LevelReport,
+// InitReport, RefineReport or PhaseReport. The run report files the entry;
+// the service's SSE stream sends it, marshalled, as the payload of an event
+// of that kind. A kind with no report entry is "trace", carrying its log
+// rendering.
+func TraceRecord(ev core.TraceEvent) (kind string, entry any) {
 	switch e := ev.(type) {
 	case core.LevelEvent:
-		o.report.Levels = append(o.report.Levels, LevelReport{
+		return "level", LevelReport{
 			Level:           e.Level,
 			Nodes:           e.Nodes,
 			Edges:           e.Edges,
 			Seconds:         e.Time.Seconds(),
 			MatchSeconds:    e.Match.Seconds(),
 			ContractSeconds: e.Contract.Seconds(),
-		})
+		}
 	case core.InitEvent:
-		o.report.Init = InitReport{Cut: e.Cut, Seconds: e.Time.Seconds()}
+		return "init", InitReport{Cut: e.Cut, Seconds: e.Time.Seconds()}
 	case core.RefineEvent:
-		o.report.Refine = append(o.report.Refine, RefineReport{
-			Level:     e.Level,
-			Iteration: e.Iteration,
-			Gain:      e.Gain,
-		})
+		return "refine", RefineReport{Level: e.Level, Iteration: e.Iteration, Gain: e.Gain}
 	case core.PhaseEvent:
-		o.report.Phases = append(o.report.Phases, PhaseReport{
-			Phase:   e.Phase.String(),
-			Seconds: e.Time.Seconds(),
-		})
+		return "phase", PhaseReport{Phase: e.Phase.String(), Seconds: e.Time.Seconds()}
+	}
+	return "trace", struct {
+		Text string `json:"text"`
+	}{Text: ev.String()}
+}
+
+// OnTrace implements core.Observer.
+func (o *ReportObserver) OnTrace(ev core.TraceEvent) {
+	_, entry := TraceRecord(ev)
+	switch e := entry.(type) {
+	case LevelReport:
+		o.report.Levels = append(o.report.Levels, e)
+	case InitReport:
+		o.report.Init = e
+	case RefineReport:
+		o.report.Refine = append(o.report.Refine, e)
+	case PhaseReport:
+		o.report.Phases = append(o.report.Phases, e)
 	}
 }
 
-// Reset clears the event-driven sections so the observer can record another
-// run of the same graph and configuration.
-func (o *ReportObserver) Reset(g *graph.Graph, cfg core.Config) { o.init(g, cfg) }
-
 // Finish stamps the run's result and returns the assembled report. Optional
-// transport stats and arena snapshots are folded in when non-nil.
+// transport stats and arena snapshots are folded in when non-nil; the arena
+// is taken as fresh for this run (a Recorder takes a pooled one as a delta).
 func (o *ReportObserver) Finish(res core.Result, stats *dist.TransportStats, arena *mem.Arena) *Report {
 	o.report.Result = ResultReport{Cut: res.Cut, Balance: res.Balance, Levels: res.Levels}
 	if stats != nil {
 		o.report.Transport = transportSection(stats)
 	}
 	if arena != nil {
-		st := arena.Stats()
-		o.report.Arena = &ArenaReport{
-			Borrows:        st.Borrows,
-			Reused:         st.Reused,
-			Misses:         st.Misses,
-			AllocatedBytes: st.AllocatedBytes,
-			LiveBytes:      st.LiveBytes,
-			PooledBytes:    st.PooledBytes,
-		}
+		o.report.Arena = arenaSection(mem.ArenaStats{}, arena.Stats())
 	}
 	return &o.report
+}
+
+// arenaSection is an arena's accounting since before: the counters as
+// deltas, the live and pooled bytes as they stand.
+func arenaSection(before, after mem.ArenaStats) *ArenaReport {
+	return &ArenaReport{
+		Borrows:        after.Borrows - before.Borrows,
+		Reused:         after.Reused - before.Reused,
+		Misses:         after.Misses - before.Misses,
+		AllocatedBytes: after.AllocatedBytes - before.AllocatedBytes,
+		LiveBytes:      after.LiveBytes,
+		PooledBytes:    after.PooledBytes,
+	}
 }
 
 // transportSection renders per-PE transport totals.

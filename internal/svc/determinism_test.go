@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/graphio"
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -45,7 +46,7 @@ func TestJobMatchesDirectRunByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPartition := renderPartition(res.Blocks)
+	wantPartition := graphio.AppendPartition(nil, res.Blocks)
 	rep := reporter.Finish(res, stats, arena)
 	rep.ZeroTimes()
 	wantReport, err := renderReport(rep)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // eventLogCap bounds the events retained per job. The log is a ring: when a
@@ -98,62 +99,17 @@ func (l *eventLog) since(after int64) ([]Event, <-chan struct{}, bool) {
 	return out, l.wake, l.closed
 }
 
-// The SSE payload types mirror the core trace events field-for-field, plus
-// the lifecycle transitions; durations render as seconds like the report.
-
+// stateEvent is the payload of a lifecycle transition; the run's trace
+// events carry their run report entries (obs.TraceRecord).
 type stateEvent struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 }
 
-type levelEvent struct {
-	Level       int     `json:"level"`
-	Nodes       int     `json:"nodes"`
-	Edges       int     `json:"edges"`
-	Seconds     float64 `json:"seconds"`
-	MatchSec    float64 `json:"match_seconds"`
-	ContractSec float64 `json:"contract_seconds"`
-}
-
-type initEvent struct {
-	Cut     int64   `json:"cut"`
-	Seconds float64 `json:"seconds"`
-}
-
-type refineEvent struct {
-	Level     int   `json:"level"`
-	Iteration int   `json:"iteration"`
-	Gain      int64 `json:"gain"`
-}
-
-type phaseEvent struct {
-	Phase   string  `json:"phase"`
-	Seconds float64 `json:"seconds"`
-}
-
-// trace translates one pipeline trace event into its stream rendering. It
-// runs on the pipeline's critical path (via core.WithObserver), so it only
+// trace appends one pipeline trace event to the stream as its report entry.
+// It runs on the pipeline's critical path (via core.WithObserver), so it only
 // marshals and appends — readers are woken, never waited for.
-func (l *eventLog) trace(ev core.TraceEvent) {
-	switch e := ev.(type) {
-	case core.LevelEvent:
-		l.append("level", levelEvent{
-			Level: e.Level, Nodes: e.Nodes, Edges: e.Edges,
-			Seconds: e.Time.Seconds(), MatchSec: e.Match.Seconds(), ContractSec: e.Contract.Seconds(),
-		})
-	case core.InitEvent:
-		l.append("init", initEvent{Cut: e.Cut, Seconds: e.Time.Seconds()})
-	case core.RefineEvent:
-		l.append("refine", refineEvent{Level: e.Level, Iteration: e.Iteration, Gain: e.Gain})
-	case core.PhaseEvent:
-		l.append("phase", phaseEvent{Phase: e.Phase.String(), Seconds: e.Time.Seconds()})
-	default:
-		// Future trace kinds still reach the stream, via their log rendering.
-		l.append("trace", struct {
-			Text string `json:"text"`
-		}{Text: ev.String()})
-	}
-}
+func (l *eventLog) trace(ev core.TraceEvent) { l.append(obs.TraceRecord(ev)) }
 
 // state records a lifecycle transition on the stream.
 func (l *eventLog) state(st State, errMsg string) {

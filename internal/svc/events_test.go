@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // parseSSE decodes a Server-Sent Events body into its events.
@@ -111,7 +113,7 @@ func TestEventStreamReplaysRun(t *testing.T) {
 			t.Errorf("stream has no %q trace events (saw %v)", want, kinds)
 		}
 	}
-	var ph phaseEvent
+	var ph obs.PhaseReport
 	if err := json.Unmarshal(evs[len(evs)-2].Data, &ph); err != nil || ph.Phase != "total" {
 		t.Errorf("second-to-last event should be the total phase, got %s %s", evs[len(evs)-2].Type, evs[len(evs)-2].Data)
 	}
@@ -216,4 +218,65 @@ func TestEventStreamLive(t *testing.T) {
 		t.Fatalf("stream still open after terminal state (err %v)", err)
 	}
 	waitTerminal(t, s, st.ID)
+}
+
+// TestEventPayloadsAreReportEntries pins the SSE stream to the run report:
+// every level, init, refine and phase payload of a real job is, byte for
+// byte, json.Marshal of the matching entry of that job's non-zeroed report,
+// in order.
+func TestEventPayloadsAreReportEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real pipeline run")
+	}
+	s, h := newTestServer(t, Options{Concurrency: 1, Queue: 2})
+	st := waitTerminal(t, s, decodeStatus(t, submitJob(t, h, `{"gen":"rgg:9","k":4,"seed":5}`)).ID)
+	if st.State != StateDone {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	body := httptest.NewRecorder()
+	h.ServeHTTP(body, httptest.NewRequest("GET", st.Report, nil))
+	var rep obs.Report
+	if err := json.Unmarshal(body.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]any{
+		"level":  entries(rep.Levels),
+		"init":   {rep.Init},
+		"refine": entries(rep.Refine),
+		"phase":  entries(rep.Phases),
+	}
+
+	stream := httptest.NewRecorder()
+	h.ServeHTTP(stream, httptest.NewRequest("GET", st.Events, nil))
+	for _, ev := range parseSSE(t, stream.Body.String()) {
+		if ev.Type == "state" {
+			continue
+		}
+		left := want[ev.Type]
+		if len(left) == 0 {
+			t.Fatalf("event %d (%s %s) has no report entry left", ev.Seq, ev.Type, ev.Data)
+		}
+		entry, err := json.Marshal(left[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(ev.Data) != string(entry) {
+			t.Fatalf("event %d payload %s, report entry %s", ev.Seq, ev.Data, entry)
+		}
+		want[ev.Type] = left[1:]
+	}
+	for kind, left := range want {
+		if len(left) > 0 {
+			t.Errorf("%d %s report entries were never streamed", len(left), kind)
+		}
+	}
+}
+
+// entries boxes a report section for TestEventPayloadsAreReportEntries.
+func entries[T any](section []T) []any {
+	out := make([]any, len(section))
+	for i, e := range section {
+		out[i] = e
+	}
+	return out
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graphio"
 	"repro/internal/store"
 )
 
@@ -69,7 +70,7 @@ func TestShardDirJobMatchesDirectRun(t *testing.T) {
 	}
 	got := httptest.NewRecorder()
 	h.ServeHTTP(got, httptest.NewRequest("GET", st.Partition, nil))
-	if !bytes.Equal(got.Body.Bytes(), renderPartition(want.Blocks)) {
+	if !bytes.Equal(got.Body.Bytes(), graphio.AppendPartition(nil, want.Blocks)) {
 		t.Fatal("shard_dir job partition differs from the direct run")
 	}
 }

@@ -31,6 +31,7 @@
 package svc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,8 +40,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/graphio"
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -241,38 +242,19 @@ func (s *Server) runJob(j *Job, arena *mem.Arena) (res core.Result, arts *jobArt
 		}
 	}()
 
-	// Observability mirrors the CLI's -report/-metrics wiring: per-job
-	// transport stats and report observer, pipeline metrics into the shared
-	// registry. The arena section is the delta across this job, so a pooled
-	// arena reports exactly what a fresh per-run arena would.
-	stats := dist.NewTransportStats(j.cfg.NumPEs())
-	reporter := obs.NewReportObserver(j.g, j.cfg)
-	before := arena.Stats()
-	opts := []core.Option{
-		core.WithArena(arena),
-		core.WithTransportStats(stats),
-		core.WithObserver(obs.NewPipelineObserver(s.opts.Registry)),
-		core.WithObserver(reporter),
-		// The job's SSE stream: every trace event, rendered and sequenced,
-		// while the run is still in flight.
-		core.WithObserver(core.ObserverFunc(j.events.trace)),
-	}
+	// The run's instrumentation is the CLI's -report/-metrics recorder, with
+	// the pipeline metrics in the shared registry.
+	rec := obs.NewRecorder(j.g, j.cfg, arena, s.opts.Registry)
+	// The job's SSE stream: every trace event, rendered and sequenced, while
+	// the run is still in flight.
+	opts := append(rec.Options(), core.WithObserver(core.ObserverFunc(j.events.trace)))
 	res, err = s.opts.run(j.ctx, j.g, j.cfg, opts...)
 	if err != nil {
 		return res, nil, err
 	}
 
-	rep := reporter.Finish(res, stats, nil)
-	after := arena.Stats()
-	rep.Arena = &obs.ArenaReport{
-		Borrows:        after.Borrows - before.Borrows,
-		Reused:         after.Reused - before.Reused,
-		Misses:         after.Misses - before.Misses,
-		AllocatedBytes: after.AllocatedBytes - before.AllocatedBytes,
-		LiveBytes:      after.LiveBytes,
-		PooledBytes:    after.PooledBytes,
-	}
-	arts = &jobArtifacts{partition: renderPartition(res.Blocks)}
+	rep := rec.Finish(res)
+	arts = &jobArtifacts{partition: graphio.AppendPartition(nil, res.Blocks)}
 	if arts.report, err = renderReport(rep); err != nil {
 		return res, nil, err
 	}
@@ -280,8 +262,17 @@ func (s *Server) runJob(j *Job, arena *mem.Arena) (res core.Result, arts *jobArt
 	if arts.reportZero, err = renderReport(rep); err != nil {
 		return res, nil, err
 	}
-	obs.RecordResult(s.opts.Registry, res)
 	return res, arts, nil
+}
+
+// renderReport serializes a run report exactly as the CLI's -report flag
+// does (Report.WriteTo: indented JSON plus a trailing newline).
+func renderReport(rep *obs.Report) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := rep.WriteTo(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // finishJob settles a job's terminal state and updates the per-state

@@ -7,14 +7,20 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"net"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/remote"
+	"repro/internal/store"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_partitions.txt from the current code")
@@ -25,7 +31,11 @@ const goldenPath = "testdata/golden_partitions.txt"
 // (eight fields) and what it must produce (three fields). A preset that
 // names a baseline tool (kmetis, parmetis, scotch) routes the row to
 // RunBaseline, which reads only the instance, k and seed; such a row writes
-// pes as 0 and coarsen, dist and matcher as "-".
+// pes as 0 and coarsen, dist and matcher as "-". Two coarsen values name an
+// execution mode rather than core.CoarsenMode: "socket" serves the run to pes
+// in-process workers over localhost (remote.ServeWith), "store" first shards
+// the instance under dist into a fresh store and serves that
+// (remote.ServeStore); both coarsen distributed.
 type goldenRow struct {
 	instance, preset       string
 	k, pes                 int
@@ -65,8 +75,8 @@ func parseGoldenRow(line string) (goldenRow, error) {
 }
 
 // run partitions the row's instance under the row's configuration and fills
-// in the three result fields.
-func (r *goldenRow) run() error {
+// in the three result fields. A store row writes its store under dir.
+func (r *goldenRow) run(dir string) error {
 	g, err := gen.FromSpec(r.instance)
 	if err != nil {
 		return err
@@ -78,7 +88,11 @@ func (r *goldenRow) run() error {
 			return nil
 		}
 	}
-	cfg, err := core.ConfigFromNames(r.preset, r.k, 0.03, r.seed, r.pes, 0, r.dist, r.coarsen)
+	mode := r.coarsen
+	if mode == "socket" || mode == "store" {
+		mode = "distributed"
+	}
+	cfg, err := core.ConfigFromNames(r.preset, r.k, 0.03, r.seed, r.pes, 0, r.dist, mode)
 	if err != nil {
 		return err
 	}
@@ -91,12 +105,70 @@ func (r *goldenRow) run() error {
 	if !found {
 		return fmt.Errorf("unknown matcher %q", r.matcher)
 	}
-	res, err := Run(context.Background(), g, cfg)
+	var res Result
+	switch r.coarsen {
+	case "socket":
+		res, err = serveGolden(g, nil, cfg)
+	case "store":
+		var st *store.Store
+		if st, err = writeGoldenStore(filepath.Join(dir, "g.kst"), g, cfg); err == nil {
+			res, err = serveGolden(nil, st, cfg)
+		}
+	default:
+		res, err = Run(context.Background(), g, cfg)
+	}
 	if err != nil {
 		return err
 	}
 	r.record(res.Blocks, res.Cut, res.Balance)
 	return nil
+}
+
+// writeGoldenStore shards g into dir the way `kappa shard` does, under cfg's
+// PEs and distribution, and opens the store.
+func writeGoldenStore(dir string, g *graph.Graph, cfg core.Config) (*store.Store, error) {
+	if _, err := store.Write(dir, g, store.WriteOptions{PEs: cfg.NumPEs(), Strategy: cfg.Distribution}); err != nil {
+		return nil, err
+	}
+	return store.Open(dir)
+}
+
+// serveGolden runs cfg through the socket coordinator with one in-process
+// worker per PE on a localhost listener: ServeWith on g, or ServeStore on st
+// when st is set.
+func serveGolden(g *graph.Graph, st *store.Store, cfg core.Config) (Result, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return Result{}, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	pes := cfg.NumPEs()
+	if st != nil {
+		pes = st.Manifest().PEs
+	}
+	done := make(chan error, pes)
+	for range pes {
+		go func() {
+			_, err := remote.Work(ctx, "tcp", ln.Addr().String())
+			done <- err
+		}()
+	}
+	var res core.Result
+	if st != nil {
+		res, err = remote.ServeStore(ctx, ln, st, cfg, remote.ServeOptions{})
+	} else {
+		res, err = remote.ServeWith(ctx, ln, g, cfg, remote.ServeOptions{})
+	}
+	if err != nil {
+		cancel() // the workers may still wait for a job
+	}
+	for range pes {
+		if werr := <-done; err == nil {
+			err = werr
+		}
+	}
+	return res, err
 }
 
 // record fills in the row's three result fields from a finished run.
@@ -142,7 +214,7 @@ func TestGoldenPartitions(t *testing.T) {
 			t.Fatalf("%s:%d: %v", goldenPath, lineNo, err)
 		}
 		got := want
-		if err := got.run(); err != nil {
+		if err := got.run(t.TempDir()); err != nil {
 			t.Fatalf("%s:%d: %v", goldenPath, lineNo, err)
 		}
 		rows++
@@ -162,4 +234,43 @@ func TestGoldenPartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestServeCommittedStore serves testdata/rgg10-2pe.kst, a store an earlier
+// build wrote with `kappa shard -gen rgg:10 -pe 2`, and wants the partition of
+// the golden row that shards the same instance fresh: a store stays servable,
+// to the same bytes, by every later build that reads its manifest version.
+func TestServeCommittedStore(t *testing.T) {
+	st, err := store.Open("testdata/rgg10-2pe.kst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		want, err := parseGoldenRow(line)
+		if err != nil || want.instance != "rgg:10" || want.coarsen != "store" || want.pes != st.Manifest().PEs {
+			continue
+		}
+		cfg, err := core.ConfigFromNames(want.preset, want.k, 0.03, want.seed, want.pes, 0, want.dist, "distributed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := serveGolden(nil, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := want
+		got.record(res.Blocks, res.Cut, res.Balance)
+		if got != want {
+			t.Fatalf("committed store served a different partition\n want %s\n  got %s", want.String(), got.String())
+		}
+		return
+	}
+	t.Fatalf("%s has no rgg:10 store row over %d PEs", goldenPath, st.Manifest().PEs)
 }

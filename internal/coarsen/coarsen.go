@@ -4,11 +4,12 @@
 // that partitions can be projected back during uncoarsening.
 //
 // Contract performs the contraction on the shared global graph;
-// ContractDistributed performs it PE-locally — every PE contracts the owned
-// part of its subgraph and the coarse subgraphs are stitched back together
-// through the local↔global id maps and a few ghost-exchange supersteps —
-// producing a coarse graph with exactly the same coarse node groups and edge
-// weights as a shared-memory contraction of the same matching.
+// ContractDistributed numbers the coarse nodes PE-locally — every PE numbers
+// those of the owned part of its subgraph, agreeing with the others in two
+// ghost-exchange supersteps — and contracts the global graph by the
+// resulting map, producing a coarse graph with exactly the same coarse node
+// groups and edge weights as a shared-memory contraction of the same
+// matching.
 //
 // The shared contraction is the two-pass scheme of §5.2's static-array
 // philosophy: a count pass sizes the coarse CSR exactly (prefix sums become
@@ -55,7 +56,6 @@ func Contract(g *graph.Graph, m matching.Matching) (*graph.Graph, []int32) {
 //kappa:hotpath
 func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Graph, []int32) {
 	n := g.NumNodes()
-	a := opt.Arena
 
 	// The mapping persists in the Hierarchy, so it is always a fresh
 	// allocation; only true temporaries come from the arena.
@@ -75,6 +75,39 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 		}
 	}
 
+	cg := contractMapped(g, fine2coarse, nc, opt).graph()
+	if g.HasCoords() {
+		contractCoords(g, fine2coarse, nc, cg)
+	}
+	return cg, fine2coarse
+}
+
+// coarseCSR is a coarse graph as contractMapped leaves it: the CSR arrays,
+// the weighted degrees and the aggregates, all summed on the way.
+type coarseCSR struct {
+	xadj, adj        []int32
+	ewgt, nwgt, wdeg []int64
+	agg              graph.CSRAggregates
+}
+
+// graph adopts c's arrays and weighted degrees.
+func (c coarseCSR) graph() *graph.Graph {
+	cg := graph.FromCSRTrusted(c.xadj, c.adj, c.ewgt, c.nwgt, c.agg)
+	cg.SetWeightedDegrees(c.wdeg)
+	return cg
+}
+
+// contractMapped is the count and fill passes every contraction runs: the
+// coarse graph of g under fine2coarse, onto nc coarse nodes that each have a
+// member. Node weights are the members' sums, parallel coarse edges merge by
+// summing their weights, edges inside a coarse node vanish, and each row
+// lists its neighbours in the order its members' rows first reach them.
+//
+//kappa:hotpath
+func contractMapped(g *graph.Graph, fine2coarse []int32, nc int32, opt Options) coarseCSR {
+	n := g.NumNodes()
+	a := opt.Arena
+
 	// Coarse node weights (persist with the coarse graph).
 	//kappa:allow hotalloc node weights persist with the coarse graph
 	nwgt := make([]int64, nc)
@@ -83,13 +116,11 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	}
 	var maxNW int64
 	for _, w := range nwgt {
-		if w > maxNW {
-			maxNW = w
-		}
+		maxNW = max(maxNW, w)
 	}
 
-	// members[c] lists the one or two fine nodes of coarse node c, in
-	// ascending fine order (the order the fill pass must follow).
+	// members[c] lists the fine nodes of coarse node c, in ascending fine
+	// order (the order the fill pass must follow).
 	memberHead := a.Int32(int(nc))
 	memberNext := a.Int32(n)
 	for c := range memberHead {
@@ -101,16 +132,7 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 		memberHead[c] = v
 	}
 
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if int32(workers) > nc {
-		workers = int(nc)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(opt.Workers, int(nc)))
 
 	// Split [0, nc) into ranges balanced by the fine degree sum each coarse
 	// node drags through the passes (equal id ranges would let one hub-heavy
@@ -222,14 +244,8 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	for _, s := range wdeg {
 		totalEW += s
 	}
-	cg := graph.FromCSRUnchecked(xadj, adj, ewgt, nwgt,
-		g.TotalNodeWeight(), totalEW/2, maxNW)
-	cg.SetWeightedDegrees(wdeg)
-
-	if g.HasCoords() {
-		contractCoords(g, fine2coarse, nc, cg)
-	}
-	return cg, fine2coarse
+	return coarseCSR{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, wdeg: wdeg, agg: graph.CSRAggregates{
+		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: totalEW / 2, MaxNodeWeight: maxNW}}
 }
 
 // coarseRanges returns workers+1 boundaries over [0, nc], balancing the

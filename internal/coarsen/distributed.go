@@ -1,8 +1,9 @@
 package coarsen
 
 import (
-	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,36 +12,30 @@ import (
 	"repro/internal/matching"
 )
 
-// PEContraction is what one PE contributes to the stitched coarse graph: the
-// coarse nodes it owns (weights, coordinates) and its share of the coarse
-// edges, all in coarse *global* ids. The fields are exported because the
-// value crosses process boundaries in the out-of-process backend
+// PEContraction is what one PE contributes to the next level: the range of
+// coarse global ids it numbered and where each of its owned fine nodes went.
+// The coarse graph itself is the coordinator's to build — it holds the level
+// the map contracts — so nothing else crosses back. The fields are exported
+// because the value crosses process boundaries in the out-of-process backend
 // (internal/wire encodes it; the coordinator stitches the decoded parts).
 type PEContraction struct {
 	FirstCoarse int32   // global id of this PE's first coarse node
-	Weights     []int64 // per owned coarse node, in id order
-	CX, CY, CZ  []float64
-	EdgeU       []int32 // coarse edge contributions (deterministic order)
-	EdgeV       []int32
-	EdgeW       []int64
+	NumCoarse   int32   // coarse nodes this PE numbered, from FirstCoarse on
 	FineGlobal  []int32 // owned fine nodes (global ids) ...
 	FineCoarse  []int32 // ... and their coarse global ids, parallel
 }
 
 // ContractDistributed contracts a distributed matching PE-locally: every PE
-// contracts the owned part of its subgraph, the PEs agree on a global coarse
-// numbering (prefix sum over per-PE coarse-node counts), exchange the coarse
-// ids of boundary and cross-matched nodes through ex, and the coarse
-// subgraphs are stitched back into one global coarse graph through the
-// local↔global id maps — so the existing Hierarchy/uncoarsening machinery
-// keeps working unchanged on the result.
+// numbers the coarse nodes of its owned part of its subgraph, the PEs agree
+// on a global coarse numbering (prefix sum over per-PE coarse-node counts)
+// and exchange the coarse ids of cross-matched nodes through ex, and the
+// resulting fine→coarse map contracts the global graph into the next level —
+// so the existing Hierarchy/uncoarsening machinery keeps working unchanged
+// on the result.
 //
 // The coarse node of a pair matched across a cut is owned by the PE owning
-// the endpoint with the smaller global id; each cut edge is contributed to
-// the stitched graph by exactly one side (again the smaller-global-id
-// endpoint's owner), so coarse edge weights come out identical to a
-// shared-memory contraction of the same matching. Returns the coarse graph
-// and the fine→coarse node map of the global graph.
+// the endpoint with the smaller global id. Returns the coarse graph and the
+// fine→coarse node map of the global graph.
 func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32) {
 	pes := len(sgs)
 	parts := make([]*PEContraction, pes)
@@ -56,22 +51,16 @@ func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Mat
 	return Stitch(g, parts)
 }
 
-// CheckLengths reports whether p's parallel arrays agree in length: one
-// target and one weight per edge source, one coarse id per fine node, and
-// every coordinate array either absent or as long as the weights. It is what
-// a decoder can check of a part on its own, in constant time; StitchChecked
+// CheckLengths reports whether p describes itself consistently: one coarse
+// id per fine node and a coarse count that is not negative. It is what a
+// decoder can check of a part on its own, in constant time; StitchChecked
 // checks the rest against the level.
 func (p *PEContraction) CheckLengths() error {
-	if len(p.EdgeV) != len(p.EdgeU) || len(p.EdgeW) != len(p.EdgeU) {
-		return fmt.Errorf("coarsen: contraction has %d edge sources, %d targets, %d weights", len(p.EdgeU), len(p.EdgeV), len(p.EdgeW))
-	}
 	if len(p.FineCoarse) != len(p.FineGlobal) {
 		return fmt.Errorf("coarsen: contraction maps %d fine nodes to %d coarse ids", len(p.FineGlobal), len(p.FineCoarse))
 	}
-	for _, c := range [][]float64{p.CX, p.CY, p.CZ} {
-		if c != nil && len(c) != len(p.Weights) {
-			return fmt.Errorf("coarsen: contraction has %d coordinates for %d coarse nodes", len(c), len(p.Weights))
-		}
+	if p.NumCoarse < 0 {
+		return fmt.Errorf("coarsen: contraction numbers %d coarse nodes", p.NumCoarse)
 	}
 	return nil
 }
@@ -87,10 +76,9 @@ type PartError struct {
 func (e *PartError) Error() string { return fmt.Sprintf("coarsen: part of PE %d: %v", e.PE, e.Err) }
 func (e *PartError) Unwrap() error { return e.Err }
 
-// Stitch assembles the per-PE contraction contributions into the next-level
-// global coarse graph and the fine→coarse map. Parts must be ordered by PE;
-// every per-PE list is deterministic, so the assembled graph is too. It is
-// StitchChecked for parts this process computed itself.
+// Stitch builds the next-level global coarse graph and the fine→coarse map
+// from the per-PE parts. Parts must be ordered by PE. It is StitchChecked for
+// parts this process computed itself.
 //
 //kappa:invariant ContractSubgraph emits ids of the level it contracts; parts that crossed a process boundary go through StitchChecked
 func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
@@ -104,21 +92,22 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 // StitchChecked is Stitch for parts received from another process: nothing
 // in them is trusted, and a part that does not fit the level is a *PartError
 // naming its PE instead of a panic. The parts must tile the coarse id range
-// in PE order, their arrays agree in length, map every node of g exactly once
-// and to a coarse id in the tiled range, name only such ids in their edges,
-// carry no negative node weight and no edge weight that is not positive, given
-// or merged. Each check is made by the loop that reads the value anyway: the
-// tiling and the fine-node count by the sizing pass, the fine-node ids by the
-// fill of the map, node weights, edge ids and edge weights by the passes of
-// graph.FromEdgeLists, whose error says which list — which part — it is about.
+// in PE order, map every node of g exactly once and to a coarse id in the
+// tiled range, and leave no coarse id without a fine member. The tiling and
+// the fine-node count are checked by the sizing pass, the rest by the fill of
+// the map.
 //
-// The parts are placed one after another on the calling goroutine: that is
-// 1.9 ns a fine node on the reference box (61 µs for the two parts of rgg15's
-// level 0), under the 85–100 µs one goroutine takes to wake there
-// (EXPERIMENTS.md "PR 24", parallel placement measured and left out). The
-// part of a stitch that pays on a second core is FromEdgeLists.
+// The map then contracts g itself with the count and fill passes of
+// ContractWith — g is the coordinator's own level, so no edge, weight or
+// coordinate a part could get wrong is read from it — and a last pass sorts
+// each row, so the graph comes out exactly as the edge-list merge of the
+// workers' coarse edges used to build it: rows ascending, weights summed,
+// coordinates the means of at most two members, which IEEE addition sums
+// the same in either order. The passes run on graph.ParallelRanges of g's
+// half-edges.
 func StitchChecked(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, error) {
-	total, fine, dims := 0, 0, g.CoordDims()
+	n := g.NumNodes()
+	total, fine := 0, 0
 	for pe, p := range parts {
 		if err := p.CheckLengths(); err != nil {
 			return nil, nil, &PartError{pe, err}
@@ -126,92 +115,106 @@ func StitchChecked(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int3
 		if int(p.FirstCoarse) != total {
 			return nil, nil, &PartError{pe, fmt.Errorf("first coarse id %d, but the parts before it end at %d", p.FirstCoarse, total)}
 		}
-		for d, c := range [][]float64{p.CX, p.CY, p.CZ}[:dims] {
-			if len(c) != len(p.Weights) { // a dimension of the level the part leaves out
-				return nil, nil, &PartError{pe, fmt.Errorf("%d coordinates in dimension %d for %d coarse nodes", len(c), d, len(p.Weights))}
-			}
+		// Every coarse node has a member, so no level has more coarse nodes
+		// than fine ones; checked before the count sizes anything.
+		if total += int(p.NumCoarse); total > n {
+			return nil, nil, &PartError{pe, fmt.Errorf("coarse nodes up to %d in a level of %d nodes", total, n)}
 		}
-		total += len(p.Weights)
 		fine += len(p.FineGlobal)
 	}
 	// As many map entries as nodes and, below, none of them written twice:
 	// every node is mapped.
-	if fine != g.NumNodes() {
-		return nil, nil, &PartError{-1, fmt.Errorf("the parts map %d fine nodes of a level of %d", fine, g.NumNodes())}
+	if fine != n {
+		return nil, nil, &PartError{-1, fmt.Errorf("the parts map %d fine nodes of a level of %d", fine, n)}
 	}
-	nwgt := make([]int64, total)
-	var coords [3][]float64
-	if total == 0 {
-		dims = 0
-	}
-	for d := 0; d < dims; d++ {
-		coords[d] = make([]float64, total)
-	}
-	lists := make([]graph.EdgeList, len(parts))
-	fine2coarse := make([]int32, fine)
+	fine2coarse := make([]int32, n)
 	for i := range fine2coarse {
 		fine2coarse[i] = -1
 	}
+	hit := make([]uint64, (total+63)/64)
 	for pe, p := range parts {
-		copy(nwgt[p.FirstCoarse:], p.Weights)
-		for d, c := range [][]float64{p.CX, p.CY, p.CZ}[:dims] {
-			copy(coords[d][p.FirstCoarse:], c)
-		}
-		lists[pe] = graph.EdgeList{U: p.EdgeU, V: p.EdgeV, W: p.EdgeW}
-		if i := fillMap(fine2coarse, p.FineGlobal, p.FineCoarse, int32(total)); i >= 0 {
-			return nil, nil, &PartError{pe, fmt.Errorf("fine node %d → coarse node %d: mapped before, or outside a level of %d → %d nodes", p.FineGlobal[i], p.FineCoarse[i], fine, total)}
+		if i := fillMap(fine2coarse, hit, p.FineGlobal, p.FineCoarse, int32(total)); i >= 0 {
+			return nil, nil, &PartError{pe, fmt.Errorf("fine node %d → coarse node %d: mapped before, or outside a level of %d → %d nodes", p.FineGlobal[i], p.FineCoarse[i], n, total)}
 		}
 	}
-	// The parts' edge lists go straight into the coarse CSR: counted,
-	// scattered and row-merged (parallel coarse edges sum) by the kernel
-	// Builder.Build runs on.
-	cg, err := graph.FromEdgeLists(nwgt, lists)
-	if err != nil {
-		pe := -1
-		var in *graph.InputError
-		if errors.As(err, &in) {
-			pe = in.List // list pe is part pe's
-			if in.Node >= 0 {
-				pe = sort.Search(len(parts), func(q int) bool { return int(parts[q].FirstCoarse)+len(parts[q].Weights) > in.Node })
-			}
-		}
-		return nil, nil, &PartError{pe, err}
+	if c := firstMiss(hit, total); c >= 0 {
+		pe := sort.Search(len(parts), func(q int) bool { return int(parts[q].FirstCoarse)+int(parts[q].NumCoarse) > c })
+		return nil, nil, &PartError{pe, fmt.Errorf("coarse node %d has no fine member", c)}
 	}
-	switch dims {
-	case 3:
-		cg.SetCoords3(coords[0], coords[1], coords[2])
-	case 2:
-		cg.SetCoords(coords[0], coords[1])
+
+	workers := graph.ParallelRanges(2 * g.NumEdges())
+	cc := contractMapped(g, fine2coarse, int32(total), Options{Workers: workers})
+	sortRows(cc, workers)
+	cc.agg.AdjSorted = true
+	cg := cc.graph()
+	if g.HasCoords() && total > 0 {
+		contractCoords(g, fine2coarse, int32(total), cg)
 	}
 	return cg, fine2coarse, nil
 }
 
-// fillMap sets fine2coarse[fine[i]] = coarse[i] for every i and returns the
-// first i whose fine id lies outside the map or has an entry already (the
-// map starts at -1 everywhere), or whose coarse id lies outside [0, total);
-// -1 when there is none.
+// fillMap sets fine2coarse[fine[i]] = coarse[i] and the bit of coarse[i] in
+// hit for every i, and returns the first i whose fine id lies outside the map
+// or has an entry already (the map starts at -1 everywhere), or whose coarse
+// id lies outside [0, total); -1 when there is none.
 //
 //kappa:hotpath
-func fillMap(fine2coarse, fine, coarse []int32, total int32) int {
+func fillMap(fine2coarse []int32, hit []uint64, fine, coarse []int32, total int32) int {
 	for i, gv := range fine {
 		c := coarse[i]
 		if uint32(gv) >= uint32(len(fine2coarse)) || uint32(c) >= uint32(total) || fine2coarse[gv] >= 0 {
 			return i
 		}
 		fine2coarse[gv] = c
+		hit[c>>6] |= 1 << (c & 63)
 	}
 	return -1
 }
 
+// firstMiss returns the first id below total whose bit is clear in hit, or
+// -1.
+func firstMiss(hit []uint64, total int) int {
+	for w, word := range hit {
+		if c := w<<6 + bits.TrailingZeros64(^word); word != ^uint64(0) && c < total {
+			return c
+		}
+	}
+	return -1
+}
+
+// sortRows sorts every row of c by neighbour, on workers goroutines over row
+// ranges of about equal half-edges.
+func sortRows(c coarseCSR, workers int) {
+	nc := len(c.xadj) - 1
+	half := int64(c.xadj[nc])
+	bound := func(r int) int { // the first row of range r; trailing empty rows belong to none
+		return sort.Search(nc, func(v int) bool { return int64(c.xadj[v])*int64(workers) >= half*int64(r) })
+	}
+	sortRange := func(r int) {
+		var rs graph.RowSorter
+		for v, hi := bound(r), bound(r+1); v < hi; v++ {
+			rs.Sort(c.adj[c.xadj[v]:c.xadj[v+1]], c.ewgt[c.xadj[v]:c.xadj[v+1]])
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 1; r < workers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sortRange(r)
+		}()
+	}
+	sortRange(0)
+	wg.Wait()
+}
+
 // ContractSubgraph is the per-PE side of ContractDistributed: the superstep
-// sequence ONE processing element executes to contract its shard. Like
+// sequence ONE processing element executes to number its coarse nodes. Like
 // matching.MatchSubgraph it is exported so an out-of-process worker can run
 // exactly the in-process code path against a SocketTransport and ship the
 // resulting PEContraction back to the coordinator for Stitch.
 func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport, pe int) *PEContraction {
-	g := sg.Local
 	owned := sg.NumOwned
-	p := &PEContraction{}
 
 	// Step 1: decide, for every owned node, which coarse node it joins and
 	// who owns that coarse node. Owned nodes are stored in ascending global
@@ -255,41 +258,6 @@ func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport,
 			base += int32(msg.W)
 		}
 	}
-	p.FirstCoarse = base
-
-	// Owned coarse node weights and coordinates: the pair partner — even a
-	// ghost one — has its weight and coordinates copied into the subgraph,
-	// so both are computable locally.
-	p.Weights = make([]int64, nOwn)
-	hasCoords := g.HasCoords()
-	if hasCoords {
-		p.CX = make([]float64, nOwn)
-		p.CY = make([]float64, nOwn)
-		if g.CoordDims() == 3 {
-			p.CZ = make([]float64, nOwn)
-		}
-	}
-	members := make([]int32, nOwn) // member count per owned coarse node
-	for lv := int32(0); lv < int32(owned); lv++ {
-		c := cLocal[lv]
-		if c == remote {
-			continue
-		}
-		addMember(p, g, c, lv, members, hasCoords)
-		// A cut pair's ghost member is visible only to the owning side.
-		if lu := m[lv]; lu >= 0 && int(lu) >= owned {
-			addMember(p, g, c, lu, members, hasCoords)
-		}
-	}
-	for c := int32(0); c < nOwn; c++ {
-		if hasCoords && members[c] > 0 {
-			p.CX[c] /= float64(members[c])
-			p.CY[c] /= float64(members[c])
-			if p.CZ != nil {
-				p.CZ[c] /= float64(members[c])
-			}
-		}
-	}
 
 	// Step 3: send the coarse global id of every cut-matched pair to the
 	// partner's owner, so the non-owning side learns where its node went.
@@ -303,12 +271,12 @@ func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport,
 			})
 		}
 	}
-	cGlobal := make([]int32, owned)
-	for lv := range cGlobal {
-		if cLocal[lv] == remote {
+	cGlobal := cLocal // rewritten in place: step 1's ids are read no more
+	for lv, c := range cGlobal {
+		if c == remote {
 			cGlobal[lv] = -1
 		} else {
-			cGlobal[lv] = base + cLocal[lv]
+			cGlobal[lv] = base + c
 		}
 	}
 	for _, msg := range ex.Exchange(pe, crossOut) {
@@ -319,93 +287,10 @@ func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport,
 			cGlobal[lv] = msg.B
 		}
 	}
-
-	// Step 4: publish the coarse id of every boundary node to the PEs that
-	// hold it as a ghost, and collect the same for this PE's ghosts.
-	bcastOut := make([][]dist.Msg, ex.PEs())
-	peerOff, peers := sg.BoundaryPeers()
-	for lv := 0; lv < owned; lv++ {
-		for _, q := range peers[peerOff[lv]:peerOff[lv+1]] {
-			bcastOut[q] = append(bcastOut[q], dist.Msg{
-				Kind: dist.MsgCoarseID, A: sg.ToGlobal(int32(lv)), B: cGlobal[lv],
-			})
-		}
+	return &PEContraction{
+		FirstCoarse: base,
+		NumCoarse:   nOwn,
+		FineGlobal:  slices.Clone(sg.LocalToGlobal[:owned]),
+		FineCoarse:  cGlobal,
 	}
-	ghostCoarse := make([]int32, sg.NumGhosts())
-	for i := range ghostCoarse {
-		ghostCoarse[i] = -1
-	}
-	for _, msg := range ex.Exchange(pe, bcastOut) {
-		if msg.Kind != dist.MsgCoarseID {
-			continue
-		}
-		if lu, ok := sg.ToLocal(msg.A); ok && int(lu) >= owned {
-			ghostCoarse[int(lu)-owned] = msg.B
-		}
-	}
-
-	// Step 5: coarse edge contributions. Each fine edge is contributed once,
-	// by the owner of its smaller-global-id endpoint; edges internal to a
-	// coarse node vanish. Counted first, so the lists are made at their size.
-	coarseOf := func(lv, lu int32) int32 {
-		var cu int32
-		if int(lu) < owned {
-			if lu < lv {
-				return -1
-			}
-			cu = cGlobal[lu]
-		} else {
-			if sg.ToGlobal(lu) < sg.ToGlobal(lv) {
-				return -1
-			}
-			cu = ghostCoarse[int(lu)-owned]
-		}
-		if cu == cGlobal[lv] {
-			return -1
-		}
-		return cu
-	}
-	edges := 0
-	for lv := int32(0); lv < int32(owned); lv++ {
-		for _, lu := range g.Adj(lv) {
-			if coarseOf(lv, lu) >= 0 {
-				edges++
-			}
-		}
-	}
-	p.EdgeU = make([]int32, 0, edges)
-	p.EdgeV = make([]int32, 0, edges)
-	p.EdgeW = make([]int64, 0, edges)
-	for lv := int32(0); lv < int32(owned); lv++ {
-		ws := g.AdjWeights(lv)
-		for i, lu := range g.Adj(lv) {
-			if cu := coarseOf(lv, lu); cu >= 0 {
-				p.EdgeU = append(p.EdgeU, cGlobal[lv])
-				p.EdgeV = append(p.EdgeV, cu)
-				p.EdgeW = append(p.EdgeW, ws[i])
-			}
-		}
-	}
-
-	p.FineGlobal = make([]int32, owned)
-	p.FineCoarse = make([]int32, owned)
-	for lv := int32(0); lv < int32(owned); lv++ {
-		p.FineGlobal[lv] = sg.ToGlobal(lv)
-		p.FineCoarse[lv] = cGlobal[lv]
-	}
-	return p
-}
-
-// addMember folds fine node lv into owned coarse node c.
-func addMember(p *PEContraction, g *graph.Graph, c, lv int32, members []int32, hasCoords bool) {
-	p.Weights[c] += g.NodeWeight(lv)
-	if hasCoords {
-		x, y, z := g.Coord3(lv)
-		p.CX[c] += x
-		p.CY[c] += y
-		if p.CZ != nil {
-			p.CZ[c] += z
-		}
-	}
-	members[c]++
 }

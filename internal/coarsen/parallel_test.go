@@ -117,8 +117,8 @@ func TestContractArenaReuse(t *testing.T) {
 }
 
 // TestContractUncheckedAggregates cross-checks the aggregates fed to
-// FromCSRUnchecked and the emitted weighted degrees against a full
-// validation pass.
+// FromCSRTrusted and the emitted weighted degrees against a full validation
+// pass.
 func TestContractUncheckedAggregates(t *testing.T) {
 	g := gen.PrefAttach(2000, 4, 3)
 	rt := rating.NewRater(rating.ExpansionStar2, g)

@@ -32,12 +32,10 @@ const (
 	// PEs are goroutines over one address space (the historical behavior).
 	CoarsenShared CoarsenMode = iota
 	// CoarsenDistributed runs the contraction phase the way the paper's
-	// distributed system does (§3): each PE matches and contracts its own
-	// extracted subgraph and exchanges ghost-node state over per-PE
-	// mailboxes; the coarse subgraphs are stitched back into the next-level
-	// global graph. Identical machinery downstream, but no step reads the
-	// whole graph from one PE's perspective — the template for graphs that
-	// no longer fit one address space.
+	// distributed system does (§3): each PE matches its own extracted
+	// subgraph and numbers its coarse nodes, exchanging ghost-node state over
+	// per-PE mailboxes; the resulting fine→coarse map contracts the level
+	// into the next-level global graph. Identical machinery downstream.
 	CoarsenDistributed
 )
 

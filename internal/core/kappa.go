@@ -63,9 +63,10 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 // DistributedLevel performs one contraction level PE-locally (§3) with every
 // PE of t a goroutine of this process: extract per-PE subgraphs with ghost
 // layers, match each subgraph's internal edges sequentially, resolve the
-// boundary by mutual proposals over the Transport supersteps, contract every
-// subgraph locally, and stitch the coarse subgraphs back into the next-level
-// global graph. It reports the matching and contraction kernel times
+// boundary by mutual proposals over the Transport supersteps, number every
+// PE's coarse nodes, and contract the level by the resulting map
+// (coarsen.ContractDistributed). It reports the matching and contraction
+// kernel times
 // (extraction counts toward matching, the way the paper accounts the ghost
 // setup). Returns (nil, nil, ...) when the matching comes out empty. It is
 // the one in-process level kernel: `-coarsen distributed` runs it per level,

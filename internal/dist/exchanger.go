@@ -20,7 +20,7 @@ const (
 	// the sender-side rating of the edge.
 	MsgProposal
 	// MsgCoarseID publishes the coarse global id B of the fine global node A
-	// (coarse-numbering updates during contraction stitching).
+	// (the coarse id of a pair matched across a cut, sent to the partner).
 	MsgCoarseID
 	// MsgCount broadcasts a per-PE tally in W (e.g. the number of coarse
 	// nodes a PE owns, for the prefix sum of the global coarse numbering).

@@ -18,11 +18,12 @@ import (
 	"repro/internal/wire"
 )
 
-// referenceExtract is the extraction the direct-CSR kernel replaced, kept
-// verbatim as the oracle: a Go map over every local node, and a
-// graph.Builder round trip that re-derives the local CSR edge by edge. The
-// kernel must produce the same subgraph — and therefore the same shard
-// bytes — for every input.
+// referenceExtract is the extraction the direct-CSR kernel replaced, kept as
+// the oracle: a Go map over every local node, and a graph.Builder round trip
+// that re-derives the local CSR edge by edge; like the kernel since shards
+// stopped carrying them, it leaves the coordinates out. The kernel must
+// produce the same subgraph — and therefore the same shard bytes — for every
+// input.
 func referenceExtract(t testing.TB, g *graph.Graph, assign []int32, pe int32) *dist.Subgraph {
 	var l2g, ghostOwner []int32
 	g2l := make(map[int32]int32)
@@ -48,17 +49,6 @@ func referenceExtract(t testing.TB, g *graph.Graph, assign []int32, pe int32) *d
 	for li, v := range l2g {
 		b.SetNodeWeight(int32(li), g.NodeWeight(v))
 	}
-	if g.CoordDims() == 3 {
-		for li, v := range l2g {
-			cx, cy, cz := g.Coord3(v)
-			b.SetCoord3(int32(li), cx, cy, cz)
-		}
-	} else if g.HasCoords() {
-		for li, v := range l2g {
-			cx, cy := g.Coord(v)
-			b.SetCoord(int32(li), cx, cy)
-		}
-	}
 	for li := 0; li < owned; li++ {
 		v := l2g[li]
 		adj, wts := g.Adj(v), g.AdjWeights(v)
@@ -78,8 +68,8 @@ func referenceExtract(t testing.TB, g *graph.Graph, assign []int32, pe int32) *d
 }
 
 // sameSubgraph compares everything a shard carries: the local CSR arrays,
-// node weights, coordinates, id maps, ghost owners, the global→local index,
-// and the encoded bytes.
+// node weights, coordinates (none), id maps, ghost owners, the global→local
+// index, and the encoded bytes.
 func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 	t.Helper()
 	if got.PE != want.PE || got.NumOwned != want.NumOwned ||

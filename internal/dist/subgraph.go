@@ -17,7 +17,7 @@ import (
 // ghost state written by the owners.
 type Subgraph struct {
 	PE    int32        // the PE this subgraph belongs to
-	Local *graph.Graph // owned nodes then ghosts, weights and coords copied
+	Local *graph.Graph // owned nodes then ghosts, weights copied; no coordinates
 
 	NumOwned      int     // owned nodes are local ids [0, NumOwned)
 	LocalToGlobal []int32 // len = Local.NumNodes(); the owned prefix strictly ascending
@@ -150,6 +150,9 @@ func OwnedLists(assign []int32, pes int) (owned [][]int32, local []int32) {
 // concurrently, the shard store writer under a bound on live subgraphs — pays
 // the O(n) ownership pass once instead of once per PE.
 //
+// The shard carries no coordinates: the per-PE kernels never read them, and
+// the coordinator, which holds the level, computes the coarse ones itself.
+//
 // The local CSR is written directly: an owned row is the global row
 // relabelled (owned neighbours through local, ghosts through a map over the
 // ghost layer alone, numbered in discovery order), a ghost's row collects its
@@ -212,22 +215,7 @@ func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned, local []int32
 	if !ok {
 		invalidShard(pe)
 	}
-	lg := graph.FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
-	if dims := g.CoordDims(); dims > 0 && nl > 0 {
-		var c [3][]float64
-		for d, src := range g.CoordSlices() {
-			c[d] = make([]float64, nl)
-			for lv, v := range l2g {
-				c[d][lv] = src[v]
-			}
-		}
-		if dims == 3 {
-			lg.SetCoords3(c[0], c[1], c[2])
-		} else {
-			lg.SetCoords(c[0], c[1])
-		}
-	}
-	s.Local = lg
+	s.Local = graph.FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
 	return s
 }
 

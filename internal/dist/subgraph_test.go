@@ -108,8 +108,8 @@ func TestExtractCoordsAndEmptyPE(t *testing.T) {
 	if subs[0].Local.NumEdges() != g.NumEdges() {
 		t.Errorf("PE 0 has %d edges, want %d", subs[0].Local.NumEdges(), g.NumEdges())
 	}
-	if !subs[0].Local.HasCoords() {
-		t.Errorf("coordinates must survive extraction")
+	if subs[0].Local.HasCoords() {
+		t.Errorf("a shard carries no coordinates: no per-PE kernel reads them")
 	}
 	if subs[1].Local.NumNodes() != 0 {
 		t.Errorf("PE 1 should be empty, has %d nodes", subs[1].Local.NumNodes())

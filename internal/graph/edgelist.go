@@ -48,11 +48,18 @@ func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
 	for _, l := range lists {
 		half += 2 * len(l.U)
 	}
-	workers := min(runtime.GOMAXPROCS(0), half/(parallelHalfEdges/2))
+	return fromEdgeLists(nwgt, lists, ParallelRanges(half))
+}
+
+// ParallelRanges is how many node ranges, each on its own goroutine, a kernel
+// that reads half half-edges once per pass splits its nodes into: one below
+// parallelHalfEdges, else as many as GOMAXPROCS allows with at least half the
+// floor each. FromEdgeLists and the distributed stitch size themselves by it.
+func ParallelRanges(half int) int {
 	if half < parallelHalfEdges {
-		workers = 1
+		return 1
 	}
-	return fromEdgeLists(nwgt, lists, workers)
+	return min(runtime.GOMAXPROCS(0), half/(parallelHalfEdges/2))
 }
 
 // InputError is an input FromEdgeLists refuses, and where it is wrong, for a

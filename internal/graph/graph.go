@@ -33,8 +33,8 @@ type Graph struct {
 
 	// adjSorted records that every adjacency list is strictly increasing
 	// (true for Builder output, detected by FromCSR), enabling the binary
-	// search fast path of EdgeWeightTo. Contracted graphs keep their
-	// first-encounter adjacency order and stay on the linear scan.
+	// search fast path of EdgeWeightTo. Shared-memory contraction keeps its
+	// first-encounter adjacency order and stays on the linear scan.
 	adjSorted bool
 
 	wdegOnce sync.Once
@@ -313,27 +313,6 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 	return g, nil
 }
 
-// FromCSRUnchecked adopts CSR arrays with NO validation and NO scans: the
-// caller vouches for structural validity and supplies the aggregate weights
-// FromCSR would otherwise recompute. It exists for the contraction hot path,
-// which builds the coarse CSR into exactly-sized arrays and already knows
-// every total; routing that snapshot through FromCSR would re-scan 2m edges
-// per level for invariants contraction guarantees by construction.
-// adjSorted is conservatively false (contracted adjacency keeps
-// first-encounter order); totalEdgeWeight counts each undirected edge once.
-//
-//kappa:hotpath
-func FromCSRUnchecked(xadj []int32, adj []int32, ewgt []int64, nwgt []int64,
-	totalNodeWeight, totalEdgeWeight, maxNodeWeight int64) *Graph {
-	//kappa:allow hotalloc one header per level; the CSR arrays are adopted, not copied
-	return &Graph{
-		xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt,
-		totalNodeWeight: totalNodeWeight,
-		totalEdgeWeight: totalEdgeWeight,
-		maxNodeWeight:   maxNodeWeight,
-	}
-}
-
 // CSRAggregates carries the precomputed per-graph facts FromCSRTrusted
 // adopts alongside the CSR arrays: the totals FromCSR would re-scan 2m
 // edges to derive, and whether the adjacency lists are strictly sorted
@@ -347,13 +326,15 @@ type CSRAggregates struct {
 	AdjSorted       bool
 }
 
-// FromCSRTrusted adopts CSR arrays with NO validation and NO scans, like
-// FromCSRUnchecked, but with the aggregates supplied as a struct that also
-// preserves the adjacency-sorted flag. It serves two kinds of caller. A loop
-// that has just written or decoded the arrays, checking every entry as it
-// went, has summed the aggregates on the way (the binary graph decoder,
-// shard extraction, FromEdgeLists): FromCSR would make each of its checks a
-// second time. And a graph whose arrays are views over a memory-mapped file:
+// FromCSRTrusted adopts CSR arrays with NO validation and NO scans: the
+// caller vouches for structural validity and supplies the aggregates FromCSR
+// would otherwise recompute, the adjacency-sorted flag included. It serves
+// three kinds of caller. Contraction builds the coarse CSR into exactly-sized
+// arrays and knows every total by construction. A loop that has just written
+// or decoded the arrays, checking every entry as it went, has summed the
+// aggregates on the way (the binary graph decoder, shard extraction,
+// FromEdgeLists): FromCSR would make each of its checks a second time. And a
+// graph whose arrays are views over a memory-mapped file:
 // the shard store records the aggregates in its manifest at write time, and
 // re-scanning the arrays here would page the whole mapping in — defeating
 // the point of mapping it.

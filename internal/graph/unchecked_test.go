@@ -15,7 +15,7 @@ func buildTestGraph() *Graph {
 	return b.Build()
 }
 
-func TestFromCSRUncheckedMatchesFromCSR(t *testing.T) {
+func TestFromCSRTrustedMatchesFromCSR(t *testing.T) {
 	g := buildTestGraph()
 	n := g.NumNodes()
 	xadj := make([]int32, n+1)
@@ -28,13 +28,14 @@ func TestFromCSRUncheckedMatchesFromCSR(t *testing.T) {
 		xadj[v+1] = int32(len(adj))
 		nwgt[v] = g.NodeWeight(v)
 	}
-	u := FromCSRUnchecked(xadj, adj, ewgt, nwgt,
-		g.TotalNodeWeight(), g.TotalEdgeWeight(), g.MaxNodeWeight())
+	u := FromCSRTrusted(xadj, adj, ewgt, nwgt, CSRAggregates{
+		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(),
+		MaxNodeWeight: g.MaxNodeWeight(), AdjSorted: g.AdjSorted()})
 	if u.TotalNodeWeight() != g.TotalNodeWeight() ||
 		u.TotalEdgeWeight() != g.TotalEdgeWeight() ||
-		u.MaxNodeWeight() != g.MaxNodeWeight() ||
+		u.MaxNodeWeight() != g.MaxNodeWeight() || u.AdjSorted() != g.AdjSorted() ||
 		u.NumNodes() != g.NumNodes() || u.NumEdges() != g.NumEdges() {
-		t.Fatal("FromCSRUnchecked aggregates differ from FromCSR")
+		t.Fatal("FromCSRTrusted aggregates differ from FromCSR")
 	}
 	if err := u.Validate(); err != nil {
 		t.Fatal(err)

@@ -8,15 +8,15 @@
 //     global graph and the pipeline: it accepts one control and one
 //     transport connection per worker, assigns PEs, and replaces the
 //     in-process contraction kernel with one that ships each PE its subgraph
-//     shard (wire-encoded) per level, waits for the per-PE contraction
-//     results, and stitches them into the next coarser graph. Initial
-//     partitioning and refinement run on the coordinator, exactly as §4/§5
-//     of the paper run them on one rank.
+//     shard (wire-encoded) per level, waits for the per-PE shares of the
+//     fine→coarse map, and contracts its own copy of the level by them.
+//     Initial partitioning and refinement run on the coordinator, exactly as
+//     §4/§5 of the paper run them on one rank.
 //
 //   - A worker (Work) hosts one or more PEs: it receives its shards, runs
 //     the exported per-PE kernels (matching.MatchSubgraph,
 //     coarsen.ContractSubgraph) against a dist.SocketTransport whose hub
-//     lives in the coordinator, and ships its contractions back.
+//     lives in the coordinator, and ships its coarse numbering back.
 //
 // Because the workers execute the identical kernel code the in-process
 // goroutine PEs execute, a fixed seed yields byte-identical partitions to
@@ -605,7 +605,9 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 	}
 	// The parts crossed a process boundary: one that does not fit the level
 	// is its worker's failure — dead, the level retried on the survivors —
-	// like a result that does not decode.
+	// like a result that does not decode. The stitch contracts the level, so
+	// it counts toward the level's contraction time, as in-process.
+	ts := time.Now()
 	cg, f2c, err := coarsen.StitchChecked(cur, parts)
 	if err != nil {
 		id := -1
@@ -616,7 +618,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 		}
 		return nil, nil, 0, 0, workerErr(id, "result", err)
 	}
-	return cg, f2c, matchT, time.Duration(contractNanos), nil
+	return cg, f2c, matchT, time.Duration(contractNanos) + time.Since(ts), nil
 }
 
 // splices reports whether cur's level ships stored shard bytes: a

@@ -1,17 +1,23 @@
 package remote_test
 
 import (
+	"bufio"
 	"context"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/remote"
+	"repro/internal/wire"
 )
 
 // runServeWorkers runs a coordinator and pes workers over localhost TCP —
@@ -152,5 +158,40 @@ func TestServeContextCancel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled Serve did not return")
+	}
+}
+
+// TestWorkerRefusesOlderWireVersion hands a worker the assignment of a
+// coordinator one wire version behind — version 2 Results carried the coarse
+// graph this build's coordinator contracts itself — and wants the handshake
+// refused with the version message, before any job is read.
+func TestWorkerRefusesOlderWireVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := dist.ReadHello(br); err != nil {
+			return
+		}
+		old := wire.Assign{Version: wire.Version - 1, PE: 0, PEs: 1}
+		if err := wire.WriteFrame(conn, wire.KindAssign, wire.AppendAssign(wire.NewFrame(16), old)); err != nil {
+			return
+		}
+		io.Copy(io.Discard, br) // until the worker hangs up
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, err = remote.Work(ctx, "tcp", ln.Addr().String())
+	want := fmt.Sprintf("coordinator speaks wire version %d, this worker %d", wire.Version-1, wire.Version)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("worker against a version %d coordinator: %v, want %q", wire.Version-1, err, want)
 	}
 }

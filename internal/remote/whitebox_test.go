@@ -136,13 +136,12 @@ func TestReassignedWorkerKeepsScratchPerPE(t *testing.T) {
 }
 
 // TestServeSurvivesInconsistentResult runs a level against a worker that
-// answers its first job with a well-formed result whose contraction does not
-// fit the level: one coarse edge points past the coarse graph. Every byte of
-// the frame decodes; before the stitch validated what it stitches, the
-// coordinator died of it (the edge-list kernel's out-of-range panic, on the
-// pipeline goroutine). Now the part is its worker's failure: the worker is
-// declared dead, the survivor adopts its PE, the level reruns, and the
-// partition is the healthy run's.
+// answers its first job with a well-formed result whose map does not fit the
+// level: one fine node goes to a coarse node past the coarse graph. Every
+// byte of the frame decodes; contracting the level by that map would index
+// past the coarse arrays on the pipeline goroutine. The stitch refuses it
+// instead, as its worker's failure: the worker is declared dead, the survivor
+// adopts its PE, the level reruns, and the partition is the healthy run's.
 func TestServeSurvivesInconsistentResult(t *testing.T) {
 	g := gen.Grid2D(40, 40)
 	cfg := core.NewConfig(core.Fast, 4)
@@ -165,39 +164,7 @@ func TestServeSurvivesInconsistentResult(t *testing.T) {
 	// The rogue: the real handshake and the real kernels, one id overwritten.
 	rogue := make(chan error, 1)
 	go func() {
-		rogue <- func() error {
-			conn, br, assign, err := dialControl(ctx, "tcp", addr, WorkOptions{}, func(net.Conn) {})
-			if err != nil {
-				return err
-			}
-			defer conn.Close()
-			tr := dist.NewSocketTransport(assign.PEs, wire.MsgCodec{})
-			defer tr.Close()
-			if err := tr.Dial("tcp", addr, assign.PE); err != nil {
-				return err
-			}
-			for {
-				kind, payload, err := wire.ReadFrame(br)
-				if err != nil {
-					return nil // the coordinator hung up on us, as it should
-				}
-				if kind != wire.KindJob {
-					return errors.New("rogue worker was sent something other than a job")
-				}
-				job, err := wire.DecodeJob(payload)
-				if err != nil {
-					return err
-				}
-				res, err := runLevel(tr, assign, rating.Func(assign.Rating), matching.Algorithm(assign.Matcher), job, nil)
-				if err != nil {
-					return err
-				}
-				res.Part.EdgeV[0] = 1 << 30
-				if err := wire.WriteFrame(conn, wire.KindResult, wire.AppendResult(wire.NewFrame(0), res)); err != nil {
-					return err
-				}
-			}
-		}()
+		rogue <- editingWorker(ctx, addr, func(r *wire.Result) { r.Part.FineCoarse[0] = 1 << 30 })
 	}()
 	honest := make(chan error, 1)
 	go func() {
@@ -221,5 +188,87 @@ func TestServeSurvivesInconsistentResult(t *testing.T) {
 	}
 	if s := counters.Snapshot(); s.WorkerFailures != 1 || s.Reassignments != 1 || s.LevelRetries != 1 || s.LocalFallbacks != 0 {
 		t.Fatalf("%+v: want one worker failed, its PE reassigned, one level retried", s)
+	}
+}
+
+// editingWorker is a worker that runs the real handshake and the real kernels
+// but passes every result through edit before it ships it. It returns nil
+// when the coordinator hangs up or ends the session.
+func editingWorker(ctx context.Context, addr string, edit func(*wire.Result)) error {
+	conn, br, assign, err := dialControl(ctx, "tcp", addr, WorkOptions{}, func(net.Conn) {})
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	tr := dist.NewSocketTransport(assign.PEs, wire.MsgCodec{})
+	defer tr.Close()
+	if err := tr.Dial("tcp", addr, assign.PE); err != nil {
+		return err
+	}
+	for {
+		kind, payload, err := wire.ReadFrame(br)
+		if err != nil || kind == wire.KindDone {
+			return nil
+		}
+		if kind != wire.KindJob {
+			return errors.New("worker was sent something other than a job")
+		}
+		job, err := wire.DecodeJob(payload)
+		if err != nil {
+			return err
+		}
+		res, err := runLevel(tr, assign, rating.Func(assign.Rating), matching.Algorithm(assign.Matcher), job, nil)
+		if err != nil {
+			return err
+		}
+		edit(&res)
+		if err := wire.WriteFrame(conn, wire.KindResult, wire.AppendResult(wire.NewFrame(0), res)); err != nil {
+			return err
+		}
+	}
+}
+
+// TestRemoteLevelCountsStitch serves a run to workers that report no kernel
+// time at all. The coordinator contracts each level itself, in the stitch, so
+// every level it pushes must still report a contraction time, as an
+// in-process level does.
+func TestRemoteLevelCountsStitch(t *testing.T) {
+	g := gen.RGG(10, 1)
+	cfg := core.NewConfig(core.Fast, 4)
+	cfg.Seed = 7
+	cfg.PEs = 2
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	werrs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			werrs <- editingWorker(ctx, ln.Addr().String(), func(r *wire.Result) { r.MatchNanos, r.ContractNanos = 0, 0 })
+		}()
+	}
+	var levels []core.LevelEvent
+	res, err := ServeWith(ctx, ln, g, cfg, ServeOptions{}, core.WithObserver(core.ObserverFunc(func(ev core.TraceEvent) {
+		if le, ok := ev.(core.LevelEvent); ok {
+			levels = append(levels, le)
+		}
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := <-werrs; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	}
+	if len(levels) == 0 || len(levels) != res.Levels {
+		t.Fatalf("saw %d LevelEvents for %d levels", len(levels), res.Levels)
+	}
+	for _, le := range levels {
+		if le.Contract <= 0 {
+			t.Errorf("level %d reports contraction time %v", le.Level, le.Contract)
+		}
 	}
 }

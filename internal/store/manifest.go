@@ -10,10 +10,11 @@ import (
 	"repro/internal/graphio"
 )
 
-// ManifestVersion is the manifest schema this build reads and writes.
-// Version bumps are explicit: a reader refuses a manifest it does not
-// understand instead of misinterpreting it.
-const ManifestVersion = 1
+// ManifestVersion is the manifest schema this build writes. Version bumps
+// are explicit: a reader refuses a manifest it does not understand instead of
+// misinterpreting it. Version 2 stores shards without coordinates; this build
+// also reads version 1, whose shard coordinates its workers ignore.
+const ManifestVersion = 2
 
 const (
 	// ManifestFile is the manifest's file name inside a store directory.
@@ -123,8 +124,8 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 // against the decode budget. Budget violations are *graphio.LimitError;
 // everything else is a plain descriptive error.
 func (m *Manifest) Validate() error {
-	if m.Version != ManifestVersion {
-		return fmt.Errorf("store: manifest version %d, this build reads version %d", m.Version, ManifestVersion)
+	if m.Version < 1 || m.Version > ManifestVersion {
+		return fmt.Errorf("store: manifest version %d, this build reads versions 1 to %d", m.Version, ManifestVersion)
 	}
 	if m.PEs < 1 || m.PEs > maxPEs {
 		return fmt.Errorf("store: manifest declares %d PEs (want 1..%d)", m.PEs, maxPEs)
@@ -207,8 +208,8 @@ func marshalManifest(m *Manifest) ([]byte, error) {
 
 // maxShardBytes bounds a shard file's size by its declared counts: the
 // varint encoding spends at most ~25 bytes per node (degree + node weight +
-// id-map entry) and ~15 per directed edge (neighbor + weight), plus
-// coordinates and a small header. The bound is deliberately loose — it only
+// id-map entry) and ~15 per directed edge (neighbor + weight), plus a version
+// 1 shard's coordinates and a small header. The bound is deliberately loose — it only
 // has to stop a size-independent huge read, not model the format.
 func maxShardBytes(nodes, edges int64) int64 {
 	return 256 + 64*nodes + 32*edges

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -79,39 +78,8 @@ func referenceReadInt64s(data []byte) ([]int64, []byte, error) {
 	return xs, data, nil
 }
 
-func referenceAppendFloats(dst []byte, xs []float64) []byte {
-	if xs == nil {
-		return appendUvarint(dst, 0)
-	}
-	dst = appendUvarint(dst, uint64(len(xs))+1)
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst
-}
-
-func referenceReadFloats(data []byte) ([]float64, []byte, error) {
-	n1, data, err := readUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n1 == 0 {
-		return nil, data, nil
-	}
-	n := n1 - 1
-	if n > uint64(len(data))/8 {
-		return nil, nil, fmt.Errorf("wire: %d floats declared, %d bytes left", n, len(data))
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[:8]))
-		data = data[8:]
-	}
-	return xs, data, nil
-}
-
 // sameRead holds one bulk read against its reference: values, rest and error
-// text. Floats compare by bits so NaNs count as equal.
+// text.
 func sameRead[T any](t *testing.T, what string, in []byte, got []T, gotRest []byte, gotErr error, want []T, wantRest []byte, wantErr error) {
 	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -120,16 +88,12 @@ func sameRead[T any](t *testing.T, what string, in []byte, got []T, gotRest []by
 	if (got == nil) != (want == nil) || !bytes.Equal(gotRest, wantRest) {
 		t.Fatalf("%s(% x): nil-ness or rest differ from the reference", what, in)
 	}
-	if fs, ok := any(got).([]float64); ok {
-		if !slices.EqualFunc(fs, any(want).([]float64), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			t.Fatalf("%s(% x): %v, reference %v", what, in, got, want)
-		}
-	} else if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s(% x): %v, reference %v", what, in, got, want)
 	}
 }
 
-// checkReads decodes in with all three array readers and their references.
+// checkReads decodes in with both array readers and their references.
 func checkReads(t *testing.T, in []byte) {
 	t.Helper()
 	g32, r32, e32 := readInt32s(in)
@@ -138,9 +102,6 @@ func checkReads(t *testing.T, in []byte) {
 	g64, r64, e64 := readInt64s(in)
 	w64, wr64, we64 := referenceReadInt64s(in)
 	sameRead(t, "readInt64s", in, g64, r64, e64, w64, wr64, we64)
-	gf, rf, ef := readFloats(in)
-	wf, wrf, wef := referenceReadFloats(in)
-	sameRead(t, "readFloats", in, gf, rf, ef, wf, wrf, wef)
 }
 
 // boundary32 and boundary64 sit on both sides of every width boundary of the
@@ -153,8 +114,7 @@ var (
 )
 
 // TestBulkWritersMatchReference pins the encoders byte for byte: lengths 0,
-// 1 and many, every width, nil against empty floats, appended behind bytes
-// already there.
+// 1 and many, every width, appended behind bytes already there.
 func TestBulkWritersMatchReference(t *testing.T) {
 	prefix := []byte{0xaa, 0xbb}
 	for _, xs := range [][]int32{nil, {}, {0}, {math.MinInt32}, boundary32} {
@@ -165,13 +125,6 @@ func TestBulkWritersMatchReference(t *testing.T) {
 	for _, xs := range [][]int64{nil, {1 << 40}, boundary64} {
 		if got, want := appendInts(slices.Clone(prefix), xs), referenceAppendInt64s(slices.Clone(prefix), xs); !bytes.Equal(got, want) {
 			t.Errorf("appendInts(%v) = % x, reference % x", xs, got, want)
-		}
-	}
-	for _, xs := range [][]float64{nil, {}, {0.5, math.NaN(), math.Inf(-1)}} {
-		want := referenceAppendFloats(slices.Clone(prefix), xs)
-		buf := append(slices.Clone(prefix), make([]byte, floatsBound(xs))...)
-		if got := buf[:putFloats(buf, len(prefix), xs)]; !bytes.Equal(got, want) {
-			t.Errorf("putFloats(%v) = % x, reference % x", xs, got, want)
 		}
 	}
 }
@@ -185,7 +138,6 @@ func TestBulkReadersMatchReferenceOnEveryPrefix(t *testing.T) {
 	inputs := [][]byte{
 		referenceAppendInt32s(nil, boundary32),
 		referenceAppendInt64s(nil, boundary64),
-		referenceAppendFloats(nil, []float64{1, 2.5, math.NaN()}),
 		append(referenceAppendInt32s(nil, []int32{1, 2, 3}), 0xde, 0xad),           // trailing bytes stay in rest
 		{3, 0x80, 0x00, 0x81, 0x00, 0x05},                                          // overlong 0 and 1
 		append([]byte{2, 0x02}, bytes.Repeat([]byte{0xff}, 11)...),                 // eleven-byte varint
@@ -201,13 +153,13 @@ func TestBulkReadersMatchReferenceOnEveryPrefix(t *testing.T) {
 	}
 }
 
-// FuzzBulkVarintMatchesReference holds the three array readers against their
+// FuzzBulkVarintMatchesReference holds the two array readers against their
 // references on arbitrary bytes, and the writers on whatever the readers
 // accepted.
 func FuzzBulkVarintMatchesReference(f *testing.F) {
 	f.Add(referenceAppendInt32s(nil, boundary32))
 	f.Add(referenceAppendInt64s(nil, boundary64))
-	f.Add(referenceAppendFloats(nil, []float64{0.25, -3}))
+	f.Add(append(referenceAppendInt32s(nil, []int32{1, 2, 3}), 0xde, 0xad))
 	f.Add([]byte{3, 0x80, 0x00, 0x81, 0x00, 0x05})
 	f.Add(append([]byte{2, 0x02}, bytes.Repeat([]byte{0xff}, 11)...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})

@@ -89,23 +89,14 @@ func AppendContraction(dst []byte, p *coarsen.PEContraction) []byte {
 
 // contractionBound is an upper bound on the encoding of p.
 func contractionBound(p *coarsen.PEContraction) int {
-	return varint.MaxLen + intsBound(p.Weights) +
-		floatsBound(p.CX) + floatsBound(p.CY) + floatsBound(p.CZ) +
-		intsBound(p.EdgeU) + intsBound(p.EdgeV) + intsBound(p.EdgeW) +
-		intsBound(p.FineGlobal) + intsBound(p.FineCoarse)
+	return 2*varint.MaxLen + intsBound(p.FineGlobal) + intsBound(p.FineCoarse)
 }
 
 // putContraction writes p at buf[i:], which the caller sized from
 // contractionBound, and returns the index after it.
 func putContraction(buf []byte, i int, p *coarsen.PEContraction) int {
 	i = varint.Put(buf, i, varint.Zigzag(int64(p.FirstCoarse)))
-	i = putInts(buf, i, p.Weights)
-	i = putFloats(buf, i, p.CX)
-	i = putFloats(buf, i, p.CY)
-	i = putFloats(buf, i, p.CZ)
-	i = putInts(buf, i, p.EdgeU)
-	i = putInts(buf, i, p.EdgeV)
-	i = putInts(buf, i, p.EdgeW)
+	i = varint.Put(buf, i, varint.Zigzag(int64(p.NumCoarse)))
 	i = putInts(buf, i, p.FineGlobal)
 	return putInts(buf, i, p.FineCoarse)
 }
@@ -113,34 +104,14 @@ func putContraction(buf []byte, i int, p *coarsen.PEContraction) int {
 // DecodeContraction decodes a PEContraction; rest is the trailing data.
 func DecodeContraction(data []byte) (p *coarsen.PEContraction, rest []byte, err error) {
 	p = &coarsen.PEContraction{}
-	var first int64
 	wrap := func(what string, err error) error {
 		return fmt.Errorf("wire: contraction %s: %w", what, err)
 	}
-	if first, data, err = readZigzag(data); err != nil {
+	if p.FirstCoarse, data, err = readInt32(data); err != nil {
 		return nil, nil, wrap("first coarse id", err)
 	}
-	p.FirstCoarse = int32(first)
-	if p.Weights, data, err = readInt64s(data); err != nil {
-		return nil, nil, wrap("weights", err)
-	}
-	if p.CX, data, err = readFloats(data); err != nil {
-		return nil, nil, wrap("x coords", err)
-	}
-	if p.CY, data, err = readFloats(data); err != nil {
-		return nil, nil, wrap("y coords", err)
-	}
-	if p.CZ, data, err = readFloats(data); err != nil {
-		return nil, nil, wrap("z coords", err)
-	}
-	if p.EdgeU, data, err = readInt32s(data); err != nil {
-		return nil, nil, wrap("edge sources", err)
-	}
-	if p.EdgeV, data, err = readInt32s(data); err != nil {
-		return nil, nil, wrap("edge targets", err)
-	}
-	if p.EdgeW, data, err = readInt64s(data); err != nil {
-		return nil, nil, wrap("edge weights", err)
+	if p.NumCoarse, data, err = readInt32(data); err != nil {
+		return nil, nil, wrap("coarse count", err)
 	}
 	if p.FineGlobal, data, err = readInt32s(data); err != nil {
 		return nil, nil, wrap("fine ids", err)
@@ -336,8 +307,8 @@ func DecodeJob(data []byte) (Job, error) {
 }
 
 // Result is a worker's answer to a Job: how many of its owned nodes matched,
-// the kernel wall-clock times, and — when any PE matched — its contraction
-// contribution.
+// the kernel wall-clock times, and — when any PE matched — its share of the
+// fine→coarse map.
 type Result struct {
 	PE            int
 	Matched       int

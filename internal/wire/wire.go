@@ -29,8 +29,10 @@ import (
 // Version is the wire-protocol version, negotiated in the control
 // handshake. Bump it whenever any frame or payload encoding changes.
 // Version 2 added the fault-tolerance frames (heartbeat, level-aborted,
-// reassign) and the heartbeat/timeout announcement in Assign.
-const Version = 2
+// reassign) and the heartbeat/timeout announcement in Assign. Version 3
+// shrank a Result's contraction to the PE's coarse id range and its share of
+// the fine→coarse map: the coordinator contracts its own copy of the level.
+const Version = 3
 
 // Control-frame kinds (see WriteFrame/ReadFrame).
 const (
@@ -76,6 +78,15 @@ func readUvarint(data []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: truncated varint")
 	}
 	return v, data[n:], nil
+}
+
+// readInt32 decodes one zigzag value that must fit an int32.
+func readInt32(data []byte) (int32, []byte, error) {
+	v, data, err := readZigzag(data)
+	if err == nil && v != int64(int32(v)) {
+		err = fmt.Errorf("wire: value %d overflows int32", v)
+	}
+	return int32(v), data, err
 }
 
 func appendZigzag(dst []byte, v int64) []byte {
@@ -145,34 +156,4 @@ func readFloat(data []byte) (float64, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: truncated float")
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(data[:8])), data[8:], nil
-}
-
-// floatsBound is an upper bound on the encoding putFloats writes.
-func floatsBound(xs []float64) int { return varint.MaxLen + 8*len(xs) }
-
-// putFloats writes a length-prefixed []float64 as IEEE-754 bits at buf[i:];
-// a nil slice stays nil through a round trip (length 0 vs marker).
-func putFloats(buf []byte, i int, xs []float64) int {
-	if xs == nil {
-		return varint.Put(buf, i, 0)
-	}
-	return varint.PutFloats(buf, varint.Put(buf, i, uint64(len(xs))+1), xs)
-}
-
-func readFloats(data []byte) ([]float64, []byte, error) {
-	n1, data, err := readUvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n1 == 0 {
-		return nil, data, nil
-	}
-	n := n1 - 1
-	// Divide instead of multiplying: n*8 could wrap uint64 and sneak a huge
-	// length past the check into make().
-	if n > uint64(len(data))/8 {
-		return nil, nil, fmt.Errorf("wire: %d floats declared, %d bytes left", n, len(data))
-	}
-	xs := make([]float64, n)
-	return xs, data[8*varint.Floats(xs, data):], nil
 }

@@ -98,12 +98,7 @@ func TestSubgraphRoundTrip(t *testing.T) {
 func TestContractionRoundTrip(t *testing.T) {
 	p := &coarsen.PEContraction{
 		FirstCoarse: 42,
-		Weights:     []int64{3, 1, 9},
-		CX:          []float64{0.5, 1.5, 2.5},
-		CY:          []float64{-1, 0, 1},
-		EdgeU:       []int32{42, 43},
-		EdgeV:       []int32{7, 8},
-		EdgeW:       []int64{2, 11},
+		NumCoarse:   3,
 		FineGlobal:  []int32{10, 11, 12, 13},
 		FineCoarse:  []int32{42, 42, 43, 44},
 	}
@@ -118,9 +113,10 @@ func TestContractionRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(p, got) {
 		t.Fatalf("round trip changed contraction:\n%+v\n%+v", p, got)
 	}
-	// CZ must stay nil (2D), not become empty-but-non-nil.
-	if got.CZ != nil {
-		t.Fatal("nil CZ became non-nil")
+	// A count or first id past int32 is refused, not wrapped.
+	big := appendZigzag(appendZigzag(nil, 0), math.MaxInt32+1)
+	if _, _, err := DecodeContraction(append(big, 0, 0)); err == nil {
+		t.Fatal("accepted a coarse count past int32")
 	}
 }
 
@@ -163,7 +159,7 @@ func TestAssignJobResultRoundTrip(t *testing.T) {
 	}
 
 	r := Result{PE: 2, Matched: 9, MatchNanos: 1e6, ContractNanos: 2e6,
-		Part: &coarsen.PEContraction{FirstCoarse: 1, Weights: []int64{2}, FineGlobal: []int32{0}, FineCoarse: []int32{1}}}
+		Part: &coarsen.PEContraction{FirstCoarse: 1, NumCoarse: 1, FineGlobal: []int32{0}, FineCoarse: []int32{1}}}
 	gotr, err := DecodeResult(AppendResult(nil, r))
 	if err != nil {
 		t.Fatal(err)

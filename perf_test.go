@@ -165,10 +165,10 @@ func levelZero(g *Graph) ([]*dist.Subgraph, []*coarsen.PEContraction) {
 	return sgs, parts
 }
 
-// BenchmarkStitch is the coordinator's one serial kernel between two levels:
-// the parts of a real level 0 into the coarse graph, on as many goroutines
-// as GOMAXPROCS allows (one under the allocation gate, where its allocations
-// are a fixed handful).
+// BenchmarkStitch is the coordinator's one kernel between two levels: the
+// level contracted by the map the parts of a real level 0 fill, on as many
+// goroutines as GOMAXPROCS allows (one under the allocation gate, where its
+// allocations are a fixed handful).
 func BenchmarkStitch(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -205,8 +205,9 @@ func BenchmarkDecodeSubgraph(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeContraction decodes one PE's level-0 contraction of rgg15,
-// what the coordinator does with every result frame.
+// BenchmarkDecodeContraction decodes one PE's level-0 contraction of rgg15 —
+// its share of the fine→coarse map — what the coordinator does with every
+// result frame.
 func BenchmarkDecodeContraction(b *testing.B) {
 	_, parts := levelZero(gen.RGG(15, 1))
 	enc := wire.AppendContraction(nil, parts[0])

@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 14965
+LOC_MAX = 15063
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -99,15 +99,16 @@ examples:
 # colour class against shared lists, each owned by a single pair). core runs
 # at three processor counts for the refinement crew's hand-off: its three
 # kinds of participant (caller, claiming helper, idle helper) run at the same
-# time only from three processors up, and strictly take turns on one. graph,
-# coarsen and wire run at the same three counts for the node-range kernels:
-# the edge-list kernel's ranges (count; scatter and merge; the slide that
-# closes their gaps) under the codecs' round trips, and the stitch's (count,
-# fill, row sort), are one goroutine's on one processor and side by side from
-# two up.
+# time only from three processors up, and strictly take turns on one. The
+# packages of the node-range kernels run at the same three counts: every pass
+# sized by graph.ParallelRanges — the edge-list kernel's (under the codecs'
+# round trips), the contraction's and the stitch's, the gap scan, the boundary
+# scan — and RCB's halves are one goroutine's on one processor and side by
+# side from two up, on inputs above their floors that each package's tests
+# hold to the serial result.
 race:
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/graph ./internal/coarsen ./internal/wire
-	$(GO) test -race ./internal/matching ./internal/dist ./internal/refine ./internal/part ./internal/remote ./internal/obs ./internal/svc ./internal/store .
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/graph ./internal/coarsen ./internal/wire ./internal/matching ./internal/dist ./internal/part
+	$(GO) test -race ./internal/refine ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
 # fuzz smokes the native Go fuzz targets for a few seconds each: the
 # byte-level decoders — the file-format parsers (METIS text, binary CSR,

@@ -143,14 +143,49 @@ func StitchChecked(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int3
 	}
 
 	workers := graph.ParallelRanges(2 * g.NumEdges())
-	cc := contractMapped(g, fine2coarse, int32(total), Options{Workers: workers})
+	head, next := memberLists(fine2coarse, int32(total))
+	cc := contractMapped(g, fine2coarse, head, next, coarseSpans(g, head, next, int32(total), max(1, min(workers, total))), nil)
 	sortRows(cc, workers)
 	cc.agg.AdjSorted = true
-	cg := cc.graph()
-	if g.HasCoords() && total > 0 {
-		contractCoords(g, fine2coarse, int32(total), cg)
+	return cc.graph(), fine2coarse, nil
+}
+
+// coarseSpans cuts [0, nc) into workers spans, balancing the summed fine
+// degrees of each span's coarse members.
+func coarseSpans(g *graph.Graph, head, next []int32, nc int32, workers int) []span {
+	spans := make([]span, workers)
+	spans[workers-1].hi = nc
+	totalDeg := 2 * int64(g.NumEdges()) // Σ_v deg(v) in CSR
+	var acc int64
+	w := 0
+	for c := int32(0); c < nc && w < workers-1; c++ {
+		for v := head[c]; v >= 0; v = next[v] {
+			acc += int64(g.Degree(v))
+		}
+		if acc >= totalDeg*int64(w+1)/int64(workers) {
+			spans[w].hi, spans[w+1].lo = c+1, c+1
+			w++
+		}
 	}
-	return cg, fine2coarse, nil
+	for ; w < workers-1; w++ {
+		spans[w].hi, spans[w+1].lo = nc, nc
+	}
+	return spans
+}
+
+// memberLists threads the fine nodes of every coarse node of fine2coarse onto
+// a list in ascending order: head[c] is c's first member, next[v] the member
+// after v, -1 the end.
+func memberLists(fine2coarse []int32, nc int32) (head, next []int32) {
+	head, next = make([]int32, nc), make([]int32, len(fine2coarse))
+	for c := range head {
+		head[c] = -1
+	}
+	for v := int32(len(fine2coarse)) - 1; v >= 0; v-- {
+		c := fine2coarse[v]
+		next[v], head[c] = head[c], v
+	}
+	return head, next
 }
 
 // fillMap sets fine2coarse[fine[i]] = coarse[i] and the bit of coarse[i] in
@@ -190,22 +225,12 @@ func sortRows(c coarseCSR, workers int) {
 	bound := func(r int) int { // the first row of range r; trailing empty rows belong to none
 		return sort.Search(nc, func(v int) bool { return int64(c.xadj[v])*int64(workers) >= half*int64(r) })
 	}
-	sortRange := func(r int) {
+	graph.ForRanges(workers, func(r int) {
 		var rs graph.RowSorter
 		for v, hi := bound(r), bound(r+1); v < hi; v++ {
 			rs.Sort(c.adj[c.xadj[v]:c.xadj[v+1]], c.ewgt[c.xadj[v]:c.xadj[v+1]])
 		}
-	}
-	var wg sync.WaitGroup
-	for r := 1; r < workers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sortRange(r)
-		}()
-	}
-	sortRange(0)
-	wg.Wait()
+	})
 }
 
 // ContractSubgraph is the per-PE side of ContractDistributed: the superstep

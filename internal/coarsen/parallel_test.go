@@ -1,6 +1,9 @@
 package coarsen
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -91,6 +94,48 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 			want2, _ := Contract(wantG, m2)
 			got2, _ := ContractWith(gotG, m2, Options{Workers: workers, Arena: a})
 			graphsEqual(t, name+"/level2", want2, got2)
+		}
+	}
+}
+
+// TestContractLargeLevelsMatchSerial contracts levels of the size the
+// benchmark's finest ones have on two workers, on one processor and on two:
+// both must build the graph and map of the serial passes, with coordinates
+// equal to the bit to the means summed in one scan over the fine nodes.
+func TestContractLargeLevelsMatchSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, g := range map[string]*graph.Graph{"rgg15": gen.RGG(15, 1), "grid3d": gen.Grid3D(32, 32, 32), "rmat12": gen.RMAT(12, 16, 1)} {
+		rt := rating.NewRater(rating.ExpansionStar2, g)
+		m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(15), 0, nil)
+		want, wantMap := Contract(g, m)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			got, gotMap := ContractWith(g, m, Options{Workers: 2, Arena: mem.NewArena()})
+			graphsEqual(t, name, want, got)
+			if !slices.Equal(gotMap, wantMap) {
+				t.Fatalf("%s GOMAXPROCS=%d: fine→coarse map differs from the serial one", name, procs)
+			}
+			if !g.HasCoords() {
+				continue
+			}
+			sums := make([][]float64, g.CoordDims())
+			count := make([]float64, got.NumNodes())
+			for d, fine := range g.CoordSlices() {
+				sums[d] = make([]float64, got.NumNodes())
+				for v, x := range fine {
+					sums[d][gotMap[v]] += x
+				}
+			}
+			for _, c := range gotMap {
+				count[c]++
+			}
+			for d, coarse := range got.CoordSlices() {
+				for c, x := range coarse {
+					if math.Float64bits(x) != math.Float64bits(sums[d][c]/count[c]) {
+						t.Fatalf("%s GOMAXPROCS=%d: coordinate %d of coarse node %d is %v, the fine-order mean %v", name, procs, d, c, x, sums[d][c]/count[c])
+					}
+				}
+			}
 		}
 	}
 }

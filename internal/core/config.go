@@ -101,15 +101,23 @@ type Config struct {
 	// coarsening. The paper identifies PEs with blocks; 0 means K.
 	PEs int
 
-	// Workers is the goroutine count of the data-parallel kernels (the
-	// two-pass contraction's count and fill passes) and the size of the
-	// refinement crew, the caller included, that shares out the pairs of a
-	// colour class (at most K/2 members find work). 0 means GOMAXPROCS; 1
-	// runs both inline. The parallel passes process every coarse node in
-	// exactly the serial order and a pair's result depends on nothing a
-	// concurrent pair writes, so partitions are byte-identical for every
-	// Workers value and every interleaving (TestRunWorkersByteIdentical) —
-	// the knob trades cores for wall-clock only.
+	// Workers is the goroutine count of the shared contraction's passes (its
+	// count and fill, and its numbering, which also keeps to the floor of
+	// graph.ParallelRanges) and the size of the refinement crew, the caller
+	// included, that shares out the pairs of a colour class and the rows of
+	// the quotient graph (at most K/2 members find work). 0 means GOMAXPROCS;
+	// 1 runs both inline. The other passes of a run on more than one
+	// goroutine size themselves from the input and GOMAXPROCS: RCB's halves;
+	// one goroutine per block for the local matchings, per PE for the
+	// distributed level's extraction, matching and numbering, and per
+	// initial-partitioning attempt; and the node ranges of
+	// graph.ParallelRanges for the gap-edge scan, the boundary scan, the
+	// stitch, FromEdgeLists and WeightedDegrees. Every parallel pass does for
+	// each node or pair exactly what the serial one does, so partitions are
+	// byte-identical for every Workers value, processor count and
+	// interleaving (TestRunWorkersByteIdentical,
+	// TestRunAboveParallelFloorsByteIdentical) — the knob trades cores for
+	// wall-clock only.
 	Workers int
 
 	Seed uint64

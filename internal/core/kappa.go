@@ -41,11 +41,11 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 	if pes > 1 {
 		// The prepartition (§3.3) localizes matching work onto PEs; the
 		// strategy does not influence the final partition directly.
-		if cfg.GapMatching {
-			m = matching.ParallelScratch(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
-		} else {
-			m = parallelNoGap(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
+		match := matching.ParallelScratch
+		if !cfg.GapMatching {
+			match = matching.LocalScratch
 		}
+		m = match(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
 	} else {
 		m = matching.ComputeScratch(cur, rt, cfg.Matcher, rng.NewStream(cfg.Seed, uint64(level)), maxPair, a)
 	}
@@ -92,22 +92,6 @@ func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Tran
 	tc := time.Now()
 	cg, f2c := coarsen.ContractDistributed(cur, sgs, ms, t)
 	return cg, f2c, matchT, time.Since(tc)
-}
-
-// parallelNoGap is the ablation variant of parallel matching: local
-// matchings only, no gap-graph phase (cross-PE edges are never matched).
-func parallelNoGap(g *graph.Graph, rt *rating.Rater, alg matching.Algorithm, blocks []int32, pes int, seed uint64, maxPair int64, a *mem.Arena) matching.Matching {
-	// Restrict the graph to intra-block edges by running the parallel
-	// matcher with an empty gap phase: equivalent to giving every cross
-	// edge a rating below any local match. We reuse Parallel but strip
-	// cross-block pairs afterwards (they can only come from the gap phase).
-	m := matching.ParallelScratch(g, rt, alg, blocks, pes, seed, maxPair, a)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		if u := m[v]; u >= 0 && blocks[u] != blocks[v] {
-			m[v], m[u] = -1, -1
-		}
-	}
-	return m
 }
 
 // initialPartition runs the sequential initial partitioner cfg.InitRepeats

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"repro/internal/coarsen"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/part"
+	"repro/internal/rating"
 )
 
 // mustRun is Run for tests whose configuration is known to be valid.
@@ -129,6 +134,32 @@ func TestGapMatchingAblationRuns(t *testing.T) {
 	p := check(t, g, 4, cfg.Eps, res)
 	if !p.Feasible() {
 		t.Fatal("ablation produced infeasible partition")
+	}
+}
+
+// TestNoGapLevelContractsTheLocalMatching runs a shared level of rgg:14,
+// twice contracted, over 8 PEs with GapMatching off: the level must contract
+// exactly the local matching, so no coarse node joins nodes of two PEs.
+func TestNoGapLevelContractsTheLocalMatching(t *testing.T) {
+	g := gen.RGG(14, 1)
+	cfg := NewConfig(Fast, 8)
+	cfg.Seed = 3
+	for level := 0; level < 2; level++ {
+		g, _, _, _ = sharedLevel(g, &cfg, dist.Assign(g, cfg.Distribution, 8), 8, level, 0, nil)
+	}
+	blocks := dist.Assign(g, cfg.Distribution, 8)
+	cfg.GapMatching = false
+	_, f2c, _, _ := sharedLevel(g, &cfg, blocks, 8, 2, 0, nil)
+	local := matching.LocalScratch(g, rating.NewRater(cfg.Rating, g), cfg.Matcher, blocks, 8, cfg.Seed+2*101, 0, nil)
+	if _, want := coarsen.Contract(g, local); !slices.Equal(f2c, want) {
+		t.Fatal("the level did not contract the local matching")
+	}
+	blockOf := make(map[int32]int32)
+	for v, c := range f2c {
+		if b, ok := blockOf[c]; ok && b != blocks[v] {
+			t.Fatalf("coarse node %d joins nodes of PEs %d and %d", c, b, blocks[v])
+		}
+		blockOf[c] = blocks[v]
 	}
 }
 

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"math/bits"
+	"runtime"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/mem"
 )
 
@@ -11,7 +13,8 @@ import (
 // coordinate dimensions: the current node set is split at the weighted
 // median of its widest dimension (the one with the largest extent; the
 // lowest dimension index wins ties), the two halves recurse on the two
-// halves of the PE group. Non-power-of-two PE counts are handled by
+// halves of the PE group, side by side on up to GOMAXPROCS goroutines where
+// both are large (bisect). Non-power-of-two PE counts are handled by
 // splitting a p-PE group into ⌊p/2⌋ and ⌈p/2⌉ PEs and placing the cut at
 // the matching weight fraction. w == nil means unit weights. The result is
 // deterministic: ties in coordinates are broken by node id. With two
@@ -42,21 +45,35 @@ func rcbScratch(dims [][]float64, w []int64, pes int, a *mem.Arena) []int32 {
 	if w != nil {
 		total = weightOf(w, nodes)
 	}
-	r := rcb{dims: dims, w: w, assign: assign}
-	r.bisect(nodes, total, 0, pes)
+	r := rcb{w: w, assign: assign}
+	r.bisect(dims, nodes, total, 0, pes, runtime.GOMAXPROCS(0))
 	a.PutInt32(nodes)
 	return assign
 }
 
-// rcb is the state of one recursive coordinate bisection.
+// parallelRCBNodes is the least number of nodes on each side of a split for
+// bisect to recurse into the two halves side by side. Measured on the
+// reference box at 16 PEs and GOMAXPROCS 2 (EXPERIMENTS.md "PR 30"), a floor
+// of 1 024 against 4 096 takes rgg:12 from 0.26 to 0.21 ms and rgg:11 from
+// 0.11 to 0.094 ms and leaves the larger levels as they are; below it the
+// halves are too short to pay for their goroutines.
+const parallelRCBNodes = 1024
+
+// rcb is the state of one recursive coordinate bisection besides its
+// coordinates.
 type rcb struct {
-	dims   [][]float64
 	w      []int64 // nil = unit weights
 	assign []int32
 }
 
-// bisect assigns nodes (total weight weight) to the p PEs starting at pe0.
-func (r *rcb) bisect(nodes []int32, weight int64, pe0, p int) {
+// bisect assigns nodes (total weight weight) to the p PEs starting at pe0 on
+// at most procs goroutines. The two halves of a split that both go on
+// splitting and both hold parallelRCBNodes nodes run side by side, each with
+// half of procs: they write the assign entries of disjoint node sets and
+// permute disjoint subslices of nodes, and which nodes fall left of a split
+// depends only on the set being split (selectPrefix), so the result is the
+// same for every procs.
+func (r rcb) bisect(dims [][]float64, nodes []int32, weight int64, pe0, p, procs int) {
 	if p <= 1 || len(nodes) <= 1 {
 		for _, v := range nodes {
 			r.assign[v] = int32(pe0)
@@ -67,8 +84,8 @@ func (r *rcb) bisect(nodes []int32, weight int64, pe0, p int) {
 	pr := p - pl
 
 	// Widest dimension of the bounding box of the current set.
-	coord, widest := r.dims[0], extent(r.dims[0], nodes)
-	for _, c := range r.dims[1:] {
+	coord, widest := dims[0], extent(dims[0], nodes)
+	for _, c := range dims[1:] {
 		if e := extent(c, nodes); e > widest {
 			coord, widest = c, e
 		}
@@ -99,8 +116,21 @@ func (r *rcb) bisect(nodes []int32, weight int64, pe0, p int) {
 			s = hi
 		}
 	}
-	r.bisect(nodes[:s], leftWeight, pe0, pl)
-	r.bisect(nodes[s:], weight-leftWeight, pe0+pl, pr)
+	if procs > 1 && pl > 1 && min(s, m-s) >= parallelRCBNodes {
+		// The halves get their own list of dimensions, so that the caller's
+		// need not outlive its frame on the serial path.
+		dims := slices.Clone(dims)
+		graph.ForRanges(2, func(half int) {
+			if half == 0 {
+				r.bisect(dims, nodes[:s], leftWeight, pe0, pl, procs-procs/2)
+			} else {
+				r.bisect(dims, nodes[s:], weight-leftWeight, pe0+pl, pr, procs/2)
+			}
+		})
+		return
+	}
+	r.bisect(dims, nodes[:s], leftWeight, pe0, pl, procs)
+	r.bisect(dims, nodes[s:], weight-leftWeight, pe0+pl, pr, procs)
 }
 
 // selectPrefix rearranges nodes so that, for the returned s, nodes[:s] holds

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -166,6 +167,54 @@ func TestRCBMatchesReference(t *testing.T) {
 					t.Fatalf("%s n=%d pes=%d: arena-backed run differs from the reference", c.name, n, pes)
 				}
 				arena.PutInt32(scratch)
+			}
+		}
+	}
+}
+
+// TestRCBAboveFloorMatchesReference runs the selection kernel on sets large
+// enough for bisect to put its halves side by side — a mesh, a 3D grid with
+// its ties, and a weighted level of the mesh contracted by hand (each node
+// paired with its first free neighbour, a pair at its members' mean and of
+// weight two) — on one processor and on two, and holds both to the
+// reference.
+func TestRCBAboveFloorMatchesReference(t *testing.T) {
+	mesh, grid := gen.RGG(15, 1), gen.Grid3D(32, 32, 32)
+	mx, my := mesh.Coords()
+	taken := make([]bool, mesh.NumNodes())
+	var cx, cy []float64
+	var cw []int64
+	for v := int32(0); v < int32(mesh.NumNodes()); v++ {
+		if taken[v] {
+			continue
+		}
+		taken[v] = true
+		x, y, w := mx[v], my[v], int64(1)
+		for _, u := range mesh.Adj(v) {
+			if !taken[u] {
+				taken[u] = true
+				x, y, w = (x+mx[u])/2, (y+my[u])/2, 2
+				break
+			}
+		}
+		cx, cy, cw = append(cx, x), append(cy, y), append(cw, w)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []rcbCase{
+		{"rgg15", mesh.CoordSlices(), mesh.NodeWeights()},
+		{"grid3d", grid.CoordSlices(), nil},
+		{"rgg15 contracted", [][]float64{cx, cy}, cw},
+	} {
+		if n := len(c.dims[0]); n < 4*parallelRCBNodes {
+			t.Fatalf("%s: %d nodes keep every split under the parallel floor", c.name, n)
+		}
+		for _, pes := range []int{2, 3, 16, 64} {
+			want := rcbReference(c.dims, c.w, pes)
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				if got := rcbScratch(c.dims, c.w, pes, nil); !slices.Equal(got, want) {
+					t.Fatalf("%s pes=%d GOMAXPROCS=%d: assignment differs from the reference", c.name, pes, procs)
+				}
 			}
 		}
 	}

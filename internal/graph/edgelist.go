@@ -17,14 +17,16 @@ type EdgeList struct {
 
 // parallelHalfEdges is the least number of half-edges FromEdgeLists puts on
 // more than one goroutine, and half of it the least share it gives each.
-// Every goroutine scans all the edges and writes only the rows of its range,
-// and a goroutine is woken twice (count, then scatter and merge) at 85–100 µs
-// a wake-up on the reference box (EXPERIMENTS.md "PR 22"). Measured there with
-// BenchmarkFromEdgeLists, one range against two: 16 k half-edges 0.45 →
-// 0.50 ms, 33 k 0.98 → 0.84–1.05 ms, 66 k 2.1 → 1.6 ms, 131 k 4.4 → 2.7 ms,
-// 262 k 8.0 → 5.2 ms (EXPERIMENTS.md "PR 24"). Below the floor one range — the
-// serial kernel — is as fast or faster, so the coarse levels of a hierarchy
-// stay on one goroutine.
+// Every goroutine scans all the edges and writes only the rows of its range.
+// Measured on the reference box with BenchmarkFromEdgeLists, one range against
+// two, while the caller still ran the first range itself and the second
+// started 85–100 µs late: 16 k half-edges 0.45 → 0.50 ms, 33 k 0.98 →
+// 0.84–1.05 ms, 66 k 2.1 → 1.6 ms, 131 k 4.4 → 2.7 ms, 262 k 8.0 → 5.2 ms
+// (EXPERIMENTS.md "PR 24"). Below the floor one range — the serial kernel —
+// was as fast or faster, so the coarse levels of a hierarchy stay on one
+// goroutine. Since ForRanges' caller waits instead, two ranges win from 16 k
+// half-edges on (EXPERIMENTS.md "PR 30"); the floor stays where the passes it
+// sizes were measured.
 const parallelHalfEdges = 1 << 16
 
 // FromEdgeLists builds the graph on len(nwgt) nodes whose edges are the
@@ -54,7 +56,16 @@ func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
 // ParallelRanges is how many node ranges, each on its own goroutine, a kernel
 // that reads half half-edges once per pass splits its nodes into: one below
 // parallelHalfEdges, else as many as GOMAXPROCS allows with at least half the
-// floor each. FromEdgeLists and the distributed stitch size themselves by it.
+// floor each. The passes sized by it are FromEdgeLists' count, scatter and
+// merge; the stitch's count, fill and row sort (coarsen.StitchChecked);
+// coarsen.ContractWith's numbering, capped there by Options.Workers, which
+// alone sizes its count and fill; the gap-edge scan of
+// matching.ParallelScratch; the boundary scan of part.BoundaryIndex.Reset; and
+// WeightedDegrees. The other passes on more than one goroutine are the
+// per-block matchings of ParallelScratch, the halves of recursive coordinate
+// bisection (dist, with a node floor of its own), the per-PE kernels of
+// distributed coarsening, the attempts of initial partitioning and core's
+// refinement crew.
 func ParallelRanges(half int) int {
 	if half < parallelHalfEdges {
 		return 1
@@ -111,7 +122,7 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 		rows[r].lo, rows[r].hi = int32(int64(n)*int64(r)/int64(workers)), int32(int64(n)*int64(r+1)/int64(workers))
 	}
 	badList, badEdge := -1, -1
-	forRanges(workers, func(r int) {
+	ForRanges(workers, func(r int) {
 		for li, l := range lists {
 			// Every range scans every edge, so each finds the same first
 			// bad one; range 0 reports it.
@@ -141,7 +152,7 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	}
 	adj := make([]int32, total)
 	ewgt := make([]int64, total)
-	forRanges(workers, func(r int) {
+	ForRanges(workers, func(r int) {
 		row := &rows[r]
 		row.badList = -1
 		for li, l := range lists {
@@ -174,18 +185,25 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	return FromCSRTrusted(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt, agg), nil
 }
 
-// forRanges runs fn(r) for every r below ranges, the first on the calling
-// goroutine and each other on its own, and waits for all.
-func forRanges(ranges int, fn func(r int)) {
+// ForRanges runs fn(r) for every r below ranges and waits for all. A single
+// range runs on the calling goroutine; several run each on a goroutine of its
+// own while the caller only waits: a goroutine queued behind a caller that
+// keeps running is taken by an idle processor only about 80 µs later on the
+// reference box, which serializes short ranges, while one queued behind a
+// caller that blocks is taken within microseconds (EXPERIMENTS.md "PR 30").
+func ForRanges(ranges int, fn func(r int)) {
+	if ranges == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
-	for r := 1; r < ranges; r++ {
+	for r := range ranges {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fn(r)
 		}()
 	}
-	fn(0)
 	wg.Wait()
 }
 

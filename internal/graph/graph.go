@@ -15,7 +15,7 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
+	"sort"
 	"sync"
 )
 
@@ -97,38 +97,32 @@ func (g *Graph) WeightedDegrees() []int64 {
 		if g.wdeg != nil { // pre-filled at construction (SetWeightedDegrees)
 			return
 		}
-		n := g.NumNodes()
-		w := make([]int64, n)
-		fill := func(lo, hi int32) {
-			for v := lo; v < hi; v++ {
+		w := make([]int64, g.NumNodes())
+		ranges := ParallelRanges(len(g.adj))
+		ForRanges(ranges, func(r int) {
+			for v, hi := g.RangeStart(r, ranges), g.RangeStart(r+1, ranges); v < hi; v++ {
 				var s int64
 				for _, ew := range g.ewgt[g.xadj[v]:g.xadj[v+1]] {
 					s += ew
 				}
 				w[v] = s
 			}
-		}
-		if workers := runtime.GOMAXPROCS(0); workers > 1 && n >= 1<<14 {
-			var wg sync.WaitGroup
-			chunk := (n + workers - 1) / workers
-			for lo := 0; lo < n; lo += chunk {
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				wg.Add(1)
-				go func(lo, hi int32) {
-					defer wg.Done()
-					fill(lo, hi)
-				}(int32(lo), int32(hi))
-			}
-			wg.Wait()
-		} else {
-			fill(0, int32(n))
-		}
+		})
 		g.wdeg = w
 	})
 	return g.wdeg
+}
+
+// RangeStart returns the first node of range r when the nodes are cut into
+// ranges consecutive ranges of about equal half-edges, the split of every
+// node-range pass sized by ParallelRanges; RangeStart(ranges, ranges) is
+// NumNodes().
+func (g *Graph) RangeStart(r, ranges int) int32 {
+	if r >= ranges {
+		return int32(g.NumNodes())
+	}
+	half := int64(len(g.adj))
+	return int32(sort.Search(g.NumNodes(), func(v int) bool { return int64(g.xadj[v])*int64(ranges) >= half*int64(r) }))
 }
 
 // SetWeightedDegrees installs a precomputed weighted-degree array. It may

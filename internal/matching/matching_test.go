@@ -1,9 +1,12 @@
 package matching
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rating"
@@ -279,6 +282,85 @@ func TestParallelMatchingCrossesBlocks(t *testing.T) {
 	}
 	if m[1] != 2 || m[2] != 1 {
 		t.Fatalf("gap edge {1,2} not matched: %v", m)
+	}
+}
+
+// TestParallelAboveFloorMatchesSerial matches a mesh and a power-law graph
+// with enough half-edges for the gap scan to run on node ranges side by side,
+// over 16 blocks, on one processor and on two: the matchings must be equal.
+func TestParallelAboveFloorMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, g := range map[string]*graph.Graph{"rgg15": gen.RGG(15, 1), "rmat12": gen.RMAT(12, 16, 1)} {
+		if 2*g.NumEdges() < 1<<16 {
+			t.Fatalf("%s: %d edges stay under the parallel floor", name, g.NumEdges())
+		}
+		block := dist.Assign(g, dist.StrategyAuto, 16)
+		rt := rating.NewRater(rating.ExpansionStar2, g)
+		runtime.GOMAXPROCS(1)
+		want := ParallelScratch(g, rt, GPA, block, 16, 3, 6, nil)
+		if err := want.Validate(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runtime.GOMAXPROCS(2)
+		if got := ParallelScratch(g, rt, GPA, block, 16, 3, 6, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: GOMAXPROCS=2 matches differently from GOMAXPROCS=1", name)
+		}
+	}
+}
+
+// TestLocalScratchIsTheLocalPhase holds the no-gap ablation to what it
+// promises: a valid matching with no pair across blocks that is the local
+// phase of ParallelScratch. Every pair ParallelScratch keeps inside a block
+// is one of LocalScratch's, and every pair of LocalScratch it does not keep
+// lost an endpoint to a gap edge — a pair that running the gap phase and then
+// unmatching the cross-block pairs would have lost too. The mesh gets the
+// uneven node and edge weights of a contracted level, without which no gap
+// edge outrates a local match.
+func TestLocalScratchIsTheLocalPhase(t *testing.T) {
+	mesh := gen.RGG(14, 1)
+	r := rng.New(14)
+	nwgt := make([]int64, mesh.NumNodes())
+	var edges graph.EdgeList
+	for v := int32(0); v < int32(mesh.NumNodes()); v++ {
+		nwgt[v] = 1 + int64(r.Intn(3))
+		for _, u := range mesh.Adj(v) {
+			if u > v {
+				edges.U, edges.V, edges.W = append(edges.U, v), append(edges.V, u), append(edges.W, 1+int64(r.Intn(4)))
+			}
+		}
+	}
+	g, err := graph.FromEdgeLists(nwgt, []graph.EdgeList{edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetCoords(mesh.Coords())
+	block := dist.Assign(g, dist.StrategyAuto, 8)
+	rt := rating.NewRater(rating.ExpansionStar2, g)
+	local := LocalScratch(g, rt, GPA, block, 8, 5, 0, nil)
+	full := ParallelScratch(g, rt, GPA, block, 8, 5, 0, nil)
+	if err := local.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	crosses := func(m Matching, v int32) bool { return m[v] >= 0 && block[m[v]] != block[v] }
+	lost := 0
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		u := local[v]
+		if crosses(local, v) {
+			t.Fatalf("node %d matched across blocks to %d", v, u)
+		}
+		if full[v] >= 0 && !crosses(full, v) && full[v] != u {
+			t.Fatalf("node %d: ParallelScratch keeps it paired with %d, the local phase paired it with %d", v, full[v], u)
+		}
+		if u < 0 || full[v] == u {
+			continue
+		}
+		if !crosses(full, v) && !crosses(full, u) {
+			t.Fatalf("local pair {%d,%d} dissolved without a gap edge at either end", v, u)
+		}
+		lost++
+	}
+	if lost == 0 {
+		t.Fatal("no local pair lost to a gap edge: LocalScratch ran the gap phase, or no gap edge outrates a local match here")
 	}
 }
 

@@ -26,11 +26,30 @@ import (
 // back with a.PutInt32([]int32(m)) when done. The arena is safe to share
 // between the concurrent per-block workers.
 func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
+	return parallel(g, rt, alg, block, nparts, seed, maxPair, true, a)
+}
+
+// LocalScratch is ParallelScratch without the gap graph: every block matched
+// on its internal edges only, so no pair crosses blocks — the no-gap-matching
+// ablation, and the shared-memory counterpart of DistributedBounded with
+// boundary false.
+func LocalScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
+	return parallel(g, rt, alg, block, nparts, seed, maxPair, false, a)
+}
+
+// parallel is ParallelScratch, with the gap phase run only when gap is set.
+func parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, gap bool, a *mem.Arena) Matching {
 	n := g.NumNodes()
 	if nparts <= 1 {
 		return ComputeScratch(g, rt, alg, rng.NewStream(seed, 0), maxPair, a)
 	}
 	m := newEmptyIn(a, n)
+	// localRating[v] is the rating of v's local match (0 when unmatched),
+	// which the gap phase compares against, written by v's block once its
+	// matching is done. EdgeWeightTo binary-searches on sorted-adjacency
+	// graphs (the finest level); contracted levels fall back to the linear
+	// scan.
+	localRating := a.Float64(n)
 
 	// Group nodes by block, CSR-style: one flat arena buffer plus offsets
 	// instead of nparts growing slices. Within each block the nodes stay in
@@ -55,8 +74,8 @@ func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []in
 	nodesOf := func(b int) []int32 { return flat[off[b]:off[b+1]] }
 
 	// Phase 1: local matching per block, in parallel. Each worker touches
-	// only m[v] for v in its block, so no synchronization beyond the final
-	// barrier is needed.
+	// only m[v] and localRating[v] for v in its block, so no synchronization
+	// beyond the final barrier is needed.
 	var wg sync.WaitGroup
 	for p := 0; p < nparts; p++ {
 		wg.Add(1)
@@ -99,24 +118,57 @@ func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []in
 				*buf = edges
 				putEdges(buf)
 			}
+			if gap {
+				for _, v := range nodes {
+					localRating[v] = 0
+					if u := m[v]; u >= 0 {
+						localRating[v] = rt.Rate(v, u, g.EdgeWeightTo(v, u))
+					}
+				}
+			}
 		}(p)
 	}
 	wg.Wait()
+	a.PutInt32(flat)
+	a.PutInt32(off)
 
-	// Phase 2: gap graph. localRating[v] is the rating of v's local match
-	// (0 when unmatched). EdgeWeightTo binary-searches on sorted-adjacency
-	// graphs (the finest level); contracted levels fall back to the linear
-	// scan.
-	localRating := a.Float64(n)
-	clear(localRating)
-	for v := int32(0); v < int32(n); v++ {
-		if u := m[v]; u >= 0 {
-			localRating[v] = rt.Rate(v, u, g.EdgeWeightTo(v, u))
-		}
+	// Phase 2: gap graph.
+	if gap {
+		gapBuf := gapEdges(g, rt, block, localRating, maxPair)
+		matchLocallyHeaviest(n, *gapBuf, m, a)
+		putEdges(gapBuf)
 	}
-	gapBuf := getEdges(0)
-	gap := *gapBuf
-	for v := int32(0); v < int32(n); v++ {
+	a.PutFloat64(localRating)
+	return m
+}
+
+// gapEdges collects the gap graph: every cross-block edge {v, u}, v < u,
+// within maxPair whose rating beats the local matches of both endpoints, in
+// the order of a scan over v and its adjacency. Above the floor of
+// graph.ParallelRanges the scan runs on node ranges side by side, and their
+// lists are joined in range order — the serial scan's list.
+func gapEdges(g *graph.Graph, rt *rating.Rater, block []int32, localRating []float64, maxPair int64) *[]Edge {
+	ranges := graph.ParallelRanges(2 * g.NumEdges())
+	if ranges == 1 {
+		buf := getEdges(0)
+		*buf = appendGapEdges(*buf, g, rt, block, localRating, maxPair, 0, int32(g.NumNodes()))
+		return buf
+	}
+	bufs := make([]*[]Edge, ranges)
+	graph.ForRanges(ranges, func(r int) {
+		bufs[r] = getEdges(0)
+		*bufs[r] = appendGapEdges(*bufs[r], g, rt, block, localRating, maxPair, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges))
+	})
+	for _, buf := range bufs[1:] {
+		*bufs[0] = append(*bufs[0], *buf...)
+		putEdges(buf)
+	}
+	return bufs[0]
+}
+
+// appendGapEdges appends the gap edges of the nodes [lo, hi) to gap.
+func appendGapEdges(gap []Edge, g *graph.Graph, rt *rating.Rater, block []int32, localRating []float64, maxPair int64, lo, hi int32) []Edge {
+	for v := lo; v < hi; v++ {
 		adj := g.Adj(v)
 		ws := g.AdjWeights(v)
 		for i, u := range adj {
@@ -132,13 +184,7 @@ func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []in
 			}
 		}
 	}
-	matchLocallyHeaviest(n, gap, m, a)
-	*gapBuf = gap
-	putEdges(gapBuf)
-	a.PutFloat64(localRating)
-	a.PutInt32(flat)
-	a.PutInt32(off)
-	return m
+	return gap
 }
 
 // matchLocallyHeaviest iteratively matches gap edges that are the heaviest

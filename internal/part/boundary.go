@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"repro/internal/graph"
 )
 
 // ViewGet and ViewSet access a shared block-membership view atomically.
@@ -44,11 +46,22 @@ type BoundaryIndex struct {
 	in    []bool
 	minW  []int64
 
+	// ranges holds what each node range after the first finds in a Reset
+	// that runs side by side.
+	ranges []rangeScan
+
 	// Quotient scratch: one per member, every block's row, and the rows
 	// joined.
 	qscratch []quotientScratch
 	qrows    [][]QEdge
 	qedges   []QEdge
+}
+
+// rangeScan is one node range's share of a boundary scan: the boundary nodes
+// of each block in it and the weight of each block's lightest node in it.
+type rangeScan struct {
+	lists [][]int32
+	minW  []int64
 }
 
 // NewBoundaryIndex indexes the boundary of every block of p in one O(n+m)
@@ -65,7 +78,8 @@ func NewBoundaryIndex(p *Partition) *BoundaryIndex {
 // pair entry points, which costs one scan of the nodes of a ∪ b rather than
 // of the whole graph's adjacency. It is the one boundary scan of the
 // package; lists come out in node order, and the scan records the lightest
-// node of every block it indexes.
+// node of every block it indexes. The whole-graph scan runs on the node ranges
+// of graph.ParallelRanges.
 func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
 	for blk, list := range x.lists {
 		for _, v := range list {
@@ -88,16 +102,56 @@ func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
 	for blk := range x.minW {
 		x.minW[blk] = NoNode
 	}
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
+	ranges := 1
+	if a < 0 {
+		ranges = graph.ParallelRanges(2 * g.NumEdges())
+	}
+	if ranges == 1 {
+		x.scan(view, 0, int32(g.NumNodes()), a, b, x.lists, x.minW)
+		return
+	}
+	// Node ranges side by side: the first into the index itself, every
+	// other into lists and bounds of its own, joined per block in range
+	// order — the lists of the serial scan.
+	for len(x.ranges) < ranges-1 {
+		x.ranges = append(x.ranges, rangeScan{})
+	}
+	graph.ForRanges(ranges, func(r int) {
+		lists, minW := x.lists, x.minW
+		if r > 0 {
+			s := &x.ranges[r-1]
+			s.lists = slices.Grow(s.lists[:0], p.K)[:p.K]
+			s.minW = slices.Grow(s.minW[:0], p.K)[:p.K]
+			for blk := range s.lists {
+				s.lists[blk], s.minW[blk] = s.lists[blk][:0], NoNode
+			}
+			lists, minW = s.lists, s.minW
+		}
+		x.scan(view, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), a, b, lists, minW)
+	})
+	for _, s := range x.ranges[:ranges-1] {
+		for blk, list := range s.lists {
+			x.lists[blk] = append(x.lists[blk], list...)
+			x.minW[blk] = min(x.minW[blk], s.minW[blk])
+		}
+	}
+}
+
+// scan is the boundary scan of the nodes [lo, hi): it marks and appends to
+// lists every boundary node of the indexed blocks, in node order, and lowers
+// minW to the lightest node of each.
+func (x *BoundaryIndex) scan(view []int32, lo, hi, a, b int32, lists [][]int32, minW []int64) {
+	g := x.p.G
+	for v := lo; v < hi; v++ {
 		bv := ViewGet(view, v)
 		if a >= 0 && bv != a && bv != b {
 			continue
 		}
-		x.minW[bv] = min(x.minW[bv], g.NodeWeight(v))
+		minW[bv] = min(minW[bv], g.NodeWeight(v))
 		for _, u := range g.Adj(v) {
 			if ViewGet(view, u) != bv {
 				x.in[v] = true
-				x.lists[bv] = append(x.lists[bv], v)
+				lists[bv] = append(lists[bv], v)
 				break
 			}
 		}

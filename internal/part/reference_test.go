@@ -2,6 +2,7 @@ package part
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -221,6 +222,83 @@ func TestBoundaryIndexFollowsMoves(t *testing.T) {
 		}
 		if got, want := x.Quotient(), quotientReference(p); !slices.Equal(got, want) {
 			t.Fatalf("step %d: index quotient %v, reference %v", step, got, want)
+		}
+	}
+}
+
+// TestBoundaryIndexAboveFloorMatchesScan resets one index, partition after
+// partition, over graphs with enough half-edges for the boundary scan to run
+// on node ranges side by side — a mesh with the uneven node weights of a
+// contracted level, its lightest nodes all in its second half, and a
+// power-law graph — on one processor and on two: every list must hold its
+// block's boundary nodes in node order, every mark be set exactly for them,
+// and MinWeight be each block's lightest node, as one plain scan finds them.
+func TestBoundaryIndexAboveFloorMatchesScan(t *testing.T) {
+	r := rng.New(77)
+	mesh := gen.RGG(15, 1)
+	nwgt := make([]int64, mesh.NumNodes())
+	var edges graph.EdgeList
+	for v := int32(0); v < int32(mesh.NumNodes()); v++ {
+		nwgt[v] = 1 + int64(r.Intn(5))
+		if int(v) < mesh.NumNodes()/2 {
+			nwgt[v]++
+		}
+		for _, u := range mesh.Adj(v) {
+			if u > v {
+				edges.U, edges.V, edges.W = append(edges.U, v), append(edges.V, u), append(edges.W, 1)
+			}
+		}
+	}
+	weighted, err := graph.FromEdgeLists(nwgt, []graph.EdgeList{edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var x BoundaryIndex
+	for _, g := range []*graph.Graph{weighted, gen.RMAT(12, 16, 1)} {
+		if 2*g.NumEdges() < 1<<16 {
+			t.Fatalf("%d edges stay under the parallel floor", g.NumEdges())
+		}
+		for _, k := range []int{16, 5} {
+			p := randomPartition(g, k, r)
+			lists, minW := make([][]int32, k), make([]int64, k)
+			for b := range minW {
+				minW[b] = NoNode
+			}
+			for v, b := range p.Block {
+				minW[b] = min(minW[b], g.NodeWeight(int32(v)))
+				for _, u := range g.Adj(int32(v)) {
+					if p.Block[u] != b {
+						lists[b] = append(lists[b], int32(v))
+						break
+					}
+				}
+			}
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				x.Reset(p, p.Block, -1, -1)
+				marked := 0
+				for _, in := range x.in {
+					if in {
+						marked++
+					}
+				}
+				listed := 0
+				for b := int32(0); b < int32(k); b++ {
+					if !slices.Equal(x.List(b), lists[b]) || x.MinWeight(b) != minW[b] {
+						t.Fatalf("n=%d k=%d GOMAXPROCS=%d: block %d indexed differently from the plain scan", g.NumNodes(), k, procs, b)
+					}
+					for _, v := range x.List(b) {
+						if !x.in[v] {
+							t.Fatalf("n=%d k=%d GOMAXPROCS=%d: listed node %d not marked", g.NumNodes(), k, procs, v)
+						}
+					}
+					listed += len(lists[b])
+				}
+				if marked != listed {
+					t.Fatalf("n=%d k=%d GOMAXPROCS=%d: %d nodes marked, %d listed", g.NumNodes(), k, procs, marked, listed)
+				}
+			}
 		}
 	}
 }

@@ -286,11 +286,12 @@ func (s *Server) finishJob(j *Job, res core.Result, arts *jobArtifacts, err erro
 	default:
 		state = StateFailed
 	}
-	// Counted before finish wakes the job's waiters, so whoever sees the job
-	// settle also sees it in the per-state metrics.
+	// Counted and retired before finish wakes the job's waiters, so whoever
+	// sees the job settle also sees it in the per-state metrics and the
+	// retention list.
 	s.metrics.finished(state)
-	j.finish(state, res, arts, err)
 	s.retire(j.id)
+	j.finish(state, res, arts, err)
 }
 
 // retire records a finished job for retention and evicts the oldest

@@ -106,6 +106,31 @@ func TestRunWorkersByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunAboveParallelFloorsByteIdentical partitions rgg:15 at k=16, large
+// enough that its finest levels clear the floors of every pass that splits a
+// level across goroutines — RCB's halves, the gap scan, the contraction's
+// numbering, count and fill, the boundary scan — on one processor and on two:
+// both must give the partition the serial passes give, pinned by its hash
+// (the golden table's instances all stay under the floors).
+func TestRunAboveParallelFloorsByteIdentical(t *testing.T) {
+	g := RGG(15, 1)
+	cfg := NewConfig(Fast, 16)
+	cfg.Seed = 7
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		res, err := Run(context.Background(), g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got goldenRow
+		got.record(res.Blocks, res.Cut, res.Balance)
+		if got.cut != 1754 || got.balance != "1.030273" || got.hash != "9abf38d34c064e6b" {
+			t.Fatalf("GOMAXPROCS=%d: cut %d, balance %s, hash %s; want 1754, 1.030273, 9abf38d34c064e6b", procs, got.cut, got.balance, got.hash)
+		}
+	}
+}
+
 // TestRunSharedArenaConcurrent runs several partitions concurrently on ONE
 // shared arena; under -race this doubles as the data-race check for the
 // arena itself, and the results must match isolated runs.

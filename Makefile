@@ -60,7 +60,8 @@ bench:
 # both on a mesh and on a power-law graph) and one distributed contraction
 # level (core's extract → encode → decode → match → contract →
 # encode → decode → stitch over two PEs) with, on their own, its stitch and
-# its two decoders, and one FM search's gain-queue traffic, against the committed
+# its two decoders, one FM search's gain-queue traffic, and the crew's batch
+# hand-off (par: a batch of two on a crew of two, 0 allocs/op), against the committed
 # benchstat-comparable baseline (BENCH_BASELINE.txt). GOMAXPROCS=1 makes the
 # gated metrics — allocs/op and B/op — machine-independent: the pipeline is
 # deterministic, so single-threaded allocation counts are reproducible
@@ -68,8 +69,8 @@ bench:
 # sub-benchmarks stay out: their allocations depend on which crew member the
 # scheduler lets refine which pair. Refresh the baseline intentionally with
 # bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction|GainQueueRun
-BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core ./internal/pq
+BENCH_GATE ?= Table1|Table2|SortEdges|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction|GainQueueRun|CrewBatch
+BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core ./internal/pq ./internal/par
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
 
@@ -96,25 +97,27 @@ examples:
 # observability stack (concurrent scrapes against a running pipeline), the
 # service layer (queue/drain/cancel handshakes under concurrent HTTP), and
 # pairwise refinement with its boundary index (one goroutine per pair of a
-# colour class against shared lists, each owned by a single pair). core runs
-# at three processor counts for the refinement crew's hand-off: its three
-# kinds of participant (caller, claiming helper, idle helper) run at the same
-# time only from three processors up, and strictly take turns on one. The
-# packages of the node-range kernels run at the same three counts: every pass
-# sized by graph.ParallelRanges — the edge-list kernel's (under the codecs'
-# round trips), the contraction's and the stitch's, the gap scan, the boundary
-# scan — and RCB's halves are one goroutine's on one processor and side by
-# side from two up, on inputs above their floors that each package's tests
-# hold to the serial result.
+# colour class against shared lists, each owned by a single pair). par, the
+# one parallel runner, and every package whose split passes run on it go at
+# three processor counts: a crew's three kinds of participant (batch owner,
+# claiming helper, idle helper) run at the same time only from three
+# processors up, and strictly take turns on one. core drives the run's crew
+# through refinement rounds, quotient rows and a whole run; graph, coarsen,
+# wire, matching, dist and part hold their batches — the node ranges of
+# graph.ParallelRanges (the edge-list kernel under the codecs' round trips,
+# the contraction, the stitch, the gap scan, the boundary scan), the
+# per-block matchings, the per-PE extraction and RCB's halves, nested ones
+# inline — to the serial result on inputs above their floors.
 race:
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/graph ./internal/coarsen ./internal/wire ./internal/matching ./internal/dist ./internal/part
+	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/core ./internal/graph ./internal/coarsen ./internal/wire ./internal/matching ./internal/dist ./internal/part
 	$(GO) test -race ./internal/refine ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
 # fuzz smokes the native Go fuzz targets for a few seconds each: the
 # byte-level decoders — the file-format parsers (METIS text, binary CSR,
 # partition files), the wire-format message codec every socket frame flows
 # through, the control-frame payload decoders of the coordinator/worker
-# loop, and the shard-store readers (manifest JSON, shard files) — which
+# loop, the shard-store readers (manifest JSON, shard files) and the
+# service's job-spec admission (JSON, names, timeout) — which
 # must never panic on malformed input, and the kernels that replaced a
 # simpler implementation kept as a test reference, with which they must
 # agree on every input: the two
@@ -144,6 +147,7 @@ fuzz:
 	$(GO) test ./internal/graph -run=^$$ -fuzz=FuzzFromEdgeListsMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadShard -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/svc -run=^$$ -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzSortEdgesMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzExtractMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

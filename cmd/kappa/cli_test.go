@@ -24,6 +24,23 @@ func runFailing(t *testing.T, kappa string, args ...string) string {
 	return string(out)
 }
 
+// TestMoreBlocksThanNodesExitsTwo pins the usage-error promise for a k
+// larger than the graph: exit 2 with a diagnostic, where it once ran out of
+// memory sizing the refinement schedule's colour sets.
+func TestMoreBlocksThanNodesExitsTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	kappa, _ := buildBinaries(t)
+	out, err := exec.Command(kappa, "-gen", "rgg:8", "-k", "100000").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("kappa -gen rgg:8 -k 100000: want exit 2, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "256 nodes") {
+		t.Fatalf("diagnostic does not name the node count:\n%s", out)
+	}
+}
+
 // TestEvalRejectsOutOfRangeBlock pins the bad-input promise for -eval: a
 // block id outside [0, k) is a runtime error naming the line, not a panic.
 func TestEvalRejectsOutOfRangeBlock(t *testing.T) {

@@ -83,7 +83,7 @@ func main() {
 	var (
 		coarsFl = flag.String("coarsen", "shared", "coarsening mode: shared | distributed")
 		eval    = flag.String("eval", "", "evaluate (and refine) an existing partition file instead of partitioning from scratch")
-		workers = flag.Int("workers", 0, "goroutines for the data-parallel kernels (parallel contraction) and members of the refinement crew; 0 = GOMAXPROCS, 1 = serial. Partitions are byte-identical for every value")
+		workers = flag.Int("workers", 0, "members of the run's crew, which runs every split pass (node ranges, per-block matchings, refinement pairs); 0 = GOMAXPROCS, larger values count as GOMAXPROCS, 1 = serial. Partitions are byte-identical for every value")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 	)
@@ -136,16 +136,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
+	// kernels, profiles flush, and the process exits 1 — instead of dying
+	// mid-write with a truncated -out file or an empty CPU profile. It is
+	// installed before the graph is loaded, so a signal during a long load
+	// ends the run the same way.
+	ctx, cancel := runContext(rf.timeout)
+	defer cancel()
 	g, err := loadGraph(rf.in, rf.gen)
 	if err != nil {
 		fail(err)
 	}
-
-	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
-	// kernels, profiles flush, and the process exits 1 — instead of dying
-	// mid-write with a truncated -out file or an empty CPU profile.
-	ctx, cancel := runContext(rf.timeout)
-	defer cancel()
 	runObs, opts, err := rf.options(&ob, g, cfg)
 	if err != nil {
 		fail(err)

@@ -236,41 +236,52 @@ func TestGoldenPartitions(t *testing.T) {
 	}
 }
 
-// TestServeCommittedStore serves testdata/rgg10-2pe.kst, a store an earlier
-// build wrote with `kappa shard -gen rgg:10 -pe 2`, and wants the partition of
-// the golden row that shards the same instance fresh: a store stays servable,
-// to the same bytes, by every later build that reads its manifest version.
+// TestServeCommittedStore serves the stores earlier builds wrote with `kappa
+// shard -gen rgg:10 -pe 2` — testdata/rgg10-2pe.kst at manifest version 1,
+// whose shards carry coordinates, and testdata/rgg10-2pe-v2.kst at version 2,
+// whose shards do not — and wants from each the partition of the golden row
+// that shards the same instance fresh: a store stays servable, to the same
+// bytes, by every later build that reads its manifest version.
 func TestServeCommittedStore(t *testing.T) {
-	st, err := store.Open("testdata/rgg10-2pe.kst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Verify(); err != nil {
-		t.Fatal(err)
-	}
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		want, err := parseGoldenRow(line)
-		if err != nil || want.instance != "rgg:10" || want.coarsen != "store" || want.pes != st.Manifest().PEs {
-			continue
-		}
-		cfg, err := core.ConfigFromNames(want.preset, want.k, 0.03, want.seed, want.pes, 0, want.dist, "distributed")
+	for version, path := range []string{"testdata/rgg10-2pe.kst", "testdata/rgg10-2pe-v2.kst"} {
+		st, err := store.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := serveGolden(nil, st, cfg)
-		if err != nil {
+		if err := st.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		got := want
-		got.record(res.Blocks, res.Cut, res.Balance)
-		if got != want {
-			t.Fatalf("committed store served a different partition\n want %s\n  got %s", want.String(), got.String())
+		if got := st.Manifest().Version; got != version+1 {
+			t.Fatalf("%s: manifest version %d, want %d", path, got, version+1)
 		}
-		return
+		served := false
+		for _, line := range strings.Split(string(data), "\n") {
+			want, err := parseGoldenRow(line)
+			if err != nil || want.instance != "rgg:10" || want.coarsen != "store" || want.pes != st.Manifest().PEs {
+				continue
+			}
+			cfg, err := core.ConfigFromNames(want.preset, want.k, 0.03, want.seed, want.pes, 0, want.dist, "distributed")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := serveGolden(nil, st, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := want
+			got.record(res.Blocks, res.Cut, res.Balance)
+			if got != want {
+				t.Fatalf("%s served a different partition\n want %s\n  got %s", path, want.String(), got.String())
+			}
+			served = true
+			break
+		}
+		if !served {
+			t.Fatalf("%s has no rgg:10 store row over %d PEs", goldenPath, st.Manifest().PEs)
+		}
 	}
-	t.Fatalf("%s has no rgg:10 store row over %d PEs", goldenPath, st.Manifest().PEs)
 }

@@ -26,19 +26,24 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mem"
+	"repro/internal/par"
 )
 
 // Options tunes ContractWith. The zero value reproduces Contract: one
 // worker, no buffer reuse.
 type Options struct {
-	// Workers is the number of goroutines for the count and fill passes, and
-	// the most the numbering before them runs on (it also keeps to the floor
-	// of graph.ParallelRanges); values < 2 run the passes inline. The result
-	// is byte-identical for every worker count.
+	// Workers is the number of spans the count and fill passes split the
+	// coarse nodes into, and the most node ranges the numbering before them
+	// splits into (it also keeps to the floor of graph.ParallelRanges);
+	// values < 2 run the passes inline. The result is byte-identical for
+	// every worker count.
 	Workers int
 	// Arena supplies the reusable scratch buffers (member lists, scatter
 	// arrays); nil falls back to fresh allocations.
 	Arena *mem.Arena
+	// Crew runs the spans and ranges, no more of them at once than it has
+	// members; nil starts goroutines for each pass (par.Spawn).
+	Crew *par.Crew
 }
 
 // Contract contracts every matched edge of m in g. It returns the coarse
@@ -73,13 +78,13 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	// first id it numbers (at) and the degree before it (deg); then it
 	// numbers them (numbering.number). One range runs on the calling
 	// goroutine without a closure, so the serial path allocates nothing more.
-	ranges := min(workers, graph.ParallelRanges(2*g.NumEdges()))
+	ranges := min(workers, graph.ParallelRanges(opt.Crew, 2*g.NumEdges()))
 	at, deg := a.Int32(ranges+1), a.Int64(ranges+1)
 	at[0], deg[0] = 0, 0
 	if ranges == 1 {
 		at[1], deg[1] = countCreators(g, m, 0, int32(n))
 	} else {
-		graph.ForRanges(ranges, func(r int) {
+		opt.Crew.Run(ranges, func(_, r int) {
 			at[r+1], deg[r+1] = countCreators(g, m, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges))
 		})
 	}
@@ -95,7 +100,7 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	if ranges == 1 {
 		nb.number(g, m, 0, int32(n), 0, 0)
 	} else {
-		graph.ForRanges(ranges, func(r int) {
+		opt.Crew.Run(ranges, func(_, r int) {
 			nb.number(g, m, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[r], deg[r])
 		})
 	}
@@ -105,7 +110,7 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 		spans[w].lo = spans[w-1].hi
 	}
 
-	cg := contractMapped(g, fine2coarse, nb.head, nb.next, spans, a).graph()
+	cg := contractMapped(opt.Crew, g, fine2coarse, nb.head, nb.next, spans, a).graph()
 	a.PutInt32(nb.head)
 	a.PutInt32(nb.next)
 	return cg, fine2coarse
@@ -200,10 +205,10 @@ type span struct {
 	maxNW, wdeg  int64
 }
 
-// contractMapped is the count and fill passes every contraction runs, one
-// goroutine per span: the coarse graph of g under fine2coarse, whose coarse
-// node c has the fine members memberHead[c], memberNext[memberHead[c]], …
-// in ascending order up to -1. Node weights are the members' sums, parallel
+// contractMapped is the count and fill passes every contraction runs, each a
+// batch of one task per span on run: the coarse graph of g under
+// fine2coarse, whose coarse node c has the fine members memberHead[c],
+// memberNext[memberHead[c]], … in ascending order up to -1. Node weights are the members' sums, parallel
 // coarse edges merge by summing their weights, edges inside a coarse node
 // vanish, and each row lists its neighbours in the order its members' rows
 // first reach them. Coordinates are the members' means, summed in ascending
@@ -211,7 +216,7 @@ type span struct {
 // so the same bits.
 //
 //kappa:hotpath
-func contractMapped(g *graph.Graph, fine2coarse, memberHead, memberNext []int32, spans []span, a *mem.Arena) coarseCSR {
+func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memberNext []int32, spans []span, a *mem.Arena) coarseCSR {
 	nc := spans[len(spans)-1].hi
 
 	// Node weights and the row index persist with the coarse graph.
@@ -223,7 +228,7 @@ func contractMapped(g *graph.Graph, fine2coarse, memberHead, memberNext []int32,
 	// needPos: only the fill pass uses the scatter-position array; the count
 	// pass skips that borrow.
 	runPass := func(needPos bool, pass func(sp *span, stamp, pos []int32)) {
-		graph.ForRanges(len(spans), func(w int) {
+		run.Run(len(spans), func(_, w int) {
 			stamp := a.Int32(int(nc))
 			clear(stamp) // arena contents are undefined; 0 never matches c+1
 			var pos []int32

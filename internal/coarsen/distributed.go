@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/par"
 )
 
 // PEContraction is what one PE contributes to the next level: the range of
@@ -35,10 +36,13 @@ type PEContraction struct {
 //
 // The coarse node of a pair matched across a cut is owned by the PE owning
 // the endpoint with the smaller global id. Returns the coarse graph and the
-// fine→coarse node map of the global graph.
-func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32) {
+// fine→coarse node map of the global graph; the stitch runs on run.
+func ContractDistributed(run *par.Crew, g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32) {
 	pes := len(sgs)
 	parts := make([]*PEContraction, pes)
+	// One goroutine per PE, not a batch on run: the per-PE kernels meet at
+	// the transport's barriers, and a crew smaller than the PE count would
+	// leave a PE unclaimed while the others wait for it there.
 	var wg sync.WaitGroup
 	for pe := 0; pe < pes; pe++ {
 		wg.Add(1)
@@ -48,7 +52,7 @@ func ContractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Mat
 		}(pe)
 	}
 	wg.Wait()
-	return Stitch(g, parts)
+	return stitch(run, g, parts)
 }
 
 // CheckLengths reports whether p describes itself consistently: one coarse
@@ -79,10 +83,15 @@ func (e *PartError) Unwrap() error { return e.Err }
 // Stitch builds the next-level global coarse graph and the fine→coarse map
 // from the per-PE parts. Parts must be ordered by PE. It is StitchChecked for
 // parts this process computed itself.
+func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
+	return stitch(nil, g, parts)
+}
+
+// stitch is Stitch on run.
 //
 //kappa:invariant ContractSubgraph emits ids of the level it contracts; parts that crossed a process boundary go through StitchChecked
-func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
-	cg, fine2coarse, err := StitchChecked(g, parts)
+func stitch(run *par.Crew, g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
+	cg, fine2coarse, err := StitchChecked(run, g, parts)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -104,8 +113,8 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 // workers' coarse edges used to build it: rows ascending, weights summed,
 // coordinates the means of at most two members, which IEEE addition sums
 // the same in either order. The passes run on graph.ParallelRanges of g's
-// half-edges.
-func StitchChecked(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, error) {
+// half-edges, batches on run.
+func StitchChecked(run *par.Crew, g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, error) {
 	n := g.NumNodes()
 	total, fine := 0, 0
 	for pe, p := range parts {
@@ -142,10 +151,10 @@ func StitchChecked(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int3
 		return nil, nil, &PartError{pe, fmt.Errorf("coarse node %d has no fine member", c)}
 	}
 
-	workers := graph.ParallelRanges(2 * g.NumEdges())
+	workers := graph.ParallelRanges(run, 2*g.NumEdges())
 	head, next := memberLists(fine2coarse, int32(total))
-	cc := contractMapped(g, fine2coarse, head, next, coarseSpans(g, head, next, int32(total), max(1, min(workers, total))), nil)
-	sortRows(cc, workers)
+	cc := contractMapped(run, g, fine2coarse, head, next, coarseSpans(g, head, next, int32(total), max(1, min(workers, total))), nil)
+	sortRows(run, cc, workers)
 	cc.agg.AdjSorted = true
 	return cc.graph(), fine2coarse, nil
 }
@@ -217,15 +226,15 @@ func firstMiss(hit []uint64, total int) int {
 	return -1
 }
 
-// sortRows sorts every row of c by neighbour, on workers goroutines over row
+// sortRows sorts every row of c by neighbour, a batch on run of workers row
 // ranges of about equal half-edges.
-func sortRows(c coarseCSR, workers int) {
+func sortRows(run *par.Crew, c coarseCSR, workers int) {
 	nc := len(c.xadj) - 1
 	half := int64(c.xadj[nc])
 	bound := func(r int) int { // the first row of range r; trailing empty rows belong to none
 		return sort.Search(nc, func(v int) bool { return int64(c.xadj[v])*int64(workers) >= half*int64(r) })
 	}
-	graph.ForRanges(workers, func(r int) {
+	run.Run(workers, func(_, r int) {
 		var rs graph.RowSorter
 		for v, hi := bound(r), bound(r+1); v < hi; v++ {
 			rs.Sort(c.adj[c.xadj[v]:c.xadj[v+1]], c.ewgt[c.xadj[v]:c.xadj[v+1]])

@@ -30,7 +30,7 @@ func distContract(t *testing.T, g *graph.Graph, pes int, seed uint64) (*graph.Gr
 			}
 		}
 	}
-	cg, f2c := ContractDistributed(g, sgs, ms, ex)
+	cg, f2c := ContractDistributed(nil, g, sgs, ms, ex)
 	return cg, f2c, matched / 2
 }
 
@@ -150,7 +150,7 @@ func TestContractDistributedEmptyPE(t *testing.T) {
 	sgs := dist.ExtractAll(g, assign, 3)
 	ex := dist.NewExchanger(3)
 	ms := matching.DistributedBounded(sgs, ex, rating.ExpansionStar2, matching.GPA, 9, 0, true)
-	cg, f2c := ContractDistributed(g, sgs, ms, ex)
+	cg, f2c := ContractDistributed(nil, g, sgs, ms, ex)
 	if err := cg.Validate(); err != nil {
 		t.Fatalf("stitched graph invalid: %v", err)
 	}

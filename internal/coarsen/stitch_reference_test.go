@@ -531,7 +531,7 @@ func TestStitchCheckedRefuses(t *testing.T) {
 		parts, _ := levelParts(g, dist.Assign(g, dist.StrategyRanges, 2), 2, 3)
 		return parts
 	}
-	if _, _, err := coarsen.StitchChecked(g, honest()); err != nil {
+	if _, _, err := coarsen.StitchChecked(nil, g, honest()); err != nil {
 		t.Fatalf("honest parts refused: %v", err)
 	}
 	total := int32(0)
@@ -558,7 +558,7 @@ func TestStitchCheckedRefuses(t *testing.T) {
 		for pe := range 2 {
 			parts := honest()
 			corrupt(parts[pe])
-			_, _, err := coarsen.StitchChecked(g, parts)
+			_, _, err := coarsen.StitchChecked(nil, g, parts)
 			var perr *coarsen.PartError
 			if !errors.As(err, &perr) {
 				t.Fatalf("%s in part %d: got %v, want a *PartError", name, pe, err)
@@ -573,12 +573,12 @@ func TestStitchCheckedRefuses(t *testing.T) {
 	parts := honest()
 	parts[0].FineGlobal, parts[0].FineCoarse = parts[0].FineGlobal[1:], parts[0].FineCoarse[1:]
 	var perr *coarsen.PartError
-	if _, _, err := coarsen.StitchChecked(g, parts); !errors.As(err, &perr) || perr.PE != -1 {
+	if _, _, err := coarsen.StitchChecked(nil, g, parts); !errors.As(err, &perr) || perr.PE != -1 {
 		t.Errorf("a fine node left out: got %v, want a *PartError of PE -1", err)
 	}
 	parts = honest()
 	parts[1].FineGlobal[0] = parts[0].FineGlobal[0]
-	if _, _, err := coarsen.StitchChecked(g, parts); !errors.As(err, &perr) || perr.PE != 1 {
+	if _, _, err := coarsen.StitchChecked(nil, g, parts); !errors.As(err, &perr) || perr.PE != 1 {
 		t.Errorf("a fine node of part 0 mapped by part 1 too: got %v, want a *PartError of PE 1", err)
 	}
 }
@@ -612,7 +612,7 @@ func FuzzStitchMatchesReference(f *testing.F) {
 			}
 			parts, data = append(parts, p), rest
 		}
-		got, gotMap, err := coarsen.StitchChecked(g, parts)
+		got, gotMap, err := coarsen.StitchChecked(nil, g, parts)
 		if err != nil {
 			var perr *coarsen.PartError
 			if !errors.As(err, &perr) || perr.PE < -1 || perr.PE >= len(parts) {

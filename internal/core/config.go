@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/dist"
+	"repro/internal/graph"
 	"repro/internal/initpart"
 	"repro/internal/matching"
 	"repro/internal/rating"
@@ -101,21 +102,19 @@ type Config struct {
 	// coarsening. The paper identifies PEs with blocks; 0 means K.
 	PEs int
 
-	// Workers is the goroutine count of the shared contraction's passes (its
-	// count and fill, and its numbering, which also keeps to the floor of
-	// graph.ParallelRanges) and the size of the refinement crew, the caller
-	// included, that shares out the pairs of a colour class and the rows of
-	// the quotient graph (at most K/2 members find work). 0 means GOMAXPROCS;
-	// 1 runs both inline. The other passes of a run on more than one
-	// goroutine size themselves from the input and GOMAXPROCS: RCB's halves;
-	// one goroutine per block for the local matchings, per PE for the
-	// distributed level's extraction, matching and numbering, and per
-	// initial-partitioning attempt; and the node ranges of
-	// graph.ParallelRanges for the gap-edge scan, the boundary scan, the
-	// stitch, FromEdgeLists and WeightedDegrees. Every parallel pass does for
-	// each node or pair exactly what the serial one does, so partitions are
-	// byte-identical for every Workers value, processor count and
-	// interleaving (TestRunWorkersByteIdentical,
+	// Workers is the size of the run's crew (package par), the caller
+	// included: at most that many tasks of a split pass are in flight at
+	// once. 0 means GOMAXPROCS, and a larger value counts as GOMAXPROCS; 1
+	// runs every pass inline. Every pass that splits into independent tasks
+	// is a batch on the crew — the node ranges of graph.ParallelRanges, the
+	// per-block local matchings, RCB's halves, the per-PE extraction and the
+	// contraction's spans, the refinement pairs of a colour class and the
+	// rows of the quotient graph — except the distributed level's superstep
+	// kernels (one goroutine per PE, which meet at barriers) and the
+	// initial-partitioning attempts (one goroutine each). Every parallel pass
+	// does for each node or pair exactly what the serial one does, so
+	// partitions are byte-identical for every Workers value, processor count
+	// and interleaving (TestRunWorkersByteIdentical,
 	// TestRunAboveParallelFloorsByteIdentical) — the knob trades cores for
 	// wall-clock only.
 	Workers int
@@ -278,6 +277,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// CheckGraph reports, wrapped in ErrInvalidConfig, a graph the configuration
+// cannot partition: one with fewer nodes than K blocks. Run checks it, and so
+// does a front end that admits a job before running it.
+func (c *Config) CheckGraph(g *graph.Graph) error {
+	if c.K > g.NumNodes() {
+		return fmt.Errorf("%w: K = %d blocks for a graph of %d nodes", ErrInvalidConfig, c.K, g.NumNodes())
+	}
+	return nil
+}
+
 // NumPEs returns the effective PE count of the configuration: PEs when set,
 // otherwise K (the paper identifies PEs with blocks).
 func (c *Config) NumPEs() int {
@@ -287,9 +296,10 @@ func (c *Config) NumPEs() int {
 	return c.K
 }
 
+// workers is the size of the run's crew: Workers, at most GOMAXPROCS.
 func (c *Config) workers() int {
 	if c.Workers > 0 {
-		return c.Workers
+		return min(c.Workers, runtime.GOMAXPROCS(0))
 	}
 	return runtime.GOMAXPROCS(0)
 }

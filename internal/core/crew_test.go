@@ -8,13 +8,13 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/coarsen"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/rng"
 )
@@ -30,7 +30,8 @@ func (prepare envRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, init
 
 // within runs f and fails the test with a dump of every goroutine when f has
 // not returned in time: a crew member that missed its wake-up is a goroutine
-// parked in gate.park or yielding in crew.await in that dump, not a flake.
+// parked in par's gate.park or yielding in Crew.await in that dump, not a
+// flake.
 func within(t *testing.T, limit time.Duration, f func() error) {
 	t.Helper()
 	done := make(chan error, 1)
@@ -47,63 +48,13 @@ func within(t *testing.T, limit time.Duration, f func() error) {
 	}
 }
 
-// TestCrewHandshake hands a crew thousands of batches of tasks that do
-// nothing but yield the processor, so that members spend the test
-// publishing, claiming, waiting and being woken, and tasks change hands even
-// on one processor: with the spin budget of a run, and with none, where every
-// wait parks — the path a loaded machine takes. Every task must run exactly
-// once, no batch may return before its last task has, and helpers must have
-// taken their share. A lost wake-up hangs, and within turns that into a dump.
-func TestCrewHandshake(t *testing.T) {
-	for _, spin := range []time.Duration{crewSpin, 0} {
-		for _, members := range []int{2, 3, 8} {
-			within(t, time.Minute, func() error {
-				c := startCrew(members, spin)
-				defer c.stop()
-				ran := make([]atomic.Int32, 16)
-				r := rng.New(uint64(members))
-				tasks, byHelpers := 0, 0
-				for batch := 0; batch < 20000; batch++ {
-					n := 2 + r.Intn(len(ran)-1)
-					byMember := make([]int, members)
-					c.run(n, func(member, i int) {
-						runtime.Gosched()
-						ran[i].Add(1)
-						byMember[member]++ // one writer per member
-					})
-					total := 0
-					for _, m := range byMember {
-						total += m
-					}
-					tasks, byHelpers = tasks+n, byHelpers+total-byMember[0]
-					if total != n {
-						return fmt.Errorf("spin %v, %d members, batch %d: run returned after %d of %d tasks", spin, members, batch, total, n)
-					}
-					for i := range ran {
-						want := int32(0)
-						if i < n {
-							want = 1
-						}
-						if got := ran[i].Swap(0); got != want {
-							return fmt.Errorf("spin %v, %d members, batch %d of %d tasks: task %d ran %d times", spin, members, batch, n, i, got)
-						}
-					}
-				}
-				t.Logf("spin %v, %d members: helpers ran %d of %d tasks", spin, members, byHelpers, tasks)
-				if byHelpers < tasks/100 {
-					return fmt.Errorf("spin %v, %d members: helpers ran %d of %d tasks", spin, members, byHelpers, tasks)
-				}
-				return nil
-			})
-		}
-	}
-}
-
-// TestCrewNearEmptyRounds drives the crew from refineLevel through thousands
-// of rounds of one or two pairs most of which are stuck and return at once —
-// small grids, few blocks, more workers than a class has pairs, every global
-// iteration run — with and without the spin budget, and expects the
-// partition a single worker computes.
+// TestCrewNearEmptyRounds drives the run's crew from refineLevel through
+// thousands of rounds of one or two pairs most of which are stuck and return
+// at once — small grids, few blocks, more workers than a class has pairs,
+// every global iteration run — with and without the spin budget, and expects
+// the partition a single worker computes. Members beyond GOMAXPROCS are
+// started on purpose (par.Start does not cap), so that they take turns even
+// on one processor.
 func TestCrewNearEmptyRounds(t *testing.T) {
 	g := gen.Grid2D(16, 16)
 	rounds := 0
@@ -121,7 +72,12 @@ func TestCrewNearEmptyRounds(t *testing.T) {
 				for _, noSpin := range []bool{false, true} {
 					cfg.Workers = workers
 					prepare := envRefiner(func(env *Env) {
-						env.noSpin = noSpin
+						spin := par.Spin
+						if noSpin {
+							spin = 0 // members park as soon as they have nothing to claim
+						}
+						env.crew.Stop()
+						env.crew = par.Start(workers, spin)
 						env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32) {
 							if a < 0 {
 								rounds++
@@ -148,7 +104,8 @@ func TestCrewNearEmptyRounds(t *testing.T) {
 // TestCrewNeverOutlivesItsRun counts goroutines around every way a run can
 // end — Run and RefineExistingCtx returning a partition, a run cancelled in
 // the middle of refinement, a Refiner that fails after it has refined — and
-// expects the count it started with: the helpers have exited, not gone idle.
+// expects the count it started with: the helpers of the run's crew have
+// exited, not gone idle.
 func TestCrewNeverOutlivesItsRun(t *testing.T) {
 	g := gen.RGG(11, 5)
 	cfg := NewConfig(Fast, 8)
@@ -174,7 +131,7 @@ func TestCrewNeverOutlivesItsRun(t *testing.T) {
 				return err
 			}
 			_, _, err = RefineExistingCtx(context.Background(), g, cfg, res.Blocks)
-			started = true // it takes no Refiner to look through; k=8 on 4 workers starts one
+			started = true // it takes no Refiner to look through; it starts a crew like Run
 			return err
 		},
 		"cancelled": func() error {
@@ -208,13 +165,54 @@ func TestCrewNeverOutlivesItsRun(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !started {
-			t.Fatalf("%s: the run never started a crew", name)
+			t.Fatalf("%s: the run refined without a crew", name)
 		}
 		// Only more goroutines than before is a crew outliving its run: fewer
 		// is one an earlier test left behind, exiting during this case.
 		if after := settled(before); after > before {
 			t.Errorf("%s: %d goroutines before, %d after", name, before, after)
 		}
+	}
+}
+
+// TestHugeWorkersStartsNoMoreHelpersThanProcessors runs with Workers 1<<20,
+// which the service's workers field lets a job ask for, and expects a crew of
+// at most GOMAXPROCS members — no more than GOMAXPROCS-1 goroutines beyond
+// the run's own at any level or refinement iteration — and the bytes of a
+// single worker's run.
+func TestHugeWorkersStartsNoMoreHelpersThanProcessors(t *testing.T) {
+	g := gen.RGG(13, 4)
+	cfg := NewConfig(Fast, 16)
+	cfg.Seed = 5
+	cfg.Workers = 1
+	want, err := Run(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1 << 20
+	procs := runtime.GOMAXPROCS(0)
+	members := 0
+	sized := envRefiner(func(env *Env) { members = env.crew.Members() })
+	before := runtime.NumGoroutine()
+	most := 0
+	sample := ObserverFunc(func(ev TraceEvent) {
+		switch ev.(type) {
+		case LevelEvent, RefineEvent:
+			most = max(most, runtime.NumGoroutine()-before)
+		}
+	})
+	got, err := Run(context.Background(), g, cfg, WithRefiner(sized), WithObserver(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if members < 1 || members > procs {
+		t.Fatalf("Workers=%d: a crew of %d members on %d processors", cfg.Workers, members, procs)
+	}
+	if most > procs-1 {
+		t.Fatalf("Workers=%d: %d goroutines beyond the run's own on %d processors", cfg.Workers, most, procs)
+	}
+	if !slices.Equal(got.Blocks, want.Blocks) {
+		t.Fatalf("Workers=%d: partition differs from Workers=1", cfg.Workers)
 	}
 }
 
@@ -280,7 +278,7 @@ func TestClaimOrderLeavesNoTrace(t *testing.T) {
 				if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
 					t.Fatal(err)
 				}
-				env.stopCrew()
+				env.crew.Stop()
 				weights := make([]int64, k)
 				lists := make([][]int32, k)
 				for b := range weights {

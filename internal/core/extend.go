@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/refine"
 	"repro/internal/rng"
@@ -37,8 +38,8 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 		}
 	}
 	pl := NewPipeline(opts...)
-	env := &Env{observers: pl.Observers}
-	defer env.stopCrew()
+	env := &Env{observers: pl.Observers, crew: par.Start(cfg.workers(), par.Spin)}
+	defer env.crew.Stop()
 	own := append([]int32(nil), blocks...)
 	p := part.FromBlocks(g, cfg.K, cfg.Eps, own)
 	if !p.Feasible() {

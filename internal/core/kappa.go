@@ -10,6 +10,7 @@ import (
 	"repro/internal/initpart"
 	"repro/internal/matching"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/rating"
 	"repro/internal/refine"
@@ -31,21 +32,17 @@ type Result struct {
 
 // sharedLevel performs one contraction level on the shared global graph:
 // parallel (or, with one PE, sequential) matching followed by a global
-// two-pass contraction, both drawing scratch from a. It reports the
-// wall-clock of each kernel for the level's LevelEvent. Returns (nil, nil,
-// ...) when the matching comes out empty.
-func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, maxPair int64, a *mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
+// two-pass contraction, both batches on run and drawing scratch from a. It
+// reports the wall-clock of each kernel for the level's LevelEvent. Returns
+// (nil, nil, ...) when the matching comes out empty.
+func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, maxPair int64, a *mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
 	tm := time.Now()
 	rt := rating.NewRater(cfg.Rating, cur)
 	var m matching.Matching
 	if pes > 1 {
 		// The prepartition (§3.3) localizes matching work onto PEs; the
 		// strategy does not influence the final partition directly.
-		match := matching.ParallelScratch
-		if !cfg.GapMatching {
-			match = matching.LocalScratch
-		}
-		m = match(cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, a)
+		m = matching.Parallel(run, cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching, a)
 	} else {
 		m = matching.ComputeScratch(cur, rt, cfg.Matcher, rng.NewStream(cfg.Seed, uint64(level)), maxPair, a)
 	}
@@ -55,7 +52,7 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 		return nil, nil, matchT, 0
 	}
 	tc := time.Now()
-	cg, f2c := coarsen.ContractWith(cur, m, coarsen.Options{Workers: cfg.workers(), Arena: a})
+	cg, f2c := coarsen.ContractWith(cur, m, coarsen.Options{Workers: run.Members(), Arena: a, Crew: run})
 	a.PutInt32([]int32(m))
 	return cg, f2c, matchT, time.Since(tc)
 }
@@ -72,10 +69,11 @@ func sharedLevel(cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, 
 // the one in-process level kernel: `-coarsen distributed` runs it per level,
 // and internal/remote's coordinator runs it when it has no workers left.
 // scratch holds one arena per PE for the matching temporaries (nil allocates
-// fresh).
-func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64, scratch []*mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
+// fresh). The extraction and the stitch are batches on run; the superstep
+// kernels between them put every PE on a goroutine of its own.
+func DistributedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64, scratch []*mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
 	tm := time.Now()
-	sgs := dist.ExtractAll(cur, blocks, t.PEs())
+	sgs := dist.ExtractAllOn(run, cur, blocks, t.PEs())
 	ms := matching.DistributedScratch(sgs, t, cfg.Rating, cfg.Matcher,
 		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching, scratch)
 	matchT := time.Since(tm)
@@ -90,7 +88,7 @@ func DistributedLevel(cur *graph.Graph, cfg *Config, blocks []int32, t dist.Tran
 		return nil, nil, matchT, 0
 	}
 	tc := time.Now()
-	cg, f2c := coarsen.ContractDistributed(cur, sgs, ms, t)
+	cg, f2c := coarsen.ContractDistributed(run, cur, sgs, ms, t)
 	return cg, f2c, matchT, time.Since(tc)
 }
 
@@ -109,14 +107,14 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // before every global iteration. The level owns the run's boundary index,
 // rebuilt here: the schedule reads its quotient, every pair draws its band
 // seeds from the lists of its two blocks and patches them with its moves.
-// A round of more than one pair goes to the run's crew (crew.go), the caller
-// claiming pairs beside the helpers.
+// A round of more than one pair, and the rows of the quotient graph, are
+// batches on the run's crew, the caller claiming beside the helpers.
 func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) error {
 	if cfg.K < 2 {
 		return nil
 	}
 	idx := &env.boundary
-	idx.Reset(p, p.Block, -1, -1)
+	idx.Reset(env.crew, p, p.Block, -1, -1)
 	r := round{
 		p:     p,
 		idx:   idx,
@@ -124,22 +122,16 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 		local: cfg.LocalIter,
 		check: env.indexCheck,
 	}
-	// Every crew member owns one of the run's FM workspaces; a class holds
-	// at most K/2 pairs.
-	workers := min(cfg.workers(), cfg.K/2)
-	workspaces := env.workspacesFor(workers)
+	// Every crew member owns one of the run's FM workspaces.
+	members := env.crew.Members()
+	workspaces := env.workspacesFor(members)
 	refinePair := func(member, i int) { r.refine(workspaces[member], i) }
 	fruitlessRuns := 0
 	for global := 0; global < cfg.MaxGlobalIter; global++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var q []part.QEdge
-		if env.crew != nil {
-			q = idx.QuotientOn(workers, env.crew.run)
-		} else {
-			q = idx.Quotient()
-		}
+		q := idx.QuotientOn(env.crew)
 		rounds := schedule(q, cfg, levelSeed, global)
 		var totalGain int64
 		for ri, class := range rounds {
@@ -156,13 +148,7 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 			if env.claimOrder != nil {
 				env.claimOrder(class)
 			}
-			if workers > 1 && len(class) > 1 {
-				env.crewFor(workers).run(len(class), refinePair)
-			} else {
-				for i := range class {
-					refinePair(0, i)
-				}
-			}
+			env.crew.Run(len(class), refinePair)
 			if env.indexCheck != nil {
 				env.indexCheck(idx, p, p.Block, -1, -1)
 			}

@@ -145,12 +145,12 @@ func TestNoGapLevelContractsTheLocalMatching(t *testing.T) {
 	cfg := NewConfig(Fast, 8)
 	cfg.Seed = 3
 	for level := 0; level < 2; level++ {
-		g, _, _, _ = sharedLevel(g, &cfg, dist.Assign(g, cfg.Distribution, 8), 8, level, 0, nil)
+		g, _, _, _ = sharedLevel(nil, g, &cfg, dist.Assign(g, cfg.Distribution, 8), 8, level, 0, nil)
 	}
 	blocks := dist.Assign(g, cfg.Distribution, 8)
 	cfg.GapMatching = false
-	_, f2c, _, _ := sharedLevel(g, &cfg, blocks, 8, 2, 0, nil)
-	local := matching.LocalScratch(g, rating.NewRater(cfg.Rating, g), cfg.Matcher, blocks, 8, cfg.Seed+2*101, 0, nil)
+	_, f2c, _, _ := sharedLevel(nil, g, &cfg, blocks, 8, 2, 0, nil)
+	local := matching.Parallel(nil, g, rating.NewRater(cfg.Rating, g), cfg.Matcher, blocks, 8, cfg.Seed+2*101, 0, false, nil)
 	if _, want := coarsen.Contract(g, local); !slices.Equal(f2c, want) {
 		t.Fatal("the level did not contract the local matching")
 	}

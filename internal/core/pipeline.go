@@ -12,6 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/refine"
 	"repro/internal/rng"
@@ -70,7 +71,7 @@ type Env struct {
 	stats     *dist.TransportStats
 	peScratch []*mem.Arena        // see scratchFor
 	refineWS  []*refine.Workspace // see workspacesFor
-	crew      *crew               // see crewFor; stopped before the run returns
+	crew      *par.Crew           // see Crew; stopped before the run returns
 	boundary  part.BoundaryIndex  // reset by every refinement level, storage reused
 
 	// indexCheck is nil outside tests. refineLevel calls it on the pair's
@@ -83,9 +84,6 @@ type Env struct {
 	// class, whose pairs are claimed in slice order, to permute in place
 	// before the round starts.
 	claimOrder func(class []part.QEdge)
-	// noSpin is false outside tests: set, crew members park as soon as they
-	// have nothing to claim, the path a process takes whose cores are busy.
-	noSpin bool
 }
 
 // scratchFor returns the run's scratch arenas for distributed coarsening,
@@ -109,28 +107,10 @@ func (e *Env) workspacesFor(workers int) []*refine.Workspace {
 	return e.refineWS[:workers]
 }
 
-// crewFor returns the run's refinement crew of workers members, the caller
-// included, started on first use.
-func (e *Env) crewFor(workers int) *crew {
-	if e.crew == nil {
-		spin := crewSpin
-		if e.noSpin {
-			spin = 0
-		}
-		e.crew = startCrew(workers, spin)
-	}
-	return e.crew
-}
-
-// stopCrew ends the run's refinement crew, if one was started: when it
-// returns the helpers have exited. Whoever makes an Env that reaches
-// refineLevel defers it.
-func (e *Env) stopCrew() {
-	if e.crew != nil {
-		e.crew.stop()
-		e.crew = nil
-	}
-}
+// Crew returns the run's crew: every pass of the run that splits into
+// independent tasks is a batch on it, and a stage of another package hands
+// it to the kernels it calls. nil outside a run.
+func (e *Env) Crew() *par.Crew { return e.crew }
 
 // Emit delivers ev to every attached Observer, in attachment order.
 func (e *Env) Emit(ev TraceEvent) {
@@ -264,6 +244,9 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
+	if err := cfg.CheckGraph(g); err != nil {
+		return Result{}, err
+	}
 	if pl.Transport != nil && pl.Transport.PEs() != cfg.NumPEs() {
 		return Result{}, fmt.Errorf("%w: transport connects %d PEs, configuration uses %d",
 			ErrInvalidConfig, pl.Transport.PEs(), cfg.NumPEs())
@@ -282,10 +265,12 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		Arena:       arena,
 		observers:   pl.Observers,
 		stats:       pl.Stats,
+		// One crew per run, of min(Workers, GOMAXPROCS) members.
+		crew: par.Start(cfg.workers(), par.Spin),
 	}
-	defer env.stopCrew()
+	defer env.crew.Stop()
 	if env.Distributor == nil {
-		env.Distributor = strategyDistributor{arena}
+		env.Distributor = strategyDistributor{arena, env.crew}
 	}
 	coarsener := pl.Coarsener
 	if coarsener == nil {
@@ -303,14 +288,16 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	start := time.Now()
 
 	// Each phase runs under a pprof goroutine label (inherited by every
-	// worker goroutine the phase spawns), so CPU profiles of a run split by
-	// stage. A handful of label allocations per run — noise next to a phase.
+	// goroutine the phase spawns, and handed to the crew's helpers), so CPU
+	// profiles of a run split by stage. A handful of label allocations per
+	// run — noise next to a phase.
 
 	// ------ Contraction phase (§3) ------
 	tc := time.Now()
 	var h *coarsen.Hierarchy
 	var err error
 	pprof.Do(ctx, pprof.Labels("stage", PhaseCoarsen.String()), func(ctx context.Context) {
+		env.crew.Label(ctx)
 		h, err = coarsener.Coarsen(ctx, g, &cfg, env)
 	})
 	if err != nil {
@@ -327,6 +314,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	var block []int32
 	var cut int64
 	pprof.Do(ctx, pprof.Labels("stage", PhaseInit.String()), func(ctx context.Context) {
+		env.crew.Label(ctx)
 		block, cut, err = initial.InitialPartition(ctx, h.Coarsest, &cfg, env)
 	})
 	if err != nil {
@@ -340,6 +328,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	tr := time.Now()
 	var p *part.Partition
 	pprof.Do(ctx, pprof.Labels("stage", PhaseRefine.String()), func(ctx context.Context) {
+		env.crew.Label(ctx)
 		p, err = refiner.Refine(ctx, h, block, &cfg, env)
 	})
 	if err != nil {
@@ -363,16 +352,19 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 }
 
 // strategyDistributor is the default Distributor: the strategy selected by
-// cfg.Distribution (§3.3), with scratch and the assignment itself borrowed
-// from the run's arena — CoarsenWith hands the assignment back once the
-// level's kernel is done with it.
-type strategyDistributor struct{ arena *mem.Arena }
+// cfg.Distribution (§3.3) on the run's crew, with scratch and the assignment
+// itself borrowed from the run's arena — CoarsenWith hands the assignment
+// back once the level's kernel is done with it.
+type strategyDistributor struct {
+	arena *mem.Arena
+	crew  *par.Crew
+}
 
 func (d strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg *Config, pes int) ([]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return dist.AssignScratch(g, cfg.Distribution, pes, d.arena), nil
+	return dist.AssignScratch(d.crew, g, cfg.Distribution, pes, d.arena), nil
 }
 
 // LevelKernel performs one contraction level: match cur (with blocks as the
@@ -417,20 +409,18 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 		}
 		cur := h.Coarsest
 		tl := time.Now()
-		var blocks []int32
-		if pes > 1 {
-			var err error
-			blocks, err = env.Distributor.Distribute(ctx, cur, cfg, pes)
-			if err != nil {
-				return nil, err
-			}
-		}
+		var blocks, f2c []int32
 		var cg *graph.Graph
-		var f2c []int32
 		var matchT, contractT time.Duration
 		var err error
 		pprof.Do(ctx, pprof.Labels("level", strconv.Itoa(level)), func(ctx context.Context) {
-			cg, f2c, matchT, contractT, err = kernel(ctx, cur, cfg, blocks, level, maxPair)
+			env.crew.Label(ctx)
+			if pes > 1 {
+				blocks, err = env.Distributor.Distribute(ctx, cur, cfg, pes)
+			}
+			if err == nil {
+				cg, f2c, matchT, contractT, err = kernel(ctx, cur, cfg, blocks, level, maxPair)
+			}
 		})
 		if d, ok := env.Distributor.(strategyDistributor); ok {
 			d.arena.PutInt32(blocks)
@@ -471,9 +461,9 @@ func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Confi
 		var f2c []int32
 		var matchT, contractT time.Duration
 		if pes > 1 && cfg.Coarsen == CoarsenDistributed {
-			cg, f2c, matchT, contractT = DistributedLevel(cur, cfg, blocks, env.transportFor(pes), level, maxPair, env.scratchFor(pes))
+			cg, f2c, matchT, contractT = DistributedLevel(env.crew, cur, cfg, blocks, env.transportFor(pes), level, maxPair, env.scratchFor(pes))
 		} else {
-			cg, f2c, matchT, contractT = sharedLevel(cur, cfg, blocks, pes, level, maxPair, env.Arena)
+			cg, f2c, matchT, contractT = sharedLevel(env.crew, cur, cfg, blocks, pes, level, maxPair, env.Arena)
 		}
 		return cg, f2c, matchT, contractT, nil
 	})

@@ -36,6 +36,16 @@ func TestRunInvalidConfig(t *testing.T) {
 	if _, err := Run(context.Background(), nil, NewConfig(Fast, 4)); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("nil graph: got %v", err)
 	}
+	// More blocks than nodes: refused before anything is sized by K — the
+	// colour sets of 100 000 blocks once asked for 2.5 GB.
+	for _, k := range []int{65, 100000} {
+		if _, err := Run(context.Background(), g, NewConfig(Fast, k)); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("k=%d on %d nodes: got %v", k, g.NumNodes(), err)
+		}
+	}
+	if _, err := Run(context.Background(), g, NewConfig(Fast, g.NumNodes())); err != nil {
+		t.Errorf("k = n = %d: %v", g.NumNodes(), err)
+	}
 }
 
 // TestStopRule pins the contraction threshold at points where each of its

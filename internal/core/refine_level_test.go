@@ -14,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/part"
 )
 
@@ -146,10 +147,10 @@ func newRefineLevelBench(tb testing.TB, spec string, workers int) *refineLevelBe
 	}
 	cfg := NewConfig(Fast, 16)
 	cfg.Seed, cfg.MaxGlobalIter, cfg.Workers = 1, 1, workers
-	// The Env lives as long as a run's does: its crew starts in the first
-	// pass and is stopped when the benchmark is over.
-	env := &Env{Arena: mem.NewArena()}
-	tb.Cleanup(env.stopCrew)
+	// The Env lives as long as a run's does: its crew is stopped when the
+	// benchmark is over.
+	env := &Env{Arena: mem.NewArena(), crew: par.Start(workers, par.Spin)}
+	tb.Cleanup(env.crew.Stop)
 	return &refineLevelBench{g, base.Blocks, make([]int32, g.NumNodes()), cfg, env}
 }
 

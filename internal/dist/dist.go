@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/par"
 )
 
 // Strategy names a node-to-PE distribution strategy.
@@ -95,14 +96,15 @@ func ParseStrategy(name string) (Strategy, error) {
 // index ranges when g has no coordinates, so Assign never fails. Node weights
 // are respected by every strategy.
 func Assign(g *graph.Graph, s Strategy, pes int) []int32 {
-	return AssignScratch(g, s, pes, nil)
+	return AssignScratch(nil, g, s, pes, nil)
 }
 
-// AssignScratch is Assign drawing its temporaries — and the returned
-// assignment itself — from a (nil = allocate fresh). The caller owns the
-// result; hand it back with a.PutInt32 when done. Node weights are read from
-// g in place.
-func AssignScratch(g *graph.Graph, s Strategy, pes int, a *mem.Arena) []int32 {
+// AssignScratch is Assign on a run's crew — the halves of recursive
+// coordinate bisection are batches on run — drawing its temporaries, and the
+// returned assignment itself, from a (nil = allocate fresh). The caller owns
+// the result; hand it back with a.PutInt32 when done. Node weights are read
+// from g in place.
+func AssignScratch(run *par.Crew, g *graph.Graph, s Strategy, pes int, a *mem.Arena) []int32 {
 	if pes <= 1 {
 		return allOnPE0(a, g.NumNodes())
 	}
@@ -110,7 +112,7 @@ func AssignScratch(g *graph.Graph, s Strategy, pes int, a *mem.Arena) []int32 {
 	case StrategyRCB, StrategyAuto:
 		if g.HasCoords() {
 			// All available dimensions: real 3D bisection for 3D inputs.
-			return rcbScratch(g.CoordSlices(), g.NodeWeights(), pes, a)
+			return rcbScratch(run, g.CoordSlices(), g.NodeWeights(), pes, a)
 		}
 	case StrategySFC:
 		if g.HasCoords() {

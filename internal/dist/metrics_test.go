@@ -71,7 +71,7 @@ func TestImbalanceMatchesBlockWeights(t *testing.T) {
 	g := gen.RGG(10, 7)
 	x, y := g.Coords()
 	pes := 6
-	assign := rcbScratch([][]float64{x, y}, nil, pes, nil)
+	assign := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
 	weights := BlockWeights(g, assign, pes)
 	var total, max int64
 	for _, w := range weights {

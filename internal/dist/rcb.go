@@ -2,19 +2,18 @@ package dist
 
 import (
 	"math/bits"
-	"runtime"
 	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/par"
 )
 
 // rcbScratch is recursive coordinate bisection (§3.3) over any number of
 // coordinate dimensions: the current node set is split at the weighted
 // median of its widest dimension (the one with the largest extent; the
 // lowest dimension index wins ties), the two halves recurse on the two
-// halves of the PE group, side by side on up to GOMAXPROCS goroutines where
-// both are large (bisect). Non-power-of-two PE counts are handled by
+// halves of the PE group, side by side on the members of run where both are
+// large (bisect). Non-power-of-two PE counts are handled by
 // splitting a p-PE group into ⌊p/2⌋ and ⌈p/2⌉ PEs and placing the cut at
 // the matching weight fraction. w == nil means unit weights. The result is
 // deterministic: ties in coordinates are broken by node id. With two
@@ -28,7 +27,7 @@ import (
 // allocate); the caller owns the result.
 //
 //kappa:invariant the distributor only selects RCB for graphs that carry coordinates
-func rcbScratch(dims [][]float64, w []int64, pes int, a *mem.Arena) []int32 {
+func rcbScratch(run *par.Crew, dims [][]float64, w []int64, pes int, a *mem.Arena) []int32 {
 	if len(dims) == 0 {
 		panic("dist: RCB needs at least one coordinate dimension")
 	}
@@ -45,34 +44,35 @@ func rcbScratch(dims [][]float64, w []int64, pes int, a *mem.Arena) []int32 {
 	if w != nil {
 		total = weightOf(w, nodes)
 	}
-	r := rcb{w: w, assign: assign}
-	r.bisect(dims, nodes, total, 0, pes, runtime.GOMAXPROCS(0))
+	r := rcb{w: w, assign: assign, run: run}
+	r.bisect(dims, nodes, total, 0, pes, run.Members())
 	a.PutInt32(nodes)
 	return assign
 }
 
 // parallelRCBNodes is the least number of nodes on each side of a split for
 // bisect to recurse into the two halves side by side. Measured on the
-// reference box at 16 PEs and GOMAXPROCS 2 (EXPERIMENTS.md "PR 30"), a floor
-// of 1 024 against 4 096 takes rgg:12 from 0.26 to 0.21 ms and rgg:11 from
-// 0.11 to 0.094 ms and leaves the larger levels as they are; below it the
-// halves are too short to pay for their goroutines.
-const parallelRCBNodes = 1024
+// reference box at 16 PEs on a crew of two (EXPERIMENTS.md "PR 31"), a floor
+// of 256 against 1 024 takes rgg:12 from 0.41–0.47 to 0.38–0.41 ms and leaves
+// rgg:9–11 and rgg:13 as they are; with no floor at all rgg:9 and rgg:10 read
+// up to 40 % slower in one round of two.
+const parallelRCBNodes = 256
 
 // rcb is the state of one recursive coordinate bisection besides its
 // coordinates.
 type rcb struct {
 	w      []int64 // nil = unit weights
 	assign []int32
+	run    *par.Crew
 }
 
 // bisect assigns nodes (total weight weight) to the p PEs starting at pe0 on
 // at most procs goroutines. The two halves of a split that both go on
-// splitting and both hold parallelRCBNodes nodes run side by side, each with
-// half of procs: they write the assign entries of disjoint node sets and
-// permute disjoint subslices of nodes, and which nodes fall left of a split
-// depends only on the set being split (selectPrefix), so the result is the
-// same for every procs.
+// splitting and both hold parallelRCBNodes nodes are a batch of two on r.run,
+// each with half of procs (on a crew, the splits inside a half run inline):
+// they write the assign entries of disjoint node sets and permute disjoint
+// subslices of nodes, and which nodes fall left of a split depends only on the
+// set being split (selectPrefix), so the result is the same for every procs.
 func (r rcb) bisect(dims [][]float64, nodes []int32, weight int64, pe0, p, procs int) {
 	if p <= 1 || len(nodes) <= 1 {
 		for _, v := range nodes {
@@ -120,7 +120,7 @@ func (r rcb) bisect(dims [][]float64, nodes []int32, weight int64, pe0, p, procs
 		// The halves get their own list of dimensions, so that the caller's
 		// need not outlive its frame on the serial path.
 		dims := slices.Clone(dims)
-		graph.ForRanges(2, func(half int) {
+		r.run.Run(2, func(_, half int) {
 			if half == 0 {
 				r.bisect(dims, nodes[:s], leftWeight, pe0, pl, procs-procs/2)
 			} else {

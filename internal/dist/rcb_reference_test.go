@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -156,13 +157,13 @@ func TestRCBMatchesReference(t *testing.T) {
 		for _, c := range rcbCases(n, uint64(n)) {
 			for _, pes := range []int{2, 3, 5, 8, 13, 64} {
 				want := rcbReference(c.dims, c.w, pes)
-				got := rcbScratch(c.dims, c.w, pes, nil)
+				got := rcbScratch(nil, c.dims, c.w, pes, nil)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s n=%d pes=%d: selection %v, reference %v", c.name, n, pes, got, want)
 				}
 				// The arena-backed entry point must agree too, borrow after
 				// borrow on stale buffers.
-				scratch := rcbScratch(c.dims, c.w, pes, arena)
+				scratch := rcbScratch(nil, c.dims, c.w, pes, arena)
 				if !slices.Equal(scratch, want) {
 					t.Fatalf("%s n=%d pes=%d: arena-backed run differs from the reference", c.name, n, pes)
 				}
@@ -200,6 +201,8 @@ func TestRCBAboveFloorMatchesReference(t *testing.T) {
 		cx, cy, cw = append(cx, x), append(cy, y), append(cw, w)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	crew := par.Start(2, par.Spin)
+	defer crew.Stop()
 	for _, c := range []rcbCase{
 		{"rgg15", mesh.CoordSlices(), mesh.NodeWeights()},
 		{"grid3d", grid.CoordSlices(), nil},
@@ -212,8 +215,11 @@ func TestRCBAboveFloorMatchesReference(t *testing.T) {
 			want := rcbReference(c.dims, c.w, pes)
 			for _, procs := range []int{1, 2} {
 				runtime.GOMAXPROCS(procs)
-				if got := rcbScratch(c.dims, c.w, pes, nil); !slices.Equal(got, want) {
-					t.Fatalf("%s pes=%d GOMAXPROCS=%d: assignment differs from the reference", c.name, pes, procs)
+				// Goroutines per split, and a crew whose nested splits run inline.
+				for _, run := range []*par.Crew{nil, crew} {
+					if got := rcbScratch(run, c.dims, c.w, pes, nil); !slices.Equal(got, want) {
+						t.Fatalf("%s pes=%d GOMAXPROCS=%d crew %v: assignment differs from the reference", c.name, pes, procs, run != nil)
+					}
 				}
 			}
 		}
@@ -289,7 +295,7 @@ func FuzzRCBMatchesReference(f *testing.F) {
 		}
 		for _, dims := range [][][]float64{{x, y}, {x, y, z}} {
 			want := rcbReference(dims, w, int(pes))
-			if got := rcbScratch(dims, w, int(pes), nil); !slices.Equal(got, want) {
+			if got := rcbScratch(nil, dims, w, int(pes), nil); !slices.Equal(got, want) {
 				t.Fatalf("%dD pes=%d: selection %v, reference %v", len(dims), pes, got, want)
 			}
 		}
@@ -305,7 +311,7 @@ func BenchmarkRCB(b *testing.B) {
 			arena := mem.NewArena()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				arena.PutInt32(AssignScratch(g, StrategyRCB, pes, arena))
+				arena.PutInt32(AssignScratch(nil, g, StrategyRCB, pes, arena))
 			}
 		})
 	}

@@ -23,7 +23,7 @@ func TestRCBBalanceNonPowerOfTwo(t *testing.T) {
 	for _, pes := range []int{2, 3, 4, 5, 6, 7, 8, 12, 13} {
 		for _, seed := range []uint64{1, 2, 3} {
 			x, y := randomPoints(4000, seed)
-			assign := rcbScratch([][]float64{x, y}, nil, pes, nil)
+			assign := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
 			checkAssignment(t, assign, len(x), pes)
 			counts := make([]int, pes)
 			for _, pe := range assign {
@@ -42,8 +42,8 @@ func TestRCBBalanceNonPowerOfTwo(t *testing.T) {
 func TestRCBDeterministic(t *testing.T) {
 	for _, seed := range []uint64{7, 8, 9} {
 		x, y := randomPoints(2000, seed)
-		a := rcbScratch([][]float64{x, y}, nil, 5, nil)
-		b := rcbScratch([][]float64{x, y}, nil, 5, nil)
+		a := rcbScratch(nil, [][]float64{x, y}, nil, 5, nil)
+		b := rcbScratch(nil, [][]float64{x, y}, nil, 5, nil)
 		for v := range a {
 			if a[v] != b[v] {
 				t.Fatalf("seed=%d: RCB not deterministic at node %d: %d vs %d", seed, v, a[v], b[v])
@@ -64,7 +64,7 @@ func TestRCBWeighted(t *testing.T) {
 		}
 	}
 	pes := 4
-	assign := rcbScratch([][]float64{x, y}, w, pes, nil)
+	assign := rcbScratch(nil, [][]float64{x, y}, w, pes, nil)
 	checkAssignment(t, assign, len(x), pes)
 	sums := make([]int64, pes)
 	var total int64
@@ -83,13 +83,13 @@ func TestRCBWeighted(t *testing.T) {
 func TestRCBDegenerate(t *testing.T) {
 	// n < pes: all PEs in range, every node its own PE.
 	x, y := randomPoints(3, 11)
-	assign := rcbScratch([][]float64{x, y}, nil, 8, nil)
+	assign := rcbScratch(nil, [][]float64{x, y}, nil, 8, nil)
 	checkAssignment(t, assign, 3, 8)
 
 	// Identical coordinates: ties break by id, split must still balance.
 	xc := make([]float64, 100)
 	yc := make([]float64, 100)
-	assign = rcbScratch([][]float64{xc, yc}, nil, 4, nil)
+	assign = rcbScratch(nil, [][]float64{xc, yc}, nil, 4, nil)
 	checkAssignment(t, assign, 100, 4)
 	counts := make([]int, 4)
 	for _, pe := range assign {
@@ -103,13 +103,13 @@ func TestRCBDegenerate(t *testing.T) {
 
 	// Zero-weight subset must not panic or leave PEs out of range.
 	x, y = randomPoints(60, 5)
-	checkAssignment(t, rcbScratch([][]float64{x, y}, make([]int64, 60), 7, nil), 60, 7)
+	checkAssignment(t, rcbScratch(nil, [][]float64{x, y}, make([]int64, 60), 7, nil), 60, 7)
 
 	// pes=1 and empty input.
-	if got := rcbScratch([][]float64{nil, nil}, nil, 4, nil); len(got) != 0 {
+	if got := rcbScratch(nil, [][]float64{nil, nil}, nil, 4, nil); len(got) != 0 {
 		t.Errorf("empty input: got %v", got)
 	}
-	for _, pe := range rcbScratch([][]float64{x, y}, nil, 1, nil) {
+	for _, pe := range rcbScratch(nil, [][]float64{x, y}, nil, 1, nil) {
 		if pe != 0 {
 			t.Fatal("pes=1 must map everything to PE 0")
 		}
@@ -119,7 +119,7 @@ func TestRCBDegenerate(t *testing.T) {
 func TestRCBEveryPEPopulated(t *testing.T) {
 	for _, pes := range []int{2, 3, 5, 9, 16} {
 		x, y := randomPoints(500, 33)
-		assign := rcbScratch([][]float64{x, y}, nil, pes, nil)
+		assign := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
 		counts := make([]int, pes)
 		for _, pe := range assign {
 			counts[pe]++
@@ -138,8 +138,8 @@ func TestRCBEveryPEPopulated(t *testing.T) {
 func TestRCBDims2DEquivalence(t *testing.T) {
 	for _, pes := range []int{2, 5, 8, 13} {
 		x, y := randomPoints(3000, 7)
-		a := rcbScratch([][]float64{x, y}, nil, pes, nil)
-		b := rcbScratch([][]float64{x, y, make([]float64, len(x))}, nil, pes, nil)
+		a := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
+		b := rcbScratch(nil, [][]float64{x, y, make([]float64, len(x))}, nil, pes, nil)
 		for v := range a {
 			if a[v] != b[v] {
 				t.Fatalf("pes=%d: assignment differs at node %d: %d vs %d", pes, v, a[v], b[v])
@@ -158,7 +158,7 @@ func TestRCB3DSplitsWidestAxis(t *testing.T) {
 	for i := range z {
 		z[i] = 100 * r.Float64()
 	}
-	assign := rcbScratch([][]float64{x, y, z}, nil, 2, nil)
+	assign := rcbScratch(nil, [][]float64{x, y, z}, nil, 2, nil)
 	// Every PE-0 node must have smaller z than every PE-1 node.
 	max0, min1 := -1.0, 101.0
 	var n0 int
@@ -190,7 +190,7 @@ func TestRCB3DBalance(t *testing.T) {
 		z[i] = r.Float64()
 	}
 	for _, pes := range []int{2, 3, 7, 8, 16} {
-		assign := rcbScratch([][]float64{x, y, z}, nil, pes, nil)
+		assign := rcbScratch(nil, [][]float64{x, y, z}, nil, pes, nil)
 		counts := make([]int, pes)
 		for _, pe := range assign {
 			if pe < 0 || int(pe) >= pes {

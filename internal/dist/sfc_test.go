@@ -68,7 +68,7 @@ func TestSFCComparableToRCBOnRGG(t *testing.T) {
 	x, y := g.Coords()
 	pes := 8
 	lsfc := EdgeLocality(g, sfcAssign([][]float64{x, y}, nil, pes, nil))
-	lrcb := EdgeLocality(g, rcbScratch([][]float64{x, y}, nil, pes, nil))
+	lrcb := EdgeLocality(g, rcbScratch(nil, [][]float64{x, y}, nil, pes, nil))
 	if lsfc < 0.8*lrcb {
 		t.Errorf("Hilbert locality %.3f far below RCB %.3f", lsfc, lrcb)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Subgraph is one PE's share of a distributed graph: the nodes assigned to
@@ -281,20 +282,19 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 	return agg, int(largest) < len(xadj)-1 && lightest > 0 || len(adj) == 0
 }
 
-// ExtractAll extracts every PE's subgraph concurrently. Ownership is
-// bucketed in one shared pass so the total cost is O(n + Σ local work), not
-// pes full scans.
+// ExtractAll extracts every PE's subgraph concurrently, on goroutines
+// started for the call (a nil par.Crew). Ownership is bucketed in one shared
+// pass so the total cost is O(n + Σ local work), not pes full scans.
 func ExtractAll(g *graph.Graph, assign []int32, pes int) []*Subgraph {
+	return ExtractAllOn(nil, g, assign, pes)
+}
+
+// ExtractAllOn is ExtractAll with the per-PE extractions a batch on run.
+func ExtractAllOn(run *par.Crew, g *graph.Graph, assign []int32, pes int) []*Subgraph {
 	owned, local := OwnedLists(assign, pes)
 	out := make([]*Subgraph, pes)
-	var wg sync.WaitGroup
-	for pe := 0; pe < pes; pe++ {
-		wg.Add(1)
-		go func(pe int) {
-			defer wg.Done()
-			out[pe] = ExtractOwned(g, assign, int32(pe), owned[pe], local)
-		}(pe)
-	}
-	wg.Wait()
+	run.Run(pes, func(_, pe int) {
+		out[pe] = ExtractOwned(g, assign, int32(pe), owned[pe], local)
+	})
 	return out
 }

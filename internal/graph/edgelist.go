@@ -5,7 +5,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // EdgeList is a batch of undirected edges in parallel-array form: edge i
@@ -15,30 +16,31 @@ type EdgeList struct {
 	W    []int64
 }
 
-// parallelHalfEdges is the least number of half-edges FromEdgeLists puts on
-// more than one goroutine, and half of it the least share it gives each.
-// Every goroutine scans all the edges and writes only the rows of its range.
-// Measured on the reference box with BenchmarkFromEdgeLists, one range against
-// two, while the caller still ran the first range itself and the second
-// started 85–100 µs late: 16 k half-edges 0.45 → 0.50 ms, 33 k 0.98 →
-// 0.84–1.05 ms, 66 k 2.1 → 1.6 ms, 131 k 4.4 → 2.7 ms, 262 k 8.0 → 5.2 ms
-// (EXPERIMENTS.md "PR 24"). Below the floor one range — the serial kernel —
-// was as fast or faster, so the coarse levels of a hierarchy stay on one
-// goroutine. Since ForRanges' caller waits instead, two ranges win from 16 k
-// half-edges on (EXPERIMENTS.md "PR 30"); the floor stays where the passes it
-// sizes were measured.
-const parallelHalfEdges = 1 << 16
+// parallelHalfEdges is the least number of half-edges a pass sized by
+// ParallelRanges splits into node ranges, and half of it the least share it
+// gives each. Measured with the run's crew awake (EXPERIMENTS.md "PR 31"), a
+// floor of 8 192 against 65 536 took in-process rmat:12 k=16 coarsening from
+// 11.0–12.7 to 9.7–11.4 ms and left rgg:15 where it was: a batch handed to an
+// awake helper costs a fraction of a microsecond, where the goroutine starts
+// it replaces cost tens.
+const parallelHalfEdges = 1 << 13
+
+// edgeListHalfEdges is FromEdgeLists' own floor. Each of its ranges scans
+// all the edges and writes only its own rows, so a second range doubles the
+// scanning: with goroutines started per call (par.Spawn), two ranges did not
+// beat one up to 32 k half-edges on the reference box (EXPERIMENTS.md "PR
+// 31"), and won from 66 k on (2.1 → 1.6 ms; "PR 24").
+const edgeListHalfEdges = 1 << 16
 
 // FromEdgeLists builds the graph on len(nwgt) nodes whose edges are the
 // union of the lists: every edge is stored in both directions, adjacency
 // rows come out strictly ascending, parallel edges (within or across lists)
 // merge by summing their weights, and self loops are dropped. nwgt is
-// adopted. This is the one "edge list → sorted, merged CSR" kernel:
-// Builder.Build and the distributed stitch both end here. The edges are
-// counted, scattered into arrays sized by that count and row-merged in place,
-// so nothing grows; above parallelHalfEdges the three passes run over node
-// ranges on up to GOMAXPROCS goroutines, and the graph is the same for any
-// number of them.
+// adopted. This is the one "edge list → sorted, merged CSR" kernel, the end
+// of Builder.Build. The edges are counted, scattered into arrays sized by
+// that count and row-merged in place, so nothing grows; above
+// edgeListHalfEdges the three passes run over node ranges on up to GOMAXPROCS
+// goroutines, and the graph is the same for any number of them.
 //
 // The passes validate what they touch, once, and the totals a graph carries
 // are summed on the way, so the arrays are adopted without another walk: an
@@ -50,27 +52,29 @@ func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
 	for _, l := range lists {
 		half += 2 * len(l.U)
 	}
-	return fromEdgeLists(nwgt, lists, ParallelRanges(half))
+	return fromEdgeLists(nwgt, lists, max(1, min(runtime.GOMAXPROCS(0), half/(edgeListHalfEdges/2))))
 }
 
-// ParallelRanges is how many node ranges, each on its own goroutine, a kernel
-// that reads half half-edges once per pass splits its nodes into: one below
-// parallelHalfEdges, else as many as GOMAXPROCS allows with at least half the
-// floor each. The passes sized by it are FromEdgeLists' count, scatter and
-// merge; the stitch's count, fill and row sort (coarsen.StitchChecked);
-// coarsen.ContractWith's numbering, capped there by Options.Workers, which
-// alone sizes its count and fill; the gap-edge scan of
-// matching.ParallelScratch; the boundary scan of part.BoundaryIndex.Reset; and
-// WeightedDegrees. The other passes on more than one goroutine are the
-// per-block matchings of ParallelScratch, the halves of recursive coordinate
-// bisection (dist, with a node floor of its own), the per-PE kernels of
-// distributed coarsening, the attempts of initial partitioning and core's
-// refinement crew.
-func ParallelRanges(half int) int {
-	if half < parallelHalfEdges {
-		return 1
-	}
-	return min(runtime.GOMAXPROCS(0), half/(parallelHalfEdges/2))
+// ParallelRanges is how many node ranges a kernel that reads half half-edges
+// once per pass splits its nodes into on run: one below parallelHalfEdges,
+// else as many as run has members (GOMAXPROCS for a nil run) with at least
+// half the floor each. The passes sized by it are the stitch's count, fill
+// and row sort (coarsen.StitchChecked); coarsen.ContractWith's numbering,
+// capped there by Options.Workers, which alone sizes its count and fill; the
+// gap-edge scan of matching.Parallel; and the boundary scan of
+// part.BoundaryIndex.Reset.
+//
+// Every split pass of a run is a batch on the run's crew (package par): these
+// ranges, the per-block matchings of matching.Parallel, the halves of
+// recursive coordinate bisection (dist, with a node floor of its own; nested
+// halves run inline), the per-PE extraction of dist.ExtractAllOn, the
+// refinement pairs and the quotient rows. Two fan-outs start a goroutine per
+// task instead: the superstep kernels of distributed coarsening, whose PEs
+// must all be live at every barrier, and the attempts of initial
+// partitioning. FromEdgeLists builds outside any run and starts its ranges'
+// goroutines per call (par.Spawn).
+func ParallelRanges(run *par.Crew, half int) int {
+	return max(1, min(run.Members(), half/(parallelHalfEdges/2)))
 }
 
 // InputError is an input FromEdgeLists refuses, and where it is wrong, for a
@@ -86,7 +90,8 @@ func (e *InputError) Error() string { return "graph: " + e.Err.Error() }
 func (e *InputError) Unwrap() error { return e.Err }
 
 // fromEdgeLists is FromEdgeLists over the given number of node ranges; one
-// range is the serial kernel.
+// range is the serial kernel. It builds graphs outside any run, so the ranges
+// run on goroutines of their own (par.Spawn).
 func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) {
 	n := len(nwgt)
 	agg := CSRAggregates{AdjSorted: true} // merged rows ascend strictly
@@ -122,7 +127,7 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 		rows[r].lo, rows[r].hi = int32(int64(n)*int64(r)/int64(workers)), int32(int64(n)*int64(r+1)/int64(workers))
 	}
 	badList, badEdge := -1, -1
-	ForRanges(workers, func(r int) {
+	par.Spawn(workers, func(_, r int) {
 		for li, l := range lists {
 			// Every range scans every edge, so each finds the same first
 			// bad one; range 0 reports it.
@@ -152,7 +157,7 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	}
 	adj := make([]int32, total)
 	ewgt := make([]int64, total)
-	ForRanges(workers, func(r int) {
+	par.Spawn(workers, func(_, r int) {
 		row := &rows[r]
 		row.badList = -1
 		for li, l := range lists {
@@ -183,28 +188,6 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	}
 	agg.TotalEdgeWeight /= 2
 	return FromCSRTrusted(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt, agg), nil
-}
-
-// ForRanges runs fn(r) for every r below ranges and waits for all. A single
-// range runs on the calling goroutine; several run each on a goroutine of its
-// own while the caller only waits: a goroutine queued behind a caller that
-// keeps running is taken by an idle processor only about 80 µs later on the
-// reference box, which serializes short ranges, while one queued behind a
-// caller that blocks is taken within microseconds (EXPERIMENTS.md "PR 30").
-func ForRanges(ranges int, fn func(r int)) {
-	if ranges == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for r := range ranges {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(r)
-		}()
-	}
-	wg.Wait()
 }
 
 // countEdges adds the half-edges one list gives the rows [lo, hi) to the

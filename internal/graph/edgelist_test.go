@@ -237,7 +237,7 @@ func TestRowSorterStable(t *testing.T) {
 	}
 }
 
-// BenchmarkFromEdgeLists is the measurement behind parallelHalfEdges: a
+// BenchmarkFromEdgeLists is the measurement behind edgeListHalfEdges: a
 // mesh-like edge list (every node joined to a few close ids, in two lists the
 // way a two-PE stitch gets them, a fifth of the edges parallel) built on one
 // range and on two, at sizes around the floor.

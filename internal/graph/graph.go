@@ -98,16 +98,11 @@ func (g *Graph) WeightedDegrees() []int64 {
 			return
 		}
 		w := make([]int64, g.NumNodes())
-		ranges := ParallelRanges(len(g.adj))
-		ForRanges(ranges, func(r int) {
-			for v, hi := g.RangeStart(r, ranges), g.RangeStart(r+1, ranges); v < hi; v++ {
-				var s int64
-				for _, ew := range g.ewgt[g.xadj[v]:g.xadj[v+1]] {
-					s += ew
-				}
-				w[v] = s
+		for v := range w {
+			for _, ew := range g.ewgt[g.xadj[v]:g.xadj[v+1]] {
+				w[v] += ew
 			}
-		})
+		}
 		g.wdeg = w
 	})
 	return g.wdeg

@@ -114,6 +114,9 @@ func Repeat(g *graph.Graph, k int, eps float64, engine Engine, repeats int, seed
 		feasible bool
 	}
 	results := make([]attempt, repeats)
+	// One goroutine per attempt, not a batch on a run's crew: the attempts
+	// are equal in length, so time-sliced on two processors three of them
+	// take 1.5 attempts' time, while claimed by two members they take two.
 	var wg sync.WaitGroup
 	for i := 0; i < repeats; i++ {
 		wg.Add(1)

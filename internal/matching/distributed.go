@@ -43,6 +43,9 @@ func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func,
 func DistributedScratch(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool, scratch []*mem.Arena) []Matching {
 	pes := len(sgs)
 	out := make([]Matching, pes)
+	// One goroutine per PE, not a batch on a run's crew: the per-PE kernels
+	// meet at the transport's barriers, and a crew smaller than the PE count
+	// would leave a PE unclaimed while the others wait for it there.
 	var wg sync.WaitGroup
 	for pe := 0; pe < pes; pe++ {
 		wg.Add(1)

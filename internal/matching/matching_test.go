@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/rating"
 	"repro/internal/rng"
 )
@@ -305,15 +306,22 @@ func TestParallelAboveFloorMatchesSerial(t *testing.T) {
 		if got := ParallelScratch(g, rt, GPA, block, 16, 3, 6, nil); !slices.Equal(got, want) {
 			t.Fatalf("%s: GOMAXPROCS=2 matches differently from GOMAXPROCS=1", name)
 		}
+		crew := par.Start(2, par.Spin)
+		got := Parallel(crew, g, rt, GPA, block, 16, 3, 6, true, nil)
+		crew.Stop()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: a crew of two matches differently from GOMAXPROCS=1", name)
+		}
 	}
 }
 
-// TestLocalScratchIsTheLocalPhase holds the no-gap ablation to what it
-// promises: a valid matching with no pair across blocks that is the local
-// phase of ParallelScratch. Every pair ParallelScratch keeps inside a block
-// is one of LocalScratch's, and every pair of LocalScratch it does not keep
-// lost an endpoint to a gap edge — a pair that running the gap phase and then
-// unmatching the cross-block pairs would have lost too. The mesh gets the
+// TestLocalScratchIsTheLocalPhase holds the no-gap ablation — Parallel with
+// gap false — to what it promises: a valid matching with no pair across
+// blocks that is the local phase of ParallelScratch. Every pair
+// ParallelScratch keeps inside a block is one of the ablation's, and every
+// pair of the ablation it does not keep lost an endpoint to a gap edge — a
+// pair that running the gap phase and then unmatching the cross-block pairs
+// would have lost too. The mesh gets the
 // uneven node and edge weights of a contracted level, without which no gap
 // edge outrates a local match.
 func TestLocalScratchIsTheLocalPhase(t *testing.T) {
@@ -336,7 +344,7 @@ func TestLocalScratchIsTheLocalPhase(t *testing.T) {
 	g.SetCoords(mesh.Coords())
 	block := dist.Assign(g, dist.StrategyAuto, 8)
 	rt := rating.NewRater(rating.ExpansionStar2, g)
-	local := LocalScratch(g, rt, GPA, block, 8, 5, 0, nil)
+	local := Parallel(nil, g, rt, GPA, block, 8, 5, 0, false, nil)
 	full := ParallelScratch(g, rt, GPA, block, 8, 5, 0, nil)
 	if err := local.Validate(g); err != nil {
 		t.Fatal(err)
@@ -360,7 +368,7 @@ func TestLocalScratchIsTheLocalPhase(t *testing.T) {
 		lost++
 	}
 	if lost == 0 {
-		t.Fatal("no local pair lost to a gap edge: LocalScratch ran the gap phase, or no gap edge outrates a local match here")
+		t.Fatal("no local pair lost to a gap edge: the ablation ran the gap phase, or no gap edge outrates a local match here")
 	}
 }
 

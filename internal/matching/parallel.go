@@ -1,10 +1,9 @@
 package matching
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/rating"
 	"repro/internal/rng"
 )
@@ -24,21 +23,18 @@ import (
 // gap edge arrays, local-rating table, and the returned matching itself — is
 // drawn from a (nil = allocate fresh). The caller owns the result; hand it
 // back with a.PutInt32([]int32(m)) when done. The arena is safe to share
-// between the concurrent per-block workers.
+// between the concurrent per-block workers, which run on goroutines started
+// for the call, at most GOMAXPROCS of them (a nil par.Crew).
 func ParallelScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
-	return parallel(g, rt, alg, block, nparts, seed, maxPair, true, a)
+	return Parallel(nil, g, rt, alg, block, nparts, seed, maxPair, true, a)
 }
 
-// LocalScratch is ParallelScratch without the gap graph: every block matched
-// on its internal edges only, so no pair crosses blocks — the no-gap-matching
-// ablation, and the shared-memory counterpart of DistributedBounded with
-// boundary false.
-func LocalScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, a *mem.Arena) Matching {
-	return parallel(g, rt, alg, block, nparts, seed, maxPair, false, a)
-}
-
-// parallel is ParallelScratch, with the gap phase run only when gap is set.
-func parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, gap bool, a *mem.Arena) Matching {
+// Parallel is ParallelScratch on a run's crew, its per-block matchings and
+// gap-edge scan batches claimed by the crew's members, with the gap phase run
+// only when gap is set. Without it every block is matched on its internal
+// edges only, so no pair crosses blocks — the no-gap-matching ablation, and
+// the shared-memory counterpart of DistributedBounded with boundary false.
+func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, nparts int, seed uint64, maxPair int64, gap bool, a *mem.Arena) Matching {
 	n := g.NumNodes()
 	if nparts <= 1 {
 		return ComputeScratch(g, rt, alg, rng.NewStream(seed, 0), maxPair, a)
@@ -73,68 +69,63 @@ func parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, np
 	a.PutInt32(cursor)
 	nodesOf := func(b int) []int32 { return flat[off[b]:off[b+1]] }
 
-	// Phase 1: local matching per block, in parallel. Each worker touches
-	// only m[v] and localRating[v] for v in its block, so no synchronization
-	// beyond the final barrier is needed.
-	var wg sync.WaitGroup
-	for p := 0; p < nparts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			r := rng.NewStream(seed, uint64(p))
-			nodes := nodesOf(p)
-			switch alg {
-			case SHEM:
-				inSet := a.Bool(n)
-				for _, v := range nodes {
-					inSet[v] = true
-				}
-				shemInto(g, rt, r, nodes, inSet, m, maxPair, a)
-				a.PutBool(inSet)
-			default:
-				// Edge-based algorithms run on the block's internal edges:
-				// at most half the block's degree sum, so the buffer
-				// never grows while it fills.
-				degSum := 0
-				for _, v := range nodes {
-					degSum += g.Degree(v)
-				}
-				buf := getEdges(degSum / 2)
-				edges := *buf
-				for _, v := range nodes {
-					adj := g.Adj(v)
-					ws := g.AdjWeights(v)
-					for i, u := range adj {
-						if u > v && block[u] == block[v] {
-							edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
-						}
-					}
-				}
-				if alg == Greedy {
-					greedyEdges(g, edges, m, maxPair, a)
-				} else {
-					gpaEdges(g, edges, m, maxPair, a)
-				}
-				*buf = edges
-				putEdges(buf)
+	// Phase 1: local matching per block, the blocks claimed by the members
+	// of run, so that no more blocks hold their scratch at once than there
+	// are processors. Each task touches only m[v] and localRating[v] for v in
+	// its block, so no synchronization beyond the batch's end is needed.
+	run.Run(nparts, func(_, p int) {
+		r := rng.NewStream(seed, uint64(p))
+		nodes := nodesOf(p)
+		switch alg {
+		case SHEM:
+			inSet := a.Bool(n)
+			for _, v := range nodes {
+				inSet[v] = true
 			}
-			if gap {
-				for _, v := range nodes {
-					localRating[v] = 0
-					if u := m[v]; u >= 0 {
-						localRating[v] = rt.Rate(v, u, g.EdgeWeightTo(v, u))
+			shemInto(g, rt, r, nodes, inSet, m, maxPair, a)
+			a.PutBool(inSet)
+		default:
+			// Edge-based algorithms run on the block's internal edges:
+			// at most half the block's degree sum, so the buffer
+			// never grows while it fills.
+			degSum := 0
+			for _, v := range nodes {
+				degSum += g.Degree(v)
+			}
+			buf := getEdges(degSum / 2)
+			edges := *buf
+			for _, v := range nodes {
+				adj := g.Adj(v)
+				ws := g.AdjWeights(v)
+				for i, u := range adj {
+					if u > v && block[u] == block[v] {
+						edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
 					}
 				}
 			}
-		}(p)
-	}
-	wg.Wait()
+			if alg == Greedy {
+				greedyEdges(g, edges, m, maxPair, a)
+			} else {
+				gpaEdges(g, edges, m, maxPair, a)
+			}
+			*buf = edges
+			putEdges(buf)
+		}
+		if gap {
+			for _, v := range nodes {
+				localRating[v] = 0
+				if u := m[v]; u >= 0 {
+					localRating[v] = rt.Rate(v, u, g.EdgeWeightTo(v, u))
+				}
+			}
+		}
+	})
 	a.PutInt32(flat)
 	a.PutInt32(off)
 
 	// Phase 2: gap graph.
 	if gap {
-		gapBuf := gapEdges(g, rt, block, localRating, maxPair)
+		gapBuf := gapEdges(run, g, rt, block, localRating, maxPair)
 		matchLocallyHeaviest(n, *gapBuf, m, a)
 		putEdges(gapBuf)
 	}
@@ -145,17 +136,17 @@ func parallel(g *graph.Graph, rt *rating.Rater, alg Algorithm, block []int32, np
 // gapEdges collects the gap graph: every cross-block edge {v, u}, v < u,
 // within maxPair whose rating beats the local matches of both endpoints, in
 // the order of a scan over v and its adjacency. Above the floor of
-// graph.ParallelRanges the scan runs on node ranges side by side, and their
+// graph.ParallelRanges the scan runs on node ranges, a batch on run, and their
 // lists are joined in range order — the serial scan's list.
-func gapEdges(g *graph.Graph, rt *rating.Rater, block []int32, localRating []float64, maxPair int64) *[]Edge {
-	ranges := graph.ParallelRanges(2 * g.NumEdges())
+func gapEdges(run *par.Crew, g *graph.Graph, rt *rating.Rater, block []int32, localRating []float64, maxPair int64) *[]Edge {
+	ranges := graph.ParallelRanges(run, 2*g.NumEdges())
 	if ranges == 1 {
 		buf := getEdges(0)
 		*buf = appendGapEdges(*buf, g, rt, block, localRating, maxPair, 0, int32(g.NumNodes()))
 		return buf
 	}
 	bufs := make([]*[]Edge, ranges)
-	graph.ForRanges(ranges, func(r int) {
+	run.Run(ranges, func(_, r int) {
 		bufs[r] = getEdges(0)
 		*bufs[r] = appendGapEdges(*bufs[r], g, rt, block, localRating, maxPair, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges))
 	})

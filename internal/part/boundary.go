@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // ViewGet and ViewSet access a shared block-membership view atomically.
@@ -68,7 +69,7 @@ type rangeScan struct {
 // pass.
 func NewBoundaryIndex(p *Partition) *BoundaryIndex {
 	x := &BoundaryIndex{}
-	x.Reset(p, p.Block, -1, -1)
+	x.Reset(nil, p, p.Block, -1, -1)
 	return x
 }
 
@@ -79,8 +80,8 @@ func NewBoundaryIndex(p *Partition) *BoundaryIndex {
 // of the whole graph's adjacency. It is the one boundary scan of the
 // package; lists come out in node order, and the scan records the lightest
 // node of every block it indexes. The whole-graph scan runs on the node ranges
-// of graph.ParallelRanges.
-func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
+// of graph.ParallelRanges, a batch on run.
+func (x *BoundaryIndex) Reset(run *par.Crew, p *Partition, view []int32, a, b int32) {
 	for blk, list := range x.lists {
 		for _, v := range list {
 			x.in[v] = false
@@ -104,19 +105,19 @@ func (x *BoundaryIndex) Reset(p *Partition, view []int32, a, b int32) {
 	}
 	ranges := 1
 	if a < 0 {
-		ranges = graph.ParallelRanges(2 * g.NumEdges())
+		ranges = graph.ParallelRanges(run, 2*g.NumEdges())
 	}
 	if ranges == 1 {
 		x.scan(view, 0, int32(g.NumNodes()), a, b, x.lists, x.minW)
 		return
 	}
-	// Node ranges side by side: the first into the index itself, every
-	// other into lists and bounds of its own, joined per block in range
-	// order — the lists of the serial scan.
+	// Node ranges, claimed by run's members: the first into the index
+	// itself, every other into lists and bounds of its own, joined per block
+	// in range order — the lists of the serial scan.
 	for len(x.ranges) < ranges-1 {
 		x.ranges = append(x.ranges, rangeScan{})
 	}
-	graph.ForRanges(ranges, func(r int) {
+	run.Run(ranges, func(_, r int) {
 		lists, minW := x.lists, x.minW
 		if r > 0 {
 			s := &x.ranges[r-1]
@@ -248,14 +249,10 @@ func (x *BoundaryIndex) Patch(view []int32, a, b int32, moved []int32) {
 }
 
 // Quotient returns the quotient graph of the indexed partition, sorted by
-// (A, B). The slice is the index's own scratch: the next Quotient or
-// QuotientOn call overwrites it.
+// (A, B), its rows built one after another. The slice is the index's own
+// scratch: the next Quotient or QuotientOn call overwrites it.
 func (x *BoundaryIndex) Quotient() []QEdge {
-	return x.QuotientOn(1, func(n int, row func(member, a int)) {
-		for a := 0; a < n; a++ {
-			row(0, a)
-		}
-	})
+	return x.QuotientOn(par.Start(1, 0))
 }
 
 // quotientScratch is what one member needs to build a row: the weight to
@@ -267,11 +264,11 @@ type quotientScratch struct {
 }
 
 // QuotientOn is Quotient with the rows — one per block, independent of each
-// other — handed to run, which must call row(member, a) once for every block
-// a in [0, n) and return when every call has: member, below members, names
-// the caller, and calls of different members may run side by side. Rows are
-// joined in block order, so the result does not depend on who built which.
-func (x *BoundaryIndex) QuotientOn(members int, run func(n int, row func(member, a int))) []QEdge {
+// other — a batch on run, each member building rows in scratch of its own.
+// Rows are joined in block order, so the result does not depend on who built
+// which.
+func (x *BoundaryIndex) QuotientOn(run *par.Crew) []QEdge {
+	members := run.Members()
 	k := x.p.K
 	for len(x.qscratch) < members {
 		x.qscratch = append(x.qscratch, quotientScratch{})
@@ -285,7 +282,7 @@ func (x *BoundaryIndex) QuotientOn(members int, run func(n int, row func(member,
 		x.qrows = make([][]QEdge, k)
 	}
 	x.qrows = x.qrows[:k]
-	run(k, x.quotientRow)
+	run.Run(k, x.quotientRow)
 	edges := x.qedges[:0]
 	for _, r := range x.qrows {
 		edges = append(edges, r...)

@@ -1,6 +1,8 @@
 package part
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +199,51 @@ func TestDistributedColoringDeterministic(t *testing.T) {
 		if c1[i] != c2[i] {
 			t.Fatal("colorings differ for equal seeds")
 		}
+	}
+}
+
+// TestColorSetsSizedByDegreeColorAlike colours random quotients — sparse,
+// dense, and stars whose hub has every block for a neighbour — with the
+// 2Δ-bit colour sets sized by the quotient's maximum degree and with the
+// reference's unbounded ones, of which the 2k-bit sets of old were a prefix,
+// and expects the same colours: no colour ever reaches 2Δ, so wider sets only
+// carry zero bits.
+func TestColorSetsSizedByDegreeColorAlike(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 300; trial++ {
+		k := 2 + r.Intn(150)
+		edges := randomQuotient(k, []float64{0.02, 0.2, 0.9}[trial%3], r)
+		if trial%5 == 0 {
+			edges = edges[:0]
+			for b := int32(1); b < int32(k); b++ {
+				edges = append(edges, QEdge{0, b, 1})
+			}
+		}
+		seed := r.Uint64()
+		want, wantN := distributedColoringReference(k, edges, seed)
+		got, gotN := DistributedColoring(k, edges, seed)
+		if gotN != wantN || !slices.Equal(got, want) {
+			t.Fatalf("trial %d, k=%d, %d edges: colours sized by degree differ from unbounded sets", trial, k, len(edges))
+		}
+	}
+}
+
+// TestColoringManyBlocksFewEdges colours a quotient of 100 000 blocks and a
+// handful of edges, the schedule of a run with far more blocks than cut
+// pairs: the colour sets are sized by the degree, so the call allocates
+// megabytes where 2k-bit sets took 2.5 GB.
+func TestColoringManyBlocksFewEdges(t *testing.T) {
+	const k = 100000
+	edges := []QEdge{{0, 1, 1}, {1, 2, 1}, {0, 99999, 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	colors, nc := DistributedColoring(k, edges, 1)
+	runtime.ReadMemStats(&after)
+	if !validColoring(edges, colors) || nc > 3 {
+		t.Fatalf("colours %v (%d)", colors, nc)
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 64 {
+		t.Fatalf("colouring %d blocks allocated %d MB", k, mb)
 	}
 }
 

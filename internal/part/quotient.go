@@ -22,15 +22,19 @@ func (p *Partition) Quotient() []QEdge {
 }
 
 // colorSets holds, per block, the set of colors already used at the block as
-// a bitmask. An edge takes the smallest color free at both endpoints, which
-// is below deg(A)+deg(B) <= 2k-2, so 2k bits per block always suffice.
+// a bitmask. An edge takes the smallest color free at both endpoints: at most
+// deg(A)-1 + deg(B)-1 colors are taken there before it, so its color is at
+// most deg(A)+deg(B)-2, and 2Δ bits per block suffice for a quotient of
+// maximum degree Δ — not 2k, which for k blocks is k²/4 bytes in all.
 type colorSets struct {
 	words int
 	bits  []uint64
 }
 
-func newColorSets(k int) colorSets {
-	words := (2*k + 63) / 64
+// newColorSets sizes the sets of k blocks for a quotient of maximum degree
+// at most maxDeg.
+func newColorSets(k, maxDeg int) colorSets {
+	words := (2*maxDeg + 63) / 64
 	return colorSets{words, make([]uint64, k*words)}
 }
 
@@ -76,7 +80,9 @@ func DistributedColoring(k int, edges []QEdge, seed uint64) ([]int, int) {
 		start[e.A+1]++
 		start[e.B+1]++
 	}
+	maxDeg := 0
 	for b := 0; b < k; b++ {
+		maxDeg = max(maxDeg, start[b+1])
 		start[b+1] += start[b]
 		end[b] = start[b]
 	}
@@ -86,7 +92,7 @@ func DistributedColoring(k int, edges []QEdge, seed uint64) ([]int, int) {
 		incident[end[e.B]] = i
 		end[e.B]++
 	}
-	used := newColorSets(k)
+	used := newColorSets(k, maxDeg)
 	rngs := make([]rng.RNG, k)
 	for b := range rngs {
 		rngs[b].SeedStream(seed, uint64(b))

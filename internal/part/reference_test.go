@@ -4,11 +4,11 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -140,24 +140,13 @@ func randomPartition(g *graph.Graph, k int, r *rng.RNG) *Partition {
 }
 
 // TestQuotientMatchesReference compares the index's quotient with the
-// reference, built on one goroutine and with its rows dealt out to three
-// members that build them side by side.
+// reference, built on one goroutine and with its rows claimed by the three
+// members of a crew that build them side by side.
 func TestQuotientMatchesReference(t *testing.T) {
 	r := rng.New(74)
 	const members = 3
-	sideBySide := func(n int, row func(member, a int)) {
-		var wg sync.WaitGroup
-		for m := 0; m < members; m++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for a := m; a < n; a += members {
-					row(m, a)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	sideBySide := par.Start(members, par.Spin)
+	defer sideBySide.Stop()
 	for _, g := range []*graph.Graph{gen.RGG(10, 1), gen.RMAT(9, 8, 1), gen.Grid2D(20, 20), gen.Grid2D(1, 1)} {
 		for _, k := range []int{1, 2, 7, 33} {
 			p := randomPartition(g, k, r)
@@ -165,7 +154,7 @@ func TestQuotientMatchesReference(t *testing.T) {
 			if got := p.Quotient(); !slices.Equal(got, want) {
 				t.Fatalf("n=%d k=%d: quotient %v, reference %v", g.NumNodes(), k, got, want)
 			}
-			if got := NewBoundaryIndex(p).QuotientOn(members, sideBySide); !slices.Equal(got, want) {
+			if got := NewBoundaryIndex(p).QuotientOn(sideBySide); !slices.Equal(got, want) {
 				t.Fatalf("n=%d k=%d: quotient built by %d members %v, reference %v", g.NumNodes(), k, members, got, want)
 			}
 		}
@@ -276,7 +265,7 @@ func TestBoundaryIndexAboveFloorMatchesScan(t *testing.T) {
 			}
 			for _, procs := range []int{1, 2} {
 				runtime.GOMAXPROCS(procs)
-				x.Reset(p, p.Block, -1, -1)
+				x.Reset(nil, p, p.Block, -1, -1)
 				marked := 0
 				for _, in := range x.in {
 					if in {
@@ -344,7 +333,7 @@ func checkMinWeightIsLowerBound(t *testing.T, p *Partition, steps int, pick func
 		x.Patch(p.Block, a, b, moved)
 	}
 	a, b := int32(0), k-1
-	x.Reset(p, p.Block, a, b)
+	x.Reset(nil, p, p.Block, a, b)
 	for blk := int32(0); blk < k; blk++ {
 		want := int64(NoNode)
 		if blk == a || blk == b {

@@ -98,7 +98,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // (RefinePairViewWS) or pass after pass (initpart's bisection), and has no
 // level-wide index to draw from.
 func (ws *Workspace) PairIndex(p *part.Partition, view []int32, a, b int32) *part.BoundaryIndex {
-	ws.oneShot.Reset(p, view, a, b)
+	ws.oneShot.Reset(nil, p, view, a, b)
 	return &ws.oneShot
 }
 

@@ -59,6 +59,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -381,16 +382,18 @@ func (co *coordinator) markDead(w *workerConn) {
 }
 
 // Coarsen implements core.Coarsener: the standard stop-rule loop around the
-// supervised remote level kernel.
+// supervised remote level kernel, whose own passes run on the run's crew.
 func (co *coordinator) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Config, env *core.Env) (*coarsen.Hierarchy, error) {
-	return core.CoarsenWith(ctx, g, cfg, env, core.StopRule(g.NumNodes(), cfg), co.level)
+	return core.CoarsenWith(ctx, g, cfg, env, core.StopRule(g.NumNodes(), cfg), func(ctx context.Context, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+		return co.level(ctx, env.Crew(), cur, cfg, blocks, level, maxPair)
+	})
 }
 
 // level is the supervised LevelKernel: run the level remotely, and on a
 // worker failure repair the configuration and retry. A level's inputs are
 // pure functions of the current graph and the seed, and nothing commits
 // before Stitch, so a retried level is byte-identical to an undisturbed one.
-func (co *coordinator) level(ctx context.Context, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+func (co *coordinator) level(ctx context.Context, run *par.Crew, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
@@ -406,10 +409,10 @@ func (co *coordinator) level(ctx context.Context, cur *graph.Graph, cfg *core.Co
 			blocks = dist.Assign(cur, cfg.Distribution, co.pes)
 		}
 		if co.localT != nil {
-			cg, f2c, mt, ct := core.DistributedLevel(cur, cfg, blocks, co.localT, level, maxPair, nil)
+			cg, f2c, mt, ct := core.DistributedLevel(run, cur, cfg, blocks, co.localT, level, maxPair, nil)
 			return cg, f2c, mt, ct, nil
 		}
-		cg, f2c, mt, ct, err := co.remoteLevel(cur, cfg, blocks, level, maxPair)
+		cg, f2c, mt, ct, err := co.remoteLevel(run, cur, cfg, blocks, level, maxPair)
 		if err == nil {
 			return cg, f2c, mt, ct, nil
 		}
@@ -447,7 +450,7 @@ type outcome struct {
 // Stopping the hub guarantees the drain terminates: live workers blocked in
 // a superstep the dead peer will never complete abort their kernels and
 // answer with level-aborted frames instead of results.
-func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 	// Shard-store fast path: at level 0 the stored shard files already hold
 	// the exact bytes AppendJob would produce for this level's subgraphs
 	// (Store.Write extracts under the manifest's distribution strategy), so
@@ -456,7 +459,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 	splice := co.splices(cur)
 	var sgs []*dist.Subgraph
 	if !splice {
-		sgs = dist.ExtractAll(cur, blocks, co.pes)
+		sgs = dist.ExtractAllOn(run, cur, blocks, co.pes)
 	}
 
 	live := co.liveWorkers()
@@ -608,7 +611,7 @@ func (co *coordinator) remoteLevel(cur *graph.Graph, cfg *core.Config, blocks []
 	// like a result that does not decode. The stitch contracts the level, so
 	// it counts toward the level's contraction time, as in-process.
 	ts := time.Now()
-	cg, f2c, err := coarsen.StitchChecked(cur, parts)
+	cg, f2c, err := coarsen.StitchChecked(run, cur, parts)
 	if err != nil {
 		id := -1
 		var pe *coarsen.PartError

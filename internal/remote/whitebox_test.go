@@ -46,7 +46,7 @@ func TestRemoteLevelMidBatchJobFailure(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := co.remoteLevel(g, &cfg, make([]int32, g.NumNodes()), 0, 0)
+		_, _, _, _, err := co.remoteLevel(nil, g, &cfg, make([]int32, g.NumNodes()), 0, 0)
 		done <- err
 	}()
 	select {

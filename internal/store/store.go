@@ -29,10 +29,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/wire"
 )
 
@@ -152,33 +152,12 @@ func (s *Store) LoadShards(workers int) ([]*dist.Subgraph, error) {
 		workers = pes
 	}
 	out := make([]*dist.Subgraph, pes)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for pe := 0; pe < pes; pe++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pe int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sg, err := s.LoadShard(pe)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			out[pe] = sg
-		}(pe)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEachPE(pes, workers, func(pe int) (err error) {
+		out[pe], err = s.LoadShard(pe)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -242,33 +221,14 @@ func Write(dir string, g *graph.Graph, o WriteOptions) (*Manifest, error) {
 	ownedOf, local := dist.OwnedLists(assign, o.PEs)
 
 	shards := make([]ShardInfo, o.PEs)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for pe := 0; pe < o.PEs; pe++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pe int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			info, err := writeShard(dir, g, assign, pe, ownedOf[pe], local)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("store: shard %d: %w", pe, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			shards[pe] = info
-		}(pe)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEachPE(o.PEs, workers, func(pe int) (err error) {
+		if shards[pe], err = writeShard(dir, g, assign, pe, ownedOf[pe], local); err != nil {
+			return fmt.Errorf("store: shard %d: %w", pe, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	csrInfo, err := writeCSR(filepath.Join(dir, CSRFile), g)
@@ -337,4 +297,19 @@ func writeManifest(dir string, m *Manifest) error {
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(dir, ManifestFile))
+}
+
+// forEachPE calls fn for every PE on a crew of workers members and returns
+// the error of the lowest PE whose call failed.
+func forEachPE(pes, workers int, fn func(pe int) error) error {
+	errs := make([]error, pes)
+	crew := par.Start(workers, 0)
+	crew.Run(pes, func(_, pe int) { errs[pe] = fn(pe) })
+	crew.Stop()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -111,22 +111,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // draining server is 503 with Retry-After. Success is 202 with the job's
 // initial status.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.metrics.reject("invalid")
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
+	spec, cfg, timeout, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	g, cfg, timeout, err := s.buildJob(&spec)
+	g, err := s.jobGraph(&spec, &cfg)
 	if err != nil {
 		s.metrics.reject("invalid")
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -152,6 +141,58 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
+// admit decodes a submit request's spec and checks everything in it but the
+// graph — the names, the numbers and the timeout — so that a typo costs a
+// 400, not a graph load or generation. A rejection is answered here, 413 for
+// a body over the limit and 400 for anything else, and reported as !ok.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (spec JobSpec, cfg core.Config, timeout time.Duration, ok bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	status, err := http.StatusBadRequest, dec.Decode(&spec)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+	case err != nil:
+		err = fmt.Errorf("bad job spec: %v", err)
+	default:
+		cfg, timeout, err = s.jobConfig(&spec)
+	}
+	if err != nil {
+		s.metrics.reject("invalid")
+		writeJSON(w, status, errorBody{Error: err.Error()})
+	}
+	return spec, cfg, timeout, err == nil
+}
+
+// jobConfig turns a spec into the configuration the CLI would build from the
+// equivalent flags — both go through core.ConfigFromNames, so the
+// byte-identity contract between API jobs and one-shot runs holds by
+// construction — and resolves the job's timeout.
+func (s *Server) jobConfig(spec *JobSpec) (core.Config, time.Duration, error) {
+	// An unset eps is the CLI's -eps default.
+	cfg, err := core.ConfigFromNames(spec.Preset, spec.K, cmp.Or(spec.Eps, 0.03), spec.Seed, spec.PEs, spec.Workers, spec.Dist, spec.Coarsen)
+	if err != nil {
+		return core.Config{}, 0, err
+	}
+	timeout := s.opts.DefaultTimeout
+	if spec.Timeout != "" {
+		d, err := time.ParseDuration(spec.Timeout)
+		if err != nil {
+			return core.Config{}, 0, fmt.Errorf("bad timeout %q: %v", spec.Timeout, err)
+		}
+		if d < 0 {
+			return core.Config{}, 0, fmt.Errorf("timeout must be >= 0, got %v", d)
+		}
+		timeout = d
+	}
+	if s.opts.MaxTimeout > 0 && (timeout == 0 || timeout > s.opts.MaxTimeout) {
+		timeout = s.opts.MaxTimeout
+	}
+	return cfg, timeout, nil
+}
+
 // retryAfterSeconds renders a Retry-After header value (whole seconds,
 // minimum 1 — zero tells clients to hammer).
 func retryAfterSeconds(d time.Duration) string {
@@ -162,53 +203,26 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// buildJob turns a spec into the same graph and configuration the CLI would
-// build from the equivalent flags: both go through core.ConfigFromNames, so
-// the byte-identity contract between API jobs and one-shot runs holds by
-// construction. The names are checked before the graph is resolved, so a
-// typo costs a 400, not a graph load or generation.
-func (s *Server) buildJob(spec *JobSpec) (*graph.Graph, core.Config, time.Duration, error) {
-	var zero core.Config
-	eps := spec.Eps
-	if eps == 0 {
-		eps = 0.03 // the CLI's -eps default
-	}
-	cfg, err := core.ConfigFromNames(spec.Preset, spec.K, eps, spec.Seed, spec.PEs, spec.Workers, spec.Dist, spec.Coarsen)
-	if err != nil {
-		return nil, zero, 0, err
-	}
-	timeout := s.opts.DefaultTimeout
-	if spec.Timeout != "" {
-		d, err := time.ParseDuration(spec.Timeout)
-		if err != nil {
-			return nil, zero, 0, fmt.Errorf("bad timeout %q: %v", spec.Timeout, err)
-		}
-		if d < 0 {
-			return nil, zero, 0, fmt.Errorf("timeout must be >= 0, got %v", d)
-		}
-		timeout = d
-	}
-	if s.opts.MaxTimeout > 0 && (timeout == 0 || timeout > s.opts.MaxTimeout) {
-		timeout = s.opts.MaxTimeout
-	}
-
+// jobGraph resolves the job's graph, the way the CLI would from the
+// equivalent flags, and checks cfg against it. A shard-store job adopts the
+// manifest's shape into cfg, exactly like `kappa serve -shards`: the store's
+// shard count and extraction strategy are facts of the input, not knobs of
+// the request.
+func (s *Server) jobGraph(spec *JobSpec, cfg *core.Config) (*graph.Graph, error) {
 	g, man, err := s.resolveGraph(spec)
 	if err != nil {
-		return nil, zero, 0, err
+		return nil, err
 	}
 	if man != nil {
-		// A shard-store job adopts the manifest's shape, exactly like
-		// `kappa serve -shards`: the store's shard count and extraction
-		// strategy are facts of the input, not knobs of the request.
 		if err := cfg.AdoptStore(man.PEs, man.Strategy); err != nil {
-			return nil, zero, 0, fmt.Errorf("shard_dir %q: %w", spec.ShardDir, err)
+			return nil, fmt.Errorf("shard_dir %q: %w", spec.ShardDir, err)
 		}
 	}
-	return g, cfg, timeout, nil
+	return g, cfg.CheckGraph(g)
 }
 
 // resolveGraph loads the job's input from exactly one of the four sources.
-// Shard-store jobs additionally return the store's manifest so buildJob can
+// Shard-store jobs additionally return the store's manifest so jobGraph can
 // adopt its shape into the config.
 func (s *Server) resolveGraph(spec *JobSpec) (*graph.Graph, *store.Manifest, error) {
 	sources := 0

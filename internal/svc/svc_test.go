@@ -350,6 +350,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"two graph sources", `{"gen":"grid:4x4","graph":"2 1\n2\n1\n","k":2}`, http.StatusBadRequest, ""},
 		{"hostile gen spec", `{"gen":"rgg:-1","k":2}`, http.StatusBadRequest, ""},
 		{"bad k", `{"gen":"grid:4x4","k":0}`, http.StatusBadRequest, ""},
+		{"more blocks than nodes", `{"gen":"grid:4x4","k":100000}`, http.StatusBadRequest, "16 nodes"},
 		{"bad preset", `{"gen":"grid:4x4","k":2,"preset":"turbo"}`, http.StatusBadRequest, ""},
 		// The names are checked before the graph is touched: the missing
 		// file is never opened, the rejection is about the preset.

@@ -52,12 +52,13 @@ func within(t *testing.T, limit time.Duration, f func() error) {
 // thousands of rounds of one or two pairs most of which are stuck and return
 // at once — small grids, few blocks, more workers than a class has pairs,
 // every global iteration run — with and without the spin budget, and expects
-// the partition a single worker computes. Members beyond GOMAXPROCS are
-// started on purpose (par.Start does not cap), so that they take turns even
-// on one processor.
+// the partition a single worker computes, and no helper left behind.
+// Members beyond GOMAXPROCS are started on purpose (par.Start does not cap),
+// so that they take turns even on one processor.
 func TestCrewNearEmptyRounds(t *testing.T) {
 	g := gen.Grid2D(16, 16)
 	rounds := 0
+	before := runtime.NumGoroutine()
 	for _, k := range []int{2, 3, 4, 6} {
 		for seed := uint64(0); seed < 3; seed++ {
 			cfg := NewConfig(Fast, k)
@@ -98,6 +99,10 @@ func TestCrewNearEmptyRounds(t *testing.T) {
 	t.Logf("%d rounds", rounds)
 	if rounds < 5000 {
 		t.Fatalf("only %d rounds ran", rounds)
+	}
+	// Run stops the crew the hook put in place of its own.
+	if after := settled(before); after > before {
+		t.Fatalf("%d goroutines before, %d after", before, after)
 	}
 }
 
@@ -274,7 +279,7 @@ func TestClaimOrderLeavesNoTrace(t *testing.T) {
 					blocks[v] = int32(v * k / len(blocks))
 				}
 				p := part.FromBlocks(g, k, cfg.Eps, blocks)
-				env := &Env{claimOrder: orders[order]}
+				env := &Env{claimOrder: orders[order], crew: par.Start(workers, par.Spin)}
 				if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
 					t.Fatal(err)
 				}

@@ -39,7 +39,7 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 	}
 	pl := NewPipeline(opts...)
 	env := &Env{observers: pl.Observers, crew: par.Start(cfg.workers(), par.Spin)}
-	defer env.crew.Stop()
+	defer func() { env.crew.Stop() }() // the crew at return, as in Pipeline.Run
 	own := append([]int32(nil), blocks...)
 	p := part.FromBlocks(g, cfg.K, cfg.Eps, own)
 	if !p.Feasible() {

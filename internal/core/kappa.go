@@ -37,7 +37,7 @@ type Result struct {
 // (nil, nil, ...) when the matching comes out empty.
 func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, maxPair int64, a *mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
 	tm := time.Now()
-	rt := rating.NewRater(cfg.Rating, cur)
+	rt := rating.NewRaterOn(run, cfg.Rating, cur)
 	var m matching.Matching
 	if pes > 1 {
 		// The prepartition (§3.3) localizes matching work onto PEs; the

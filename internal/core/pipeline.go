@@ -268,7 +268,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		// One crew per run, of min(Workers, GOMAXPROCS) members.
 		crew: par.Start(cfg.workers(), par.Spin),
 	}
-	defer env.crew.Stop()
+	defer func() { env.crew.Stop() }() // the crew at return: a test hook may swap it
 	if env.Distributor == nil {
 		env.Distributor = strategyDistributor{arena, env.crew}
 	}

@@ -55,7 +55,9 @@ func rcbScratch(run *par.Crew, dims [][]float64, w []int64, pes int, a *mem.Aren
 // reference box at 16 PEs on a crew of two (EXPERIMENTS.md "PR 31"), a floor
 // of 256 against 1 024 takes rgg:12 from 0.41–0.47 to 0.38–0.41 ms and leaves
 // rgg:9–11 and rgg:13 as they are; with no floor at all rgg:9 and rgg:10 read
-// up to 40 % slower in one round of two.
+// up to 40 % slower in one round of two. Every RCB of a run is on its crew;
+// callers outside a run (store.Write, dist.Assign's benchmark probe) split at
+// the same floor on goroutines started per split, which was not re-measured.
 const parallelRCBNodes = 256
 
 // rcb is the state of one recursive coordinate bisection besides its

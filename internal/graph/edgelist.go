@@ -61,8 +61,8 @@ func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
 // half the floor each. The passes sized by it are the stitch's count, fill
 // and row sort (coarsen.StitchChecked); coarsen.ContractWith's numbering,
 // capped there by Options.Workers, which alone sizes its count and fill; the
-// gap-edge scan of matching.Parallel; and the boundary scan of
-// part.BoundaryIndex.Reset.
+// gap-edge scan of matching.Parallel; the boundary scan of
+// part.BoundaryIndex.Reset; and the sums of WeightedDegreesOn.
 //
 // Every split pass of a run is a batch on the run's crew (package par): these
 // ranges, the per-block matchings of matching.Parallel, the halves of

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // Graph is an immutable weighted undirected graph in CSR form. Construct one
@@ -92,17 +94,26 @@ func (g *Graph) WeightedDegree(v int32) int64 {
 // cache instead of re-summing adjacency per query. Contraction pre-fills the
 // cache of the coarse graph for free during the fill pass. The returned
 // slice is shared; callers must not modify it. Safe for concurrent use.
-func (g *Graph) WeightedDegrees() []int64 {
+func (g *Graph) WeightedDegrees() []int64 { return g.WeightedDegreesOn(nil) }
+
+// WeightedDegreesOn is WeightedDegrees whose first call sums the node ranges
+// of ParallelRanges as a batch on run.
+func (g *Graph) WeightedDegreesOn(run *par.Crew) []int64 {
 	g.wdegOnce.Do(func() {
 		if g.wdeg != nil { // pre-filled at construction (SetWeightedDegrees)
 			return
 		}
 		w := make([]int64, g.NumNodes())
-		for v := range w {
-			for _, ew := range g.ewgt[g.xadj[v]:g.xadj[v+1]] {
-				w[v] += ew
+		ranges := ParallelRanges(run, len(g.adj))
+		run.Run(ranges, func(_, r int) {
+			for v, hi := g.RangeStart(r, ranges), g.RangeStart(r+1, ranges); v < hi; v++ {
+				var s int64
+				for _, ew := range g.ewgt[g.xadj[v]:g.xadj[v+1]] {
+					s += ew
+				}
+				w[v] = s
 			}
-		}
+		})
 		g.wdeg = w
 	})
 	return g.wdeg

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"testing"
+
+	"repro/internal/par"
 )
 
 // buildTestGraph returns a small weighted graph via the Builder (sorted
@@ -89,5 +91,41 @@ func TestWeightedDegreesCache(t *testing.T) {
 	g2.SetWeightedDegrees(pre)
 	if &g2.WeightedDegrees()[0] != &pre[0] {
 		t.Fatal("SetWeightedDegrees slice must be adopted")
+	}
+}
+
+// TestWeightedDegreesAboveFloorOnCrew sums the weighted degrees of a graph
+// past the ParallelRanges floor as one range, on goroutines started for the
+// call (one range at GOMAXPROCS 1) and on crews of two and three members, and expects WeightedDegree for
+// every node each time.
+func TestWeightedDegreesAboveFloorOnCrew(t *testing.T) {
+	const n = 4096
+	var l EdgeList
+	for v := range n {
+		for d := 1; d <= 6; d++ {
+			l.U, l.V, l.W = append(l.U, int32(v)), append(l.V, int32((v+d*d)%n)), append(l.W, int64(v%7+d))
+		}
+	}
+	one, two, three := par.Start(1, 0), par.Start(2, par.Spin), par.Start(3, 0)
+	defer two.Stop()
+	defer three.Stop()
+	for name, run := range map[string]*par.Crew{"one member": one, "nil": nil, "two members": two, "three members": three} {
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		g, err := FromEdgeLists(w, []EdgeList{l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Members() > 1 && ParallelRanges(run, 2*g.NumEdges()) < 2 {
+			t.Fatalf("%s: %d half-edges do not split", name, 2*g.NumEdges())
+		}
+		wd := g.WeightedDegreesOn(run)
+		for v := range int32(n) {
+			if wd[v] != g.WeightedDegree(v) {
+				t.Fatalf("%s: Out(%d) = %d, want %d", name, v, wd[v], g.WeightedDegree(v))
+			}
+		}
 	}
 }

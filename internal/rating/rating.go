@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Func identifies one of the paper's edge rating functions.
@@ -61,10 +62,14 @@ type Rater struct {
 }
 
 // NewRater returns a Rater for f on g.
-func NewRater(f Func, g *graph.Graph) *Rater {
+func NewRater(f Func, g *graph.Graph) *Rater { return NewRaterOn(nil, f, g) }
+
+// NewRaterOn is NewRater whose weighted degrees, if f needs them and g has
+// not cached them yet, are summed as a batch on run.
+func NewRaterOn(run *par.Crew, f Func, g *graph.Graph) *Rater {
 	r := &Rater{f: f, g: g}
 	if f == InnerOuter {
-		r.wdeg = g.WeightedDegrees()
+		r.wdeg = g.WeightedDegreesOn(run)
 	}
 	return r
 }

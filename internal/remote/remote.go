@@ -399,14 +399,14 @@ func (co *coordinator) level(ctx context.Context, run *par.Crew, cur *graph.Grap
 			return nil, nil, 0, 0, err
 		}
 		if blocks == nil && (co.localT != nil || !co.splices(cur)) {
-			// No assignment came with the level: one PE needs none, and a
-			// store-served level 0 skipped it because the shards embody it.
-			// Only shipping those stored shards works without one; the
+			// No assignment came with the level: one PE gets none, and a
+			// store-served run leaves it to this kernel (storeDistributor). Only shipping level 0's
+			// stored shards works without one; every other level, and the
 			// degraded local path — the one place a store-served coordinator
 			// computes over the full fine graph, accepted in exchange for
-			// finishing the run — reconstructs it from the strategy the
-			// shards were extracted under.
-			blocks = dist.Assign(cur, cfg.Distribution, co.pes)
+			// finishing the run — computes it from the strategy the shards
+			// were extracted under.
+			blocks = dist.AssignScratch(run, cur, cfg.Distribution, co.pes, nil)
 		}
 		if co.localT != nil {
 			cg, f2c, mt, ct := core.DistributedLevel(run, cur, cfg, blocks, co.localT, level, maxPair, nil)

@@ -6,7 +6,6 @@ import (
 	"net"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/store"
 )
@@ -41,24 +40,18 @@ func ServeStore(ctx context.Context, ln net.Listener, st *store.Store, cfg core.
 	co.spliceSem = make(chan struct{}, 1)
 	// Level 0 needs no node-to-PE assignment — the stored shards embody it —
 	// so the distributor skips the O(n) computation exactly when remoteLevel
-	// skips the O(n) extraction. Coarse levels distribute as usual.
-	opts = append(opts, core.WithDistributor(storeDistributor{fine: mg.G}))
+	// skips the O(n) extraction. The coordinator's level kernel assigns the
+	// coarse levels itself, on the run's crew.
+	opts = append(opts, core.WithDistributor(storeDistributor{}))
 	return co.serve(ctx, mg.G, cfg, opts...)
 }
 
-// storeDistributor suppresses the prepartitioning stage for the fine graph
-// (its assignment lives in the shard files) and falls back to the strategy
-// assignment everywhere else.
-type storeDistributor struct {
-	fine *graph.Graph
-}
+// storeDistributor leaves every level's node-to-PE assignment to the
+// coordinator's level kernel: level 0's lives in the shard files, and the
+// kernel computes the others on the run's crew, which a Distributor does not
+// see.
+type storeDistributor struct{}
 
-func (d storeDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg *core.Config, pes int) ([]int32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if g == d.fine {
-		return nil, nil
-	}
-	return dist.Assign(g, cfg.Distribution, pes), nil
+func (storeDistributor) Distribute(ctx context.Context, _ *graph.Graph, _ *core.Config, _ int) ([]int32, error) {
+	return nil, ctx.Err()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -83,7 +84,8 @@ func TestServeWorkerProcessesMatchInProcess(t *testing.T) {
 	graphFile := filepath.Join(dir, "rgg.graph")
 
 	// Satellite: gengraph -o/-format flags write through the new codec layer.
-	if out, err := exec.Command(gengraph, "-type", "rgg", "-scale", "10", "-seed", "5", "-o", graphFile).CombinedOutput(); err != nil {
+	// rgg:13 keeps level 0 above the fold floor, so the workers run it.
+	if out, err := exec.Command(gengraph, "-type", "rgg", "-scale", "13", "-seed", "5", "-o", graphFile).CombinedOutput(); err != nil {
 		t.Fatalf("gengraph: %v\n%s", err, out)
 	}
 
@@ -189,7 +191,9 @@ func TestServeChaosWorkerKillProcesses(t *testing.T) {
 	kappa, gengraph := buildBinaries(t)
 	dir := t.TempDir()
 	graphFile := filepath.Join(dir, "rgg.graph")
-	if out, err := exec.Command(gengraph, "-type", "rgg", "-scale", "10", "-seed", "5", "-o", graphFile).CombinedOutput(); err != nil {
+	// On rgg:10 every level would fold onto the coordinator and the kill
+	// would never fire; rgg:13's level 0 is shipped to the workers.
+	if out, err := exec.Command(gengraph, "-type", "rgg", "-scale", "13", "-seed", "5", "-o", graphFile).CombinedOutput(); err != nil {
 		t.Fatalf("gengraph: %v\n%s", err, out)
 	}
 
@@ -291,6 +295,64 @@ func TestServeChaosWorkerKillProcesses(t *testing.T) {
 	for v := range got {
 		if got[v] != want.Blocks[v] {
 			t.Fatalf("partition diverges at node %d: %d vs %d", v, got[v], want.Blocks[v])
+		}
+	}
+}
+
+// TestServeFoldedRunWorkersWritePartition serves rgg:10, whose every level
+// is below the fold floor: the coordinator runs them all itself, so the two
+// worker processes get no job. They must still exit 0, say so, and write the
+// coordinator's partition with -out.
+func TestServeFoldedRunWorkersWritePartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	kappa, _ := buildBinaries(t)
+	dir := t.TempDir()
+	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	serve := exec.CommandContext(ctx, kappa, "serve", "-gen", "rgg:10", "-k", "4", "-pes", "2",
+		"-seed", "3", "-listen", addr, "-out", filepath.Join(dir, "serve.part"))
+	var summary strings.Builder
+	serve.Stdout = &summary
+	serve.Stderr = os.Stderr
+	if err := serve.Start(); err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]*exec.Cmd, 2)
+	logs := make([]strings.Builder, 2)
+	for i := range workers {
+		workers[i] = exec.CommandContext(ctx, kappa, "worker", "-connect", addr, "-timeout", "90s",
+			"-retry", "50", "-backoff", "50ms", "-out", filepath.Join(dir, fmt.Sprintf("worker%d.part", i)))
+		workers[i].Stderr = &logs[i]
+		if err := workers[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := serve.Wait(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if !strings.Contains(summary.String(), "folded ") || strings.Contains(summary.String(), "folded    0 ") {
+		t.Errorf("summary does not report folded levels:\n%s", summary.String())
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "serve.part"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range workers {
+		if err := w.Wait(); err != nil {
+			t.Fatalf("worker %d: %v\n%s", i, err, logs[i].String())
+		}
+		if !strings.Contains(logs[i].String(), "done after running 0 levels") {
+			t.Errorf("worker %d ran levels of a run that folds them all:\n%s", i, logs[i].String())
+		}
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("worker%d.part", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("worker %d wrote a partition other than the coordinator's", i)
 		}
 	}
 }

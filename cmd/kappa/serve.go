@@ -125,6 +125,7 @@ func runServe(args []string) {
 	if st != nil {
 		extra = append(extra, fmt.Sprintf("store     %s (%d shards streamed, global CSR memory-mapped)", *shards, snap.ShardsStreamed))
 	}
+	extra = append(extra, fmt.Sprintf("folded    %d levels (too small to ship, run on the coordinator)", snap.FoldedLevels))
 	if snap.WorkerFailures+snap.Reassignments+snap.LocalFallbacks+snap.LevelRetries > 0 {
 		extra = append(extra, fmt.Sprintf("faults    workers_failed=%d reassigned=%d level_retries=%d local_fallbacks=%d",
 			snap.WorkerFailures, snap.Reassignments, snap.LevelRetries, snap.LocalFallbacks))
@@ -183,7 +184,7 @@ func runWorker(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "kappa: worker PE %d done after %d levels\n", wr.PE, wr.Levels)
+	fmt.Fprintf(os.Stderr, "kappa: worker PE %d done after running %d levels\n", wr.PE, wr.Levels)
 	if *outFile != "" && wr.Partition != nil {
 		if err := os.WriteFile(*outFile, graphio.AppendPartition(nil, wr.Partition), 0o666); err != nil {
 			fail(err)

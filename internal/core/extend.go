@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/part"
-	"repro/internal/refine"
 	"repro/internal/rng"
 )
 
@@ -21,7 +20,8 @@ import (
 // cut; the input slice is not modified. Invalid configurations come back as
 // ErrInvalidConfig-wrapped errors, a cancelled context aborts between global
 // iterations with ctx.Err(), and WithObserver options receive the
-// RefineEvents (there is no hierarchy, so events carry Level 0).
+// RebalanceEvent and the RefineEvents (there is no hierarchy, so events
+// carry Level 0).
 func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks []int32, opts ...Option) ([]int32, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -42,9 +42,7 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 	defer func() { env.crew.Stop() }() // the crew at return, as in Pipeline.Run
 	own := append([]int32(nil), blocks...)
 	p := part.FromBlocks(g, cfg.K, cfg.Eps, own)
-	if !p.Feasible() {
-		refine.Rebalance(p, rng.NewStream(cfg.Seed, 0xba1a2))
-	}
+	rebalance(p, rng.NewStream(cfg.Seed, 0xba1a2), 0, env)
 	if err := refineLevel(ctx, p, &cfg, 0x5eed, 0, env); err != nil {
 		return nil, 0, err
 	}

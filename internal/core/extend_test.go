@@ -66,12 +66,18 @@ func TestRefineExistingRepairsImbalance(t *testing.T) {
 	blocks := make([]int32, g.NumNodes()) // everything in block 0
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 3
-	refined, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks)
+	var events []TraceEvent
+	refined, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks,
+		WithObserver(ObserverFunc(func(ev TraceEvent) { events = append(events, ev) })))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := part.FromBlocks(g, 4, cfg.Eps, refined)
 	if !p.Feasible() {
 		t.Fatalf("imbalanced input not repaired: %.3f", p.Imbalance())
+	}
+	// The input has no cut; the rebalance that repairs it comes first.
+	if e, ok := events[0].(RebalanceEvent); !ok || e.Level != 0 || e.CutBefore != 0 || e.Moved == 0 || !e.Feasible {
+		t.Fatalf("first event %v, want the rebalance of the input", events[0])
 	}
 }

@@ -516,8 +516,17 @@ func (pairwiseRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial
 			return nil, err
 		}
 	}
-	if !p.Feasible() {
-		refine.Rebalance(p, rng.NewStream(cfg.Seed, 0xba1a))
-	}
+	rebalance(p, rng.NewStream(cfg.Seed, 0xba1a), h.Depth(), env)
 	return p, nil
+}
+
+// rebalance drains the overloaded blocks of p when it violates the balance
+// constraint, and reports the pass as a RebalanceEvent at level.
+func rebalance(p *part.Partition, r *rng.RNG, level int, env *Env) {
+	if p.Feasible() {
+		return
+	}
+	before := p.Cut()
+	moved := refine.Rebalance(p, r)
+	env.Emit(RebalanceEvent{Level: level, Moved: moved, CutBefore: before, CutAfter: p.Cut(), Feasible: p.Feasible()})
 }

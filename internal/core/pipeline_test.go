@@ -160,6 +160,10 @@ func TestRunObserverOrder(t *testing.T) {
 				t.Fatalf("event %d: iteration %d after %d", i, e.Iteration, lastIter)
 			}
 			lastRefineLevel, lastIter = e.Level, e.Iteration
+		case RebalanceEvent:
+			if stage != stageRefine || e.Level != levels {
+				t.Fatalf("event %d: rebalance of level %d in stage %d", i, e.Level, stage)
+			}
 		case PhaseEvent:
 			switch {
 			case e.Phase == PhaseCoarsen && stage == stageCoarsen:
@@ -185,6 +189,39 @@ func TestRunObserverOrder(t *testing.T) {
 	}
 	if lastRefineLevel != levels {
 		t.Fatalf("refinement reached level %d, hierarchy has %d", lastRefineLevel, levels)
+	}
+}
+
+// TestRebalanceEventShowsTheCliff runs `kappa -gen rgg:15 -k 8 -pes 2
+// -seed 1`, whose refined partition is infeasible: the rebalancing pass
+// that makes it feasible must report itself, ending at the run's cut.
+func TestRebalanceEventShowsTheCliff(t *testing.T) {
+	g, err := gen.FromSpec("rgg:15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ConfigFromNames("fast", 8, 0.03, 1, 2, 0, "auto", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []RebalanceEvent
+	res, err := Run(context.Background(), g, cfg, WithObserver(ObserverFunc(func(ev TraceEvent) {
+		if e, ok := ev.(RebalanceEvent); ok {
+			events = append(events, e)
+		}
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cut != 29655 {
+		t.Fatalf("cut %d, want 29655", res.Cut)
+	}
+	if len(events) != 1 {
+		t.Fatalf("%d rebalance events, want 1", len(events))
+	}
+	e := events[0]
+	if e.Level != res.Levels || e.CutAfter != res.Cut || !e.Feasible || e.Moved == 0 || e.CutBefore >= e.CutAfter {
+		t.Fatalf("rebalance event %+v for a run of %d levels and cut %d", e, res.Levels, res.Cut)
 	}
 }
 

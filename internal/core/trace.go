@@ -39,9 +39,10 @@ func (p Phase) String() string {
 // emitted synchronously from the coordinating goroutine, in pipeline order:
 // one LevelEvent per contraction level, then the coarsen PhaseEvent, the
 // InitEvent, the init PhaseEvent, the RefineEvents of every uncoarsening
-// level, the refine PhaseEvent, and finally the total PhaseEvent. An
-// Observer must not block for long — it runs on the pipeline's critical
-// path.
+// level, a RebalanceEvent when the refined partition still violated the
+// balance constraint, the refine PhaseEvent, and finally the total
+// PhaseEvent. An Observer must not block for long — it runs on the
+// pipeline's critical path.
 type TraceEvent interface {
 	// String renders the event for progress logs.
 	String() string
@@ -93,6 +94,25 @@ func (RefineEvent) traceEvent() {}
 
 func (e RefineEvent) String() string {
 	return fmt.Sprintf("refine level %d iter %d: gain %d", e.Level, e.Iteration, e.Gain)
+}
+
+// RebalanceEvent reports a rebalancing pass: the moves that drained the
+// overloaded blocks of a partition, and what they did to the cut. A run
+// rebalances its refined finest level; RefineExistingCtx rebalances its
+// input before refining it.
+type RebalanceEvent struct {
+	Level     int   // uncoarsening steps done, as in RefineEvent
+	Moved     int   // node moves made
+	CutBefore int64 // cut of the infeasible partition
+	CutAfter  int64
+	Feasible  bool // the balance constraint holds afterwards
+}
+
+func (RebalanceEvent) traceEvent() {}
+
+func (e RebalanceEvent) String() string {
+	return fmt.Sprintf("rebalance level %d: %d moves, cut %d -> %d (feasible %v)",
+		e.Level, e.Moved, e.CutBefore, e.CutAfter, e.Feasible)
 }
 
 // PhaseEvent reports a finished phase and its wall-clock duration.

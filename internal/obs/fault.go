@@ -22,6 +22,9 @@ type FaultReport struct {
 	HeartbeatsSent int64 `json:"heartbeats_sent"`
 	HeartbeatsRecv int64 `json:"heartbeats_recv"`
 	DoneFailures   int64 `json:"done_failures"`
+	// FoldedLevels is not a fault: it counts the levels too small to ship,
+	// which the coordinator ran itself.
+	FoldedLevels int64 `json:"folded_levels"`
 }
 
 // faultSection snapshots c into a report section; nil for a nil c, so
@@ -39,6 +42,7 @@ func faultSection(c *remote.Counters) *FaultReport {
 		HeartbeatsSent: s.HeartbeatsSent,
 		HeartbeatsRecv: s.HeartbeatsRecv,
 		DoneFailures:   s.DoneFailures,
+		FoldedLevels:   s.FoldedLevels,
 	}
 }
 
@@ -70,4 +74,7 @@ func BindRemote(r *Registry, c *remote.Counters) {
 	bind("kappa_remote_done_failures_total",
 		"Final-partition broadcasts that failed (non-fatal).",
 		func(s remote.CounterSnapshot) int64 { return s.DoneFailures })
+	bind("kappa_remote_folded_levels_total",
+		"Contraction levels too small to ship, run on the coordinator.",
+		func(s remote.CounterSnapshot) int64 { return s.FoldedLevels })
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/mem"
+	"repro/internal/remote"
 )
 
 func testConfig() core.Config {
@@ -222,5 +223,24 @@ func TestRecorderTakesArenaAsDelta(t *testing.T) {
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil || !strings.Contains(sb.String(), "kappa_last_cut") {
 		t.Fatalf("registry lacks the result gauges (%v)", err)
+	}
+}
+
+// TestBindRemoteExportsFoldedLevels pins where the coordinator's folded
+// levels surface: a metric scraped live and the report's faults section.
+func TestBindRemoteExportsFoldedLevels(t *testing.T) {
+	var c remote.Counters
+	c.FoldedLevels.Store(3)
+	r := NewRegistry()
+	BindRemote(r, &c)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\nkappa_remote_folded_levels_total 3\n") {
+		t.Fatalf("scrape lacks the folded-levels counter:\n%s", buf.String())
+	}
+	if f := faultSection(&c); f.FoldedLevels != 3 || f.LocalFallbacks != 0 {
+		t.Fatalf("faults section %+v", f)
 	}
 }

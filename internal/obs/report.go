@@ -12,23 +12,25 @@ import (
 
 // Report is the structured record of one partitioning run: the configuration
 // it ran under, the shape of every contraction level with its kernel times,
-// the initial partition, every refinement iteration's gain, the final result,
-// and — when bound — transport and arena totals. Serialized with WriteTo it
+// the initial partition, every refinement iteration's gain, the rebalancing
+// pass if one ran, the final result, and — when bound — transport and arena
+// totals. Serialized with WriteTo it
 // is a single JSON document whose non-timing fields are byte-deterministic
 // for a fixed seed: zero the timings with ZeroTimes and two runs of the same
 // input compare byte-equal, whether they ran in-process or across worker
 // processes.
 type Report struct {
-	Graph     GraphReport    `json:"graph"`
-	Config    ConfigReport   `json:"config"`
-	Levels    []LevelReport  `json:"levels"`
-	Init      InitReport     `json:"init"`
-	Refine    []RefineReport `json:"refine"`
-	Phases    []PhaseReport  `json:"phases"`
-	Result    ResultReport   `json:"result"`
-	Transport []PEReport     `json:"transport,omitempty"`
-	Arena     *ArenaReport   `json:"arena,omitempty"`
-	Faults    *FaultReport   `json:"faults,omitempty"`
+	Graph     GraphReport       `json:"graph"`
+	Config    ConfigReport      `json:"config"`
+	Levels    []LevelReport     `json:"levels"`
+	Init      InitReport        `json:"init"`
+	Refine    []RefineReport    `json:"refine"`
+	Rebalance []RebalanceReport `json:"rebalance,omitempty"`
+	Phases    []PhaseReport     `json:"phases"`
+	Result    ResultReport      `json:"result"`
+	Transport []PEReport        `json:"transport,omitempty"`
+	Arena     *ArenaReport      `json:"arena,omitempty"`
+	Faults    *FaultReport      `json:"faults,omitempty"`
 }
 
 // GraphReport records the input graph's shape.
@@ -68,6 +70,16 @@ type RefineReport struct {
 	Level     int   `json:"level"`
 	Iteration int   `json:"iteration"`
 	Gain      int64 `json:"gain"`
+}
+
+// RebalanceReport records one rebalancing pass; a run that needed none
+// reports no rebalance section.
+type RebalanceReport struct {
+	Level     int   `json:"level"`
+	Moved     int   `json:"moved"`
+	CutBefore int64 `json:"cut_before"`
+	CutAfter  int64 `json:"cut_after"`
+	Feasible  bool  `json:"feasible"`
 }
 
 // PhaseReport records one finished pipeline phase.
@@ -185,7 +197,7 @@ func NewReportObserver(g *graph.Graph, cfg core.Config) *ReportObserver {
 
 // TraceRecord is the one translation of a pipeline trace event into its
 // user-visible record: a kind name and the report entry — a LevelReport,
-// InitReport, RefineReport or PhaseReport. The run report files the entry;
+// InitReport, RefineReport, RebalanceReport or PhaseReport. The run report files the entry;
 // the service's SSE stream sends it, marshalled, as the payload of an event
 // of that kind. A kind with no report entry is "trace", carrying its log
 // rendering.
@@ -204,6 +216,8 @@ func TraceRecord(ev core.TraceEvent) (kind string, entry any) {
 		return "init", InitReport{Cut: e.Cut, Seconds: e.Time.Seconds()}
 	case core.RefineEvent:
 		return "refine", RefineReport{Level: e.Level, Iteration: e.Iteration, Gain: e.Gain}
+	case core.RebalanceEvent:
+		return "rebalance", RebalanceReport{Level: e.Level, Moved: e.Moved, CutBefore: e.CutBefore, CutAfter: e.CutAfter, Feasible: e.Feasible}
 	case core.PhaseEvent:
 		return "phase", PhaseReport{Phase: e.Phase.String(), Seconds: e.Time.Seconds()}
 	}
@@ -222,6 +236,8 @@ func (o *ReportObserver) OnTrace(ev core.TraceEvent) {
 		o.report.Init = e
 	case RefineReport:
 		o.report.Refine = append(o.report.Refine, e)
+	case RebalanceReport:
+		o.report.Rebalance = append(o.report.Rebalance, e)
 	case PhaseReport:
 		o.report.Phases = append(o.report.Phases, e)
 	}

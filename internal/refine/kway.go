@@ -101,8 +101,9 @@ func kwayPass(p *part.Partition, r *rng.RNG) int64 {
 // boundary once, collects candidate relocations out of overloaded blocks,
 // and applies them in order of decreasing gain while the source remains
 // overloaded; a fallback pass relocates arbitrary nodes of still-overloaded
-// blocks to the lightest feasible block.
-func Rebalance(p *part.Partition, r *rng.RNG) {
+// blocks to the lightest feasible block. It returns the number of moves it
+// made.
+func Rebalance(p *part.Partition, r *rng.RNG) (moves int) {
 	lightest := func() int32 {
 		light := int32(0)
 		for b := int32(1); b < int32(p.K); b++ {
@@ -119,7 +120,7 @@ func Rebalance(p *part.Partition, r *rng.RNG) {
 	}
 	for pass := 0; pass < 64; pass++ {
 		if p.Feasible() {
-			return
+			return moves
 		}
 		var cands []cand
 		for _, v := range p.BoundaryNodes() {
@@ -135,17 +136,17 @@ func Rebalance(p *part.Partition, r *rng.RNG) {
 		// it changes which equal-gain node moves first and with it the cuts
 		// the benchmark pins.
 		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.gain, a.gain) })
-		moved := false
+		before := moves
 		for _, c := range cands {
 			if p.BlockWeight(p.Block[c.v]) <= p.Lmax() {
 				continue // source repaired by earlier moves
 			}
 			if p.BlockWeight(c.to)+p.G.NodeWeight(c.v) <= p.Lmax() {
 				p.Move(c.v, c.to)
-				moved = true
+				moves++
 			}
 		}
-		if moved {
+		if moves > before {
 			continue
 		}
 		// Fallback: cut-oblivious relocation to the lightest block. Needed
@@ -159,11 +160,12 @@ func Rebalance(p *part.Partition, r *rng.RNG) {
 			t := lightest()
 			if t != b && p.BlockWeight(t)+p.G.NodeWeight(v) <= p.Lmax() {
 				p.Move(v, t)
-				moved = true
+				moves++
 			}
 		}
-		if !moved {
-			return
+		if moves == before {
+			return moves
 		}
 	}
+	return moves
 }

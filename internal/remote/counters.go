@@ -7,8 +7,8 @@ import "sync/atomic"
 // external readers.)
 
 // Counters is the coordinator's fault-tolerance ledger: how many workers it
-// declared dead, how their shards were recovered, and how much liveness
-// traffic flowed. All fields are atomics — the heartbeater, the supervision
+// declared dead, how their shards were recovered, how much liveness
+// traffic flowed, and how many levels it kept to itself. All fields are atomics — the heartbeater, the supervision
 // loop, and metric pull callbacks (obs.BindRemote) touch them concurrently.
 // A nil *Counters is accepted everywhere and counts nothing.
 type Counters struct {
@@ -20,6 +20,7 @@ type Counters struct {
 	HeartbeatsRecv atomic.Int64 // worker → coordinator heartbeat frames
 	DoneFailures   atomic.Int64 // final-partition broadcasts that failed (non-fatal)
 	ShardsStreamed atomic.Int64 // level-0 shard files spliced to workers without decoding (ServeStore)
+	FoldedLevels   atomic.Int64 // levels below the fold floor, run on the coordinator instead of shipped
 }
 
 // CounterSnapshot is a plain-value copy of Counters, for reports.
@@ -32,6 +33,7 @@ type CounterSnapshot struct {
 	HeartbeatsRecv int64
 	DoneFailures   int64
 	ShardsStreamed int64
+	FoldedLevels   int64
 }
 
 // Snapshot copies the current counter values; nil-safe (all zeros).
@@ -48,5 +50,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		HeartbeatsRecv: c.HeartbeatsRecv.Load(),
 		DoneFailures:   c.DoneFailures.Load(),
 		ShardsStreamed: c.ShardsStreamed.Load(),
+		FoldedLevels:   c.FoldedLevels.Load(),
 	}
 }

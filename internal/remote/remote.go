@@ -42,6 +42,15 @@
 // coordinator runs all remaining levels itself with core.DistributedLevel
 // over the in-process Exchanger — the kernel of `-coarsen distributed`, hence
 // the same bytes.
+//
+// # Folding
+//
+// The same branch runs the levels too small to ship: a level whose input
+// holds fewer than foldHalfEdges half-edges per PE is folded onto the
+// coordinator, which runs it with core.DistributedLevel instead of paying a
+// job/result round trip and the hub's supersteps for it. Levels only shrink,
+// so once a run folds it never ships again; level 0 of a store-served run
+// always ships its stored shards.
 package remote
 
 import (
@@ -59,10 +68,25 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/mem"
 	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
+
+// foldHalfEdges is the fold floor: a level whose input has fewer half-edges
+// per PE (2·edges/PEs) runs on the coordinator instead of on the workers.
+// BenchmarkRemoteLevel times one level both ways on two PEs (EXPERIMENTS.md,
+// "Folding small levels"): shipping adds 0.8–0.9 ms a level whatever its
+// size — the job/result round trip and the hub's supersteps — plus 45–60 ns
+// a half-edge a PE for extraction and the codecs, so the fixed part is the
+// larger one below 15–18 k half-edges a PE. The floor sits just under that,
+// at 14 Ki: rgg:12 on two PEs (15.7 k) keeps shipping its level 0, and
+// rgg:15 on two PEs its first three levels.
+const foldHalfEdges = 14 << 10
+
+// foldFloor is the floor in force; tests pin it (0 ships every level).
+var foldFloor = foldHalfEdges
 
 // maxLevelAttempts bounds how often one contraction level is retried before
 // the coordinator gives up. Each retry follows a repair (reassignment or
@@ -114,15 +138,19 @@ type coordinator struct {
 	opts     ServeOptions
 	counters *Counters
 
-	workers []*workerConn
-	owner   []int // pe → worker id
+	workers        []*workerConn
+	owner          []int      // pe → worker id
+	transportConns []net.Conn // accepted in the handshake; closed by closeAll
+	connMu         sync.Mutex // guards workers and transportConns while accepting
 
 	hub    *dist.SocketHub
 	hubErr chan error
 
-	// localT is set once no workers are left: every remaining level runs
-	// coordinator-locally over this in-process Exchanger.
+	// localT is set once the coordinator runs the levels itself — the first
+	// folded level, or no workers left: every remaining level runs over this
+	// in-process Exchanger, its PEs drawing from scratch.
 	localT   dist.Transport
+	scratch  []*mem.Arena
 	degraded bool // any failure happened; hub teardown errors are expected
 
 	// Shard-store serving (ServeStore). When store is set and the level's
@@ -168,43 +196,66 @@ func newCoordinator(pes int, ln net.Listener, so ServeOptions) *coordinator {
 // broadcast. cfg.Coarsen is forced to CoarsenDistributed — the only mode
 // with a per-PE kernel to distribute.
 func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Config, opts ...core.Option) (core.Result, error) {
-	pes := co.pes
 	cfg.Coarsen = core.CoarsenDistributed
-	so := co.opts
-	var transportConns []net.Conn
-	var connMu sync.Mutex
-	closeAll := func() {
-		connMu.Lock()
-		defer connMu.Unlock()
-		for _, w := range co.workers {
-			if w != nil {
-				w.conn.Close()
-			}
-		}
-		for _, c := range transportConns {
-			c.Close()
-		}
-	}
 	// Close every accepted connection on the way out — including transport
 	// connections accepted before a handshake failure, which no hub ever
 	// adopts (hub.Route closes its connections itself; double Close on a
 	// net.Conn is harmless).
-	defer closeAll()
+	defer co.closeAll()
 
 	// Abort path: tear down everything the moment the context dies, so no
 	// read below can block past cancellation.
 	stop := context.AfterFunc(ctx, func() {
 		co.ln.Close()
-		closeAll()
+		co.closeAll()
 	})
 	defer stop()
 
-	// Handshake: collect pes control and pes transport connections, in any
-	// interleaving. Control hellos request a PE (-1) and are assigned in
-	// arrival order; each worker then dials its transport connection with
-	// the assigned PE. With a WorkerTimeout, silence on the listener for
-	// longer than the timeout fails the handshake with a typed WorkerError —
-	// a worker that died mid-handshake never completes the set.
+	if err := co.handshake(cfg); err != nil {
+		return core.Result{}, err
+	}
+
+	// Coordinator → worker heartbeats: without them a worker with a control
+	// read deadline would declare the coordinator dead during long local
+	// phases (initial partitioning, refinement), when no job traffic flows.
+	var hbStop chan struct{}
+	if co.opts.Heartbeat > 0 {
+		hbStop = make(chan struct{})
+		go co.heartbeat(co.opts.Heartbeat, hbStop)
+	}
+
+	res, runErr := core.Run(ctx, g, cfg, append(opts, core.WithCoarsener(co))...)
+	if hbStop != nil {
+		close(hbStop)
+	}
+	if runErr = co.hangUp(res.Blocks, runErr); runErr != nil {
+		return core.Result{}, runErr
+	}
+	return res, nil
+}
+
+// closeAll closes every connection the coordinator accepted.
+func (co *coordinator) closeAll() {
+	co.connMu.Lock()
+	defer co.connMu.Unlock()
+	for _, w := range co.workers {
+		if w != nil {
+			w.conn.Close()
+		}
+	}
+	for _, c := range co.transportConns {
+		c.Close()
+	}
+}
+
+// handshake collects pes control and pes transport connections, in any
+// interleaving, and starts the hub. Control hellos request a PE (-1) and are
+// assigned in arrival order; each worker then dials its transport connection
+// with the assigned PE. With a WorkerTimeout, silence on the listener for
+// longer than the timeout fails the handshake with a typed WorkerError — a
+// worker that died mid-handshake never completes the set.
+func (co *coordinator) handshake(cfg core.Config) error {
+	pes, so := co.pes, co.opts
 	hub := dist.NewSocketHub(pes)
 	hub.SetStats(so.Stats)
 	hub.SetIODeadline(so.WorkerTimeout)
@@ -214,7 +265,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 		armListener(co.ln, so.WorkerTimeout)
 		conn, err := co.ln.Accept()
 		if err != nil {
-			return core.Result{}, workerErr(-1, "handshake",
+			return workerErr(-1, "handshake",
 				fmt.Errorf("waiting for workers (%d/%d control, %d/%d transport): %w",
 					nextPE, pes, haveTransport, pes, err))
 		}
@@ -232,7 +283,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 		case dist.RoleControl:
 			if nextPE >= pes {
 				conn.Close()
-				return core.Result{}, fmt.Errorf("remote: more than %d workers connected", pes)
+				return fmt.Errorf("remote: more than %d workers connected", pes)
 			}
 			w := &workerConn{id: nextPE, conn: conn, br: br, hosted: []int{nextPE}}
 			assign := wire.Assign{
@@ -247,21 +298,21 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 			}
 			if err := co.writeCtrl(w, wire.KindAssign, wire.AppendAssign(wire.NewFrame(16), assign)); err != nil {
 				conn.Close()
-				return core.Result{}, workerErr(nextPE, "handshake", err)
+				return workerErr(nextPE, "handshake", err)
 			}
-			connMu.Lock()
+			co.connMu.Lock()
 			co.workers[nextPE] = w
-			connMu.Unlock()
+			co.connMu.Unlock()
 			co.owner[nextPE] = nextPE
 			nextPE++
 		case dist.RoleTransport:
 			if err := hub.AddConnBuffered(hello.PE, conn, br); err != nil {
 				conn.Close()
-				return core.Result{}, fmt.Errorf("remote: %w", err)
+				return fmt.Errorf("remote: %w", err)
 			}
-			connMu.Lock()
-			transportConns = append(transportConns, conn)
-			connMu.Unlock()
+			co.connMu.Lock()
+			co.transportConns = append(co.transportConns, conn)
+			co.connMu.Unlock()
 			haveTransport++
 		}
 	}
@@ -269,30 +320,20 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 	co.hub = hub
 	co.hubErr = make(chan error, 1)
 	go func() { co.hubErr <- hub.Route() }()
+	return nil
+}
 
-	// Coordinator → worker heartbeats: without them a worker with a control
-	// read deadline would declare the coordinator dead during long local
-	// phases (initial partitioning, refinement), when no job traffic flows.
-	var hbStop chan struct{}
-	if so.Heartbeat > 0 {
-		hbStop = make(chan struct{})
-		go co.heartbeat(so.Heartbeat, hbStop)
-	}
-
-	res, runErr := core.Run(ctx, g, cfg, append(opts, core.WithCoarsener(co))...)
-	if hbStop != nil {
-		close(hbStop)
-	}
-
-	// Session end: broadcast the final partition (empty on failure) to every
-	// worker still alive; the workers close their connections, which lets
-	// the hub drain and return. A failing broadcast is NOT an error: the
-	// result is already computed and verified coordinator-side, and a worker
-	// that dies after its last result must not fail the run it no longer
-	// participates in.
+// hangUp ends the session: it broadcasts the final partition (empty when
+// runErr is set) to every worker still alive and waits for the hub to drain
+// once the workers close their connections. A failing broadcast is NOT an
+// error: the result is already computed and verified coordinator-side, and
+// a worker that dies after its last result must not fail the run it no
+// longer participates in. It returns runErr, or the hub's error when the run
+// itself succeeded.
+func (co *coordinator) hangUp(blocks []int32, runErr error) error {
 	var done []byte
 	if runErr == nil {
-		done = wire.AppendPartition(wire.NewFrame(0), res.Blocks)
+		done = wire.AppendPartition(wire.NewFrame(0), blocks)
 	}
 	for _, w := range co.workers {
 		if w.dead.Load() {
@@ -308,10 +349,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 			runErr = fmt.Errorf("remote: %w", err)
 		}
 	}
-	if runErr != nil {
-		return core.Result{}, runErr
-	}
-	return res, nil
+	return runErr
 }
 
 // heartbeat writes one heartbeat frame per interval to every live worker
@@ -384,6 +422,10 @@ func (co *coordinator) markDead(w *workerConn) {
 // Coarsen implements core.Coarsener: the standard stop-rule loop around the
 // supervised remote level kernel, whose own passes run on the run's crew.
 func (co *coordinator) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Config, env *core.Env) (*coarsen.Hierarchy, error) {
+	// The folded levels' arenas carry matching temporaries from level to
+	// level; they go with the last level, before initial partitioning and
+	// refinement allocate.
+	defer func() { co.scratch = nil }()
 	return core.CoarsenWith(ctx, g, cfg, env, core.StopRule(g.NumNodes(), cfg), func(ctx context.Context, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 		return co.level(ctx, env.Crew(), cur, cfg, blocks, level, maxPair)
 	})
@@ -393,7 +435,13 @@ func (co *coordinator) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Co
 // worker failure repair the configuration and retry. A level's inputs are
 // pure functions of the current graph and the seed, and nothing commits
 // before Stitch, so a retried level is byte-identical to an undisturbed one.
+// A level that folds, and every level once no worker is left, runs on the
+// coordinator instead.
 func (co *coordinator) level(ctx context.Context, run *par.Crew, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+	fold := co.folds(cur)
+	if fold && co.localT == nil {
+		co.runLocally()
+	}
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
@@ -409,7 +457,10 @@ func (co *coordinator) level(ctx context.Context, run *par.Crew, cur *graph.Grap
 			blocks = dist.AssignScratch(run, cur, cfg.Distribution, co.pes, nil)
 		}
 		if co.localT != nil {
-			cg, f2c, mt, ct := core.DistributedLevel(run, cur, cfg, blocks, co.localT, level, maxPair, nil)
+			if fold {
+				co.counters.FoldedLevels.Add(1)
+			}
+			cg, f2c, mt, ct := core.DistributedLevel(run, cur, cfg, blocks, co.localT, level, maxPair, co.scratch)
 			return cg, f2c, mt, ct, nil
 		}
 		cg, f2c, mt, ct, err := co.remoteLevel(run, cur, cfg, blocks, level, maxPair)
@@ -630,6 +681,23 @@ func (co *coordinator) splices(cur *graph.Graph) bool {
 	return co.store != nil && cur == co.fine
 }
 
+// folds reports whether cur's level is too small to ship: fewer than
+// foldFloor half-edges per PE, and no stored shards to splice.
+func (co *coordinator) folds(cur *graph.Graph) bool {
+	return !co.splices(cur) && 2*cur.NumEdges()/co.pes < foldFloor
+}
+
+// runLocally makes the coordinator run every remaining level itself: one
+// in-process Exchanger metered into the run's stats, and one scratch arena
+// per PE.
+func (co *coordinator) runLocally() {
+	co.localT = dist.Metered(dist.NewExchanger(co.pes), co.opts.Stats)
+	co.scratch = make([]*mem.Arena, co.pes)
+	for pe := range co.scratch {
+		co.scratch[pe] = mem.NewArena()
+	}
+}
+
 // spliceJob ships PE pe its level-0 job by splicing the stored shard file's
 // bytes behind a freshly encoded job header — byte-identical to AppendJob on
 // the extracted subgraph, with zero decoding and no global adjacency touch.
@@ -709,7 +777,7 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 		}
 		live := co.liveWorkers()
 		if len(live) == 0 {
-			co.localT = dist.Metered(dist.NewExchanger(co.pes), co.opts.Stats)
+			co.runLocally()
 			co.counters.LocalFallbacks.Add(1)
 			return nil
 		}

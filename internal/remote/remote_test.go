@@ -23,7 +23,7 @@ import (
 // runServeWorkers runs a coordinator and pes workers over localhost TCP —
 // the full out-of-process protocol, minus the process boundary (the
 // cmd/kappa test covers that part with real OS processes).
-func runServeWorkers(t *testing.T, g *graph.Graph, cfg core.Config) (core.Result, []remote.WorkResult) {
+func runServeWorkers(t *testing.T, g *graph.Graph, cfg core.Config, so remote.ServeOptions, opts ...core.Option) (core.Result, []remote.WorkResult) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,7 +49,7 @@ func runServeWorkers(t *testing.T, g *graph.Graph, cfg core.Config) (core.Result
 			workers[i] = wr
 		}(i)
 	}
-	res, err := remote.ServeWith(ctx, ln, g, cfg, remote.ServeOptions{})
+	res, err := remote.ServeWith(ctx, ln, g, cfg, so, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestServeMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, workers := runServeWorkers(t, tc.g, cfg)
+			got, workers := runServeWorkers(t, tc.g, cfg, remote.ServeOptions{})
 
 			if got.Cut != want.Cut || !reflect.DeepEqual(got.Blocks, want.Blocks) {
 				t.Fatalf("out-of-process partition diverged: cut %d vs %d", got.Cut, want.Cut)

@@ -19,11 +19,14 @@ import (
 )
 
 // WorkResult is what a finished worker session reports: the PE this process
-// was first assigned, how many contraction levels the run reached, and the
+// was first assigned, how many contraction levels this worker ran, and the
 // final partition the coordinator broadcast (nil when the run failed
 // coordinator-side).
 type WorkResult struct {
-	PE        int
+	PE int
+	// Levels counts the levels this worker ran. A level folded onto the
+	// coordinator is not among them, so a run whose every level folds
+	// leaves it 0.
 	Levels    int
 	Partition []int32
 }

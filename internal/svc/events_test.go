@@ -221,15 +221,25 @@ func TestEventStreamLive(t *testing.T) {
 }
 
 // TestEventPayloadsAreReportEntries pins the SSE stream to the run report:
-// every level, init, refine and phase payload of a real job is, byte for
-// byte, json.Marshal of the matching entry of that job's non-zeroed report,
-// in order.
+// every level, init, refine, rebalance and phase payload of a real job is,
+// byte for byte, json.Marshal of the matching entry of that job's non-zeroed
+// report, in order. The second job (k=8 on two PEs) ends in a rebalance.
 func TestEventPayloadsAreReportEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real pipeline run")
 	}
+	for spec, rebalances := range map[string]int{
+		`{"gen":"rgg:9","k":4,"seed":5}`:          0,
+		`{"gen":"rgg:11","k":8,"pes":2,"seed":3}`: 1,
+	} {
+		t.Run(spec, func(t *testing.T) { checkEventPayloads(t, spec, rebalances) })
+	}
+}
+
+// checkEventPayloads runs one job of TestEventPayloadsAreReportEntries.
+func checkEventPayloads(t *testing.T, spec string, rebalances int) {
 	s, h := newTestServer(t, Options{Concurrency: 1, Queue: 2})
-	st := waitTerminal(t, s, decodeStatus(t, submitJob(t, h, `{"gen":"rgg:9","k":4,"seed":5}`)).ID)
+	st := waitTerminal(t, s, decodeStatus(t, submitJob(t, h, spec)).ID)
 	if st.State != StateDone {
 		t.Fatalf("job: %s (%s)", st.State, st.Error)
 	}
@@ -239,11 +249,15 @@ func TestEventPayloadsAreReportEntries(t *testing.T) {
 	if err := json.Unmarshal(body.Body.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Rebalance) != rebalances {
+		t.Fatalf("report has %d rebalance entries, want %d", len(rep.Rebalance), rebalances)
+	}
 	want := map[string][]any{
-		"level":  entries(rep.Levels),
-		"init":   {rep.Init},
-		"refine": entries(rep.Refine),
-		"phase":  entries(rep.Phases),
+		"level":     entries(rep.Levels),
+		"init":      {rep.Init},
+		"refine":    entries(rep.Refine),
+		"rebalance": entries(rep.Rebalance),
+		"phase":     entries(rep.Phases),
 	}
 
 	stream := httptest.NewRecorder()

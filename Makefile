@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15130
+LOC_MAX = 15178
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -129,7 +129,8 @@ race:
 # any part set a worker can send, the bulk varint kernels under the wire
 # arrays and the edge-list kernel on one node range and on several; and the
 # property that proof rests on, that a bound never exceeds its block's
-# lightest node. CI runs this.
+# lightest node; and whole runs on graphs of up to 64 nodes under any named
+# configuration, which must be valid and repeat exactly. CI runs this.
 # FUZZMIN caps per-input minimization: binary-format targets surface many
 # interesting inputs, and the default 60s minimization per input stalls a
 # short smoke run before it fuzzes anything.
@@ -156,3 +157,4 @@ fuzz:
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzPairSearchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/pq -run=^$$ -fuzz=FuzzGainQueueMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test . -run=^$$ -fuzz=FuzzRun -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

@@ -261,9 +261,9 @@ func (s *Store) MapGraph() (*MappedGraph, error) {
 			g := graphOverMapping(data, man, lay)
 			once := new(sync.Once)
 			mg := &MappedGraph{G: g, mapped: true, once: once, unmap: func() error { return unmap() }}
-			// Backstop for callers that drop the graph without closing
-			// (e.g. a retained service job): release the address range when
-			// the graph is collected. Close and the cleanup share the Once.
+			// Backstop for callers that drop the graph without closing:
+			// release the address range when the graph is collected. Close
+			// and the cleanup share the Once.
 			runtime.AddCleanup(g, func(u func() error) { once.Do(func() { u() }) }, unmap)
 			return mg, nil
 		}

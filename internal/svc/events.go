@@ -99,6 +99,17 @@ func (l *eventLog) since(after int64) ([]Event, <-chan struct{}, bool) {
 	return out, l.wake, l.closed
 }
 
+// payloadBytes sums the rendered payloads of the retained events.
+func (l *eventLog) payloadBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for _, ev := range l.events {
+		n += int64(len(ev.Data))
+	}
+	return n
+}
+
 // stateEvent is the payload of a lifecycle transition; the run's trace
 // events carry their run report entries (obs.TraceRecord).
 type stateEvent struct {

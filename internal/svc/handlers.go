@@ -109,19 +109,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // handleSubmit is admission: parse and validate the spec (400/413), resolve
 // the graph, then ask the queue. A full queue is 429 with Retry-After; a
 // draining server is 503 with Retry-After. Success is 202 with the job's
-// initial status.
+// initial status. A refused submit unmaps a shard_dir input before it
+// answers.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, cfg, timeout, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	g, err := s.jobGraph(&spec, &cfg)
+	g, mapped, err := s.resolveGraph(&spec, &cfg)
+	if err == nil {
+		err = cfg.CheckGraph(g)
+	}
 	if err != nil {
+		release(mapped)
 		s.metrics.reject("invalid")
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	j, err := s.submit(g, cfg, timeout)
+	j, err := s.submit(g, mapped, cfg, timeout)
+	if err != nil {
+		release(mapped)
+	}
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.metrics.reject("queue_full")
@@ -203,28 +211,20 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// jobGraph resolves the job's graph, the way the CLI would from the
-// equivalent flags, and checks cfg against it. A shard-store job adopts the
-// manifest's shape into cfg, exactly like `kappa serve -shards`: the store's
-// shard count and extraction strategy are facts of the input, not knobs of
-// the request.
-func (s *Server) jobGraph(spec *JobSpec, cfg *core.Config) (*graph.Graph, error) {
-	g, man, err := s.resolveGraph(spec)
-	if err != nil {
-		return nil, err
+// release unmaps a shard_dir input; it is a no-op for every other source.
+func release(mapped *store.MappedGraph) {
+	if mapped != nil {
+		mapped.Close()
 	}
-	if man != nil {
-		if err := cfg.AdoptStore(man.PEs, man.Strategy); err != nil {
-			return nil, fmt.Errorf("shard_dir %q: %w", spec.ShardDir, err)
-		}
-	}
-	return g, cfg.CheckGraph(g)
 }
 
-// resolveGraph loads the job's input from exactly one of the four sources.
-// Shard-store jobs additionally return the store's manifest so jobGraph can
-// adopt its shape into the config.
-func (s *Server) resolveGraph(spec *JobSpec) (*graph.Graph, *store.Manifest, error) {
+// resolveGraph loads the job's input from exactly one of the four sources,
+// the way the CLI would from the equivalent flags. A shard-store job adopts the manifest's shape into cfg, exactly like
+// `kappa serve -shards`: the store's shard count and extraction strategy are
+// facts of the input, not knobs of the request. Its graph is mapped from the
+// store's CSR segment, and the mapping is returned for the job to close when
+// it settles; on an error nothing stays mapped.
+func (s *Server) resolveGraph(spec *JobSpec, cfg *core.Config) (*graph.Graph, *store.MappedGraph, error) {
 	sources := 0
 	for _, set := range []bool{spec.Gen != "", spec.GraphFile != "", spec.Graph != "", spec.ShardDir != ""} {
 		if set {
@@ -253,14 +253,15 @@ func (s *Server) resolveGraph(spec *JobSpec) (*graph.Graph, *store.Manifest, err
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard_dir: %v", err)
 		}
-		// The mapping stays open for the job's retained lifetime — Status
-		// keeps reading node/edge counts through it — and is released by
-		// MapGraph's GC backstop when the job is evicted from retention.
-		mg, err := st.MapGraph()
+		man := st.Manifest()
+		if err := cfg.AdoptStore(man.PEs, man.Strategy); err != nil {
+			return nil, nil, fmt.Errorf("shard_dir %q: %w", spec.ShardDir, err)
+		}
+		mapped, err := st.MapGraph()
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard_dir: %v", err)
 		}
-		return mg.G, st.Manifest(), nil
+		return mapped.G, mapped, nil
 	default:
 		path, err := s.confine("graph_file", spec.GraphFile)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/store"
 )
 
 // State is a job's position in its lifecycle. The machine is
@@ -33,14 +34,21 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Job is one admitted partitioning request. The immutable fields (id, graph,
-// config, context) are set at admission; the mutable lifecycle lives behind
-// mu. Reads through Status and the artifact accessors are safe from any
-// goroutine.
+// Job is one admitted partitioning request. The immutable fields (id, config,
+// input size, context) are set at admission; the mutable lifecycle lives
+// behind mu. Reads through Status and the artifact accessors are safe from
+// any goroutine.
 type Job struct {
-	id  string
-	g   *graph.Graph
-	cfg core.Config
+	id           string
+	cfg          core.Config
+	nodes, edges int // the input's size, served by Status after it is released
+
+	// g is the job's input and mapped, for a shard_dir job, the store
+	// mapping g is a view of. The worker reads them only between setRunning
+	// and finish; settling drops both under mu, so a settled job keeps what
+	// the API serves and nothing it needed only to run.
+	g      *graph.Graph
+	mapped *store.MappedGraph
 
 	// ctx carries the job's deadline and cancellation; cancel releases it
 	// and is safe to call many times.
@@ -66,6 +74,10 @@ type Job struct {
 	levels  int
 	arts    *jobArtifacts
 
+	// held is what the settled job keeps for the API, in bytes: its
+	// artifacts and its event payloads (kappa_jobs_retained_bytes).
+	held atomic.Int64
+
 	// done is closed when the job reaches a terminal state; tests and the
 	// drain path wait on it.
 	done chan struct{}
@@ -78,11 +90,14 @@ type Job struct {
 // newJob builds a queued job whose deadline clock starts now: time spent
 // waiting in the queue counts against the deadline, so a drowning server
 // sheds expired work instead of running it pointlessly late.
-func newJob(id string, g *graph.Graph, cfg core.Config, parent context.Context, timeout time.Duration) *Job {
+func newJob(id string, g *graph.Graph, mapped *store.MappedGraph, cfg core.Config, parent context.Context, timeout time.Duration) *Job {
 	j := &Job{
 		id:        id,
-		g:         g,
 		cfg:       cfg,
+		nodes:     g.NumNodes(),
+		edges:     g.NumEdges(),
+		g:         g,
+		mapped:    mapped,
 		submitted: time.Now(),
 		state:     StateQueued,
 		done:      make(chan struct{}),
@@ -114,14 +129,24 @@ func (j *Job) setRunning(wait time.Duration) bool {
 	return true
 }
 
-// finish settles the job in a terminal state, stores its artifacts, releases
-// its context, and wakes every waiter.
+// finish settles the job in a terminal state and wakes every waiter; a job
+// that is already terminal is left as it is, so its input is released
+// exactly once.
 func (j *Job) finish(state State, res core.Result, arts *jobArtifacts, err error) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
+	mapped := j.settle(state, res, arts, err)
+	j.mu.Unlock()
+	j.wake(mapped)
+}
+
+// settle records the terminal state, with j.mu held: it keeps the figures
+// and artifacts the API serves, seals the event log, and drops the input. It
+// returns the input's store mapping for wake to close outside the lock.
+func (j *Job) settle(state State, res core.Result, arts *jobArtifacts, err error) *store.MappedGraph {
 	if !j.started.IsZero() {
 		j.runTime = time.Since(j.started)
 	}
@@ -135,9 +160,22 @@ func (j *Job) finish(state State, res core.Result, arts *jobArtifacts, err error
 		j.levels = res.Levels
 		j.arts = arts
 	}
-	j.mu.Unlock()
 	j.events.state(state, errMsg(err))
 	j.events.close()
+	held := j.events.payloadBytes()
+	if j.arts != nil {
+		held += int64(len(j.arts.partition) + len(j.arts.report) + len(j.arts.reportZero))
+	}
+	j.held.Store(held)
+	mapped := j.mapped
+	j.g, j.mapped = nil, nil
+	return mapped
+}
+
+// wake completes a settle outside j.mu: it unmaps the input's store mapping,
+// releases the job's context, and wakes every waiter.
+func (j *Job) wake(mapped *store.MappedGraph) {
+	release(mapped)
 	j.cancel()
 	close(j.done)
 }
@@ -160,17 +198,19 @@ func (j *Job) requestCancel() bool {
 		j.mu.Unlock()
 		return false
 	}
-	queued := j.state == StateQueued
-	j.mu.Unlock()
 	j.cancelRequested.Store(true)
-	if queued {
-		// Settle now so the client observes "canceled" without waiting for
-		// a worker to reach the job in the queue. finish is idempotent, so
-		// the racing worker (or a second cancel) is harmless.
-		j.finish(StateCanceled, core.Result{}, nil, context.Canceled)
-	} else {
+	if j.state != StateQueued {
+		j.mu.Unlock()
 		j.cancel()
+		return true
 	}
+	// Settle now, under the lock that saw the job queued, so the client
+	// observes "canceled" without waiting for a worker to reach the job in
+	// the queue, and the worker that dequeues it finds it terminal and never
+	// touches the released input.
+	mapped := j.settle(StateCanceled, core.Result{}, nil, context.Canceled)
+	j.mu.Unlock()
+	j.wake(mapped)
 	return true
 }
 
@@ -205,8 +245,8 @@ func (j *Job) Status() Status {
 		ID:     j.id,
 		State:  j.state,
 		Error:  j.errMsg,
-		Nodes:  j.g.NumNodes(),
-		Edges:  j.g.NumEdges(),
+		Nodes:  j.nodes,
+		Edges:  j.edges,
 		K:      j.cfg.K,
 		Seed:   j.cfg.Seed,
 		Events: "/api/v1/jobs/" + j.id + "/events",

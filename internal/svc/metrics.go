@@ -5,10 +5,10 @@ import "repro/internal/obs"
 // serviceMetrics is the kappa_jobs_* catalog: per-state counters (so the
 // lifecycle of every admitted job is visible as queued → running →
 // done/failed/canceled), rejection counters split by reason, live gauges
-// for queue depth and running jobs, and latency histograms for queue wait
-// and run duration. The catalog is registered once per Server; registries
-// must not be shared between Servers (the queue-depth pull binding is
-// one-shot).
+// for queue depth, running jobs and the bytes retained jobs hold, and
+// latency histograms for queue wait and run duration. The catalog is
+// registered once per Server; registries must not be shared between Servers
+// (the pull bindings are one-shot).
 type serviceMetrics struct {
 	submitted *obs.Counter
 	running   *obs.Gauge
@@ -21,9 +21,9 @@ type serviceMetrics struct {
 	runDur    *obs.Histogram
 }
 
-// newServiceMetrics registers the catalog on r; queueLen is pulled at every
-// scrape for the live queue-depth gauge.
-func newServiceMetrics(r *obs.Registry, queueLen func() float64) *serviceMetrics {
+// newServiceMetrics registers the catalog on r; queueLen and retained are
+// pulled at every scrape for the live queue-depth and retained-bytes gauges.
+func newServiceMetrics(r *obs.Registry, queueLen, retained func() float64) *serviceMetrics {
 	m := &serviceMetrics{
 		submitted: r.Counter("kappa_jobs_submitted_total",
 			"Jobs admitted into the queue."),
@@ -46,6 +46,8 @@ func newServiceMetrics(r *obs.Registry, queueLen func() float64) *serviceMetrics
 	}
 	r.GaugeVec("kappa_jobs_queued",
 		"Jobs currently waiting in the queue.").Func(queueLen)
+	r.GaugeVec("kappa_jobs_retained_bytes",
+		"Bytes the retained finished jobs hold: partitions, reports and event payloads.").Func(retained)
 	// Pre-create the rejection children so the series exist (at zero) from
 	// the first scrape.
 	m.rejected.With("queue_full")

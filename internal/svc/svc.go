@@ -44,6 +44,7 @@ import (
 	"repro/internal/graphio"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // runFunc is the pipeline entry point a Server drives; tests substitute a
@@ -163,7 +164,7 @@ func New(opts Options) *Server {
 		jobs:  make(map[string]*Job),
 	}
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
-	s.metrics = newServiceMetrics(o.Registry, func() float64 { return float64(len(s.queue)) })
+	s.metrics = newServiceMetrics(o.Registry, func() float64 { return float64(len(s.queue)) }, s.retainedBytes)
 	s.wg.Add(o.Concurrency)
 	for i := 0; i < o.Concurrency; i++ {
 		go s.worker()
@@ -306,6 +307,18 @@ func (s *Server) retire(id string) {
 	}
 }
 
+// retainedBytes sums what the retained finished jobs hold. A job counts from
+// the moment it settles until it is evicted.
+func (s *Server) retainedBytes() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, id := range s.finished {
+		n += s.jobs[id].held.Load()
+	}
+	return float64(n)
+}
+
 // ErrDraining is returned (as a 503) to submissions arriving while the
 // server is draining.
 var ErrDraining = errors.New("svc: server is draining")
@@ -315,15 +328,16 @@ var ErrQueueFull = errors.New("svc: job queue is full")
 
 // submit admits a prepared job: under the admission lock it re-checks the
 // drain state and performs the non-blocking enqueue that is the
-// admission-control decision. The job's deadline clock starts here.
-func (s *Server) submit(g *graph.Graph, cfg core.Config, timeout time.Duration) (*Job, error) {
+// admission-control decision. The job's deadline clock starts here. A
+// refused job takes nothing: the caller still owns mapped.
+func (s *Server) submit(g *graph.Graph, mapped *store.MappedGraph, cfg core.Config, timeout time.Duration) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, ErrDraining
 	}
 	id := fmt.Sprintf("j%d", s.nextID+1)
-	j := newJob(id, g, cfg, s.jobsCtx, timeout)
+	j := newJob(id, g, mapped, cfg, s.jobsCtx, timeout)
 	select {
 	case s.queue <- j:
 	default:

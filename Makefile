@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test lint check docs fmt bench bench-build bench-baseline bench-compare scaling examples race fuzz loc loc-check
+.PHONY: all vet build test lint check docs fmt bench bench-build bench-baseline bench-compare scaling examples race fuzz loc loc-check ci-smoke
 
 all: check
 
@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15178
+LOC_MAX = 15173
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -91,6 +91,14 @@ scaling:
 # this too, so the example code can never rot).
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d"; done
+
+# ci-smoke runs the built binaries end to end and byte-compares their outputs:
+# kappa api against the CLI (plus backpressure and drain), and serve -shards
+# against the in-memory serve run, zeroed report included
+# (scripts/ci-smoke.sh). CI calls this target, so a local run sees what CI
+# sees.
+ci-smoke:
+	GO=$(GO) bash scripts/ci-smoke.sh
 
 # race runs the race detector over the concurrency-heavy packages plus the
 # pipeline contract tests (context cancellation, transport swap), the

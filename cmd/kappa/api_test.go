@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -153,24 +154,37 @@ func TestAPIServerJobMatchesCLI(t *testing.T) {
 
 // TestRunPathInterruptExitsOne pins the signal satellite on the classic CLI
 // path: SIGINT cancels the run context and the process exits 1 with an
-// "interrupted" diagnostic instead of dying mid-write.
+// "interrupted" diagnostic instead of dying mid-write. The signal goes out
+// when the first -progress line arrives, so it lands mid-pipeline however
+// slowly the loaded machine reaches the run.
 func TestRunPathInterruptExitsOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
 	kappa, _ := buildBinaries(t)
-	var stderr bytes.Buffer
 	// A run big enough to be mid-pipeline when the signal lands.
-	cmd := exec.Command(kappa, "-gen", "rgg:15", "-k", "32", "-preset", "strong")
-	cmd.Stderr = &stderr
+	cmd := exec.Command(kappa, "-gen", "rgg:15", "-k", "32", "-preset", "strong", "-progress")
+	pipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond) // let it install handlers and start
+	sc := bufio.NewScanner(pipe)
+	var stderr strings.Builder
+	if !sc.Scan() {
+		cmd.Wait()
+		t.Fatal("kappa -progress printed nothing on stderr")
+	}
+	stderr.WriteString(sc.Text() + "\n")
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	err := cmd.Wait()
+	for sc.Scan() { // the whole of stderr, before Wait closes the pipe
+		stderr.WriteString(sc.Text() + "\n")
+	}
+	err = cmd.Wait()
 	exit, ok := err.(*exec.ExitError)
 	if !ok {
 		t.Fatalf("kappa exited %v after SIGINT, want exit code 1\nstderr:\n%s", err, stderr.String())

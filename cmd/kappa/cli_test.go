@@ -41,6 +41,22 @@ func TestMoreBlocksThanNodesExitsTwo(t *testing.T) {
 	}
 }
 
+// TestServeOnePEExitsTwo: serving needs at least two PEs, and fewer is a
+// configuration error (exit 2) named on stderr, not a wait for one worker.
+func TestServeOnePEExitsTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	kappa, _ := buildBinaries(t)
+	out, err := exec.Command(kappa, "serve", "-gen", "rgg:8", "-k", "4", "-pes", "1", "-listen", "127.0.0.1:0").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("kappa serve -pes 1: want exit 2, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "at least 2 PEs") {
+		t.Fatalf("diagnostic does not name the PE floor:\n%s", out)
+	}
+}
+
 // TestEvalRejectsOutOfRangeBlock pins the bad-input promise for -eval: a
 // block id outside [0, k) is a runtime error naming the line, not a panic.
 func TestEvalRejectsOutOfRangeBlock(t *testing.T) {

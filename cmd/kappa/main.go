@@ -136,16 +136,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
+	// kernels, profiles flush, and the process exits 1 — instead of dying
+	// mid-write with a truncated -out file or an empty CPU profile. It is
+	// installed before the load, so a signal that lands while the graph is
+	// read or generated ends the run the same way.
+	ctx, cancel := runContext(rf.timeout)
+	defer cancel()
 	g, err := loadGraph(rf.in, rf.gen)
 	if err != nil {
 		fail(err)
 	}
-
-	// SIGINT/SIGTERM cancel the run context: the pipeline unwinds between
-	// kernels, profiles flush, and the process exits 1 — instead of dying
-	// mid-write with a truncated -out file or an empty CPU profile.
-	ctx, cancel := runContext(rf.timeout)
-	defer cancel()
 	runObs, opts, err := rf.options(&ob, g, cfg)
 	if err != nil {
 		fail(err)

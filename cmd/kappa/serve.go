@@ -50,6 +50,11 @@ func runServe(args []string) {
 		fail(err)
 	}
 
+	// Cancelling the coordination context closes the workers' connections.
+	// It is installed before the input is loaded, as in the classic path.
+	ctx, cancel := runContext(rf.timeout)
+	defer cancel()
+
 	// Input: a graph (-in/-gen) the coordinator holds in memory, or a shard
 	// store (-shards) it streams from disk. With -shards the graph variable
 	// is a memory-mapped view of the store's CSR segment — observability and
@@ -85,9 +90,6 @@ func runServe(args []string) {
 		}
 	}
 
-	// Cancelling the coordination context closes the workers' connections.
-	ctx, cancel := runContext(rf.timeout)
-	defer cancel()
 	runObs, opts, err := rf.options(&ob, g, cfg)
 	if err != nil {
 		fail(err)

@@ -30,6 +30,14 @@ type Result struct {
 	TotalTime   time.Duration
 }
 
+// LevelSeed is the matching seed of contraction level level in a run seeded
+// with seed. Every multi-PE level kernel — shared, in-process distributed,
+// and the jobs a coordinator ships — seeds its matching with it, which is
+// what keeps their partitions byte-identical.
+func LevelSeed(seed uint64, level int) uint64 {
+	return seed + uint64(level)*101
+}
+
 // sharedLevel performs one contraction level on the shared global graph:
 // parallel (or, with one PE, sequential) matching followed by a global
 // two-pass contraction, both batches on run and drawing scratch from a. It
@@ -42,7 +50,7 @@ func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, p
 	if pes > 1 {
 		// The prepartition (§3.3) localizes matching work onto PEs; the
 		// strategy does not influence the final partition directly.
-		m = matching.Parallel(run, cur, rt, cfg.Matcher, blocks, pes, cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching, a)
+		m = matching.Parallel(run, cur, rt, cfg.Matcher, blocks, pes, LevelSeed(cfg.Seed, level), maxPair, cfg.GapMatching, a)
 	} else {
 		m = matching.ComputeScratch(cur, rt, cfg.Matcher, rng.NewStream(cfg.Seed, uint64(level)), maxPair, a)
 	}
@@ -75,7 +83,7 @@ func DistributedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int
 	tm := time.Now()
 	sgs := dist.ExtractAllOn(run, cur, blocks, t.PEs())
 	ms := matching.DistributedScratch(sgs, t, cfg.Rating, cfg.Matcher,
-		cfg.Seed+uint64(level)*101, maxPair, cfg.GapMatching, scratch)
+		LevelSeed(cfg.Seed, level), maxPair, cfg.GapMatching, scratch)
 	matchT := time.Since(tm)
 	matched := false
 	for _, m := range ms {

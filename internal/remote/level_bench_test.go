@@ -33,7 +33,7 @@ func BenchmarkRemoteLevel(b *testing.B) {
 		cfg.PEs = pes
 		cfg.Coarsen = core.CoarsenDistributed
 		crew := par.Start(runtime.GOMAXPROCS(0), par.Spin)
-		blocks := dist.AssignScratch(crew, g, cfg.Distribution, pes, nil)
+		blocks := dist.Assign(g, cfg.Distribution, pes)
 		maxPair := 3 * g.TotalNodeWeight() / (2 * int64(core.StopRule(g.NumNodes(), &cfg)))
 
 		b.Run(tc.name+"/inproc", func(b *testing.B) {

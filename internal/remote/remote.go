@@ -10,8 +10,11 @@
 //     in-process contraction kernel with one that ships each PE its subgraph
 //     shard (wire-encoded) per level, waits for the per-PE shares of the
 //     fine→coarse map, and contracts its own copy of the level by them.
-//     Initial partitioning and refinement run on the coordinator, exactly as
-//     §4/§5 of the paper run them on one rank.
+//     Each level's shards follow the pipeline's node-to-PE assignment (§3.3),
+//     the one an in-process run draws; a store's level 0 ships the shards
+//     the store was written with instead. Initial partitioning and
+//     refinement run on the coordinator, exactly as §4/§5 of the paper run
+//     them on one rank. A run needs at least two PEs.
 //
 //   - A worker (Work) hosts one or more PEs: it receives its shards, runs
 //     the exported per-PE kernels (matching.MatchSubgraph,
@@ -171,6 +174,10 @@ type coordinator struct {
 // is the only mode with a per-PE kernel to distribute. so configures failure
 // detection and the run's counters; its zero value waits forever.
 //
+// Serving needs at least two PEs: with one, the in-process pipeline matches
+// with the sequential shared kernel, which no worker runs, so fewer are
+// rejected as core.ErrInvalidConfig before any worker is awaited.
+//
 // Cancelling ctx closes every connection and the listener, so blocked
 // accepts and superstep reads abort promptly.
 func ServeWith(ctx context.Context, ln net.Listener, g *graph.Graph, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
@@ -194,8 +201,11 @@ func newCoordinator(pes int, ln net.Listener, so ServeOptions) *coordinator {
 
 // serve runs the coordinator's full session: handshake, pipeline, final
 // broadcast. cfg.Coarsen is forced to CoarsenDistributed — the only mode
-// with a per-PE kernel to distribute.
+// with a per-PE kernel to distribute — and fewer than two PEs are rejected.
 func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Config, opts ...core.Option) (core.Result, error) {
+	if cfg.NumPEs() < 2 {
+		return core.Result{}, fmt.Errorf("%w: serving needs at least 2 PEs, got %d", core.ErrInvalidConfig, cfg.NumPEs())
+	}
 	cfg.Coarsen = core.CoarsenDistributed
 	// Close every accepted connection on the way out — including transport
 	// connections accepted before a handshake failure, which no hub ever
@@ -257,8 +267,6 @@ func (co *coordinator) closeAll() {
 func (co *coordinator) handshake(cfg core.Config) error {
 	pes, so := co.pes, co.opts
 	hub := dist.NewSocketHub(pes)
-	hub.SetStats(so.Stats)
-	hub.SetIODeadline(so.WorkerTimeout)
 	nextPE := 0
 	haveTransport := 0
 	for nextPE < pes || haveTransport < pes {
@@ -316,10 +324,7 @@ func (co *coordinator) handshake(cfg core.Config) error {
 			haveTransport++
 		}
 	}
-	armListener(co.ln, 0)
-	co.hub = hub
-	co.hubErr = make(chan error, 1)
-	go func() { co.hubErr <- hub.Route() }()
+	co.startHub(hub)
 	return nil
 }
 
@@ -436,7 +441,9 @@ func (co *coordinator) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Co
 // pure functions of the current graph and the seed, and nothing commits
 // before Stitch, so a retried level is byte-identical to an undisturbed one.
 // A level that folds, and every level once no worker is left, runs on the
-// coordinator instead.
+// coordinator instead. Every way takes blocks, the pipeline's assignment of
+// cur; only a spliced level 0 does not extract by it, its stored shards
+// having been extracted by the same assignment.
 func (co *coordinator) level(ctx context.Context, run *par.Crew, cur *graph.Graph, cfg *core.Config, blocks []int32, level int, maxPair int64) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
 	fold := co.folds(cur)
 	if fold && co.localT == nil {
@@ -445,16 +452,6 @@ func (co *coordinator) level(ctx context.Context, run *par.Crew, cur *graph.Grap
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
-		}
-		if blocks == nil && (co.localT != nil || !co.splices(cur)) {
-			// No assignment came with the level: one PE gets none, and a
-			// store-served run leaves it to this kernel (storeDistributor). Only shipping level 0's
-			// stored shards works without one; every other level, and the
-			// degraded local path — the one place a store-served coordinator
-			// computes over the full fine graph, accepted in exchange for
-			// finishing the run — computes it from the strategy the shards
-			// were extracted under.
-			blocks = dist.AssignScratch(run, cur, cfg.Distribution, co.pes, nil)
 		}
 		if co.localT != nil {
 			if fold {
@@ -553,7 +550,7 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 				}
 				job := wire.Job{
 					Level:   level,
-					Seed:    cfg.Seed + uint64(level)*101,
+					Seed:    core.LevelSeed(cfg.Seed, level),
 					MaxPair: maxPair,
 					Shard:   sgs[pe],
 				}
@@ -713,7 +710,7 @@ func (co *coordinator) spliceJob(w *workerConn, pe, level int, runSeed uint64, m
 	if err != nil {
 		return fmt.Errorf("remote: loading shard %d: %w", pe, err)
 	}
-	frame := wire.AppendJobHeader(wire.NewFrame(len(data)+32), level, runSeed+uint64(level)*101, maxPair)
+	frame := wire.AppendJobHeader(wire.NewFrame(len(data)+32), level, core.LevelSeed(runSeed, level), maxPair)
 	frame = append(frame, data...)
 	if err := co.writeCtrl(w, wire.KindJob, frame); err != nil {
 		return workerErr(w.id, "job", err)
@@ -827,8 +824,6 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 // error tells rebuild to start over.
 func (co *coordinator) acceptTransports(ctx context.Context) error {
 	hub := dist.NewSocketHub(co.pes)
-	hub.SetStats(co.opts.Stats)
-	hub.SetIODeadline(co.opts.WorkerTimeout)
 	arrived := make([]bool, co.pes)
 	for got := 0; got < co.pes; got++ {
 		armListener(co.ln, co.opts.WorkerTimeout)
@@ -866,11 +861,20 @@ func (co *coordinator) acceptTransports(ctx context.Context) error {
 		}
 		arrived[hello.PE] = true
 	}
+	co.startHub(hub)
+	return nil
+}
+
+// startHub makes hub, holding every PE's transport connection, the epoch's
+// hub: it meters the hub into the run's stats, bounds its I/O by the worker
+// timeout, clears the listener's accept deadline and starts routing.
+func (co *coordinator) startHub(hub *dist.SocketHub) {
+	hub.SetStats(co.opts.Stats)
+	hub.SetIODeadline(co.opts.WorkerTimeout)
 	armListener(co.ln, 0)
 	co.hub = hub
 	co.hubErr = make(chan error, 1)
 	go func() { co.hubErr <- hub.Route() }()
-	return nil
 }
 
 // armListener sets (or clears, d == 0) the accept deadline on listeners

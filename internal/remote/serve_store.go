@@ -6,7 +6,6 @@ import (
 	"net"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/store"
 )
 
@@ -18,6 +17,11 @@ import (
 // byte-identical to ServeWith on the graph the store was written from (the
 // shard files hold the exact bytes level-0 extraction would wire-encode, and
 // the mapped CSR holds the exact values the in-memory graph holds).
+//
+// Every level takes the pipeline's node-to-PE assignment, as in ServeWith (a
+// caller's core.WithDistributor included). Level 0 computes it but does not
+// extract by it: its stored shards were extracted under the manifest's
+// strategy, which the default assignment follows.
 //
 // The manifest is authoritative for the run's shape: cfg adopts its shard
 // count and extraction strategy (core.Config.AdoptStore), and a cfg that
@@ -38,20 +42,5 @@ func ServeStore(ctx context.Context, ln net.Listener, st *store.Store, cfg core.
 	co.store = st
 	co.fine = mg.G
 	co.spliceSem = make(chan struct{}, 1)
-	// Level 0 needs no node-to-PE assignment — the stored shards embody it —
-	// so the distributor skips the O(n) computation exactly when remoteLevel
-	// skips the O(n) extraction. The coordinator's level kernel assigns the
-	// coarse levels itself, on the run's crew.
-	opts = append(opts, core.WithDistributor(storeDistributor{}))
 	return co.serve(ctx, mg.G, cfg, opts...)
-}
-
-// storeDistributor leaves every level's node-to-PE assignment to the
-// coordinator's level kernel: level 0's lives in the shard files, and the
-// kernel computes the others on the run's crew, which a Distributor does not
-// see.
-type storeDistributor struct{}
-
-func (storeDistributor) Distribute(ctx context.Context, _ *graph.Graph, _ *core.Config, _ int) ([]int32, error) {
-	return nil, ctx.Err()
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/store"
@@ -89,11 +90,30 @@ func zeroedReport(t *testing.T, g *graph.Graph, cfg core.Config,
 	return buf.Bytes()
 }
 
-// TestServeStoreMatchesInMemory is the acceptance pin of the out-of-core
-// path: serving from a shard directory produces the byte-identical partition
-// AND the byte-identical (time-zeroed) run report of the classic in-memory
-// run — same graph, same seed, same flags — while the coordinator streams
-// shard files instead of extracting level-0 subgraphs.
+// recordedReport runs serve under an obs.Recorder on a fresh arena, as
+// `kappa serve -report -report-zero` does, and returns the result and the
+// time-zeroed report, its transport, arena and faults sections included.
+func recordedReport(t *testing.T, g *graph.Graph, cfg core.Config,
+	serve func(so remote.ServeOptions, opts ...core.Option) core.Result) (core.Result, []byte) {
+	t.Helper()
+	rec := obs.NewRecorder(g, cfg, mem.NewArena(), nil)
+	rec.Faults = &remote.Counters{}
+	res := serve(remote.ServeOptions{Stats: rec.Stats, Counters: rec.Faults}, rec.Options()...)
+	r := rec.Finish(res)
+	r.ZeroTimes()
+	var buf bytes.Buffer
+	if _, err := r.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
+// TestServeStoreMatchesInMemory is the acceptance pin of the out-of-process
+// path: serving from a shard directory produces the partition of the classic
+// in-process run, and the partition AND the whole time-zeroed report — arena
+// and transport sections included — of serving the in-memory graph, while
+// the coordinator streams shard files instead of extracting level-0
+// subgraphs.
 func TestServeStoreMatchesInMemory(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -114,43 +134,65 @@ func TestServeStoreMatchesInMemory(t *testing.T) {
 			cfg.Distribution = tc.strat
 
 			st := writeTestStore(t, tc.g, tc.pes, tc.strat)
-
-			wantReport := zeroedReport(t, tc.g, cfg, func(opts ...core.Option) (core.Result, error) {
-				return core.Run(context.Background(), tc.g, cfg, opts...)
-			})
 			want, err := core.Run(context.Background(), tc.g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			var counters remote.Counters
-			var got core.Result
+			served, wantReport := recordedReport(t, tc.g, cfg, func(so remote.ServeOptions, opts ...core.Option) core.Result {
+				res, _ := runServeWorkers(t, tc.g, cfg, so, opts...)
+				return res
+			})
 			mg, err := st.MapGraph()
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mg.Close()
-			gotReport := zeroedReport(t, mg.G, cfg, func(opts ...core.Option) (core.Result, error) {
-				var workers []remote.WorkResult
-				got, workers = runServeStoreWorkers(t, st, cfg, remote.ServeOptions{Counters: &counters}, opts...)
+			var streamed int64
+			got, gotReport := recordedReport(t, mg.G, cfg, func(so remote.ServeOptions, opts ...core.Option) core.Result {
+				res, workers := runServeStoreWorkers(t, st, cfg, so, opts...)
 				for i, wr := range workers {
-					if !reflect.DeepEqual(wr.Partition, got.Blocks) {
+					if !reflect.DeepEqual(wr.Partition, res.Blocks) {
 						t.Errorf("worker %d received a different final partition", i)
 					}
 				}
-				return got, nil
+				streamed = so.Counters.ShardsStreamed.Load()
+				return res
 			})
 
-			if got.Cut != want.Cut || !reflect.DeepEqual(got.Blocks, want.Blocks) {
-				t.Fatalf("shard-store partition diverged: cut %d vs %d", got.Cut, want.Cut)
+			for _, r := range []core.Result{served, got} {
+				if r.Cut != want.Cut || !reflect.DeepEqual(r.Blocks, want.Blocks) {
+					t.Fatalf("served partition diverged from the in-process run: cut %d vs %d", r.Cut, want.Cut)
+				}
 			}
 			if !bytes.Equal(gotReport, wantReport) {
 				t.Fatalf("shard-store report diverged:\n--- in-memory\n%s\n--- shard-store\n%s", wantReport, gotReport)
 			}
-			if n := counters.ShardsStreamed.Load(); n != int64(tc.pes) {
-				t.Fatalf("ShardsStreamed = %d, want %d (level 0 must splice, never extract)", n, tc.pes)
+			if streamed != int64(tc.pes) {
+				t.Fatalf("ShardsStreamed = %d, want %d (level 0 must splice, never extract)", streamed, tc.pes)
 			}
 		})
+	}
+}
+
+// TestServeRejectsOnePE: a one-PE serve would ship the distributed kernel
+// where the in-process run matches with the sequential one, so both entry
+// points refuse it as invalid configuration before awaiting any worker.
+func TestServeRejectsOnePE(t *testing.T) {
+	g := gen.RGG(9, 1)
+	cfg := core.NewConfig(core.Fast, 4)
+	cfg.PEs = 1
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if _, err := remote.ServeWith(context.Background(), ln, g, cfg, remote.ServeOptions{}); !errors.Is(err, core.ErrInvalidConfig) {
+		t.Fatalf("ServeWith with one PE: got %v, want ErrInvalidConfig", err)
+	}
+	st := writeTestStore(t, g, 1, dist.StrategyRCB)
+	if _, err := remote.ServeStore(context.Background(), ln, st, cfg, remote.ServeOptions{}); !errors.Is(err, core.ErrInvalidConfig) {
+		t.Fatalf("ServeStore with one shard: got %v, want ErrInvalidConfig", err)
 	}
 }
 
@@ -223,10 +265,9 @@ func TestServeStoreCorruptShard(t *testing.T) {
 }
 
 // TestServeStoreLocalFallback kills every worker of a store-served run on
-// its first level result: the coordinator has no level-0 assignment (the
-// shards embodied it), so the degraded in-process level must reconstruct it
-// from the manifest's strategy — and still produce the byte-identical
-// partition of the in-memory run TestServeStoreMatchesInMemory compares to.
+// its first level result: the degraded in-process level extracts by the
+// pipeline's level-0 assignment, which the spliced attempt left unused, and
+// must still produce the byte-identical partition of the in-memory run.
 func TestServeStoreLocalFallback(t *testing.T) {
 	g := gen.RGG(11, 3)
 	cfg := core.NewConfig(core.Fast, 8)

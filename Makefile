@@ -115,9 +115,12 @@ ci-smoke:
 # graph.ParallelRanges (the edge-list kernel under the codecs' round trips,
 # the contraction, the stitch, the gap scan, the boundary scan), the
 # per-block matchings, the per-PE extraction and RCB's halves, nested ones
-# inline — to the serial result on inputs above their floors.
+# inline — to the serial result on inputs above their floors. par's own tests
+# run twenty times over: a hand-off that depends on how the scheduler
+# interleaves the crew's members fails only now and then.
 race:
-	$(GO) test -race -cpu 1,2,4 ./internal/par ./internal/core ./internal/graph ./internal/coarsen ./internal/wire ./internal/matching ./internal/dist ./internal/part
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/par
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/graph ./internal/coarsen ./internal/wire ./internal/matching ./internal/dist ./internal/part
 	$(GO) test -race ./internal/refine ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 
 # fuzz smokes the native Go fuzz targets for a few seconds each: the

@@ -379,11 +379,14 @@ func (d strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg
 type LevelKernel func(ctx context.Context, cur *graph.Graph, cfg *Config, blocks []int32, level int, maxPair int64) (cg *graph.Graph, f2c []int32, matchT, contractT time.Duration, err error)
 
 // StopRule is KaPPa's contraction stop rule of §4 for an n-node input:
-// coarsening ends once at most max(n/(α·k²), 20·P, 2k) nodes remain — the
-// per-PE threshold max(20, n/(αk²)) of the paper summed over PEs, and never
-// fewer than two nodes per block.
+// coarsening ends once at most max(n/(α·k²), 20·max(P, k)) nodes remain —
+// the per-PE threshold max(20, n/(αk²)) of the paper summed over PEs. The
+// paper runs at least one PE per block; the floor counts blocks as well as
+// PEs so that with fewer PEs than blocks the coarsest graph still holds about
+// 20 nodes per block, instead of so few that initial partitioning cannot
+// balance them and the final rebalance wrecks the cut.
 func StopRule(n int, cfg *Config) int {
-	return max(int(float64(n)/(cfg.StopAlpha*float64(cfg.K)*float64(cfg.K))), 20*cfg.NumPEs(), 2*cfg.K)
+	return max(int(float64(n)/(cfg.StopAlpha*float64(cfg.K)*float64(cfg.K))), 20*max(cfg.NumPEs(), cfg.K))
 }
 
 // CoarsenWith runs the contraction loop of §3/§4 around a per-level kernel

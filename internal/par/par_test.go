@@ -199,16 +199,16 @@ func TestNestedBatchRunsInline(t *testing.T) {
 			}
 		}
 		// The crew is free again: a batch after the nested ones is handed out.
-		var members [3]atomic.Int32
-		for range 1000 {
-			c.Run(3, func(member, _ int) {
-				members[member].Add(1)
+		// Each of its two tasks waits until both have started, which only a
+		// helper claiming one of them lets happen; a batch run inline would
+		// hang here until within gives up.
+		var started atomic.Int32
+		c.Run(2, func(int, int) {
+			started.Add(1)
+			for started.Load() < 2 {
 				runtime.Gosched()
-			})
-		}
-		if members[0].Load() == 3000 {
-			return fmt.Errorf("after nested batches no helper claimed a task")
-		}
+			}
+		})
 		return nil
 	})
 }

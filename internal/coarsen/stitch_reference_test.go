@@ -315,9 +315,9 @@ func sameGraph(t testing.TB, what string, got, want *graph.Graph) {
 
 // levelParts runs one distributed level's matching and, on the same
 // matchings, both per-PE kernels: the parts workers ship and the parts the
-// oracle kernel makes. The oracle reads the coordinates shards carried in
-// store version 1; the shards get them back, and the new kernel, which a v1
-// store still feeds, must ignore them.
+// oracle kernel makes. The oracle reads the coordinates shards carried
+// before store version 2; the shards get them back, and the new kernel must
+// ignore them.
 func levelParts(g *graph.Graph, assign []int32, pes int, seed uint64) ([]*coarsen.PEContraction, []*referencePart) {
 	sgs := dist.ExtractAll(g, assign, pes)
 	for _, sg := range sgs {

@@ -53,14 +53,10 @@ type Refiner interface {
 }
 
 // Env is what the Pipeline hands every stage besides the graph and config:
-// the cross-stage collaborators (node distributor, message transport, the
-// run's scratch arena) and the trace sink.
+// the cross-stage collaborators (node distributor, the run's scratch arena)
+// and the trace sink.
 type Env struct {
 	Distributor Distributor
-	// Transport carries the superstep messages of distributed coarsening.
-	// nil means one channel-backed dist.Exchanger per contraction level —
-	// the in-process default.
-	Transport dist.Transport
 	// Arena is the run's scratch arena: every level of coarsening and every
 	// refinement round borrows its temporaries here, so the V-cycle
 	// allocates its working set once at the finest level and reuses it all
@@ -119,21 +115,17 @@ func (e *Env) Emit(ev TraceEvent) {
 	}
 }
 
-// transportFor returns the Transport distributed coarsening must use for a
-// superstep sequence over pes PEs, metered when the run carries transport
-// stats (dist.Metered is the identity for nil stats).
+// transportFor returns the Transport of one level's superstep sequence over
+// pes PEs: a channel-backed dist.Exchanger, metered when the run carries
+// transport stats (dist.Metered is the identity for nil stats).
 func (e *Env) transportFor(pes int) dist.Transport {
-	t := e.Transport
-	if t == nil {
-		t = dist.NewExchanger(pes)
-	}
-	return dist.Metered(t, e.stats)
+	return dist.Metered(dist.NewExchanger(pes), e.stats)
 }
 
-// Pipeline is the composable KaPPa runner: four pluggable stages, an
-// optional Transport for the distributed contraction phase, and optional
-// Observers for typed progress events. The zero value runs the paper's
-// pipeline; NewPipeline applies functional options on top of the defaults.
+// Pipeline is the composable KaPPa runner: four pluggable stages and
+// optional Observers for typed progress events. The zero value runs the
+// paper's pipeline; NewPipeline applies functional options on top of the
+// defaults.
 //
 // Error contract: Run returns ErrInvalidConfig-wrapped errors for bad input,
 // the context's error (matching errors.Is(err, context.Canceled) or
@@ -144,7 +136,6 @@ type Pipeline struct {
 	Coarsener   Coarsener
 	Initial     InitialPartitioner
 	Refiner     Refiner
-	Transport   dist.Transport
 	Observers   []Observer
 	// Stats, when non-nil, receives per-PE transport counters from every
 	// superstep of distributed coarsening: the Env's transports are wrapped
@@ -166,13 +157,6 @@ type Option func(*Pipeline)
 // which receive every event in order.
 func WithObserver(o Observer) Option {
 	return func(p *Pipeline) { p.Observers = append(p.Observers, o) }
-}
-
-// WithTransport routes every superstep of distributed coarsening through t
-// instead of per-level channel Exchangers. t.PEs() must match the
-// configured PE count; Run rejects a mismatch as ErrInvalidConfig.
-func WithTransport(t dist.Transport) Option {
-	return func(p *Pipeline) { p.Transport = t }
 }
 
 // WithTransportStats meters every superstep of distributed coarsening into
@@ -247,10 +231,6 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	if err := cfg.CheckGraph(g); err != nil {
 		return Result{}, err
 	}
-	if pl.Transport != nil && pl.Transport.PEs() != cfg.NumPEs() {
-		return Result{}, fmt.Errorf("%w: transport connects %d PEs, configuration uses %d",
-			ErrInvalidConfig, pl.Transport.PEs(), cfg.NumPEs())
-	}
 	if pl.Stats != nil && pl.Stats.PEs() < cfg.NumPEs() {
 		return Result{}, fmt.Errorf("%w: transport stats track %d PEs, configuration uses %d",
 			ErrInvalidConfig, pl.Stats.PEs(), cfg.NumPEs())
@@ -261,7 +241,6 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	}
 	env := &Env{
 		Distributor: pl.Distributor,
-		Transport:   pl.Transport,
 		Arena:       arena,
 		observers:   pl.Observers,
 		stats:       pl.Stats,
@@ -454,7 +433,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 
 // matchingCoarsener is the default Coarsener: the CoarsenWith loop around
 // the in-process level kernels — shared-memory matching/contraction, or the
-// PE-local distributed kernel over the Env's Transport, per cfg.Coarsen.
+// PE-local distributed kernel over an in-process Transport, per cfg.Coarsen.
 type matchingCoarsener struct{}
 
 func (matchingCoarsener) Coarsen(ctx context.Context, g *graph.Graph, cfg *Config, env *Env) (*coarsen.Hierarchy, error) {

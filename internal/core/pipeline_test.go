@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/part"
 )
@@ -224,18 +223,6 @@ func TestFewerPEsThanBlocksNeedNoRebalance(t *testing.T) {
 	}
 	if p := part.FromBlocks(g, cfg.K, cfg.Eps, res.Blocks); !p.Feasible() || res.Cut != 1071 {
 		t.Fatalf("cut %d balance %.4f, want cut 1071 within 1+%.2f", res.Cut, p.Imbalance(), cfg.Eps)
-	}
-}
-
-// TestRunTransportPEMismatch checks that a transport sized for the wrong PE
-// count is rejected up front as a configuration error.
-func TestRunTransportPEMismatch(t *testing.T) {
-	g := gen.Grid2D(16, 16)
-	cfg := NewConfig(Fast, 8)
-	cfg.Coarsen = CoarsenDistributed
-	_, err := Run(context.Background(), g, cfg, WithTransport(dist.NewExchanger(4)))
-	if !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("got %v, want ErrInvalidConfig", err)
 	}
 }
 

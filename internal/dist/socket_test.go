@@ -3,15 +3,17 @@
 package dist_test
 
 import (
-	"context"
+	"bytes"
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/graphio"
 	"repro/internal/matching"
 	"repro/internal/wire"
 )
@@ -90,32 +92,35 @@ func TestSocketTransportExchange(t *testing.T) {
 }
 
 // TestSocketTransportMatchesExchanger is the drop-in proof for the socket
-// backend: the full pipeline with distributed coarsening routed through a
-// SocketTransport (real unix-socket hub, wire-codec frames) must produce a
-// byte-identical partition to the in-process Exchanger run.
+// backend at the seam every distributed level runs through:
+// core.DistributedLevel over a SocketTransport (a real unix-socket hub,
+// wire-codec frames) must contract each of three levels to the graph and
+// fine→coarse map it does over the in-process Exchanger.
 func TestSocketTransportMatchesExchanger(t *testing.T) {
-	g := gen.RGG(11, 5)
+	const pes = 4
+	cur := gen.RGG(11, 5)
 	cfg := core.NewConfig(core.Fast, 4)
 	cfg.Seed = 99
-	cfg.Coarsen = core.CoarsenDistributed
+	cfg.PEs = pes
+	maxPair := 3 * cur.TotalNodeWeight() / (2 * int64(core.StopRule(cur.NumNodes(), &cfg)))
 
-	want, err := core.Run(context.Background(), g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr, errc := dialAll(t, 4)
-	got, err := core.Run(context.Background(), g, cfg, core.WithTransport(tr))
-	if err != nil {
-		t.Fatal(err)
+	tr, errc := dialAll(t, pes)
+	for level := range 3 {
+		blocks := dist.Assign(cur, cfg.Distribution, pes)
+		want, wantF2C, _, _ := core.DistributedLevel(nil, cur, &cfg, blocks, dist.NewExchanger(pes), level, maxPair, nil)
+		got, gotF2C, _, _ := core.DistributedLevel(nil, cur, &cfg, blocks, tr, level, maxPair, nil)
+		if want == nil {
+			t.Fatalf("level %d: empty matching", level)
+		}
+		if got == nil || !slices.Equal(gotF2C, wantF2C) ||
+			!bytes.Equal(graphio.AppendBinary(nil, 0, got), graphio.AppendBinary(nil, 0, want)) {
+			t.Fatalf("level %d: socket transport diverged from Exchanger", level)
+		}
+		cur = want
 	}
 	tr.Close()
 	if err := <-errc; err != nil {
 		t.Fatalf("hub: %v", err)
-	}
-
-	if want.Cut != got.Cut || !reflect.DeepEqual(want.Blocks, got.Blocks) {
-		t.Fatalf("socket transport diverged from Exchanger: cut %d vs %d", got.Cut, want.Cut)
 	}
 }
 

@@ -8,8 +8,10 @@ package remote_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"reflect"
@@ -40,6 +42,11 @@ func runServeFaulty(t *testing.T, g *graph.Graph, cfg core.Config, so remote.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveFaultyOn(ln, g, cfg, so, wos)
+}
+
+// serveFaultyOn is runServeFaulty on a listener of the caller's.
+func serveFaultyOn(ln net.Listener, g *graph.Graph, cfg core.Config, so remote.ServeOptions, wos []remote.WorkOptions) (core.Result, error, []workerRun) {
 	addr := ln.Addr().String()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -357,6 +364,139 @@ func TestServeHandshakeRetry(t *testing.T) {
 		t.Fatalf("partition diverged after handshake retry: cut %d vs %d", res.Cut, want.Cut)
 	}
 }
+
+// TestServeDropsStrayHellos hands the coordinator's accept loop a stray
+// connection at the two points where it waits for workers: in the handshake,
+// once both PEs have a worker and a transport connection is still due, and
+// in the rebuild after a worker kill, once the survivor has re-dialed the
+// first of its two transport connections. Each stray (a probe that hangs up
+// without a hello, a surplus control hello, a transport hello for a PE the
+// run does not have or one that has already arrived) must be closed while
+// the wait goes on, and the run must end in the in-process bytes.
+func TestServeDropsStrayHellos(t *testing.T) {
+	g := gen.Grid2D(24, 24)
+	cfg := core.NewConfig(core.Fast, 4)
+	cfg.Seed = 31
+	cfg.PEs = 2
+	cfg.Coarsen = core.CoarsenDistributed
+	want := inProcess(t, g, cfg)
+
+	probe := dist.Hello{Role: 0xff}
+	control := dist.Hello{Role: dist.RoleControl, PE: -1}
+	outOfRange := dist.Hello{Role: dist.RoleTransport, PE: cfg.PEs}
+	duplicate := dist.Hello{Role: dist.RoleTransport, PE: -2} // the PE that just arrived
+	for _, tc := range []struct {
+		name    string
+		rebuild bool
+		stray   dist.Hello
+	}{
+		{"handshake/probe", false, probe},
+		{"handshake/control", false, control},
+		{"handshake/out-of-range-transport", false, outOfRange},
+		{"rebuild/probe", true, probe},
+		{"rebuild/control", true, control},
+		{"rebuild/out-of-range-transport", true, outOfRange},
+		{"rebuild/duplicate-transport", true, duplicate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := &strayListener{Listener: inner, pes: cfg.PEs, rebuild: tc.rebuild, stray: tc.stray}
+			wos := []remote.WorkOptions{{}, {}}
+			if tc.rebuild {
+				wos[0].Faults = schedule(t, "ctrl:write:2:kill")
+			}
+			res, serr, outs := serveFaultyOn(ln, g, cfg, remote.ServeOptions{WorkerTimeout: 10 * time.Second}, wos)
+			if serr != nil {
+				t.Fatalf("Serve: %v", serr)
+			}
+			if !ln.sent {
+				t.Fatal("the stray was never handed to the accept loop")
+			}
+			if outs[1].err != nil {
+				t.Fatalf("healthy worker: %v", outs[1].err)
+			}
+			if res.Cut != want.Cut || !reflect.DeepEqual(res.Blocks, want.Blocks) {
+				t.Fatalf("partition diverged from the in-process run: cut %d vs %d", res.Cut, want.Cut)
+			}
+		})
+	}
+}
+
+// strayListener passes its listener's connections through, reading each
+// one's hello and replaying it, and queues one stray connection for the
+// accept loop: in the handshake after the pes-th control hello, or in a
+// rebuild after the first transport hello beyond the handshake's pes. A
+// stray with Role 0xff is a probe that hangs up at once; a transport stray
+// with PE -2 repeats the PE that just arrived.
+type strayListener struct {
+	net.Listener
+	pes                  int
+	rebuild              bool
+	stray                dist.Hello
+	controls, transports int
+	queued               net.Conn
+	sent                 bool
+}
+
+func (l *strayListener) Accept() (net.Conn, error) {
+	if c := l.queued; c != nil {
+		l.queued, l.sent = nil, true
+		return c, nil
+	}
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(conn)
+	hello, err := dist.ReadHello(br)
+	if err != nil {
+		return conn, nil
+	}
+	var replay bytes.Buffer
+	dist.WriteHello(&replay, hello)
+	switch hello.Role {
+	case dist.RoleControl:
+		l.controls++
+		if !l.rebuild && l.controls == l.pes {
+			l.queue(hello.PE)
+		}
+	case dist.RoleTransport:
+		l.transports++
+		if l.rebuild && l.transports == l.pes+1 {
+			l.queue(hello.PE)
+		}
+	}
+	return replayConn{conn, io.MultiReader(&replay, br)}, nil
+}
+
+// queue makes the stray the next connection Accept returns; arrived is the
+// PE of the hello that just passed through.
+func (l *strayListener) queue(arrived int) {
+	coord, peer := net.Pipe()
+	l.queued = coord
+	h := l.stray
+	if h.PE == -2 {
+		h.PE = arrived
+	}
+	go func() {
+		if h.Role != 0xff {
+			dist.WriteHello(peer, h)
+			io.Copy(io.Discard, peer) // an Assign, at most, until the coordinator hangs up
+		}
+		peer.Close()
+	}()
+}
+
+// replayConn is a connection whose reads come from r.
+type replayConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c replayConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // TestServeRetryExhaustion: with no retry budget and no listener, the worker
 // fails immediately with the dial error; with a budget, the wrapped error

@@ -64,7 +64,7 @@ func BenchmarkRemoteLevel(b *testing.B) {
 			}
 			co := newCoordinator(pes, ln, ServeOptions{})
 			defer co.closeAll()
-			if err := co.handshake(cfg); err != nil {
+			if err := co.handshake(ctx, cfg); err != nil {
 				b.Fatal(err)
 			}
 			for b.Loop() {

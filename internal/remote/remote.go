@@ -122,12 +122,51 @@ type ServeOptions struct {
 	Counters *Counters
 }
 
+// ctrlConn is one end of a coordinator↔worker control connection, the same
+// on both sides. Frames are written whole under the write lock, so
+// heartbeats never interleave with jobs, results or the final broadcast.
+// Reads skip heartbeats. A nonzero timeout bounds every write and every read,
+// re-armed by each frame read, heartbeats included: the peer stays live
+// exactly as long as something flows within every window.
+type ctrlConn struct {
+	conn    net.Conn
+	br      *bufio.Reader
+	timeout time.Duration
+	beats   *atomic.Int64 // counts the heartbeats read; nil counts none
+	wmu     sync.Mutex
+}
+
+// write writes one control frame (a wire.NewFrame buffer with the payload
+// appended, nil for none).
+func (c *ctrlConn) write(kind byte, frame []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.timeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
+	return wire.WriteFrame(c.conn, kind, frame)
+}
+
+// read reads the next control frame that is not a heartbeat.
+func (c *ctrlConn) read() (byte, []byte, error) {
+	for {
+		if c.timeout > 0 {
+			c.conn.SetReadDeadline(time.Now().Add(c.timeout))
+		}
+		kind, payload, err := wire.ReadFrame(c.br)
+		if err != nil || kind != wire.KindHeartbeat {
+			return kind, payload, err
+		}
+		if c.beats != nil {
+			c.beats.Add(1)
+		}
+	}
+}
+
 // workerConn is the coordinator's control channel to one worker process.
 type workerConn struct {
-	id     int // worker id == its first assigned PE
-	conn   net.Conn
-	br     *bufio.Reader
-	wmu    sync.Mutex  // serializes frame writes (jobs, heartbeats, done)
+	ctrlConn
+	id     int         // worker id == its first assigned PE
 	dead   atomic.Bool // set once, never cleared
 	hosted []int       // PEs this worker currently runs, sorted
 }
@@ -140,12 +179,14 @@ type coordinator struct {
 	ln       net.Listener
 	opts     ServeOptions
 	counters *Counters
+	assign   wire.Assign // the handshake's assignment; each worker's PE is filled in
 
-	workers        []*workerConn
-	owner          []int      // pe → worker id
-	transportConns []net.Conn // accepted in the handshake; closed by closeAll
-	connMu         sync.Mutex // guards workers and transportConns while accepting
+	workers []*workerConn
+	owner   []int      // pe → worker id
+	connMu  sync.Mutex // guards workers and hub against closeAll
 
+	// hub is the epoch's hub from the moment accept makes it: closeAll stops
+	// it, which closes every transport connection added to it.
 	hub    *dist.SocketHub
 	hubErr chan error
 
@@ -207,10 +248,8 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 		return core.Result{}, fmt.Errorf("%w: serving needs at least 2 PEs, got %d", core.ErrInvalidConfig, cfg.NumPEs())
 	}
 	cfg.Coarsen = core.CoarsenDistributed
-	// Close every accepted connection on the way out — including transport
-	// connections accepted before a handshake failure, which no hub ever
-	// adopts (hub.Route closes its connections itself; double Close on a
-	// net.Conn is harmless).
+	// Close every accepted connection on the way out: the workers' control
+	// connections, and through the epoch's hub every transport connection.
 	defer co.closeAll()
 
 	// Abort path: tear down everything the moment the context dies, so no
@@ -221,7 +260,7 @@ func (co *coordinator) serve(ctx context.Context, g *graph.Graph, cfg core.Confi
 	})
 	defer stop()
 
-	if err := co.handshake(cfg); err != nil {
+	if err := co.handshake(ctx, cfg); err != nil {
 		return core.Result{}, err
 	}
 
@@ -253,78 +292,119 @@ func (co *coordinator) closeAll() {
 			w.conn.Close()
 		}
 	}
-	for _, c := range co.transportConns {
-		c.Close()
+	if co.hub != nil {
+		co.hub.Stop()
 	}
 }
 
-// handshake collects pes control and pes transport connections, in any
-// interleaving, and starts the hub. Control hellos request a PE (-1) and are
-// assigned in arrival order; each worker then dials its transport connection
-// with the assigned PE. With a WorkerTimeout, silence on the listener for
-// longer than the timeout fails the handshake with a typed WorkerError — a
-// worker that died mid-handshake never completes the set.
-func (co *coordinator) handshake(cfg core.Config) error {
-	pes, so := co.pes, co.opts
-	hub := dist.NewSocketHub(pes)
-	nextPE := 0
-	haveTransport := 0
-	for nextPE < pes || haveTransport < pes {
-		armListener(co.ln, so.WorkerTimeout)
+// setHub makes h (nil for none) the epoch's hub.
+func (co *coordinator) setHub(h *dist.SocketHub) {
+	co.connMu.Lock()
+	co.hub = h
+	co.connMu.Unlock()
+}
+
+// handshake assigns every PE a worker, in arrival order, and starts the
+// first epoch's hub.
+func (co *coordinator) handshake(ctx context.Context, cfg core.Config) error {
+	co.assign = wire.Assign{
+		Version:         wire.Version,
+		PEs:             co.pes,
+		Rating:          int(cfg.Rating),
+		Matcher:         int(cfg.Matcher),
+		Boundary:        cfg.GapMatching,
+		HeartbeatMillis: int(co.opts.Heartbeat / time.Millisecond),
+		TimeoutMillis:   int(co.opts.WorkerTimeout / time.Millisecond),
+	}
+	return co.accept(ctx)
+}
+
+// accept opens an epoch: it waits on the listener until every PE has a
+// worker and a transport connection, and then starts the epoch's hub. One
+// rule decides each hello. A control hello is admitted while a PE is
+// unassigned: the worker gets the lowest one. A transport hello joins the
+// hub if its PE belongs to the run and has not arrived yet. Any other
+// connection (a port probe, a surplus worker, a stray or repeated transport
+// hello) is closed, and the wait goes on. The handshake assigns every PE; a
+// rebuild finds them all assigned and only collects the re-dialed transport
+// connections.
+//
+// With a WorkerTimeout, silence on the listener for that long fails the
+// handshake with a typed WorkerError (a worker that died mid-handshake never
+// completes the set); in a rebuild it marks the owners of the missing PEs
+// dead, so that the rebuild starts over without them.
+func (co *coordinator) accept(ctx context.Context) (err error) {
+	hub := dist.NewSocketHub(co.pes)
+	co.setHub(hub)
+	defer armListener(co.ln, 0)
+	defer func() {
+		if err != nil {
+			hub.Stop()
+			co.setHub(nil)
+		}
+	}()
+	assigned := 0
+	for assigned < co.pes && co.workers[assigned] != nil {
+		assigned++
+	}
+	handshake := assigned < co.pes
+	arrived := make([]bool, co.pes)
+	for got := 0; assigned < co.pes || got < co.pes; {
+		armListener(co.ln, co.opts.WorkerTimeout)
 		conn, err := co.ln.Accept()
 		if err != nil {
-			return workerErr(-1, "handshake",
-				fmt.Errorf("waiting for workers (%d/%d control, %d/%d transport): %w",
-					nextPE, pes, haveTransport, pes, err))
+			if handshake {
+				return workerErr(-1, "handshake",
+					fmt.Errorf("waiting for workers (%d/%d control, %d/%d transport): %w",
+						assigned, co.pes, got, co.pes, err))
+			}
+			if ctx.Err() == nil {
+				for pe, ok := range arrived {
+					if !ok {
+						co.markDead(co.workers[co.owner[pe]])
+					}
+				}
+			}
+			return fmt.Errorf("remote: rebuilding transports: %w", err)
 		}
-		armConnRead(conn, so.WorkerTimeout)
+		if co.opts.WorkerTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(co.opts.WorkerTimeout))
+		}
 		br := bufio.NewReaderSize(conn, 1<<16)
 		hello, err := dist.ReadHello(br)
-		if err != nil {
-			// Port probes and health checks connect and hang up without a
-			// hello; drop them and keep waiting for real workers.
-			conn.Close()
+		switch {
+		case err != nil: // a port probe or health check: no hello
+		case hello.Role == dist.RoleControl && assigned < co.pes:
+			w := &workerConn{
+				ctrlConn: ctrlConn{conn: conn, br: br, timeout: co.opts.WorkerTimeout, beats: &co.counters.HeartbeatsRecv},
+				id:       assigned,
+				hosted:   []int{assigned},
+			}
+			a := co.assign
+			a.PE = assigned
+			if w.write(wire.KindAssign, wire.AppendAssign(wire.NewFrame(16), a)) != nil {
+				break
+			}
+			co.connMu.Lock()
+			co.workers[assigned] = w
+			co.connMu.Unlock()
+			co.owner[assigned] = assigned
+			assigned++
+			continue
+		case hello.Role == dist.RoleTransport && hello.PE >= 0 && hello.PE < co.pes && !arrived[hello.PE]:
+			if hub.AddConnBuffered(hello.PE, conn, br) != nil {
+				break
+			}
+			arrived[hello.PE] = true
+			got++
 			continue
 		}
-		armConnRead(conn, 0)
-		switch hello.Role {
-		case dist.RoleControl:
-			if nextPE >= pes {
-				conn.Close()
-				return fmt.Errorf("remote: more than %d workers connected", pes)
-			}
-			w := &workerConn{id: nextPE, conn: conn, br: br, hosted: []int{nextPE}}
-			assign := wire.Assign{
-				Version:         wire.Version,
-				PE:              nextPE,
-				PEs:             pes,
-				Rating:          int(cfg.Rating),
-				Matcher:         int(cfg.Matcher),
-				Boundary:        cfg.GapMatching,
-				HeartbeatMillis: int(so.Heartbeat / time.Millisecond),
-				TimeoutMillis:   int(so.WorkerTimeout / time.Millisecond),
-			}
-			if err := co.writeCtrl(w, wire.KindAssign, wire.AppendAssign(wire.NewFrame(16), assign)); err != nil {
-				conn.Close()
-				return workerErr(nextPE, "handshake", err)
-			}
-			co.connMu.Lock()
-			co.workers[nextPE] = w
-			co.connMu.Unlock()
-			co.owner[nextPE] = nextPE
-			nextPE++
-		case dist.RoleTransport:
-			if err := hub.AddConnBuffered(hello.PE, conn, br); err != nil {
-				conn.Close()
-				return fmt.Errorf("remote: %w", err)
-			}
-			co.connMu.Lock()
-			co.transportConns = append(co.transportConns, conn)
-			co.connMu.Unlock()
-			haveTransport++
-		}
+		conn.Close()
 	}
-	co.startHub(hub)
+	hub.SetStats(co.opts.Stats)
+	hub.SetIODeadline(co.opts.WorkerTimeout)
+	co.hubErr = make(chan error, 1)
+	go func() { co.hubErr <- hub.Route() }()
 	return nil
 }
 
@@ -345,7 +425,7 @@ func (co *coordinator) hangUp(blocks []int32, runErr error) error {
 			co.counters.DoneFailures.Add(1)
 			continue
 		}
-		if err := co.writeCtrl(w, wire.KindDone, done); err != nil {
+		if err := w.write(wire.KindDone, done); err != nil {
 			co.counters.DoneFailures.Add(1)
 		}
 	}
@@ -372,45 +452,11 @@ func (co *coordinator) heartbeat(interval time.Duration, stop chan struct{}) {
 				if w.dead.Load() {
 					continue
 				}
-				if err := co.writeCtrl(w, wire.KindHeartbeat, nil); err == nil {
+				if err := w.write(wire.KindHeartbeat, nil); err == nil {
 					co.counters.HeartbeatsSent.Add(1)
 				}
 			}
 		}
-	}
-}
-
-// writeCtrl writes one control frame (a wire.NewFrame buffer with the
-// payload appended, nil for none) to w under its write lock, bounded by the
-// worker timeout. The lock keeps heartbeats, job frames, and the final
-// broadcast from interleaving mid-frame.
-func (co *coordinator) writeCtrl(w *workerConn, kind byte, frame []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if co.opts.WorkerTimeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(co.opts.WorkerTimeout))
-	}
-	return wire.WriteFrame(w.conn, kind, frame)
-}
-
-// readCtrl reads the next non-heartbeat control frame from w. Each read —
-// including each skipped heartbeat — re-arms the worker's deadline, so a
-// worker stays live exactly as long as SOMETHING flows within every
-// WorkerTimeout window.
-func (co *coordinator) readCtrl(w *workerConn) (byte, []byte, error) {
-	for {
-		if co.opts.WorkerTimeout > 0 {
-			w.conn.SetReadDeadline(time.Now().Add(co.opts.WorkerTimeout))
-		}
-		kind, payload, err := wire.ReadFrame(w.br)
-		if err != nil {
-			return 0, nil, err
-		}
-		if kind == wire.KindHeartbeat {
-			co.counters.HeartbeatsRecv.Add(1)
-			continue
-		}
-		return kind, payload, nil
 	}
 }
 
@@ -504,13 +550,12 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 	// (Store.Write extracts under the manifest's distribution strategy), so
 	// the coordinator splices file bytes behind a job header instead of
 	// materializing any subgraph from the global adjacency.
-	splice := co.splices(cur)
 	var sgs []*dist.Subgraph
-	if !splice {
+	if !co.splices(cur) {
 		sgs = dist.ExtractAllOn(run, cur, blocks, co.pes)
 	}
+	seed := core.LevelSeed(cfg.Seed, level)
 
-	live := co.liveWorkers()
 	outcomes := make(chan outcome, co.pes)
 	// This attempt's hub, not co.hub: a worker goroutine emits its last
 	// outcome before it calls failed, so the collector can return and
@@ -519,7 +564,7 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 	var stopOnce sync.Once
 	failed := func() { stopOnce.Do(hub.Stop) }
 
-	for _, w := range live {
+	for _, w := range co.liveWorkers() {
 		go func(w *workerConn) {
 			// Ship this worker's jobs, then read one outcome per hosted PE.
 			// Results and aborts arrive in kernel-completion order, each
@@ -531,78 +576,32 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 			for _, pe := range w.hosted {
 				pending[pe] = true
 			}
+			var err error
 			for _, pe := range w.hosted {
-				if splice {
-					if err := co.spliceJob(w, pe, level, cfg.Seed, maxPair); err != nil {
-						var we *WorkerError
-						if !errors.As(err, &we) {
-							// The shard file, not the worker, failed: fatal to
-							// the run (a retry would re-read the same bytes),
-							// and the worker stays alive.
-							co.abortLevel(outcomes, pending, err)
-						} else {
-							co.failWorker(w, outcomes, pending, we)
-						}
-						failed()
-						return
-					}
-					continue
-				}
-				job := wire.Job{
-					Level:   level,
-					Seed:    core.LevelSeed(cfg.Seed, level),
-					MaxPair: maxPair,
-					Shard:   sgs[pe],
-				}
-				frame, err := wire.AppendJob(wire.NewFrame(0), job)
-				if err == nil {
-					err = co.writeCtrl(w, wire.KindJob, frame)
-				}
-				if err != nil {
-					co.failWorker(w, outcomes, pending, workerErr(w.id, "job", err))
-					failed()
-					return
+				if err = co.sendJob(w, sgs, pe, level, seed, maxPair); err != nil {
+					break
 				}
 			}
-			for len(pending) > 0 {
-				kind, payload, err := co.readCtrl(w)
-				if err != nil {
-					co.failWorker(w, outcomes, pending, workerErr(w.id, "result", err))
-					failed()
-					return
-				}
-				switch kind {
-				case wire.KindResult:
-					r, err := wire.DecodeResult(payload)
-					if err == nil && !pending[r.PE] {
-						err = fmt.Errorf("unexpected result for PE %d", r.PE)
-					}
-					if err != nil {
-						co.failWorker(w, outcomes, pending, workerErr(w.id, "result", err))
+			for err == nil && len(pending) > 0 {
+				var o outcome
+				if o, err = readOutcome(w, pending); err == nil {
+					delete(pending, o.pe)
+					outcomes <- o
+					if o.aborted {
 						failed()
-						return
 					}
-					delete(pending, r.PE)
-					outcomes <- outcome{pe: r.PE, result: &r}
-				case wire.KindLevelAborted:
-					la, err := wire.DecodeLevelAborted(payload)
-					if err == nil && !pending[la.PE] {
-						err = fmt.Errorf("unexpected abort for PE %d", la.PE)
-					}
-					if err != nil {
-						co.failWorker(w, outcomes, pending, workerErr(w.id, "result", err))
-						failed()
-						return
-					}
-					delete(pending, la.PE)
-					outcomes <- outcome{pe: la.PE, aborted: true}
-					failed()
-				default:
-					co.failWorker(w, outcomes, pending,
-						workerErr(w.id, "result", fmt.Errorf("unexpected frame kind %d", kind)))
-					failed()
-					return
 				}
+			}
+			if err != nil {
+				// A *WorkerError is the worker's fault: it is declared dead.
+				// A shard file that cannot be loaded fails the run instead
+				// (a retry would read the same bytes), and the worker lives.
+				var we *WorkerError
+				if errors.As(err, &we) {
+					co.markDead(w)
+				}
+				co.abortLevel(outcomes, pending, err)
+				failed()
 			}
 		}(w)
 	}
@@ -695,35 +694,73 @@ func (co *coordinator) runLocally() {
 	}
 }
 
-// spliceJob ships PE pe its level-0 job by splicing the stored shard file's
-// bytes behind a freshly encoded job header — byte-identical to AppendJob on
-// the extracted subgraph, with zero decoding and no global adjacency touch.
-// The capacity-1 semaphore spans load and send, so the coordinator holds at
-// most one shard's bytes at any moment regardless of worker count. Send
-// failures come back as *WorkerError (the worker is at fault and the level
-// can retry elsewhere); load failures come back plain (the store is at
-// fault, retrying cannot help).
-func (co *coordinator) spliceJob(w *workerConn, pe, level int, runSeed uint64, maxPair int64) error {
-	co.spliceSem <- struct{}{}
-	defer func() { <-co.spliceSem }()
-	data, err := co.store.ShardBytes(pe)
-	if err != nil {
-		return fmt.Errorf("remote: loading shard %d: %w", pe, err)
+// sendJob ships PE pe its job for the level, extracted into sgs. When sgs is
+// nil the level splices: the stored shard file's bytes go behind a freshly
+// encoded job header — byte-identical to AppendJob on the extracted
+// subgraph, with no decoding and no touch of the global adjacency. The
+// capacity-1 semaphore spans load and send, so the coordinator holds at most
+// one shard's bytes at any moment whatever the worker count. A failed send
+// is the worker's *WorkerError (the level can retry elsewhere); a failed load
+// comes back plain (the store is at fault, and retrying cannot help).
+func (co *coordinator) sendJob(w *workerConn, sgs []*dist.Subgraph, pe, level int, seed uint64, maxPair int64) error {
+	var frame []byte
+	var err error
+	if sgs == nil {
+		co.spliceSem <- struct{}{}
+		defer func() { <-co.spliceSem }()
+		data, lerr := co.store.ShardBytes(pe)
+		if lerr != nil {
+			return fmt.Errorf("remote: loading shard %d: %w", pe, lerr)
+		}
+		frame = append(wire.AppendJobHeader(wire.NewFrame(len(data)+32), level, seed, maxPair), data...)
+	} else {
+		frame, err = wire.AppendJob(wire.NewFrame(0), wire.Job{Level: level, Seed: seed, MaxPair: maxPair, Shard: sgs[pe]})
 	}
-	frame := wire.AppendJobHeader(wire.NewFrame(len(data)+32), level, core.LevelSeed(runSeed, level), maxPair)
-	frame = append(frame, data...)
-	if err := co.writeCtrl(w, wire.KindJob, frame); err != nil {
+	if err == nil {
+		err = w.write(wire.KindJob, frame)
+	}
+	if err != nil {
 		return workerErr(w.id, "job", err)
 	}
-	co.counters.ShardsStreamed.Add(1)
+	if sgs == nil {
+		co.counters.ShardsStreamed.Add(1)
+	}
 	return nil
 }
 
+// readOutcome reads w's answer for one of the PEs it still owes: a result or
+// a level-aborted notice. Anything else — a dead connection, a frame that
+// does not decode, an answer for a PE it does not owe — is w's failure.
+func readOutcome(w *workerConn, pending map[int]bool) (outcome, error) {
+	kind, payload, err := w.read()
+	var o outcome
+	if err == nil {
+		switch kind {
+		case wire.KindResult:
+			var r wire.Result
+			r, err = wire.DecodeResult(payload)
+			o = outcome{pe: r.PE, result: &r}
+		case wire.KindLevelAborted:
+			var la wire.LevelAborted
+			la, err = wire.DecodeLevelAborted(payload)
+			o = outcome{pe: la.PE, aborted: true}
+		default:
+			err = fmt.Errorf("unexpected frame kind %d", kind)
+		}
+	}
+	if err == nil && !pending[o.pe] {
+		err = fmt.Errorf("unexpected outcome for PE %d", o.pe)
+	}
+	if err != nil {
+		return o, workerErr(w.id, "result", err)
+	}
+	return o, nil
+}
+
 // abortLevel emits an error outcome for every PE still pending, keeping the
-// collector's outcome count exact. On its own it reports a fatal (non-worker)
-// error without declaring any worker dead. PEs are emitted in ascending order
-// so the first error the collector sees — the one a failed run reports — does
-// not depend on map iteration order.
+// collector's outcome count exact. PEs are emitted in ascending order so the
+// first error the collector sees — the one a failed run reports — does not
+// depend on map iteration order.
 func (co *coordinator) abortLevel(outcomes chan<- outcome, pending map[int]bool, err error) {
 	pes := make([]int, 0, len(pending))
 	for pe := range pending {
@@ -733,13 +770,6 @@ func (co *coordinator) abortLevel(outcomes chan<- outcome, pending map[int]bool,
 	for _, pe := range pes {
 		outcomes <- outcome{pe: pe, err: err}
 	}
-}
-
-// failWorker declares w dead mid-attempt and emits an error outcome for
-// every PE it still owed (see abortLevel).
-func (co *coordinator) failWorker(w *workerConn, outcomes chan<- outcome, pending map[int]bool, err *WorkerError) {
-	co.markDead(w)
-	co.abortLevel(outcomes, pending, err)
 }
 
 // liveWorkers returns the workers not declared dead.
@@ -766,7 +796,7 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 	if co.hub != nil {
 		co.hub.Stop()
 		<-co.hubErr
-		co.hub = nil
+		co.setHub(nil)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -803,7 +833,7 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 			for i, pe := range w.hosted {
 				pes[i] = int32(pe)
 			}
-			if err := co.writeCtrl(w, wire.KindReassign, wire.AppendReassign(wire.NewFrame(16), pes)); err != nil {
+			if err := w.write(wire.KindReassign, wire.AppendReassign(wire.NewFrame(16), pes)); err != nil {
 				co.markDead(w)
 				retry = true
 			}
@@ -811,70 +841,11 @@ func (co *coordinator) rebuild(ctx context.Context) error {
 		if retry {
 			continue
 		}
-		if err := co.acceptTransports(ctx); err != nil {
-			continue // acceptTransports marked the stragglers dead
+		// A failed accept marked the stragglers dead, or ctx ended.
+		if co.accept(ctx) == nil {
+			return nil
 		}
-		return nil
 	}
-}
-
-// acceptTransports builds the new epoch's hub: accept pes transport
-// connections on the shared listener, bounded by the worker timeout. On
-// timeout, the owners of the PEs that never arrived are declared dead and an
-// error tells rebuild to start over.
-func (co *coordinator) acceptTransports(ctx context.Context) error {
-	hub := dist.NewSocketHub(co.pes)
-	arrived := make([]bool, co.pes)
-	for got := 0; got < co.pes; got++ {
-		armListener(co.ln, co.opts.WorkerTimeout)
-		conn, err := co.ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			missing := false
-			for pe, ok := range arrived {
-				if !ok {
-					co.markDead(co.workers[co.owner[pe]])
-					missing = true
-				}
-			}
-			if !missing {
-				return fmt.Errorf("remote: rebuilding transports: %w", err)
-			}
-			armListener(co.ln, 0)
-			return fmt.Errorf("remote: transport rebuild timed out: %w", err)
-		}
-		armConnRead(conn, co.opts.WorkerTimeout)
-		br := bufio.NewReaderSize(conn, 1<<16)
-		hello, err := dist.ReadHello(br)
-		if err != nil || hello.Role != dist.RoleTransport || hello.PE < 0 || hello.PE >= co.pes || arrived[hello.PE] {
-			conn.Close()
-			got--
-			continue
-		}
-		armConnRead(conn, 0)
-		if err := hub.AddConnBuffered(hello.PE, conn, br); err != nil {
-			conn.Close()
-			got--
-			continue
-		}
-		arrived[hello.PE] = true
-	}
-	co.startHub(hub)
-	return nil
-}
-
-// startHub makes hub, holding every PE's transport connection, the epoch's
-// hub: it meters the hub into the run's stats, bounds its I/O by the worker
-// timeout, clears the listener's accept deadline and starts routing.
-func (co *coordinator) startHub(hub *dist.SocketHub) {
-	hub.SetStats(co.opts.Stats)
-	hub.SetIODeadline(co.opts.WorkerTimeout)
-	armListener(co.ln, 0)
-	co.hub = hub
-	co.hubErr = make(chan error, 1)
-	go func() { co.hubErr <- hub.Route() }()
 }
 
 // armListener sets (or clears, d == 0) the accept deadline on listeners
@@ -890,13 +861,4 @@ func armListener(ln net.Listener, d time.Duration) {
 		return
 	}
 	dl.SetDeadline(time.Now().Add(d))
-}
-
-// armConnRead sets (or clears, d == 0) a connection's read deadline.
-func armConnRead(conn net.Conn, d time.Duration) {
-	if d <= 0 {
-		conn.SetReadDeadline(time.Time{})
-		return
-	}
-	conn.SetReadDeadline(time.Now().Add(d))
 }

@@ -29,7 +29,7 @@ import (
 func TestRemoteLevelMidBatchJobFailure(t *testing.T) {
 	c1, c2 := net.Pipe()
 	c2.Close() // every write on c1 now fails immediately
-	w := &workerConn{id: 0, conn: c1, br: bufio.NewReader(c1), hosted: []int{0, 1}}
+	w := &workerConn{ctrlConn: ctrlConn{conn: c1, br: bufio.NewReader(c1)}, id: 0, hosted: []int{0, 1}}
 	deadW := &workerConn{id: 1}
 	deadW.dead.Store(true)
 

@@ -109,17 +109,18 @@ func WorkWith(ctx context.Context, network, addr string, wo WorkOptions) (WorkRe
 		return WorkResult{}, fmt.Errorf("remote: assigned PE %d of %d", assign.PE, assign.PEs)
 	}
 	w := &workSession{
-		network:   network,
-		addr:      addr,
-		ctrl:      conn,
-		br:        br,
-		assign:    assign,
-		rf:        rating.Func(assign.Rating),
-		alg:       matching.Algorithm(assign.Matcher),
-		faults:    wo.Faults,
-		hosted:    []int{assign.PE},
-		scratch:   make([]*mem.Arena, assign.PEs),
-		ctrlGrace: 4 * time.Duration(assign.HeartbeatMillis) * time.Millisecond,
+		network: network,
+		addr:    addr,
+		// With coordinator heartbeats announced, each control read is
+		// bounded by four intervals: the coordinator has to miss four beats
+		// before this worker declares it dead.
+		ctrl:    ctrlConn{conn: conn, br: br, timeout: 4 * time.Duration(assign.HeartbeatMillis) * time.Millisecond},
+		assign:  assign,
+		rf:      rating.Func(assign.Rating),
+		alg:     matching.Algorithm(assign.Matcher),
+		faults:  wo.Faults,
+		hosted:  []int{assign.PE},
+		scratch: make([]*mem.Arena, assign.PEs),
 	}
 
 	if err := w.dialTransport(setTransport); err != nil {
@@ -157,7 +158,7 @@ func WorkWith(ctx context.Context, network, addr string, wo WorkOptions) (WorkRe
 				case <-hbStop:
 					return
 				case <-t.C:
-					w.writeCtrl(wire.KindHeartbeat, nil) // failures surface in the main loop
+					w.ctrl.write(wire.KindHeartbeat, nil) // failures surface in the main loop
 				}
 			}
 		}()
@@ -174,14 +175,12 @@ func WorkWith(ctx context.Context, network, addr string, wo WorkOptions) (WorkRe
 // workSession is the state of one worker process's session.
 type workSession struct {
 	network, addr string
-	ctrl          net.Conn
-	br            *bufio.Reader
+	ctrl          ctrlConn
 	assign        wire.Assign
 	rf            rating.Func
 	alg           matching.Algorithm
 	faults        *dist.FaultSchedule
 	hosted        []int
-	ctrlGrace     time.Duration // control-read deadline; 0 when no coordinator heartbeats
 	// scratch[pe] is the arena PE pe's kernel draws its matching temporaries
 	// from, made by the control loop the first time the PE gets a job and
 	// reused for every later level. It is indexed by PE, not by hosting slot,
@@ -189,7 +188,6 @@ type workSession struct {
 	// borrow from the same arena.
 	scratch []*mem.Arena
 
-	wmu       sync.Mutex // serializes control writes (results, aborts, heartbeats)
 	transport *dist.SocketTransport
 	kernels   sync.WaitGroup
 	kerrMu    sync.Mutex
@@ -200,7 +198,7 @@ type workSession struct {
 // transport, done ends the session.
 func (w *workSession) run(setTransport func(*dist.SocketTransport), res *WorkResult) error {
 	for {
-		kind, payload, err := w.readCtrl()
+		kind, payload, err := w.ctrl.read()
 		if err != nil {
 			w.kernels.Wait()
 			if kerr := w.kernelErr(); kerr != nil {
@@ -281,36 +279,6 @@ func (w *workSession) dialTransport(setTransport func(*dist.SocketTransport)) er
 	return nil
 }
 
-// readCtrl reads the next non-heartbeat control frame. With coordinator
-// heartbeats announced, each read is bounded by four intervals — the
-// coordinator has to miss four beats before this worker declares it dead.
-func (w *workSession) readCtrl() (byte, []byte, error) {
-	for {
-		if w.ctrlGrace > 0 {
-			w.ctrl.SetReadDeadline(time.Now().Add(w.ctrlGrace))
-		}
-		kind, payload, err := wire.ReadFrame(w.br)
-		if err != nil {
-			return 0, nil, err
-		}
-		if kind == wire.KindHeartbeat {
-			continue
-		}
-		return kind, payload, nil
-	}
-}
-
-// writeCtrl writes one control frame (a wire.NewFrame buffer with the
-// payload appended, nil for none) under the write lock.
-func (w *workSession) writeCtrl(kind byte, frame []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if w.ctrlGrace > 0 {
-		w.ctrl.SetWriteDeadline(time.Now().Add(w.ctrlGrace))
-	}
-	return wire.WriteFrame(w.ctrl, kind, frame)
-}
-
 // kernelErr returns the first fatal kernel failure, if any.
 func (w *workSession) kernelErr() error {
 	w.kerrMu.Lock()
@@ -328,9 +296,9 @@ func (w *workSession) runJob(job wire.Job) {
 	var werr error
 	if err != nil {
 		la := wire.LevelAborted{PE: int(job.Shard.PE), Level: job.Level}
-		werr = w.writeCtrl(wire.KindLevelAborted, wire.AppendLevelAborted(wire.NewFrame(16), la))
+		werr = w.ctrl.write(wire.KindLevelAborted, wire.AppendLevelAborted(wire.NewFrame(16), la))
 	} else {
-		werr = w.writeCtrl(wire.KindResult, wire.AppendResult(wire.NewFrame(0), result))
+		werr = w.ctrl.write(wire.KindResult, wire.AppendResult(wire.NewFrame(0), result))
 	}
 	if werr != nil {
 		w.kerrMu.Lock()

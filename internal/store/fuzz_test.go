@@ -41,8 +41,8 @@ func FuzzReadManifest(f *testing.F) {
 	manifest, _ := seedStore(f)
 	f.Add(manifest)
 	f.Add([]byte("{}"))
-	f.Add([]byte(`{"version":1,"pes":1,"nodes":99999999999,"shards":[{}]}`))
-	f.Add([]byte(`{"version":1,"pes":2,"nodes":4,"edges":3,"shards":[{"file":"../x","pe":0},{"file":"b","pe":1}]}`))
+	f.Add([]byte(`{"version":2,"pes":1,"nodes":99999999999,"shards":[{}]}`))
+	f.Add([]byte(`{"version":2,"pes":2,"nodes":4,"edges":3,"shards":[{"file":"../x","pe":0},{"file":"b","pe":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := store.ReadManifest(bytes.NewReader(data))
 		if err != nil {

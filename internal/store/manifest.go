@@ -10,10 +10,10 @@ import (
 	"repro/internal/graphio"
 )
 
-// ManifestVersion is the manifest schema this build writes. Version bumps
-// are explicit: a reader refuses a manifest it does not understand instead of
-// misinterpreting it. Version 2 stores shards without coordinates; this build
-// also reads version 1, whose shard coordinates its workers ignore.
+// ManifestVersion is the manifest schema this build writes and the only one
+// it reads. Version bumps are explicit: a reader refuses a manifest it does
+// not understand instead of misinterpreting it. Version 2 stores shards
+// without coordinates.
 const ManifestVersion = 2
 
 const (
@@ -124,8 +124,8 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 // against the decode budget. Budget violations are *graphio.LimitError;
 // everything else is a plain descriptive error.
 func (m *Manifest) Validate() error {
-	if m.Version < 1 || m.Version > ManifestVersion {
-		return fmt.Errorf("store: manifest version %d, this build reads versions 1 to %d", m.Version, ManifestVersion)
+	if m.Version != ManifestVersion {
+		return fmt.Errorf("store: manifest version %d, this build reads version %d", m.Version, ManifestVersion)
 	}
 	if m.PEs < 1 || m.PEs > maxPEs {
 		return fmt.Errorf("store: manifest declares %d PEs (want 1..%d)", m.PEs, maxPEs)

@@ -298,16 +298,15 @@ func TestHostileManifests(t *testing.T) {
 			t.Fatal("version 99 accepted")
 		}
 	})
-	// A version 2 store's shards carry no coordinates; version 1's do, and
-	// its workers ignore them. Both are read; the writer writes 2, which a
-	// build that reads only 1 refuses by the check above.
+	// The writer writes version 2, the only version this build reads: a
+	// version 1 store, whose shards carried coordinates, is refused.
 	t.Run("versions", func(t *testing.T) {
 		written := 0
 		mutate(t, func(m *store.Manifest) { written = m.Version })
 		if written != 2 {
 			t.Fatalf("the writer wrote version %d, want 2", written)
 		}
-		for v, ok := range map[int]bool{0: false, 1: true, 2: true, 3: false} {
+		for v, ok := range map[int]bool{0: false, 1: false, 2: true, 3: false} {
 			if err := mutate(t, func(m *store.Manifest) { m.Version = v }); (err == nil) != ok {
 				t.Errorf("version %d: accepted %v, want %v (%v)", v, err == nil, ok, err)
 			}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test lint check docs docs-check fmt bench bench-build bench-baseline bench-compare scaling examples race fuzz loc loc-check ci-smoke
+.PHONY: all vet build test lint check docs docs-check fmt bench bench-build bench-baseline bench-compare profile scaling examples race fuzz loc loc-check ci-smoke
 
 all: check
 
@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15090
+LOC_MAX = 15091
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -47,7 +47,7 @@ loc-check:
 # that changed it left behind, the way loc-check holds the code to LOC_MAX:
 # growth raises the budget in the diff that causes it; a PR that shrinks a
 # document lowers its budget.
-DOC_BUDGETS = ARCHITECTURE.md:64610 README.md:28262 EXPERIMENTS.md:33830
+DOC_BUDGETS = ARCHITECTURE.md:64603 README.md:28218 EXPERIMENTS.md:24785
 docs-check:
 	@fail=0; for b in $(DOC_BUDGETS); do f=$${b%%:*}; max=$${b##*:}; n=$$(wc -c < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n bytes, above its budget of $$max: shrink it or raise the budget in the Makefile"; fail=1; fi; \
@@ -87,6 +87,16 @@ bench-baseline:
 bench-compare:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee /tmp/bench-current.txt
 	$(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.txt -current /tmp/bench-current.txt
+
+# profile writes a CPU profile of 300 iterations of BenchmarkPartition/$(I),
+# one instance of the root benchmark, to profiles/$(I).cpu.pprof, beside the
+# test binary pprof needs to symbolise it: go tool pprof -top
+# profiles/$(I).cpu.pprof.
+I ?= rmat12
+profile:
+	@mkdir -p profiles
+	$(GO) test -run '^$$' -bench '^BenchmarkPartition$$/^$(I)$$' -benchtime 300x \
+		-cpuprofile profiles/$(I).cpu.pprof -o profiles/repro.test .
 
 # scaling prints how much faster a refinement crew of two is than one worker
 # on one refinement level of rgg15 and rmat12, next to the two-worker

@@ -57,6 +57,7 @@ func BenchmarkPartition(b *testing.B) {
 		{"delaunay14", DelaunayX(14, 2)},
 		{"road20k", Road(20000, 8, 3)},
 		{"social16k", PrefAttach(16384, 5, 4)},
+		{"rmat12", RMAT(12, 10, 1)}, // the powerlaw_refine workload's input
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -379,6 +379,15 @@ func (h *Hierarchy) Push(coarse *graph.Graph, fine2coarse []int32) {
 	h.Coarsest = coarse
 }
 
+// Shrinks reports whether coarse, a contraction of the current coarsest
+// graph, is worth pushing: multilevel loops insist on geometric shrinking, at
+// most 49/50 of the coarsest graph's nodes, and hand a graph that has stopped
+// shrinking to the next phase instead. Both the k-way coarsening loop and the
+// initial bisections stop by this one rule.
+func (h *Hierarchy) Shrinks(coarse *graph.Graph) bool {
+	return coarse.NumNodes() <= h.Coarsest.NumNodes()*49/50
+}
+
 // Depth returns the number of contractions recorded.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 

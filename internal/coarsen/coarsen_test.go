@@ -176,3 +176,15 @@ func BenchmarkContract(b *testing.B) {
 		Contract(g, m)
 	}
 }
+
+func TestShrinksAtTheBoundary(t *testing.T) {
+	h := NewHierarchy(gen.Grid2D(5, 10))
+	for _, c := range []struct {
+		nodes int
+		want  bool
+	}{{48, true}, {49, true}, {50, false}} {
+		if got := h.Shrinks(gen.Grid2D(1, c.nodes)); got != c.want {
+			t.Errorf("50 → %d nodes: Shrinks = %v, want %v", c.nodes, got, c.want)
+		}
+	}
+}

@@ -381,10 +381,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 	// 1.5x the average node weight of the target coarsest graph, so even
 	// tie-heavy ratings cannot snowball single clusters into blobs the
 	// balance constraint cannot place.
-	maxPair := 3 * g.TotalNodeWeight() / (2 * int64(threshold))
-	if maxPair < 2 {
-		maxPair = 2
-	}
+	maxPair := max(3*g.TotalNodeWeight()/(2*int64(threshold)), 2)
 	for level := 0; h.Coarsest.NumNodes() > threshold; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -415,7 +412,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 		}
 		// Insist on geometric shrinking; otherwise initial partitioning can
 		// handle the rest.
-		if cg.NumNodes() > cur.NumNodes()*49/50 {
+		if !h.Shrinks(cg) {
 			break
 		}
 		h.Push(cg, f2c)

@@ -288,27 +288,7 @@ func ensureMinCounts(sub *graph.Graph, side []byte, k1, k2 int) {
 // refine level by level. The sides come back in an arena array the caller
 // returns.
 func (s *bisector) multilevelBisect(g *graph.Graph, targetA int64) []byte {
-	const coarseEnough = 120
-	h := coarsen.NewHierarchy(g)
-	maxPair := g.TotalNodeWeight() / 4
-	if maxPair < 2 {
-		maxPair = 2
-	}
-	for h.Coarsest.NumNodes() > coarseEnough {
-		rt := rating.NewRater(s.params.rate, h.Coarsest)
-		m := matching.ComputeScratch(h.Coarsest, rt, s.params.matcher, s.r, maxPair, s.a)
-		if m.Size() == 0 {
-			s.a.PutInt32([]int32(m))
-			break
-		}
-		cg, f2c := coarsen.ContractWith(h.Coarsest, m, coarsen.Options{Arena: s.a})
-		s.a.PutInt32([]int32(m))
-		if cg.NumNodes() >= h.Coarsest.NumNodes() {
-			break
-		}
-		h.Push(cg, f2c)
-	}
-
+	h := s.hierarchy(g)
 	side := s.growBisection(h.Coarsest, targetA)
 	block := s.a.Int32(len(side))
 	for v, sd := range side {
@@ -329,6 +309,32 @@ func (s *bisector) multilevelBisect(g *graph.Graph, targetA int64) []byte {
 	}
 	s.a.PutInt32(block)
 	return out
+}
+
+// hierarchy coarsens g for one bisection down to a graph small enough to
+// grow on, stopping early, by the pipeline's rule, once a level stops
+// shrinking geometrically: on a hub graph a matching leaves most nodes
+// unmatched, and a level that removes a handful of them buys nothing but one
+// more round of FM on an almost unchanged graph.
+func (s *bisector) hierarchy(g *graph.Graph) *coarsen.Hierarchy {
+	const coarseEnough = 120
+	h := coarsen.NewHierarchy(g)
+	maxPair := max(g.TotalNodeWeight()/4, 2)
+	for h.Coarsest.NumNodes() > coarseEnough {
+		rt := rating.NewRater(s.params.rate, h.Coarsest)
+		m := matching.ComputeScratch(h.Coarsest, rt, s.params.matcher, s.r, maxPair, s.a)
+		if m.Size() == 0 {
+			s.a.PutInt32([]int32(m))
+			break
+		}
+		cg, f2c := coarsen.ContractWith(h.Coarsest, m, coarsen.Options{Arena: s.a})
+		s.a.PutInt32([]int32(m))
+		if !h.Shrinks(cg) {
+			break
+		}
+		h.Push(cg, f2c)
+	}
+	return h
 }
 
 // refineBisection runs two-way FM between the sides. The balance bound is

@@ -230,3 +230,34 @@ func BenchmarkInitialPartition(b *testing.B) {
 		})
 	}
 }
+
+// TestBisectionHierarchyShrinksGeometrically pins the bisections' coarsening
+// to the pipeline's shrink rule on a hub graph, where most nodes stay
+// unmatched: every pushed level must pass coarsen.Hierarchy.Shrinks, and the
+// hierarchy stays shallow instead of piling up levels that each remove a
+// handful of nodes and each cost a round of FM.
+func TestBisectionHierarchyShrinksGeometrically(t *testing.T) {
+	g := gen.RMAT(12, 10, 1)
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, eng := range []Engine{EngineScotch, EnginePMetis} {
+			s := newBisector(eng.params(), 0.03, seed)
+			h := s.hierarchy(g)
+			for li, lv := range h.Levels {
+				coarse := h.Coarsest
+				if li+1 < h.Depth() {
+					coarse = h.Levels[li+1].Fine
+				}
+				if !coarsen.NewHierarchy(lv.Fine).Shrinks(coarse) {
+					t.Errorf("seed %d %v: level %d pushed %d → %d nodes, less than the shared rule's shrink",
+						seed, eng, li, lv.Fine.NumNodes(), coarse.NumNodes())
+				}
+			}
+			// 3 093 nodes shrink to about 700 in 9–10 levels; a loop keeping
+			// any level that removes a node pushes 16–34.
+			if h.Depth() > 12 {
+				t.Errorf("seed %d %v: %d levels (%d → %d nodes), want at most 12",
+					seed, eng, h.Depth(), g.NumNodes(), h.Coarsest.NumNodes())
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test lint check docs docs-check fmt bench bench-build bench-baseline bench-compare profile scaling examples race fuzz loc loc-check ci-smoke
+.PHONY: all vet build test lint check docs docs-check fmt bench bench-build bench-baseline bench-compare profile scaling shape examples race fuzz loc loc-check ci-smoke
 
 all: check
 
@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15091
+LOC_MAX = 15173
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -47,7 +47,7 @@ loc-check:
 # that changed it left behind, the way loc-check holds the code to LOC_MAX:
 # growth raises the budget in the diff that causes it; a PR that shrinks a
 # document lowers its budget.
-DOC_BUDGETS = ARCHITECTURE.md:64603 README.md:28218 EXPERIMENTS.md:24785
+DOC_BUDGETS = ARCHITECTURE.md:64471 README.md:28206 EXPERIMENTS.md:24629
 docs-check:
 	@fail=0; for b in $(DOC_BUDGETS); do f=$${b%%:*}; max=$${b##*:}; n=$$(wc -c < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n bytes, above its budget of $$max: shrink it or raise the budget in the Makefile"; fail=1; fi; \
@@ -99,13 +99,27 @@ profile:
 		-cpuprofile profiles/$(I).cpu.pprof -o profiles/repro.test .
 
 # scaling prints how much faster a refinement crew of two is than one worker
-# on one refinement level of rgg15 and rmat12, next to the two-worker
-# list-scheduling bound of the same rounds (TestRefineScaling). It needs two
-# idle processors: on the reference box a process's threads can sit on one CPU
-# for seconds, and then it reads 0.9. EXPERIMENTS.md "PR 22" has the numbers.
+# on one refinement level of rgg15 and rmat12, next to the most two workers
+# could make of the same pairs under the dependency schedule — per global
+# iteration the longer of the critical path and half the pair time, from the
+# one-worker pair times — and then on whole runs' refinement
+# (TestRefineScaling). It needs two idle processors: on the reference box a
+# process's threads can sit on one CPU for seconds, and then it reads 0.9.
+# EXPERIMENTS.md, "One dependency-ordered batch per global iteration", has
+# the numbers.
 scaling:
 	$(GO) test -v -run TestRefineScaling -count=1 -cpu 2 ./internal/core -scaling | grep -Ev '^(=== |--- |PASS|ok)'
 
+# shape checks that results keep the shape the paper's tables claim, rather
+# than pinned bytes: k = 8 on 2 PEs cuts about as well as on 8, every run of
+# every KaPPa row of Table 2 (calibration suite, k = 16, five seeds) stays
+# within balance 1+ε and one node, and the rows' geometric-mean cuts order
+# Strong ≤ Fast ≤ Minimal. Each tolerance comes from a ten-seed spread
+# (EXPERIMENTS.md, "One dependency-ordered batch per global iteration"). CI
+# runs this.
+shape:
+	$(GO) test -count=1 -run 'TestFewerPEsThanBlocksCostNoQuality' ./internal/core
+	$(GO) test -count=1 -run 'TestKaPPaRowsWithinBalance|TestPresetsOrderedByCut' -v ./internal/bench
 
 # examples builds and runs every examples/* program end to end (CI runs
 # this too, so the example code can never rot).
@@ -124,22 +138,26 @@ ci-smoke:
 # pipeline contract tests (context cancellation), the
 # observability stack (concurrent scrapes against a running pipeline), the
 # service layer (queue/drain/cancel handshakes under concurrent HTTP), and
-# pairwise refinement with its boundary index (one goroutine per pair of a
-# colour class against shared lists, each owned by a single pair). par, the
+# pairwise refinement with its boundary index (crew members claiming pairs as
+# their blocks come free, against shared lists each owned by a single pair).
+# par, the
 # one parallel runner, and every package whose split passes run on it go at
 # three processor counts: a crew's three kinds of participant (batch owner,
 # claiming helper, idle helper) run at the same time only from three
 # processors up, and strictly take turns on one. core drives the run's crew
-# through refinement rounds, quotient rows and a whole run; graph, coarsen,
+# through refinement batches, quotient rows and a whole run; graph, coarsen,
 # wire, matching, dist and part hold their batches — the node ranges of
 # graph.ParallelRanges (the edge-list kernel under the codecs' round trips,
 # the contraction, the stitch, the gap scan, the boundary scan), the
 # per-block matchings, the per-PE extraction and RCB's halves, nested ones
 # inline — to the serial result on inputs above their floors. par's own tests
-# run twenty times over: a hand-off that depends on how the scheduler
-# interleaves the crew's members fails only now and then.
+# run twenty times over, and core's scheduler tests (TestClaimOrder*'s claim
+# orders and stalls, TestCrew*'s near-empty batches) ten times: a hand-off
+# that depends on how the scheduler interleaves the crew's members fails only
+# now and then.
 race:
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/par
+	$(GO) test -race -count=10 -cpu 1,2,4 -run 'TestClaimOrder|TestCrew' ./internal/core
 	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/graph ./internal/coarsen ./internal/wire ./internal/matching ./internal/dist ./internal/part
 	$(GO) test -race ./internal/refine ./internal/remote ./internal/obs ./internal/svc ./internal/store .
 

@@ -13,12 +13,13 @@ import (
 
 // Row aggregates repeated runs of one configuration on one instance, the
 // way the paper reports them: average cut, best cut, average balance,
-// average time — plus a Note for what a table reports besides (the
-// distribution ablations' locality figures).
+// average time — plus the worst balance, and a Note for what a table reports
+// besides (the distribution ablations' locality figures).
 type Row struct {
 	AvgCut  float64
 	BestCut int64
 	AvgBal  float64
+	MaxBal  float64
 	AvgTime time.Duration
 	Note    string
 }
@@ -65,6 +66,7 @@ func repeat(reps int, run func(seed uint64) (cut int64, bal float64, t time.Dura
 		cut, bal, t := run(uint64(i)*0x5bd1e995 + 7)
 		totalCut += float64(cut)
 		totalBal += bal
+		row.MaxBal = max(row.MaxBal, bal)
 		totalTime += t
 		if i == 0 || cut < row.BestCut {
 			row.BestCut = cut

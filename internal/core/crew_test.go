@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,15 +50,16 @@ func within(t *testing.T, limit time.Duration, f func() error) {
 }
 
 // TestCrewNearEmptyRounds drives the run's crew from refineLevel through
-// thousands of rounds of one or two pairs most of which are stuck and return
-// at once — small grids, few blocks, more workers than a class has pairs,
-// every global iteration run — with and without the spin budget, and expects
-// the partition a single worker computes, and no helper left behind.
+// thousands of pairs most of which are stuck and return at once, in batches
+// of one to fifteen — small grids, few blocks, more workers than a batch has
+// free pairs, every global iteration run — with and without the spin budget,
+// and expects the partition a single worker computes, and no helper left
+// behind.
 // Members beyond GOMAXPROCS are started on purpose (par.Start does not cap),
 // so that they take turns even on one processor.
 func TestCrewNearEmptyRounds(t *testing.T) {
 	g := gen.Grid2D(16, 16)
-	rounds := 0
+	var claims atomic.Int64
 	before := runtime.NumGoroutine()
 	for _, k := range []int{2, 3, 4, 6} {
 		for seed := uint64(0); seed < 3; seed++ {
@@ -79,10 +81,9 @@ func TestCrewNearEmptyRounds(t *testing.T) {
 						}
 						env.crew.Stop()
 						env.crew = par.Start(workers, spin)
-						env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32) {
-							if a < 0 {
-								rounds++
-							}
+						env.claimOrder = func([]int) int { // the lowest, as without the hook
+							claims.Add(1)
+							return 0
 						}
 					})
 					within(t, time.Minute, func() error {
@@ -96,9 +97,9 @@ func TestCrewNearEmptyRounds(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d rounds", rounds)
-	if rounds < 5000 {
-		t.Fatalf("only %d rounds ran", rounds)
+	t.Logf("%d pairs claimed", claims.Load())
+	if claims.Load() < 5000 {
+		t.Fatalf("only %d pairs claimed", claims.Load())
 	}
 	// Run stops the crew the hook put in place of its own.
 	if after := settled(before); after > before {
@@ -119,7 +120,7 @@ func TestCrewNeverOutlivesItsRun(t *testing.T) {
 	started := false
 	startsCrew := envRefiner(func(env *Env) {
 		env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32) {
-			if a < 0 { // between rounds, on the run's own goroutine
+			if a < 0 { // between iterations, on the run's own goroutine
 				started = started || env.crew != nil
 			}
 		}
@@ -246,25 +247,23 @@ func (f failingRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initia
 	return nil, f.err
 }
 
-// TestClaimOrderLeavesNoTrace refines one level with every class claimed in
-// schedule order, reversed, and in a seeded shuffle, by one worker and by a
-// crew, and expects the same blocks, block weights and boundary lists each
-// time: which member refines a pair, and when within its round, decides
-// nothing. That is what lets a crew claim pairs in whatever order they come.
+// TestClaimOrderLeavesNoTrace refines one level with the free pairs of every
+// batch claimed lowest first, highest first and in a seeded shuffle, by one
+// worker and by a crew whose members stall at random inside their pairs, and
+// expects the same blocks, block weights and boundary lists each time: which
+// member refines a pair, and when — in colour order or not, beside whatever
+// other pairs — decides nothing, as long as a pair waits for the earlier
+// pairs of its two blocks. That is what lets a crew claim pairs as they come
+// free.
 func TestClaimOrderLeavesNoTrace(t *testing.T) {
 	graphs := map[string]*graph.Graph{"rgg": gen.RGG(11, 9), "rmat": gen.RMAT(9, 8, 9)}
 	const k = 16
 	for name, g := range graphs {
-		shuffle := rng.New(42)
-		orders := map[string]func(class []part.QEdge){
+		shuffle := rng.New(42) // drawn from under the batch's lock
+		orders := map[string]func(free []int) int{
 			"schedule": nil,
-			"reversed": slices.Reverse[[]part.QEdge],
-			"shuffled": func(class []part.QEdge) {
-				for i := len(class) - 1; i > 0; i-- {
-					j := shuffle.Intn(i + 1)
-					class[i], class[j] = class[j], class[i]
-				}
-			},
+			"reversed": func(free []int) int { return len(free) - 1 },
+			"shuffled": func(free []int) int { return shuffle.Intn(len(free)) },
 		}
 		var wantBlocks []int32
 		var wantWeights []int64
@@ -279,7 +278,21 @@ func TestClaimOrderLeavesNoTrace(t *testing.T) {
 					blocks[v] = int32(v * k / len(blocks))
 				}
 				p := part.FromBlocks(g, k, cfg.Eps, blocks)
-				env := &Env{claimOrder: orders[order], crew: par.Start(workers, par.Spin)}
+				var calls atomic.Uint64
+				stall := func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32) {
+					if a < 0 {
+						return
+					}
+					switch h := splitSeed(uint64(workers), calls.Add(1)); h % 8 {
+					case 0:
+						time.Sleep(time.Duration(h>>8%200) * time.Microsecond)
+					case 1, 2:
+						for range h >> 8 % 16 {
+							runtime.Gosched()
+						}
+					}
+				}
+				env := &Env{claimOrder: orders[order], indexCheck: stall, crew: par.Start(workers, par.Spin)}
 				if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
 					t.Fatal(err)
 				}

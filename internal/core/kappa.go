@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/coarsen"
@@ -115,59 +117,41 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // before every global iteration. The level owns the run's boundary index,
 // rebuilt here: the schedule reads its quotient, every pair draws its band
 // seeds from the lists of its two blocks and patches them with its moves.
-// A round of more than one pair, and the rows of the quotient graph, are
-// batches on the run's crew, the caller claiming beside the helpers.
+// A global iteration's pairs (see pairBatch) and the rows of the quotient
+// graph are batches on the run's crew, the caller claiming beside the
+// helpers.
 func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) error {
 	if cfg.K < 2 {
 		return nil
 	}
 	idx := &env.boundary
 	idx.Reset(env.crew, p, p.Block, -1, -1)
-	r := round{
-		p:     p,
-		idx:   idx,
-		fm:    refine.TwoWayConfig{Strategy: cfg.Strategy, Patience: cfg.Patience, BandDepth: cfg.BandDepth},
-		local: cfg.LocalIter,
-		check: env.indexCheck,
-	}
+	// Pairs read foreign blocks through a snapshot of p.Block, arena
+	// scratch, in which every pair keeps its own moves: taken once, it stays
+	// p.Block for the whole level.
+	view := env.Arena.Int32(len(p.Block))
+	defer env.Arena.PutInt32(view)
+	copy(view, p.Block)
+	pb := &env.pairs
+	pb.p, pb.idx, pb.view, pb.local = p, idx, view, cfg.LocalIter
+	pb.fm = refine.TwoWayConfig{Strategy: cfg.Strategy, Patience: cfg.Patience, BandDepth: cfg.BandDepth}
+	pb.check, pb.order = env.indexCheck, env.claimOrder
 	// Every crew member owns one of the run's FM workspaces.
-	members := env.crew.Members()
-	workspaces := env.workspacesFor(members)
-	refinePair := func(member, i int) { r.refine(workspaces[member], i) }
+	workspaces := env.workspacesFor(env.crew.Members())
+	work := func(member, _ int) int { return pb.refineNext(workspaces[member]) }
 	fruitlessRuns := 0
 	for global := 0; global < cfg.MaxGlobalIter; global++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		q := idx.QuotientOn(env.crew)
-		rounds := schedule(q, cfg, levelSeed, global)
-		var totalGain int64
-		for ri, class := range rounds {
-			if len(class) == 0 {
-				continue
-			}
-			// Disjoint pairs refine concurrently; all reads of foreign
-			// blocks go through a snapshot taken before the round. The
-			// snapshot and per-pair gain table are arena scratch.
-			r.view = env.Arena.Int32(len(p.Block))
-			copy(r.view, p.Block)
-			r.class, r.gains = class, env.Arena.Int64(len(class))
-			r.seed = cfg.Seed ^ levelSeed<<32 ^ uint64(global)<<16 ^ uint64(ri)<<8
-			if env.claimOrder != nil {
-				env.claimOrder(class)
-			}
-			env.crew.Run(len(class), refinePair)
-			if env.indexCheck != nil {
-				env.indexCheck(idx, p, p.Block, -1, -1)
-			}
-			for _, gv := range r.gains {
-				totalGain += gv
-			}
-			env.Arena.PutInt64(r.gains)
-			env.Arena.PutInt32(r.view)
+		ready := pb.plan(schedule(idx.QuotientOn(env.crew), cfg, levelSeed, global), cfg.K,
+			cfg.Seed^levelSeed<<32^uint64(global)<<16)
+		env.crew.RunChained(len(pb.pairs), ready, work)
+		if env.indexCheck != nil {
+			env.indexCheck(idx, p, p.Block, -1, -1)
 		}
-		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: totalGain})
-		if totalGain > 0 {
+		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: pb.gain})
+		if pb.gain > 0 {
 			fruitlessRuns = 0
 			continue
 		}
@@ -179,44 +163,125 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 	return nil
 }
 
-// round is one colour class of one global iteration, ready to refine: what a
-// pair's refinement needs besides its position in the class. A pair's seeds
-// depend on the level, the iteration, the round and the pair, never on who
-// refines it or when.
-type round struct {
+// pairBatch is one global iteration's pairs as one chained crew batch: the
+// colour classes of the schedule joined in colour order, where a pair is free
+// to start once the previous pair of each of its two blocks has finished; the
+// crew hands out a task as each pair comes free, and every task takes the
+// lowest-numbered free pair. A pair touches only its own two blocks' nodes,
+// weights, boundary lists and bounds, and tests a foreign node only for being
+// in one of them, which only the earlier pairs of its two blocks can change.
+// So every pair sees the state that running the colour classes one after
+// another gives it, whoever refines it and whatever runs beside it, and its
+// seeds name the level, the iteration, its colour and the pair. The slices
+// are scratch every level and iteration reuses.
+type pairBatch struct {
 	p     *part.Partition
 	idx   *part.BoundaryIndex
-	view  []int32 // snapshot of p.Block taken before the round
-	class []part.QEdge
-	gains []int64 // per pair of the class, written by whoever refined it
+	view  []int32 // see refineLevel
 	fm    refine.TwoWayConfig
-	local int    // cfg.LocalIter
-	seed  uint64 // of (run, level, global iteration, round)
+	local int // cfg.LocalIter
 	check func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
+	order func(free []int) int // see Env.claimOrder
+
+	pairs []part.QEdge
+	seeds []uint64 // per pair: of (run, level, iteration, colour, pair)
+	waits []int8   // per pair: its earlier pairs still to finish, 0 when free, -1 once claimed
+	seen  []bool   // per block: it has a pair yet; plan's scratch
+	free  []int    // order's argument
+
+	mu    sync.Mutex // guards waits, first and gain
+	first int        // every pair before it is claimed
+	gain  int64      // of the finished pairs
 }
 
-// refine runs the local iterations of pair i of the class on ws.
-func (r *round) refine(ws *refine.Workspace, i int) {
-	a, b := r.class[i].A, r.class[i].B
-	base := r.seed ^ uint64(a)<<24 ^ uint64(b)
+// plan lays out one global iteration — the colour classes in colour order,
+// each pair waiting for the earlier pairs of its two blocks — and returns how
+// many pairs are free at once. seed is the iteration's.
+func (pb *pairBatch) plan(classes [][]part.QEdge, k int, seed uint64) (ready int) {
+	pb.pairs, pb.seeds, pb.waits = pb.pairs[:0], pb.seeds[:0], pb.waits[:0]
+	pb.seen = slices.Grow(pb.seen[:0], k)[:k]
+	clear(pb.seen)
+	for c, class := range classes {
+		for _, e := range class {
+			var waits int8
+			for _, b := range [2]int32{e.A, e.B} {
+				if pb.seen[b] {
+					waits++
+				}
+				pb.seen[b] = true
+			}
+			if waits == 0 {
+				ready++
+			}
+			pb.pairs = append(pb.pairs, e)
+			pb.seeds = append(pb.seeds, seed^uint64(c)<<8^uint64(e.A)<<24^uint64(e.B))
+			pb.waits = append(pb.waits, waits)
+		}
+	}
+	pb.first, pb.gain = 0, 0
+	return ready
+}
+
+// refineNext is one task of the batch, on ws: it claims the lowest-numbered
+// free pair — or the one order picks among the free pairs — refines it, and
+// returns how many pairs its finishing freed. The crew hands out a task for
+// every pair that is free, so there is one to claim.
+func (pb *pairBatch) refineNext(ws *refine.Workspace) int {
+	pb.mu.Lock()
+	for pb.waits[pb.first] < 0 {
+		pb.first++
+	}
+	i := pb.first + slices.Index(pb.waits[pb.first:], 0)
+	if pb.order != nil {
+		pb.free = pb.free[:0]
+		for j := i; j < len(pb.pairs); j++ {
+			if pb.waits[j] == 0 {
+				pb.free = append(pb.free, j)
+			}
+		}
+		i = pb.free[pb.order(pb.free)]
+	}
+	pb.waits[i] = -1
+	pb.mu.Unlock()
+	gain := pb.refine(ws, i)
+	pb.mu.Lock()
+	defer pb.mu.Unlock()
+	pb.gain += gain
+	freed := 0
+	for _, b := range [2]int32{pb.pairs[i].A, pb.pairs[i].B} {
+		for j := i + 1; j < len(pb.pairs); j++ { // the next pair of block b
+			if e := pb.pairs[j]; e.A == b || e.B == b {
+				if pb.waits[j]--; pb.waits[j] == 0 {
+					freed++
+				}
+				break
+			}
+		}
+	}
+	return freed
+}
+
+// refine runs the local iterations of pair i on ws and returns their gain.
+func (pb *pairBatch) refine(ws *refine.Workspace, i int) int64 {
+	a, b := pb.pairs[i].A, pb.pairs[i].B
 	var gain int64
-	for li := 0; li < r.local; li++ {
-		out := refine.RefinePairIndexed(ws, r.idx, r.p, r.view, a, b, r.fm,
-			splitSeed(base, uint64(2*li)), splitSeed(base, uint64(2*li+1)))
+	for li := 0; li < pb.local; li++ {
+		out := refine.RefinePairIndexed(ws, pb.idx, pb.p, pb.view, a, b, pb.fm,
+			splitSeed(pb.seeds[i], uint64(2*li)), splitSeed(pb.seeds[i], uint64(2*li+1)))
 		gain += out.Gain
-		if r.check != nil {
-			r.check(r.idx, r.p, r.view, a, b)
+		if pb.check != nil {
+			pb.check(pb.idx, pb.p, pb.view, a, b)
 		}
 		if out.Gain <= 0 {
 			break
 		}
 	}
-	r.gains[i] = gain
+	return gain
 }
 
-// schedule produces the rounds of block pairs for one global iteration from
-// the quotient graph q: the colour classes of a distributed edge colouring
-// (§5.1; the paper found random maximal matchings slightly worse).
+// schedule produces the block pairs of one global iteration from the
+// quotient graph q: the colour classes of a distributed edge colouring (§5.1;
+// the paper found random maximal matchings slightly worse).
 func schedule(q []part.QEdge, cfg *Config, levelSeed uint64, global int) [][]part.QEdge {
 	seed := cfg.Seed ^ 0xc01035<<8 ^ levelSeed<<40 ^ uint64(global)
 	colors, nc := part.DistributedColoring(cfg.K, q, seed)

@@ -57,8 +57,8 @@ type Refiner interface {
 // and the trace sink.
 type Env struct {
 	Distributor Distributor
-	// Arena is the run's scratch arena: every level of coarsening and every
-	// refinement round borrows its temporaries here, so the V-cycle
+	// Arena is the run's scratch arena: every level of coarsening and of
+	// refinement borrows its temporaries here, so the V-cycle
 	// allocates its working set once at the finest level and reuses it all
 	// the way down and back up. nil degrades to fresh allocations.
 	Arena *mem.Arena
@@ -69,17 +69,20 @@ type Env struct {
 	refineWS  []*refine.Workspace // see workspacesFor
 	crew      *par.Crew           // see Crew; stopped before the run returns
 	boundary  part.BoundaryIndex  // reset by every refinement level, storage reused
+	pairs     pairBatch           // planned by every global iteration, storage reused
 
 	// indexCheck is nil outside tests. refineLevel calls it on the pair's
-	// goroutine after every pair refinement, with that pair's blocks and the
-	// round's view, and between rounds with a = b = -1 and the partition's
-	// own block array — the points at which the boundary index's invariants
-	// must hold for the pair's two lists and for all of them.
+	// goroutine after every local iteration of a pair, with that pair's
+	// blocks and the level's view, and after every global iteration with
+	// a = b = -1 and the partition's own block array — the points at which
+	// the boundary index's invariants must hold for the pair's two lists and
+	// for all of them.
 	indexCheck func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
-	// claimOrder is nil outside tests. refineLevel hands it every round's
-	// class, whose pairs are claimed in slice order, to permute in place
-	// before the round starts.
-	claimOrder func(class []part.QEdge)
+	// claimOrder is nil outside tests. A crew member claiming a pair hands
+	// it the free pairs of the batch in schedule order, under the batch's
+	// lock, and claims the one at the position it returns instead of the
+	// first.
+	claimOrder func(free []int) int
 }
 
 // scratchFor returns the run's scratch arenas for distributed coarsening,
@@ -94,8 +97,8 @@ func (e *Env) scratchFor(pes int) []*mem.Arena {
 }
 
 // workspacesFor returns the run's FM workspaces, one per refinement worker,
-// made on first use and reused across pairs, rounds, levels and global
-// iterations. refineLevel calls it between rounds.
+// made on first use and reused across pairs, levels and global iterations.
+// refineLevel calls it before its first batch.
 func (e *Env) workspacesFor(workers int) []*refine.Workspace {
 	for len(e.refineWS) < workers {
 		e.refineWS = append(e.refineWS, refine.NewWorkspace())

@@ -55,11 +55,11 @@ func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, bloc
 
 // TestBoundaryIndexInvariantDuringRun checks the index after every pair
 // refinement of full runs (the pair's two lists and weight bounds, on the
-// pair's goroutine) and after every round (all lists and bounds, and the
-// index's quotient against Partition.Quotient). Among the pairs must be some
-// that end a call with both blocks too full to take any node — the state
-// every stuck pair, which returns before it builds a band, starts and ends
-// in.
+// pair's goroutine) and after every global iteration (all lists and bounds,
+// and the index's quotient against Partition.Quotient). Among the pairs must
+// be some that end a call with both blocks too full to take any node — the
+// state every stuck pair, which returns before it builds a band, starts and
+// ends in.
 func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 	graphs := map[string]*graph.Graph{"rgg": gen.RGG(11, 1), "rmat": gen.RMAT(9, 8, 1), "grid": gen.Grid2D(40, 40)}
 	fullPairs := 0
@@ -68,7 +68,7 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 			for _, preset := range []Variant{Fast, Strong} {
 				var mu sync.Mutex
 				var first error
-				pairs, full, rounds := 0, 0, 0
+				pairs, full, iterations := 0, 0, 0
 				fail := func(err error) {
 					mu.Lock()
 					defer mu.Unlock()
@@ -90,16 +90,16 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 						}
 						return
 					}
-					rounds++
+					iterations++
 					all := make([]int32, k)
 					for i := range all {
 						all[i] = int32(i)
 					}
 					if err := checkIndexLists(p.G, idx, view, all...); err != nil {
-						fail(fmt.Errorf("after a round: %w", err))
+						fail(fmt.Errorf("after an iteration: %w", err))
 					}
 					if got, want := idx.Quotient(), p.Quotient(); !slices.Equal(got, want) {
-						fail(fmt.Errorf("after a round: index quotient %v, partition quotient %v", got, want))
+						fail(fmt.Errorf("after an iteration: index quotient %v, partition quotient %v", got, want))
 					}
 				}
 				cfg := NewConfig(preset, k)
@@ -110,8 +110,8 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 				if first != nil {
 					t.Fatalf("%s k=%d %v: %v", name, k, preset, first)
 				}
-				if pairs == 0 || rounds == 0 {
-					t.Fatalf("%s k=%d %v: check ran on %d pairs and %d rounds", name, k, preset, pairs, rounds)
+				if pairs == 0 || iterations == 0 {
+					t.Fatalf("%s k=%d %v: check ran on %d pairs and %d iterations", name, k, preset, pairs, iterations)
 				}
 				fullPairs += full
 			}
@@ -188,11 +188,13 @@ var scaling = flag.Bool("scaling", false, "run TestRefineScaling, which times re
 
 // TestRefineScaling prints, for refineLevelBench's pass on a mesh and on a
 // power-law graph, how much faster a crew of two is than one worker, next to
-// the most two workers could make of the same rounds: the one-worker time
-// less, per round, what list-scheduling the round's measured pair durations
-// onto two workers in claim order saves; then the same ratio for the
-// refinement phase of whole runs. Passes alternate between the two so that a
-// drifting machine slows both alike; times are medians.
+// the most two workers could make of the same pairs: the one-worker time with
+// each global iteration's pair time — the sum of its pairs' measured
+// durations — replaced by the longer of the iteration's critical path (every
+// pair after the earlier pairs of its two blocks) and half its pair time;
+// then the same ratio for the refinement phase of whole runs. Passes
+// alternate between the two so that a drifting machine slows both alike;
+// times are medians.
 func TestRefineScaling(t *testing.T) {
 	if !*scaling {
 		t.Skip("timing test: run make scaling")
@@ -200,34 +202,38 @@ func TestRefineScaling(t *testing.T) {
 	const passes = 40
 	for _, spec := range []string{"rgg:15", "rmat:12"} {
 		one, two := newRefineLevelBench(t, spec, 1), newRefineLevelBench(t, spec, 2)
-		// The hooks mark, on the single worker's goroutine, when a round
-		// starts, when each of its pairs is done and when it is over.
-		var pairs []time.Duration // of the round under way
+		// The hooks mark, on the single worker's goroutine, when a pair is
+		// claimed, when each of its local iterations is done and when the
+		// iteration is over; one worker refines the pairs in schedule order.
+		type timed struct {
+			a, b int32
+			d    time.Duration
+		}
+		var pairs []timed // of the iteration under way
 		var last time.Time
-		var lastA, lastB int32
+		var started bool
 		var saved time.Duration // by two workers, over one pass
-		one.env.claimOrder = func([]part.QEdge) { pairs, last, lastA = pairs[:0], time.Now(), -1 }
+		finish := make([]time.Duration, one.cfg.K)
+		one.env.claimOrder = func([]int) int { last, started = time.Now(), true; return 0 }
 		one.env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, b int32) {
 			now := time.Now()
 			switch {
 			case a < 0:
-				var sum time.Duration
-				var free [2]time.Duration
-				for _, d := range pairs {
-					sum += d
-					w := 0 // the worker that is free first takes the next pair
-					if free[1] < free[0] {
-						w = 1
-					}
-					free[w] += d
+				clear(finish)
+				var sum, path time.Duration
+				for _, q := range pairs {
+					f := max(finish[q.a], finish[q.b]) + q.d
+					finish[q.a], finish[q.b] = f, f
+					sum, path = sum+q.d, max(path, f)
 				}
-				saved += sum - max(free[0], free[1])
-			case a == lastA && b == lastB: // the pair's next local iteration
-				pairs[len(pairs)-1] += now.Sub(last)
+				saved += sum - max(path, sum/2)
+				pairs = pairs[:0]
+			case started: // the pair's first local iteration
+				pairs = append(pairs, timed{a, b, now.Sub(last)})
 			default:
-				pairs = append(pairs, now.Sub(last))
+				pairs[len(pairs)-1].d += now.Sub(last)
 			}
-			last, lastA, lastB = now, a, b
+			last, started = now, false
 		}
 		one.pass(t)
 		two.pass(t)
@@ -243,11 +249,11 @@ func TestRefineScaling(t *testing.T) {
 			t2 = append(t2, time.Since(start))
 		}
 		m1, m2, mb := median(t1), median(t2), median(bound)
-		fmt.Printf("%-7s finest level: one worker %6.2f ms  crew of two %6.2f ms  scaling %.2f  list-scheduling bound %.2f (GOMAXPROCS=%d)\n",
+		fmt.Printf("%-7s finest level: one worker %6.2f ms  crew of two %6.2f ms  scaling %.2f  dependency bound %.2f (GOMAXPROCS=%d)\n",
 			strings.ReplaceAll(spec, ":", ""), ms(m1), ms(m2), float64(m1)/float64(m2), float64(m1)/float64(mb), runtime.GOMAXPROCS(0))
-		// The finest level's rounds are the longest of a run; the refinement
-		// phase of whole runs, coarse levels and their short rounds
-		// included, is what an op pays.
+		// The finest level's pairs are the longest of a run; the refinement
+		// phase of whole runs, coarse levels and their short pairs included,
+		// is what an op pays.
 		t1, t2 = t1[:0], t2[:0]
 		for seed := uint64(0); seed < passes; seed++ {
 			for workers, times := range map[int]*[]time.Duration{1: &t1, 2: &t2} {

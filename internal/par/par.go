@@ -6,8 +6,9 @@
 // and a run's crew has no more members than GOMAXPROCS.
 //
 // A nil *Crew is valid everywhere: a batch on it runs on min(n, GOMAXPROCS)
-// goroutines started for that batch, which the caller waits for. That is the
-// runner of a kernel called outside a run, such as a benchmark probe.
+// goroutines started for that batch, which the caller waits for, and a
+// chained batch on the caller alone. That is the runner of a kernel called
+// outside a run, such as a benchmark probe.
 package par
 
 import (
@@ -38,20 +39,23 @@ const Spin = 100 * time.Microsecond
 // batch: it publishes it, claims tasks beside the helpers and waits for the
 // last one. Helpers are members 1, 2, ….
 //
-// Hand-off. todo is the number of unclaimed tasks of the published batch;
-// storing it publishes task and n. Whoever lowers it by one owns that task,
-// and the claim holds the batch open — done cannot reach n before the claimer
-// has counted its task — so the claimer reads task and n after the claim and
-// the owner rewrites them only after done says every claimed task is
-// finished. A member that finds todo zero (a helper between batches, the
-// owner before the last task is in) yields for the spin budget and then parks
-// at its gate.
+// Hand-off. todo is the number of claimable tasks of the published batch;
+// storing it publishes the batch. Whoever lowers it by one owns a task — the
+// next number of claimed — and the claim holds the batch open: done cannot
+// reach n before the claimer has counted its task, so the claimer reads the
+// batch after the claim and the owner rewrites it only after done says every
+// task is finished. A task of a chained batch that makes more tasks
+// claimable raises todo before it counts itself done. A member that finds
+// todo zero (a helper between batches, any member while the tasks left wait
+// on running ones) yields for the spin budget and then parks at its gate.
 type Crew struct {
-	task func(member, i int)
-	n    int32
-	todo atomic.Int32
-	done atomic.Int32
-	busy atomic.Bool // a batch is published and not yet finished
+	task    func(member, i int)
+	chain   func(member, i int) int // see RunChained; nil for Run
+	n       int32
+	todo    atomic.Int32
+	claimed atomic.Int32
+	done    atomic.Int32
+	busy    atomic.Bool // a batch is published and not yet finished
 
 	members int
 	spin    time.Duration
@@ -138,15 +142,49 @@ func (c *Crew) Run(n int, task func(member, i int)) {
 	case !c.busy.CompareAndSwap(false, true):
 		inline(n, -1, task)
 	default:
-		c.task, c.n = task, int32(n)
-		c.done.Store(0)
-		c.todo.Store(c.n)
-		c.helpers.release(n - 1)
-		c.claim(0)
-		c.await(&c.owner, func() bool { return c.done.Load() == c.n })
-		c.task = nil // what the batch's closure holds is garbage from here on
-		c.busy.Store(false)
+		c.task = task
+		c.publish(n, n)
 	}
+}
+
+// RunChained is Run over a batch whose tasks are not all claimable at once:
+// ready of them are, and a task that returns k makes k more claimable, so a
+// task can start work that other tasks have to finish first — which work,
+// the caller decides; task i is only the i-th claimed. The tasks release
+// n − ready in all. A member with nothing claimable waits as it does between
+// batches, and one whose task releases k claims the next itself and wakes up
+// to k−1 parked members. On a nil or busy crew the tasks run one after
+// another on the caller, as member 0 or -1.
+func (c *Crew) RunChained(n, ready int, task func(member, i int) int) {
+	switch {
+	case n <= 0:
+	case c == nil || !c.busy.CompareAndSwap(false, true):
+		member := 0
+		if c != nil {
+			member = -1
+		}
+		for i := range n {
+			task(member, i)
+		}
+	default:
+		c.chain = task
+		c.publish(n, ready)
+	}
+}
+
+// publish hands out a batch of n tasks, ready of them claimable, claims
+// beside the helpers and returns when the last task has.
+func (c *Crew) publish(n, ready int) {
+	c.n = int32(n)
+	c.claimed.Store(0)
+	c.done.Store(0)
+	c.todo.Store(int32(ready))
+	c.helpers.release(ready - 1)
+	for c.claim(0); c.done.Load() != c.n; c.claim(0) {
+		c.await(&c.owner, func() bool { return c.done.Load() == c.n || c.todo.Load() > 0 })
+	}
+	c.task, c.chain = nil, nil // what the batch's closure holds is garbage from here on
+	c.busy.Store(false)
 }
 
 // inline runs the tasks of a batch one after another as member.
@@ -182,7 +220,7 @@ func Spawn(n int, task func(member, i int)) {
 	wg.Wait()
 }
 
-// claim runs tasks of the published batch until none is unclaimed.
+// claim runs tasks of the published batch until none is claimable.
 func (c *Crew) claim(member int) {
 	for {
 		left := c.todo.Load()
@@ -192,12 +230,25 @@ func (c *Crew) claim(member int) {
 		if !c.todo.CompareAndSwap(left, left-1) {
 			continue
 		}
-		n := c.n
-		c.task(member, int(n-left))
+		i, n := int(c.claimed.Add(1)-1), c.n
+		if c.chain == nil {
+			c.task(member, i)
+		} else if k := c.chain(member, i); k > 0 {
+			c.release(k)
+		}
 		if c.done.Add(1) == n {
 			c.owner.release(1)
 		}
 	}
+}
+
+// release makes k more tasks of a chained batch claimable and wakes up to
+// k−1 parked helpers, and the owner if it parked, for them: the caller claims
+// one itself.
+func (c *Crew) release(k int) {
+	c.todo.Add(int32(k))
+	c.helpers.release(k - 1)
+	c.owner.release(k - 1)
 }
 
 // await returns once ready holds: it yields the processor for the spin

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,4 +259,108 @@ func BenchmarkCrewBatch(b *testing.B) {
 	for b.Loop() {
 		c.Run(2, task)
 	}
+}
+
+// TestCrewChainedBatch runs thousands of chained batches whose tasks refine
+// the items of a random schedule the way core's pair batches do: items over
+// a few blocks, in order, each free once the earlier items of its two blocks
+// have finished; a task takes the lowest free item and returns how many items
+// its finishing freed. With the spin budget and without, every task must
+// find a free item, every item must run, no batch may return before its last
+// item has, and no more items may run at once than the crew has members. A
+// release that is lost hangs, and within turns that into a dump. On a nil
+// crew the items run one after another, as member 0.
+func TestCrewChainedBatch(t *testing.T) {
+	for _, spin := range []time.Duration{Spin, 0} {
+		for _, members := range []int{1, 2, 3, 8} {
+			within(t, time.Minute, func() error {
+				c := Start(members, spin)
+				defer c.Stop()
+				r := xorshift(31 + members)
+				for batch := 0; batch < 1000; batch++ {
+					if err := chainedBatch(c, &r, members); err != nil {
+						return fmt.Errorf("spin %v, %d members, batch %d: %w", spin, members, batch, err)
+					}
+				}
+				return nil
+			})
+		}
+	}
+	r := xorshift(5)
+	if err := chainedBatch(nil, &r, 1); err != nil {
+		t.Fatalf("nil crew: %v", err)
+	}
+}
+
+// chainedBatch runs one random schedule as a chained batch on c and checks
+// it.
+func chainedBatch(c *Crew, r *xorshift, members int) error {
+	const blocks = 6
+	n := 1 + r.intn(16)
+	type item struct{ a, b int }
+	items := make([]item, n)
+	waits := make([]int, n) // earlier items still to finish; -1 once taken
+	seen := make([]bool, blocks)
+	ready := 0
+	for i := range items {
+		a := r.intn(blocks)
+		b := (a + 1 + r.intn(blocks-1)) % blocks
+		items[i] = item{a, b}
+		for _, x := range []int{a, b} {
+			if seen[x] {
+				waits[i]++
+			}
+			seen[x] = true
+		}
+		if waits[i] == 0 {
+			ready++
+		}
+	}
+	var mu sync.Mutex
+	done := make([]bool, n)
+	var inFlight, most atomic.Int32
+	var bad error
+	c.RunChained(n, ready, func(member, _ int) int {
+		mu.Lock()
+		i := slices.Index(waits, 0)
+		if i < 0 || member < 0 || member >= max(members, 1) {
+			bad = fmt.Errorf("a task found no free item (member %d)", member)
+			mu.Unlock()
+			return 0
+		}
+		waits[i] = -1
+		mu.Unlock()
+		now := inFlight.Add(1)
+		for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+		}
+		runtime.Gosched()
+		inFlight.Add(-1)
+		mu.Lock()
+		defer mu.Unlock()
+		done[i] = true
+		freed := 0
+		for _, x := range []int{items[i].a, items[i].b} {
+			for j := i + 1; j < n; j++ {
+				if items[j].a == x || items[j].b == x {
+					if waits[j]--; waits[j] == 0 {
+						freed++
+					}
+					break
+				}
+			}
+		}
+		return freed
+	})
+	if bad != nil {
+		return bad
+	}
+	for i, d := range done {
+		if !d {
+			return fmt.Errorf("RunChained returned before item %d of %d ran", i, n)
+		}
+	}
+	if got := int(most.Load()); got > max(members, 1) {
+		return fmt.Errorf("%d items in flight at once", got)
+	}
+	return nil
 }

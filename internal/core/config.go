@@ -108,8 +108,9 @@ type Config struct {
 	// runs every pass inline. Every pass that splits into independent tasks
 	// is a batch on the crew — the node ranges of graph.ParallelRanges, the
 	// per-block local matchings, RCB's halves, the per-PE extraction and the
-	// contraction's spans, the refinement pairs of a colour class and the
-	// rows of the quotient graph — except the distributed level's superstep
+	// contraction's spans, the refinement pairs of a global iteration (one
+	// batch, each pair started once the earlier pairs of its two blocks are
+	// done) and the rows of the quotient graph — except the distributed level's superstep
 	// kernels (one goroutine per PE, which meet at barriers) and the
 	// initial-partitioning attempts (one goroutine each). Every parallel pass
 	// does for each node or pair exactly what the serial one does, so

@@ -11,21 +11,30 @@ type DSU struct {
 	size   []int32
 }
 
-// NewIn builds a DSU of singleton sets over caller-provided backing slices
-// (both of length n), overwriting their contents, so the GPA matcher can draw
-// them from its per-level scratch.
+// NewIn builds a DSU over caller-provided backing slices (both of length n)
+// in which every element of elems is a singleton set, so the GPA matcher can
+// draw them from its per-level scratch. Only the entries of elems are
+// written — a block's matcher pays for its block, not for n — and only they
+// may be passed to Find and Union; nil elems means all n elements.
 //
 //kappa:hotpath
 //kappa:invariant the arena hands out equal-length slices by construction
-func NewIn(parent, size []int32) *DSU {
+func NewIn(parent, size, elems []int32) *DSU {
 	if len(parent) != len(size) {
 		panic("dsu: NewIn slices must have equal length")
 	}
 	//kappa:allow hotalloc one fixed-size header; the backing arrays are caller-provided
 	d := &DSU{parent: parent, size: size}
-	for i := range parent {
-		parent[i] = int32(i)
-		size[i] = 1
+	if elems == nil {
+		for i := range parent {
+			parent[i] = int32(i)
+			size[i] = 1
+		}
+		return d
+	}
+	for _, x := range elems {
+		parent[x] = x
+		size[x] = 1
 	}
 	return d
 }

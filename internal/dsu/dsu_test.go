@@ -7,7 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-func newDSU(n int) *DSU { return NewIn(make([]int32, n), make([]int32, n)) }
+func newDSU(n int) *DSU { return NewIn(make([]int32, n), make([]int32, n), nil) }
 
 func TestSingletons(t *testing.T) {
 	d := newDSU(5)
@@ -33,6 +33,34 @@ func TestUnionFind(t *testing.T) {
 	}
 	if d.Find(0) == d.Find(4) {
 		t.Fatal("0 and 4 should be disjoint")
+	}
+}
+
+// TestNewInTouchesOnlyItsElements builds a DSU over a subset of stale
+// backing slices: the subset's entries act as fresh singletons and every
+// other entry keeps its stale value.
+func TestNewInTouchesOnlyItsElements(t *testing.T) {
+	const n, stale = 8, -7
+	parent, size := make([]int32, n), make([]int32, n)
+	for i := range parent {
+		parent[i], size[i] = stale, stale
+	}
+	elems := []int32{1, 4, 5, 7}
+	d := NewIn(parent, size, elems)
+	for _, x := range elems {
+		if d.Find(x) != x {
+			t.Fatalf("Find(%d) = %d before any union", x, d.Find(x))
+		}
+	}
+	d.Union(1, 5)
+	d.Union(7, 5)
+	if d.Find(1) != d.Find(7) || d.Find(4) == d.Find(1) {
+		t.Fatal("unions over the subset disagree with the sets formed")
+	}
+	for _, x := range []int32{0, 2, 3, 6} {
+		if parent[x] != stale || size[x] != stale {
+			t.Fatalf("entry %d outside the subset written: parent %d, size %d", x, parent[x], size[x])
+		}
 	}
 }
 

@@ -81,13 +81,16 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 	// Phase 1: sequential matching on the internal (owned–owned) edges.
 	switch alg {
 	case SHEM:
+		// Partners are owned nodes: the block map names each local node's
+		// owner PE.
 		nodes := make([]int32, owned)
-		inSet := make([]bool, n)
+		owner := make([]int32, n)
 		for i := range nodes {
 			nodes[i] = int32(i)
-			inSet[i] = true
+			owner[i] = sg.PE
 		}
-		shemInto(g, rt, r, nodes, inSet, m, maxPair, a)
+		copy(owner[owned:], sg.GhostOwner)
+		shemInto(g, rt, r, nodes, owner, sg.PE, m, maxPair, a)
 	default:
 		// Counted, then filled: no doubling growth. Not the shared path's
 		// edge pool: a pooled level-0 array stays resident between the
@@ -97,7 +100,7 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 		if alg == Greedy {
 			greedyEdges(g, edges, m, maxPair, a)
 		} else {
-			gpaEdges(g, edges, m, maxPair, a)
+			gpaEdges(g, nil, edges, m, nil, maxPair, a)
 		}
 	}
 

@@ -8,37 +8,41 @@ import (
 	"repro/internal/mem"
 )
 
-// sortEdgesDesc sorts edges into the scan order of GPA and Greedy: rating
-// descending, then the random tie descending, then (U, V) ascending. That is
-// a total order on the edges of a graph, so the result depends on the edge
-// set alone — not on the order the edges arrive in.
+// edgeOrder returns the scan order of GPA and Greedy over edges: rating
+// descending, then the random tie descending, then (U, V) ascending, as
+// keyed records whose mem.KeyedIdx is an index into edges, drawn from a (nil
+// = allocate; hand it back with a.PutUint64). That is a total order on the
+// edges of a graph, so the order depends on the edge set alone — not on the
+// order the edges arrive in.
 //
 // No edge is compared with another until ratings and ties collide, and none
-// is moved until the order is known. The sort key is three 32-bit words —
-// the high and low halves of the rating's order-preserving bit pattern, then
-// the inverted tie — and mem.SortKeyedWords builds the order over 8-byte
-// keyed records in scratch from a (nil = allocate), radix-sorting word by
-// word and only within the runs the previous word left tied. On a
-// unit-weight level 0 the two rating words tie everywhere and cost one
-// counting sweep each; on coarser levels the first word already separates
-// almost every edge. The rare runs tied on all three words are ordered by
-// endpoint ids, and one in-place permutation then moves each Edge
-// at most once.
+// is moved: the scans walk the order, reading each edge where it lies. The
+// sort key is three 32-bit words — the high and low halves of the rating's
+// order-preserving bit pattern, then the inverted tie — and
+// mem.SortKeyedWords builds the order over 8-byte keyed records, radix-sorting
+// word by word and only within the runs the previous word left tied. On
+// coarser levels the first word already separates almost every edge. When
+// every rating compares equal — level 0 of every unit-weight graph under the
+// default rating — the two rating words are dropped and the key is the tie
+// word alone: one radix sort. The rare runs tied on every word are ordered by
+// endpoint ids.
 //
 // Ratings are finite or +Inf by construction (pinned by the rating tests),
 // so NaN has no defined place in the order; it sorts by its bit pattern,
 // deterministically.
 //
 //kappa:hotpath
-func sortEdgesDesc(edges []Edge, a *mem.Arena) {
+func edgeOrder(edges []Edge, a *mem.Arena) []uint64 {
 	n := len(edges)
-	if n < 2 {
-		return
+	// The sort's word w is word first+w of (rating high, rating low, tie).
+	words, first := 3, 0
+	if equalRatings(edges) {
+		words, first = 1, 2
 	}
 	recs, tmp := a.Uint64(n), a.Uint64(n)
-	mem.SortKeyedWords(recs, tmp, 3,
+	mem.SortKeyedWords(recs, tmp, words,
 		func(idx int32, word int) uint32 {
-			switch e := &edges[idx]; word {
+			switch e := &edges[idx]; first + word {
 			case 0:
 				return uint32(ratingKeyDesc(e.R) >> 32)
 			case 1:
@@ -53,9 +57,21 @@ func sortEdgesDesc(edges []Edge, a *mem.Arena) {
 				return cmp.Or(cmp.Compare(ex.U, ey.U), cmp.Compare(ex.V, ey.V))
 			})
 		})
-	permuteEdges(edges, recs)
 	a.PutUint64(tmp)
-	a.PutUint64(recs)
+	return recs
+}
+
+// equalRatings reports whether every edge's rating compares equal to the
+// first's (-0 and +0 do; NaN never does, so it takes the general path).
+//
+//kappa:hotpath
+func equalRatings(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		if edges[i].R != edges[0].R {
+			return false
+		}
+	}
+	return true
 }
 
 // ratingKeyDesc maps a rating to a key whose ascending unsigned order is the
@@ -72,30 +88,4 @@ func ratingKeyDesc(r float64) uint64 {
 		return b // negative: larger magnitude = larger bits = later
 	}
 	return ^b &^ (1 << 63) // non-negative: before every negative, larger first
-}
-
-// permuteEdges rearranges edges in place so that position i holds the edge
-// order[i] indexes, following the permutation's cycles: every edge is read
-// once and written once. It consumes order.
-//
-//kappa:hotpath
-func permuteEdges(edges []Edge, order []uint64) {
-	const done = ^uint64(0)
-	for i := range order {
-		if order[i] == done || int(mem.KeyedIdx(order[i])) == i {
-			continue
-		}
-		hold := edges[i]
-		j := i
-		for {
-			s := int(mem.KeyedIdx(order[j]))
-			order[j] = done
-			if s == i {
-				edges[j] = hold
-				break
-			}
-			edges[j] = edges[s]
-			j = s
-		}
-	}
 }

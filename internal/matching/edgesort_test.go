@@ -24,9 +24,20 @@ func compareEdges(a, b Edge) int {
 	)
 }
 
-// sortEdgesReference is the comparison sort sortEdgesDesc replaced, with the
+// sortEdgesReference is the comparison sort edgeOrder replaced, with the
 // full four-key order; the radix kernel is tested against it.
 func sortEdgesReference(edges []Edge) { slices.SortFunc(edges, compareEdges) }
+
+// sortEdgesDesc sorts edges into edgeOrder's order.
+func sortEdgesDesc(edges []Edge, a *mem.Arena) {
+	order := edgeOrder(edges, a)
+	sorted := make([]Edge, len(edges))
+	for i, o := range order {
+		sorted[i] = edges[mem.KeyedIdx(o)]
+	}
+	copy(edges, sorted)
+	a.PutUint64(order)
+}
 
 // edgeCase builds n edges with distinct endpoints — so the four-key order
 // has no ties at all — ratings drawn from ratings and ties below tieRange.
@@ -60,6 +71,7 @@ func TestSortEdgesMatchesReference(t *testing.T) {
 		"all equal":    {1},
 		"two distinct": {0.5, 2},
 		"signed zeros": {0, math.Copysign(0, -1), 1},
+		"only zeros":   {0, math.Copysign(0, -1)},
 		"denormals":    {denormal, 2 * denormal, 0, math.SmallestNonzeroFloat64 * 3},
 		"infinity":     {math.Inf(1), math.MaxFloat64, 1},
 		"negatives":    {-1, -2.5, 0, 3},
@@ -83,6 +95,26 @@ func TestSortEdgesMatchesReference(t *testing.T) {
 				if i := firstDiff(edges, want); i >= 0 {
 					t.Fatalf("%s, n=%d, ties<%d: position %d holds %+v, want %+v", name, n, tieRange, i, edges[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestSortEdgesOneDistinctRating puts one distinct rating at every position
+// of an otherwise all-equal edge set: the equal-ratings shortcut must see it
+// wherever it lies, the last position included.
+func TestSortEdgesOneDistinctRating(t *testing.T) {
+	r := rng.New(3)
+	base := edgeCase(300, []float64{1}, 1<<32, r)
+	for p := range base {
+		for _, odd := range []float64{2, 0.5} {
+			edges := slices.Clone(base)
+			edges[p].R = odd
+			want := slices.Clone(edges)
+			sortEdgesReference(want)
+			sortEdgesDesc(edges, nil)
+			if i := firstDiff(edges, want); i >= 0 {
+				t.Fatalf("rating %v at %d: position %d holds %+v, want %+v", odd, p, i, edges[i], want[i])
 			}
 		}
 	}
@@ -204,7 +236,7 @@ func BenchmarkSortEdges(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(work, c.edges)
-				sortEdgesDesc(work, arena)
+				arena.PutUint64(edgeOrder(work, arena))
 			}
 		})
 	}

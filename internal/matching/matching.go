@@ -186,7 +186,7 @@ func ComputeScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG,
 	switch alg {
 	case SHEM:
 		m := newEmptyIn(a, g.NumNodes())
-		shemInto(g, rt, r, nil, nil, m, maxPair, a)
+		shemInto(g, rt, r, nil, nil, 0, m, maxPair, a)
 		return m
 	case Greedy:
 		m := newEmptyIn(a, g.NumNodes())
@@ -199,7 +199,7 @@ func ComputeScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG,
 		m := newEmptyIn(a, g.NumNodes())
 		buf := getEdges(g.NumEdges())
 		*buf = allEdgesInto(g, rt, r, *buf)
-		gpaEdges(g, *buf, m, maxPair, a)
+		gpaEdges(g, nil, *buf, m, nil, maxPair, a)
 		putEdges(buf)
 		return m
 	default:

@@ -42,9 +42,9 @@ func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, bl
 	m := newEmptyIn(a, n)
 	// localRating[v] is the rating of v's local match (0 when unmatched),
 	// which the gap phase compares against, written by v's block once its
-	// matching is done. EdgeWeightTo binary-searches on sorted-adjacency
-	// graphs (the finest level); contracted levels fall back to the linear
-	// scan.
+	// matching is done: carried out of GPA, recomputed for the other
+	// algorithms (EdgeWeightTo binary-searches on sorted-adjacency graphs —
+	// the finest level — and scans on contracted levels).
 	localRating := a.Float64(n)
 
 	// Group nodes by block, CSR-style: one flat arena buffer plus offsets
@@ -76,14 +76,15 @@ func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, bl
 	run.Run(nparts, func(_, p int) {
 		r := rng.NewStream(seed, uint64(p))
 		nodes := nodesOf(p)
+		var rated []float64 // localRating, when the matcher carries it out
+		if gap {
+			for _, v := range nodes {
+				localRating[v] = 0
+			}
+		}
 		switch alg {
 		case SHEM:
-			inSet := a.Bool(n)
-			for _, v := range nodes {
-				inSet[v] = true
-			}
-			shemInto(g, rt, r, nodes, inSet, m, maxPair, a)
-			a.PutBool(inSet)
+			shemInto(g, rt, r, nodes, block, int32(p), m, maxPair, a)
 		default:
 			// Edge-based algorithms run on the block's internal edges:
 			// at most half the block's degree sum, so the buffer
@@ -106,14 +107,16 @@ func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, bl
 			if alg == Greedy {
 				greedyEdges(g, edges, m, maxPair, a)
 			} else {
-				gpaEdges(g, edges, m, maxPair, a)
+				if gap {
+					rated = localRating
+				}
+				gpaEdges(g, nodes, edges, m, rated, maxPair, a)
 			}
 			*buf = edges
 			putEdges(buf)
 		}
-		if gap {
+		if gap && rated == nil {
 			for _, v := range nodes {
-				localRating[v] = 0
 				if u := m[v]; u >= 0 {
 					localRating[v] = rt.Rate(v, u, g.EdgeWeightTo(v, u))
 				}

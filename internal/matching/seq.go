@@ -14,9 +14,10 @@ import (
 // matching: nodes are scanned in order of increasing degree (random within
 // equal degrees); each unmatched node is matched to the unmatched neighbor
 // with the highest edge rating. If nodes is non-nil, matching is restricted
-// to that node subset; inSet restricts the eligible partners (nil means all
-// nodes are eligible). Scratch comes from a (nil = allocate).
-func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes []int32, inSet []bool, m Matching, maxPair int64, a *mem.Arena) {
+// to that node subset; block restricts the eligible partners to the nodes u
+// with block[u] == p (nil means all nodes are eligible). Scratch comes from a
+// (nil = allocate).
+func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32, p int32, m Matching, maxPair int64, a *mem.Arena) {
 	var count int
 	if nodes == nil {
 		count = g.NumNodes()
@@ -57,7 +58,7 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes []int32, inSet
 			// The block check must precede the m[u] read: in the parallel
 			// scheme, matching entries of foreign blocks are concurrently
 			// written by their owners.
-			if inSet != nil && !inSet[u] {
+			if block != nil && block[u] != p {
 				continue
 			}
 			if m[u] >= 0 {
@@ -84,8 +85,9 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes []int32, inSet
 // whenever both endpoints are free. Sort scratch comes from a (nil =
 // allocate).
 func greedyEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem.Arena) {
-	sortEdgesDesc(edges, a)
-	for _, e := range edges {
+	order := edgeOrder(edges, a)
+	for _, o := range order {
+		e := &edges[mem.KeyedIdx(o)]
 		if maxPair > 0 && g.NodeWeight(e.U)+g.NodeWeight(e.V) > maxPair {
 			continue
 		}
@@ -94,6 +96,7 @@ func greedyEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem
 			m[e.V] = e.U
 		}
 	}
+	a.PutUint64(order)
 }
 
 // halfEdge is one direction of a selected GPA edge.
@@ -109,23 +112,59 @@ type halfEdge struct {
 // and GC-managed reclaim is the right lifetime for it.
 var halfAdjSlices = sync.Pool{New: func() any { return new([][2]halfEdge) }}
 
+// Flags of a GPA piece, kept at its DSU root, and the walk's visited mark on
+// a node's selected-edge count.
+const (
+	pieceOdd    byte = 1 // the piece has an odd number of edges
+	pieceClosed byte = 2 // the piece is closed into a cycle
+	walked      byte = 0x80
+)
+
 // gpaEdges runs the Global Path Algorithm over the given edge set, writing
 // into m. GPA scans edges by descending rating like Greedy but first grows a
 // collection of paths and even cycles; it then computes an optimal matching
 // on each path/cycle by dynamic programming. Scratch comes from a (nil =
 // allocate).
-func gpaEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem.Arena) {
+//
+// nodes lists, ascending, every node the edges touch (nil = all nodes of g):
+// the per-node state is set up and walked on those nodes only, so matching
+// one block costs the block, not the graph. Nodes outside it hold no selected
+// edge, so the walk order — and the matching — is that of a scan over all
+// nodes. rated, if non-nil, receives for both ends of every pair GPA matches
+// the pair's edge rating R: every rating function is symmetric, so that is
+// rt.Rate(v, m[v], ω) bit for bit. Entries of the nodes left unmatched are
+// not written.
+func gpaEdges(g *graph.Graph, nodes []int32, edges []Edge, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
 	n := g.NumNodes()
-	sortEdgesDesc(edges, a)
-	deg := a.Bytes(n)
-	clear(deg)
+	order := edgeOrder(edges, a)
+	deg := a.Bytes(n)   // selected edges at a node
+	piece := a.Bytes(n) // pieceOdd and pieceClosed, at DSU roots
 	dsuParent := a.Int32(n)
 	dsuSize := a.Int32(n)
-	d := dsu.NewIn(dsuParent, dsuSize)
-	odd := a.Bool(n)    // parity of edge count, stored at DSU roots
-	closed := a.Bool(n) // piece already closed into a cycle
-	selected := edges[:0]
-	for _, e := range edges {
+	d := dsu.NewIn(dsuParent, dsuSize, nodes)
+	if nodes == nil {
+		clear(deg)
+		clear(piece)
+	} else {
+		for _, v := range nodes {
+			deg[v], piece[v] = 0, 0
+		}
+	}
+	// Adjacency among selected edges: at most two incident edges per node,
+	// in selection order.
+	adjP := halfAdjSlices.Get().(*[][2]halfEdge)
+	if cap(*adjP) < n {
+		*adjP = make([][2]halfEdge, n)
+	}
+	adj := (*adjP)[:n]
+	sel := func(e *Edge) {
+		adj[e.U][deg[e.U]] = halfEdge{e.V, e.R}
+		adj[e.V][deg[e.V]] = halfEdge{e.U, e.R}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	for _, o := range order {
+		e := &edges[mem.KeyedIdx(o)]
 		if deg[e.U] >= 2 || deg[e.V] >= 2 {
 			continue
 		}
@@ -135,37 +174,32 @@ func gpaEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem.Ar
 			continue
 		}
 		ru, rv := d.Find(e.U), d.Find(e.V)
-		if closed[ru] || closed[rv] {
+		if piece[ru]&pieceClosed != 0 || piece[rv]&pieceClosed != 0 {
 			continue
 		}
 		if ru == rv {
 			// Both endpoints of one path: closing it creates a cycle with
 			// edgeCount+1 edges, which must be even.
-			if !odd[ru] {
+			if piece[ru]&pieceOdd == 0 {
 				continue
 			}
-			closed[ru] = true
-			deg[e.U]++
-			deg[e.V]++
-			selected = append(selected, e)
+			piece[ru] |= pieceClosed
+			sel(e)
 			continue
 		}
 		// The merged path has cu+cv+1 edges, which is odd iff cu and cv
-		// have equal parity.
-		newOdd := odd[ru] == odd[rv]
+		// have equal parity; neither piece is closed.
+		merged := piece[ru] ^ piece[rv] ^ pieceOdd
 		d.Union(e.U, e.V)
-		root := d.Find(e.U)
-		odd[root] = newOdd
-		closed[root] = false
-		deg[e.U]++
-		deg[e.V]++
-		selected = append(selected, e)
+		piece[d.Find(e.U)] = merged
+		sel(e)
 	}
-	matchPathsAndCycles(n, selected, deg, m, a)
-	a.PutBool(closed)
-	a.PutBool(odd)
+	matchPathsAndCycles(nodes, n, adj, deg, m, rated)
+	halfAdjSlices.Put(adjP)
+	a.PutUint64(order)
 	a.PutInt32(dsuSize)
 	a.PutInt32(dsuParent)
+	a.PutBytes(piece)
 	a.PutBytes(deg)
 }
 
@@ -186,27 +220,12 @@ func (s *pathDP) grow(k int) {
 	}
 }
 
-// matchPathsAndCycles decomposes the degree-≤2 edge set into paths and
-// cycles, solves each optimally by dynamic programming, and records the
-// chosen edges in m.
-func matchPathsAndCycles(n int, selected []Edge, deg []byte, m Matching, a *mem.Arena) {
-	// Adjacency among selected edges: at most two incident edges per node.
-	adjP := halfAdjSlices.Get().(*[][2]halfEdge)
-	if cap(*adjP) < n {
-		*adjP = make([][2]halfEdge, n)
-	}
-	adj := (*adjP)[:n]
-	cnt := a.Bytes(n)
-	clear(cnt)
-	push := func(v, u int32, r float64) {
-		adj[v][cnt[v]] = halfEdge{u, r}
-		cnt[v]++
-	}
-	for _, e := range selected {
-		push(e.U, e.V, e.R)
-		push(e.V, e.U, e.R)
-	}
-	visited := a.Bool(n)
+// matchPathsAndCycles decomposes the degree-≤2 selected edges — adj[v][:deg[v]]
+// for v in nodes, nil meaning all n nodes — into paths and cycles, solves
+// each optimally by dynamic programming, and records the chosen edges in m
+// and their ratings in rated (if non-nil). It marks deg's entries walked as it
+// goes.
+func matchPathsAndCycles(nodes []int32, n int, adj [][2]halfEdge, deg []byte, m Matching, rated []float64) {
 	var pathU, pathV []int32
 	var pathR []float64
 	var dp pathDP
@@ -216,10 +235,11 @@ func matchPathsAndCycles(n int, selected []Edge, deg []byte, m Matching, a *mem.
 		prev := int32(-1)
 		v := start
 		for {
-			visited[v] = true
+			c := deg[v]
+			deg[v] = c | walked
 			var next halfEdge
 			found := false
-			for i := byte(0); i < cnt[v]; i++ {
+			for i := byte(0); i < c; i++ {
 				if adj[v][i].to != prev {
 					next = adj[v][i]
 					found = true
@@ -235,7 +255,7 @@ func matchPathsAndCycles(n int, selected []Edge, deg []byte, m Matching, a *mem.
 			if next.to == start {
 				return true // cycle closed
 			}
-			if visited[next.to] {
+			if deg[next.to]&walked != 0 {
 				return false
 			}
 			prev, v = v, next.to
@@ -247,32 +267,38 @@ func matchPathsAndCycles(n int, selected []Edge, deg []byte, m Matching, a *mem.
 			if t {
 				m[pathU[i]] = pathV[i]
 				m[pathV[i]] = pathU[i]
+				if rated != nil {
+					rated[pathU[i]], rated[pathV[i]] = pathR[i], pathR[i]
+				}
 			}
 		}
 	}
 
-	// Paths first (endpoints have degree 1).
-	for v := int32(0); v < int32(n); v++ {
-		if !visited[v] && cnt[v] == 1 {
-			walk(v)
-			apply(maxPathMatching(pathR, &dp))
-		}
+	// scan walks, in ascending node order, from every unwalked node with
+	// ends selected edges (a walked node's entry carries the mark, so it
+	// never equals ends).
+	count := n
+	if nodes != nil {
+		count = len(nodes)
 	}
-	// Remaining unvisited nodes with edges lie on cycles.
-	for v := int32(0); v < int32(n); v++ {
-		if !visited[v] && cnt[v] == 2 {
-			if !walk(v) {
-				continue // defensive: should not happen
+	scan := func(ends byte, solve func([]float64, *pathDP) []bool) {
+		for i := 0; i < count; i++ {
+			v := int32(i)
+			if nodes != nil {
+				v = nodes[i]
 			}
-			apply(maxCycleMatching(pathR, &dp))
+			if deg[v] == ends && (walk(v) || ends == 1) {
+				apply(solve(pathR, &dp))
+			}
 		}
 	}
-	// A walk that started mid-path would miss one side; starting only at
-	// degree-1 nodes (paths) and unvisited degree-2 nodes (cycles) covers
-	// everything because paths are exhausted before cycles.
-	a.PutBool(visited)
-	a.PutBytes(cnt)
-	halfAdjSlices.Put(adjP)
+	// Paths first (endpoints have degree 1); the nodes still unwalked with
+	// two edges then lie on cycles. A walk that started mid-path would miss
+	// one side; starting only at degree-1 nodes (paths) and unwalked
+	// degree-2 nodes (cycles) covers everything because paths are exhausted
+	// before cycles.
+	scan(1, maxPathMatching)
+	scan(2, maxCycleMatching)
 }
 
 // maxPathMatching returns, for a path whose consecutive edges have ratings

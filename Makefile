@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15179
+LOC_MAX = 15101
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -47,7 +47,7 @@ loc-check:
 # that changed it left behind, the way loc-check holds the code to LOC_MAX:
 # growth raises the budget in the diff that causes it; a PR that shrinks a
 # document lowers its budget.
-DOC_BUDGETS = ARCHITECTURE.md:64458 README.md:28206 EXPERIMENTS.md:25295
+DOC_BUDGETS = ARCHITECTURE.md:64390 README.md:28206 EXPERIMENTS.md:25288
 docs-check:
 	@fail=0; for b in $(DOC_BUDGETS); do f=$${b%%:*}; max=$${b##*:}; n=$$(wc -c < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n bytes, above its budget of $$max: shrink it or raise the budget in the Makefile"; fail=1; fi; \
@@ -114,12 +114,15 @@ scaling:
 # than pinned bytes: k = 8 on 2 PEs cuts about as well as on 8, every run of
 # every KaPPa row of Table 2 (calibration suite, k = 16, five seeds) stays
 # within balance 1+ε and one node, and the rows' geometric-mean cuts order
-# Strong ≤ Fast ≤ Minimal, and the coarsen ablation's distributed rows cut
-# like its shared ones (geometric mean of the ratio over the instances). Each
-# tolerance comes from a ten-seed spread (EXPERIMENTS.md). CI runs this.
+# Strong ≤ Fast ≤ Minimal, the coarsen ablation's distributed rows cut
+# like its shared ones (geometric mean of the ratio over the instances), and,
+# last, KaPPa-Fast < kmetis < parmetis over Table 2's instances — which fails
+# today: parmetis cuts below kmetis (ROADMAP item 1). Each tolerance comes
+# from a ten-seed spread (EXPERIMENTS.md). CI runs this.
 shape:
 	$(GO) test -count=1 -run 'TestFewerPEsThanBlocksCostNoQuality' ./internal/core
 	$(GO) test -count=1 -run 'TestKaPPaRowsWithinBalance|TestPresetsOrderedByCut|TestCoarseningModesCutAlike' -v ./internal/bench
+	$(GO) test -count=1 -run 'TestToolsOrderedByCut' -v ./internal/bench -tools
 
 # examples builds and runs every examples/* program end to end (CI runs
 # this too, so the example code can never rot).
@@ -175,7 +178,9 @@ race:
 # move — or, proved stuck by the index's per-block weight bounds, never starts
 # —, the FM gain queue's lazily ordered run beside its heap, the direct-CSR
 # shard extraction, the stitch that contracts the coordinator's own level by
-# any part set a worker can send, the bulk varint kernels under the wire
+# any part set a worker can send, the per-PE distributed matching with its
+# sequential phase written once and its ratings carried through the gap
+# rounds (every message it sends, too), the bulk varint kernels under the wire
 # arrays and the edge-list kernel on one node range and on several; and the
 # property that proof rests on, that a bound never exceeds its block's
 # lightest node; and whole runs on graphs of up to 64 nodes under any named
@@ -202,6 +207,7 @@ fuzz:
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzExtractMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/coarsen -run=^$$ -fuzz=FuzzStitchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzDistributedMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/part -run=^$$ -fuzz=FuzzMinWeightIsLowerBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzPairSearchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

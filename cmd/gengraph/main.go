@@ -34,7 +34,6 @@ func main() {
 		d      = flag.Int("d", 8, "3d z; social attachment degree")
 		seed   = flag.Uint64("seed", 1, "random seed")
 		out    = flag.String("o", "", "output file (default stdout)")
-		outOld = flag.String("out", "", "alias of -o")
 		format = flag.String("format", "auto", "output format: auto | metis | bin (auto picks by extension, metis on stdout)")
 		shards = flag.Int("shards", 0, "write an on-disk shard store with this many shards instead of a graph file (requires -o)")
 		distFl = flag.String("dist", "auto", "node-to-PE distribution for -shards: auto | ranges | rcb | sfc")
@@ -78,9 +77,6 @@ func main() {
 	}
 
 	path := *out
-	if path == "" {
-		path = *outOld
-	}
 	if *shards > 0 {
 		if path == "" {
 			fail(fmt.Errorf("-shards needs -o (a store is a directory, not a stream)"))

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"flag"
 	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 )
 
@@ -37,6 +39,16 @@ var table2Rows = sync.OnceValue(func() map[string][]shapeRow {
 	return rows
 })
 
+// meanCut is the geometric mean over rows of their average cuts.
+func meanCut(rows []shapeRow) float64 {
+	var agg Agg
+	for _, r := range rows {
+		agg.Add(r.Row)
+	}
+	cut, _, _, _ := agg.Mean()
+	return cut
+}
+
 // TestKaPPaRowsWithinBalance wants every run of every KaPPa row of Table 2
 // within balance 1+ε, up to the heaviest node that Lmax = (1+ε)·W/k +
 // max c(v) allows beyond it. No further tolerance: over ten seeds the worst
@@ -68,14 +80,7 @@ func TestKaPPaRowsWithinBalance(t *testing.T) {
 func TestPresetsOrderedByCut(t *testing.T) {
 	const tolerance = 1.04
 	rows := table2Rows()
-	gm := func(name string) float64 {
-		var agg Agg
-		for _, r := range rows[name] {
-			agg.Add(r.Row)
-		}
-		cut, _, _, _ := agg.Mean()
-		return cut
-	}
+	gm := func(name string) float64 { return meanCut(rows[name]) }
 	order := []core.Variant{core.Strong, core.Fast, core.Minimal}
 	for i := 1; i < len(order); i++ {
 		better, worse := gm(order[i-1].String()), gm(order[i].String())
@@ -120,5 +125,45 @@ func TestCoarseningModesCutAlike(t *testing.T) {
 	t.Logf("geometric-mean ratio %.3f over %d instances", gm, n)
 	if gm > tolerance || gm < 1/tolerance {
 		t.Errorf("geometric-mean distributed/shared cut ratio %.3f outside [1/%.2f, %.2f]", gm, tolerance, tolerance)
+	}
+}
+
+var tools = flag.Bool("tools", false, "run TestToolsOrderedByCut, the cut ordering of KaPPa-Fast, kmetis and parmetis (make shape)")
+
+// TestToolsOrderedByCut wants geometric-mean cuts ordered KaPPa-Fast <
+// kmetis < parmetis over Table 2's rows, as internal/baseline promises of its
+// recipes: the Fast row of Table 2 against the two Metis baselines on the same
+// instances, each over shapeSeeds seeds. It runs only with -tools, which
+// make shape passes.
+//
+// The tolerance comes from ten seeds per row: the per-seed cut's coefficient
+// of variation ranges from 0.002 (social8k) to 0.18 (road12k), so the log
+// ratio of two rows' five-seed geometric means over the eight instances
+// spreads by σ = 0.018 (Fast vs kmetis) and 0.017 (kmetis vs parmetis); two
+// σ allow a ratio of e^0.036 ≈ 1.04. Measured on the harness's five seeds:
+// Fast/kmetis 0.805, kmetis/parmetis 1.058 — parmetis cuts below kmetis, so
+// the second predicate fails (EXPERIMENTS.md "Tool ordering").
+func TestToolsOrderedByCut(t *testing.T) {
+	if !*tools {
+		t.Skip("run with -tools (make shape)")
+	}
+	const tolerance = 1.04
+	tab, _ := Lookup("2")
+	order := []float64{meanCut(table2Rows()[core.Fast.String()])}
+	names := []string{core.Fast.String()}
+	for _, tl := range []baseline.Tool{baseline.KMetisLike, baseline.ParMetisLike} {
+		var rows []shapeRow
+		for _, in := range tab.Suite() {
+			for _, k := range tab.Ks {
+				rows = append(rows, shapeRow{tool(tl).Run(in.Graph(), k, shapeSeeds), in, k})
+			}
+		}
+		order, names = append(order, meanCut(rows)), append(names, tl.String())
+	}
+	for i := 1; i < len(order); i++ {
+		t.Logf("%s %.1f, %s %.1f: ratio %.3f", names[i-1], order[i-1], names[i], order[i], order[i-1]/order[i])
+		if order[i-1] > order[i]*tolerance {
+			t.Errorf("geometric-mean cut of %s %.1f above %s's %.1f (ratio %.3f, tolerance %.2f)", names[i-1], order[i-1], names[i], order[i], order[i-1]/order[i], tolerance)
+		}
 	}
 }

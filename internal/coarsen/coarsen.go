@@ -3,13 +3,13 @@
 // graph, and a Hierarchy records the sequence of graphs and node mappings so
 // that partitions can be projected back during uncoarsening.
 //
-// Contract performs the contraction on the shared global graph;
-// ContractDistributed numbers the coarse nodes PE-locally — every PE numbers
-// those of the owned part of its subgraph, agreeing with the others in two
-// ghost-exchange supersteps — and contracts the global graph by the
-// resulting map, producing a coarse graph with exactly the same coarse node
-// groups and edge weights as a shared-memory contraction of the same
-// matching.
+// Contract performs the contraction on the shared global graph. A
+// distributed level numbers the coarse nodes PE-locally instead — with
+// ContractSubgraph every PE numbers those of the owned part of its subgraph,
+// agreeing with the others in two exchange supersteps — and StitchChecked
+// contracts the global graph by the resulting map, producing a coarse graph
+// with exactly the same coarse node groups and edge weights as a
+// shared-memory contraction of the same matching.
 //
 // The shared contraction is the two-pass scheme of §5.2's static-array
 // philosophy: a count pass sizes the coarse CSR exactly (prefix sums become

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -24,35 +23,6 @@ type PEContraction struct {
 	NumCoarse   int32   // coarse nodes this PE numbered, from FirstCoarse on
 	FineGlobal  []int32 // owned fine nodes (global ids) ...
 	FineCoarse  []int32 // ... and their coarse global ids, parallel
-}
-
-// ContractDistributed contracts a distributed matching PE-locally: every PE
-// numbers the coarse nodes of its owned part of its subgraph, the PEs agree
-// on a global coarse numbering (prefix sum over per-PE coarse-node counts)
-// and exchange the coarse ids of cross-matched nodes through ex, and the
-// resulting fine→coarse map contracts the global graph into the next level —
-// so the existing Hierarchy/uncoarsening machinery keeps working unchanged
-// on the result.
-//
-// The coarse node of a pair matched across a cut is owned by the PE owning
-// the endpoint with the smaller global id. Returns the coarse graph and the
-// fine→coarse node map of the global graph; the stitch runs on run.
-func ContractDistributed(run *par.Crew, g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32) {
-	pes := len(sgs)
-	parts := make([]*PEContraction, pes)
-	// One goroutine per PE, not a batch on run: the per-PE kernels meet at
-	// the transport's barriers, and a crew smaller than the PE count would
-	// leave a PE unclaimed while the others wait for it there.
-	var wg sync.WaitGroup
-	for pe := 0; pe < pes; pe++ {
-		wg.Add(1)
-		go func(pe int) {
-			defer wg.Done()
-			parts[pe] = ContractSubgraph(sgs[pe], ms[pe], ex, pe)
-		}(pe)
-	}
-	wg.Wait()
-	return stitch(run, g, parts)
 }
 
 // CheckLengths reports whether p describes itself consistently: one coarse
@@ -83,15 +53,10 @@ func (e *PartError) Unwrap() error { return e.Err }
 // Stitch builds the next-level global coarse graph and the fine→coarse map
 // from the per-PE parts. Parts must be ordered by PE. It is StitchChecked for
 // parts this process computed itself.
-func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
-	return stitch(nil, g, parts)
-}
-
-// stitch is Stitch on run.
 //
 //kappa:invariant ContractSubgraph emits ids of the level it contracts; parts that crossed a process boundary go through StitchChecked
-func stitch(run *par.Crew, g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
-	cg, fine2coarse, err := StitchChecked(run, g, parts)
+func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
+	cg, fine2coarse, err := StitchChecked(nil, g, parts)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -242,11 +207,15 @@ func sortRows(run *par.Crew, c coarseCSR, workers int) {
 	})
 }
 
-// ContractSubgraph is the per-PE side of ContractDistributed: the superstep
-// sequence ONE processing element executes to number its coarse nodes. Like
-// matching.MatchSubgraph it is exported so an out-of-process worker can run
-// exactly the in-process code path against a SocketTransport and ship the
-// resulting PEContraction back to the coordinator for Stitch.
+// ContractSubgraph is the per-PE side of a distributed contraction: the
+// superstep sequence ONE processing element executes to number the coarse
+// nodes of its owned part of its subgraph, after its matching
+// (matching.MatchSubgraph). The PEs agree on a global coarse numbering — a
+// prefix sum over per-PE coarse-node counts — and exchange the coarse ids of
+// cross-matched nodes through ex; the coarse node of a pair matched across a
+// cut is owned by the PE owning the endpoint with the smaller global id. The
+// coordinator then contracts the level by the parts (StitchChecked). Every
+// PE, in process or in a worker, runs it through core.PELevel.
 func ContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.Transport, pe int) *PEContraction {
 	owned := sg.NumOwned
 

@@ -1,6 +1,7 @@
 package coarsen
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -30,8 +31,25 @@ func distContract(t *testing.T, g *graph.Graph, pes int, seed uint64) (*graph.Gr
 			}
 		}
 	}
-	cg, f2c := ContractDistributed(nil, g, sgs, ms, ex)
+	cg, f2c := contractDistributed(g, sgs, ms, ex)
 	return cg, f2c, matched / 2
+}
+
+// contractDistributed contracts a distributed matching the way the PEs of a
+// distributed level do: ContractSubgraph on one goroutine per PE, then
+// Stitch.
+func contractDistributed(g *graph.Graph, sgs []*dist.Subgraph, ms []matching.Matching, ex dist.Transport) (*graph.Graph, []int32) {
+	parts := make([]*PEContraction, len(sgs))
+	var wg sync.WaitGroup
+	for pe := range sgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[pe] = ContractSubgraph(sgs[pe], ms[pe], ex, pe)
+		}()
+	}
+	wg.Wait()
+	return Stitch(g, parts)
 }
 
 // TestContractDistributedMatchesShared stitches the PE-local contractions
@@ -150,7 +168,7 @@ func TestContractDistributedEmptyPE(t *testing.T) {
 	sgs := dist.ExtractAll(g, assign, 3)
 	ex := dist.NewExchanger(3)
 	ms := matching.DistributedBounded(sgs, ex, rating.ExpansionStar2, matching.GPA, 9, 0, true)
-	cg, f2c := ContractDistributed(nil, g, sgs, ms, ex)
+	cg, f2c := contractDistributed(g, sgs, ms, ex)
 	if err := cg.Validate(); err != nil {
 		t.Fatalf("stitched graph invalid: %v", err)
 	}

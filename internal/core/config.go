@@ -110,9 +110,9 @@ type Config struct {
 	// per-block local matchings, RCB's halves, the per-PE extraction and the
 	// contraction's spans, the refinement pairs of a global iteration (one
 	// batch, each pair started once the earlier pairs of its two blocks are
-	// done) and the rows of the quotient graph — except the distributed level's superstep
-	// kernels (one goroutine per PE, which meet at barriers) and the
-	// initial-partitioning attempts (one goroutine each). Every parallel pass
+	// done) and the rows of the quotient graph — except the PEs of a
+	// distributed level (see DistributedLevel) and the initial-partitioning
+	// attempts (one goroutine each). Every parallel pass
 	// does for each node or pair exactly what the serial one does, so
 	// partitions are byte-identical for every Workers value, processor count
 	// and interleaving (TestRunWorkersByteIdentical,

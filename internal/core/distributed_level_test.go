@@ -4,32 +4,32 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/coarsen"
 	"repro/internal/dist"
 	"repro/internal/gen"
-	"repro/internal/matching"
 	"repro/internal/mem"
 	"repro/internal/wire"
 )
 
 // BenchmarkDistributedLevel times the glue of one distributed contraction
 // level as the socket backend runs it, in one process: extract the shards of
-// rgg:15 for 2 PEs, then per PE encode the job, decode it, match, contract,
-// encode the result and decode it, and stitch the two parts — every seam of
-// coordinator.remoteLevel and the worker's runLevel except the socket itself.
-// An untimed first level warms the per-PE arenas and the edge pool, so
-// allocs/op is what every level but a run's first sees.
+// rgg:15 for 2 PEs, then per PE encode the job, decode it, run PELevel (match,
+// vote, contract), encode the result and decode it, and stitch the two parts
+// (StitchLevel) — every seam of coordinator.remoteLevel and the worker's
+// runLevel except the socket itself. An untimed first level warms the per-PE
+// arenas and the edge pool, so allocs/op is what every level but a run's
+// first sees.
 func BenchmarkDistributedLevel(b *testing.B) {
 	const pes = 2
 	g := gen.RGG(15, 1)
 	cfg := NewConfig(Fast, 4)
 	cfg.Seed = 1
 	blocks := dist.Assign(g, cfg.Distribution, pes)
+	assign := wire.Assign{Rating: int(cfg.Rating), Matcher: int(cfg.Matcher), Boundary: cfg.GapMatching}
 	scratch := []*mem.Arena{mem.NewArena(), mem.NewArena()}
 	level := func() {
 		sgs := dist.ExtractAll(g, blocks, pes)
 		ex := dist.NewExchanger(pes)
-		parts := make([]*coarsen.PEContraction, pes)
+		results := make([]wire.Result, pes)
 		var wg sync.WaitGroup
 		for pe := range sgs {
 			wg.Add(1)
@@ -43,19 +43,16 @@ func BenchmarkDistributedLevel(b *testing.B) {
 				if err != nil {
 					b.Error(err)
 				}
-				m := matching.MatchSubgraph(job.Shard, ex, cfg.Rating, cfg.Matcher, job.Seed, job.MaxPair, cfg.GapMatching, pe, scratch[pe])
-				ex.AllReduceOr(pe, m.Size() > 0)
-				part := coarsen.ContractSubgraph(job.Shard, m, ex, pe)
-				res, err := wire.DecodeResult(wire.AppendResult(nil, wire.Result{PE: pe, Matched: m.Size(), Part: part}))
+				res, err := wire.DecodeResult(wire.AppendResult(nil, PELevel(ex, assign, job, scratch[pe])))
 				if err != nil {
 					b.Error(err)
 				}
-				parts[pe] = res.Part
+				results[pe] = res
 			}()
 		}
 		wg.Wait()
-		if cg, _ := coarsen.Stitch(g, parts); cg.NumNodes() >= g.NumNodes() {
-			b.Fatalf("level did not shrink the graph: %d nodes", cg.NumNodes())
+		if cg, _, _, _, err := StitchLevel(nil, g, results); err != nil || cg.NumNodes() >= g.NumNodes() {
+			b.Fatalf("level did not shrink the graph (%v)", err)
 		}
 	}
 	level()

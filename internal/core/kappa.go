@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/rating"
 	"repro/internal/refine"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // Result reports a finished partitioning run.
@@ -68,38 +70,105 @@ func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, p
 }
 
 // DistributedLevel performs one contraction level PE-locally (§3) with every
-// PE of t a goroutine of this process: extract per-PE subgraphs with ghost
-// layers, match each subgraph's internal edges sequentially, resolve the
-// boundary by mutual proposals over the Transport supersteps, number every
-// PE's coarse nodes, and contract the level by the resulting map
-// (coarsen.ContractDistributed). It reports the matching and contraction
-// kernel times
-// (extraction counts toward matching, the way the paper accounts the ghost
-// setup). Returns (nil, nil, ...) when the matching comes out empty. It is
-// the one in-process level kernel: `-coarsen distributed` runs it per level,
-// and internal/remote's coordinator runs it when it has no workers left.
-// scratch holds one arena per PE for the matching temporaries (nil allocates
-// fresh). The extraction and the stitch are batches on run; the superstep
-// kernels between them put every PE on a goroutine of its own.
+// PE of t a goroutine of this process: extract the per-PE subgraphs with
+// ghost layers, run PELevel on each, and contract the level by their parts
+// (StitchLevel). It reports the matching and contraction kernel times, the
+// extraction counted toward matching the way the paper accounts the ghost
+// setup. Returns (nil, nil, ...) when no PE matched. It is the one in-process
+// level kernel: `-coarsen distributed` runs it per level, and
+// internal/remote's coordinator runs it for a level it folds and once it has
+// no workers left. scratch holds one arena per PE for the matching
+// temporaries (nil allocates fresh). The extraction and the stitch are
+// batches on run.
+//
+// The PE kernels are one goroutine per PE, not a batch on run: they meet at
+// the transport's barriers every superstep, and a crew smaller than the PE
+// count would leave a PE unclaimed while the others wait for it there. Every
+// other goroutine-per-PE runner (matching.DistributedBounded, a worker
+// hosting several PEs) is one for the same reason.
+//
+//kappa:invariant PELevel's parts are ids of the level it contracts; parts that crossed a process boundary are refused by StitchLevel instead
 func DistributedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, t dist.Transport, level int, maxPair int64, scratch []*mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
-	tm := time.Now()
+	tx := time.Now()
 	sgs := dist.ExtractAllOn(run, cur, blocks, t.PEs())
-	ms := matching.DistributedScratch(sgs, t, cfg.Rating, cfg.Matcher,
-		LevelSeed(cfg.Seed, level), maxPair, cfg.GapMatching, scratch)
-	matchT := time.Since(tm)
-	matched := false
-	for _, m := range ms {
-		if m.Size() > 0 {
-			matched = true
-			break
+	extractT := time.Since(tx)
+	assign := wire.Assign{Rating: int(cfg.Rating), Matcher: int(cfg.Matcher), Boundary: cfg.GapMatching}
+	results := make([]wire.Result, len(sgs))
+	var wg sync.WaitGroup
+	for pe, sg := range sgs {
+		var a *mem.Arena
+		if scratch != nil {
+			a = scratch[pe]
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[pe] = PELevel(t, assign, wire.Job{Level: level, Seed: LevelSeed(cfg.Seed, level), MaxPair: maxPair, Shard: sg}, a)
+		}()
+	}
+	wg.Wait()
+	cg, f2c, matchT, contractT, err := StitchLevel(run, cur, results)
+	if err != nil {
+		panic(err.Error())
+	}
+	return cg, f2c, extractT + matchT, contractT
+}
+
+// PELevel is one PE's side of a distributed level, the superstep sequence
+// every PE runs, whether a goroutine of DistributedLevel or a worker process
+// (kappa worker) serving the job over a socket: match the shard
+// (matching.MatchSubgraph), vote over t on whether any PE matched, and, if
+// one did, number this PE's coarse nodes (coarsen.ContractSubgraph). Every PE
+// reaches the vote's verdict, so either all contract, keeping their superstep
+// sequences aligned, or none does. The result is what a worker ships: the
+// part (nil when no PE matched) and the kernels' times. The matching draws
+// its temporaries from a (nil = allocate), which no other PE's kernel may
+// use at the same time.
+func PELevel(t dist.Transport, assign wire.Assign, job wire.Job, a *mem.Arena) wire.Result {
+	pe := int(job.Shard.PE)
+	start := time.Now()
+	m := matching.MatchSubgraph(job.Shard, t, rating.Func(assign.Rating), matching.Algorithm(assign.Matcher), job.Seed, job.MaxPair, assign.Boundary, pe, a)
+	result := wire.Result{PE: pe, Matched: m.Size(), MatchNanos: time.Since(start).Nanoseconds()}
+	if !t.AllReduceOr(pe, result.Matched > 0) {
+		return result
+	}
+	start = time.Now()
+	result.Part = coarsen.ContractSubgraph(job.Shard, m, t, pe)
+	result.ContractNanos = time.Since(start).Nanoseconds()
+	return result
+}
+
+// StitchLevel is the coordinator's tail of a distributed level, wherever its
+// PEs ran: given every PE's result, ordered by PE, it reports whether any PE
+// matched — (nil, nil, ...) when none did — and else contracts cur by their
+// parts (coarsen.StitchChecked) on run. The matching time is the slowest
+// PE's, the contraction time the slowest PE's plus the stitch. A part that
+// does not fit the level, or a PE that sent none when one matched, is a
+// *coarsen.PartError naming the PE.
+func StitchLevel(run *par.Crew, cur *graph.Graph, results []wire.Result) (*graph.Graph, []int32, time.Duration, time.Duration, error) {
+	var matchNanos, contractNanos int64
+	matched := false
+	for _, r := range results {
+		matched = matched || r.Matched > 0
+		matchNanos = max(matchNanos, r.MatchNanos)
+		contractNanos = max(contractNanos, r.ContractNanos)
 	}
 	if !matched {
-		return nil, nil, matchT, 0
+		return nil, nil, time.Duration(matchNanos), 0, nil
 	}
-	tc := time.Now()
-	cg, f2c := coarsen.ContractDistributed(run, cur, sgs, ms, t)
-	return cg, f2c, matchT, time.Since(tc)
+	parts := make([]*coarsen.PEContraction, len(results))
+	for pe, r := range results {
+		if r.Part == nil {
+			return nil, nil, 0, 0, &coarsen.PartError{PE: pe, Err: errors.New("no contraction for a level that matched")}
+		}
+		parts[pe] = r.Part
+	}
+	ts := time.Now()
+	cg, f2c, err := coarsen.StitchChecked(run, cur, parts)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return cg, f2c, time.Duration(matchNanos), time.Duration(contractNanos) + time.Since(ts), nil
 }
 
 // initialPartition runs the sequential initial partitioner cfg.InitRepeats

@@ -1,8 +1,9 @@
 package dist
 
 // Transport is the message-passing seam of distributed coarsening: the
-// bulk-synchronous superstep operations that matching.DistributedBounded and
-// coarsen.ContractDistributed are written against. Every PE participating in
+// bulk-synchronous superstep operations that the per-PE level kernel
+// core.PELevel — matching.MatchSubgraph, the vote, coarsen.ContractSubgraph —
+// is written against. Every PE participating in
 // a superstep calls Exchange exactly once; the call doubles as a barrier and
 // returns the PE's inbox ordered by sender PE with each sender's messages in
 // send order — the property that makes distributed coarsening byte-identical

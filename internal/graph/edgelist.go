@@ -69,9 +69,8 @@ func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
 // recursive coordinate bisection (dist, with a node floor of its own; nested
 // halves run inline), the per-PE extraction of dist.ExtractAllOn, the
 // refinement pairs and the quotient rows. Two fan-outs start a goroutine per
-// task instead: the superstep kernels of distributed coarsening, whose PEs
-// must all be live at every barrier, and the attempts of initial
-// partitioning. FromEdgeLists builds outside any run and starts its ranges'
+// task instead: the PEs of a distributed level (see core.DistributedLevel)
+// and the attempts of initial partitioning. FromEdgeLists builds outside any run and starts its ranges'
 // goroutines per call (par.Spawn).
 func ParallelRanges(run *par.Crew, half int) int {
 	return max(1, min(run.Members(), half/(parallelHalfEdges/2)))

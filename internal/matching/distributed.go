@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/rating"
 	"repro/internal/rng"
@@ -34,29 +33,16 @@ import (
 // is byte-identical across runs — and across GOMAXPROCS settings — for a
 // fixed seed.
 func DistributedBounded(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool) []Matching {
-	return DistributedScratch(sgs, ex, rf, alg, seed, maxPair, boundary, nil)
-}
-
-// DistributedScratch is DistributedBounded with PE pe's sequential matching
-// drawing its temporaries from scratch[pe] (one arena per PE, reused across
-// levels; a nil slice allocates fresh).
-func DistributedScratch(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func, alg Algorithm, seed uint64, maxPair int64, boundary bool, scratch []*mem.Arena) []Matching {
-	pes := len(sgs)
-	out := make([]Matching, pes)
-	// One goroutine per PE, not a batch on a run's crew: the per-PE kernels
-	// meet at the transport's barriers, and a crew smaller than the PE count
-	// would leave a PE unclaimed while the others wait for it there.
+	out := make([]Matching, len(sgs))
+	// One goroutine per PE, as core.DistributedLevel runs them: the PEs meet
+	// at the transport's barriers.
 	var wg sync.WaitGroup
-	for pe := 0; pe < pes; pe++ {
+	for pe := range sgs {
 		wg.Add(1)
-		go func(pe int) {
+		go func() {
 			defer wg.Done()
-			var a *mem.Arena
-			if scratch != nil {
-				a = scratch[pe]
-			}
-			out[pe] = MatchSubgraph(sgs[pe], ex, rf, alg, seed, maxPair, boundary, pe, a)
-		}(pe)
+			out[pe] = MatchSubgraph(sgs[pe], ex, rf, alg, seed, maxPair, boundary, pe, nil)
+		}()
 	}
 	wg.Wait()
 	return out
@@ -64,9 +50,9 @@ func DistributedScratch(sgs []*dist.Subgraph, ex dist.Transport, rf rating.Func,
 
 // MatchSubgraph is the per-PE side of DistributedBounded: the superstep
 // sequence ONE processing element executes against its own subgraph shard.
-// In-process runs spawn it per PE over a shared Transport; an out-of-process
-// worker (kappa worker) calls it directly with its shard and a
-// SocketTransport, which is what makes the distributed matching phase
+// In-process runs start it per PE over a shared Transport; an out-of-process
+// worker (kappa worker) calls it with its shard and a SocketTransport — both
+// through core.PELevel —, which is what makes the distributed matching phase
 // runnable one-OS-process-per-PE without a second code path. The sequential
 // phase borrows its temporaries from a (nil = allocate fresh), which must not
 // be in use by another PE's kernel at the same time.
@@ -75,34 +61,23 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 	n := g.NumNodes()
 	owned := sg.NumOwned
 	m := NewEmpty(n)
-	r := rng.NewStream(seed, uint64(pe))
 	rt := rating.NewRater(rf, g)
 
-	// Phase 1: sequential matching on the internal (owned–owned) edges.
-	switch alg {
-	case SHEM:
-		// Partners are owned nodes: the block map names each local node's
-		// owner PE.
-		nodes := make([]int32, owned)
-		owner := make([]int32, n)
-		for i := range nodes {
-			nodes[i] = int32(i)
-			owner[i] = sg.PE
-		}
-		copy(owner[owned:], sg.GhostOwner)
-		shemInto(g, rt, r, nodes, owner, sg.PE, m, maxPair, a)
-	default:
-		// Counted, then filled: no doubling growth. Not the shared path's
-		// edge pool: a pooled level-0 array stays resident between the
-		// levels and ops it is reused by, and here it bought no time.
-		edges := make([]Edge, internalEdges(g, owned))
-		internalEdgesInto(g, owned, rt, r, edges)
-		if alg == Greedy {
-			greedyEdges(g, edges, m, maxPair, a)
-		} else {
-			gpaEdges(g, nil, edges, m, nil, maxPair, a)
-		}
+	// Phase 1: the sequential phase on the owned nodes, a ghost labelled by
+	// its owner PE — never this one — so that only owned–owned edges are
+	// internal. localRating[lv] is the rating of owned node lv's match, 0
+	// when unmatched: carried out of the sequential phase, then kept by the
+	// rounds as they dissolve and adopt matches.
+	nodes, owner := make([]int32, owned), make([]int32, n)
+	for i := range nodes {
+		nodes[i], owner[i] = int32(i), sg.PE
 	}
+	copy(owner[owned:], sg.GhostOwner)
+	localRating := make([]float64, owned)
+	// Not the shared path's edge pool: a pooled level-0 array stays resident
+	// between the levels and ops it is reused by, and here it bought no time.
+	var edges []Edge
+	localPhase(g, rt, alg, rng.NewStream(seed, uint64(pe)), nodes, owner, sg.PE, &edges, m, localRating, maxPair, a)
 
 	// Boundary bookkeeping: the owner PEs holding owned node lv as a ghost
 	// are peers[peerOff[lv]:peerOff[lv+1]], in deterministic (ascending)
@@ -115,17 +90,11 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 		}
 	}
 
-	localRating := func(lv int32) float64 {
-		if u := m[lv]; u >= 0 {
-			return rt.Rate(lv, u, g.EdgeWeightTo(lv, u))
-		}
-		return 0
-	}
-
 	crossMatched := make([]bool, n)
 	ghostRating := make([]float64, sg.NumGhosts())
 	ghostFinal := make([]bool, sg.NumGhosts())
-	prop := make([]int32, owned) // this round's proposal target (ghost local id), -1 = none
+	prop := make([]int32, owned)    // this round's proposal target (ghost local id), -1 = none
+	propR := make([]float64, owned) // and its rating
 
 	// Phase 2: iterated boundary rounds. Every PE executes the same superstep
 	// sequence per round (state exchange, proposal exchange, termination
@@ -135,7 +104,7 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 		// 2a: publish boundary state to the PEs holding each node as ghost.
 		stateOut := make([][]dist.Msg, ex.PEs())
 		for _, lv := range bnodes {
-			msg := dist.Msg{Kind: dist.MsgGhostState, A: sg.ToGlobal(lv), R: localRating(lv)}
+			msg := dist.Msg{Kind: dist.MsgGhostState, A: sg.ToGlobal(lv), R: localRating[lv]}
 			if crossMatched[lv] {
 				msg.W = 1
 			}
@@ -163,7 +132,7 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 				if crossMatched[lv] {
 					continue
 				}
-				mine := localRating(lv)
+				mine := localRating[lv]
 				adj, ws := g.Adj(lv), g.AdjWeights(lv)
 				best, bestR := int32(-1), 0.0
 				for i, lu := range adj {
@@ -185,7 +154,7 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 					}
 				}
 				if best >= 0 {
-					prop[lv] = best
+					prop[lv], propR[lv] = best, bestR
 					q := sg.GhostOwner[int(best)-owned]
 					propOut[q] = append(propOut[q], dist.Msg{
 						Kind: dist.MsgProposal, A: sg.ToGlobal(lv), B: sg.ToGlobal(best), R: bestR,
@@ -212,9 +181,10 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 			}
 			// Mutual: dissolve the (lighter) local match, adopt the cut edge.
 			if old := m[lb]; old >= 0 {
-				m[old] = -1
+				m[old], localRating[old] = -1, 0
 			}
 			m[lb], m[la] = la, lb
+			localRating[lb] = propR[lb]
 			crossMatched[lb] = true
 			progress = true
 		}
@@ -224,36 +194,4 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 		}
 	}
 	return m
-}
-
-// internalEdges counts the owned–owned edges of a subgraph's local graph,
-// the candidate set of the sequential phase.
-func internalEdges(g *graph.Graph, owned int) int {
-	m := 0
-	for lv := int32(0); lv < int32(owned); lv++ {
-		for _, lu := range g.Adj(lv) {
-			if lu > lv && int(lu) < owned {
-				m++
-			}
-		}
-	}
-	return m
-}
-
-// internalEdgesInto is allEdgesInto restricted to owned–owned edges: each
-// once (U < V), rated, with a random tie break from r, filling edges, which
-// must have exactly internalEdges entries.
-//
-//kappa:hotpath
-func internalEdgesInto(g *graph.Graph, owned int, rt *rating.Rater, r *rng.RNG, edges []Edge) {
-	k := 0
-	for lv := int32(0); lv < int32(owned); lv++ {
-		adj, ws := g.Adj(lv), g.AdjWeights(lv)
-		for i, lu := range adj {
-			if lu > lv && int(lu) < owned {
-				edges[k] = Edge{lv, lu, rt.Rate(lv, lu, ws[i]), uint32(r.Uint64())}
-				k++
-			}
-		}
-	}
 }

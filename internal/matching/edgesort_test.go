@@ -212,9 +212,12 @@ func FuzzSortEdgesMatchesReference(f *testing.F) {
 }
 
 // levelZeroEdges returns the candidate edges of g as the matcher builds them
-// on the finest level under rating rf.
+// on the finest level under rating rf: those a whole-graph local phase
+// collects (Greedy's scan leaves them where they lie).
 func levelZeroEdges(g *graph.Graph, rf rating.Func) []Edge {
-	return allEdgesInto(g, rating.NewRater(rf, g), rng.New(1), make([]Edge, 0, g.NumEdges()))
+	var edges []Edge
+	localPhase(g, rating.NewRater(rf, g), Greedy, rng.New(1), nil, make([]int32, g.NumNodes()), 0, &edges, NewEmpty(g.NumNodes()), nil, 0, nil)
+	return edges
 }
 
 // BenchmarkSortEdges times the edge-ordering kernel alone on two shapes: a

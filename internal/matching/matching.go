@@ -1,13 +1,17 @@
 // Package matching implements the approximate maximum-weight matching
 // algorithms of §3.2–3.3 of the paper: Sorted Heavy Edge Matching (SHEM, the
 // Metis algorithm), the sorting-based Greedy half-approximation, the Global
-// Path Algorithm (GPA), and two parallel schemes built on them. Parallel
-// combines per-block sequential matching with locally-heaviest matching on
-// the gap graph, reading the shared global graph; Distributed runs the same
-// idea PE-locally — each PE matches the internal edges of its extracted
-// subgraph (dist.Subgraph) and the boundary is resolved by mutual proposals
-// exchanged over per-PE mailboxes (dist.Exchanger), the way the paper's
-// message-passing system works.
+// Path Algorithm (GPA), and two parallel schemes built on them. Every
+// matching starts with one sequential phase on a node set (localPhase): the
+// whole graph (ComputeScratch), each block of a prepartition (Parallel), or
+// a PE's owned nodes (MatchSubgraph). Parallel then resolves the blocks'
+// boundary by locally-heaviest matching on the gap graph, reading the shared
+// global graph; MatchSubgraph runs the same idea PE-locally — each PE
+// matches the internal edges of its extracted subgraph (dist.Subgraph) and
+// the boundary is resolved by mutual proposals exchanged over a
+// dist.Transport, the way the paper's message-passing system works. Both
+// compare a boundary edge against the ratings the sequential phase carries
+// out of its matcher.
 //
 // All algorithms maximize the *rating* of the matching (see internal/rating)
 // rather than the raw edge weight; with the Weight rating they degenerate to
@@ -21,6 +25,7 @@ package matching
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -154,25 +159,6 @@ func getEdges(capHint int) *[]Edge {
 // putEdges returns a slice obtained from getEdges.
 func putEdges(p *[]Edge) { edgeSlices.Put(p) }
 
-// allEdgesInto appends each undirected edge of g once (U < V) with ratings
-// and random tie breaks from r, into buf (which it returns re-sliced).
-//
-//kappa:hotpath
-func allEdgesInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, buf []Edge) []Edge {
-	edges := buf[:0]
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		adj := g.Adj(v)
-		ws := g.AdjWeights(v)
-		for i, u := range adj {
-			if u > v {
-				//kappa:allow hotalloc appends into a buffer getEdges pre-capped to the edge count
-				edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
-			}
-		}
-	}
-	return edges
-}
-
 // ComputeScratch runs the selected sequential algorithm on the whole graph.
 // maxPair is the maximum combined node weight per matched pair (0 =
 // unbounded): partitioners cap cluster weights during coarsening — Metis'
@@ -183,27 +169,70 @@ func allEdgesInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, buf []Edge) []Ed
 // fresh). The caller owns the result; hand it back with
 // a.PutInt32([]int32(m)) when done.
 func ComputeScratch(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG, maxPair int64, a *mem.Arena) Matching {
-	switch alg {
-	case SHEM:
-		m := newEmptyIn(a, g.NumNodes())
-		shemInto(g, rt, r, nil, nil, 0, m, maxPair, a)
-		return m
-	case Greedy:
-		m := newEmptyIn(a, g.NumNodes())
-		buf := getEdges(g.NumEdges())
-		*buf = allEdgesInto(g, rt, r, *buf)
-		greedyEdges(g, *buf, m, maxPair, a)
-		putEdges(buf)
-		return m
-	case GPA:
-		m := newEmptyIn(a, g.NumNodes())
-		buf := getEdges(g.NumEdges())
-		*buf = allEdgesInto(g, rt, r, *buf)
-		gpaEdges(g, nil, *buf, m, nil, maxPair, a)
-		putEdges(buf)
-		return m
-	default:
-		//kappa:allow panicfree the Algorithm enum is validated by Config.Validate
-		panic("matching: unknown algorithm")
+	n := g.NumNodes()
+	m := newEmptyIn(a, n)
+	block := a.Int32(n) // every node in block 0
+	clear(block)
+	buf := getEdges(0)
+	localPhase(g, rt, alg, r, nil, block, 0, buf, m, nil, maxPair, a)
+	putEdges(buf)
+	a.PutInt32(block)
+	return m
+}
+
+// localPhase is the sequential phase of §3.3, the one every matching runs on
+// a node set: ComputeScratch on the whole graph, Parallel on each block,
+// MatchSubgraph on a PE's owned nodes. It matches into m, with alg, the
+// set's internal edges: {v, u}, v < u, for v in nodes (ascending, every one
+// in block p; nil = every node of g) and u in block p. The edge-based
+// matchers collect them into *buf, grown to hold them — where the buffer
+// comes from is the caller's choice —, in a scan over the set and each
+// node's adjacency, each rated and given a random tie break from r; SHEM
+// draws its scan order from r instead. rated, if non-nil, receives for every
+// node of the set the rating of its match, carried out of the matcher: the
+// matched edge's R, which every rating function makes rt.Rate(v, m[v], ω)
+// bit for bit; 0 when unmatched. Scratch comes from a (nil = allocate).
+//
+//kappa:hotpath
+func localPhase(g *graph.Graph, rt *rating.Rater, alg Algorithm, r *rng.RNG, nodes, block []int32, p int32, buf *[]Edge, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
+	count, half := g.NumNodes(), g.NumEdges()
+	if nodes != nil {
+		count, half = len(nodes), 0
+		for _, v := range nodes {
+			half += g.Degree(v)
+		}
+		half /= 2 // an internal edge counts twice, a cut edge once
+	}
+	if rated != nil {
+		if nodes == nil {
+			clear(rated[:count])
+		}
+		for _, v := range nodes {
+			rated[v] = 0
+		}
+	}
+	if alg == SHEM {
+		shemInto(g, rt, r, nodes, block, p, m, rated, maxPair, a)
+		return
+	}
+	edges := slices.Grow((*buf)[:0], half)
+	for i := 0; i < count; i++ {
+		v := int32(i)
+		if nodes != nil {
+			v = nodes[i]
+		}
+		adj, ws := g.Adj(v), g.AdjWeights(v)
+		for j, u := range adj {
+			if u > v && block[u] == p {
+				//kappa:allow hotalloc appends into a buffer grown to the set's half degree sum, which bounds its internal edges
+				edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[j]), uint32(r.Uint64())})
+			}
+		}
+	}
+	*buf = edges
+	if alg == Greedy {
+		greedyEdges(g, edges, m, rated, maxPair, a)
+	} else {
+		gpaEdges(g, nodes, edges, m, rated, maxPair, a)
 	}
 }

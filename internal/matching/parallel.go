@@ -41,11 +41,12 @@ func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, bl
 	}
 	m := newEmptyIn(a, n)
 	// localRating[v] is the rating of v's local match (0 when unmatched),
-	// which the gap phase compares against, written by v's block once its
-	// matching is done: carried out of GPA, recomputed for the other
-	// algorithms (EdgeWeightTo binary-searches on sorted-adjacency graphs —
-	// the finest level — and scans on contracted levels).
-	localRating := a.Float64(n)
+	// which the gap phase compares against, written by v's block's local
+	// phase.
+	var localRating []float64
+	if gap {
+		localRating = a.Float64(n)
+	}
 
 	// Group nodes by block, CSR-style: one flat arena buffer plus offsets
 	// instead of nparts growing slices. Within each block the nodes stay in
@@ -67,61 +68,15 @@ func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, bl
 		cursor[b]++
 	}
 	a.PutInt32(cursor)
-	nodesOf := func(b int) []int32 { return flat[off[b]:off[b+1]] }
 
 	// Phase 1: local matching per block, the blocks claimed by the members
 	// of run, so that no more blocks hold their scratch at once than there
 	// are processors. Each task touches only m[v] and localRating[v] for v in
 	// its block, so no synchronization beyond the batch's end is needed.
 	run.Run(nparts, func(_, p int) {
-		r := rng.NewStream(seed, uint64(p))
-		nodes := nodesOf(p)
-		var rated []float64 // localRating, when the matcher carries it out
-		if gap {
-			for _, v := range nodes {
-				localRating[v] = 0
-			}
-		}
-		switch alg {
-		case SHEM:
-			shemInto(g, rt, r, nodes, block, int32(p), m, maxPair, a)
-		default:
-			// Edge-based algorithms run on the block's internal edges:
-			// at most half the block's degree sum, so the buffer
-			// never grows while it fills.
-			degSum := 0
-			for _, v := range nodes {
-				degSum += g.Degree(v)
-			}
-			buf := getEdges(degSum / 2)
-			edges := *buf
-			for _, v := range nodes {
-				adj := g.Adj(v)
-				ws := g.AdjWeights(v)
-				for i, u := range adj {
-					if u > v && block[u] == block[v] {
-						edges = append(edges, Edge{v, u, rt.Rate(v, u, ws[i]), uint32(r.Uint64())})
-					}
-				}
-			}
-			if alg == Greedy {
-				greedyEdges(g, edges, m, maxPair, a)
-			} else {
-				if gap {
-					rated = localRating
-				}
-				gpaEdges(g, nodes, edges, m, rated, maxPair, a)
-			}
-			*buf = edges
-			putEdges(buf)
-		}
-		if gap && rated == nil {
-			for _, v := range nodes {
-				if u := m[v]; u >= 0 {
-					localRating[v] = rt.Rate(v, u, g.EdgeWeightTo(v, u))
-				}
-			}
-		}
+		buf := getEdges(0)
+		localPhase(g, rt, alg, rng.NewStream(seed, uint64(p)), flat[off[p]:off[p+1]], block, int32(p), buf, m, localRating, maxPair, a)
+		putEdges(buf)
 	})
 	a.PutInt32(flat)
 	a.PutInt32(off)
@@ -131,8 +86,8 @@ func Parallel(run *par.Crew, g *graph.Graph, rt *rating.Rater, alg Algorithm, bl
 		gapBuf := gapEdges(run, g, rt, block, localRating, maxPair)
 		matchLocallyHeaviest(n, *gapBuf, m, a)
 		putEdges(gapBuf)
+		a.PutFloat64(localRating)
 	}
-	a.PutFloat64(localRating)
 	return m
 }
 

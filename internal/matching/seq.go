@@ -14,10 +14,10 @@ import (
 // matching: nodes are scanned in order of increasing degree (random within
 // equal degrees); each unmatched node is matched to the unmatched neighbor
 // with the highest edge rating. If nodes is non-nil, matching is restricted
-// to that node subset; block restricts the eligible partners to the nodes u
-// with block[u] == p (nil means all nodes are eligible). Scratch comes from a
-// (nil = allocate).
-func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32, p int32, m Matching, maxPair int64, a *mem.Arena) {
+// to that node subset; the eligible partners are the nodes u with block[u]
+// == p. rated, if non-nil, receives both ends' pair rating (see localPhase).
+// Scratch comes from a (nil = allocate).
+func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32, p int32, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
 	var count int
 	if nodes == nil {
 		count = g.NumNodes()
@@ -58,7 +58,7 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32
 			// The block check must precede the m[u] read: in the parallel
 			// scheme, matching entries of foreign blocks are concurrently
 			// written by their owners.
-			if block != nil && block[u] != p {
+			if block[u] != p {
 				continue
 			}
 			if m[u] >= 0 {
@@ -75,6 +75,9 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32
 		if best >= 0 {
 			m[v] = best
 			m[best] = v
+			if rated != nil {
+				rated[v], rated[best] = bestR, bestR
+			}
 		}
 	}
 	a.PutUint64(order)
@@ -82,9 +85,9 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32
 
 // greedyEdges runs the sorted greedy half-approximation over the given edge
 // set, writing into m: edges are scanned by descending rating and taken
-// whenever both endpoints are free. Sort scratch comes from a (nil =
-// allocate).
-func greedyEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem.Arena) {
+// whenever both endpoints are free. rated, if non-nil, receives both ends'
+// pair rating (see localPhase). Sort scratch comes from a (nil = allocate).
+func greedyEdges(g *graph.Graph, edges []Edge, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
 	order := edgeOrder(edges, a)
 	for _, o := range order {
 		e := &edges[mem.KeyedIdx(o)]
@@ -94,6 +97,9 @@ func greedyEdges(g *graph.Graph, edges []Edge, m Matching, maxPair int64, a *mem
 		if m[e.U] < 0 && m[e.V] < 0 {
 			m[e.U] = e.V
 			m[e.V] = e.U
+			if rated != nil {
+				rated[e.U], rated[e.V] = e.R, e.R
+			}
 		}
 	}
 	a.PutUint64(order)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -16,10 +17,13 @@ import (
 // golden rows (k=8 on two PEs) with the fold floor at 0 (every level
 // ships), at its default, and at "fold every level that is not spliced",
 // through ServeWith and through ServeStore. All six runs must give the same
-// blocks, cut and time-zeroed report; the transport and faults sections,
-// which count where the levels ran, are left out of the comparison. A fold
-// is neither a retry nor a fallback, and every level the coordinator ran is
-// either folded or run by every worker.
+// blocks, cut, time-zeroed report and per-PE superstep counts: a folded
+// level runs the PEs' superstep sequence in process, the vote included. The
+// rest of the transport section (frames and bytes, which only shipped levels
+// put on the wire) and the faults section, which count where the levels ran,
+// are left out of the comparison. A fold is neither a retry nor a fallback,
+// and every level the coordinator ran is either folded or run by every
+// worker.
 func TestFoldKeepsBytes(t *testing.T) {
 	g, err := gen.FromSpec("rgg:12")
 	if err != nil {
@@ -34,6 +38,7 @@ func TestFoldKeepsBytes(t *testing.T) {
 
 	var want core.Result
 	var wantReport []byte
+	var wantSteps []int64
 	for _, mode := range []string{"socket", "store"} {
 		for _, fl := range []struct {
 			name  string
@@ -42,7 +47,8 @@ func TestFoldKeepsBytes(t *testing.T) {
 			t.Run(mode+"/"+fl.name, func(t *testing.T) {
 				remote.SetFoldFloor(t, fl.floor)
 				var counters remote.Counters
-				so := remote.ServeOptions{Counters: &counters}
+				stats := dist.NewTransportStats(cfg.PEs)
+				so := remote.ServeOptions{Counters: &counters, Stats: stats}
 				var res core.Result
 				var workers []remote.WorkResult
 				report := zeroedReport(t, g, cfg, func(opts ...core.Option) (core.Result, error) {
@@ -53,12 +59,18 @@ func TestFoldKeepsBytes(t *testing.T) {
 					}
 					return res, nil
 				})
+				var steps []int64
+				for _, pe := range stats.Snapshot() {
+					steps = append(steps, pe.Supersteps)
+				}
 				if wantReport == nil {
-					want, wantReport = res, report
+					want, wantReport, wantSteps = res, report, steps
 				} else if res.Cut != want.Cut || !reflect.DeepEqual(res.Blocks, want.Blocks) {
 					t.Fatalf("partition moved with the fold floor: cut %d vs %d", res.Cut, want.Cut)
 				} else if !bytes.Equal(report, wantReport) {
 					t.Fatalf("report moved with the fold floor:\n--- ship-all\n%s\n--- %s\n%s", wantReport, fl.name, report)
+				} else if !slices.Equal(steps, wantSteps) {
+					t.Fatalf("per-PE supersteps moved with the fold floor: %v, socket/ship-all %v", steps, wantSteps)
 				}
 
 				s := counters.Snapshot()

@@ -17,14 +17,14 @@
 //     them on one rank. A run needs at least two PEs.
 //
 //   - A worker (Work) hosts one or more PEs: it receives its shards, runs
-//     the exported per-PE kernels (matching.MatchSubgraph,
-//     coarsen.ContractSubgraph) against a dist.SocketTransport whose hub
-//     lives in the coordinator, and ships its coarse numbering back.
+//     the per-PE level kernel core.PELevel against a dist.SocketTransport
+//     whose hub lives in the coordinator, and ships its result back; the
+//     coordinator contracts the level by the results with core.StitchLevel.
 //
-// Because the workers execute the identical kernel code the in-process
-// goroutine PEs execute, a fixed seed yields byte-identical partitions to
-// the Exchanger-backed run — the property TestServeMatchesInProcess and the
-// cmd/kappa two-process test pin.
+// Because the workers execute the kernel the in-process PEs of
+// core.DistributedLevel execute, superstep for superstep, a fixed seed
+// yields byte-identical partitions to the Exchanger-backed run — the
+// property TestServeMatchesInProcess and the cmd/kappa two-process test pin.
 //
 // # Fault tolerance
 //
@@ -606,9 +606,7 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 		}(w)
 	}
 
-	parts := make([]*coarsen.PEContraction, co.pes)
-	var matchNanos, contractNanos int64
-	matched := false
+	results := make([]wire.Result, co.pes)
 	var firstErr error
 	sawAbort := false
 	for i := 0; i < co.pes; i++ {
@@ -621,17 +619,7 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 		case o.aborted:
 			sawAbort = true
 		default:
-			r := o.result
-			parts[o.pe] = r.Part
-			if r.Matched > 0 {
-				matched = true
-			}
-			if r.MatchNanos > matchNanos {
-				matchNanos = r.MatchNanos
-			}
-			if r.ContractNanos > contractNanos {
-				contractNanos = r.ContractNanos
-			}
+			results[o.pe] = *o.result
 		}
 	}
 	if firstErr != nil {
@@ -644,21 +632,10 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 		// retry runs on verified-fresh connections.
 		return nil, nil, 0, 0, workerErr(-1, "result", fmt.Errorf("level %d aborted by transport failure", level))
 	}
-	matchT := time.Duration(matchNanos)
-	if !matched {
-		return nil, nil, matchT, 0, nil
-	}
-	for pe, p := range parts {
-		if p == nil {
-			return nil, nil, 0, 0, fmt.Errorf("remote: PE %d matched but sent no contraction", pe)
-		}
-	}
 	// The parts crossed a process boundary: one that does not fit the level
 	// is its worker's failure — dead, the level retried on the survivors —
-	// like a result that does not decode. The stitch contracts the level, so
-	// it counts toward the level's contraction time, as in-process.
-	ts := time.Now()
-	cg, f2c, err := coarsen.StitchChecked(run, cur, parts)
+	// like a result that does not decode.
+	cg, f2c, mt, ct, err := core.StitchLevel(run, cur, results)
 	if err != nil {
 		id := -1
 		var pe *coarsen.PartError
@@ -668,7 +645,7 @@ func (co *coordinator) remoteLevel(run *par.Crew, cur *graph.Graph, cfg *core.Co
 		}
 		return nil, nil, 0, 0, workerErr(id, "result", err)
 	}
-	return cg, f2c, matchT, time.Duration(contractNanos) + time.Since(ts), nil
+	return cg, f2c, mt, ct, nil
 }
 
 // splices reports whether cur's level ships stored shard bytes: a

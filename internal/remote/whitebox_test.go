@@ -15,8 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
-	"repro/internal/matching"
-	"repro/internal/rating"
 	"repro/internal/wire"
 )
 
@@ -217,7 +215,7 @@ func editingWorker(ctx context.Context, addr string, edit func(*wire.Result)) er
 		if err != nil {
 			return err
 		}
-		res, err := runLevel(tr, assign, rating.Func(assign.Rating), matching.Algorithm(assign.Matcher), job, nil)
+		res, err := runLevel(tr, assign, job, nil)
 		if err != nil {
 			return err
 		}

@@ -9,11 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/coarsen"
+	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/matching"
 	"repro/internal/mem"
-	"repro/internal/rating"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -116,8 +114,6 @@ func WorkWith(ctx context.Context, network, addr string, wo WorkOptions) (WorkRe
 		// before this worker declares it dead.
 		ctrl:    ctrlConn{conn: conn, br: br, timeout: 4 * time.Duration(assign.HeartbeatMillis) * time.Millisecond},
 		assign:  assign,
-		rf:      rating.Func(assign.Rating),
-		alg:     matching.Algorithm(assign.Matcher),
 		faults:  wo.Faults,
 		hosted:  []int{assign.PE},
 		scratch: make([]*mem.Arena, assign.PEs),
@@ -177,8 +173,6 @@ type workSession struct {
 	network, addr string
 	ctrl          ctrlConn
 	assign        wire.Assign
-	rf            rating.Func
-	alg           matching.Algorithm
 	faults        *dist.FaultSchedule
 	hosted        []int
 	// scratch[pe] is the arena PE pe's kernel draws its matching temporaries
@@ -292,7 +286,7 @@ func (w *workSession) kernelErr() error {
 // keeps the control stream frame-aligned, so the coordinator can reuse it
 // for the retry.
 func (w *workSession) runJob(job wire.Job) {
-	result, err := runLevel(w.transport, w.assign, w.rf, w.alg, job, w.scratch[job.Shard.PE])
+	result, err := runLevel(w.transport, w.assign, job, w.scratch[job.Shard.PE])
 	var werr error
 	if err != nil {
 		la := wire.LevelAborted{PE: int(job.Shard.PE), Level: job.Level}
@@ -383,12 +377,12 @@ func tryHandshake(network, addr string, wo WorkOptions, setCtrl func(net.Conn)) 
 	return conn, br, assign, nil
 }
 
-// runLevel executes one contraction-level job against the transport. The
-// socket transport reports I/O failure by panicking with *dist.SocketError
-// (the Transport interface has no error returns); this is the superstep-
-// sequence boundary where that panic converts back into an error.
-func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg matching.Algorithm, job wire.Job, a *mem.Arena) (result wire.Result, err error) {
-	pe := int(job.Shard.PE)
+// runLevel executes one contraction-level job against the transport: the
+// per-PE level kernel core.PELevel. The socket transport reports I/O failure
+// by panicking with *dist.SocketError (the Transport interface has no error
+// returns); this is the superstep-sequence boundary where that panic converts
+// back into an error.
+func runLevel(t *dist.SocketTransport, assign wire.Assign, job wire.Job, a *mem.Arena) (result wire.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			var serr *dist.SocketError
@@ -399,18 +393,5 @@ func runLevel(t *dist.SocketTransport, assign wire.Assign, rf rating.Func, alg m
 			panic(r)
 		}
 	}()
-	start := time.Now()
-	m := matching.MatchSubgraph(job.Shard, t, rf, alg, job.Seed, job.MaxPair, assign.Boundary, pe, a)
-	matchNanos := time.Since(start).Nanoseconds()
-	result = wire.Result{PE: pe, Matched: m.Size(), MatchNanos: matchNanos}
-	// Collective empty-matching vote: every PE reaches the same verdict, so
-	// either all contract (keeping the superstep sequences aligned) or none
-	// does — mirroring the coordinator-side check of the in-process path.
-	if !t.AllReduceOr(pe, m.Size() > 0) {
-		return result, nil
-	}
-	start = time.Now()
-	result.Part = coarsen.ContractSubgraph(job.Shard, m, t, pe)
-	result.ContractNanos = time.Since(start).Nanoseconds()
-	return result, nil
+	return core.PELevel(t, assign, job, a), nil
 }

@@ -24,12 +24,7 @@ func TestAllToolsProduceValidPartitions(t *testing.T) {
 			if res.Cut == 0 {
 				t.Fatalf("%v k=%d: zero cut on connected graph", tool, k)
 			}
-			// kmetis/scotch respect 3%; parmetis gets the relaxed 5%.
-			bound := 0.03 + 1e-9
-			if tool == ParMetisLike {
-				bound = 0.05 + 1e-9
-			}
-			lmax := part.ComputeLmax(g, k, bound)
+			lmax := part.ComputeLmax(g, k, 0.03+1e-9) // every tool respects 3%
 			if p.MaxBlockWeight() > lmax {
 				t.Errorf("%v k=%d: balance %0.3f exceeds bound", tool, k, res.Balance)
 			}

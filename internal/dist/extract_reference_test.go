@@ -4,7 +4,6 @@ package dist_test
 
 import (
 	"bytes"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -99,8 +98,8 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 			t.Fatalf("%s: coordinate %d differs from the reference", what, d)
 		}
 	}
-	if checked := rebuiltByFromCSR(t, gl); !reflect.DeepEqual(gl, checked) {
-		t.Fatalf("%s: the local graph extraction adopted differs from graph.FromCSR of the same arrays:\n%+v\n%+v", what, gl, checked)
+	if d := graph.Diff(gl, rebuiltByFromCSR(t, gl)); d != "" {
+		t.Fatalf("%s: the local graph extraction adopted differs from graph.FromCSR of the same arrays: %s", what, d)
 	}
 	gb, err := wire.AppendSubgraph(nil, got)
 	if err != nil {
@@ -148,8 +147,11 @@ func TestTrustedEqualsFromCSR(t *testing.T) {
 	rgg := gen.RGG(10, 1)
 	for name, g := range map[string]*graph.Graph{"rgg": rgg, "rgg/contracted": contracted(rgg), "rmat/contracted": contracted(gen.RMAT(9, 8, 5))} {
 		for _, sg := range dist.ExtractAll(g, dist.Assign(g, dist.StrategyAuto, 3), 3) {
-			if checked := rebuiltByFromCSR(t, sg.Local); !reflect.DeepEqual(sg.Local, checked) {
-				t.Fatalf("%s PE %d: adopted graph differs from graph.FromCSR of the same arrays", name, sg.PE)
+			if d := graph.Diff(sg.Local, rebuiltByFromCSR(t, sg.Local)); d != "" {
+				t.Fatalf("%s PE %d: adopted graph differs from graph.FromCSR of the same arrays: %s", name, sg.PE, d)
+			}
+			if sg.Local.UnitEdgeWeights() != g.UnitEdgeWeights() {
+				t.Fatalf("%s PE %d: shard of a unit graph %v is a unit graph %v", name, sg.PE, g.UnitEdgeWeights(), sg.Local.UnitEdgeWeights())
 			}
 		}
 	}

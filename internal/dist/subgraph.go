@@ -200,7 +200,11 @@ func ExtractOwned(g *graph.Graph, assign []int32, pe int32, owned, local []int32
 		xadj[lv+1] = xadj[lv] + d
 	}
 	adj := make([]int32, xadj[nl])
-	ewgt := make([]int64, xadj[nl])
+	// A unit graph's shards are unit graphs: they get no weight array.
+	var ewgt []int64
+	if !g.UnitEdgeWeights() {
+		ewgt = make([]int64, xadj[nl])
+	}
 	// The fill loop validates every entry it writes and sums the weights, the
 	// copy below does the same for the node weights, so the arrays are adopted
 	// without the second walk graph.FromCSR would make.
@@ -228,6 +232,7 @@ func invalidShard(pe int32) {
 // fillRows writes the local adjacency into the exactly-sized arrays: owned
 // rows relabelled and sorted, ghost rows filled by counting. ghostFill
 // (the ghosts' degrees on entry) is consumed as the per-ghost write cursor.
+// A nil ewgt is a unit shard's: only adj is written, and every weight is 1.
 // Every entry is checked where it is written — an owned row once it is
 // sorted, a ghost row against the entry before — for what graph.FromCSR
 // would check: neighbour in range, weight positive, and whether the row
@@ -245,6 +250,7 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 	// the largest neighbour (a negative one reads as huge), the smallest
 	// weight, the weight sum, and whether any row failed to ascend.
 	largest, lightest, sum, ascending := uint32(0), int64(1), int64(0), true
+	unit := ewgt == nil
 	var rs graph.RowSorter
 	for li, v := range owned {
 		p := xadj[li]
@@ -260,18 +266,33 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 				if q > xadj[lu] && adj[q-1] >= int32(li) {
 					ascending = false
 				}
-				adj[q], ewgt[q] = int32(li), ws[i]
+				adj[q] = int32(li)
+				if !unit {
+					ewgt[q] = ws[i]
+				}
 				ghostFill[lu-no] = q + 1
 				sum += ws[i]
 			}
-			adj[p], ewgt[p] = lu, ws[i]
+			adj[p] = lu
+			if !unit {
+				ewgt[p] = ws[i]
+			}
 			p++
 		}
-		rs.Sort(adj[xadj[li]:p], ewgt[xadj[li]:p])
+		row := adj[xadj[li]:p]
+		if unit {
+			slices.Sort(row)
+			sum += int64(len(row))
+		} else {
+			rw := ewgt[xadj[li]:p]
+			rs.Sort(row, rw)
+			for _, w := range rw {
+				lightest, sum = min(lightest, w), sum+w
+			}
+		}
 		prev := int32(-1)
-		for i := xadj[li]; i < p; i++ {
-			t, w := adj[i], ewgt[i]
-			largest, lightest, sum = max(largest, uint32(t)), min(lightest, w), sum+w
+		for _, t := range row {
+			largest = max(largest, uint32(t))
 			if t <= prev {
 				ascending = false
 			}

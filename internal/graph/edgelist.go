@@ -36,7 +36,7 @@ const edgeListHalfEdges = 1 << 16
 // union of the lists: every edge is stored in both directions, adjacency
 // rows come out strictly ascending, parallel edges (within or across lists)
 // merge by summing their weights, and self loops are dropped. nwgt is
-// adopted. This is the one "edge list → sorted, merged CSR" kernel, the end
+// adopted; merged weights that are all 1 make a unit graph. This is the one "edge list → sorted, merged CSR" kernel, the end
 // of Builder.Build. The edges are counted, scattered into arrays sized by
 // that count and row-merged in place, so nothing grows; above
 // edgeListHalfEdges the three passes run over node ranges on up to GOMAXPROCS
@@ -185,8 +185,7 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 		}
 		half += row.end - row.start
 	}
-	agg.TotalEdgeWeight /= 2
-	return FromCSRTrusted(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt, agg), nil
+	return fromInput(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt, agg), nil
 }
 
 // countEdges adds the half-edges one list gives the rows [lo, hi) to the

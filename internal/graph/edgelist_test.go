@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -75,10 +74,10 @@ func (s refSegment) Swap(i, j int) {
 	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
-// randomLists draws m edges over n nodes into parts lists; hub > 0 routes
-// that share of the edges through node 0, so one row is far longer than
-// insertionMax and unsorted.
-func randomLists(r *rng.RNG, n, m, parts int, hub float64) []EdgeList {
+// randomLists draws m edges over n nodes into parts lists, with weights in
+// [1, maxW]; hub > 0 routes that share of the edges through node 0, so one
+// row is far longer than insertionMax and unsorted.
+func randomLists(r *rng.RNG, n, m, parts int, hub float64, maxW int) []EdgeList {
 	lists := make([]EdgeList, parts)
 	for e := 0; e < m; e++ {
 		u, v := int32(r.Intn(n)), int32(r.Intn(n))
@@ -86,32 +85,33 @@ func randomLists(r *rng.RNG, n, m, parts int, hub float64) []EdgeList {
 			u = 0
 		}
 		l := &lists[r.Intn(parts)]
-		l.U, l.V, l.W = append(l.U, u), append(l.V, v), append(l.W, int64(1+r.Intn(9)))
+		l.U, l.V, l.W = append(l.U, u), append(l.V, v), append(l.W, int64(1+r.Intn(maxW)))
 	}
 	return lists
 }
 
 // checkAgainstReference builds lists over every worker count given and holds
-// each result against the reference build — and, the fused validation being
-// the point, against FromCSR of the same arrays: a graph adopted through
-// FromCSRTrusted must be the graph FromCSR's second walk would have made.
+// each result against FromCSR of the reference build's arrays: its rows, and,
+// the fused validation being the point, the aggregates FromCSR's second walk
+// would have summed. Weights that all come out 1 must make a unit graph.
 func checkAgainstReference(t *testing.T, name string, nwgt []int64, lists []EdgeList, workers ...int) {
 	t.Helper()
 	wx, wa, ww := referenceCSR(len(nwgt), lists)
+	unit := !slices.ContainsFunc(ww, func(w int64) bool { return w != 1 })
 	for _, w := range workers {
 		g, err := fromEdgeLists(slices.Clone(nwgt), lists, w)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", name, w, err)
 		}
-		if !slices.Equal(g.xadj, wx) || !slices.Equal(g.adj, wa) || !slices.Equal(g.ewgt, ww) {
-			t.Fatalf("%s workers=%d: CSR differs from the reference build", name, w)
-		}
-		want, err := FromCSR(slices.Clone(g.xadj), slices.Clone(g.adj), slices.Clone(g.ewgt), slices.Clone(nwgt))
+		want, err := FromCSR(slices.Clone(wx), slices.Clone(wa), slices.Clone(ww), slices.Clone(nwgt))
 		if err != nil {
-			t.Fatalf("%s workers=%d: FromCSR refuses the arrays: %v", name, w, err)
+			t.Fatalf("%s workers=%d: FromCSR refuses the reference arrays: %v", name, w, err)
 		}
-		if !reflect.DeepEqual(g, want) {
-			t.Fatalf("%s workers=%d: adopted graph differs from FromCSR of the same arrays:\n%+v\n%+v", name, w, g, want)
+		if d := Diff(g, want); d != "" {
+			t.Fatalf("%s workers=%d: built graph differs from FromCSR of the reference build: %s", name, w, d)
+		}
+		if g.UnitEdgeWeights() != unit {
+			t.Fatalf("%s workers=%d: unit graph %v, weights all 1 %v", name, w, g.UnitEdgeWeights(), unit)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s workers=%d: %v", name, w, err)
@@ -127,9 +127,11 @@ func TestFromEdgeListsMatchesReference(t *testing.T) {
 	}{
 		"empty":           {5, nil},
 		"no nodes":        {0, []EdgeList{{}}},
-		"sparse":          {200, randomLists(r, 200, 300, 1, 0)},
-		"parallel edges":  {12, randomLists(r, 12, 400, 3, 0)},
-		"long hub row":    {300, randomLists(r, 300, 2000, 2, 0.3)},
+		"sparse":          {200, randomLists(r, 200, 300, 1, 0, 9)},
+		"unit":            {200, randomLists(r, 200, 30, 2, 0, 1)},
+		"merged units":    {12, randomLists(r, 12, 400, 3, 0, 1)},
+		"parallel edges":  {12, randomLists(r, 12, 400, 3, 0, 9)},
+		"long hub row":    {300, randomLists(r, 300, 2000, 2, 0.3, 9)},
 		"only self loops": {3, []EdgeList{{U: []int32{1, 2}, V: []int32{1, 2}, W: []int64{4, 5}}}},
 		"sorted input": {40, func() []EdgeList {
 			var l EdgeList
@@ -160,8 +162,8 @@ func TestFromEdgeListsMatchesReference(t *testing.T) {
 // FuzzFromEdgeListsMatchesReference draws edge lists from the fuzz input —
 // self loops, parallel edges within and across lists, empty rows, a hub row
 // longer than insertionMax — and builds them over one range and over several,
-// the half-edge floor out of the way: every count must produce the reference
-// build and the graph FromCSR makes of the same arrays.
+// the half-edge floor out of the way, with unit weights for even seeds: every
+// count must produce the graph FromCSR makes of the reference build's arrays.
 func FuzzFromEdgeListsMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(200), uint8(2), uint8(0))
 	f.Add(uint64(2), uint16(5), uint16(300), uint8(3), uint8(0))
@@ -175,7 +177,7 @@ func FuzzFromEdgeListsMatchesReference(f *testing.F) {
 		}
 		lists := make([]EdgeList, 1+parts%4)
 		if edges > 0 {
-			lists = randomLists(rng.New(seed), nodes, edges, len(lists), float64(hub)/255)
+			lists = randomLists(rng.New(seed), nodes, edges, len(lists), float64(hub)/255, 1+8*int(seed%2))
 		}
 		nwgt := make([]int64, nodes)
 		for i := range nwgt {

@@ -7,6 +7,12 @@
 // relevant segment in the edge array. Node ids are dense int32 values in
 // [0, n). Every undirected edge {u, v} is stored twice, once in each
 // direction; weights are int64 so that repeated contraction cannot overflow.
+// A unit graph — every edge weight 1, as every generator and every
+// unweighted file gives — stores no weight per edge: its rows all read their
+// weights from the start of one run of ones as long as its largest degree.
+// AdjWeights hides the difference, without a branch, and only the
+// constructors of input graphs (FromCSR, FromEdgeLists, FromCSRTrusted given
+// nil weights) make one; contracted graphs are weighted.
 //
 // Graphs may optionally carry 2D or 3D coordinates; the parallel coarsening
 // phase uses them for geometric prepartitioning (recursive coordinate
@@ -24,10 +30,14 @@ import (
 // Graph is an immutable weighted undirected graph in CSR form. Construct one
 // with a Builder, FromCSR, or the generators in internal/gen.
 type Graph struct {
-	xadj []int32 // n+1 offsets into adj/ewgt
+	xadj []int32 // n+1 offsets into adj (and ewgt, unless unit)
 	adj  []int32 // 2m neighbor ids
-	ewgt []int64 // 2m edge weights (parallel to adj)
-	nwgt []int64 // n node weights
+	// ewgt is the 2m edge weights parallel to adj or, in a unit graph, a run
+	// of ones as long as the largest degree. rowMask is -1 or, in a unit
+	// graph, 0: AdjWeights masks a row's offset with it.
+	ewgt    []int64
+	rowMask int32
+	nwgt    []int64 // n node weights
 
 	totalNodeWeight int64
 	totalEdgeWeight int64 // each undirected edge counted once
@@ -77,8 +87,19 @@ func (g *Graph) MaxNodeWeight() int64 { return g.maxNodeWeight }
 func (g *Graph) Adj(v int32) []int32 { return g.adj[g.xadj[v]:g.xadj[v+1]] }
 
 // AdjWeights returns the edge weights parallel to Adj(v); callers must not
-// modify it.
-func (g *Graph) AdjWeights(v int32) []int64 { return g.ewgt[g.xadj[v]:g.xadj[v+1]] }
+// modify it. Its capacity is its length, so an append never writes into the
+// graph, not even into the ones run every row of a unit graph shares.
+//
+//kappa:hotpath
+func (g *Graph) AdjWeights(v int32) []int64 {
+	lo, hi := g.xadj[v], g.xadj[v+1]
+	at := lo & g.rowMask
+	return g.ewgt[at : at+hi-lo : at+hi-lo]
+}
+
+// UnitEdgeWeights reports whether g is a unit graph, every edge weight 1 and
+// none stored.
+func (g *Graph) UnitEdgeWeights() bool { return g.rowMask == 0 }
 
 // WeightedDegree returns Out(v) = Σ_{x∈Γ(v)} ω({v,x}).
 func (g *Graph) WeightedDegree(v int32) int64 {
@@ -108,7 +129,7 @@ func (g *Graph) WeightedDegreesOn(run *par.Crew) []int64 {
 		run.Run(ranges, func(_, r int) {
 			for v, hi := g.RangeStart(r, ranges), g.RangeStart(r+1, ranges); v < hi; v++ {
 				var s int64
-				for _, ew := range g.ewgt[g.xadj[v]:g.xadj[v+1]] {
+				for _, ew := range g.AdjWeights(v) {
 					s += ew
 				}
 				w[v] = s
@@ -257,8 +278,10 @@ func (g *Graph) CoordSlices() [][]float64 {
 }
 
 // FromCSR builds a graph directly from CSR arrays. The arrays are adopted,
-// not copied. nwgt may be nil for unit node weights. FromCSR validates the
-// structure (symmetry is checked only by Validate, which is O(m log d)).
+// not copied, but for weights that are all 1: those make a unit graph, which
+// keeps none of ewgt. nwgt may be nil for unit node weights. FromCSR
+// validates the structure (symmetry is checked only by Validate, which is
+// O(m log d)).
 func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, error) {
 	n := len(xadj) - 1
 	if n < 0 {
@@ -280,7 +303,7 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 	} else if len(nwgt) != n {
 		return nil, fmt.Errorf("graph: nwgt must have length n")
 	}
-	g := &Graph{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, adjSorted: true}
+	agg := CSRAggregates{AdjSorted: true}
 	// One pass over the rows checks neighbour ranges, row order and weight
 	// signs and sums the weights.
 	for v := 0; v < n; v++ {
@@ -291,26 +314,35 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 				return nil, fmt.Errorf("graph: neighbor id %d out of range", t)
 			}
 			if t <= prev {
-				g.adjSorted = false
+				agg.AdjSorted = false
 			}
 			prev = t
 			if w <= 0 {
 				return nil, fmt.Errorf("graph: non-positive edge weight %d", w)
 			}
-			g.totalEdgeWeight += w
+			agg.TotalEdgeWeight += w
 		}
 	}
-	g.totalEdgeWeight /= 2
 	for _, w := range nwgt {
 		if w < 0 {
 			return nil, fmt.Errorf("graph: negative node weight %d", w)
 		}
-		g.totalNodeWeight += w
-		if w > g.maxNodeWeight {
-			g.maxNodeWeight = w
-		}
+		agg.TotalNodeWeight += w
+		agg.MaxNodeWeight = max(agg.MaxNodeWeight, w)
 	}
-	return g, nil
+	return fromInput(xadj, adj, ewgt, nwgt, agg), nil
+}
+
+// fromInput is FromCSRTrusted for weights an input constructor has checked
+// positive and summed, over every half-edge, into agg.TotalEdgeWeight, which
+// it halves: positive weights that sum to the half-edge count are all 1, and
+// make a unit graph.
+func fromInput(xadj []int32, adj []int32, ewgt []int64, nwgt []int64, agg CSRAggregates) *Graph {
+	if agg.TotalEdgeWeight == int64(len(adj)) {
+		ewgt = nil
+	}
+	agg.TotalEdgeWeight /= 2
+	return FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
 }
 
 // CSRAggregates carries the precomputed per-graph facts FromCSRTrusted
@@ -338,14 +370,31 @@ type CSRAggregates struct {
 // the shard store records the aggregates in its manifest at write time, and
 // re-scanning the arrays here would page the whole mapping in — defeating
 // the point of mapping it.
+//
+// A nil ewgt declares every edge weight 1 (agg.TotalEdgeWeight is then m):
+// the graph is a unit graph, and its one scan is of xadj, for the largest
+// degree its ones run must cover. Only sources of input graphs pass nil —
+// the binary decoder of a file without weights, extraction from a unit graph,
+// the shard store over a unit graph's CSR.
 func FromCSRTrusted(xadj []int32, adj []int32, ewgt []int64, nwgt []int64, agg CSRAggregates) *Graph {
-	return &Graph{
-		xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt,
+	g := &Graph{
+		xadj: xadj, adj: adj, ewgt: ewgt, rowMask: -1, nwgt: nwgt,
 		totalNodeWeight: agg.TotalNodeWeight,
 		totalEdgeWeight: agg.TotalEdgeWeight,
 		maxNodeWeight:   agg.MaxNodeWeight,
 		adjSorted:       agg.AdjSorted,
 	}
+	if ewgt == nil {
+		deg := int32(0)
+		for v := 1; v < len(xadj); v++ {
+			deg = max(deg, xadj[v]-xadj[v-1])
+		}
+		g.ewgt, g.rowMask = make([]int64, deg), 0
+		for i := range g.ewgt {
+			g.ewgt[i] = 1
+		}
+	}
+	return g
 }
 
 // Validate checks structural invariants that FromCSR does not: no self

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -237,5 +238,57 @@ func BenchmarkBuild(b *testing.B) {
 			bd.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)), 1)
 		}
 		bd.Build()
+	}
+}
+
+// TestUnitGraphStoresNoWeights pins the unit representation: weights that
+// are all 1 keep only a ones run as long as the largest degree, whichever
+// input constructor saw them, and read back exactly as the materialised
+// weights do; one weight of 2 keeps the array; and a row's weights have no
+// room past their length, so an append cannot write into the shared run.
+func TestUnitGraphStoresNoWeights(t *testing.T) {
+	b := NewBuilder(5)
+	for _, e := range [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {3, 4}} {
+		b.AddEdge(e[0], e[1], 1)
+	}
+	g := b.Build()
+	if !g.UnitEdgeWeights() || len(g.ewgt) != 3 {
+		t.Fatalf("unit graph: unit %v, %d weights stored, want the largest degree 3", g.UnitEdgeWeights(), len(g.ewgt))
+	}
+	ones := make([]int64, len(g.adj))
+	for i := range ones {
+		ones[i] = 1
+	}
+	materialised := FromCSRTrusted(g.xadj, g.adj, ones, g.nwgt, CSRAggregates{TotalNodeWeight: 5, TotalEdgeWeight: 5, MaxNodeWeight: 1, AdjSorted: true})
+	if materialised.UnitEdgeWeights() {
+		t.Fatal("FromCSRTrusted dropped weights it was given")
+	}
+	if d := Diff(g, materialised); d != "" {
+		t.Fatalf("unit graph differs from its materialised copy: %s", d)
+	}
+	fromCSR, err := FromCSR(slices.Clone(g.xadj), slices.Clone(g.adj), slices.Clone(ones), nil)
+	if err != nil || !fromCSR.UnitEdgeWeights() {
+		t.Fatalf("FromCSR of unit weights: %v, unit %v", err, err == nil && fromCSR.UnitEdgeWeights())
+	}
+	for v := int32(0); v < 5; v++ {
+		ws := g.AdjWeights(v)
+		if cap(ws) != len(ws) {
+			t.Fatalf("row %d: %d weights with room for %d", v, len(ws), cap(ws))
+		}
+		_ = append(ws, 7)
+	}
+	if slices.ContainsFunc(g.ewgt, func(w int64) bool { return w != 1 }) {
+		t.Fatalf("ones run written to: %v", g.ewgt)
+	}
+
+	heavy := slices.Clone(ones)
+	heavy[0] = 2 // 0→1, and 1→0 below, so the graph stays symmetric
+	heavy[g.xadj[1]] = 2
+	weighted, err := FromCSR(slices.Clone(g.xadj), slices.Clone(g.adj), heavy, nil)
+	if err != nil || weighted.UnitEdgeWeights() || len(weighted.ewgt) != len(g.adj) {
+		t.Fatalf("one weight of 2: %v, unit %v", err, err == nil && weighted.UnitEdgeWeights())
+	}
+	if weighted.EdgeWeightTo(0, 1) != 2 || weighted.EdgeWeightTo(1, 0) != 2 || weighted.TotalEdgeWeight() != 6 {
+		t.Fatal("weighted graph reads the wrong weights")
 	}
 }

@@ -384,8 +384,10 @@ func decodeBinary(br *binSource) (*graph.Graph, error) {
 		}
 	}
 	agg.AdjSorted = descents == 0
-	ewgt := make([]int64, half)
+	var ewgt []int64 // without weights in the file, a unit graph
+	agg.TotalEdgeWeight = int64(half / 2)
 	if flags&binFlagEdgeWeights != 0 {
+		ewgt, agg.TotalEdgeWeight = make([]int64, half), 0
 		_, st = uvarints(br, ewgt, 1, math.MaxInt64, func(ws []int64) bool {
 			sum := int64(0)
 			for _, w := range ws {
@@ -398,11 +400,6 @@ func decodeBinary(br *binSource) (*graph.Graph, error) {
 			return nil, br.failed(st, "edge weights", "edge weight %d out of range [1, 2^63)")
 		}
 		agg.TotalEdgeWeight /= 2
-	} else {
-		for i := range ewgt {
-			ewgt[i] = 1
-		}
-		agg.TotalEdgeWeight = int64(half / 2)
 	}
 	nwgt := make([]int64, n)
 	if flags&binFlagNodeWeights != 0 {

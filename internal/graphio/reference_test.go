@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
-	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -37,7 +35,7 @@ func referenceFloats(s *binSource, c []float64) error {
 // checked there, and then graph.FromCSR walking the arrays a second time for
 // the same checks, the totals and the sorted flag. It is the oracle the
 // decoder must agree with — same accept/reject, same error text, and a graph
-// reflect.DeepEqual to FromCSR's.
+// equal to FromCSR's in everything a caller can observe.
 func referenceDecodeBinary(br *binSource) (*graph.Graph, error) {
 	br.fill(len(binaryMagic))
 	if len(br.buf)-br.pos < len(binaryMagic) {
@@ -181,30 +179,6 @@ func referenceDecodeBinary(br *binSource) (*graph.Graph, error) {
 	return g, nil
 }
 
-// sameGraph is reflect.DeepEqual on two decoded graphs, except that
-// coordinates compare by their bits: a corrupted one may be a NaN.
-func sameGraph(got, want *graph.Graph) bool {
-	if got == nil || want == nil {
-		return got == want
-	}
-	gc, wc := got.CoordSlices(), want.CoordSlices()
-	if len(gc) != len(wc) {
-		return false
-	}
-	for d := range wc {
-		if !slices.EqualFunc(gc[d], wc[d], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			return false
-		}
-	}
-	switch len(wc) { // DeepEqual does not look into slices that are the same memory
-	case 2:
-		got.SetCoords(wc[0], wc[1])
-	case 3:
-		got.SetCoords3(wc[0], wc[1], wc[2])
-	}
-	return reflect.DeepEqual(got, want)
-}
-
 // checkDecode decodes in from memory, from a reader and from a reader that
 // delivers a byte at a time (every value straddles a refill), with the
 // decoder and with the reference, and holds each pair together: same verdict,
@@ -225,8 +199,8 @@ func checkDecode(t *testing.T, what string, in []byte, text bool) {
 		if (gotErr == nil) != (wantErr == nil) || (text && gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Fatalf("%s, %s source, %d bytes: error %v, reference %v", what, name, len(in), gotErr, wantErr)
 		}
-		if !sameGraph(got, want) {
-			t.Fatalf("%s, %s source: decoded graph differs from the reference's graph.FromCSR\n%+v\n%+v", what, name, got, want)
+		if d := graph.Diff(got, want); d != "" {
+			t.Fatalf("%s, %s source: decoded graph differs from the reference's graph.FromCSR: %s", what, name, d)
 		}
 	}
 }

@@ -284,7 +284,10 @@ func graphOverMapping(data []byte, man *Manifest, lay csrLayout) *graph.Graph {
 	n, half := man.Nodes, 2*man.Edges
 	xadj := int32View(data, lay.xadjOff, n+1)
 	adj := int32View(data, lay.adjOff, half)
-	ewgt := int64View(data, lay.ewgtOff, half)
+	var ewgt []int64 // a unit graph's weight section is never paged in
+	if !man.unitEdgeWeights() {
+		ewgt = int64View(data, lay.ewgtOff, half)
+	}
 	nwgt := int64View(data, lay.nwgtOff, n)
 	g := graph.FromCSRTrusted(xadj, adj, ewgt, nwgt, graph.CSRAggregates{
 		TotalNodeWeight: man.TotalNodeWeight,
@@ -305,6 +308,11 @@ func graphOverMapping(data []byte, man *Manifest, lay csrLayout) *graph.Graph {
 	}
 	return g
 }
+
+// unitEdgeWeights reports whether the graph's edge weights are all 1: the
+// writer stores positive weights, and those sum to the edge count only when
+// each is 1.
+func (m *Manifest) unitEdgeWeights() bool { return m.TotalEdgeWeight == m.Edges }
 
 // readCSRHeap decodes the sections into freshly allocated arrays — the
 // portable path, O(CSR) heap like any other loader. f is positioned after
@@ -373,12 +381,17 @@ func readCSRHeap(f *os.File, man *Manifest, lay csrLayout) (*graph.Graph, error)
 	if err != nil {
 		return nil, fmt.Errorf("store: csr adj: %w", err)
 	}
-	if err := skipTo(lay.ewgtOff); err != nil {
-		return nil, err
+	var ewgt []int64 // a unit graph's weight section is skipped
+	if !man.unitEdgeWeights() {
+		if err := skipTo(lay.ewgtOff); err != nil {
+			return nil, err
+		}
+		if ewgt, err = readInt64s(half); err != nil {
+			return nil, fmt.Errorf("store: csr ewgt: %w", err)
+		}
 	}
-	ewgt, err := readInt64s(half)
-	if err != nil {
-		return nil, fmt.Errorf("store: csr ewgt: %w", err)
+	if err := skipTo(lay.nwgtOff); err != nil {
+		return nil, err
 	}
 	nwgt, err := readInt64s(n)
 	if err != nil {

@@ -267,10 +267,20 @@ func TestJitteredGridPoints(t *testing.T) {
 	}
 }
 
-func BenchmarkRGG15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RGG(15, uint64(i))
-	}
+// BenchmarkGenerate times the generators of the benchmark's inputs, rgg:15
+// (mesh_coarsen, socket_dist, store_serve) and rmat:12 (powerlaw_refine); its
+// allocations are gated (BENCH_BASELINE.txt).
+func BenchmarkGenerate(b *testing.B) {
+	b.Run("rgg15", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			RGG(15, 1)
+		}
+	})
+	b.Run("rmat12", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			RMAT(12, 10, 1)
+		}
+	})
 }
 
 func BenchmarkDelaunay14(b *testing.B) {

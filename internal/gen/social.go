@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -70,9 +72,8 @@ func PrefAttach(n, d int, seed uint64) *graph.Graph {
 func RMAT(scale, edgeFactor int, seed uint64) *graph.Graph {
 	n := 1 << scale
 	r := rng.New(seed)
-	b := graph.NewBuilder(n)
-	seen := make(map[uint64]bool)
 	target := edgeFactor * n
+	keys := make([]uint64, 0, target)
 	const a, bb, c = 0.57, 0.19, 0.19
 	for e := 0; e < target; e++ {
 		u, v := 0, 0
@@ -89,23 +90,46 @@ func RMAT(scale, edgeFactor int, seed uint64) *graph.Graph {
 				v |= 1 << bit
 			}
 		}
-		if u == v {
-			continue
+		if u != v {
+			keys = append(keys, uint64(min(u, v))<<32|uint64(uint32(max(u, v))))
 		}
-		lo, hi := u, v
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		key := uint64(lo)<<32 | uint64(uint32(hi))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		b.AddEdge(int32(u), int32(v), 1)
 	}
-	g := b.Build()
+	slices.Sort(keys)
+	g := fromSortedPairs(n, slices.Compact(keys))
 	lc, _ := g.LargestComponent()
 	return lc
+}
+
+// fromSortedPairs builds the unit graph on n nodes whose edges are the
+// distinct keys lo<<32|hi, lo < hi, given ascending. Scattered in that order
+// every row comes out sorted: a node's lower neighbours arrive from the keys
+// that name it hi, in ascending lo, all before the keys that name it lo, in
+// ascending hi.
+func fromSortedPairs(n int, keys []uint64) *graph.Graph {
+	// pos[v+2] counts row v; after the prefix sum pos[v+1] is its cursor,
+	// and once scattered pos[:n+1] is the offset array.
+	pos := make([]int32, n+2)
+	for _, k := range keys {
+		pos[k>>32+2]++
+		pos[uint32(k)+2]++
+	}
+	for v := 0; v < n; v++ {
+		pos[v+2] += pos[v+1]
+	}
+	adj := make([]int32, 2*len(keys))
+	for _, k := range keys {
+		lo, hi := int32(k>>32), int32(uint32(k))
+		adj[pos[lo+1]], adj[pos[hi+1]] = hi, lo
+		pos[lo+1]++
+		pos[hi+1]++
+	}
+	nwgt := make([]int64, n)
+	for i := range nwgt {
+		nwgt[i] = 1
+	}
+	return graph.FromCSRTrusted(pos[:n+1], adj, nil, nwgt, graph.CSRAggregates{
+		TotalNodeWeight: int64(n), TotalEdgeWeight: int64(len(keys)), MaxNodeWeight: min(int64(n), 1), AdjSorted: true,
+	})
 }
 
 // ErdosRenyi generates a G(n, m) random graph (m distinct uniform edges).

@@ -10,7 +10,7 @@ import (
 )
 
 // EdgeList is a batch of undirected edges in parallel-array form: edge i
-// joins U[i] and V[i] with weight W[i].
+// joins U[i] and V[i] with weight W[i], or 1 when W is nil.
 type EdgeList struct {
 	U, V []int32
 	W    []int64
@@ -40,19 +40,31 @@ const edgeListHalfEdges = 1 << 16
 // of Builder.Build. The edges are counted, scattered into arrays sized by
 // that count and row-merged in place, so nothing grows; above
 // edgeListHalfEdges the three passes run over node ranges on up to GOMAXPROCS
-// goroutines, and the graph is the same for any number of them.
+// goroutines, and the graph is the same for any number of them. When every
+// list has nil weights no weight array is scattered: the rows are sorted
+// alone, and only a parallel edge among them makes the kernel write ones and
+// merge.
 //
 // The passes validate what they touch, once, and the totals a graph carries
 // are summed on the way, so the arrays are adopted without another walk: an
-// endpoint outside [0, n), lists of unequal lengths, an edge weight that is
-// not positive — given or, by overflow, merged — and a negative node weight
-// are errors, each an *InputError.
+// endpoint outside [0, n), lists of unequal lengths (a nil W aside), an edge
+// weight that is not positive — given or, by overflow, merged — and a
+// negative node weight are errors, each an *InputError.
 func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
 	half := 0
 	for _, l := range lists {
 		half += 2 * len(l.U)
 	}
-	return fromEdgeLists(nwgt, lists, max(1, min(runtime.GOMAXPROCS(0), half/(edgeListHalfEdges/2))))
+	return fromEdgeLists(nwgt, lists, BuildRanges(half))
+}
+
+// BuildRanges is how many node ranges a constructor of an input graph,
+// which builds outside any run and starts a goroutine per range (par.Spawn),
+// splits work on half half-edges into: one below edgeListHalfEdges, else up
+// to GOMAXPROCS with at least half the floor each. FromEdgeLists and the
+// geometric generator (gen.GeometricGraph) are sized by it.
+func BuildRanges(half int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), half/(edgeListHalfEdges/2)))
 }
 
 // ParallelRanges is how many node ranges a kernel that reads half half-edges
@@ -101,18 +113,21 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 		agg.TotalNodeWeight += w
 		agg.MaxNodeWeight = max(agg.MaxNodeWeight, w)
 	}
+	unit := true // no list carries weights
 	for li, l := range lists {
-		if len(l.V) != len(l.U) || len(l.W) != len(l.U) {
+		if len(l.V) != len(l.U) || (l.W != nil && len(l.W) != len(l.U)) {
 			return nil, &InputError{li, -1, fmt.Errorf("edge list %d has %d sources, %d targets, %d weights", li, len(l.U), len(l.V), len(l.W))}
 		}
+		unit = unit && l.W == nil
 	}
 	// rows[r] is node range r: its bounds, where its first row starts before
-	// anything is merged, what merging it came to, and the first list it saw
-	// a weight that is not positive in (-1: none).
+	// anything is merged, what merging it came to, the first list it saw a
+	// weight that is not positive in (-1: none), and, unit, whether a row
+	// holds a neighbour twice.
 	rows := make([]struct {
 		lo, hi, start, end int32
 		weight             int64
-		positive           bool
+		positive, parallel bool
 		badList            int
 	}, max(1, min(workers, n)))
 	workers = len(rows)
@@ -155,7 +170,15 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 		rows[r-1].hi, rows[r].lo, rows[r].start = lo, lo, pos[lo+1]
 	}
 	adj := make([]int32, total)
-	ewgt := make([]int64, total)
+	var ewgt []int64
+	if !unit {
+		ewgt = make([]int64, total)
+	}
+	merge := func(_, r int) {
+		row := &rows[r]
+		var rs RowSorter
+		row.end, row.weight, row.positive = mergeRows(pos[:n+1], adj, ewgt, row.lo, row.hi, row.start, &rs)
+	}
 	par.Spawn(workers, func(_, r int) {
 		row := &rows[r]
 		row.badList = -1
@@ -165,9 +188,26 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 				row.badList = li
 			}
 		}
-		var rs RowSorter
-		row.end, row.weight, row.positive = mergeRows(pos[:n+1], adj, ewgt, row.lo, row.hi, row.start, &rs)
+		if !unit {
+			merge(0, r)
+			return
+		}
+		row.end, row.parallel = sortRows(pos[:n+1], adj, row.lo, row.hi, row.start)
+		row.weight, row.positive = int64(row.end-row.start), true
 	})
+	parallel := false
+	for _, row := range rows {
+		parallel = parallel || row.parallel
+	}
+	if parallel {
+		// Parallel unweighted edges merge to a weight above 1: write the ones
+		// the rows stand for and merge them, sorted already.
+		ewgt = make([]int64, total)
+		for i := range ewgt {
+			ewgt[i] = 1
+		}
+		par.Spawn(workers, merge)
+	}
 
 	// One ordered slide closes the gaps the merged ranges left between them.
 	half := int32(0)
@@ -185,7 +225,10 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 		}
 		half += row.end - row.start
 	}
-	return fromInput(pos[:n+1], adj[:half:half], ewgt[:half:half], nwgt, agg), nil
+	if ewgt != nil {
+		ewgt = ewgt[:half:half]
+	}
+	return fromInput(pos[:n+1], adj[:half:half], ewgt, nwgt, agg), nil
 }
 
 // countEdges adds the half-edges one list gives the rows [lo, hi) to the
@@ -214,33 +257,80 @@ func countEdges(pos []int32, us, vs []int32, lo, hi int32) int {
 }
 
 // scatterEdges writes the half-edges l gives the rows [lo, hi) at those
-// rows' cursors, in the order of the list. It reports whether every weight of
-// the list, self loops aside, is positive.
+// rows' cursors, in the order of the list, and their weights, ones for a list
+// without, unless ewgt is nil. It reports whether every weight of the list,
+// self loops aside, is positive.
 //
 //kappa:hotpath
 func scatterEdges(pos []int32, adj []int32, ewgt []int64, l EdgeList, lo, hi int32) (positive bool) {
 	span := uint32(hi - lo)
 	positive = true
 	for i, u := range l.U {
-		v, w := l.V[i], l.W[i]
+		v, w := l.V[i], int64(1)
 		if u == v {
 			continue
+		}
+		if l.W != nil {
+			w = l.W[i]
 		}
 		if w <= 0 {
 			positive = false
 		}
 		if uint32(u-lo) < span {
 			p := pos[u+1]
-			adj[p], ewgt[p] = v, w
+			adj[p] = v
+			if ewgt != nil {
+				ewgt[p] = w
+			}
 			pos[u+1] = p + 1
 		}
 		if uint32(v-lo) < span {
 			p := pos[v+1]
-			adj[p], ewgt[p] = u, w
+			adj[p] = u
+			if ewgt != nil {
+				ewgt[p] = w
+			}
 			pos[v+1] = p + 1
 		}
 	}
 	return positive
+}
+
+// sortRows sorts the rows [lo, hi) of the unweighted CSR (xadj, adj), the
+// first of which starts at start, by neighbour, in place. It returns where
+// they end and whether a row holds a neighbour twice.
+//
+//kappa:hotpath
+func sortRows(xadj []int32, adj []int32, lo, hi, start int32) (end int32, parallel bool) {
+	end = start
+	for v := lo; v < hi; v++ {
+		start, end = end, xadj[v+1]
+		row := adj[start:end]
+		SortIDs(row)
+		for i := 1; i < len(row); i++ {
+			parallel = parallel || row[i] == row[i-1]
+		}
+	}
+	return end, parallel
+}
+
+// SortIDs sorts a row of neighbour ids without weights ascending: by
+// insertion when it is short, as RowSorter does, else by slices.Sort.
+//
+//kappa:hotpath
+func SortIDs(row []int32) {
+	if len(row) > insertionMax {
+		slices.Sort(row)
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		a := row[i]
+		j := i
+		for ; j > 0 && row[j-1] > a; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = a
+	}
 }
 
 // mergeRows sorts the rows [lo, hi) of the CSR (xadj, adj, ewgt), the first

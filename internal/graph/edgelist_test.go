@@ -13,14 +13,19 @@ import (
 
 // referenceCSR is Builder.Build as it was before FromEdgeLists: scatter,
 // sort.Sort every row through a boxed two-slice struct, merge runs. Kept as
-// the oracle FromEdgeLists must agree with on every input.
+// the oracle FromEdgeLists must agree with on every input; a list with nil
+// weights reads as ones.
 func referenceCSR(n int, lists []EdgeList) (xadj, adj []int32, ewgt []int64) {
 	var us, vs []int32
 	var ws []int64
 	for _, l := range lists {
 		for i, u := range l.U {
 			if u != l.V[i] {
-				us, vs, ws = append(us, u), append(vs, l.V[i]), append(ws, l.W[i])
+				w := int64(1)
+				if l.W != nil {
+					w = l.W[i]
+				}
+				us, vs, ws = append(us, u), append(vs, l.V[i]), append(ws, w)
 			}
 		}
 	}
@@ -76,8 +81,9 @@ func (s refSegment) Swap(i, j int) {
 
 // randomLists draws m edges over n nodes into parts lists, with weights in
 // [1, maxW]; hub > 0 routes that share of the edges through node 0, so one
-// row is far longer than insertionMax and unsorted.
-func randomLists(r *rng.RNG, n, m, parts int, hub float64, maxW int) []EdgeList {
+// row is far longer than insertionMax and unsorted. dropWeights 1 leaves
+// every list without weights, 2 every second one.
+func randomLists(r *rng.RNG, n, m, parts int, hub float64, maxW, dropWeights int) []EdgeList {
 	lists := make([]EdgeList, parts)
 	for e := 0; e < m; e++ {
 		u, v := int32(r.Intn(n)), int32(r.Intn(n))
@@ -86,6 +92,11 @@ func randomLists(r *rng.RNG, n, m, parts int, hub float64, maxW int) []EdgeList 
 		}
 		l := &lists[r.Intn(parts)]
 		l.U, l.V, l.W = append(l.U, u), append(l.V, v), append(l.W, int64(1+r.Intn(maxW)))
+	}
+	for i := range lists {
+		if dropWeights == 1 || dropWeights == 2 && i%2 == 1 {
+			lists[i].W = nil
+		}
 	}
 	return lists
 }
@@ -125,14 +136,18 @@ func TestFromEdgeListsMatchesReference(t *testing.T) {
 		n     int
 		lists []EdgeList
 	}{
-		"empty":           {5, nil},
-		"no nodes":        {0, []EdgeList{{}}},
-		"sparse":          {200, randomLists(r, 200, 300, 1, 0, 9)},
-		"unit":            {200, randomLists(r, 200, 30, 2, 0, 1)},
-		"merged units":    {12, randomLists(r, 12, 400, 3, 0, 1)},
-		"parallel edges":  {12, randomLists(r, 12, 400, 3, 0, 9)},
-		"long hub row":    {300, randomLists(r, 300, 2000, 2, 0.3, 9)},
-		"only self loops": {3, []EdgeList{{U: []int32{1, 2}, V: []int32{1, 2}, W: []int64{4, 5}}}},
+		"empty":            {5, nil},
+		"no nodes":         {0, []EdgeList{{}}},
+		"sparse":           {200, randomLists(r, 200, 300, 1, 0, 9, 0)},
+		"unit":             {200, randomLists(r, 200, 30, 2, 0, 1, 0)},
+		"merged units":     {12, randomLists(r, 12, 400, 3, 0, 1, 0)},
+		"parallel edges":   {12, randomLists(r, 12, 400, 3, 0, 9, 0)},
+		"long hub row":     {300, randomLists(r, 300, 2000, 2, 0.3, 9, 0)},
+		"only self loops":  {3, []EdgeList{{U: []int32{1, 2}, V: []int32{1, 2}, W: []int64{4, 5}}}},
+		"nil weights":      {200, randomLists(r, 200, 30, 2, 0, 1, 1)},
+		"nil hub row":      {300, randomLists(r, 300, 600, 1, 0.3, 1, 1)},
+		"nil and weighted": {40, randomLists(r, 40, 300, 3, 0, 9, 2)},
+		"nil duplicates":   {3, []EdgeList{{U: []int32{0, 1, 2, 0}, V: []int32{1, 0, 2, 2}}}},
 		"sorted input": {40, func() []EdgeList {
 			var l EdgeList
 			for u := int32(0); u < 40; u++ {
@@ -162,14 +177,19 @@ func TestFromEdgeListsMatchesReference(t *testing.T) {
 // FuzzFromEdgeListsMatchesReference draws edge lists from the fuzz input —
 // self loops, parallel edges within and across lists, empty rows, a hub row
 // longer than insertionMax — and builds them over one range and over several,
-// the half-edge floor out of the way, with unit weights for even seeds: every
-// count must produce the graph FromCSR makes of the reference build's arrays.
+// the half-edge floor out of the way, with unit weights for even seeds, and,
+// by the seed's next bits, with every list's weights nil or every second
+// one's (nil-weight parallel edges merge to 2): every count must produce the
+// graph FromCSR makes of the reference build's arrays.
 func FuzzFromEdgeListsMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(200), uint8(2), uint8(0))
 	f.Add(uint64(2), uint16(5), uint16(300), uint8(3), uint8(0))
 	f.Add(uint64(3), uint16(120), uint16(900), uint8(1), uint8(80))
 	f.Add(uint64(4), uint16(0), uint16(0), uint8(1), uint8(0))
 	f.Add(uint64(5), uint16(300), uint16(10), uint8(4), uint8(0))
+	f.Add(uint64(2), uint16(200), uint16(30), uint8(1), uint8(0))   // nil weights, no parallel edge
+	f.Add(uint64(8), uint16(12), uint16(400), uint8(3), uint8(0))   // nil weights merging to 2 and more
+	f.Add(uint64(11), uint16(40), uint16(300), uint8(3), uint8(40)) // nil and weighted lists
 	f.Fuzz(func(t *testing.T, seed uint64, n, m uint16, parts, hub uint8) {
 		nodes, edges := int(n%512), int(m%4096)
 		if nodes == 0 {
@@ -177,7 +197,7 @@ func FuzzFromEdgeListsMatchesReference(f *testing.F) {
 		}
 		lists := make([]EdgeList, 1+parts%4)
 		if edges > 0 {
-			lists = randomLists(rng.New(seed), nodes, edges, len(lists), float64(hub)/255, 1+8*int(seed%2))
+			lists = randomLists(rng.New(seed), nodes, edges, len(lists), float64(hub)/255, 1+8*int(seed%2), int(seed/2%3))
 		}
 		nwgt := make([]int64, nodes)
 		for i := range nwgt {
@@ -201,7 +221,7 @@ func TestFromEdgeListsRejectsOutOfRange(t *testing.T) {
 		"negative id":     {make([]int64, 2), EdgeList{U: []int32{-1}, V: []int32{0}, W: []int64{1}}, 1, -1},
 		"id past the end": {make([]int64, 2), EdgeList{U: []int32{0}, V: []int32{2}, W: []int64{1}}, 1, -1},
 		"short targets":   {make([]int64, 2), EdgeList{U: []int32{0, 1}, V: []int32{1}, W: []int64{1, 1}}, 1, -1},
-		"short weights":   {make([]int64, 2), EdgeList{U: []int32{0}, V: []int32{1}}, 1, -1},
+		"short weights":   {make([]int64, 2), EdgeList{U: []int32{0}, V: []int32{1}, W: []int64{}}, 1, -1},
 		"zero weight":     {make([]int64, 2), EdgeList{U: []int32{0}, V: []int32{1}, W: []int64{0}}, 1, -1},
 		"node weight":     {[]int64{1, -1}, EdgeList{}, -1, 1},
 		"merged weight":   {make([]int64, 2), EdgeList{U: []int32{0, 1}, V: []int32{1, 0}, W: []int64{math.MaxInt64, 1}}, -1, -1},

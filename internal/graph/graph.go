@@ -428,10 +428,12 @@ func (g *Graph) Validate() error {
 // are merged by summing their weights; self loops are dropped. Builders are
 // not safe for concurrent use.
 type Builder struct {
-	n       int
-	nwgt    []int64
-	us      []int32
-	vs      []int32
+	n    int
+	nwgt []int64
+	us   []int32
+	vs   []int32
+	// ws stays nil while every weight added is 1; the first other weight
+	// back-fills it with ones.
 	ws      []int64
 	coord   bool
 	x, y, z []float64
@@ -486,9 +488,17 @@ func (b *Builder) AddEdge(u, v int32, w int64) {
 	if w <= 0 {
 		panic("graph: edge weight must be positive")
 	}
+	if w != 1 && b.ws == nil {
+		b.ws = make([]int64, len(b.us), cap(b.us))
+		for i := range b.ws {
+			b.ws[i] = 1
+		}
+	}
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
-	b.ws = append(b.ws, w)
+	if b.ws != nil {
+		b.ws = append(b.ws, w)
+	}
 }
 
 // Build produces the graph. The builder can not be reused afterwards.

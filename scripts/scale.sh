@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # scale.sh measures the partitioner past the benchmark's 32 Ki-node
-# instances: it writes rgg:16…18 and rmat:14…16 once, as binary graph files
-# (gengraph -format bin) in a temporary directory, then partitions each with
-# `kappa -in` (k = 16, seed 1, KaPPa-Fast, shared coarsening) and prints one
-# row per instance: the time per edge of each phase — reading the file
-# (process wall time less the run's total, so it includes start-up), the
-# coarsening, initial partitioning and refinement, and the whole process —
-# the process's peak RSS (getrusage) and the cut. `make scale` runs it; it is
-# not part of `make check`.
+# instances, up to a million nodes: it writes rgg:16…20 and rmat:14…17 once,
+# as binary graph files (gengraph -format bin) in a temporary directory, then
+# partitions each with `kappa -in` (k = 16, seed 1, KaPPa-Fast, shared
+# coarsening) and prints one row per instance: the time per edge of each
+# phase — reading the file (process wall time less the run's total, so it
+# includes start-up), the coarsening, initial partitioning and refinement,
+# and the whole process — the process's peak RSS (getrusage) and the cut.
+# `make scale` runs it; it is not part of `make check`.
 set -euo pipefail
 GO=${GO:-go}
 tmp=$(mktemp -d)
@@ -15,8 +15,8 @@ trap 'rm -rf "$tmp"' EXIT
 "$GO" build -o "$tmp/kappa" ./cmd/kappa
 "$GO" build -o "$tmp/gengraph" ./cmd/gengraph
 instances=()
-for s in 16 17 18; do instances+=("rgg $s"); done
-for s in 14 15 16; do instances+=("rmat $s"); done
+for s in 16 17 18 19 20; do instances+=("rgg $s"); done
+for s in 14 15 16 17; do instances+=("rmat $s"); done
 for inst in "${instances[@]}"; do
 	set -- $inst
 	"$tmp/gengraph" -type "$1" -scale "$2" -format bin -o "$tmp/$1$2.bgraph" 2>/dev/null

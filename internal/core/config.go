@@ -52,8 +52,8 @@ func (m CoarsenMode) String() string {
 	}
 }
 
-// ParseCoarsenMode parses a flag-level coarsening mode, case-insensitively.
-func ParseCoarsenMode(name string) (CoarsenMode, error) {
+// parseCoarsenMode parses a flag-level coarsening mode, case-insensitively.
+func parseCoarsenMode(name string) (CoarsenMode, error) {
 	switch strings.ToLower(name) {
 	case "shared", "":
 		return CoarsenShared, nil
@@ -209,7 +209,7 @@ func NewConfig(v Variant, k int) Config {
 // It is the one path from flags (kappa, kappa serve) and JSON job specs
 // (kappa api) to a Config, so the byte-identity between those entry points
 // cannot drift. preset, distribution and coarsen are the flag-level names
-// ParseVariant, dist.ParseStrategy and ParseCoarsenMode accept; the numbers
+// ParseVariant, dist.ParseStrategy and parseCoarsenMode accept; the numbers
 // are taken as given (pes 0 = k, workers 0 = GOMAXPROCS). Every error wraps
 // ErrInvalidConfig.
 func ConfigFromNames(preset string, k int, eps float64, seed uint64, pes, workers int, distribution, coarsen string) (Config, error) {
@@ -220,7 +220,7 @@ func ConfigFromNames(preset string, k int, eps float64, seed uint64, pes, worker
 	c := NewConfig(v, k)
 	c.Eps, c.Seed, c.PEs, c.Workers = eps, seed, pes, workers
 	if c.Distribution, err = dist.ParseStrategy(distribution); err == nil {
-		c.Coarsen, err = ParseCoarsenMode(coarsen)
+		c.Coarsen, err = parseCoarsenMode(coarsen)
 	}
 	if err == nil {
 		err = c.Validate()

@@ -146,7 +146,7 @@ type SocketTransport struct {
 var _ Transport = (*SocketTransport)(nil)
 
 // NewSocketTransport returns a SocketTransport for a pes-PE system speaking
-// codec on every connection; add the locally hosted PEs with AddPE or Dial.
+// codec on every connection; add the locally hosted PEs with addPE or Dial.
 func NewSocketTransport(pes int, codec BatchCodec) *SocketTransport {
 	return &SocketTransport{pes: pes, codec: codec, conns: make(map[int]*socketPE)}
 }
@@ -169,11 +169,11 @@ func (t *SocketTransport) SetIODeadline(d time.Duration) { t.deadline = d }
 
 // SetFaults attaches a fault-injection schedule: every connection added
 // after this call is wrapped per its "pe<N>" label (see FaultSchedule). Nil
-// or empty schedules leave connections unwrapped. Call before AddPE/Dial.
+// or empty schedules leave connections unwrapped. Call before addPE/Dial.
 func (t *SocketTransport) SetFaults(s *FaultSchedule) { t.faults = s }
 
-// AddPE attaches conn as local PE pe's connection and sends the hello frame.
-func (t *SocketTransport) AddPE(pe int, conn net.Conn) error {
+// addPE attaches conn as local PE pe's connection and sends the hello frame.
+func (t *SocketTransport) addPE(pe int, conn net.Conn) error {
 	if pe < 0 || pe >= t.pes {
 		return fmt.Errorf("dist: PE %d out of range [0, %d)", pe, t.pes)
 	}
@@ -200,7 +200,7 @@ func (t *SocketTransport) Dial(network, addr string, pe int) error {
 	if err != nil {
 		return err
 	}
-	if err := t.AddPE(pe, conn); err != nil {
+	if err := t.addPE(pe, conn); err != nil {
 		conn.Close()
 		return err
 	}

@@ -26,45 +26,45 @@ func DelaunayX(scale int, seed uint64) *graph.Graph {
 // irrelevant for benchmark-graph generation.
 func Delaunay(pts []Point, seed uint64) *graph.Graph {
 	n := len(pts)
-	b := graph.NewBuilder(n)
-	for v, p := range pts {
-		b.SetCoord(int32(v), p.X, p.Y)
-	}
+	// lo<<32|hi per edge of every alive triangle, as RMAT collects them: the
+	// 2n+1 triangles over the points and the super-triangle give at most
+	// three each.
+	keys := make([]uint64, 0, 3*(2*n+1))
 	if n < 3 {
 		for v := 1; v < n; v++ {
-			b.AddEdge(int32(v-1), int32(v), 1)
+			keys = append(keys, uint64(v-1)<<32|uint64(v))
 		}
-		return b.Build()
+	} else {
+		d := newTriangulator(pts)
+		for _, v := range spatialOrder(pts) {
+			d.insert(v)
+		}
+		for ti := range d.tris {
+			t := &d.tris[ti]
+			if !t.alive {
+				continue
+			}
+			for i := 0; i < 3; i++ {
+				u, v := t.v[i], t.v[(i+1)%3]
+				if u >= int32(n) || v >= int32(n) {
+					continue // super-triangle vertex
+				}
+				keys = append(keys, uint64(min(u, v))<<32|uint64(max(u, v)))
+			}
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
 	}
-
-	d := newTriangulator(pts)
-	for _, v := range spatialOrder(pts) {
-		d.insert(v)
-	}
-
-	seen := make(map[uint64]bool)
-	for ti := range d.tris {
-		t := &d.tris[ti]
-		if !t.alive {
-			continue
+	g := fromSortedPairs(n, keys)
+	if n > 0 {
+		x, y := make([]float64, n), make([]float64, n)
+		for v, p := range pts {
+			x[v], y[v] = p.X, p.Y
 		}
-		for i := 0; i < 3; i++ {
-			u, v := t.v[i], t.v[(i+1)%3]
-			if u >= int32(n) || v >= int32(n) {
-				continue // super-triangle vertex
-			}
-			if u > v {
-				u, v = v, u
-			}
-			key := uint64(u)<<32 | uint64(uint32(v))
-			if !seen[key] {
-				seen[key] = true
-				b.AddEdge(u, v, 1)
-			}
-		}
+		g.SetCoords(x, y)
 	}
 	_ = seed
-	return b.Build()
+	return g
 }
 
 // spatialOrder returns the insertion order: points sorted along a serpentine

@@ -3,9 +3,11 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/rng"
 )
 
@@ -60,7 +62,8 @@ func referenceGeometricGraph(pts []Point, radius float64) *graph.Graph {
 }
 
 // referenceRMAT is RMAT as it was before the sorted key set: a map
-// deduplicates the pairs, a graph.Builder builds them.
+// deduplicates the pairs, a graph.Builder builds them, and the largest
+// component is referenceLargestComponent's, through a Builder too.
 func referenceRMAT(scale, edgeFactor int, seed uint64) *graph.Graph {
 	n := 1 << scale
 	r := rng.New(seed)
@@ -97,9 +100,33 @@ func referenceRMAT(scale, edgeFactor int, seed uint64) *graph.Graph {
 		seen[key] = true
 		b.AddEdge(int32(u), int32(v), 1)
 	}
-	g := b.Build()
-	lc, _ := g.LargestComponent()
+	lc, _ := referenceLargestComponent(b.Build())
 	return lc
+}
+
+// referenceLargestComponent is LargestComponent through graphtest's
+// InducedSubgraph, which builds through a graph.Builder: the component with
+// the most nodes, the first of equals, or g itself when it is connected.
+func referenceLargestComponent(g *graph.Graph) (*graph.Graph, []int32) {
+	comp, nc := g.ConnectedComponents()
+	if nc <= 1 {
+		return g, nil
+	}
+	size := make([]int, nc)
+	for _, c := range comp {
+		size[c]++
+	}
+	best := 0
+	for c := range size {
+		if size[c] > size[best] {
+			best = c
+		}
+	}
+	keep := make([]bool, len(comp))
+	for v, c := range comp {
+		keep[v] = int(c) == best
+	}
+	return graphtest.InducedSubgraph(g, keep)
 }
 
 // checkGeometric builds pts at radius on one, two and three ranges and holds
@@ -216,6 +243,80 @@ func TestRMATMatchesReference(t *testing.T) {
 			if d := graph.Diff(RMAT(scale, 10, seed), referenceRMAT(scale, 10, seed)); d != "" {
 				t.Fatalf("scale %d seed %d: %s", scale, seed, d)
 			}
+		}
+	}
+}
+
+// TestLargestComponentMatchesReference holds LargestComponent, node ids and
+// coordinates bit for bit, to referenceLargestComponent, which builds the
+// component through a graph.Builder: on geometric graphs whose radius leaves many components
+// (unit weights, 2D coordinates) and on a random graph with weights and 3D
+// coordinates.
+func TestLargestComponentMatchesReference(t *testing.T) {
+	r := rng.New(5)
+	var cases []*graph.Graph
+	for _, scale := range []int{4, 8, 11} {
+		n := 1 << scale
+		cases = append(cases, GeometricGraph(UniformPoints(n, r), 0.4*math.Sqrt(math.Log(float64(n))/float64(n))))
+	}
+	b := graph.NewBuilder(300)
+	for v := int32(0); v < 300; v++ {
+		b.SetCoord3(v, r.Float64(), r.Float64(), r.Float64())
+		b.SetNodeWeight(v, int64(1+r.Intn(5)))
+	}
+	for e := 0; e < 200; e++ {
+		b.AddEdge(int32(r.Intn(300)), int32(r.Intn(300)), int64(1+r.Intn(9)))
+	}
+	cases = append(cases, b.Build())
+	for i, g := range cases {
+		if g.IsConnected() {
+			t.Fatalf("case %d is connected; the test wants components to drop", i)
+		}
+		got, gotIDs := g.LargestComponent()
+		want, wantIDs := referenceLargestComponent(g)
+		if d := graph.Diff(got, want); d != "" || !slices.Equal(gotIDs, wantIDs) {
+			t.Fatalf("case %d (%d nodes): %s; ids equal %v", i, g.NumNodes(), d, slices.Equal(gotIDs, wantIDs))
+		}
+	}
+}
+
+// referenceDelaunay is Delaunay as it was before the sorted key set: the
+// same triangulation, its edges deduplicated by a map and built through a
+// graph.Builder with the coordinates.
+func referenceDelaunay(pts []Point) *graph.Graph {
+	n := len(pts)
+	b := graph.NewBuilder(n)
+	for v, p := range pts {
+		b.SetCoord(int32(v), p.X, p.Y)
+	}
+	if n < 3 {
+		for v := 1; v < n; v++ {
+			b.AddEdge(int32(v-1), int32(v), 1)
+		}
+		return b.Build()
+	}
+	d := newTriangulator(pts)
+	for _, v := range spatialOrder(pts) {
+		d.insert(v)
+	}
+	seen := make(map[uint64]bool)
+	for _, t := range d.tris {
+		for i := 0; t.alive && i < 3; i++ {
+			u, v := min(t.v[i], t.v[(i+1)%3]), max(t.v[i], t.v[(i+1)%3])
+			if key := uint64(u)<<32 | uint64(v); v < int32(n) && !seen[key] {
+				seen[key] = true
+				b.AddEdge(u, v, 1)
+			}
+		}
+	}
+	return b.Build()
+}
+
+func TestDelaunayMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 10, 1000, 5000} {
+		pts := UniformPoints(n, rng.New(uint64(n)))
+		if d := graph.Diff(Delaunay(pts, 1), referenceDelaunay(pts)); d != "" {
+			t.Fatalf("n=%d: %s", n, d)
 		}
 	}
 }

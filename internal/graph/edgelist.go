@@ -25,43 +25,39 @@ type EdgeList struct {
 // it replaces cost tens.
 const parallelHalfEdges = 1 << 13
 
-// edgeListHalfEdges is FromEdgeLists' own floor. Each of its ranges scans
+// edgeListHalfEdges is FromEdgeList's own floor. Each of its ranges scans
 // all the edges and writes only its own rows, so a second range doubles the
 // scanning: with goroutines started per call (par.Spawn), two ranges did not
 // beat one up to 32 k half-edges on the reference box (EXPERIMENTS.md "PR
 // 31"), and won from 66 k on (2.1 → 1.6 ms; "PR 24").
 const edgeListHalfEdges = 1 << 16
 
-// FromEdgeLists builds the graph on len(nwgt) nodes whose edges are the
-// union of the lists: every edge is stored in both directions, adjacency
-// rows come out strictly ascending, parallel edges (within or across lists)
-// merge by summing their weights, and self loops are dropped. nwgt is
-// adopted; merged weights that are all 1 make a unit graph. This is the one "edge list → sorted, merged CSR" kernel, the end
-// of Builder.Build. The edges are counted, scattered into arrays sized by
-// that count and row-merged in place, so nothing grows; above
-// edgeListHalfEdges the three passes run over node ranges on up to GOMAXPROCS
-// goroutines, and the graph is the same for any number of them. When every
-// list has nil weights no weight array is scattered: the rows are sorted
+// FromEdgeList builds the graph on len(nwgt) nodes whose edges are l's:
+// every edge is stored in both directions, adjacency rows come out strictly
+// ascending, parallel edges merge by summing their weights, and self loops
+// are dropped. nwgt is adopted; merged weights that are all 1 make a unit
+// graph. This is the one "edge list → sorted, merged CSR" kernel, behind
+// Builder.Build and graphio.ReadMETIS. The edges are counted, scattered into
+// arrays sized by that count and row-merged in place, so nothing grows;
+// above edgeListHalfEdges the three passes run over node ranges on up to
+// GOMAXPROCS goroutines, and the graph is the same for any number of them.
+// When l has nil weights no weight array is scattered: the rows are sorted
 // alone, and only a parallel edge among them makes the kernel write ones and
 // merge.
 //
 // The passes validate what they touch, once, and the totals a graph carries
 // are summed on the way, so the arrays are adopted without another walk: an
-// endpoint outside [0, n), lists of unequal lengths (a nil W aside), an edge
+// endpoint outside [0, n), arrays of unequal lengths (a nil W aside), an edge
 // weight that is not positive — given or, by overflow, merged — and a
-// negative node weight are errors, each an *InputError.
-func FromEdgeLists(nwgt []int64, lists []EdgeList) (*Graph, error) {
-	half := 0
-	for _, l := range lists {
-		half += 2 * len(l.U)
-	}
-	return fromEdgeLists(nwgt, lists, BuildRanges(half))
+// negative node weight are errors.
+func FromEdgeList(nwgt []int64, l EdgeList) (*Graph, error) {
+	return fromEdgeList(nwgt, l, BuildRanges(2*len(l.U)))
 }
 
 // BuildRanges is how many node ranges a constructor of an input graph,
 // which builds outside any run and starts a goroutine per range (par.Spawn),
 // splits work on half half-edges into: one below edgeListHalfEdges, else up
-// to GOMAXPROCS with at least half the floor each. FromEdgeLists and the
+// to GOMAXPROCS with at least half the floor each. FromEdgeList and the
 // geometric generator (gen.GeometricGraph) are sized by it.
 func BuildRanges(half int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), half/(edgeListHalfEdges/2)))
@@ -82,53 +78,37 @@ func BuildRanges(half int) int {
 // halves run inline), the per-PE extraction of dist.ExtractAllOn, the
 // refinement pairs and the quotient rows. Two fan-outs start a goroutine per
 // task instead: the PEs of a distributed level (see core.DistributedLevel)
-// and the attempts of initial partitioning. FromEdgeLists builds outside any run and starts its ranges'
-// goroutines per call (par.Spawn).
+// and the attempts of initial partitioning. FromEdgeList builds outside any
+// run and starts its ranges' goroutines per call (par.Spawn).
 func ParallelRanges(run *par.Crew, half int) int {
 	return max(1, min(run.Members(), half/(parallelHalfEdges/2)))
 }
 
-// InputError is an input FromEdgeLists refuses, and where it is wrong, for a
-// caller that assembled it from several sources: the index of the edge list
-// at fault or of the node whose weight is, each -1 when it is not that — both
-// when the lists are wrong only merged.
-type InputError struct {
-	List, Node int
-	Err        error
-}
-
-func (e *InputError) Error() string { return "graph: " + e.Err.Error() }
-func (e *InputError) Unwrap() error { return e.Err }
-
-// fromEdgeLists is FromEdgeLists over the given number of node ranges; one
+// fromEdgeList is FromEdgeList over the given number of node ranges; one
 // range is the serial kernel. It builds graphs outside any run, so the ranges
 // run on goroutines of their own (par.Spawn).
-func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) {
+func fromEdgeList(nwgt []int64, l EdgeList, workers int) (*Graph, error) {
 	n := len(nwgt)
 	agg := CSRAggregates{AdjSorted: true} // merged rows ascend strictly
 	for v, w := range nwgt {
 		if w < 0 {
-			return nil, &InputError{-1, v, fmt.Errorf("negative node weight %d", w)}
+			return nil, fmt.Errorf("graph: node %d has negative weight %d", v, w)
 		}
 		agg.TotalNodeWeight += w
 		agg.MaxNodeWeight = max(agg.MaxNodeWeight, w)
 	}
-	unit := true // no list carries weights
-	for li, l := range lists {
-		if len(l.V) != len(l.U) || (l.W != nil && len(l.W) != len(l.U)) {
-			return nil, &InputError{li, -1, fmt.Errorf("edge list %d has %d sources, %d targets, %d weights", li, len(l.U), len(l.V), len(l.W))}
-		}
-		unit = unit && l.W == nil
+	if len(l.V) != len(l.U) || (l.W != nil && len(l.W) != len(l.U)) {
+		return nil, fmt.Errorf("graph: edge list has %d sources, %d targets, %d weights", len(l.U), len(l.V), len(l.W))
 	}
+	unit := l.W == nil
 	// rows[r] is node range r: its bounds, where its first row starts before
-	// anything is merged, what merging it came to, the first list it saw a
-	// weight that is not positive in (-1: none), and, unit, whether a row
-	// holds a neighbour twice.
+	// anything is merged, what merging it came to, whether every weight it
+	// scattered and merged is positive and, unit, whether a row holds a
+	// neighbour twice.
 	rows := make([]struct {
 		lo, hi, start, end int32
 		weight             int64
 		positive, parallel bool
-		badList            int
 	}, max(1, min(workers, n)))
 	workers = len(rows)
 
@@ -140,22 +120,16 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	for r := range rows {
 		rows[r].lo, rows[r].hi = int32(int64(n)*int64(r)/int64(workers)), int32(int64(n)*int64(r+1)/int64(workers))
 	}
-	badList, badEdge := -1, -1
+	bad := -1
 	par.Spawn(workers, func(_, r int) {
-		for li, l := range lists {
-			// Every range scans every edge, so each finds the same first
-			// bad one; range 0 reports it.
-			if i := countEdges(pos, l.U, l.V, rows[r].lo, rows[r].hi); i >= 0 {
-				if r == 0 {
-					badList, badEdge = li, i
-				}
-				return
-			}
+		// Every range scans every edge, so each finds the same first bad
+		// one; range 0 reports it.
+		if i := countEdges(pos, l.U, l.V, rows[r].lo, rows[r].hi); i >= 0 && r == 0 {
+			bad = i
 		}
 	})
-	if badEdge >= 0 {
-		l := lists[badList]
-		return nil, &InputError{badList, -1, fmt.Errorf("edge {%d,%d} out of range [0,%d)", l.U[badEdge], l.V[badEdge], n)}
+	if bad >= 0 {
+		return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", l.U[bad], l.V[bad], n)
 	}
 	for v := 0; v < n; v++ {
 		pos[v+2] += pos[v+1]
@@ -181,15 +155,11 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	}
 	par.Spawn(workers, func(_, r int) {
 		row := &rows[r]
-		row.badList = -1
-		for li, l := range lists {
-			// Every range reads every weight, so each names the same list.
-			if !scatterEdges(pos, adj, ewgt, l, row.lo, row.hi) && row.badList < 0 {
-				row.badList = li
-			}
-		}
+		// Every range reads every weight, so each judges the given ones alike.
+		given := scatterEdges(pos, adj, ewgt, l, row.lo, row.hi)
 		if !unit {
 			merge(0, r)
+			row.positive = row.positive && given
 			return
 		}
 		row.end, row.parallel = sortRows(pos[:n+1], adj, row.lo, row.hi, row.start)
@@ -212,8 +182,8 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	// One ordered slide closes the gaps the merged ranges left between them.
 	half := int32(0)
 	for _, row := range rows {
-		if row.badList >= 0 || !row.positive {
-			return nil, &InputError{row.badList, -1, fmt.Errorf("non-positive edge weight")}
+		if !row.positive {
+			return nil, fmt.Errorf("graph: non-positive edge weight")
 		}
 		agg.TotalEdgeWeight += row.weight
 		if shift := row.start - half; shift > 0 {
@@ -231,7 +201,7 @@ func fromEdgeLists(nwgt []int64, lists []EdgeList, workers int) (*Graph, error) 
 	return fromInput(pos[:n+1], adj[:half:half], ewgt, nwgt, agg), nil
 }
 
-// countEdges adds the half-edges one list gives the rows [lo, hi) to the
+// countEdges adds the half-edges the list gives the rows [lo, hi) to the
 // per-row counts. It returns the index of the first edge with an endpoint
 // outside the graph, or -1.
 //
@@ -257,9 +227,9 @@ func countEdges(pos []int32, us, vs []int32, lo, hi int32) int {
 }
 
 // scatterEdges writes the half-edges l gives the rows [lo, hi) at those
-// rows' cursors, in the order of the list, and their weights, ones for a list
-// without, unless ewgt is nil. It reports whether every weight of the list,
-// self loops aside, is positive.
+// rows' cursors, in the order of the list, and their weights, unless ewgt is
+// nil. It reports whether every weight of the list, self loops aside, is
+// positive.
 //
 //kappa:hotpath
 func scatterEdges(pos []int32, adj []int32, ewgt []int64, l EdgeList, lo, hi int32) (positive bool) {

@@ -11,8 +11,9 @@
 // unweighted file gives — stores no weight per edge: its rows all read their
 // weights from the start of one run of ones as long as its largest degree.
 // AdjWeights hides the difference, without a branch, and only the
-// constructors of input graphs (FromCSR, FromEdgeLists, FromCSRTrusted given
-// nil weights) make one; contracted graphs are weighted.
+// constructors of input graphs (FromCSR, FromEdgeList, FromCSRTrusted given
+// nil weights, Split of a unit graph) make one; contracted graphs are
+// weighted.
 //
 // Graphs may optionally carry 2D or 3D coordinates; the parallel coarsening
 // phase uses them for geometric prepartitioning (recursive coordinate
@@ -365,7 +366,7 @@ type CSRAggregates struct {
 // arrays and knows every total by construction. A loop that has just written
 // or decoded the arrays, checking every entry as it went, has summed the
 // aggregates on the way (the binary graph decoder, shard extraction,
-// FromEdgeLists): FromCSR would make each of its checks a second time. And a
+// FromEdgeList): FromCSR would make each of its checks a second time. And a
 // graph whose arrays are views over a memory-mapped file:
 // the shard store records the aggregates in its manifest at write time, and
 // re-scanning the arrays here would page the whole mapping in — defeating
@@ -505,7 +506,7 @@ func (b *Builder) AddEdge(u, v int32, w int64) {
 //
 //kappa:invariant AddEdge admitted only in-range ids and positive weights; a negative node weight or a weight sum past int64 is the caller's bug
 func (b *Builder) Build() *Graph {
-	g, err := FromEdgeLists(b.nwgt, []EdgeList{{U: b.us, V: b.vs, W: b.ws}})
+	g, err := FromEdgeList(b.nwgt, EdgeList{U: b.us, V: b.vs, W: b.ws})
 	if err != nil {
 		panic(err.Error())
 	}

@@ -159,32 +159,38 @@ func TestLargestComponent(t *testing.T) {
 	}
 }
 
+// TestSubgraphPreservesWeightsAndCoords extracts the largest component
+// {0, 1, 3} of a graph with node weights, edge weights and coordinates, in
+// two and in three dimensions: every one must reach the subgraph.
 func TestSubgraphPreservesWeightsAndCoords(t *testing.T) {
-	b := NewBuilder(4)
-	for v := int32(0); v < 4; v++ {
-		b.SetCoord(v, float64(v), float64(-v))
-		b.SetNodeWeight(v, int64(v+1))
-	}
-	b.AddEdge(0, 1, 5)
-	b.AddEdge(1, 2, 6)
-	b.AddEdge(2, 3, 7)
-	g := b.Build()
-	sub, new2old := g.Subgraph([]bool{true, true, false, true})
-	if sub.NumNodes() != 3 || sub.NumEdges() != 1 {
-		t.Fatalf("sub n=%d m=%d", sub.NumNodes(), sub.NumEdges())
-	}
-	for nv, ov := range new2old {
-		if sub.NodeWeight(int32(nv)) != g.NodeWeight(ov) {
-			t.Fatal("node weight lost")
+	for _, dims := range []int{2, 3} {
+		b := NewBuilder(5)
+		for v := int32(0); v < 5; v++ {
+			if dims == 3 {
+				b.SetCoord3(v, float64(v), float64(-v), float64(2*v))
+			} else {
+				b.SetCoord(v, float64(v), float64(-v))
+			}
+			b.SetNodeWeight(v, int64(v+1))
 		}
-		x, y := sub.Coord(int32(nv))
-		ox, oy := g.Coord(ov)
-		if x != ox || y != oy {
-			t.Fatal("coords lost")
+		b.AddEdge(0, 1, 5)
+		b.AddEdge(1, 3, 7)
+		b.AddEdge(2, 4, 6)
+		g := b.Build()
+		sub, new2old := g.LargestComponent()
+		if sub.NumNodes() != 3 || sub.NumEdges() != 2 || !slices.Equal(new2old, []int32{0, 1, 3}) || sub.CoordDims() != dims {
+			t.Fatalf("%dD: sub n=%d m=%d dims %d, mapping %v", dims, sub.NumNodes(), sub.NumEdges(), sub.CoordDims(), new2old)
 		}
-	}
-	if w := sub.EdgeWeightTo(0, 1); w != 5 {
-		t.Fatalf("edge weight = %d, want 5", w)
+		for nv, ov := range new2old {
+			x, y, z := sub.Coord3(int32(nv))
+			ox, oy, oz := g.Coord3(ov)
+			if sub.NodeWeight(int32(nv)) != g.NodeWeight(ov) || x != ox || y != oy || z != oz {
+				t.Fatalf("%dD: node %d lost its weight or coordinates", dims, nv)
+			}
+		}
+		if sub.EdgeWeightTo(0, 1) != 5 || sub.EdgeWeightTo(1, 2) != 7 {
+			t.Fatalf("%dD: edge weights %d, %d, want 5, 7", dims, sub.EdgeWeightTo(0, 1), sub.EdgeWeightTo(1, 2))
+		}
 	}
 }
 

@@ -1,0 +1,41 @@
+// Package graphtest holds what the tests of several packages share about
+// graphs: the plain induced-subgraph builder that the one-pass split is held
+// to. Nothing outside tests imports it.
+package graphtest
+
+import "repro/internal/graph"
+
+// InducedSubgraph is the subgraph the nodes with keep[v] induce on g, built
+// the plain way — every kept edge once through a graph.Builder — with its
+// coordinates and the new→old node id mapping. It is the oracle of
+// graph.Graph.Split and of LargestComponent, which the tests that hold them
+// to it compose from ConnectedComponents.
+func InducedSubgraph(g *graph.Graph, keep []bool) (*graph.Graph, []int32) {
+	old2new := make([]int32, g.NumNodes())
+	var new2old []int32
+	for v, k := range keep {
+		if k {
+			old2new[v] = int32(len(new2old))
+			new2old = append(new2old, int32(v))
+		}
+	}
+	b := graph.NewBuilder(len(new2old))
+	for nv, ov := range new2old {
+		b.SetNodeWeight(int32(nv), g.NodeWeight(ov))
+		switch g.CoordDims() {
+		case 2:
+			x, y := g.Coord(ov)
+			b.SetCoord(int32(nv), x, y)
+		case 3:
+			x, y, z := g.Coord3(ov)
+			b.SetCoord3(int32(nv), x, y, z)
+		}
+		ws := g.AdjWeights(ov)
+		for i, ou := range g.Adj(ov) {
+			if ou > ov && keep[ou] { // each undirected edge once
+				b.AddEdge(int32(nv), old2new[ou], ws[i])
+			}
+		}
+	}
+	return b.Build(), new2old
+}

@@ -114,7 +114,7 @@ func TestWeightedDegreesAboveFloorOnCrew(t *testing.T) {
 		for i := range w {
 			w[i] = 1
 		}
-		g, err := FromEdgeLists(w, []EdgeList{l})
+		g, err := FromEdgeList(w, l)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ func FuzzReadMETIS(f *testing.F) {
 	f.Add("2 1 11\n4 2 5\n1 1 5\n")
 	f.Add("3 1\n3\n\n1\n")
 	f.Add("1 0\n\n")
+	f.Add("2 1 1\n2 9223372036854775807 2 9223372036854775807\n1 9223372036854775807 1 9223372036854775807\n") // parallel weights overflowing when merged
 	var seed bytes.Buffer
 	if err := WriteMETIS(&seed, gen.Grid2D(5, 4)); err != nil {
 		f.Fatal(err)

@@ -76,10 +76,10 @@ func ParseFormat(name string) (Format, error) {
 	}
 }
 
-// FormatForPath picks the format conventionally associated with a file name:
+// formatForPath picks the format conventionally associated with a file name:
 // ".bgraph" and ".bin" mean binary, everything else (".graph", ".metis", no
 // extension) means METIS.
-func FormatForPath(path string) Format {
+func formatForPath(path string) Format {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".bgraph", ".bin":
 		return FormatBinary
@@ -138,10 +138,10 @@ func ReadFile(path string) (*graph.Graph, error) {
 }
 
 // WriteFile writes a graph file. FormatAuto picks the format from the
-// extension (FormatForPath).
+// extension (formatForPath).
 func WriteFile(path string, g *graph.Graph, format Format) error {
 	if format == FormatAuto {
-		format = FormatForPath(path)
+		format = formatForPath(path)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -212,23 +212,26 @@ func TestMETISIsolatedNode(t *testing.T) {
 	}
 }
 
+// TestMETISErrors pins what ReadMETIS refuses, each with an error that
+// names what is wrong.
 func TestMETISErrors(t *testing.T) {
-	cases := []string{
-		"",                   // empty
-		"x y\n",              // bad header
-		"2 1\n2\n",           // missing line for node 2
-		"2 5\n2\n1\n",        // wrong edge count
-		"2 1 7\n2\n1\n",      // unknown format code
-		"2 1\n9\n1\n",        // neighbor out of range
-		"2 1 1\n2\n1 2\n",    // missing edge weight on first line
-		"2 1 1\n2 0\n1 0\n",  // non-positive edge weight
-		"2 1 10\n-1 2\n1\n",  // negative node weight
-		"-1 0\n",             // negative node count
-		"99999999999999 0\n", // absurd node count
-	}
-	for _, in := range cases {
-		if _, err := ReadMETIS(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadMETIS accepted %q", in)
+	for _, tc := range []struct{ in, want string }{
+		{"", "missing header"},
+		{"x y\n", "bad header"},
+		{"2 1\n2\n", "missing line for node 2"},
+		{"2 5\n2\n1\n", "header declares 5 edges"},
+		{"2 1 7\n2\n1\n", "unsupported format code"},
+		{"2 1\n9\n1\n", "neighbor 9 out of range"},
+		{"2 1 1\n2\n1 2\n", "missing edge weight"},
+		{"2 1 1\n2 0\n1 0\n", "non-positive edge weight 0"},
+		{"2 1 10\n-1 2\n1\n", "negative weight"},
+		{"-1 0\n", "node count -1 out of range"},
+		{"99999999999999 0\n", "node count 99999999999999 out of range"},
+		// Parallel edges whose weights overflow int64 when merged.
+		{"2 1 1\n2 9223372036854775807 2 9223372036854775807\n1 9223372036854775807 1 9223372036854775807\n", "non-positive edge weight"},
+	} {
+		if _, err := ReadMETIS(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadMETIS(%q) = %v, want an error naming %q", tc.in, err, tc.want)
 		}
 	}
 }

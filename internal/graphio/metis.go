@@ -15,6 +15,10 @@ const maxNodes = 1<<31 - 2
 // maxEdges bounds the undirected edge count: 2m offsets must fit in int32.
 const maxEdges = 1 << 30
 
+// metisPresize caps the edges ReadMETIS reserves room for from its header:
+// 4 MB of edge arrays with weights; a larger graph grows them by append.
+const metisPresize = 1 << 18
+
 // WriteMETIS writes the graph in the METIS/Chaco graph file format used by
 // the partitioning community (and by the Walshaw archive): a header line
 // "n m fmt" followed by one line per node listing its neighbors 1-indexed.
@@ -232,7 +236,7 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 	if m < 0 || m > maxEdges {
 		return nil, fmt.Errorf("graphio: edge count %d out of range [0, %d]", m, maxEdges)
 	}
-	// Budget check before the builder's n-proportional allocation: a
+	// Budget check before the n-proportional allocations below: a
 	// one-line header must not command gigabytes.
 	if err := checkNodeBudget(uint64(n)); err != nil {
 		return nil, err
@@ -262,7 +266,18 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 
-	b := graph.NewBuilder(int(n))
+	// Each undirected edge is kept once, from its lower end, in arrays
+	// presized from the declared m but by no more than metisPresize edges: a
+	// short header cannot reserve more than a few MB before its lines exist.
+	nwgt := make([]int64, n)
+	for v := range nwgt {
+		nwgt[v] = 1
+	}
+	var l graph.EdgeList
+	l.U, l.V = make([]int32, 0, min(m, metisPresize)), make([]int32, 0, min(m, metisPresize))
+	if hasEW {
+		l.W = make([]int64, 0, min(m, metisPresize))
+	}
 	for v := int64(0); v < n; v++ {
 		if err := mr.skipComments(); err != nil {
 			return nil, fmt.Errorf("graphio: missing line for node %d: %w", v+1, unexpectEOF(err))
@@ -286,14 +301,14 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 				if x < 0 {
 					return nil, fmt.Errorf("graphio: node %d: negative weight %d", v+1, x)
 				}
-				b.SetNodeWeight(int32(v), x)
+				nwgt[v] = x
 				wantNW = false
 			case wantEWFor >= 0:
 				if x <= 0 {
 					return nil, fmt.Errorf("graphio: node %d: non-positive edge weight %d", v+1, x)
 				}
-				if wantEWFor-1 > v { // store each undirected edge once
-					b.AddEdge(int32(v), int32(wantEWFor-1), x)
+				if wantEWFor-1 > v {
+					l.U, l.V, l.W = append(l.U, int32(v)), append(l.V, int32(wantEWFor-1)), append(l.W, x)
 				}
 				wantEWFor = -1
 			default:
@@ -303,7 +318,7 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 				if hasEW {
 					wantEWFor = x
 				} else if x-1 > v {
-					b.AddEdge(int32(v), int32(x-1), 1)
+					l.U, l.V = append(l.U, int32(v)), append(l.V, int32(x-1))
 				}
 			}
 		}
@@ -314,7 +329,12 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 			return nil, fmt.Errorf("graphio: node %d: missing edge weight", v+1)
 		}
 	}
-	g := b.Build()
+	g, err := graph.FromEdgeList(nwgt, l)
+	if err != nil {
+		// Every id and weight was checked on its line: only parallel edges
+		// whose weights overflow when merged get here.
+		return nil, fmt.Errorf("graphio: merging parallel edges: %w", err)
+	}
 	if int64(g.NumEdges()) != m {
 		return nil, fmt.Errorf("graphio: header declares %d edges, parsed %d", m, g.NumEdges())
 	}

@@ -142,7 +142,7 @@ func Repeat(g *graph.Graph, k int, eps float64, engine Engine, repeats int, seed
 // temporary of matching, contraction, growing, projection and splitting
 // (a bisection's arrays are no larger than its parent's, so the first one
 // sizes them all), the FM workspace with its one-shot boundary index, the
-// growing queue and the row sorter of split.
+// growing queue and the row sorter of graph.Graph.Split.
 type bisector struct {
 	params engineParams
 	eps    float64
@@ -170,77 +170,22 @@ func (s *bisector) recursiveBisect(sub *graph.Graph, new2old []int32, k int, off
 	targetA := sub.TotalNodeWeight() * int64(k1) / int64(k)
 	side := s.multilevelBisect(sub, targetA)
 	ensureMinCounts(sub, side, k1, k-k1)
-	old := s.a.Int32(sub.NumNodes())
-	subA, subB := s.split(sub, side, new2old, old)
-	s.a.PutBytes(side)
+	old, local := s.a.Int32(sub.NumNodes()), s.a.Int32(sub.NumNodes())
+	subA, subB := sub.Split(side, local, &s.rows)
+	// old lists the original ids of side 0's nodes, then side 1's.
 	nA := subA.NumNodes()
+	for v, sd := range side {
+		at := local[v]
+		if sd == 1 {
+			at += int32(nA)
+		}
+		old[at] = new2old[v]
+	}
+	s.a.PutInt32(local)
+	s.a.PutBytes(side)
 	s.recursiveBisect(subA, old[:nA], k1, offset, out)
 	s.recursiveBisect(subB, old[nA:], k-k1, offset+int32(k1), out)
 	s.a.PutInt32(old)
-}
-
-// split extracts the two subgraphs the sides of a bisection induce on g in
-// one pass over g's adjacency, straight into CSR arrays sized by the sides'
-// degree sums (the cut's half-edges are the slack). old receives the
-// original ids of side 0's nodes, then side 1's, each in node order. Rows
-// come out ascending, as a graph.Builder would leave them: renumbering is
-// monotone within a side, so the rows of a g that has them sorted — every
-// g that is itself a half — need no sort. Coordinates are not carried;
-// nothing below reads them.
-//
-//kappa:hotpath
-func (s *bisector) split(g *graph.Graph, side []byte, new2old, old []int32) (*graph.Graph, *graph.Graph) {
-	n := int32(g.NumNodes())
-	local := s.a.Int32(int(n))
-	var cnt, deg [2]int
-	for v := int32(0); v < n; v++ {
-		sd := side[v]
-		local[v] = int32(cnt[sd])
-		cnt[sd]++
-		deg[sd] += g.Degree(v)
-	}
-	olds := [2][]int32{old[:cnt[0]], old[cnt[0]:]}
-	var xadj, adj [2][]int32
-	var ewgt, nwgt [2][]int64
-	var agg [2]graph.CSRAggregates
-	for sd := range agg {
-		//kappa:allow hotalloc the CSR arrays persist as the half's graph for the recursion below it
-		xadj[sd], adj[sd] = make([]int32, cnt[sd]+1), make([]int32, deg[sd])
-		//kappa:allow hotalloc the CSR arrays persist as the half's graph for the recursion below it
-		ewgt[sd], nwgt[sd] = make([]int64, deg[sd]), make([]int64, cnt[sd])
-		agg[sd].AdjSorted = true
-	}
-	sorted := g.AdjSorted()
-	for v := int32(0); v < n; v++ {
-		sd, lv := side[v], local[v]
-		olds[sd][lv] = new2old[v]
-		w := g.NodeWeight(v)
-		nwgt[sd][lv] = w
-		agg[sd].TotalNodeWeight += w
-		agg[sd].MaxNodeWeight = max(agg[sd].MaxNodeWeight, w)
-		lo := xadj[sd][lv]
-		next, row, rowW := lo, adj[sd], ewgt[sd]
-		ws := g.AdjWeights(v)
-		for i, u := range g.Adj(v) {
-			if side[u] == sd {
-				row[next], rowW[next] = local[u], ws[i]
-				agg[sd].TotalEdgeWeight += ws[i]
-				next++
-			}
-		}
-		if !sorted {
-			s.rows.Sort(row[lo:next], rowW[lo:next])
-		}
-		xadj[sd][lv+1] = next
-	}
-	s.a.PutInt32(local)
-	var sub [2]*graph.Graph
-	for sd := range sub {
-		m := xadj[sd][cnt[sd]]
-		agg[sd].TotalEdgeWeight /= 2
-		sub[sd] = graph.FromCSRTrusted(xadj[sd], adj[sd][:m:m], ewgt[sd][:m:m], nwgt[sd], agg[sd])
-	}
-	return sub[0], sub[1]
 }
 
 // ensureMinCounts guarantees that side 0 has at least k1 nodes and side 1 at

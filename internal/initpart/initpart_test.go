@@ -1,13 +1,13 @@
 package initpart
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/coarsen"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/matching"
 	"repro/internal/part"
 	"repro/internal/rating"
@@ -163,48 +163,48 @@ func TestGrowBisectionTargets(t *testing.T) {
 	}
 }
 
-// TestSplitMatchesSubgraph checks the one-pass split against what it
-// replaced, two Graph.Subgraph extractions through graph.Builder: the same
-// rows in the same (ascending) order, node weights, aggregates and original
-// ids, on graphs with sorted rows and on a contracted graph, whose rows are
-// in first-encounter order.
+// TestSplitMatchesSubgraph holds graph.Graph.Split, which writes every
+// bisection's two sides, to the plain induced subgraph of graphtest, built
+// through graph.Builder: the same rows in the same (ascending) order, node
+// weights and aggregates, and each node's number in its side, which
+// recursiveBisect maps original ids through. The inputs are unit graphs
+// (rmat, a preferential-attachment graph, one edge), a weighted contracted
+// graph, whose rows are in first-encounter order, and, on every graph, sides
+// that leave one of them empty; none carries coordinates, which Split drops.
+// A unit graph must split into unit graphs.
 func TestSplitMatchesSubgraph(t *testing.T) {
-	rgg := gen.RGG(9, 3)
-	coarse, _ := coarsen.Contract(rgg, matching.ComputeScratch(rgg, rating.NewRater(rating.Weight, rgg), matching.SHEM, rng.New(1), 0, nil))
-	if coarse.AdjSorted() {
-		t.Fatal("the contracted graph has sorted rows; the test wants one that needs the row sort")
+	rmat := gen.RMAT(9, 8, 3)
+	coarse, _ := coarsen.Contract(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.Weight, rmat), matching.SHEM, rng.New(1), 0, nil))
+	if coarse.AdjSorted() || coarse.UnitEdgeWeights() {
+		t.Fatal("the contracted graph has sorted rows or unit weights; the test wants one that needs the weighted row sort")
 	}
 	r := rng.New(8)
-	s := newBisector(EngineScotch.params(), 0.03, 1)
-	for _, g := range []*graph.Graph{rgg, coarse, gen.RMAT(8, 8, 3), gen.Grid2D(1, 2)} {
+	var rows graph.RowSorter
+	for _, g := range []*graph.Graph{rmat, coarse, gen.PrefAttach(300, 3, 5), gen.ErdosRenyi(2, 1, 1)} {
 		n := g.NumNodes()
-		side, new2old := make([]byte, n), make([]int32, n)
-		keep := [2][]bool{make([]bool, n), make([]bool, n)}
-		for v := range side {
-			side[v] = byte(r.Intn(2))
-			new2old[v] = int32(r.Intn(1000))
-			keep[side[v]][v] = true
-		}
-		old := make([]int32, n)
-		subA, subB := s.split(g, side, new2old, old)
-		for sd, got := range []*graph.Graph{subA, subB} {
-			want, ids := g.Subgraph(keep[sd])
-			if err := got.Validate(); err != nil {
-				t.Fatal(err)
+		for _, draw := range []func() byte{func() byte { return byte(r.Intn(2)) }, func() byte { return 0 }, func() byte { return 1 }} {
+			side := make([]byte, n)
+			keep := [2][]bool{make([]bool, n), make([]bool, n)}
+			for v := range side {
+				side[v] = draw()
+				keep[side[v]][v] = true
 			}
-			if got.NumNodes() != want.NumNodes() || got.TotalNodeWeight() != want.TotalNodeWeight() || got.TotalEdgeWeight() != want.TotalEdgeWeight() ||
-				got.MaxNodeWeight() != want.MaxNodeWeight() || got.AdjSorted() != want.AdjSorted() || !slices.Equal(got.NodeWeights(), want.NodeWeights()) {
-				t.Fatalf("n=%d side %d: split graph differs from Subgraph in size, weights or aggregates", n, sd)
-			}
-			for v := int32(0); v < int32(got.NumNodes()); v++ {
-				if !slices.Equal(got.Adj(v), want.Adj(v)) || !slices.Equal(got.AdjWeights(v), want.AdjWeights(v)) {
-					t.Fatalf("n=%d side %d node %d: row %v %v, Subgraph %v %v", n, sd, v, got.Adj(v), got.AdjWeights(v), want.Adj(v), want.AdjWeights(v))
+			local := make([]int32, n)
+			subA, subB := g.Split(side, local, &rows)
+			for sd, got := range []*graph.Graph{subA, subB} {
+				want, ids := graphtest.InducedSubgraph(g, keep[sd])
+				if d := graph.Diff(got, want); d != "" {
+					t.Fatalf("n=%d side %d: split graph differs from the induced subgraph: %s", n, sd, d)
 				}
-				if old[v] != new2old[ids[v]] {
-					t.Fatalf("n=%d side %d node %d: original id %d, want %d", n, sd, v, old[v], new2old[ids[v]])
+				for nv, ov := range ids {
+					if local[ov] != int32(nv) {
+						t.Fatalf("n=%d side %d: node %d numbered %d, want %d", n, sd, ov, local[ov], nv)
+					}
+				}
+				if g.UnitEdgeWeights() && !got.UnitEdgeWeights() {
+					t.Fatalf("n=%d side %d: a unit graph split into a weighted one", n, sd)
 				}
 			}
-			old = old[got.NumNodes():]
 		}
 	}
 }

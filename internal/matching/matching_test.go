@@ -337,7 +337,7 @@ func TestLocalScratchIsTheLocalPhase(t *testing.T) {
 			}
 		}
 	}
-	g, err := graph.FromEdgeLists(nwgt, []graph.EdgeList{edges})
+	g, err := graph.FromEdgeList(nwgt, edges)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestBoundaryIndexAboveFloorMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	weighted, err := graph.FromEdgeLists(nwgt, []graph.EdgeList{edges})
+	weighted, err := graph.FromEdgeList(nwgt, edges)
 	if err != nil {
 		t.Fatal(err)
 	}

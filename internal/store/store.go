@@ -119,9 +119,9 @@ func DecodeShard(data []byte) (*dist.Subgraph, error) {
 	return sg, nil
 }
 
-// LoadShard reads, verifies, and decodes one PE's subgraph, and checks the
+// loadShard reads, verifies, and decodes one PE's subgraph, and checks the
 // decoded shape against the manifest's record.
-func (s *Store) LoadShard(pe int) (*dist.Subgraph, error) {
+func (s *Store) loadShard(pe int) (*dist.Subgraph, error) {
 	data, err := s.ShardBytes(pe)
 	if err != nil {
 		return nil, err
@@ -153,7 +153,7 @@ func (s *Store) LoadShards(workers int) ([]*dist.Subgraph, error) {
 	}
 	out := make([]*dist.Subgraph, pes)
 	err := forEachPE(pes, workers, func(pe int) (err error) {
-		out[pe], err = s.LoadShard(pe)
+		out[pe], err = s.loadShard(pe)
 		return err
 	})
 	if err != nil {
@@ -170,7 +170,7 @@ func (s *Store) Verify() error {
 		return err
 	}
 	for pe := range s.manifest.Shards {
-		if _, err := s.LoadShard(pe); err != nil {
+		if _, err := s.loadShard(pe); err != nil {
 			return err
 		}
 	}

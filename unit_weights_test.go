@@ -42,7 +42,7 @@ func unitSources(t *testing.T, g *graph.Graph) map[string]*graph.Graph {
 		"materialised": graph.FromCSRTrusted(xadj, adj, ones, slices.Clone(g.NodeWeights()), agg),
 	}
 	var err error
-	if srcs["edge lists"], err = graph.FromEdgeLists(slices.Clone(g.NodeWeights()), []graph.EdgeList{l}); err != nil {
+	if srcs["edge lists"], err = graph.FromEdgeList(slices.Clone(g.NodeWeights()), l); err != nil {
 		t.Fatal(err)
 	}
 	if srcs["FromCSR"], err = graph.FromCSR(slices.Clone(xadj), slices.Clone(adj), slices.Clone(ones), nil); err != nil {

@@ -128,9 +128,10 @@ func TestCoarseningModesCutAlike(t *testing.T) {
 }
 
 // TestToolsOrderedByCut wants geometric-mean cuts ordered KaPPa-Fast <
-// kmetis < parmetis over Table 2's rows, as internal/baseline promises of its
-// recipes: the Fast row of Table 2 against the two Metis baselines on the same
-// instances, each over shapeSeeds seeds.
+// kmetis < parmetis over Table 2's rows, within its tolerance, as the
+// internal/baseline package doc states of its recipes: the Fast row of Table
+// 2 against the two Metis baselines on the same instances, each over
+// shapeSeeds seeds.
 //
 // The tolerance comes from ten seeds per row: the per-seed cut's coefficient
 // of variation ranges from 0.002 (social8k) to 0.18 (road12k), so the log

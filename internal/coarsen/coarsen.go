@@ -363,6 +363,16 @@ type Level struct {
 // Hierarchy is the stack of contractions performed during coarsening.
 // Levels[0].Fine is the input graph; Coarsest is the final graph handed to
 // initial partitioning.
+//
+// Each level keeps only what the V-cycle still reads. While coarsening, a
+// level's graph is read whole by the distributor, the matching and the
+// contraction; once the next level is pushed, the pipeline's loop
+// (core.CoarsenWith) drops a coarse level's coordinates and weighted degrees
+// (graph.Graph.DropCoarseningData), which only those passes read, and keeps
+// its CSR, node weights and map for uncoarsening. The input graph and
+// Coarsest keep everything. Uncoarsening climbs one level per Uncoarsen,
+// which forgets the coarse graph and its map as soon as its partition is
+// projected, so after the climb the hierarchy holds the input graph alone.
 type Hierarchy struct {
 	Levels   []Level
 	Coarsest *graph.Graph
@@ -391,18 +401,27 @@ func (h *Hierarchy) Shrinks(coarse *graph.Graph) bool {
 // Depth returns the number of contractions recorded.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 
-// Project lifts a partition of the graph at level li+1 (coarse side of
-// Levels[li]) to the fine side: fine node v gets the block of its coarse
-// image. li == Depth()-1 corresponds to lifting from the Coarsest graph.
-func (h *Hierarchy) Project(li int, coarsePart []int32) []int32 {
-	fine := make([]int32, h.Levels[li].Fine.NumNodes())
+// Finer returns the graph one level finer than Coarsest, the graph the next
+// Uncoarsen projects onto. It panics on a hierarchy of depth 0.
+func (h *Hierarchy) Finer() *graph.Graph { return h.Levels[len(h.Levels)-1].Fine }
+
+// Uncoarsen is one step of uncoarsening: it projects coarsePart, a partition
+// of Coarsest, into fine, a caller-provided slice of Finer().NumNodes() — as
+// ProjectInto writes it — and then forgets Coarsest and its map, so Finer()
+// becomes Coarsest and Depth() falls by one. It returns the new Coarsest.
+func (h *Hierarchy) Uncoarsen(coarsePart, fine []int32) *graph.Graph {
+	li := len(h.Levels) - 1
 	h.ProjectInto(li, coarsePart, fine)
-	return fine
+	h.Coarsest = h.Levels[li].Fine
+	h.Levels[li] = Level{} // the slot past the end must not keep the map alive
+	h.Levels = h.Levels[:li]
+	return h.Coarsest
 }
 
-// ProjectInto is Project writing into a caller-provided slice of length
-// Levels[li].Fine.NumNodes() — the allocation-free variant the refinement
-// phase uses with ping-ponged arena buffers.
+// ProjectInto lifts a partition of the graph at level li+1 (coarse side of
+// Levels[li]; li == Depth()-1 is Coarsest) to the fine side, writing into a
+// caller-provided slice of length Levels[li].Fine.NumNodes(): fine node v
+// gets the block of its coarse image.
 //
 //kappa:invariant the pipeline sizes the ping-pong buffers from the hierarchy itself
 //kappa:hotpath

@@ -1,8 +1,11 @@
 package coarsen
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -131,6 +134,11 @@ func TestContractCoords(t *testing.T) {
 	}
 }
 
+// TestHierarchyProjection climbs a hierarchy one Uncoarsen at a time.
+// Each step must write what ProjectInto writes, lower Depth by one, make the
+// next-finer graph Coarsest and keep no reference to the coarse graph or its
+// map: the slot past the end of Levels is cleared, and the released graph is
+// collected once nothing else holds it.
 func TestHierarchyProjection(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	h := NewHierarchy(g)
@@ -147,23 +155,37 @@ func TestHierarchyProjection(t *testing.T) {
 	if h.Depth() < 2 {
 		t.Fatalf("hierarchy too shallow: %d", h.Depth())
 	}
-	// Assign blocks on the coarsest graph, project all the way down, and
-	// check consistency at every level.
 	part := make([]int32, h.Coarsest.NumNodes())
 	for v := range part {
 		part[v] = int32(v % 2)
 	}
-	for li := h.Depth() - 1; li >= 0; li-- {
-		fine := h.Project(li, part)
-		for v, c := range h.Levels[li].Map {
-			if fine[v] != part[c] {
-				t.Fatal("projection broke block assignment")
-			}
+	for depth := h.Depth(); depth > 0; depth-- {
+		finer := h.Finer()
+		want := make([]int32, finer.NumNodes())
+		h.ProjectInto(depth-1, part, want)
+		released := weak.Make(h.Coarsest)
+		got := make([]int32, finer.NumNodes())
+		if c := h.Uncoarsen(part, got); c != finer || h.Coarsest != finer {
+			t.Fatalf("depth %d: Uncoarsen left Coarsest at another graph than Finer()", depth)
 		}
-		part = fine
+		if !slices.Equal(got, want) {
+			t.Fatalf("depth %d: Uncoarsen wrote another partition than ProjectInto", depth)
+		}
+		if h.Depth() != depth-1 {
+			t.Fatalf("depth %d: Depth() = %d after one step", depth, h.Depth())
+		}
+		if slot := h.Levels[:depth][depth-1]; slot.Fine != nil || slot.Map != nil {
+			t.Fatalf("depth %d: the released slot still holds its graph or map", depth)
+		}
+		runtime.GC()
+		runtime.GC()
+		if released.Value() != nil {
+			t.Fatalf("depth %d: the released coarse graph is still reachable", depth)
+		}
+		part = got
 	}
-	if len(part) != g.NumNodes() {
-		t.Fatal("final projection has wrong size")
+	if h.Coarsest != g || len(part) != g.NumNodes() {
+		t.Fatal("the climb did not end at the input graph")
 	}
 }
 

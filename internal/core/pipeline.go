@@ -307,6 +307,9 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	env.Emit(PhaseEvent{PhaseInit, initTime})
 
 	// ------ Refinement phase (§5) ------
+	// The default Refiner releases the hierarchy as it climbs: count its
+	// levels first.
+	levels := h.Depth()
 	tr := time.Now()
 	var p *part.Partition
 	pprof.Do(ctx, pprof.Labels("stage", PhaseRefine.String()), func(ctx context.Context) {
@@ -323,7 +326,7 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 		Blocks:      p.Block,
 		Cut:         p.Cut(),
 		Balance:     p.Imbalance(),
-		Levels:      h.Depth(),
+		Levels:      levels,
 		CoarsenTime: coarsenTime,
 		InitTime:    initTime,
 		RefineTime:  refineTime,
@@ -419,6 +422,12 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 			break
 		}
 		h.Push(cg, f2c)
+		if cur != g {
+			// Only the distributor, the rater and contraction read a
+			// level's coordinates and weighted degrees; the caller's graph
+			// and the coarsest one keep theirs.
+			cur.DropCoarseningData()
+		}
 		env.Emit(LevelEvent{
 			Level:    h.Depth(),
 			Nodes:    cg.NumNodes(),
@@ -479,26 +488,27 @@ func (pairwiseRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial
 	// the Result while the arena lives on for the next run. The coarsest
 	// block array is never recycled: it belongs to the InitialPartitioner
 	// (whose interface makes no ownership promise), not to this stage.
+	// Each step releases the coarse level it climbs from (Uncoarsen).
+	depth := h.Depth()
 	borrowed := false
-	for li := h.Depth() - 1; li >= 0; li-- {
-		fine := h.Levels[li].Fine
+	for li := depth - 1; li >= 0; li-- {
 		var dst []int32
 		if li == 0 {
-			dst = make([]int32, fine.NumNodes())
+			dst = make([]int32, h.Finer().NumNodes())
 		} else {
-			dst = env.Arena.Int32(fine.NumNodes())
+			dst = env.Arena.Int32(h.Finer().NumNodes())
 		}
-		h.ProjectInto(li, p.Block, dst)
+		fine := h.Uncoarsen(p.Block, dst)
 		if borrowed {
 			env.Arena.PutInt32(p.Block)
 		}
 		borrowed = li > 0
 		p = part.FromBlocks(fine, cfg.K, cfg.Eps, dst)
-		if err := refineLevel(ctx, p, cfg, uint64(h.Depth()-li), h.Depth()-li, env); err != nil {
+		if err := refineLevel(ctx, p, cfg, uint64(depth-li), depth-li, env); err != nil {
 			return nil, err
 		}
 	}
-	rebalance(p, rng.NewStream(cfg.Seed, 0xba1a), h.Depth(), env)
+	rebalance(p, rng.NewStream(cfg.Seed, 0xba1a), depth, env)
 	return p, nil
 }
 

@@ -59,25 +59,29 @@ type Exchanger struct {
 	pes   int
 	boxes []chan batch
 	// Per-receiver state, touched only by that PE's goroutine: the current
-	// superstep number and batches that arrived one step early (a sender may
+	// superstep number, batches that arrived one step early (a sender may
 	// run at most one superstep ahead before it blocks waiting for everyone
-	// else's batches, so a single stash level suffices).
-	step  []uint64
-	early [][]batch
+	// else's batches, so a single stash level suffices) and the batches of
+	// the current step. Both buffers hold pes batches from the start, so
+	// whether a sender ran ahead never changes what a superstep allocates.
+	step           []uint64
+	early, current [][]batch
 }
 
 // NewExchanger returns an Exchanger connecting pes PEs.
 func NewExchanger(pes int) *Exchanger {
 	e := &Exchanger{
-		pes:   pes,
-		boxes: make([]chan batch, pes),
-		step:  make([]uint64, pes),
-		early: make([][]batch, pes),
+		pes:     pes,
+		boxes:   make([]chan batch, pes),
+		step:    make([]uint64, pes),
+		early:   make([][]batch, pes),
+		current: make([][]batch, pes),
 	}
 	for i := range e.boxes {
 		// Room for every sender's current batch plus a one-step-ahead batch,
 		// so no Exchange call ever blocks on a send.
 		e.boxes[i] = make(chan batch, 2*pes)
+		e.early[i], e.current[i] = make([]batch, 0, pes), make([]batch, 0, pes)
 	}
 	return e
 }
@@ -102,8 +106,8 @@ func (e *Exchanger) Exchange(pe int, out [][]Msg) []Msg {
 	}
 	// Adopt batches stashed by the previous superstep, then receive until one
 	// batch per sender for this step is in; later-step arrivals are stashed.
-	batches := e.early[pe][:0:0]
-	batches = append(batches, e.early[pe]...)
+	batches := append(e.current[pe][:0], e.early[pe]...)
+	clear(e.early[pe])
 	e.early[pe] = e.early[pe][:0]
 	for len(batches) < e.pes {
 		b := <-e.boxes[pe]
@@ -119,8 +123,9 @@ func (e *Exchanger) Exchange(pe int, out [][]Msg) []Msg {
 		total += len(b.msgs)
 	}
 	in := make([]Msg, 0, total)
-	for _, b := range batches {
+	for i, b := range batches {
 		in = append(in, b.msgs...)
+		batches[i] = batch{} // the next superstep must not keep this one's messages alive
 	}
 	return in
 }

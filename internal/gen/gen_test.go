@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph/graphtest"
 	"repro/internal/rng"
 )
 
@@ -161,9 +162,8 @@ func TestFEMMesh(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s := g.ComputeStats()
-	if s.AvgDegree < 3 || s.AvgDegree > 7 {
-		t.Fatalf("FEM mesh avg degree %.2f out of triangulation range", s.AvgDegree)
+	if _, avg := graphtest.DegreeStats(g); avg < 3 || avg > 7 {
+		t.Fatalf("FEM mesh avg degree %.2f out of triangulation range", avg)
 	}
 }
 
@@ -197,10 +197,9 @@ func TestPrefAttach(t *testing.T) {
 	if !g.IsConnected() {
 		t.Fatal("preferential attachment graph must be connected")
 	}
-	s := g.ComputeStats()
 	// Power-law tail: max degree far above average.
-	if float64(s.MaxDegree) < 5*s.AvgDegree {
-		t.Fatalf("max degree %d not heavy-tailed (avg %.1f)", s.MaxDegree, s.AvgDegree)
+	if maxDeg, avg := graphtest.DegreeStats(g); float64(maxDeg) < 5*avg {
+		t.Fatalf("max degree %d not heavy-tailed (avg %.1f)", maxDeg, avg)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -222,9 +221,8 @@ func TestRMAT(t *testing.T) {
 	if !g.IsConnected() {
 		t.Fatal("RMAT returns largest component, must be connected")
 	}
-	s := g.ComputeStats()
-	if float64(s.MaxDegree) < 3*s.AvgDegree {
-		t.Fatalf("RMAT degrees not skewed: max %d avg %.1f", s.MaxDegree, s.AvgDegree)
+	if maxDeg, avg := graphtest.DegreeStats(g); float64(maxDeg) < 3*avg {
+		t.Fatalf("RMAT degrees not skewed: max %d avg %.1f", maxDeg, avg)
 	}
 }
 
@@ -246,9 +244,8 @@ func TestRoad(t *testing.T) {
 	if !g.IsConnected() {
 		t.Fatal("road network must be connected")
 	}
-	s := g.ComputeStats()
-	if s.AvgDegree > 4 {
-		t.Fatalf("road avg degree %.2f too high (real road nets are ~2.5)", s.AvgDegree)
+	if _, avg := graphtest.DegreeStats(g); avg > 4 {
+		t.Fatalf("road avg degree %.2f too high (real road nets are ~2.5)", avg)
 	}
 	if !g.HasCoords() {
 		t.Fatal("road network must carry coordinates")

@@ -55,6 +55,8 @@ type Graph struct {
 
 	x, y []float64 // optional coordinates, len n or nil
 	z    []float64 // optional third dimension, len n or nil (only with x, y)
+	// dropped records DropCoarseningData: a coordinate read panics.
+	dropped bool
 }
 
 // NumNodes returns n, the number of nodes.
@@ -141,6 +143,29 @@ func (g *Graph) WeightedDegreesOn(run *par.Crew) []int64 {
 	return g.wdeg
 }
 
+// DropCoarseningData releases what only the coarsening passes read: the
+// coordinates (the distributor's and contraction's input) and the cached
+// weighted degrees (the rater's). A coarse level calls it once the next level
+// is contracted from it, before the graph is shared again. A later
+// WeightedDegrees recomputes the cache; a later coordinate read panics, since
+// a graph that silently lost its geometry would be distributed by index
+// ranges instead.
+func (g *Graph) DropCoarseningData() {
+	g.x, g.y, g.z = nil, nil, nil
+	g.dropped = true
+	g.wdeg = nil
+	g.wdegOnce = sync.Once{}
+}
+
+// coordsKept panics once DropCoarseningData has released the coordinates.
+//
+//kappa:invariant reading a released graph's coordinates is a pipeline bug
+func (g *Graph) coordsKept() {
+	if g.dropped {
+		panic("graph: coordinates read after DropCoarseningData")
+	}
+}
+
 // RangeStart returns the first node of range r when the nodes are cut into
 // ranges consecutive ranges of about equal half-edges, the split of every
 // node-range pass sized by ParallelRanges; RangeStart(ranges, ranges) is
@@ -205,11 +230,12 @@ func (g *Graph) EdgeWeightTo(v, u int32) int64 {
 func (g *Graph) AdjSorted() bool { return g.adjSorted }
 
 // HasCoords reports whether the graph carries coordinates (2D or 3D).
-func (g *Graph) HasCoords() bool { return g.x != nil }
+func (g *Graph) HasCoords() bool { return g.CoordDims() != 0 }
 
 // CoordDims returns the number of coordinate dimensions: 0 (no coordinates),
 // 2, or 3.
 func (g *Graph) CoordDims() int {
+	g.coordsKept()
 	switch {
 	case g.x == nil:
 		return 0
@@ -258,11 +284,17 @@ func (g *Graph) SetCoords3(x, y, z []float64) {
 
 // Coords returns the first two coordinate slices (nil if absent). Callers
 // must not modify them.
-func (g *Graph) Coords() ([]float64, []float64) { return g.x, g.y }
+func (g *Graph) Coords() ([]float64, []float64) {
+	g.coordsKept()
+	return g.x, g.y
+}
 
 // Coords3 returns all coordinate slices; z is nil for 2D graphs and all
 // three are nil without coordinates. Callers must not modify them.
-func (g *Graph) Coords3() ([]float64, []float64, []float64) { return g.x, g.y, g.z }
+func (g *Graph) Coords3() ([]float64, []float64, []float64) {
+	g.coordsKept()
+	return g.x, g.y, g.z
+}
 
 // CoordSlices returns the non-nil coordinate slices in dimension order —
 // the input recursive coordinate bisection generalizes over. Empty without

@@ -93,6 +93,50 @@ func TestWeightedDegree(t *testing.T) {
 	}
 }
 
+// TestDropCoarseningData drops a weighted 3D graph's coordinates and cached
+// weighted degrees, the way a contracted coarse level does: the degrees must
+// come back recomputed, equal and non-nil, and every coordinate read must
+// panic instead of reporting a graph without geometry.
+func TestDropCoarseningData(t *testing.T) {
+	b := NewBuilder(4)
+	for v := range int32(4) {
+		b.SetCoord3(v, float64(v), 1, 2)
+	}
+	b.AddEdge(0, 1, 3)
+	b.AddEdge(1, 2, 5)
+	b.AddEdge(2, 3, 2)
+	g := b.Build()
+	g.SetWeightedDegrees([]int64{3, 8, 7, 2})
+	want := slices.Clone(g.WeightedDegrees())
+	g.DropCoarseningData()
+	got := g.WeightedDegrees()
+	if got == nil || !slices.Equal(got, want) {
+		t.Fatalf("weighted degrees after the drop %v, want %v recomputed", got, want)
+	}
+	if again := g.WeightedDegrees(); &again[0] != &got[0] {
+		t.Fatal("a second read recomputed the degrees instead of reading the cache")
+	}
+	reads := map[string]func(){
+		"HasCoords":   func() { g.HasCoords() },
+		"CoordDims":   func() { g.CoordDims() },
+		"Coords":      func() { g.Coords() },
+		"Coords3":     func() { g.Coords3() },
+		"CoordSlices": func() { g.CoordSlices() },
+		"Coord":       func() { g.Coord(0) },
+		"Coord3":      func() { g.Coord3(0) },
+	}
+	for name, read := range reads {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after the drop did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+}
+
 func TestFromCSRRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string
@@ -191,17 +235,6 @@ func TestSubgraphPreservesWeightsAndCoords(t *testing.T) {
 		if sub.EdgeWeightTo(0, 1) != 5 || sub.EdgeWeightTo(1, 2) != 7 {
 			t.Fatalf("%dD: edge weights %d, %d, want 5, 7", dims, sub.EdgeWeightTo(0, 1), sub.EdgeWeightTo(1, 2))
 		}
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	g := path5()
-	s := g.ComputeStats()
-	if s.Nodes != 5 || s.Edges != 4 || s.MinDegree != 1 || s.MaxDegree != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-	if s.AvgDegree != 1.6 {
-		t.Fatalf("avg degree %f", s.AvgDegree)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package graphtest holds what the tests of several packages share about
 // graphs: the plain induced-subgraph builder that the one-pass split is held
-// to. Nothing outside tests imports it.
+// to, and the degree summary the generators' tests check their shape by.
+// Nothing outside tests imports it.
 package graphtest
 
 import "repro/internal/graph"
@@ -38,4 +39,17 @@ func InducedSubgraph(g *graph.Graph, keep []bool) (*graph.Graph, []int32) {
 		}
 	}
 	return b.Build(), new2old
+}
+
+// DegreeStats returns the largest degree of g and its average degree 2m/n
+// (zeros for an empty graph).
+func DegreeStats(g *graph.Graph) (maxDeg int, avg float64) {
+	n := g.NumNodes()
+	if n == 0 {
+		return 0, 0
+	}
+	for v := range int32(n) {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	return maxDeg, 2 * float64(g.NumEdges()) / float64(n)
 }

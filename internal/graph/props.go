@@ -154,40 +154,3 @@ func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph
 	}
 	return sub[0], sub[1]
 }
-
-// Stats summarizes basic graph properties (Table 1 of the paper reports n
-// and m per instance; the harness also reports degree extremes).
-type Stats struct {
-	Nodes           int
-	Edges           int
-	MinDegree       int
-	MaxDegree       int
-	AvgDegree       float64
-	TotalNodeWeight int64
-	TotalEdgeWeight int64
-}
-
-// ComputeStats returns summary statistics.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{
-		Nodes:           g.NumNodes(),
-		Edges:           g.NumEdges(),
-		TotalNodeWeight: g.TotalNodeWeight(),
-		TotalEdgeWeight: g.TotalEdgeWeight(),
-	}
-	if s.Nodes == 0 {
-		return s
-	}
-	s.MinDegree = g.Degree(0)
-	for v := int32(0); v < int32(s.Nodes); v++ {
-		d := g.Degree(v)
-		if d < s.MinDegree {
-			s.MinDegree = d
-		}
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
-	}
-	s.AvgDegree = 2 * float64(s.Edges) / float64(s.Nodes)
-	return s
-}

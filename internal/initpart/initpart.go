@@ -241,12 +241,12 @@ func (s *bisector) multilevelBisect(g *graph.Graph, targetA int64) []byte {
 	}
 	s.a.PutBytes(side)
 	s.refineBisection(h.Coarsest, block, targetA)
-	for li := h.Depth() - 1; li >= 0; li-- {
-		fine := s.a.Int32(h.Levels[li].Fine.NumNodes())
-		h.ProjectInto(li, block, fine)
+	for h.Depth() > 0 {
+		fine := s.a.Int32(h.Finer().NumNodes())
+		level := h.Uncoarsen(block, fine)
 		s.a.PutInt32(block)
 		block = fine
-		s.refineBisection(h.Levels[li].Fine, block, targetA)
+		s.refineBisection(level, block, targetA)
 	}
 	out := s.a.Bytes(len(block))
 	for v, b := range block {

@@ -13,21 +13,22 @@ import (
 	"repro/internal/rng"
 )
 
-// staleArena returns an arena whose free lists hold four n-sized byte and
-// int32 slices each, full of junk, so a kernel that reads scratch it did not
-// set up reads garbage.
+// staleArena returns an arena whose free lists hold four byte, int32 and
+// float64 slices each, of 2n elements and full of junk, so a kernel that
+// reads scratch it did not set up reads garbage.
 func staleArena(n int) *mem.Arena {
 	a := mem.NewArena()
-	bs, is := make([][]byte, 4), make([][]int32, 4)
+	bs, is, fs := make([][]byte, 4), make([][]int32, 4), make([][]float64, 4)
 	for k := range bs {
-		bs[k], is[k] = a.Bytes(n), a.Int32(n)
-		for i := range n {
-			bs[k][i], is[k][i] = 0xA5, -3
+		bs[k], is[k], fs[k] = a.Bytes(2*n), a.Int32(2*n), a.Float64(2*n)
+		for i := range 2 * n {
+			bs[k][i], is[k][i], fs[k][i] = 0xA5, -3, math.NaN()
 		}
 	}
 	for k := range bs {
 		a.PutBytes(bs[k])
 		a.PutInt32(is[k])
+		a.PutFloat64(fs[k])
 	}
 	return a
 }

@@ -137,7 +137,7 @@ type Edge struct {
 // edgeSlices recycles the candidate-edge arrays — the largest transient of
 // every matching level (one Edge per undirected edge of the level's graph).
 //
-// These are deliberately a process-global sync.Pool rather than part of the
+// This is deliberately a process-global sync.Pool rather than part of the
 // per-run mem.Arena: the Arena's typed free lists cannot hold matching's
 // Edge type without an import cycle, and sync.Pool's GC integration means
 // the finest level's edge array is reclaimed under memory pressure instead

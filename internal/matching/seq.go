@@ -1,8 +1,6 @@
 package matching
 
 import (
-	"sync"
-
 	"repro/internal/dsu"
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -105,18 +103,25 @@ func greedyEdges(g *graph.Graph, edges []Edge, m Matching, rated []float64, maxP
 	a.PutUint64(order)
 }
 
-// halfEdge is one direction of a selected GPA edge.
-type halfEdge struct {
-	to int32
-	r  float64
+// pathAdj is the adjacency among GPA's selected edges: at most two per node,
+// in selection order — slots 2i and 2i+1 of to (the other end) and r (the
+// edge's rating) for the node at position i of the matched node list
+// (pos[v]), so a block's adjacency costs the block; nil pos means the whole
+// graph, positions by node id. Both arrays come from the caller's arena, as
+// every other GPA table does: a per-PE arena makes what a PE's GPA borrows
+// independent of when the other PEs run theirs.
+type pathAdj struct {
+	to, pos []int32
+	r       []float64
 }
 
-// halfAdjSlices recycles the degree-≤2 adjacency used by the GPA path/cycle
-// decomposition (two halfEdges per node — the second-largest transient of a
-// GPA level after the candidate-edge array). A process-global sync.Pool for
-// the same reason as edgeSlices: the typed arena cannot hold this shape,
-// and GC-managed reclaim is the right lifetime for it.
-var halfAdjSlices = sync.Pool{New: func() any { return new([][2]halfEdge) }}
+// at returns the index of v's first slot.
+func (p pathAdj) at(v int32) int {
+	if p.pos != nil {
+		v = p.pos[v]
+	}
+	return 2 * int(v)
+}
 
 // Flags of a GPA piece, kept at its DSU root, and the walk's visited mark on
 // a node's selected-edge count.
@@ -143,29 +148,31 @@ const (
 func gpaEdges(g *graph.Graph, nodes []int32, edges []Edge, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
 	n := g.NumNodes()
 	order := edgeOrder(edges, a)
-	deg := a.Bytes(n)   // selected edges at a node
-	piece := a.Bytes(n) // pieceOdd and pieceClosed, at DSU roots
-	dsuParent := a.Int32(n)
-	dsuSize := a.Int32(n)
-	d := dsu.NewIn(dsuParent, dsuSize, nodes)
+	// Per node: the selected edges at it (deg) and, at DSU roots, the
+	// piece's flags; the DSU's parent and size arrays. Per position in
+	// nodes: the path adjacency, after the position array when nodes is a
+	// block.
+	flags, dsuArrays := a.Bytes(2*n), a.Int32(2*n)
+	deg, piece := flags[:n:n], flags[n:]
+	d := dsu.NewIn(dsuArrays[:n:n], dsuArrays[n:], nodes)
+	count, posLen := n, 0
+	if nodes != nil {
+		count, posLen = len(nodes), n
+	}
+	ints := a.Int32(posLen + 2*count)
+	adj := pathAdj{to: ints[posLen:], r: a.Float64(2 * count)}
 	if nodes == nil {
-		clear(deg)
-		clear(piece)
+		clear(flags)
 	} else {
-		for _, v := range nodes {
-			deg[v], piece[v] = 0, 0
+		adj.pos = ints[:n:n]
+		for i, v := range nodes {
+			deg[v], piece[v], adj.pos[v] = 0, 0, int32(i)
 		}
 	}
-	// Adjacency among selected edges: at most two incident edges per node,
-	// in selection order.
-	adjP := halfAdjSlices.Get().(*[][2]halfEdge)
-	if cap(*adjP) < n {
-		*adjP = make([][2]halfEdge, n)
-	}
-	adj := (*adjP)[:n]
 	sel := func(e *Edge) {
-		adj[e.U][deg[e.U]] = halfEdge{e.V, e.R}
-		adj[e.V][deg[e.V]] = halfEdge{e.U, e.R}
+		iu, iv := adj.at(e.U)+int(deg[e.U]), adj.at(e.V)+int(deg[e.V])
+		adj.to[iu], adj.r[iu] = e.V, e.R
+		adj.to[iv], adj.r[iv] = e.U, e.R
 		deg[e.U]++
 		deg[e.V]++
 	}
@@ -201,12 +208,11 @@ func gpaEdges(g *graph.Graph, nodes []int32, edges []Edge, m Matching, rated []f
 		sel(e)
 	}
 	matchPathsAndCycles(nodes, n, adj, deg, m, rated)
-	halfAdjSlices.Put(adjP)
+	a.PutFloat64(adj.r)
+	a.PutInt32(ints)
 	a.PutUint64(order)
-	a.PutInt32(dsuSize)
-	a.PutInt32(dsuParent)
-	a.PutBytes(piece)
-	a.PutBytes(deg)
+	a.PutInt32(dsuArrays)
+	a.PutBytes(flags)
 }
 
 // pathDP holds the grow-only dynamic-programming buffers of one
@@ -226,12 +232,12 @@ func (s *pathDP) grow(k int) {
 	}
 }
 
-// matchPathsAndCycles decomposes the degree-≤2 selected edges — adj[v][:deg[v]]
-// for v in nodes, nil meaning all n nodes — into paths and cycles, solves
-// each optimally by dynamic programming, and records the chosen edges in m
-// and their ratings in rated (if non-nil). It marks deg's entries walked as it
-// goes.
-func matchPathsAndCycles(nodes []int32, n int, adj [][2]halfEdge, deg []byte, m Matching, rated []float64) {
+// matchPathsAndCycles decomposes the degree-≤2 selected edges — deg[v] slots
+// from adj.at(v) for v in nodes, nil meaning all n nodes — into paths and
+// cycles, solves each optimally by dynamic programming, and records the chosen
+// edges in m and their ratings in rated (if non-nil). It marks deg's entries
+// walked as it goes.
+func matchPathsAndCycles(nodes []int32, n int, adj pathAdj, deg []byte, m Matching, rated []float64) {
 	var pathU, pathV []int32
 	var pathR []float64
 	var dp pathDP
@@ -243,28 +249,27 @@ func matchPathsAndCycles(nodes []int32, n int, adj [][2]halfEdge, deg []byte, m 
 		for {
 			c := deg[v]
 			deg[v] = c | walked
-			var next halfEdge
-			found := false
-			for i := byte(0); i < c; i++ {
-				if adj[v][i].to != prev {
-					next = adj[v][i]
-					found = true
+			next, at := -1, adj.at(v)
+			for i := at; i < at+int(c); i++ {
+				if adj.to[i] != prev {
+					next = i
 					break
 				}
 			}
-			if !found {
+			if next < 0 {
 				return false // path ended
 			}
+			to := adj.to[next]
 			pathU = append(pathU, v)
-			pathV = append(pathV, next.to)
-			pathR = append(pathR, next.r)
-			if next.to == start {
+			pathV = append(pathV, to)
+			pathR = append(pathR, adj.r[next])
+			if to == start {
 				return true // cycle closed
 			}
-			if deg[next.to]&walked != 0 {
+			if deg[to]&walked != 0 {
 				return false
 			}
-			prev, v = v, next.to
+			prev, v = v, to
 		}
 	}
 

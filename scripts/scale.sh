@@ -6,7 +6,8 @@
 # coarsening) and prints one row per instance: the time per edge of each
 # phase — reading the file (process wall time less the run's total, so it
 # includes start-up), the coarsening, initial partitioning and refinement,
-# and the whole process — the process's peak RSS (getrusage) and the cut.
+# and the whole process — the process's peak RSS (getrusage), that peak per
+# half-edge (bytes / 2m) and the cut.
 # `make scale` runs it; it is not part of `make check`.
 set -euo pipefail
 GO=${GO:-go}
@@ -25,7 +26,7 @@ python3 - "$tmp" "${instances[@]}" <<'PY'
 import re, subprocess, sys
 
 tmp = sys.argv[1]
-print(f"{'instance':<9} {'n':>8} {'m':>9} | ns/edge: {'read':>5} {'coarsen':>7} {'init':>5} {'refine':>6} {'wall':>6} | {'rss_mb':>6} {'cut':>7}")
+print(f"{'instance':<9} {'n':>8} {'m':>9} | ns/edge: {'read':>5} {'coarsen':>7} {'init':>5} {'refine':>6} {'wall':>6} | {'rss_mb':>6} {'B/half-edge':>11} {'cut':>7}")
 for inst in sys.argv[2:]:
     family, scale = inst.split()
     # One measuring process per run: RUSAGE_CHILDREN then covers kappa alone.
@@ -45,5 +46,5 @@ for inst in sys.argv[2:]:
         r"total (\S+) \(coarsen (\S+), init (\S+), refine (\S+)\)", out).groups())
     per = lambda ms: ms * 1e6 / m
     print(f"{family}:{scale:<4} {n:>8} {m:>9} | {'':9}{per(wall * 1e3 - total):>5.0f} {per(coarsen):>7.0f} {per(init):>5.0f} "
-          f"{per(refine):>6.0f} {per(wall * 1e3):>6.0f} | {maxrss_kb / 1024:>6.0f} {cut:>7}")
+          f"{per(refine):>6.0f} {per(wall * 1e3):>6.0f} | {maxrss_kb / 1024:>6.0f} {maxrss_kb * 1024 / (2 * m):>11.1f} {cut:>7}")
 PY

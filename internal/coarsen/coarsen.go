@@ -3,13 +3,18 @@
 // graph, and a Hierarchy records the sequence of graphs and node mappings so
 // that partitions can be projected back during uncoarsening.
 //
-// Contract performs the contraction on the shared global graph. A
-// distributed level numbers the coarse nodes PE-locally instead — with
-// ContractSubgraph every PE numbers those of the owned part of its subgraph,
-// agreeing with the others in two exchange supersteps — and StitchChecked
-// contracts the global graph by the resulting map, producing a coarse graph
-// with exactly the same coarse node groups and edge weights as a
-// shared-memory contraction of the same matching.
+// Every contraction numbers the coarse nodes by one rule: block-major over
+// the level's node distribution (§3.3), so that each PE's coarse nodes are
+// one id range, in PE order, and by ascending creator id within a block. The
+// creator of a coarse node is its smaller fine member, and the node belongs
+// to the creator's block. ContractWith contracts the shared global graph,
+// given the distribution (Options.Blocks; without one, one block: fine
+// order). A distributed level numbers the coarse nodes PE-locally instead —
+// with ContractSubgraph every PE numbers those of the owned part of its
+// subgraph, agreeing with the others in two exchange supersteps — and
+// StitchChecked contracts the global graph by the resulting map. For the
+// same matching and distribution both give the same map, and the same graph
+// up to the order within a row, which the stitch sorts.
 //
 // The shared contraction is the two-pass scheme of §5.2's static-array
 // philosophy: a count pass sizes the coarse CSR exactly (prefix sums become
@@ -44,6 +49,12 @@ type Options struct {
 	// Crew runs the spans and ranges, no more of them at once than it has
 	// members; nil starts goroutines for each pass (par.Spawn).
 	Crew *par.Crew
+	// Blocks assigns every fine node to one of PEs blocks, the level's
+	// node-to-PE distribution (§3.3); coarse ids follow it by the package's
+	// numbering rule, as ContractSubgraph's PEs number theirs. nil is one
+	// block: coarse ids in fine order.
+	Blocks []int32
+	PEs    int
 }
 
 // Contract contracts every matched edge of m in g. It returns the coarse
@@ -55,14 +66,18 @@ func Contract(g *graph.Graph, m matching.Matching) (*graph.Graph, []int32) {
 	return ContractWith(g, m, Options{})
 }
 
-// ContractWith is Contract with explicit worker count and scratch arena; see
-// Options.
+// ContractWith is Contract with explicit worker count, scratch arena and
+// node distribution; see Options.
 //
 //kappa:hotpath
 func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Graph, []int32) {
 	n := g.NumNodes()
 	a := opt.Arena
 	workers := max(1, min(opt.Workers, n))
+	blocks, pes := opt.Blocks, max(1, opt.PEs)
+	if blocks == nil {
+		pes = 1
+	}
 
 	// The mapping persists in the Hierarchy, so it is always a fresh
 	// allocation; only true temporaries come from the arena.
@@ -72,40 +87,60 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	spans := make([]span, workers)
 
 	// Every unmatched node and the smaller endpoint of every pair creates a
-	// coarse node, numbered in fine order. On the node ranges of
-	// graph.ParallelRanges (at most workers), each range counts its creators
-	// and the fine degree their pairs bring, and a prefix sum gives it the
-	// first id it numbers (at) and the degree before it (deg); then it
-	// numbers them (numbering.number). One range runs on the calling
-	// goroutine without a closure, so the serial path allocates nothing more.
+	// coarse node, numbered block-major and in fine order within a block.
+	// On the node ranges of graph.ParallelRanges (at most workers), each
+	// range counts its creators per block and the fine degree their pairs
+	// bring, into its segments: range r's share of block b sits at
+	// line + r·stride + b, a cache line apart from every other range's and
+	// from the ends of the arrays, as the ranges update their counters for
+	// every creator. Prefix sums in (block, range) order give each segment
+	// the first id it numbers (at) and the degree before it (deg), and the
+	// first span end it may set (ends); then every range numbers its
+	// creators (numbering.number). One range runs on the calling goroutine
+	// without a closure, so the serial path allocates nothing more.
+	const line = 16 // int32s in a 64-byte cache line
 	ranges := min(workers, graph.ParallelRanges(opt.Crew, 2*g.NumEdges()))
-	at, deg := a.Int32(ranges+1), a.Int64(ranges+1)
-	at[0], deg[0] = 0, 0
+	stride := pes + line
+	size := line + ranges*stride
+	at, deg, ends := a.Int32(size), a.Int64(size), a.Int32(size)
 	if ranges == 1 {
-		at[1], deg[1] = countCreators(g, m, 0, int32(n))
+		countCreators(g, m, blocks, 0, int32(n), at[line:line+pes], deg[line:line+pes])
 	} else {
 		opt.Crew.Run(ranges, func(_, r int) {
-			at[r+1], deg[r+1] = countCreators(g, m, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges))
+			s := line + r*stride
+			countCreators(g, m, blocks, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[s:s+pes], deg[s:s+pes])
 		})
 	}
-	for r := range ranges {
-		at[r+1] += at[r]
-		deg[r+1] += deg[r]
+	nc, total := int32(0), int64(0)
+	for b := range pes {
+		for s := line + b; s < size; s += stride {
+			at[s], nc = nc, nc+at[s]
+			deg[s], total = total, total+deg[s]
+		}
 	}
-	nc := at[ranges]
+	for b, w := 0, int32(0); b < pes; b++ {
+		for s := line + b; s < size; s += stride {
+			for int(w) < workers-1 && total*int64(w+1)/int64(workers) < deg[s] {
+				w++
+			}
+			ends[s] = w
+		}
+	}
 	for w := range spans {
 		spans[w].hi = nc // a span no degree ends (a level without edges) ends with the level
 	}
-	nb := numbering{fine2coarse, a.Int32(int(nc)), a.Int32(n), spans, deg[ranges]}
+	nb := numbering{fine2coarse, a.Int32(int(nc)), a.Int32(n), spans, total}
 	if ranges == 1 {
-		nb.number(g, m, 0, int32(n), 0, 0)
+		nb.number(g, m, blocks, 0, int32(n), at[line:line+pes], deg[line:line+pes], ends[line:line+pes])
 	} else {
 		opt.Crew.Run(ranges, func(_, r int) {
-			nb.number(g, m, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[r], deg[r])
+			s := line + r*stride
+			nb.number(g, m, blocks, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[s:s+pes], deg[s:s+pes], ends[s:s+pes])
 		})
 	}
 	a.PutInt32(at)
 	a.PutInt64(deg)
+	a.PutInt32(ends)
 	for w := 1; w < workers; w++ {
 		spans[w].lo = spans[w-1].hi
 	}
@@ -116,20 +151,26 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	return cg, fine2coarse
 }
 
-// countCreators returns how many of the nodes [lo, hi) create a coarse node
-// under m — unmatched, or the smaller endpoint of a pair — and the fine
+// countCreators sets creators[b] to how many of the nodes [lo, hi) of block
+// b (all of them in block 0 when blocks is nil) create a coarse node under m
+// — unmatched, or the smaller endpoint of a pair — and degree[b] to the fine
 // degree of the nodes they gather.
-func countCreators(g *graph.Graph, m matching.Matching, lo, hi int32) (creators int32, degree int64) {
+func countCreators(g *graph.Graph, m matching.Matching, blocks []int32, lo, hi int32, creators []int32, degree []int64) {
+	clear(creators)
+	clear(degree)
 	for v := lo; v < hi; v++ {
 		if u := m[v]; u < 0 || u > v {
-			creators++
-			degree += int64(g.Degree(v))
+			b := int32(0)
+			if blocks != nil {
+				b = blocks[v]
+			}
+			creators[b]++
+			degree[b] += int64(g.Degree(v))
 			if u >= 0 {
-				degree += int64(g.Degree(u))
+				degree[b] += int64(g.Degree(u))
 			}
 		}
 	}
-	return creators, degree
 }
 
 // numbering is what the numbering pass of ContractWith writes: the
@@ -142,34 +183,40 @@ type numbering struct {
 	total                   int64
 }
 
-// number numbers the creators among the nodes [lo, hi) from coarse id c on,
-// maps each and its partner, and threads them onto the member lists in
-// ascending order: every node is written by the range of its creator. d is
-// the degree the creators before lo gather. Span w ends after the coarse node
-// at which the degree summed in coarse order first exceeds (w+1)/len(spans) of
-// the total, so the passes split the level by the work they do (equal id
-// ranges would let one hub-heavy range serialize the level on social graphs);
-// a range sets the ends that fall among its creators.
-func (nb numbering) number(g *graph.Graph, m matching.Matching, lo, hi, c int32, d int64) {
+// number numbers the creators among the nodes [lo, hi), maps each and its
+// partner, and threads them onto the member lists in ascending order: every
+// node is written by the range of its creator. Per block b of blocks (0 for
+// all when nil), the range's creators take the ids at[b], at[b]+1, … in fine
+// order, deg[b] is the degree the creators numbered before them gather, and
+// ends[b] the first span end they may set; number advances all three. Span
+// w ends after the coarse node at which the degree summed in coarse order
+// first exceeds (w+1)/len(spans) of the total, so the passes split the level
+// by the work they do (equal id ranges would let one hub-heavy range
+// serialize the level on social graphs); a range sets the ends that fall
+// among its creators.
+func (nb numbering) number(g *graph.Graph, m matching.Matching, blocks []int32, lo, hi int32, at []int32, deg []int64, ends []int32) {
 	workers := int64(len(nb.spans))
-	w := int64(0)
-	for w < workers-1 && nb.total*(w+1)/workers < d {
-		w++
-	}
 	for v := lo; v < hi; v++ {
 		u := m[v]
 		if u >= 0 && u < v {
 			continue
 		}
+		b := int32(0)
+		if blocks != nil {
+			b = blocks[v]
+		}
+		c := at[b]
+		at[b] = c + 1
 		nb.fine2coarse[v], nb.head[c], nb.next[v] = c, v, u
-		d += int64(g.Degree(v))
+		d := deg[b] + int64(g.Degree(v))
 		if u >= 0 {
 			nb.fine2coarse[u], nb.next[u] = c, -1
 			d += int64(g.Degree(u))
 		}
-		c++
-		for ; w < workers-1 && d > nb.total*(w+1)/workers; w++ {
-			nb.spans[w].hi = c
+		deg[b] = d
+		for w := int64(ends[b]); w < workers-1 && d > nb.total*(w+1)/workers; w++ {
+			nb.spans[w].hi = c + 1
+			ends[b] = int32(w + 1)
 		}
 	}
 }

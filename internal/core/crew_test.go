@@ -250,7 +250,8 @@ func (f failingRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initia
 // TestClaimOrderLeavesNoTrace refines one level with the free pairs of every
 // batch claimed lowest first, highest first and in a seeded shuffle, by one
 // worker and by a crew whose members stall at random inside their pairs, and
-// expects the same blocks, block weights and boundary lists each time: which
+// expects the same blocks, block weights and boundary lists each time, and
+// the cut the level reports to be the partition's: which
 // member refines a pair, and when — in colour order or not, beside whatever
 // other pairs — decides nothing, as long as a pair waits for the earlier
 // pairs of its two blocks. That is what lets a crew claim pairs as they come
@@ -293,8 +294,12 @@ func TestClaimOrderLeavesNoTrace(t *testing.T) {
 					}
 				}
 				env := &Env{claimOrder: orders[order], indexCheck: stall, crew: par.Start(workers, par.Spin)}
-				if err := refineLevel(context.Background(), p, &cfg, 0, 0, env); err != nil {
+				cut, err := refineLevel(context.Background(), p, &cfg, 0, 0, env)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if scanned := p.Cut(); cut != scanned {
+					t.Fatalf("the level reports cut %d, the partition cuts %d", cut, scanned)
 				}
 				env.crew.Stop()
 				weights := make([]int64, k)

@@ -42,9 +42,10 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 	defer func() { env.crew.Stop() }() // the crew at return, as in Pipeline.Run
 	own := append([]int32(nil), blocks...)
 	p := part.FromBlocks(g, cfg.K, cfg.Eps, own)
-	rebalance(p, rng.NewStream(cfg.Seed, 0xba1a2), 0, env)
-	if err := refineLevel(ctx, p, &cfg, 0x5eed, 0, env); err != nil {
+	rebalance(p, p.Cut(), rng.NewStream(cfg.Seed, 0xba1a2), 0, env)
+	cut, err := refineLevel(ctx, p, &cfg, 0x5eed, 0, env)
+	if err != nil {
 		return nil, 0, err
 	}
-	return p.Block, p.Cut(), nil
+	return p.Block, cut, nil
 }

@@ -64,7 +64,7 @@ func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, p
 		return nil, nil, matchT, 0
 	}
 	tc := time.Now()
-	cg, f2c := coarsen.ContractWith(cur, m, coarsen.Options{Workers: run.Members(), Arena: a, Crew: run})
+	cg, f2c := coarsen.ContractWith(cur, m, coarsen.Options{Workers: run.Members(), Arena: a, Crew: run, Blocks: blocks, PEs: pes})
 	a.PutInt32([]int32(m))
 	return cg, f2c, matchT, time.Since(tc)
 }
@@ -188,10 +188,12 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // seeds from the lists of its two blocks and patches them with its moves.
 // A global iteration's pairs (see pairBatch) and the rows of the quotient
 // graph are batches on the run's crew, the caller claiming beside the
-// helpers.
-func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) error {
+// helpers. It returns p's cut after the level without scanning for it: the
+// first quotient graph's total weight less every iteration's gain, which the
+// pair searches count exactly.
+func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed uint64, level int, env *Env) (int64, error) {
 	if cfg.K < 2 {
-		return nil
+		return 0, nil
 	}
 	idx := &env.boundary
 	idx.Reset(env.crew, p, p.Block, -1, -1)
@@ -209,17 +211,25 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 	workspaces := env.workspacesFor(env.crew.Members())
 	work := func(member, _ int) int { return pb.refineNext(workspaces[member]) }
 	fruitlessRuns := 0
+	var cut int64
 	for global := 0; global < cfg.MaxGlobalIter; global++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return 0, err
 		}
-		ready := pb.plan(schedule(idx.QuotientOn(env.crew), cfg, levelSeed, global), cfg.K,
+		q := idx.QuotientOn(env.crew)
+		if global == 0 {
+			for _, e := range q {
+				cut += e.W
+			}
+		}
+		ready := pb.plan(schedule(q, cfg, levelSeed, global), cfg.K,
 			cfg.Seed^levelSeed<<32^uint64(global)<<16)
 		env.crew.RunChained(len(pb.pairs), ready, work)
 		if env.indexCheck != nil {
 			env.indexCheck(idx, p, p.Block, -1, -1)
 		}
 		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: pb.gain})
+		cut -= pb.gain
 		if pb.gain > 0 {
 			fruitlessRuns = 0
 			continue
@@ -229,7 +239,7 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 			break
 		}
 	}
-	return nil
+	return cut, nil
 }
 
 // pairBatch is one global iteration's pairs as one chained crew batch: the

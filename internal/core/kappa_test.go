@@ -151,7 +151,7 @@ func TestNoGapLevelContractsTheLocalMatching(t *testing.T) {
 	cfg.GapMatching = false
 	_, f2c, _, _ := sharedLevel(nil, g, &cfg, blocks, 8, 2, 0, nil)
 	local := matching.Parallel(nil, g, rating.NewRater(cfg.Rating, g), cfg.Matcher, blocks, 8, LevelSeed(cfg.Seed, 2), 0, false, nil)
-	if _, want := coarsen.Contract(g, local); !slices.Equal(f2c, want) {
+	if _, want := coarsen.ContractWith(g, local, coarsen.Options{Blocks: blocks, PEs: 8}); !slices.Equal(f2c, want) {
 		t.Fatal("the level did not contract the local matching")
 	}
 	blockOf := make(map[int32]int32)

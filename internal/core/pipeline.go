@@ -70,6 +70,11 @@ type Env struct {
 	crew      *par.Crew           // see Crew; stopped before the run returns
 	boundary  part.BoundaryIndex  // reset by every refinement level, storage reused
 	pairs     pairBatch           // planned by every global iteration, storage reused
+	// refined is the partition the default Refiner returned, and
+	// refinedCut its cut as refinement and the final rebalance kept it: Run
+	// reports it instead of scanning the finest level again.
+	refined    *part.Partition
+	refinedCut int64
 
 	// indexCheck is nil outside tests. refineLevel calls it on the pair's
 	// goroutine after every local iteration of a pair, with that pair's
@@ -322,9 +327,13 @@ func (pl *Pipeline) Run(ctx context.Context, g *graph.Graph, cfg Config) (Result
 	refineTime := time.Since(tr)
 	env.Emit(PhaseEvent{PhaseRefine, refineTime})
 
+	finalCut := env.refinedCut
+	if env.refined != p {
+		finalCut = p.Cut()
+	}
 	res := Result{
 		Blocks:      p.Block,
-		Cut:         p.Cut(),
+		Cut:         finalCut,
 		Balance:     p.Imbalance(),
 		Levels:      levels,
 		CoarsenTime: coarsenTime,
@@ -479,7 +488,8 @@ type pairwiseRefiner struct{}
 
 func (pairwiseRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial []int32, cfg *Config, env *Env) (*part.Partition, error) {
 	p := part.FromBlocks(h.Coarsest, cfg.K, cfg.Eps, initial)
-	if err := refineLevel(ctx, p, cfg, 0, 0, env); err != nil {
+	cut, err := refineLevel(ctx, p, cfg, 0, 0, env)
+	if err != nil {
 		return nil, err
 	}
 	// Uncoarsening projects through ping-ponged arena buffers: each level's
@@ -504,21 +514,23 @@ func (pairwiseRefiner) Refine(ctx context.Context, h *coarsen.Hierarchy, initial
 		}
 		borrowed = li > 0
 		p = part.FromBlocks(fine, cfg.K, cfg.Eps, dst)
-		if err := refineLevel(ctx, p, cfg, uint64(depth-li), depth-li, env); err != nil {
+		if cut, err = refineLevel(ctx, p, cfg, uint64(depth-li), depth-li, env); err != nil {
 			return nil, err
 		}
 	}
-	rebalance(p, rng.NewStream(cfg.Seed, 0xba1a), depth, env)
+	env.refined, env.refinedCut = p, rebalance(p, cut, rng.NewStream(cfg.Seed, 0xba1a), depth, env)
 	return p, nil
 }
 
-// rebalance drains the overloaded blocks of p when it violates the balance
-// constraint, and reports the pass as a RebalanceEvent at level.
-func rebalance(p *part.Partition, r *rng.RNG, level int, env *Env) {
+// rebalance drains the overloaded blocks of p, whose cut is cut, when it
+// violates the balance constraint, and reports the pass as a RebalanceEvent
+// at level. It returns p's cut after the pass.
+func rebalance(p *part.Partition, cut int64, r *rng.RNG, level int, env *Env) int64 {
 	if p.Feasible() {
-		return
+		return cut
 	}
-	before := p.Cut()
 	moved := refine.Rebalance(p, r)
-	env.Emit(RebalanceEvent{Level: level, Moved: moved, CutBefore: before, CutAfter: p.Cut(), Feasible: p.Feasible()})
+	after := p.Cut()
+	env.Emit(RebalanceEvent{Level: level, Moved: moved, CutBefore: cut, CutAfter: after, Feasible: p.Feasible()})
+	return after
 }

@@ -221,8 +221,37 @@ func TestFewerPEsThanBlocksNeedNoRebalance(t *testing.T) {
 	if len(events) != 0 {
 		t.Fatalf("rebalance events %+v, want none", events)
 	}
-	if p := part.FromBlocks(g, cfg.K, cfg.Eps, res.Blocks); !p.Feasible() || res.Cut != 1071 {
-		t.Fatalf("cut %d balance %.4f, want cut 1071 within 1+%.2f", res.Cut, p.Imbalance(), cfg.Eps)
+	if p := part.FromBlocks(g, cfg.K, cfg.Eps, res.Blocks); !p.Feasible() || res.Cut != 937 {
+		t.Fatalf("cut %d balance %.4f, want cut 937 within 1+%.2f", res.Cut, p.Imbalance(), cfg.Eps)
+	}
+}
+
+// TestRebalancedRunReportsItsCut runs `kappa -gen rgg:13 -k 8 -seed 3`,
+// whose refined partition is infeasible: the run's cut is the one the final
+// rebalance scanned after its moves, and it must be the partition's cut.
+func TestRebalancedRunReportsItsCut(t *testing.T) {
+	g, err := gen.FromSpec("rgg:13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ConfigFromNames("fast", 8, 0.03, 3, 0, 0, "auto", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []RebalanceEvent
+	res, err := Run(context.Background(), g, cfg, WithObserver(ObserverFunc(func(ev TraceEvent) {
+		if e, ok := ev.(RebalanceEvent); ok {
+			events = append(events, e)
+		}
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("rebalance events %+v, want one", events)
+	}
+	if cut := part.FromBlocks(g, cfg.K, cfg.Eps, res.Blocks).Cut(); res.Cut != cut || events[0].CutAfter != cut {
+		t.Fatalf("run reports cut %d and the rebalance %d, the partition cuts %d", res.Cut, events[0].CutAfter, cut)
 	}
 }
 

@@ -157,7 +157,7 @@ func newRefineLevelBench(tb testing.TB, spec string, workers int) *refineLevelBe
 func (l *refineLevelBench) pass(tb testing.TB) {
 	copy(l.blocks, l.start)
 	p := part.FromBlocks(l.g, l.cfg.K, l.cfg.Eps, l.blocks)
-	if err := refineLevel(context.Background(), p, &l.cfg, 0, 0, l.env); err != nil {
+	if _, err := refineLevel(context.Background(), p, &l.cfg, 0, 0, l.env); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -12,50 +12,50 @@ import (
 )
 
 func TestSuitesNonEmptyAndCached(t *testing.T) {
-	if len(Calibration()) == 0 || len(Large()) == 0 {
+	if len(calibration()) == 0 || len(large()) == 0 {
 		t.Fatal("empty suite")
 	}
-	in := Calibration()[0]
+	in := calibration()[0]
 	if in.Graph() != in.Graph() {
 		t.Fatal("instance graph not cached")
 	}
-	if len(LargeCoord()) != 4 {
-		t.Fatalf("LargeCoord has %d instances, want 4", len(LargeCoord()))
+	if len(largeCoord()) != 4 {
+		t.Fatalf("largeCoord has %d instances, want 4", len(largeCoord()))
 	}
-	if len(Scalability()) != 3 {
-		t.Fatalf("Scalability has %d instances, want 3", len(Scalability()))
+	if len(scalability()) != 3 {
+		t.Fatalf("scalability has %d instances, want 3", len(scalability()))
 	}
 }
 
 func TestRunKaPPaAndAgg(t *testing.T) {
-	row := RunKaPPa(gen.Grid2D(64, 64), core.NewConfig(core.Minimal, 4), 2)
+	row := runKaPPa(gen.Grid2D(64, 64), core.NewConfig(core.Minimal, 4), 2)
 	if row.AvgCut <= 0 || row.BestCut <= 0 || row.AvgTime <= 0 {
 		t.Fatalf("bad row: %+v", row)
 	}
 	if float64(row.BestCut) > row.AvgCut+1e-9 {
 		t.Fatal("best cut above average")
 	}
-	var agg Agg
-	agg.Add(row)
-	agg.Add(row)
-	cut, best, bal, sec := agg.Mean()
+	var agg geoMean
+	agg.add(row)
+	agg.add(row)
+	cut, best, bal, sec := agg.mean()
 	if cut <= 0 || best <= 0 || bal < 1 || sec <= 0 {
 		t.Fatalf("bad means: %v %v %v %v", cut, best, bal, sec)
 	}
 }
 
 func TestRunTool(t *testing.T) {
-	row := RunTool(gen.Grid2D(64, 64), 4, 0.03, baseline.KMetisLike, 1)
+	row := runTool(gen.Grid2D(64, 64), 4, 0.03, baseline.KMetisLike, 1)
 	if row.AvgCut <= 0 {
 		t.Fatalf("bad row: %+v", row)
 	}
 }
 
 func TestAggEmpty(t *testing.T) {
-	var agg Agg
-	cut, best, bal, sec := agg.Mean()
+	var agg geoMean
+	cut, best, bal, sec := agg.mean()
 	if cut != 0 || best != 0 || bal != 0 || sec != 0 {
-		t.Fatal("empty Agg must return zeros")
+		t.Fatal("empty geoMean must return zeros")
 	}
 }
 
@@ -152,7 +152,7 @@ func TestAblationDistributionSmoke(t *testing.T) {
 }
 
 func TestRowTimeAveraging(t *testing.T) {
-	row := RunKaPPa(gen.Grid2D(64, 64), core.NewConfig(core.Minimal, 2), 3)
+	row := runKaPPa(gen.Grid2D(64, 64), core.NewConfig(core.Minimal, 2), 3)
 	if row.AvgTime > time.Minute {
 		t.Fatalf("implausible average time %v", row.AvgTime)
 	}

@@ -4,11 +4,10 @@
 //
 // The instances are synthetic stand-ins for the paper's archive graphs,
 // scaled down (2^11–2^16 nodes instead of up to 2^25) so that the whole
-// evaluation reruns in minutes on one machine; see DESIGN.md for the
-// substitution rationale. Absolute cut values therefore differ from the
-// paper; the comparisons — which algorithm wins, by what factor, who
-// violates the balance constraint, how times scale — are the reproduction
-// targets.
+// evaluation reruns in minutes on one machine. Absolute cut values
+// therefore differ from the paper; the comparisons — which algorithm wins,
+// by what factor, who violates the balance constraint, how times scale —
+// are the reproduction targets.
 package bench
 
 import (
@@ -36,13 +35,13 @@ func (in *Instance) Graph() *graph.Graph {
 }
 
 var (
-	suitesOnce  sync.Once
-	calibration []*Instance
-	large       []*Instance
+	suitesOnce       sync.Once
+	calibrationSuite []*Instance
+	largeSuite       []*Instance
 )
 
 func buildSuites() {
-	calibration = []*Instance{
+	calibrationSuite = []*Instance{
 		{Name: "rgg13", Family: "geometric", Make: func() *graph.Graph { return gen.RGG(13, 1001) }},
 		{Name: "delaunay13", Family: "geometric", Make: func() *graph.Graph { return gen.DelaunayX(13, 1002) }},
 		{Name: "grid64", Family: "fem", Make: func() *graph.Graph { return gen.Grid2D(64, 64) }},
@@ -52,7 +51,7 @@ func buildSuites() {
 		{Name: "road12k", Family: "street", Make: func() *graph.Graph { return gen.Road(12000, 6, 1005) }},
 		{Name: "social8k", Family: "social", Make: func() *graph.Graph { return gen.PrefAttach(8192, 5, 1006) }},
 	}
-	large = []*Instance{
+	largeSuite = []*Instance{
 		{Name: "rgg16", Family: "geometric", Make: func() *graph.Graph { return gen.RGG(16, 2001) }},
 		{Name: "delaunay16", Family: "geometric", Make: func() *graph.Graph { return gen.DelaunayX(16, 2002) }},
 		{Name: "fem40k", Family: "fem", Make: func() *graph.Graph { return gen.FEMMesh(40000, 10, 2003) }},
@@ -65,31 +64,31 @@ func buildSuites() {
 	}
 }
 
-// Calibration is the small/medium suite used for parameter tuning (§6.1,
+// calibration is the small/medium suite used for parameter tuning (§6.1,
 // Tables 2–4 left), standing in for the left column of Table 1.
-func Calibration() []*Instance {
+func calibration() []*Instance {
 	suitesOnce.Do(buildSuites)
-	return calibration
+	return calibrationSuite
 }
 
-// Large is the larger suite of §6.2 (Tables 4 right through 20), standing in
+// large is the larger suite of §6.2 (Tables 4 right through 20), standing in
 // for the right column of Table 1: geometric graphs, FEM graphs, street
 // networks, sparse matrices, and social networks, in that order.
-func Large() []*Instance {
+func large() []*Instance {
 	suitesOnce.Do(buildSuites)
-	return large
+	return largeSuite
 }
 
-// LargeCoord is the subset of Large with coordinates, used by Table 5 (the
+// largeCoord is the subset of large with coordinates, used by Table 5 (the
 // paper's rgg20, Delaunay20, deu, eur).
-func LargeCoord() []*Instance {
+func largeCoord() []*Instance {
 	return largeNamed("rgg16", "delaunay16", "deu-like", "eur-like")
 }
 
-// largeNamed returns the named instances of Large, in suite order.
+// largeNamed returns the named instances of large, in suite order.
 func largeNamed(names ...string) []*Instance {
 	var out []*Instance
-	for _, in := range Large() {
+	for _, in := range large() {
 		if slices.Contains(names, in.Name) {
 			out = append(out, in)
 		}
@@ -97,11 +96,11 @@ func largeNamed(names ...string) []*Instance {
 	return out
 }
 
-// calibrationCoords is the part of Calibration with coordinates, on which
+// calibrationCoords is the part of calibration with coordinates, on which
 // the geometric distribution strategies do not fall back to index ranges.
 func calibrationCoords() []*Instance {
 	var out []*Instance
-	for _, in := range Calibration() {
+	for _, in := range calibration() {
 		if in.Graph().HasCoords() {
 			out = append(out, in)
 		}
@@ -109,8 +108,8 @@ func calibrationCoords() []*Instance {
 	return out
 }
 
-// Scalability returns the three graphs of Figure 3 (eur, rgg and Delaunay,
+// scalability returns the three graphs of Figure 3 (eur, rgg and Delaunay,
 // scaled).
-func Scalability() []*Instance {
+func scalability() []*Instance {
 	return largeNamed("eur-like", "rgg16", "delaunay16")
 }

@@ -35,10 +35,10 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// RunKaPPa runs cfg on g `reps` times with different seeds. The repetitions
+// runKaPPa runs cfg on g `reps` times with different seeds. The repetitions
 // share one scratch arena, the way a long-lived service would, so only the
 // first rep pays the allocation cost of the working set.
-func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
+func runKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
 	arena := mem.NewArena()
 	return repeat(reps, func(seed uint64) (int64, float64, time.Duration) {
 		cfg.Seed = seed
@@ -47,8 +47,8 @@ func RunKaPPa(g *graph.Graph, cfg core.Config, reps int) Row {
 	})
 }
 
-// RunTool runs a baseline partitioner `reps` times with different seeds.
-func RunTool(g *graph.Graph, k int, eps float64, tool baseline.Tool, reps int) Row {
+// runTool runs a baseline partitioner `reps` times with different seeds.
+func runTool(g *graph.Graph, k int, eps float64, tool baseline.Tool, reps int) Row {
 	return repeat(reps, func(seed uint64) (int64, float64, time.Duration) {
 		res := baseline.Run(g, k, eps, tool, seed)
 		return res.Cut, res.Balance, res.Time
@@ -78,16 +78,16 @@ func repeat(reps int, run func(seed uint64) (cut int64, bal float64, t time.Dura
 	return row
 }
 
-// Agg accumulates per-instance rows into the geometric means the paper
+// geoMean accumulates per-instance rows into the geometric means the paper
 // reports ("when averaging over multiple instances, we use the geometric
 // mean in order to give every instance the same influence").
-type Agg struct {
+type geoMean struct {
 	logCut, logBest, logBal, logTime float64
 	n                                int
 }
 
-// Add accumulates one row.
-func (a *Agg) Add(r Row) {
+// add accumulates one row.
+func (a *geoMean) add(r Row) {
 	a.logCut += math.Log(math.Max(r.AvgCut, 1))
 	a.logBest += math.Log(math.Max(float64(r.BestCut), 1))
 	a.logBal += math.Log(math.Max(r.AvgBal, 1e-9))
@@ -95,8 +95,8 @@ func (a *Agg) Add(r Row) {
 	a.n++
 }
 
-// Mean returns the geometric means of the accumulated rows.
-func (a *Agg) Mean() (cut, best, bal, timeSec float64) {
+// mean returns the geometric means of the accumulated rows.
+func (a *geoMean) mean() (cut, best, bal, timeSec float64) {
 	if a.n == 0 {
 		return 0, 0, 0, 0
 	}

@@ -40,11 +40,11 @@ var table2Rows = sync.OnceValue(func() map[string][]shapeRow {
 
 // meanCut is the geometric mean over rows of their average cuts.
 func meanCut(rows []shapeRow) float64 {
-	var agg Agg
+	var agg geoMean
 	for _, r := range rows {
-		agg.Add(r.Row)
+		agg.add(r.Row)
 	}
-	cut, _, _, _ := agg.Mean()
+	cut, _, _, _ := agg.mean()
 	return cut
 }
 

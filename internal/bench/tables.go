@@ -62,13 +62,13 @@ func (t Table) Print(w io.Writer, o Options) {
 	if !t.PerInstance {
 		fmt.Fprintf(w, "%-14s %10s %10s %8s %9s\n", "alg", "avg cut", "best cut", "bal", "t[s]")
 		for _, r := range t.Runners {
-			var agg Agg
+			var agg geoMean
 			for _, in := range suite {
 				for _, k := range ks {
-					agg.Add(r.Run(in.Graph(), k, reps))
+					agg.add(r.Run(in.Graph(), k, reps))
 				}
 			}
-			cut, best, bal, sec := agg.Mean()
+			cut, best, bal, sec := agg.mean()
 			fmt.Fprintf(w, "%-14s %10.0f %10.0f %8.3f %9.2f\n", r.Name, cut, best, bal, sec)
 		}
 		return
@@ -94,7 +94,7 @@ func (t Table) Print(w io.Writer, o Options) {
 func Table1(w io.Writer) {
 	fmt.Fprintf(w, "Table 1: benchmark instances (scaled synthetic stand-ins)\n")
 	fmt.Fprintf(w, "%-16s %-10s %10s %12s %8s\n", "graph", "family", "n", "m", "coords")
-	for _, suite := range [][]*Instance{Calibration(), Large()} {
+	for _, suite := range [][]*Instance{calibration(), large()} {
 		for _, in := range suite {
 			g := in.Graph()
 			fmt.Fprintf(w, "%-16s %-10s %10d %12d %8v\n",
@@ -136,20 +136,20 @@ func Tables() []Table {
 	}
 
 	ts := []Table{
-		{"2", "Table 2: parameter presets, calibration suite", Calibration, k16, false, presets},
-		{"3", "Table 3: edge ratings and sequential matchers, KaPPa-Fast, calibration suite", Calibration, k16, false,
+		{"2", "Table 2: parameter presets, calibration suite", calibration, k16, false, presets},
+		{"3", "Table 3: edge ratings and sequential matchers, KaPPa-Fast, calibration suite", calibration, k16, false,
 			append(sweep([]rating.Func{rating.ExpansionStar2, rating.ExpansionStar, rating.InnerOuter, rating.Expansion, rating.Weight},
 				func(c *core.Config, f rating.Func) { c.Rating = f }),
 				sweep([]matching.Algorithm{matching.GPA, matching.SHEM, matching.Greedy},
 					func(c *core.Config, a matching.Algorithm) { c.Matcher = a })...)},
-		{"initpart", "§6.1: initial partitioning engines, KaPPa-Fast, calibration suite", Calibration, k16, false,
+		{"initpart", "§6.1: initial partitioning engines, KaPPa-Fast, calibration suite", calibration, k16, false,
 			sweep([]initpart.Engine{initpart.EngineScotch, initpart.EnginePMetis},
 				func(c *core.Config, e initpart.Engine) { c.InitEngine = e })},
-		{"4left", "Table 4 (left): queue selection strategies, KaPPa-Fast, calibration suite", Calibration, k16, false,
+		{"4left", "Table 4 (left): queue selection strategies, KaPPa-Fast, calibration suite", calibration, k16, false,
 			sweep([]refine.Strategy{refine.TopGain, refine.Alternate, refine.TopGainMaxLoad, refine.MaxLoad},
 				func(c *core.Config, s refine.Strategy) { c.Strategy = s })},
-		{"4right", "Table 4 (right): comparison with other tools, large suite", Large, []int{16, 32, 64}, false, tools},
-		{"5", "Table 5: largest graphs with coordinates", LargeCoord, []int{64}, true, tools},
+		{"4right", "Table 4 (right): comparison with other tools, large suite", large, []int{16, 32, 64}, false, tools},
+		{"5", "Table 5: largest graphs with coordinates", largeCoord, []int{64}, true, tools},
 	}
 	// Tables 6–14: one KaPPa preset at k = 16, 32, 64; Tables 15–20: kMetis
 	// and parMetis alternating, at the same three k.
@@ -170,11 +170,11 @@ func Tables() []Table {
 		// In the paper KaPPa keeps scaling to 1024 PEs while parMetis
 		// flattens around 100; here PEs are goroutines, so the curves bend at
 		// the hardware parallelism but the orderings hold.
-		Table{"fig3", "Figure 3: time vs k (PEs = k), the three largest graphs", Scalability, []int{4, 8, 16, 32, 64}, true, tools},
-		Table{"band", "Ablation: BFS band depth, KaPPa-Fast, calibration suite", Calibration, k16, false, band},
-		Table{"gap", "Ablation: gap-graph matching (§3.3), KaPPa-Fast, calibration suite", Calibration, k16, false,
+		Table{"fig3", "Figure 3: time vs k (PEs = k), the three largest graphs", scalability, []int{4, 8, 16, 32, 64}, true, tools},
+		Table{"band", "Ablation: BFS band depth, KaPPa-Fast, calibration suite", calibration, k16, false, band},
+		Table{"gap", "Ablation: gap-graph matching (§3.3), KaPPa-Fast, calibration suite", calibration, k16, false,
 			sweep([]bool{true, false}, func(c *core.Config, on bool) { c.GapMatching = on })},
-		Table{"initrepeats", "Ablation: initial partitioning repeats, KaPPa-Fast, calibration suite", Calibration, k16, false,
+		Table{"initrepeats", "Ablation: initial partitioning repeats, KaPPa-Fast, calibration suite", calibration, k16, false,
 			sweep([]int{1, 3, 5, 10}, func(c *core.Config, n int) { c.InitRepeats = n })},
 		// The paper's claim: geometric prepartitioning (RCB; here also the
 		// cheaper SFC) keeps matching local and beats plain index ranges.
@@ -191,13 +191,13 @@ func Tables() []Table {
 // large suite, one line per instance.
 func perInstance(num int, r Runner, k int) Table {
 	return Table{strconv.Itoa(num), fmt.Sprintf("Table %d: %s per instance, large suite", num, r.Name),
-		Large, []int{k}, true, []Runner{r}}
+		large, []int{k}, true, []Runner{r}}
 }
 
 // variant is the runner of one of the paper's presets as it stands.
 func variant(v core.Variant) Runner {
 	return Runner{v.String(), func(g *graph.Graph, k, reps int) Row {
-		return RunKaPPa(g, core.NewConfig(v, k), reps)
+		return runKaPPa(g, core.NewConfig(v, k), reps)
 	}}
 }
 
@@ -209,7 +209,7 @@ func sweep[T any](vals []T, set func(*core.Config, T)) []Runner {
 		rs[i] = Runner{fmt.Sprint(val), func(g *graph.Graph, k, reps int) Row {
 			cfg := core.NewConfig(core.Fast, k)
 			set(&cfg, val)
-			return RunKaPPa(g, cfg, reps)
+			return runKaPPa(g, cfg, reps)
 		}}
 	}
 	return rs
@@ -218,7 +218,7 @@ func sweep[T any](vals []T, set func(*core.Config, T)) []Runner {
 // tool is the runner of a baseline at the paper's 3 % imbalance.
 func tool(t baseline.Tool) Runner {
 	return Runner{t.String(), func(g *graph.Graph, k, reps int) Row {
-		return RunTool(g, k, 0.03, t, reps)
+		return runTool(g, k, 0.03, t, reps)
 	}}
 }
 

@@ -36,7 +36,9 @@ func referenceFineOrder(m matching.Matching) []int32 {
 // unmatched neighbour if it has one.
 func randomMatching(g *graph.Graph, r *rng.RNG) matching.Matching {
 	m := matching.NewEmpty(g.NumNodes())
-	for _, v := range r.Perm(g.NumNodes()) {
+	order := make([]int, g.NumNodes())
+	r.PermInto(order)
+	for _, v := range order {
 		if m[v] >= 0 {
 			continue
 		}

@@ -36,10 +36,7 @@ func BenchmarkDistributedLevel(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				payload, err := wire.AppendJob(nil, wire.Job{Seed: cfg.Seed, Shard: sgs[pe]})
-				if err != nil {
-					b.Error(err)
-				}
+				payload := wire.AppendJob(nil, wire.Job{Seed: cfg.Seed, Shard: sgs[pe]})
 				job, err := wire.DecodeJob(payload)
 				if err != nil {
 					b.Error(err)

@@ -37,7 +37,7 @@ func RefineExistingCtx(ctx context.Context, g *graph.Graph, cfg Config, blocks [
 			return nil, 0, fmt.Errorf("%w: node %d in block %d, outside [0, %d)", ErrInvalidConfig, v, b, cfg.K)
 		}
 	}
-	pl := NewPipeline(opts...)
+	pl := newPipeline(opts...)
 	env := &Env{observers: pl.Observers, crew: par.Start(cfg.workers(), par.Spin)}
 	defer func() { env.crew.Stop() }() // the crew at return, as in Pipeline.Run
 	own := append([]int32(nil), blocks...)

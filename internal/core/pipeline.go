@@ -132,7 +132,7 @@ func (e *Env) transportFor(pes int) dist.Transport {
 
 // Pipeline is the composable KaPPa runner: four pluggable stages and
 // optional Observers for typed progress events. The zero value runs the
-// paper's pipeline; NewPipeline applies functional options on top of the
+// paper's pipeline; newPipeline applies functional options on top of the
 // defaults.
 //
 // Error contract: Run returns ErrInvalidConfig-wrapped errors for bad input,
@@ -204,9 +204,9 @@ func WithRefiner(r Refiner) Option {
 	return func(p *Pipeline) { p.Refiner = r }
 }
 
-// NewPipeline returns a Pipeline with the paper's default stages and the
+// newPipeline returns a Pipeline with the paper's default stages and the
 // given options applied.
-func NewPipeline(opts ...Option) *Pipeline {
+func newPipeline(opts ...Option) *Pipeline {
 	p := &Pipeline{}
 	for _, o := range opts {
 		o(p)
@@ -217,7 +217,7 @@ func NewPipeline(opts ...Option) *Pipeline {
 // Run executes the pipeline with the given options; it is the primary entry
 // point of the package. See Pipeline.Run for the error contract.
 func Run(ctx context.Context, g *graph.Graph, cfg Config, opts ...Option) (Result, error) {
-	return NewPipeline(opts...).Run(ctx, g, cfg)
+	return newPipeline(opts...).Run(ctx, g, cfg)
 }
 
 // Run executes the full pipeline on g: contraction, initial partitioning,

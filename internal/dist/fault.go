@@ -109,11 +109,6 @@ type FaultSchedule struct {
 	injected atomic.Int64
 }
 
-// NewFaultSchedule returns a schedule armed with the given rules.
-func NewFaultSchedule(rules ...FaultRule) *FaultSchedule {
-	return &FaultSchedule{rules: rules, fired: make([]atomic.Bool, len(rules))}
-}
-
 // ParseFaultSchedule parses a semicolon-separated rule list, one rule per
 // "conn:op:nth:action[:delay]" clause — e.g. "ctrl:read:3:kill" or
 // "pe0:write:2:delay:50ms;*:write:9:drop". conn is a connection label ("*"
@@ -170,14 +165,6 @@ func ParseFaultSchedule(s string) (*FaultSchedule, error) {
 	}
 	sched.fired = make([]atomic.Bool, len(sched.rules))
 	return sched, nil
-}
-
-// Rules returns a copy of the schedule's rules, in firing-priority order.
-func (s *FaultSchedule) Rules() []FaultRule {
-	if s == nil {
-		return nil
-	}
-	return append([]FaultRule(nil), s.rules...)
 }
 
 // Injected reports how many faults the schedule has fired so far — the

@@ -26,8 +26,8 @@ func EdgeLocality(g *graph.Graph, assign []int32) float64 {
 	return float64(local) / float64(total)
 }
 
-// BlockWeights returns the total node weight assigned to each PE.
-func BlockWeights(g *graph.Graph, assign []int32, pes int) []int64 {
+// blockWeights returns the total node weight assigned to each PE.
+func blockWeights(g *graph.Graph, assign []int32, pes int) []int64 {
 	w := make([]int64, pes)
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		w[assign[v]] += g.NodeWeight(v)
@@ -43,7 +43,7 @@ func Imbalance(g *graph.Graph, assign []int32, pes int) float64 {
 	if pes <= 0 {
 		return 1
 	}
-	weights := BlockWeights(g, assign, pes)
+	weights := blockWeights(g, assign, pes)
 	var total, max int64
 	for _, w := range weights {
 		total += w

@@ -72,7 +72,7 @@ func TestImbalanceMatchesBlockWeights(t *testing.T) {
 	x, y := g.Coords()
 	pes := 6
 	assign := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
-	weights := BlockWeights(g, assign, pes)
+	weights := blockWeights(g, assign, pes)
 	var total, max int64
 	for _, w := range weights {
 		total += w

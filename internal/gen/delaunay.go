@@ -14,7 +14,7 @@ import (
 // carries coordinates.
 func DelaunayX(scale int, seed uint64) *graph.Graph {
 	n := 1 << scale
-	pts := UniformPoints(n, rng.New(seed))
+	pts := uniformPoints(n, rng.New(seed))
 	return Delaunay(pts, seed+1)
 }
 

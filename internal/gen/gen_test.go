@@ -77,7 +77,7 @@ func TestGrid2D(t *testing.T) {
 	if g.NumEdges() != want {
 		t.Fatalf("m = %d, want %d", g.NumEdges(), want)
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("grid must be connected")
 	}
 	if err := g.Validate(); err != nil {
@@ -94,7 +94,7 @@ func TestGrid3D(t *testing.T) {
 	if g.NumEdges() != want {
 		t.Fatalf("m = %d, want %d", g.NumEdges(), want)
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("grid must be connected")
 	}
 	if g.CoordDims() != 3 {
@@ -108,7 +108,7 @@ func TestGrid3D(t *testing.T) {
 
 func TestDelaunayProperties(t *testing.T) {
 	for _, n := range []int{3, 10, 100, 2000} {
-		pts := UniformPoints(n, rng.New(uint64(n)))
+		pts := uniformPoints(n, rng.New(uint64(n)))
 		g := Delaunay(pts, 1)
 		if g.NumNodes() != n {
 			t.Fatalf("n=%d: NumNodes=%d", n, g.NumNodes())
@@ -116,7 +116,7 @@ func TestDelaunayProperties(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !g.IsConnected() {
+		if components(g) != 1 {
 			t.Fatalf("n=%d: triangulation must be connected", n)
 		}
 		// Planarity bound: m <= 3n - 6 for n >= 3.
@@ -146,7 +146,7 @@ func TestDelaunayX(t *testing.T) {
 	if g.NumNodes() != 512 || !g.HasCoords() {
 		t.Fatal("DelaunayX shape wrong")
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("DelaunayX must be connected")
 	}
 }
@@ -156,7 +156,7 @@ func TestFEMMesh(t *testing.T) {
 	if g.NumNodes() < 1000 {
 		t.Fatalf("FEM mesh too small after holes: %d", g.NumNodes())
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("FEMMesh must return a connected component")
 	}
 	if err := g.Validate(); err != nil {
@@ -172,7 +172,7 @@ func TestBanded(t *testing.T) {
 	if g.NumNodes() != 1000 {
 		t.Fatalf("n = %d", g.NumNodes())
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("banded graph must be connected")
 	}
 	// All edges stay within the band or the block.
@@ -194,7 +194,7 @@ func TestPrefAttach(t *testing.T) {
 	if g.NumNodes() != 3000 {
 		t.Fatalf("n = %d", g.NumNodes())
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("preferential attachment graph must be connected")
 	}
 	// Power-law tail: max degree far above average.
@@ -218,7 +218,7 @@ func TestRMAT(t *testing.T) {
 	if g.NumNodes() == 0 || g.NumNodes() > 1024 {
 		t.Fatalf("n = %d", g.NumNodes())
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("RMAT returns largest component, must be connected")
 	}
 	if maxDeg, avg := graphtest.DegreeStats(g); float64(maxDeg) < 3*avg {
@@ -241,7 +241,7 @@ func TestRoad(t *testing.T) {
 	if g.NumNodes() < 1500 {
 		t.Fatalf("road network too small: %d", g.NumNodes())
 	}
-	if !g.IsConnected() {
+	if components(g) != 1 {
 		t.Fatal("road network must be connected")
 	}
 	if _, avg := graphtest.DegreeStats(g); avg > 4 {
@@ -253,7 +253,7 @@ func TestRoad(t *testing.T) {
 }
 
 func TestJitteredGridPoints(t *testing.T) {
-	pts := JitteredGridPoints(100, 0.4, rng.New(2))
+	pts := jitteredGridPoints(100, 0.4, rng.New(2))
 	if len(pts) != 100 {
 		t.Fatalf("len = %d", len(pts))
 	}

@@ -61,7 +61,7 @@ func Grid3D(x, y, z int) *graph.Graph {
 // coordinates.
 func FEMMesh(n int, holes int, seed uint64) *graph.Graph {
 	r := rng.New(seed)
-	pts := JitteredGridPoints(n, 0.45, r)
+	pts := jitteredGridPoints(n, 0.45, r)
 	type hole struct{ x, y, rad float64 }
 	hs := make([]hole, holes)
 	for i := range hs {

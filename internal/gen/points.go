@@ -18,9 +18,9 @@ type Point struct {
 	X, Y float64
 }
 
-// UniformPoints returns n points drawn uniformly at random from the unit
+// uniformPoints returns n points drawn uniformly at random from the unit
 // square.
-func UniformPoints(n int, r *rng.RNG) []Point {
+func uniformPoints(n int, r *rng.RNG) []Point {
 	pts := make([]Point, n)
 	for i := range pts {
 		pts[i] = Point{r.Float64(), r.Float64()}
@@ -28,10 +28,10 @@ func UniformPoints(n int, r *rng.RNG) []Point {
 	return pts
 }
 
-// JitteredGridPoints returns roughly n points on a √n×√n grid, each
+// jitteredGridPoints returns roughly n points on a √n×√n grid, each
 // perturbed by up to jitter·cell. Road-network generation uses this to get
 // the near-uniform but irregular node placement of real street maps.
-func JitteredGridPoints(n int, jitter float64, r *rng.RNG) []Point {
+func jitteredGridPoints(n int, jitter float64, r *rng.RNG) []Point {
 	side := 1
 	for side*side < n {
 		side++

@@ -18,7 +18,7 @@ import (
 func RGG(scale int, seed uint64) *graph.Graph {
 	n := 1 << scale
 	r := rng.New(seed)
-	pts := UniformPoints(n, r)
+	pts := uniformPoints(n, r)
 	radius := 0.55 * math.Sqrt(math.Log(float64(n))/float64(n))
 	return GeometricGraph(pts, radius)
 }

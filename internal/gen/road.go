@@ -20,7 +20,7 @@ import (
 // return the largest connected component. Coordinates are attached.
 func Road(n int, obstacles int, seed uint64) *graph.Graph {
 	r := rng.New(seed)
-	pts := JitteredGridPoints(n, 0.4, r)
+	pts := jitteredGridPoints(n, 0.4, r)
 	tg := Delaunay(pts, seed+1)
 
 	// Obstacles: thin rectangles ("rivers") in random orientation.

@@ -180,9 +180,6 @@ func TestConnectedComponents(t *testing.T) {
 	if comp[0] != comp[2] || comp[3] != comp[4] || comp[0] == comp[3] || comp[5] == comp[0] {
 		t.Fatalf("bad labels %v", comp)
 	}
-	if g.IsConnected() {
-		t.Fatal("IsConnected wrong")
-	}
 }
 
 func TestLargestComponent(t *testing.T) {

@@ -31,16 +31,6 @@ func (g *Graph) ConnectedComponents() ([]int32, int) {
 	return comp, int(next)
 }
 
-// IsConnected reports whether the graph has exactly one connected component
-// (the empty graph counts as connected).
-func (g *Graph) IsConnected() bool {
-	if g.NumNodes() == 0 {
-		return true
-	}
-	_, c := g.ConnectedComponents()
-	return c == 1
-}
-
 // LargestComponent extracts the subgraph induced by the largest connected
 // component, with its coordinates. It returns the subgraph and the mapping
 // new→old node ids. If the graph is connected it is returned unchanged with

@@ -170,7 +170,7 @@ func FuzzReadPartition(f *testing.F) {
 	f.Add("", uint8(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, in string, n, k uint8) {
-		blocks, err := ReadPartition(strings.NewReader(in), "fuzz", int(n), int(k))
+		blocks, err := readPartition(strings.NewReader(in), "fuzz", int(n), int(k))
 		if err != nil {
 			return
 		}
@@ -183,7 +183,7 @@ func FuzzReadPartition(f *testing.F) {
 			}
 		}
 		enc := AppendPartition(nil, blocks)
-		again, err := ReadPartition(bytes.NewReader(enc), "re-encoded", int(n), int(k))
+		again, err := readPartition(bytes.NewReader(enc), "re-encoded", int(n), int(k))
 		if err != nil {
 			t.Fatalf("re-reading own output: %v\n%q", err, enc)
 		}

@@ -278,7 +278,7 @@ func TestReadPartitionVerdicts(t *testing.T) {
 		{"0\n1\n0\n", 2, 2, "", "p:3: partition has more entries"},
 		{strings.Repeat("0", 70000), 1, 1, "", "p: bufio.Scanner: token too long"},
 	} {
-		blocks, err := ReadPartition(strings.NewReader(tc.in), "p", tc.n, tc.k)
+		blocks, err := readPartition(strings.NewReader(tc.in), "p", tc.n, tc.k)
 		if tc.err == "" {
 			if got := string(AppendPartition(nil, blocks)); err != nil || got != tc.enc {
 				t.Errorf("%q: re-encoded as %q (%v), want %q", tc.in, got, err, tc.enc)

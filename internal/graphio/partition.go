@@ -24,10 +24,10 @@ func AppendPartition(dst []byte, blocks []int32) []byte {
 	return dst
 }
 
-// ReadPartition parses a partition of n nodes into k blocks from r. Blank
+// readPartition parses a partition of n nodes into k blocks from r. Blank
 // lines and white space around an id (a CR included) are ignored; errors
 // name the offending line as name:line.
-func ReadPartition(r io.Reader, name string, n, k int) ([]int32, error) {
+func readPartition(r io.Reader, name string, n, k int) ([]int32, error) {
 	blocks := make([]int32, 0, n)
 	sc := bufio.NewScanner(r)
 	for lineNo := 1; sc.Scan(); lineNo++ {
@@ -56,12 +56,12 @@ func ReadPartition(r io.Reader, name string, n, k int) ([]int32, error) {
 	return blocks, nil
 }
 
-// ReadPartitionFile reads the partition file at path (ReadPartition).
+// ReadPartitionFile reads the partition file at path (readPartition).
 func ReadPartitionFile(path string, n, k int) ([]int32, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadPartition(f, path, n, k)
+	return readPartition(f, path, n, k)
 }

@@ -81,9 +81,9 @@ func (p *Pass) Report(n ast.Node, format string, args ...any) {
 	})
 }
 
-// Position resolves a node position (for analyzers that need to inspect
+// position resolves a node position (for analyzers that need to inspect
 // lines themselves).
-func (p *Pass) Position(pos token.Pos) token.Position {
+func (p *Pass) position(pos token.Pos) token.Position {
 	return p.suite.fset.Position(pos)
 }
 

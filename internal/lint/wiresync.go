@@ -77,7 +77,7 @@ func (w *wiresync) collectKinds(p *Pass) {
 						continue
 					}
 					if obj := p.Pkg.Info.Defs[name]; obj != nil {
-						w.kinds[obj] = &kindUse{name: name.Name, pos: p.Position(name.Pos())}
+						w.kinds[obj] = &kindUse{name: name.Name, pos: p.position(name.Pos())}
 					}
 				}
 			}

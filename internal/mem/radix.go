@@ -3,24 +3,24 @@ package mem
 // A keyed record packs a 32-bit sort key and the index of the element it
 // stands for into one word — key in the high half, index in the low half —
 // so that sorting an array of wide elements by a key moves 8 bytes per
-// element per pass instead of the element itself. SortKeyed orders records
+// element per pass instead of the element itself. sortKeyed orders records
 // by key; keys wider than 32 bits are sorted word by word, most significant
 // first, re-keying and re-sorting only the runs the previous word left tied.
 
-// Keyed packs key and idx (≥ 0) into one record.
-func Keyed(key uint32, idx int32) uint64 { return uint64(key)<<32 | uint64(uint32(idx)) }
+// keyed packs key and idx (≥ 0) into one record.
+func keyed(key uint32, idx int32) uint64 { return uint64(key)<<32 | uint64(uint32(idx)) }
 
 // KeyedIdx is the index a record carries.
 func KeyedIdx(rec uint64) int32 { return int32(uint32(rec)) }
 
-// KeyedKey is the key a record carries.
-func KeyedKey(rec uint64) uint32 { return uint32(rec >> 32) }
+// keyedKey is the key a record carries.
+func keyedKey(rec uint64) uint32 { return uint32(rec >> 32) }
 
-// radixMin is the length below which SortKeyed insertion-sorts: counting
+// radixMin is the length below which sortKeyed insertion-sorts: counting
 // four digit histograms costs more than sorting a few records directly.
 const radixMin = 48
 
-// SortKeyed sorts recs by ascending key with a least-significant-digit radix
+// sortKeyed sorts recs by ascending key with a least-significant-digit radix
 // sort over the key's four bytes; tmp is scratch of at least len(recs). The
 // sort is stable — records with equal keys keep their input order — and
 // linear: one sweep counts all four digit histograms, every digit on which
@@ -28,7 +28,7 @@ const radixMin = 48
 // else), and each remaining digit is one scatter pass between recs and tmp.
 //
 //kappa:hotpath
-func SortKeyed(recs, tmp []uint64) {
+func sortKeyed(recs, tmp []uint64) {
 	n := len(recs)
 	if n < radixMin {
 		for i := 1; i < n; i++ {
@@ -73,7 +73,7 @@ func SortKeyed(recs, tmp []uint64) {
 
 // SortKeyedWords fills recs with the indices 0..len(recs)-1 ordered by a key
 // of words 32-bit words, most significant first: key(idx, w) is word w of
-// element idx. Each word is one SortKeyed over the records still tied on all
+// element idx. Each word is one sortKeyed over the records still tied on all
 // earlier words, so the cost is linear in len(recs) per word that has ties
 // left to break. Elements tied on every word stay in index order — or, with
 // tied non-nil, each such run is handed to it to finish. tmp is scratch of at
@@ -82,7 +82,7 @@ func SortKeyed(recs, tmp []uint64) {
 //kappa:hotpath
 func SortKeyedWords(recs, tmp []uint64, words int, key func(idx int32, word int) uint32, tied func(run []uint64)) {
 	for i := range recs {
-		recs[i] = Keyed(key(int32(i), 0), int32(i))
+		recs[i] = keyed(key(int32(i), 0), int32(i))
 	}
 	sortKeyedFrom(recs, tmp, 0, words, key, tied)
 }
@@ -92,14 +92,14 @@ func SortKeyedWords(recs, tmp []uint64, words int, key func(idx int32, word int)
 //
 //kappa:hotpath
 func sortKeyedFrom(recs, tmp []uint64, word, words int, key func(idx int32, word int) uint32, tied func(run []uint64)) {
-	SortKeyed(recs, tmp)
+	sortKeyed(recs, tmp)
 	last := word+1 == words
 	if last && tied == nil {
 		return
 	}
 	for i := 0; i < len(recs); {
 		j := i + 1
-		for j < len(recs) && KeyedKey(recs[j]) == KeyedKey(recs[i]) {
+		for j < len(recs) && keyedKey(recs[j]) == keyedKey(recs[i]) {
 			j++
 		}
 		switch run := recs[i:j]; {
@@ -109,7 +109,7 @@ func sortKeyedFrom(recs, tmp []uint64, word, words int, key func(idx int32, word
 		default:
 			for k, r := range run {
 				idx := KeyedIdx(r)
-				run[k] = Keyed(key(idx, word+1), idx)
+				run[k] = keyed(key(idx, word+1), idx)
 			}
 			sortKeyedFrom(run, tmp[i:j], word+1, words, key, tied)
 		}

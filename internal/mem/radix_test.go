@@ -31,11 +31,11 @@ func TestSortKeyedMatchesStableSort(t *testing.T) {
 		for _, mask := range masks {
 			recs := make([]uint64, n)
 			for i := range recs {
-				recs[i] = Keyed(uint32(x.next())&mask|0x5a000000&^mask, int32(i))
+				recs[i] = keyed(uint32(x.next())&mask|0x5a000000&^mask, int32(i))
 			}
 			want := slices.Clone(recs)
-			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(KeyedKey(a), KeyedKey(b)) })
-			SortKeyed(recs, make([]uint64, n))
+			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(keyedKey(a), keyedKey(b)) })
+			sortKeyed(recs, make([]uint64, n))
 			if !slices.Equal(recs, want) {
 				t.Fatalf("n=%d mask=%#x: radix order differs from the stable sort", n, mask)
 			}

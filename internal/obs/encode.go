@@ -188,9 +188,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// WriteJSON writes the snapshot as indented JSON (deterministic: families and
+// writeJSON writes the snapshot as indented JSON (deterministic: families and
 // samples are ordered, and encoding/json sorts the label maps).
-func (r *Registry) WriteJSON(w io.Writer) error {
+func (r *Registry) writeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())

@@ -31,7 +31,7 @@ type PipelineObserver struct {
 // facade's WithMetrics); one observer may serve many sequential runs, and
 // concurrent runs may each attach their own observer over one registry.
 func NewPipelineObserver(r *Registry) *PipelineObserver {
-	phase := r.HistogramVec("kappa_phase_seconds",
+	phase := r.histogramVec("kappa_phase_seconds",
 		"Wall-clock of each finished pipeline phase.", TimeBuckets, "phase")
 	return &PipelineObserver{
 		runs:   r.Counter("kappa_runs_total", "Pipeline runs observed (total-phase events)."),

@@ -131,7 +131,7 @@ func TestEmitRaceWithScrapes(t *testing.T) {
 			}
 			var sb strings.Builder
 			reg.WritePrometheus(&sb)
-			reg.WriteJSON(&sb)
+			reg.writeJSON(&sb)
 		}
 	}()
 	_, err := core.Run(context.Background(), g, cfg,

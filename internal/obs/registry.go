@@ -303,8 +303,8 @@ func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{v.f.child(value
 // CounterVec.Func.
 func (v *GaugeVec) Func(fn func() float64, values ...string) { v.f.bindFunc(fn, values) }
 
-// HistogramVec registers (or returns) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+// histogramVec registers (or returns) a labeled histogram family.
+func (r *Registry) histogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.family(name, help, typeHistogram, labels, bounds)}
 }
 

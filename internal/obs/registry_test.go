@@ -116,7 +116,7 @@ func TestJSONSnapshot(t *testing.T) {
 	h.Observe(5)
 
 	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
+	if err := r.writeJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
@@ -195,7 +195,7 @@ func TestConcurrentScrape(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := r.WriteJSON(&sb); err != nil {
+				if err := r.writeJSON(&sb); err != nil {
 					t.Error(err)
 					return
 				}

@@ -681,7 +681,6 @@ func (co *coordinator) runLocally() {
 // comes back plain (the store is at fault, and retrying cannot help).
 func (co *coordinator) sendJob(w *workerConn, sgs []*dist.Subgraph, pe, level int, seed uint64, maxPair int64) error {
 	var frame []byte
-	var err error
 	if sgs == nil {
 		co.spliceSem <- struct{}{}
 		defer func() { <-co.spliceSem }()
@@ -691,12 +690,9 @@ func (co *coordinator) sendJob(w *workerConn, sgs []*dist.Subgraph, pe, level in
 		}
 		frame = append(wire.AppendJobHeader(wire.NewFrame(len(data)+32), level, seed, maxPair), data...)
 	} else {
-		frame, err = wire.AppendJob(wire.NewFrame(0), wire.Job{Level: level, Seed: seed, MaxPair: maxPair, Shard: sgs[pe]})
+		frame = wire.AppendJob(wire.NewFrame(0), wire.Job{Level: level, Seed: seed, MaxPair: maxPair, Shard: sgs[pe]})
 	}
-	if err == nil {
-		err = w.write(wire.KindJob, frame)
-	}
-	if err != nil {
+	if err := w.write(wire.KindJob, frame); err != nil {
 		return workerErr(w.id, "job", err)
 	}
 	if sgs == nil {

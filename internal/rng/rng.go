@@ -110,27 +110,19 @@ func (r *RNG) Bool() bool {
 	return r.Uint64()&1 == 1
 }
 
-// Perm returns a random permutation of [0, n) as a fresh slice.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	r.PermInto(p)
-	return p
-}
-
-// PermInto fills p with a random permutation of [0, len(p)), drawing exactly
-// the same values from r as Perm(len(p)) — the allocation-free variant used
-// by the refinement scratch workspaces.
+// PermInto fills p with a random permutation of [0, len(p)), without
+// allocating: the refinement scratch workspaces reuse p.
 //
 //kappa:hotpath
 func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(p)
+	r.shuffle(p)
 }
 
-// Shuffle permutes p in place (Fisher–Yates).
-func (r *RNG) Shuffle(p []int) {
+// shuffle permutes p in place (Fisher–Yates).
+func (r *RNG) shuffle(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]

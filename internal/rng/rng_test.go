@@ -115,11 +115,12 @@ func TestBoolBalance(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(8)
 	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := r.Perm(n)
+		p := make([]int, n)
+		r.PermInto(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) produced invalid permutation %v", n, p)
+				t.Fatalf("PermInto(%d) produced invalid permutation %v", n, p)
 			}
 			seen[v] = true
 		}
@@ -129,13 +130,13 @@ func TestPermIsPermutation(t *testing.T) {
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(3)
 	p := []int{5, 6, 7, 8, 9}
-	r.Shuffle(p)
+	r.shuffle(p)
 	sum := 0
 	for _, v := range p {
 		sum += v
 	}
 	if sum != 35 {
-		t.Fatalf("Shuffle changed contents: %v", p)
+		t.Fatalf("shuffle changed contents: %v", p)
 	}
 }
 

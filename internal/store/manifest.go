@@ -22,7 +22,7 @@ const (
 	// CSRFile is the global CSR segment's file name.
 	CSRFile = "csr.kcb"
 
-	// maxManifestBytes bounds how much manifest JSON ReadManifest accepts:
+	// maxManifestBytes bounds how much manifest JSON readManifest accepts:
 	// a manifest describes at most maxPEs shards at a few hundred bytes
 	// each, so anything beyond this is hostile or corrupt.
 	maxManifestBytes = 8 << 20
@@ -97,11 +97,11 @@ type ShardInfo struct {
 	CRC32C     uint32 `json:"crc32c"`
 }
 
-// ReadManifest parses and validates a manifest. Hostile input fails before
+// readManifest parses and validates a manifest. Hostile input fails before
 // any size-proportional work: the reader is byte-bounded, and every declared
 // count is checked against the graphio decode budget (typed *LimitError,
 // errors.Is(err, graphio.ErrLimit)) before a caller could act on it.
-func ReadManifest(r io.Reader) (*Manifest, error) {
+func readManifest(r io.Reader) (*Manifest, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxManifestBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("store: reading manifest: %w", err)

@@ -60,7 +60,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %s has no readable manifest: %w", dir, err)
 	}
 	defer f.Close()
-	m, err := ReadManifest(f)
+	m, err := readManifest(f)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
@@ -78,7 +78,7 @@ func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
 
 // ShardBytes reads one shard file whole and verifies its size and checksum
 // against the manifest. The returned bytes are the exact AppendSubgraph
-// encoding — spliceable into a wire Job frame, decodable with DecodeShard.
+// encoding — spliceable into a wire Job frame, decodable with decodeShard.
 func (s *Store) ShardBytes(pe int) ([]byte, error) {
 	if pe < 0 || pe >= len(s.manifest.Shards) {
 		return nil, fmt.Errorf("store: shard %d of %d", pe, len(s.manifest.Shards))
@@ -105,10 +105,10 @@ func (s *Store) ShardBytes(pe int) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeShard decodes one shard's raw bytes (as stored on disk / shipped in
+// decodeShard decodes one shard's raw bytes (as stored on disk / shipped in
 // a job frame). The embedded graph decode enforces the graphio budget; any
 // trailing bytes are an error.
-func DecodeShard(data []byte) (*dist.Subgraph, error) {
+func decodeShard(data []byte) (*dist.Subgraph, error) {
 	sg, rest, err := wire.DecodeSubgraph(data)
 	if err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func (s *Store) loadShard(pe int) (*dist.Subgraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	sg, err := DecodeShard(data)
+	sg, err := decodeShard(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: shard %d: %w", pe, err)
 	}

@@ -83,7 +83,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s.Draining() {
+		if s.isDraining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, "draining")
 			return

@@ -29,8 +29,8 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
+// terminal reports whether the state is final.
+func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
@@ -134,7 +134,7 @@ func (j *Job) setRunning(wait time.Duration) bool {
 // exactly once.
 func (j *Job) finish(state State, res core.Result, arts *jobArtifacts, err error) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
@@ -194,7 +194,7 @@ func errMsg(err error) string {
 // is already terminal.
 func (j *Job) requestCancel() bool {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return false
 	}

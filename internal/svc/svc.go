@@ -358,8 +358,8 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool {
+// isDraining reports whether the server has stopped admitting jobs.
+func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining

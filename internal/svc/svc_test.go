@@ -269,7 +269,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	for !s.Draining() {
+	for !s.isDraining() {
 		time.Sleep(time.Millisecond)
 	}
 

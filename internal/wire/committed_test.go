@@ -27,10 +27,7 @@ func committedFrames(t *testing.T) []struct {
 } {
 	g := gen.Grid2D(6, 5)
 	sg := dist.ExtractAll(g, dist.Assign(g, dist.StrategyRanges, 2), 2)[1]
-	job, err := AppendJob(nil, Job{Level: 3, Seed: 0xfeedface, MaxPair: 12, Shard: sg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := AppendJob(nil, Job{Level: 3, Seed: 0xfeedface, MaxPair: 12, Shard: sg})
 	part := &coarsen.PEContraction{FirstCoarse: 7, NumCoarse: 2, FineGlobal: []int32{15, 16, 17}, FineCoarse: []int32{7, 8, 7}}
 	return []struct {
 		kind    byte
@@ -90,9 +87,7 @@ func TestDecodeCommittedV3Frames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again, err = AppendJob(nil, j); err != nil {
-				t.Fatal(err)
-			}
+			again = AppendJob(nil, j)
 		case KindResult:
 			res, err := DecodeResult(payload)
 			if err != nil {

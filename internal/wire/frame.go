@@ -63,7 +63,7 @@ func ReadFrame(r *bufio.Reader) (kind byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("wire: frame length: %w", unexpectEOF(err))
 	}
-	if limit := MaxFrame(); n > limit {
+	if limit := maxFrame(); n > limit {
 		return 0, nil, &LimitError{What: "frame", Declared: n, Limit: limit}
 	}
 	payload = make([]byte, n)

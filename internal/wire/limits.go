@@ -39,8 +39,8 @@ const DefaultMaxFrame = 1 << 30
 // default", so the package needs no init-time store.
 var maxFrameBytes atomic.Uint64
 
-// MaxFrame returns the control-frame payload budget in force.
-func MaxFrame() uint64 {
+// maxFrame returns the control-frame payload budget in force.
+func maxFrame() uint64 {
 	if n := maxFrameBytes.Load(); n != 0 {
 		return n
 	}

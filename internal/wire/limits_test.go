@@ -66,16 +66,16 @@ func TestReadFrameBudgetBoundary(t *testing.T) {
 }
 
 func TestMaxFrameDefaultAndRestore(t *testing.T) {
-	if got := MaxFrame(); got != DefaultMaxFrame {
-		t.Fatalf("MaxFrame() = %d, want default %d", got, DefaultMaxFrame)
+	if got := maxFrame(); got != DefaultMaxFrame {
+		t.Fatalf("maxFrame() = %d, want default %d", got, DefaultMaxFrame)
 	}
 	SetMaxFrame(42)
-	if got := MaxFrame(); got != 42 {
-		t.Fatalf("MaxFrame() after Set(42) = %d", got)
+	if got := maxFrame(); got != 42 {
+		t.Fatalf("maxFrame() after Set(42) = %d", got)
 	}
 	SetMaxFrame(0)
-	if got := MaxFrame(); got != DefaultMaxFrame {
-		t.Fatalf("MaxFrame() after Set(0) = %d, want default", got)
+	if got := maxFrame(); got != DefaultMaxFrame {
+		t.Fatalf("maxFrame() after Set(0) = %d, want default", got)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // — the same format graph files use on disk, written by the same encoder
 // body straight into dst. This is what the coordinator ships each worker per
 // contraction level and what a shard store's files hold. The error is always
-// nil; the signature predates the in-memory encoder.
+// nil; the signature stays because the benchmark module calls it.
 func AppendSubgraph(dst []byte, sg *dist.Subgraph) ([]byte, error) {
 	return appendShard(dst, nil, sg), nil
 }
@@ -281,9 +281,9 @@ func AppendJobHeader(dst []byte, level int, seed uint64, maxPair int64) []byte {
 }
 
 // AppendJob encodes a Job payload, growing dst at most once.
-func AppendJob(dst []byte, j Job) ([]byte, error) {
+func AppendJob(dst []byte, j Job) []byte {
 	var header [3 * varint.MaxLen]byte
-	return appendShard(dst, AppendJobHeader(header[:0], j.Level, j.Seed, j.MaxPair), j.Shard), nil
+	return appendShard(dst, AppendJobHeader(header[:0], j.Level, j.Seed, j.MaxPair), j.Shard)
 }
 
 // DecodeJob decodes a Job payload.

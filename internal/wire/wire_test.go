@@ -146,10 +146,7 @@ func TestAssignJobResultRoundTrip(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	sg := dist.ExtractAll(g, dist.Assign(g, dist.StrategyRanges, 2), 2)[1]
 	j := Job{Level: 3, Seed: 0xdeadbeef, MaxPair: 17, Shard: sg}
-	enc, err := AppendJob(nil, j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := AppendJob(nil, j)
 	gotj, err := DecodeJob(enc)
 	if err != nil {
 		t.Fatal(err)

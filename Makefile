@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15414
+LOC_MAX = 15710
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -47,7 +47,7 @@ loc-check:
 # that changed it left behind, the way loc-check holds the code to LOC_MAX:
 # growth raises the budget in the diff that causes it; a PR that shrinks a
 # document lowers its budget.
-DOC_BUDGETS = ARCHITECTURE.md:32547 README.md:14984 EXPERIMENTS.md:25691
+DOC_BUDGETS = ARCHITECTURE.md:32542 README.md:14984 EXPERIMENTS.md:26879
 docs-check:
 	@fail=0; for b in $(DOC_BUDGETS); do f=$${b%%:*}; max=$${b##*:}; n=$$(wc -c < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n bytes, above its budget of $$max: shrink it or raise the budget in the Makefile"; fail=1; fi; \
@@ -187,7 +187,8 @@ race:
 # sort-free coarsening kernels (radix edge order, selection-based RCB), the
 # boundary-indexed band builder, the pair search that stops when nothing can
 # move — or, proved stuck by the index's per-block weight bounds, never starts
-# —, the FM gain queue's lazily ordered run beside its heap, the direct-CSR
+# —, whole refinement levels reading the index's block-grouped rows against
+# the same levels reading every row in full, the FM gain queue's lazily ordered run beside its heap, the direct-CSR
 # shard extraction, the stitch that contracts the coordinator's own level by
 # any part set a worker can send, the per-PE distributed matching with its
 # sequential phase written once and its ratings carried through the gap
@@ -225,5 +226,6 @@ fuzz:
 	$(GO) test ./internal/part -run=^$$ -fuzz=FuzzMinWeightIsLowerBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzBandMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/refine -run=^$$ -fuzz=FuzzPairSearchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/core -run=^$$ -fuzz=FuzzGroupedRowsMatchFullRows -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/pq -run=^$$ -fuzz=FuzzGainQueueMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test . -run=^$$ -fuzz=FuzzRun -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/part"
+	"repro/internal/refine"
 	"repro/internal/rng"
 )
 
@@ -119,7 +120,7 @@ func TestCrewNeverOutlivesItsRun(t *testing.T) {
 	cfg.Workers = 4
 	started := false
 	startsCrew := envRefiner(func(env *Env) {
-		env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32) {
+		env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32, _ refine.RefinePairOutcome) {
 			if a < 0 { // between iterations, on the run's own goroutine
 				started = started || env.crew != nil
 			}
@@ -280,7 +281,7 @@ func TestClaimOrderLeavesNoTrace(t *testing.T) {
 				}
 				p := part.FromBlocks(g, k, cfg.Eps, blocks)
 				var calls atomic.Uint64
-				stall := func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32) {
+				stall := func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, _ int32, _ refine.RefinePairOutcome) {
 					if a < 0 {
 						return
 					}

@@ -184,8 +184,9 @@ func initialPartition(g *graph.Graph, cfg *Config) ([]int32, int64) {
 // derives the level's random streams; level names the level in RefineEvents
 // (uncoarsening steps done: 0 = coarsest graph). The context is checked
 // before every global iteration. The level owns the run's boundary index,
-// rebuilt here: the schedule reads its quotient, every pair draws its band
-// seeds from the lists of its two blocks and patches them with its moves.
+// rebuilt here: every global iteration regroups its rows, the schedule reads
+// its quotient, every pair draws its band seeds from the lists of its two
+// blocks and patches them with its moves.
 // A global iteration's pairs (see pairBatch) and the rows of the quotient
 // graph are batches on the run's crew, the caller claiming beside the
 // helpers. It returns p's cut after the level without scanning for it: the
@@ -216,6 +217,9 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
+		if !env.fullRows {
+			idx.Regroup(env.crew)
+		}
 		q := idx.QuotientOn(env.crew)
 		if global == 0 {
 			for _, e := range q {
@@ -226,10 +230,10 @@ func refineLevel(ctx context.Context, p *part.Partition, cfg *Config, levelSeed 
 			cfg.Seed^levelSeed<<32^uint64(global)<<16)
 		env.crew.RunChained(len(pb.pairs), ready, work)
 		if env.indexCheck != nil {
-			env.indexCheck(idx, p, p.Block, -1, -1)
+			env.indexCheck(idx, p, p.Block, -1, -1, refine.RefinePairOutcome{})
 		}
-		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: pb.gain})
 		cut -= pb.gain
+		env.Emit(RefineEvent{Level: level, Iteration: global, Gain: pb.gain, Cut: cut})
 		if pb.gain > 0 {
 			fruitlessRuns = 0
 			continue
@@ -259,7 +263,7 @@ type pairBatch struct {
 	view  []int32 // see refineLevel
 	fm    refine.TwoWayConfig
 	local int // cfg.LocalIter
-	check func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
+	check func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, out refine.RefinePairOutcome)
 	order func(free []int) int // see Env.claimOrder
 
 	pairs []part.QEdge
@@ -349,7 +353,7 @@ func (pb *pairBatch) refine(ws *refine.Workspace, i int) int64 {
 			splitSeed(pb.seeds[i], uint64(2*li)), splitSeed(pb.seeds[i], uint64(2*li+1)))
 		gain += out.Gain
 		if pb.check != nil {
-			pb.check(pb.idx, pb.p, pb.view, a, b)
+			pb.check(pb.idx, pb.p, pb.view, a, b, out)
 		}
 		if out.Gain <= 0 {
 			break

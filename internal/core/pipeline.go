@@ -78,11 +78,14 @@ type Env struct {
 
 	// indexCheck is nil outside tests. refineLevel calls it on the pair's
 	// goroutine after every local iteration of a pair, with that pair's
-	// blocks and the level's view, and after every global iteration with
-	// a = b = -1 and the partition's own block array — the points at which
-	// the boundary index's invariants must hold for the pair's two lists and
-	// for all of them.
-	indexCheck func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32)
+	// blocks, the level's view and the iteration's outcome, and after every
+	// global iteration with a = b = -1, the partition's own block array and
+	// a zero outcome — the points at which the boundary index's invariants
+	// must hold for the pair's two lists and for all of them.
+	indexCheck func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, out refine.RefinePairOutcome)
+	// fullRows is false outside tests. Set, refineLevel never groups the
+	// boundary index's rows, and every pair reads its rows in full.
+	fullRows bool
 	// claimOrder is nil outside tests. A crew member claiming a pair hands
 	// it the free pairs of the batch in schedule order, under the batch's
 	// lock, and claims the one at the position it returns instead of the

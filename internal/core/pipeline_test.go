@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/part"
 )
 
@@ -276,5 +278,76 @@ func TestRefineExistingCtxCancelled(t *testing.T) {
 		if _, _, err := RefineExistingCtx(context.Background(), g, cfg, blocks); !errors.Is(err, ErrInvalidConfig) {
 			t.Fatalf("block id %d: got %v, want ErrInvalidConfig", bad, err)
 		}
+	}
+}
+
+// TestTraceAccountsForTheCut holds a run's trace to its cut: the initial
+// partition's cut, less the gain of every RefineEvent, plus what every
+// RebalanceEvent moved it by (cut_after − cut_before), is the run's cut and
+// the partition's, and each RefineEvent's Cut is that sum up to the event.
+// It covers every generator family under the three presets and both
+// coarsening modes, and `kappa -gen rgg:13 -k 8 -seed 3`, which rebalances.
+func TestTraceAccountsForTheCut(t *testing.T) {
+	type run struct {
+		name string
+		g    *graph.Graph
+		cfg  Config
+	}
+	var runs []run
+	for _, spec := range []string{"rgg:10", "delaunay:10", "grid:32x32", "grid3d:10x10x10", "road:1000", "social:1000", "rmat:10", "fem:1000", "banded:1000"} {
+		g, err := gen.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, preset := range []Variant{Minimal, Fast, Strong} {
+			for _, mode := range []CoarsenMode{CoarsenShared, CoarsenDistributed} {
+				cfg := NewConfig(preset, 8)
+				cfg.Seed, cfg.Coarsen = 5, mode
+				runs = append(runs, run{fmt.Sprintf("%s %v %v", spec, preset, mode), g, cfg})
+			}
+		}
+	}
+	g, err := gen.FromSpec("rgg:13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ConfigFromNames("fast", 8, 0.03, 3, 0, 0, "auto", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{"rgg:13 seed 3", g, cfg})
+	rebalances := 0
+	for _, r := range runs {
+		var cut int64
+		var trace error
+		observe := ObserverFunc(func(ev TraceEvent) {
+			switch e := ev.(type) {
+			case InitEvent:
+				cut = e.Cut
+			case RefineEvent:
+				if cut -= e.Gain; e.Cut != cut && trace == nil {
+					trace = fmt.Errorf("%v reports cut %d, the trace so far accounts for %d", e, e.Cut, cut)
+				}
+			case RebalanceEvent:
+				if e.CutBefore != cut && trace == nil {
+					trace = fmt.Errorf("%v starts from cut %d, the trace so far accounts for %d", e, e.CutBefore, cut)
+				}
+				cut += e.CutAfter - e.CutBefore
+				rebalances++
+			}
+		})
+		res, err := Run(context.Background(), r.g, r.cfg, WithObserver(observe))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace != nil {
+			t.Fatalf("%s: %v", r.name, trace)
+		}
+		if scanned := part.FromBlocks(r.g, r.cfg.K, r.cfg.Eps, res.Blocks).Cut(); cut != res.Cut || res.Cut != scanned {
+			t.Fatalf("%s: the trace accounts for cut %d, the run reports %d, the partition cuts %d", r.name, cut, res.Cut, scanned)
+		}
+	}
+	if rebalances == 0 {
+		t.Fatal("no run rebalanced")
 	}
 }

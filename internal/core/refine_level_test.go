@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,17 +18,43 @@ import (
 	"repro/internal/mem"
 	"repro/internal/par"
 	"repro/internal/part"
+	"repro/internal/refine"
 )
 
 // checkIndexLists verifies the boundary-index invariants for the given blocks
 // of the partition view describes: every node of block b with a neighbour
-// outside b is in list b, no node of b is in list b twice, and MinWeight(b)
-// is at most the weight of b's lightest node.
-func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, blocks ...int32) error {
+// outside b is in list b, no node of b is in list b twice, MinWeight(b) is
+// at most the weight of b's lightest node, and every grouped row of a node
+// of the given blocks that the index trusts for b holds exactly the node's
+// neighbours in b, in row order, with the sum of their edge weights. (Rows
+// of other nodes belong to the pairs of their own blocks, which may be
+// regrouping them.) It returns how many grouped rows it compared.
+func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, blocks ...int32) (grouped int, err error) {
+	var want []int32
 	for _, b := range blocks {
 		for v := int32(0); v < int32(g.NumNodes()); v++ {
+			if !slices.Contains(blocks, part.ViewGet(view, v)) {
+				continue
+			}
+			nbrs, w, _, ok := idx.PairRow(v, b, b)
+			if !ok {
+				continue
+			}
+			grouped++
+			want, ws := want[:0], g.AdjWeights(v)
+			var wantW int64
+			for i, u := range g.Adj(v) {
+				if part.ViewGet(view, u) == b {
+					want, wantW = append(want, u), wantW+ws[i]
+				}
+			}
+			if !slices.Equal(nbrs, want) || w != wantW {
+				return grouped, fmt.Errorf("node %d's group of block %d is %v of weight %d, its row has %v of weight %d", v, b, nbrs, w, want, wantW)
+			}
+		}
+		for v := int32(0); v < int32(g.NumNodes()); v++ {
 			if part.ViewGet(view, v) == b && g.NodeWeight(v) < idx.MinWeight(b) {
-				return fmt.Errorf("MinWeight(%d) = %d, node %d weighs %d", b, idx.MinWeight(b), v, g.NodeWeight(v))
+				return grouped, fmt.Errorf("MinWeight(%d) = %d, node %d weighs %d", b, idx.MinWeight(b), v, g.NodeWeight(v))
 			}
 		}
 		listed := make(map[int32]bool)
@@ -35,7 +63,7 @@ func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, bloc
 				continue
 			}
 			if listed[v] {
-				return fmt.Errorf("node %d is in list %d twice", v, b)
+				return grouped, fmt.Errorf("node %d is in list %d twice", v, b)
 			}
 			listed[v] = true
 		}
@@ -45,24 +73,26 @@ func checkIndexLists(g *graph.Graph, idx *part.BoundaryIndex, view []int32, bloc
 			}
 			for _, u := range g.Adj(v) {
 				if part.ViewGet(view, u) != b {
-					return fmt.Errorf("boundary node %d of block %d is not in its list", v, b)
+					return grouped, fmt.Errorf("boundary node %d of block %d is not in its list", v, b)
 				}
 			}
 		}
 	}
-	return nil
+	return grouped, nil
 }
 
 // TestBoundaryIndexInvariantDuringRun checks the index after every pair
-// refinement of full runs (the pair's two lists and weight bounds, on the
-// pair's goroutine) and after every global iteration (all lists and bounds,
-// and the index's quotient against Partition.Quotient). Among the pairs must
-// be some that end a call with both blocks too full to take any node — the
-// state every stuck pair, which returns before it builds a band, starts and
-// ends in.
+// refinement of full runs (the pair's two lists, weight bounds and grouped
+// rows, on the pair's goroutine) and after every global iteration (all of
+// them, and the index's quotient against Partition.Quotient). Among the
+// pairs must be some that end a call with both blocks too full to take any
+// node — the state every stuck pair, which returns before it builds a band,
+// starts and ends in — and the grouped rows compared must number more than
+// none.
 func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 	graphs := map[string]*graph.Graph{"rgg": gen.RGG(11, 1), "rmat": gen.RMAT(9, 8, 1), "grid": gen.Grid2D(40, 40)}
 	fullPairs := 0
+	var groupedRows atomic.Int64
 	for name, g := range graphs {
 		for _, k := range []int{2, 4, 16} {
 			for _, preset := range []Variant{Fast, Strong} {
@@ -76,7 +106,7 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 						first = err
 					}
 				}
-				check := func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32) {
+				check := func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, _ refine.RefinePairOutcome) {
 					if a >= 0 {
 						room := p.Lmax() - slices.Min(p.G.NodeWeights())
 						mu.Lock()
@@ -85,7 +115,9 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 							full++
 						}
 						mu.Unlock()
-						if err := checkIndexLists(p.G, idx, view, a, b); err != nil {
+						rows, err := checkIndexLists(p.G, idx, view, a, b)
+						groupedRows.Add(int64(rows))
+						if err != nil {
 							fail(fmt.Errorf("after pair (%d,%d): %w", a, b, err))
 						}
 						return
@@ -95,7 +127,9 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 					for i := range all {
 						all[i] = int32(i)
 					}
-					if err := checkIndexLists(p.G, idx, view, all...); err != nil {
+					rows, err := checkIndexLists(p.G, idx, view, all...)
+					groupedRows.Add(int64(rows))
+					if err != nil {
 						fail(fmt.Errorf("after an iteration: %w", err))
 					}
 					if got, want := idx.Quotient(), p.Quotient(); !slices.Equal(got, want) {
@@ -120,7 +154,53 @@ func TestBoundaryIndexInvariantDuringRun(t *testing.T) {
 	if fullPairs == 0 {
 		t.Fatal("no pair ended a call with both blocks full")
 	}
-	t.Logf("%d pairs ended a call with both blocks full", fullPairs)
+	if groupedRows.Load() == 0 {
+		t.Fatal("no grouped row was compared")
+	}
+	t.Logf("%d pairs ended a call with both blocks full; %d grouped rows compared", fullPairs, groupedRows.Load())
+}
+
+// TestGroupedRowsHoldUnderACrew runs a power-law graph, whose hubs border
+// every block, on a crew of two with the index's invariants checked after
+// every pair and every iteration, as TestBoundaryIndexInvariantDuringRun
+// does: a pair regrouping a stale row of its own reads the blocks of
+// neighbours that the other member's pair is moving, and must still leave a
+// row that is exact for its two blocks and no grouped row out of bounds.
+func TestGroupedRowsHoldUnderACrew(t *testing.T) {
+	g := gen.RMAT(12, 10, 1)
+	for seed := uint64(0); seed < 8; seed++ {
+		var mu sync.Mutex
+		var first error
+		check := func(idx *part.BoundaryIndex, p *part.Partition, view []int32, a, b int32, _ refine.RefinePairOutcome) {
+			blocks := []int32{a, b}
+			if a < 0 {
+				blocks = blocks[:0]
+				for blk := range p.K {
+					blocks = append(blocks, int32(blk))
+				}
+			}
+			if _, err := checkIndexLists(p.G, idx, view, blocks...); err != nil {
+				mu.Lock()
+				defer mu.Unlock()
+				if first == nil {
+					first = fmt.Errorf("after pair (%d,%d): %w", a, b, err)
+				}
+			}
+		}
+		cfg := NewConfig(Fast, 8)
+		cfg.Seed = seed
+		crew := envRefiner(func(env *Env) {
+			env.crew.Stop()
+			env.crew = par.Start(2, par.Spin) // two members even on one processor
+			env.indexCheck = check
+		})
+		if _, err := Run(context.Background(), g, cfg, WithRefiner(crew)); err != nil {
+			t.Fatal(err)
+		}
+		if first != nil {
+			t.Fatalf("seed %d: %v", seed, first)
+		}
+	}
 }
 
 // refineLevelBench is one global iteration of pairwise refinement on the
@@ -215,7 +295,7 @@ func TestRefineScaling(t *testing.T) {
 		var saved time.Duration // by two workers, over one pass
 		finish := make([]time.Duration, one.cfg.K)
 		one.env.claimOrder = func([]int) int { last, started = time.Now(), true; return 0 }
-		one.env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, b int32) {
+		one.env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, b int32, _ refine.RefinePairOutcome) {
 			now := time.Now()
 			switch {
 			case a < 0:
@@ -278,3 +358,86 @@ func median(d []time.Duration) time.Duration {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// groupedFamilies are FuzzGroupedRowsMatchFullRows's inputs, one per
+// generator family, built once.
+var groupedFamilies = sync.OnceValue(func() []*graph.Graph {
+	var gs []*graph.Graph
+	for _, spec := range []string{"rgg:10", "delaunay:10", "grid:32x32", "grid3d:10x10x10", "road:1000", "social:1000", "rmat:10", "fem:1000", "banded:1000"} {
+		g, err := gen.FromSpec(spec)
+		if err != nil {
+			panic(err)
+		}
+		gs = append(gs, g)
+	}
+	return gs
+})
+
+// pairRecord is one local iteration of one pair, as indexCheck sees it.
+type pairRecord struct {
+	a, b int32
+	out  refine.RefinePairOutcome
+}
+
+// refineRecord runs g under cfg, its boundary rows grouped or read in full,
+// and returns the run's result, its RefineEvents and every pair's local
+// iterations, those of a global iteration in order of the pair — the order
+// two workers finish them in is theirs — and in order within a pair.
+func refineRecord(t *testing.T, g *graph.Graph, cfg Config, fullRows bool) (Result, []RefineEvent, []pairRecord) {
+	t.Helper()
+	var mu sync.Mutex
+	var events []RefineEvent
+	var pairs, iteration []pairRecord
+	hook := envRefiner(func(env *Env) {
+		env.fullRows = fullRows
+		env.indexCheck = func(_ *part.BoundaryIndex, _ *part.Partition, _ []int32, a, b int32, out refine.RefinePairOutcome) {
+			mu.Lock()
+			defer mu.Unlock()
+			if a >= 0 {
+				iteration = append(iteration, pairRecord{a, b, out})
+				return
+			}
+			slices.SortStableFunc(iteration, func(x, y pairRecord) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) })
+			pairs, iteration = append(pairs, iteration...), iteration[:0]
+		}
+	})
+	observe := ObserverFunc(func(ev TraceEvent) {
+		if e, ok := ev.(RefineEvent); ok {
+			events = append(events, e)
+		}
+	})
+	res, err := Run(context.Background(), g, cfg, WithRefiner(hook), WithObserver(observe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, events, pairs
+}
+
+// FuzzGroupedRowsMatchFullRows runs a generator family's graph twice — the
+// boundary index's rows grouped, and every row read in full — with k of 2,
+// 4, 16, 64 or 65 (65 blocks take no groups), any band depth and a crew of
+// one or two, and wants the same partition and cut, the same RefineEvents
+// and the same outcome of every local iteration of every pair: gain, moves
+// and band size.
+func FuzzGroupedRowsMatchFullRows(f *testing.F) {
+	for i := range 10 {
+		f.Add(uint8(i), uint8(i), uint8(i%5+1), uint8(i%2+1), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, family, kSel, depth, workers uint8, seed uint64) {
+		gs := groupedFamilies()
+		g := gs[int(family)%len(gs)]
+		cfg := NewConfig(Fast, []int{2, 4, 16, 64, 65}[kSel%5])
+		cfg.Seed, cfg.BandDepth, cfg.Workers = seed, 1+int(depth%6), 1+int(workers%2)
+		gotRes, gotEvents, gotPairs := refineRecord(t, g, cfg, false)
+		wantRes, wantEvents, wantPairs := refineRecord(t, g, cfg, true)
+		if !slices.Equal(gotRes.Blocks, wantRes.Blocks) || gotRes.Cut != wantRes.Cut {
+			t.Fatalf("grouped rows: cut %d, full rows: cut %d, or the blocks differ", gotRes.Cut, wantRes.Cut)
+		}
+		if !slices.Equal(gotEvents, wantEvents) {
+			t.Fatalf("grouped rows: events %v, full rows: %v", gotEvents, wantEvents)
+		}
+		if len(gotPairs) == 0 || !slices.Equal(gotPairs, wantPairs) {
+			t.Fatalf("grouped rows: %d pair iterations, full rows: %d, or their outcomes differ", len(gotPairs), len(wantPairs))
+		}
+	})
+}

@@ -88,12 +88,13 @@ type RefineEvent struct {
 	Level     int   // uncoarsening steps done: 0 = coarsest graph, Levels = finest
 	Iteration int   // global iteration within the level, 0-based
 	Gain      int64 // total cut reduction of the iteration
+	Cut       int64 // the level's cut after the iteration
 }
 
 func (RefineEvent) traceEvent() {}
 
 func (e RefineEvent) String() string {
-	return fmt.Sprintf("refine level %d iter %d: gain %d", e.Level, e.Iteration, e.Gain)
+	return fmt.Sprintf("refine level %d iter %d: gain %d, cut %d", e.Level, e.Iteration, e.Gain, e.Cut)
 }
 
 // RebalanceEvent reports a rebalancing pass: the moves that drained the

@@ -37,8 +37,8 @@ func (e *LimitError) Unwrap() error { return ErrLimit }
 // megabytes rather than the 8 GiB the format limits would admit. Processes
 // that really load bigger graphs raise the budget explicitly.
 const (
-	DefaultMaxDecodeNodes = 1 << 27 // ~134M nodes
-	DefaultMaxDecodeEdges = 1 << 28 // ~268M undirected edges
+	defaultMaxDecodeNodes = 1 << 27 // ~134M nodes
+	defaultMaxDecodeEdges = 1 << 28 // ~268M undirected edges
 )
 
 // budgetNodes/budgetEdges hold the configurable budgets (atomic: readers run
@@ -54,10 +54,10 @@ var (
 func DecodeBudget() (nodes, edges uint64) {
 	nodes, edges = budgetNodes.Load(), budgetEdges.Load()
 	if nodes == 0 {
-		nodes = DefaultMaxDecodeNodes
+		nodes = defaultMaxDecodeNodes
 	}
 	if edges == 0 {
-		edges = DefaultMaxDecodeEdges
+		edges = defaultMaxDecodeEdges
 	}
 	return nodes, edges
 }

@@ -76,9 +76,9 @@ func TestReadMETISRejectsOverBudgetHeader(t *testing.T) {
 
 func TestDecodeBudgetDefaultsAndClamp(t *testing.T) {
 	n, m := DecodeBudget()
-	if n != DefaultMaxDecodeNodes || m != DefaultMaxDecodeEdges {
+	if n != defaultMaxDecodeNodes || m != defaultMaxDecodeEdges {
 		t.Fatalf("DecodeBudget() = %d, %d; want defaults %d, %d",
-			n, m, DefaultMaxDecodeNodes, DefaultMaxDecodeEdges)
+			n, m, defaultMaxDecodeNodes, defaultMaxDecodeEdges)
 	}
 	// Budgets above the format limits clamp to them: the budget can only
 	// tighten the format's own bounds, never widen them.

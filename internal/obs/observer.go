@@ -37,9 +37,9 @@ func NewPipelineObserver(r *Registry) *PipelineObserver {
 		runs:   r.Counter("kappa_runs_total", "Pipeline runs observed (total-phase events)."),
 		levels: r.Counter("kappa_levels_total", "Contraction levels pushed."),
 		levelNodes: r.Histogram("kappa_level_nodes",
-			"Nodes of each pushed coarser graph.", SizeBuckets),
+			"Nodes of each pushed coarser graph.", sizeBuckets),
 		levelEdges: r.Histogram("kappa_level_edges",
-			"Edges of each pushed coarser graph.", SizeBuckets),
+			"Edges of each pushed coarser graph.", sizeBuckets),
 		matchSec: r.Histogram("kappa_level_match_seconds",
 			"Matching-kernel wall-clock per contraction level.", TimeBuckets),
 		contractSec: r.Histogram("kappa_level_contract_seconds",
@@ -50,7 +50,7 @@ func NewPipelineObserver(r *Registry) *PipelineObserver {
 		refineIter: r.Counter("kappa_refine_iterations_total",
 			"Global refinement iterations run."),
 		refineGain: r.Histogram("kappa_refine_gain",
-			"Total cut reduction per global refinement iteration.", GainBuckets),
+			"Total cut reduction per global refinement iteration.", gainBuckets),
 		phaseSec: map[core.Phase]*Histogram{
 			core.PhaseCoarsen: phase.With("coarsen"),
 			core.PhaseInit:    phase.With("init"),

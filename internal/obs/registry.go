@@ -346,10 +346,10 @@ var (
 	// TimeBuckets covers kernel and phase durations, in seconds: 100µs up
 	// to 10s in a 1-2.5-5 ladder.
 	TimeBuckets = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	// SizeBuckets covers graph sizes (nodes, edges): powers of four from
+	// sizeBuckets covers graph sizes (nodes, edges): powers of four from
 	// 256 to ~16M.
-	SizeBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24}
-	// GainBuckets covers per-iteration refinement gains, including the
+	sizeBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24}
+	// gainBuckets covers per-iteration refinement gains, including the
 	// no-progress and (rare) negative cases.
-	GainBuckets = []float64{-100, 0, 10, 100, 1000, 10000, 100000}
+	gainBuckets = []float64{-100, 0, 10, 100, 1000, 10000, 100000}
 )

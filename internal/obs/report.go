@@ -70,6 +70,7 @@ type RefineReport struct {
 	Level     int   `json:"level"`
 	Iteration int   `json:"iteration"`
 	Gain      int64 `json:"gain"`
+	Cut       int64 `json:"cut"` // the level's cut after the iteration
 }
 
 // RebalanceReport records one rebalancing pass; a run that needed none
@@ -215,7 +216,7 @@ func TraceRecord(ev core.TraceEvent) (kind string, entry any) {
 	case core.InitEvent:
 		return "init", InitReport{Cut: e.Cut, Seconds: e.Time.Seconds()}
 	case core.RefineEvent:
-		return "refine", RefineReport{Level: e.Level, Iteration: e.Iteration, Gain: e.Gain}
+		return "refine", RefineReport{Level: e.Level, Iteration: e.Iteration, Gain: e.Gain, Cut: e.Cut}
 	case core.RebalanceEvent:
 		return "rebalance", RebalanceReport{Level: e.Level, Moved: e.Moved, CutBefore: e.CutBefore, CutAfter: e.CutAfter, Feasible: e.Feasible}
 	case core.PhaseEvent:

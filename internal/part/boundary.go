@@ -2,6 +2,7 @@ package part
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -41,6 +42,23 @@ func ViewSet(view []int32, v, b int32) { atomic.StoreInt32(&view[v], b) }
 // adjacent to the moved node's old block and is adjacent to its new one — so
 // concurrent pairs of one colour class never touch each other's lists or
 // bounds and need no locks.
+//
+// Grouped rows (see Regroup and grouped.go) spare a pair the rows of its
+// hubs. A boundary node's row is stably partitioned by the block each
+// neighbour was in when it was grouped, with every group's edge-weight sum
+// and a one-word mask of the blocks present: "which of v's neighbours are in
+// a, and how heavy are its ties to a and to b" is then two groups, and "does
+// v border b" one bit. Patch keeps the rows honest: a move between a and b
+// sets bits a and b in the stale word of every neighbour's row, and a pair
+// (c, d) trusts a row only while its bits c and d are clear. Only the pairs
+// of c and d set those bits, and the schedule runs them all before (c, d) or
+// after it, so the test needs no lock; the words are atomic because a pair
+// sets bits in the rows of third blocks' nodes, which concurrent pairs read.
+// A pair that meets a row of its own blocks stale for them regroups it on the
+// spot (see seedsOf), for it owns the row as it owns the node. A trusted row
+// gives the bytes a full scan gives: groups keep row order and sums are
+// exact. Rows are reset with the lists and regrouped once per global
+// iteration.
 type BoundaryIndex struct {
 	p     *Partition
 	lists [][]int32
@@ -56,6 +74,8 @@ type BoundaryIndex struct {
 	qscratch []quotientScratch
 	qrows    [][]QEdge
 	qedges   []QEdge
+
+	groupedRows // see Regroup
 }
 
 // rangeScan is one node range's share of a boundary scan: the boundary nodes
@@ -88,7 +108,7 @@ func (x *BoundaryIndex) Reset(run *par.Crew, p *Partition, view []int32, a, b in
 		}
 		x.lists[blk] = list[:0]
 	}
-	x.p = p
+	x.p, x.regrouped, x.grouped = p, false, false
 	g := p.G
 	if n := g.NumNodes(); cap(x.in) < n {
 		x.in = make([]bool, n)
@@ -99,6 +119,10 @@ func (x *BoundaryIndex) Reset(run *par.Crew, p *Partition, view []int32, a, b in
 		x.lists = make([][]int32, p.K)
 	}
 	x.lists = x.lists[:p.K]
+	x.dirty = slices.Grow(x.dirty[:0], p.K)[:p.K]
+	for blk := range x.dirty {
+		x.dirty[blk] = x.dirty[blk][:0]
+	}
 	x.minW = slices.Grow(x.minW[:0], p.K)[:p.K]
 	for blk := range x.minW {
 		x.minW[blk] = NoNode
@@ -179,14 +203,23 @@ func (x *BoundaryIndex) MinWeight(b int32) int64 { return x.minW[b] }
 // and compacts lists a and b on the way: nodes that left the block or have
 // no foreign neighbour any more are dropped.
 func (x *BoundaryIndex) Seeds(dst []int32, view []int32, a, b int32) []int32 {
-	dst = x.seedsOf(dst, view, a, b)
-	dst = x.seedsOf(dst, view, b, a)
+	var sc *groupScratch
+	if x.grouped {
+		sc = &x.scratch[a]
+	}
+	dst = x.seedsOf(dst, sc, view, a, b)
+	dst = x.seedsOf(dst, sc, view, b, a)
 	slices.Sort(dst)
 	return dst
 }
 
+// seedsOf is Seeds for one of the pair's blocks. A grouped row answers from
+// its mask; one that is stale for the pair is regrouped first, through
+// view: the pair owns its two blocks' nodes and rows, and the regroup spares
+// every later pair of the two blocks the full scan.
+//
 //kappa:hotpath
-func (x *BoundaryIndex) seedsOf(dst []int32, view []int32, own, other int32) []int32 {
+func (x *BoundaryIndex) seedsOf(dst []int32, sc *groupScratch, view []int32, own, other int32) []int32 {
 	g := x.p.G
 	list := x.lists[own]
 	kept := 0
@@ -195,14 +228,19 @@ func (x *BoundaryIndex) seedsOf(dst []int32, view []int32, own, other int32) []i
 			continue // left the block; the list of its new block holds it
 		}
 		seed, boundary := false, false
-		for _, u := range g.Adj(v) {
-			bu := ViewGet(view, u)
-			if bu == other {
-				seed = true
-				break
-			}
-			if bu != own {
-				boundary = true
+		if s := x.freshen(sc, view, v, own, other); s >= 0 {
+			mask := x.rows[s].mask
+			seed, boundary = mask>>other&1 != 0, mask&^(1<<own) != 0
+		} else {
+			for _, u := range g.Adj(v) {
+				bu := ViewGet(view, u)
+				if bu == other {
+					seed = true
+					break
+				}
+				if bu != own {
+					boundary = true
+				}
 			}
 		}
 		if seed {
@@ -224,7 +262,9 @@ func (x *BoundaryIndex) seedsOf(dst []int32, view []int32, own, other int32) []i
 // the list of its new block (its entry in the old one is dropped by the next
 // compaction, which precedes any move back), and so does every neighbour it
 // left behind that was not listed yet. An arrival lowers its new block's
-// MinWeight; a departure raises nothing.
+// MinWeight; a departure raises nothing. With grouped rows, every neighbour
+// of a moved node gets bits a and b in its row's stale word, and every node
+// without a row that this made boundary is listed for the next Regroup.
 //
 //kappa:hotpath
 func (x *BoundaryIndex) Patch(view []int32, a, b int32, moved []int32) {
@@ -235,14 +275,19 @@ func (x *BoundaryIndex) Patch(view []int32, a, b int32, moved []int32) {
 		x.in[v] = true
 		//kappa:allow hotalloc amortized growth of a boundary list
 		x.lists[to] = append(x.lists[to], v)
+		x.listUngrouped(v, a)
 	}
 	for _, v := range moved {
 		from := a + b - ViewGet(view, v)
 		for _, u := range g.Adj(v) {
+			if x.grouped {
+				x.markStale(u, a, b)
+			}
 			if ViewGet(view, u) == from && !x.in[u] {
 				x.in[u] = true
 				//kappa:allow hotalloc amortized growth of a boundary list
 				x.lists[from] = append(x.lists[from], u)
+				x.listUngrouped(u, a)
 			}
 		}
 	}
@@ -292,33 +337,46 @@ func (x *BoundaryIndex) QuotientOn(run *par.Crew) []QEdge {
 }
 
 // quotientRow builds block a's row: every cut edge to a higher block is
-// counted from a's boundary list, scattered into a k-length row and emitted
-// in order of B.
+// counted from a's boundary list — a grouped row with a clear stale word by
+// its groups of higher blocks, any other row edge by edge — scattered into a
+// k-length row and emitted in order of B.
 func (x *BoundaryIndex) quotientRow(member, a int) {
 	p, s := x.p, &x.qscratch[member]
-	row, seen, touched := s.row[:p.K], s.seen[:p.K], s.touched[:0]
+	s.touched = s.touched[:0]
 	edges := x.qrows[a][:0]
 	for _, v := range x.lists[a] {
 		if p.Block[v] != int32(a) {
 			continue
 		}
+		if gr, ok := x.trusted(v, ^uint64(0)); ok {
+			higher := gr.mask >> (a + 1) << (a + 1)
+			at := gr.first + int32(bits.OnesCount64(gr.mask)-bits.OnesCount64(higher))
+			for m := higher; m != 0; m &= m - 1 {
+				s.add(int32(bits.TrailingZeros64(m)), x.groups[at].w)
+				at++
+			}
+			continue
+		}
 		ws := p.G.AdjWeights(v)
 		for i, u := range p.G.Adj(v) {
-			bu := p.Block[u]
-			if bu <= int32(a) {
-				continue
+			if bu := p.Block[u]; bu > int32(a) {
+				s.add(bu, ws[i])
 			}
-			if !seen[bu] {
-				seen[bu] = true
-				touched = append(touched, bu)
-			}
-			row[bu] += ws[i]
 		}
 	}
-	slices.Sort(touched)
-	for _, b := range touched {
-		edges = append(edges, QEdge{int32(a), b, row[b]})
-		row[b], seen[b] = 0, false
+	slices.Sort(s.touched)
+	for _, b := range s.touched {
+		edges = append(edges, QEdge{int32(a), b, s.row[b]})
+		s.row[b], s.seen[b] = 0, false
 	}
-	s.touched, x.qrows[a] = touched[:0], edges
+	x.qrows[a] = edges
+}
+
+// add adds w to the row's weight toward block b.
+func (s *quotientScratch) add(b int32, w int64) {
+	if !s.seen[b] {
+		s.seen[b] = true
+		s.touched = append(s.touched, b)
+	}
+	s.row[b] += w
 }

@@ -3,6 +3,15 @@
 // the blocks of the partition, its edges connect blocks with cut edges
 // between them, and the matchings induced by an edge coloring of Q tell the
 // parallel refinement which pairs of blocks may be refined concurrently.
+//
+// The BoundaryIndex keeps, per block, the nodes on its boundary, and, on a
+// level whose long rows hold much of its boundary, per boundary node a row
+// grouped by the blocks of its neighbours, so that the pair (a, b) reads a
+// hub's ties to a and b without scanning its row. A move between a and b
+// marks every neighbour's row stale in a and b; a pair trusts a row only
+// where it is not stale for the pair's own two blocks, which no concurrent
+// pair can change, and a trusted row yields exactly what a full scan would,
+// so refinement's bytes do not depend on the grouping.
 package part
 
 import (

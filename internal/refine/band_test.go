@@ -80,8 +80,9 @@ type pairStep struct {
 	seedA, seedB uint64
 }
 
-// checkBandsMatchReference applies steps to p through one kept index and,
-// step by step, to a clone through the one-shot entry point. After every
+// checkBandsMatchReference applies steps to p through one kept index, its
+// rows regrouped every third step as a level's global iterations regroup
+// them, and, step by step, to a clone through the one-shot entry point. After every
 // call both must have searched exactly the band the reference builder finds
 // on the partition as it stood before the call, and both must leave the
 // same partition. The exception is a call the index's weight bounds prove
@@ -93,6 +94,9 @@ func checkBandsMatchReference(t *testing.T, p *part.Partition, steps []pairStep)
 	idx := part.NewBoundaryIndex(p)
 	ws, wsOne := NewWorkspace(), NewWorkspace()
 	for i, st := range steps {
+		if i%3 == 0 { // a global iteration starts: the kept index regroups its rows
+			idx.Regroup(nil)
+		}
 		want := referenceBand(p, st.a, st.b, st.cfg.BandDepth)
 		ref := part.FromBlocks(p.G, p.K, p.Eps, slices.Clone(p.Block))
 		wantOut, counts := refinePairReference(NewWorkspace(), part.NewBoundaryIndex(ref), ref, ref.Block, st.a, st.b, st.cfg, st.seedA, st.seedB)

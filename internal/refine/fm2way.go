@@ -10,7 +10,10 @@
 // reusing one Workspace across the pairs, levels and global iterations a
 // goroutine processes makes the inner loop allocation-free (see
 // RefinePairIndexed). Results are byte-identical with fresh and reused
-// workspaces, and with a kept and a one-shot index.
+// workspaces, and with a kept and a one-shot index. A level's index also
+// groups the rows of its boundary nodes by block (part.BoundaryIndex.PairRow):
+// the band walk of the pair (a, b) then reads a hub's a- and b-groups, and
+// scans only rows the index does not trust for a and b, to the same bytes.
 package refine
 
 import (
@@ -141,6 +144,7 @@ func (ws *Workspace) growBand(n int) {
 // two blocks is adopted").
 type pairSearch struct {
 	p      *part.Partition
+	idx    *part.BoundaryIndex // the band's seeds and grouped rows
 	ws     *Workspace
 	view   []int32 // block membership snapshot for reads outside the pair
 	a, b   int32
@@ -172,7 +176,9 @@ type result struct {
 // node's weight toward b to the pair cut — every a↔b edge once, both
 // endpoints of a cut edge being boundary nodes and hence in the band. With
 // expand set it also takes v's BFS step, appending its same-block neighbours
-// that are not in the band yet.
+// that are not in the band yet. A node whose grouped row the pair may trust
+// is read from the row's two groups (part.BoundaryIndex.PairRow): the same
+// sums, and its block's neighbours in row order.
 //
 //kappa:hotpath
 func (s *pairSearch) walk(li int, expand bool) {
@@ -180,19 +186,31 @@ func (s *pairSearch) walk(li int, expand bool) {
 	v := band[li]
 	bv := part.ViewGet(view, v)
 	other := s.a + s.b - bv
-	wts := g.AdjWeights(v)
-	var wOwn, wOther int64
-	for i, u := range g.Adj(v) {
-		switch part.ViewGet(view, u) {
-		case bv:
-			wOwn += wts[i]
-			if expand && !inBand[u] {
-				inBand[u] = true
-				//kappa:allow hotalloc amortized growth of the reusable workspace band
-				band = append(band, u)
+	ownNbrs, wOwn, wOther, grouped := s.idx.PairRow(v, bv, other)
+	if grouped {
+		if expand {
+			for _, u := range ownNbrs {
+				if !inBand[u] {
+					inBand[u] = true
+					//kappa:allow hotalloc amortized growth of the reusable workspace band
+					band = append(band, u)
+				}
 			}
-		case other:
-			wOther += wts[i]
+		}
+	} else {
+		wts := g.AdjWeights(v)
+		for i, u := range g.Adj(v) {
+			switch part.ViewGet(view, u) {
+			case bv:
+				wOwn += wts[i]
+				if expand && !inBand[u] {
+					inBand[u] = true
+					//kappa:allow hotalloc amortized growth of the reusable workspace band
+					band = append(band, u)
+				}
+			case other:
+				wOther += wts[i]
+			}
 		}
 	}
 	s.band = band
@@ -246,7 +264,7 @@ func newPairSearch(idx *part.BoundaryIndex, p *part.Partition, ws *Workspace, vi
 	ws.growGlobal(p.G.NumNodes())
 	s := &ws.search
 	*s = pairSearch{
-		p: p, ws: ws, view: view, a: a, b: b,
+		p: p, idx: idx, ws: ws, view: view, a: a, b: b,
 		cA: p.BlockWeight(a),
 		cB: p.BlockWeight(b),
 	}

@@ -95,7 +95,7 @@ func liveBoundary(p *part.Partition, list []int32, blk int32) []int32 {
 }
 
 // checkSearchMatchesReference applies steps to p through the kernel, with a
-// kept index and with the one-shot index, and to clones of p through the
+// kept index (its rows regrouped every third step) and with the one-shot index, and to clones of p through the
 // reference search. After every call the outcomes (see expectOutcome), the
 // applied move prefixes, the partitions and the two index lists of the pair
 // must be equal. A pair stuck once its band is built leaves its lists as the
@@ -113,6 +113,9 @@ func checkSearchMatchesReference(t *testing.T, label string, p *part.Partition, 
 	ws, wsRef, wsOne, wsOneRef := NewWorkspace(), NewWorkspace(), NewWorkspace(), NewWorkspace()
 	var cov searchCoverage
 	for i, st := range steps {
+		if i%3 == 0 { // a global iteration starts: the kept index regroups its rows
+			idx.Regroup(nil)
+		}
 		a, b := st.a, st.b
 		lmax := st.state.lmax(kept.BlockWeight(a), kept.BlockWeight(b))
 		for _, q := range []*part.Partition{kept, keptRef, one, oneRef} {

@@ -29,10 +29,10 @@ func (e *LimitError) Error() string {
 // Unwrap makes errors.Is(err, ErrLimit) hold for every LimitError.
 func (e *LimitError) Unwrap() error { return ErrLimit }
 
-// DefaultMaxFrame is the control-frame payload budget in force until
+// defaultMaxFrame is the control-frame payload budget in force until
 // SetMaxFrame overrides it. One frame carries at most one subgraph shard or
 // partition vector, so a gigabyte is far beyond any honest peer.
-const DefaultMaxFrame = 1 << 30
+const defaultMaxFrame = 1 << 30
 
 // maxFrameBytes is the configurable frame budget (atomic: decoders run on
 // many goroutines; configuration is a startup-time act). Zero means "the
@@ -44,10 +44,10 @@ func maxFrame() uint64 {
 	if n := maxFrameBytes.Load(); n != 0 {
 		return n
 	}
-	return DefaultMaxFrame
+	return defaultMaxFrame
 }
 
 // SetMaxFrame sets the control-frame payload budget; 0 restores
-// DefaultMaxFrame. Call it at process startup (kappa serve/worker expose it
+// defaultMaxFrame. Call it at process startup (kappa serve/worker expose it
 // as -max-frame), before any connection is served.
 func SetMaxFrame(n uint64) { maxFrameBytes.Store(n) }

@@ -66,15 +66,15 @@ func TestReadFrameBudgetBoundary(t *testing.T) {
 }
 
 func TestMaxFrameDefaultAndRestore(t *testing.T) {
-	if got := maxFrame(); got != DefaultMaxFrame {
-		t.Fatalf("maxFrame() = %d, want default %d", got, DefaultMaxFrame)
+	if got := maxFrame(); got != defaultMaxFrame {
+		t.Fatalf("maxFrame() = %d, want default %d", got, defaultMaxFrame)
 	}
 	SetMaxFrame(42)
 	if got := maxFrame(); got != 42 {
 		t.Fatalf("maxFrame() after Set(42) = %d", got)
 	}
 	SetMaxFrame(0)
-	if got := maxFrame(); got != DefaultMaxFrame {
+	if got := maxFrame(); got != defaultMaxFrame {
 		t.Fatalf("maxFrame() after Set(0) = %d, want default", got)
 	}
 }

@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15710
+LOC_MAX = 15602
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -47,7 +47,7 @@ loc-check:
 # that changed it left behind, the way loc-check holds the code to LOC_MAX:
 # growth raises the budget in the diff that causes it; a PR that shrinks a
 # document lowers its budget.
-DOC_BUDGETS = ARCHITECTURE.md:32542 README.md:14984 EXPERIMENTS.md:26879
+DOC_BUDGETS = ARCHITECTURE.md:32521 README.md:14984 EXPERIMENTS.md:26875
 docs-check:
 	@fail=0; for b in $(DOC_BUDGETS); do f=$${b%%:*}; max=$${b##*:}; n=$$(wc -c < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n bytes, above its budget of $$max: shrink it or raise the budget in the Makefile"; fail=1; fi; \
@@ -126,9 +126,9 @@ scale:
 # like its shared ones (geometric mean of the ratio over the instances),
 # KaPPa-Fast < kmetis < parmetis over Table 2's instances, and the scale
 # predicate: from rgg:15 to rgg:17 (child kappa -in processes, k = 16) the
-# run time per edge grows by at most a committed factor and the peak RSS per
-# half-edge stays under a committed bound (TestScaleShape, behind -scale, so
-# it stays out of go test ./...). Each tolerance comes from a measured
+# run time per edge grows by at most a committed factor, and the peak RSS per
+# half-edge of rgg:17 and of rmat:15 stays under a committed bound each
+# (TestScaleShape, behind -scale, so it stays out of go test ./...). Each tolerance comes from a measured
 # spread (EXPERIMENTS.md). CI runs this.
 shape:
 	$(GO) test -count=1 -run 'TestFewerPEsThanBlocksCostNoQuality' ./internal/core

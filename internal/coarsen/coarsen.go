@@ -222,19 +222,17 @@ func (nb numbering) number(g *graph.Graph, m matching.Matching, blocks []int32, 
 }
 
 // coarseCSR is a coarse graph as contractMapped leaves it: the CSR arrays,
-// the weighted degrees, the coordinates and the aggregates, all summed on
-// the way.
+// the coordinates and the aggregates, all summed on the way.
 type coarseCSR struct {
-	xadj, adj        []int32
-	ewgt, nwgt, wdeg []int64
-	x, y, z          []float64 // nil without coordinates, z nil in 2D
-	agg              graph.CSRAggregates
+	xadj, adj  []int32
+	ewgt, nwgt []int64
+	x, y, z    []float64 // nil without coordinates, z nil in 2D
+	agg        graph.CSRAggregates
 }
 
-// graph adopts c's arrays, weighted degrees and coordinates.
+// graph adopts c's arrays and coordinates.
 func (c coarseCSR) graph() *graph.Graph {
 	cg := graph.FromCSRTrusted(c.xadj, c.adj, c.ewgt, c.nwgt, c.agg)
-	cg.SetWeightedDegrees(c.wdeg)
 	if c.z != nil {
 		cg.SetCoords3(c.x, c.y, c.z)
 	} else if c.x != nil {
@@ -245,11 +243,11 @@ func (c coarseCSR) graph() *graph.Graph {
 
 // span is the coarse ids [lo, hi) one goroutine runs the count and fill
 // passes over, and what it sums on the way: the half-edges of its rows
-// (counted, then where they start), its heaviest node and its weighted
-// degrees.
+// (counted, then where they start), its heaviest node and its rows' edge
+// weights.
 type span struct {
 	lo, hi, half int32
-	maxNW, wdeg  int64
+	maxNW, ew    int64
 }
 
 // contractMapped is the count and fill passes every contraction runs, each a
@@ -323,14 +321,11 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 		maxNW = max(maxNW, sp.maxNW)
 	}
 
-	// Exactly-sized coarse CSR (persists) plus the weighted degrees the fill
-	// pass computes for free while merging edge weights.
+	// Exactly-sized coarse CSR (persists).
 	//kappa:allow hotalloc exactly-sized CSR arrays persist as the coarse graph
 	adj := make([]int32, half)
 	//kappa:allow hotalloc exactly-sized CSR arrays persist as the coarse graph
 	ewgt := make([]int64, half)
-	//kappa:allow hotalloc the weighted-degree cache persists with the coarse graph
-	wdeg := make([]int64, nc)
 	fx, fy, fz := g.Coords3()
 	var cx, cy, cz []float64
 	if fx != nil && nc > 0 {
@@ -344,7 +339,7 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 
 	// ---- Pass 2: fill each coarse node's segment in first-encounter order ----
 	runPass(true, func(sp *span, stamp, pos []int32) {
-		next, wsum := sp.half, int64(0)
+		next, ew := sp.half, int64(0)
 		for c := sp.lo; c < sp.hi; c++ {
 			first := next
 			for v := memberHead[c]; v >= 0; v = memberNext[v] {
@@ -367,12 +362,9 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 				}
 			}
 			xadj[c+1] = next
-			var s int64
 			for _, w := range ewgt[first:next] {
-				s += w
+				ew += w
 			}
-			wdeg[c] = s
-			wsum += s
 			if cx != nil {
 				var x, y, z, k float64
 				for v := memberHead[c]; v >= 0; v = memberNext[v] {
@@ -389,14 +381,14 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 				}
 			}
 		}
-		sp.wdeg = wsum
+		sp.ew = ew
 	})
 
 	var totalEW int64
 	for _, sp := range spans {
-		totalEW += sp.wdeg
+		totalEW += sp.ew
 	}
-	return coarseCSR{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, wdeg: wdeg, x: cx, y: cy, z: cz, agg: graph.CSRAggregates{
+	return coarseCSR{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, x: cx, y: cy, z: cz, agg: graph.CSRAggregates{
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: totalEW / 2, MaxNodeWeight: maxNW}}
 }
 
@@ -414,7 +406,7 @@ type Level struct {
 // Each level keeps only what the V-cycle still reads. While coarsening, a
 // level's graph is read whole by the distributor, the matching and the
 // contraction; once the next level is pushed, the pipeline's loop
-// (core.CoarsenWith) drops a coarse level's coordinates and weighted degrees
+// (core.CoarsenWith) drops a coarse level's coordinates
 // (graph.Graph.DropCoarseningData), which only those passes read, and keeps
 // its CSR, node weights and map for uncoarsening. The input graph and
 // Coarsest keep everything. Uncoarsening climbs one level per Uncoarsen,

@@ -120,7 +120,6 @@ func StitchChecked(run *par.Crew, g *graph.Graph, parts []*PEContraction) (*grap
 	head, next := memberLists(fine2coarse, int32(total))
 	cc := contractMapped(run, g, fine2coarse, head, next, coarseSpans(g, head, next, int32(total), max(1, min(workers, total))), nil)
 	sortRows(run, cc, workers)
-	cc.agg.AdjSorted = true
 	return cc.graph(), fine2coarse, nil
 }
 

@@ -292,7 +292,7 @@ func expandParts(g *graph.Graph, parts []*coarsen.PEContraction) []*referencePar
 // sameGraph compares CSR rows, node weights, coordinate bits and aggregates.
 func sameGraph(t testing.TB, what string, got, want *graph.Graph) {
 	t.Helper()
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.AdjSorted() != want.AdjSorted() ||
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
 		got.TotalNodeWeight() != want.TotalNodeWeight() || got.TotalEdgeWeight() != want.TotalEdgeWeight() ||
 		got.MaxNodeWeight() != want.MaxNodeWeight() || got.CoordDims() != want.CoordDims() {
 		t.Fatalf("%s: shape or aggregates differ from the reference", what)
@@ -478,7 +478,7 @@ func TestStitchNothing(t *testing.T) {
 // TestStitchByteIdenticalAcrossGOMAXPROCS stitches level-0 parts of graphs
 // large enough to clear the half-edge floor of graph.ParallelRanges on one,
 // two and four processors: offsets, neighbours, weights, coordinates,
-// aggregates, the weighted degrees and the fine→coarse map must not depend
+// aggregates and the fine→coarse map must not depend
 // on how many goroutines built them. The one-processor result is also held
 // against graph.FromCSR of its own arrays — the stitch adopts them without
 // that second walk.
@@ -493,17 +493,14 @@ func TestStitchByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		want, wantMap := coarsen.Stitch(g, parts)
 		xadj := []int32{0}
 		adj, ewgt := []int32{}, []int64{}
-		wdeg := make([]int64, want.NumNodes())
 		for v := int32(0); v < int32(want.NumNodes()); v++ {
 			adj, ewgt = append(adj, want.Adj(v)...), append(ewgt, want.AdjWeights(v)...)
 			xadj = append(xadj, int32(len(adj)))
-			wdeg[v] = want.WeightedDegree(v)
 		}
 		checked, err := graph.FromCSR(xadj, adj, ewgt, slices.Clone(want.NodeWeights()))
 		if err != nil {
 			t.Fatalf("%s: graph.FromCSR refuses the stitched arrays: %v", name, err)
 		}
-		checked.SetWeightedDegrees(wdeg)
 		switch x, y, z := want.Coords3(); want.CoordDims() {
 		case 2:
 			checked.SetCoords(x, y)

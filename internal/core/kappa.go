@@ -129,7 +129,7 @@ func PELevel(t dist.Transport, assign wire.Assign, job wire.Job, a *mem.Arena) w
 	start := time.Now()
 	m := matching.MatchSubgraph(job.Shard, t, rating.Func(assign.Rating), matching.Algorithm(assign.Matcher), job.Seed, job.MaxPair, assign.Boundary, pe, a)
 	result := wire.Result{PE: pe, Matched: m.Size(), MatchNanos: time.Since(start).Nanoseconds()}
-	if !t.AllReduceOr(pe, result.Matched > 0) {
+	if !dist.AllReduceOr(t, pe, result.Matched > 0) {
 		return result
 	}
 	start = time.Now()

@@ -435,9 +435,9 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 		}
 		h.Push(cg, f2c)
 		if cur != g {
-			// Only the distributor, the rater and contraction read a
-			// level's coordinates and weighted degrees; the caller's graph
-			// and the coarsest one keep theirs.
+			// Only the distributor and contraction read a level's
+			// coordinates; the caller's graph and the coarsest one keep
+			// theirs.
 			cur.DropCoarseningData()
 		}
 		env.Emit(LevelEvent{

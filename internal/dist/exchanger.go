@@ -129,10 +129,3 @@ func (e *Exchanger) Exchange(pe int, out [][]Msg) []Msg {
 	}
 	return in
 }
-
-// AllReduceOr runs one superstep that ORs v across all PEs; every PE
-// receives the same result. It is the termination vote of the iterated
-// boundary-matching rounds.
-func (e *Exchanger) AllReduceOr(pe int, v bool) bool {
-	return allReduceOr(e, pe, v)
-}

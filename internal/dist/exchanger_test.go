@@ -96,7 +96,7 @@ func TestExchangerAllReduceOr(t *testing.T) {
 			wg.Add(1)
 			go func(pe int) {
 				defer wg.Done()
-				got[pe] = ex.AllReduceOr(pe, pe == voter)
+				got[pe] = AllReduceOr(ex, pe, pe == voter)
 			}(pe)
 		}
 		wg.Wait()

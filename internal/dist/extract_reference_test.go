@@ -11,6 +11,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/matching"
 	"repro/internal/rating"
 	"repro/internal/rng"
@@ -76,7 +77,7 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 		t.Fatalf("%s: PE, owned count, id map or ghost owners differ from the reference", what)
 	}
 	gl, wl := got.Local, want.Local
-	if gl.NumNodes() != wl.NumNodes() || gl.NumEdges() != wl.NumEdges() || gl.AdjSorted() != wl.AdjSorted() ||
+	if gl.NumNodes() != wl.NumNodes() || gl.NumEdges() != wl.NumEdges() ||
 		gl.TotalNodeWeight() != wl.TotalNodeWeight() || gl.TotalEdgeWeight() != wl.TotalEdgeWeight() ||
 		gl.MaxNodeWeight() != wl.MaxNodeWeight() || gl.CoordDims() != wl.CoordDims() {
 		t.Fatalf("%s: local graph shape or aggregates differ from the reference", what)
@@ -116,7 +117,7 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 
 // rebuiltByFromCSR copies g's arrays out and has graph.FromCSR validate and
 // scan them: the graph a kernel that adopts its arrays through FromCSRTrusted
-// must have produced, aggregates and sorted flag included.
+// must have produced, aggregates included.
 func rebuiltByFromCSR(t testing.TB, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	xadj := make([]int32, 1, g.NumNodes()+1)
@@ -190,7 +191,7 @@ func TestExtractMatchesReference(t *testing.T) {
 	}
 	for _, name := range []string{"rgg", "grid3d", "rmat"} {
 		cg := contracted(graphs[name])
-		if cg.AdjSorted() {
+		if graphtest.RowsAscend(cg) {
 			t.Fatalf("%s: contraction came out with sorted adjacency; the unsorted case is not covered", name)
 		}
 		graphs[name+"/contracted"] = cg

@@ -296,11 +296,6 @@ func (t *SocketTransport) Exchange(pe int, out [][]Msg) []Msg {
 	return c.msgs
 }
 
-// AllReduceOr implements Transport.AllReduceOr over one Exchange superstep.
-func (t *SocketTransport) AllReduceOr(pe int, v bool) bool {
-	return allReduceOr(t, pe, v)
-}
-
 // hubConn is one registered PE connection on the hub side.
 type hubConn struct {
 	conn net.Conn

@@ -132,7 +132,7 @@ func TestSocketTransportAllReduce(t *testing.T) {
 	done := make(chan struct{}, pes)
 	for pe := 0; pe < pes; pe++ {
 		go func(pe int) {
-			res[pe] = tr.AllReduceOr(pe, pe == 1)
+			res[pe] = dist.AllReduceOr(tr, pe, pe == 1)
 			done <- struct{}{}
 		}(pe)
 	}

@@ -18,7 +18,7 @@ type PEStats struct {
 	BytesRecv  atomic.Int64 // payload bytes read from the socket
 	FramesSent atomic.Int64 // superstep frames written
 	FramesRecv atomic.Int64 // superstep frames read
-	Supersteps atomic.Int64 // Exchange calls (AllReduceOr counts as one)
+	Supersteps atomic.Int64 // Exchange calls (an AllReduceOr vote is one)
 	// BarrierNanos is the time the PE spent blocked inside Exchange — the
 	// superstep barrier plus, on socket transports, encode/decode and I/O.
 	BarrierNanos atomic.Int64
@@ -134,10 +134,4 @@ func (m *meteredTransport) Exchange(pe int, out [][]Msg) []Msg {
 		st.MsgsRecv.Add(int64(len(in)))
 	}
 	return in
-}
-
-// AllReduceOr runs the shared OR-vote superstep through the metered
-// Exchange, so the vote's messages are counted like any other superstep.
-func (m *meteredTransport) AllReduceOr(pe int, v bool) bool {
-	return allReduceOr(m, pe, v)
 }

@@ -31,7 +31,7 @@ func TestMeteredCounts(t *testing.T) {
 			if len(in) != pes-1 {
 				t.Errorf("PE %d received %d msgs, want %d", pe, len(in), pes-1)
 			}
-			if !tr.AllReduceOr(pe, pe == 0) {
+			if !AllReduceOr(tr, pe, pe == 0) {
 				t.Errorf("PE %d: OR vote must be true", pe)
 			}
 		}(pe)

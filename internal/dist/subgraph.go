@@ -233,11 +233,10 @@ func invalidShard(pe int32) {
 // rows relabelled and sorted, ghost rows filled by counting. ghostFill
 // (the ghosts' degrees on entry) is consumed as the per-ghost write cursor.
 // A nil ewgt is a unit shard's: only adj is written, and every weight is 1.
-// Every entry is checked where it is written — an owned row once it is
-// sorted, a ghost row against the entry before — for what graph.FromCSR
-// would check: neighbour in range, weight positive, and whether the row
-// ascends strictly; agg carries that flag and the edge weight total, ok
-// whether every check held.
+// Each owned row is checked once it is sorted for what graph.FromCSR would
+// check, neighbour in range and weight positive; a ghost row holds owned ids
+// and weights of owned rows. agg carries the edge weight total, ok whether
+// every check held.
 //
 //kappa:hotpath
 func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, ghostLocal map[int32]int32,
@@ -248,8 +247,8 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 	}
 	// What the checks need of the entries, gathered without a branch each:
 	// the largest neighbour (a negative one reads as huge), the smallest
-	// weight, the weight sum, and whether any row failed to ascend.
-	largest, lightest, sum, ascending := uint32(0), int64(1), int64(0), true
+	// weight and the weight sum.
+	largest, lightest, sum := uint32(0), int64(1), int64(0)
 	unit := ewgt == nil
 	var rs graph.RowSorter
 	for li, v := range owned {
@@ -263,9 +262,6 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 			if assign[u] != pe {
 				lu = ghostLocal[u]
 				q := ghostFill[lu-no]
-				if q > xadj[lu] && adj[q-1] >= int32(li) {
-					ascending = false
-				}
 				adj[q] = int32(li)
 				if !unit {
 					ewgt[q] = ws[i]
@@ -290,16 +286,11 @@ func fillRows(g *graph.Graph, assign []int32, pe int32, owned, local []int32, gh
 				lightest, sum = min(lightest, w), sum+w
 			}
 		}
-		prev := int32(-1)
 		for _, t := range row {
 			largest = max(largest, uint32(t))
-			if t <= prev {
-				ascending = false
-			}
-			prev = t
 		}
 	}
-	agg = graph.CSRAggregates{TotalEdgeWeight: sum / 2, AdjSorted: ascending}
+	agg = graph.CSRAggregates{TotalEdgeWeight: sum / 2}
 	return agg, int(largest) < len(xadj)-1 && lightest > 0 || len(adj) == 0
 }
 

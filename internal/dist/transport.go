@@ -1,8 +1,8 @@
 package dist
 
 // Transport is the message-passing seam of distributed coarsening: the
-// bulk-synchronous superstep operations that the per-PE level kernel
-// core.PELevel — matching.MatchSubgraph, the vote, coarsen.ContractSubgraph —
+// bulk-synchronous superstep that the per-PE level kernel core.PELevel —
+// matching.MatchSubgraph, the vote (AllReduceOr), coarsen.ContractSubgraph —
 // is written against. Every PE participating in
 // a superstep calls Exchange exactly once; the call doubles as a barrier and
 // returns the PE's inbox ordered by sender PE with each sender's messages in
@@ -21,17 +21,15 @@ type Transport interface {
 	// returned inbox is ordered by sender PE, each sender's messages in
 	// send order.
 	Exchange(pe int, out [][]Msg) []Msg
-	// AllReduceOr runs one superstep that ORs v across all PEs; every PE
-	// receives the same result (the termination vote of iterated rounds).
-	AllReduceOr(pe int, v bool) bool
 }
 
 // Exchanger is the default Transport.
 var _ Transport = (*Exchanger)(nil)
 
-// allReduceOr is the shared OR-vote superstep: broadcast a flag to every PE
-// and OR the received flags.
-func allReduceOr(t Transport, pe int, v bool) bool {
+// AllReduceOr runs one superstep of t for PE pe that ORs v across all PEs:
+// it sends a flag to every PE and ORs the flags it receives, so every PE
+// gets the same result. It is the termination vote of iterated rounds.
+func AllReduceOr(t Transport, pe int, v bool) bool {
 	var w int64
 	if v {
 		w = 1

@@ -60,7 +60,7 @@ func geometricGraph(pts []Point, radius float64, split func(candidates int) int)
 		x[v], y[v] = p.X, p.Y
 	}
 	if n == 0 {
-		return graph.FromCSRTrusted(xadj, nil, nil, nwgt, graph.CSRAggregates{AdjSorted: true})
+		return graph.FromCSRTrusted(xadj, nil, nil, nwgt, graph.CSRAggregates{})
 	}
 	cg := newCellGrid(pts, radius)
 	cells := len(cg.start) - 1
@@ -96,7 +96,7 @@ func geometricGraph(pts []Point, radius float64, split func(candidates int) int)
 		}
 	})
 	g := graph.FromCSRTrusted(xadj, adj, nil, nwgt, graph.CSRAggregates{
-		TotalNodeWeight: int64(n), TotalEdgeWeight: int64(len(adj) / 2), MaxNodeWeight: 1, AdjSorted: true,
+		TotalNodeWeight: int64(n), TotalEdgeWeight: int64(len(adj) / 2), MaxNodeWeight: 1,
 	})
 	g.SetCoords(x, y)
 	return g

@@ -128,7 +128,7 @@ func fromSortedPairs(n int, keys []uint64) *graph.Graph {
 		nwgt[i] = 1
 	}
 	return graph.FromCSRTrusted(pos[:n+1], adj, nil, nwgt, graph.CSRAggregates{
-		TotalNodeWeight: int64(n), TotalEdgeWeight: int64(len(keys)), MaxNodeWeight: min(int64(n), 1), AdjSorted: true,
+		TotalNodeWeight: int64(n), TotalEdgeWeight: int64(len(keys)), MaxNodeWeight: min(int64(n), 1),
 	})
 }
 

@@ -8,9 +8,8 @@ import (
 
 // Diff describes the first difference between two graphs in anything a
 // caller can observe — node and edge counts, every adjacency row and its
-// weights, node weights, weighted degrees, coordinates (bit for bit, so a NaN
-// equals itself), the aggregates and the sorted flag — or returns "" when
-// there is none. How the weights are stored is not observable: a unit graph
+// weights, node weights, coordinates (bit for bit, so a NaN equals itself)
+// and the aggregates — or returns "" when there is none. How the weights are stored is not observable: a unit graph
 // equals the same graph with its ones materialised. It is the graph equality
 // of the reference tests that hold a kernel to a simpler implementation.
 func Diff(got, want *Graph) string {
@@ -26,13 +25,12 @@ func Diff(got, want *Graph) string {
 	}
 	type aggregates struct {
 		node, edge, heaviest int64
-		sorted               bool
 		dims                 int
 	}
-	ga := aggregates{got.TotalNodeWeight(), got.TotalEdgeWeight(), got.MaxNodeWeight(), got.AdjSorted(), got.CoordDims()}
-	wa := aggregates{want.TotalNodeWeight(), want.TotalEdgeWeight(), want.MaxNodeWeight(), want.AdjSorted(), want.CoordDims()}
+	ga := aggregates{got.TotalNodeWeight(), got.TotalEdgeWeight(), got.MaxNodeWeight(), got.CoordDims()}
+	wa := aggregates{want.TotalNodeWeight(), want.TotalEdgeWeight(), want.MaxNodeWeight(), want.CoordDims()}
 	if ga != wa {
-		return fmt.Sprintf("aggregates (node weight, edge weight, heaviest node, sorted, dims) %+v, want %+v", ga, wa)
+		return fmt.Sprintf("aggregates (node weight, edge weight, heaviest node, dims) %+v, want %+v", ga, wa)
 	}
 	for v := int32(0); v < int32(n); v++ {
 		if !slices.Equal(got.Adj(v), want.Adj(v)) || !slices.Equal(got.AdjWeights(v), want.AdjWeights(v)) {
@@ -41,9 +39,6 @@ func Diff(got, want *Graph) string {
 	}
 	if !slices.Equal(got.NodeWeights(), want.NodeWeights()) {
 		return "node weights differ"
-	}
-	if !slices.Equal(got.WeightedDegrees(), want.WeightedDegrees()) {
-		return "weighted degrees differ"
 	}
 	gc, wc := got.CoordSlices(), want.CoordSlices()
 	for d := range wc {

@@ -70,7 +70,8 @@ func BuildRanges(half int) int {
 // and row sort (coarsen.StitchChecked); coarsen.ContractWith's numbering,
 // capped there by Options.Workers, which alone sizes its count and fill; the
 // gap-edge scan of matching.Parallel; the boundary scan of
-// part.BoundaryIndex.Reset; and the sums of WeightedDegreesOn.
+// part.BoundaryIndex.Reset; and innerOuter's weighted-degree sums
+// (rating.NewRaterOn).
 //
 // Every split pass of a run is a batch on the run's crew (package par): these
 // ranges, the per-block matchings of matching.Parallel, the halves of
@@ -89,7 +90,7 @@ func ParallelRanges(run *par.Crew, half int) int {
 // run on goroutines of their own (par.Spawn).
 func fromEdgeList(nwgt []int64, l EdgeList, workers int) (*Graph, error) {
 	n := len(nwgt)
-	agg := CSRAggregates{AdjSorted: true} // merged rows ascend strictly
+	var agg CSRAggregates
 	for v, w := range nwgt {
 		if w < 0 {
 			return nil, fmt.Errorf("graph: node %d has negative weight %d", v, w)

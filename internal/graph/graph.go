@@ -23,9 +23,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"sync"
-
-	"repro/internal/par"
 )
 
 // Graph is an immutable weighted undirected graph in CSR form. Construct one
@@ -43,15 +40,6 @@ type Graph struct {
 	totalNodeWeight int64
 	totalEdgeWeight int64 // each undirected edge counted once
 	maxNodeWeight   int64
-
-	// adjSorted records that every adjacency list is strictly increasing
-	// (true for Builder output, detected by FromCSR), enabling the binary
-	// search fast path of EdgeWeightTo. Shared-memory contraction keeps its
-	// first-encounter adjacency order and stays on the linear scan.
-	adjSorted bool
-
-	wdegOnce sync.Once
-	wdeg     []int64 // cached weighted degrees Out(v), see WeightedDegrees
 
 	x, y []float64 // optional coordinates, len n or nil
 	z    []float64 // optional third dimension, len n or nil (only with x, y)
@@ -113,48 +101,14 @@ func (g *Graph) WeightedDegree(v int32) int64 {
 	return s
 }
 
-// WeightedDegrees returns the weighted degrees of every node, computed once
-// per graph and cached; hot loops (edge ratings, FM gain seeds) read the
-// cache instead of re-summing adjacency per query. Contraction pre-fills the
-// cache of the coarse graph for free during the fill pass. The returned
-// slice is shared; callers must not modify it. Safe for concurrent use.
-func (g *Graph) WeightedDegrees() []int64 { return g.WeightedDegreesOn(nil) }
-
-// WeightedDegreesOn is WeightedDegrees whose first call sums the node ranges
-// of ParallelRanges as a batch on run.
-func (g *Graph) WeightedDegreesOn(run *par.Crew) []int64 {
-	g.wdegOnce.Do(func() {
-		if g.wdeg != nil { // pre-filled at construction (SetWeightedDegrees)
-			return
-		}
-		w := make([]int64, g.NumNodes())
-		ranges := ParallelRanges(run, len(g.adj))
-		run.Run(ranges, func(_, r int) {
-			for v, hi := g.RangeStart(r, ranges), g.RangeStart(r+1, ranges); v < hi; v++ {
-				var s int64
-				for _, ew := range g.AdjWeights(v) {
-					s += ew
-				}
-				w[v] = s
-			}
-		})
-		g.wdeg = w
-	})
-	return g.wdeg
-}
-
 // DropCoarseningData releases what only the coarsening passes read: the
-// coordinates (the distributor's and contraction's input) and the cached
-// weighted degrees (the rater's). A coarse level calls it once the next level
-// is contracted from it, before the graph is shared again. A later
-// WeightedDegrees recomputes the cache; a later coordinate read panics, since
-// a graph that silently lost its geometry would be distributed by index
-// ranges instead.
+// coordinates, the distributor's and contraction's input. A coarse level
+// calls it once the next level is contracted from it, before the graph is
+// shared again. A later coordinate read panics, since a graph that silently
+// lost its geometry would be distributed by index ranges instead.
 func (g *Graph) DropCoarseningData() {
 	g.x, g.y, g.z = nil, nil, nil
 	g.dropped = true
-	g.wdeg = nil
-	g.wdegOnce = sync.Once{}
 }
 
 // coordsKept panics once DropCoarseningData has released the coordinates.
@@ -178,56 +132,20 @@ func (g *Graph) RangeStart(r, ranges int) int32 {
 	return int32(sort.Search(g.NumNodes(), func(v int) bool { return int64(g.xadj[v])*int64(ranges) >= half*int64(r) }))
 }
 
-// SetWeightedDegrees installs a precomputed weighted-degree array. It may
-// only be called during construction, before the graph is shared between
-// goroutines; contraction uses it to emit the coarse Out(v) values it
-// already computed while summing coarse edge weights. w[v] must equal
-// WeightedDegree(v) for every node.
-//
-//kappa:invariant construction-time length check; callers size the slice from the same graph
-func (g *Graph) SetWeightedDegrees(w []int64) {
-	if len(w) != g.NumNodes() {
-		panic("graph: weighted-degree slice must have length n")
-	}
-	g.wdeg = w
-}
-
-// EdgeWeightTo returns ω({v,u}) or 0 if {v,u} is not an edge. On graphs with
-// sorted adjacency (Builder output, METIS files — detected at construction)
-// it binary-searches v's neighbor list; otherwise it falls back to a linear
-// scan, which is fine where degrees are small (e.g. quotient graphs) but
-// quadratic in degree when called for every neighbor of a high-degree coarse
-// node — hot paths on contracted graphs should use scatter arrays instead.
+// EdgeWeightTo returns ω({v,u}) or 0 if {v,u} is not an edge, by a linear
+// scan of v's neighbor list: fine where degrees are small (e.g. quotient
+// graphs), but quadratic in degree when called for every neighbor of a
+// high-degree node — hot paths should use scatter arrays instead.
 //
 //kappa:hotpath
 func (g *Graph) EdgeWeightTo(v, u int32) int64 {
-	adj := g.Adj(v)
-	if g.adjSorted && len(adj) > 8 {
-		lo, hi := 0, len(adj)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if adj[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(adj) && adj[lo] == u {
-			return g.AdjWeights(v)[lo]
-		}
-		return 0
-	}
-	for i, t := range adj {
+	for i, t := range g.Adj(v) {
 		if t == u {
 			return g.AdjWeights(v)[i]
 		}
 	}
 	return 0
 }
-
-// AdjSorted reports whether every adjacency list is strictly increasing, the
-// precondition of the EdgeWeightTo binary-search fast path.
-func (g *Graph) AdjSorted() bool { return g.adjSorted }
 
 // HasCoords reports whether the graph carries coordinates (2D or 3D).
 func (g *Graph) HasCoords() bool { return g.CoordDims() != 0 }
@@ -313,8 +231,8 @@ func (g *Graph) CoordSlices() [][]float64 {
 // FromCSR builds a graph directly from CSR arrays. The arrays are adopted,
 // not copied, but for weights that are all 1: those make a unit graph, which
 // keeps none of ewgt. nwgt may be nil for unit node weights. FromCSR
-// validates the structure (symmetry is checked only by Validate, which is
-// O(m log d)).
+// validates the structure; symmetry is checked only by Validate, which scans
+// a neighbour's row per half-edge.
 func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, error) {
 	n := len(xadj) - 1
 	if n < 0 {
@@ -336,20 +254,15 @@ func FromCSR(xadj []int32, adj []int32, ewgt []int64, nwgt []int64) (*Graph, err
 	} else if len(nwgt) != n {
 		return nil, fmt.Errorf("graph: nwgt must have length n")
 	}
-	agg := CSRAggregates{AdjSorted: true}
-	// One pass over the rows checks neighbour ranges, row order and weight
-	// signs and sums the weights.
+	var agg CSRAggregates
+	// One pass over the rows checks neighbour ranges and weight signs and
+	// sums the weights.
 	for v := 0; v < n; v++ {
-		prev := int32(-1)
 		for i := xadj[v]; i < xadj[v+1]; i++ {
 			t, w := adj[i], ewgt[i]
 			if t < 0 || int(t) >= n {
 				return nil, fmt.Errorf("graph: neighbor id %d out of range", t)
 			}
-			if t <= prev {
-				agg.AdjSorted = false
-			}
-			prev = t
 			if w <= 0 {
 				return nil, fmt.Errorf("graph: non-positive edge weight %d", w)
 			}
@@ -378,22 +291,19 @@ func fromInput(xadj []int32, adj []int32, ewgt []int64, nwgt []int64, agg CSRAgg
 	return FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
 }
 
-// CSRAggregates carries the precomputed per-graph facts FromCSRTrusted
-// adopts alongside the CSR arrays: the totals FromCSR would re-scan 2m
-// edges to derive, and whether the adjacency lists are strictly sorted
-// (which enables the binary-search fast path of EdgeWeightTo). Its zero
-// value with AdjSorted set is what an empty graph has; a loop that writes or
-// validates a CSR adds each entry in as it passes.
+// CSRAggregates carries the totals FromCSRTrusted adopts alongside the CSR
+// arrays, which FromCSR would re-scan 2m edges to derive. Its zero value is
+// what an empty graph has; a loop that writes or validates a CSR adds each
+// entry in as it passes.
 type CSRAggregates struct {
 	TotalNodeWeight int64
 	TotalEdgeWeight int64 // each undirected edge counted once
 	MaxNodeWeight   int64
-	AdjSorted       bool
 }
 
 // FromCSRTrusted adopts CSR arrays with NO validation and NO scans: the
 // caller vouches for structural validity and supplies the aggregates FromCSR
-// would otherwise recompute, the adjacency-sorted flag included. It serves
+// would otherwise recompute. It serves
 // three kinds of caller. Contraction builds the coarse CSR into exactly-sized
 // arrays and knows every total by construction. A loop that has just written
 // or decoded the arrays, checking every entry as it went, has summed the
@@ -415,7 +325,6 @@ func FromCSRTrusted(xadj []int32, adj []int32, ewgt []int64, nwgt []int64, agg C
 		totalNodeWeight: agg.TotalNodeWeight,
 		totalEdgeWeight: agg.TotalEdgeWeight,
 		maxNodeWeight:   agg.MaxNodeWeight,
-		adjSorted:       agg.AdjSorted,
 	}
 	if ewgt == nil {
 		deg := int32(0)

@@ -1,10 +1,26 @@
 // Package graphtest holds what the tests of several packages share about
 // graphs: the plain induced-subgraph builder that the one-pass split is held
-// to, and the degree summary the generators' tests check their shape by.
-// Nothing outside tests imports it.
+// to, the degree summary the generators' tests check their shape by, and
+// whether a graph's rows ascend. Nothing outside tests imports it.
 package graphtest
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
+
+// RowsAscend reports whether every row of g lists its neighbours in
+// ascending order, as a Builder leaves them; contraction keeps each row's
+// first-encounter order, so a test that wants unsorted rows checks for them.
+func RowsAscend(g *graph.Graph) bool {
+	for v := range int32(g.NumNodes()) {
+		if !slices.IsSorted(g.Adj(v)) {
+			return false
+		}
+	}
+	return true
+}
 
 // InducedSubgraph is the subgraph the nodes with keep[v] induce on g, built
 // the plain way — every kept edge once through a graph.Builder — with its

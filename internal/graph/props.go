@@ -77,11 +77,12 @@ func (g *Graph) LargestComponent() (*Graph, []int32) {
 // Split returns the two subgraphs the sides of g's nodes induce: node v goes
 // to side side[v] (0 or 1), and each side numbers its nodes in node order.
 // local, of length n, is scratch that receives each node's number in its
-// side; rs sorts rows that need it. One pass over g's adjacency writes both sides straight into CSR
-// arrays sized by their degree sums (the cut's half-edges are the slack).
-// Rows come out ascending, as a Builder would leave them: numbering is
-// monotone within a side, so the rows of a g that has them sorted need no
-// sort. A unit g gives unit sides. Coordinates are not carried.
+// side; rs sorts the rows. One pass over g's adjacency writes both sides
+// straight into CSR arrays sized by their degree sums (the cut's half-edges
+// are the slack). Rows come out ascending, as a Builder would leave them:
+// numbering is monotone within a side, so a row g holds in order costs its
+// sort about one compare per entry. A unit g gives unit sides. Coordinates
+// are not carried.
 //
 //kappa:hotpath
 func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph) {
@@ -104,7 +105,6 @@ func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph
 			//kappa:allow hotalloc the CSR arrays persist as the side's graph
 			ewgt[sd] = make([]int64, deg[sd])
 		}
-		agg[sd].AdjSorted = true
 	}
 	for v := int32(0); v < n; v++ {
 		sd, lv := side[v], local[v]
@@ -125,11 +125,9 @@ func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph
 				next++
 			}
 		}
-		switch {
-		case g.adjSorted:
-		case unit:
+		if unit {
 			SortIDs(row[lo:next])
-		default:
+		} else {
 			rs.Sort(row[lo:next], rowW[lo:next])
 		}
 		xadj[sd][lv+1] = next

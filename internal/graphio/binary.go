@@ -332,8 +332,8 @@ func decodeBinary(br *binSource) (*graph.Graph, error) {
 
 	// Each section is one bulk read whose stretches are checked and summed
 	// while they are still in cache, so that the arrays can be adopted as they
-	// are: what graph.FromCSR would walk them a second time for — row order,
-	// the weight totals, the heaviest node — is known when the last byte is.
+	// are: what graph.FromCSR would walk them a second time for — the weight
+	// totals, the heaviest node — is known when the last byte is.
 	xadj := make([]int32, n+1)
 	sum := uint64(0)
 	at, st := uvarints(br, xadj[1:], 0, half64, func(ds []int32) bool {
@@ -359,31 +359,9 @@ func decodeBinary(br *binSource) (*graph.Graph, error) {
 	}
 	var agg graph.CSRAggregates
 	adj := make([]int32, half)
-	// Rows ascend strictly when the only places a neighbour fails to exceed
-	// the one before it are row starts: the descents of the whole section are
-	// counted as it is decoded, without a branch on where rows end, and the
-	// row starts among them below, one look per row.
-	descents, last := 0, int32(-1)
-	_, st = uvarints(br, adj, 0, n64-1, func(ts []int32) bool {
-		d, l := 0, last
-		for _, t := range ts {
-			if t <= l {
-				d++
-			}
-			l = t
-		}
-		descents, last = descents+d, l
-		return true
-	})
-	if st != varint.Done {
+	if _, st = uvarints(br, adj, 0, n64-1, func([]int32) bool { return true }); st != varint.Done {
 		return nil, br.failed(st, "adjacency", "neighbor id %d out of range [0, %d)", n)
 	}
-	for v := 1; v < n; v++ {
-		if at := xadj[v]; at > 0 && at < xadj[v+1] && adj[at] <= adj[at-1] {
-			descents--
-		}
-	}
-	agg.AdjSorted = descents == 0
 	var ewgt []int64 // without weights in the file, a unit graph
 	agg.TotalEdgeWeight = int64(half / 2)
 	if flags&binFlagEdgeWeights != 0 {

@@ -7,25 +7,25 @@ import (
 )
 
 // ErrLimit is the sentinel wrapped by every decode-budget rejection:
-// errors.Is(err, graphio.ErrLimit) distinguishes "this input declares a
-// graph bigger than the process is willing to decode" from malformed input.
+// errors.Is(err, graphio.ErrLimit) distinguishes "this input declares more
+// than the process is willing to decode" from malformed input.
 var ErrLimit = errors.New("graphio: declared size exceeds decode budget")
 
-// LimitError reports a header quantity whose declared size exceeds the
-// configured decode budget. The binary format in particular is a chain of
+// LimitError reports a declared quantity that exceeds the decode budget in
+// force: a graph's nodes or edges, a store's manifest or shard bytes, a wire
+// frame's payload. The binary format in particular is a chain of
 // length-prefixed sections: a 20-byte file can declare 2^31 half-edges, and
 // without a budget the reader would attempt the multi-gigabyte CSR
 // allocation before discovering the file ends. The budget check runs on the
-// declared counts, before any size-proportional allocation.
+// declared size, before any size-proportional allocation.
 type LimitError struct {
-	What     string // what was declared: "nodes" or "edges"
-	Declared uint64 // the count the input announced
+	What     string // what was declared: "nodes", "edges", "frame", ...
+	Declared uint64 // the size the input announced
 	Limit    uint64 // the budget in force
 }
 
 func (e *LimitError) Error() string {
-	return fmt.Sprintf("graphio: declared %s count %d exceeds decode budget %d (raise it with SetDecodeBudget / kappa api -max-graph-nodes/-max-graph-edges)",
-		e.What, e.Declared, e.Limit)
+	return fmt.Sprintf("graphio: declared %s %d exceeds decode budget %d", e.What, e.Declared, e.Limit)
 }
 
 // Unwrap makes errors.Is(err, ErrLimit) hold for every LimitError.

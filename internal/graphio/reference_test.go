@@ -12,6 +12,7 @@ import (
 	"repro/internal/coarsen"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/matching"
 	"repro/internal/rating"
 	"repro/internal/rng"
@@ -33,7 +34,7 @@ func referenceFloats(s *binSource, c []float64) error {
 // the fused validation, kept verbatim from the section loops on: one uvarint
 // call and one error check per array element, every id, weight and degree sum
 // checked there, and then graph.FromCSR walking the arrays a second time for
-// the same checks, the totals and the sorted flag. It is the oracle the
+// the same checks and the totals. It is the oracle the
 // decoder must agree with — same accept/reject, same error text, and a graph
 // equal to FromCSR's in everything a caller can observe.
 func referenceDecodeBinary(br *binSource) (*graph.Graph, error) {
@@ -229,12 +230,12 @@ func referenceCases() map[string]*graph.Graph {
 // every case's encoding, from all three sources, the bulk decoder accepts and
 // refuses what the per-element one does with the same words, and the graph it
 // adopts through FromCSRTrusted is the one FromCSR builds from the same
-// arrays — aggregates, sorted flag and all.
+// arrays — aggregates and all.
 func TestDecodeBinaryMatchesReference(t *testing.T) {
 	for name, g := range referenceCases() {
 		enc := AppendBinary(nil, 0, g)
 		if name == "contracted" {
-			if dec, err := DecodeBinary(enc); err != nil || dec.AdjSorted() {
+			if dec, err := DecodeBinary(enc); err != nil || graphtest.RowsAscend(dec) {
 				t.Fatalf("contracted case does not exercise unsorted rows (err %v)", err)
 			}
 		}

@@ -175,7 +175,7 @@ func TestGrowBisectionTargets(t *testing.T) {
 func TestSplitMatchesSubgraph(t *testing.T) {
 	rmat := gen.RMAT(9, 8, 3)
 	coarse, _ := coarsen.Contract(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.Weight, rmat), matching.SHEM, rng.New(1), 0, nil))
-	if coarse.AdjSorted() || coarse.UnitEdgeWeights() {
+	if graphtest.RowsAscend(coarse) || coarse.UnitEdgeWeights() {
 		t.Fatal("the contracted graph has sorted rows or unit weights; the test wants one that needs the weighted row sort")
 	}
 	r := rng.New(8)

@@ -189,7 +189,7 @@ func MatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func, alg Alg
 			progress = true
 		}
 
-		if !ex.AllReduceOr(pe, progress) {
+		if !dist.AllReduceOr(ex, pe, progress) {
 			break
 		}
 	}

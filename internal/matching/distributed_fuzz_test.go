@@ -16,14 +16,13 @@ import (
 )
 
 // recorder is a Transport that logs, per PE, every message the PE sends with
-// its destination, and every vote it casts, in superstep order.
+// its destination in superstep order, the flags of its votes included.
 type recorder struct {
 	dist.Transport
 	sent [][]sent
 }
 
-// sent is one logged message; a vote is logged with to = -1 and the vote in
-// W.
+// sent is one logged message.
 type sent struct {
 	to int
 	dist.Msg
@@ -36,15 +35,6 @@ func (r *recorder) Exchange(pe int, out [][]dist.Msg) []dist.Msg {
 		}
 	}
 	return r.Transport.Exchange(pe, out)
-}
-
-func (r *recorder) AllReduceOr(pe int, v bool) bool {
-	vote := sent{to: -1}
-	if v {
-		vote.W = 1
-	}
-	r.sent[pe] = append(r.sent[pe], vote)
-	return r.Transport.AllReduceOr(pe, v)
 }
 
 // distLevel is one graph of the fuzz target: level 0 of a generator, or the
@@ -75,7 +65,7 @@ func distLevel(kind, level uint8) *graph.Graph {
 // oracle, referenceMatchSubgraph, on the same shards over generator ×
 // {GPA, SHEM, Greedy} × boundary on/off × pes {2, 3, 8} × every rating, on
 // level 0 and on a contracted level, with and without a pair bound. Every
-// PE's matching, and every message and vote it sends — the published
+// PE's matching, and every message it sends — votes and the published
 // ratings bit for bit — must be the oracle's.
 func FuzzDistributedMatchesReference(f *testing.F) {
 	for kind := range uint8(5) {

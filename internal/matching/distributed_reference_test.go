@@ -169,7 +169,7 @@ func referenceMatchSubgraph(sg *dist.Subgraph, ex dist.Transport, rf rating.Func
 			progress = true
 		}
 
-		if !ex.AllReduceOr(pe, progress) {
+		if !dist.AllReduceOr(ex, pe, progress) {
 			break
 		}
 	}

@@ -51,10 +51,8 @@ func (f Func) String() string {
 	}
 }
 
-// Rater evaluates a rating function against a fixed graph. The weighted
-// degrees Out(v) needed by InnerOuter come from the graph's per-level cache
-// (graph.WeightedDegrees): computed at most once per graph — contraction
-// even pre-fills it for coarse graphs — instead of re-summed per Rater.
+// Rater evaluates a rating function against a fixed graph. InnerOuter's
+// weighted degrees Out(v) are summed once, when the Rater is made.
 type Rater struct {
 	f    Func
 	g    *graph.Graph
@@ -64,12 +62,18 @@ type Rater struct {
 // NewRater returns a Rater for f on g.
 func NewRater(f Func, g *graph.Graph) *Rater { return NewRaterOn(nil, f, g) }
 
-// NewRaterOn is NewRater whose weighted degrees, if f needs them and g has
-// not cached them yet, are summed as a batch on run.
+// NewRaterOn is NewRater whose weighted degrees, if f needs them, are summed
+// over the node ranges of graph.ParallelRanges as a batch on run.
 func NewRaterOn(run *par.Crew, f Func, g *graph.Graph) *Rater {
 	r := &Rater{f: f, g: g}
 	if f == InnerOuter {
-		r.wdeg = g.WeightedDegreesOn(run)
+		r.wdeg = make([]int64, g.NumNodes())
+		ranges := graph.ParallelRanges(run, 2*g.NumEdges())
+		run.Run(ranges, func(_, i int) {
+			for v, hi := g.RangeStart(i, ranges), g.RangeStart(i+1, ranges); v < hi; v++ {
+				r.wdeg[v] = g.WeightedDegree(v)
+			}
+		})
 	}
 	return r
 }

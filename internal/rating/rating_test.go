@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // weightedTriangle: nodes 0,1,2 with weights 1,2,4; edges 0-1 w=2, 1-2 w=3,
@@ -134,6 +135,42 @@ func TestRatingsAreFiniteOrPlusInf(t *testing.T) {
 		}
 		if (f == Expansion || f == ExpansionStar || f == ExpansionStar2) && !sawInf {
 			t.Errorf("%v: the weightless pair {0,1} should rate +Inf", f)
+		}
+	}
+}
+
+// TestInnerOuterDegreesAboveFloorOnCrew sums innerOuter's weighted degrees of
+// a graph past the graph.ParallelRanges floor as one range, on goroutines
+// started for the call (one range at GOMAXPROCS 1) and on crews of two and
+// three members, and expects WeightedDegree for every node each time.
+func TestInnerOuterDegreesAboveFloorOnCrew(t *testing.T) {
+	const n = 4096
+	var l graph.EdgeList
+	for v := range n {
+		for d := 1; d <= 6; d++ {
+			l.U, l.V, l.W = append(l.U, int32(v)), append(l.V, int32((v+d*d)%n)), append(l.W, int64(v%7+d))
+		}
+	}
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	g, err := graph.FromEdgeList(w, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, two, three := par.Start(1, 0), par.Start(2, par.Spin), par.Start(3, 0)
+	defer two.Stop()
+	defer three.Stop()
+	for name, run := range map[string]*par.Crew{"one member": one, "nil": nil, "two members": two, "three members": three} {
+		if run.Members() > 1 && graph.ParallelRanges(run, 2*g.NumEdges()) < 2 {
+			t.Fatalf("%s: %d half-edges do not split", name, 2*g.NumEdges())
+		}
+		wd := NewRaterOn(run, InnerOuter, g).wdeg
+		for v := range int32(n) {
+			if wd[v] != g.WeightedDegree(v) {
+				t.Fatalf("%s: Out(%d) = %d, want %d", name, v, wd[v], g.WeightedDegree(v))
+			}
 		}
 	}
 }

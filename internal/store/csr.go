@@ -293,7 +293,6 @@ func graphOverMapping(data []byte, man *Manifest, lay csrLayout) *graph.Graph {
 		TotalNodeWeight: man.TotalNodeWeight,
 		TotalEdgeWeight: man.TotalEdgeWeight,
 		MaxNodeWeight:   man.MaxNodeWeight,
-		AdjSorted:       man.AdjSorted,
 	})
 	switch man.CoordDims {
 	case 2:
@@ -401,7 +400,6 @@ func readCSRHeap(f *os.File, man *Manifest, lay csrLayout) (*graph.Graph, error)
 		TotalNodeWeight: man.TotalNodeWeight,
 		TotalEdgeWeight: man.TotalEdgeWeight,
 		MaxNodeWeight:   man.MaxNodeWeight,
-		AdjSorted:       man.AdjSorted,
 	})
 	if man.CoordDims >= 2 {
 		x, err := readFloat64s(n)

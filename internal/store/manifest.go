@@ -40,9 +40,10 @@ const (
 // with counts, byte size, and checksum.
 //
 // Everything a partitioning run derives from the global graph header —
-// node/edge counts, total and maximum node weight, the adjacency-sorted
-// flag — is recorded here at write time, which is what lets the mapped
-// graph come up without scanning (and therefore paging in) its arrays.
+// node/edge counts, total and maximum node weight — is recorded here at
+// write time, which is what lets the mapped graph come up without scanning
+// (and therefore paging in) its arrays. The adj_sorted field of older
+// manifests is ignored, as every unknown field is.
 type Manifest struct {
 	Version int `json:"version"`
 	PEs     int `json:"pes"`
@@ -52,7 +53,6 @@ type Manifest struct {
 	TotalNodeWeight int64 `json:"total_node_weight"`
 	TotalEdgeWeight int64 `json:"total_edge_weight"`
 	MaxNodeWeight   int64 `json:"max_node_weight"`
-	AdjSorted       bool  `json:"adj_sorted"`
 	CoordDims       int   `json:"coord_dims"` // 0, 2, or 3
 
 	// Strategy is the node-to-PE distribution the shards were extracted

@@ -244,7 +244,6 @@ func Write(dir string, g *graph.Graph, o WriteOptions) (*Manifest, error) {
 		TotalNodeWeight: g.TotalNodeWeight(),
 		TotalEdgeWeight: g.TotalEdgeWeight(),
 		MaxNodeWeight:   g.MaxNodeWeight(),
-		AdjSorted:       g.AdjSorted(),
 		CoordDims:       g.CoordDims(),
 		Strategy:        o.Strategy.String(),
 		Seed:            o.Seed,

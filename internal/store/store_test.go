@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -275,6 +276,19 @@ func TestHostileManifests(t *testing.T) {
 		err := mutate(t, func(m *store.Manifest) { m.Shards[0].Bytes = 1 << 50 })
 		if !errors.Is(err, graphio.ErrLimit) {
 			t.Fatalf("want ErrLimit, got %v", err)
+		}
+	})
+	// A manifest past its byte budget is refused before it is parsed, and
+	// the error states what was declared and the budget, nothing more.
+	t.Run("manifest-bytes-over-budget", func(t *testing.T) {
+		const budget = 8 << 20
+		_, err := store.ReadManifest(io.MultiReader(bytes.NewReader(good), bytes.NewReader(make([]byte, budget))))
+		var le *graphio.LimitError
+		if !errors.As(err, &le) || le.What != "manifest bytes" || le.Declared != budget+1 || le.Limit != budget {
+			t.Fatalf("want a manifest-bytes LimitError, got %v", err)
+		}
+		if want := "graphio: declared manifest bytes 8388609 exceeds decode budget 8388608"; err.Error() != want {
+			t.Fatalf("error text %q, want %q", err, want)
 		}
 	})
 	t.Run("wrong-version", func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/graphio"
 	"repro/internal/varint"
 )
 
@@ -53,7 +54,7 @@ func WriteFrame(w io.Writer, kind byte, frame []byte) error {
 // one run, so a buffer kept across levels would be resident memory for no
 // measured time (ROADMAP item 4). The declared length is checked against the
 // decode budget (SetMaxFrame) before the allocation: an over-budget
-// declaration returns a *LimitError without touching the allocator.
+// declaration returns a *graphio.LimitError without touching the allocator.
 func ReadFrame(r *bufio.Reader) (kind byte, payload []byte, err error) {
 	kind, err = r.ReadByte()
 	if err != nil {
@@ -64,7 +65,7 @@ func ReadFrame(r *bufio.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("wire: frame length: %w", unexpectEOF(err))
 	}
 	if limit := maxFrame(); n > limit {
-		return 0, nil, &LimitError{What: "frame", Declared: n, Limit: limit}
+		return 0, nil, &graphio.LimitError{What: "frame", Declared: n, Limit: limit}
 	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

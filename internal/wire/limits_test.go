@@ -6,8 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"strings"
 	"testing"
+
+	"repro/internal/graphio"
 )
 
 // adversarialFrame builds a frame header declaring n payload bytes without
@@ -26,18 +27,18 @@ func TestReadFrameRejectsOverBudgetDeclaration(t *testing.T) {
 	// a LimitError before any allocation is attempted.
 	r := bufio.NewReader(bytes.NewReader(adversarialFrame(1 << 40)))
 	_, _, err := ReadFrame(r)
-	if !errors.Is(err, ErrLimit) {
+	if !errors.Is(err, graphio.ErrLimit) {
 		t.Fatalf("ReadFrame(declared 2^40) err = %v, want ErrLimit", err)
 	}
-	var le *LimitError
+	var le *graphio.LimitError
 	if !errors.As(err, &le) {
-		t.Fatalf("err %v is not a *LimitError", err)
+		t.Fatalf("err %v is not a *graphio.LimitError", err)
 	}
 	if le.What != "frame" || le.Declared != 1<<40 || le.Limit != 1<<10 {
 		t.Fatalf("LimitError = %+v, want frame/2^40/2^10", le)
 	}
-	if !strings.Contains(le.Error(), "decode budget") {
-		t.Fatalf("error text %q does not mention the budget", le.Error())
+	if want := "graphio: declared frame 1099511627776 exceeds decode budget 1024"; le.Error() != want {
+		t.Fatalf("error text %q, want %q", le.Error(), want)
 	}
 }
 
@@ -60,7 +61,7 @@ func TestReadFrameBudgetBoundary(t *testing.T) {
 	if err := WriteFrame(&buf, 'K', append(NewFrame(9), make([]byte, 9)...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFrame(bufio.NewReader(&buf)); !errors.Is(err, ErrLimit) {
+	if _, _, err := ReadFrame(bufio.NewReader(&buf)); !errors.Is(err, graphio.ErrLimit) {
 		t.Fatalf("frame over budget: err = %v, want ErrLimit", err)
 	}
 }
@@ -84,7 +85,7 @@ func TestReadFrameTruncatedUnderBudget(t *testing.T) {
 	// the two failure classes must not blur.
 	r := bufio.NewReader(bytes.NewReader(adversarialFrame(64)))
 	_, _, err := ReadFrame(r)
-	if err == nil || errors.Is(err, ErrLimit) {
+	if err == nil || errors.Is(err, graphio.ErrLimit) {
 		t.Fatalf("truncated frame err = %v, want unexpected-EOF io error", err)
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {

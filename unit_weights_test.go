@@ -36,7 +36,7 @@ func unitSources(t *testing.T, g *graph.Graph) map[string]*graph.Graph {
 		}
 		xadj = append(xadj, int32(len(adj)))
 	}
-	agg := graph.CSRAggregates{TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(), MaxNodeWeight: g.MaxNodeWeight(), AdjSorted: g.AdjSorted()}
+	agg := graph.CSRAggregates{TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: g.TotalEdgeWeight(), MaxNodeWeight: g.MaxNodeWeight()}
 	srcs := map[string]*graph.Graph{
 		"builder":      g,
 		"materialised": graph.FromCSRTrusted(xadj, adj, ones, slices.Clone(g.NodeWeights()), agg),

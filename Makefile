@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15602
+LOC_MAX = 15457
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi
@@ -47,7 +47,7 @@ loc-check:
 # that changed it left behind, the way loc-check holds the code to LOC_MAX:
 # growth raises the budget in the diff that causes it; a PR that shrinks a
 # document lowers its budget.
-DOC_BUDGETS = ARCHITECTURE.md:32521 README.md:14984 EXPERIMENTS.md:26875
+DOC_BUDGETS = ARCHITECTURE.md:32503 README.md:14728 EXPERIMENTS.md:26875
 docs-check:
 	@fail=0; for b in $(DOC_BUDGETS); do f=$${b%%:*}; max=$${b##*:}; n=$$(wc -c < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n bytes, above its budget of $$max: shrink it or raise the budget in the Makefile"; fail=1; fi; \

@@ -3,13 +3,10 @@
 //	gengraph -type rgg -scale 15 > rgg15.graph
 //	gengraph -type road -n 40000 -o deu.graph
 //	gengraph -type grid3d -w 32 -h 32 -d 8 -format bin -o grid.bgraph
-//	gengraph -type rgg -scale 20 -shards 8 -dist rcb -o rgg20.kst
 //
 // The output format is METIS text by default; -format bin (or a .bgraph/.bin
 // extension with -format auto) selects the compact binary encoding, which
-// also preserves node coordinates. With -shards the output is an on-disk
-// shard store directory (see kappa shard / kappa serve -shards) written
-// straight from the generator, skipping the intermediate graph file.
+// also preserves node coordinates.
 package main
 
 import (
@@ -17,11 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
-	"repro/internal/store"
 )
 
 func main() {
@@ -35,8 +30,6 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "random seed")
 		out    = flag.String("o", "", "output file (default stdout)")
 		format = flag.String("format", "auto", "output format: auto | metis | bin (auto picks by extension, metis on stdout)")
-		shards = flag.Int("shards", 0, "write an on-disk shard store with this many shards instead of a graph file (requires -o)")
-		distFl = flag.String("dist", "auto", "node-to-PE distribution for -shards: auto | ranges | rcb | sfc")
 	)
 	flag.Parse()
 
@@ -76,28 +69,11 @@ func main() {
 		fail(fmt.Errorf("unknown type %q", *typ))
 	}
 
-	path := *out
-	if *shards > 0 {
-		if path == "" {
-			fail(fmt.Errorf("-shards needs -o (a store is a directory, not a stream)"))
-		}
-		strategy, err := dist.ParseStrategy(*distFl)
-		if err != nil {
-			fail(err)
-		}
-		m, err := store.Write(path, g, store.WriteOptions{PEs: *shards, Strategy: strategy, Seed: *seed})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "gengraph: %s n=%d m=%d store=%s shards=%d dist=%s\n",
-			*typ, m.Nodes, m.Edges, path, m.PEs, m.Strategy)
-		return
-	}
-	if path == "" {
+	if *out == "" {
 		if err := graphio.Write(os.Stdout, g, f); err != nil {
 			fail(err)
 		}
-	} else if err := graphio.WriteFile(path, g, f); err != nil {
+	} else if err := graphio.WriteFile(*out, g, f); err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "gengraph: %s n=%d m=%d format=%s\n", *typ, g.NumNodes(), g.NumEdges(), f)

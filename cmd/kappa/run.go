@@ -36,7 +36,7 @@ type runFlags struct {
 func (f *runFlags) registerInput(fs *flag.FlagSet) {
 	fs.StringVar(&f.in, "in", "", "input graph file (METIS or binary; format sniffed)")
 	fs.StringVar(&f.gen, "gen", "", "generator spec: rgg:S | delaunay:S | grid:WxH | grid3d:XxYxZ | road:N | social:N | rmat:S | fem:N | banded:N")
-	fs.StringVar(&f.dist, "dist", "auto", "node-to-PE distribution: auto | ranges | rcb | sfc")
+	fs.StringVar(&f.dist, "dist", "auto", "node-to-PE distribution: auto | ranges | rcb")
 	fs.Uint64Var(&f.seed, "seed", 0, "random seed")
 }
 

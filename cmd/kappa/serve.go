@@ -74,7 +74,7 @@ func runServe(args []string) {
 		// (transport stats, the handshake's worker count, the report). A
 		// conflicting -pes or -dist fails here rather than mid-handshake.
 		m := st.Manifest()
-		if err := cfg.AdoptStore(m.PEs, m.Strategy); err != nil {
+		if err := cfg.AdoptStore(m.PEs, m.Strategy, m.CoordDims > 0); err != nil {
 			fail(err)
 		}
 		mg, err := st.MapGraph()

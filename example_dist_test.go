@@ -8,13 +8,13 @@ import (
 )
 
 // ExampleDistribute shows the graph-distribution layer on its own: compare
-// the edge locality of the three strategies on a structured grid, pick one
+// the edge locality of the two strategies on a structured grid, pick one
 // for the partitioner, and extract per-PE subgraphs with ghost layers.
 func ExampleDistribute() {
 	g := repro.Grid2D(32, 32)
 	const pes = 16
 
-	for _, s := range []repro.Distribution{repro.DistRanges, repro.DistRCB, repro.DistSFC} {
+	for _, s := range []repro.Distribution{repro.DistRanges, repro.DistRCB} {
 		assign := repro.Distribute(g, s, pes)
 		fmt.Printf("%-6s locality=%.2f imbalance=%.2f\n",
 			s, repro.EdgeLocality(g, assign), repro.DistImbalance(g, assign, pes))
@@ -39,7 +39,6 @@ func ExampleDistribute() {
 	// Output:
 	// ranges locality=0.76 imbalance=1.00
 	// rcb    locality=0.90 imbalance=1.00
-	// sfc    locality=0.90 imbalance=1.00
 	// feasible partition: true
 	// owned nodes across PEs: true
 }

@@ -144,7 +144,7 @@ func TestAblationDistributionSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	out := printTable(t, "dist", Options{Reps: 1, Ks: []int{4}, MaxInstances: 3})
-	for _, want := range []string{"ranges", "rcb", "sfc", "rgg13"} {
+	for _, want := range []string{"ranges", "rcb", "rgg13"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("distribution ablation output missing %q:\n%s", want, out)
 		}

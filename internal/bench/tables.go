@@ -124,7 +124,7 @@ func Tables() []Table {
 		tool(baseline.ScotchLike), tool(baseline.KMetisLike), tool(baseline.ParMetisLike)}
 	band := sweep([]int{1, 5, 20, 1 << 20}, func(c *core.Config, d int) { c.BandDepth = d })
 	band[3].Name = "unbounded"
-	strategies := []dist.Strategy{dist.StrategyRanges, dist.StrategyRCB, dist.StrategySFC}
+	strategies := []dist.Strategy{dist.StrategyRanges, dist.StrategyRCB}
 	dists := sweep(strategies, func(c *core.Config, s dist.Strategy) { c.Distribution = s })
 	for i, s := range strategies {
 		dists[i] = noted(dists[i], s)
@@ -176,8 +176,8 @@ func Tables() []Table {
 			sweep([]bool{true, false}, func(c *core.Config, on bool) { c.GapMatching = on })},
 		Table{"initrepeats", "Ablation: initial partitioning repeats, KaPPa-Fast, calibration suite", calibration, k16, false,
 			sweep([]int{1, 3, 5, 10}, func(c *core.Config, n int) { c.InitRepeats = n })},
-		// The paper's claim: geometric prepartitioning (RCB; here also the
-		// cheaper SFC) keeps matching local and beats plain index ranges.
+		// The paper's claim: geometric prepartitioning (RCB) keeps matching
+		// local and beats plain index ranges.
 		Table{"dist", "Ablation: distribution strategy (§3.3), KaPPa-Fast, calibration graphs with coordinates",
 			calibrationCoords, k16, true, dists},
 		// The target: PE-local coarsening over extracted subgraphs stays

@@ -148,7 +148,6 @@ func TestContractNumbersLikeTheStitch(t *testing.T) {
 				}
 				distributions := map[string][]int32{
 					"rcb":    dist.Assign(g, dist.StrategyRCB, pes),
-					"sfc":    dist.Assign(g, dist.StrategySFC, pes),
 					"ranges": dist.Assign(g, dist.StrategyRanges, pes),
 					"random": random,
 				}

@@ -232,11 +232,14 @@ func ConfigFromNames(preset string, k int, eps float64, seed uint64, pes, worker
 }
 
 // AdoptStore makes c describe a run over a shard store holding pes shards
-// extracted under the named strategy (a store.Manifest's PEs and Strategy).
-// The store's shape is a fact of the input, not a knob of the request: an
-// unset PEs and StrategyAuto defer to it, anything else that disagrees is
-// rejected as ErrInvalidConfig.
-func (c *Config) AdoptStore(pes int, strategy string) error {
+// extracted under the named strategy from a graph with or without (coords)
+// coordinates (a store.Manifest's PEs, Strategy and CoordDims > 0). The
+// store's shape is a fact of the input, not a knob of the request: an unset
+// PEs and StrategyAuto defer to it, and a strategy that dist.Assign resolves
+// to the stored one on that graph (rcb for an auto store with coordinates,
+// any strategy without them) is the same assignment. Anything else that
+// disagrees is rejected as ErrInvalidConfig.
+func (c *Config) AdoptStore(pes int, strategy string, coords bool) error {
 	if c.PEs != 0 && c.PEs != pes {
 		return fmt.Errorf("%w: %d PEs configured but the store holds %d shards", ErrInvalidConfig, c.PEs, pes)
 	}
@@ -244,7 +247,7 @@ func (c *Config) AdoptStore(pes int, strategy string) error {
 	if err != nil {
 		return fmt.Errorf("core: store manifest: %w", err)
 	}
-	if c.Distribution != strat && c.Distribution != dist.StrategyAuto {
+	if c.Distribution != dist.StrategyAuto && c.Distribution.Resolve(coords) != strat.Resolve(coords) {
 		return fmt.Errorf("%w: distribution %s requested but the shards were extracted under %s",
 			ErrInvalidConfig, c.Distribution, strat)
 	}

@@ -25,7 +25,7 @@ var ErrInvalidConfig = errors.New("core: invalid configuration")
 
 // Distributor assigns every node of g to one of pes PEs — the
 // prepartitioning stage of §3.3, consulted once per contraction level. The
-// default consults cfg.Distribution (RCB/SFC/ranges).
+// default consults cfg.Distribution (RCB/ranges).
 type Distributor interface {
 	Distribute(ctx context.Context, g *graph.Graph, cfg *Config, pes int) ([]int32, error)
 }

@@ -5,8 +5,7 @@
 // Before the parallel coarsening phase can match in parallel, every node must
 // live on some PE; the quality of that assignment decides how much of the
 // matching work is PE-local (cheap) versus in the cross-PE gap graph
-// (expensive). The package implements the paper's two assignments and one
-// cheaper geometric alternative:
+// (expensive). The package implements the paper's two assignments:
 //
 //   - StrategyRanges — contiguous node-weight-balanced index ranges, the
 //     fallback of §3.3 when no geometry is available. Zero-cost, balance is
@@ -17,11 +16,9 @@
 //     networks): recursively split the longest axis at the weighted median.
 //     Handles non-power-of-two PE counts by splitting PE groups
 //     proportionally.
-//   - StrategySFC — Hilbert space-filling-curve ordering, a cheaper geometric
-//     alternative not in the paper: radix-sort nodes along the curve once and
-//     cut the order into weighted ranges. One linear sort instead of a
-//     selection per bisection level, locality close to RCB on mesh-like
-//     inputs.
+//
+// StrategyAuto is the paper's rule between the two: RCB when the graph
+// carries coordinates, ranges otherwise (Strategy.Resolve).
 //
 // Assign runs the selected Strategy; EdgeLocality and Imbalance make the
 // strategies comparable; ExtractAll materializes each PE's local subgraph
@@ -53,10 +50,6 @@ const (
 	// StrategyRCB is recursive coordinate bisection (requires coordinates;
 	// falls back to ranges without them).
 	StrategyRCB
-	// StrategySFC orders nodes along a Hilbert space-filling curve and cuts
-	// the order into weighted ranges (requires coordinates; falls back to
-	// ranges without them).
-	StrategySFC
 )
 
 // String returns the flag-level name of the strategy.
@@ -68,8 +61,6 @@ func (s Strategy) String() string {
 		return "ranges"
 	case StrategyRCB:
 		return "rcb"
-	case StrategySFC:
-		return "sfc"
 	default:
 		return fmt.Sprintf("dist.Strategy(%d)", int(s))
 	}
@@ -84,16 +75,25 @@ func ParseStrategy(name string) (Strategy, error) {
 		return StrategyRanges, nil
 	case "rcb":
 		return StrategyRCB, nil
-	case "sfc", "hilbert":
-		return StrategySFC, nil
 	default:
-		return StrategyAuto, fmt.Errorf("dist: unknown strategy %q (want auto|ranges|rcb|sfc)", name)
+		return StrategyAuto, fmt.Errorf("dist: unknown strategy %q (want auto|ranges|rcb)", name)
 	}
 }
 
+// Resolve is the strategy Assign runs for s on a graph with (coords) or
+// without coordinates: StrategyRCB when there are coordinates and s is auto
+// or rcb, StrategyRanges otherwise. Strategies that resolve alike assign
+// every graph of that kind alike.
+func (s Strategy) Resolve(coords bool) Strategy {
+	if coords && (s == StrategyAuto || s == StrategyRCB) {
+		return StrategyRCB
+	}
+	return StrategyRanges
+}
+
 // Assign distributes the nodes of g over pes PEs with the given strategy and
-// returns the PE of every node. Geometric strategies fall back to weighted
-// index ranges when g has no coordinates, so Assign never fails. Node weights
+// returns the PE of every node. RCB falls back to weighted index ranges when
+// g has no coordinates, so Assign never fails. Node weights
 // are respected by every strategy.
 func Assign(g *graph.Graph, s Strategy, pes int) []int32 {
 	return AssignScratch(nil, g, s, pes, nil)
@@ -108,16 +108,9 @@ func AssignScratch(run *par.Crew, g *graph.Graph, s Strategy, pes int, a *mem.Ar
 	if pes <= 1 {
 		return allOnPE0(a, g.NumNodes())
 	}
-	switch s {
-	case StrategyRCB, StrategyAuto:
-		if g.HasCoords() {
-			// All available dimensions: real 3D bisection for 3D inputs.
-			return rcbScratch(run, g.CoordSlices(), g.NodeWeights(), pes, a)
-		}
-	case StrategySFC:
-		if g.HasCoords() {
-			return sfcAssign(g.CoordSlices(), g.NodeWeights(), pes, a)
-		}
+	if s.Resolve(g.HasCoords()) == StrategyRCB {
+		// All available dimensions: real 3D bisection for 3D inputs.
+		return rcbScratch(run, g.CoordSlices(), g.NodeWeights(), pes, a)
 	}
 	return weightedRangesInto(a.Int32(g.NumNodes()), g.NodeWeights(), pes)
 }

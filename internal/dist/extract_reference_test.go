@@ -201,7 +201,7 @@ func TestExtractMatchesReference(t *testing.T) {
 	for name, g := range graphs {
 		n := g.NumNodes()
 		for _, pes := range []int{1, 2, 3, 7} {
-			for _, s := range []dist.Strategy{dist.StrategyAuto, dist.StrategyRanges, dist.StrategySFC} {
+			for _, s := range []dist.Strategy{dist.StrategyAuto, dist.StrategyRanges} {
 				checkExtraction(t, name+"/"+s.String(), g, dist.Assign(g, s, pes), pes)
 			}
 			// Scattered ownership: most neighbours are ghosts, on every PE.

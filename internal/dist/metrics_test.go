@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -96,7 +98,7 @@ func TestImbalanceMatchesBlockWeights(t *testing.T) {
 func TestAssignStrategies(t *testing.T) {
 	withCoords := gen.Grid2D(20, 20)
 	noCoords := gen.Grid3D(6, 6, 6)
-	for _, s := range []Strategy{StrategyAuto, StrategyRanges, StrategyRCB, StrategySFC} {
+	for _, s := range []Strategy{StrategyAuto, StrategyRanges, StrategyRCB} {
 		for _, g := range []*graph.Graph{withCoords, noCoords} {
 			assign := Assign(g, s, 5)
 			checkAssignment(t, assign, g.NumNodes(), 5)
@@ -108,25 +110,41 @@ func TestAssignStrategies(t *testing.T) {
 			}
 		}
 	}
-	// Geometric strategies must actually use the geometry: better locality
-	// than ranges on the grid.
+	// RCB must actually use the geometry: better locality than ranges on
+	// the grid.
 	lr := EdgeLocality(withCoords, Assign(withCoords, StrategyRanges, 8))
-	for _, s := range []Strategy{StrategyRCB, StrategySFC} {
-		if l := EdgeLocality(withCoords, Assign(withCoords, s, 8)); l <= lr {
-			t.Errorf("%v locality %.3f not better than ranges %.3f", s, l, lr)
+	if l := EdgeLocality(withCoords, Assign(withCoords, StrategyRCB, 8)); l <= lr {
+		t.Errorf("rcb locality %.3f not better than ranges %.3f", l, lr)
+	}
+}
+
+// TestResolveIsWhatAssignRuns holds Strategy.Resolve to Assign: every
+// strategy assigns a graph exactly as the strategy it resolves to.
+func TestResolveIsWhatAssignRuns(t *testing.T) {
+	for _, g := range []*graph.Graph{gen.RGG(9, 2), gen.Grid3D(6, 5, 4), gen.PrefAttach(300, 3, 1)} {
+		for _, s := range []Strategy{StrategyAuto, StrategyRanges, StrategyRCB} {
+			r := s.Resolve(g.HasCoords())
+			if r == StrategyAuto {
+				t.Fatalf("%v resolves to auto", s)
+			}
+			if !slices.Equal(Assign(g, s, 5), Assign(g, r, 5)) {
+				t.Errorf("coords %v: %v assigns unlike %v, its resolution", g.HasCoords(), s, r)
+			}
 		}
 	}
 }
 
 func TestParseStrategyRoundTrip(t *testing.T) {
-	for _, s := range []Strategy{StrategyAuto, StrategyRanges, StrategyRCB, StrategySFC} {
+	for _, s := range []Strategy{StrategyAuto, StrategyRanges, StrategyRCB} {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("ParseStrategy must reject unknown names")
+	for _, name := range []string{"bogus", "kway", "rcb2"} {
+		if _, err := ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "auto|ranges|rcb)") {
+			t.Errorf("ParseStrategy(%q): got %v, want an error with the vocabulary auto|ranges|rcb", name, err)
+		}
 	}
 	// Case-insensitive: the CLI and the facade accept the same names.
 	if got, err := ParseStrategy("RCB"); err != nil || got != StrategyRCB {

@@ -18,8 +18,7 @@
 //
 // The package also holds the one sort the coarsening kernels use on that
 // scratch (radix.go): a linear, stable radix sort over 8-byte keyed records,
-// shared by matching's edge order and SHEM scan order and by dist's
-// space-filling-curve order.
+// shared by matching's edge order and SHEM scan order.
 package mem
 
 import "sync"

@@ -28,7 +28,7 @@ import (
 // explicitly disagrees is rejected as invalid configuration.
 func ServeStore(ctx context.Context, ln net.Listener, st *store.Store, cfg core.Config, so ServeOptions, opts ...core.Option) (core.Result, error) {
 	m := st.Manifest()
-	if err := cfg.AdoptStore(m.PEs, m.Strategy); err != nil {
+	if err := cfg.AdoptStore(m.PEs, m.Strategy, m.CoordDims > 0); err != nil {
 		return core.Result{}, err
 	}
 

@@ -124,7 +124,7 @@ func TestServeStoreMatchesInMemory(t *testing.T) {
 	}{
 		{"rgg-2pe-rcb", gen.RGG(11, 3), 2, 8, dist.StrategyRCB},
 		{"grid-3pe-auto", gen.Grid2D(40, 40), 3, 6, dist.StrategyAuto},
-		{"grid3d-2pe-sfc", gen.Grid3D(12, 10, 8), 2, 4, dist.StrategySFC},
+		{"grid3d-2pe-ranges", gen.Grid3D(12, 10, 8), 2, 4, dist.StrategyRanges},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.NewConfig(core.Fast, tc.k)
@@ -215,7 +215,7 @@ func TestServeStoreReconcilesConfig(t *testing.T) {
 	}
 
 	cfg = core.NewConfig(core.Fast, 4)
-	cfg.Distribution = dist.StrategySFC // store holds RCB shards
+	cfg.Distribution = dist.StrategyRanges // store holds RCB shards
 	if _, err := remote.ServeStore(context.Background(), ln, st, cfg, remote.ServeOptions{}); !errors.Is(err, core.ErrInvalidConfig) {
 		t.Fatalf("strategy conflict: got %v, want ErrInvalidConfig", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"path/filepath"
 
+	"repro/internal/dist"
 	"repro/internal/graphio"
 )
 
@@ -142,6 +143,9 @@ func (m *Manifest) Validate() error {
 	}
 	if m.TotalNodeWeight < 0 || m.TotalEdgeWeight < 0 || m.MaxNodeWeight < 0 {
 		return fmt.Errorf("store: manifest declares negative aggregate weights")
+	}
+	if _, err := dist.ParseStrategy(m.Strategy); err != nil {
+		return fmt.Errorf("store: manifest strategy: %w", err)
 	}
 	switch m.CoordDims {
 	case 0, 2, 3:

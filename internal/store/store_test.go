@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -67,7 +69,7 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	}{
 		{"weighted-2d", weightedGraph(t), 4, dist.StrategyAuto},
 		{"rgg", gen.RGG(10, 1), 3, dist.StrategyRCB},
-		{"grid3d", gen.Grid3D(8, 7, 5), 2, dist.StrategySFC},
+		{"grid3d", gen.Grid3D(8, 7, 5), 2, dist.StrategyRCB},
 		{"no-coords", gen.PrefAttach(500, 4, 9), 4, dist.StrategyRanges},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,6 +325,27 @@ func TestHostileManifests(t *testing.T) {
 	t.Run("owned-sum-mismatch", func(t *testing.T) {
 		if err := mutate(t, func(m *store.Manifest) { m.Shards[0].Owned++ }); err == nil {
 			t.Fatal("incoherent owned sum accepted")
+		}
+	})
+	// A strategy outside dist.ParseStrategy's vocabulary — one an older
+	// build wrote and this one dropped, or a hostile name — is refused at
+	// Open, and the error names the value.
+	t.Run("unknown-strategy", func(t *testing.T) {
+		for _, name := range []string{"bogus", "rcb/../../x", "\x00"} {
+			err := mutate(t, func(m *store.Manifest) { m.Strategy = name })
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+				t.Errorf("strategy %q: got %v, want an error naming it", name, err)
+			}
+		}
+		bad := bytes.Replace(good, []byte(`"strategy": "auto"`), []byte(`"strategy": "bogus"`), 1)
+		if bytes.Equal(bad, good) {
+			t.Fatal("manifest has no auto strategy field to replace")
+		}
+		if err := os.WriteFile(filepath.Join(dir, store.ManifestFile), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Fatalf("Open: got %v, want an error naming \"bogus\"", err)
 		}
 	})
 }

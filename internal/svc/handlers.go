@@ -48,7 +48,7 @@ type JobSpec struct {
 	Eps     float64 `json:"eps,omitempty"`     // default 0.03
 	Seed    uint64  `json:"seed,omitempty"`    // default 0
 	PEs     int     `json:"pes,omitempty"`     // default: k
-	Dist    string  `json:"dist,omitempty"`    // auto | ranges | rcb | sfc
+	Dist    string  `json:"dist,omitempty"`    // auto | ranges | rcb
 	Coarsen string  `json:"coarsen,omitempty"` // shared | distributed
 	Workers int     `json:"workers,omitempty"` // default GOMAXPROCS
 
@@ -254,7 +254,7 @@ func (s *Server) resolveGraph(spec *JobSpec, cfg *core.Config) (*graph.Graph, *s
 			return nil, nil, fmt.Errorf("shard_dir: %v", err)
 		}
 		man := st.Manifest()
-		if err := cfg.AdoptStore(man.PEs, man.Strategy); err != nil {
+		if err := cfg.AdoptStore(man.PEs, man.Strategy, man.CoordDims > 0); err != nil {
 			return nil, nil, fmt.Errorf("shard_dir %q: %w", spec.ShardDir, err)
 		}
 		mapped, err := st.MapGraph()

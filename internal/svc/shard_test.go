@@ -89,7 +89,7 @@ func TestShardDirJobRejections(t *testing.T) {
 
 	for name, spec := range map[string]string{
 		"pes conflict":  `{"shard_dir":"g.kst","k":4,"pes":3}`,
-		"dist conflict": `{"shard_dir":"g.kst","k":4,"dist":"sfc"}`,
+		"dist conflict": `{"shard_dir":"g.kst","k":4,"dist":"ranges"}`,
 		"second source": `{"shard_dir":"g.kst","gen":"grid:4x4","k":4}`,
 		"path escape":   `{"shard_dir":"../g.kst","k":4}`,
 		"absolute path": `{"shard_dir":"/etc","k":4}`,

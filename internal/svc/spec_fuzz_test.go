@@ -16,7 +16,7 @@ import (
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"gen":"rgg:10","k":4,"seed":7}`,
-		`{"gen":"grid:4x4","k":2,"preset":"strong","eps":0.05,"pes":3,"dist":"sfc","coarsen":"distributed","workers":1048576,"timeout":"30s"}`,
+		`{"gen":"grid:4x4","k":2,"preset":"strong","eps":0.05,"pes":3,"dist":"ranges","coarsen":"distributed","workers":1048576,"timeout":"30s"}`,
 		`{"graph":"2 1\n2\n1\n","k":2,"timeout":"-1s"}`,
 		`{"graph_file":"g.graph","k":0}`,
 		`{"shard_dir":"s","k":2,"preset":"turbo"}`,

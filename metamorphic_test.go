@@ -240,7 +240,7 @@ func FuzzRun(f *testing.F) {
 		cfg, err := core.ConfigFromNames(
 			[]string{"minimal", "fast", "strong"}[at(2)%3], k,
 			0.01+float64(at(3)%50)/100, uint64(at(4)), at(5)%5, at(6)%3,
-			[]string{"auto", "ranges", "rcb", "sfc"}[at(7)%4],
+			[]string{"auto", "ranges", "rcb"}[at(7)%3],
 			[]string{"shared", "distributed"}[at(8)%2])
 		if err != nil {
 			return

@@ -206,8 +206,6 @@ const (
 	DistRanges = dist.StrategyRanges
 	// DistRCB is recursive coordinate bisection over node coordinates.
 	DistRCB = dist.StrategyRCB
-	// DistSFC orders nodes along a Hilbert curve and cuts weighted ranges.
-	DistSFC = dist.StrategySFC
 )
 
 // CoarsenMode selects how the contraction phase executes; set it on

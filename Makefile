@@ -38,7 +38,7 @@ loc:
 # loc-check fails when the code outgrows LOC_MAX, the size the last PR that
 # changed it left behind: growth is raised on purpose, in the diff that
 # causes it, the way bench-baseline is; a PR that shrinks the code lowers it.
-LOC_MAX = 15457
+LOC_MAX = 15372
 loc-check:
 	@loc=$$($(MAKE) -s loc); if [ "$$loc" -gt $(LOC_MAX) ]; then \
 		echo "make loc is $$loc, above LOC_MAX=$(LOC_MAX): shrink the change or raise LOC_MAX in the Makefile"; exit 1; fi

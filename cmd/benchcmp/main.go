@@ -11,7 +11,10 @@
 // Timing is not its business: wall clock on shared CI runners is noise, and
 // `benchmark compare` (benchmark/README.md) is the protocol for it. A
 // benchmark present in the baseline but missing from the current run fails
-// the gate: silently dropped coverage is itself a regression.
+// the gate: silently dropped coverage is itself a regression. A value that
+// moves more than 1% either way while within budget is a MOVED line, which
+// does not fail the gate; the last line counts such rows, so a baseline that
+// lags the code shows before its slack is spent.
 //
 // Refresh the baseline intentionally (make bench-baseline) when a PR changes
 // the allocation profile on purpose, and commit the new file with the change
@@ -22,16 +25,20 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Regression budgets in percent.
+// Regression budgets in percent, and the move either way past which a value
+// within budget is reported.
 const (
 	maxAllocsPct = 5
 	maxBytesPct  = 10
+	movedPct     = 1
 )
 
 // metrics is one benchmark's measured values.
@@ -130,26 +137,38 @@ func main() {
 		os.Exit(2)
 	}
 
+	failed, moved := compare(os.Stdout, base, cur)
+	summary := fmt.Sprintf("%d gated rows moved more than %d%% within budget", moved, movedPct)
+	if failed {
+		fmt.Printf("benchcmp: regression beyond budget (or lost coverage); %s; if intentional, refresh BENCH_BASELINE.txt via `make bench-baseline` and commit it\n", summary)
+		os.Exit(1)
+	}
+	fmt.Printf("benchcmp: within budget; %s\n", summary)
+}
+
+// compare writes a line per gated value of every baseline row, then a note
+// per row the baseline lacks. It reports whether any row failed and how many
+// rows have a value that moved more than movedPct while within budget.
+func compare(w io.Writer, base, cur map[string]metrics) (failed bool, moved int) {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	failed := false
 	for _, name := range names {
 		b := base[name]
 		c, ok := cur[name]
 		if !ok {
-			fmt.Printf("FAIL  %s: in the baseline but not in the current run — dropped coverage\n", name)
+			fmt.Fprintf(w, "FAIL  %s: in the baseline but not in the current run — dropped coverage\n", name)
 			failed = true
 			continue
 		}
 		if !b.has || !c.has {
-			fmt.Printf("FAIL  %s: missing -benchmem metrics (baseline %v, current %v)\n", name, b.has, c.has)
+			fmt.Fprintf(w, "FAIL  %s: missing -benchmem metrics (baseline %v, current %v)\n", name, b.has, c.has)
 			failed = true
 			continue
 		}
+		rowMoved := false
 		for _, g := range []struct {
 			metric    string
 			base, cur float64
@@ -159,13 +178,18 @@ func main() {
 			{"B/op", b.bytes, c.bytes, maxBytesPct},
 		} {
 			delta := pct(g.base, g.cur)
-			verdict := "ok  "
-			if delta > g.budget {
-				verdict = "FAIL"
-				failed = true
+			verdict := "ok"
+			switch {
+			case delta > g.budget:
+				verdict, failed = "FAIL", true
+			case math.Abs(delta) > movedPct:
+				verdict, rowMoved = "MOVED", true
 			}
-			fmt.Printf("%s  %s: %s %.0f -> %.0f (%+.2f%%, budget +%.0f%%)\n",
+			fmt.Fprintf(w, "%-5s %s: %s %.0f -> %.0f (%+.2f%%, budget +%.0f%%)\n",
 				verdict, name, g.metric, g.base, g.cur, delta, g.budget)
+		}
+		if rowMoved {
+			moved++
 		}
 	}
 	extra := make([]string, 0, len(cur))
@@ -176,11 +200,7 @@ func main() {
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		fmt.Printf("note  %s: not in the baseline; refresh with `make bench-baseline` to start gating it\n", name)
+		fmt.Fprintf(w, "note  %s: not in the baseline; refresh with `make bench-baseline` to start gating it\n", name)
 	}
-	if failed {
-		fmt.Println("benchcmp: regression beyond budget (or lost coverage); if intentional, refresh BENCH_BASELINE.txt via `make bench-baseline` and commit it")
-		os.Exit(1)
-	}
-	fmt.Println("benchcmp: within budget")
+	return failed, moved
 }

@@ -21,9 +21,9 @@ import (
 
 func main() {
 	var (
-		typ    = flag.String("type", "rgg", "rgg | delaunay | grid | grid3d | road | social | rmat | fem | banded | er")
+		typ    = flag.String("type", "rgg", "rgg | delaunay | grid | grid3d | road | social | rmat | fem | banded")
 		scale  = flag.Int("scale", 14, "log2 node count (rgg, delaunay, rmat)")
-		n      = flag.Int("n", 10000, "node count (road, social, fem, banded, er)")
+		n      = flag.Int("n", 10000, "node count (road, social, fem, banded)")
 		w      = flag.Int("w", 64, "grid width / 3d x")
 		h      = flag.Int("h", 64, "grid height / 3d y")
 		d      = flag.Int("d", 8, "3d z; social attachment degree")
@@ -37,10 +37,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gengraph:", err)
 		os.Exit(1)
 	}
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "gengraph:", err)
+		os.Exit(2)
+	}
 
 	f, err := graphio.ParseFormat(*format)
 	if err != nil {
 		fail(err)
+	}
+
+	// Sizes are held to gen.FromSpec's bounds: a bad one is a usage error,
+	// not a generator's panic. Every factor is checked before the grid size,
+	// and the depth multiplies only a w·h within bounds, so no overflowed
+	// product decides.
+	if *scale < 1 || *scale > gen.MaxSpecScale {
+		usage(fmt.Errorf("-scale %d out of range [1, %d]", *scale, gen.MaxSpecScale))
+	}
+	grid := *w * *h
+	if *typ == "grid3d" && grid <= gen.MaxSpecSize {
+		grid *= *d
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-n", *n}, {"-w", *w}, {"-h", *h}, {"-d", *d}, {"grid size", grid}} {
+		if f.v < 1 || f.v > gen.MaxSpecSize {
+			usage(fmt.Errorf("%s %d out of range [1, %d]", f.name, f.v, gen.MaxSpecSize))
+		}
 	}
 
 	var g *graph.Graph
@@ -63,8 +87,6 @@ func main() {
 		g = gen.FEMMesh(*n, 8, *seed)
 	case "banded":
 		g = gen.Banded(*n, 10, 30, 0.7, *seed)
-	case "er":
-		g = gen.ErdosRenyi(*n, 8**n, *seed)
 	default:
 		fail(fmt.Errorf("unknown type %q", *typ))
 	}

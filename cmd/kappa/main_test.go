@@ -378,3 +378,22 @@ func TestGengraphBinaryFormatRoundTrip(t *testing.T) {
 		t.Fatalf("n=%d dims=%d", g.NumNodes(), g.CoordDims())
 	}
 }
+
+// TestGengraphRejectsBadSizes holds gengraph to gen.FromSpec's size bounds:
+// a size of 0 and a negative scale are usage errors, exit 2 with one line
+// that names the flag, not a generator's panic.
+func TestGengraphRejectsBadSizes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	_, gengraph := buildBinaries(t)
+	for _, args := range [][]string{{"-type", "social", "-d", "0"}, {"-type", "rgg", "-scale", "-1"}} {
+		out, err := exec.Command(gengraph, append(args, "-o", filepath.Join(t.TempDir(), "g.graph"))...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("%v: %v, want exit status 2\n%s", args, err, out)
+		}
+		if msg := string(out); strings.Contains(msg, "panic") || !strings.Contains(msg, "gengraph: "+args[2]+" ") {
+			t.Fatalf("%v: output %q, want one error naming %s", args, msg, args[2])
+		}
+	}
+}

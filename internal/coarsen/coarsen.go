@@ -61,7 +61,7 @@ type Options struct {
 // graph and the mapping fine node → coarse node. Contracting {u,v} forms a
 // node x with c(x) = c(u)+c(v); parallel coarse edges are merged by summing
 // their weights (§2). Coordinates, when present, are carried over as the
-// weighted midpoint of the contracted pair.
+// mean of the contracted pair's, in each dimension.
 func Contract(g *graph.Graph, m matching.Matching) (*graph.Graph, []int32) {
 	return ContractWith(g, m, Options{})
 }
@@ -222,21 +222,20 @@ func (nb numbering) number(g *graph.Graph, m matching.Matching, blocks []int32, 
 }
 
 // coarseCSR is a coarse graph as contractMapped leaves it: the CSR arrays,
-// the coordinates and the aggregates, all summed on the way.
+// the coordinates (one slice per dimension) and the aggregates, all summed on
+// the way.
 type coarseCSR struct {
 	xadj, adj  []int32
 	ewgt, nwgt []int64
-	x, y, z    []float64 // nil without coordinates, z nil in 2D
+	coords     [][]float64 // nil without coordinates
 	agg        graph.CSRAggregates
 }
 
 // graph adopts c's arrays and coordinates.
 func (c coarseCSR) graph() *graph.Graph {
 	cg := graph.FromCSRTrusted(c.xadj, c.adj, c.ewgt, c.nwgt, c.agg)
-	if c.z != nil {
-		cg.SetCoords3(c.x, c.y, c.z)
-	} else if c.x != nil {
-		cg.SetCoords(c.x, c.y)
+	if c.coords != nil {
+		cg.SetCoords(c.coords...)
 	}
 	return cg
 }
@@ -256,9 +255,9 @@ type span struct {
 // memberNext[memberHead[c]], … in ascending order up to -1. Node weights are the members' sums, parallel
 // coarse edges merge by summing their weights, edges inside a coarse node
 // vanish, and each row lists its neighbours in the order its members' rows
-// first reach them. Coordinates are the members' means, summed in ascending
-// member order: the additions of a scan over the fine nodes, in its order,
-// so the same bits.
+// first reach them. Each dimension's coordinate is the members' mean, summed
+// in ascending member order: the additions of a scan over the fine nodes, in
+// its order, so the same bits.
 //
 //kappa:hotpath
 func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memberNext []int32, spans []span, a *mem.Arena) coarseCSR {
@@ -326,14 +325,14 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 	adj := make([]int32, half)
 	//kappa:allow hotalloc exactly-sized CSR arrays persist as the coarse graph
 	ewgt := make([]int64, half)
-	fx, fy, fz := g.Coords3()
-	var cx, cy, cz []float64
-	if fx != nil && nc > 0 {
-		//kappa:allow hotalloc coordinates persist with the coarse graph
-		cx, cy = make([]float64, nc), make([]float64, nc)
-		if fz != nil {
+	fc := g.Coords()
+	var cc [][]float64
+	if fc != nil && nc > 0 {
+		//kappa:allow hotalloc one slice per dimension, persists with the coarse graph
+		cc = make([][]float64, len(fc))
+		for d := range cc {
 			//kappa:allow hotalloc coordinates persist with the coarse graph
-			cz = make([]float64, nc)
+			cc[d] = make([]float64, nc)
 		}
 	}
 
@@ -365,20 +364,13 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 			for _, w := range ewgt[first:next] {
 				ew += w
 			}
-			if cx != nil {
-				var x, y, z, k float64
+			for d, coarse := range cc {
+				fine, sum, k := fc[d], 0.0, 0.0
 				for v := memberHead[c]; v >= 0; v = memberNext[v] {
-					x += fx[v]
-					y += fy[v]
-					if cz != nil {
-						z += fz[v]
-					}
+					sum += fine[v]
 					k++
 				}
-				cx[c], cy[c] = x/k, y/k
-				if cz != nil {
-					cz[c] = z / k
-				}
+				coarse[c] = sum / k
 			}
 		}
 		sp.ew = ew
@@ -388,7 +380,7 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 	for _, sp := range spans {
 		totalEW += sp.ew
 	}
-	return coarseCSR{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, x: cx, y: cy, z: cz, agg: graph.CSRAggregates{
+	return coarseCSR{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, coords: cc, agg: graph.CSRAggregates{
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: totalEW / 2, MaxNodeWeight: maxNW}}
 }
 

@@ -128,8 +128,7 @@ func TestContractCoords(t *testing.T) {
 	if !cg.HasCoords() {
 		t.Fatal("coordinates lost")
 	}
-	x, _ := cg.Coord(f2c[0])
-	if x != 0.125 {
+	if x := cg.Coords()[0][f2c[0]]; x != 0.125 {
 		t.Fatalf("midpoint x = %v, want 0.125", x)
 	}
 }

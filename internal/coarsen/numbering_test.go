@@ -95,10 +95,8 @@ func sortedRows(t *testing.T, g *graph.Graph) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := g.CoordSlices(); len(c) == 3 {
-		sg.SetCoords3(c[0], c[1], c[2])
-	} else if len(c) == 2 {
-		sg.SetCoords(c[0], c[1])
+	if g.HasCoords() {
+		sg.SetCoords(g.Coords()...)
 	}
 	return sg
 }

@@ -44,10 +44,8 @@ func graphsEqual(t *testing.T, name string, want, got *graph.Graph) {
 		if want.HasCoords() != got.HasCoords() {
 			t.Fatalf("%s: coordinate presence differs", name)
 		}
-		if want.HasCoords() {
-			wx, wy, wz := want.Coord3(v)
-			gx, gy, gz := got.Coord3(v)
-			if wx != gx || wy != gy || wz != gz {
+		for d, wc := range want.Coords() {
+			if wc[v] != got.Coords()[d][v] {
 				t.Fatalf("%s: coordinates of %d differ", name, v)
 			}
 		}
@@ -117,7 +115,7 @@ func TestContractLargeLevelsMatchSerial(t *testing.T) {
 			}
 			sums := make([][]float64, g.CoordDims())
 			count := make([]float64, got.NumNodes())
-			for d, fine := range g.CoordSlices() {
+			for d, fine := range g.Coords() {
 				sums[d] = make([]float64, got.NumNodes())
 				for v, x := range fine {
 					sums[d][gotMap[v]] += x
@@ -126,7 +124,7 @@ func TestContractLargeLevelsMatchSerial(t *testing.T) {
 			for _, c := range gotMap {
 				count[c]++
 			}
-			for d, coarse := range got.CoordSlices() {
+			for d, coarse := range got.Coords() {
 				for c, x := range coarse {
 					if math.Float64bits(x) != math.Float64bits(sums[d][c]/count[c]) {
 						t.Fatalf("%s GOMAXPROCS=%d: coordinate %d of coarse node %d is %v, the fine-order mean %v", name, procs, d, c, x, sums[d][c]/count[c])

@@ -28,7 +28,7 @@ import (
 type referencePart struct {
 	coarsen.PEContraction
 	Weights      []int64
-	CX, CY, CZ   []float64
+	C            [][]float64 // one slice per coordinate dimension
 	EdgeU, EdgeV []int32
 	EdgeW        []int64
 }
@@ -82,24 +82,15 @@ func referenceContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.T
 	p.FirstCoarse, p.NumCoarse = base, nOwn
 
 	p.Weights = make([]int64, nOwn)
-	hasCoords := g.HasCoords()
-	if hasCoords {
-		p.CX = make([]float64, nOwn)
-		p.CY = make([]float64, nOwn)
-		if g.CoordDims() == 3 {
-			p.CZ = make([]float64, nOwn)
-		}
+	p.C = make([][]float64, g.CoordDims())
+	for d := range p.C {
+		p.C[d] = make([]float64, nOwn)
 	}
 	members := make([]int32, nOwn)
 	addMember := func(c, lv int32) {
 		p.Weights[c] += g.NodeWeight(lv)
-		if hasCoords {
-			x, y, z := g.Coord3(lv)
-			p.CX[c] += x
-			p.CY[c] += y
-			if p.CZ != nil {
-				p.CZ[c] += z
-			}
+		for d, x := range g.Coords() {
+			p.C[d][c] += x[lv]
 		}
 		members[c]++
 	}
@@ -114,11 +105,9 @@ func referenceContractSubgraph(sg *dist.Subgraph, m matching.Matching, ex dist.T
 		}
 	}
 	for c := int32(0); c < nOwn; c++ {
-		if hasCoords && members[c] > 0 {
-			p.CX[c] /= float64(members[c])
-			p.CY[c] /= float64(members[c])
-			if p.CZ != nil {
-				p.CZ[c] /= float64(members[c])
+		for d := range p.C {
+			if members[c] > 0 {
+				p.C[d][c] /= float64(members[c])
 			}
 		}
 	}
@@ -198,18 +187,19 @@ func referenceStitch(g *graph.Graph, parts []*referencePart) (*graph.Graph, []in
 		total += len(p.Weights)
 	}
 	b := graph.NewBuilder(total)
+	var cs [][]float64
+	if g.HasCoords() && total > 0 {
+		cs = make([][]float64, g.CoordDims())
+		for d := range cs {
+			cs[d] = make([]float64, total)
+		}
+	}
 	for _, p := range parts {
 		for i, w := range p.Weights {
 			b.SetNodeWeight(p.FirstCoarse+int32(i), w)
 		}
-		if g.CoordDims() == 3 {
-			for i := range p.Weights {
-				b.SetCoord3(p.FirstCoarse+int32(i), p.CX[i], p.CY[i], p.CZ[i])
-			}
-		} else if g.HasCoords() {
-			for i := range p.Weights {
-				b.SetCoord(p.FirstCoarse+int32(i), p.CX[i], p.CY[i])
-			}
+		for d, c := range p.C { // none on a PE that owns nothing
+			copy(cs[d][p.FirstCoarse:], c)
 		}
 		for i := range p.EdgeU {
 			b.AddEdge(p.EdgeU[i], p.EdgeV[i], p.EdgeW[i])
@@ -221,7 +211,11 @@ func referenceStitch(g *graph.Graph, parts []*referencePart) (*graph.Graph, []in
 			fine2coarse[gv] = p.FineCoarse[i]
 		}
 	}
-	return b.Build(), fine2coarse
+	coarse := b.Build()
+	if cs != nil {
+		coarse.SetCoords(cs...)
+	}
+	return coarse, fine2coarse
 }
 
 // expandParts derives from a part set the stitch accepts what its workers
@@ -237,11 +231,9 @@ func expandParts(g *graph.Graph, parts []*coarsen.PEContraction) []*referencePar
 	out := make([]*referencePart, len(parts))
 	for pe, p := range parts {
 		out[pe] = &referencePart{PEContraction: *p, Weights: make([]int64, p.NumCoarse)}
-		if g.HasCoords() {
-			out[pe].CX, out[pe].CY = make([]float64, p.NumCoarse), make([]float64, p.NumCoarse)
-			if g.CoordDims() == 3 {
-				out[pe].CZ = make([]float64, p.NumCoarse)
-			}
+		out[pe].C = make([][]float64, g.CoordDims())
+		for d := range out[pe].C {
+			out[pe].C[d] = make([]float64, p.NumCoarse)
 		}
 		for i, v := range p.FineGlobal {
 			owner[v], f2c[v] = pe, p.FineCoarse[i]
@@ -259,13 +251,8 @@ func expandParts(g *graph.Graph, parts []*coarsen.PEContraction) []*referencePar
 	for v := int32(0); v < int32(n); v++ {
 		p, i := partOf(f2c[v])
 		p.Weights[i] += g.NodeWeight(v)
-		if p.CX != nil {
-			x, y, z := g.Coord3(v)
-			p.CX[i] += x
-			p.CY[i] += y
-			if p.CZ != nil {
-				p.CZ[i] += z
-			}
+		for d, x := range g.Coords() {
+			p.C[d][i] += x[v]
 		}
 		members[f2c[v]]++
 		ws := g.AdjWeights(v)
@@ -277,12 +264,9 @@ func expandParts(g *graph.Graph, parts []*coarsen.PEContraction) []*referencePar
 		}
 	}
 	for _, p := range out {
-		for i := range p.CX {
-			cnt := members[p.FirstCoarse+int32(i)]
-			p.CX[i] /= cnt
-			p.CY[i] /= cnt
-			if p.CZ != nil {
-				p.CZ[i] /= cnt
+		for _, c := range p.C {
+			for i := range c {
+				c[i] /= members[p.FirstCoarse+int32(i)]
 			}
 		}
 	}
@@ -305,7 +289,7 @@ func sameGraph(t testing.TB, what string, got, want *graph.Graph) {
 	if !slices.Equal(got.NodeWeights(), want.NodeWeights()) {
 		t.Fatalf("%s: node weights differ from the reference", what)
 	}
-	gc, wc := got.CoordSlices(), want.CoordSlices()
+	gc, wc := got.Coords(), want.Coords()
 	for d := range wc {
 		if !slices.EqualFunc(gc[d], wc[d], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatalf("%s: coordinate %d differs from the reference", what, d)
@@ -322,18 +306,14 @@ func levelParts(g *graph.Graph, assign []int32, pes int, seed uint64) ([]*coarse
 	sgs := dist.ExtractAll(g, assign, pes)
 	for _, sg := range sgs {
 		if g.HasCoords() && sg.Local.NumNodes() > 0 {
-			c := make([][]float64, 3)
-			for d, src := range g.CoordSlices() {
+			c := make([][]float64, g.CoordDims())
+			for d, src := range g.Coords() {
 				c[d] = make([]float64, sg.Local.NumNodes())
 				for lv, v := range sg.LocalToGlobal {
 					c[d][lv] = src[v]
 				}
 			}
-			if g.CoordDims() == 3 {
-				sg.Local.SetCoords3(c[0], c[1], c[2])
-			} else {
-				sg.Local.SetCoords(c[0], c[1])
-			}
+			sg.Local.SetCoords(c...)
 		}
 	}
 	ms := matching.DistributedBounded(sgs, dist.NewExchanger(pes), rating.ExpansionStar2, matching.GPA, seed, 0, true)
@@ -443,11 +423,8 @@ func TestStitchMergesAcrossParts(t *testing.T) {
 	for _, e := range [][3]int64{{0, 1, 4}, {0, 2, 1}, {1, 3, 9}, {2, 3, 6}} {
 		g.AddEdge(int32(e[0]), int32(e[1]), e[2])
 	}
-	g.SetCoord(0, 0, 0)
-	g.SetCoord(1, 1, 0)
-	g.SetCoord(2, 0, 1)
-	g.SetCoord(3, 1, 1)
 	level := g.Build()
+	level.SetCoords([]float64{0, 1, 0, 1}, []float64{0, 0, 1, 1})
 	parts := []*coarsen.PEContraction{
 		{FirstCoarse: 0, NumCoarse: 2, FineGlobal: []int32{0, 1}, FineCoarse: []int32{0, 1}},
 		{FirstCoarse: 2, NumCoarse: 1, FineGlobal: []int32{2, 3}, FineCoarse: []int32{2, 1}},
@@ -461,7 +438,7 @@ func TestStitchMergesAcrossParts(t *testing.T) {
 	if w0, w2 := got.EdgeWeightTo(1, 0), got.EdgeWeightTo(1, 2); w0 != 4 || w2 != 6 || got.Degree(1) != 2 || got.NodeWeight(1) != 2 {
 		t.Fatalf("pair {1,3}: edges to 0 and 2 weigh %d and %d, degree %d, weight %d; want 4, 6, 2, 2", w0, w2, got.Degree(1), got.NodeWeight(1))
 	}
-	if x, y := got.Coord(1); x != 1 || y != 0.5 {
+	if x, y := got.Coords()[0][1], got.Coords()[1][1]; x != 1 || y != 0.5 {
 		t.Fatalf("pair {1,3} sits at (%v,%v), want (1,0.5)", x, y)
 	}
 }
@@ -501,11 +478,8 @@ func TestStitchByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: graph.FromCSR refuses the stitched arrays: %v", name, err)
 		}
-		switch x, y, z := want.Coords3(); want.CoordDims() {
-		case 2:
-			checked.SetCoords(x, y)
-		case 3:
-			checked.SetCoords3(x, y, z)
+		if want.HasCoords() {
+			checked.SetCoords(want.Coords()...)
 		}
 		if !reflect.DeepEqual(want, checked) {
 			t.Fatalf("%s: stitched graph differs from graph.FromCSR of the same arrays", name)

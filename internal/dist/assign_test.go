@@ -25,7 +25,7 @@ func TestAssignGrid3DUsesRCB(t *testing.T) {
 
 	// The first bisection must cut the z axis (extent 24 vs 6 and 12): the
 	// two PE groups {0..3} and {4..7} separate along z.
-	_, _, z := g.Coords3()
+	z := g.Coords()[2]
 	maxLow, minHigh := -1.0, 1e18
 	for v, pe := range rcb {
 		if pe < 4 {

@@ -110,7 +110,7 @@ func AssignScratch(run *par.Crew, g *graph.Graph, s Strategy, pes int, a *mem.Ar
 	}
 	if s.Resolve(g.HasCoords()) == StrategyRCB {
 		// All available dimensions: real 3D bisection for 3D inputs.
-		return rcbScratch(run, g.CoordSlices(), g.NodeWeights(), pes, a)
+		return rcbScratch(run, g.Coords(), g.NodeWeights(), pes, a)
 	}
 	return weightedRangesInto(a.Int32(g.NumNodes()), g.NodeWeights(), pes)
 }

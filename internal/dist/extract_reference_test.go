@@ -93,7 +93,7 @@ func sameSubgraph(t testing.TB, what string, got, want *dist.Subgraph) {
 	if !slices.Equal(gl.NodeWeights(), wl.NodeWeights()) {
 		t.Fatalf("%s: node weights differ from the reference", what)
 	}
-	gc, wc := gl.CoordSlices(), wl.CoordSlices()
+	gc, wc := gl.Coords(), wl.Coords()
 	for d := range wc {
 		if !slices.Equal(gc[d], wc[d]) {
 			t.Fatalf("%s: coordinate %d differs from the reference", what, d)
@@ -130,11 +130,8 @@ func rebuiltByFromCSR(t testing.TB, g *graph.Graph) *graph.Graph {
 	if err != nil {
 		t.Fatalf("graph.FromCSR refuses the adopted arrays: %v", err)
 	}
-	switch x, y, z := g.Coords3(); g.CoordDims() {
-	case 2:
-		checked.SetCoords(x, y)
-	case 3:
-		checked.SetCoords3(x, y, z)
+	if g.HasCoords() {
+		checked.SetCoords(g.Coords()...)
 	}
 	return checked
 }
@@ -234,12 +231,16 @@ func FuzzExtractMatchesReference(f *testing.F) {
 		}
 		const n = 24
 		b := graph.NewBuilder(n)
+		xs, ys := make([]float64, n), make([]float64, n)
 		for i := 0; i+2 < len(data) && i < 600; i += 3 {
 			b.AddEdge(int32(data[i]%n), int32(data[i+1]%n), int64(data[i+2]%5)+1)
 			b.SetNodeWeight(int32(data[i]%n), int64(data[i+2]%3)+1)
-			b.SetCoord(int32(data[i+1]%n), float64(data[i]), float64(data[i+2]))
+			xs[data[i+1]%n], ys[data[i+1]%n] = float64(data[i]), float64(data[i+2])
 		}
 		g := b.Build()
+		if len(data) >= 3 {
+			g.SetCoords(xs, ys)
+		}
 		if reverse {
 			xadj := make([]int32, n+1)
 			var adj []int32
@@ -255,8 +256,8 @@ func FuzzExtractMatchesReference(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if x, y := g.Coords(); x != nil {
-				rg.SetCoords(x, y)
+			if g.HasCoords() {
+				rg.SetCoords(g.Coords()...)
 			}
 			g = rg
 		}

@@ -71,9 +71,8 @@ func TestMetricsDegenerate(t *testing.T) {
 
 func TestImbalanceMatchesBlockWeights(t *testing.T) {
 	g := gen.RGG(10, 7)
-	x, y := g.Coords()
 	pes := 6
-	assign := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
+	assign := rcbScratch(nil, g.Coords(), nil, pes, nil)
 	weights := blockWeights(g, assign, pes)
 	var total, max int64
 	for _, w := range weights {

@@ -181,7 +181,7 @@ func TestRCBMatchesReference(t *testing.T) {
 // reference.
 func TestRCBAboveFloorMatchesReference(t *testing.T) {
 	mesh, grid := gen.RGG(15, 1), gen.Grid3D(32, 32, 32)
-	mx, my := mesh.Coords()
+	mx, my := mesh.Coords()[0], mesh.Coords()[1]
 	taken := make([]bool, mesh.NumNodes())
 	var cx, cy []float64
 	var cw []int64
@@ -204,8 +204,8 @@ func TestRCBAboveFloorMatchesReference(t *testing.T) {
 	crew := par.Start(2, par.Spin)
 	defer crew.Stop()
 	for _, c := range []rcbCase{
-		{"rgg15", mesh.CoordSlices(), mesh.NodeWeights()},
-		{"grid3d", grid.CoordSlices(), nil},
+		{"rgg15", mesh.Coords(), mesh.NodeWeights()},
+		{"grid3d", grid.Coords(), nil},
 		{"rgg15 contracted", [][]float64{cx, cy}, cw},
 	} {
 		if n := len(c.dims[0]); n < 4*parallelRCBNodes {

@@ -49,8 +49,7 @@ func TestExtractGhostRoundTrip(t *testing.T) {
 func TestExtractEdgeConservation(t *testing.T) {
 	g := gen.RGG(10, 5)
 	pes := 5
-	x, y := g.Coords()
-	assign := rcbScratch(nil, [][]float64{x, y}, nil, pes, nil)
+	assign := rcbScratch(nil, g.Coords(), nil, pes, nil)
 	internal := g.NumEdges() - int(countCut(g, assign))
 	cut := int(countCut(g, assign))
 
@@ -170,8 +169,7 @@ func TestNewSubgraphRejectsMalformed(t *testing.T) {
 func TestBoundaryPeersFlat(t *testing.T) {
 	g := gen.RGG(9, 3)
 	const pes = 5
-	x, y := g.Coords()
-	for _, s := range ExtractAll(g, rcbScratch(nil, [][]float64{x, y}, nil, pes, nil), pes) {
+	for _, s := range ExtractAll(g, rcbScratch(nil, g.Coords(), nil, pes, nil), pes) {
 		off, peers := s.BoundaryPeers()
 		if off2, peers2 := s.BoundaryPeers(); &off2[0] != &off[0] || len(peers2) != len(peers) {
 			t.Fatalf("PE %d: second call recomputed the lists", s.PE)

@@ -28,7 +28,7 @@ func TestRGGBasic(t *testing.T) {
 	// Every edge respects the radius.
 	n := g.NumNodes()
 	radius := 0.55 * math.Sqrt(math.Log(float64(n))/float64(n))
-	x, y := g.Coords()
+	x, y := g.Coords()[0], g.Coords()[1]
 	for v := int32(0); v < int32(n); v++ {
 		for _, u := range g.Adj(v) {
 			dx, dy := x[v]-x[u], y[v]-y[u]
@@ -100,9 +100,9 @@ func TestGrid3D(t *testing.T) {
 	if g.CoordDims() != 3 {
 		t.Fatalf("Grid3D must carry 3D coordinates, got %d dims", g.CoordDims())
 	}
-	x, y, z := g.Coord3(int32((1*4+2)*5 + 3)) // lattice point (1,2,3)
-	if x != 1 || y != 2 || z != 3 {
-		t.Fatalf("coords of (1,2,3) = (%g,%g,%g)", x, y, z)
+	v := int32((1*4+2)*5 + 3) // lattice point (1,2,3)
+	if cs := g.Coords(); cs[0][v] != 1 || cs[1][v] != 2 || cs[2][v] != 3 {
+		t.Fatalf("coords of (1,2,3) = (%g,%g,%g)", cs[0][v], cs[1][v], cs[2][v])
 	}
 }
 
@@ -226,16 +226,6 @@ func TestRMAT(t *testing.T) {
 	}
 }
 
-func TestErdosRenyi(t *testing.T) {
-	g := ErdosRenyi(500, 2000, 17)
-	if g.NumNodes() != 500 || g.NumEdges() != 2000 {
-		t.Fatalf("n=%d m=%d", g.NumNodes(), g.NumEdges())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRoad(t *testing.T) {
 	g := Road(4000, 6, 21)
 	if g.NumNodes() < 1500 {
@@ -249,6 +239,9 @@ func TestRoad(t *testing.T) {
 	}
 	if !g.HasCoords() {
 		t.Fatal("road network must carry coordinates")
+	}
+	if g := Road(0, 6, 21); g.NumNodes() != 0 {
+		t.Fatalf("Road(0) has %d nodes", g.NumNodes())
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 // of a w×h grid cuts (k-1)·h edges).
 func Grid2D(w, h int) *graph.Graph {
 	b := graph.NewBuilder(w * h)
+	xs, ys := make([]float64, w*h), make([]float64, w*h)
 	id := func(i, j int) int32 { return int32(i*h + j) }
 	for i := 0; i < w; i++ {
 		for j := 0; j < h; j++ {
 			v := id(i, j)
-			b.SetCoord(v, float64(i)/float64(w), float64(j)/float64(h))
+			xs[v], ys[v] = float64(i)/float64(w), float64(j)/float64(h)
 			if i+1 < w {
 				b.AddEdge(v, id(i+1, j), 1)
 			}
@@ -24,7 +25,9 @@ func Grid2D(w, h int) *graph.Graph {
 			}
 		}
 	}
-	return b.Build()
+	g := b.Build()
+	g.SetCoords(xs, ys)
+	return g
 }
 
 // Grid3D generates an x×y×z lattice with 6-neighbor connectivity; 3D FEM
@@ -33,12 +36,13 @@ func Grid2D(w, h int) *graph.Graph {
 // of the three axes) applies instead of the index-range fallback.
 func Grid3D(x, y, z int) *graph.Graph {
 	b := graph.NewBuilder(x * y * z)
+	cs := [][]float64{make([]float64, x*y*z), make([]float64, x*y*z), make([]float64, x*y*z)}
 	id := func(i, j, k int) int32 { return int32((i*y+j)*z + k) }
 	for i := 0; i < x; i++ {
 		for j := 0; j < y; j++ {
 			for k := 0; k < z; k++ {
 				v := id(i, j, k)
-				b.SetCoord3(v, float64(i), float64(j), float64(k))
+				cs[0][v], cs[1][v], cs[2][v] = float64(i), float64(j), float64(k)
 				if i+1 < x {
 					b.AddEdge(v, id(i+1, j, k), 1)
 				}
@@ -51,7 +55,9 @@ func Grid3D(x, y, z int) *graph.Graph {
 			}
 		}
 	}
-	return b.Build()
+	g := b.Build()
+	g.SetCoords(cs...)
+	return g
 }
 
 // FEMMesh generates an unstructured 2D finite-element-style mesh: the

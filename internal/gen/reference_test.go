@@ -18,11 +18,8 @@ import (
 func referenceGeometricGraph(pts []Point, radius float64) *graph.Graph {
 	n := len(pts)
 	b := graph.NewBuilder(n)
-	for v, p := range pts {
-		b.SetCoord(int32(v), p.X, p.Y)
-	}
 	if n == 0 {
-		return b.Build()
+		return withPointCoords(b.Build(), pts)
 	}
 	cells := int(1/radius) + 1
 	grid := make(map[[2]int][]int32)
@@ -58,7 +55,7 @@ func referenceGeometricGraph(pts []Point, radius float64) *graph.Graph {
 			}
 		}
 	}
-	return b.Build()
+	return withPointCoords(b.Build(), pts)
 }
 
 // referenceRMAT is RMAT as it was before the sorted key set: a map
@@ -260,14 +257,17 @@ func TestLargestComponentMatchesReference(t *testing.T) {
 		cases = append(cases, GeometricGraph(uniformPoints(n, r), 0.4*math.Sqrt(math.Log(float64(n))/float64(n))))
 	}
 	b := graph.NewBuilder(300)
+	cs := [][]float64{make([]float64, 300), make([]float64, 300), make([]float64, 300)}
 	for v := int32(0); v < 300; v++ {
-		b.SetCoord3(v, r.Float64(), r.Float64(), r.Float64())
+		cs[0][v], cs[1][v], cs[2][v] = r.Float64(), r.Float64(), r.Float64()
 		b.SetNodeWeight(v, int64(1+r.Intn(5)))
 	}
 	for e := 0; e < 200; e++ {
 		b.AddEdge(int32(r.Intn(300)), int32(r.Intn(300)), int64(1+r.Intn(9)))
 	}
-	cases = append(cases, b.Build())
+	weighted := b.Build()
+	weighted.SetCoords(cs...)
+	cases = append(cases, weighted)
 	for i, g := range cases {
 		if components(g) == 1 {
 			t.Fatalf("case %d is connected; the test wants components to drop", i)
@@ -280,20 +280,30 @@ func TestLargestComponentMatchesReference(t *testing.T) {
 	}
 }
 
+// withPointCoords attaches pts as g's coordinates, as the generators do for
+// a non-empty point set.
+func withPointCoords(g *graph.Graph, pts []Point) *graph.Graph {
+	if len(pts) > 0 {
+		x, y := make([]float64, len(pts)), make([]float64, len(pts))
+		for v, p := range pts {
+			x[v], y[v] = p.X, p.Y
+		}
+		g.SetCoords(x, y)
+	}
+	return g
+}
+
 // referenceDelaunay is Delaunay as it was before the sorted key set: the
 // same triangulation, its edges deduplicated by a map and built through a
 // graph.Builder with the coordinates.
 func referenceDelaunay(pts []Point) *graph.Graph {
 	n := len(pts)
 	b := graph.NewBuilder(n)
-	for v, p := range pts {
-		b.SetCoord(int32(v), p.X, p.Y)
-	}
 	if n < 3 {
 		for v := 1; v < n; v++ {
 			b.AddEdge(int32(v-1), int32(v), 1)
 		}
-		return b.Build()
+		return withPointCoords(b.Build(), pts)
 	}
 	d := newTriangulator(pts)
 	for _, v := range spatialOrder(pts) {
@@ -309,7 +319,7 @@ func referenceDelaunay(pts []Point) *graph.Graph {
 			}
 		}
 	}
-	return b.Build()
+	return withPointCoords(b.Build(), pts)
 }
 
 func TestDelaunayMatchesReference(t *testing.T) {

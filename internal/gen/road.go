@@ -22,6 +22,9 @@ func Road(n int, obstacles int, seed uint64) *graph.Graph {
 	r := rng.New(seed)
 	pts := jitteredGridPoints(n, 0.4, r)
 	tg := Delaunay(pts, seed+1)
+	if n < 1 {
+		return tg // no points: no coordinates to thin the edges by
+	}
 
 	// Obstacles: thin rectangles ("rivers") in random orientation.
 	type obstacle struct {
@@ -52,7 +55,8 @@ func Road(n int, obstacles int, seed uint64) *graph.Graph {
 	// survives if it is among the `keep` shortest at either endpoint.
 	const keep = 2
 	nn := tg.NumNodes()
-	x, y := tg.Coords()
+	cs := tg.Coords()
+	x, y := cs[0], cs[1]
 	type rankedEdge struct {
 		to   int32
 		dist float64
@@ -84,9 +88,6 @@ func Road(n int, obstacles int, seed uint64) *graph.Graph {
 
 	b := graph.NewBuilder(nn)
 	for v := int32(0); v < int32(nn); v++ {
-		b.SetCoord(v, x[v], y[v])
-	}
-	for v := int32(0); v < int32(nn); v++ {
 		for _, u := range tg.Adj(v) {
 			if u <= v {
 				continue
@@ -110,6 +111,7 @@ func Road(n int, obstacles int, seed uint64) *graph.Graph {
 		}
 	}
 	g := b.Build()
+	g.SetCoords(cs...)
 	lc, _ := g.LargestComponent()
 	return lc
 }

@@ -131,27 +131,3 @@ func fromSortedPairs(n int, keys []uint64) *graph.Graph {
 		TotalNodeWeight: int64(n), TotalEdgeWeight: int64(len(keys)), MaxNodeWeight: min(int64(n), 1),
 	})
 }
-
-// ErdosRenyi generates a G(n, m) random graph (m distinct uniform edges).
-// It is used by tests as an unstructured control input.
-func ErdosRenyi(n, m int, seed uint64) *graph.Graph {
-	r := rng.New(seed)
-	b := graph.NewBuilder(n)
-	seen := make(map[uint64]bool)
-	for len(seen) < m {
-		u, v := r.Intn(n), r.Intn(n)
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := uint64(u)<<32 | uint64(uint32(v))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		b.AddEdge(int32(u), int32(v), 1)
-	}
-	return b.Build()
-}

@@ -93,20 +93,21 @@ func FromSpec(spec string) (*graph.Graph, error) {
 	}
 }
 
-// maxSpecScale bounds 2^scale generators: 2^28 nodes is already past every
-// benchmark family and keeps the shift far from overflow.
-const maxSpecScale = 28
+// MaxSpecScale bounds 2^scale generators: 2^28 nodes is already past every
+// benchmark family and keeps the shift far from overflow. gengraph holds its
+// flags to the same bounds.
+const MaxSpecScale = 28
 
-// maxSpecSize bounds node-count generators to the same ceiling.
-const maxSpecSize = 1 << maxSpecScale
+// MaxSpecSize bounds node-count generators to the same ceiling.
+const MaxSpecSize = 1 << MaxSpecScale
 
 func specScale(arg string) (int, error) {
 	s, err := strconv.Atoi(arg)
 	if err != nil {
 		return 0, fmt.Errorf("bad scale %q", arg)
 	}
-	if s < 1 || s > maxSpecScale {
-		return 0, fmt.Errorf("scale %d out of range [1, %d]", s, maxSpecScale)
+	if s < 1 || s > MaxSpecScale {
+		return 0, fmt.Errorf("scale %d out of range [1, %d]", s, MaxSpecScale)
 	}
 	return s, nil
 }
@@ -116,8 +117,8 @@ func specSize(arg string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q", arg)
 	}
-	if n < 1 || n > maxSpecSize {
-		return 0, fmt.Errorf("size %d out of range [1, %d]", n, maxSpecSize)
+	if n < 1 || n > MaxSpecSize {
+		return 0, fmt.Errorf("size %d out of range [1, %d]", n, MaxSpecSize)
 	}
 	return n, nil
 }
@@ -139,8 +140,8 @@ func specDims(arg string, want int) ([]int, error) {
 		}
 		dims[i] = d
 		total *= d
-		if total > maxSpecSize {
-			return nil, fmt.Errorf("grid exceeds %d nodes", maxSpecSize)
+		if total > MaxSpecSize {
+			return nil, fmt.Errorf("grid exceeds %d nodes", MaxSpecSize)
 		}
 	}
 	return dims, nil

@@ -40,7 +40,7 @@ func Diff(got, want *Graph) string {
 	if !slices.Equal(got.NodeWeights(), want.NodeWeights()) {
 		return "node weights differ"
 	}
-	gc, wc := got.CoordSlices(), want.CoordSlices()
+	gc, wc := got.Coords(), want.Coords()
 	for d := range wc {
 		if !slices.EqualFunc(gc[d], wc[d], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			return fmt.Sprintf("coordinate %d differs", d)

@@ -15,9 +15,10 @@
 // nil weights, Split of a unit graph) make one; contracted graphs are
 // weighted.
 //
-// Graphs may optionally carry 2D or 3D coordinates; the parallel coarsening
-// phase uses them for geometric prepartitioning (recursive coordinate
-// bisection over the available dimensions).
+// Graphs may optionally carry 2D or 3D coordinates, one slice of length n per
+// dimension; the parallel coarsening phase uses them for geometric
+// prepartitioning (recursive coordinate bisection over the available
+// dimensions).
 package graph
 
 import (
@@ -41,8 +42,7 @@ type Graph struct {
 	totalEdgeWeight int64 // each undirected edge counted once
 	maxNodeWeight   int64
 
-	x, y []float64 // optional coordinates, len n or nil
-	z    []float64 // optional third dimension, len n or nil (only with x, y)
+	coords [][]float64 // nil, or 2 or 3 dimensions of n coordinates each
 	// dropped records DropCoarseningData: a coordinate read panics.
 	dropped bool
 }
@@ -107,7 +107,7 @@ func (g *Graph) WeightedDegree(v int32) int64 {
 // shared again. A later coordinate read panics, since a graph that silently
 // lost its geometry would be distributed by index ranges instead.
 func (g *Graph) DropCoarseningData() {
-	g.x, g.y, g.z = nil, nil, nil
+	g.coords = nil
 	g.dropped = true
 }
 
@@ -152,80 +152,30 @@ func (g *Graph) HasCoords() bool { return g.CoordDims() != 0 }
 
 // CoordDims returns the number of coordinate dimensions: 0 (no coordinates),
 // 2, or 3.
-func (g *Graph) CoordDims() int {
+func (g *Graph) CoordDims() int { return len(g.Coords()) }
+
+// Coords returns the coordinate slices in dimension order, each of length n —
+// the input recursive coordinate bisection generalizes over — or nil without
+// coordinates. Callers must not modify them.
+func (g *Graph) Coords() [][]float64 {
 	g.coordsKept()
-	switch {
-	case g.x == nil:
-		return 0
-	case g.z == nil:
-		return 2
-	default:
-		return 3
-	}
+	return g.coords
 }
 
-// Coord returns the first two coordinates of v; it panics if the graph has
-// none.
-func (g *Graph) Coord(v int32) (float64, float64) { return g.x[v], g.y[v] }
-
-// Coord3 returns the coordinates of v with z = 0 for 2D graphs; it panics if
-// the graph has no coordinates.
-func (g *Graph) Coord3(v int32) (float64, float64, float64) {
-	if g.z == nil {
-		return g.x[v], g.y[v], 0
-	}
-	return g.x[v], g.y[v], g.z[v]
-}
-
-// SetCoords attaches 2D coordinates; both slices must have length n. The
-// graph keeps references to the slices. Any previous third dimension is
-// dropped.
+// SetCoords attaches 2 or 3 coordinate slices, each of length n, in
+// dimension order. The graph keeps references to the slices.
 //
 //kappa:invariant construction-time length check; callers size the slices from the same graph
-func (g *Graph) SetCoords(x, y []float64) {
-	if len(x) != g.NumNodes() || len(y) != g.NumNodes() {
-		panic("graph: coordinate slices must have length n")
+func (g *Graph) SetCoords(cs ...[]float64) {
+	if len(cs) != 2 && len(cs) != 3 {
+		panic("graph: coordinates must have 2 or 3 dimensions")
 	}
-	g.x, g.y, g.z = x, y, nil
-}
-
-// SetCoords3 attaches 3D coordinates; all three slices must have length n.
-// The graph keeps references to the slices.
-//
-//kappa:invariant construction-time length check; callers size the slices from the same graph
-func (g *Graph) SetCoords3(x, y, z []float64) {
-	if len(x) != g.NumNodes() || len(y) != g.NumNodes() || len(z) != g.NumNodes() {
-		panic("graph: coordinate slices must have length n")
+	for _, c := range cs {
+		if len(c) != g.NumNodes() {
+			panic("graph: coordinate slices must have length n")
+		}
 	}
-	g.x, g.y, g.z = x, y, z
-}
-
-// Coords returns the first two coordinate slices (nil if absent). Callers
-// must not modify them.
-func (g *Graph) Coords() ([]float64, []float64) {
-	g.coordsKept()
-	return g.x, g.y
-}
-
-// Coords3 returns all coordinate slices; z is nil for 2D graphs and all
-// three are nil without coordinates. Callers must not modify them.
-func (g *Graph) Coords3() ([]float64, []float64, []float64) {
-	g.coordsKept()
-	return g.x, g.y, g.z
-}
-
-// CoordSlices returns the non-nil coordinate slices in dimension order —
-// the input recursive coordinate bisection generalizes over. Empty without
-// coordinates.
-func (g *Graph) CoordSlices() [][]float64 {
-	switch g.CoordDims() {
-	case 3:
-		return [][]float64{g.x, g.y, g.z}
-	case 2:
-		return [][]float64{g.x, g.y}
-	default:
-		return nil
-	}
+	g.coords = cs
 }
 
 // FromCSR builds a graph directly from CSR arrays. The arrays are adopted,
@@ -376,9 +326,7 @@ type Builder struct {
 	vs   []int32
 	// ws stays nil while every weight added is 1; the first other weight
 	// back-fills it with ones.
-	ws      []int64
-	coord   bool
-	x, y, z []float64
+	ws []int64
 }
 
 // NewBuilder returns a builder for a graph with n nodes and unit node
@@ -393,28 +341,6 @@ func NewBuilder(n int) *Builder {
 
 // SetNodeWeight sets c(v).
 func (b *Builder) SetNodeWeight(v int32, w int64) { b.nwgt[v] = w }
-
-// SetCoord records 2D coordinates for v; the first call switches the builder
-// to coordinate mode.
-func (b *Builder) SetCoord(v int32, x, y float64) {
-	if !b.coord {
-		b.coord = true
-		b.x = make([]float64, b.n)
-		b.y = make([]float64, b.n)
-	}
-	b.x[v], b.y[v] = x, y
-}
-
-// SetCoord3 records 3D coordinates for v; the first call switches the
-// builder to 3D coordinate mode. Mixing SetCoord and SetCoord3 leaves z = 0
-// for the 2D calls.
-func (b *Builder) SetCoord3(v int32, x, y, z float64) {
-	b.SetCoord(v, x, y)
-	if b.z == nil {
-		b.z = make([]float64, b.n)
-	}
-	b.z[v] = z
-}
 
 // AddEdge records the undirected edge {u, v} with weight w. Self loops are
 // ignored. Adding {u,v} twice (in any orientation) merges the weights.
@@ -450,13 +376,6 @@ func (b *Builder) Build() *Graph {
 	g, err := FromEdgeList(b.nwgt, EdgeList{U: b.us, V: b.vs, W: b.ws})
 	if err != nil {
 		panic(err.Error())
-	}
-	if b.coord {
-		if b.z != nil {
-			g.SetCoords3(b.x, b.y, b.z)
-		} else {
-			g.SetCoords(b.x, b.y)
-		}
 	}
 	return g
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -98,13 +99,11 @@ func TestWeightedDegree(t *testing.T) {
 // reporting a graph without geometry, and the rows must stay as they were.
 func TestDropCoarseningData(t *testing.T) {
 	b := NewBuilder(4)
-	for v := range int32(4) {
-		b.SetCoord3(v, float64(v), 1, 2)
-	}
 	b.AddEdge(0, 1, 3)
 	b.AddEdge(1, 2, 5)
 	b.AddEdge(2, 3, 2)
 	g := b.Build()
+	g.SetCoords([]float64{0, 1, 2, 3}, []float64{1, 1, 1, 1}, []float64{2, 2, 2, 2})
 	g.DropCoarseningData()
 	for v, want := range []int64{3, 8, 7, 2} {
 		if got := g.WeightedDegree(int32(v)); got != want {
@@ -112,13 +111,9 @@ func TestDropCoarseningData(t *testing.T) {
 		}
 	}
 	reads := map[string]func(){
-		"HasCoords":   func() { g.HasCoords() },
-		"CoordDims":   func() { g.CoordDims() },
-		"Coords":      func() { g.Coords() },
-		"Coords3":     func() { g.Coords3() },
-		"CoordSlices": func() { g.CoordSlices() },
-		"Coord":       func() { g.Coord(0) },
-		"Coord3":      func() { g.Coord3(0) },
+		"HasCoords": func() { g.HasCoords() },
+		"CoordDims": func() { g.CoordDims() },
+		"Coords":    func() { g.Coords() },
 	}
 	for name, read := range reads {
 		func() {
@@ -197,15 +192,19 @@ func TestLargestComponent(t *testing.T) {
 
 // TestSubgraphPreservesWeightsAndCoords extracts the largest component
 // {0, 1, 3} of a graph with node weights, edge weights and coordinates, in
-// two and in three dimensions: every one must reach the subgraph.
+// two and in three dimensions: every one must reach the subgraph, the
+// coordinates bit for bit. SetCoords must refuse anything but 2 or 3 slices
+// of length n.
 func TestSubgraphPreservesWeightsAndCoords(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		b := NewBuilder(5)
+		cs := make([][]float64, dims)
+		for d := range cs {
+			cs[d] = make([]float64, 5)
+		}
 		for v := int32(0); v < 5; v++ {
-			if dims == 3 {
-				b.SetCoord3(v, float64(v), float64(-v), float64(2*v))
-			} else {
-				b.SetCoord(v, float64(v), float64(-v))
+			for d := range cs {
+				cs[d][v] = float64(v) / float64(d-3)
 			}
 			b.SetNodeWeight(v, int64(v+1))
 		}
@@ -213,20 +212,40 @@ func TestSubgraphPreservesWeightsAndCoords(t *testing.T) {
 		b.AddEdge(1, 3, 7)
 		b.AddEdge(2, 4, 6)
 		g := b.Build()
+		g.SetCoords(cs...)
 		sub, new2old := g.LargestComponent()
 		if sub.NumNodes() != 3 || sub.NumEdges() != 2 || !slices.Equal(new2old, []int32{0, 1, 3}) || sub.CoordDims() != dims {
 			t.Fatalf("%dD: sub n=%d m=%d dims %d, mapping %v", dims, sub.NumNodes(), sub.NumEdges(), sub.CoordDims(), new2old)
 		}
 		for nv, ov := range new2old {
-			x, y, z := sub.Coord3(int32(nv))
-			ox, oy, oz := g.Coord3(ov)
-			if sub.NodeWeight(int32(nv)) != g.NodeWeight(ov) || x != ox || y != oy || z != oz {
-				t.Fatalf("%dD: node %d lost its weight or coordinates", dims, nv)
+			if sub.NodeWeight(int32(nv)) != g.NodeWeight(ov) {
+				t.Fatalf("%dD: node %d lost its weight", dims, nv)
+			}
+			for d, c := range g.Coords() {
+				if math.Float64bits(sub.Coords()[d][nv]) != math.Float64bits(c[ov]) {
+					t.Fatalf("%dD: node %d lost coordinate %d", dims, nv, d)
+				}
 			}
 		}
 		if sub.EdgeWeightTo(0, 1) != 5 || sub.EdgeWeightTo(1, 2) != 7 {
 			t.Fatalf("%dD: edge weights %d, %d, want 5, 7", dims, sub.EdgeWeightTo(0, 1), sub.EdgeWeightTo(1, 2))
 		}
+	}
+	g, five, four := path5(), make([]float64, 5), make([]float64, 4)
+	for name, cs := range map[string][][]float64{
+		"one slice":   {five},
+		"four slices": {five, five, five, five},
+		"short slice": {five, four},
+		"short z":     {five, five, four},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetCoords with %s did not panic", name)
+				}
+			}()
+			g.SetCoords(cs...)
+		}()
 	}
 }
 

@@ -39,14 +39,6 @@ func InducedSubgraph(g *graph.Graph, keep []bool) (*graph.Graph, []int32) {
 	b := graph.NewBuilder(len(new2old))
 	for nv, ov := range new2old {
 		b.SetNodeWeight(int32(nv), g.NodeWeight(ov))
-		switch g.CoordDims() {
-		case 2:
-			x, y := g.Coord(ov)
-			b.SetCoord(int32(nv), x, y)
-		case 3:
-			x, y, z := g.Coord3(ov)
-			b.SetCoord3(int32(nv), x, y, z)
-		}
 		ws := g.AdjWeights(ov)
 		for i, ou := range g.Adj(ov) {
 			if ou > ov && keep[ou] { // each undirected edge once
@@ -54,7 +46,17 @@ func InducedSubgraph(g *graph.Graph, keep []bool) (*graph.Graph, []int32) {
 			}
 		}
 	}
-	return b.Build(), new2old
+	sub := b.Build()
+	if cs := g.Coords(); cs != nil {
+		scs := make([][]float64, len(cs))
+		for d, c := range cs {
+			for _, ov := range new2old {
+				scs[d] = append(scs[d], c[ov])
+			}
+		}
+		sub.SetCoords(scs...)
+	}
+	return sub, new2old
 }
 
 // DegreeStats returns the largest degree of g and its average degree 2m/n

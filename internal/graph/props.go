@@ -61,15 +61,14 @@ func (g *Graph) LargestComponent() (*Graph, []int32) {
 	}
 	var rs RowSorter
 	lc, _ := g.Split(side, comp, &rs) // comp, read for the last time above, is its scratch
-	if cs := g.CoordSlices(); cs != nil {
-		sub := make([][]float64, 3)
+	if cs := g.Coords(); cs != nil {
+		lc.coords = make([][]float64, len(cs))
 		for d, c := range cs {
-			sub[d] = make([]float64, len(new2old))
+			lc.coords[d] = make([]float64, len(new2old))
 			for nv, ov := range new2old {
-				sub[d][nv] = c[ov]
+				lc.coords[d][nv] = c[ov]
 			}
 		}
-		lc.x, lc.y, lc.z = sub[0], sub[1], sub[2]
 	}
 	return lc, new2old
 }

@@ -126,11 +126,8 @@ func putBinary(buf []byte, g *graph.Graph, flags uint64) int {
 			i = varint.Put(buf, i, uint64(g.NodeWeight(v)))
 		}
 	}
-	if flags&binFlagCoords != 0 {
-		x, y, z := g.Coords3()
-		i = varint.PutFloats(buf, i, x)
-		i = varint.PutFloats(buf, i, y)
-		i = varint.PutFloats(buf, i, z) // nil unless 3D
+	for _, c := range g.Coords() {
+		i = varint.PutFloats(buf, i, c)
 	}
 	return i
 }
@@ -401,30 +398,17 @@ func decodeBinary(br *binSource) (*graph.Graph, error) {
 	}
 	g := graph.FromCSRTrusted(xadj, adj, ewgt, nwgt, agg)
 	if flags&binFlagCoords != 0 {
-		readFloats := func(what string) ([]float64, error) {
-			c := make([]float64, n)
-			if err := br.floats(c); err != nil {
-				return nil, fmt.Errorf("graphio: reading %s coordinates: %w", what, err)
-			}
-			return c, nil
-		}
-		x, err := readFloats("x")
-		if err != nil {
-			return nil, err
-		}
-		y, err := readFloats("y")
-		if err != nil {
-			return nil, err
-		}
+		cs := make([][]float64, 2, 3)
 		if flags&binFlag3D != 0 {
-			z, err := readFloats("z")
-			if err != nil {
-				return nil, err
-			}
-			g.SetCoords3(x, y, z)
-		} else {
-			g.SetCoords(x, y)
+			cs = cs[:3]
 		}
+		for d := range cs {
+			cs[d] = make([]float64, n)
+			if err := br.floats(cs[d]); err != nil {
+				return nil, fmt.Errorf("graphio: reading %c coordinates: %w", "xyz"[d], err)
+			}
+		}
+		g.SetCoords(cs...)
 	}
 	return g, nil
 }

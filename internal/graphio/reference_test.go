@@ -172,7 +172,7 @@ func referenceDecodeBinary(br *binSource) (*graph.Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			g.SetCoords3(x, y, z)
+			g.SetCoords(x, y, z)
 		} else {
 			g.SetCoords(x, y)
 		}

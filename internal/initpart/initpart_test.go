@@ -178,9 +178,11 @@ func TestSplitMatchesSubgraph(t *testing.T) {
 	if graphtest.RowsAscend(coarse) || coarse.UnitEdgeWeights() {
 		t.Fatal("the contracted graph has sorted rows or unit weights; the test wants one that needs the weighted row sort")
 	}
+	oneEdge := graph.NewBuilder(2)
+	oneEdge.AddEdge(0, 1, 1)
 	r := rng.New(8)
 	var rows graph.RowSorter
-	for _, g := range []*graph.Graph{rmat, coarse, gen.PrefAttach(300, 3, 5), gen.ErdosRenyi(2, 1, 1)} {
+	for _, g := range []*graph.Graph{rmat, coarse, gen.PrefAttach(300, 3, 5), oneEdge.Build()} {
 		n := g.NumNodes()
 		for _, draw := range []func() byte{func() byte { return byte(r.Intn(2)) }, func() byte { return 0 }, func() byte { return 1 }} {
 			side := make([]byte, n)

@@ -341,7 +341,7 @@ func TestLocalScratchIsTheLocalPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetCoords(mesh.Coords())
+	g.SetCoords(mesh.Coords()...)
 	block := dist.Assign(g, dist.StrategyAuto, 8)
 	rt := rating.NewRater(rating.ExpansionStar2, g)
 	local := Parallel(nil, g, rt, GPA, block, 8, 5, 0, false, nil)

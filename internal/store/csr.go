@@ -21,7 +21,7 @@ import (
 //	adj    2m    × int32
 //	ewgt   2m    × int64
 //	nwgt   n     × int64
-//	coords d·n   × float64   (x array, then y, then z; d = CoordDims)
+//	coords d·n   × float64   (one n-array per dimension in order; d = CoordDims)
 //
 // Fixed width is the point: on a little-endian host the file maps read-only
 // and the sections ARE the graph's CSR arrays — no decode, no allocation
@@ -98,8 +98,7 @@ func (c *countingWriter) padTo(off int64) error {
 func writeCSR(path string, g *graph.Graph) (CSRInfo, error) {
 	n := int64(g.NumNodes())
 	m := int64(g.NumEdges())
-	dims := g.CoordDims()
-	lay := layoutCSR(n, m, dims)
+	lay := layoutCSR(n, m, g.CoordDims())
 
 	f, err := os.Create(path)
 	if err != nil {
@@ -162,16 +161,10 @@ func writeCSR(path string, g *graph.Graph) (CSRInfo, error) {
 			return CSRInfo{}, err
 		}
 	}
-	if dims > 0 {
-		x, y, z := g.Coords3()
-		for _, arr := range [][]float64{x, y, z} {
-			if arr == nil {
-				continue
-			}
-			for _, c := range arr {
-				if err := put64(uint64(floatBits(c))); err != nil {
-					return CSRInfo{}, err
-				}
+	for _, arr := range g.Coords() {
+		for _, c := range arr {
+			if err := put64(uint64(floatBits(c))); err != nil {
+				return CSRInfo{}, err
 			}
 		}
 	}
@@ -294,16 +287,12 @@ func graphOverMapping(data []byte, man *Manifest, lay csrLayout) *graph.Graph {
 		TotalEdgeWeight: man.TotalEdgeWeight,
 		MaxNodeWeight:   man.MaxNodeWeight,
 	})
-	switch man.CoordDims {
-	case 2:
-		x := float64View(data, lay.coordOff, n)
-		y := float64View(data, lay.coordOff+8*n, n)
-		g.SetCoords(x, y)
-	case 3:
-		x := float64View(data, lay.coordOff, n)
-		y := float64View(data, lay.coordOff+8*n, n)
-		z := float64View(data, lay.coordOff+16*n, n)
-		g.SetCoords3(x, y, z)
+	if man.CoordDims > 0 {
+		cs := make([][]float64, man.CoordDims)
+		for d := range cs {
+			cs[d] = float64View(data, lay.coordOff+int64(d)*8*n, n)
+		}
+		g.SetCoords(cs...)
 	}
 	return g
 }
@@ -401,24 +390,14 @@ func readCSRHeap(f *os.File, man *Manifest, lay csrLayout) (*graph.Graph, error)
 		TotalEdgeWeight: man.TotalEdgeWeight,
 		MaxNodeWeight:   man.MaxNodeWeight,
 	})
-	if man.CoordDims >= 2 {
-		x, err := readFloat64s(n)
-		if err != nil {
-			return nil, fmt.Errorf("store: csr coords: %w", err)
-		}
-		y, err := readFloat64s(n)
-		if err != nil {
-			return nil, fmt.Errorf("store: csr coords: %w", err)
-		}
-		if man.CoordDims == 3 {
-			z, err := readFloat64s(n)
-			if err != nil {
+	if man.CoordDims > 0 {
+		cs := make([][]float64, man.CoordDims)
+		for d := range cs {
+			if cs[d], err = readFloat64s(n); err != nil {
 				return nil, fmt.Errorf("store: csr coords: %w", err)
 			}
-			g.SetCoords3(x, y, z)
-		} else {
-			g.SetCoords(x, y)
 		}
+		g.SetCoords(cs...)
 	}
 	return g, nil
 }

@@ -29,13 +29,16 @@ func weightedGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	const n = 200
 	b := graph.NewBuilder(n)
+	x, y := make([]float64, n), make([]float64, n)
 	for v := int32(0); v < n; v++ {
 		b.SetNodeWeight(v, int64(v%7)+1)
-		b.SetCoord(v, float64(v%20), float64(v/20))
+		x[v], y[v] = float64(v%20), float64(v/20)
 		b.AddEdge(v, (v+1)%n, int64(v%5)+1)
 		b.AddEdge(v, (v+13)%n, 2)
 	}
-	return b.Build()
+	g := b.Build()
+	g.SetCoords(x, y)
+	return g
 }
 
 func writeStore(t *testing.T, g *graph.Graph, pes int, strategy dist.Strategy) (string, *store.Manifest) {

@@ -32,11 +32,8 @@ func scaleEdgeWeights(t *testing.T, g *graph.Graph, c int64) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch g.CoordDims() {
-	case 2:
-		s.SetCoords(g.Coords())
-	case 3:
-		s.SetCoords3(g.Coords3())
+	if g.HasCoords() {
+		s.SetCoords(g.Coords()...)
 	}
 	return s
 }
@@ -247,18 +244,20 @@ func FuzzRun(f *testing.F) {
 		}
 		flags, body := at(9), data[min(len(data), 10):]
 		b := graph.NewBuilder(n)
+		xs, ys := make([]float64, n), make([]float64, n)
 		for v := int32(0); v < int32(n); v++ {
 			if flags&1 != 0 {
 				b.SetNodeWeight(v, int64(at(10+int(v))%4+1))
 			}
-			if flags&2 != 0 {
-				b.SetCoord(v, float64(at(10+int(v))), float64(at(11+int(v))))
-			}
+			xs[v], ys[v] = float64(at(10+int(v))), float64(at(11+int(v)))
 		}
 		for i := 0; i+2 < len(body); i += 3 {
 			b.AddEdge(int32(int(body[i])%n), int32(int(body[i+1])%n), int64(body[i+2]%8+1))
 		}
 		g := b.Build()
+		if flags&2 != 0 {
+			g.SetCoords(xs, ys)
+		}
 		first, err1 := runChecked(t, "first run", g, cfg)
 		second, err2 := runChecked(t, "second run", g, cfg)
 		if (err1 == nil) != (err2 == nil) {

@@ -77,10 +77,9 @@ func unitSources(t *testing.T, g *graph.Graph) map[string]*graph.Graph {
 	}
 	t.Cleanup(func() { mg.Close() })
 	srcs["store"] = mg.G
-	x, y := g.Coords()
 	for name, sg := range srcs {
 		if !sg.HasCoords() {
-			sg.SetCoords(x, y)
+			sg.SetCoords(g.Coords()...)
 		}
 		if d := graph.Diff(sg, g); d != "" {
 			t.Fatalf("%s: not the generated graph: %s", name, d)

@@ -65,7 +65,7 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # The regression gate compares the Table1/Table2 suite, the two coarsening
-# seam kernels (matching's edge order, dist's RCB), one level-0 matching of
+# seam kernels (matching's GPA edge scan, dist's RCB), one level-0 matching of
 # §3.3 over 16 RCB blocks (GPA per block, then the gap graph), the initial
 # partitioner, one refinement level (core's index build, schedule and
 # pairwise FM pass; both on a mesh and on a power-law graph) and one
@@ -81,7 +81,7 @@ bench:
 # sub-benchmarks stay out: their allocations depend on which crew member the
 # scheduler lets refine which pair. Refresh the baseline intentionally with
 # bench-baseline and commit it alongside the change that explains it.
-BENCH_GATE ?= Table1|Table2|SortEdges|ParallelMatching|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction|GainQueueRun|CrewBatch|Generate
+BENCH_GATE ?= Table1|Table2|EdgeScan|ParallelMatching|RCB|InitialPartition|RefineLevel/workers=1|DistributedLevel|Stitch|DecodeSubgraph|DecodeContraction|GainQueueRun|CrewBatch|Generate
 BENCH_PKGS ?= . ./internal/matching ./internal/dist ./internal/initpart ./internal/core ./internal/pq ./internal/par ./internal/gen
 bench-baseline:
 	GOMAXPROCS=1 $(GO) test -bench='$(BENCH_GATE)' -benchtime=1x -benchmem -run=^$$ $(BENCH_PKGS) | tee BENCH_BASELINE.txt
@@ -184,7 +184,9 @@ race:
 # must never panic on malformed input, and the kernels that replaced a
 # simpler implementation kept as a test reference, with which they must
 # agree on every input: the two
-# sort-free coarsening kernels (radix edge order, selection-based RCB), the
+# sort-free coarsening kernels (radix edge order, selection-based RCB), GPA
+# and Greedy over the edges they can still select against the scan of every
+# edge in full order, the
 # boundary-indexed band builder, the pair search that stops when nothing can
 # move — or, proved stuck by the index's per-block weight bounds, never starts
 # —, whole refinement levels reading the index's block-grouped rows against
@@ -219,6 +221,7 @@ fuzz:
 	$(GO) test ./internal/store -run=^$$ -fuzz=FuzzReadShard -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/svc -run=^$$ -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzSortEdgesMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
+	$(GO) test ./internal/matching -run=^$$ -fuzz=FuzzLiveScanMatchesFullOrder -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzRCBMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzExtractMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)
 	$(GO) test ./internal/coarsen -run=^$$ -fuzz=FuzzStitchMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN)

@@ -420,13 +420,21 @@ func (h *Hierarchy) Push(coarse *graph.Graph, fine2coarse []int32) {
 	h.Coarsest = coarse
 }
 
+// Shrinks reports whether a contraction of n nodes to coarse nodes is worth
+// pushing: multilevel loops insist on geometric shrinking, to at most 49/50
+// of the nodes, and hand a graph that has stopped shrinking to the next phase
+// instead. Both the k-way coarsening loop and the initial bisections stop by
+// this one rule. A matching M contracts to n − |M| nodes, so a loop that
+// contracts pairs applies the rule before it contracts, and contracts no
+// level it would throw away.
+func Shrinks(n, coarse int) bool {
+	return coarse <= n*49/50
+}
+
 // Shrinks reports whether coarse, a contraction of the current coarsest
-// graph, is worth pushing: multilevel loops insist on geometric shrinking, at
-// most 49/50 of the coarsest graph's nodes, and hand a graph that has stopped
-// shrinking to the next phase instead. Both the k-way coarsening loop and the
-// initial bisections stop by this one rule.
+// graph, is worth pushing, by the package's Shrinks rule.
 func (h *Hierarchy) Shrinks(coarse *graph.Graph) bool {
-	return coarse.NumNodes() <= h.Coarsest.NumNodes()*49/50
+	return Shrinks(h.Coarsest.NumNodes(), coarse.NumNodes())
 }
 
 // Depth returns the number of contractions recorded.

@@ -209,3 +209,34 @@ func TestShrinksAtTheBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestShrinksBeforeContracting holds the rule the multilevel loops apply to
+// a matching before contracting it — Shrinks(n, n−|M|) — to Hierarchy.Shrinks
+// on the graph the matching contracts to: GPA matchings of a mesh and a hub
+// graph, cut down to every size around the 49/50 boundary, including none.
+func TestShrinksBeforeContracting(t *testing.T) {
+	for _, g := range []*graph.Graph{gen.RGG(9, 2), gen.RMAT(9, 8, 3)} {
+		n := g.NumNodes()
+		full := matching.ComputeScratch(g, rating.NewRater(rating.ExpansionStar2, g), matching.GPA, rng.New(4), 0, nil)
+		var pairs [][2]int32
+		for v, u := range full {
+			if int32(v) < u {
+				pairs = append(pairs, [2]int32{int32(v), u})
+			}
+		}
+		boundary := n - n*49/50
+		for _, size := range []int{0, 1, boundary - 1, boundary, boundary + 1, len(pairs)} {
+			if size < 0 || size > len(pairs) {
+				continue
+			}
+			m := matching.NewEmpty(n)
+			for _, p := range pairs[:size] {
+				m[p[0]], m[p[1]] = p[1], p[0]
+			}
+			cg, _ := ContractWith(g, m, Options{})
+			if got, want := Shrinks(n, n-m.Size()), NewHierarchy(g).Shrinks(cg); got != want {
+				t.Errorf("%d nodes, %d pairs: Shrinks before contracting = %v, on the %d-node contraction %v", n, size, got, cg.NumNodes(), want)
+			}
+		}
+	}
+}

@@ -46,7 +46,9 @@ func LevelSeed(seed uint64, level int) uint64 {
 // parallel (or, with one PE, sequential) matching followed by a global
 // two-pass contraction, both batches on run and drawing scratch from a. It
 // reports the wall-clock of each kernel for the level's LevelEvent. Returns
-// (nil, nil, ...) when the matching comes out empty.
+// (nil, nil, ...) when the matching would not shrink the level
+// (coarsen.Shrinks), empty or not, so the level is never contracted only for
+// CoarsenWith to throw it away.
 func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, pes, level int, maxPair int64, a *mem.Arena) (*graph.Graph, []int32, time.Duration, time.Duration) {
 	tm := time.Now()
 	rt := rating.NewRaterOn(run, cfg.Rating, cur)
@@ -59,7 +61,7 @@ func sharedLevel(run *par.Crew, cur *graph.Graph, cfg *Config, blocks []int32, p
 		m = matching.ComputeScratch(cur, rt, cfg.Matcher, rng.NewStream(cfg.Seed, uint64(level)), maxPair, a)
 	}
 	matchT := time.Since(tm)
-	if m.Size() == 0 {
+	if n := cur.NumNodes(); !coarsen.Shrinks(n, n-m.Size()) {
 		a.PutInt32([]int32(m))
 		return nil, nil, matchT, 0
 	}

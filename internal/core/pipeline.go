@@ -368,7 +368,8 @@ func (d strategyDistributor) Distribute(ctx context.Context, g *graph.Graph, cfg
 // node-to-PE assignment when PEs > 1, nil otherwise) and contract the
 // matching into the next coarser graph. It returns the coarse graph, the
 // fine→coarse node map, and the matching/contraction kernel times — or a nil
-// graph to signal an empty matching (the graph cannot shrink further).
+// graph when the level cannot shrink: its matching is empty, or, for a
+// kernel that applies coarsen.Shrinks before contracting, too small.
 // CoarsenWith drives a kernel down to a stop threshold; the default kernels
 // run in-process, internal/remote's kernel ships each PE its shard and runs
 // the level across worker processes, and internal/baseline's runs the Metis
@@ -426,7 +427,7 @@ func CoarsenWith(ctx context.Context, g *graph.Graph, cfg *Config, env *Env, thr
 			return nil, err
 		}
 		if cg == nil {
-			break // empty matching: the graph cannot shrink further
+			break // the level cannot shrink
 		}
 		// Insist on geometric shrinking; otherwise initial partitioning can
 		// handle the rest.

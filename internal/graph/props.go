@@ -1,5 +1,7 @@
 package graph
 
+import "repro/internal/mem"
+
 // ConnectedComponents returns a component label in [0, #components) for each
 // node and the number of components.
 func (g *Graph) ConnectedComponents() ([]int32, int) {
@@ -60,7 +62,7 @@ func (g *Graph) LargestComponent() (*Graph, []int32) {
 		}
 	}
 	var rs RowSorter
-	lc, _ := g.Split(side, comp, &rs) // comp, read for the last time above, is its scratch
+	lc, _ := g.Split(side, comp, &rs, nil) // comp, read for the last time above, is its scratch
 	if cs := g.Coords(); cs != nil {
 		lc.coords = make([][]float64, len(cs))
 		for d, c := range cs {
@@ -81,10 +83,11 @@ func (g *Graph) LargestComponent() (*Graph, []int32) {
 // are the slack). Rows come out ascending, as a Builder would leave them:
 // numbering is monotone within a side, so a row g holds in order costs its
 // sort about one compare per entry. A unit g gives unit sides. Coordinates
-// are not carried.
+// are not carried. The sides' CSR arrays come from a (nil = allocate); a
+// caller that borrows them hands them back with Release.
 //
 //kappa:hotpath
-func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph) {
+func (g *Graph) Split(side []byte, local []int32, rs *RowSorter, a *mem.Arena) (*Graph, *Graph) {
 	n := int32(g.NumNodes())
 	var cnt, deg [2]int32
 	for v := int32(0); v < n; v++ {
@@ -98,11 +101,10 @@ func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph
 	var ewgt, nwgt [2][]int64
 	var agg [2]CSRAggregates
 	for sd := range agg {
-		//kappa:allow hotalloc the CSR arrays persist as the side's graph
-		xadj[sd], adj[sd], nwgt[sd] = make([]int32, cnt[sd]+1), make([]int32, deg[sd]), make([]int64, cnt[sd])
+		xadj[sd], adj[sd], nwgt[sd] = a.Int32(int(cnt[sd]+1)), a.Int32(int(deg[sd])), a.Int64(int(cnt[sd]))
+		xadj[sd][0] = 0
 		if !unit {
-			//kappa:allow hotalloc the CSR arrays persist as the side's graph
-			ewgt[sd] = make([]int64, deg[sd])
+			ewgt[sd] = a.Int64(int(deg[sd]))
 		}
 	}
 	for v := int32(0); v < n; v++ {
@@ -135,9 +137,19 @@ func (g *Graph) Split(side []byte, local []int32, rs *RowSorter) (*Graph, *Graph
 	for sd := range sub {
 		m := xadj[sd][cnt[sd]]
 		if !unit {
-			ewgt[sd] = ewgt[sd][:m:m]
+			ewgt[sd] = ewgt[sd][:m]
 		}
-		sub[sd] = fromInput(xadj[sd], adj[sd][:m:m], ewgt[sd], nwgt[sd], agg[sd])
+		sub[sd] = fromInput(xadj[sd], adj[sd][:m], ewgt[sd], nwgt[sd], agg[sd])
 	}
 	return sub[0], sub[1]
+}
+
+// Release hands g's CSR arrays to a, the arena they were borrowed from
+// (Split). g must not be read afterwards.
+func (g *Graph) Release(a *mem.Arena) {
+	a.PutInt32(g.xadj)
+	a.PutInt32(g.adj)
+	a.PutInt64(g.ewgt)
+	a.PutInt64(g.nwgt)
+	*g = Graph{}
 }

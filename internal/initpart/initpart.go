@@ -171,7 +171,7 @@ func (s *bisector) recursiveBisect(sub *graph.Graph, new2old []int32, k int, off
 	side := s.multilevelBisect(sub, targetA)
 	ensureMinCounts(sub, side, k1, k-k1)
 	old, local := s.a.Int32(sub.NumNodes()), s.a.Int32(sub.NumNodes())
-	subA, subB := sub.Split(side, local, &s.rows)
+	subA, subB := sub.Split(side, local, &s.rows, s.a)
 	// old lists the original ids of side 0's nodes, then side 1's.
 	nA := subA.NumNodes()
 	for v, sd := range side {
@@ -184,7 +184,9 @@ func (s *bisector) recursiveBisect(sub *graph.Graph, new2old []int32, k int, off
 	s.a.PutInt32(local)
 	s.a.PutBytes(side)
 	s.recursiveBisect(subA, old[:nA], k1, offset, out)
+	subA.Release(s.a)
 	s.recursiveBisect(subB, old[nA:], k-k1, offset+int32(k1), out)
+	subB.Release(s.a)
 	s.a.PutInt32(old)
 }
 
@@ -257,10 +259,12 @@ func (s *bisector) multilevelBisect(g *graph.Graph, targetA int64) []byte {
 }
 
 // hierarchy coarsens g for one bisection down to a graph small enough to
-// grow on, stopping early, by the pipeline's rule, once a level stops
-// shrinking geometrically: on a hub graph a matching leaves most nodes
-// unmatched, and a level that removes a handful of them buys nothing but one
-// more round of FM on an almost unchanged graph.
+// grow on, stopping early, by the pipeline's rule (coarsen.Shrinks), once a
+// matching would not shrink the level geometrically: on a hub graph a
+// matching leaves most nodes unmatched, and a level that removes a handful of
+// them buys nothing but one more round of FM on an almost unchanged graph.
+// The rule is applied to the matching's size, before contracting, so no
+// level is contracted only to be thrown away.
 func (s *bisector) hierarchy(g *graph.Graph) *coarsen.Hierarchy {
 	const coarseEnough = 120
 	h := coarsen.NewHierarchy(g)
@@ -268,15 +272,13 @@ func (s *bisector) hierarchy(g *graph.Graph) *coarsen.Hierarchy {
 	for h.Coarsest.NumNodes() > coarseEnough {
 		rt := rating.NewRater(s.params.rate, h.Coarsest)
 		m := matching.ComputeScratch(h.Coarsest, rt, s.params.matcher, s.r, maxPair, s.a)
-		if m.Size() == 0 {
+		n := h.Coarsest.NumNodes()
+		if !coarsen.Shrinks(n, n-m.Size()) {
 			s.a.PutInt32([]int32(m))
 			break
 		}
 		cg, f2c := coarsen.ContractWith(h.Coarsest, m, coarsen.Options{Arena: s.a})
 		s.a.PutInt32([]int32(m))
-		if !h.Shrinks(cg) {
-			break
-		}
 		h.Push(cg, f2c)
 	}
 	return h
@@ -312,70 +314,72 @@ func (s *bisector) growBisection(g *graph.Graph, targetA int64) []byte {
 	if n == 0 {
 		return nil
 	}
-	r, q := s.r, &s.q
 	best, side := s.a.Bytes(n), s.a.Bytes(n)
 	var bestCut int64 = -1
 	for attempt := 0; attempt < s.params.growTries; attempt++ {
-		for i := range side {
-			side[i] = 1
-		}
-		q.Reset(n)
-		var grown int64
-		add := func(v int32) {
-			side[v] = 0
-			grown += g.NodeWeight(v)
-			q.Remove(v)
-			adj := g.Adj(v)
-			ws := g.AdjWeights(v)
-			for i, u := range adj {
-				if side[u] == 0 {
-					continue
-				}
-				// gain of absorbing u = w(u→grown) − w(u→rest)
-				delta := 2 * ws[i]
-				if q.Contains(u) {
-					q.AdjustBy(u, delta)
-				} else {
-					q.Push(u, delta-g.WeightedDegree(u), uint32(r.Uint64()))
-				}
-			}
-		}
-		add(int32(r.Intn(n)))
-		for grown < targetA {
-			if q.Empty() {
-				// Disconnected: restart growth from a random ungrown node.
-				v := int32(-1)
-				start := r.Intn(n)
-				for i := 0; i < n; i++ {
-					u := int32((start + i) % n)
-					if side[u] == 1 {
-						v = u
-						break
-					}
-				}
-				if v < 0 {
-					break
-				}
-				add(v)
-				continue
-			}
-			v, _ := q.PopMax()
-			add(v)
-		}
-		var cut int64
-		for v := int32(0); v < int32(n); v++ {
-			ws := g.AdjWeights(v)
-			for i, u := range g.Adj(v) {
-				if u > v && side[u] != side[v] {
-					cut += ws[i]
-				}
-			}
-		}
-		if bestCut < 0 || cut < bestCut {
+		if cut := s.grow(g, targetA, side); bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			best, side = side, best
 		}
 	}
 	s.a.PutBytes(side)
 	return best
+}
+
+// grow is one try of growBisection: it writes the sides into side and
+// returns the cut, kept as the side grows — a node joining side 0 turns its
+// edges to side 1 into cut edges and its edges to side 0 into internal ones —
+// rather than counted by a scan of every edge afterwards.
+func (s *bisector) grow(g *graph.Graph, targetA int64, side []byte) int64 {
+	n := len(side)
+	r, q := s.r, &s.q
+	for i := range side {
+		side[i] = 1
+	}
+	q.Reset(n)
+	var grown, cut int64
+	add := func(v int32) {
+		side[v] = 0
+		grown += g.NodeWeight(v)
+		q.Remove(v)
+		adj := g.Adj(v)
+		ws := g.AdjWeights(v)
+		for i, u := range adj {
+			if side[u] == 0 {
+				cut -= ws[i]
+				continue
+			}
+			cut += ws[i]
+			// gain of absorbing u = w(u→grown) − w(u→rest)
+			delta := 2 * ws[i]
+			if q.Contains(u) {
+				q.AdjustBy(u, delta)
+			} else {
+				q.Push(u, delta-g.WeightedDegree(u), uint32(r.Uint64()))
+			}
+		}
+	}
+	add(int32(r.Intn(n)))
+	for grown < targetA {
+		if q.Empty() {
+			// Disconnected: restart growth from a random ungrown node.
+			v := int32(-1)
+			start := r.Intn(n)
+			for i := 0; i < n; i++ {
+				u := int32((start + i) % n)
+				if side[u] == 1 {
+					v = u
+					break
+				}
+			}
+			if v < 0 {
+				break
+			}
+			add(v)
+			continue
+		}
+		v, _ := q.PopMax()
+		add(v)
+	}
+	return cut
 }

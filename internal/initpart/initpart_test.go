@@ -163,6 +163,41 @@ func TestGrowBisectionTargets(t *testing.T) {
 	}
 }
 
+// TestGrowKeepsItsCut holds the cut each growing try keeps as it grows to a
+// scan of every edge of the sides it leaves, after every try: on a unit mesh,
+// a unit hub graph, a weighted contracted level and a graph of two
+// components, where growth restarts, at several targets.
+func TestGrowKeepsItsCut(t *testing.T) {
+	rmat := gen.RMAT(9, 8, 3)
+	coarse, _ := coarsen.Contract(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.ExpansionStar2, rmat), matching.GPA, rng.New(1), 0, nil))
+	twoParts := graph.NewBuilder(20)
+	for v := int32(0); v < 19; v++ {
+		if v != 9 {
+			twoParts.AddEdge(v, v+1, int64(1+v%3))
+		}
+	}
+	for _, g := range []*graph.Graph{gen.Grid2D(12, 9), rmat, coarse, twoParts.Build()} {
+		s := newBisector(EngineScotch.params(), 0.03, 5)
+		side := make([]byte, g.NumNodes())
+		for _, share := range []int64{1, 3, 5, 8} {
+			for try := 0; try < 4; try++ {
+				got := s.grow(g, g.TotalNodeWeight()*share/10, side)
+				var want int64
+				for v := range int32(g.NumNodes()) {
+					for i, u := range g.Adj(v) {
+						if u > v && side[u] != side[v] {
+							want += g.AdjWeights(v)[i]
+						}
+					}
+				}
+				if got != want {
+					t.Fatalf("n=%d, target %d/10, try %d: kept cut %d, a scan counts %d", g.NumNodes(), share, try, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSplitMatchesSubgraph holds graph.Graph.Split, which writes every
 // bisection's two sides, to the plain induced subgraph of graphtest, built
 // through graph.Builder: the same rows in the same (ascending) order, node
@@ -192,7 +227,7 @@ func TestSplitMatchesSubgraph(t *testing.T) {
 				keep[side[v]][v] = true
 			}
 			local := make([]int32, n)
-			subA, subB := g.Split(side, local, &rows)
+			subA, subB := g.Split(side, local, &rows, nil)
 			for sd, got := range []*graph.Graph{subA, subB} {
 				want, ids := graphtest.InducedSubgraph(g, keep[sd])
 				if d := graph.Diff(got, want); d != "" {

@@ -83,24 +83,37 @@ func shemInto(g *graph.Graph, rt *rating.Rater, r *rng.RNG, nodes, block []int32
 
 // greedyEdges runs the sorted greedy half-approximation over the given edge
 // set, writing into m: edges are scanned by descending rating and taken
-// whenever both endpoints are free. rated, if non-nil, receives both ends'
-// pair rating (see localPhase). Sort scratch comes from a (nil = allocate).
+// whenever both endpoints are free. The scan visits only the edges whose
+// endpoints were both free when their bucket came up (liveScan). rated, if
+// non-nil, receives both ends' pair rating (see localPhase). Scan scratch
+// comes from a (nil = allocate).
 func greedyEdges(g *graph.Graph, edges []Edge, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
-	order := edgeOrder(edges, a)
-	for _, o := range order {
-		e := &edges[mem.KeyedIdx(o)]
-		if maxPair > 0 && g.NodeWeight(e.U)+g.NodeWeight(e.V) > maxPair {
-			continue
+	scan := newLiveScan(edges, a)
+	for scan.more() {
+		bucket := scan.next()
+		k := 0
+		for _, o := range bucket {
+			if e := &edges[mem.KeyedIdx(o)]; m[e.U] < 0 && m[e.V] < 0 && fits(g, e, maxPair) {
+				bucket[k] = o
+				k++
+			}
 		}
-		if m[e.U] < 0 && m[e.V] < 0 {
-			m[e.U] = e.V
-			m[e.V] = e.U
-			if rated != nil {
-				rated[e.U], rated[e.V] = e.R, e.R
+		for _, o := range scan.order(bucket[:k]) {
+			if e := &edges[mem.KeyedIdx(o)]; m[e.U] < 0 && m[e.V] < 0 {
+				m[e.U] = e.V
+				m[e.V] = e.U
+				if rated != nil {
+					rated[e.U], rated[e.V] = e.R, e.R
+				}
 			}
 		}
 	}
-	a.PutUint64(order)
+	scan.release(a)
+}
+
+// fits reports whether e's pair stays within maxPair (0 = unbounded).
+func fits(g *graph.Graph, e *Edge, maxPair int64) bool {
+	return maxPair <= 0 || g.NodeWeight(e.U)+g.NodeWeight(e.V) <= maxPair
 }
 
 // pathAdj is the adjacency among GPA's selected edges: at most two per node,
@@ -135,7 +148,8 @@ const (
 // into m. GPA scans edges by descending rating like Greedy but first grows a
 // collection of paths and even cycles; it then computes an optimal matching
 // on each path/cycle by dynamic programming. Scratch comes from a (nil =
-// allocate).
+// allocate). The scan visits only the edges whose endpoints both held fewer
+// than two selected edges when their bucket came up (liveScan).
 //
 // nodes lists, ascending, every node the edges touch (nil = all nodes of g):
 // the per-node state is set up and walked on those nodes only, so matching
@@ -147,7 +161,6 @@ const (
 // not written.
 func gpaEdges(g *graph.Graph, nodes []int32, edges []Edge, m Matching, rated []float64, maxPair int64, a *mem.Arena) {
 	n := g.NumNodes()
-	order := edgeOrder(edges, a)
 	// Per node: the selected edges at it (deg) and, at DSU roots, the
 	// piece's flags; the DSU's parent and size arrays. Per position in
 	// nodes: the path adjacency, after the position array when nodes is a
@@ -176,41 +189,49 @@ func gpaEdges(g *graph.Graph, nodes []int32, edges []Edge, m Matching, rated []f
 		deg[e.U]++
 		deg[e.V]++
 	}
-	for _, o := range order {
-		e := &edges[mem.KeyedIdx(o)]
-		if deg[e.U] >= 2 || deg[e.V] >= 2 {
-			continue
+	// The path/cycle DP may pick any selected edge, so the pair bound must
+	// hold at selection time already.
+	scan := newLiveScan(edges, a)
+	for scan.more() {
+		bucket := scan.next()
+		k := 0
+		for _, o := range bucket {
+			if e := &edges[mem.KeyedIdx(o)]; deg[e.U] < 2 && deg[e.V] < 2 && fits(g, e, maxPair) {
+				bucket[k] = o
+				k++
+			}
 		}
-		// The path/cycle DP may pick any selected edge, so the pair bound
-		// must hold at selection time already.
-		if maxPair > 0 && g.NodeWeight(e.U)+g.NodeWeight(e.V) > maxPair {
-			continue
-		}
-		ru, rv := d.Find(e.U), d.Find(e.V)
-		if piece[ru]&pieceClosed != 0 || piece[rv]&pieceClosed != 0 {
-			continue
-		}
-		if ru == rv {
-			// Both endpoints of one path: closing it creates a cycle with
-			// edgeCount+1 edges, which must be even.
-			if piece[ru]&pieceOdd == 0 {
+		for _, o := range scan.order(bucket[:k]) {
+			e := &edges[mem.KeyedIdx(o)]
+			if deg[e.U] >= 2 || deg[e.V] >= 2 {
 				continue
 			}
-			piece[ru] |= pieceClosed
+			ru, rv := d.Find(e.U), d.Find(e.V)
+			if piece[ru]&pieceClosed != 0 || piece[rv]&pieceClosed != 0 {
+				continue
+			}
+			if ru == rv {
+				// Both endpoints of one path: closing it creates a cycle
+				// with edgeCount+1 edges, which must be even.
+				if piece[ru]&pieceOdd == 0 {
+					continue
+				}
+				piece[ru] |= pieceClosed
+				sel(e)
+				continue
+			}
+			// The merged path has cu+cv+1 edges, which is odd iff cu and
+			// cv have equal parity; neither piece is closed.
+			merged := piece[ru] ^ piece[rv] ^ pieceOdd
+			d.Union(e.U, e.V)
+			piece[d.Find(e.U)] = merged
 			sel(e)
-			continue
 		}
-		// The merged path has cu+cv+1 edges, which is odd iff cu and cv
-		// have equal parity; neither piece is closed.
-		merged := piece[ru] ^ piece[rv] ^ pieceOdd
-		d.Union(e.U, e.V)
-		piece[d.Find(e.U)] = merged
-		sel(e)
 	}
+	scan.release(a)
 	matchPathsAndCycles(nodes, n, adj, deg, m, rated)
 	a.PutFloat64(adj.r)
 	a.PutInt32(ints)
-	a.PutUint64(order)
 	a.PutInt32(dsuArrays)
 	a.PutBytes(flags)
 }

@@ -7,8 +7,8 @@ package mem
 // by key; keys wider than 32 bits are sorted word by word, most significant
 // first, re-keying and re-sorting only the runs the previous word left tied.
 
-// keyed packs key and idx (≥ 0) into one record.
-func keyed(key uint32, idx int32) uint64 { return uint64(key)<<32 | uint64(uint32(idx)) }
+// Keyed packs key and idx (≥ 0) into one record.
+func Keyed(key uint32, idx int32) uint64 { return uint64(key)<<32 | uint64(uint32(idx)) }
 
 // KeyedIdx is the index a record carries.
 func KeyedIdx(rec uint64) int32 { return int32(uint32(rec)) }
@@ -82,8 +82,18 @@ func sortKeyed(recs, tmp []uint64) {
 //kappa:hotpath
 func SortKeyedWords(recs, tmp []uint64, words int, key func(idx int32, word int) uint32, tied func(run []uint64)) {
 	for i := range recs {
-		recs[i] = keyed(key(int32(i), 0), int32(i))
+		recs[i] = Keyed(key(int32(i), 0), int32(i))
 	}
+	SortKeyedRecords(recs, tmp, words, key, tied)
+}
+
+// SortKeyedRecords is SortKeyedWords over records the caller made: each
+// holds word 0 of its element's key and the element's index (Keyed), for any
+// set of indices. Elements tied on every word keep their record order, unless
+// tied finishes them.
+//
+//kappa:hotpath
+func SortKeyedRecords(recs, tmp []uint64, words int, key func(idx int32, word int) uint32, tied func(run []uint64)) {
 	sortKeyedFrom(recs, tmp, 0, words, key, tied)
 }
 
@@ -109,7 +119,7 @@ func sortKeyedFrom(recs, tmp []uint64, word, words int, key func(idx int32, word
 		default:
 			for k, r := range run {
 				idx := KeyedIdx(r)
-				run[k] = keyed(key(idx, word+1), idx)
+				run[k] = Keyed(key(idx, word+1), idx)
 			}
 			sortKeyedFrom(run, tmp[i:j], word+1, words, key, tied)
 		}

@@ -31,7 +31,7 @@ func TestSortKeyedMatchesStableSort(t *testing.T) {
 		for _, mask := range masks {
 			recs := make([]uint64, n)
 			for i := range recs {
-				recs[i] = keyed(uint32(x.next())&mask|0x5a000000&^mask, int32(i))
+				recs[i] = Keyed(uint32(x.next())&mask|0x5a000000&^mask, int32(i))
 			}
 			want := slices.Clone(recs)
 			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(keyedKey(a), keyedKey(b)) })

@@ -5,15 +5,20 @@
 // multilevel recursive-bisection engines that play their roles:
 //
 //   - EngineScotch: GPA matching with the expansion*2 rating, best-of-many
-//     greedy graph growing, and TopGain FM refinement at every level — the
+//     greedy graph growing, and TopGain FM refinement at every level, up to
+//     three passes that stop after the first one that gains nothing — the
 //     high-quality engine (our "Scotch").
 //   - EnginePMetis: SHEM matching with the plain weight rating, a single
 //     growing attempt, and Alternate FM — the faster, cruder engine (our
 //     "pMetis", measured ~5% worse, matching the paper's 4.7% observation).
 //
 // One Partition call is k−1 multilevel bisections of ever smaller graphs, so
-// it keeps one bisector — an arena for every temporary, one FM workspace, one
-// growing queue — and threads it through the recursion.
+// it keeps one bisector — an arena for every temporary, the split sides' CSR
+// arrays included, one FM workspace, one growing queue — and threads it
+// through the recursion. A bisection pays only for work that can change its
+// result: its matchings scan only the edges they can still select, a level
+// whose matching would not shrink it geometrically is not contracted, and a
+// growing try keeps its cut as it grows.
 package initpart
 
 import (
@@ -285,8 +290,15 @@ func (s *bisector) hierarchy(g *graph.Graph) *coarsen.Hierarchy {
 }
 
 // refineBisection runs two-way FM between the sides. The balance bound is
-// the larger side's target within (1+eps). The passes share one boundary
-// index, built once and kept current by each pass's moves.
+// the larger side's target within (1+eps), plus the level's heaviest node, so
+// the bound tightens level by level as the bisection is projected. The
+// passes share one boundary index, built once and kept current by each
+// pass's moves. Up to the engine's fmPasses run, and the first pass that
+// gains nothing ends them, the first pass included: a pass after it searches
+// almost the same band from almost the same sides, and of 556 such passes
+// over 16 rmat:12 runs 25 moved a node, for 35 % of the bisections' FM time.
+// A first pass that loses cut is rebalancing a projected bisection to the
+// tighter bound; a second pass rarely wins that back.
 func (s *bisector) refineBisection(g *graph.Graph, block []int32, targetA int64) {
 	p := part.FromBlocks(g, 2, s.eps, block)
 	targetB := g.TotalNodeWeight() - targetA
@@ -299,7 +311,7 @@ func (s *bisector) refineBisection(g *graph.Graph, block []int32, targetA int64)
 	idx := s.ws.PairIndex(p, p.Block, 0, 1)
 	for pass := 0; pass < s.params.fmPasses; pass++ {
 		out := refine.RefinePairIndexed(s.ws, idx, p, p.Block, 0, 1, cfg, s.r.Uint64(), s.r.Uint64())
-		if out.Gain <= 0 && pass > 0 {
+		if out.Gain <= 0 {
 			break
 		}
 	}

@@ -125,8 +125,8 @@ func TestRunAboveParallelFloorsByteIdentical(t *testing.T) {
 		}
 		var got goldenRow
 		got.record(res.Blocks, res.Cut, res.Balance)
-		if got.cut != 2102 || got.balance != "1.030273" || got.hash != "56734c4a8542f077" {
-			t.Fatalf("GOMAXPROCS=%d: cut %d, balance %s, hash %s; want 2102, 1.030273, 56734c4a8542f077", procs, got.cut, got.balance, got.hash)
+		if got.cut != 2118 || got.balance != "1.030273" || got.hash != "bddc87e3961741fd" {
+			t.Fatalf("GOMAXPROCS=%d: cut %d, balance %s, hash %s; want 2118, 1.030273, bddc87e3961741fd", procs, got.cut, got.balance, got.hash)
 		}
 	}
 }

@@ -2,7 +2,9 @@
 // (BENCH_GATE) reads, at a scaled-down size (two instances, one repetition),
 // and end-to-end runs of the public API. The full tables, with paper-style
 // repetition counts, are regenerated by `go run ./cmd/benchtables -all -reps
-// 10`.
+// 10`. Each table benchmark takes its instances from bench.Suites, so it
+// shares no generated graph with another benchmark and reads the same alone
+// as in the gate.
 package repro
 
 import (
@@ -12,16 +14,30 @@ import (
 	"repro/internal/bench"
 )
 
+// BenchmarkTable1_Instances times what Table 1 describes: generating both
+// suites' instances, fresh in every op.
 func BenchmarkTable1_Instances(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Table1(io.Discard)
+		calibration, large := bench.Suites()
+		for _, in := range append(calibration, large...) {
+			in.Graph()
+		}
 	}
 }
 
+// BenchmarkTable2_Presets times Table 2's presets on the first two
+// calibration instances, generated before the timer starts.
 func BenchmarkTable2_Presets(b *testing.B) {
 	t, _ := bench.Lookup("2")
+	calibration, _ := bench.Suites()
+	two := calibration[:2]
+	for _, in := range two {
+		in.Graph()
+	}
+	t.Suite = func() []*bench.Instance { return two }
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Print(io.Discard, bench.Options{Reps: 1, Ks: []int{8}, MaxInstances: 2})
+		t.Print(io.Discard, bench.Options{Reps: 1, Ks: []int{8}})
 	}
 }
 

@@ -34,14 +34,12 @@ func (in *Instance) Graph() *graph.Graph {
 	return in.g
 }
 
-var (
-	suitesOnce       sync.Once
-	calibrationSuite []*Instance
-	largeSuite       []*Instance
-)
-
-func buildSuites() {
-	calibrationSuite = []*Instance{
+// Suites returns the calibration and the large suite as new instances: each
+// generates its graph on first use and caches it for its own holder, so two
+// callers of Suites share no graph — a benchmark that generates its inputs
+// from them measures the same alone as after another.
+func Suites() (calibration, large []*Instance) {
+	calibration = []*Instance{
 		{Name: "rgg13", Family: "geometric", Make: func() *graph.Graph { return gen.RGG(13, 1001) }},
 		{Name: "delaunay13", Family: "geometric", Make: func() *graph.Graph { return gen.DelaunayX(13, 1002) }},
 		{Name: "grid64", Family: "fem", Make: func() *graph.Graph { return gen.Grid2D(64, 64) }},
@@ -51,7 +49,7 @@ func buildSuites() {
 		{Name: "road12k", Family: "street", Make: func() *graph.Graph { return gen.Road(12000, 6, 1005) }},
 		{Name: "social8k", Family: "social", Make: func() *graph.Graph { return gen.PrefAttach(8192, 5, 1006) }},
 	}
-	largeSuite = []*Instance{
+	large = []*Instance{
 		{Name: "rgg16", Family: "geometric", Make: func() *graph.Graph { return gen.RGG(16, 2001) }},
 		{Name: "delaunay16", Family: "geometric", Make: func() *graph.Graph { return gen.DelaunayX(16, 2002) }},
 		{Name: "fem40k", Family: "fem", Make: func() *graph.Graph { return gen.FEMMesh(40000, 10, 2003) }},
@@ -62,21 +60,25 @@ func buildSuites() {
 		{Name: "coauthors-like", Family: "social", Make: func() *graph.Graph { return gen.PrefAttach(30000, 6, 2007) }},
 		{Name: "citation-like", Family: "social", Make: func() *graph.Graph { return gen.RMAT(15, 12, 2008) }},
 	}
+	return calibration, large
 }
+
+// suites are the process's suites, which the tables share.
+var suites = sync.OnceValues(Suites)
 
 // calibration is the small/medium suite used for parameter tuning (§6.1,
 // Tables 2–4 left), standing in for the left column of Table 1.
 func calibration() []*Instance {
-	suitesOnce.Do(buildSuites)
-	return calibrationSuite
+	c, _ := suites()
+	return c
 }
 
 // large is the larger suite of §6.2 (Tables 4 right through 20), standing in
 // for the right column of Table 1: geometric graphs, FEM graphs, street
 // networks, sparse matrices, and social networks, in that order.
 func large() []*Instance {
-	suitesOnce.Do(buildSuites)
-	return largeSuite
+	_, l := suites()
+	return l
 }
 
 // largeCoord is the subset of large with coordinates, used by Table 5 (the

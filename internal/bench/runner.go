@@ -13,10 +13,12 @@ import (
 
 // Row aggregates repeated runs of one configuration on one instance, the
 // way the paper reports them: average cut, best cut, average balance,
-// average time — plus the worst balance, and a Note for what a table reports
-// besides (the distribution ablations' locality figures).
+// average time — plus the geometric mean of the cuts, the worst balance, and
+// a Note for what a table reports besides (the distribution ablations'
+// locality figures).
 type Row struct {
 	AvgCut  float64
+	GeoCut  float64
 	BestCut int64
 	AvgBal  float64
 	MaxBal  float64
@@ -60,11 +62,12 @@ func runTool(g *graph.Graph, k int, eps float64, tool baseline.Tool, reps int) R
 func repeat(reps int, run func(seed uint64) (cut int64, bal float64, t time.Duration)) Row {
 	reps = max(reps, 1)
 	var row Row
-	var totalCut, totalBal float64
+	var totalCut, logCut, totalBal float64
 	var totalTime time.Duration
 	for i := 0; i < reps; i++ {
 		cut, bal, t := run(uint64(i)*0x5bd1e995 + 7)
 		totalCut += float64(cut)
+		logCut += math.Log(math.Max(float64(cut), 1))
 		totalBal += bal
 		row.MaxBal = max(row.MaxBal, bal)
 		totalTime += t
@@ -73,6 +76,7 @@ func repeat(reps int, run func(seed uint64) (cut int64, bal float64, t time.Dura
 		}
 	}
 	row.AvgCut = totalCut / float64(reps)
+	row.GeoCut = math.Exp(logCut / float64(reps))
 	row.AvgBal = totalBal / float64(reps)
 	row.AvgTime = totalTime / time.Duration(reps)
 	return row

@@ -14,6 +14,9 @@ import (
 	"repro/internal/rng"
 )
 
+// pieceClosed flags, in referenceGPAEdges, a piece closed into a cycle.
+const pieceClosed byte = 2
+
 // referenceGPAEdges is gpaEdges as it was before its path adjacency was
 // indexed by position in nodes: one [2]halfEdge row per node of g, whatever
 // the size of the matched set. TestGPAMatchesReference holds gpaEdges to it.

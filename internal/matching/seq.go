@@ -136,12 +136,11 @@ func (p pathAdj) at(v int32) int {
 	return 2 * int(v)
 }
 
-// Flags of a GPA piece, kept at its DSU root, and the walk's visited mark on
-// a node's selected-edge count.
+// The flag of a GPA piece, kept at its DSU root, and the walk's visited mark
+// on a node's selected-edge count.
 const (
-	pieceOdd    byte = 1 // the piece has an odd number of edges
-	pieceClosed byte = 2 // the piece is closed into a cycle
-	walked      byte = 0x80
+	pieceOdd byte = 1 // the piece has an odd number of edges
+	walked   byte = 0x80
 )
 
 // gpaEdges runs the Global Path Algorithm over the given edge set, writing
@@ -206,22 +205,20 @@ func gpaEdges(g *graph.Graph, nodes []int32, edges []Edge, m Matching, rated []f
 			if deg[e.U] >= 2 || deg[e.V] >= 2 {
 				continue
 			}
+			// Both endpoints have fewer than two selected edges, so neither
+			// lies on a cycle: their pieces are paths.
 			ru, rv := d.Find(e.U), d.Find(e.V)
-			if piece[ru]&pieceClosed != 0 || piece[rv]&pieceClosed != 0 {
-				continue
-			}
 			if ru == rv {
 				// Both endpoints of one path: closing it creates a cycle
-				// with edgeCount+1 edges, which must be even.
-				if piece[ru]&pieceOdd == 0 {
-					continue
+				// with edgeCount+1 edges, which must be even. Every node of
+				// the cycle then holds two selected edges.
+				if piece[ru]&pieceOdd != 0 {
+					sel(e)
 				}
-				piece[ru] |= pieceClosed
-				sel(e)
 				continue
 			}
 			// The merged path has cu+cv+1 edges, which is odd iff cu and
-			// cv have equal parity; neither piece is closed.
+			// cv have equal parity.
 			merged := piece[ru] ^ piece[rv] ^ pieceOdd
 			d.Union(e.U, e.V)
 			piece[d.Find(e.U)] = merged

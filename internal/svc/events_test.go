@@ -230,7 +230,7 @@ func TestEventPayloadsAreReportEntries(t *testing.T) {
 	}
 	for spec, rebalances := range map[string]int{
 		`{"gen":"rgg:9","k":4,"seed":5}`:          0,
-		`{"gen":"rgg:11","k":8,"pes":2,"seed":3}`: 1,
+		`{"gen":"rgg:11","k":8,"pes":2,"seed":4}`: 1,
 	} {
 		t.Run(spec, func(t *testing.T) { checkEventPayloads(t, spec, rebalances) })
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -202,8 +203,16 @@ func BenchmarkStitch(b *testing.B) {
 		g := tc.g
 		_, parts := levelZero(g)
 		b.Run(tc.name, func(b *testing.B) {
+			// An op allocates about as much as the level it stitches holds,
+			// so a collection may or may not start inside it, depending on
+			// what ran before, and add the runtime's own allocations to
+			// allocs/op. The collections run between the ops instead.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
 				if cg, _ := coarsen.Stitch(g, parts); cg.NumNodes() >= g.NumNodes() {
 					b.Fatalf("level did not shrink the graph: %d nodes", cg.NumNodes())
 				}

@@ -295,10 +295,9 @@ func (s *bisector) hierarchy(g *graph.Graph) *coarsen.Hierarchy {
 // passes share one boundary index, built once and kept current by each
 // pass's moves. Up to the engine's fmPasses run, and the first pass that
 // gains nothing ends them, the first pass included: a pass after it searches
-// almost the same band from almost the same sides, and of 556 such passes
-// over 16 rmat:12 runs 25 moved a node, for 35 % of the bisections' FM time.
-// A first pass that loses cut is rebalancing a projected bisection to the
-// tighter bound; a second pass rarely wins that back.
+// almost the same band from almost the same sides and, on rmat:12, almost
+// never moves a node. A first pass that loses cut is rebalancing a projected
+// bisection to the tighter bound; a second pass rarely wins that back.
 func (s *bisector) refineBisection(g *graph.Graph, block []int32, targetA int64) {
 	p := part.FromBlocks(g, 2, s.eps, block)
 	targetB := g.TotalNodeWeight() - targetA

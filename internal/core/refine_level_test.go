@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -254,9 +255,16 @@ func BenchmarkRefineLevel(b *testing.B) {
 			b.Run(fmt.Sprintf("workers=%d/%s", workers, strings.ReplaceAll(spec, ":", "")), func(b *testing.B) {
 				l := newRefineLevelBench(b, spec, workers)
 				l.pass(b)
+				// A collection that starts inside a pass adds the runtime's
+				// own allocations to allocs/op, depending on what ran
+				// before; the collections run between the passes instead.
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					runtime.GC()
+					b.StartTimer()
 					l.pass(b)
 				}
 			})

@@ -143,7 +143,7 @@ func (m *metis) Coarsen(ctx context.Context, g *graph.Graph, cfg *core.Config, e
 			return nil, nil, 0, 0, nil
 		}
 		matchT, tc := time.Since(tm), time.Now()
-		cg, f2c := coarsen.Contract(cur, mt)
+		cg, f2c := coarsen.ContractWith(cur, mt, coarsen.Options{})
 		return cg, f2c, matchT, time.Since(tc), nil
 	})
 }

@@ -16,15 +16,17 @@
 // same matching and distribution both give the same map, and the same graph
 // up to the order within a row, which the stitch sorts.
 //
-// The shared contraction is the two-pass scheme of §5.2's static-array
-// philosophy: a count pass sizes the coarse CSR exactly (prefix sums become
-// xadj), then a fill pass writes every coarse half-edge into its final slot,
-// merging parallel edges with a per-worker scatter array. Both passes, and
-// the numbering before them, process each node independently, so they
-// parallelize over disjoint node ranges with no synchronization beyond their
-// barriers — and because every worker handles its nodes in exactly the order
-// the serial loop would, the resulting graph is byte-identical for any
-// worker count.
+// Both contract by the map with one function, the two-pass scheme of §5.2's
+// static-array philosophy: one serial pass over the map threads the members
+// of every coarse node onto a list and cuts the coarse ids into spans of
+// about equal fine degree, then a count pass sizes the coarse CSR exactly
+// (prefix sums become xadj) and a fill pass writes every coarse half-edge
+// into its final slot, merging parallel edges with a per-worker scatter
+// array. The two passes run over the spans, and ContractWith's numbering
+// before them over disjoint node ranges, with no synchronization beyond
+// their barriers — and because every worker handles its nodes in exactly the
+// order the serial loop would, the resulting graph is byte-identical for any
+// worker count. The map may give a coarse node any number of members.
 package coarsen
 
 import (
@@ -34,14 +36,15 @@ import (
 	"repro/internal/par"
 )
 
-// Options tunes ContractWith. The zero value reproduces Contract: one
-// worker, no buffer reuse.
+// Options tunes ContractWith. The zero value is one worker, no buffer reuse
+// and coarse ids in fine order.
 type Options struct {
 	// Workers is the number of spans the count and fill passes split the
 	// coarse nodes into, and the most node ranges the numbering before them
 	// splits into (it also keeps to the floor of graph.ParallelRanges);
-	// values < 2 run the passes inline. The result is byte-identical for
-	// every worker count.
+	// values < 2 run the passes inline. The member lists and spans between
+	// the two are one serial pass over the map. The result is byte-identical
+	// for every worker count.
 	Workers int
 	// Arena supplies the reusable scratch buffers (member lists, scatter
 	// arrays); nil falls back to fresh allocations.
@@ -57,17 +60,12 @@ type Options struct {
 	PEs    int
 }
 
-// Contract contracts every matched edge of m in g. It returns the coarse
+// ContractWith contracts every matched edge of m in g. It returns the coarse
 // graph and the mapping fine node → coarse node. Contracting {u,v} forms a
 // node x with c(x) = c(u)+c(v); parallel coarse edges are merged by summing
 // their weights (§2). Coordinates, when present, are carried over as the
-// mean of the contracted pair's, in each dimension.
-func Contract(g *graph.Graph, m matching.Matching) (*graph.Graph, []int32) {
-	return ContractWith(g, m, Options{})
-}
-
-// ContractWith is Contract with explicit worker count, scratch arena and
-// node distribution; see Options.
+// mean of the contracted pair's, in each dimension. opt sets the worker
+// count, scratch arena and node distribution.
 //
 //kappa:hotpath
 func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Graph, []int32) {
@@ -83,119 +81,52 @@ func ContractWith(g *graph.Graph, m matching.Matching, opt Options) (*graph.Grap
 	// allocation; only true temporaries come from the arena.
 	//kappa:allow hotalloc the fine→coarse mapping persists in the Hierarchy
 	fine2coarse := make([]int32, n)
-	//kappa:allow hotalloc one span per goroutine of the count and fill passes
-	spans := make([]span, workers)
 
 	// Every unmatched node and the smaller endpoint of every pair creates a
 	// coarse node, numbered block-major and in fine order within a block.
 	// On the node ranges of graph.ParallelRanges (at most workers), each
-	// range counts its creators per block and the fine degree their pairs
-	// bring, into its segments: range r's share of block b sits at
-	// line + r·stride + b, a cache line apart from every other range's and
-	// from the ends of the arrays, as the ranges update their counters for
-	// every creator. Prefix sums in (block, range) order give each segment
-	// the first id it numbers (at) and the degree before it (deg), and the
-	// first span end it may set (ends); then every range numbers its
-	// creators (numbering.number). One range runs on the calling goroutine
-	// without a closure, so the serial path allocates nothing more.
+	// range counts its creators per block into its segment: range r's share
+	// of block b sits at line + r·stride + b, a cache line apart from every
+	// other range's and from the ends of the array, as the ranges update
+	// their counters for every creator. Prefix sums in (block, range) order
+	// turn the counts into the first id each segment numbers; then every
+	// range maps its creators and their partners. One range runs inline on
+	// the calling goroutine, so the serial path allocates nothing more.
 	const line = 16 // int32s in a 64-byte cache line
 	ranges := min(workers, graph.ParallelRanges(opt.Crew, 2*g.NumEdges()))
 	stride := pes + line
 	size := line + ranges*stride
-	at, deg, ends := a.Int32(size), a.Int64(size), a.Int32(size)
-	if ranges == 1 {
-		countCreators(g, m, blocks, 0, int32(n), at[line:line+pes], deg[line:line+pes])
-	} else {
+	at := a.Int32(size)
+	clear(at)
+	walk := func(f2c []int32) {
+		if ranges == 1 {
+			numberCreators(f2c, m, blocks, 0, int32(n), at[line:line+pes])
+			return
+		}
 		opt.Crew.Run(ranges, func(_, r int) {
 			s := line + r*stride
-			countCreators(g, m, blocks, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[s:s+pes], deg[s:s+pes])
+			numberCreators(f2c, m, blocks, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[s:s+pes])
 		})
 	}
-	nc, total := int32(0), int64(0)
+	walk(nil)
+	nc := int32(0)
 	for b := range pes {
 		for s := line + b; s < size; s += stride {
 			at[s], nc = nc, nc+at[s]
-			deg[s], total = total, total+deg[s]
 		}
 	}
-	for b, w := 0, int32(0); b < pes; b++ {
-		for s := line + b; s < size; s += stride {
-			for int(w) < workers-1 && total*int64(w+1)/int64(workers) < deg[s] {
-				w++
-			}
-			ends[s] = w
-		}
-	}
-	for w := range spans {
-		spans[w].hi = nc // a span no degree ends (a level without edges) ends with the level
-	}
-	nb := numbering{fine2coarse, a.Int32(int(nc)), a.Int32(n), spans, total}
-	if ranges == 1 {
-		nb.number(g, m, blocks, 0, int32(n), at[line:line+pes], deg[line:line+pes], ends[line:line+pes])
-	} else {
-		opt.Crew.Run(ranges, func(_, r int) {
-			s := line + r*stride
-			nb.number(g, m, blocks, g.RangeStart(r, ranges), g.RangeStart(r+1, ranges), at[s:s+pes], deg[s:s+pes], ends[s:s+pes])
-		})
-	}
+	walk(fine2coarse)
 	a.PutInt32(at)
-	a.PutInt64(deg)
-	a.PutInt32(ends)
-	for w := 1; w < workers; w++ {
-		spans[w].lo = spans[w-1].hi
-	}
 
-	cg := contractMapped(opt.Crew, g, fine2coarse, nb.head, nb.next, spans, a).graph()
-	a.PutInt32(nb.head)
-	a.PutInt32(nb.next)
-	return cg, fine2coarse
+	return contractMapped(opt.Crew, g, fine2coarse, nc, workers, a).graph(), fine2coarse
 }
 
-// countCreators sets creators[b] to how many of the nodes [lo, hi) of block
-// b (all of them in block 0 when blocks is nil) create a coarse node under m
-// — unmatched, or the smaller endpoint of a pair — and degree[b] to the fine
-// degree of the nodes they gather.
-func countCreators(g *graph.Graph, m matching.Matching, blocks []int32, lo, hi int32, creators []int32, degree []int64) {
-	clear(creators)
-	clear(degree)
-	for v := lo; v < hi; v++ {
-		if u := m[v]; u < 0 || u > v {
-			b := int32(0)
-			if blocks != nil {
-				b = blocks[v]
-			}
-			creators[b]++
-			degree[b] += int64(g.Degree(v))
-			if u >= 0 {
-				degree[b] += int64(g.Degree(u))
-			}
-		}
-	}
-}
-
-// numbering is what the numbering pass of ContractWith writes: the
-// fine→coarse map, the member lists (head[c] is c's first member, next[v]
-// the member after v, -1 the end) and the ends of the spans of the count and
-// fill passes, which split the total fine degree of the level evenly.
-type numbering struct {
-	fine2coarse, head, next []int32
-	spans                   []span
-	total                   int64
-}
-
-// number numbers the creators among the nodes [lo, hi), maps each and its
-// partner, and threads them onto the member lists in ascending order: every
-// node is written by the range of its creator. Per block b of blocks (0 for
-// all when nil), the range's creators take the ids at[b], at[b]+1, … in fine
-// order, deg[b] is the degree the creators numbered before them gather, and
-// ends[b] the first span end they may set; number advances all three. Span
-// w ends after the coarse node at which the degree summed in coarse order
-// first exceeds (w+1)/len(spans) of the total, so the passes split the level
-// by the work they do (equal id ranges would let one hub-heavy range
-// serialize the level on social graphs); a range sets the ends that fall
-// among its creators.
-func (nb numbering) number(g *graph.Graph, m matching.Matching, blocks []int32, lo, hi int32, at []int32, deg []int64, ends []int32) {
-	workers := int64(len(nb.spans))
+// numberCreators walks the nodes [lo, hi) that create a coarse node under m
+// — unmatched, or the smaller endpoint of a pair — in fine order. Per block b
+// of blocks (0 for all when nil) they take the ids at[b], at[b]+1, …, and
+// at[b] ends past them; a nil fine2coarse only counts them, otherwise each
+// creator and its partner are mapped to its id.
+func numberCreators(fine2coarse []int32, m matching.Matching, blocks []int32, lo, hi int32, at []int32) {
 	for v := lo; v < hi; v++ {
 		u := m[v]
 		if u >= 0 && u < v {
@@ -207,16 +138,11 @@ func (nb numbering) number(g *graph.Graph, m matching.Matching, blocks []int32, 
 		}
 		c := at[b]
 		at[b] = c + 1
-		nb.fine2coarse[v], nb.head[c], nb.next[v] = c, v, u
-		d := deg[b] + int64(g.Degree(v))
-		if u >= 0 {
-			nb.fine2coarse[u], nb.next[u] = c, -1
-			d += int64(g.Degree(u))
-		}
-		deg[b] = d
-		for w := int64(ends[b]); w < workers-1 && d > nb.total*(w+1)/workers; w++ {
-			nb.spans[w].hi = c + 1
-			ends[b] = int32(w + 1)
+		if fine2coarse != nil {
+			fine2coarse[v] = c
+			if u >= 0 {
+				fine2coarse[u] = c
+			}
 		}
 	}
 }
@@ -249,19 +175,23 @@ type span struct {
 	maxNW, ew    int64
 }
 
-// contractMapped is the count and fill passes every contraction runs, each a
-// batch of one task per span on run: the coarse graph of g under
-// fine2coarse, whose coarse node c has the fine members memberHead[c],
-// memberNext[memberHead[c]], … in ascending order up to -1. Node weights are the members' sums, parallel
-// coarse edges merge by summing their weights, edges inside a coarse node
-// vanish, and each row lists its neighbours in the order its members' rows
-// first reach them. Each dimension's coordinate is the members' mean, summed
-// in ascending member order: the additions of a scan over the fine nodes, in
-// its order, so the same bits.
+// contractMapped is the one contraction by a map, which ContractWith and
+// StitchChecked both run: the coarse graph of g under fine2coarse, a map
+// onto [0, nc) that leaves no coarse id without a member. It threads the
+// members of every coarse node onto ascending lists (memberLists), cuts the
+// coarse ids into at most workers spans of about equal fine degree
+// (coarseSpans) and runs the count and fill passes, each a batch of one task
+// per span on run, with scratch from a (nil allocates). Node weights are the
+// members' sums, parallel coarse edges merge by summing their weights, edges
+// inside a coarse node vanish, and each row lists its neighbours in the
+// order its members' rows first reach them. Each dimension's coordinate is
+// the members' mean, summed in ascending member order: the additions of a
+// scan over the fine nodes, in its order, so the same bits.
 //
 //kappa:hotpath
-func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memberNext []int32, spans []span, a *mem.Arena) coarseCSR {
-	nc := spans[len(spans)-1].hi
+func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse []int32, nc int32, workers int, a *mem.Arena) coarseCSR {
+	memberHead, memberNext := memberLists(fine2coarse, nc, a)
+	spans := coarseSpans(g, memberHead, memberNext, nc, max(1, min(workers, int(nc))))
 
 	// Node weights and the row index persist with the coarse graph.
 	//kappa:allow hotalloc node weights persist with the coarse graph
@@ -376,12 +306,53 @@ func contractMapped(run *par.Crew, g *graph.Graph, fine2coarse, memberHead, memb
 		sp.ew = ew
 	})
 
+	a.PutInt32(memberHead)
+	a.PutInt32(memberNext)
 	var totalEW int64
 	for _, sp := range spans {
 		totalEW += sp.ew
 	}
 	return coarseCSR{xadj: xadj, adj: adj, ewgt: ewgt, nwgt: nwgt, coords: cc, agg: graph.CSRAggregates{
 		TotalNodeWeight: g.TotalNodeWeight(), TotalEdgeWeight: totalEW / 2, MaxNodeWeight: maxNW}}
+}
+
+// memberLists threads the fine nodes of every coarse node of fine2coarse onto
+// a list in ascending order: head[c] is c's first member, next[v] the member
+// after v, -1 the end. Both are borrowed from a (nil allocates).
+func memberLists(fine2coarse []int32, nc int32, a *mem.Arena) (head, next []int32) {
+	head, next = a.Int32(int(nc)), a.Int32(len(fine2coarse))
+	for c := range head {
+		head[c] = -1
+	}
+	for v := int32(len(fine2coarse)) - 1; v >= 0; v-- {
+		c := fine2coarse[v]
+		next[v], head[c] = head[c], v
+	}
+	return head, next
+}
+
+// coarseSpans cuts [0, nc) into workers spans, balancing the summed fine
+// degrees of each span's coarse members (equal id ranges would let one
+// hub-heavy range serialize the level on social graphs).
+func coarseSpans(g *graph.Graph, head, next []int32, nc int32, workers int) []span {
+	spans := make([]span, workers)
+	spans[workers-1].hi = nc
+	totalDeg := 2 * int64(g.NumEdges()) // Σ_v deg(v) in CSR
+	var acc int64
+	w := 0
+	for c := int32(0); c < nc && w < workers-1; c++ {
+		for v := head[c]; v >= 0; v = next[v] {
+			acc += int64(g.Degree(v))
+		}
+		if acc >= totalDeg*int64(w+1)/int64(workers) {
+			spans[w].hi, spans[w+1].lo = c+1, c+1
+			w++
+		}
+	}
+	for ; w < workers-1; w++ {
+		spans[w].hi, spans[w+1].lo = nc, nc
+	}
+	return spans
 }
 
 // Level is one step of the hierarchy: Fine is the graph before contraction

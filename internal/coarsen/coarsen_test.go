@@ -27,7 +27,7 @@ func TestContractSimple(t *testing.T) {
 	g := b.Build()
 	m := matching.NewEmpty(4)
 	m[1], m[2] = 2, 1
-	cg, f2c := Contract(g, m)
+	cg, f2c := ContractWith(g, m, Options{})
 	if cg.NumNodes() != 3 || cg.NumEdges() != 2 {
 		t.Fatalf("coarse n=%d m=%d", cg.NumNodes(), cg.NumEdges())
 	}
@@ -55,7 +55,7 @@ func TestContractMergesParallel(t *testing.T) {
 	g := b.Build()
 	m := matching.NewEmpty(3)
 	m[0], m[1] = 1, 0
-	cg, f2c := Contract(g, m)
+	cg, f2c := ContractWith(g, m, Options{})
 	if cg.NumNodes() != 2 || cg.NumEdges() != 1 {
 		t.Fatalf("coarse n=%d m=%d", cg.NumNodes(), cg.NumEdges())
 	}
@@ -66,7 +66,7 @@ func TestContractMergesParallel(t *testing.T) {
 
 func TestContractEmptyMatching(t *testing.T) {
 	g := gen.Grid2D(4, 4)
-	cg, f2c := Contract(g, matching.NewEmpty(16))
+	cg, f2c := ContractWith(g, matching.NewEmpty(16), Options{})
 	if cg.NumNodes() != 16 || cg.NumEdges() != g.NumEdges() {
 		t.Fatal("empty matching must be identity contraction")
 	}
@@ -95,7 +95,7 @@ func TestContractInvariants(t *testing.T) {
 		g := b.Build()
 		rt := rating.NewRater(rating.ExpansionStar2, g)
 		m := matching.ComputeScratch(g, rt, matching.GPA, r, 0, nil)
-		cg, f2c := Contract(g, m)
+		cg, f2c := ContractWith(g, m, Options{})
 		if cg.Validate() != nil {
 			return false
 		}
@@ -128,7 +128,7 @@ func TestContractCoords(t *testing.T) {
 	g := gen.Grid2D(4, 1) // 4 nodes in a row at x = 0, .25, .5, .75
 	m := matching.NewEmpty(4)
 	m[0], m[1] = 1, 0
-	cg, f2c := Contract(g, m)
+	cg, f2c := ContractWith(g, m, Options{})
 	if !cg.HasCoords() {
 		t.Fatal("coordinates lost")
 	}
@@ -152,7 +152,7 @@ func TestHierarchyProjection(t *testing.T) {
 		if m.Size() == 0 {
 			break
 		}
-		cg, f2c := Contract(h.Coarsest, m)
+		cg, f2c := ContractWith(h.Coarsest, m, Options{})
 		h.Push(cg, f2c)
 	}
 	if h.Depth() < 2 {

@@ -71,14 +71,15 @@ func Stitch(g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32) {
 // the fine-node count are checked by the sizing pass, the rest by the fill of
 // the map.
 //
-// The map then contracts g itself with the count and fill passes of
-// ContractWith — g is the coordinator's own level, so no edge, weight or
+// The map then contracts g itself by the function ContractWith runs
+// (contractMapped) — g is the coordinator's own level, so no edge, weight or
 // coordinate a part could get wrong is read from it — and a last pass sorts
 // each row, so the graph comes out exactly as the edge-list merge of the
 // workers' coarse edges used to build it: rows ascending, weights summed,
-// coordinates the means of at most two members, which IEEE addition sums
-// the same in either order. The passes run on graph.ParallelRanges of g's
-// half-edges, batches on run.
+// coordinates the means of the members summed in ascending fine order. A
+// coarse node may have any number of members. The spans and the row sort
+// are graph.ParallelRanges of g's half-edges, batches on run; the member
+// lists and spans are allocated afresh.
 func StitchChecked(run *par.Crew, g *graph.Graph, parts []*PEContraction) (*graph.Graph, []int32, error) {
 	n := g.NumNodes()
 	total, fine := 0, 0
@@ -117,48 +118,9 @@ func StitchChecked(run *par.Crew, g *graph.Graph, parts []*PEContraction) (*grap
 	}
 
 	workers := graph.ParallelRanges(run, 2*g.NumEdges())
-	head, next := memberLists(fine2coarse, int32(total))
-	cc := contractMapped(run, g, fine2coarse, head, next, coarseSpans(g, head, next, int32(total), max(1, min(workers, total))), nil)
+	cc := contractMapped(run, g, fine2coarse, int32(total), workers, nil)
 	sortRows(run, cc, workers)
 	return cc.graph(), fine2coarse, nil
-}
-
-// coarseSpans cuts [0, nc) into workers spans, balancing the summed fine
-// degrees of each span's coarse members.
-func coarseSpans(g *graph.Graph, head, next []int32, nc int32, workers int) []span {
-	spans := make([]span, workers)
-	spans[workers-1].hi = nc
-	totalDeg := 2 * int64(g.NumEdges()) // Σ_v deg(v) in CSR
-	var acc int64
-	w := 0
-	for c := int32(0); c < nc && w < workers-1; c++ {
-		for v := head[c]; v >= 0; v = next[v] {
-			acc += int64(g.Degree(v))
-		}
-		if acc >= totalDeg*int64(w+1)/int64(workers) {
-			spans[w].hi, spans[w+1].lo = c+1, c+1
-			w++
-		}
-	}
-	for ; w < workers-1; w++ {
-		spans[w].hi, spans[w+1].lo = nc, nc
-	}
-	return spans
-}
-
-// memberLists threads the fine nodes of every coarse node of fine2coarse onto
-// a list in ascending order: head[c] is c's first member, next[v] the member
-// after v, -1 the end.
-func memberLists(fine2coarse []int32, nc int32) (head, next []int32) {
-	head, next = make([]int32, nc), make([]int32, len(fine2coarse))
-	for c := range head {
-		head[c] = -1
-	}
-	for v := int32(len(fine2coarse)) - 1; v >= 0; v-- {
-		c := fine2coarse[v]
-		next[v], head[c] = head[c], v
-	}
-	return head, next
 }
 
 // fillMap sets fine2coarse[fine[i]] = coarse[i] and the bit of coarse[i] in

@@ -114,7 +114,7 @@ func TestContractNumbersLikeTheStitch(t *testing.T) {
 	crew := par.Start(4, par.Spin)
 	defer crew.Stop()
 	rgg := gen.RGG(13, 3)
-	contracted, _ := Contract(rgg, randomMatching(rgg, rng.New(5)))
+	contracted, _ := ContractWith(rgg, randomMatching(rgg, rng.New(5)), Options{})
 	graphs := map[string]*graph.Graph{"rgg": rgg, "delaunay": gen.DelaunayX(12, 4), "contracted": contracted}
 	r := rng.New(48)
 	for name, g := range graphs {

@@ -53,15 +53,24 @@ func graphsEqual(t *testing.T, name string, want, got *graph.Graph) {
 }
 
 // testGraphs returns instances across families (with and without
-// coordinates, uniform and skewed degrees).
+// coordinates, uniform and skewed degrees), an edgeless and a one-node level,
+// which leave more workers than coarse nodes, and a star whose hub is its
+// last node, whose last coarse nodes end several degree spans at once.
 func testGraphs() map[string]*graph.Graph {
+	star := graph.NewBuilder(101)
+	for v := range int32(100) {
+		star.AddEdge(v, 100, 1)
+	}
 	return map[string]*graph.Graph{
+		"star":     star.Build(),
 		"grid":     gen.Grid2D(40, 25),
 		"grid3d":   gen.Grid3D(10, 9, 8),
 		"rgg":      gen.RGG(11, 5),
 		"social":   gen.PrefAttach(3000, 5, 6),
 		"road":     gen.Road(4000, 5, 7),
 		"delaunay": gen.DelaunayX(11, 8),
+		"edgeless": graph.NewBuilder(5).Build(),
+		"one node": gen.Grid2D(1, 1),
 	}
 }
 
@@ -73,7 +82,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 	for name, g := range testGraphs() {
 		rt := rating.NewRater(rating.ExpansionStar2, g)
 		m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(42), 0, nil)
-		wantG, wantMap := Contract(g, m)
+		wantG, wantMap := ContractWith(g, m, Options{})
 		for _, workers := range []int{2, 3, 4, 7, 64} {
 			a := mem.NewArena()
 			gotG, gotMap := ContractWith(g, m, Options{Workers: workers, Arena: a})
@@ -86,7 +95,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 			// Second level on the contracted graph, reusing the arena.
 			rt2 := rating.NewRater(rating.ExpansionStar2, wantG)
 			m2 := matching.ComputeScratch(wantG, rt2, matching.GPA, rng.New(43), 0, nil)
-			want2, _ := Contract(wantG, m2)
+			want2, _ := ContractWith(wantG, m2, Options{})
 			got2, _ := ContractWith(gotG, m2, Options{Workers: workers, Arena: a})
 			graphsEqual(t, name+"/level2", want2, got2)
 		}
@@ -102,7 +111,7 @@ func TestContractLargeLevelsMatchSerial(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{"rgg15": gen.RGG(15, 1), "grid3d": gen.Grid3D(32, 32, 32), "rmat12": gen.RMAT(12, 16, 1)} {
 		rt := rating.NewRater(rating.ExpansionStar2, g)
 		m := matching.ComputeScratch(g, rt, matching.GPA, rng.New(15), 0, nil)
-		want, wantMap := Contract(g, m)
+		want, wantMap := ContractWith(g, m, Options{})
 		for _, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
 			got, gotMap := ContractWith(g, m, Options{Workers: 2, Arena: mem.NewArena()})
@@ -148,7 +157,7 @@ func TestContractArenaReuse(t *testing.T) {
 	gets1, reused1 := st1.Borrows, st1.Reused
 	g2, _ := ContractWith(g, m, Options{Arena: a})
 	reused2 := a.Stats().Reused
-	g3, _ := Contract(g, m)
+	g3, _ := ContractWith(g, m, Options{})
 	graphsEqual(t, "arena-vs-arena", g1, g2)
 	graphsEqual(t, "arena-vs-fresh", g1, g3)
 	if gets1 == 0 || reused2 <= reused1 {

@@ -443,6 +443,64 @@ func TestStitchMergesAcrossParts(t *testing.T) {
 	}
 }
 
+// TestStitchContractsClusters holds the stitch to the oracle on maps whose
+// coarse nodes have one to five members, which no worker sends and the
+// fuzzer seldom builds: the 2×2 tiles of a grid with coordinates (one or two
+// members at the borders) and groups of one to five nodes of a shuffled rmat
+// graph. The parts split the coarse ids into PE ranges and deal the fine
+// nodes round robin.
+func TestStitchContractsClusters(t *testing.T) {
+	grid := gen.Grid2D(9, 7) // node i·7 + j sits at column i, row j
+	tiles := make([]int32, grid.NumNodes())
+	for v := range tiles {
+		tiles[v] = int32(v/7/2*4 + v%7/2)
+	}
+	rmat := gen.RMAT(9, 8, 5)
+	r := rng.New(57)
+	order := make([]int, rmat.NumNodes())
+	r.PermInto(order)
+	groups := make([]int32, rmat.NumNodes())
+	for i, c := 0, int32(0); i < len(order); c++ {
+		for end := min(len(order), i+1+r.Intn(5)); i < end; i++ {
+			groups[order[i]] = c
+		}
+	}
+	for name, tc := range map[string]struct {
+		g       *graph.Graph
+		f2c     []int32
+		largest int
+	}{"grid tiles": {grid, tiles, 4}, "rmat groups": {rmat, groups, 5}} {
+		nc := slices.Max(tc.f2c) + 1
+		size := make([]int, nc)
+		for _, c := range tc.f2c {
+			size[c]++
+		}
+		if slices.Min(size) != 1 || slices.Max(size) != tc.largest {
+			t.Fatalf("%s: coarse nodes of %d to %d members, want 1 to %d", name, slices.Min(size), slices.Max(size), tc.largest)
+		}
+		for _, pes := range []int{1, 3} {
+			parts := make([]*coarsen.PEContraction, pes)
+			for pe := range parts {
+				first := nc * int32(pe) / int32(pes)
+				parts[pe] = &coarsen.PEContraction{FirstCoarse: first, NumCoarse: nc*int32(pe+1)/int32(pes) - first}
+			}
+			for v, c := range tc.f2c {
+				p := parts[v%pes]
+				p.FineGlobal, p.FineCoarse = append(p.FineGlobal, int32(v)), append(p.FineCoarse, c)
+			}
+			got, gotMap, err := coarsen.StitchChecked(nil, tc.g, parts)
+			if err != nil {
+				t.Fatalf("%s pes=%d: %v", name, pes, err)
+			}
+			want, _ := referenceStitch(tc.g, expandParts(tc.g, parts))
+			sameGraph(t, name, got, want)
+			if !slices.Equal(gotMap, tc.f2c) {
+				t.Fatalf("%s pes=%d: the stitch returns another map than its parts give", name, pes)
+			}
+		}
+	}
+}
+
 // TestStitchNothing covers a level whose parts are all empty.
 func TestStitchNothing(t *testing.T) {
 	g := graph.NewBuilder(0).Build()

@@ -66,10 +66,11 @@ func BuildRanges(half int) int {
 // ParallelRanges is how many node ranges a kernel that reads half half-edges
 // once per pass splits its nodes into on run: one below parallelHalfEdges,
 // else as many as run has members (GOMAXPROCS for a nil run) with at least
-// half the floor each. The passes sized by it are the stitch's count, fill
-// and row sort (coarsen.StitchChecked); coarsen.ContractWith's numbering,
-// capped there by Options.Workers, which alone sizes its count and fill; the
-// gap-edge scan of matching.Parallel; the boundary scan of
+// half the floor each. The passes sized by it are the stitch's spans and row
+// sort (coarsen.StitchChecked); coarsen.ContractWith's numbering, capped
+// there by Options.Workers, which alone sizes its spans (the count and fill
+// of both run one task per span); the gap-edge scan of matching.Parallel;
+// the boundary scan of
 // part.BoundaryIndex.Reset; and innerOuter's weighted-degree sums
 // (rating.NewRaterOn).
 //

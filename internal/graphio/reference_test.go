@@ -211,7 +211,7 @@ func checkDecode(t *testing.T, what string, in []byte, text bool) {
 // a contracted graph — unsorted ones, isolated nodes, the empty graph.
 func referenceCases() map[string]*graph.Graph {
 	rgg := gen.RGG(7, 3)
-	contracted, _ := coarsen.Contract(rgg, matching.ComputeScratch(rgg, rating.NewRater(rating.ExpansionStar2, rgg), matching.GPA, rng.New(5), 0, nil))
+	contracted, _ := coarsen.ContractWith(rgg, matching.ComputeScratch(rgg, rating.NewRater(rating.ExpansionStar2, rgg), matching.GPA, rng.New(5), 0, nil), coarsen.Options{})
 	isolated := graph.NewBuilder(5)
 	isolated.AddEdge(1, 3, 300) // a two-byte weight, nodes 0, 2 and 4 alone
 	isolated.SetNodeWeight(4, 0)

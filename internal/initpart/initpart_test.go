@@ -169,7 +169,7 @@ func TestGrowBisectionTargets(t *testing.T) {
 // components, where growth restarts, at several targets.
 func TestGrowKeepsItsCut(t *testing.T) {
 	rmat := gen.RMAT(9, 8, 3)
-	coarse, _ := coarsen.Contract(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.ExpansionStar2, rmat), matching.GPA, rng.New(1), 0, nil))
+	coarse, _ := coarsen.ContractWith(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.ExpansionStar2, rmat), matching.GPA, rng.New(1), 0, nil), coarsen.Options{})
 	twoParts := graph.NewBuilder(20)
 	for v := int32(0); v < 19; v++ {
 		if v != 9 {
@@ -209,7 +209,7 @@ func TestGrowKeepsItsCut(t *testing.T) {
 // A unit graph must split into unit graphs.
 func TestSplitMatchesSubgraph(t *testing.T) {
 	rmat := gen.RMAT(9, 8, 3)
-	coarse, _ := coarsen.Contract(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.Weight, rmat), matching.SHEM, rng.New(1), 0, nil))
+	coarse, _ := coarsen.ContractWith(rmat, matching.ComputeScratch(rmat, rating.NewRater(rating.Weight, rmat), matching.SHEM, rng.New(1), 0, nil), coarsen.Options{})
 	if graphtest.RowsAscend(coarse) || coarse.UnitEdgeWeights() {
 		t.Fatal("the contracted graph has sorted rows or unit weights; the test wants one that needs the weighted row sort")
 	}
